@@ -6,12 +6,13 @@ faster through ``range_query_many`` / ``knn_query_many`` than through the
 one-query-at-a-time loop, while returning bit-for-bit identical answers
 (exactness is asserted inside :func:`repro.bench.run_batch_comparison`).
 
-The speedup floor is asserted on LAESA over LA/Synthetic (pure in-memory
-pivot filtering, where vectorization is the whole story); the tree
-category has its own gate in ``bench_tree_batch_throughput.py``.  CPT's
-MRQ wall clock is fetch-bound; its batch win is page accesses (leaf-
-grouped fetching), gated on counters in the tree bench, so it is reported
-but not wall-clock-gated here.
+The speedup floor is asserted on LAESA's MkNNQ over LA/Synthetic, where
+the two entry points run different verification strategies (storage order
+vs best-first, see ``repro.core.queries``).  A pivot table's
+``range_query`` *is* ``range_query_many`` with one query, so its MRQ
+column only shows what a batch amortises over one-query calls (measured
+1.2-2.5x at 6 queries) and is reported, not gated; the tree category has
+its own gate in ``bench_tree_batch_throughput.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from repro.bench import exp_batch_throughput, format_table
 from _bench_common import built_indexes, emit, workloads  # noqa: F401  (fixtures)
 
 GATED = ("LA", "Synthetic")
-# floors are deliberately below the locally measured speedups (MRQ 4.8-9x,
-# kNN 2.4-5x): this is a wall-clock gate that must also hold on noisy
-# shared CI runners, so it only catches real regressions, not jitter
-MIN_MRQ_SPEEDUP = 2.0
+# the floor is deliberately below the locally measured speedups (kNN
+# 2.4-6x): this is a wall-clock gate that must also hold on noisy shared
+# CI runners, so it only catches real regressions, not jitter
 MIN_KNN_SPEEDUP = 1.5
 
 
@@ -49,7 +49,6 @@ def test_batch_throughput(batch_rows, benchmark, workloads, built_indexes):
     laesa = [r for r in batch_rows if r["Index"] == "LAESA"]
     assert laesa, "LAESA rows missing from batch throughput experiment"
     for row in laesa:
-        assert row["MRQ speedup"] >= MIN_MRQ_SPEEDUP, row
         assert row["kNN speedup"] >= MIN_KNN_SPEEDUP, row
     workload = workloads["LA"]
     radius = workload.radius_for(0.16)

@@ -348,10 +348,10 @@ def exp_cpt_paging(
 ) -> list[dict]:
     """CPT leaf-grouped batch verification: MRQ page accesses vs sequential.
 
-    CPT's batch MRQ throughput is fetch-bound, so the interesting metric is
-    I/O, not wall clock: the leaf-grouped batch path reads every touched
-    M-tree leaf page once per batch, where the sequential loop pays one
-    (LRU-filtered) random page access per verified candidate.  Reports the
+    CPT's MRQ throughput is fetch-bound, so the interesting metric is I/O,
+    not wall clock: the batch reads every touched M-tree leaf page once
+    per batch, where the one-query-at-a-time loop reads it once per query
+    whose candidates touch it (LRU-filtered).  Reports the
     deterministic PA counts of both passes from identical cold pools.
     """
     rows = []

@@ -15,12 +15,14 @@ Section 6 issues hundreds of queries per configuration, and batch answers
 are contractually identical to sequential ones.  Per-query attribution is
 preserved: every computation is still counted and every reported metric is
 the per-query mean.  For MRQ the counted totals are *identical* to the
-sequential loop (the q x l query-pivot matrix costs q*l computations
-either way, and the survivor sets match).  For MkNNQ the table indexes
-verify best-first rather than in the paper's storage order, so their
-compdists/PA reflect that (typically lower) verification schedule -- pass
-``batch=False`` to measure the paper's storage-order algorithm instead;
-:func:`run_batch_comparison` measures both and reports the speedup.
+one-query calls (for the pivot tables a one-query call *is* the batch
+engine with q=1).  For MkNNQ the verification order is a named strategy
+of :mod:`repro.core.queries`: ``knn_query_many`` verifies best-first,
+``knn_query`` on LAESA / EPT / EPT* / CPT runs the paper's storage-order
+scan, so the batch compdists/PA reflect the (typically lower) best-first
+schedule -- pass ``batch=False`` to measure the paper's storage-order
+algorithm instead; :func:`run_batch_comparison` measures both and reports
+the speedup.
 """
 
 from __future__ import annotations
@@ -146,13 +148,9 @@ def build_index(
     """
     n_pivots = len(pivot_ids)
     page_size = overrides.pop("page_size", _page_size_for(name, workload_name))
-    # staged-cascade knobs only exist on the pivot-table family; the trees
+    # the bound family only exists on the pivot-table family; the trees
     # and external indexes silently keep their own bound machinery
-    pruning = {
-        key: overrides.pop(key)
-        for key in ("bounds", "staged")
-        if key in overrides
-    }
+    pruning = {"bounds": overrides.pop("bounds")} if "bounds" in overrides else {}
     if name == "AESA":
         bounds = pruning.get("bounds")
         return AESA.build(space, **({"bounds": bounds} if bounds else {}))
@@ -358,9 +356,9 @@ def run_page_access_comparison(
 
     Both passes start from an identical cold buffer pool (``set_cache``
     drops it) and answer the same query sample; exactness is asserted.
-    With the leaf-grouped batch verification, the batch pass reads every
-    touched M-tree leaf page at most once per batch, so its PA should be a
-    fraction of the sequential loop's per-candidate random reads.  The
+    A batch pass reads every touched leaf page at most once per batch,
+    where the one-query-at-a-time loop reads it once per query that
+    touches it, so the batch PA should be a fraction of the loop's.  The
     report also shows where the saved I/O went: ``grouped hits`` were
     served from a page read earlier in the same batched fetch, ``buffer
     hits`` from the LRU pool.

@@ -35,7 +35,6 @@ __all__ = [
     "upper_bound_many",
     "upper_bound_many_queries",
     "ptolemaic_pairs",
-    "ptolemaic_lower_bound",
     "ptolemaic_lower_bound_many",
     "ptolemaic_lower_bound_many_queries",
     "can_prune",
@@ -172,7 +171,10 @@ def upper_bound_many(query_pivot_dists, object_pivot_matrix) -> np.ndarray:
 # pair yields the lower bound
 #     d(q,o) >= |d(q,p_i) * d(o,p_j) - d(q,p_j) * d(o,p_i)| / d(p_i,p_j).
 # It is not pointwise tighter than the triangle bound, so callers take the
-# max of both; the staged cascade runs it only on Lemma-1 survivors.
+# max of both.  The q x n form below is the one full-broadcast kernel (the
+# kNN bound matrix of the staged pruner is built from it); the staged
+# cascade's last stage evaluates the same bound cell-wise, on Lemma-1
+# survivors only.
 
 
 def ptolemaic_pairs(pivot_pair_dists, order=None, budget: int = 8) -> np.ndarray:
@@ -194,19 +196,6 @@ def ptolemaic_pairs(pivot_pair_dists, order=None, budget: int = 8) -> np.ndarray
                 if len(pairs) >= budget:
                     return np.asarray(pairs, dtype=np.intp)
     return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-
-
-def ptolemaic_lower_bound(
-    query_pivot_dists, object_pivot_dists, pivot_pair_dists, pairs=None
-) -> float:
-    """Best Ptolemaic lower bound of d(q, o) over the given pivot pairs."""
-    bounds = ptolemaic_lower_bound_many(
-        query_pivot_dists,
-        np.atleast_2d(np.asarray(object_pivot_dists, dtype=np.float64)),
-        pivot_pair_dists,
-        pairs=pairs,
-    )
-    return float(bounds[0]) if bounds.size else 0.0
 
 
 def ptolemaic_lower_bound_many(

@@ -1,4 +1,5 @@
-"""Query result containers and the bounded k-NN heap.
+"""Query result containers, the bounded k-NN heap, and the two MkNNQ
+verification strategies of the pivot-table family.
 
 Defines the two query types of Section 2.1:
 
@@ -6,8 +7,14 @@ Defines the two query types of Section 2.1:
 * **MkNNQ(q, k)** -- metric k nearest neighbours.
 
 :class:`KnnHeap` implements the standard "radius tightening" used by every
-best-first MkNNQ algorithm in the paper: the search radius starts at infinity
-and shrinks to the current k-th nearest distance as candidates are verified.
+MkNNQ algorithm in the paper: the search radius starts at infinity and
+shrinks to the current k-th nearest distance as candidates are verified.
+
+Given one query's lower-bound column, the order in which candidates are
+verified is the only decision left, and it lives here once:
+:func:`storage_order_knn` is the paper's LAESA-style scan (the accounting
+Fig. 17 depends on), :func:`best_first_knn` the cheaper ascending-bound
+order the batch layer uses.  Both return the identical answer.
 """
 
 from __future__ import annotations
@@ -18,7 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Neighbor", "KnnHeap", "RangeResult", "best_first_knn"]
+__all__ = [
+    "Neighbor",
+    "KnnHeap",
+    "RangeResult",
+    "best_first_knn",
+    "storage_order_knn",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -64,9 +77,9 @@ def best_first_knn(
     nearest distance -- no object that could still enter the answer is ever
     skipped (d >= lower bound for every candidate).  This is the batch query
     layer's verification order: it typically needs far fewer distance
-    computations than the storage-order scan the sequential LAESA-style
-    MkNNQ performs (the closest candidates tend to come first, so the
-    radius tightens immediately), while returning the identical answer.
+    computations than :func:`storage_order_knn` (the closest candidates
+    tend to come first, so the radius tightens immediately), while
+    returning the identical answer.
     The saving is not a guarantee: chunk granularity always verifies the
     first chunk of k candidates before any radius exists, so adversarial
     data can make either order cheaper.
@@ -109,6 +122,39 @@ def best_first_knn(
         if keep.size < block.size:
             break
         start = stop
+    return heap.neighbors()
+
+
+def storage_order_knn(
+    lower_bounds: np.ndarray,
+    row_ids: Sequence[int],
+    k: int,
+    verify_many: Callable[[list[int]], np.ndarray],
+) -> list[Neighbor]:
+    """Exact MkNNQ over a pre-computed lower-bound column, in storage order.
+
+    The paper's LAESA MkNNQ (Section 3.1, and the reason its Fig. 17
+    compdists exceed the tree-based orders): rows are visited as stored,
+    a row is verified unless its lower bound already exceeds the running
+    k-th nearest distance.  The first k rows meet an infinite radius, so
+    they are verified in one call; after that every verification may
+    tighten the radius the next row is tested against, so the paper's
+    count needs one object per call.  Same arguments and same answer as
+    :func:`best_first_knn`.
+    """
+    heap = KnnHeap(k)
+    head = min(k, len(row_ids))
+    if head == 0:
+        return []
+    ids = [int(i) for i in row_ids[:head]]
+    for object_id, d in zip(ids, verify_many(ids)):
+        heap.consider(object_id, float(d))
+    # rows above the radius the first k leave behind can never be verified
+    for pos in head + np.flatnonzero(lower_bounds[head:] <= heap.radius):
+        if lower_bounds[pos] > heap.radius:
+            continue
+        object_id = int(row_ids[pos])
+        heap.consider(object_id, float(verify_many([object_id])[0]))
     return heap.neighbors()
 
 

@@ -1,10 +1,11 @@
 """Staged pruning cascade: ordered Lemma 1 prefix -> refine -> Lemma 4 ->
 Ptolemaic, over shared-pivot distance tables.
 
-The single-shot batch filter evaluates Lemma 1 over every pivot column for
-every (query, object) cell -- a full ``q x n x l`` broadcast -- before any
-cell is decided.  This module replaces that with a cascade that spends
-columns where they pay:
+A single-shot filter (the full-broadcast kernels of
+:mod:`~repro.core.pivot_filter`) evaluates Lemma 1 over every pivot column
+for every (query, object) cell -- a full ``q x n x l`` broadcast -- before
+any cell is decided.  This module is the one mask path the tables run, a
+cascade that spends columns where they pay:
 
 1. **Prefix** -- Lemma 1 over a small prefix of pivot columns, ordered by
    measured pruning power.  Most cells die here when the ordering is good.
@@ -18,9 +19,9 @@ columns where they pay:
    budgeted set of pivot pairs as a final filter before exact verification.
 
 Exactness: every stage only makes *provable* decisions, so the survivor /
-validated masks match the single-shot path's answers bit-for-bit; staging
-changes how much numpy work runs, never which objects verify as answers
--- except that stage 4 may (provably) prune more, which is the point.
+validated masks equal the single-shot masks composed from the kernels
+(``tests/test_staged_cascade.py`` builds that reference); staging changes
+how much numpy work runs, never which objects verify as answers.
 
 The pivot order is scored statically at build time from the stored distance
 table (zero extra distance computations) and can be re-ranked online from
@@ -41,9 +42,9 @@ from .pivot_filter import (
     _QUERY_CHUNK_FLOATS,
     _object_rows,
     lower_bound_many_queries,
+    ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
     query_chunk,
-    upper_bound_many_queries,
 )
 
 __all__ = [
@@ -105,7 +106,6 @@ class StagedPruner:
         is_ptolemaic: bool = False,
         pair_matrix=None,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
-        staged: bool = True,
     ):
         if bounds not in BOUNDS_MODES:
             raise ValueError(f"bounds must be one of {BOUNDS_MODES}, got {bounds!r}")
@@ -119,7 +119,6 @@ class StagedPruner:
         self.bounds = bounds
         self.is_ptolemaic = bool(is_ptolemaic)
         self.pair_budget = int(pair_budget)
-        self.staged = bool(staged)
         self.pair_matrix = (
             None if pair_matrix is None else np.asarray(pair_matrix, dtype=np.float64)
         )
@@ -149,7 +148,6 @@ class StagedPruner:
         prefix: int | None = None,
         sample: int = 64,
         seed: int = 0,
-        staged: bool = True,
     ) -> "StagedPruner":
         """Score the order and (for Ptolemaic metrics) the pair matrix.
 
@@ -178,7 +176,6 @@ class StagedPruner:
             is_ptolemaic=is_pt,
             pair_matrix=pair_matrix,
             pair_budget=pair_budget,
-            staged=staged,
         )
 
     # -- properties -----------------------------------------------------------
@@ -197,7 +194,6 @@ class StagedPruner:
         return {
             "bounds": self.bounds,
             "ptolemaic": self.use_ptolemaic,
-            "staged": self.staged,
             "prefix": self.prefix,
             "order": [int(i) for i in self.order],
             "n_pairs": int(self.pairs.shape[0]),
@@ -258,24 +254,13 @@ class StagedPruner:
         which shrinks the verified frontier.  Any true lower bound keeps
         :func:`~repro.core.queries.best_first_knn` exact.
         """
-        qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
         lower = lower_bound_many_queries(qmat, omat)
         if self.use_ptolemaic and self.pairs.size:
-            left, right = self.pairs[:, 0], self.pairs[:, 1]
-            denom = self.pair_matrix[left, right]
-            q_l, q_r = qmat[:, left], qmat[:, right]
-            o_l, o_r = omat[:, left], omat[:, right]
-            step = query_chunk(omat.shape[0], self.pairs.shape[0])
-            for start in range(0, qmat.shape[0], step):
-                stop = start + step
-                cross = np.abs(
-                    q_l[start:stop, None, :] * o_r[None, :, :]
-                    - q_r[start:stop, None, :] * o_l[None, :, :]
-                )
-                np.maximum(
-                    lower[start:stop], (cross / denom).max(axis=2), out=lower[start:stop]
-                )
+            pair_bound = ptolemaic_lower_bound_many_queries(
+                qmat, omat, self.pair_matrix, pairs=self.pairs
+            )
+            np.maximum(lower, pair_bound, out=lower)
         return lower
 
     def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
@@ -299,9 +284,9 @@ class StagedPruner:
         i; ``validated[i, j]`` -- object j is provably an answer of query
         i (only when ``validate``, Lemma 4).  ``radius`` is a scalar or a
         per-query array.  Per-stage decided counts go to ``counters``.
-        The masks are independent of the column order and of ``staged``
-        (modulo stage 4's pair budget), which is what keeps staged ==
-        single-shot == brute force exact.
+        The masks are independent of the column order (a one-column
+        table is a prefix with an empty tail), which is what keeps the
+        cascade == single-shot == brute force exact.
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
@@ -313,25 +298,8 @@ class StagedPruner:
         rcol = r[:, None] if r.ndim else r
         l = omat.shape[1]
 
-        if not self.staged or l == 1:
-            # single-shot reference path: one full broadcast per lemma
-            alive = lower_bound_many_queries(qmat, omat) <= rcol
-            n_prefix = int(alive.size - alive.sum())
-            n_validated = 0
-            if validate:
-                upper = upper_bound_many_queries(qmat, omat)
-                validated = alive & (upper <= rcol)
-                alive &= ~validated
-                n_validated = int(validated.sum())
-            n_pt = self._ptolemaic_stage(qmat, omat, alive, r)
-            if counters is not None:
-                counters.add_prune_stages(
-                    prefix=n_prefix, validated=n_validated, ptolemaic=n_pt
-                )
-            return alive, validated
-
         order = self._column_order(l)
-        prefix = min(max(1, self.prefix), l - 1)
+        prefix = min(max(1, self.prefix), max(1, l - 1))
         head, tail = order[:prefix], order[prefix:]
 
         # stage 1: Lemma 1 over the ranked prefix columns
@@ -352,7 +320,7 @@ class StagedPruner:
         # stage 2: refine survivors cell-wise with the remaining columns
         n_refine = 0
         qi, oj = np.nonzero(alive)
-        if qi.size:
+        if qi.size and tail.size:
             q_tail, o_tail = qmat[:, tail], omat[:, tail]
             cstep = _cell_step(tail.shape[0])
             for start in range(0, qi.size, cstep):
@@ -473,7 +441,6 @@ class PerObjectStagedPruner:
         is_ptolemaic: bool = False,
         pair_matrix=None,
         slot_pairs=None,
-        staged: bool = True,
     ):
         if bounds not in BOUNDS_MODES:
             raise ValueError(f"bounds must be one of {BOUNDS_MODES}, got {bounds!r}")
@@ -485,7 +452,6 @@ class PerObjectStagedPruner:
         self.prefix = int(prefix)
         self.bounds = bounds
         self.is_ptolemaic = bool(is_ptolemaic)
-        self.staged = bool(staged)
         self.pair_matrix = (
             None if pair_matrix is None else np.asarray(pair_matrix, dtype=np.float64)
         )
@@ -505,7 +471,6 @@ class PerObjectStagedPruner:
         bounds: str = "auto",
         pair_budget: int = 3,
         prefix: int | None = None,
-        staged: bool = True,
     ) -> "PerObjectStagedPruner":
         pivot_dist = np.asarray(pivot_dist, dtype=np.float64)
         pivot_idx = np.asarray(pivot_idx)
@@ -557,7 +522,6 @@ class PerObjectStagedPruner:
             is_ptolemaic=is_pt,
             pair_matrix=pair_matrix,
             slot_pairs=slot_pairs,
-            staged=staged,
         )
 
     @property
@@ -570,7 +534,6 @@ class PerObjectStagedPruner:
         return {
             "bounds": self.bounds,
             "ptolemaic": self.use_ptolemaic,
-            "staged": self.staged,
             "prefix": self.prefix,
             "order": [int(i) for i in self.slot_order],
             "n_pairs": int(self.slot_pairs.shape[0]),
@@ -645,9 +608,7 @@ class PerObjectStagedPruner:
         order = self.slot_order
         if order.shape[0] != l:
             order = np.arange(l, dtype=np.intp)
-        prefix = min(max(1, self.prefix), l - 1) if l > 1 else l
-        if not self.staged or l == 1:
-            prefix = l
+        prefix = min(max(1, self.prefix), max(1, l - 1))
         head, tail = order[:prefix], order[prefix:]
 
         # stage 1: prefix slots, chunked full broadcast

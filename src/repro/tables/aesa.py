@@ -54,19 +54,19 @@ class AESA(MetricIndex):
         return cls(space, table, bounds=bounds)
 
     def _tighten(
-        self, lower: np.ndarray, pick: int, d: float, prev: tuple[int, float] | None
+        self, lower: np.ndarray, pick: int, d: float, prev: tuple[int, float]
     ) -> tuple[np.ndarray, np.ndarray]:
         """One eliminate/approximate update with pick's table row.
 
         Returns ``(triangle_bounds, combined_bounds)``.  When the metric is
-        Ptolemaic and a previous verified object exists, the (prev, pick)
-        pair additionally contributes the Ptolemaic bound
+        Ptolemaic, the pair (previous verified object, pick) additionally
+        contributes the Ptolemaic bound
         ``|d_prev * d(pick, o) - d * d(prev, o)| / d(prev, pick)`` -- every
         verified object is a dynamic pivot, so AESA gets pair bounds for
         free from the full table, one new pair per round.
         """
         tri = np.maximum(lower, np.abs(self.table[pick] - d))
-        if not self._use_ptolemaic or prev is None:
+        if not self._use_ptolemaic:
             return tri, tri
         prev_pick, prev_d = prev
         denom = self.table[prev_pick, pick]
@@ -76,10 +76,7 @@ class AESA(MetricIndex):
         return tri, np.maximum(tri, pt)
 
     def range_query(self, query_obj, radius: float) -> list[int]:
-        n = len(self.space)
-        lower = np.zeros(n, dtype=np.float64)
-        alive = np.ones(n, dtype=bool)
-        return self._range_scan(query_obj, radius, lower, alive, [])
+        return self.range_query_many([query_obj], radius)[0]
 
     def _range_scan(
         self,
@@ -88,7 +85,7 @@ class AESA(MetricIndex):
         lower: np.ndarray,
         alive: np.ndarray,
         results: list[int],
-        prev: tuple[int, float] | None = None,
+        prev: tuple[int, float],
     ) -> list[int]:
         """Continue the eliminate/approximate loop from the given state."""
         counters = self.space.counters
@@ -111,10 +108,7 @@ class AESA(MetricIndex):
             prev = (pick, d)
 
     def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        n = len(self.space)
-        lower = np.zeros(n, dtype=np.float64)
-        alive = np.ones(n, dtype=bool)
-        return self._knn_scan(query_obj, KnnHeap(k), lower, alive)
+        return self.knn_query_many([query_obj], k)[0]
 
     def _knn_scan(
         self,
@@ -122,7 +116,7 @@ class AESA(MetricIndex):
         heap: KnnHeap,
         lower: np.ndarray,
         alive: np.ndarray,
-        prev: tuple[int, float] | None = None,
+        prev: tuple[int, float],
     ) -> list[Neighbor]:
         """Continue the best-first verification loop from the given state."""
         while True:
@@ -138,14 +132,14 @@ class AESA(MetricIndex):
             _, lower = self._tighten(lower, pick, d, prev)
             prev = (pick, d)
 
-    # -- batch queries --------------------------------------------------------
+    # -- the query path --------------------------------------------------------
     #
     # AESA has no static pivot set: every verified object acts as a dynamic
     # pivot, and picks diverge per query after the first round.  What *is*
     # shared is round one -- all lower bounds start at zero, so every query's
-    # first pick is object 0 -- which the batch variants compute with a single
-    # vectorised distance call, seeding each query's elimination state with
-    # one q x n matrix operation before handing over to the adaptive loop.
+    # first pick is object 0 -- which is computed with a single vectorised
+    # distance call, seeding each query's elimination state with one q x n
+    # matrix operation before handing over to the adaptive loop.
 
     def _first_round(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """d(q_i, o_0) for the whole batch + the resulting q x n bounds."""
@@ -169,8 +163,7 @@ class AESA(MetricIndex):
             dead = lower[qi] > radius
             dead[0] = False
             self.space.counters.add_prune_stages(refine=int(dead.sum()))
-            # seed prev with round one's pick so the continued scan makes
-            # the same Ptolemaic pair decisions as the sequential path
+            # round one's pick is the first half of the first Ptolemaic pair
             out.append(
                 self._range_scan(
                     q,

@@ -6,50 +6,32 @@ clustered by an M-tree so that verified candidates cause few page reads
 object, the pre-computed pivot distances plus a pointer to the M-tree leaf
 holding the object.
 
-Query processing is LAESA's, except every verification must *fetch the
-object from disk* first -- the paper's explanation for CPT's CPU and I/O
-overheads.
+Query processing is LAESA's -- the class below inherits the mapping, the
+staged cascade and both MkNNQ strategies unchanged -- except every
+verification must *fetch the object from disk* first, the paper's
+explanation for CPT's CPU and I/O overheads.  That one step is
+:meth:`CPT._distances`: candidates are fetched grouped by the M-tree leaf
+that holds them, so a leaf shared by several candidates (of one query or
+of several queries of a batch) is read once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.index import MetricIndex
-from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
-from ..core.queries import KnnHeap, Neighbor, best_first_knn
-from ..core.staged import StagedPruner
 from ..mtree.mtree import MTree
 from ..storage.pager import Pager
+from .laesa import LAESA
 
 __all__ = ["CPT"]
 
 
-class CPT(MetricIndex):
+class CPT(LAESA):
     """Pivot table in memory + M-tree-clustered objects on disk."""
 
     name = "CPT"
     is_disk_based = True
-
-    def __init__(
-        self,
-        space: MetricSpace,
-        mapping: PivotMapping,
-        mtree: MTree,
-        use_validation: bool = False,
-        pruner: StagedPruner | None = None,
-    ):
-        super().__init__(space)
-        self.mapping = mapping
-        self.mtree = mtree
-        self.use_validation = use_validation
-        n = mapping.n_objects
-        self._row_ids = np.arange(n, dtype=np.intp)
-        self._rows = mapping.matrix.copy()
-        if pruner is None:
-            pruner = StagedPruner.build(space, self._rows, mapping.pivot_objects)
-        self.pruner = pruner
 
     @classmethod
     def build(
@@ -61,7 +43,6 @@ class CPT(MetricIndex):
         seed: int = 0,
         use_validation: bool = False,
         bounds: str = "auto",
-        staged: bool = True,
     ) -> "CPT":
         """Compute the distance table and cluster all objects in an M-tree.
 
@@ -74,161 +55,58 @@ class CPT(MetricIndex):
         validated object is an answer without the leaf *fetch*, so it
         saves a page access on top of the distance computation.
         """
-        mapping = PivotMapping(space, pivot_ids)
-        pruner = StagedPruner.build(
-            space, mapping.matrix, mapping.pivot_objects, bounds=bounds, staged=staged
-        )
+        index = super().build(space, pivot_ids, use_validation, bounds)
         if pager is None:
             pager = Pager(page_size=page_size, counters=space.counters)
-        mtree = MTree(space, pager, seed=seed)
+        index.mtree = MTree(space, pager, seed=seed)
         for object_id in range(len(space)):
-            mtree.insert(object_id, space.dataset[object_id])
-        return cls(space, mapping, mtree, use_validation, pruner=pruner)
+            index.mtree.insert(object_id, space.dataset[object_id])
+        return index
 
     # -- queries -----------------------------------------------------------
 
-    def _verify(self, query_obj, object_id: int) -> float:
-        """Load the object from its M-tree leaf (PA) and compute d."""
-        obj = self.mtree.fetch_object(object_id)
-        return self.space.d(query_obj, obj)
-
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        query_pivot_dists = self.mapping.map_query(query_obj)
-        survivors, validated = self.pruner.masks_many(
-            query_pivot_dists,
-            self._rows,
-            radius,
-            counters=self.space.counters,
-            validate=self.use_validation,
-        )
-        results: list[int] = [int(i) for i in self._row_ids[validated]]
-        for i in np.flatnonzero(survivors):
-            object_id = int(self._row_ids[i])
-            if self._verify(query_obj, object_id) <= radius:
-                results.append(object_id)
-        return sorted(results)
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        query_pivot_dists = self.mapping.map_query(query_obj)
-        lower = self.pruner.lower_bounds_many(query_pivot_dists, self._rows)
-        heap = KnnHeap(k)
-        for i in range(len(self._row_ids)):  # storage order
-            if lower[i] > heap.radius:
-                continue
-            object_id = int(self._row_ids[i])
-            heap.consider(object_id, self._verify(query_obj, object_id))
-        return heap.neighbors()
-
-    # -- batch queries --------------------------------------------------------
-
-    def _verify_many(self, query_obj, ids: list[int]) -> np.ndarray:
-        """Leaf-grouped fetch of all candidates, then one vectorised
-        distance call.  Each distinct M-tree leaf page is read once per
-        call (candidates sharing a leaf ride along as ``grouped_hits``),
-        instead of the one-random-page-access-per-candidate the sequential
-        path pays."""
-        objects = self.mtree.fetch_objects_many(ids)
-        return self.space.d_many(query_obj, objects)
-
-    # candidates resident in memory at once during batch verification; the
+    # candidates resident in memory at once during verification; the
     # index's premise is that objects only fit on disk, so the union of a
     # big batch's candidates must not be materialised wholesale
     _FETCH_CHUNK = 1024
 
-    def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batch MRQ: shared q x l pivot matrix + leaf-grouped verification.
+    def _distances(self, queries, ids_per_query) -> list[np.ndarray]:
+        """Leaf-grouped fetch, then one vectorised distance call per query.
 
-        The batch's surviving candidates are fetched through
+        The distinct candidates of all queries are fetched through
         :meth:`~repro.mtree.mtree.MTree.fetch_objects_many` in bounded
         chunks *ordered by owning leaf page*, so every touched leaf is
-        still read (at most) once per batch -- candidates sharing a leaf
-        land in the same chunk; only a chunk-boundary leaf can be read
-        twice -- while at most ``_FETCH_CHUNK`` objects are in memory at a
-        time.  Each query verifies its own candidates, so distance counts
-        are identical to the sequential loop; only page accesses shrink.
+        read (at most) once per call -- candidates sharing a leaf land in
+        the same chunk (they ride along as ``grouped_hits``); only a
+        chunk-boundary leaf can be read twice -- while at most
+        ``_FETCH_CHUNK`` objects are in memory at a time.  Each query is
+        charged its own candidates, so distance counts equal LAESA's; only
+        page accesses depend on how candidates are grouped into calls.
         """
-        queries = list(queries)
-        if not queries:
-            return []
-        qmat = self.mapping.map_query_many(queries)
-        survivors, validated = self.pruner.masks_many_queries(
-            qmat,
-            self._rows,
-            radius,
-            counters=self.space.counters,
-            validate=self.use_validation,
-        )
-        ids_per_query = [
-            [int(i) for i in self._row_ids[survivors[qi]]]
-            for qi in range(len(queries))
-        ]
         distinct = list(dict.fromkeys(i for ids in ids_per_query for i in ids))
         distinct.sort(key=lambda i: self.mtree.leaf_of.get(i, -1))
-        results: list[list[int]] = [
-            [int(i) for i in self._row_ids[validated[qi]]] for qi in range(len(queries))
-        ]
-        pending = [list(ids) for ids in ids_per_query]  # not yet verified
+        found: list[dict[int, float]] = [{} for _ in queries]
         for start in range(0, len(distinct), self._FETCH_CHUNK):
             chunk = distinct[start : start + self._FETCH_CHUNK]
             objects = dict(zip(chunk, self.mtree.fetch_objects_many(chunk)))
-            for qi, q in enumerate(queries):
-                ids = [i for i in pending[qi] if i in objects]
-                if not ids:
-                    continue
-                dists = self.space.d_many(q, [objects[i] for i in ids])
-                results[qi].extend(o for o, d in zip(ids, dists) if d <= radius)
-                if len(ids) < len(pending[qi]):
-                    pending[qi] = [i for i in pending[qi] if i not in objects]
-                else:
-                    pending[qi] = []
-        return [sorted(ids) for ids in results]
-
-    def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Batch MkNNQ: shared bound matrix + best-first chunked verification.
-
-        Best-first order matters doubly for CPT: every skipped verification
-        is a skipped M-tree leaf fetch, so the batch path typically does
-        far fewer page accesses than the storage-order sequential scan
-        (not guaranteed -- see :func:`~repro.core.queries.best_first_knn`);
-        each verification chunk additionally fetches leaf-grouped, reading
-        every touched page once per chunk.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        qmat = self.mapping.map_query_many(queries)
-        lower = self.pruner.lower_bounds_many_queries(qmat, self._rows)
+            for q, ids, dists in zip(queries, ids_per_query, found):
+                ids = [i for i in ids if i in objects]
+                dists.update(zip(ids, self.space.d_many(q, [objects[i] for i in ids])))
         return [
-            best_first_knn(
-                lower[qi], self._row_ids, k, lambda ids, q=q: self._verify_many(q, ids)
-            )
-            for qi, q in enumerate(queries)
+            np.asarray([dists[i] for i in ids], dtype=np.float64)
+            for ids, dists in zip(ids_per_query, found)
         ]
 
     # -- maintenance ----------------------------------------------------------
 
     def insert(self, obj, object_id: int | None = None) -> int:
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
-        vector = self.mapping.map_object(obj)
-        self._rows = np.concatenate([self._rows, vector.reshape(1, -1)])
-        self._row_ids = np.concatenate([self._row_ids, [object_id]])
-        self.mtree.insert(int(object_id), obj)
-        return int(object_id)
+        object_id = super().insert(obj, object_id)
+        self.mtree.insert(object_id, obj)
+        return object_id
 
     def delete(self, object_id: int) -> None:
-        """Sequential table scan + M-tree leaf update."""
-        position = -1
-        for i in range(len(self._row_ids)):
-            if self._row_ids[i] == object_id:
-                position = i
-                break
-        if position < 0:
-            raise KeyError(f"object {object_id} is not in the table")
-        keep = np.ones(len(self._row_ids), dtype=bool)
-        keep[position] = False
-        self._row_ids = self._row_ids[keep]
-        self._rows = self._rows[keep]
+        """Table row removal + M-tree leaf update."""
+        super().delete(object_id)
         self.mtree.delete(object_id)
 
     # -- snapshots -------------------------------------------------------------

@@ -14,8 +14,10 @@ candidate set the pivots maximising E[D(q,o)/d(q,o)].  Construction is far
 more expensive -- exactly as Table 4 reports -- but queries prune better
 (Fig. 14).
 
-MRQ/MkNNQ processing is identical to LAESA's except that the lower bound of
-object o uses o's own pivots.
+MRQ/MkNNQ processing is identical to LAESA's -- one batch body per query
+type, ``range_query`` its one-query view, ``knn_query`` the paper's
+storage-order scan -- except that the lower bound of object o uses o's own
+pivots.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import hf, psa
-from ..core.queries import KnnHeap, Neighbor, best_first_knn
+from ..core.queries import Neighbor, best_first_knn, storage_order_knn
 from ..core.staged import PerObjectStagedPruner
+from .rows import append_row, claim_row_id, remove_row
 
 __all__ = ["EPT", "EPTStar"]
 
@@ -53,51 +56,21 @@ class _ExtremePivotTableBase(MetricIndex):
             )
         self.pruner = pruner
 
-    def _query_pivot_dists(self, query_obj) -> np.ndarray:
-        """d(q, p) for every pivot the table references (m*l or |CP| comps)."""
-        pivots = self.space.dataset.gather(self.pivot_ids)
-        return self.space.d_many(query_obj, pivots)
-
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        qdists = self._query_pivot_dists(query_obj)
-        survivors = self.pruner.masks_many(
-            qdists,
-            self._pivot_idx,
-            self._pivot_dist,
-            radius,
-            counters=self.space.counters,
-        )
-        results: list[int] = []
-        for i in np.flatnonzero(survivors):
-            object_id = int(self._row_ids[i])
-            d = self.space.d_id(query_obj, object_id)
-            if d <= radius:
-                results.append(object_id)
-        return sorted(results)
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        qdists = self._query_pivot_dists(query_obj)
-        lower = self.pruner.lower_bounds_many_queries(
-            qdists.reshape(1, -1), self._pivot_idx, self._pivot_dist
-        )[0]
-        heap = KnnHeap(k)
-        for i in range(len(self._row_ids)):  # storage order, as in the paper
-            if lower[i] > heap.radius:
-                continue
-            object_id = int(self._row_ids[i])
-            heap.consider(object_id, self.space.d_id(query_obj, object_id))
-        return heap.neighbors()
-
-    # -- batch queries --------------------------------------------------------
-
     def _query_pivot_dists_many(self, queries) -> np.ndarray:
-        """d(q, p) for every query and every referenced pivot: q x |P|."""
+        """d(q, p) for every query and every pivot the table references:
+        q x |P| (m*l or |CP| computations per query)."""
         pivots = self.space.dataset.gather(self.pivot_ids)
         return self.space.pairwise_objects(queries, pivots)
 
+    def range_query(self, query_obj, radius: float) -> list[int]:
+        return self.range_query_many([query_obj], radius)[0]
+
+    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
+        return self._knn([query_obj], k, storage_order_knn)[0]
+
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batch MRQ: one pairwise call for all query-pivot distances, the
-        staged per-object-pivot cascade, vectorised per-query verification."""
+        """MRQ: one pairwise call for all query-pivot distances, the staged
+        per-object-pivot cascade, vectorised per-query verification."""
         queries = list(queries)
         if not queries:
             return []
@@ -110,54 +83,29 @@ class _ExtremePivotTableBase(MetricIndex):
             counters=self.space.counters,
         )
         out: list[list[int]] = []
-        for qi, q in enumerate(queries):
-            ids = [int(i) for i in self._row_ids[survivors[qi]]]
-            results: list[int] = []
-            if ids:
-                dists = self.space.d_ids(q, ids)
-                results = [o for o, d in zip(ids, dists) if d <= radius]
-            out.append(sorted(results))
+        for q, row in zip(queries, survivors):
+            ids = [int(i) for i in self._row_ids[row]]
+            dists = self.space.d_ids(q, ids)
+            out.append(sorted(o for o, d in zip(ids, dists) if d <= radius))
         return out
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Batch MkNNQ: shared bound matrix + best-first chunked verification."""
+        """MkNNQ: shared bound matrix + best-first chunked verification."""
         queries = list(queries)
-        if not queries:
-            return []
+        return self._knn(queries, k, best_first_knn) if queries else []
+
+    def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
         qdists = self._query_pivot_dists_many(queries)
         lower = self.pruner.lower_bounds_many_queries(
             qdists, self._pivot_idx, self._pivot_dist
         )
         return [
-            best_first_knn(
-                lower[qi], self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids)
-            )
-            for qi, q in enumerate(queries)
+            strategy(row, self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids))
+            for q, row in zip(queries, lower)
         ]
 
     def delete(self, object_id: int) -> None:
-        """Sequential-scan delete, like LAESA."""
-        position = -1
-        for i in range(len(self._row_ids)):
-            if self._row_ids[i] == object_id:
-                position = i
-                break
-        if position < 0:
-            raise KeyError(f"object {object_id} is not in the table")
-        keep = np.ones(len(self._row_ids), dtype=bool)
-        keep[position] = False
-        self._row_ids = self._row_ids[keep]
-        self._pivot_idx = self._pivot_idx[keep]
-        self._pivot_dist = self._pivot_dist[keep]
-
-    def _append_row(self, object_id: int, idx_row, dist_row) -> None:
-        self._row_ids = np.concatenate([self._row_ids, [object_id]])
-        self._pivot_idx = np.concatenate(
-            [self._pivot_idx, np.asarray(idx_row, dtype=np.int32).reshape(1, -1)]
-        )
-        self._pivot_dist = np.concatenate(
-            [self._pivot_dist, np.asarray(dist_row, dtype=np.float64).reshape(1, -1)]
-        )
+        remove_row(self, object_id, "_pivot_idx", "_pivot_dist")
 
     def storage_bytes(self) -> dict[str, int]:
         objects = sum(
@@ -190,7 +138,6 @@ class EPT(_ExtremePivotTableBase):
         seed: int = 0,
         sample_size: int = 256,
         bounds: str = "auto",
-        staged: bool = True,
     ) -> "EPT":
         """Draw ``n_groups`` random groups and assign extreme pivots.
 
@@ -228,12 +175,7 @@ class EPT(_ExtremePivotTableBase):
             pivot_idx[:, j] = base + choice
             pivot_dist[:, j] = columns[np.arange(n), choice]
         pruner = PerObjectStagedPruner.build(
-            space,
-            pivot_ids,
-            pivot_idx,
-            pivot_dist,
-            bounds=bounds,
-            staged=staged,
+            space, pivot_ids, pivot_idx, pivot_dist, bounds=bounds
         )
         return cls(
             space,
@@ -278,8 +220,7 @@ class EPT(_ExtremePivotTableBase):
         estimates against a sample so the extremeness criterion stays
         calibrated.
         """
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
+        object_id = claim_row_id(self, obj, object_id)
         rng = np.random.default_rng(object_id)
         n_pivots = len(self.pivot_ids)
         sample_size = min(512, len(self.space))
@@ -299,8 +240,8 @@ class EPT(_ExtremePivotTableBase):
             pick = lo + int(extremeness.argmax())
             idx_row.append(pick)
             dist_row.append(float(dists[pick]))
-        self._append_row(int(object_id), idx_row, dist_row)
-        return int(object_id)
+        append_row(self, object_id, _pivot_idx=idx_row, _pivot_dist=dist_row)
+        return object_id
 
 
 class EPTStar(_ExtremePivotTableBase):
@@ -321,7 +262,6 @@ class EPTStar(_ExtremePivotTableBase):
         sample_size: int = 64,
         seed: int = 0,
         bounds: str = "auto",
-        staged: bool = True,
     ) -> "EPTStar":
         """Run PSA over the whole dataset (deliberately expensive)."""
         pivot_idx, pivot_dist, candidates = psa(
@@ -337,14 +277,13 @@ class EPTStar(_ExtremePivotTableBase):
             for i in rng.choice(len(space), size=min(sample_size, len(space)), replace=False)
         ]
         pruner = PerObjectStagedPruner.build(
-            space, candidates, pivot_idx, pivot_dist, bounds=bounds, staged=staged
+            space, candidates, pivot_idx, pivot_dist, bounds=bounds
         )
         return cls(space, candidates, pivot_idx, pivot_dist, sample_ids, pruner=pruner)
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """PSA for a single object: |CP| + |S| distances plus the greedy scan."""
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
+        object_id = claim_row_id(self, obj, object_id)
         cand_objs = self.space.dataset.gather(self.pivot_ids)
         cand_d = self.space.d_many(obj, cand_objs)  # d(o, p_c)
         sample_objs = self.space.dataset.gather(self._sample_ids)
@@ -363,5 +302,5 @@ class EPTStar(_ExtremePivotTableBase):
             best = int(np.argmax(scores))
             used.append(best)
             current = np.maximum(current, ratios[best])
-        self._append_row(int(object_id), used, cand_d[used])
-        return int(object_id)
+        append_row(self, object_id, _pivot_idx=used, _pivot_dist=cand_d[used])
+        return object_id

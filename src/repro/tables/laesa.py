@@ -9,6 +9,13 @@ O(|O|^2).
 * MkNNQ verifies objects *in storage order* (the paper points out this is
   suboptimal and the reason LAESA's kNN compdists exceed tree-based orders)
   with the radius tightening to the running k-th nearest distance.
+
+There is one query path: ``range_query`` is the one-query view of
+``range_query_many``, and the two MkNNQ entry points differ only in the
+verification strategy they name -- ``knn_query`` the paper's
+:func:`~repro.core.queries.storage_order_knn`, ``knn_query_many`` the
+cheaper :func:`~repro.core.queries.best_first_knn`.  :class:`~repro.tables.
+cpt.CPT` subclasses this table and overrides only :meth:`LAESA._distances`.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
-from ..core.queries import KnnHeap, Neighbor, best_first_knn
+from ..core.queries import Neighbor, best_first_knn, storage_order_knn
 from ..core.staged import StagedPruner
+from .rows import append_row, claim_row_id, remove_row
 
 __all__ = ["LAESA"]
 
@@ -53,59 +61,35 @@ class LAESA(MetricIndex):
         pivot_ids,
         use_validation: bool = False,
         bounds: str = "auto",
-        staged: bool = True,
     ) -> "LAESA":
         """Pre-compute the distance table (and pruner state) for the pivots."""
         mapping = PivotMapping(space, pivot_ids)
         pruner = StagedPruner.build(
-            space, mapping.matrix, mapping.pivot_objects, bounds=bounds, staged=staged
+            space, mapping.matrix, mapping.pivot_objects, bounds=bounds
         )
         return cls(space, mapping, use_validation, pruner=pruner)
 
     # -- queries ------------------------------------------------------------
 
+    def _distances(self, queries, ids_per_query) -> list[np.ndarray]:
+        """Counted d(q_i, o) for each query's candidate ids: the one step
+        a subclass that stores its objects elsewhere replaces."""
+        return [self.space.d_ids(q, ids) for q, ids in zip(queries, ids_per_query)]
+
     def range_query(self, query_obj, radius: float) -> list[int]:
-        query_pivot_dists = self.mapping.map_query(query_obj)
-        survivors, validated = self.pruner.masks_many(
-            query_pivot_dists,
-            self._rows,
-            radius,
-            counters=self.space.counters,
-            validate=self.use_validation,
-        )
-        results: list[int] = [int(i) for i in self._row_ids[validated]]
-        # pivots that are themselves answers are caught by the scan since
-        # their table rows contain a zero column
-        for row, object_id in zip(
-            np.flatnonzero(survivors), self._row_ids[survivors]
-        ):
-            d = self.space.d_id(query_obj, int(object_id))
-            if d <= radius:
-                results.append(int(object_id))
-        return sorted(results)
+        return self.range_query_many([query_obj], radius)[0]
 
     def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        query_pivot_dists = self.mapping.map_query(query_obj)
-        lower = self.pruner.lower_bounds_many(query_pivot_dists, self._rows)
-        heap = KnnHeap(k)
-        # storage order, as the paper describes (and criticises)
-        for i in range(len(self._row_ids)):
-            if lower[i] > heap.radius:
-                continue
-            d = self.space.d_id(query_obj, int(self._row_ids[i]))
-            heap.consider(int(self._row_ids[i]), d)
-        return heap.neighbors()
-
-    # -- batch queries --------------------------------------------------------
+        return self._knn([query_obj], k, storage_order_knn)[0]
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Vectorised batch MRQ.
+        """Vectorised MRQ.
 
         One ``pairwise`` call produces the full q x l query-pivot matrix,
-        Lemma 1 (and optionally Lemma 4) is applied as a single q x n matrix
-        operation, and each query verifies all of its survivors with one
-        vectorised distance call.  Answers and distance-computation counts
-        are identical to running :meth:`range_query` per query.
+        the staged cascade (Lemma 1, optionally Lemma 4, Ptolemaic) decides
+        the q x n cells, and each query verifies all of its survivors with
+        one vectorised distance call.  Pivots that are themselves answers
+        are caught by the scan: their table rows contain a zero column.
         """
         queries = list(queries)
         if not queries:
@@ -118,64 +102,49 @@ class LAESA(MetricIndex):
             counters=self.space.counters,
             validate=self.use_validation,
         )
+        ids_per_query = [[int(i) for i in self._row_ids[row]] for row in survivors]
         out: list[list[int]] = []
-        for qi, q in enumerate(queries):
-            results: list[int] = [int(i) for i in self._row_ids[validated[qi]]]
-            ids = [int(i) for i in self._row_ids[survivors[qi]]]
-            if ids:
-                dists = self.space.d_ids(q, ids)
-                results.extend(
-                    object_id for object_id, d in zip(ids, dists) if d <= radius
-                )
+        for row, ids, dists in zip(
+            validated, ids_per_query, self._distances(queries, ids_per_query)
+        ):
+            results = [int(i) for i in self._row_ids[row]]
+            results.extend(o for o, d in zip(ids, dists) if d <= radius)
             out.append(sorted(results))
         return out
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Vectorised batch MkNNQ.
-
-        The query-pivot matrix and all lower bounds are computed up front;
-        each query then verifies best-first (ascending lower bound, chunked
-        vectorised distance calls) instead of the paper's storage-order scan
-        -- typically fewer distance computations, identical answers (see
-        :func:`~repro.core.queries.best_first_knn` for the exactness
-        argument and the caveat on chunk granularity).
-        """
+        """Vectorised MkNNQ, verified best-first (ascending lower bound,
+        chunked vectorised distance calls).  Answers equal
+        :meth:`knn_query`'s; distance-computation counts are typically far
+        lower than its storage-order scan (see
+        :func:`~repro.core.queries.best_first_knn` for why that is not a
+        strict guarantee)."""
         queries = list(queries)
-        if not queries:
-            return []
+        return self._knn(queries, k, best_first_knn) if queries else []
+
+    def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
+        """The query-pivot matrix and all lower bounds up front, then each
+        query verifies in the order ``strategy`` names."""
         qmat = self.mapping.map_query_many(queries)
         lower = self.pruner.lower_bounds_many_queries(qmat, self._rows)
         return [
-            best_first_knn(
-                lower[qi], self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids)
+            strategy(
+                row, self._row_ids, k, lambda ids, q=q: self._distances([q], [ids])[0]
             )
-            for qi, q in enumerate(queries)
+            for q, row in zip(queries, lower)
         ]
 
     # -- maintenance ----------------------------------------------------------
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """Append a table row: |P| distance computations."""
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
-        vector = self.mapping.map_object(obj)
-        self._rows = np.concatenate([self._rows, vector.reshape(1, -1)])
-        self._row_ids = np.concatenate([self._row_ids, [object_id]])
-        return int(object_id)
+        object_id = claim_row_id(self, obj, object_id)
+        append_row(self, object_id, _rows=self.mapping.map_object(obj))
+        return object_id
 
     def delete(self, object_id: int) -> None:
-        """Sequential-scan delete (no distance computations, O(n) time)."""
-        position = -1
-        for i in range(len(self._row_ids)):  # the sequential scan the paper counts
-            if self._row_ids[i] == object_id:
-                position = i
-                break
-        if position < 0:
-            raise KeyError(f"object {object_id} is not in the table")
-        keep = np.ones(len(self._row_ids), dtype=bool)
-        keep[position] = False
-        self._row_ids = self._row_ids[keep]
-        self._rows = self._rows[keep]
+        """Drop the object's table row (no distance computations)."""
+        remove_row(self, object_id, "_rows")
 
     # -- accounting ----------------------------------------------------------
 

@@ -1,0 +1,53 @@
+"""Row maintenance shared by the pivot-table family.
+
+Every table keeps ``_row_ids`` beside one or more parallel per-row arrays
+(the distance table, EPT's pivot references, FQA's signatures).  The id
+lookup, the validation of a caller-chosen id and the array surgery live
+here once, so an insert that would corrupt a table is refused the same way
+everywhere.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["claim_row_id", "append_row", "remove_row"]
+
+
+def claim_row_id(index, obj, object_id: int | None) -> int:
+    """The id a new row goes under, before any distance is computed.
+
+    ``None`` appends ``obj`` to the dataset.  An explicit id re-registers
+    an existing dataset slot (delete, then insert back), so it must name
+    one and must not be live in the table: a duplicate row would answer
+    twice forever after, and an id past the dataset would make every
+    later verification raise.
+    """
+    if object_id is None:
+        return int(index.space.dataset.add(obj))
+    if not 0 <= object_id < len(index.space.dataset):
+        raise ValueError(
+            f"object_id {object_id} is outside the dataset "
+            f"(0..{len(index.space.dataset) - 1})"
+        )
+    if (index._row_ids == object_id).any():
+        raise ValueError(f"object {object_id} is already in the table")
+    return int(object_id)
+
+
+def append_row(index, object_id: int, **columns) -> None:
+    """Append ``object_id`` and its row of each named per-row array."""
+    index._row_ids = np.concatenate([index._row_ids, [object_id]])
+    for name, row in columns.items():
+        table = getattr(index, name)
+        row = np.asarray(row, dtype=table.dtype).reshape(1, -1)
+        setattr(index, name, np.concatenate([table, row]))
+
+
+def remove_row(index, object_id: int, *columns: str) -> None:
+    """Drop ``object_id``'s row from ``_row_ids`` and each named array."""
+    positions = np.flatnonzero(index._row_ids == object_id)
+    if positions.size == 0:
+        raise KeyError(f"object {object_id} is not in the table")
+    for name in ("_row_ids", *columns):
+        setattr(index, name, np.delete(getattr(index, name), positions[0], axis=0))

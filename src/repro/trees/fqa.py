@@ -18,7 +18,8 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
 from ..core.pivot_filter import query_chunk
-from ..core.queries import KnnHeap, Neighbor, best_first_knn
+from ..core.queries import Neighbor, best_first_knn
+from ..tables.rows import claim_row_id, remove_row
 from .common import require_discrete
 
 __all__ = ["FQA"]
@@ -68,12 +69,8 @@ class FQA(MetricIndex):
 
     # -- bounds -----------------------------------------------------------------
 
-    def _lower_bounds(self, query_dists: np.ndarray) -> np.ndarray:
-        """Lemma 1 over bucket intervals [v*w, (v+1)*w)."""
-        return self._lower_bounds_many(np.atleast_2d(query_dists))[0]
-
     def _lower_bounds_many(self, query_dist_matrix: np.ndarray) -> np.ndarray:
-        """Batched Lemma 1 over bucket intervals: ``q x n`` bounds.
+        """Lemma 1 over bucket intervals [v*w, (v+1)*w): ``q x n`` bounds.
 
         The FQA is the linearised FQT, so its batch engine is the table
         indexes' 2-D bound matrix rather than a node frontier: one
@@ -107,63 +104,35 @@ class FQA(MetricIndex):
     # -- queries -------------------------------------------------------------------
 
     def range_query(self, query_obj, radius: float) -> list[int]:
-        query_dists = np.asarray(
-            [self.space.d_id(query_obj, p) for p in self.pivot_ids]
-        )
-        lower = self._lower_bounds(query_dists)
-        results: list[int] = []
-        for i in np.flatnonzero(lower <= radius):
-            object_id = int(self._row_ids[i])
-            if self.space.d_id(query_obj, object_id) <= radius:
-                results.append(object_id)
-        return sorted(results)
+        return self.range_query_many([query_obj], radius)[0]
 
     def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        query_dists = np.asarray(
-            [self.space.d_id(query_obj, p) for p in self.pivot_ids]
-        )
-        lower = self._lower_bounds(query_dists)
-        heap = KnnHeap(k)
-        # visit candidates in ascending lower-bound order (the array's sorted
-        # runs make this the FQA's natural traversal)
-        for i in np.argsort(lower, kind="stable"):
-            if lower[i] > heap.radius:
-                break
-            object_id = int(self._row_ids[i])
-            heap.consider(object_id, self.space.d_id(query_obj, object_id))
-        return heap.neighbors()
-
-    # -- batch queries -----------------------------------------------------------
+        return self.knn_query_many([query_obj], k)[0]
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batched MRQ: one q x l pivot matrix, one 2-D bound matrix."""
+        """MRQ: one q x l pivot matrix, one 2-D bound matrix."""
         queries = list(queries)
         if not queries:
             return []
         lower = self._lower_bounds_many(self._query_pivot_matrix(queries))
         out: list[list[int]] = []
-        for qi, q in enumerate(queries):
-            rows = np.flatnonzero(lower[qi] <= radius)
-            results: list[int] = []
-            if rows.size:
-                ids = [int(self._row_ids[i]) for i in rows]
-                dists = self.space.d_many(q, self.space.dataset.gather(ids))
-                results = [o for o, d in zip(ids, dists) if d <= radius]
-            out.append(sorted(results))
+        for q, row in zip(queries, lower):
+            ids = [int(i) for i in self._row_ids[row <= radius]]
+            dists = self.space.d_ids(q, ids)
+            out.append(sorted(o for o, d in zip(ids, dists) if d <= radius))
         return out
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Batched MkNNQ: shared bound matrix + best-first chunked verify."""
+        """MkNNQ: shared bound matrix, candidates verified in ascending
+        lower-bound order (the array's sorted runs make this the FQA's
+        natural traversal)."""
         queries = list(queries)
         if not queries:
             return []
         lower = self._lower_bounds_many(self._query_pivot_matrix(queries))
         return [
             best_first_knn(
-                lower[qi],
-                self._row_ids,
-                k,
-                lambda ids, q=q: self.space.d_many(q, self.space.dataset.gather(ids)),
+                lower[qi], self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids)
             )
             for qi, q in enumerate(queries)
         ]
@@ -172,8 +141,7 @@ class FQA(MetricIndex):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """l distance computations + sorted insertion."""
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
+        object_id = claim_row_id(self, obj, object_id)
         dists = np.asarray(
             [self.space.d(obj, self.space.dataset[p]) for p in self.pivot_ids]
         )
@@ -182,8 +150,8 @@ class FQA(MetricIndex):
         # binary search for the lexicographic position
         position = self._lex_position(signature)
         self._signatures = np.insert(self._signatures, position, signature, axis=0)
-        self._row_ids = np.insert(self._row_ids, position, int(object_id))
-        return int(object_id)
+        self._row_ids = np.insert(self._row_ids, position, object_id)
+        return object_id
 
     def _lex_position(self, signature: np.ndarray) -> int:
         lo, hi = 0, len(self._row_ids)
@@ -197,11 +165,7 @@ class FQA(MetricIndex):
         return lo
 
     def delete(self, object_id: int) -> None:
-        positions = np.flatnonzero(self._row_ids == object_id)
-        if positions.size == 0:
-            raise KeyError(f"object {object_id} is not in the array")
-        self._signatures = np.delete(self._signatures, positions[0], axis=0)
-        self._row_ids = np.delete(self._row_ids, positions[0])
+        remove_row(self, object_id, "_signatures")
 
     # -- accounting -----------------------------------------------------------------------
 

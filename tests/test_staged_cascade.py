@@ -5,9 +5,16 @@ prefix, refine, Lemma 4 validation, Ptolemaic filter -- must answer
 bit-for-bit like the single-shot filter and like brute force, for every
 metric; non-Ptolemaic metrics must skip stage 4 automatically; and the
 whole pruner must survive snapshot save/restore and the live dispatcher.
+
+The single-shot filter is not a build option: it is the reference this
+module composes from the full-broadcast kernels of ``core.pivot_filter``
+(:func:`_single_shot_masks`) and holds the cascade's masks against.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -27,9 +34,12 @@ from repro import (
 )
 from repro.core.pivot_filter import (
     lower_bound_many,
+    lower_bound_many_queries,
     ptolemaic_lower_bound_many,
+    ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
     upper_bound_many,
+    upper_bound_many_queries,
 )
 from repro.core.staged import PerObjectStagedPruner, StagedPruner
 from repro.service import QueryService
@@ -100,15 +110,60 @@ def _answers(index, queries, radius, k):
     )
 
 
+def _single_shot_masks(pruner, qmat, omat, radius, validate=False):
+    """The single-shot filter: one full q x n broadcast per lemma, every
+    cell decided only after every column has been evaluated."""
+    alive = lower_bound_many_queries(qmat, omat) <= radius
+    validated = np.zeros_like(alive)
+    if validate:
+        validated = alive & (upper_bound_many_queries(qmat, omat) <= radius)
+        alive &= ~validated
+    if pruner.use_ptolemaic:
+        pair_bound = ptolemaic_lower_bound_many_queries(
+            qmat, omat, pruner.pair_matrix, pairs=pruner.pairs
+        )
+        alive &= pair_bound <= radius
+    return alive, validated
+
+
+def _assert_cascade_equals_single_shot(index, queries, radius):
+    """Cascade masks == the kernel-composed single-shot masks, cell for cell."""
+    if isinstance(index.pruner, StagedPruner):
+        qmat = index.mapping.map_query_many(queries)
+        for validate in (False, True):
+            got = index.pruner.masks_many_queries(
+                qmat, index._rows, radius, validate=validate
+            )
+            want = _single_shot_masks(index.pruner, qmat, index._rows, radius, validate)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+    elif isinstance(index.pruner, PerObjectStagedPruner):
+        # per-object pivots have no shared-column kernel: the triangle
+        # single-shot is one gather + broadcast over every slot; the pair
+        # stage may only remove cells from it
+        qdists = index._query_pivot_dists_many(queries)
+        triangle = (
+            np.abs(qdists[:, index._pivot_idx] - index._pivot_dist[None]).max(axis=2)
+            <= radius
+        )
+        got = index.pruner.masks_many_queries(
+            qdists, index._pivot_idx, index._pivot_dist, radius
+        )
+        if index.pruner.use_ptolemaic:
+            assert not (got & ~triangle).any()
+        else:
+            assert (got == triangle).all()
+
+
 @pytest.mark.parametrize("space_name", sorted(SPACES))
 @pytest.mark.parametrize("index_name", ["LAESA", "CPT", "EPT", "EPT*", "AESA"])
 def test_staged_equals_single_shot_equals_brute_force(space_name, index_name):
     """The tentpole invariant, per metric x index family.
 
-    Three builds of the same index -- staged auto, staged triangle, and
-    the single-shot reference path -- must all return brute-force answers
-    for MRQ and MkNNQ.  Hamming runs too: its build must silently skip
-    the Ptolemaic machinery (is_ptolemaic=False) and still be exact.
+    Both bound families of the same index must return brute-force answers
+    for MRQ and MkNNQ, and the cascade's masks must equal the single-shot
+    masks composed from the kernels (AESA has no mask stage).  Hamming
+    runs too: its build must silently skip the Ptolemaic machinery
+    (is_ptolemaic=False) and still be exact.
     """
     radius, k = RADII[space_name], 10
     space = SPACES[space_name]()
@@ -119,16 +174,61 @@ def test_staged_equals_single_shot_equals_brute_force(space_name, index_name):
         for row in brute_force_knn_many(space, queries, k)
     ]
 
-    variants = [{"bounds": "auto"}, {"bounds": "triangle"}]
-    if index_name != "AESA":  # AESA has no staged/single-shot split
-        variants.append({"bounds": "auto", "staged": False})
-    for kwargs in variants:
+    for kwargs in ({"bounds": "auto"}, {"bounds": "triangle"}):
         index = _build(index_name, SPACES[space_name](), **kwargs)
         got_range, got_knn = _answers(index, queries, radius, k)
         assert got_range == expected_range, (index_name, kwargs)
         assert got_knn == expected_knn, (index_name, kwargs)
-        # sequential single-query calls agree with the batch path
+        # the one-query view agrees with the batch it is a view of
         assert index.range_query(queries[0], radius) == expected_range[0]
+        if index_name != "AESA":
+            _assert_cascade_equals_single_shot(index, queries, radius)
+
+
+@pytest.mark.parametrize("space_name", sorted(SPACES))
+@pytest.mark.parametrize("index_name", ["LAESA", "EPT"])
+def test_one_pivot_table_is_a_prefix_with_an_empty_tail(space_name, index_name):
+    """l == 1: the cascade has nothing to refine, and still equals the
+    single-shot masks, brute force, and the all-prefix stage counts."""
+    radius = RADII[space_name]
+    space = SPACES[space_name]()
+    if index_name == "LAESA":
+        index = LAESA.build(space, select_pivots(space, 1, strategy="hfi", seed=3))
+    else:
+        index = EPT.build(space, n_groups=1, seed=3)
+    queries = _queries(space)
+    space.counters.reset()
+    got = index.range_query_many(queries, radius)
+    snap = space.counters.snapshot()
+    assert got == brute_force_range_many(SPACES[space_name](), queries, radius)
+    assert snap.prune_prefix > 0
+    assert snap.prune_refine == snap.prune_ptolemaic == 0
+    assert not index.pruner.use_ptolemaic  # one pivot has no pair
+    _assert_cascade_equals_single_shot(index, queries, radius)
+    k = 7
+    assert [
+        [(nb.object_id, nb.distance) for nb in index.knn_query(q, k)] for q in queries
+    ] == [
+        [(nb.object_id, nb.distance) for nb in row]
+        for row in brute_force_knn_many(SPACES[space_name](), queries, k)
+    ]
+
+
+@pytest.mark.parametrize("index_name", ["LAESA", "EPT*"])
+def test_pruner_pickled_with_retired_staged_attribute_still_answers(index_name):
+    """Snapshots written before the ``staged=`` option was retired carry a
+    ``staged`` attribute on the pruner; it must unpickle and be ignored."""
+    index = _build(index_name, _l2_space(), bounds="auto")
+    queries = _queries(index.space)
+    expected = _answers(index, queries, RADII["l2"], 5)
+    current_stats = index.pruner.stats()
+    assert "staged" not in current_stats
+    for retired in (True, False):
+        legacy = copy.copy(index.pruner)
+        legacy.staged = retired
+        index.pruner = pickle.loads(pickle.dumps(legacy))
+        assert index.pruner.stats() == current_stats
+        assert _answers(index, queries, RADII["l2"], 5) == expected
 
 
 @pytest.mark.parametrize("space_name", ["l2", "quadratic"])

@@ -129,6 +129,7 @@ class TestEPTDetail:
 
     def test_insert_uses_extreme_pivot(self, la):
         index = EPT.build(MetricSpace(la, CostCounters()), n_groups=2, group_size=3, seed=1)
+        index.delete(0)
         new_id = index.insert(la[0], object_id=0)  # re-register same object
         assert new_id == 0
         row = index._pivot_idx[-1]

@@ -62,6 +62,33 @@ def test_delete_missing_raises(datasets, pivots, dataset_name):
             index.delete(999_999)
 
 
+@pytest.mark.parametrize("index_name", ["LAESA", "EPT", "EPT*", "CPT", "FQA"])
+def test_table_insert_rejects_live_and_unknown_ids(datasets, pivots, index_name):
+    """One row helper validates for the whole table family.
+
+    ``insert(obj, object_id=i)`` with ``i`` still live used to leave a
+    duplicate row (``[.., i, i, ..]`` in every later answer); with ``i``
+    outside the dataset every later verification raised ``IndexError``.
+    Both are refused before a distance is computed or a row is touched.
+    """
+    dataset = datasets["Words"]
+    index = fresh_index(datasets, pivots, "Words", index_name)
+    q, radius = dataset[5], RADIUS["Words"]
+    want = index.range_query(q, radius)
+    assert 5 in want
+    before = index.space.counters.snapshot()
+    for bad_id in (5, len(dataset), -1):
+        with pytest.raises(ValueError):
+            index.insert(dataset[5], object_id=bad_id)
+    assert (index.space.counters.snapshot() - before).distance_computations == 0
+    assert index.range_query(q, radius) == want
+    index.delete(5)
+    with pytest.raises(KeyError):
+        index.delete(5)
+    assert index.insert(dataset[5], object_id=5) == 5
+    assert index.range_query(q, radius) == want
+
+
 def test_aesa_is_static(datasets, pivots):
     index = fresh_index(datasets, pivots, "LA", "AESA")
     with pytest.raises(UnsupportedOperation):
