@@ -8,16 +8,15 @@ asserted bit-for-bit equal inside :func:`repro.bench.run_http_comparison`
 before anything is timed, and the result cache is disabled on both sides so
 the comparison measures evaluation + wire, not a dict lookup.
 
-Two gates:
-
-* **Words (gated at <= 2x)** -- edit distance is compute-bound, so the
-  ratio honestly reports what the wire adds to real serving work (measured
-  ~1.0x: JSON codec + one localhost round trip disappear into evaluation).
-* **LA (gated on absolute overhead)** -- the vectorised L2 kernel answers a
-  whole batch in under a millisecond, so a *ratio* there would only measure
-  the JSON codec against an almost-free baseline and flap on CI runners.
-  Instead the absolute wire overhead per batch (http ms - inproc ms) is
-  bounded, which still catches codec regressions on numeric payloads.
+One gate, on both workloads: the absolute wire overhead per batch
+(http ms - inproc ms) is bounded.  A *ratio* would measure the JSON codec and
+one localhost round trip against a baseline that is nearly free -- the
+vectorised L2 kernel answers an LA batch in about a millisecond, and since
+edit distance went bit-parallel a Words batch of 24 queries costs 5-10 ms in
+process where it cost 70-90 (at REPRO_BENCH_N=600 the MRQ ratio read 0.96-1.05
+then and reads 1.4-1.5 now, with the same ~2 ms on the wire) -- and flap on
+CI runners.  The ratios stay in the table as reported columns; the overhead
+bound still catches codec regressions on string and on numeric payloads.
 """
 
 from __future__ import annotations
@@ -28,15 +27,13 @@ from repro.bench import exp_http_throughput, format_table
 
 from _bench_common import built_indexes, emit, workloads  # noqa: F401  (fixtures)
 
-GATED_RATIO = "Words"
-GATED_OVERHEAD = "LA"
-MAX_RATIO = 2.0  # compute-bound workload: the wire must all but vanish
-MAX_OVERHEAD_MS = 25.0  # vector workload: absolute codec + round-trip budget
+GATED = ("Words", "LA")
+MAX_OVERHEAD_MS = 25.0  # absolute codec + round-trip budget per batch
 
 
 @pytest.fixture(scope="module")
 def http_rows(workloads, built_indexes):
-    subset = {name: workloads[name] for name in (GATED_RATIO, GATED_OVERHEAD)}
+    subset = {name: workloads[name] for name in GATED}
     built = {name: built_indexes(name) for name in subset}
     return exp_http_throughput(subset, built=built, repeats=3)
 
@@ -56,19 +53,17 @@ def test_http_throughput(http_rows, benchmark, workloads, built_indexes):
     by_dataset = {
         (row["Dataset"], row["codec"]): row for row in http_rows
     }
-    words = by_dataset[(GATED_RATIO, "json")]
-    assert words["MRQ ratio"] <= MAX_RATIO, words
-    assert words["kNN ratio"] <= MAX_RATIO, words
-    la = by_dataset[(GATED_OVERHEAD, "json")]
-    assert la["MRQ http ms"] - la["MRQ inproc ms"] <= MAX_OVERHEAD_MS, la
-    assert la["kNN http ms"] - la["kNN inproc ms"] <= MAX_OVERHEAD_MS, la
+    for dataset in GATED:
+        row = by_dataset[(dataset, "json")]
+        assert row["MRQ http ms"] - row["MRQ inproc ms"] <= MAX_OVERHEAD_MS, row
+        assert row["kNN http ms"] - row["kNN inproc ms"] <= MAX_OVERHEAD_MS, row
 
     from repro.service import QueryService
     from repro.service.http import HttpQueryServer, ServiceClient
 
-    workload = workloads[GATED_OVERHEAD]
+    workload = workloads["LA"]
     radius = workload.radius_for(0.16)
-    index = built_indexes(GATED_OVERHEAD)["LAESA"].index
+    index = built_indexes("LA")["LAESA"].index
     with QueryService(index, cache_size=0, use_dispatcher=False) as service:
         with HttpQueryServer(service).start() as server:
             with ServiceClient(port=server.port) as client:

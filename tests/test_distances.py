@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    BKT,
+    LAESA,
+    MVPT,
     DiscreteMetricAdapter,
     EditDistance,
     HammingDistance,
@@ -17,13 +23,51 @@ from repro import (
     L2,
     LInf,
     LPDistance,
+    MetricSpace,
     QuadraticFormDistance,
+    brute_force_knn,
+    brute_force_range,
+    make_words,
+    select_pivots,
 )
 
 VECTORS = st.lists(
     st.floats(min_value=-1000, max_value=1000, allow_nan=False), min_size=1, max_size=6
 )
 WORDS = st.text(alphabet="abcdefg", max_size=12)
+# sequences the edit-distance kernel must take: runs of one character, code
+# points outside the BMP, and tuples / lists of ints
+SEQUENCES = st.one_of(
+    st.text(alphabet="ab", max_size=20),
+    st.text(alphabet="abc\u00e9\U0001f600\U0001f4a9", max_size=12),
+    st.lists(st.integers(0, 3), max_size=10),
+    st.lists(st.integers(0, 3), max_size=10).map(tuple),
+)
+
+
+def reference_levenshtein(a, b) -> int:
+    """The classic O(|a| * |b|) dynamic program with a two-row table: the
+    implementation ``EditDistance`` had before its bit-parallel kernel, kept
+    as the reference every entry point is checked against."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    return previous[-1]
+
+
+def _random_words(rng: random.Random, count: int, max_len: int, alphabet: str = "abcd"):
+    return [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+        for _ in range(count)
+    ]
 
 
 class TestLPDistance:
@@ -116,6 +160,163 @@ class TestEditDistance:
         words = ["cat", "cart", "dog", ""]
         out = self.d.one_to_many("cat", words)
         assert out.tolist() == [0.0, 1.0, 3.0, 3.0]
+
+    # -- the bit-parallel kernel against the dynamic program ----------------
+
+    @given(a=SEQUENCES, b=SEQUENCES)
+    @settings(max_examples=300, deadline=None)
+    def test_call_matches_reference(self, a, b):
+        got = self.d(a, b)
+        assert isinstance(got, float)
+        assert got == reference_levenshtein(a, b)
+        assert self.d(a, a) == 0.0
+
+    @given(q=SEQUENCES, objects=st.lists(SEQUENCES, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_one_to_many_matches_reference(self, q, objects):
+        # up to 40 objects: both sides of the scalar/lane crossover; drawn
+        # lists hold empty sequences and duplicates often
+        objects = objects + objects[:3]
+        out = self.d.one_to_many(q, objects)
+        assert out.dtype == np.float64 and out.shape == (len(objects),)
+        assert out.tolist() == [reference_levenshtein(q, o) for o in objects]
+
+    @given(xs=st.lists(SEQUENCES, max_size=16), ys=st.lists(SEQUENCES, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_matches_reference(self, xs, ys):
+        mat = self.d.pairwise(xs, ys)
+        assert mat.dtype == np.float64 and mat.shape == (len(xs), len(ys))
+        assert mat.tolist() == [[reference_levenshtein(x, y) for y in ys] for x in xs]
+        assert np.array_equal(mat, self.d.pairwise(ys, xs).T)
+
+    @pytest.mark.parametrize("m", [6, 7, 8, 14, 15, 16, 63, 64, 65, 300])
+    def test_lane_width_steps(self, m):
+        # a lane is 8 * ceil((m + 1) / 8) bits: 7 -> 8 and 15 -> 16 change
+        # its byte count, 63..65 cross a machine word, and with m = 300 a
+        # distance exceeds 255 and is read back from two bytes
+        rng = random.Random(m)
+        pattern = "".join(rng.choice("abcd") for _ in range(m))
+        texts = _random_words(rng, 14, m + 3) + [pattern, "", pattern[:-1]]
+        want = [reference_levenshtein(pattern, t) for t in texts]
+        assert self.d.one_to_many(pattern, texts).tolist() == want
+        assert self.d.pairwise(texts[-3:], [pattern] * 20).tolist() == [[w] * 20 for w in want[-3:]]
+        assert [self.d(pattern, t) for t in texts] == want
+
+    def test_long_text_widens_short_pattern_lanes(self):
+        # m = 3 needs 4 bits of state, but a distance of 297 needs 9: the
+        # longest text, not the pattern, sets the lane width here
+        texts = ["abc", "b" * 300, ""] * 5
+        assert self.d.one_to_many("abc", texts).tolist() == [0.0, 299.0, 3.0] * 5
+
+    def test_batch_sizes_around_crossover_and_chunk(self):
+        from repro.core import distances
+
+        rng = random.Random(5)
+        words = _random_words(rng, 2 * distances._LANE_CHUNK + 3, 9) + ["c" * 40]
+        want = [reference_levenshtein("abcabcd", w) for w in words]
+        sizes = [0, 1, distances._SCALAR_BELOW - 1, distances._SCALAR_BELOW]
+        sizes += [distances._SCALAR_BELOW + 1, distances._LANE_CHUNK - 1]
+        sizes += [distances._LANE_CHUNK, distances._LANE_CHUNK + 1, len(words)]
+        for size in sizes:
+            batch = words[-size:] if size else []
+            assert self.d.one_to_many("abcabcd", batch).tolist() == want[len(words) - size :]
+
+    @given(q=WORDS, objects=st.lists(WORDS, min_size=12, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_small_chunks(self, q, objects):
+        # chunks of 5 lanes: chunk boundaries and mixes of lengths inside a
+        # chunk that the full-size constant would need hundreds of words for
+        from repro.core import distances
+
+        chunk, distances._LANE_CHUNK = distances._LANE_CHUNK, 5
+        try:
+            out = self.d.one_to_many(q, objects)
+        finally:
+            distances._LANE_CHUNK = chunk
+        assert out.tolist() == [reference_levenshtein(q, o) for o in objects]
+
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    def test_batch_containers(self, container):
+        words = ["kitten", "sitting", "", "kitten", "mitten"] * 4
+        out = self.d.one_to_many("kitten", container(words))
+        assert out.dtype == np.float64 and out.shape == (20,)
+        assert out.tolist() == [0.0, 3.0, 6.0, 0.0, 1.0] * 4
+        mat = self.d.pairwise(container(words[:3]), container(words))
+        assert mat.dtype == np.float64 and mat.shape == (3, 20)
+        assert mat[0].tolist() == out.tolist()
+        codes = container([[1, 2, 3], [1, 3, 3], [2, 2, 2]] * 5)
+        assert self.d.one_to_many((1, 2, 3), codes).tolist() == [0.0, 1.0, 2.0] * 5
+
+    def test_shared_instance_across_threads(self):
+        # the service calls one EditDistance() from many threads: the kernel
+        # must keep nothing on it
+        rng = random.Random(9)
+        words = _random_words(rng, 300, 12)
+        queries = _random_words(rng, 8, 12)
+        want = [[reference_levenshtein(q, w) for w in words] for q in queries]
+        got = [None] * len(queries)
+
+        def work(slot):
+            for _ in range(5):
+                got[slot] = self.d.one_to_many(queries[slot], words).tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+
+class TestEditDistanceCostContract:
+    """Pivots and compdists on strings, as the two-row dynamic program left
+    them (literals recorded at the commit before the bit-parallel kernel).
+
+    HFI picks pivots by ``argmax`` over ratios of integer distances, where
+    ties are common, and every index prunes on exact values: a kernel that
+    returned 2.0000000001 once would move a pivot or a count, and nothing
+    else in the suite would say so.
+    """
+
+    PIVOTS = [244, 274, 550, 169]
+    # index -> (build, 10 x MRQ(r=2), 10 x MkNNQ(k=10)) distance computations
+    COMPDISTS = {
+        "MVPT": (1759, 1547, 5406),
+        "BKT": (1534, 1789, 5237),
+        "LAESA": (2400, 813, 4869),
+    }
+
+    def test_pivots_answers_and_counts(self):
+        dataset = make_words(600, seed=7)
+        queries = make_words(20, seed=8).objects
+        space = MetricSpace(dataset)
+        pivots = select_pivots(space, 4, "hfi")
+        assert pivots == self.PIVOTS
+        assert space.counters.distance_computations == 37704
+        builders = {
+            "MVPT": lambda s: MVPT.build(s, pivots),
+            "BKT": BKT.build,
+            "LAESA": lambda s: LAESA.build(s, pivots),
+        }
+        oracle = MetricSpace(dataset)
+        for name, build in builders.items():
+            space = MetricSpace(dataset)
+            index = build(space)
+            counts = [space.counters.distance_computations]
+            for q in queries[:10]:
+                assert index.range_query(q, 2.0) == brute_force_range(oracle, q, 2.0), name
+            counts.append(space.counters.distance_computations)
+            for q in queries[10:]:
+                assert index.knn_query(q, 10) == brute_force_knn(oracle, q, 10), name
+            counts.append(space.counters.distance_computations)
+            got = (counts[0], counts[1] - counts[0], counts[2] - counts[1])
+            assert got == self.COMPDISTS[name], name
 
 
 class TestHammingDistance:

@@ -9,6 +9,7 @@ from repro import (
     CostCounters,
     Dataset,
     EditDistance,
+    HammingDistance,
     L2,
     MetricSpace,
     brute_force_knn,
@@ -65,6 +66,22 @@ class TestTinyDatasets:
         index = build_index("MVPT", space, [0])
         assert index.range_query("alpha", 0) == [0]
         assert index.knn_query("alphq", 1)[0].object_id == 0
+
+
+class TestEmptyDistanceBatches:
+    """An empty side gives an empty matrix, not an exception."""
+
+    @pytest.mark.parametrize("distance", [EditDistance(), HammingDistance()])
+    def test_pairwise_with_an_empty_side(self, distance):
+        # HammingDistance on strings takes MetricDistance.pairwise, which
+        # used to hand np.stack an empty list; 20 objects put EditDistance
+        # on its packed path, 1 on the one-by-one path
+        for other in (["a"], ["a"] * 20):
+            for xs, ys in (([], other), (other, []), ([], [])):
+                out = distance.pairwise(xs, ys)
+                assert out.shape == (len(xs), len(ys))
+                assert out.dtype == np.float64
+        assert distance.one_to_many("a", []).shape == (0,)
 
 
 class TestStorageFailureInjection:
