@@ -123,12 +123,15 @@ class BPlusTree:
 
     # -- augmentation helpers --------------------------------------------------
 
-    def _leaf_summary(self, leaf: LeafNode):
+    def _leaf_summary(self, leaf: LeafNode, summaries: list | None = None):
+        """Merged summary of a leaf; ``summaries`` are its entries' if known."""
         if self.augmentation is None or not leaf.keys:
             return None
-        summaries = [
-            self.augmentation.from_entry(k, v) for k, v in zip(leaf.keys, leaf.values)
-        ]
+        if summaries is None:
+            summaries = [
+                self.augmentation.from_entry(k, v)
+                for k, v in zip(leaf.keys, leaf.values)
+            ]
         return self.augmentation.merge(summaries)
 
     def _internal_summary(self, node: InternalNode):
@@ -435,17 +438,25 @@ class BPlusTree:
 
     # -- bulk load ------------------------------------------------------------------
 
-    def bulk_load(self, items, fill_factor: float = 0.85) -> None:
+    def bulk_load(self, items, fill_factor: float = 0.85, summaries=None) -> None:
         """Build the tree bottom-up from sorted ``(key, value)`` pairs.
 
         Requires an empty tree.  ``fill_factor`` leaves slack for later
-        inserts, as real loaders do.
+        inserts, as real loaders do.  A caller that already holds what
+        ``augmentation.from_entry`` would return for every item passes it
+        as ``summaries`` (one per item, same order); they are merged as
+        given, so a costly ``from_entry`` -- the SPB-tree's key decode --
+        never runs during the load.
         """
         items = list(items)
         if self._size:
             raise RuntimeError("bulk_load requires an empty tree")
         if not items:
             return
+        if summaries is not None and len(summaries) != len(items):
+            raise ValueError(
+                f"bulk_load got {len(summaries)} summaries for {len(items)} items"
+            )
         for i in range(1, len(items)):
             if items[i - 1][0] > items[i][0]:
                 raise ValueError("bulk_load input must be sorted by key")
@@ -466,6 +477,7 @@ class BPlusTree:
         for chunk in chunks:
             page = self.pager.allocate()
             leaf_pages.append(page)
+        done = 0
         for i, chunk in enumerate(chunks):
             leaf = LeafNode(
                 keys=[k for k, _ in chunk],
@@ -473,7 +485,9 @@ class BPlusTree:
                 next_page=leaf_pages[i + 1] if i + 1 < len(leaf_pages) else None,
             )
             self._write(leaf_pages[i], leaf)
-            leaves.append((leaf_pages[i], leaf.keys[0], self._leaf_summary(leaf)))
+            known = None if summaries is None else summaries[done : done + len(chunk)]
+            leaves.append((leaf_pages[i], leaf.keys[0], self._leaf_summary(leaf, known)))
+            done += len(chunk)
 
         # build internal levels
         level = leaves

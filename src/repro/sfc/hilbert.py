@@ -8,42 +8,46 @@ and I/O savings (Section 5.4).
 ``encode``/``decode`` implement John Skilling's transpose-based algorithm
 ("Programming the Hilbert curve", AIP 2004): coordinates with ``bits`` bits
 per dimension map bijectively to keys in [0, 2^(bits*dims)).
+
+The transform exists twice, on purpose (:mod:`repro.sfc.curve` has the
+measurement): the scalar ``encode`` / ``decode`` on Python integers are the
+insert / delete / query path and the reference the tests hold the array
+form to; ``encode_many`` / ``decode_many`` run the same steps over the
+columns of an ``n x dims`` matrix -- ``bits * dims`` whole-array passes --
+and are what bulk construction calls, once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .curve import GridCurve, deinterleave, interleave
+
 __all__ = ["HilbertCurve"]
 
 
-class HilbertCurve:
-    """Bijective Hilbert mapping for ``dims`` dimensions of ``bits`` bits."""
+def _flip_or_exchange(x: list[np.ndarray], i: int, q: int) -> None:
+    """Skilling's inner step on columns, in place.
 
-    def __init__(self, bits: int, dims: int):
-        if bits < 1 or bits > 32:
-            raise ValueError(f"bits must be in [1, 32], got {bits}")
-        if dims < 1:
-            raise ValueError(f"dims must be >= 1, got {dims}")
-        self.bits = bits
-        self.dims = dims
-        self.max_coordinate = (1 << bits) - 1
-        self.max_key = (1 << (bits * dims)) - 1
+    Row by row: where bit ``q`` of ``x[i]`` is set, the low bits of ``x[0]``
+    are inverted; elsewhere ``x[0]`` and ``x[i]`` exchange their low bits.
+    """
+    p = q - 1
+    hit = (x[i] & q) != 0
+    t = np.where(hit, 0, (x[0] ^ x[i]) & p)
+    x[0] ^= np.where(hit, p, t)
+    x[i] ^= t
+
+
+class HilbertCurve(GridCurve):
+    """Bijective Hilbert mapping for ``dims`` dimensions of ``bits`` bits."""
 
     # -- coordinate -> key --------------------------------------------------
 
     def encode(self, coords) -> int:
         """Hilbert key of one coordinate tuple."""
-        x = [int(c) for c in coords]
-        if len(x) != self.dims:
-            raise ValueError(f"expected {self.dims} coordinates, got {len(x)}")
-        for c in x:
-            if c < 0 or c > self.max_coordinate:
-                raise ValueError(
-                    f"coordinate {c} out of range [0, {self.max_coordinate}]"
-                )
-        x = self._axes_to_transpose(x)
-        return self._transpose_to_key(x)
+        x = self._axes_to_transpose(self._checked_coords(coords))
+        return interleave(x, self.bits)
 
     def _axes_to_transpose(self, x: list[int]) -> list[int]:
         n, bits = self.dims, self.bits
@@ -73,30 +77,33 @@ class HilbertCurve:
             x[i] ^= t
         return x
 
-    def _transpose_to_key(self, x: list[int]) -> int:
-        key = 0
-        for bit in range(self.bits - 1, -1, -1):
-            for i in range(self.dims):
-                key = (key << 1) | ((x[i] >> bit) & 1)
-        return key
+    def _axes_to_transpose_columns(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """:meth:`_axes_to_transpose` on ``dims`` int64 columns, in place."""
+        n = self.dims
+        m = 1 << (self.bits - 1)
+        q = m
+        while q > 1:
+            for i in range(n):
+                _flip_or_exchange(x, i, q)
+            q >>= 1
+        for i in range(1, n):
+            x[i] ^= x[i - 1]
+        t = np.zeros_like(x[0])
+        q = m
+        while q > 1:
+            t ^= np.where((x[n - 1] & q) != 0, q - 1, 0)
+            q >>= 1
+        for i in range(n):
+            x[i] ^= t
+        return x
 
     # -- key -> coordinate ----------------------------------------------------
 
     def decode(self, key: int) -> tuple[int, ...]:
         """Coordinate tuple of one Hilbert key."""
-        if key < 0 or key > self.max_key:
-            raise ValueError(f"key {key} out of range [0, {self.max_key}]")
-        x = self._key_to_transpose(key)
+        self._check_key(key)
+        x = deinterleave(key, self.bits, self.dims)
         return tuple(self._transpose_to_axes(x))
-
-    def _key_to_transpose(self, key: int) -> list[int]:
-        x = [0] * self.dims
-        position = self.bits * self.dims - 1
-        for bit in range(self.bits - 1, -1, -1):
-            for i in range(self.dims):
-                x[i] |= ((key >> position) & 1) << bit
-                position -= 1
-        return x
 
     def _transpose_to_axes(self, x: list[int]) -> list[int]:
         n, bits = self.dims, self.bits
@@ -120,12 +127,17 @@ class HilbertCurve:
             q <<= 1
         return x
 
-    # -- batch helpers ---------------------------------------------------------
-
-    def encode_many(self, coords: np.ndarray) -> list[int]:
-        """Hilbert keys for each row of an integer coordinate matrix."""
-        mat = np.asarray(coords)
-        return [self.encode(row) for row in mat]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HilbertCurve(bits={self.bits}, dims={self.dims})"
+    def _transpose_to_axes_columns(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """:meth:`_transpose_to_axes` on ``dims`` int64 columns, in place."""
+        n = self.dims
+        m = 1 << (self.bits - 1)
+        t = x[n - 1] >> 1
+        for i in range(n - 1, 0, -1):
+            x[i] ^= x[i - 1]
+        x[0] ^= t
+        q = 2
+        while q != m << 1:
+            for i in range(n - 1, -1, -1):
+                _flip_or_exchange(x, i, q)
+            q <<= 1
+        return x

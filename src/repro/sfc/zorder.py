@@ -8,53 +8,21 @@ the Hilbert mapping (Section 5.4).
 
 from __future__ import annotations
 
-import numpy as np
+from .curve import GridCurve, deinterleave, interleave
 
 __all__ = ["ZOrderCurve"]
 
 
-class ZOrderCurve:
-    """Bijective Morton mapping with the same interface as HilbertCurve."""
+class ZOrderCurve(GridCurve):
+    """Bijective Morton mapping with the same interface as HilbertCurve.
 
-    def __init__(self, bits: int, dims: int):
-        if bits < 1 or bits > 32:
-            raise ValueError(f"bits must be in [1, 32], got {bits}")
-        if dims < 1:
-            raise ValueError(f"dims must be >= 1, got {dims}")
-        self.bits = bits
-        self.dims = dims
-        self.max_coordinate = (1 << bits) - 1
-        self.max_key = (1 << (bits * dims)) - 1
+    Interleaving is the whole curve, so the array entry points inherited
+    from :class:`~repro.sfc.curve.GridCurve` need no transform hooks.
+    """
 
     def encode(self, coords) -> int:
-        x = [int(c) for c in coords]
-        if len(x) != self.dims:
-            raise ValueError(f"expected {self.dims} coordinates, got {len(x)}")
-        for c in x:
-            if c < 0 or c > self.max_coordinate:
-                raise ValueError(
-                    f"coordinate {c} out of range [0, {self.max_coordinate}]"
-                )
-        key = 0
-        for bit in range(self.bits - 1, -1, -1):
-            for i in range(self.dims):
-                key = (key << 1) | ((x[i] >> bit) & 1)
-        return key
+        return interleave(self._checked_coords(coords), self.bits)
 
     def decode(self, key: int) -> tuple[int, ...]:
-        if key < 0 or key > self.max_key:
-            raise ValueError(f"key {key} out of range [0, {self.max_key}]")
-        x = [0] * self.dims
-        position = self.bits * self.dims - 1
-        for bit in range(self.bits - 1, -1, -1):
-            for i in range(self.dims):
-                x[i] |= ((key >> position) & 1) << bit
-                position -= 1
-        return tuple(x)
-
-    def encode_many(self, coords: np.ndarray) -> list[int]:
-        mat = np.asarray(coords)
-        return [self.encode(row) for row in mat]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ZOrderCurve(bits={self.bits}, dims={self.dims})"
+        self._check_key(key)
+        return tuple(deinterleave(key, self.bits, self.dims))

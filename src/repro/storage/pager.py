@@ -17,6 +17,14 @@ Indexes never touch pickled bytes directly -- they read and write Python
 node objects; serialisation happens at the store boundary so that reported
 storage sizes are real serialised sizes, and page-capacity decisions can use
 measured byte sizes.
+
+A page crosses that boundary with **one** pickle.  A pool of capacity 0 (the
+construction configuration) writes straight through, so a counted
+construction PA is one ``pickle.dumps`` of one page; a read miss is one
+``pickle.loads``, and the pool admits the node under the length of the blob
+the store has just read instead of pickling it again to measure it.  The
+only size probe left is for a dirty node entering a pool that may hold it:
+nothing has been stored yet, and the LRU needs its size.
 """
 
 from __future__ import annotations
@@ -195,8 +203,8 @@ class BufferPool:
     counters so measurements can tell real I/O from cache service.  Misses
     read through.  Writes are buffered (dirty) and flushed on eviction or
     :meth:`flush`.  A ``capacity_bytes`` of 0 disables caching entirely
-    (every access goes to the store), which is how construction-time PA is
-    measured.
+    (every access goes to the store, with no size probe on the way), which
+    is how construction-time PA is measured.
     """
 
     def __init__(self, store: PageStore, capacity_bytes: int = 128 * 1024):
@@ -221,19 +229,23 @@ class BufferPool:
             return node
         self.misses += 1
         node = self.store.read(page_id)
-        self._admit(page_id, node, dirty=False)
+        # the store knows the length of the blob it has just unpickled
+        self._admit(page_id, node, self.store.page_bytes(page_id), dirty=False)
         return node
 
     def write(self, page_id: int, node: Any) -> None:
         if page_id in self._entries:
             _, old_bytes, _ = self._entries.pop(page_id)
             self._used_bytes -= old_bytes
-        self._admit(page_id, node, dirty=True)
+        if self.capacity_bytes <= 0:
+            # write-through: the store's pickle is the only one
+            self.store.write(page_id, node)
+            return
+        self._admit(page_id, node, self._node_bytes(node), dirty=True)
 
-    def _admit(self, page_id: int, node: Any, dirty: bool) -> None:
-        nbytes = self._node_bytes(node)
-        if self.capacity_bytes <= 0 or nbytes > self.capacity_bytes:
-            # cannot hold it: write through / serve through
+    def _admit(self, page_id: int, node: Any, nbytes: int, dirty: bool) -> None:
+        if nbytes > self.capacity_bytes:
+            # cannot hold it (never, at capacity 0): write / serve through
             if dirty:
                 self.store.write(page_id, node)
             return

@@ -9,6 +9,13 @@ access discussion for MkNNQ is exactly about this.
 Records are grouped into pages greedily in insertion order, mirroring the
 sequential layout the paper describes; M-index and SPB-tree pass records in
 cluster/SFC order so that proximate objects share pages.
+
+Writing has one body, :meth:`RandomAccessFile.append_many`: an index under
+construction passes all of its records in one call and every RAF page is
+handed to the pager once, when it is full (the last one when the call
+ends), so a construction page access is a page of the finished file and
+not a record.  :meth:`RandomAccessFile.append` is the one-record view of
+the same body -- the insert path -- and costs one write of the open page.
 """
 
 from __future__ import annotations
@@ -58,29 +65,43 @@ class RandomAccessFile:
         return int(self.pager.page_size * self.fill_factor)
 
     def append(self, record: Any) -> RecordPointer:
-        """Write one record, returning its pointer."""
-        nbytes = self._record_bytes(record)
-        if (
-            self._open_page_id is None
-            or (self._open_bytes + nbytes > self._budget() and self._open_records)
-        ):
-            self._seal_open_page()
-            self._open_page_id = self.pager.allocate()
-            self._open_records = []
-            self._open_bytes = 0
-        self._open_records.append(record)
-        self._open_bytes += nbytes
-        self._count += 1
-        pointer = RecordPointer(self._open_page_id, len(self._open_records) - 1)
-        self.pager.write(self._open_page_id, list(self._open_records))
-        return pointer
+        """Write one record, returning its pointer (one page write)."""
+        return self.append_many((record,))[0]
 
     def append_many(self, records: Iterable[Any]) -> list[RecordPointer]:
-        return [self.append(record) for record in records]
+        """Write records in order, returning their pointers.
 
-    def _seal_open_page(self) -> None:
-        if self._open_page_id is not None and self._open_records:
+        The one write body of the file.  Records are packed greedily by
+        their measured pickled size against the ``fill_factor`` budget,
+        continuing the page left open by the previous call, and every page
+        is handed to the pager once: when the next record no longer fits,
+        or -- the open page -- when the call ends.  A bulk build therefore
+        costs one write per page, a single ``append`` one write.
+        """
+        budget = self._budget()
+        pointers: list[RecordPointer] = []
+        for record in records:
+            nbytes = self._record_bytes(record)
+            if self._open_page_id is None or (
+                self._open_bytes + nbytes > budget and self._open_records
+            ):
+                if pointers:
+                    # full, and this call put its last record there; a page
+                    # carried over untouched was written by the call before
+                    self.pager.write(self._open_page_id, self._open_records)
+                self._open_page_id = self.pager.allocate()
+                self._open_records = []
+                self._open_bytes = 0
+            self._open_records.append(record)
+            self._open_bytes += nbytes
+            self._count += 1
+            pointers.append(
+                RecordPointer(self._open_page_id, len(self._open_records) - 1)
+            )
+        if pointers:
+            # a copy: the open page keeps growing under later calls
             self.pager.write(self._open_page_id, list(self._open_records))
+        return pointers
 
     def read(self, pointer: RecordPointer) -> Any:
         """Fetch one record (one page access on cache miss)."""

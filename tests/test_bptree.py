@@ -188,6 +188,27 @@ class TestAugmentation:
         tree.bulk_load([(k, k) for k in range(500)])
         self._assert_summaries(tree)
 
+    def test_bulk_load_merges_given_summaries_without_from_entry(self):
+        """``summaries=`` stands in for ``from_entry`` during the load only."""
+        asked = []
+        minmax = self._minmax_augmentation()
+        counting = Augmentation(
+            from_entry=lambda key, value: asked.append(key) or (key, key),
+            merge=minmax.merge,
+        )
+        items = [(k, k) for k in range(505)]  # 505: the last leaf takes a spill
+        tree = BPlusTree(Pager(page_size=256), augmentation=counting)
+        tree.bulk_load(items, summaries=[(k, k) for k, _ in items])
+        assert asked == []
+        self._assert_summaries(tree)
+        tree.insert(250, 0)  # inserts still summarise through from_entry
+        assert asked
+        self._assert_summaries(tree)
+        with pytest.raises(ValueError, match="summaries"):
+            BPlusTree(Pager(page_size=256), augmentation=counting).bulk_load(
+                items, summaries=[(0, 0)]
+            )
+
     def test_insert_maintains_summaries(self):
         tree = BPlusTree(
             Pager(page_size=256), augmentation=self._minmax_augmentation()

@@ -1,0 +1,364 @@
+"""Bulk construction of the RAF-backed indexes: same layout, fewer writes.
+
+Every RAF-backed ``build`` hands its ordered records to one
+``RandomAccessFile.append_many`` call, and the SPB-tree discretises, encodes
+and summarises the whole dataset in array form.  This file holds those bulk
+paths to a per-object reference kept here, in the tests: one pager write per
+record (re-written when its page is sealed), scalar curve ``encode`` per
+object, B+-tree summaries recovered by scalar ``decode``.  The two must
+produce the same index byte for byte -- only the construction cost may
+differ, and that cost is pinned: the same distance computations, and one
+page write per page.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro import (
+    CostCounters,
+    MetricSpace,
+    brute_force_knn,
+    brute_force_range,
+    load_index,
+    save_index,
+    select_pivots,
+)
+from repro.core.mapping import PivotMapping
+from repro.external import (
+    DEPT,
+    MIndex,
+    MIndexStar,
+    OmniBPlusTree,
+    OmniRTree,
+    OmniSequentialFile,
+    SPBTree,
+)
+from repro.external import dept as dept_module
+from repro.external import mindex as mindex_module
+from repro.external import omni as omni_module
+from repro.sfc import HilbertCurve, ZOrderCurve
+from repro.storage.pager import Pager, PageStore
+from repro.storage.raf import RandomAccessFile, RecordPointer
+
+from conftest import DATASET_MAKERS, N_SMALL, RADIUS
+
+PAGE_SIZE = 1024  # small pages: several RAF pages and two B+-tree levels at n = 400
+
+
+class PerRecordRAF(RandomAccessFile):
+    """The reference write path: every record is its own pager write."""
+
+    def append(self, record):
+        nbytes = self._record_bytes(record)
+        if self._open_page_id is None or (
+            self._open_bytes + nbytes > self._budget() and self._open_records
+        ):
+            if self._open_records:
+                self.pager.write(self._open_page_id, list(self._open_records))
+            self._open_page_id = self.pager.allocate()
+            self._open_records = []
+            self._open_bytes = 0
+        self._open_records.append(record)
+        self._open_bytes += nbytes
+        self._count += 1
+        self.pager.write(self._open_page_id, list(self._open_records))
+        return RecordPointer(self._open_page_id, len(self._open_records) - 1)
+
+    def append_many(self, records):
+        return [self.append(record) for record in records]
+
+
+def reference_spbtree(space, pivot_ids, curve_cls):
+    """The per-object SPB-tree build the bulk path replaced."""
+    mapping = PivotMapping(space, pivot_ids)
+    pager = Pager(page_size=PAGE_SIZE, counters=space.counters)
+    index = SPBTree(space, mapping, pager, 8, curve_cls)
+    index.raf = PerRecordRAF(pager)
+    keyed = []
+    for object_id in range(mapping.n_objects):
+        cell = index._grid_cell(mapping.vector(object_id))
+        keyed.append((index.curve.encode(cell), object_id))
+    keyed.sort()
+    items = []
+    for key, object_id in keyed:
+        pointer = index.raf.append((object_id, space.dataset[object_id]))
+        index._pointers[object_id] = pointer
+        items.append((key, (object_id, pointer)))
+    index.btree.bulk_load(items)  # summaries by scalar decode of every key
+    return index
+
+
+def _spb(curve_cls):
+    def build(space, pivot_ids, reference):
+        if reference:
+            return reference_spbtree(space, pivot_ids, curve_cls)
+        return SPBTree.build(space, pivot_ids, page_size=PAGE_SIZE, curve_cls=curve_cls)
+
+    return build
+
+
+def _on_reference_raf(module, build):
+    """``build`` as is, and with the module's RAF swapped for the reference."""
+
+    def wrapped(space, pivot_ids, reference):
+        if not reference:
+            return build(space, pivot_ids)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "RandomAccessFile", PerRecordRAF)
+            return build(space, pivot_ids)
+
+    return wrapped
+
+
+# name -> (number of pivots, build(space, pivot_ids, reference))
+BUILDERS = {
+    "SPB-tree l=5": (5, _spb(HilbertCurve)),
+    "SPB-tree l=9": (9, _spb(HilbertCurve)),  # 72-bit keys: the limb path
+    "SPB-tree Z-order l=5": (5, _spb(ZOrderCurve)),
+    "SPB-tree Z-order l=9": (9, _spb(ZOrderCurve)),
+    "Omni-seq": (
+        4,
+        _on_reference_raf(
+            omni_module,
+            lambda s, p: OmniSequentialFile.build(s, p, page_size=PAGE_SIZE),
+        ),
+    ),
+    "OmniB+": (
+        4,
+        _on_reference_raf(
+            omni_module, lambda s, p: OmniBPlusTree.build(s, p, page_size=PAGE_SIZE)
+        ),
+    ),
+    "OmniR-tree": (
+        4,
+        _on_reference_raf(
+            omni_module, lambda s, p: OmniRTree.build(s, p, page_size=PAGE_SIZE)
+        ),
+    ),
+    "M-index": (
+        4,
+        _on_reference_raf(
+            mindex_module,
+            lambda s, p: MIndex.build(s, p, page_size=PAGE_SIZE, maxnum=64),
+        ),
+    ),
+    "M-index*": (
+        4,
+        _on_reference_raf(
+            mindex_module,
+            lambda s, p: MIndexStar.build(s, p, page_size=PAGE_SIZE, maxnum=64),
+        ),
+    ),
+    "DEPT": (
+        4,
+        _on_reference_raf(
+            dept_module,
+            lambda s, p: DEPT.build(
+                s, n_pivots_per_object=len(p), page_size=PAGE_SIZE, seed=5
+            ),
+        ),
+    ),
+}
+
+CASES = [(d, name) for d in ("LA", "Words") for name in BUILDERS]
+
+
+@pytest.fixture(scope="module")
+def pivots_by_count(datasets):
+    cache = {}
+
+    def get(dataset_name, count):
+        if (dataset_name, count) not in cache:
+            cache[dataset_name, count] = select_pivots(
+                MetricSpace(datasets[dataset_name]), count, strategy="hfi", seed=3
+            )
+        return cache[dataset_name, count]
+
+    return get
+
+
+@pytest.fixture
+def store_writes(monkeypatch):
+    """Every ``PageStore.write``: (store, page id, physical pages written)."""
+    log = []
+    original = PageStore.write
+
+    def write(self, page_id, node):
+        original(self, page_id, node)
+        log.append((self, page_id, self.pages_spanned(self.page_bytes(page_id))))
+
+    monkeypatch.setattr(PageStore, "write", write)
+    return log
+
+
+def _trees(index):
+    if hasattr(index, "btree"):
+        return [index.btree]
+    return list(getattr(index, "trees", []))
+
+
+@pytest.mark.parametrize("dataset_name,name", CASES)
+def test_bulk_build_lays_out_what_the_per_object_build_did(
+    pivots_by_count, store_writes, dataset_name, name
+):
+    dataset = DATASET_MAKERS[dataset_name]()  # private: the test inserts
+    count, build = BUILDERS[name]
+    pivot_ids = pivots_by_count(dataset_name, count)
+
+    ref_space = MetricSpace(dataset, CostCounters())
+    ref = build(ref_space, pivot_ids, reference=True)
+    ref_cost = ref_space.counters.snapshot()
+    del store_writes[:]
+    space = MetricSpace(dataset, CostCounters())
+    bulk = build(space, pivot_ids, reference=False)
+    cost = space.counters.snapshot()
+    writes = list(store_writes)
+
+    # -- the same index ------------------------------------------------------
+    assert type(bulk.raf) is RandomAccessFile and type(ref.raf) is PerRecordRAF
+    assert bulk._pointers == ref._pointers
+    assert list(bulk._pointers) == list(ref._pointers)
+    assert len(bulk.raf) == len(ref.raf) == len(dataset)
+    assert [list(t.items()) for t in _trees(bulk)] == [
+        list(t.items()) for t in _trees(ref)
+    ]
+    # page by page, as stored bytes: the RAF, the B+-tree(s), everything
+    assert bulk.pager.store._pages == ref.pager.store._pages
+    raf_pages = {p.page_id for p in bulk._pointers.values()}
+    assert len(raf_pages) > 3
+    assert bulk.storage_bytes() == ref.storage_bytes()
+    # the RAF keeps appending where the build stopped, on both
+    assert (bulk.raf._open_page_id, bulk.raf._open_bytes) == (
+        ref.raf._open_page_id,
+        ref.raf._open_bytes,
+    )
+
+    # -- at the construction cost the contract names ---------------------------
+    assert cost.distance_computations == ref_cost.distance_computations
+    if isinstance(bulk, SPBTree):
+        assert cost.distance_computations == len(dataset) * count
+    # one write per page: no page id twice, and the counter saw nothing else
+    assert all(store is bulk.pager.store for store, _, _ in writes)
+    written = [page_id for _, page_id, _ in writes]
+    assert len(written) == len(set(written))
+    assert cost.page_writes == sum(span for _, _, span in writes)
+    assert raf_pages <= set(written)
+    # the reference pays a write per record, and one more per sealed page
+    assert ref_cost.page_writes == cost.page_writes + len(dataset) - 1
+    assert cost.page_reads == ref_cost.page_reads
+
+    # -- and it is a working index: delete three objects, insert them anew -----
+    # (under fresh ids: DEPT keeps the table row of a deleted id, so an id
+    # that comes back is reported twice -- as it was before this layout work)
+    victims = (5, 17, 250)
+    for object_id in victims:
+        bulk.delete(object_id)
+    for object_id in victims:
+        assert bulk.insert(dataset[object_id]) >= N_SMALL
+    oracle = MetricSpace(dataset, CostCounters())
+    radius = RADIUS[dataset_name]
+    for q in (dataset[2], dataset[5]):
+        want = [i for i in brute_force_range(oracle, q, radius) if i not in victims]
+        assert bulk.range_query(q, radius) == want
+        nearest = brute_force_knn(oracle, q, 7 + len(victims))
+        want = [n for n in nearest if n.object_id not in victims][:7]
+        assert bulk.knn_query(q, 7) == want
+
+    # a read miss is admitted under the stored blob's length: for every kind
+    # of page this index keeps, that is what re-pickling the node would say
+    store = bulk.pager.store
+    bulk.pager.flush()
+    for page_id, nbytes in store._blob_sizes():
+        node = pickle.loads(store._pages[page_id])
+        assert len(pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL)) == nbytes
+
+
+@pytest.mark.parametrize("curve_cls", [HilbertCurve, ZOrderCurve])
+@pytest.mark.parametrize("count", [5, 9])
+@pytest.mark.parametrize("dataset_name", ["LA", "Words"])
+def test_spbtree_boxes_cover_exactly_the_cells_beneath_them(
+    datasets, pivots_by_count, dataset_name, count, curve_cls
+):
+    """Summaries handed to ``bulk_load`` are what decoding would have found."""
+    dataset = datasets[dataset_name]
+    index = SPBTree.build(
+        MetricSpace(dataset, CostCounters()),
+        pivots_by_count(dataset_name, count),
+        page_size=PAGE_SIZE,
+        curve_cls=curve_cls,
+    )
+    assert index.btree.height >= 3
+    index.btree.check_invariants()
+    internal_nodes = 0
+
+    def cells_under(page_id):
+        nonlocal internal_nodes
+        node = index.btree.read_node(page_id)
+        if node.is_leaf:
+            return np.asarray([index.curve.decode(key) for key in node.keys])
+        internal_nodes += 1
+        below = []
+        for child, aux in zip(node.children, node.aux):
+            cells = cells_under(child)
+            assert aux == (
+                tuple(cells.min(axis=0).tolist()),
+                tuple(cells.max(axis=0).tolist()),
+            )
+            # plain ints: a numpy scalar would change the pickled page
+            assert all(type(c) is int for corner in aux for c in corner)
+            below.append(cells)
+        return np.concatenate(below)
+
+    assert len(cells_under(index.btree.root_page)) == len(dataset)
+    assert internal_nodes > 1
+
+
+@pytest.mark.parametrize("dataset_name", ["LA", "Words"])
+@pytest.mark.parametrize("name", ["SPB-tree l=5", "SPB-tree l=9", "M-index*"])
+def test_bulk_built_index_survives_a_snapshot_and_takes_an_insert(
+    pivots_by_count, tmp_path, dataset_name, name
+):
+    """save -> load costs nothing, answers exactly, and the file stays open.
+
+    The insert on the restored index runs ``Augmentation.from_entry`` (the
+    bulk load never did) and appends to the RAF page the build left open.
+    """
+    dataset = DATASET_MAKERS[dataset_name]()
+    count, build = BUILDERS[name]
+    index = build(
+        MetricSpace(dataset, CostCounters()),
+        pivots_by_count(dataset_name, count),
+        reference=False,
+    )
+    open_page, open_slots = index.raf._open_page_id, len(index.raf._open_records)
+    path = tmp_path / "bulk.snap"
+    save_index(index, path)
+    counters = CostCounters()
+    restored = load_index(path, counters=counters)
+    assert counters.distance_computations == 0
+    assert counters.page_writes == 0
+
+    radius = RADIUS[dataset_name]
+    oracle = MetricSpace(restored.space.dataset, CostCounters())
+    queries = [dataset[2], dataset[321]]
+    for q in queries:
+        assert restored.range_query(q, radius) == brute_force_range(oracle, q, radius)
+        assert restored.knn_query(q, 7) == brute_force_knn(oracle, q, 7)
+
+    new_id = restored.insert(dataset[2])
+    assert new_id == N_SMALL
+    # next slot of the page the build left open, or -- full -- a new page
+    assert restored._pointers[new_id] in (
+        RecordPointer(open_page, open_slots),
+        RecordPointer(restored.raf._open_page_id, 0),
+    )
+    assert restored.raf.read(restored._pointers[new_id])[0] == new_id
+    for q in queries:
+        got = restored.range_query(q, radius)
+        assert got == brute_force_range(oracle, q, radius)
+        assert restored.knn_query(q, 7) == brute_force_knn(oracle, q, 7)
+    assert new_id in restored.range_query(dataset[2], 0.0)

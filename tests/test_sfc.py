@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from repro.sfc import HilbertCurve, ZOrderCurve
 
+# (bits, dims): the smallest curve, one axis, the SPB-tree default, a key of
+# exactly 64 bits, the 72-bit keys of the Fig. 18 sweep (l = 9), wide axes
+KERNEL_SHAPES = [(1, 1), (8, 1), (8, 5), (8, 8), (8, 9), (32, 3)]
+
 
 @pytest.mark.parametrize("curve_cls", [HilbertCurve, ZOrderCurve])
 class TestCurveCommon:
@@ -52,6 +56,75 @@ class TestCurveCommon:
         keys = curve.encode_many(coords)
         assert keys == [curve.encode(row) for row in coords]
 
+    @pytest.mark.parametrize("bits,dims", KERNEL_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_array_form_equals_scalar_form(self, curve_cls, bits, dims, data):
+        """The array kernels are held to the scalar references, both ways."""
+        curve = curve_cls(bits=bits, dims=dims)
+        rows = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, curve.max_coordinate), min_size=dims, max_size=dims
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        keys = curve.encode_many(np.asarray(rows, dtype=np.int64))
+        assert keys == [curve.encode(row) for row in rows]
+        # pickled into leaves, compared by bisect: never numpy scalars
+        assert all(type(key) is int for key in keys)
+        cells = curve.decode_many(keys)
+        assert cells.shape == (len(rows), dims)
+        assert cells.dtype == np.int64
+        assert [tuple(row) for row in cells.tolist()] == [curve.decode(k) for k in keys]
+        assert cells.tolist() == rows
+
+    @pytest.mark.parametrize("bits,dims", KERNEL_SHAPES)
+    def test_array_form_on_extreme_cells_and_keys(self, curve_cls, bits, dims):
+        curve = curve_cls(bits=bits, dims=dims)
+        top = curve.max_coordinate
+        rows = [[0] * dims, [top] * dims, [top] + [0] * (dims - 1), [0] * (dims - 1) + [top]]
+        assert curve.encode_many(rows) == [curve.encode(row) for row in rows]
+        keys = [0, 1, curve.max_key // 2, curve.max_key - 1, curve.max_key]
+        cells = curve.decode_many(keys)
+        assert [tuple(row) for row in cells.tolist()] == [curve.decode(k) for k in keys]
+        assert curve.encode_many(cells) == keys
+
+    def test_array_form_empty_input(self, curve_cls):
+        curve = curve_cls(bits=8, dims=5)
+        assert curve.encode_many([]) == []
+        assert curve.encode_many(np.zeros((0, 5), dtype=np.int64)) == []
+        cells = curve.decode_many([])
+        assert cells.shape == (0, 5)
+
+    def test_array_form_rejects_what_the_scalar_form_rejects(self, curve_cls):
+        curve = curve_cls(bits=4, dims=3)
+        for bad_row in ([16, 0, 0], [0, -1, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                curve.encode(bad_row)
+            with pytest.raises(ValueError, match="out of range"):
+                curve.encode_many([[1, 2, 3], bad_row])
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            curve.encode((1, 2))
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            curve.encode_many([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            curve.encode_many([1, 2, 3])  # one row is still a matrix
+        for bad_key in (-1, curve.max_key + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                curve.decode(bad_key)
+            with pytest.raises(ValueError, match="out of range"):
+                curve.decode_many([0, bad_key])
+
+    def test_encode_many_leaves_its_input_alone(self, curve_cls):
+        curve = curve_cls(bits=8, dims=5)
+        cells = np.arange(50, dtype=np.int64).reshape(10, 5)
+        before = cells.copy()
+        curve.encode_many(cells)
+        assert (cells == before).all()
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_random(self, curve_cls, data):
@@ -89,3 +162,16 @@ class TestHilbertLocality:
         curve = HilbertCurve(bits=5, dims=3)
         assert curve.decode(0) is not None
         assert curve.encode(curve.decode(curve.max_key)) == curve.max_key
+
+
+def test_one_interleave_serves_both_curves():
+    """Z-order is the Hilbert curve's last step, and nothing else."""
+    from repro.sfc.curve import deinterleave, interleave
+
+    hilbert = HilbertCurve(bits=6, dims=3)
+    zorder = ZOrderCurve(bits=6, dims=3)
+    for cell in [(0, 0, 0), (1, 2, 3), (63, 0, 17), (63, 63, 63)]:
+        assert zorder.encode(cell) == interleave(list(cell), 6)
+        transposed = hilbert._axes_to_transpose(list(cell))
+        assert hilbert.encode(cell) == interleave(transposed, 6)
+        assert tuple(deinterleave(zorder.encode(cell), 6, 3)) == cell

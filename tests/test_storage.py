@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.counters import CostCounters
 from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
+from repro.storage import pager as pager_module
+
+
+@pytest.fixture
+def dumps_calls(monkeypatch):
+    """Every ``pickle.dumps`` the pager module makes, as a growing list."""
+    calls = []
+
+    class CountingPickle:
+        HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+        loads = staticmethod(pickle.loads)
+
+        @staticmethod
+        def dumps(obj, protocol=None):
+            calls.append(obj)
+            return pickle.dumps(obj, protocol=protocol)
+
+    monkeypatch.setattr(pager_module, "pickle", CountingPickle)
+    return calls
 
 
 class TestPageStore:
@@ -132,6 +153,71 @@ class TestBufferPool:
         pool.write(page, "cached")
         pool.invalidate(page)
         assert pool.read(page) == "disk"  # dirty version dropped
+
+
+class TestOnePicklePerPage:
+    """A page crosses the store boundary with one pickle, in either direction."""
+
+    def test_read_miss_pickles_nothing(self, dumps_calls):
+        counters = CostCounters()
+        pager = Pager(page_size=256, counters=counters, cache_bytes=4096)
+        page = pager.allocate()
+        pager.store.write(page, list(range(40)))
+        del dumps_calls[:]
+        assert pager.read(page) == list(range(40))
+        assert pager.pool.misses == 1 and counters.page_reads == 1
+        assert dumps_calls == []
+        assert pager.read(page) == list(range(40))  # now a hit
+        assert pager.pool.hits == 1 and dumps_calls == []
+
+    def test_write_through_pickles_once(self, dumps_calls):
+        counters = CostCounters()
+        pager = Pager(page_size=256, counters=counters, cache_bytes=0)
+        pages = [pager.allocate() for _ in range(5)]
+        for i, page in enumerate(pages):
+            pager.write(page, ("node", i))
+        assert len(dumps_calls) == 5
+        assert counters.page_writes == 5
+        assert [pager.read(page) for page in pages] == [("node", i) for i in range(5)]
+        assert len(dumps_calls) == 5  # capacity 0: reads admit nothing, probe nothing
+
+    def test_miss_is_accounted_under_the_stored_length(self):
+        store = PageStore(page_size=256)
+        pool = BufferPool(store, capacity_bytes=4096)
+        sizes = {}
+        for i in range(4):
+            page = store.allocate()
+            store.write(page, ["x" * (20 * (i + 1))] * 3)
+            sizes[page] = store.page_bytes(page)
+        for page in sizes:
+            pool.read(page)
+            assert pool.resident_bytes(page) == sizes[page]
+        assert pool._used_bytes == sum(sizes.values())
+        # ... which is what probing the unpickled node would have said
+        for page, nbytes in sizes.items():
+            assert pool._node_bytes(pool.read(page)) == nbytes
+
+    def test_eviction_after_misses_follows_stored_lengths(self):
+        store = PageStore(page_size=256)
+        pages = [store.allocate() for _ in range(3)]
+        for page in pages:
+            store.write(page, "y" * 50)
+        each = store.page_bytes(pages[0])
+        pool = BufferPool(store, capacity_bytes=2 * each)
+        for page in pages:
+            pool.read(page)
+        assert pool.resident_bytes(pages[0]) is None  # least recent, evicted
+        assert pool._used_bytes == 2 * each
+
+    def test_dirty_admit_still_measures_the_node(self, dumps_calls):
+        pager = Pager(page_size=256, cache_bytes=4096)
+        page = pager.allocate()
+        pager.write(page, "buffered")
+        assert len(dumps_calls) == 1  # the size probe; nothing stored yet
+        assert pager.store.page_bytes(page) == 0
+        assert pager.pool.resident_bytes(page) == len(
+            pickle.dumps("buffered", protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class TestPager:
@@ -269,3 +355,83 @@ class TestRandomAccessFile:
         big = raf.append("B" * 1000)
         assert big.page_id != small.page_id
         assert raf.read(big) == "B" * 1000
+
+
+class TestAppendMany:
+    """``append_many`` is the write body; ``append`` is its one-record view."""
+
+    def _raf(self, page_size=256, cache_bytes=0):
+        counters = CostCounters()
+        pager = Pager(page_size=page_size, counters=counters, cache_bytes=cache_bytes)
+        return RandomAccessFile(pager), pager, counters
+
+    @staticmethod
+    def _pages(pager):
+        return {
+            page_id: pager.store.read(page_id)
+            for page_id, _ in sorted(pager.store._blob_sizes())
+        }
+
+    def test_single_appends_cost_one_write_each(self):
+        raf, _, counters = self._raf()
+        ptrs = [raf.append(("record", i)) for i in range(200)]
+        assert len({p.page_id for p in ptrs}) > 5
+        # a page that fills is not written again when it is sealed
+        assert counters.page_writes == 200
+
+    def test_bulk_append_writes_each_page_once(self):
+        raf, pager, counters = self._raf()
+        ptrs = raf.append_many(("record", i) for i in range(200))
+        pages = {p.page_id for p in ptrs}
+        assert counters.page_writes == len(pages) == len(pager.store)
+        assert [raf.read(p) for p in ptrs] == [("record", i) for i in range(200)]
+        assert len(raf) == 200
+
+    def test_same_layout_as_single_appends(self):
+        records = [("r" * (i % 17), i) for i in range(150)]
+        one, one_pager, _ = self._raf()
+        many, many_pager, _ = self._raf()
+        assert many.append_many(records) == [one.append(r) for r in records]
+        assert self._pages(many_pager) == self._pages(one_pager)
+        assert many_pager.disk_bytes() == one_pager.disk_bytes()
+
+    def test_open_page_is_carried_across_calls(self):
+        records = [("record", i) for i in range(120)]
+        ref, ref_pager, _ = self._raf()
+        expected = [ref.append(r) for r in records]
+        raf, pager, _ = self._raf()
+        got = raf.append_many(records[:50])
+        got.append(raf.append(records[50]))  # continues the page left open
+        assert got[-1].page_id == got[-2].page_id
+        assert got[-1].slot == got[-2].slot + 1
+        got += raf.append_many(iter(records[51:90]))
+        got += raf.append_many(r for r in records[90:])
+        assert got == expected
+        assert self._pages(pager) == self._pages(ref_pager)
+
+    def test_empty_iterable_writes_nothing(self):
+        raf, pager, counters = self._raf()
+        assert raf.append_many([]) == []
+        assert raf.append_many(iter(())) == []
+        assert counters.page_writes == 0 and len(pager.store) == 0
+        raf.append("x")
+        counters.reset()
+        assert raf.append_many([]) == []
+        assert counters.page_writes == 0
+
+    def test_oversized_record_pays_the_multi_page_write(self):
+        raf, pager, counters = self._raf(page_size=128)
+        small, big, after = raf.append_many(["s", "B" * 1000, "t"])
+        assert len({small.page_id, big.page_id, after.page_id}) == 3
+        span = pager.store.pages_spanned(pager.store.page_bytes(big.page_id))
+        assert span > 1
+        assert counters.page_writes == 2 + span
+        assert raf.read(big) == "B" * 1000
+
+    def test_pooled_open_page_is_not_aliased(self):
+        raf, pager, _ = self._raf(cache_bytes=4096)
+        first = raf.append("a")
+        cached = pager.read(first.page_id)
+        raf.append("b")
+        assert cached == ["a"]  # the pool's earlier node did not grow
+        assert pager.read(first.page_id) == ["a", "b"]
