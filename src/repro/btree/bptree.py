@@ -23,6 +23,7 @@ size, the way a real system computes fan-out from its page format.
 from __future__ import annotations
 
 import bisect
+import itertools
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -447,20 +448,23 @@ class BPlusTree:
         as ``summaries`` (one per item, same order); they are merged as
         given, so a costly ``from_entry`` -- the SPB-tree's key decode --
         never runs during the load.
+
+        ``items`` and ``summaries`` are any iterables and are drawn a leaf
+        at a time (one leaf ahead, to see whether the last one is
+        underfull), so a caller that generates them holds two leaves of
+        entries at most, never a list of all of them.  Order and count are
+        therefore checked as the input arrives: a load that raises part-way
+        has written pages, and the tree is to be discarded.
         """
-        items = list(items)
         if self._size:
             raise RuntimeError("bulk_load requires an empty tree")
-        if not items:
+        items = iter(items)
+        run = list(itertools.islice(items, 1))
+        if not run:
             return
-        if summaries is not None and len(summaries) != len(items):
-            raise ValueError(
-                f"bulk_load got {len(summaries)} summaries for {len(items)} items"
-            )
-        for i in range(1, len(items)):
-            if items[i - 1][0] > items[i][0]:
-                raise ValueError("bulk_load input must be sorted by key")
-        self._ensure_capacities(*items[0])
+        if summaries is not None:
+            summaries = iter(summaries)
+        self._ensure_capacities(*run[0])
         per_leaf = max(2, int(self._leaf_capacity * fill_factor))
         per_internal = max(2, int(self._internal_capacity * fill_factor))
 
@@ -468,26 +472,39 @@ class BPlusTree:
 
         # build leaves
         leaves: list[tuple[int, Any, Any]] = []  # (page, first_key, summary)
-        leaf_pages: list[int] = []
-        chunks = [items[i : i + per_leaf] for i in range(0, len(items), per_leaf)]
-        # avoid a dangling underfull final leaf
-        if len(chunks) > 1 and len(chunks[-1]) < max(1, per_leaf // 2):
-            spill = chunks.pop()
-            chunks[-1].extend(spill)
-        for chunk in chunks:
-            page = self.pager.allocate()
-            leaf_pages.append(page)
-        done = 0
-        for i, chunk in enumerate(chunks):
+        run += itertools.islice(items, per_leaf - 1)
+        page = self.pager.allocate()
+        last_key = run[0][0]
+        size = 0
+        while run:
+            following = list(itertools.islice(items, per_leaf))
+            # avoid a dangling underfull final leaf
+            if len(following) < max(1, per_leaf // 2):
+                run += following
+                following = []
+            next_page = self.pager.allocate() if following else None
             leaf = LeafNode(
-                keys=[k for k, _ in chunk],
-                values=[v for _, v in chunk],
-                next_page=leaf_pages[i + 1] if i + 1 < len(leaf_pages) else None,
+                keys=[k for k, _ in run],
+                values=[v for _, v in run],
+                next_page=next_page,
             )
-            self._write(leaf_pages[i], leaf)
-            known = None if summaries is None else summaries[done : done + len(chunk)]
-            leaves.append((leaf_pages[i], leaf.keys[0], self._leaf_summary(leaf, known)))
-            done += len(chunk)
+            for key in leaf.keys:
+                if last_key > key:
+                    raise ValueError("bulk_load input must be sorted by key")
+                last_key = key
+            self._write(page, leaf)
+            known = None
+            if summaries is not None:
+                known = list(itertools.islice(summaries, len(run)))
+                if len(known) != len(run):
+                    raise ValueError(
+                        f"bulk_load ran out of summaries after {size + len(known)} items"
+                    )
+            leaves.append((page, leaf.keys[0], self._leaf_summary(leaf, known)))
+            size += len(run)
+            run, page = following, next_page
+        if summaries is not None and any(True for _ in summaries):
+            raise ValueError(f"bulk_load got more summaries than its {size} items")
 
         # build internal levels
         level = leaves
@@ -509,7 +526,7 @@ class BPlusTree:
             level = next_level
             self.height += 1
         self.root_page = level[0][0]
-        self._size = len(items)
+        self._size = size
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -14,7 +14,11 @@ Given one query's lower-bound column, the order in which candidates are
 verified is the only decision left, and it lives here once:
 :func:`storage_order_knn` is the paper's LAESA-style scan (the accounting
 Fig. 17 depends on), :func:`best_first_knn` the cheaper ascending-bound
-order the batch layer uses.  Both return the identical answer.
+order the batch layer uses.  Both return the identical answer.  The column
+they are handed is the cheap bound every row has (Lemma 1); sorting, and a
+dearer bound behind an optional ``tighten`` callback, are paid only for
+the rows a query can still reach (:func:`best_first_knn` says why that
+changes nothing about what is verified).
 """
 
 from __future__ import annotations
@@ -64,11 +68,50 @@ class RangeResult:
         return sorted(self.ids)
 
 
+# first threshold prefix of the ascending order: enough for the first two
+# verification chunks (k, then max(k, 32)) of a typical query; each refill
+# takes four times as many rows
+_FIRST_PREFIX = 64
+_PREFIX_GROWTH = 4
+
+
+def _ascending_slices(lower_bounds: np.ndarray, first: int, tighten):
+    """The stable ascending order of the final bounds, a slice at a time.
+
+    Yields ``(positions, bounds)`` pairs whose concatenation is what
+    ``np.argsort(final, kind="stable")`` gives (ties by storage position),
+    where ``final`` is ``lower_bounds`` itself or, with ``tighten``, the
+    tightened column -- without sorting or tightening rows the consumer
+    never asks for.  Each round takes the m-th smallest cheap bound t
+    (``np.partition``), tightens only the rows with a cheap bound <= t,
+    and emits those whose final bound lies in (previous t, t].  Complete
+    because tightening only raises a bound: every row with final <= t has
+    a cheap bound <= t, so it is among the round's candidates, and rows it
+    lifts above t come back in a later round.
+    """
+    n = lower_bounds.shape[0]
+    m, done = first, -np.inf
+    while n:
+        t = np.partition(lower_bounds, m - 1)[m - 1] if m < n else np.inf
+        reached = np.flatnonzero(lower_bounds <= t)
+        bounds = lower_bounds[reached] if tighten is None else tighten(reached)
+        fresh = (bounds > done) & (bounds <= t)
+        positions, bounds = reached[fresh], bounds[fresh]
+        order = np.argsort(bounds, kind="stable")
+        yield positions[order], bounds[order]
+        if t == np.inf:
+            return
+        # ties at t can reach well past m rows; growing from what was
+        # reached makes the next threshold strictly larger
+        m, done = _PREFIX_GROWTH * reached.size, t
+
+
 def best_first_knn(
     lower_bounds: np.ndarray,
     row_ids: Sequence[int],
     k: int,
     verify_many: Callable[[list[int]], np.ndarray],
+    tighten: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[Neighbor]:
     """Exact MkNNQ over a pre-computed lower-bound column, best-first.
 
@@ -84,6 +127,18 @@ def best_first_knn(
     first chunk of k candidates before any radius exists, so adversarial
     data can make either order cheaper.
 
+    What is computed for which rows: ``lower_bounds`` (Lemma 1 in the
+    pivot tables) exists for every row, because the order and the cutoff
+    need a value per object.  Everything else is paid for the frontier
+    only -- the ascending order is drawn a threshold prefix at a time
+    (:func:`_ascending_slices`), and ``tighten``, when given, maps storage
+    positions to their final bounds (a dearer bound that is never below
+    the cheap one, e.g. the Ptolemaic tightening of
+    :meth:`~repro.core.staged.StagedPruner.knn_bounds`) and is called only
+    for the rows a prefix reaches.  The verification sequence is exactly
+    the one a full stable sort of the final bounds would give: same
+    chunks, same ids in the same order, hence the same distance counts.
+
     Exactness of ties: :class:`KnnHeap` ranks candidates canonically by
     (distance, object_id), so the answer is the k smallest such pairs over
     all objects -- independent of verification order.  Every object that
@@ -97,22 +152,32 @@ def best_first_knn(
         k: number of neighbors.
         verify_many: callback computing true distances for a list of object
             ids (one vectorised counted call per chunk).
+        tighten: optional ``positions -> final bounds`` (each a true lower
+            bound >= ``lower_bounds[positions]``).
     """
     heap = KnnHeap(k)
-    n = len(row_ids)
-    if n == 0:
-        return []
-    order = np.argsort(lower_bounds, kind="stable")
-    start = 0
-    while start < n:
-        # first chunk: exactly k (fills the heap, establishing a radius,
-        # with the minimum mandatory verifications); later chunks: larger,
-        # to amortise the per-call overhead of verify_many
-        chunk = k if start == 0 else max(k, 32)
-        stop = min(start + chunk, n)
-        block = order[start:stop]
+    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
+    slices = _ascending_slices(lower_bounds, max(4 * k, _FIRST_PREFIX), tighten)
+    positions = np.empty(0, dtype=np.intp)
+    bounds = np.empty(0, dtype=np.float64)
+    # first chunk: exactly k (fills the heap, establishing a radius, with
+    # the minimum mandatory verifications); later chunks: larger, to
+    # amortise the per-call overhead of verify_many
+    chunk = k
+    while True:
+        # draw more of the order only while the chunk is short and its
+        # last drawn bound could still be verified
+        while positions.size < chunk and (
+            positions.size == 0 or bounds[-1] <= heap.radius
+        ):
+            more = next(slices, None)
+            if more is None:
+                break
+            positions = np.concatenate([positions, more[0]])
+            bounds = np.concatenate([bounds, more[1]])
+        block = positions[:chunk]
         # ascending bounds: once one exceeds the radius, all later ones do
-        keep = block[lower_bounds[block] <= heap.radius]
+        keep = block[bounds[:chunk] <= heap.radius]
         if keep.size == 0:
             break
         ids = [int(row_ids[pos]) for pos in keep]
@@ -121,7 +186,8 @@ def best_first_knn(
             heap.consider(object_id, float(d))
         if keep.size < block.size:
             break
-        start = stop
+        positions, bounds = positions[chunk:], bounds[chunk:]
+        chunk = max(k, 32)
     return heap.neighbors()
 
 
@@ -130,6 +196,7 @@ def storage_order_knn(
     row_ids: Sequence[int],
     k: int,
     verify_many: Callable[[list[int]], np.ndarray],
+    tighten: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[Neighbor]:
     """Exact MkNNQ over a pre-computed lower-bound column, in storage order.
 
@@ -140,7 +207,9 @@ def storage_order_knn(
     they are verified in one call; after that every verification may
     tighten the radius the next row is tested against, so the paper's
     count needs one object per call.  Same arguments and same answer as
-    :func:`best_first_knn`.
+    :func:`best_first_knn`; ``tighten`` is applied to the rows whose cheap
+    bound is within the radius the first k leave behind -- a row above it
+    can never be verified, whatever its final bound.
     """
     heap = KnnHeap(k)
     head = min(k, len(row_ids))
@@ -149,9 +218,12 @@ def storage_order_knn(
     ids = [int(i) for i in row_ids[:head]]
     for object_id, d in zip(ids, verify_many(ids)):
         heap.consider(object_id, float(d))
-    # rows above the radius the first k leave behind can never be verified
-    for pos in head + np.flatnonzero(lower_bounds[head:] <= heap.radius):
-        if lower_bounds[pos] > heap.radius:
+    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
+    positions = head + np.flatnonzero(lower_bounds[head:] <= heap.radius)
+    bounds = lower_bounds[positions] if tighten is None else tighten(positions)
+    reachable = bounds <= heap.radius
+    for pos, bound in zip(positions[reachable], bounds[reachable]):
+        if bound > heap.radius:
             continue
         object_id = int(row_ids[pos])
         heap.consider(object_id, float(verify_many([object_id])[0]))

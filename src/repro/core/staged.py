@@ -1,14 +1,16 @@
 """Staged pruning cascade: ordered Lemma 1 prefix -> refine -> Lemma 4 ->
 Ptolemaic, over shared-pivot distance tables.
 
-A single-shot filter (the full-broadcast kernels of
+A single-shot filter (the ``q x n`` kernels of
 :mod:`~repro.core.pivot_filter`) evaluates Lemma 1 over every pivot column
-for every (query, object) cell -- a full ``q x n x l`` broadcast -- before
-any cell is decided.  This module is the one mask path the tables run, a
-cascade that spends columns where they pay:
+for every (query, object) cell before any cell is decided.  This module is
+the one mask path the tables run, a cascade that spends columns where they
+pay:
 
 1. **Prefix** -- Lemma 1 over a small prefix of pivot columns, ordered by
-   measured pruning power.  Most cells die here when the ordering is good.
+   measured pruning power (the column-at-a-time kernel
+   :func:`~repro.core.pivot_filter.lower_bound_many_queries` on those
+   columns).  Most cells die here when the ordering is good.
 2. **Refine** -- only surviving cells see the remaining columns (cell-wise
    fancy indexing, not a full broadcast).
 3. **Validate** (optional, Lemma 4) -- surviving cells whose upper bound is
@@ -16,7 +18,15 @@ cascade that spends columns where they pay:
 4. **Ptolemaic** -- for metrics declaring
    :attr:`~repro.core.distances.MetricDistance.is_ptolemaic`, the pair bound
    ``|d(q,p_i) d(o,p_j) - d(q,p_j) d(o,p_i)| / d(p_i,p_j)`` runs over a
-   budgeted set of pivot pairs as a final filter before exact verification.
+   budgeted set of pivot pairs as a final filter before exact verification,
+   on the surviving cells only (their rows are gathered first).
+
+MkNNQ has no radius to stage against, so it gets bounds instead of masks
+(:meth:`StagedPruner.knn_bounds`): Lemma 1 for every row -- the order and
+the cutoff need a value per object -- plus a per-query ``tighten`` that
+evaluates the Ptolemaic bound only for the rows verification can still
+reach (:func:`~repro.core.queries.best_first_knn` has the exactness
+argument).
 
 Exactness: every stage only makes *provable* decisions, so the survivor /
 validated masks equal the single-shot masks composed from the kernels
@@ -42,9 +52,7 @@ from .pivot_filter import (
     _QUERY_CHUNK_FLOATS,
     _object_rows,
     lower_bound_many_queries,
-    ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
-    query_chunk,
 )
 
 __all__ = [
@@ -87,6 +95,28 @@ def _cell_step(width: int) -> int:
     return max(1, _QUERY_CHUNK_FLOATS // max(1, width))
 
 
+def _tighteners(lower: np.ndarray, pair_bound) -> list:
+    """Per query i, ``positions -> max(lower[i, positions], pair_bound(i,
+    positions))``: the second half of a ``knn_bounds`` pair."""
+
+    def tightener(i: int):
+        return lambda positions: np.maximum(
+            lower[i, positions], pair_bound(i, positions)
+        )
+
+    return [tightener(i) for i in range(lower.shape[0])]
+
+
+def _tighten_every_row(lower: np.ndarray, tighteners: list) -> np.ndarray:
+    """A ``knn_bounds`` pair collapsed to the full final-bound matrix: the
+    form no query path builds, kept for the tests that use it as oracle."""
+    every = np.arange(lower.shape[1], dtype=np.intp)
+    for row, tighten in zip(lower, tighteners):
+        if tighten is not None:
+            row[:] = tighten(every)
+    return lower
+
+
 class StagedPruner:
     """The staged cascade over one shared-pivot ``n x l`` distance table.
 
@@ -96,6 +126,14 @@ class StagedPruner:
     ``insert`` need no pruner maintenance.  Pickles cleanly (the adaptive
     lock is dropped and rebuilt), so indexes carrying a pruner snapshot
     and restore with zero distance computations.
+
+    What runs over the whole table and what does not: Lemma 1 is the only
+    bound evaluated for every (query, row) cell -- stage 1 of the masks on
+    the prefix columns, :meth:`knn_bounds` on all of them.  Refinement,
+    validation and the Ptolemaic bound see selected cells only: the
+    cascade's survivors, or the rows an MkNNQ's verification order
+    reaches.  ``lower_bounds_many(_queries)`` (everything for every row)
+    is the oracle the tests hold those lazy forms to.
     """
 
     def __init__(
@@ -243,25 +281,42 @@ class StagedPruner:
                         )
                     self.reranks += 1
 
-    # -- bound matrices (kNN best-first) --------------------------------------
+    # -- MkNNQ bounds ---------------------------------------------------------
+
+    def knn_bounds(self, qmat, omat) -> tuple[np.ndarray, list]:
+        """What MkNNQ verification is handed: ``(lower, tighteners)``.
+
+        ``lower`` is the ``q x n`` Lemma 1 matrix -- the one bound computed
+        for *every* row, because ordering and cutoff need a value per
+        object.  ``tighteners[i]`` is ``None`` when stage 4 is off, else a
+        ``tighten(positions)`` returning query i's final bounds (Lemma 1
+        max'd with the Ptolemaic bound over the budgeted pairs) for the
+        given storage positions only: :func:`~repro.core.queries.
+        best_first_knn` / :func:`~repro.core.queries.storage_order_knn`
+        call it for the rows the query can still reach, not for the table
+        (the exactness argument lives with them).  The pair set is read
+        once here, so one query sees one bound per row even if adaptive
+        re-ranking swaps ``self.pairs`` on another thread meanwhile.
+        """
+        qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
+        omat = _object_rows(omat)
+        lower = lower_bound_many_queries(qmat, omat)
+        pairs = self.pairs
+        if not (self.use_ptolemaic and pairs.size):
+            return lower, [None] * lower.shape[0]
+        return lower, _tighteners(
+            lower, lambda i, rows: self._ptolemaic_cells(qmat, omat, i, rows, pairs)
+        )
 
     def lower_bounds_many_queries(self, qmat, omat) -> np.ndarray:
         """Full ``q x n`` lower bounds: triangle, tightened by Ptolemaic.
 
-        The kNN best-first scan needs a bound for *every* object (ordering
-        plus cutoff), so there is no staged early exit here -- but the
-        Ptolemaic max over the budgeted pairs still tightens the bound,
-        which shrinks the verified frontier.  Any true lower bound keeps
-        :func:`~repro.core.queries.best_first_knn` exact.
+        :meth:`knn_bounds` with every row tightened -- the matrix no query
+        path builds any more, kept as the oracle tests compare the lazy
+        form against (it equals ``max(lower_bound_many_queries,
+        ptolemaic_lower_bound_many_queries)`` bit for bit).
         """
-        omat = _object_rows(omat)
-        lower = lower_bound_many_queries(qmat, omat)
-        if self.use_ptolemaic and self.pairs.size:
-            pair_bound = ptolemaic_lower_bound_many_queries(
-                qmat, omat, self.pair_matrix, pairs=self.pairs
-            )
-            np.maximum(lower, pair_bound, out=lower)
-        return lower
+        return _tighten_every_row(*self.knn_bounds(qmat, omat))
 
     def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
         """Single-query form of :meth:`lower_bounds_many_queries`."""
@@ -303,17 +358,16 @@ class StagedPruner:
         head, tail = order[:prefix], order[prefix:]
 
         # stage 1: Lemma 1 over the ranked prefix columns
-        q_head, o_head = qmat[:, head], omat[:, head]
-        lower = np.empty((n_q, n_o), dtype=np.float64)
         col_decided = np.zeros(l, dtype=np.int64) if self.adaptive else None
-        step = query_chunk(n_o, prefix)
-        for start in range(0, n_q, step):
-            stop = start + step
-            diff = np.abs(q_head[start:stop, None, :] - o_head[None, :, :])
-            lower[start:stop] = diff.max(axis=2)
-            if col_decided is not None:
-                rblock = r[start:stop, None, None] if r.ndim else r
-                col_decided[head] += (diff > rblock).sum(axis=(0, 1))
+        if col_decided is None:
+            lower = lower_bound_many_queries(qmat[:, head], omat[:, head])
+        else:
+            # the per-column decided counts need each column's bound alone
+            lower = np.zeros((n_q, n_o), dtype=np.float64)
+            for j in head:
+                column = lower_bound_many_queries(qmat[:, [j]], omat[:, [j]])
+                col_decided[j] += int((column > rcol).sum())
+                np.maximum(lower, column, out=lower)
         alive = lower <= rcol
         n_prefix = int(alive.size - alive.sum())
 
@@ -405,21 +459,33 @@ class StagedPruner:
         qi, oj = np.nonzero(alive)
         if not qi.size:
             return 0
-        left, right = self.pairs[:, 0], self.pairs[:, 1]
+        bound = self._ptolemaic_cells(qmat, omat, qi, oj, self.pairs)
+        dead = bound > (r[qi] if r.ndim else r)
+        alive[qi[dead], oj[dead]] = False
+        return int(dead.sum())
+
+    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs) -> np.ndarray:
+        """Best Ptolemaic bound over ``pairs`` for the cells ``(ci, cj)``.
+
+        ``cj`` holds table rows, ``ci`` the query of each (or one query
+        index shared by all).  The chosen rows are gathered first and the
+        pair columns taken from that gather, so work and memory are
+        O(cells x pairs) whatever the table's size.  The one Ptolemaic
+        evaluation of this pruner: stage 4, the MkNNQ tightening and the
+        full-matrix oracle all come here.
+        """
+        left, right = pairs[:, 0], pairs[:, 1]
         denom = self.pair_matrix[left, right]
-        q_l, q_r = qmat[:, left], qmat[:, right]
-        o_l, o_r = omat[:, left], omat[:, right]
-        n_pt = 0
-        cstep = _cell_step(self.pairs.shape[0])
-        for start in range(0, qi.size, cstep):
-            stop = start + cstep
-            ci, cj = qi[start:stop], oj[start:stop]
-            cross = np.abs(q_l[ci] * o_r[cj] - q_r[ci] * o_l[cj])
-            bound = (cross / denom).max(axis=1)
-            dead = bound > (r[ci] if r.ndim else r)
-            alive[ci[dead], cj[dead]] = False
-            n_pt += int(dead.sum())
-        return n_pt
+        ci = np.broadcast_to(ci, cj.shape)
+        out = np.empty(cj.shape[0], dtype=np.float64)
+        step = _cell_step(max(omat.shape[1], pairs.shape[0]))
+        for start in range(0, cj.shape[0], step):
+            cells = slice(start, start + step)
+            q, o = qmat[ci[cells]], omat[cj[cells]]
+            cross = np.abs(q[:, left] * o[:, right] - q[:, right] * o[:, left])
+            out[cells] = (cross / denom).max(axis=1)
+        return out
+
 
 class PerObjectStagedPruner:
     """The staged cascade for per-object-pivot tables (EPT / EPT*).
@@ -551,8 +617,9 @@ class PerObjectStagedPruner:
         return np.abs(qd - pd).max(axis=1)
 
     def _ptolemaic_cells(self, qdists, pivot_idx, pivot_dist, ci, cj):
-        """Best Ptolemaic bound over the budgeted slot pairs, per cell."""
-        best = np.zeros(ci.shape[0], dtype=np.float64)
+        """Best Ptolemaic bound over the budgeted slot pairs, per cell
+        (``ci`` may be one query index shared by all of ``cj``)."""
+        best = np.zeros(cj.shape[0], dtype=np.float64)
         for a, b in self.slot_pairs:
             ia, ib = pivot_idx[cj, a], pivot_idx[cj, b]
             denom = self.pair_matrix[ia, ib]
@@ -565,28 +632,37 @@ class PerObjectStagedPruner:
             )
         return best
 
-    def lower_bounds_many_queries(self, qdists, pivot_idx, pivot_dist) -> np.ndarray:
-        """Full ``q x n`` lower bounds (triangle max'd with Ptolemaic)."""
-        qdists = np.atleast_2d(np.asarray(qdists, dtype=np.float64))
-        n_q = qdists.shape[0]
-        n_o = pivot_idx.shape[0]
-        out = np.empty((n_q, n_o), dtype=np.float64)
-        step = query_chunk(n_o, pivot_idx.shape[1])
-        for start in range(0, n_q, step):
-            block = qdists[start : start + step]
-            out[start : start + step] = np.abs(
-                block[:, pivot_idx] - pivot_dist[None, :, :]
-            ).max(axis=2)
-        if self.use_ptolemaic and self.slot_pairs.size:
-            rows = np.repeat(np.arange(n_q, dtype=np.intp), n_o)
-            cols = np.tile(np.arange(n_o, dtype=np.intp), n_q)
-            cstep = _cell_step(self.slot_pairs.shape[0])
-            for start in range(0, rows.size, cstep):
-                ci = rows[start : start + cstep]
-                cj = cols[start : start + cstep]
-                pt = self._ptolemaic_cells(qdists, pivot_idx, pivot_dist, ci, cj)
-                np.maximum(out[ci, cj], pt, out=out[ci, cj])
+    def _slot_bounds(self, qdists, pivot_idx, pivot_dist, slots) -> np.ndarray:
+        """Lemma 1 over ``slots`` for every cell: the ``q x n`` matrix of
+        max_j |d(q,p_{o,j}) - d(o,p_{o,j})|, a slot at a time."""
+        out = np.zeros((qdists.shape[0], pivot_idx.shape[0]), dtype=np.float64)
+        for j in slots:
+            np.maximum(
+                out, np.abs(qdists[:, pivot_idx[:, j]] - pivot_dist[:, j]), out=out
+            )
         return out
+
+    def knn_bounds(self, qdists, pivot_idx, pivot_dist) -> tuple[np.ndarray, list]:
+        """``(lower, tighteners)`` as :meth:`StagedPruner.knn_bounds`:
+        Lemma 1 over every slot for every row, the Ptolemaic slot pairs
+        only for the positions a query's verification asks about."""
+        qdists = np.atleast_2d(np.asarray(qdists, dtype=np.float64))
+        lower = self._slot_bounds(
+            qdists, pivot_idx, pivot_dist, range(pivot_idx.shape[1])
+        )
+        if not (self.use_ptolemaic and self.slot_pairs.size):
+            return lower, [None] * lower.shape[0]
+        return lower, _tighteners(
+            lower,
+            lambda i, rows: self._ptolemaic_cells(
+                qdists, pivot_idx, pivot_dist, i, rows
+            ),
+        )
+
+    def lower_bounds_many_queries(self, qdists, pivot_idx, pivot_dist) -> np.ndarray:
+        """Full ``q x n`` lower bounds (triangle max'd with Ptolemaic):
+        :meth:`knn_bounds` with every row tightened, the tests' oracle."""
+        return _tighten_every_row(*self.knn_bounds(qdists, pivot_idx, pivot_dist))
 
     def masks_many_queries(
         self,
@@ -611,16 +687,8 @@ class PerObjectStagedPruner:
         prefix = min(max(1, self.prefix), max(1, l - 1))
         head, tail = order[:prefix], order[prefix:]
 
-        # stage 1: prefix slots, chunked full broadcast
-        idx_head = pivot_idx[:, head]
-        dist_head = pivot_dist[:, head]
-        lower = np.empty((n_q, n_o), dtype=np.float64)
-        step = query_chunk(n_o, len(head))
-        for start in range(0, n_q, step):
-            block = qdists[start : start + step]
-            lower[start : start + step] = np.abs(
-                block[:, idx_head] - dist_head[None, :, :]
-            ).max(axis=2)
+        # stage 1: Lemma 1 over the prefix slots
+        lower = self._slot_bounds(qdists, pivot_idx, pivot_dist, head)
         alive = lower <= rcol
         n_prefix = int(alive.size - alive.sum())
 

@@ -125,6 +125,17 @@ class SnapshotInfo:
         }
 
 
+# exact types that can neither be nor hold a component: checked before a
+# child reaches the walk's stack, because tree leaves keep their ids and
+# distances in plain lists (an MVPT over 50 000 objects holds ~400 000 of
+# them).  Exact types only, so an instance of a ``repro`` subclass of one of
+# these would still be walked and yielded.
+_ATOMS = frozenset(
+    (int, float, bool, str, bytes, type(None))
+    + (np.ndarray, np.memmap, np.float64, np.int64)
+)
+
+
 def iter_components(index: MetricIndex):
     """Yield every repro component object reachable from an index.
 
@@ -142,22 +153,19 @@ def iter_components(index: MetricIndex):
             continue
         seen.add(id(obj))
         if isinstance(obj, (list, tuple)):
-            stack.extend(obj)
-            continue
-        if isinstance(obj, dict):
-            stack.extend(obj.values())
-            continue
-        module = getattr(type(obj), "__module__", "") or ""
-        if not module.startswith("repro"):
-            continue
-        yield obj
-        state = getattr(obj, "__dict__", None)
-        if state:
-            stack.extend(state.values())
-
-
-def _spaces_of(index: MetricIndex) -> list[MetricSpace]:
-    return [c for c in iter_components(index) if isinstance(c, MetricSpace)]
+            children = obj
+        elif isinstance(obj, dict):
+            children = obj.values()
+        else:
+            module = getattr(type(obj), "__module__", "") or ""
+            if not module.startswith("repro"):
+                continue
+            yield obj
+            state = getattr(obj, "__dict__", None)
+            if not state:
+                continue
+            children = state.values()
+        stack.extend(child for child in children if type(child) not in _ATOMS)
 
 
 def _pagers_of(index: MetricIndex) -> list[Pager]:
@@ -169,7 +177,8 @@ def rebind_counters(index: MetricIndex, counters: CostCounters) -> None:
 
     After restore this hands the whole graph a fresh accumulator (so
     serving stats start at zero); the service layer also uses it to share
-    one counter across several hosted indexes.
+    one counter across several hosted indexes.  One walk of the graph
+    rebinds spaces and pagers as it meets them.
 
     A :class:`~repro.core.sharded.ShardedIndex` in per-shard-counters mode
     is rebound structurally: the parent gets ``counters`` and each shard
@@ -184,10 +193,11 @@ def rebind_counters(index: MetricIndex, counters: CostCounters) -> None:
         for shard in index.shards:
             rebind_counters(shard, CostCounters())
         return
-    for space in _spaces_of(index):
-        space.counters = counters
-    for pager in _pagers_of(index):
-        pager.store.counters = counters
+    for component in iter_components(index):
+        if isinstance(component, MetricSpace):
+            component.counters = counters
+        elif isinstance(component, Pager):
+            component.store.counters = counters
 
 
 class _SnapshotPickler(pickle.Pickler):

@@ -90,18 +90,20 @@ class _ExtremePivotTableBase(MetricIndex):
         return out
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """MkNNQ: shared bound matrix + best-first chunked verification."""
+        """MkNNQ: shared Lemma 1 matrix + best-first chunked verification."""
         queries = list(queries)
         return self._knn(queries, k, best_first_knn) if queries else []
 
     def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
         qdists = self._query_pivot_dists_many(queries)
-        lower = self.pruner.lower_bounds_many_queries(
+        lower, tighteners = self.pruner.knn_bounds(
             qdists, self._pivot_idx, self._pivot_dist
         )
         return [
-            strategy(row, self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids))
-            for q, row in zip(queries, lower)
+            strategy(
+                row, self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids), tighten
+            )
+            for q, row, tighten in zip(queries, lower, tighteners)
         ]
 
     def delete(self, object_id: int) -> None:

@@ -123,15 +123,20 @@ class LAESA(MetricIndex):
         return self._knn(queries, k, best_first_knn) if queries else []
 
     def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
-        """The query-pivot matrix and all lower bounds up front, then each
-        query verifies in the order ``strategy`` names."""
+        """The query-pivot matrix and Lemma 1 for every row up front, then
+        each query verifies in the order ``strategy`` names, tightening
+        (Ptolemaic) only the rows that order reaches."""
         qmat = self.mapping.map_query_many(queries)
-        lower = self.pruner.lower_bounds_many_queries(qmat, self._rows)
+        lower, tighteners = self.pruner.knn_bounds(qmat, self._rows)
         return [
             strategy(
-                row, self._row_ids, k, lambda ids, q=q: self._distances([q], [ids])[0]
+                row,
+                self._row_ids,
+                k,
+                lambda ids, q=q: self._distances([q], [ids])[0],
+                tighten,
             )
-            for q, row in zip(queries, lower)
+            for q, row, tighten in zip(queries, lower, tighteners)
         ]
 
     # -- maintenance ----------------------------------------------------------

@@ -7,12 +7,19 @@ every index, ``range_query_many(qs, r)[i] == range_query(qs[i], r)`` and
 (distance, id) tie-breaking makes the k-NN answer order-independent), plus
 edge cases: empty batches, k > n, foreign query objects, and counter
 attribution parity for the vectorized table overrides.
+
+The two MkNNQ verification strategies draw their order lazily (a threshold
+prefix at a time, tightening only the rows a prefix reaches); the full-sort
+bodies they replaced are kept here as references, and the sequence of
+``verify_many`` calls must be theirs call for call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CostCounters,
@@ -22,7 +29,7 @@ from repro import (
     brute_force_range_many,
     select_pivots,
 )
-from repro.core.queries import KnnHeap
+from repro.core.queries import KnnHeap, best_first_knn, storage_order_knn
 from repro.tables import LAESA
 
 from conftest import DATASET_MAKERS, RADIUS, indexes_for
@@ -297,3 +304,193 @@ class TestShardedBatch:
             assert sharded.knn_query_many(queries, 6) == [
                 sharded.knn_query(q, 6) for q in queries
             ]
+
+
+# -- verification order: lazy prefix selection == the full stable sort ---------
+
+
+def _full_sort_best_first(final_bounds, row_ids, k, verify_many):
+    """Reference: sort every final bound (stable: ties by storage position),
+    cut chunks of k then max(k, 32) -- the body ``best_first_knn`` had
+    before it drew its order a prefix at a time."""
+    heap = KnnHeap(k)
+    n = len(row_ids)
+    if n == 0:
+        return []
+    order = np.argsort(final_bounds, kind="stable")
+    start = 0
+    while start < n:
+        chunk = k if start == 0 else max(k, 32)
+        stop = min(start + chunk, n)
+        block = order[start:stop]
+        keep = block[final_bounds[block] <= heap.radius]
+        if keep.size == 0:
+            break
+        ids = [int(row_ids[pos]) for pos in keep]
+        for object_id, d in zip(ids, verify_many(ids)):
+            heap.consider(object_id, float(d))
+        if keep.size < block.size:
+            break
+        start = stop
+    return heap.neighbors()
+
+
+def _full_column_storage_order(final_bounds, row_ids, k, verify_many):
+    """Reference: the storage-order scan over a fully tightened column."""
+    heap = KnnHeap(k)
+    head = min(k, len(row_ids))
+    if head == 0:
+        return []
+    ids = [int(i) for i in row_ids[:head]]
+    for object_id, d in zip(ids, verify_many(ids)):
+        heap.consider(object_id, float(d))
+    for pos in head + np.flatnonzero(final_bounds[head:] <= heap.radius):
+        if final_bounds[pos] > heap.radius:
+            continue
+        object_id = int(row_ids[pos])
+        heap.consider(object_id, float(verify_many([object_id])[0]))
+    return heap.neighbors()
+
+
+# n in {0, 1, k - 1, k, 1000} for k in {1, 10}; k in {n, n + 5} for each n
+ORDER_SHAPES = sorted(
+    {(n, k) for k in (1, 10) for n in (0, 1, k - 1, k, 1000)}
+    | {(n, k) for n in (0, 1, 9, 10, 1000) for k in (n, n + 5) if k >= 1}
+)
+
+
+@st.composite
+def order_cases(draw):
+    """Cheap bounds, final bounds >= cheap, distances and row ids."""
+    n, k = draw(st.sampled_from(ORDER_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["ties", "floats"])) == "ties":
+        # four values over n rows: ties straddle thresholds and chunk edges
+        cheap = rng.integers(0, 4, size=n).astype(np.float64)
+    else:
+        cheap = rng.uniform(0, 10, size=n)
+        cheap[rng.random(n) < 0.05] = np.inf
+    final = cheap.copy()
+    if draw(st.booleans()):  # tighten lifts a random subset, some past any threshold
+        lifted = rng.random(n) < 0.4
+        final[lifted] += rng.choice([0.0, 1.0, 2.5, np.inf], size=int(lifted.sum()))
+    distances = draw(st.sampled_from(["exact", "tight", "constant"]))
+    if distances == "constant":
+        # a radius that never shrinks below any bound: refill after refill
+        dist = np.full(n, 20.0)
+    else:
+        # an exact index: every distance at or above its (finite) bound --
+        # "tight" puts it on the bound, so the radius ties with bounds
+        slack = rng.uniform(0, 3, size=n) if distances == "exact" else 0.0
+        dist = np.where(np.isfinite(final), final, 10.0) + slack
+    row_ids = rng.permutation(n) + 100
+    return k, cheap, final, dist, row_ids
+
+
+def _recorded(strategy, bounds, row_ids, k, dist, **kwargs):
+    """Run one strategy; return ``(answer, the verify_many calls it made)``."""
+    calls: list[tuple[int, ...]] = []
+    dist_of = dict(zip(row_ids.tolist(), dist.tolist()))
+
+    def verify_many(ids):
+        calls.append(tuple(ids))
+        return np.asarray([dist_of[i] for i in ids], dtype=np.float64)
+
+    return strategy(bounds, row_ids, k, verify_many, **kwargs), calls
+
+
+@given(case=order_cases())
+@settings(max_examples=300, deadline=None)
+def test_verification_sequence_equals_full_sort(case):
+    """Same ids in the same calls in the same order, hence the same
+    compdists, whether or not a ``tighten`` stands between the cheap
+    column and the final one."""
+    k, cheap, final, dist, row_ids = case
+    tightened: list[int] = []
+
+    def tighten(positions):
+        tightened.extend(positions.tolist())
+        return final[positions]
+
+    for strategy, reference in (
+        (best_first_knn, _full_sort_best_first),
+        (storage_order_knn, _full_column_storage_order),
+    ):
+        want = _recorded(reference, final, row_ids, k, dist)
+        # the final column handed over as is: no tighten needed
+        assert _recorded(strategy, final, row_ids, k, dist) == want
+        # the cheap column plus the callback that lifts it
+        assert _recorded(strategy, cheap, row_ids, k, dist, tighten=tighten) == want
+    assert set(tightened) <= set(range(len(row_ids)))
+
+
+def test_rows_tied_with_the_radius_are_verified():
+    """bound == radius is still reachable (d may tie and win on id): both
+    strategies verify such rows, as their references do."""
+    row_ids = np.arange(6)
+    final = np.asarray([1.0, 3.0, 3.0, 3.0, 0.0, 3.0])
+    got = _recorded(storage_order_knn, final, row_ids, 2, final)
+    assert got == _recorded(_full_column_storage_order, final, row_ids, 2, final)
+    assert got[1] == [(0, 1), (2,), (3,), (4,)]
+    flat = np.ones(4)
+    got = _recorded(best_first_knn, flat, row_ids[:4], 2, flat)
+    assert got == _recorded(_full_sort_best_first, flat, row_ids[:4], 2, flat)
+    assert got[1] == [(0, 1), (2, 3)]
+
+
+def test_best_first_tightens_the_frontier_not_the_table():
+    """10 000 rows, k = 10, a well-separated answer: the callback sees a
+    few hundred positions, and the stream never sorts the column."""
+    rng = np.random.default_rng(3)
+    n, k = 10_000, 10
+    cheap = rng.uniform(0, 1000, size=n)
+    final = cheap + rng.uniform(0, 5, size=n)
+    dist = final + rng.uniform(0, 1, size=n)
+    row_ids = np.arange(n)
+    seen: list[int] = []
+
+    def tighten(positions):
+        seen.append(len(positions))
+        return final[positions]
+
+    got, calls = _recorded(best_first_knn, cheap, row_ids, k, dist, tighten=tighten)
+    assert (got, calls) == _recorded(_full_sort_best_first, final, row_ids, k, dist)
+    assert sum(seen) <= 64 + 4 * 64  # the first prefix, at most one refill
+
+
+# knn_query_many / knn_query distance computations on the conftest LA and
+# Words sets, queries _queries_for, k = 1 then k = 10: [many, sequential,
+# many, sequential].  Values are the parent commit's (full stable argsort,
+# full-matrix tightening), except LA-EPT and LA-EPT*: there the parent's
+# PerObjectStagedPruner.lower_bounds_many_queries computed the Ptolemaic
+# tightening for every cell and then wrote it into a fancy-index copy, so
+# its MkNNQ ran on Lemma 1 alone (LA-EPT [15, 29, 58, 172], LA-EPT*
+# [123, 135, 154, 266]); the tightening now reaches the verification order.
+PINNED_KNN_COMPDISTS = {
+    ("LA", "LAESA"): [15, 27, 43, 155],
+    ("LA", "CPT"): [15, 27, 43, 155],
+    ("LA", "EPT"): [15, 27, 45, 157],
+    ("LA", "EPT*"): [123, 135, 154, 264],
+    ("LA", "Omni-seq"): [15, 30, 62, 162],
+    ("LA", "DEPT"): [54, 84, 92, 217],
+    ("Words", "LAESA"): [49, 394, 918, 968],
+    ("Words", "CPT"): [49, 394, 918, 968],
+    ("Words", "EPT"): [99, 430, 939, 1010],
+    ("Words", "EPT*"): [123, 423, 942, 1013],
+    ("Words", "FQA"): [111, 111, 956, 956],
+    ("Words", "Omni-seq"): [49, 394, 918, 968],
+    ("Words", "DEPT"): [104, 434, 973, 1013],
+}
+
+
+@pytest.mark.parametrize("dataset_name,index_name", sorted(PINNED_KNN_COMPDISTS))
+def test_knn_compdists_pinned(datasets, built_indexes, dataset_name, index_name):
+    index = built_indexes(dataset_name, index_name)
+    queries = _queries_for(datasets[dataset_name])
+    got = []
+    for k in (1, 10):
+        many, many_cost = _cost(index, lambda: index.knn_query_many(queries, k))
+        seq, seq_cost = _cost(index, lambda: [index.knn_query(q, k) for q in queries])
+        assert many == seq
+        got += [many_cost.distance_computations, seq_cost.distance_computations]
+    assert got == PINNED_KNN_COMPDISTS[dataset_name, index_name]

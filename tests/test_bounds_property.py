@@ -24,9 +24,11 @@ from repro import (
 )
 from repro.core.pivot_filter import (
     lower_bound_many,
+    lower_bound_many_queries,
     mbb_max_dist,
     mbb_min_dist,
     ptolemaic_lower_bound_many,
+    ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
     upper_bound_many,
 )
@@ -132,6 +134,47 @@ def test_staged_pruner_bound_dominates_triangle(case):
         # non-Ptolemaic: the combined bound IS the triangle bound
         assert np.allclose(combined, triangle)
         assert not pruner.use_ptolemaic
+
+
+@given(case=bound_cases(), n_queries=st.integers(1, 4))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.data_too_large],
+)
+def test_lazy_knn_bounds_equal_the_broadcast_kernels(case, n_queries):
+    """The MkNNQ path tightens only the rows it reaches; the full matrix it
+    would reach in the limit is max(Lemma 1, the ``q x n x pairs``
+    Ptolemaic broadcast) bit for bit, and any subset of positions
+    tightens to the same values as the whole column."""
+    kind, metric, query, pivots, objects = case
+    space = MetricSpace(
+        Dataset(np.vstack([pivots, objects]), metric, name="prop"), CostCounters()
+    )
+    queries = np.vstack([query, objects[: n_queries - 1]])
+    qmat = metric.pairwise(queries, pivots)
+    omat = metric.pairwise(objects, pivots)
+    pruner = StagedPruner.build(
+        space, omat, [space.dataset[i] for i in range(len(pivots))]
+    )
+    want = lower_bound_many_queries(qmat, omat)
+    if pruner.use_ptolemaic:
+        np.maximum(
+            want,
+            ptolemaic_lower_bound_many_queries(
+                qmat, omat, pruner.pair_matrix, pairs=pruner.pairs
+            ),
+            out=want,
+        )
+    assert np.array_equal(pruner.lower_bounds_many_queries(qmat, omat), want)
+    assert np.array_equal(pruner.lower_bounds_many(qmat[0], omat), want[0])
+    lower, tighteners = pruner.knn_bounds(qmat, omat)
+    assert np.array_equal(lower, lower_bound_many_queries(qmat, omat))
+    some = np.arange(len(objects))[::2][::-1]
+    for i, tighten in enumerate(tighteners):
+        assert (tighten is not None) == (pruner.use_ptolemaic and pruner.pairs.size > 0)
+        if tighten is not None:
+            assert np.array_equal(tighten(some), want[i, some])
 
 
 @given(

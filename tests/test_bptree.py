@@ -146,6 +146,67 @@ class TestBulkLoad:
         tree = make_tree()
         tree.bulk_load([])
         assert list(tree.items()) == []
+        tree.bulk_load(iter(()))
+        assert list(tree.items()) == []
+
+    def test_bulk_draws_its_input_a_leaf_at_a_time(self):
+        """Generators give the tree lists give, and are never drawn far ahead."""
+        minmax = Augmentation(
+            from_entry=lambda key, value: (key, key),
+            merge=lambda aux: (min(a[0] for a in aux), max(a[1] for a in aux)),
+        )
+        probe = make_tree(page_size=256)
+        probe.bulk_load([(0, 0)])
+        per_leaf = int(probe.leaf_capacity * 0.85)
+        assert per_leaf >= 4
+        spill = 3 * per_leaf + per_leaf // 2  # below: the last leaf joins the third
+        for n in (1, 2, per_leaf, per_leaf + 1, 2 * per_leaf, spill - 1, spill, 1000):
+            listed = make_tree(page_size=256, augmentation=minmax)
+            listed.bulk_load(
+                [(k, k) for k in range(n)], summaries=[(k, k) for k in range(n)]
+            )
+            streamed = make_tree(page_size=256, augmentation=minmax)
+            ahead = []
+
+            def items():
+                for k in range(n):
+                    # one write made the empty root, every later one a full leaf
+                    written = streamed.pager.counters.page_writes - 1
+                    ahead.append(k - written * per_leaf)
+                    yield k, k
+
+            streamed.bulk_load(items(), summaries=((k, k) for k in range(n)))
+            assert max(ahead) < 2 * per_leaf
+            # the leaves the all-at-once loader cut: full ones, and a last
+            # one that joins its neighbour when it is under half full
+            sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
+            if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
+                sizes[-2:] = [sizes[-2] + sizes[-1]]
+            node = streamed.read_node(streamed.root_page)
+            while not node.is_leaf:
+                node = streamed.read_node(node.children[0])
+            chain = [node]
+            while chain[-1].next_page is not None:
+                chain.append(streamed.read_node(chain[-1].next_page))
+            assert [len(leaf) for leaf in chain] == sizes
+            assert streamed.pager.store._pages == listed.pager.store._pages
+            assert (streamed.root_page, streamed.height, len(streamed)) == (
+                listed.root_page,
+                listed.height,
+                n,
+            )
+            streamed.check_invariants()
+
+    def test_bulk_checks_order_and_count_as_the_input_arrives(self):
+        items = [(k, k) for k in range(500)]
+        late = items[:400] + [(10, 10)] + items[400:]
+        with pytest.raises(ValueError, match="sorted"):
+            make_tree(page_size=256).bulk_load(iter(late))
+        for count in (0, 499, 501):
+            with pytest.raises(ValueError, match="summaries"):
+                make_tree(page_size=256).bulk_load(
+                    iter(items), summaries=((k, k) for k in range(count))
+                )
 
 
 class TestAugmentation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 from repro import MetricSpace, make_la, make_uniform, make_words
 from repro.core.pivot_filter import (
+    _COLUMN_BLOCK_FLOATS,
     can_prune,
     can_validate,
     double_pivot_can_prune,
     lower_bound,
     lower_bound_many,
+    lower_bound_many_queries,
     mbb_can_prune,
     mbb_can_validate,
     mbb_max_dist,
@@ -80,6 +84,72 @@ class TestLemma1And4Bounds:
     def test_empty_pivots(self):
         assert lower_bound([], []) == 0.0
         assert upper_bound([], []) == float("inf")
+
+
+def _table_layouts(omat, tmp_path):
+    """One table, every memory layout a caller hands the batch kernel."""
+    n, l = omat.shape
+    wide = np.zeros((n, 2 * l + 1))
+    wide[:, : 2 * l : 2] = omat
+    frozen = omat.copy()
+    frozen.flags.writeable = False
+    layouts = {
+        "C": np.ascontiguousarray(omat),
+        "F": np.asfortranarray(omat),
+        "strided": wide[:, : 2 * l : 2],
+        "read-only": frozen,
+    }
+    if omat.size:  # an empty file cannot be mapped
+        path = tmp_path / f"table_{n}x{l}.bin"
+        omat.tofile(path)
+        # what load_index hands a restored LAESA, minus the write permission
+        layouts["memmap"] = np.memmap(path, dtype=np.float64, mode="r", shape=(n, l))
+    return layouts
+
+
+class TestLemma1BatchKernel:
+    """``lower_bound_many_queries`` (a pivot column at a time) against the
+    scalar ``lower_bound`` and the ``n x l`` ``lower_bound_many``: the two
+    forms that stay as references."""
+
+    @pytest.mark.parametrize("l", [0, 1, 5])
+    @pytest.mark.parametrize("n", [0, 1, 3000, 50_001])
+    @pytest.mark.parametrize("q", [0, 1, 33])
+    def test_bit_identical_to_scalar_loop(self, q, n, l, tmp_path):
+        rng = np.random.default_rng(1000 * q + 10 * n + l)
+        qmat = rng.uniform(0, 100, size=(q, l))
+        omat = rng.uniform(0, 100, size=(n, l))
+        got = lower_bound_many_queries(qmat, omat)
+        assert got.shape == (q, n) and got.dtype == np.float64
+        # every cell against the n x l form, one query at a time
+        for i in range(q):
+            assert np.array_equal(got[i], lower_bound_many(qmat[i], omat))
+        # the scalar loop: every cell of a small table, a sample of a large
+        # one (both ends included: block and chunk edges)
+        rows = range(n) if n <= 1 else {0, n - 1, *rng.integers(0, n, 64).tolist()}
+        for i in range(q):
+            for j in rows:
+                assert got[i, j] == lower_bound(qmat[i], omat[j])
+        # 3000 rows -> 21 queries a block, so 33 queries end on a short one
+        for name, table in _table_layouts(omat, tmp_path).items():
+            assert np.array_equal(lower_bound_many_queries(qmat, table), got), name
+            assert np.array_equal(table, omat), name  # never written
+
+    def test_no_q_by_n_by_l_temporary(self):
+        q, n, l = 32, 50_000, 5
+        rng = np.random.default_rng(0)
+        qmat, omat = rng.uniform(size=(q, l)), rng.uniform(size=(n, l))
+        lower_bound_many_queries(qmat[:1], omat[:8])  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            out = lower_bound_many_queries(qmat, omat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        q_chunk = max(1, _COLUMN_BLOCK_FLOATS // n)
+        scratch = 8 * (q_chunk * n + l * n)  # one block + the l x n table copy
+        assert peak - out.nbytes < 3 * scratch
+        assert peak < 8 * q * n * l / 2  # nothing of the broadcast's order
 
 
 class TestLemma2:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,176 @@ def test_validation_decides_only_survivors():
     )
     assert not (survivors & validated).any()
     assert validated.any()
+
+
+# -- what each stage costs, read from counts and allocations -------------------
+
+
+def _reference_stage_counts(pruner, qmat, omat, radius, validate):
+    """The four per-stage decided counts, composed from the broadcast
+    kernels: what the cascade must report however it evaluates a stage."""
+    head = pruner.order[: pruner.prefix]
+    after_prefix = lower_bound_many_queries(qmat[:, head], omat[:, head]) <= radius
+    after_refine = lower_bound_many_queries(qmat, omat) <= radius
+    validated = np.zeros_like(after_refine)
+    if validate:
+        validated = after_refine & (upper_bound_many_queries(qmat, omat) <= radius)
+    undecided = after_refine & ~validated
+    pair_dead = np.zeros_like(undecided)
+    if pruner.use_ptolemaic:
+        pair_dead = undecided & (
+            ptolemaic_lower_bound_many_queries(
+                qmat, omat, pruner.pair_matrix, pairs=pruner.pairs
+            )
+            > radius
+        )
+    return {
+        "prune_prefix": int((~after_prefix).sum()),
+        "prune_refine": int((after_prefix & ~after_refine).sum()),
+        "prune_validated": int(validated.sum()),
+        "prune_ptolemaic": int(pair_dead.sum()),
+    }
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("space_name", ["l2", "quadratic"])
+def test_stage_counters_equal_the_kernel_composition(space_name, validate):
+    index = _build("LAESA", SPACES[space_name](), bounds="auto")
+    queries = _queries(index.space, n=8)
+    qmat = index.mapping.map_query_many(queries)
+    radius = RADII[space_name] * (3.0 if validate else 1.0)  # Lemma 4 needs room
+    counters = CostCounters()
+    got = index.pruner.masks_many_queries(
+        qmat, index._rows, radius, counters=counters, validate=validate
+    )
+    want = _single_shot_masks(index.pruner, qmat, index._rows, radius, validate)
+    assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+    snap = counters.snapshot()
+    counts = _reference_stage_counts(index.pruner, qmat, index._rows, radius, validate)
+    assert {name: getattr(snap, name) for name in counts} == counts
+    assert counts["prune_validated" if validate else "prune_ptolemaic"] > 0
+
+
+def test_ptolemaic_stage_gathers_survivors_not_the_table():
+    """Stage 4 on a 50 000-row table with 100 alive cells allocates for the
+    100, not for the table: no ``n x pairs`` column copy is made before the
+    stage looks at which cells are alive."""
+    rng = np.random.default_rng(4)
+    n, l = 50_000, 5
+    points = rng.uniform(0, 100, size=(n, 3))
+    pivots = points[:l]
+    omat = L2.pairwise(points, pivots)
+    qmat = L2.pairwise(rng.uniform(0, 100, size=(2, 3)), pivots)
+    pruner = StagedPruner(
+        np.arange(l), 2, is_ptolemaic=True, pair_matrix=L2.pairwise(pivots, pivots)
+    )
+    n_pairs = pruner.pairs.shape[0]
+    assert n_pairs == 8
+    alive = np.zeros((2, n), dtype=bool)
+    alive[rng.integers(0, 2, 100), rng.choice(n, 100, replace=False)] = True
+    cells = int(alive.sum())
+    radius = np.asarray(30.0)
+    # the column-copy form this stage replaced, as the reference
+    left, right = pruner.pairs[:, 0], pruner.pairs[:, 1]
+    qi, oj = np.nonzero(alive)
+    cross = np.abs(
+        qmat[:, left][qi] * omat[:, right][oj] - qmat[:, right][qi] * omat[:, left][oj]
+    )
+    want_dead = (cross / pruner.pair_matrix[left, right]).max(axis=1) > radius
+    want = alive.copy()
+    want[qi[want_dead], oj[want_dead]] = False
+    assert 0 < want_dead.sum() < cells
+
+    pruner._ptolemaic_stage(qmat, omat, alive.copy(), radius)  # warm caches
+    tracemalloc.start()
+    try:
+        decided = pruner._ptolemaic_stage(qmat, omat, alive, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decided == int(want_dead.sum()) and (alive == want).all()
+    per_cell = 8 * (2 * l + 8 * n_pairs)  # two row gathers, a few pair-wide temps
+    assert peak < 2 * cells * per_cell
+    assert peak < 8 * n * n_pairs / 20  # one n x pairs copy alone is 3.2 MB
+
+
+def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
+    """What staging is for, as a count: on the conftest Color vectors under
+    L2 (l = 8, 16 queries, a 5 % radius) the prefix decides enough cells
+    that the cascade evaluates at most 65 % of the ``l x q x n``
+    column-cells a single-shot filter reads -- prefix columns for every
+    cell, the rest only for the cells the prefix left."""
+    color = datasets["Color"]
+    vectors = np.asarray([color[i] for i in range(len(color))])
+    data = Dataset(vectors, L2, name="ColorL2")
+    space = MetricSpace(data, CostCounters())
+    pivots = select_pivots(MetricSpace(data), 8, strategy="hfi", seed=3)
+    index = LAESA.build(space, pivots, bounds="triangle")
+    rng = np.random.default_rng(5)
+    queries = [data[int(i)] for i in rng.choice(len(data), 16, replace=False)]
+    radius = float(np.quantile(L2.pairwise(np.asarray(queries[:8]), vectors), 0.05))
+    qmat = index.mapping.map_query_many(queries)
+    counters = CostCounters()
+    alive, _ = index.pruner.masks_many_queries(
+        qmat, index._rows, radius, counters=counters
+    )
+    assert (alive == (lower_bound_many_queries(qmat, index._rows) <= radius)).all()
+    snap = counters.snapshot()
+    q, n = alive.shape
+    l, prefix = len(pivots), index.pruner.prefix
+    evaluated = prefix * q * n + (l - prefix) * (q * n - snap.prune_prefix)
+    assert (prefix, snap.prune_prefix, snap.prune_refine) == (2, 1560, 1243)
+    assert evaluated <= 0.65 * l * q * n
+
+
+def test_adaptive_counts_each_prefix_column_alone():
+    """Per-column decided counts: a prefix column is credited with every
+    cell it would prune by itself, a tail column with the cells it helps
+    kill among the prefix survivors."""
+    index = _build("LAESA", _l2_space(), bounds="triangle")
+    pruner, omat = index.pruner, index._rows
+    pruner.enable_adaptive(interval=10**9)  # count, never re-rank
+    qmat = index.mapping.map_query_many(_queries(index.space, n=7))
+    radius = RADII["l2"]
+    pruner.masks_many_queries(qmat, omat, radius)
+    head, tail = pruner.order[: pruner.prefix], pruner.order[pruner.prefix :]
+    diff = np.abs(qmat[:, None, :] - omat[None, :, :])
+    want = np.zeros(omat.shape[1], dtype=np.int64)
+    want[head] = (diff[:, :, head] > radius).sum(axis=(0, 1))
+    after_prefix = diff[:, :, head].max(axis=2) <= radius
+    dead = after_prefix & (diff[:, :, tail].max(axis=2) > radius)
+    want[tail] = (diff[:, :, tail] > radius)[dead].sum(axis=0)
+    assert np.array_equal(pruner.decided_counts, want)
+    assert want[head].sum() > 0 and want[tail].sum() > 0
+
+
+@pytest.mark.parametrize("index_name", ["EPT", "EPT*"])
+def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
+    """The per-object pruner's full matrix is Lemma 1 max'd with its slot
+    pair bound -- the tightening is applied, not computed and dropped --
+    and the lazy form agrees with it on any subset of rows."""
+    index = _build(index_name, _l2_space(), bounds="auto")
+    pruner = index.pruner
+    assert pruner.use_ptolemaic
+    qdists = index._query_pivot_dists_many(_queries(index.space))
+    idx, dist = index._pivot_idx, index._pivot_dist
+    triangle = np.abs(qdists[:, idx] - dist[None]).max(axis=2)
+    n_q, n_o = triangle.shape
+    pair = pruner._ptolemaic_cells(
+        qdists, idx, dist, np.repeat(np.arange(n_q), n_o), np.tile(np.arange(n_o), n_q)
+    ).reshape(n_q, n_o)
+    full = pruner.lower_bounds_many_queries(qdists, idx, dist)
+    assert np.array_equal(full, np.maximum(triangle, pair))
+    assert (pair > triangle).any()
+    lower, tighteners = pruner.knn_bounds(qdists, idx, dist)
+    assert np.array_equal(lower, triangle)
+    some = np.arange(n_o)[::3][::-1]
+    for i, tighten in enumerate(tighteners):
+        assert np.array_equal(tighten(some), full[i, some])
+    true_d = index.space.distance.pairwise(
+        np.asarray(_queries(index.space)), index.space.dataset.objects
+    )
+    assert (full <= true_d + 1e-9).all()
 
 
 # -- zero-size normalization (satellite) --------------------------------------
