@@ -15,14 +15,19 @@ Section 6 issues hundreds of queries per configuration, and batch answers
 are contractually identical to sequential ones.  Per-query attribution is
 preserved: every computation is still counted and every reported metric is
 the per-query mean.  For MRQ the counted totals are *identical* to the
-one-query calls (for the pivot tables a one-query call *is* the batch
-engine with q=1).  For MkNNQ the verification order is a named strategy
-of :mod:`repro.core.queries`: ``knn_query_many`` verifies best-first,
-``knn_query`` on LAESA / EPT / EPT* / CPT runs the paper's storage-order
-scan, so the batch compdists/PA reflect the (typically lower) best-first
-schedule -- pass ``batch=False`` to measure the paper's storage-order
-algorithm instead; :func:`run_batch_comparison` measures both and reports
-the speedup.
+one-query calls (for the pivot tables and every external index but the
+PM-tree a one-query call *is* the batch engine with q=1).  For MkNNQ on
+the tree-shaped externals (OmniR-tree, M-index*, SPB-tree, PM-tree)
+:func:`run_knn_queries` measures the paper's per-query best-first walk
+either way: ``knn_query_many`` runs that walk once per query, sharing only
+the query mapping and a batch-scoped record cache, so compdists are the
+one-query calls' and PA can only be lower.  On the scans the verification
+order is a named strategy of :mod:`repro.core.queries`: ``knn_query_many``
+verifies best-first, ``knn_query`` on LAESA / EPT / EPT* / CPT / Omni-seq /
+DEPT runs the paper's storage-order scan, so there the batch compdists/PA
+reflect the (typically lower) best-first schedule -- pass ``batch=False``
+to measure the paper's storage-order algorithm instead;
+:func:`run_batch_comparison` measures both and reports the speedup.
 """
 
 from __future__ import annotations

@@ -255,8 +255,8 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
     assert cost.page_reads == ref_cost.page_reads
 
     # -- and it is a working index: delete three objects, insert them anew -----
-    # (under fresh ids: DEPT keeps the table row of a deleted id, so an id
-    # that comes back is reported twice -- as it was before this layout work)
+    # (under fresh ids, so the deleted ones must stay out of every answer;
+    # ids that come back are tests/test_updates_all.py's round trip)
     victims = (5, 17, 250)
     for object_id in victims:
         bulk.delete(object_id)

@@ -81,6 +81,29 @@ class TestDEPT:
         with pytest.raises(KeyError):
             index.delete(100)
 
+    def test_state_pickled_before_live_rows_were_tracked(self, la):
+        """A DEPT pickled when ``_pointers`` membership was the only
+        liveness test has no ``_row_page``: it is rebuilt from the table
+        pages on load, an id's last row being its live one."""
+        index = DEPT.build(MetricSpace(la, CostCounters()), seed=2)
+        index.delete(100)
+        index.delete(5)
+        index.insert(la[5], object_id=5)  # the old row of 5 stays on its page
+        state = dict(index.__dict__)
+        want = state.pop("_row_page")
+        state["_group_of"] = {}  # what such a pickle carries instead
+        restored = DEPT.__new__(DEPT)
+        restored.__setstate__(state)
+        assert restored._row_page == want
+        q = la[5]
+        assert restored.range_query(q, 800.0) == [
+            i for i in brute_force_range(MetricSpace(la), q, 800.0) if i != 100
+        ]
+        assert [n.object_id for n in restored.knn_query(q, 3)] == [
+            n.object_id for n in brute_force_knn(MetricSpace(la), q, 4)
+            if n.object_id != 100
+        ][:3]
+
     def test_group_pivot_structure(self, la):
         index = DEPT.build(
             MetricSpace(la, CostCounters()), n_pivots_per_object=3, seed=2

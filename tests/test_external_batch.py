@@ -1,20 +1,25 @@
-"""External-category batch engine: batch == sequential == brute force.
+"""External-category query paths: batch == sequential == brute force.
 
 The external indexes (Omni family, M-index/M-index*, SPB-tree, PM-tree,
-DEPT) answer whole query batches through one shared traversal with 2-D MBB
-bounds and page-grouped RAF fetches (``repro.external.batch``).  These
-tests pin the contract across three metric families -- Euclidean
-(continuous, unique distances), Hamming (discrete, tie-heavy -- the hard
-case for canonical kNN tie-breaking), and QuadraticForm (the
-expensive-distance representative):
+DEPT) have one body per query type and a view for the other entry point
+(``repro.external.batch``): MRQ is one shared traversal with 2-D bounds and
+page-grouped RAF fetches, MkNNQ the per-query best-first walk (or lockstep
+rounds, or a scan) over a batch-scoped record cache.  These tests pin the
+contract across three metric families -- Euclidean (continuous, unique
+distances), Hamming (discrete, tie-heavy -- the hard case for canonical kNN
+tie-breaking), and QuadraticForm (the expensive-distance representative):
 
 * batch answers are bit-for-bit the sequential and brute-force answers for
   MRQ and MkNNQ;
-* batch MRQ performs exactly the sequential loop's counted distance
-  computations (the q x l pivot matrix plus the identical survivor sets);
+* cost parity for the whole family: batch MRQ performs exactly the
+  sequential loop's counted distance computations, at ``q = 1`` too; batch
+  MkNNQ performs exactly the sum of the one-query calls' on the six indexes
+  whose two entry points share a verification order, and no more on the two
+  scans; and the one-query calls cost what they cost before the bodies
+  were merged (values pinned from that commit);
 * the RAF-backed indexes read each touched page at most once per batch:
-  batch MRQ page accesses undercut the sequential loop's, with the saved
-  I/O visible as ``grouped_hits``.
+  batch page accesses undercut the sequential loop's, with the saved I/O
+  visible as ``grouped_hits``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.core.distances import (
     L2,
     QuadraticFormDistance,
 )
+from repro.core.queries import KnnHeap
 from repro.external import (
     DEPT,
     MIndex,
@@ -65,6 +71,33 @@ EXTERNAL = (
 # inside its nodes, so it has no RAF to group -- its batch win is reading
 # each *node* once per batch instead)
 RAF_BACKED = tuple(name for name in EXTERNAL if name != "PM-tree")
+# the scans: ``knn_query`` verifies in storage order (the paper's count),
+# ``knn_query_many`` best-first; everywhere else both are one order
+STORAGE_ORDER_SCANS = ("Omni-seq", "DEPT")
+
+# distance computations of the 12 one-query calls, (euclidean, hamming,
+# quadratic), measured at the commit before the sequential bodies became
+# views: a view costs what the body it replaced cost
+PINNED_RANGE_COMPDISTS = {
+    "Omni-seq": (456, 2894, 1307),
+    "OmniB+": (456, 2894, 1307),
+    "OmniR-tree": (456, 2894, 1307),
+    "M-index": (456, 2894, 1307),
+    "M-index*": (455, 2850, 1306),
+    "SPB-tree": (466, 2879, 1331),
+    "PM-tree": (618, 3230, 1331),
+    "DEPT": (703, 2955, 1466),
+}
+PINNED_KNN_COMPDISTS = {
+    "Omni-seq": (875, 2482, 1536),
+    "OmniB+": (1064, 2297, 1790),
+    "OmniR-tree": (377, 2077, 1103),
+    "M-index": (1064, 2297, 1790),
+    "M-index*": (581, 2209, 1221),
+    "SPB-tree": (388, 2077, 1116),
+    "PM-tree": (676, 2143, 1258),
+    "DEPT": (1137, 2207, 1590),
+}
 
 _BUILDERS = {
     "Omni-seq": lambda space, pivots: OmniSequentialFile.build(space, pivots),
@@ -134,6 +167,18 @@ def _queries(dataset) -> list:
     return [dataset[i] for i in range(BATCH)]
 
 
+def _measure(index, run):
+    """``run()`` from an identical cold 16 KB pool: (answers, cost)."""
+    pager = getattr(index, "pager", None) or index.mtree.pager
+    counters = index.space.counters
+    pager.set_cache_bytes(16 * 1024)
+    before = counters.snapshot()
+    answers = run()
+    cost = counters.snapshot() - before
+    pager.set_cache_bytes(0)
+    return answers, cost
+
+
 @pytest.mark.parametrize("index_name", EXTERNAL)
 @pytest.mark.parametrize("metric_name", METRICS)
 def test_batch_range_matches_sequential_and_brute_force(
@@ -143,20 +188,23 @@ def test_batch_range_matches_sequential_and_brute_force(
     index = built_externals(metric_name, index_name)
     queries = _queries(dataset)
     radius = RADIUS[metric_name]
-    counters = index.space.counters
 
-    before = counters.snapshot()
-    sequential = [index.range_query(q, radius) for q in queries]
-    seq_cost = counters.snapshot() - before
+    sequential, seq_cost = _measure(
+        index, lambda: [index.range_query(q, radius) for q in queries]
+    )
+    batch, batch_cost = _measure(index, lambda: index.range_query_many(queries, radius))
+    singles, singles_cost = _measure(
+        index, lambda: [index.range_query_many([q], radius)[0] for q in queries]
+    )
 
-    before = counters.snapshot()
-    batch = index.range_query_many(queries, radius)
-    batch_cost = counters.snapshot() - before
-
-    assert batch == sequential
+    assert batch == sequential == singles
     assert batch == brute_force_range_many(MetricSpace(dataset), queries, radius)
-    # batch MRQ must pay exactly the sequential loop's distance computations
+    # batch MRQ must pay exactly the sequential loop's distance computations,
+    # whatever the batch size (PM-tree: this pins its two bodies to each other)
     assert batch_cost.distance_computations == seq_cost.distance_computations
+    assert singles_cost.distance_computations == seq_cost.distance_computations
+    pinned = PINNED_RANGE_COMPDISTS[index_name][METRICS.index(metric_name)]
+    assert seq_cost.distance_computations == pinned
 
 
 @pytest.mark.parametrize("index_name", EXTERNAL)
@@ -168,11 +216,68 @@ def test_batch_knn_matches_sequential_and_brute_force(
     index = built_externals(metric_name, index_name)
     queries = _queries(dataset)
 
-    sequential = [index.knn_query(q, K) for q in queries]
-    batch = index.knn_query_many(queries, K)
+    sequential, seq_cost = _measure(
+        index, lambda: [index.knn_query(q, K) for q in queries]
+    )
+    batch, batch_cost = _measure(index, lambda: index.knn_query_many(queries, K))
 
     assert batch == sequential
     assert batch == brute_force_knn_many(MetricSpace(dataset), queries, K)
+    # a batch is its queries' walks (or rounds): the sum of their
+    # computations, not a shared frontier's; only the scans' batch order
+    # differs from their one-query order, and it is the cheaper one
+    if index_name in STORAGE_ORDER_SCANS:
+        assert batch_cost.distance_computations <= seq_cost.distance_computations
+    else:
+        assert batch_cost.distance_computations == seq_cost.distance_computations
+    pinned = PINNED_KNN_COMPDISTS[index_name][METRICS.index(metric_name)]
+    assert seq_cost.distance_computations == pinned
+    # the batch-scoped record cache can only save reads
+    assert batch_cost.page_accesses <= seq_cost.page_accesses, (batch_cost, seq_cost)
+    if index_name in RAF_BACKED:
+        assert batch_cost.grouped_hits > 0, batch_cost
+
+
+def _storage_order_reference(index, lower_bounds, ids, query_obj, k):
+    """The per-object MkNNQ scan the Omni sequential file and DEPT ran
+    before their ``knn_query`` named ``storage_order_knn``: rows as stored,
+    a row verified unless its bound exceeds the running k-th distance."""
+    heap = KnnHeap(min(k, len(ids)))
+    for object_id, bound in zip(ids, lower_bounds):
+        if bound > heap.radius:
+            continue
+        _, obj = index.raf.read(index._pointers[object_id])
+        heap.consider(object_id, index.space.d(query_obj, obj))
+    return heap.neighbors()
+
+
+@pytest.mark.parametrize("k", [1, K])
+@pytest.mark.parametrize("index_name", STORAGE_ORDER_SCANS)
+@pytest.mark.parametrize("metric_name", METRICS)
+def test_scan_knn_query_is_the_storage_order_loop(
+    metric_datasets, built_externals, metric_name, index_name, k
+):
+    """``knn_query`` on the scans: the paper's count, object for object."""
+    dataset = metric_datasets[metric_name]
+    index = built_externals(metric_name, index_name)
+    counters = index.space.counters
+    for q in _queries(dataset)[:4]:
+        before = counters.snapshot()
+        got = index.knn_query(q, k)
+        cost = (counters.snapshot() - before).distance_computations
+        # the bound row costs the query-pivot distances once more; only the
+        # verifications are compared
+        before = counters.snapshot()
+        if index_name == "DEPT":
+            ids, lower = index._scan_bounds_many([q])
+        else:
+            ids, lower = index._scan_bounds_many(index.mapping.map_query_many([q]))
+        mapping_cost = (counters.snapshot() - before).distance_computations
+        before = counters.snapshot()
+        want = _storage_order_reference(index, lower[0], ids, q, k)
+        loop_cost = (counters.snapshot() - before).distance_computations
+        assert got == want
+        assert cost == mapping_cost + loop_cost
 
 
 @pytest.mark.parametrize("index_name", RAF_BACKED)
@@ -182,19 +287,11 @@ def test_batch_range_groups_page_reads(metric_datasets, built_externals, index_n
     index = built_externals("euclidean", index_name)
     queries = _queries(dataset)
     radius = RADIUS["euclidean"]
-    counters = index.space.counters
 
-    def measure(run):
-        index.pager.set_cache_bytes(16 * 1024)  # identical cold pool per pass
-        before = counters.snapshot()
-        answers = run()
-        return answers, counters.snapshot() - before
-
-    sequential, seq_cost = measure(
-        lambda: [index.range_query(q, radius) for q in queries]
+    sequential, seq_cost = _measure(
+        index, lambda: [index.range_query(q, radius) for q in queries]
     )
-    batch, batch_cost = measure(lambda: index.range_query_many(queries, radius))
-    index.pager.set_cache_bytes(0)
+    batch, batch_cost = _measure(index, lambda: index.range_query_many(queries, radius))
     assert batch == sequential
     assert batch_cost.page_accesses < seq_cost.page_accesses, (
         index_name,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import (
+    DEPT,
     CostCounters,
     MIndex,
     MIndexStar,
@@ -111,7 +114,8 @@ class TestOmniDetail:
         index = OmniRTree.build(MetricSpace(la, CostCounters()), la_pivots)
         counters = index.space.counters
         counters.reset()
-        index._fetch(42)
+        object_id, obj = index.raf.read(index._pointers[42])
+        assert object_id == 42 and np.array_equal(obj, la[42])
         assert counters.page_reads == 1
 
     @pytest.mark.parametrize(
@@ -243,17 +247,186 @@ class TestSPBTreeDetail:
 
         check(index.btree.root_page)
 
-    def test_clipped_cell_never_validates(self, la, la_pivots):
-        index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
-        clipped = np.full(len(la_pivots), index.curve.max_coordinate)
-        assert index._cell_upper_bound(np.zeros(len(la_pivots)), clipped) == float(
-            "inf"
+    # -- the array forms against the scalar references -------------------------
+    #
+    # The per-cell expressions below are what ``SPBTree`` evaluated an entry
+    # (and a child box) at a time before its two bodies shared the array
+    # functions ``_leaf_bounds`` / ``_child_bounds``; they stay here as the
+    # oracle those are held to, cell for cell.
+
+    @staticmethod
+    def _cell_lower_bound(index, qdists, coords) -> float:
+        lows, highs = index._cell_bounds(coords)
+        gaps = np.maximum(np.maximum(lows - qdists, qdists - highs), 0.0)
+        return float(gaps.max())
+
+    @staticmethod
+    def _cell_upper_bound(index, qdists, coords) -> float:
+        coords = np.asarray(coords)
+        if coords.max() >= index.curve.max_coordinate:
+            # a clipped cell no longer upper-bounds the true distance
+            # (inserted objects may exceed the build-time grid), so Lemma 4
+            # must not fire on it
+            return float("inf")
+        _, highs = index._cell_bounds(coords)
+        return float((qdists + highs).min())
+
+    @staticmethod
+    def _box_lower_bound(index, qdists, aux) -> float:
+        if aux is None:
+            return 0.0
+        clows, _ = index._cell_bounds(aux[0])
+        _, chighs = index._cell_bounds(aux[1])
+        gaps = np.maximum(np.maximum(clows - qdists, qdists - chighs), 0.0)
+        return float(gaps.max())
+
+    @staticmethod
+    def _nodes(index):
+        stack = [index.btree.root_page]
+        while stack:
+            node = index.btree.read_node(stack.pop())
+            yield node
+            if not node.is_leaf:
+                stack.extend(node.children)
+
+    @pytest.fixture()
+    def grown(self, la, la_pivots):
+        """An SPB-tree with objects beyond the build-time grid, a few
+        tombstoned leaf entries, and a q x l matrix of mapped queries."""
+        dataset = make_la(500, seed=81)  # private: inserts grow it
+        index = SPBTree.build(MetricSpace(dataset, CostCounters()), la_pivots)
+        far = [dataset[i] * 4.0 + 50_000.0 for i in (3, 30, 300)]
+        far_ids = [index.insert(obj) for obj in far]
+        # entries whose object is gone from ``_pointers`` but still in a leaf
+        tombstoned = [7, 77, 177]
+        for object_id in tombstoned:
+            del index._pointers[object_id]
+        qmat = index.mapping.map_query_many(
+            [dataset[1], dataset[250], far[0], dataset[42] + 3.0]
         )
+        return index, qmat, far_ids, tombstoned
+
+    def test_leaf_bounds_equal_the_scalar_cell_bounds(self, grown):
+        index, qmat, far_ids, tombstoned = grown
+        clipped_cells = seen = 0
+        for node in self._nodes(index):
+            if not node.is_leaf:
+                continue
+            entries, lower, upper = index._leaf_bounds(qmat, node)
+            live = [
+                (key, value)
+                for key, value in zip(node.keys, node.values)
+                if value[0] not in tombstoned
+            ]
+            assert entries == [value for _, value in live]
+            assert lower.shape == upper.shape == (len(qmat), len(live))
+            for j, (key, _) in enumerate(live):
+                coords = index.curve.decode(key)
+                clipped_cells += max(coords) >= index.curve.max_coordinate
+                for i, qdists in enumerate(qmat):
+                    assert lower[i, j] == self._cell_lower_bound(index, qdists, coords)
+                    assert upper[i, j] == self._cell_upper_bound(index, qdists, coords)
+            seen += len(node.keys) - len(live)
+        assert seen == len(tombstoned)
+        assert clipped_cells >= len(far_ids)
+
+    def test_child_bounds_equal_the_scalar_box_bounds(self, grown):
+        index, qmat, _, _ = grown
+        internal = [node for node in self._nodes(index) if not node.is_leaf]
+        assert internal
+        # plus a node with children that carry no box (an emptied subtree)
+        boxed = internal[0]
+        holes = SimpleNamespace(
+            children=list(boxed.children), aux=[None] + list(boxed.aux[1:-1]) + [None]
+        )
+        for node in internal + [holes]:
+            bounds = index._child_bounds(qmat, node)
+            assert bounds.shape == (len(qmat), len(node.children))
+            for j, aux in enumerate(node.aux):
+                for i, qdists in enumerate(qmat):
+                    assert bounds[i, j] == self._box_lower_bound(index, qdists, aux)
+        assert not index._child_bounds(qmat, holes)[:, [0, -1]].any()
+
+    def test_clipped_cell_never_validates(self, grown):
+        """Lemma 4 must not fire on a cell at the grid edge: an object
+        inserted beyond the build-time grid lies further than its cell says."""
+        index, qmat, far_ids, _ = grown
+        edge = index.curve.max_coordinate
+        for node in self._nodes(index):
+            if not node.is_leaf:
+                continue
+            entries, _, upper = index._leaf_bounds(qmat, node)
+            for j, (object_id, _) in enumerate(entries):
+                if object_id in far_ids:
+                    assert np.all(np.isinf(upper[:, j]))
+        # end to end: a radius the clipped cell's nominal bound would
+        # validate, around a query the far objects are nowhere near
+        dataset = index.space.dataset
+        q = dataset[1]
+        nominal = float((qmat[0] + (edge + 1.0) * index.eps).min())
+        for far_id in far_ids:
+            assert index.space.dataset.distance(q, dataset[far_id]) > nominal + 1.0
+        got = index.range_query(q, nominal + 1.0)
+        assert not set(got) & set(far_ids)
+        live = [i for i in range(len(dataset)) if i in index._pointers]
+        assert got == [
+            i for i in live if dataset.distance(q, dataset[i]) <= nominal + 1.0
+        ]
 
     def test_eps_covers_max_distance(self, la, la_pivots):
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
         max_cell = index._grid_cell(index.mapping.matrix.max(axis=0))
         assert max_cell.max() <= index.curve.max_coordinate
+
+
+class TestDEPTDetail:
+    """The per-group Lemma 1 kernel against the per-object expression."""
+
+    @staticmethod
+    def _reference(index, queries):
+        """Rows as stored, each bounded over its own group's pivot columns."""
+        dataset = index.space.dataset
+        qdists = dataset.distance.pairwise(
+            queries, dataset.gather(index.candidate_ids)
+        )
+        ids, columns = [], []
+        for page in index._table_pages:
+            block_ids, rows, block_groups = index.pager.read(page)
+            for i, object_id in enumerate(block_ids):
+                if index._row_page.get(object_id) != page:
+                    continue
+                cols = index.group_pivots[block_groups[i]]
+                ids.append(object_id)
+                columns.append(np.abs(qdists[:, cols] - rows[i]).max(axis=1))
+        return ids, np.stack(columns, axis=1)
+
+    def test_scan_bounds_equal_the_per_object_expression(self, la):
+        index = DEPT.build(
+            MetricSpace(la, CostCounters()), n_pivots_per_object=3, n_groups=5, seed=4
+        )
+        pages = [index.pager.read(page) for page in index._table_pages]
+        mixed = [p for p, (_, _, groups) in enumerate(pages) if len(set(groups)) > 1]
+        assert mixed, "the fixture needs a page that holds several groups"
+        # a page whose live rows are all of one group: retire the others
+        block_ids, _, groups = pages[mixed[0]]
+        for object_id, group in zip(block_ids, groups):
+            if group != groups[0]:
+                index.delete(object_id)
+        # a page with every row deleted
+        emptied = next(p for p in range(len(pages)) if p not in mixed)
+        for object_id in pages[emptied][0]:
+            index.delete(object_id)
+        # rows on pages of their own, one of them a re-insert
+        index.insert(la[pages[emptied][0][0]], object_id=pages[emptied][0][0])
+        index.insert(la[17] + 1.0)
+        assert len(mixed) > 1  # several groups on one page is still covered
+
+        queries = [la[2], la[250], la[499] + 5.0]
+        ids, bounds = index._scan_bounds_many(queries)
+        want_ids, want = self._reference(index, queries)
+        assert ids == want_ids and len(set(ids)) == len(ids)
+        assert sorted(ids) == sorted(index._pointers)
+        assert np.array_equal(bounds, want)
 
 
 class TestWordsExternal:
