@@ -6,7 +6,9 @@ through the shared batch frontier engine (``repro.trees.common``) than
 through the one-query-at-a-time loop, with bit-for-bit identical
 answers (asserted inside :func:`repro.bench.run_batch_comparison`).
 The wall-clock floor is asserted on MVPT (the paper's best tree) over
-LA and Synthetic.
+LA and Synthetic.  MkNNQ has no wall clause: ``knn_query_many`` is the
+per-query walk run query after query, so the gate is the deterministic
+one -- equal answers at exactly the loop's distance computations.
 
 CPT's leaf-grouped paging has no gate here: a sequential CPT call is the
 one-query view of the batch engine and already fetches leaf-grouped, so
@@ -73,7 +75,19 @@ def test_tree_batch_throughput(tree_workloads, tree_built, benchmark):
     )
     for row in rows:
         assert row["MRQ speedup"] >= MIN_TREE_MRQ_SPEEDUP, row
-        assert row["kNN speedup"] >= 1.0, row  # batch must never lose
+    # MkNNQ: a batch is the per-query walk, query after query, so its wall
+    # against the loop's is noise; what must hold is the count
+    for name, workload in tree_workloads.items():
+        index = tree_built[name]["MVPT"].index
+        counters = index.space.counters
+        before = counters.snapshot()
+        sequential = [index.knn_query(q, 10) for q in workload.queries]
+        loop_cost = counters.snapshot() - before
+        before = counters.snapshot()
+        batch = index.knn_query_many(workload.queries, 10)
+        batch_cost = counters.snapshot() - before
+        assert batch == sequential, name
+        assert batch_cost.distance_computations == loop_cost.distance_computations, name
     workload = tree_workloads["LA"]
     index = tree_built["LA"]["MVPT"].index
     benchmark(index.range_query_many, workload.queries, workload.radius_for(0.16))

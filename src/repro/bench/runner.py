@@ -285,7 +285,14 @@ def run_knn_queries(
     cache_bytes: int = KNN_CACHE_BYTES,
     batch: bool = True,
 ) -> QueryCost:
-    """Mean MkNNQ cost over the query sample (paper's 128 KB LRU cache)."""
+    """Mean MkNNQ cost over the query sample (paper's 128 KB LRU cache).
+
+    ``batch=True`` (default) goes through ``knn_query_many``.  For the trees
+    (VPT / MVPT / BKT / FQT) that is the per-query best-first walk run query
+    after query -- the algorithm Fig. 17 names -- so both settings count the
+    same distance computations; only a table's or an external index's batch
+    path shares work between queries.
+    """
     set_cache(index, cache_bytes)
     counters = index.space.counters
     before = counters.snapshot()

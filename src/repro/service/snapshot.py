@@ -126,10 +126,11 @@ class SnapshotInfo:
 
 
 # exact types that can neither be nor hold a component: checked before a
-# child reaches the walk's stack, because tree leaves keep their ids and
-# distances in plain lists (an MVPT over 50 000 objects holds ~400 000 of
-# them).  Exact types only, so an instance of a ``repro`` subclass of one of
-# these would still be walked and yielded.
+# child reaches the walk's stack, because BKT / FQT leaves keep their ids in
+# plain lists, one int per object.  (MVPT / VPT leaves hold theirs in an
+# ``array`` beside a ``bytearray`` of path codes; they are slotted, so the
+# walk yields the leaf and opens nothing.)  Exact types only, so an instance
+# of a ``repro`` subclass of one of these would still be walked and yielded.
 _ATOMS = frozenset(
     (int, float, bool, str, bytes, type(None))
     + (np.ndarray, np.memmap, np.float64, np.int64)

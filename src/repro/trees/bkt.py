@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
-from .common import FrontierTreeMixin, interval_gap, require_discrete
+from .common import FrontierTreeMixin, require_discrete
 
 __all__ = ["BKT"]
 
@@ -122,60 +122,20 @@ class BKT(FrontierTreeMixin, MetricIndex):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """Descend by pivot distances, extending a child interval if needed."""
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
-        node = self.root
-        while not node.is_leaf:
-            if node.pivot_id < 0:
-                # tombstoned pivot: queries descend all children of this node
-                # unconditionally, so routing is free to pick any child
-                node = node.children[0]
-                continue
-            d = self.space.d(obj, self.space.dataset[node.pivot_id])
-            best, best_gap = -1, float("inf")
-            for i in range(len(node.children)):
-                gap = interval_gap(d, node.lows[i], node.highs[i])
-                if gap < best_gap:
-                    best, best_gap = i, gap
-            if best < 0:
-                node.lows = np.append(node.lows, d)
-                node.highs = np.append(node.highs, d)
-                node.children.append(_BktLeaf())
-                best = len(node.children) - 1
-            node.lows[best] = min(node.lows[best], d)
-            node.highs[best] = max(node.highs[best], d)
-            node = node.children[best]
-        node.ids.append(int(object_id))
-        return int(object_id)
+        object_id, leaf, _ = self._route_insert(obj, object_id)
+        leaf.ids.append(object_id)
+        return object_id
 
     def delete(self, object_id: int) -> None:
         """Descend by distances; intervals stay conservative (lazy delete)."""
-        if not 0 <= object_id < len(self.space.dataset):
-            raise KeyError(f"object {object_id} is not in the tree")
-        obj = self.space.dataset[object_id]
-        if self._delete_from(self.root, object_id, obj):
-            return
-        raise KeyError(f"object {object_id} is not in the tree")
-
-    def _delete_from(self, node, object_id: int, obj) -> bool:
-        if node.is_leaf:
-            if object_id in node.ids:
-                node.ids.remove(object_id)
-                return True
-            return False
-        if node.pivot_id == object_id:
-            # pivots anchor their subtree: tombstone by re-pointing the pivot
-            # to the nearest remaining object would change distances, so BKT
-            # marks it removed instead (classic approach)
-            node.pivot_id = -1
-            return True
-        d = self.space.d(obj, self.space.dataset[node.pivot_id]) if node.pivot_id >= 0 else None
-        for i, child in enumerate(node.children):
-            if d is not None and interval_gap(d, node.lows[i], node.highs[i]) > 0:
-                continue
-            if self._delete_from(child, object_id, obj):
-                return True
-        return False
+        holder = self._find_for_delete(object_id)
+        if holder.is_leaf:
+            holder.ids.remove(object_id)
+        else:
+            # pivots anchor their subtree: re-pointing the pivot to the
+            # nearest remaining object would change distances, so BKT marks
+            # it removed instead (classic approach)
+            holder.pivot_id = -1
 
     # -- accounting ---------------------------------------------------------------
 

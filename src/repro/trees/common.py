@@ -8,36 +8,52 @@ the subtree; best-first MkNNQ orders subtrees by the maximum such gap
 accumulated along the path from the root.
 
 Because the pruning rule is identical everywhere, the whole family shares
-one **batch frontier engine** (:class:`FrontierTreeMixin`): a frontier of
-(node, active-query-subset) pairs descends the tree once per *batch*.  At
-each node the query-to-pivot distances of every still-active query are
-computed with a single counted ``pairwise`` call, ``interval_gap`` is
-applied as one vectorized 2-D operation over (active queries x children),
-and the active set is re-partitioned per child.  MkNNQ keeps one
-:class:`~repro.core.queries.KnnHeap` per query and orders the shared
-frontier best-first by the smallest per-query bound, so batch answers are
-bit-for-bit identical to the sequential traversal and to brute force (the
-heap's canonical (distance, id) tie-breaking makes the answer independent
-of verification order; pruning only ever uses each query's own radius).
+its traversals (:class:`FrontierTreeMixin`), one body per query type:
 
-The sequential ``range_query`` / ``knn_query`` are the same engine run
-with a single-query frontier -- one traversal implementation per tree, not
-two -- and compute exactly the distances the hand-written per-node loops
-used to: one pivot distance per (query, pivot) pair (cached across nodes
-that share a pivot) plus the leaf verifications.
+* **MRQ is a batch frontier.**  A frontier of (node, active-query-subset)
+  pairs descends the tree once per *batch*: at each node the query-to-pivot
+  distances of every still-active query come from one counted ``pairwise``
+  call, ``interval_gap`` is one vectorized 2-D operation over (active
+  queries x children), and the active set is re-partitioned per child.  The
+  active set carried to a node is exactly the set of queries whose own
+  traversal would visit it, so a batch costs the sum of its queries'
+  compdists, and ``range_query`` is the batch of one.
+* **MkNNQ is a per-query best-first walk** (``_knn_walk``): scalar
+  ``interval_gap`` on a node, one :class:`~repro.core.queries.KnnHeap`, a
+  pivot distance computed once per (query, pivot).  ``knn_query_many`` runs
+  that walk query after query and shares nothing else -- a query's pivot
+  distances and its radius are its own, and a frontier common to the batch
+  (cut off at the largest radius among its heaps) tightened every radius
+  late and cost more distances than the loop it replaced.  The heap's
+  canonical (distance, id) tie-breaking makes the answer independent of
+  verification order, so both views equal brute force bit for bit.
 
-Node protocol the engine expects (what all the trees already store):
+**Leaf verification is deferred, and filtered first.**  MRQ collects the
+leaves each query reached and verifies them at the end; the MkNNQ walk
+collects consecutive leaf pops and verifies them when the next internal
+node arrives.  Either way the reached leaves first pass through the
+tree's *leaf filter* (:meth:`FrontierTreeMixin._leaf_filter`) -- all of
+them in one call, with the query's pivot distances and its current radius
+-- and only the ids it returns reach one counted ``d_many`` call.  MVPT /
+VPT keep per-object path-distance codes and drop there what Lemma 1
+excludes; BKT / FQT hold no path distances and pass every id through.  The
+filter never calls the metric.
 
-* leaves have ``is_leaf = True`` and an ``ids`` list;
-* internal nodes have parallel ``lows`` / ``highs`` / ``children`` lists
-  with tight per-child distance bounds to the node's pivot.
+Node protocol the traversals expect (what all the trees already store):
 
-Trees plug in via two small hooks: :meth:`FrontierTreeMixin._frontier_key`
+* leaves have ``is_leaf = True`` and an ``ids`` sequence;
+* internal nodes have parallel ``lows`` / ``highs`` arrays and a
+  ``children`` list, with tight per-child distance bounds to the node's
+  pivot.
+
+Trees plug in via small hooks: :meth:`FrontierTreeMixin._frontier_key`
 maps a node to a hashable pivot identity (``None`` = no pruning possible,
 e.g. BKT's tombstoned pivots) shared by every node using the same pivot
 (the distance-cache key), and :meth:`FrontierTreeMixin._frontier_pivot`
 resolves that key to the raw pivot object.  BKT additionally reports its
-pivot as a result candidate via ``_frontier_candidate``.
+pivot as a result candidate via ``_frontier_candidate``.  The same hooks
+drive the descent behind every tree's ``insert`` and ``delete``
+(``_route_insert``, ``_find_for_delete``).
 """
 
 from __future__ import annotations
@@ -77,6 +93,13 @@ def require_discrete(space, index_name: str) -> None:
         )
 
 
+def _every_id(leaves, radius: float) -> np.ndarray:
+    """The leaf filter of a tree that keeps no path distances."""
+    return np.fromiter(
+        itertools.chain.from_iterable(leaf.ids for leaf in leaves), dtype=np.intp
+    )
+
+
 def _interval_gaps(dists: np.ndarray, node) -> np.ndarray:
     """Vectorized :func:`interval_gap`: (active queries) x (children)."""
     lows = np.asarray(node.lows, dtype=np.float64)
@@ -86,12 +109,11 @@ def _interval_gaps(dists: np.ndarray, node) -> np.ndarray:
 
 
 class FrontierTreeMixin:
-    """Batch frontier traversal shared by VPT/MVPT/BKT/FQT.
+    """Traversals shared by VPT/MVPT/BKT/FQT.
 
-    Provides ``range_query_many`` / ``knn_query_many`` (and the
-    single-query ``range_query`` / ``knn_query`` as one-element batches)
-    on top of the node protocol and hooks described in the module
-    docstring.  Mixing classes must define ``root`` and ``space``.
+    Provides the four query methods and the descent behind ``insert`` /
+    ``delete`` on top of the node protocol and hooks described in the
+    module docstring.  Mixing classes must define ``root`` and ``space``.
     """
 
     # -- hooks ---------------------------------------------------------------
@@ -102,7 +124,7 @@ class FrontierTreeMixin:
         Nodes sharing a key share one cached distance per query -- the
         per-level pivots of VPT/MVPT/FQT cost at most one computation per
         (query, level) no matter how many same-level nodes the query
-        visits, exactly as the sequential level cache behaved.
+        visits.
         """
         raise NotImplementedError
 
@@ -114,7 +136,144 @@ class FrontierTreeMixin:
         """Object id of a pivot that is itself a result candidate (BKT)."""
         return None
 
-    # -- shared machinery ----------------------------------------------------
+    def _leaf_filter(self, pivot_dist):
+        """One query's ``keep(leaves, radius) -> ids`` still to be verified.
+
+        ``pivot_dist(key)`` is the query's distance to a pivot its walk has
+        already paid for.  A tree whose leaves hold path distances drops
+        here what Lemma 1 excludes at ``radius`` (MVPT / VPT); the others
+        hold none and pass every reached id through.
+        """
+        return _every_id
+
+    # -- queries -------------------------------------------------------------
+
+    def range_query(self, query_obj, radius: float) -> list[int]:
+        return self.range_query_many([query_obj], radius)[0]
+
+    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
+        return self._knn_walk(query_obj, k)
+
+    def range_query_many(self, queries, radius: float) -> list[list[int]]:
+        """Batched MRQ: one frontier descent for the whole batch.
+
+        The active set carried to each node is exactly the set of queries
+        whose sequential traversal would visit it, and leaf verification is
+        deferred into one leaf-filter pass and one vectorized counted call
+        per query at the end, so the counted distance computations match
+        the sequential loop query for query.
+        """
+        queries = list(queries)
+        if not queries:
+            return []
+        take = self._query_selector(queries)
+        results: list[list[int]] = [[] for _ in queries]
+        reached: list[list] = [[] for _ in queries]  # leaves to verify
+        cache: dict = {}
+        stack = [(self.root, np.arange(len(queries), dtype=np.intp))]
+        while stack:
+            node, active = stack.pop()
+            if node.is_leaf:
+                if node.ids:
+                    for qi in active.tolist():
+                        reached[qi].append(node)
+                continue
+            key = self._frontier_key(node)
+            if key is None:  # no pruning possible: descend with everyone
+                for child in node.children:
+                    stack.append((child, active))
+                continue
+            d = self._pivot_dists(cache, take, len(queries), key, active)
+            candidate = self._frontier_candidate(node)
+            if candidate is not None:
+                for qi, dq in zip(active, d):
+                    if dq <= radius:
+                        results[qi].append(candidate)
+            alive = _interval_gaps(d, node) <= radius  # active x children
+            for j in np.flatnonzero(alive.any(axis=0)).tolist():
+                stack.append((node.children[j], active[alive[:, j]]))
+        gather = self.space.dataset.gather
+        for qi, leaves in enumerate(reached):
+            if not leaves:
+                continue
+            ids = self._leaf_filter(lambda key: cache[key][qi])(leaves, radius)
+            if len(ids):
+                dists = self.space.d_many(queries[qi], gather(ids))
+                results[qi].extend(ids[dists <= radius].tolist())
+        return [sorted(ids) for ids in results]
+
+    def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
+        """Batch MkNNQ: the walk once per query.
+
+        Nothing is shared between the queries of a batch but the body: a
+        query's pivot distances and pruning radius are its own, and a
+        frontier common to the batch makes every query's radius tighten
+        late (it cost LA k = 1 five times the sequential compdists).
+        """
+        return [self._knn_walk(query_obj, k) for query_obj in queries]
+
+    def _knn_walk(self, query_obj, k: int) -> list[Neighbor]:
+        """The one MkNNQ body: best-first over nodes by accumulated gap.
+
+        Leaf verification is deferred across consecutive leaf pops: popped
+        leaves wait in ``pending`` and go through the leaf filter and one
+        counted ``d_many`` call when the next internal node arrives (so its
+        pruning sees a fresh radius) or the frontier empties.  Deferral is
+        answer-preserving -- a radius that would have shrunk between two
+        leaf pops can only let extra candidates in, and those lose to the
+        heap's canonical (distance, id) ordering exactly as if considered
+        late.
+        """
+        space = self.space
+        gather = space.dataset.gather
+        heap = KnnHeap(k)
+        known: dict = {}  # pivot key -> d(q, pivot)
+        keep = self._leaf_filter(known.__getitem__)
+        pending: list = []
+        counter = itertools.count(1)
+
+        def verify_pending() -> None:
+            ids = keep(pending, heap.radius)
+            pending.clear()
+            if len(ids):
+                dists = space.d_many(query_obj, gather(ids))
+                for object_id, d in zip(ids.tolist(), dists.tolist()):
+                    heap.consider(object_id, d)
+
+        pq = [(0.0, 0, self.root)]
+        while pq:
+            bound, _, node = heapq.heappop(pq)
+            if bound > heap.radius:
+                break  # pops ascend by bound: the rest of the frontier is dead
+            if node.is_leaf:
+                if node.ids:
+                    pending.append(node)
+                continue
+            if pending:
+                verify_pending()
+            key = self._frontier_key(node)
+            if key is None:  # no pruning possible: every child inherits
+                for child in node.children:
+                    heapq.heappush(pq, (bound, next(counter), child))
+                continue
+            d = known.get(key)
+            if d is None:
+                d = known[key] = space.d(query_obj, self._frontier_pivot(key))
+            candidate = self._frontier_candidate(node)
+            if candidate is not None:
+                heap.consider(candidate, d)
+            radius = heap.radius
+            for lo, hi, child in zip(
+                node.lows.tolist(), node.highs.tolist(), node.children
+            ):
+                child_bound = max(bound, interval_gap(d, lo, hi))
+                if child_bound <= radius:
+                    heapq.heappush(pq, (child_bound, next(counter), child))
+        if pending:
+            verify_pending()
+        return heap.neighbors()
+
+    # -- MRQ machinery ---------------------------------------------------------
 
     def _query_selector(self, queries: list):
         """``take(idxs) -> query batch`` for a subset of the query list.
@@ -147,152 +306,78 @@ class FrontierTreeMixin:
             )[:, 0]
         return column[active]
 
-    # -- queries -------------------------------------------------------------
+    # -- maintenance ---------------------------------------------------------
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
+    def _route_insert(self, obj, object_id: int | None):
+        """Descend to the leaf ``obj`` belongs in: ``(id, leaf, known)``.
 
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        return self.knn_query_many([query_obj], k)[0]
-
-    def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batched MRQ: one frontier descent for the whole batch.
-
-        The active set carried to each node is exactly the set of queries
-        whose sequential traversal would visit it, and leaf verification is
-        deferred into one vectorized counted call per query at the end, so
-        the counted distance computations match the sequential loop query
-        for query.
+        One distance per pivot on the way down (``known``, by pivot key).
+        An explicit ``object_id`` re-registers a dataset slot (delete, then
+        insert back), so it must name one and must not be live: a second
+        copy would answer twice forever after.  The live copy, if any, sits
+        under children whose bounds hold the distances just computed, so
+        the check costs none of its own; bounds stretch only once it
+        passed.
         """
-        queries = list(queries)
-        if not queries:
-            return []
-        take = self._query_selector(queries)
-        results: list[list[int]] = [[] for _ in queries]
-        reached: list[list[int]] = [[] for _ in queries]  # leaf ids to verify
-        cache: dict = {}
-        stack = [(self.root, np.arange(len(queries), dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            if node.is_leaf:
-                if node.ids:
-                    for qi in active:
-                        reached[qi].extend(node.ids)
-                continue
-            key = self._frontier_key(node)
-            if key is None:  # no pruning possible: descend with everyone
-                for child in node.children:
-                    stack.append((child, active))
-                continue
-            d = self._pivot_dists(cache, take, len(queries), key, active)
-            candidate = self._frontier_candidate(node)
-            if candidate is not None:
-                for qi, dq in zip(active, d):
-                    if dq <= radius:
-                        results[qi].append(candidate)
-            gaps = _interval_gaps(d, node)
-            for j, child in enumerate(node.children):
-                keep = gaps[:, j] <= radius
-                if keep.any():
-                    stack.append((child, active[keep]))
-        gather = self.space.dataset.gather
-        for qi, ids in enumerate(reached):
-            if ids:
-                dists = self.space.d_many(queries[qi], gather(ids))
-                results[qi].extend(np.asarray(ids)[dists <= radius].tolist())
-        return [sorted(ids) for ids in results]
-
-    def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Batched MkNNQ: shared best-first frontier, per-query heaps.
-
-        A frontier entry carries each active query's accumulated lower
-        bound; the shared priority is the smallest of them.  A query is
-        dropped from an entry once its bound exceeds its own heap radius
-        -- it can never prune *more* than its private best-first search
-        would (radii only shrink, bounds only grow down the tree), so with
-        the canonical (distance, id) heap the answers are bit-for-bit the
-        sequential ones regardless of the interleaving.
-
-        Leaf verification is **deferred across consecutive leaf pops**:
-        popped leaves accumulate into ``pending`` and are verified in one
-        grouped ``pairwise_objects`` call per distinct active set when the
-        next internal node arrives (so its pruning sees fresh radii) or
-        the frontier empties.  Deferral is answer-preserving -- a radius
-        that would have shrunk between two leaf pops can only let extra
-        candidates into the verification matrix, and those lose to the
-        heap's canonical ordering exactly as if considered late.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        take = self._query_selector(queries)
-        gather = self.space.dataset.gather
-        heaps = [KnnHeap(k) for _ in queries]
-        cache: dict = {}
-        counter = itertools.count()
-        every = np.arange(len(queries), dtype=np.intp)
-        pending: list[tuple[list, np.ndarray]] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            groups: dict[bytes, tuple[np.ndarray, list]] = {}
-            for ids, active in pending:
-                got = groups.get(active.tobytes())
-                if got is None:
-                    groups[active.tobytes()] = (active, list(ids))
-                else:
-                    got[1].extend(ids)
-            pending.clear()
-            for active, ids in groups.values():
-                dists = self.space.pairwise_objects(take(active), gather(ids))
-                for qi, row in zip(active, dists):
-                    heap = heaps[qi]
-                    for object_id, d in zip(ids, row):
-                        heap.consider(object_id, float(d))
-
-        pq = [(0.0, next(counter), self.root, every, np.zeros(len(queries)))]
-        while pq:
-            priority, _, node, active, bounds = heapq.heappop(pq)
-            if priority > max(heap.radius for heap in heaps):
-                # the frontier pops ascending by its entries' smallest
-                # per-query bound, so once that exceeds every radius the
-                # whole remaining frontier is dead -- the batch analogue of
-                # the sequential best-first break (flushing first could
-                # only shrink radii further, never revive the frontier)
-                break
-            radii = np.asarray([heaps[qi].radius for qi in active])
-            alive = bounds <= radii
-            if not alive.any():
-                continue
-            active, bounds = active[alive], bounds[alive]
-            if node.is_leaf:
-                if node.ids:
-                    pending.append((node.ids, active))
-                continue
-            flush()  # internal node: prune against up-to-date radii
+        known: dict = {}
+        path = []
+        node = self.root
+        while not node.is_leaf:
             key = self._frontier_key(node)
             if key is None:
-                for child in node.children:
-                    heapq.heappush(
-                        pq, (float(bounds.min()), next(counter), child, active, bounds)
-                    )
+                # tombstoned pivot: queries descend all children of this node
+                # unconditionally, so routing is free to pick any child
+                node = node.children[0]
                 continue
-            d = self._pivot_dists(cache, take, len(queries), key, active)
-            candidate = self._frontier_candidate(node)
-            if candidate is not None:
-                for qi, dq in zip(active, d):
-                    heaps[qi].consider(candidate, float(dq))
-            child_bounds = np.maximum(bounds[:, None], _interval_gaps(d, node))
-            radii = np.asarray([heaps[qi].radius for qi in active])
-            for j, child in enumerate(node.children):
-                cb = child_bounds[:, j]
-                keep = cb <= radii
-                if keep.any():
-                    kept = cb[keep]
-                    heapq.heappush(
-                        pq,
-                        (float(kept.min()), next(counter), child, active[keep], kept),
-                    )
-        flush()
-        return [heap.neighbors() for heap in heaps]
+            d = known[key] = self.space.d(obj, self._frontier_pivot(key))
+            best, best_gap = 0, float("inf")
+            for i, (lo, hi) in enumerate(zip(node.lows.tolist(), node.highs.tolist())):
+                gap = interval_gap(d, lo, hi)
+                if gap < best_gap:
+                    best, best_gap = i, gap
+            path.append((node, best, d))
+            node = node.children[best]
+        dataset = self.space.dataset
+        if object_id is None:
+            object_id = dataset.add(obj)
+        elif not 0 <= object_id < len(dataset):
+            raise ValueError(
+                f"object_id {object_id} is outside the dataset (0..{len(dataset) - 1})"
+            )
+        elif self._holder(self.root, object_id, lambda at: known.get(self._frontier_key(at))):
+            raise ValueError(f"object {object_id} is already in the tree")
+        for at, best, d in path:
+            at.lows[best] = min(at.lows[best], d)
+            at.highs[best] = max(at.highs[best], d)
+        return int(object_id), node, known
+
+    def _find_for_delete(self, object_id: int):
+        """The leaf (or BKT node anchored on it) holding a live object."""
+        dataset = self.space.dataset
+        if 0 <= object_id < len(dataset):
+            obj = dataset[object_id]
+
+            def pivot_dist(at):
+                key = self._frontier_key(at)
+                return None if key is None else self.space.d(obj, self._frontier_pivot(key))
+
+            holder = self._holder(self.root, object_id, pivot_dist)
+            if holder is not None:
+                return holder
+        raise KeyError(f"object {object_id} is not in the tree")
+
+    def _holder(self, node, object_id: int, pivot_dist):
+        """Depth-first through every child whose bounds hold the object's
+        pivot distance (all children where ``pivot_dist`` has none)."""
+        if node.is_leaf:
+            return node if object_id in node.ids else None
+        if self._frontier_candidate(node) == object_id:
+            return node
+        d = pivot_dist(node)
+        for lo, hi, child in zip(node.lows.tolist(), node.highs.tolist(), node.children):
+            if d is not None and interval_gap(d, lo, hi) > 0:
+                continue
+            found = self._holder(child, object_id, pivot_dist)
+            if found is not None:
+                return found
+        return None

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
-from .common import FrontierTreeMixin, interval_gap, require_discrete
+from .common import FrontierTreeMixin, require_discrete
 
 __all__ = ["FQT"]
 
@@ -98,45 +98,12 @@ class FQT(FrontierTreeMixin, MetricIndex):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """One distance per level; child intervals stretch as needed."""
-        if object_id is None:
-            object_id = self.space.dataset.add(obj)
-        node = self.root
-        if node.is_leaf:
-            node.ids.append(int(object_id))
-            return int(object_id)
-        while not node.is_leaf:
-            d = self.space.d(obj, self.space.dataset[self.pivot_ids[node.level]])
-            best, best_gap = -1, float("inf")
-            for i in range(len(node.children)):
-                gap = interval_gap(d, node.lows[i], node.highs[i])
-                if gap < best_gap:
-                    best, best_gap = i, gap
-            node.lows[best] = min(node.lows[best], d)
-            node.highs[best] = max(node.highs[best], d)
-            node = node.children[best]
-        node.ids.append(int(object_id))
-        return int(object_id)
+        object_id, leaf, _ = self._route_insert(obj, object_id)
+        leaf.ids.append(object_id)
+        return object_id
 
     def delete(self, object_id: int) -> None:
-        if not 0 <= object_id < len(self.space.dataset):
-            raise KeyError(f"object {object_id} is not in the tree")
-        obj = self.space.dataset[object_id]
-        if not self._delete_from(self.root, object_id, obj):
-            raise KeyError(f"object {object_id} is not in the tree")
-
-    def _delete_from(self, node, object_id: int, obj) -> bool:
-        if node.is_leaf:
-            if object_id in node.ids:
-                node.ids.remove(object_id)
-                return True
-            return False
-        d = self.space.d(obj, self.space.dataset[self.pivot_ids[node.level]])
-        for i, child in enumerate(node.children):
-            if interval_gap(d, node.lows[i], node.highs[i]) > 0:
-                continue
-            if self._delete_from(child, object_id, obj):
-                return True
-        return False
+        self._find_for_delete(object_id).ids.remove(object_id)
 
     # -- accounting ----------------------------------------------------------------
 

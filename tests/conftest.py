@@ -110,3 +110,52 @@ def fresh_index(datasets, pivots, dataset_name: str, index_name: str):
         seed=5,
         **kwargs,
     )
+
+
+def leaf_code_rows(index):
+    """Every (leaf, slot, object id, path levels' exact distances, decoded
+    intervals) of an MVPT / VPT, after checking each leaf's layout.
+
+    The decoded interval of a code is read off the level's frame the way the
+    query-time gap table reads it; the exact distance is recomputed from the
+    dataset, uncounted.
+    """
+    from repro.trees.mvpt import _cell_bounds
+
+    dataset, distance = index.space.dataset, index.space.distance
+    bounds = [_cell_bounds(frame) for frame in index._frames]
+    rows = []
+    stack = [(index.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if not node.is_leaf:
+            assert node.level == depth
+            stack.extend((child, depth + 1) for child in node.children)
+            continue
+        assert node.depth == depth
+        assert node.ids.itemsize == 4 and node.ids.typecode == "i"
+        assert isinstance(node.codes, bytearray)
+        assert len(node.codes) == depth * len(node.ids)
+        for slot, object_id in enumerate(node.ids):
+            codes = node.codes[slot * depth : (slot + 1) * depth]
+            exact = [
+                distance(dataset[object_id], dataset[index.pivot_ids[level]])
+                for level in range(depth)
+            ]
+            decoded = [
+                (bounds[level][0][code], bounds[level][1][code])
+                for level, code in enumerate(codes)
+            ]
+            rows.append((node, slot, object_id, exact, decoded))
+    return rows
+
+
+def assert_codes_hold(index) -> int:
+    """Each decoded interval contains the exact distance; returns how many
+    (object, level) codes were checked."""
+    checked = 0
+    for _, _, object_id, exact, decoded in leaf_code_rows(index):
+        for level, (d, (low, high)) in enumerate(zip(exact, decoded)):
+            assert low <= d <= high, (object_id, level, d, low, high)
+            checked += 1
+    return checked

@@ -1,4 +1,5 @@
-"""Property-based bound correctness: triangle, MBB, and Ptolemaic.
+"""Property-based bound correctness: triangle, MBB, Ptolemaic, and the
+one-byte path-distance codes of MVPT / VPT leaves.
 
 Hypothesis draws random vector datasets, pivot sets, and queries; every
 drawn case must satisfy the bound sandwich ``lower <= d(q, o) <= upper``
@@ -15,12 +16,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    MVPT,
+    VPT,
     CostCounters,
     Dataset,
+    DiscreteMetricAdapter,
     HammingDistance,
     L2,
     MetricSpace,
     QuadraticFormDistance,
+    brute_force_knn,
+    brute_force_range,
 )
 from repro.core.pivot_filter import (
     lower_bound_many,
@@ -33,6 +39,9 @@ from repro.core.pivot_filter import (
     upper_bound_many,
 )
 from repro.core.staged import StagedPruner, score_pivot_order
+from repro.trees.mvpt import _cell_bounds, _encode, _encode_one, _frame_of, _gap_tables
+
+from conftest import assert_codes_hold
 
 EPS = 1e-7
 
@@ -223,3 +232,120 @@ def test_ptolemaic_pairs_budget_respected():
         pairs = ptolemaic_pairs(pair, budget=budget)
         assert pairs.shape[0] <= budget
         assert pairs.shape[0] == min(budget, 15)  # C(6,2) distinct pairs
+
+
+# -- MVPT / VPT path-distance codes -------------------------------------------
+
+DISTS = st.floats(min_value=0.0, max_value=5000.0, allow_nan=False)
+
+
+@st.composite
+def frame_cases(draw):
+    """A level's build-time distances, then distances met later (inserts,
+    some outside the frame) and query-to-pivot distances."""
+    discrete = draw(st.booleans())
+    shape = draw(st.sampled_from(["spread", "narrow", "equal", "byte", "past-byte"]))
+    top = {"spread": 5000.0, "narrow": 1e-6, "equal": 0.0, "byte": 255.0, "past-byte": 3000.0}[shape]
+    base = draw(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
+    if shape in ("byte", "past-byte"):
+        base = 0.0
+    build = draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30)
+    )
+    build = [base + top * x for x in build]
+    later = draw(st.lists(DISTS, max_size=10)) + [0.0, base / 2, base + 2 * top + 1]
+    if discrete:
+        build, later = [float(round(d)) for d in build], [float(round(d)) for d in later]
+    queries = draw(st.lists(DISTS, min_size=1, max_size=6)) + [b for b in build[:3]]
+    return discrete, np.asarray(build), later, queries
+
+
+@given(case=frame_cases())
+@settings(max_examples=300, deadline=None)
+def test_codes_never_exclude_their_distance(case):
+    """A code's decoded interval holds the exact distance -- at build, and
+    for distances below and above the frame fixed then -- so the gap table
+    built from a query-to-pivot distance is a Lemma 1 lower bound."""
+    discrete, build, later, queries = case
+    frame = _frame_of(build, discrete)
+    if discrete and build.max() <= 255:
+        assert frame == (0.0, 1.0, True)
+    else:
+        assert not frame[2] and frame[0] == build.min()
+    codes = _encode(frame, build)
+    assert codes.dtype == np.uint8 and codes.shape == build.shape
+    dists = np.concatenate([build, later])
+    codes = np.concatenate([codes, _encode(frame, later)])
+    assert [_encode_one(frame, float(d)) for d in dists] == codes.tolist()
+    low, high = _cell_bounds(frame)
+    assert low[0] == -np.inf and high[-1] == np.inf  # the end cells are open
+    assert (low[1:] <= high[1:]).all() and (high[:-1] <= low[1:]).all()
+    assert (low[codes] <= dists).all() and (dists <= high[codes]).all()
+    tables = _gap_tables([frame] * len(queries), queries)
+    assert tables.shape == (len(queries), 256) and (tables >= 0).all()
+    for dq, table in zip(queries, tables):
+        assert np.array_equal(table, np.maximum(np.maximum(low - dq, dq - high), 0.0))
+        assert (table[codes] <= np.abs(dq - dists)).all()
+        if frame[2]:  # exact codes lose nothing inside the byte
+            inside = dists < 255
+            assert (table[codes][inside] == np.abs(dq - dists)[inside]).all()
+
+
+@st.composite
+def coded_tree_cases(draw):
+    kind = draw(st.sampled_from(["l2", "hamming", "grid"]))
+    n = draw(st.integers(1, 70))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    if kind == "hamming":
+        points, metric = rng.integers(0, 3, size=(n + 12, 6)), HammingDistance()
+    elif kind == "grid":  # whole-number distances far past a byte
+        points = rng.integers(0, 900, size=(n + 12, 2)).astype(np.float64)
+        metric = DiscreteMetricAdapter(L2)
+    else:
+        points = rng.normal(size=(n + 12, 2)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+        if draw(st.booleans()):  # duplicates: nodes no pivot can split
+            points = points[rng.integers(0, max(1, n // 5), size=len(points))]
+        metric = L2
+    arity = draw(st.integers(2, 5))
+    leaf_size = draw(st.integers(0, 6))
+    n_pivots = draw(st.integers(0, min(4, n)))
+    return points, metric, n, arity, leaf_size, n_pivots, rng
+
+
+@given(case=coded_tree_cases())
+@settings(max_examples=120, deadline=None)
+def test_coded_trees_answer_exactly_through_updates(case):
+    points, metric, n, arity, leaf_size, n_pivots, rng = case
+    dataset = Dataset(points[:n].copy(), metric, name="drawn")
+    pivots = rng.choice(n, size=n_pivots, replace=False).tolist()
+    space = MetricSpace(dataset, CostCounters())
+    if arity == 2:
+        index = VPT.build(space, pivots, leaf_size=leaf_size)
+    else:
+        index = MVPT.build(space, pivots, arity=arity, leaf_size=leaf_size)
+    assert_codes_hold(index)
+    gone = set()
+    for extra in points[n:]:  # inserts interleaved with deletes and re-inserts
+        if rng.random() < 0.5:
+            extra = extra * 7 + 3  # well outside what the frames saw
+        index.insert(extra)
+        victim = int(rng.integers(n))
+        if victim in gone:
+            index.insert(dataset[victim], object_id=victim)
+            gone.remove(victim)
+        else:
+            index.delete(victim)
+            gone.add(victim)
+    assert_codes_hold(index)
+    oracle = MetricSpace(dataset)
+    scale = float(np.median(metric.one_to_many(dataset[0], dataset.objects))) or 1.0
+    for q in (dataset[0], dataset[len(dataset) - 1], points[n] * 0.5):
+        for radius in (0.0, 0.5 * scale, scale):
+            want = [i for i in brute_force_range(oracle, q, radius) if i not in gone]
+            assert index.range_query(q, radius) == want
+        for k in (1, 4):
+            nearest = brute_force_knn(oracle, q, k + len(gone))
+            assert index.knn_query(q, k) == [
+                nb for nb in nearest if nb.object_id not in gone
+            ][:k]

@@ -1,9 +1,12 @@
-"""Dataset persistence (save_dataset / load_dataset), and the walk of the
-index graph that snapshots and counter rebinding stand on."""
+"""Dataset persistence (save_dataset / load_dataset), the walk of the index
+graph that snapshots and counter rebinding stand on, and tree snapshots
+across the change of MVPT / VPT's leaf layout."""
 
 from __future__ import annotations
 
 import pickle
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from repro import (
     CostCounters,
     MetricSpace,
     ShardedIndex,
+    brute_force_knn,
     brute_force_range,
     make_la,
     make_synthetic,
@@ -19,11 +23,11 @@ from repro import (
     select_pivots,
 )
 from repro.core import load_dataset, save_dataset
-from repro.service import iter_components, rebind_counters
+from repro.service import iter_components, load_index, rebind_counters, save_index
 from repro.storage.pager import Pager
 from repro.tables import LAESA
 
-from conftest import indexes_for
+from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for
 
 
 class TestVectorRoundtrip:
@@ -160,3 +164,90 @@ def test_one_walk_per_shard_in_per_shard_counters_mode(datasets):
     for shard, own in zip(index.shards, private):
         assert shard.walk_probe.opened == 1
         _assert_rebound(shard, own)
+
+
+# -- MVPT / VPT snapshots across the leaf layout change ----------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _tree_answers(index, queries, radius, k=8):
+    """Answers of every query method, and the distances they took."""
+    counters = index.space.counters
+    before = counters.snapshot()
+    answers = (
+        [index.range_query(q, radius) for q in queries],
+        index.range_query_many(queries, radius),
+        [index.knn_query(q, k) for q in queries],
+        index.knn_query_many(queries, k),
+    )
+    return answers, (counters.snapshot() - before).distance_computations
+
+
+@pytest.mark.parametrize("name", ["mvpt", "vpt"])
+def test_snapshot_with_codeless_leaves_still_loads(name):
+    """``tests/data/pr20_*_la300.snap`` were written by the commit before
+    leaves carried path codes (ids in lists; object 7 deleted and put back,
+    31 deleted).  They load with no distance computed, as leaves of depth 0
+    that are verified whole, and take updates like any other tree."""
+    dataset = make_la(300, seed=11)
+    index = load_index(DATA / f"pr20_{name}_la300.snap")
+    assert index.space.counters.distance_computations == 0
+    assert index._frames == ()
+    leaves = [c for c in iter_components(index) if getattr(c, "is_leaf", False)]
+    assert sorted(i for leaf in leaves for i in leaf.ids) == [
+        i for i in range(300) if i != 31
+    ]
+    assert all(
+        leaf.ids.typecode == "i" and leaf.depth == 0 and not leaf.codes for leaf in leaves
+    )
+    oracle = MetricSpace(dataset)
+    queries = [dataset[5], dataset[31], dataset[200]]
+    for q in queries:
+        assert index.range_query(q, 900.0) == [
+            i for i in brute_force_range(oracle, q, 900.0) if i != 31
+        ]
+    with pytest.raises(ValueError):
+        index.insert(dataset[7], object_id=7)
+    assert index.insert(dataset[31], object_id=31) == 31
+    index.delete(12)
+    index.insert(dataset[12], object_id=12)
+    for q in queries:
+        assert index.range_query(q, 900.0) == brute_force_range(oracle, q, 900.0)
+        assert index.knn_query(q, 6) == brute_force_knn(oracle, q, 6)
+    assert all(not leaf.codes for leaf in leaves)
+
+
+@pytest.mark.parametrize("dataset_name,index_name", [("LA", "MVPT"), ("LA", "VPT"), ("Words", "MVPT")])
+def test_coded_tree_round_trip_matches_the_live_index(
+    datasets, pivots, tmp_path, dataset_name, index_name
+):
+    """Save, restore, update both sides alike: same answers at the same
+    compdists, restore itself costing none."""
+    dataset = datasets[dataset_name]
+    live = fresh_index(datasets, pivots, dataset_name, index_name)
+    live.delete(9)
+    save_index(live, tmp_path / "tree.snap")
+    restored = load_index(tmp_path / "tree.snap")
+    assert restored.space.counters.distance_computations == 0
+    assert restored._frames == live._frames
+    leaves = [c for c in iter_components(restored) if getattr(c, "is_leaf", False)]
+    # ids and codes travel as bytes, not as one pickled ndarray each
+    assert all(type(leaf.ids) is array and type(leaf.codes) is bytearray for leaf in leaves)
+    assert_codes_hold(restored)
+    # one dataset object serves both sides here, so put back what each takes out
+    for index in (live, restored):
+        index.space.counters.reset()
+        index.insert(dataset[9], object_id=9)
+        index.delete(40)
+        index.insert(dataset[40], object_id=40)
+        index.delete(41)
+    assert (
+        restored.space.counters.distance_computations
+        == live.space.counters.distance_computations
+        > 0
+    )
+    queries = [dataset[2], dataset[9], dataset[41]]
+    radius = RADIUS[dataset_name]
+    assert _tree_answers(restored, queries, radius) == _tree_answers(live, queries, radius)
+    assert restored.storage_bytes() == live.storage_bytes()

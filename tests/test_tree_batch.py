@@ -1,8 +1,9 @@
-"""Tree batch frontier engine: batch == sequential == brute force.
+"""Tree traversals: batch == sequential == brute force, in answers and cost.
 
-The engine (``repro.trees.common.FrontierTreeMixin``) answers a whole
-query batch in one frontier descent; these tests pin its exactness for
-every tree index across three metric families -- Euclidean (continuous,
+The engine (``repro.trees.common.FrontierTreeMixin``) answers an MRQ batch
+in one frontier descent and an MkNNQ batch as the per-query walk, query
+after query; these tests pin its exactness and its compdists for every
+tree index across three metric families -- Euclidean (continuous,
 unique distances), Hamming (discrete, tie-heavy -- the hard case for
 canonical kNN tie-breaking), and QuadraticForm (the expensive-distance
 representative) -- plus sharded fan-out, and the leaf-grouped paging
@@ -10,6 +11,8 @@ contract of CPT's batch verification.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.core.distances import (
 from repro.storage.pager import Pager
 from repro.tables import CPT
 from repro.trees import BKT, FQA, FQT, MVPT, VPT
+from repro.trees.common import FrontierTreeMixin
 
 N = 240
 N_PIVOTS = 4
@@ -65,6 +69,12 @@ RADIUS = {"euclidean": 60.0, "hamming": 5.0, "quadratic": 60.0}
 METRICS = ("euclidean", "hamming", "quadratic")
 TREES = ("VPT", "MVPT", "BKT", "FQT", "FQA")
 DISCRETE_ONLY = ("BKT", "FQT", "FQA")
+# build distance computations per metric, in TREES order
+BUILD_COMPDISTS = {
+    "euclidean": (960, 720, 421, 670, 960),
+    "hamming": (929, 752, 517, 885, 960),
+    "quadratic": (960, 720, 419, 677, 960),
+}
 
 
 @pytest.fixture(scope="module")
@@ -167,15 +177,80 @@ class TestTreeBatchEquality:
         assert counters.distance_computations == sequential
 
 
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_batch_compdists_match_sequential_knn(
+        self, built_trees, metric_name, tree_name, k
+    ):
+        """``knn_query_many`` is the per-query walk, query after query.
+
+        The frontier the batch used to share cut off at the largest radius
+        among its heaps, so every query's own radius tightened late and the
+        batch computed more distances than the loop it stood for.
+        """
+        index, dataset = built_trees(metric_name, tree_name)
+        queries = _queries(dataset)
+        counters = index.space.counters
+        counters.reset()
+        sequential = [index.knn_query(q, k) for q in queries]
+        cost = counters.distance_computations
+        counters.reset()
+        assert index.knn_query_many(queries, k) == sequential
+        assert counters.distance_computations == cost
+
+    def test_build_compdists(self, metric_datasets, metric_name, tree_name):
+        """One counted distance per object per level it is split on: the
+        counts of the recursive per-node build (recorded at its last commit)."""
+        continuous, discrete = metric_datasets[metric_name]
+        dataset = discrete if tree_name in DISCRETE_ONLY else continuous
+        index = _build_tree(tree_name, dataset)
+        assert (
+            index.space.counters.distance_computations
+            == BUILD_COMPDISTS[metric_name][TREES.index(tree_name)]
+        )
+
+
+@pytest.mark.parametrize("metric_name", METRICS)
+@pytest.mark.parametrize("tree_name", ["VPT", "MVPT"])
+def test_leaf_filter_only_removes_work(built_trees, metric_name, tree_name):
+    """With the leaf filter's verdict replaced by "every reached id" the
+    same walk verifies a superset, query for query."""
+    index, dataset = built_trees(metric_name, tree_name)
+
+    class Unfiltered(type(index)):
+        def _leaf_filter(self, pivot_dist):
+            return FrontierTreeMixin._leaf_filter(self, pivot_dist)
+
+    unfiltered = copy.copy(index)
+    unfiltered.__class__ = Unfiltered
+    counters = index.space.counters
+    radius = RADIUS[metric_name]
+    saved = 0
+    for q in _queries(dataset) + [dataset[i] for i in range(0, N, 40)]:
+        for ask in (
+            lambda tree: tree.range_query(q, radius),
+            lambda tree: tree.knn_query(q, 1),
+            lambda tree: tree.knn_query(q, 10),
+        ):
+            counters.reset()
+            want = ask(unfiltered)
+            whole = counters.distance_computations
+            counters.reset()
+            assert ask(index) == want
+            assert counters.distance_computations <= whole
+            saved += whole - counters.distance_computations
+    assert saved > 0
+
+
 @pytest.mark.parametrize("tree_name", TREES)
 def test_knn_deferred_leaf_verification_large_batch(built_trees, tree_name):
-    """Large divergent batches exercise the grouped leaf-flush path.
+    """Many divergent queries exercise the deferred leaf verification.
 
     MkNNQ leaf verification is deferred across consecutive leaf pops and
-    flushed in mask-groups (one ``pairwise_objects`` call per distinct
-    active set).  Stale pre-flush radii may only admit *extra* candidates
-    -- every admitted candidate still fights the canonical (distance, id)
-    heap -- so batch answers must stay bit-for-bit sequential.
+    done in one leaf-filter pass and one ``d_many`` call when the next
+    internal node arrives.  A stale radius may only admit *extra*
+    candidates -- every admitted candidate still fights the canonical
+    (distance, id) heap -- so the answers of the batch view and of the
+    one-query view must agree bit for bit.
     """
     metric_name = "hamming" if tree_name in DISCRETE_ONLY else "euclidean"
     index, dataset = built_trees(metric_name, tree_name)

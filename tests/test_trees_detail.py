@@ -8,17 +8,26 @@ import pytest
 from repro import (
     BKT,
     CostCounters,
+    Dataset,
+    DiscreteMetricAdapter,
     FQA,
     FQT,
+    L1,
+    L2,
     MVPT,
     MetricSpace,
     VPT,
+    brute_force_knn,
     brute_force_range,
+    make_color,
+    make_la,
     make_synthetic,
     make_words,
     select_pivots,
 )
 from repro.trees.common import interval_gap
+
+from conftest import assert_codes_hold, leaf_code_rows
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +273,328 @@ class TestVptMvptDetail:
             return index.storage_bytes()["memory"] - objects
 
         assert structure_bytes(mvpt) < structure_bytes(laesa)
+
+
+def _leaves(index):
+    stack, out = [index.root], []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node)
+        else:
+            stack.extend(node.children)
+    return out
+
+
+def _assert_exact(index, queries, radius, k, gone=()):
+    """MRQ and MkNNQ against brute force over the live objects."""
+    dataset = index.space.dataset
+    oracle = MetricSpace(dataset)
+    gone = set(gone)
+    for q in queries:
+        want = [i for i in brute_force_range(oracle, q, radius) if i not in gone]
+        assert index.range_query(q, radius) == want
+        nearest = [
+            n for n in brute_force_knn(oracle, q, k + len(gone)) if n.object_id not in gone
+        ][:k]
+        assert index.knn_query(q, k) == nearest
+    assert index.knn_query_many(queries, k) == [index.knn_query(q, k) for q in queries]
+    assert index.range_query_many(queries, radius) == [
+        index.range_query(q, radius) for q in queries
+    ]
+
+
+class TestLeafCodes:
+    """MVPT / VPT leaves: 4-byte ids beside one code byte per path level,
+    each code decoding to an interval that holds the exact pivot distance."""
+
+    @pytest.mark.parametrize("tree", [MVPT, VPT])
+    def test_discrete_codes_are_the_distances(self, words, words_pivots, tree):
+        index = tree.build(MetricSpace(words, CostCounters()), words_pivots)
+        assert index._frames and all(f == (0.0, 1.0, True) for f in index._frames)
+        rows = leaf_code_rows(index)
+        assert sorted(object_id for _, _, object_id, _, _ in rows) == list(range(len(words)))
+        for _, _, _, exact, decoded in rows:
+            # a point, but for the open low end of cell 0 (the pivot itself)
+            assert [(d if d else -np.inf, d) for d in exact] == decoded
+
+    @pytest.mark.parametrize("tree", [MVPT, VPT])
+    @pytest.mark.parametrize("maker", [make_la, make_color])
+    def test_continuous_codes_hold_their_distance(self, maker, tree):
+        dataset = maker(300, seed=73)
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
+        index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
+        assert not any(exact for _, _, exact in index._frames)
+        assert assert_codes_hold(index) >= len(dataset)
+        # a cell is 1/256 of the level's span, end cells aside
+        for _, _, _, _, decoded in leaf_code_rows(index):
+            for level, (low, high) in enumerate(decoded):
+                if np.isfinite(low) and np.isfinite(high):
+                    assert high - low <= index._frames[level][1] * (1 + 1e-9)
+
+    def test_storage_counts_real_item_sizes(self, words, words_pivots):
+        index = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
+        leaves = _leaves(index)
+        leaf_bytes = sum(
+            leaf.ids.itemsize * len(leaf.ids) + len(leaf.codes) for leaf in leaves
+        )
+        assert leaf_bytes == 4 * len(words) + sum(leaf.depth * len(leaf.ids) for leaf in leaves)
+        before = index.storage_bytes()["memory"]
+        leaf = max(leaves, key=lambda leaf: leaf.depth)
+        index.delete(leaf.ids[0])
+        assert index.storage_bytes()["memory"] == before - 4 - leaf.depth
+
+    def test_inserts_outside_the_frame_stay_conservative(self):
+        """Level 1's frame spans [10, 110] (its pivot sits in a leaf the root
+        already closed); objects inserted at 6 and at 112 from that pivot take
+        its end cells, which are open-ended."""
+        xs = [0, 1, 2, 3, 4] + [50] * 15 + [-50] * 15 + [60, 61]
+        dataset = Dataset(np.asarray(xs, dtype=np.float64).reshape(-1, 1), L2, name="line")
+        index = VPT.build(
+            MetricSpace(dataset, CostCounters()), [0, len(xs) - 2], leaf_size=4
+        )
+        (lo0, width0, _), (lo1, width1, _) = index._frames
+        assert (lo0, lo0 + 256 * width0) == (0.0, 61.0)
+        assert (lo1, lo1 + 256 * width1) == (10.0, 110.0)
+        below = index.insert(np.array([54.0]))  # 54 from pivot 0, 6 from pivot 1
+        above = index.insert(np.array([-52.0]))  # 52 and 112
+        beyond = index.insert(np.array([700.0]))  # past level 0's frame: 700
+        rows = {object_id: (leaf, slot) for leaf, slot, object_id, _, _ in leaf_code_rows(index)}
+        leaf, slot = rows[below]
+        assert leaf.depth == 2 and leaf.codes[2 * slot + 1] == 0
+        leaf, slot = rows[above]
+        assert leaf.depth == 2 and leaf.codes[2 * slot + 1] == 255
+        leaf, slot = rows[beyond]
+        assert leaf.depth == 1 and leaf.codes[slot] == 255
+        assert_codes_hold(index)
+        queries = [np.array([x]) for x in (54.0, 57.0, -52.0, -60.0, 700.0, 640.0, 20.0)]
+        for radius in (0.0, 3.0, 6.0, 60.0):
+            _assert_exact(index, queries, radius, k=3)
+
+    @pytest.mark.parametrize("tree", [MVPT, VPT])
+    def test_discrete_distances_past_a_byte(self, tree):
+        rng = np.random.default_rng(74)
+        dataset = Dataset(
+            rng.integers(0, 2000, size=(260, 3)).astype(np.float64),
+            DiscreteMetricAdapter(L1),
+            name="grid",
+        )
+        pivots = select_pivots(MetricSpace(dataset), 3, strategy="hfi", seed=1)
+        index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
+        lo, width, exact = index._frames[0]
+        assert not exact and lo + 256 * width > 255
+        assert_codes_hold(index)
+        _assert_exact(index, [dataset[3], dataset[90], dataset[3] + 1.0], 700.0, k=9)
+
+    def test_identical_objects_make_a_leaf_of_the_root(self):
+        """Every level-0 distance is 0: a zero-width frame, a root no pivot
+        can split, so a leaf of depth 0 that holds no codes."""
+        dataset = Dataset(np.full((40, 2), 3.0), L2, name="same")
+        index = MVPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
+        assert index.space.counters.distance_computations == 40
+        assert index._frames == [(0.0, 0.0, False)]
+        root = index.root
+        assert root.is_leaf and root.depth == 0 and len(root.ids) == 40 and not root.codes
+        new_id = index.insert(np.array([9.0, 9.0]))
+        assert not root.codes
+        _assert_exact(index, [dataset[0], dataset[new_id]], 1.0, k=3)
+
+    def test_small_dataset_is_one_leaf(self):
+        dataset = make_la(10, seed=75)
+        index = VPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
+        assert index.space.counters.distance_computations == 0
+        assert index.root.is_leaf and index.root.depth == 0 and index._frames == []
+        _assert_exact(index, [dataset[2]], 500.0, k=4)
+
+    def test_unseparable_node_becomes_a_leaf(self):
+        """Sixty copies of one point outgrow a leaf yet cannot be split:
+        they end as one leaf above the last pivot level, coded by the
+        levels above it."""
+        base = make_la(300, seed=76)
+        objects = np.concatenate([base.objects, np.repeat(base.objects[7:8], 60, axis=0)])
+        dataset = Dataset(objects, base.distance, name="LA+copies")
+        pivots = select_pivots(MetricSpace(base), 4, strategy="hfi", seed=1)
+        index = MVPT.build(MetricSpace(dataset, CostCounters()), pivots)
+        stuck = [
+            leaf
+            for leaf in _leaves(index)
+            if len(leaf.ids) > index.leaf_size and leaf.depth < len(pivots)
+        ]
+        assert stuck and all(set(leaf.ids) == {7, *range(300, 360)} for leaf in stuck)
+        assert_codes_hold(index)
+        _assert_exact(index, [dataset[7], dataset[8]], 900.0, k=25)
+
+    def test_emptied_leaves_are_skipped(self):
+        dataset = make_la(300, seed=77)
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
+        index = MVPT.build(MetricSpace(dataset, CostCounters()), pivots)
+        gone = []
+        for leaf in _leaves(index)[:3]:
+            for object_id in list(leaf.ids):
+                index.delete(object_id)
+                gone.append(object_id)
+            assert len(leaf.ids) == 0 and len(leaf.codes) == 0
+        assert_codes_hold(index)
+        _assert_exact(index, [dataset[gone[0]], dataset[5]], 900.0, k=8, gone=gone)
+
+    def test_objects_exactly_at_the_radius_survive_the_filter(self, words, words_pivots):
+        """Words at r = 2: answers at distance exactly 2 whose Lemma 1 bound
+        is exactly 2 too -- ``lb <= r`` keeps them."""
+        index = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
+        path = {object_id: exact for _, _, object_id, exact, _ in leaf_code_rows(index)}
+        ties = 0
+        for q in words.objects[:60]:
+            got = index.range_query(q, 2.0)
+            assert got == brute_force_range(MetricSpace(words), q, 2.0)
+            to_pivots = [words.distance(q, words[p]) for p in words_pivots]
+            for object_id in got:
+                bound = max(
+                    (abs(to_pivots[level] - d) for level, d in enumerate(path[object_id])),
+                    default=0.0,
+                )
+                ties += bound == 2.0 == words.distance(q, words[object_id])
+        assert ties > 0
+
+    def test_delete_drops_the_code_row_of_its_own_slot(self):
+        dataset = make_la(300, seed=78)
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
+        index = MVPT.build(MetricSpace(dataset, CostCounters()), pivots)
+
+        def code_rows(leaf):
+            return {
+                object_id: bytes(leaf.codes[slot * leaf.depth : (slot + 1) * leaf.depth])
+                for slot, object_id in enumerate(leaf.ids)
+            }
+
+        leaf = next(
+            leaf
+            for leaf in _leaves(index)
+            if leaf.depth and len(set(code_rows(leaf).values())) == len(leaf.ids) >= 3
+        )
+        before = code_rows(leaf)
+        victim = leaf.ids[1]  # neither the first nor the last slot
+        index.delete(victim)
+        del before[victim]
+        assert code_rows(leaf) == before
+        assert_codes_hold(index)
+
+    @pytest.mark.parametrize("tree", [MVPT, VPT])
+    @pytest.mark.parametrize("name", ["LA", "Color", "Words"])
+    def test_exact_after_interleaved_updates(self, name, tree):
+        maker, radius = {
+            "LA": (make_la, 900.0),
+            "Color": (make_color, 9000.0),
+            "Words": (make_words, 3.0),
+        }[name]
+        dataset = maker(260, seed=79)  # private: inserts grow it
+        extra = maker(60, seed=80).objects
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
+        index = tree.build(MetricSpace(dataset, CostCounters()), pivots, leaf_size=6)
+        rng = np.random.default_rng(81)
+        live, gone, fresh = set(range(len(dataset))), set(), 0
+        for _ in range(200):
+            op = rng.integers(3)
+            if op == 0 and len(live) > 20:
+                object_id = int(rng.choice(sorted(live)))
+                index.delete(object_id)
+                live.remove(object_id)
+                gone.add(object_id)
+            elif op == 1 and gone:
+                object_id = int(rng.choice(sorted(gone)))
+                assert index.insert(dataset[object_id], object_id=object_id) == object_id
+                gone.remove(object_id)
+                live.add(object_id)
+            elif fresh < len(extra):
+                live.add(index.insert(extra[fresh]))
+                fresh += 1
+        assert gone and fresh > 20
+        assert sorted(i for leaf in _leaves(index) for i in leaf.ids) == sorted(live)
+        assert_codes_hold(index)
+        queries = [dataset[i] for i in (3, 100, len(dataset) - 1, sorted(gone)[0])]
+        _assert_exact(index, queries, radius, k=7, gone=gone)
+
+
+def _reference_structure(dataset, pivot_ids, arity, leaf_size, ids=None, level=0):
+    """The per-node recursive build the level-at-a-time one replaced: the
+    same splits drawn with one ``np.quantile`` call per node."""
+    ids = list(range(len(dataset))) if ids is None else ids
+    if level >= len(pivot_ids) or len(ids) <= leaf_size:
+        return sorted(ids)
+    pivot = dataset[pivot_ids[level]]
+    dists = dataset.distance.one_to_many(pivot, dataset.gather(ids))
+    cuts = np.quantile(dists, np.linspace(0, 1, arity + 1)[1:-1])
+    assignments = np.searchsorted(cuts, dists, side="left")
+    lows, highs, children = [], [], []
+    for child in range(arity):
+        mask = assignments == child
+        if mask.any():
+            lows.append(float(dists[mask].min()))
+            highs.append(float(dists[mask].max()))
+            children.append([ids[i] for i in np.flatnonzero(mask)])
+    if len(children) <= 1:
+        return sorted(ids)
+    return (
+        level,
+        lows,
+        highs,
+        [
+            _reference_structure(dataset, pivot_ids, arity, leaf_size, child, level + 1)
+            for child in children
+        ],
+    )
+
+
+def _structure(node):
+    if node.is_leaf:
+        return sorted(node.ids)
+    return (
+        node.level,
+        node.lows.tolist(),
+        node.highs.tolist(),
+        [_structure(child) for child in node.children],
+    )
+
+
+class TestLevelAtATimeBuild:
+    def test_segment_quantiles_are_numpys(self):
+        """Bit for bit, not approximately: a split that moved by an ulp
+        could move an object to another child."""
+        from repro.trees.mvpt import _segment_quantiles
+
+        rng = np.random.default_rng(82)
+        for arity in (2, 3, 5, 7):
+            fractions = np.linspace(0, 1, arity + 1)[1:-1]
+            sizes = rng.integers(1, 60, size=40)
+            segments = [
+                np.sort(rng.integers(0, 9, size=m).astype(np.float64) if i % 2 else rng.normal(size=m) * 1e3)
+                for i, m in enumerate(sizes)
+            ]
+            first = np.cumsum(sizes) - sizes
+            got = _segment_quantiles(np.concatenate(segments), first, sizes, fractions)
+            want = np.stack([np.quantile(seg, fractions) for seg in segments])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("arity,leaf_size", [(2, 16), (3, 4), (5, 16), (5, 0)])
+    @pytest.mark.parametrize("name", ["LA", "Words", "Color", "copies"])
+    def test_same_tree_as_the_recursive_build(self, name, arity, leaf_size):
+        if name == "copies":  # heavy ties, and nodes no pivot can split
+            rng = np.random.default_rng(83)
+            dataset = Dataset(
+                np.repeat(rng.normal(size=(12, 3)), 25, axis=0), L2, name="copies"
+            )
+        else:
+            maker = {"LA": make_la, "Words": make_words, "Color": make_color}[name]
+            dataset = maker(330, seed=84)
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
+        space = MetricSpace(dataset, CostCounters())
+        index = MVPT.build(space, pivots, arity=arity, leaf_size=leaf_size)
+        assert _structure(index.root) == _reference_structure(
+            dataset, pivots, arity, leaf_size
+        )
+        # one counted distance per object per level it is split on
+        internal_levels = sum(
+            leaf.depth * len(leaf.ids)
+            + (len(leaf.ids) if len(leaf.ids) > leaf_size and leaf.depth < 4 else 0)
+            for leaf in _leaves(index)
+        )
+        assert space.counters.distance_computations == internal_levels

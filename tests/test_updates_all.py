@@ -101,6 +101,75 @@ def test_table_insert_rejects_live_and_unknown_ids(datasets, pivots, index_name)
     assert index.range_query(q, radius) == want
 
 
+@pytest.mark.parametrize(
+    "dataset_name,index_name",
+    [("LA", "MVPT"), ("LA", "VPT"), ("Words", "MVPT"), ("Words", "BKT"), ("Words", "FQT")],
+)
+def test_tree_insert_rejects_live_and_unknown_ids(datasets, pivots, dataset_name, index_name):
+    """A tree refuses an id it still holds, as the tables do.
+
+    ``insert(obj, object_id=i)`` with ``i`` live used to hang a second copy
+    in the leaf: ``range_query(q, 0)`` answered ``[5, 5]`` and a k-nearest
+    answer lost a true neighbour to the duplicate.  The descent an insert
+    pays for anyway finds the live copy, so the refusal costs what a
+    successful insert costs and leaves every bound where it was.
+    """
+    dataset = datasets[dataset_name]
+    index = fresh_index(datasets, pivots, dataset_name, index_name)
+    oracle = MetricSpace(dataset)
+    counters = index.space.counters
+    q, radius = dataset[5], RADIUS[dataset_name]
+
+    def ask():
+        before = counters.snapshot()
+        answers = (
+            index.range_query(q, 0.0),
+            index.range_query(q, radius),
+            index.knn_query(q, 3),
+            index.knn_query_many([q, dataset[2]], 10),
+        )
+        return answers, (counters.snapshot() - before).distance_computations
+
+    want = ask()
+    assert want[0][0] == [5]
+    # what an accepted insert of this object costs: its descent
+    index.delete(5)
+    before = counters.snapshot()
+    index.insert(dataset[5], object_id=5)
+    descent = (counters.snapshot() - before).distance_computations
+    assert ask() == want
+    for bad_id in (5, len(dataset), -1):
+        before = counters.snapshot()
+        with pytest.raises(ValueError):
+            index.insert(dataset[5], object_id=bad_id)
+        assert (counters.snapshot() - before).distance_computations == descent
+    assert ask() == want  # answers, and the compdists they take
+    # delete -> re-insert under the same id -> exact again, then refused again
+    index.delete(5)
+    with pytest.raises(KeyError):
+        index.delete(5)
+    assert index.range_query(q, 0.0) == []
+    assert index.insert(dataset[5], object_id=5) == 5
+    with pytest.raises(ValueError):
+        index.insert(dataset[5], object_id=5)
+    for probe in (q, dataset[2]):
+        assert index.range_query(probe, radius) == brute_force_range(oracle, probe, radius)
+        assert index.knn_query(probe, 10) == brute_force_knn(oracle, probe, 10)
+
+
+def test_bkt_insert_rejects_a_live_pivot(datasets, pivots):
+    """A BKT pivot lives in a node, not a leaf; its id is taken all the same."""
+    dataset = datasets["Words"]
+    index = fresh_index(datasets, pivots, "Words", "BKT")
+    pivot_id = next(c for c in index.root.children if not c.is_leaf).pivot_id
+    with pytest.raises(ValueError):
+        index.insert(dataset[pivot_id], object_id=pivot_id)
+    index.delete(pivot_id)
+    assert index.insert(dataset[pivot_id], object_id=pivot_id) == pivot_id
+    q = dataset[pivot_id]
+    assert index.range_query(q, 1.0) == brute_force_range(MetricSpace(dataset), q, 1.0)
+
+
 def test_aesa_is_static(datasets, pivots):
     index = fresh_index(datasets, pivots, "LA", "AESA")
     with pytest.raises(UnsupportedOperation):
