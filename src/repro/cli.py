@@ -54,7 +54,6 @@ from .service import (
     IndexCatalog,
     QueryPlanner,
     QueryService,
-    is_catalog_manifest,
     load_index,
     save_index,
     snapshot_info,
@@ -268,7 +267,7 @@ def _cmd_snapshot(args) -> int:
     pivots = shared_pivots(workload, args.pivots)
     result = measure_build(args.index, workload, pivots)
     t0 = time.perf_counter()
-    info = save_index(result.index, args.out, format_version=args.format_version)
+    info = save_index(result.index, args.out)
     save_s = time.perf_counter() - t0
     print(
         f"built {args.index} on {args.dataset} (n={args.n}): "
@@ -455,54 +454,19 @@ def _cmd_serve(args) -> int:
 
         metrics = MetricsRegistry()
     snapshots = args.snapshot or []
-    if len(snapshots) == 1 and not is_catalog_manifest(snapshots[0]):
-        info = snapshot_info(snapshots[0])
+    if snapshots:
+        # plain snapshots and .catalog.json manifests alike: every index
+        # they hold becomes a member behind the cost-based query planner
+        catalog = IndexCatalog.load(*snapshots)
+        dataset = catalog.primary.index.space.dataset
         workload = (
             None
             if http_mode
-            else make_workload(
-                info.dataset_name, n=info.n_objects, n_queries=args.queries
-            )
-        )
-        service = QueryService.from_snapshot(
-            snapshots[0],
-            cache_size=args.cache_size,
-            cache_bytes=args.cache_bytes,
-            cache_ttl_s=args.cache_ttl,
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            metrics=metrics,
-            adaptive_pruning=getattr(args, "adaptive_pruning", False),
+            else make_workload(dataset.name, n=len(dataset), n_queries=args.queries)
         )
         banner = (
-            f"restored {info.index_name} ({info.n_objects} objects, "
-            f"{info.distance_name}) from {snapshots[0]} -- no rebuild"
-        )
-    elif snapshots:
-        # several snapshots (or one .catalog.json manifest): host them as
-        # an index catalog behind the cost-based query planner
-        service = QueryService.from_snapshots(
-            snapshots,
-            cache_size=args.cache_size,
-            cache_bytes=args.cache_bytes,
-            cache_ttl_s=args.cache_ttl,
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            metrics=metrics,
-            adaptive_pruning=getattr(args, "adaptive_pruning", False),
-        )
-        dataset = service.index.space.dataset
-        workload = (
-            None
-            if http_mode
-            else make_workload(
-                dataset.name, n=len(dataset), n_queries=args.queries
-            )
-        )
-        banner = (
-            f"restored catalog {' + '.join(service.catalog.ids())} "
-            f"({len(dataset)} objects, {dataset.distance.name}) -- planner "
-            "calibrated, routing by predicted cost"
+            f"restored {' + '.join(catalog.ids())} ({len(dataset)} objects, "
+            f"{dataset.distance.name}) from {' '.join(snapshots)} -- no rebuild"
         )
     else:
         workload = make_workload(args.dataset, n=args.n, n_queries=args.queries)
@@ -514,17 +478,21 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"cannot build {args.index}: {exc}")
             return 2
-        service = QueryService(
-            result.index,
-            cache_size=args.cache_size,
-            cache_bytes=args.cache_bytes,
-            cache_ttl_s=args.cache_ttl,
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            metrics=metrics,
-            adaptive_pruning=getattr(args, "adaptive_pruning", False),
-        )
+        catalog = IndexCatalog()
+        catalog.register(result.index)
         banner = None
+    service = QueryService(
+        catalog=catalog,
+        cache_size=args.cache_size,
+        cache_bytes=args.cache_bytes,
+        cache_ttl_s=args.cache_ttl,
+        max_batch_size=args.batch_size,
+        max_wait_ms=args.max_wait_ms,
+        metrics=metrics,
+    )
+    if snapshots:
+        service.snapshot_path = snapshots[0] if len(snapshots) == 1 else None
+        service.planner.calibrate()
     bounds_error = _apply_serve_bounds(service, getattr(args, "bounds", None))
     if bounds_error is not None:
         service.close()
@@ -849,14 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--info", metavar="PATH", help="inspect an existing snapshot header and exit"
     )
     p.add_argument(
-        "--format-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="snapshot format: 2 (memmap regions, default) or 1 (legacy "
-        "all-pickle)",
-    )
-    p.add_argument(
         "--split",
         type=int,
         default=None,
@@ -903,13 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="staged-pruner bound family for the hosted index(es); applies "
         "to snapshot-restored pruners too (auto = Ptolemaic only when the "
         "metric declares it)",
-    )
-    p.add_argument(
-        "--adaptive-pruning",
-        action="store_true",
-        help="re-rank staged-pruner pivot order online from observed "
-        "per-pivot decided counts (serving-only optimisation; bench "
-        "paths keep the frozen build-time order)",
     )
     p.add_argument(
         "--http",

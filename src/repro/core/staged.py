@@ -33,17 +33,17 @@ validated masks equal the single-shot masks composed from the kernels
 (``tests/test_staged_cascade.py`` builds that reference); staging changes
 how much numpy work runs, never which objects verify as answers.
 
-The pivot order is scored statically at build time from the stored distance
-table (zero extra distance computations) and can be re-ranked online from
-per-pivot decided counts when a service layer opts in
-(:meth:`StagedPruner.enable_adaptive`); re-ranking never changes answers,
-only which columns run first and which pivot pairs the Ptolemaic budget
-picks, so it is off by default to keep sequential/batch cost parity exact.
+The pivot order is scored once, at build time, from the stored distance
+table (zero extra distance computations) and stays frozen: the masks do not
+depend on it, only how much numpy work runs and which pivot pairs the
+Ptolemaic budget picks -- so a pruner is immutable after construction,
+shares across threads without a lock, and sequential and batch execution
+cost the same compdists by construction.  Snapshots written while the
+order could still be re-ranked online (before PR 22) carry that
+bookkeeping as extra attributes; they load, and the extras are ignored.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -121,11 +121,11 @@ class StagedPruner:
     """The staged cascade over one shared-pivot ``n x l`` distance table.
 
     The pruner owns *pivot-side* state only (column order, prefix size,
-    Ptolemaic pair matrix and budgeted pairs, per-pivot decided counts);
-    the object table is passed into every call, so tables that grow via
-    ``insert`` need no pruner maintenance.  Pickles cleanly (the adaptive
-    lock is dropped and rebuilt), so indexes carrying a pruner snapshot
-    and restore with zero distance computations.
+    Ptolemaic pair matrix and budgeted pairs), fixed at construction; the
+    object table is passed into every call, so tables that grow via
+    ``insert`` need no pruner maintenance.  Plain attributes only, so
+    indexes carrying a pruner snapshot and restore with zero distance
+    computations.
 
     What runs over the whole table and what does not: Lemma 1 is the only
     bound evaluated for every (query, row) cell -- stage 1 of the masks on
@@ -165,14 +165,6 @@ class StagedPruner:
             if self.use_ptolemaic
             else np.empty((0, 2), dtype=np.intp)
         )
-        # -- adaptive (online re-ranking) state, off by default ---------------
-        self.adaptive = False
-        self.rerank_interval = 0
-        self.reranks = 0
-        self.decided_counts = np.zeros(self.order.shape[0], dtype=np.int64)
-        self._since_rerank = 0
-        self._lock = threading.Lock()
-
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -228,58 +220,14 @@ class StagedPruner:
         return self.bounds in ("ptolemaic", "auto")
 
     def stats(self) -> dict:
-        """Pruner configuration + adaptive state for /stats and explain."""
+        """Pruner configuration for /stats and explain."""
         return {
             "bounds": self.bounds,
             "ptolemaic": self.use_ptolemaic,
             "prefix": self.prefix,
             "order": [int(i) for i in self.order],
             "n_pairs": int(self.pairs.shape[0]),
-            "adaptive": self.adaptive,
-            "reranks": self.reranks,
-            "decided_per_pivot": [int(c) for c in self.decided_counts],
         }
-
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    # -- adaptive re-ranking --------------------------------------------------
-
-    def enable_adaptive(self, interval: int = 4096) -> None:
-        """Opt into online re-ranking from per-pivot decided counts.
-
-        Off by default: re-ranking mid-stream changes which columns run
-        first and which pivot pairs the budget picks, so batch vs
-        sequential cost parity (asserted by tests) only holds when the
-        order is frozen.  Service layers opt in per attached index.
-        """
-        self.adaptive = True
-        self.rerank_interval = max(1, int(interval))
-
-    def _record_decided(self, per_column: np.ndarray) -> None:
-        with self._lock:
-            self.decided_counts += per_column
-            self._since_rerank += int(per_column.sum())
-            if self.rerank_interval and self._since_rerank >= self.rerank_interval:
-                self._since_rerank = 0
-                new_order = np.argsort(-self.decided_counts, kind="stable").astype(
-                    np.intp
-                )
-                if not np.array_equal(new_order, self.order):
-                    self.order = new_order
-                    if self.use_ptolemaic:
-                        self.pairs = ptolemaic_pairs(
-                            self.pair_matrix, order=self.order, budget=self.pair_budget
-                        )
-                    self.reranks += 1
 
     # -- MkNNQ bounds ---------------------------------------------------------
 
@@ -294,9 +242,7 @@ class StagedPruner:
         given storage positions only: :func:`~repro.core.queries.
         best_first_knn` / :func:`~repro.core.queries.storage_order_knn`
         call it for the rows the query can still reach, not for the table
-        (the exactness argument lives with them).  The pair set is read
-        once here, so one query sees one bound per row even if adaptive
-        re-ranking swaps ``self.pairs`` on another thread meanwhile.
+        (the exactness argument lives with them).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
@@ -358,16 +304,7 @@ class StagedPruner:
         head, tail = order[:prefix], order[prefix:]
 
         # stage 1: Lemma 1 over the ranked prefix columns
-        col_decided = np.zeros(l, dtype=np.int64) if self.adaptive else None
-        if col_decided is None:
-            lower = lower_bound_many_queries(qmat[:, head], omat[:, head])
-        else:
-            # the per-column decided counts need each column's bound alone
-            lower = np.zeros((n_q, n_o), dtype=np.float64)
-            for j in head:
-                column = lower_bound_many_queries(qmat[:, [j]], omat[:, [j]])
-                col_decided[j] += int((column > rcol).sum())
-                np.maximum(lower, column, out=lower)
+        lower = lower_bound_many_queries(qmat[:, head], omat[:, head])
         alive = lower <= rcol
         n_prefix = int(alive.size - alive.sum())
 
@@ -383,10 +320,6 @@ class StagedPruner:
                 diff = np.abs(q_tail[ci] - o_tail[cj])
                 rcell = r[ci] if r.ndim else r
                 dead = diff.max(axis=1) > rcell
-                if col_decided is not None and dead.any():
-                    col_decided[tail] += (
-                        diff[dead] > (rcell[dead, None] if r.ndim else rcell)
-                    ).sum(axis=0)
                 alive[ci[dead], cj[dead]] = False
                 n_refine += int(dead.sum())
 
@@ -415,8 +348,6 @@ class StagedPruner:
                 validated=n_validated,
                 ptolemaic=n_pt,
             )
-        if col_decided is not None:
-            self._record_decided(col_decided)
         return alive, validated
 
     def masks_many(
@@ -603,8 +534,6 @@ class PerObjectStagedPruner:
             "prefix": self.prefix,
             "order": [int(i) for i in self.slot_order],
             "n_pairs": int(self.slot_pairs.shape[0]),
-            "adaptive": False,
-            "reranks": 0,
         }
 
     # -- bounds ---------------------------------------------------------------

@@ -10,16 +10,16 @@ service (the ROADMAP's serving north star):
   :class:`~repro.core.counters.CostCounters`;
 * :mod:`~repro.service.dispatcher` -- coalesces concurrent single-query
   callers into the batch execution layer's vectorised multi-query calls;
-* :mod:`~repro.service.catalog` -- the :class:`IndexCatalog`: several
-  hosted indexes over one dataset, kept answer-equivalent (fan-out
+* :mod:`~repro.service.catalog` -- the :class:`IndexCatalog`: one or
+  several hosted indexes over one dataset, kept answer-equivalent (fan-out
   mutations, whole-catalog snapshots), each with private cost counters;
 * :mod:`~repro.service.costmodel` / :mod:`~repro.service.planner` -- the
   cost-based :class:`QueryPlanner`: per-(index, kind) least-squares cost
   models fitted online from counter deltas, routing every query to the
   predicted-cheapest catalog member (``repro plan`` explains the choice);
 * :mod:`~repro.service.service` -- the :class:`QueryService` facade wiring
-  the layers together (used by ``python -m repro serve``); pass
-  ``catalog=`` instead of an index for planner-routed multi-index serving;
+  the layers together (used by ``python -m repro serve``); an index is
+  hosted as a catalog of one, ``catalog=`` hosts several behind the planner;
 * :mod:`~repro.service.http` -- the JSON HTTP front-end over the facade
   (``python -m repro serve --http PORT``) and its :class:`ServiceClient`;
 * :mod:`~repro.service.cluster` -- the multi-process topology layer: a

@@ -17,7 +17,10 @@ layers that fix it (catalog -> planner -> executor):
 * the whole catalog **snapshots as one unit**: ``save`` writes one
   ``{stem}.member{i:02d}.snap`` per member plus a ``{stem}.catalog.json``
   manifest (the same idiom as the cluster layer's shard manifests), and
-  ``load`` restores every member with zero distance computations.
+  ``load`` restores every member with zero distance computations.  A
+  plain ``.snap`` file *is* a catalog of one: ``load`` and ``reload`` read
+  either form, and a one-member ``save`` to a path not named
+  ``*.catalog.json`` writes the plain file.
 
 Members must be built on *separate* :class:`~repro.core.metric_space.
 MetricSpace` instances (over the same dataset): counters live on the
@@ -35,7 +38,13 @@ from pathlib import Path
 
 from ..core.counters import CostCounters
 from ..core.index import MetricIndex
-from .snapshot import SnapshotInfo, load_index, rebind_counters, save_index
+from .snapshot import (
+    SnapshotInfo,
+    load_index,
+    rebind_counters,
+    save_index,
+    snapshot_info,
+)
 
 __all__ = [
     "CATALOG_MANIFEST_KIND",
@@ -104,6 +113,17 @@ def load_catalog_manifest(path) -> dict:
             raise CatalogError(f"{path} names missing member snapshot {snap}")
         entry["snapshot"] = str(snap)
     return manifest
+
+
+def _member_snapshots(path) -> list[tuple[str | None, str]]:
+    """``(member id, snapshot path)`` pairs behind one path: a manifest's
+    entries, or the path itself (id left to the index's name)."""
+    if is_catalog_manifest(path):
+        return [
+            (entry["id"], entry["snapshot"])
+            for entry in load_catalog_manifest(path)["members"]
+        ]
+    return [(None, path)]
 
 
 class IndexCatalog:
@@ -249,16 +269,23 @@ class IndexCatalog:
     # -- snapshots -----------------------------------------------------------
 
     def save(self, path) -> Path:
-        """Snapshot every member plus a manifest naming them in order.
+        """Snapshot every member; returns the path :meth:`load` takes.
 
-        Writes ``{stem}.member{i:02d}.snap`` per member and
-        ``{stem}.catalog.json``; returns the manifest path (the thing
-        ``repro serve --snapshot`` and :meth:`load` take).
+        Writes ``{stem}.member{i:02d}.snap`` per member and a
+        ``{stem}.catalog.json`` manifest naming them in order.  A catalog
+        of one saved to a path not named ``*.catalog.json`` is written as
+        the plain snapshot at exactly that path -- the format that holds
+        one index.
         """
-        stem = _manifest_stem(Path(path))
+        path = Path(path)
+        members = self.members()
+        if len(members) == 1 and not path.name.endswith(".catalog.json"):
+            save_index(members[0].index, path)
+            return path
+        stem = _manifest_stem(path)
         stem.parent.mkdir(parents=True, exist_ok=True)
         entries = []
-        for i, m in enumerate(self.members()):
+        for i, m in enumerate(members):
             part = stem.parent / f"{stem.name}.member{i:02d}.snap"
             info = save_index(m.index, part)
             entries.append(
@@ -269,12 +296,12 @@ class IndexCatalog:
                     "objects": info.n_objects,
                 }
             )
-        primary = self.primary
+        space = members[0].index.space
         manifest = {
             "kind": CATALOG_MANIFEST_KIND,
-            "dataset": primary.index.space.dataset.name,
-            "distance": primary.index.space.dataset.distance.name,
-            "n_objects": len(primary.index.space),
+            "dataset": space.dataset.name,
+            "distance": space.dataset.distance.name,
+            "n_objects": len(space),
             "members": entries,
         }
         manifest_path = stem.parent / f"{stem.name}.catalog.json"
@@ -282,38 +309,66 @@ class IndexCatalog:
         return manifest_path
 
     @classmethod
-    def load(cls, path) -> "IndexCatalog":
-        """Restore a whole catalog from its manifest -- zero compdists."""
-        manifest = load_catalog_manifest(path)
+    def load(cls, *paths) -> "IndexCatalog":
+        """Restore a catalog from disk -- zero compdists.
+
+        Each path is a catalog manifest (its members keep their ids) or a
+        plain snapshot (a member named after its index's paper name);
+        several paths concatenate.  Ids that collide are deduplicated
+        with ``#2``, ``#3``, ... so two snapshots of one family can be
+        hosted side by side.
+        """
         catalog = cls()
-        for entry in manifest["members"]:
-            counters = CostCounters()
-            index = load_index(entry["snapshot"], counters=counters)
-            catalog.register(index, index_id=entry["id"], counters=counters)
+        for path in paths:
+            for member_id, snapshot in _member_snapshots(path):
+                counters = CostCounters()
+                index = load_index(snapshot, counters=counters)
+                base = member_id if member_id is not None else index.name
+                member_id, suffix = base, 2
+                while member_id in catalog:
+                    member_id = f"{base}#{suffix}"
+                    suffix += 1
+                catalog.register(index, index_id=member_id, counters=counters)
         return catalog
 
     def reload(self, path) -> SnapshotInfo:
-        """Hot-swap the whole membership for one restored from ``path``.
+        """Hot-swap the hosted indexes for ones restored from ``path``.
 
-        All members restore before the swap (the catalog keeps answering
-        from the old ones until the new set is fully ready); the swap is
-        a single dict assignment.  Member counters restart fresh -- the
-        planner's epsilon-greedy refresh re-learns any cost drift.
-        Returns a :class:`~repro.service.snapshot.SnapshotInfo` describing
-        the restored primary (shape-compatible with single-snapshot
-        reloads, so the HTTP admin surface needs no special case).
+        Everything restores before the swap (the catalog keeps answering
+        from the old members until the new ones are fully ready).  A
+        plain snapshot restores *into* the one member of a one-member
+        catalog: its id and its counters stay, so requests already
+        grouped under that id resolve against the new index and serving
+        stats accumulate across the swap.  A manifest replaces the whole
+        membership in a single dict assignment; member counters restart
+        fresh (the planner's epsilon-greedy refresh re-learns any cost
+        drift).  Returns the plain snapshot's header, or a
+        :class:`~repro.service.snapshot.SnapshotInfo` describing the
+        restored primary.
         """
+        if not is_catalog_manifest(path):
+            members = self.members()
+            if len(members) != 1:
+                raise CatalogError(
+                    f"{path} is not a catalog manifest; a catalog of "
+                    f"{len(members)} members reloads from the manifest its "
+                    "save() wrote"
+                )
+            info = snapshot_info(path)  # validate the header before restoring
+            only = members[0]
+            only.index = load_index(path, counters=only.counters)
+            return info
         fresh = IndexCatalog.load(path)
         with self._lock:
             self._members = fresh._members
-        primary = self.primary
+        space = self.primary.index.space
         return SnapshotInfo(
             format_version=0,
             index_name=" + ".join(self.ids()),
             index_class="IndexCatalog",
-            n_objects=len(primary.index.space),
-            distance_name=primary.index.space.dataset.distance.name,
-            dataset_name=primary.index.space.dataset.name,
+            n_objects=len(space),
+            distance_name=space.dataset.distance.name,
+            dataset_name=space.dataset.name,
             payload_bytes=0,
         )
 

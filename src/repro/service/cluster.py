@@ -846,9 +846,8 @@ class ClusterRouter(_HttpAppBase):
                 }
                 up = b.up
             if up:
-                # best effort: a catalog-backed backend exposes its planner's
-                # routing stats; a dead or single-index backend never breaks
-                # the router's own /stats
+                # best effort: every backend exposes its planner's routing
+                # stats; a dead one never breaks the router's own /stats
                 try:
                     planner = b.probe_client.stats().get("planner")
                 except Exception:

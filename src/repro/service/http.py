@@ -68,6 +68,7 @@ from ..core.queries import Neighbor
 from ..obs import tracing
 from ..obs.metrics import BYTE_SIZE_BUCKETS, MetricsRegistry
 from . import wire
+from .catalog import CatalogError
 from .snapshot import SnapshotError
 from .service import QueryService
 from .wire import BINARY_CONTENT_TYPE, WireError
@@ -730,17 +731,15 @@ class HttpQueryServer(_HttpAppBase):
     # -- observability ---------------------------------------------------------
 
     def health(self) -> dict:
-        out = {
+        return {
             "status": "draining" if self._draining else "ok",
             "index": self.service.index_id,
+            "members": self.service.catalog.ids(),
             "objects": len(self.service.index.space),
             "uptime_s": round(time.monotonic() - self._t_start, 3),
             "snapshot": self.service.snapshot_path,
             "reload_generation": self.service.reload_generation,
         }
-        if getattr(self.service, "catalog", None) is not None:
-            out["members"] = self.service.catalog.ids()
-        return out
 
     def stats(self) -> dict:
         out = self.service.stats()
@@ -819,18 +818,13 @@ class HttpQueryServer(_HttpAppBase):
         return int(k)
 
     def _pin(self, payload: dict) -> str | None:
-        """The optional ``"index"`` field: pin one catalog member by id."""
+        """The optional ``"index"`` field: pin one hosted member by id."""
         pin = payload.get("index")
         if pin is None:
             return None
         if not isinstance(pin, str) or not pin:
             raise _BadRequest("'index' must be a member id string")
-        catalog = getattr(self.service, "catalog", None)
-        if catalog is None:
-            raise _BadRequest(
-                "'index' pinning requires a catalog service; this server "
-                f"hosts only {self.service.index_id!r}"
-            )
+        catalog = self.service.catalog
         if pin not in catalog:
             raise _BadRequest(
                 f"unknown index {pin!r}; members: {', '.join(catalog.ids())}"
@@ -874,13 +868,7 @@ class HttpQueryServer(_HttpAppBase):
         return {"results": [encode_neighbors(a) for a in answers]}
 
     def _handle_plan(self, payload: dict, binary: bool = False) -> dict:
-        """The planner's explain table for one query shape (catalog only)."""
-        planner = getattr(self.service, "planner", None)
-        if planner is None:
-            raise _BadRequest(
-                "this server hosts a single index; /plan requires a "
-                "catalog service (repro serve --snapshot A --snapshot B)"
-            )
+        """The planner's explain table for one query shape: a row a member."""
         if "radius" in payload:
             kind, param = "range", self._number(payload, "radius")
         elif "k" in payload:
@@ -893,7 +881,7 @@ class HttpQueryServer(_HttpAppBase):
             if batch_size < 1 or batch_size != int(batch_size):
                 raise _BadRequest("'batch_size' must be a positive integer")
             batch_size = int(batch_size)
-        return {"plan": planner.explain(kind, param, batch_size)}
+        return {"plan": self.service.planner.explain(kind, param, batch_size)}
 
     # -- mutation + admin endpoints --------------------------------------------
 
@@ -924,7 +912,7 @@ class HttpQueryServer(_HttpAppBase):
         with self._admin_lock:
             try:
                 info = self.service.reload_from_snapshot(path)
-            except (OSError, SnapshotError) as exc:
+            except (OSError, SnapshotError, CatalogError) as exc:
                 raise _BadRequest(f"cannot reload {path!r}: {exc}") from None
         return {
             "reloaded": path,
@@ -1237,7 +1225,7 @@ class ServiceClient:
         k: int | None = None,
         batch_size: int = 1,
     ) -> list[dict]:
-        """The server planner's explain rows (catalog services only)."""
+        """The server planner's explain rows, one per hosted member."""
         if (radius is None) == (k is None):
             raise ValueError("pass exactly one of radius= or k=")
         payload: dict = {"batch_size": int(batch_size)}

@@ -26,6 +26,12 @@ observation.  The loop is closed and deterministic to seed:
   parameter range, so the very first routed query already has a real
   cost ordering instead of cold-start guesses.
 
+A catalog of one leaves nothing to choose: ``route`` returns the member,
+and ``observe`` / ``calibrate`` fit nothing (:attr:`QueryPlanner.choosing`),
+so serving a single index through the planner costs a dict lookup, not a
+model.  The test is ``len(catalog)`` at call time -- a second member
+registered later is explored and modelled from its first query on.
+
 Observability (when a :class:`~repro.obs.metrics.MetricsRegistry` is
 given): ``repro_planner_route_total{index=...}``,
 ``repro_planner_mispredict_ratio``, and a per-index routed-batch latency
@@ -93,6 +99,12 @@ class QueryPlanner:
 
     # -- routing -------------------------------------------------------------
 
+    @property
+    def choosing(self) -> bool:
+        """Whether there is a choice to model: more than one member.  The
+        service skips measuring a batch nobody will learn from."""
+        return len(self.catalog) > 1
+
     def route(self, kind: str, param: float, batch_size: int = 1) -> str:
         """Pick the member to run one query / batch partition."""
         ids = self.catalog.ids()
@@ -150,7 +162,10 @@ class QueryPlanner:
         page_reads: float,
         wall_ms: float,
     ) -> None:
-        """Feed one executed batch's measured cost back into the model."""
+        """Feed one executed batch's measured cost back into the model
+        (nothing to fit, and nothing recorded, while there is no choice)."""
+        if not self.choosing:
+            return
         batch_size = max(1, int(batch_size))
         predicted = self.model.cost(index_id, kind, param, batch_size, cardinality)
         self.model.record(
@@ -187,12 +202,13 @@ class QueryPlanner:
         One row per catalog member: the model's predicted per-query
         compdists / page reads / wall ms at ``(param, batch_size)``, the
         window means of what was actually measured, the observation
-        count, and whether the planner would route there (``chosen``).
+        count, and whether the planner would route there (``chosen``: the
+        cheapest prediction, or the only member there is).
         """
         ids = self.catalog.ids()
         cardinality = len(self.catalog.primary.index.space)
         rows = []
-        best_id, best_cost = None, None
+        best_id, best_cost = (ids[0] if len(ids) == 1 else None), None
         for member_id in ids:
             predicted = self.model.predict(
                 member_id, kind, param, batch_size, cardinality
@@ -283,8 +299,11 @@ class QueryPlanner:
         points per parameter push a two-radius calibration past the
         model's fit threshold).  Returns the number of observations
         recorded.  The distance work is real and counts into each
-        member's own counters -- exactly like served traffic would.
+        member's own counters -- exactly like served traffic would.  A
+        catalog of one runs nothing and records nothing.
         """
+        if not self.choosing:
+            return 0
         dataset = self.catalog.primary.index.space.dataset
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(dataset), size=min(n_queries, len(dataset)), replace=False)

@@ -12,10 +12,19 @@ Composes the service-layer pieces into one front door:
   single-query callers are coalesced into batch calls, so online traffic
   inherits the batch layer's throughput;
 * **catalog + planner** (:mod:`repro.service.catalog`,
-  :mod:`repro.service.planner`) -- optionally, *several* index families
-  hosted over the same dataset (``QueryService(catalog=...)``), with each
-  cache-missed query or batch partition routed to the member a fitted
-  cost model predicts cheapest.
+  :mod:`repro.service.planner`) -- the hosted indexes are always an
+  :class:`~repro.service.catalog.IndexCatalog`: one or several index
+  families over the same dataset, each cache-missed query or batch
+  partition routed to the member a fitted cost model predicts cheapest.
+
+There is one service shape.  The paper's finding that no single index
+dominates makes the catalog the general case; ``QueryService(index)`` is
+``QueryService(catalog=<a catalog of that one index>)``, spelled shorter.
+The constructor is the only place that knows which spelling was used:
+every method below it works on ``self.catalog`` and ``self.planner``, and
+``service.index`` is the primary member.  A planner with one member has
+nothing to choose and does no model work, so the one-member service costs
+what a bare cache -> dispatcher -> index stack would.
 
 The layering is strict: cache -> planner -> dispatcher -> index batch
 call.  The LRU is consulted synchronously in the calling thread -- a hit
@@ -29,15 +38,10 @@ cache stores exact results, the batch layer is contractually exact, and
 catalog members are answer-equivalent by construction -- so one cache
 namespace serves every member and routing is invisible in the results.
 
-The classic single-index construction (``QueryService(index)``) is the
-one-member special case: no catalog, no planner, the exact pre-catalog
-API and stats shape.
-
-Mutations (insert/delete) pass through to the hosted index (fanned out to
-every catalog member) and invalidate the cache namespace, keeping served
-answers consistent.  Invalidation is *partial*: only entries whose radius
-ball (or kNN kth-distance ball) could contain the mutated object are
-dropped; the rest keep serving (see
+Mutations (insert/delete) fan out to every catalog member and invalidate
+the cache namespace, keeping served answers consistent.  Invalidation is
+*partial*: only entries whose radius ball (or kNN kth-distance ball) could
+contain the mutated object are dropped; the rest keep serving (see
 :meth:`QueryResultCache.invalidate_affected`).
 """
 
@@ -52,10 +56,9 @@ from ..core.queries import Neighbor
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from .cache import QueryResultCache
-from .catalog import CatalogError, IndexCatalog, is_catalog_manifest
+from .catalog import IndexCatalog
 from .dispatcher import MicroBatchDispatcher
 from .planner import QueryPlanner
-from .snapshot import load_index, rebind_counters, save_index, snapshot_info
 
 __all__ = ["QueryService", "iter_pruners"]
 
@@ -79,8 +82,9 @@ class QueryService:
     """Serve MRQ/MkNNQ traffic from hosted indexes with caching + batching.
 
     Args:
-        index: any built :class:`MetricIndex` (the classic single-index
-            mode).  Mutually exclusive with ``catalog``.
+        index: any built :class:`MetricIndex`; hosted as a catalog of one
+            whose member is named ``index_id``.  Mutually exclusive with
+            ``catalog``.
         catalog: an :class:`~repro.service.catalog.IndexCatalog` of >= 1
             answer-equivalent members; every cache-missed query or batch
             partition is routed to the member the planner's fitted cost
@@ -88,15 +92,16 @@ class QueryService:
             ``planner_seed`` to tune exploration, and call
             ``service.planner.calibrate()`` (or construct via
             :meth:`from_snapshots`) for a deterministic seed-time model.
-        index_id: cache namespace for this service; defaults to the
-            index's paper name (single mode) or ``"catalog"`` (catalog
-            mode -- members answer identically, so one namespace serves
-            them all and a hit never cares who computed it).
-        planner_epsilon: catalog mode only -- epsilon-greedy exploration
-            rate of the planner (fraction of routes sent to a random
-            member so the cost models track drift).
-        planner_seed: catalog mode only -- seed of the planner's
-            exploration RNG (deterministic routing for tests/benches).
+        index_id: cache namespace for this service (and, under ``index=``,
+            the member's id); defaults to the one member's id -- the
+            index's paper name under ``index=`` -- or to ``"catalog"`` for
+            several members: they answer identically, so one namespace
+            serves them all and a hit never cares who computed it.
+        planner_epsilon: epsilon-greedy exploration rate of the planner
+            (fraction of routes sent to a random member so the cost
+            models track drift); moot with one member.
+        planner_seed: seed of the planner's exploration RNG
+            (deterministic routing for tests/benches).
         cache: a shared :class:`QueryResultCache`, or None to create a
             private one sized ``cache_size``.
         cache_size: capacity of the private cache (entries); 0 disables
@@ -111,16 +116,13 @@ class QueryService:
             (see :class:`MicroBatchDispatcher`); ``use_dispatcher=False``
             runs without a background thread (single calls become
             one-query batches).
-        counters: shared cost accumulator; defaults to the index's own.
-            Cache hit/miss/eviction stats are folded into it.
-        adaptive_pruning: opt every hosted staged pruner into online
-            pivot re-ranking from observed per-pivot decided counts
-            (see :meth:`~repro.core.staged.StagedPruner.enable_adaptive`).
-            Off by default because re-ranking changes the budgeted
-            Ptolemaic pair set mid-stream, which breaks the sequential
-            vs batch cost-parity the bench suite asserts; a serving
-            process has no such parity contract and benefits from the
-            drift-tracking order.
+        counters: the service's accumulator (cache hit/miss/eviction
+            stats are folded into it).  Under ``index=`` it is also what
+            the index is billed to, defaulting to the index's own.  Under
+            ``catalog=`` members keep their private counters; the default
+            is the one member's, or a fresh accumulator for several -- a
+            hit then belongs to the service, not to whichever member
+            happened to fill the entry.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, the service records batch-execution latency per
             query kind and passes the registry down to its private cache
@@ -145,42 +147,31 @@ class QueryService:
         catalog: IndexCatalog | None = None,
         planner_epsilon: float = 0.05,
         planner_seed: int = 0,
-        adaptive_pruning: bool = False,
     ):
         if (index is None) == (catalog is None):
             raise ValueError("pass exactly one of index= or catalog=")
-        self.catalog = catalog
-        if catalog is not None:
-            if len(catalog) == 0:
-                raise ValueError("catalog has no members")
-            # the primary member stands in wherever a single index is
-            # expected (payload decoding, health, dataset identity);
-            # queries are routed per member by the planner
-            self.index = catalog.primary.index
-            self.index_id = index_id if index_id is not None else "catalog"
-            # cache hit/miss accounting needs an accumulator that is not
-            # any one member's (a hit belongs to the service, not to
-            # whichever member happened to fill the entry)
-            self.counters = counters if counters is not None else CostCounters()
-            self.planner: QueryPlanner | None = QueryPlanner(
-                catalog,
-                epsilon=planner_epsilon,
-                seed=planner_seed,
-                metrics=metrics,
+        if index is not None:
+            catalog = IndexCatalog()
+            catalog.register(
+                index,
+                index_id=index_id if index_id is not None else index.name,
+                counters=counters if counters is not None else index.space.counters,
             )
-        else:
-            self.index = index
-            self.index_id = index_id if index_id is not None else index.name
-            if counters is not None:
-                rebind_counters(index, counters)
-            self.counters = index.space.counters
-            self.planner = None
-        self.adaptive_pruning = adaptive_pruning
-        if adaptive_pruning:
-            for _owner, pruner in self._hosted_pruners():
-                enable = getattr(pruner, "enable_adaptive", None)
-                if enable is not None:
-                    enable()
+        elif len(catalog) == 0:
+            raise ValueError("catalog has no members")
+        self.catalog = catalog
+        # a catalog of one lends the service its member's name and bill;
+        # several members share a namespace and an accumulator of their own
+        lone = catalog.primary if len(catalog) == 1 else None
+        if index_id is None:
+            index_id = lone.index_id if lone is not None else "catalog"
+        if counters is None:
+            counters = lone.counters if lone is not None else CostCounters()
+        self.index_id = index_id
+        self.counters = counters
+        self.planner = QueryPlanner(
+            catalog, epsilon=planner_epsilon, seed=planner_seed, metrics=metrics
+        )
         self.metrics = metrics
         if metrics is not None:
             batch_ms = metrics.histogram(
@@ -225,121 +216,72 @@ class QueryService:
         self.reload_generation = 0
         self._reload_lock = threading.Lock()
 
+    @property
+    def index(self) -> MetricIndex:
+        """The primary member: it stands in wherever one index is expected
+        (payload decoding, health, dataset identity, invalidation balls)."""
+        return self.catalog.primary.index
+
     # -- construction from disk ----------------------------------------------
 
     @classmethod
-    def from_snapshot(cls, path, **kwargs) -> "QueryService":
-        """Restore an index (or a whole catalog) from disk and serve it.
+    def from_snapshots(cls, paths, calibrate: bool = True, **kwargs) -> "QueryService":
+        """Restore snapshots from disk and serve them as one catalog.
 
         The restore performs zero distance computations -- the whole point
-        of snapshotting a built index.  A ``*.catalog.json`` manifest
-        restores every member and serves in catalog mode (with a
-        deterministic calibration pass, like :meth:`from_snapshots`).
-        Keyword arguments are forwarded to the constructor.
+        of snapshotting a built index.  Each path is a plain snapshot (a
+        member named after its index, deduplicated with ``#2``, ``#3``,
+        ... when two hold the same family) or a ``*.catalog.json``
+        manifest (every member it names); see :meth:`IndexCatalog.load`.
+        ``calibrate=True`` (default) runs the planner's deterministic
+        seed-time pass so the very first query routes on a fitted cost
+        model -- with one member there is nothing to fit and it costs
+        nothing.  Keyword arguments are forwarded to the constructor.
         """
-        if is_catalog_manifest(path):
-            calibrate = kwargs.pop("calibrate", True)
-            kwargs.pop("counters", None)
-            catalog = IndexCatalog.load(path)
-            service = cls(catalog=catalog, **kwargs)
-            service.snapshot_path = str(path)
-            if calibrate:
-                service.planner.calibrate()
-            return service
-        counters = kwargs.pop("counters", None) or CostCounters()
-        index = load_index(path, counters=counters)
-        service = cls(index, counters=counters, **kwargs)
-        service.snapshot_path = str(path)
-        return service
-
-    @classmethod
-    def from_snapshots(cls, paths, calibrate: bool = True, **kwargs) -> "QueryService":
-        """Restore several member snapshots as one routed catalog service.
-
-        Each path restores one member; member ids default to the index
-        paper names (deduplicated with ``#2``, ``#3``, ... when two
-        snapshots hold the same family).  ``calibrate=True`` (default)
-        runs the planner's deterministic seed-time pass so the very first
-        query routes on a fitted cost model.
-        """
-        paths = list(paths)
-        if len(paths) == 1 and is_catalog_manifest(paths[0]):
-            return cls.from_snapshot(paths[0], calibrate=calibrate, **kwargs)
-        catalog = IndexCatalog()
-        for path in paths:
-            counters = CostCounters()
-            index = load_index(path, counters=counters)
-            member_id, suffix = index.name, 2
-            while member_id in catalog:
-                member_id = f"{index.name}#{suffix}"
-                suffix += 1
-            catalog.register(index, index_id=member_id, counters=counters)
-        service = cls(catalog=catalog, **kwargs)
-        service.snapshot_path = str(paths[0]) if len(paths) == 1 else None
+        paths = [str(path) for path in paths]
+        service = cls(catalog=IndexCatalog.load(*paths), **kwargs)
+        service.snapshot_path = paths[0] if len(paths) == 1 else None
         if calibrate:
             service.planner.calibrate()
         return service
 
+    @classmethod
+    def from_snapshot(cls, path, **kwargs) -> "QueryService":
+        """:meth:`from_snapshots` of one path."""
+        return cls.from_snapshots([path], **kwargs)
+
     def save(self, path):
-        """Snapshot the hosted index to ``path`` (see :func:`save_index`);
-        in catalog mode, the whole catalog (manifest + member snapshots,
-        see :meth:`IndexCatalog.save`)."""
-        if self.catalog is not None:
-            return self.catalog.save(path)
-        return save_index(self.index, path)
+        """Snapshot the hosted catalog; returns the path to restore from
+        (see :meth:`IndexCatalog.save`: one member writes the plain
+        snapshot at ``path``, several a manifest plus member snapshots)."""
+        return self.catalog.save(path)
 
     def reload_from_snapshot(self, path):
-        """Hot-swap the hosted index for one restored from ``path``.
+        """Hot-swap the hosted indexes for ones restored from ``path``.
 
-        The restore (file IO + unpickling) happens before the swap, so the
-        service keeps answering from the old index until the new one is
-        fully ready; the swap itself is one attribute assignment followed
-        by a cache invalidation of the index's namespace.  Correctness
-        under concurrency: each batch call binds ``self.index`` exactly
+        The restore (file IO + unpickling) happens before the swap, so
+        queries keep being answered from the old index until the new one
+        is fully ready; the swap itself is one assignment followed by a
+        cache invalidation of the service's namespace.  Correctness under
+        concurrency: each batch call binds its member's index exactly
         once *after* capturing the cache generation, and the invalidation
         bumps that generation -- so an in-flight answer computed against
         the old index can never be cached as the new index's answer (the
         conditional ``put`` drops it), and every stale cached entry is
         gone by the time :meth:`reload_from_snapshot` returns.
 
-        The cache namespace (``index_id``) and the shared counters are
-        kept, so serving stats accumulate across the swap.  Returns the
-        new snapshot's :class:`~repro.service.snapshot.SnapshotInfo`.
-
-        A catalog service reloads from a catalog manifest: every member
-        restores before the swap, and the planner's cost models carry
-        over (member ids persist across the swap; epsilon-greedy
-        exploration re-learns any cost drift the new snapshots bring).
+        The cache namespace (``index_id``) is kept.  A plain snapshot
+        restores into the one member of a one-member service, keeping its
+        id and counters (so requests already queued under that id resolve,
+        and serving stats accumulate across the swap); a manifest replaces
+        the membership, and the planner's cost models carry over for the
+        ids that persist.  See :meth:`IndexCatalog.reload`, which raises
+        :class:`~repro.service.catalog.CatalogError` for a plain snapshot
+        offered to several members.  Returns a
+        :class:`~repro.service.snapshot.SnapshotInfo`.
         """
-        if self.catalog is not None:
-            if not is_catalog_manifest(path):
-                raise CatalogError(
-                    f"{path} is not a catalog manifest; a catalog service "
-                    "reloads from the manifest its save() wrote"
-                )
-            with self._reload_lock:
-                info = self.catalog.reload(path)
-                self.index = self.catalog.primary.index
-                self.snapshot_path = str(path)
-                self.reload_generation += 1
-                self.cache.invalidate(self.index_id)
-            if self.adaptive_pruning:
-                for _owner, pruner in self._hosted_pruners():
-                    enable = getattr(pruner, "enable_adaptive", None)
-                    if enable is not None:
-                        enable()
-            return info
-        info = snapshot_info(path)  # validate the header before restoring
-        index = load_index(path, counters=self.counters)
-        if self.adaptive_pruning:
-            # restored pruners come back with the frozen build-time order;
-            # re-opt them into online re-ranking before they see traffic
-            for _owner, pruner in iter_pruners(index):
-                enable = getattr(pruner, "enable_adaptive", None)
-                if enable is not None:
-                    enable()
         with self._reload_lock:
-            self.index = index
+            info = self.catalog.reload(path)
             self.snapshot_path = str(path)
             self.reload_generation += 1
             self.cache.invalidate(self.index_id)
@@ -348,39 +290,22 @@ class QueryService:
     # -- pruners ---------------------------------------------------------------
 
     def _hosted_pruners(self):
-        """``(owner, pruner)`` pairs across the hosted index or catalog."""
-        if self.catalog is not None:
-            for member in self.catalog.members():
-                yield from iter_pruners(member.index)
-        else:
-            yield from iter_pruners(self.index)
+        """``(owner, pruner)`` pairs across the hosted catalog."""
+        for member in self.catalog.members():
+            yield from iter_pruners(member.index)
 
     # -- query surface --------------------------------------------------------
 
     def _resolve_pin(self, pin: str | None) -> str | None:
         """Validate an explicit member pin (the ``index=`` query kwarg)."""
-        if pin is None:
-            return None
-        if self.catalog is None:
-            if pin != self.index_id:
-                raise ValueError(
-                    f"this service hosts only {self.index_id!r}, cannot pin "
-                    f"{pin!r}"
-                )
-            return None
-        self.catalog.member(pin)  # raises CatalogError on unknown ids
+        if pin is not None:
+            self.catalog.member(pin)  # raises CatalogError on unknown ids
         return pin
 
     def _route(self, kind: str, param: float, batch_size: int, pin: str | None) -> str:
-        """The dispatcher group / executor target for one miss partition.
-
-        Single mode: always the one hosted index (the service's own
-        namespace doubles as the group id, exactly the pre-catalog
-        behaviour).  Catalog mode: the pinned member, or whichever member
-        the planner's cost model predicts cheapest.
-        """
-        if self.catalog is None:
-            return self.index_id
+        """The dispatcher group / executor target for one miss partition:
+        the pinned member, or whichever member the planner's cost model
+        predicts cheapest (the only one, when there is only one)."""
         if pin is not None:
             return pin
         return self.planner.route(kind, param, batch_size)
@@ -391,18 +316,13 @@ class QueryService:
         """Answer cache-missed queries with one vectorised index call.
 
         This is the dispatcher's batch executor; ``index_id`` names the
-        routed catalog member (or the service's own namespace in single
-        mode).  Duplicate queries within the batch (concurrent callers
-        asking the same thing) are deduplicated so each distinct query
-        costs one evaluation; every answer is cached on the way out.  In
-        catalog mode the member's counters are bracketed around the call
-        and the measured delta feeds the planner's cost model.
+        routed catalog member.  Duplicate queries within the batch
+        (concurrent callers asking the same thing) are deduplicated so
+        each distinct query costs one evaluation; every answer is cached
+        on the way out.  While the planner has a choice to learn, the
+        member's counters are bracketed around the call and the measured
+        delta feeds its cost model.
         """
-        if self.catalog is not None:
-            member = self.catalog.member(index_id)
-            index, exec_counters = member.index, member.counters
-        else:
-            index, exec_counters = self.index, self.counters
         results: list = [None] * len(queries)
         positions_by_key: dict = {}  # cache key -> positions awaiting it
         for i, query_obj in enumerate(queries):
@@ -414,7 +334,11 @@ class QueryService:
         # the conditional put drops them instead of caching stale results
         caching = self.cache.capacity > 0
         generation = self.cache.generation(self.index_id) if caching else 0
-        observing = self.planner is not None
+        # ... and bind the member's index only now: a reload that swapped it
+        # earlier has already bumped the generation captured above
+        member = self.catalog.member(index_id)
+        index, exec_counters = member.index, member.counters
+        observing = self.planner.choosing
         before = exec_counters.counts() if observing else None
         t0 = (
             time.perf_counter()
@@ -571,7 +495,7 @@ class QueryService:
     # -- maintenance -----------------------------------------------------------
 
     def insert(self, obj, object_id: int | None = None) -> int:
-        """Insert into the hosted index, dropping only the cached results
+        """Insert into the hosted members, dropping only the cached results
         whose radius ball (or kNN kth-distance ball) could contain the new
         object -- everything provably out of reach survives.  The ball
         checks use the raw (uncounted) metric so cache maintenance never
@@ -579,28 +503,21 @@ class QueryService:
 
         Mutations hold the reload lock: an acknowledged insert must land
         in the index that keeps serving, never in one a concurrent
-        :meth:`reload_from_snapshot` is about to discard.  In catalog
-        mode the insert fans out to every member (same object, same id,
-        loud on divergence) so all members stay answer-equivalent."""
+        :meth:`reload_from_snapshot` is about to discard.  The insert fans
+        out to every member (same object, same id, loud on divergence) so
+        all members stay answer-equivalent."""
         with self._reload_lock:
-            if self.catalog is not None:
-                new_id = self.catalog.insert(obj, object_id=object_id)
-            else:
-                new_id = self.index.insert(obj, object_id=object_id)
+            new_id = self.catalog.insert(obj, object_id=object_id)
             distance = self.index.space.distance
         self.cache.invalidate_affected(self.index_id, obj=obj, distance=distance)
         return new_id
 
     def delete(self, object_id: int) -> None:
-        """Delete from the hosted index (every catalog member in catalog
-        mode), dropping only the cached results that contained the victim
-        (a non-member's removal cannot change an answer).  Holds the
-        reload lock like :meth:`insert`."""
+        """Delete from every hosted member, dropping only the cached
+        results that contained the victim (a non-member's removal cannot
+        change an answer).  Holds the reload lock like :meth:`insert`."""
         with self._reload_lock:
-            if self.catalog is not None:
-                self.catalog.delete(object_id)
-            else:
-                self.index.delete(object_id)
+            self.catalog.delete(object_id)
         self.cache.invalidate_affected(self.index_id, object_id=object_id)
 
     # -- observability ---------------------------------------------------------
@@ -608,37 +525,25 @@ class QueryService:
     def stats(self) -> dict:
         """Serving stats: cache behaviour, dispatcher coalescing, counters.
 
-        The single-index shape is unchanged from the pre-catalog service;
-        catalog mode reports member-summed counters plus ``"planner"``
-        (route counts, mispredict ratio) and ``"members"`` (per-member
-        attributed costs) sections.
+        ``distance_computations`` / ``page_accesses`` / ``prune_stages``
+        are summed over the members, whose own shares are under
+        ``"members"``; ``"planner"`` has the route counts and the
+        mispredict ratio.
         """
-        if self.catalog is not None:
-            members = self.catalog.stats()
-            distance_computations = sum(
-                m["distance_computations"] for m in members.values()
-            )
-            page_accesses = sum(m["page_accesses"] for m in members.values())
-            prune_stages = {
-                stage: sum(m["prune_stages"][stage] for m in members.values())
-                for stage in ("prefix", "refine", "validated", "ptolemaic")
-            }
-        else:
-            snapshot = self.counters.snapshot()
-            distance_computations = snapshot.distance_computations
-            page_accesses = snapshot.page_accesses
-            prune_stages = {
-                "prefix": snapshot.prune_prefix,
-                "refine": snapshot.prune_refine,
-                "validated": snapshot.prune_validated,
-                "ptolemaic": snapshot.prune_ptolemaic,
-            }
+        members = self.catalog.stats()
         out = {
             "index": self.index_id,
             "cache": self.cache.stats(),
-            "distance_computations": distance_computations,
-            "page_accesses": page_accesses,
-            "prune_stages": prune_stages,
+            "distance_computations": sum(
+                m["distance_computations"] for m in members.values()
+            ),
+            "page_accesses": sum(m["page_accesses"] for m in members.values()),
+            "prune_stages": {
+                stage: sum(m["prune_stages"][stage] for m in members.values())
+                for stage in ("prefix", "refine", "validated", "ptolemaic")
+            },
+            "planner": self.planner.stats(),
+            "members": members,
         }
         pruners = [
             dict(pruner.stats(), index=owner.name)
@@ -647,9 +552,6 @@ class QueryService:
         ]
         if pruners:
             out["pruning"] = pruners
-        if self.catalog is not None:
-            out["planner"] = self.planner.stats()
-            out["members"] = members
         if self.dispatcher is not None:
             out["dispatcher"] = self.dispatcher.stats.as_dict()
         if self.metrics is not None:

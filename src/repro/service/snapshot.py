@@ -8,7 +8,8 @@ process start repeated that cost.  A snapshot captures a built
 stores, dataset and distance) so a later process restores it and serves
 queries immediately, with **zero** build-time distance computations.
 
-File format v2 (versioned; v1 files still load)::
+File format v2 (versioned; v1 files -- one pickle, no regions -- still
+load, nothing writes them)::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | header JSON
     | pad to 4096 | array regions (each 4096-aligned, little-endian)
@@ -286,33 +287,23 @@ class _SnapshotUnpickler(pickle.Unpickler):
         return arr
 
 
-def save_index(
-    index: MetricIndex, path, format_version: int = SNAPSHOT_FORMAT_VERSION
-) -> SnapshotInfo:
+def save_index(index: MetricIndex, path) -> SnapshotInfo:
     """Serialise a built index to ``path``; returns the written header.
 
     Calls the index's :meth:`~repro.core.index.MetricIndex.prepare_snapshot`
     hook, then flushes every reachable pager (belt and braces: an index
     that forgets the hook still snapshots a consistent page store), then
-    writes the versioned header, the array regions (format 2), and the
-    pickle of the remaining index graph.  ``format_version=1`` writes the
-    legacy all-pickle format (kept for compatibility tests and the
-    restore-speed benchmark).
+    writes the versioned header, the array regions, and the pickle of the
+    remaining index graph.
     """
-    if format_version not in (1, 2):
-        raise ValueError(f"unknown snapshot format_version {format_version}")
     index.prepare_snapshot()
     for pager in _pagers_of(index):
         pager.prepare_snapshot()
-    regions: list[np.ndarray] = []
-    if format_version == 1:
-        payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        buffer = io.BytesIO()
-        pickler = _SnapshotPickler(buffer)
-        pickler.dump(index)
-        payload = buffer.getvalue()
-        regions = pickler.regions
+    buffer = io.BytesIO()
+    pickler = _SnapshotPickler(buffer)
+    pickler.dump(index)
+    payload = buffer.getvalue()
+    regions = pickler.regions
     table = []
     offset = 0
     for arr in regions:
@@ -329,7 +320,7 @@ def save_index(
     regions_span = _align_up(offset)
     space = index.space
     header = {
-        "format_version": format_version,
+        "format_version": SNAPSHOT_FORMAT_VERSION,
         "index_name": index.name,
         "index_class": f"{type(index).__module__}.{type(index).__qualname__}",
         "n_objects": len(space),
@@ -338,10 +329,9 @@ def save_index(
         "payload_bytes": len(payload),
         "region_bytes": sum(int(arr.nbytes) for arr in regions),
         "n_regions": len(regions),
+        "regions": table,
+        "regions_span": regions_span,
     }
-    if format_version >= 2:
-        header["regions"] = table
-        header["regions_span"] = regions_span
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -349,18 +339,17 @@ def save_index(
         fh.write(SNAPSHOT_MAGIC)
         fh.write(len(header_blob).to_bytes(4, "big"))
         fh.write(header_blob)
-        if format_version >= 2:
-            written = fh.tell()
-            fh.write(b"\x00" * (_align_up(written) - written))
-            base = fh.tell()
-            for arr, entry in zip(regions, table):
-                pad = (base + entry["offset"]) - fh.tell()
-                if pad:
-                    fh.write(b"\x00" * pad)
-                fh.write(memoryview(arr).cast("B"))
-            pad = (base + regions_span) - fh.tell()
+        written = fh.tell()
+        fh.write(b"\x00" * (_align_up(written) - written))
+        base = fh.tell()
+        for arr, entry in zip(regions, table):
+            pad = (base + entry["offset"]) - fh.tell()
             if pad:
                 fh.write(b"\x00" * pad)
+            fh.write(memoryview(arr).cast("B"))
+        pad = (base + regions_span) - fh.tell()
+        if pad:
+            fh.write(b"\x00" * pad)
         fh.write(payload)
     known = {k: header[k] for k in SnapshotInfo.__dataclass_fields__ if k in header}
     return SnapshotInfo(**known)

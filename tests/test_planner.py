@@ -478,6 +478,10 @@ def test_from_snapshots_builds_catalog_and_dedupes_ids(tmp_path):
 
 
 def test_single_index_service_api_unchanged():
+    """``QueryService(index)`` keeps its spelling; since PR 22 it *is* a
+    catalog of that one index, so an unknown pin is the catalog's error and
+    the stats carry the ``planner`` / ``members`` sections every service has
+    (additive keys; everything that was there still is)."""
     dataset = make_words(120, seed=13)
     catalog = _build_catalog(dataset, names=("LAESA",))
     index = catalog.get("LAESA")
@@ -486,14 +490,23 @@ def test_single_index_service_api_unchanged():
     with pytest.raises(ValueError, match="exactly one"):
         QueryService(index, catalog=catalog)
     with QueryService(index, use_dispatcher=False) as service:
+        assert service.index is index and service.catalog.ids() == [service.index_id]
         q = dataset[0]
         expected = service.range_query(q, 4.0)
         # pinning the service's own id is allowed; anything else is not
         assert service.range_query(q, 4.0, index=service.index_id) == expected
-        with pytest.raises(ValueError, match="hosts only"):
+        with pytest.raises(CatalogError, match="no member 'other'"):
             service.range_query(q, 4.0, index="other")
         stats = service.stats()
-        assert "planner" not in stats and "members" not in stats
+        assert set(stats) >= {
+            "index", "cache", "distance_computations", "page_accesses", "prune_stages"
+        }
+        assert stats["planner"]["members"] == list(stats["members"]) == ["LAESA"]
+        assert (
+            stats["members"]["LAESA"]["distance_computations"]
+            == stats["distance_computations"]
+            == service.counters.distance_computations
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +543,11 @@ def test_http_catalog_surface():
 
 
 def test_http_single_index_rejects_catalog_features():
+    """The name is history: until PR 22 a single-index server refused pins
+    and ``/plan``.  A single index is a catalog of one now, so over HTTP it
+    takes what it takes in-process -- its own id as a pin, ``/plan`` with
+    one row, ``members`` in ``/healthz`` -- and still refuses what any
+    catalog refuses: an id it does not host."""
     dataset = make_words(120, seed=13)
     catalog = _build_catalog(dataset, names=("LAESA",))
     service = QueryService(catalog.get("LAESA"))
@@ -537,10 +555,15 @@ def test_http_single_index_rejects_catalog_features():
     with service, HttpQueryServer(service) as server:
         server.start()
         client = ServiceClient(port=server.port)
-        assert "members" not in client.healthz()
+        health = client.healthz()
+        assert health["members"] == [health["index"]] == ["LAESA"]
+        base = client.range_query(q, 4.0)
+        assert client.range_query(q, 4.0, index="LAESA") == base
+        assert client.knn_query_many([q], 3, index="LAESA") == [service.knn_query(q, 3)]
         with pytest.raises(ServiceClientError) as excinfo:
-            client.plan(radius=4.0)
-        assert excinfo.value.status == 400
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.range_query(q, 4.0, index="LAESA")
-        assert excinfo.value.status == 400
+            client.range_query(q, 4.0, index="nope")
+        assert excinfo.value.status == 400 and "members: LAESA" in str(excinfo.value)
+        (row,) = client.plan(radius=4.0)
+        assert row["index"] == "LAESA" and row["chosen"] and row["predicted"] is None
+        stats = client.stats()
+        assert "planner" in stats and list(stats["members"]) == ["LAESA"]

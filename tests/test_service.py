@@ -16,9 +16,12 @@ AESA's insert signature matches the base class.
 
 from __future__ import annotations
 
+import json
+import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro import (
     SnapshotError,
     UnsupportedOperation,
     load_index,
+    make_la,
     save_index,
     select_pivots,
     snapshot_info,
@@ -47,6 +51,7 @@ from repro.tables import AESA, LAESA
 
 K = 5
 N_QUERIES = 5
+DATA = Path(__file__).parent / "data"
 
 
 def _sample_queries(dataset, n=N_QUERIES, seed=17):
@@ -221,37 +226,70 @@ def test_snapshot_rejects_truncated_payload(datasets, built_indexes, tmp_path):
         load_index(path)
 
 
-def test_v1_snapshot_still_loads(datasets, built_indexes, tmp_path):
-    """Cross-version regression: snapshots written as v1 keep loading."""
-    dataset = datasets["LA"]
-    index = built_indexes("LA", "LAESA")
-    queries = _sample_queries(dataset)
-    expected = [index.range_query(q, RADIUS["LA"]) for q in queries]
-
-    path = tmp_path / "laesa.v1.snap"
-    info = save_index(index, path, format_version=1)
+def test_v1_snapshot_still_loads():
+    """Cross-version regression: snapshots written as v1 (one pickle, no
+    regions) keep loading.  Nothing writes v1 any more, so the file is one
+    the PR 21 writer left in ``tests/data`` (LAESA, ``make_la(300,
+    seed=11)``, 5 HFI pivots) beside the answers that commit gave."""
+    path = DATA / "pr21_laesa_la300.v1.snap"
+    expected = json.loads((DATA / "pr21_la300_expected.json").read_text())
+    info = snapshot_info(path)
     assert info.format_version == 1
     assert info.n_regions == 0 and info.region_bytes == 0
-    assert snapshot_info(path).format_version == 1
 
     counters = CostCounters()
     restored = load_index(path, counters=counters)
     assert counters.distance_computations == 0
-    assert [restored.range_query(q, RADIUS["LA"]) for q in queries] == expected
+    dataset = make_la(300, seed=11)
+    queries = [dataset[i] for i in expected["query_ids"]]
+    assert restored.range_query_many(queries, expected["radius"]) == expected["range"]
+    assert [
+        [[n.distance, n.object_id] for n in answer]
+        for answer in restored.knn_query_many(queries, expected["k"])
+    ] == expected["knn"]
 
 
 def test_v2_snapshot_grows_memmap_regions(datasets, built_indexes, tmp_path):
     """Vector tables leave the pickle payload and become mapped regions."""
     index = built_indexes("LA", "LAESA")
     path = tmp_path / "laesa.v2.snap"
-    v1_info = save_index(index, tmp_path / "laesa.v1.snap", format_version=1)
+    whole_pickle = len(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
     v2_info = save_index(index, path)
     assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 2
     assert v2_info.n_regions > 0
     assert v2_info.region_bytes > 0
     # the bytes moved, they didn't duplicate: the v2 pickle shrinks by
     # (roughly) what the regions now carry
-    assert v2_info.payload_bytes + v2_info.region_bytes < v1_info.payload_bytes * 1.1
+    assert v2_info.payload_bytes + v2_info.region_bytes < whole_pickle * 1.1
+
+
+def test_restored_tables_are_views_of_the_snapshot_file(datasets, built_indexes, tmp_path):
+    """What the memmap restore is for, held by construction instead of by a
+    wall-clock ratio: the restored vector tables are ``np.memmap`` views of
+    the file (nothing was copied out of it), the regions hold at least the
+    tables' bytes, no distance is computed, and answers are the live
+    index's."""
+    dataset = datasets["LA"]
+    index = built_indexes("LA", "LAESA")
+    queries = _sample_queries(dataset)
+    path = tmp_path / "laesa.snap"
+    info = save_index(index, path)
+    counters = CostCounters()
+    restored = load_index(path, counters=counters)
+    tables = (restored.space.dataset.objects, restored._rows)
+    for table in tables:
+        assert isinstance(table, np.memmap)
+        assert Path(table.filename) == path and table.nbytes >= 4096
+    assert info.region_bytes >= sum(table.nbytes for table in tables)
+    assert counters.distance_computations == 0
+    assert restored.range_query_many(queries, RADIUS["LA"]) == index.range_query_many(
+        queries, RADIUS["LA"]
+    )
+    assert restored.knn_query_many(queries, K) == index.knn_query_many(queries, K)
+    # copy-on-write: the restored index takes updates, the file never changes
+    before = path.read_bytes()
+    restored.insert(dataset[0])
+    assert path.read_bytes() == before
 
 
 def test_v2_snapshot_rejects_truncated_region(datasets, built_indexes, tmp_path):

@@ -440,27 +440,6 @@ def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
     assert evaluated <= 0.65 * l * q * n
 
 
-def test_adaptive_counts_each_prefix_column_alone():
-    """Per-column decided counts: a prefix column is credited with every
-    cell it would prune by itself, a tail column with the cells it helps
-    kill among the prefix survivors."""
-    index = _build("LAESA", _l2_space(), bounds="triangle")
-    pruner, omat = index.pruner, index._rows
-    pruner.enable_adaptive(interval=10**9)  # count, never re-rank
-    qmat = index.mapping.map_query_many(_queries(index.space, n=7))
-    radius = RADII["l2"]
-    pruner.masks_many_queries(qmat, omat, radius)
-    head, tail = pruner.order[: pruner.prefix], pruner.order[pruner.prefix :]
-    diff = np.abs(qmat[:, None, :] - omat[None, :, :])
-    want = np.zeros(omat.shape[1], dtype=np.int64)
-    want[head] = (diff[:, :, head] > radius).sum(axis=(0, 1))
-    after_prefix = diff[:, :, head].max(axis=2) <= radius
-    dead = after_prefix & (diff[:, :, tail].max(axis=2) > radius)
-    want[tail] = (diff[:, :, tail] > radius)[dead].sum(axis=0)
-    assert np.array_equal(pruner.decided_counts, want)
-    assert want[head].sum() > 0 and want[tail].sum() > 0
-
-
 @pytest.mark.parametrize("index_name", ["EPT", "EPT*"])
 def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
     """The per-object pruner's full matrix is Lemma 1 max'd with its slot
@@ -534,32 +513,6 @@ def test_ptolemaic_bound_is_a_true_lower_bound():
     assert (bounds <= true_d + 1e-9).all()
 
 
-# -- adaptive re-ranking -------------------------------------------------------
-
-
-def test_adaptive_rerank_keeps_answers_exact():
-    space = _l2_space()
-    index = _build("LAESA", space, bounds="auto")
-    space = index.space
-    index.pruner.enable_adaptive(interval=1)
-    queries = _queries(space, n=10)
-    expected = brute_force_range_many(space, queries, RADII["l2"])
-    for q in queries:  # sequential traffic drives per-pivot decided counts
-        index.range_query(q, RADII["l2"])
-    assert index.pruner.decided_counts.sum() > 0
-    assert index.range_query_many(queries, RADII["l2"]) == expected
-    stats = index.pruner.stats()
-    assert stats["adaptive"] is True
-    assert stats["reranks"] == index.pruner.reranks
-
-
-def test_adaptive_is_off_by_default():
-    index = _build("LAESA", _l2_space(), bounds="auto")
-    assert not index.pruner.adaptive
-    index.range_query(_queries(index.space, n=1)[0], RADII["l2"])
-    assert index.pruner.decided_counts.sum() == 0  # no bookkeeping unless asked
-
-
 # -- snapshots and the live service -------------------------------------------
 
 
@@ -579,31 +532,16 @@ def test_staged_pruner_survives_snapshot_roundtrip(tmp_path, index_name):
     assert _answers(restored, queries, RADII["l2"], 5) == expected
 
 
-def test_service_dispatcher_with_adaptive_pruning(tmp_path):
-    space = _l2_space()
-    index = _build("LAESA", space, bounds="auto")
-    space = index.space
-    queries = _queries(space, n=8)
-    expected = brute_force_range_many(space, queries, RADII["l2"])
-    with QueryService(index, cache_size=0, adaptive_pruning=True) as service:
-        assert index.pruner.adaptive
-        got = [service.range_query(q, RADII["l2"]) for q in queries]
-        stats = service.stats()
-    assert got == expected
-    assert stats["prune_stages"]["prefix"] > 0
-    (pruning,) = stats["pruning"]
-    assert pruning["index"] == "LAESA"
-    assert pruning["ptolemaic"] is True
-    assert pruning["adaptive"] is True
-
-
 def test_service_snapshot_restore_keeps_prune_stats(tmp_path):
     index = _build("LAESA", _l2_space(), bounds="auto")
     path = tmp_path / "svc.snap"
     save_index(index, path)
-    with QueryService.from_snapshot(str(path), adaptive_pruning=True) as service:
+    with QueryService.from_snapshot(str(path)) as service:
         q = _queries(service.index.space, n=1)[0]
         service.range_query(q, RADII["l2"])
         stats = service.stats()
     assert stats["prune_stages"]["prefix"] > 0
-    assert stats["pruning"][0]["adaptive"] is True
+    (pruning,) = stats["pruning"]
+    assert pruning["index"] == "LAESA" and pruning["ptolemaic"] is True
+    # the order is fixed at build: nothing about re-ranking is reported
+    assert set(pruning) == {"index", "bounds", "ptolemaic", "prefix", "order", "n_pairs"}
