@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro import CostCounters, MetricSpace, save_index, select_pivots
+from repro.bench.runner import _best_seconds
 from repro.core.sharded import ShardedIndex
 from repro.service.cluster import ClusterSupervisor, save_split
 from repro.service.http import ServiceClient
@@ -92,15 +93,6 @@ def _await_port(port_file: Path, process: subprocess.Popen, timeout_s: float) ->
     raise RuntimeError("baseline server never published its port")
 
 
-def _min_wall_ms(call, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        call()
-        best = min(best, (time.perf_counter() - t0) * 1000.0)
-    return best
-
-
 def test_cluster_throughput(workloads, tmp_path):
     workload = workloads["Color"]
     radius = workload.radius_for(0.16)
@@ -128,8 +120,8 @@ def test_cluster_throughput(workloads, tmp_path):
             got_range = client.range_query_many(queries, radius)
             assert got_range == want_range, "single-process MRQ diverged"
             assert client.knn_query_many(queries, k) == want_knn
-            single_ms = _min_wall_ms(
-                lambda: client.range_query_many(queries, radius)
+            single_ms = 1000.0 * _best_seconds(
+                lambda: client.range_query_many(queries, radius), REPEATS
             )
     finally:
         single.terminate()
@@ -152,8 +144,8 @@ def test_cluster_throughput(workloads, tmp_path):
             assert client.knn_query_many(queries, k) == want_knn, (
                 "routed MkNNQ diverged from ShardedIndex"
             )
-            cluster_ms = _min_wall_ms(
-                lambda: client.range_query_many(queries, radius)
+            cluster_ms = 1000.0 * _best_seconds(
+                lambda: client.range_query_many(queries, radius), REPEATS
             )
 
     speedup = single_ms / cluster_ms if cluster_ms > 0 else float("inf")

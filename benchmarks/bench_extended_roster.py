@@ -57,10 +57,10 @@ def roster(workloads):
                 "Index": name,
                 "Build comp": result.compdists,
                 "Build PA": result.page_accesses,
-                "MRQ comp": round(range_cost.compdists, 1),
-                "MRQ PA": round(range_cost.page_accesses, 1),
-                "kNN comp": round(knn_cost.compdists, 1),
-                "kNN PA": round(knn_cost.page_accesses, 1),
+                "MRQ comp": round(range_cost.mean_compdists, 1),
+                "MRQ PA": round(range_cost.mean_page_accesses, 1),
+                "kNN comp": round(knn_cost.mean_compdists, 1),
+                "kNN PA": round(knn_cost.mean_page_accesses, 1),
             }
         )
     return rows, built

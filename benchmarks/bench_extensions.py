@@ -43,8 +43,8 @@ def dept_rows(workloads):
                     "Index": name,
                     "Build comp": build.compdists,
                     "Build s": round(build.seconds, 3),
-                    "kNN comp": round(cost.compdists, 1),
-                    "kNN PA": round(cost.page_accesses, 1),
+                    "kNN comp": round(cost.mean_compdists, 1),
+                    "kNN PA": round(cost.mean_page_accesses, 1),
                     "Disk (KB)": round(build.disk_bytes / 1024, 1),
                 }
             )
@@ -96,8 +96,8 @@ def compact_rows(workloads):
                     "Dataset": wl_name,
                     "Index": name,
                     "Kind": "compact" if name == "M-tree" else "pivot-based",
-                    "MRQ comp": round(cost.compdists, 1),
-                    "MRQ PA": round(cost.page_accesses, 1),
+                    "MRQ comp": round(cost.mean_compdists, 1),
+                    "MRQ PA": round(cost.mean_page_accesses, 1),
                 }
             )
     return rows

@@ -32,8 +32,8 @@ def fig14(workloads):
                         "Dataset": wl_name,
                         "Index": index_name,
                         "k": k,
-                        "Compdists": round(cost.compdists, 1),
-                        "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                        "Compdists": round(cost.mean_compdists, 1),
+                        "CPU (ms)": round(cost.mean_cpu_seconds * 1000, 2),
                     }
                 )
     return rows, per_index

@@ -32,9 +32,9 @@ def fig15(workloads):
                         "Dataset": wl_name,
                         "Index": index_name,
                         "k": k,
-                        "Compdists": round(cost.compdists, 1),
-                        "PA": round(cost.page_accesses, 1),
-                        "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                        "Compdists": round(cost.mean_compdists, 1),
+                        "PA": round(cost.mean_page_accesses, 1),
+                        "CPU (ms)": round(cost.mean_cpu_seconds * 1000, 2),
                     }
                 )
     return rows, per_index

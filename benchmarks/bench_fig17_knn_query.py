@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import ascii_chart, format_table, run_knn_queries, series_from_rows
+from repro.bench import (
+    DEFAULT_INDEX_NAMES,
+    ascii_chart,
+    exp_fig17_knn,
+    format_table,
+    series_from_rows,
+)
 
 from _bench_common import built_indexes, emit, workloads  # noqa: F401  (fixtures)
 
@@ -18,23 +24,8 @@ KS = (5, 10, 20, 50, 100)
 
 @pytest.fixture(scope="module")
 def fig17(workloads, built_indexes):
-    rows = []
-    for wl_name, workload in workloads.items():
-        indexes = built_indexes(wl_name)
-        for index_name, result in indexes.items():
-            for k in KS:
-                cost = run_knn_queries(result.index, workload.queries, k)
-                rows.append(
-                    {
-                        "Dataset": wl_name,
-                        "Index": index_name,
-                        "k": k,
-                        "Compdists": round(cost.compdists, 1),
-                        "PA": round(cost.page_accesses, 1),
-                        "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
-                    }
-                )
-    return rows
+    built = {wl_name: built_indexes(wl_name) for wl_name in workloads}
+    return exp_fig17_knn(workloads, DEFAULT_INDEX_NAMES, KS, built=built)
 
 
 def test_fig17_knn_query_costs(fig17, benchmark, workloads, built_indexes):

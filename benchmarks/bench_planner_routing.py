@@ -24,10 +24,9 @@ untimed -- seed-time work, not serving work.  Timings are best-of-
 
 from __future__ import annotations
 
-import time
-
 from repro import CostCounters, MetricSpace, brute_force_range_many
 from repro.bench import format_table, measure_build, shared_pivots
+from repro.bench.runner import _best_seconds
 from repro.service import IndexCatalog, QueryService
 
 from _bench_common import emit, workloads  # noqa: F401  (fixture)
@@ -37,15 +36,6 @@ SELECTIVITIES = (0.04, 0.16, 0.64)
 REPEATS = 3
 MIN_SPEEDUP_VS_WORST = 1.2
 MIN_FRACTION_OF_ORACLE = 0.8
-
-
-def _best_seconds(run, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def test_planner_routing_beats_worst_member(workloads):
@@ -87,7 +77,8 @@ def test_planner_routing_beats_worst_member(workloads):
                 per_radius[r] = _best_seconds(
                     lambda mid=member_id, rr=r: service.range_query_many(
                         queries, rr, index=mid
-                    )
+                    ),
+                    REPEATS,
                 )
             member_seconds[member_id] = per_radius
         worst_s = max(sum(per.values()) for per in member_seconds.values())
@@ -101,7 +92,7 @@ def test_planner_routing_beats_worst_member(workloads):
         for r in radii:  # exactness through the routed service itself
             assert service.range_query_many(queries, r) == golden[r]
         routed_s = _best_seconds(
-            lambda: [service.range_query_many(queries, r) for r in radii]
+            lambda: [service.range_query_many(queries, r) for r in radii], REPEATS
         )
         routes = {
             r: service.planner.route("range", r, len(queries)) for r in radii

@@ -28,7 +28,6 @@ only.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from repro.core.mapping import PivotMapping
 from repro.core.pivot_filter import lower_bound_many_queries
 from repro.core.staged import StagedPruner
 from repro.bench import format_table
+from repro.bench.runner import _best_seconds
 from repro.tables.laesa import LAESA
 
 from _bench_common import emit
@@ -167,23 +167,15 @@ def test_staged_mask_exact_and_costed(color_l2):
         q * n - decided_by_prefix
     )
 
-    def best_of(mask) -> float:
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            mask()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
     rows = [
         {
             "Path": "single-shot",
-            "Mask ms": round(best_of(single) * 1e3, 2),
+            "Mask ms": round(_best_seconds(single, REPEATS) * 1e3, 2),
             "Column-cells": N_PIVOTS * q * n,
         },
         {
             "Path": "staged",
-            "Mask ms": round(best_of(staged) * 1e3, 2),
+            "Mask ms": round(_best_seconds(staged, REPEATS) * 1e3, 2),
             "Column-cells": evaluated,
         },
     ]

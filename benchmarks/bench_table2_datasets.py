@@ -3,8 +3,8 @@
 Paper reference values: LA (n=1,073,727, dim 2, int.dim 5.4, MaxD 14000,
 L2), Words (611,756, 1~34, 1.2, 34, edit), Color (1,000,000, 282, 6.5,
 100000, L1), Synthetic (1,000,000, 20, 6.6, 10000, Linf).  Our substitutes
-match dimensionality, distance domain and (except LA, see DESIGN.md) are
-close on intrinsic dimension; cardinality is scaled down.
+match dimensionality, distance domain and (except LA, whose 2-d L2 points
+cap it near 2) are close on intrinsic dimension; cardinality is scaled down.
 """
 
 from __future__ import annotations

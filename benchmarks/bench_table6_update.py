@@ -33,9 +33,9 @@ def table6(workloads, built_indexes):
                 {
                     "Dataset": wl_name,
                     "Index": index_name,
-                    "PA": round(cost.page_accesses, 1),
-                    "Compdists": round(cost.compdists, 1),
-                    "Time (ms)": round(cost.cpu_seconds * 1000, 3),
+                    "PA": round(cost.mean_page_accesses, 1),
+                    "Compdists": round(cost.mean_compdists, 1),
+                    "Time (ms)": round(cost.mean_cpu_seconds * 1000, 3),
                 }
             )
     return rows

@@ -41,12 +41,12 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import time
 
 import pytest
 
 from repro import QueryService
 from repro.bench import build_all, default_workloads, format_table
+from repro.bench.runner import _best_seconds
 from repro.obs import MetricsRegistry, tracing
 
 from _bench_common import N_QUERIES, emit
@@ -70,12 +70,6 @@ def color_workload():
 @pytest.fixture(scope="module")
 def color_laesa(color_workload):
     return build_all(color_workload, ("LAESA",))["LAESA"].index
-
-
-def _one_pass_seconds(run) -> float:
-    t0 = time.perf_counter()
-    run()
-    return time.perf_counter() - t0
 
 
 def _plain_pass(service, queries, radius):
@@ -139,11 +133,11 @@ def test_telemetry_overhead_ratio(color_workload, color_laesa):
     best = {"off": float("inf"), "on": float("inf")}
     for i in range(PAIRS):
         if i % 2 == 0:
-            t_off = _one_pass_seconds(plain)
-            t_on = _one_pass_seconds(traced)
+            t_off = _best_seconds(plain, 1)
+            t_on = _best_seconds(traced, 1)
         else:
-            t_on = _one_pass_seconds(traced)
-            t_off = _one_pass_seconds(plain)
+            t_on = _best_seconds(traced, 1)
+            t_off = _best_seconds(plain, 1)
         ratios.append(t_off / t_on)
         best["off"] = min(best["off"], t_off)
         best["on"] = min(best["on"], t_on)

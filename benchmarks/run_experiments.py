@@ -24,7 +24,6 @@ from repro.bench import (
     exp_ablation_mvpt_arity,
     exp_ablation_pivot_selection,
     exp_ablation_sfc,
-    exp_batch_throughput,
     exp_fig14_ept,
     exp_fig15_mindex,
     exp_fig16_range,
@@ -45,7 +44,7 @@ PAPER_NOTES = {
         "1M/282-d/6.5/L1; Synthetic 1M/20-d/6.6/Linf.  Substitutes match "
         "dimensionality and distance domains; cardinality is scaled down.  "
         "LA's intrinsic dimension lands near 2 (natural ceiling for 2-d L2 "
-        "point sets; see DESIGN.md section 2)."
+        "point sets)."
     ),
     "table4": (
         "Paper shape: tables/trees build fastest; EPT* costliest (PSA); "
@@ -191,21 +190,6 @@ def main(argv=None) -> int:
         ),
     )
 
-    # Batch execution layer ----------------------------------------------------
-    batch_workloads = {name: workloads[name] for name in ("LA", "Synthetic")}
-    section(
-        "Batch query layer — sequential vs vectorized multi-query throughput",
-        "Repo extension (no paper counterpart): the table indexes answer "
-        "whole query batches through one query-pivot distance matrix and 2-D "
-        "Lemma 1/4 filtering; answers are asserted identical to the "
-        "sequential loop.  CPT MRQ stays at parity by design (verification "
-        "is page-fetch-bound).",
-        format_markdown(
-            exp_batch_throughput(batch_workloads, built=built),
-            first_column="Dataset",
-        ),
-    )
-
     # Ablations ----------------------------------------------------------------
     section(
         "Ablation — pivot selection strategy",
@@ -228,12 +212,13 @@ def main(argv=None) -> int:
         "# EXPERIMENTS — paper vs measured\n\n"
         "Reproduction of every table and figure in Section 6 of *Pivot-based "
         "Metric Indexing* (Chen et al., PVLDB 10(10), 2017), measured on the "
-        "substituted workloads described in DESIGN.md.\n\n"
+        "substituted workloads of `repro.core.dataset`.\n\n"
         f"Scale: n = {args.n} per dataset (Color: {args.color_n}), "
         f"{args.queries} queries per data point, |P| = 5 pivots (HFI), "
         "page size 4 KB (40 KB for CPT/PM-tree on Color/Synthetic), "
         "128 KB LRU cache for MkNNQ — the paper's configuration at reduced "
-        "cardinality.  Compdists and PA are exact counts; CPU times are "
+        "cardinality.  Every figure is the mean over one query per call.  "
+        "Compdists and PA are exact counts; CPU times are "
         "pure-Python and only their *ordering* is meaningful.\n\n"
         f"Generated by `python benchmarks/run_experiments.py` in {elapsed:.0f}s.\n\n"
     )

@@ -46,19 +46,19 @@ def main() -> None:
                 "Index": index_name,
                 "Build comp": build.compdists,
                 "Build s": round(build.seconds, 2),
-                "kNN comp": round(cost.compdists, 1),
-                "kNN PA": round(cost.page_accesses, 1),
-                "kNN ms": round(cost.cpu_seconds * 1000, 2),
+                "kNN comp": round(cost.mean_compdists, 1),
+                "kNN PA": round(cost.mean_page_accesses, 1),
+                "kNN ms": round(cost.mean_cpu_seconds * 1000, 2),
                 "Where": "disk" if build.index.is_disk_based else "memory",
             }
         )
     print(format_table(rows, first_column="Index"))
 
-    fewest_comp = min(measured, key=lambda n: measured[n].compdists)
-    fastest = min(measured, key=lambda n: measured[n].cpu_seconds)
+    fewest_comp = min(measured, key=lambda n: measured[n].mean_compdists)
+    fastest = min(measured, key=lambda n: measured[n].mean_cpu_seconds)
     disk_best = min(
         (n for n, r in zip(CANDIDATES, rows) if r["Where"] == "disk"),
-        key=lambda n: measured[n].page_accesses,
+        key=lambda n: measured[n].mean_page_accesses,
     )
     print(
         f"\nmeasured guidance for {workload.name}:"

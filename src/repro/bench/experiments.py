@@ -4,20 +4,21 @@ Each experiment returns plain row dicts so the pytest benchmarks, the
 ``benchmarks/run_experiments.py`` driver, and EXPERIMENTS.md generation all
 share the exact same measurement code.  Scale is a parameter everywhere: the
 paper runs at 0.6-1.1M objects, we default to laptop-friendly sizes and
-report shapes, not absolute numbers (see DESIGN.md section 4).
+report shapes, not absolute numbers.
 """
 
 from __future__ import annotations
 
+from ..core.counters import QueryStats
 from ..core.dataset import dataset_statistics
+from ..core.metric_space import MetricSpace
+from ..core.pivot_selection import select_pivots
+from ..sfc import HilbertCurve, ZOrderCurve
 from .runner import (
+    build_index,
     measure_build,
-    run_batch_comparison,
-    run_http_comparison,
     run_knn_queries,
-    run_page_access_comparison,
     run_range_queries,
-    run_service_comparison,
     run_updates,
     shared_pivots,
 )
@@ -37,40 +38,8 @@ __all__ = [
     "exp_ablation_pivot_selection",
     "exp_ablation_mvpt_arity",
     "exp_ablation_sfc",
-    "exp_batch_throughput",
-    "exp_cpt_paging",
-    "exp_http_throughput",
-    "exp_service_throughput",
     "build_all",
 ]
-
-# indexes with genuinely vectorized batch overrides -- the subjects of the
-# batch throughput experiment (other indexes fall back to the sequential
-# default, so comparing them would only measure noise).  The tables share
-# one q x l query-pivot matrix; the tree category shares per-node pivot
-# evaluations through the batch frontier engine (repro.trees.common); the
-# external category (Omni family, M-index/M-index*, SPB-tree, PM-tree,
-# DEPT) traverses its structure once per batch with 2-D MBB bounds and
-# page-grouped RAF fetches (repro.external.batch); discrete-only trees are
-# skipped automatically on continuous datasets.
-BATCH_INDEX_NAMES = (
-    "LAESA",
-    "EPT*",
-    "CPT",
-    "MVPT",
-    "VPT",
-    "BKT",
-    "FQT",
-    "FQA",
-    "PM-tree",
-    "Omni-seq",
-    "OmniB+",
-    "OmniR-tree",
-    "M-index",
-    "M-index*",
-    "SPB-tree",
-    "DEPT",
-)
 
 N_PIVOTS_DEFAULT = 5
 
@@ -164,9 +133,9 @@ def exp_table6_updates(
                 {
                     "Dataset": wl_name,
                     "Index": index_name,
-                    "PA": round(cost.page_accesses, 1),
-                    "Compdists": round(cost.compdists, 1),
-                    "Time (s)": round(cost.cpu_seconds, 5),
+                    "PA": round(cost.mean_page_accesses, 1),
+                    "Compdists": round(cost.mean_compdists, 1),
+                    "Time (s)": round(cost.mean_cpu_seconds, 5),
                 }
             )
     return rows
@@ -185,6 +154,14 @@ def exp_table7_ranking(table6_rows: list[dict]) -> dict[str, dict[str, float]]:
     return metrics
 
 
+def _cost_columns(cost: QueryStats) -> dict:
+    return {
+        "Compdists": round(cost.mean_compdists, 1),
+        "PA": round(cost.mean_page_accesses, 1),
+        "CPU (ms)": round(cost.mean_cpu_seconds * 1000, 2),
+    }
+
+
 def _knn_series(index, workload, ks) -> list[dict]:
     rows = []
     for k in ks:
@@ -192,9 +169,7 @@ def _knn_series(index, workload, ks) -> list[dict]:
         rows.append(
             {
                 "k": k,
-                "Compdists": round(cost.compdists, 1),
-                "PA": round(cost.page_accesses, 1),
-                "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                **_cost_columns(cost),
             }
         )
     return rows
@@ -253,9 +228,7 @@ def exp_fig16_range(
                         "Dataset": wl_name,
                         "Index": index_name,
                         "r (%)": int(selectivity * 100),
-                        "Compdists": round(cost.compdists, 1),
-                        "PA": round(cost.page_accesses, 1),
-                        "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                        **_cost_columns(cost),
                     }
                 )
     return rows
@@ -300,161 +273,9 @@ def exp_fig18_pivots(
                         "Dataset": wl_name,
                         "Index": index_name,
                         "|P|": n_pivots,
-                        "Compdists": round(cost.compdists, 1),
-                        "PA": round(cost.page_accesses, 1),
-                        "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                        **_cost_columns(cost),
                     }
                 )
-    return rows
-
-
-def exp_batch_throughput(
-    workloads: dict[str, Workload],
-    index_names=BATCH_INDEX_NAMES,
-    n_pivots: int = N_PIVOTS_DEFAULT,
-    selectivity: float = 0.16,
-    k: int = 10,
-    built: dict | None = None,
-    repeats: int = 3,
-) -> list[dict]:
-    """Batch execution layer: sequential-loop vs vectorized multi-query q/s.
-
-    The paper's workloads issue whole batches of MRQ/MkNNQ queries per
-    configuration; this experiment quantifies what the batch layer buys on
-    each workload.  Exactness is asserted inside the measurement (batch
-    answers must equal sequential answers).
-    """
-    rows = []
-    for wl_name, workload in workloads.items():
-        indexes = (built or {}).get(wl_name) or build_all(
-            workload, index_names, n_pivots
-        )
-        radius = workload.radius_for(selectivity)
-        for index_name in index_names:
-            if index_name not in indexes:
-                continue
-            row = run_batch_comparison(
-                indexes[index_name].index, workload.queries, radius, k, repeats=repeats
-            )
-            rows.append({"Dataset": wl_name, **row})
-    return rows
-
-
-def exp_cpt_paging(
-    workloads: dict[str, Workload],
-    n_pivots: int = N_PIVOTS_DEFAULT,
-    selectivity: float = 0.16,
-    built: dict | None = None,
-) -> list[dict]:
-    """CPT leaf-grouped batch verification: MRQ page accesses vs sequential.
-
-    CPT's MRQ throughput is fetch-bound, so the interesting metric is I/O,
-    not wall clock: the batch reads every touched M-tree leaf page once
-    per batch, where the one-query-at-a-time loop reads it once per query
-    whose candidates touch it (LRU-filtered).  Reports the
-    deterministic PA counts of both passes from identical cold pools.
-    """
-    rows = []
-    for wl_name, workload in workloads.items():
-        indexes = (built or {}).get(wl_name) or build_all(
-            workload, ("CPT",), n_pivots
-        )
-        if "CPT" not in indexes:
-            continue
-        radius = workload.radius_for(selectivity)
-        row = run_page_access_comparison(
-            indexes["CPT"].index, workload.queries, radius
-        )
-        rows.append({"Dataset": wl_name, **row})
-    return rows
-
-
-def exp_service_throughput(
-    workloads: dict[str, Workload],
-    index_names=BATCH_INDEX_NAMES,
-    n_pivots: int = N_PIVOTS_DEFAULT,
-    selectivity: float = 0.16,
-    k: int = 10,
-    built: dict | None = None,
-    n_clients: int = 8,
-    repeats: int = 2,
-    max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
-) -> list[dict]:
-    """Query service: naive per-query loop vs dispatcher + LRU result cache.
-
-    Single-query traffic (the serving shape the ROADMAP targets) is driven
-    through :class:`~repro.service.QueryService` by concurrent callers; the
-    dispatcher coalesces it into the batch layer and the cache absorbs the
-    repeats.  Reports cold and warm throughput, cache hit rate, and the
-    mean coalesced batch size per index and workload.
-    """
-    rows = []
-    for wl_name, workload in workloads.items():
-        indexes = (built or {}).get(wl_name) or build_all(
-            workload, index_names, n_pivots
-        )
-        radius = workload.radius_for(selectivity)
-        for index_name in index_names:
-            if index_name not in indexes:
-                continue
-            row = run_service_comparison(
-                indexes[index_name].index,
-                workload.queries,
-                radius,
-                k,
-                n_clients=n_clients,
-                repeats=repeats,
-                max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
-            )
-            rows.append({"Dataset": wl_name, **row})
-    return rows
-
-
-def exp_http_throughput(
-    workloads: dict[str, Workload],
-    index_names=("LAESA",),
-    n_pivots: int = N_PIVOTS_DEFAULT,
-    selectivity: float = 0.16,
-    k: int = 10,
-    built: dict | None = None,
-    repeats: int = 3,
-    batch_copies: int = 4,
-    codecs=("json", "binary"),
-) -> list[dict]:
-    """HTTP front-end overhead: batch endpoints vs in-process batch calls.
-
-    One ``POST /range_many`` / ``POST /knn_many`` per measured pass against
-    a loopback :class:`~repro.service.http.HttpQueryServer`, compared to
-    the identical ``*_query_many`` call in process (cache disabled on both
-    sides).  Each workload is measured once per wire ``codec`` -- the
-    default JSON protocol and the raw-buffer binary frames -- so the table
-    shows exactly what the per-element JSON tax costs and what the binary
-    path recovers.  The reported ratio is what the codec and one localhost
-    round trip cost, amortised over the batch; answers are asserted
-    bit-for-bit equal before timing.
-    """
-    rows = []
-    for wl_name, workload in workloads.items():
-        indexes = (built or {}).get(wl_name) or build_all(
-            workload, index_names, n_pivots
-        )
-        radius = workload.radius_for(selectivity)
-        for index_name in index_names:
-            if index_name not in indexes:
-                continue
-            for codec in codecs:
-                row = run_http_comparison(
-                    indexes[index_name].index,
-                    workload.queries,
-                    radius,
-                    k,
-                    repeats=repeats,
-                    batch_copies=batch_copies,
-                    codec=codec,
-                )
-                rows.append({"Dataset": wl_name, **row})
     return rows
 
 
@@ -469,10 +290,6 @@ def exp_ablation_pivot_selection(
     Runs LAESA (pure pivot filtering, no structural effects) under each
     strategy -- the paper's motivation for fixing HFI across the study.
     """
-    from ..core.metric_space import MetricSpace
-    from ..core.pivot_selection import select_pivots
-    from .runner import build_index
-
     rows = []
     radius = workload.radius_for(selectivity)
     for strategy in strategies:
@@ -484,8 +301,8 @@ def exp_ablation_pivot_selection(
         rows.append(
             {
                 "Strategy": strategy,
-                "Compdists": round(cost.compdists, 1),
-                "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                "Compdists": round(cost.mean_compdists, 1),
+                "CPU (ms)": round(cost.mean_cpu_seconds * 1000, 2),
             }
         )
     return rows
@@ -498,8 +315,6 @@ def exp_ablation_mvpt_arity(
     k: int = 20,
 ) -> list[dict]:
     """Ablation: MVPT arity m (Section 4.3 -- pruning rises then falls)."""
-    from .runner import build_index
-
     rows = []
     pivots = shared_pivots(workload, n_pivots)
     for arity in arities:
@@ -511,8 +326,8 @@ def exp_ablation_mvpt_arity(
         rows.append(
             {
                 "m": arity,
-                "Compdists": round(cost.compdists, 1),
-                "CPU (ms)": round(cost.cpu_seconds * 1000, 2),
+                "Compdists": round(cost.mean_compdists, 1),
+                "CPU (ms)": round(cost.mean_cpu_seconds * 1000, 2),
             }
         )
     return rows
@@ -524,9 +339,6 @@ def exp_ablation_sfc(
     selectivity: float = 0.16,
 ) -> list[dict]:
     """Ablation: SPB-tree with Hilbert vs Z-order keys (Section 5.4)."""
-    from ..sfc import HilbertCurve, ZOrderCurve
-    from .runner import build_index
-
     rows = []
     pivots = shared_pivots(workload, n_pivots)
     radius = workload.radius_for(selectivity)
@@ -540,9 +352,9 @@ def exp_ablation_sfc(
         rows.append(
             {
                 "Curve": curve_name,
-                "MRQ PA": round(range_cost.page_accesses, 1),
-                "kNN PA": round(knn_cost.page_accesses, 1),
-                "Compdists": round(range_cost.compdists, 1),
+                "MRQ PA": round(range_cost.mean_page_accesses, 1),
+                "kNN PA": round(knn_cost.mean_page_accesses, 1),
+                "Compdists": round(range_cost.mean_compdists, 1),
             }
         )
     return rows

@@ -1,41 +1,21 @@
 """Benchmark runner: builds indexes and measures the paper's three metrics.
 
-The measurement protocol follows Section 6.1:
-
-* **compdists** and **PA** are counted through the shared
-  :class:`~repro.core.counters.CostCounters`;
-* CPU time is wall-clock around the query call;
-* construction runs with a cold buffer pool (every node write hits "disk");
-* MkNNQ batches enable the paper's 128 KB LRU cache; MRQ runs uncached;
-* every reported number is the mean over the workload's query sample.
-
-Query workloads drive the indexes through the batch execution layer
-(``range_query_many`` / ``knn_query_many``) by default -- the paper's
-Section 6 issues hundreds of queries per configuration, and batch answers
-are contractually identical to sequential ones.  Per-query attribution is
-preserved: every computation is still counted and every reported metric is
-the per-query mean.  For MRQ the counted totals are *identical* to the
-one-query calls (for the pivot tables and every external index but the
-PM-tree a one-query call *is* the batch engine with q=1).  For MkNNQ on
-the tree-shaped externals (OmniR-tree, M-index*, SPB-tree, PM-tree)
-:func:`run_knn_queries` measures the paper's per-query best-first walk
-either way: ``knn_query_many`` runs that walk once per query, sharing only
-the query mapping and a batch-scoped record cache, so compdists are the
-one-query calls' and PA can only be lower.  On the scans the verification
-order is a named strategy of :mod:`repro.core.queries`: ``knn_query_many``
-verifies best-first, ``knn_query`` on LAESA / EPT / EPT* / CPT / Omni-seq /
-DEPT runs the paper's storage-order scan, so there the batch compdists/PA
-reflect the (typically lower) best-first schedule -- pass ``batch=False``
-to measure the paper's storage-order algorithm instead;
-:func:`run_batch_comparison` measures both and reports the speedup.
+One measurement path, the protocol of Section 6.1: every reported number is
+the mean over the workload's query sample of one ``range_query`` /
+``knn_query`` (or delete + insert) call, each bracketed by
+:meth:`~repro.core.counters.CostCounters.measure` -- compdists, PA and CPU
+time come from that one bracket -- and averaged by
+:class:`~repro.core.counters.QueryStats`.  MRQ runs on a 16 KB scan buffer,
+MkNNQ behind the paper's 128 KB LRU cache, construction and updates on a
+cold pool; the pool is dropped after every sample.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..core.counters import QueryStats
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import select_pivots
@@ -57,15 +37,11 @@ from .workloads import Workload
 
 __all__ = [
     "BuildResult",
-    "QueryCost",
     "build_index",
     "measure_build",
     "run_range_queries",
     "run_knn_queries",
-    "run_batch_comparison",
     "run_http_comparison",
-    "run_page_access_comparison",
-    "run_service_comparison",
     "run_updates",
     "DEFAULT_INDEX_NAMES",
     "KNN_CACHE_BYTES",
@@ -81,7 +57,7 @@ RANGE_CACHE_BYTES = 16 * 1024
 def _best_seconds(run, repeats: int) -> float:
     """Best-of-``repeats`` wall clock of one callable (floored at 1 ns).
 
-    The shared timing policy of every throughput comparison in this module;
+    The one timing policy of every wall-clock comparison the benches keep;
     best-of suppresses scheduler noise better than the mean on short runs.
     """
     best = float("inf")
@@ -115,20 +91,6 @@ class BuildResult:
     seconds: float
     memory_bytes: int
     disk_bytes: int
-
-
-@dataclass
-class QueryCost:
-    compdists: float
-    page_accesses: float
-    cpu_seconds: float
-
-    def row(self) -> dict:
-        return {
-            "compdists": round(self.compdists, 1),
-            "PA": round(self.page_accesses, 1),
-            "CPU (s)": self.cpu_seconds,
-        }
 
 
 def _page_size_for(index_name: str, workload_name: str) -> int:
@@ -205,10 +167,9 @@ def build_index(
 
 
 def _index_pager(index: MetricIndex) -> Pager | None:
-    for attr in ("pager",):
-        pager = getattr(index, attr, None)
-        if pager is not None:
-            return pager
+    pager = getattr(index, "pager", None)
+    if pager is not None:
+        return pager
     mtree = getattr(index, "mtree", None)
     if mtree is not None:
         return mtree.pager
@@ -231,50 +192,42 @@ def measure_build(
 ) -> BuildResult:
     """Build an index cold and report Table 4's columns."""
     space = workload.fresh_space()
-    counters = space.counters
-    before = counters.snapshot()
-    t0 = time.perf_counter()
-    index = build_index(
-        name, space, pivot_ids, workload_name=workload.name, seed=seed, **overrides
-    )
-    seconds = time.perf_counter() - t0
-    delta = counters.snapshot() - before
+    with space.counters.measure() as m:
+        index = build_index(
+            name, space, pivot_ids, workload_name=workload.name, seed=seed, **overrides
+        )
     storage = index.storage_bytes()
     return BuildResult(
         index=index,
-        page_accesses=delta.page_accesses,
-        compdists=delta.distance_computations,
-        seconds=seconds,
+        page_accesses=m.page_accesses,
+        compdists=m.compdists,
+        seconds=m.cpu_seconds,
         memory_bytes=storage["memory"],
         disk_bytes=storage["disk"],
     )
 
 
-def run_range_queries(
-    index: MetricIndex, queries, radius: float, batch: bool = True
-) -> QueryCost:
-    """Mean MRQ cost over the query sample (scan buffer only, no query cache).
+def _measure_each(index: MetricIndex, cache_bytes: int, operation, items) -> QueryStats:
+    """``operation(item)`` once per item, each call in its own bracket.
 
-    ``batch=True`` (default) answers the whole sample through the batch
-    execution layer; ``batch=False`` preserves the legacy sequential loop.
-    Either way, counters attribute the identical per-query means.
+    The pool is dropped and resized to ``cache_bytes`` before the first
+    call, carries over from one call to the next, and is left at capacity 0.
     """
-    set_cache(index, RANGE_CACHE_BYTES)
+    set_cache(index, cache_bytes)
     counters = index.space.counters
-    before = counters.snapshot()
-    t0 = time.perf_counter()
-    if batch:
-        index.range_query_many(queries, radius)
-    else:
-        for q in queries:
-            index.range_query(q, radius)
-    seconds = time.perf_counter() - t0
-    delta = counters.snapshot() - before
-    n = max(1, len(queries))
-    return QueryCost(
-        compdists=delta.distance_computations / n,
-        page_accesses=delta.page_accesses / n,
-        cpu_seconds=seconds / n,
+    stats = QueryStats()
+    for item in items:
+        with counters.measure() as m:
+            operation(item)
+        stats.record(m)
+    set_cache(index, 0)
+    return stats
+
+
+def run_range_queries(index: MetricIndex, queries, radius: float) -> QueryStats:
+    """Mean MRQ cost over the query sample (scan buffer only, no query cache)."""
+    return _measure_each(
+        index, RANGE_CACHE_BYTES, lambda q: index.range_query(q, radius), queries
     )
 
 
@@ -283,221 +236,9 @@ def run_knn_queries(
     queries,
     k: int,
     cache_bytes: int = KNN_CACHE_BYTES,
-    batch: bool = True,
-) -> QueryCost:
-    """Mean MkNNQ cost over the query sample (paper's 128 KB LRU cache).
-
-    ``batch=True`` (default) goes through ``knn_query_many``.  For the trees
-    (VPT / MVPT / BKT / FQT) that is the per-query best-first walk run query
-    after query -- the algorithm Fig. 17 names -- so both settings count the
-    same distance computations; only a table's or an external index's batch
-    path shares work between queries.
-    """
-    set_cache(index, cache_bytes)
-    counters = index.space.counters
-    before = counters.snapshot()
-    t0 = time.perf_counter()
-    if batch:
-        index.knn_query_many(queries, k)
-    else:
-        for q in queries:
-            index.knn_query(q, k)
-    seconds = time.perf_counter() - t0
-    delta = counters.snapshot() - before
-    n = max(1, len(queries))
-    set_cache(index, 0)
-    return QueryCost(
-        compdists=delta.distance_computations / n,
-        page_accesses=delta.page_accesses / n,
-        cpu_seconds=seconds / n,
-    )
-
-
-def run_batch_comparison(
-    index: MetricIndex,
-    queries,
-    radius: float,
-    k: int,
-    repeats: int = 3,
-) -> dict:
-    """Sequential-loop vs batch-layer throughput for one index.
-
-    Answers the same query sample ``repeats`` times per mode (best-of to
-    damp timer noise) and double-checks exactness: batch answers must equal
-    the sequential ones.  Returns a report row with queries/second per mode
-    and the speedup factors.
-    """
-    queries = list(queries)
-    n = max(1, len(queries))
-
-    seq_range = [index.range_query(q, radius) for q in queries]
-    batch_range = index.range_query_many(queries, radius)
-    if batch_range != seq_range:
-        raise AssertionError(f"{index.name}: batch MRQ answers diverge from sequential")
-    seq_knn = [index.knn_query(q, k) for q in queries]
-    batch_knn = index.knn_query_many(queries, k)
-    if batch_knn != seq_knn:
-        raise AssertionError(f"{index.name}: batch MkNNQ answers diverge from sequential")
-
-    def best_seconds(run):
-        return _best_seconds(run, repeats)
-
-    seq_range_s = best_seconds(lambda: [index.range_query(q, radius) for q in queries])
-    batch_range_s = best_seconds(lambda: index.range_query_many(queries, radius))
-    seq_knn_s = best_seconds(lambda: [index.knn_query(q, k) for q in queries])
-    batch_knn_s = best_seconds(lambda: index.knn_query_many(queries, k))
-
-    return {
-        "Index": index.name,
-        "MRQ seq q/s": round(n / seq_range_s, 1),
-        "MRQ batch q/s": round(n / batch_range_s, 1),
-        "MRQ speedup": round(seq_range_s / batch_range_s, 2),
-        "kNN seq q/s": round(n / seq_knn_s, 1),
-        "kNN batch q/s": round(n / batch_knn_s, 1),
-        "kNN speedup": round(seq_knn_s / batch_knn_s, 2),
-    }
-
-
-def run_page_access_comparison(
-    index: MetricIndex,
-    queries,
-    radius: float,
-    cache_bytes: int = RANGE_CACHE_BYTES,
-) -> dict:
-    """Sequential vs batch MRQ page accesses for a disk-based index.
-
-    Both passes start from an identical cold buffer pool (``set_cache``
-    drops it) and answer the same query sample; exactness is asserted.
-    A batch pass reads every touched leaf page at most once per batch,
-    where the one-query-at-a-time loop reads it once per query that
-    touches it, so the batch PA should be a fraction of the loop's.  The
-    report also shows where the saved I/O went: ``grouped hits`` were
-    served from a page read earlier in the same batched fetch, ``buffer
-    hits`` from the LRU pool.
-    """
-    queries = list(queries)
-    counters = index.space.counters
-
-    def measure(run):
-        set_cache(index, cache_bytes)  # identical cold pool per pass
-        before = counters.snapshot()
-        answers = run()
-        return answers, counters.snapshot() - before
-
-    sequential, seq_cost = measure(
-        lambda: [index.range_query(q, radius) for q in queries]
-    )
-    batch, batch_cost = measure(lambda: index.range_query_many(queries, radius))
-    set_cache(index, 0)
-    if batch != sequential:
-        raise AssertionError(f"{index.name}: batch MRQ answers diverge from sequential")
-    seq_pa = max(1, seq_cost.page_accesses)
-    return {
-        "Index": index.name,
-        "seq PA": seq_cost.page_accesses,
-        "batch PA": batch_cost.page_accesses,
-        "PA ratio": round(batch_cost.page_accesses / seq_pa, 3),
-        "grouped hits": batch_cost.grouped_hits,
-        "buffer hits": batch_cost.buffer_hits,
-    }
-
-
-def run_service_comparison(
-    index: MetricIndex,
-    queries,
-    radius: float,
-    k: int,
-    n_clients: int = 8,
-    repeats: int = 2,
-    max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
-    cache_size: int = 4096,
-) -> dict:
-    """Naive per-query loop vs the query service, on single-query traffic.
-
-    The request stream interleaves MRQ and MkNNQ over the workload's query
-    sample -- the shape of online serving traffic, where queries arrive one
-    at a time and popular queries repeat.  Three modes are measured:
-
-    * **naive**: a sequential loop calling ``range_query``/``knn_query``
-      per request (no batching, no caching) -- the pre-service baseline;
-    * **service cold**: ``n_clients`` concurrent callers submitting single
-      queries to a :class:`~repro.service.QueryService`, empty cache -- what
-      the micro-batching dispatcher alone buys;
-    * **service warm**: the same stream again, cache populated -- what
-      repeat traffic costs once the LRU absorbs it.
-
-    Answers are verified identical to direct index calls before timing.
-    """
-    from ..service import QueryService
-
-    queries = list(queries)
-    requests = [("range", q, radius) for q in queries] + [
-        ("knn", q, k) for q in queries
-    ]
-    n = max(1, len(requests))
-
-    expected = [
-        index.range_query(q, radius) if kind == "range" else index.knn_query(q, p)
-        for kind, q, p in requests
-    ]
-
-    def naive_pass() -> list:
-        return [
-            index.range_query(q, p) if kind == "range" else index.knn_query(q, p)
-            for kind, q, p in requests
-        ]
-
-    def best_seconds(run):
-        return _best_seconds(run, repeats)
-
-    assert naive_pass() == expected, f"{index.name}: naive answers diverge"
-    naive_s = best_seconds(naive_pass)
-
-    service = QueryService(
-        index,
-        cache_size=cache_size,
-        max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-    )
-    pool = ThreadPoolExecutor(max_workers=n_clients)
-    try:
-
-        def service_pass() -> list:
-            def one(request):
-                kind, q, p = request
-                if kind == "range":
-                    return service.range_query(q, p)
-                return service.knn_query(q, p)
-
-            return list(pool.map(one, requests))
-
-        answers = service_pass()
-        assert answers == expected, f"{index.name}: service answers diverge"
-        # cold = first exposure to the stream: drop the cache between runs
-        def cold_pass() -> list:
-            service.cache.invalidate(service.index_id)
-            return service_pass()
-
-        cold_s = best_seconds(cold_pass)
-        service.cache.invalidate(service.index_id)
-        service_pass()  # warm the cache once
-        warm_s = best_seconds(service_pass)
-        stats = service.stats()
-    finally:
-        pool.shutdown(wait=True)
-        service.close()
-
-    return {
-        "Index": index.name,
-        "naive q/s": round(n / naive_s, 1),
-        "cold q/s": round(n / cold_s, 1),
-        "warm q/s": round(n / warm_s, 1),
-        "cold speedup": round(naive_s / cold_s, 2),
-        "warm speedup": round(naive_s / warm_s, 2),
-        "hit rate": stats["cache"]["hit_rate"],
-        "mean batch": stats["dispatcher"]["mean_batch_size"],
-    }
+) -> QueryStats:
+    """Mean MkNNQ cost over the query sample (paper's 128 KB LRU cache)."""
+    return _measure_each(index, cache_bytes, lambda q: index.knn_query(q, k), queries)
 
 
 def run_http_comparison(
@@ -536,9 +277,6 @@ def run_http_comparison(
     queries = list(queries) * batch_copies
     n = len(queries)
 
-    def best_seconds(run):
-        return _best_seconds(run, repeats)
-
     with QueryService(index, cache_size=0, use_dispatcher=False) as service:
         expected_range = service.range_query_many(queries, radius)
         expected_knn = service.knn_query_many(queries, k)
@@ -552,14 +290,18 @@ def run_http_comparison(
                     raise AssertionError(f"{index.name}: HTTP MRQ answers diverge")
                 if wire_knn != expected_knn:
                     raise AssertionError(f"{index.name}: HTTP MkNNQ answers diverge")
-                inproc_range = best_seconds(
-                    lambda: service.range_query_many(queries, radius)
+                inproc_range = _best_seconds(
+                    lambda: service.range_query_many(queries, radius), repeats
                 )
-                http_range = best_seconds(
-                    lambda: client.range_query_many(queries, radius)
+                http_range = _best_seconds(
+                    lambda: client.range_query_many(queries, radius), repeats
                 )
-                inproc_knn = best_seconds(lambda: service.knn_query_many(queries, k))
-                http_knn = best_seconds(lambda: client.knn_query_many(queries, k))
+                inproc_knn = _best_seconds(
+                    lambda: service.knn_query_many(queries, k), repeats
+                )
+                http_knn = _best_seconds(
+                    lambda: client.knn_query_many(queries, k), repeats
+                )
         finally:
             server.close()
 
@@ -576,25 +318,16 @@ def run_http_comparison(
     }
 
 
-def run_updates(index: MetricIndex, object_ids) -> QueryCost:
+def run_updates(index: MetricIndex, object_ids) -> QueryStats:
     """Mean cost of one update = delete an object, insert it back (Table 6)."""
-    set_cache(index, 0)
-    counters = index.space.counters
     dataset = index.space.dataset
-    before = counters.snapshot()
-    t0 = time.perf_counter()
-    for object_id in object_ids:
+
+    def update(object_id):
         obj = dataset[object_id]
         index.delete(object_id)
         index.insert(obj, object_id=object_id)
-    seconds = time.perf_counter() - t0
-    delta = counters.snapshot() - before
-    n = max(1, len(object_ids))
-    return QueryCost(
-        compdists=delta.distance_computations / n,
-        page_accesses=delta.page_accesses / n,
-        cpu_seconds=seconds / n,
-    )
+
+    return _measure_each(index, 0, update, object_ids)
 
 
 def shared_pivots(workload: Workload, n_pivots: int, seed: int = 0) -> list[int]:

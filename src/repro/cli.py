@@ -6,11 +6,8 @@ Commands:
                   the counted costs (the quickest way to see the library).
 * ``stats``    -- Table 2-style statistics for one of the four workloads.
 * ``compare``  -- build several indexes on one workload and print the
-                  paper-style cost comparison for MRQ and MkNNQ.
-* ``batch``    -- compare sequential vs batch (vectorized multi-query)
-                  throughput for the batch-capable indexes (tables via the
-                  shared query-pivot matrix, trees via the batch frontier
-                  engine) on one workload.
+                  paper-style cost comparison for MRQ and MkNNQ (means
+                  over one query per call, the paper's protocol).
 * ``snapshot`` -- build an index and save it to disk (or inspect an
                   existing snapshot file) for instant restores.
 * ``serve``    -- run the query service (snapshot restore, LRU result
@@ -40,11 +37,9 @@ from pathlib import Path
 
 from . import ALL_INDEXES
 from .bench import (
-    BATCH_INDEX_NAMES,
     format_table,
     make_workload,
     measure_build,
-    run_batch_comparison,
     run_knn_queries,
     run_range_queries,
     shared_pivots,
@@ -154,36 +149,25 @@ def _cmd_demo(args) -> int:
     hits = result.index.range_query(q, radius)
     print(
         f"MRQ(q, r=16%sel): {len(hits)} answers, "
-        f"{cost.compdists:.0f} compdists, {cost.page_accesses:.0f} PA"
+        f"{cost.mean_compdists:.0f} compdists, {cost.mean_page_accesses:.0f} PA"
     )
     cost = run_knn_queries(result.index, [q], args.k)
     nearest = result.index.knn_query(q, args.k)
     print(
         f"MkNNQ(q, k={args.k}): nearest distance {nearest[0].distance:.3f}, "
-        f"{cost.compdists:.0f} compdists, {cost.page_accesses:.0f} PA"
+        f"{cost.mean_compdists:.0f} compdists, {cost.mean_page_accesses:.0f} PA"
     )
     return 0
-
-
-def _bounds_overrides(args) -> dict:
-    """``{"bounds": ...}`` when ``--bounds`` was given, else nothing.
-
-    ``--bounds ptolemaic`` on a non-Ptolemaic metric fails at build time
-    with the staged pruner's ValueError, which the commands surface.
-    """
-    bounds = getattr(args, "bounds", None)
-    return {"bounds": bounds} if bounds else {}
 
 
 def _built_indexes_for(args, workload):
     """Validate the requested index names and build each one.
 
-    Shared by ``compare`` and ``batch``: returns ``[(name, BuildResult)]``,
-    printing a skip line for discrete-only indexes on continuous data, or
-    ``None`` after reporting an unknown index name.
+    Returns ``[(name, BuildResult)]``, printing a skip line for
+    discrete-only indexes on continuous data, or ``None`` after reporting
+    an unknown index name.
     """
     pivots = shared_pivots(workload, args.pivots)
-    overrides = _bounds_overrides(args)
     built = []
     for name in args.indexes:
         if name not in ALL_INDEXES:
@@ -193,7 +177,7 @@ def _built_indexes_for(args, workload):
             print(f"skipping {name}: requires a discrete distance")
             continue
         try:
-            built.append((name, measure_build(name, workload, pivots, **overrides)))
+            built.append((name, measure_build(name, workload, pivots)))
         except ValueError as exc:
             print(f"cannot build {name}: {exc}")
             return None
@@ -214,42 +198,16 @@ def _cmd_compare(args) -> int:
             {
                 "Index": name,
                 "Build comp": build.compdists,
-                "MRQ comp": round(range_cost.compdists, 1),
-                "MRQ PA": round(range_cost.page_accesses, 1),
-                "kNN comp": round(knn_cost.compdists, 1),
-                "kNN PA": round(knn_cost.page_accesses, 1),
+                "MRQ comp": round(range_cost.mean_compdists, 1),
+                "MRQ PA": round(range_cost.mean_page_accesses, 1),
+                "kNN comp": round(knn_cost.mean_compdists, 1),
+                "kNN PA": round(knn_cost.mean_page_accesses, 1),
             }
         )
     print(
         format_table(
             rows,
             title=f"{args.dataset} (n={args.n}), r=16% selectivity, k={args.k}",
-            first_column="Index",
-        )
-    )
-    return 0
-
-
-def _cmd_batch(args) -> int:
-    workload = make_workload(args.dataset, n=args.n, n_queries=args.queries)
-    radius = workload.radius_for(0.16)
-    built = _built_indexes_for(args, workload)
-    if built is None:
-        return 2
-    rows = []
-    for _name, build in built:
-        rows.append(
-            run_batch_comparison(
-                build.index, workload.queries, radius, args.k, repeats=args.repeats
-            )
-        )
-    print(
-        format_table(
-            rows,
-            title=(
-                f"batch vs sequential, {args.dataset} (n={args.n}, "
-                f"{len(workload.queries)} queries), r=16% sel, k={args.k}"
-            ),
             first_column="Index",
         )
     )
@@ -472,8 +430,13 @@ def _cmd_serve(args) -> int:
         workload = make_workload(args.dataset, n=args.n, n_queries=args.queries)
         pivots = shared_pivots(workload, args.pivots)
         try:
+            # --bounds ptolemaic on a non-Ptolemaic metric fails here with
+            # the staged pruner's ValueError
             result = measure_build(
-                args.index, workload, pivots, **_bounds_overrides(args)
+                args.index,
+                workload,
+                pivots,
+                **({"bounds": args.bounds} if args.bounds else {}),
             )
         except ValueError as exc:
             print(f"cannot build {args.index}: {exc}")
@@ -780,25 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=5)
     p.add_argument("--k", type=int, default=10)
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser(
-        "batch", help="sequential vs batch multi-query throughput (tables + trees)"
-    )
-    p.add_argument("--dataset", choices=sorted(DATASET_FACTORIES), default="LA")
-    p.add_argument("--indexes", nargs="+", default=list(BATCH_INDEX_NAMES))
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--pivots", type=int, default=5)
-    p.add_argument("--queries", type=int, default=16)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--bounds",
-        choices=("triangle", "ptolemaic", "auto"),
-        default=None,
-        help="staged-pruner bound family for the pivot tables (auto = "
-        "Ptolemaic only when the metric declares it; default: index default)",
-    )
-    p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
         "snapshot", help="build an index and save it to disk (or --info a file)"

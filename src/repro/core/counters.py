@@ -321,10 +321,10 @@ class Measurement:
 
 @dataclass
 class QueryStats:
-    """Aggregated per-query statistics over a batch of queries.
+    """Per-query means over a sample of queries measured one at a time.
 
-    The paper reports averages over 100 random queries; this accumulates the
-    same averages.
+    The paper reports averages over a sample of random queries; this
+    accumulates the same averages over whatever sample the workload holds.
     """
 
     queries: int = 0

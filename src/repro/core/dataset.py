@@ -5,8 +5,8 @@ edit distance), Color (282-d MPEG-7 image features, L1), and Synthetic (20-d
 integer vectors, 5 random dimensions + 15 linear combinations, L-infinity).
 The real LA/Words/Color files are not redistributable here, so each generator
 synthesises data with the same *structure* (dimensionality, intrinsic
-dimensionality, distance domain, clusteredness); see DESIGN.md section 2 for
-the substitution argument.
+dimensionality, distance domain, clusteredness); each generator's docstring
+carries its part of the substitution argument.
 
 A :class:`Dataset` owns raw objects addressed by dense integer ids -- every
 index in the library stores ids and fetches raw objects through the dataset

@@ -232,7 +232,7 @@ class TestBatchCounterAttribution:
                 assert got == want
                 assert got_cost.distance_computations == want_cost.distance_computations
 
-    def test_knn_compdists_not_worse_than_sequential(self, datasets):
+    def test_knn_compdists_not_worse_than_sequential(self, datasets, built_indexes):
         space, index = self._fresh_laesa(datasets)
         dataset = datasets["LA"]
         queries = _queries_for(dataset)
@@ -251,6 +251,25 @@ class TestBatchCounterAttribution:
         # universal invariant (chunk granularity verifies k candidates
         # before any radius exists, so adversarial data can flip it).
         assert batch <= sequential
+
+        # the same guard on every scan whose two entry points differ in
+        # verification order, on every fixture
+        for dataset_name in DATASET_MAKERS:
+            queries = _queries_for(datasets[dataset_name])
+            for index_name in ("LAESA", "EPT*", "CPT"):
+                index = built_indexes(dataset_name, index_name)
+                for k in (1, 10):
+                    loop, loop_cost = _cost(
+                        index, lambda: [index.knn_query(q, k) for q in queries]
+                    )
+                    many, many_cost = _cost(
+                        index, lambda: index.knn_query_many(queries, k)
+                    )
+                    assert many == loop, (dataset_name, index_name, k)
+                    assert (
+                        many_cost.distance_computations
+                        <= loop_cost.distance_computations
+                    ), (dataset_name, index_name, k)
 
 
 class TestShardedBatch:

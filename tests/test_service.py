@@ -700,6 +700,27 @@ def test_service_warm_cache_skips_index_work(datasets, built_indexes):
     assert delta.distance_computations == 0  # pure cache hits
     assert delta.cache_hits == len(queries)
 
+    # the serving shape: a mixed MRQ / MkNNQ stream from concurrent callers
+    # through the dispatcher; its second pass is answered by the cache alone
+    stream = [("range", q, radius) for q in queries] + [("knn", q, 5) for q in queries]
+    counters = CostCounters()
+    with QueryService(index, counters=counters) as service:
+
+        def one(request):
+            kind, q, param = request
+            if kind == "range":
+                return service.range_query(q, param)
+            return service.knn_query(q, param)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            cold = list(pool.map(one, stream))
+            after_cold = counters.snapshot()
+            warm = list(pool.map(one, stream))
+        delta = counters.snapshot() - after_cold
+    assert warm == cold
+    assert delta.distance_computations == 0
+    assert (delta.cache_hits, delta.cache_misses) == (len(stream), 0)  # hit rate 1.0
+
 
 def test_service_batch_entry_points_are_cache_aware(datasets, built_indexes):
     dataset = datasets["Words"]
