@@ -228,6 +228,7 @@ def exp_fig16_range(
                         "Dataset": wl_name,
                         "Index": index_name,
                         "r (%)": int(selectivity * 100),
+                        "Width": result.table_width,
                         **_cost_columns(cost),
                     }
                 )
@@ -249,7 +250,14 @@ def exp_fig17_knn(
         )
         for index_name, result in indexes.items():
             for row in _knn_series(result.index, workload, ks):
-                rows.append({"Dataset": wl_name, "Index": index_name, **row})
+                rows.append(
+                    {
+                        "Dataset": wl_name,
+                        "Index": index_name,
+                        "Width": result.table_width,
+                        **row,
+                    }
+                )
     return rows
 
 
@@ -273,6 +281,7 @@ def exp_fig18_pivots(
                         "Dataset": wl_name,
                         "Index": index_name,
                         "|P|": n_pivots,
+                        "Width": result.table_width,
                         **_cost_columns(cost),
                     }
                 )

@@ -92,6 +92,14 @@ class BuildResult:
     memory_bytes: int
     disk_bytes: int
 
+    @property
+    def table_width(self) -> int | str:
+        """Columns of the index's pivot table as built -- LAESA and CPT
+        continue the pivots they are handed on large objects, so a row of
+        compdists says which width it measured; ``"-"`` without a mapping."""
+        mapping = getattr(self.index, "mapping", None)
+        return "-" if mapping is None else mapping.n_pivots
+
 
 def _page_size_for(index_name: str, workload_name: str) -> int:
     """The paper's page-size rule: 40 KB for CPT/PM-tree on high-dim data."""

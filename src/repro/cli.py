@@ -197,6 +197,7 @@ def _cmd_compare(args) -> int:
         rows.append(
             {
                 "Index": name,
+                "Width": build.table_width,
                 "Build comp": build.compdists,
                 "MRQ comp": round(range_cost.mean_compdists, 1),
                 "MRQ PA": round(range_cost.mean_page_accesses, 1),

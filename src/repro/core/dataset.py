@@ -130,6 +130,12 @@ class Dataset:
             return 8 * len(obj)
         return 8
 
+    def nbytes(self) -> int:
+        """:meth:`object_nbytes` summed over every object."""
+        if self._is_vector:
+            return int(self._objects.nbytes)
+        return sum(map(self.object_nbytes, range(len(self._objects))))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dataset(name={self.name!r}, n={len(self)}, distance={self.distance.name})"
 

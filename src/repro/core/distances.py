@@ -90,6 +90,15 @@ class MetricDistance:
         return f"{self.__class__.__name__}(name={self.name!r})"
 
 
+# Elements of the buffer ``LPDistance.one_to_many`` walks a large batch
+# through: 256 KB, 116 rows at dim 282.  Whole, a 20 000 x 282 column
+# materialises two 45 MB temporaries and costs 17-28 ms on the sandbox; ms a
+# column at 8 / 16 / 32 / 64 / 128 K elements: 9.5 / 7.0 / 6.7 / 6.8 / 7.8 for
+# L1, 10.7 / 8.3 / 7.5 / 8.0 / 10.4 for L2, 11.4 / 9.3 / 8.5 / 8.8 / 10.0 for
+# Linf.
+_BLOCK_ELEMENTS = 32 * 1024
+
+
 class LPDistance(MetricDistance):
     """Minkowski L_p norm over numeric vectors, ``p >= 1``.
 
@@ -121,26 +130,49 @@ class LPDistance(MetricDistance):
         mat = np.asarray(objects, dtype=np.float64)
         if mat.ndim == 1:
             mat = mat.reshape(1, -1)
-        diff = np.abs(mat - np.asarray(q, dtype=np.float64))
+        q = np.asarray(q, dtype=np.float64)
+        n, dim = mat.shape
+        step = max(1, _BLOCK_ELEMENTS // max(1, dim))
+        if n <= step:
+            # one block needs no buffer and no loop (3.2 against 4.4 us for
+            # the 10-object batches tree leaves make on LA).  Row-major
+            # whatever the layout of ``objects``: a row of a column-major
+            # difference sums in another order than ``__call__``
+            diff = np.subtract(mat, q, order="C")
+            return self._row_norms(np.abs(diff, out=diff))
+        # a block of rows at a time through one buffer that stays in cache;
+        # every row is reduced exactly as above, so the floats are the same
+        out = np.empty(n, dtype=np.float64)
+        buf = np.empty((step, dim), dtype=np.float64)
+        for lo in range(0, n, step):
+            part = mat[lo : lo + step]
+            diff = buf[: part.shape[0]]
+            np.subtract(part, q, out=diff)
+            np.abs(diff, out=diff)
+            out[lo : lo + step] = self._row_norms(diff)
+        return out
+
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
+        """The norm of each row of ``|a - b|`` (which it may overwrite)."""
         if np.isinf(self.p):
             return diff.max(axis=1)
         if self.p == 1:
             return diff.sum(axis=1)
         if self.p == 2:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
+            return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=1))
+        return np.power(diff, self.p, out=diff).sum(axis=1) ** (1.0 / self.p)
 
     def pairwise(self, xs, ys) -> np.ndarray:
+        """Rows of :meth:`one_to_many`, looped over the shorter side (the
+        metric is symmetric, and ``|a - b|`` and ``|b - a|`` are one float)."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        diff = np.abs(xs[:, None, :] - ys[None, :, :])
-        if np.isinf(self.p):
-            return diff.max(axis=2)
-        if self.p == 1:
-            return diff.sum(axis=2)
-        if self.p == 2:
-            return np.sqrt((diff * diff).sum(axis=2))
-        return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
+        if xs.shape[0] > ys.shape[0]:
+            return np.ascontiguousarray(self.pairwise(ys, xs).T)
+        out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
+        for row, x in zip(out, xs):
+            row[:] = self.one_to_many(x, ys)
+        return out
 
 
 L1 = LPDistance(1)

@@ -35,11 +35,11 @@ class PivotMapping:
         if not self.pivot_ids:
             raise ValueError("at least one pivot is required")
         self.pivot_objects = [space.dataset[p] for p in self.pivot_ids]
-        columns = [
-            space.d_many(pivot_obj, space.dataset.objects)
-            for pivot_obj in self.pivot_objects
-        ]
-        self.matrix = np.stack(columns, axis=1)
+        # filled in place: a list of columns stacked afterwards holds the
+        # table twice while it is built
+        self.matrix = np.empty((len(space.dataset), len(self.pivot_ids)), dtype=np.float64)
+        for column, pivot_obj in enumerate(self.pivot_objects):
+            self.matrix[:, column] = space.d_many(pivot_obj, space.dataset.objects)
 
     @property
     def n_pivots(self) -> int:
@@ -55,9 +55,7 @@ class PivotMapping:
 
     def map_query(self, q) -> np.ndarray:
         """I(q) for an arbitrary query object (counts l computations)."""
-        return np.asarray(
-            [self.space.d(q, pivot) for pivot in self.pivot_objects], dtype=np.float64
-        )
+        return self.space.d_many(q, self.pivot_objects)
 
     def map_object(self, obj) -> np.ndarray:
         """Alias of :meth:`map_query` for insertion paths."""
@@ -74,6 +72,50 @@ class PivotMapping:
         if not queries:
             return np.empty((0, self.n_pivots), dtype=np.float64)
         return self.space.pairwise_objects(queries, self.pivot_objects)
+
+    def extend_max_min(self, extra: int, explained: float) -> None:
+        """Continue the pivot set greedily, for up to ``extra`` more columns.
+
+        The way LAESA's authors chose base prototypes: the next pivot is the
+        object farthest from its nearest pivot so far.  That distance is
+        read off the columns already computed, so choosing costs nothing and
+        a column costs ``n`` computations like any other.  A column whose
+        distances the table's Lemma 1 bound already explains -- mean
+        ``lb(o) / d(o, p)`` over the objects at or above ``explained`` -- is
+        discarded and the continuation stops: where the pivots in hand
+        embed the data that well (low-dimensional data) more of them prune
+        nothing.  It also stops when every object coincides with a pivot.
+        """
+        n, given = self.matrix.shape
+        if extra <= 0 or n == 0:
+            return
+        dataset = self.space.dataset
+        table = np.empty((n, given + extra), dtype=np.float64)
+        table[:, :given] = self.matrix
+        nearest = self.matrix.min(axis=1)
+        self.matrix = table  # the narrow table is let go before the loop allocates
+        bound, gap = np.empty(n), np.empty(n)
+        width = given
+        while width < table.shape[1] and nearest.max() > 0.0:
+            pivot_id = int(nearest.argmax())
+            column = self.space.d_many(dataset[pivot_id], dataset.objects)
+            # Lemma 1 from the new pivot's own row, through two n-long buffers
+            # (``lower_bound_many`` copies the table each call: 2 MB a step at
+            # n = 20 000, which the heap keeps -- +3.4 MB resident after set-up)
+            bound.fill(0.0)
+            for have in range(width):
+                np.subtract(table[:, have], table[pivot_id, have], out=gap)
+                np.maximum(bound, np.abs(gap, out=gap), out=bound)
+            apart = column > 0.0
+            if (bound[apart] / column[apart]).mean() >= explained:
+                break
+            table[:, width] = column
+            np.minimum(nearest, column, out=nearest)
+            self.pivot_ids.append(pivot_id)
+            self.pivot_objects.append(dataset[pivot_id])
+            width += 1
+        if width < table.shape[1]:
+            self.matrix = table[:, :width].copy()
 
     def append(self, vector: np.ndarray) -> int:
         """Register a newly inserted object's mapped vector; returns its row."""

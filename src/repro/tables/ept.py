@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.index import MetricIndex
+from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import hf, psa
 from ..core.queries import Neighbor, best_first_knn, storage_order_knn
@@ -48,8 +49,9 @@ class _ExtremePivotTableBase(MetricIndex):
         super().__init__(space)
         self.pivot_ids = pivot_ids  # global candidate/pivot object ids
         self._row_ids = np.arange(pivot_idx.shape[0], dtype=np.intp)
-        self._pivot_idx = pivot_idx.astype(np.int32)  # n x l, into pivot_ids
-        self._pivot_dist = pivot_dist.astype(np.float64)  # n x l
+        # the builds make these arrays for this table: kept, not copied
+        self._pivot_idx = np.asarray(pivot_idx, dtype=np.int32)  # n x l, into pivot_ids
+        self._pivot_dist = np.asarray(pivot_dist, dtype=np.float64)  # n x l
         if pruner is None:
             pruner = PerObjectStagedPruner.build(
                 space, pivot_ids, self._pivot_idx, self._pivot_dist
@@ -161,13 +163,7 @@ class EPT(_ExtremePivotTableBase):
         for j in range(l):
             group = [int(i) for i in rng.choice(n, size=m, replace=False)]
             # full distance columns: the dominant build cost of EPT (Table 4)
-            columns = np.stack(
-                [
-                    space.d_many(space.dataset[p], space.dataset.objects)
-                    for p in group
-                ],
-                axis=1,
-            )  # n x m
+            columns = PivotMapping(space, group).matrix  # n x m
             mus = columns.mean(axis=0)
             extremeness = np.abs(columns - mus)
             choice = extremeness.argmax(axis=1)  # per object: extreme pivot

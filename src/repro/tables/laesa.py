@@ -16,6 +16,42 @@ verification strategy they name -- ``knn_query`` the paper's
 :func:`~repro.core.queries.storage_order_knn`, ``knn_query_many`` the
 cheaper :func:`~repro.core.queries.best_first_knn`.  :class:`~repro.tables.
 cpt.CPT` subclasses this table and overrides only :meth:`LAESA._distances`.
+
+**The caller's pivots seed the table; ``build`` sizes it.**  With d(q, p) and
+d(o, p) stored, the Lemma 1 scan and the best-first order are already the
+best use of the columns there are, so on a space of high intrinsic
+dimension the only way to verify fewer objects is to hold more columns.
+After the given columns ``build`` continues the pivot set the way LAESA's
+authors chose base prototypes -- next pivot = the object farthest from its
+nearest pivot so far, read off the columns in hand, so choosing is free and
+a column costs n computations (:meth:`~repro.core.mapping.PivotMapping.
+extend_max_min`) -- under two rules that look only at the input:
+
+* *Width:* one more 8-byte cell per ``_OBJECT_BYTES_PER_COLUMN`` = 256 bytes
+  of object, so the table never grows ``index_bytes_per_object`` by more
+  than 3.2 %.  Color's 2 256-byte vectors get 8 columns after the given
+  ones; LA (16 B), Synthetic (160 B) and Words (<= 34 B) get none, and
+  their tables, counts and bytes are exactly the given pivots'.
+* *Early stop:* a new column is discarded, and the continuation ends, when
+  the table's Lemma 1 bound already explains ``_EXPLAINED_SHARE`` = 0.9 of
+  it (mean bound / distance over the objects).  Measured at n = 20 000 on
+  5 HFI pivots, steps 6...21: 0.69-0.82 on Color (intrinsic dimension ~7),
+  0.95-0.995 on LA (2-d: more pivots have nothing left to say), 0.64-0.76
+  on Synthetic.
+
+The wider table is the same table: the continuation pivots sit in
+``mapping.pivot_ids`` / ``pivot_objects`` and the rows like the given ones,
+so the cascade ranks and stages them, and queries, ``insert`` (one counted
+call, a computation a column), ``delete``, snapshots, ``storage_bytes`` and
+CPT need no second body.  What it buys on the spine's ``color_table_batch``
+(n = 20 000, 5 HFI pivots given, 16-query batches at 1 % selectivity and
+k = 10): compdists a query 1 060.7 -> 636.9 at 13 columns (778 / 705 / 637 /
+587 / 531 at 8 / 10 / 13 / 16 / 21 -- a column still pays at 21, the 5 %
+bound on index bytes does not); ``tests/test_table_width.py`` holds <= 0.8 x
+at n = 2 000.  What it costs: every column is one more
+computation per query, which a small table does not earn back (at n = 200
+a k = 1 batch pays 8 a query and saves none; the ratio crosses 0.8 near
+n = 1 000).
 """
 
 from __future__ import annotations
@@ -30,6 +66,12 @@ from ..core.staged import StagedPruner
 from .rows import append_row, claim_row_id, remove_row
 
 __all__ = ["LAESA"]
+
+# The two constants of the width rule (module docstring has the readings):
+# one continuation column per this many bytes of object ...
+_OBJECT_BYTES_PER_COLUMN = 256
+# ... until the table's Lemma 1 bound explains this share of a new column.
+_EXPLAINED_SHARE = 0.9
 
 
 class LAESA(MetricIndex):
@@ -47,9 +89,7 @@ class LAESA(MetricIndex):
         super().__init__(space)
         self.mapping = mapping
         self.use_validation = use_validation
-        n = mapping.n_objects
-        self._row_ids = np.arange(n, dtype=np.intp)
-        self._rows = mapping.matrix.copy()
+        self._row_ids = np.arange(mapping.n_objects, dtype=np.intp)
         if pruner is None:
             pruner = StagedPruner.build(space, self._rows, mapping.pivot_objects)
         self.pruner = pruner
@@ -62,12 +102,36 @@ class LAESA(MetricIndex):
         use_validation: bool = False,
         bounds: str = "auto",
     ) -> "LAESA":
-        """Pre-compute the distance table (and pruner state) for the pivots."""
+        """Pre-compute the distance table (and pruner state): the columns of
+        ``pivot_ids``, then the max-min continuation the module docstring
+        sizes (none on objects under ``_OBJECT_BYTES_PER_COLUMN``)."""
         mapping = PivotMapping(space, pivot_ids)
+        per_object = space.dataset.nbytes() // max(1, len(space.dataset))
+        mapping.extend_max_min(per_object // _OBJECT_BYTES_PER_COLUMN, _EXPLAINED_SHARE)
         pruner = StagedPruner.build(
             space, mapping.matrix, mapping.pivot_objects, bounds=bounds
         )
         return cls(space, mapping, use_validation, pruner=pruner)
+
+    # -- the one table ------------------------------------------------------
+
+    @property
+    def _rows(self) -> np.ndarray:
+        """The live distance table, one row per ``_row_ids`` entry.  It *is*
+        ``mapping.matrix``: inserts and deletes rebind that one array."""
+        return self.mapping.matrix
+
+    @_rows.setter
+    def _rows(self, table: np.ndarray) -> None:
+        self.mapping.matrix = table
+
+    def __setstate__(self, state: dict) -> None:
+        # pickled while the table was kept twice: ``_rows`` was the live
+        # copy, ``mapping.matrix`` the one that went stale at the first insert
+        rows = state.pop("_rows", None)
+        self.__dict__.update(state)
+        if rows is not None:
+            self._rows = rows
 
     # -- queries ------------------------------------------------------------
 

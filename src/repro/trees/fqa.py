@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.index import MetricIndex
+from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.pivot_filter import query_chunk
 from ..core.queries import Neighbor, best_first_knn
@@ -49,11 +50,7 @@ class FQA(MetricIndex):
         cls, space: MetricSpace, pivot_ids, bits_per_pivot: int = 8
     ) -> "FQA":
         require_discrete(space, "FQA")
-        columns = [
-            space.d_many(space.dataset[int(p)], space.dataset.objects)
-            for p in pivot_ids
-        ]
-        matrix = np.stack(columns, axis=1)
+        matrix = PivotMapping(space, pivot_ids).matrix
         max_value = float(matrix.max()) if matrix.size else 1.0
         levels = (1 << bits_per_pivot) - 1
         width = max(1.0, np.ceil((max_value + 1) / levels))

@@ -6,12 +6,14 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.distances import _BLOCK_ELEMENTS
 from repro import (
     BKT,
     LAESA,
@@ -121,6 +123,114 @@ class TestLPDistance:
         assert dab >= 0  # non-negativity
         assert L2(a, a) == pytest.approx(0.0)  # identity
         assert L2(a, c) <= dab + L2(b, c) + 1e-7  # triangle inequality
+
+
+def _unblocked_column(dist: LPDistance, q, objects) -> np.ndarray:
+    """``LPDistance.one_to_many`` as it was before it walked blocks: the whole
+    ``n x dim`` difference at once."""
+    diff = np.abs(np.asarray(objects, dtype=np.float64) - np.asarray(q, dtype=np.float64))
+    if np.isinf(dist.p):
+        return diff.max(axis=1)
+    if dist.p == 1:
+        return diff.sum(axis=1)
+    if dist.p == 2:
+        return np.sqrt((diff * diff).sum(axis=1))
+    return (diff**dist.p).sum(axis=1) ** (1.0 / dist.p)
+
+
+class TestBlockedLPKernel:
+    """The cache-blocked ``one_to_many`` / ``pairwise`` return the floats the
+    whole-array forms returned: every count and digest downstream rests on it."""
+
+    DISTS = [L1, L2, LPDistance(3), LInf]
+
+    @staticmethod
+    def _block_rows(dim: int) -> int:
+        return max(1, _BLOCK_ELEMENTS // dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 282])
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    def test_blocked_equals_unblocked_around_the_block_size(self, dist, dim):
+        rng = np.random.default_rng(dim)
+        block = self._block_rows(dim)
+        q = rng.normal(scale=100.0, size=dim)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+            mat = rng.normal(scale=100.0, size=(n, dim))
+            got = dist.one_to_many(q, mat)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, _unblocked_column(dist, q, mat)), (n, dim)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    def test_layouts_and_dtypes(self, dist):
+        """Strided rows, reversed columns, float32 and integer input above
+        and below one block; a column-major matrix too, where the whole-array
+        form summed a row in another order than it does for row-major input
+        (and so than ``__call__``)."""
+        rng = np.random.default_rng(7)
+        dim = 282
+        q = rng.normal(scale=100.0, size=dim)
+        for n in (40, 3 * self._block_rows(dim) + 7):
+            mat = rng.normal(scale=100.0, size=(2 * n, dim))
+            for view in (
+                mat[::2],
+                mat[:n, ::-1],
+                mat[:n].astype(np.float32),
+                (mat[:n] * 10).astype(np.int64),
+                [list(row) for row in mat[:5]],
+            ):
+                assert np.array_equal(
+                    dist.one_to_many(q, view), _unblocked_column(dist, q, view)
+                )
+            fortran = np.asfortranarray(mat[:n])
+            assert np.array_equal(
+                dist.one_to_many(q, fortran), dist.one_to_many(q, mat[:n])
+            )
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    def test_one_dimensional_input_is_one_object(self, dist):
+        rng = np.random.default_rng(8)
+        q, obj = rng.normal(size=282), rng.normal(size=282)
+        assert np.array_equal(dist.one_to_many(q, obj), [dist(q, obj)])
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("shape", [(3, 50), (50, 3), (16, 16), (1, 400), (400, 1), (0, 4), (4, 0)])
+    def test_pairwise_is_stacked_columns_is_call(self, dist, shape):
+        rng = np.random.default_rng(9)
+        dim = 282
+        xs = rng.normal(scale=100.0, size=(shape[0], dim))
+        ys = rng.normal(scale=100.0, size=(shape[1], dim))
+        got = dist.pairwise(xs, ys)
+        assert got.shape == shape and got.dtype == np.float64 and got.flags.c_contiguous
+        for x, row in zip(xs, got):
+            assert np.array_equal(row, dist.one_to_many(x, ys))
+            scalar = [dist(x, y) for y in ys]
+            # p = 3 takes its root through Python's float pow in ``__call__``
+            assert np.array_equal(row, scalar) if dist.p != 3 else np.allclose(row, scalar)
+
+    def test_pairwise_rows_span_several_blocks(self):
+        rng = np.random.default_rng(10)
+        xs, ys = rng.normal(size=(3, 282)), rng.normal(size=(400, 282))
+        assert ys.shape[0] > 3 * self._block_rows(282)
+        want = np.stack([_unblocked_column(L1, x, ys) for x in xs])
+        assert np.array_equal(L1.pairwise(xs, ys), want)
+        assert np.array_equal(L1.pairwise(ys, xs), want.T)
+
+    @pytest.mark.parametrize("dist", [L1, L2, LInf], ids=lambda d: d.name)
+    def test_no_temporary_larger_than_one_block(self, dist):
+        """A 20 000 x 282 column (the Color table's) allocates the block
+        buffer and the result, not two 45 MB differences."""
+        rng = np.random.default_rng(11)
+        mat = rng.random((20_000, 282))
+        q = mat[3].copy()
+        dist.one_to_many(q, mat[:500])  # warm
+        tracemalloc.start()
+        try:
+            column = dist.one_to_many(q, mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert column.shape == (20_000,)
+        assert peak < 3 * 8 * _BLOCK_ELEMENTS + column.nbytes  # < 1 MB; unblocked: 90 MB
 
 
 class TestEditDistance:

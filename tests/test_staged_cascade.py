@@ -413,10 +413,14 @@ def test_ptolemaic_stage_gathers_survivors_not_the_table():
 
 def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
     """What staging is for, as a count: on the conftest Color vectors under
-    L2 (l = 8, 16 queries, a 5 % radius) the prefix decides enough cells
-    that the cascade evaluates at most 65 % of the ``l x q x n``
+    L2 (8 pivots given, 16 queries, a 5 % radius) the prefix decides enough
+    cells that the cascade evaluates at most 65 % of the ``l x q x n``
     column-cells a single-shot filter reads -- prefix columns for every
-    cell, the rest only for the cells the prefix left."""
+    cell, the rest only for the cells the prefix left.
+
+    ``LAESA.build`` continues the 8 given pivots to l = 16 on these 2 256-byte
+    objects, so the quarter-of-l prefix is 4 columns, not 2 (pinned at
+    (2, 1560, 1243) while the table held exactly the given columns)."""
     color = datasets["Color"]
     vectors = np.asarray([color[i] for i in range(len(color))])
     data = Dataset(vectors, L2, name="ColorL2")
@@ -434,9 +438,9 @@ def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
     assert (alive == (lower_bound_many_queries(qmat, index._rows) <= radius)).all()
     snap = counters.snapshot()
     q, n = alive.shape
-    l, prefix = len(pivots), index.pruner.prefix
+    l, prefix = index.mapping.n_pivots, index.pruner.prefix
     evaluated = prefix * q * n + (l - prefix) * (q * n - snap.prune_prefix)
-    assert (prefix, snap.prune_prefix, snap.prune_refine) == (2, 1560, 1243)
+    assert (l, prefix, snap.prune_prefix, snap.prune_refine) == (16, 4, 2565, 291)
     assert evaluated <= 0.65 * l * q * n
 
 

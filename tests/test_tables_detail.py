@@ -76,6 +76,9 @@ class TestLAESADetail:
         from repro.core.pivot_filter import lower_bound_many
 
         qd = np.asarray([la.distance(q, la[p]) for p in la_pivots])
+        # ``mapping.matrix`` is the table the index scans (``_rows`` is its
+        # name inside LAESA), no longer a build-time copy beside it
+        assert index.mapping.matrix is index._rows
         survivors = int((lower_bound_many(qd, index.mapping.matrix) <= radius).sum())
         assert counters.distance_computations == len(la_pivots) + survivors
         assert set(result) <= set(range(len(la)))
@@ -97,6 +100,9 @@ class TestLAESADetail:
 
     def test_pivot_rows_are_zero_at_pivot(self, la, la_pivots):
         index = LAESA.build(MetricSpace(la, CostCounters()), la_pivots)
+        # the live table: the given pivots are its first columns (16-byte LA
+        # points get no continuation columns after them)
+        assert index.mapping.pivot_ids == [int(p) for p in la_pivots]
         for j, p in enumerate(la_pivots):
             assert index.mapping.matrix[p, j] == 0.0
 
