@@ -3,12 +3,13 @@
 Every RAF-backed ``build`` hands its ordered records to one
 ``RandomAccessFile.append_many`` call, and the SPB-tree discretises, encodes
 and summarises the whole dataset in array form.  This file holds those bulk
-paths to a per-object reference kept here, in the tests: one pager write per
-record (re-written when its page is sealed), scalar curve ``encode`` per
-object, B+-tree summaries recovered by scalar ``decode``.  The two must
-produce the same index byte for byte -- only the construction cost may
-differ, and that cost is pinned: the same distance computations, and one
-page write per page.
+paths to a per-object reference kept here, in the tests: one ``append`` per
+record (one pager write of the open page, its columns grown by a row),
+scalar curve ``encode`` per object, B+-tree summaries recovered by scalar
+``decode``.  The two must produce the same index byte for byte -- only the
+construction cost may differ, and that cost is pinned: the same distance
+computations, and one page write per page.  The RAF's pages themselves are
+held to the sizing rule of :mod:`repro.storage.raf` on every fixture.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.external import mindex as mindex_module
 from repro.external import omni as omni_module
 from repro.sfc import HilbertCurve, ZOrderCurve
 from repro.storage.pager import Pager, PageStore
-from repro.storage.raf import RandomAccessFile, RecordPointer
+from repro.storage.raf import RafPage, RandomAccessFile, RecordPointer
 
 from conftest import DATASET_MAKERS, N_SMALL, RADIUS
 
@@ -53,26 +54,10 @@ PAGE_SIZE = 1024  # small pages: several RAF pages and two B+-tree levels at n =
 
 
 class PerRecordRAF(RandomAccessFile):
-    """The reference write path: every record is its own pager write."""
-
-    def append(self, record):
-        nbytes = self._record_bytes(record)
-        if self._open_page_id is None or (
-            self._open_bytes + nbytes > self._budget() and self._open_records
-        ):
-            if self._open_records:
-                self.pager.write(self._open_page_id, list(self._open_records))
-            self._open_page_id = self.pager.allocate()
-            self._open_records = []
-            self._open_bytes = 0
-        self._open_records.append(record)
-        self._open_bytes += nbytes
-        self._count += 1
-        self.pager.write(self._open_page_id, list(self._open_records))
-        return RecordPointer(self._open_page_id, len(self._open_records) - 1)
+    """The reference write path: every record is its own ``append``."""
 
     def append_many(self, records):
-        return [self.append(record) for record in records]
+        return [RandomAccessFile.append_many(self, (record,))[0] for record in records]
 
 
 def reference_spbtree(space, pivot_ids, curve_cls):
@@ -239,6 +224,7 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
         ref.raf._open_page_id,
         ref.raf._open_bytes,
     )
+    assert pickle.dumps(bulk.raf._open_page) == pickle.dumps(ref.raf._open_page)
 
     # -- at the construction cost the contract names ---------------------------
     assert cost.distance_computations == ref_cost.distance_computations
@@ -250,8 +236,8 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
     assert len(written) == len(set(written))
     assert cost.page_writes == sum(span for _, _, span in writes)
     assert raf_pages <= set(written)
-    # the reference pays a write per record, and one more per sealed page
-    assert ref_cost.page_writes == cost.page_writes + len(dataset) - 1
+    # the reference pays a write per record, the bulk build one per page
+    assert ref_cost.page_writes == cost.page_writes + len(dataset) - len(raf_pages)
     assert cost.page_reads == ref_cost.page_reads
 
     # -- and it is a working index: delete three objects, insert them anew -----
@@ -337,7 +323,7 @@ def test_bulk_built_index_survives_a_snapshot_and_takes_an_insert(
         pivots_by_count(dataset_name, count),
         reference=False,
     )
-    open_page, open_slots = index.raf._open_page_id, len(index.raf._open_records)
+    open_page, open_slots = index.raf._open_page_id, len(index.raf._open_page)
     path = tmp_path / "bulk.snap"
     save_index(index, path)
     counters = CostCounters()
@@ -390,3 +376,83 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
         tracemalloc.stop()
     assert len(index._pointers) == 5_000
     assert peak - kept < 0.6 * (kept - before)
+
+
+# -- the RAF's pages: the sizing rule on every fixture ------------------------------
+
+
+def _raf_pages(index):
+    """The index's RAF pages in file order, as stored."""
+    page_ids = sorted({p.page_id for p in index._pointers.values()})
+    return page_ids, [index.pager.store.read(page_id) for page_id in page_ids]
+
+
+def _page_limit(schema, page_size, fill_factor=0.9):
+    """Payload a page of ``schema`` takes: the budget less the header (the
+    empty page's pickle, and 3 B for each raw buffer: the mask, one an int
+    or array column, two a str column)."""
+    buffers = 1 + sum(2 if spec == ("s",) else 1 for spec in schema[1])
+    empty = pickle.dumps(RafPage.encode([], schema), protocol=pickle.HIGHEST_PROTOCOL)
+    return int(page_size * fill_factor) - len(empty) - 3 * buffers
+
+
+RAF_FIXTURE_BUILDERS = {
+    "SPB-tree": lambda space, pivots: SPBTree.build(space, pivots),
+    "M-index*": lambda space, pivots: MIndexStar.build(space, pivots, maxnum=64),
+}
+
+
+@pytest.mark.parametrize("name", list(RAF_FIXTURE_BUILDERS))
+@pytest.mark.parametrize("dataset_name", ["LA", "Words", "Color", "Synthetic"])
+def test_raf_pages_are_the_fewest_the_budget_allows(datasets, pivots, dataset_name, name):
+    """Every stored RAF page fits its page, and no page could have taken
+    the record that opened the next one -- for fixed-size records, the
+    page count is ``ceil(n / (limit // record bytes))``."""
+    dataset = datasets[dataset_name]
+    index = RAF_FIXTURE_BUILDERS[name](
+        MetricSpace(dataset, CostCounters()), pivots[dataset_name]
+    )
+    page_size = index.pager.page_size
+    page_ids, pages = _raf_pages(index)
+    assert all(type(page) is RafPage and not any(page.dead) for page in pages)
+    assert sum(map(len, pages)) == len(dataset)
+    assert all(index.pager.store.page_bytes(p) <= page_size for p in page_ids)
+    schema = pages[0].schema
+    limit = _page_limit(schema, page_size)
+    for page, following in zip(pages, pages[1:]):
+        assert page.schema == schema
+        opener = RafPage.encode([following.record(0)], schema).payload_bytes()
+        assert page.payload_bytes() + opener > limit
+        assert page.payload_bytes() <= limit or len(page) == 1
+    if dataset_name != "Words":  # fixed-size records: id, arrays, tombstone
+        per_record = 8 + sum(field.nbytes for field in pages[0].record(0)[1:]) + 1
+        per_page = max(1, limit // per_record)
+        assert len(pages) == -(-len(dataset) // per_page)
+    if dataset_name == "Color":  # 282 float64s a record: one a page
+        assert len(pages) == len(dataset)
+
+
+# SPB-tree disk bytes per object on the fixture below when the RAF stored
+# each page as a pickled record list, sized by a pickle per record
+LIST_PAGE_DISK_BYTES_PER_OBJECT = 288.768
+
+
+def test_columnar_raf_halves_the_spbtree_on_disk(store_writes):
+    """The count behind ``la_disk_mixed_rw``'s set-up and index bytes: on LA
+    n = 2 000 the SPB-tree's disk bytes per object are at most 0.6 x what
+    the list-page RAF stored, and its construction writes each page of the
+    finished index once (plus the empty root the B+-tree starts from, which
+    the bulk load frees)."""
+    space = MetricSpace(make_la(2_000, seed=1), CostCounters())
+    pivot_ids = select_pivots(space, 5, strategy="hfi", seed=3)
+    space.counters.reset()
+    del store_writes[:]
+    index = SPBTree.build(space, pivot_ids)
+    writes = space.counters.page_writes
+    written = [page_id for _, page_id, _ in store_writes]
+    disk = index.storage_bytes()["disk"]
+    assert disk / 2_000 <= 0.6 * LIST_PAGE_DISK_BYTES_PER_OBJECT
+    page_ids, _ = _raf_pages(index)
+    assert sorted(p for p in written if p in set(page_ids)) == page_ids
+    assert writes == len(written) == len(index.pager.store) + 1
+    assert disk == len(index.pager.store) * index.pager.page_size

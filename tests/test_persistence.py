@@ -1,6 +1,7 @@
 """Dataset persistence (save_dataset / load_dataset), the walk of the index
-graph that snapshots and counter rebinding stand on, and tree snapshots
-across the change of MVPT / VPT's leaf layout."""
+graph that snapshots and counter rebinding stand on, tree snapshots across
+the change of MVPT / VPT's leaf layout, and RAF snapshots across the change
+of the RAF's page format."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from repro import (
 from repro.core import load_dataset, save_dataset
 from repro.service import iter_components, load_index, rebind_counters, save_index
 from repro.storage.pager import Pager
+from repro.storage.raf import RafPage, RecordPointer
 from repro.tables import LAESA
 
 from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for
@@ -251,3 +253,68 @@ def test_coded_tree_round_trip_matches_the_live_index(
     radius = RADIUS[dataset_name]
     assert _tree_answers(restored, queries, radius) == _tree_answers(live, queries, radius)
     assert restored.storage_bytes() == live.storage_bytes()
+
+
+# -- RAF snapshots across the change of page format ----------------------------------
+
+
+def _external_answers(index, queries, radius, k=6, gone=()):
+    """Every query method's answers, and brute force's without ``gone``."""
+    got = (
+        [index.range_query(q, radius) for q in queries],
+        index.range_query_many(queries, radius),
+        [index.knn_query(q, k) for q in queries],
+        index.knn_query_many(queries, k),
+    )
+    oracle = MetricSpace(index.space.dataset, CostCounters())
+    ranges = [
+        [i for i in brute_force_range(oracle, q, radius) if i not in gone]
+        for q in queries
+    ]
+    knns = [
+        [n for n in brute_force_knn(oracle, q, k + len(gone)) if n.object_id not in gone][:k]
+        for q in queries
+    ]
+    return got, (ranges, ranges, knns, knns)
+
+
+@pytest.mark.parametrize("name", ["spbtree", "mindexstar", "dept"])
+def test_snapshot_with_list_pages_still_loads(tmp_path, name):
+    """``tests/data/list_pages_*_la300.snap`` (SPB-tree, M-index*, DEPT on
+    ``make_la(300, seed=11)``, 5 HFI pivots, seed 3) were written when each
+    RAF page was a pickled list of records: object 7 deleted and put back
+    twice -- a tombstone on the open page -- and 31 deleted.  They load with
+    no distance computed, read their list pages as they are, answer as
+    brute force does, re-encode a page when they write it, and round-trip
+    through ``save_index`` again."""
+    dataset = make_la(300, seed=11)
+    index = load_index(DATA / f"list_pages_{name}_la300.snap")
+    assert index.space.counters.distance_computations == 0
+    raf = index.raf
+    page_ids = sorted({p.page_id for p in index._pointers.values()})
+    assert all(type(index.pager.read(p)) is list for p in page_ids)
+    # the pickled open record list came back as the open page
+    assert type(raf._open_page) is RafPage and None in raf._open_page.records()
+    assert raf._open_page.record(len(raf._open_page) - 1)[0] == 7
+    queries = [dataset[5], dataset[31], dataset[200]]
+    got, want = _external_answers(index, queries, 900.0, gone={31})
+    assert got == want
+
+    # a delete and re-insert of a live id: the pages written are re-encoded
+    old = index._pointers[12]
+    open_page, open_slots = raf._open_page_id, len(raf._open_page)
+    index.delete(12)
+    assert type(index.pager.read(old.page_id)) is RafPage
+    assert index.insert(dataset[12], object_id=12) == 12
+    assert index._pointers[12] == RecordPointer(open_page, open_slots)
+    assert type(index.pager.read(open_page)) is RafPage
+    assert raf.read(old) is None and raf.read(index._pointers[12])[0] == 12
+    got, want = _external_answers(index, queries, 900.0, gone={31})
+    assert got == want
+
+    save_index(index, tmp_path / "again.snap")
+    restored = load_index(tmp_path / "again.snap")
+    assert restored.space.counters.distance_computations == 0
+    assert pickle.dumps(restored.raf._open_page) == pickle.dumps(raf._open_page)
+    assert _external_answers(restored, queries, 900.0, gone={31}) == (got, want)
+    assert restored.storage_bytes() == index.storage_bytes()

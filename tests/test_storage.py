@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.counters import CostCounters
-from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
+from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile, RecordPointer
 from repro.storage import pager as pager_module
+from repro.storage.raf import RafPage, _schema_of
 
 
 @pytest.fixture
@@ -360,22 +362,15 @@ class TestRandomAccessFile:
 class TestAppendMany:
     """``append_many`` is the write body; ``append`` is its one-record view."""
 
-    def _raf(self, page_size=256, cache_bytes=0):
+    def _raf(self, page_size=1024, cache_bytes=0):
         counters = CostCounters()
         pager = Pager(page_size=page_size, counters=counters, cache_bytes=cache_bytes)
         return RandomAccessFile(pager), pager, counters
 
-    @staticmethod
-    def _pages(pager):
-        return {
-            page_id: pager.store.read(page_id)
-            for page_id, _ in sorted(pager.store._blob_sizes())
-        }
-
     def test_single_appends_cost_one_write_each(self):
         raf, _, counters = self._raf()
         ptrs = [raf.append(("record", i)) for i in range(200)]
-        assert len({p.page_id for p in ptrs}) > 5
+        assert len({p.page_id for p in ptrs}) > 3
         # a page that fills is not written again when it is sealed
         assert counters.page_writes == 200
 
@@ -392,7 +387,9 @@ class TestAppendMany:
         one, one_pager, _ = self._raf()
         many, many_pager, _ = self._raf()
         assert many.append_many(records) == [one.append(r) for r in records]
-        assert self._pages(many_pager) == self._pages(one_pager)
+        # stored bytes, page by page: rows appended one at a time to the
+        # open page's columns encode exactly as the page encoded whole
+        assert many_pager.store._pages == one_pager.store._pages
         assert many_pager.disk_bytes() == one_pager.disk_bytes()
 
     def test_open_page_is_carried_across_calls(self):
@@ -407,7 +404,7 @@ class TestAppendMany:
         got += raf.append_many(iter(records[51:90]))
         got += raf.append_many(r for r in records[90:])
         assert got == expected
-        assert self._pages(pager) == self._pages(ref_pager)
+        assert pager.store._pages == ref_pager.store._pages
 
     def test_empty_iterable_writes_nothing(self):
         raf, pager, counters = self._raf()
@@ -420,18 +417,259 @@ class TestAppendMany:
         assert counters.page_writes == 0
 
     def test_oversized_record_pays_the_multi_page_write(self):
-        raf, pager, counters = self._raf(page_size=128)
-        small, big, after = raf.append_many(["s", "B" * 1000, "t"])
+        raf, pager, counters = self._raf()
+        small, big, after = raf.append_many(["s", "B" * 3000, "t"])
         assert len({small.page_id, big.page_id, after.page_id}) == 3
         span = pager.store.pages_spanned(pager.store.page_bytes(big.page_id))
         assert span > 1
         assert counters.page_writes == 2 + span
-        assert raf.read(big) == "B" * 1000
+        assert raf.read(big) == "B" * 3000
 
     def test_pooled_open_page_is_not_aliased(self):
         raf, pager, _ = self._raf(cache_bytes=4096)
         first = raf.append("a")
         cached = pager.read(first.page_id)
         raf.append("b")
-        assert cached == ["a"]  # the pool's earlier node did not grow
-        assert pager.read(first.page_id) == ["a", "b"]
+        assert cached.records() == ["a"]  # the pool's earlier node did not grow
+        assert pager.read(first.page_id).records() == ["a", "b"]
+
+
+# -- the columnar page format ---------------------------------------------------
+
+
+def _same(got, want) -> bool:
+    """Equal and of the same type, arrays by dtype, shape and values."""
+    if isinstance(want, tuple):
+        return (
+            type(got) is tuple
+            and len(got) == len(want)
+            and all(_same(g, w) for g, w in zip(got, want))
+        )
+    if isinstance(want, np.ndarray):
+        return (
+            type(got) is np.ndarray
+            and got.dtype == want.dtype
+            and got.shape == want.shape
+            and np.array_equal(got, want)
+        )
+    return type(got) is type(want) and got == want
+
+
+def _records(n=40):
+    """Every record shape ``src/`` writes, and the ones it might."""
+    rows = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+    return {
+        # SPB-tree / Omni / D-EPT on vectors, on words; M-index
+        "id, vector": [(i, rows[i]) for i in range(n)],
+        "id, word": [(i, "wörd" * (i % 5)) for i in range(n)],
+        "id, vector, mapped": [(i, rows[i], rows[i] * 3.5) for i in range(n)],
+        # non-float64 dtypes and shapes
+        "float32": [(i, rows[i].astype(np.float32)) for i in range(n)],
+        "uint8 matrix": [(i, np.full((2, 3), i % 256, dtype=np.uint8)) for i in range(n)],
+        "int32": [(i, np.arange(i % 4 + 1, dtype=np.int32)[:1]) for i in range(n)],
+        # test_storage's plain values
+        "ints": list(range(n)),
+        "strings": [f"value-{i}" for i in range(n)],
+        "str, int": [("obj", i) for i in range(n)],
+        # fields with no column of their own: pickled in a list
+        "beyond int64": [(2**70 + i, i) for i in range(n)],
+        "bool, dict": [(bool(i % 2), {"k": i}) for i in range(n)],
+        "0-d array": [np.array(float(i)) for i in range(n)],
+        "structured, empty": [
+            (np.array([(i, 0.5)], dtype=[("a", "<i4"), ("b", "<f8")]), np.zeros(0))
+            for i in range(n)
+        ],
+        "lone surrogate": [(i, "\ud800" * (i % 3)) for i in range(n)],
+        "empty tuples": [() for _ in range(n)],
+    }
+
+
+# the columns each shape is stored in (a lone surrogate has no UTF-8 form,
+# so the first such word starts a page whose word column is pickled)
+_KINDS = {
+    "id, vector": {"ia"},
+    "id, word": {"is"},
+    "id, vector, mapped": {"iaa"},
+    "float32": {"ia"},
+    "uint8 matrix": {"ia"},
+    "int32": {"ia"},
+    "ints": {"i"},
+    "strings": {"s"},
+    "str, int": {"si"},
+    "beyond int64": {"oi"},
+    "bool, dict": {"oo"},
+    "0-d array": {"o"},
+    "structured, empty": {"oo"},
+    "lone surrogate": {"is", "io"},
+    "empty tuples": {""},
+}
+
+
+class TestRafPageCodec:
+    def _raf(self, cache_bytes=0):
+        return RandomAccessFile(Pager(page_size=1024, cache_bytes=cache_bytes))
+
+    @pytest.mark.parametrize("shape", list(_records()))
+    def test_every_record_shape_round_trips_through_stored_pages(self, shape):
+        records = _records()[shape]
+        raf = self._raf()
+        pointers = raf.append_many(records)
+        # capacity 0: every read unpickles the stored blob
+        for pointer, record in zip(pointers, records):
+            assert _same(raf.read(pointer), record), (pointer, record)
+        assert all(
+            _same(got, want)
+            for got, want in zip(raf.read_many(pointers), records)
+        )
+        stored = [raf.pager.store.read(p) for p in {p.page_id for p in pointers}]
+        assert all(type(page) is RafPage for page in stored)
+        assert {page.kinds for page in stored} == _KINDS[shape]
+
+    def test_columns_are_what_the_fields_are(self):
+        page = RafPage.encode(
+            [(1, np.arange(3.0), "ab"), (2, np.arange(3.0), "c")],
+            _schema_of((1, np.arange(3.0), "ab")),
+        )
+        ids, block, (blob, ends) = page.columns
+        assert page.kinds == "ias" and page.arity == 3
+        assert ids.dtype == np.int64 and list(ids) == [1, 2]
+        assert block.shape == (2, 3) and block.dtype == np.float64
+        assert blob == b"abc" and ends.dtype == np.int32 and list(ends) == [2, 3]
+        assert page.dead == bytes(2)
+        # the sizing rule: 8 + nbytes + (encoded length + 4) + 1 a record
+        assert page.payload_bytes() == (8 + 24 + 2 + 4 + 1) + (8 + 24 + 1 + 4 + 1)
+        a_row = page.record(0)[1]
+        assert np.shares_memory(a_row, block)  # a row view, not a copy
+
+    @pytest.mark.parametrize("slots", [(0,), (20,), (39,), (0, 20, 39)])
+    def test_tombstones_at_any_slot(self, slots):
+        records = _records()["id, vector"]
+        raf = RandomAccessFile(Pager(page_size=4096))
+        pointers = raf.append_many(records)
+        assert len({p.page_id for p in pointers}) == 1
+        for slot in slots:
+            raf.mark_deleted(pointers[slot])
+        for slot, (pointer, record) in enumerate(zip(pointers, records)):
+            got = raf.read(pointer)
+            assert got is None if slot in slots else _same(got, record)
+        # the same page as the pickled-list form with None in those slots
+        listed = [None if i in slots else r for i, r in enumerate(records)]
+        page = RafPage.from_records(listed)
+        assert page.dead == bytes(int(i in slots) for i in range(len(records)))
+        stored = raf.pager.read(pointers[0].page_id)
+        assert stored.dead == page.dead and stored.kinds == page.kinds == "ia"
+        assert all(_same(a, b) for a, b in zip(stored.records(), page.records()))
+
+    def test_an_all_tombstone_page(self):
+        records = _records()["id, word"][:10]
+        raf = RandomAccessFile(Pager(page_size=4096))
+        pointers = raf.append_many(records)
+        for pointer in pointers:
+            raf.mark_deleted(pointer)
+        assert raf.read_many(pointers) == [None] * 10
+        assert RafPage.from_records([None] * 3).records() == [None] * 3
+        # the open page keeps taking records after its tombstones
+        new = raf.append((10, "new"))
+        assert new.slot == 10 and raf.read(new) == (10, "new")
+
+    def test_a_record_of_another_schema_starts_a_page(self):
+        raf = self._raf()
+        a, b = raf.append_many([(0, np.zeros(2)), (1, np.zeros(2))])
+        c = raf.append((2, "word"))
+        d = raf.append((3, np.zeros(2, dtype=np.float32)))
+        assert a.page_id == b.page_id
+        assert len({b.page_id, c.page_id, d.page_id}) == 3
+        assert raf.read(c) == (2, "word")
+        assert raf.read(d)[1].dtype == np.float32
+
+    def test_update_to_another_schema_re_encodes_the_page(self):
+        raf = RandomAccessFile(Pager(page_size=4096))
+        pointers = raf.append_many([(i, np.full(2, float(i))) for i in range(5)])
+        raf.update(pointers[2], (2, "now a word"))
+        page = raf.pager.read(pointers[0].page_id)
+        assert (page.arity, page.kinds) == (None, "o")  # records pickled whole
+        assert raf.read(pointers[2]) == (2, "now a word")
+        for i in (0, 1, 3, 4):
+            assert _same(raf.read(pointers[i]), (i, np.full(2, float(i))))
+        # and the open page still takes records of its new schema
+        assert raf.append((5, np.zeros(2))).page_id == pointers[0].page_id
+
+    def test_writes_change_one_row_never_the_page_record_by_record(self, monkeypatch):
+        raf = self._raf(cache_bytes=64 * 1024)
+        pointers = raf.append_many((i, np.full(2, float(i))) for i in range(20))
+        page_id = pointers[0].page_id
+        before = raf.pager.read(page_id)
+        monkeypatch.setattr(
+            RafPage, "record", lambda *a: pytest.fail("a write decoded a record")
+        )
+        raf.mark_deleted(pointers[3])
+        deleted = raf.pager.read(page_id)
+        assert deleted.columns is before.columns  # one tombstone byte
+        raf.update(pointers[4], (40, np.full(2, 40.0)))
+        updated = raf.pager.read(page_id)
+        assert updated.columns[1] is not deleted.columns[1]
+        assert np.array_equal(
+            np.delete(updated.columns[1], 4, axis=0),
+            np.delete(deleted.columns[1], 4, axis=0),
+        )
+        raf.append((20, np.full(2, 20.0)))
+        appended = raf.pager.read(page_id)
+        assert len(appended) == 21 and len(updated) == 20
+        monkeypatch.undo()
+        # copy-on-write: each pooled node kept what it held
+        assert before.dead == bytes(20)
+        assert deleted.record(3) is None and deleted.record(4)[0] == 4
+        assert updated.record(4)[0] == 40 and appended.record(20)[0] == 20
+
+    def test_list_page_is_read_as_is_and_re_encoded_on_first_write(self):
+        """A RAF pickled with the record-list page format loads, reads its
+        list pages as they are, and re-encodes a page when it writes it."""
+        pager = Pager(page_size=1024)
+        sealed, open_page = pager.allocate(), pager.allocate()
+        full = [(i, np.full(2, float(i))) for i in range(4)]
+        pager.write(sealed, [full[0], None, full[2], full[3]])
+        pager.write(open_page, [None, (4, np.full(2, 4.0))])
+        # the pickled state of that format: the open page as a record list
+        raf = RandomAccessFile.__new__(RandomAccessFile)
+        raf.__setstate__(
+            {
+                "pager": pager,
+                "fill_factor": 0.9,
+                "_open_page_id": open_page,
+                "_open_records": [None, (4, np.full(2, 4.0))],
+                "_open_bytes": 300,
+                "_count": 6,
+            }
+        )
+        assert type(pager.read(sealed)) is list
+        assert raf.read(RecordPointer(sealed, 1)) is None
+        assert _same(raf.read(RecordPointer(sealed, 2)), full[2])
+        assert raf._open_page.records()[0] is None
+        # the open page's first write re-encodes it with the row it adds
+        pointer = raf.append((5, np.full(2, 5.0)))
+        assert pointer == RecordPointer(open_page, 2)
+        stored = pager.read(open_page)
+        assert type(stored) is RafPage and stored.dead == b"\x01\x00\x00"
+        assert [r if r is None else r[0] for r in stored.records()] == [None, 4, 5]
+        raf.mark_deleted(RecordPointer(sealed, 0))
+        assert type(pager.read(sealed)) is RafPage
+        assert [r if r is None else r[0] for r in raf.read_many(
+            RecordPointer(sealed, s) for s in range(4)
+        )] == [None, None, 2, 3]
+
+    def test_pages_fill_to_the_budget_header_included(self):
+        """Fixed-size records: the page count is the arithmetic minimum."""
+        records = _records(1000)["id, vector, mapped"]
+        for page_size, fill_factor in ((1024, 0.9), (4096, 0.9), (4096, 1.0)):
+            raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
+            pointers = raf.append_many(records)
+            schema = _schema_of(records[0])
+            empty = RafPage.encode([], schema)
+            # the empty page's pickle, and 3 B for each of its 4 buffers
+            header = len(pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)) + 3 * 4
+            per_page = (int(page_size * fill_factor) - header) // (8 + 16 + 16 + 1)
+            pages = {p.page_id for p in pointers}
+            assert len(pages) == -(-len(records) // per_page)
+            assert max(raf.pager.store.page_bytes(p) for p in pages) <= (
+                page_size * fill_factor
+            )
