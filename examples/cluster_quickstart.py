@@ -9,10 +9,11 @@ describes:
    manifest (``repro snapshot --split N`` is the CLI form),
 3. hand the shard snapshots to a ``ClusterSupervisor``: it spawns one
    ``repro serve`` backend *process* per shard, health-checks them, and
-   fronts them with a scatter-gather router,
+   fronts them with a router -- the same ``HttpQueryServer``, hosting a
+   ``ClusterIndex`` whose members are those backends,
 4. query the router: answers are bit-for-bit the single-process answers,
-   because the router merges with the same helpers ``ShardedIndex`` uses
-   in-process.
+   because shard mode is ``ShardedIndex``'s own fan-out and merge over
+   remote parts.
 
 Run:  python examples/cluster_quickstart.py
 """

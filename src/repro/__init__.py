@@ -84,7 +84,7 @@ from .external import (
 )
 from .obs import MetricsRegistry
 from .service import (
-    ClusterRouter,
+    ClusterIndex,
     ClusterSupervisor,
     HttpQueryServer,
     IndexCatalog,
@@ -158,7 +158,7 @@ __all__ = [
     "Measurement",
     "MetricDistance",
     "MetricIndex",
-    "ClusterRouter",
+    "ClusterIndex",
     "ClusterSupervisor",
     "HttpQueryServer",
     "IndexCatalog",

@@ -44,6 +44,7 @@ from .bench import (
     run_range_queries,
     shared_pivots,
 )
+from .core.counters import CostCounters
 from .core.dataset import DATASET_FACTORIES, dataset_statistics
 from .service import (
     IndexCatalog,
@@ -236,8 +237,6 @@ def _cmd_snapshot(args) -> int:
         f"bytes, {save_s:.2f}s)"
     )
     if args.verify:
-        from .core.counters import CostCounters
-
         counters = CostCounters()
         t0 = time.perf_counter()
         restored = load_index(args.out, counters=counters)
@@ -288,11 +287,9 @@ def _snapshot_split(args) -> int:
         parts = [load_index(entry["snapshot"]) for entry in manifest["shards"]]
         radius = workload.radius_for(0.16)
         want = sharded.range_query_many(workload.queries, radius)
-        per_part = [p.range_query_many(workload.queries, radius) for p in parts]
-        got = [
-            ShardedIndex.merge_range_answers(answers)
-            for answers in zip(*per_part)
-        ]
+        # the restored parts answer global ids: fan out over them unmapped
+        merged = ShardedIndex(space, parts, None)
+        got = merged.range_query_many(workload.queries, radius)
         if want != got:
             print("VERIFY FAILED: merged part answers diverge from the "
                   "unsplit sharded index")
@@ -373,59 +370,35 @@ def _serve_http(service: QueryService, args) -> int:
     return 1 if died else 0
 
 
-def _apply_serve_bounds(service, bounds) -> str | None:
-    """Switch every hosted staged pruner to the requested bounds mode.
-
-    Works on snapshot-restored indexes too: the pruner (order, prefix,
-    pivot-pair matrix) rides inside the snapshot, so flipping the mode is
-    an attribute assignment, not a rebuild.  Returns an error message when
-    the request cannot be honoured -- ``ptolemaic`` needs the metric to
-    declare the inequality AND the snapshot to carry a pair matrix (one
-    built with ``--bounds triangle`` has none).
-    """
-    if not bounds:
-        return None
-    for owner, pruner in service._hosted_pruners():
-        if bounds == "ptolemaic":
-            if not getattr(pruner, "is_ptolemaic", False):
-                return (
-                    f"{owner.name}: --bounds ptolemaic but the metric does "
-                    "not satisfy Ptolemy's inequality"
-                )
-            if getattr(pruner, "pair_matrix", None) is None:
-                return (
-                    f"{owner.name}: snapshot carries no pivot-pair matrix "
-                    "(built with bounds=triangle); rebuild with --bounds auto"
-                )
-        pruner.bounds = bounds
-    return None
-
-
 def _cmd_serve(args) -> int:
-    # everything that can fail (workload synthesis, snapshot header parse,
-    # index construction) runs *before* the service -- and with it the
-    # dispatcher worker thread -- exists; from construction on, the
-    # `with service:` below guarantees the thread is joined on every path
+    # everything that can fail before the service exists (workload
+    # synthesis, index construction) runs first; from construction on,
+    # the `with service:` below joins the dispatcher thread on every path
     http_mode = getattr(args, "http", None) is not None
     metrics = None
     if getattr(args, "metrics", False):
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
+    options = dict(
+        cache_size=args.cache_size,
+        cache_bytes=args.cache_bytes,
+        cache_ttl_s=args.cache_ttl,
+        max_batch_size=args.batch_size,
+        max_wait_ms=args.max_wait_ms,
+        metrics=metrics,
+    )
     snapshots = args.snapshot or []
+    banner = workload = None
     if snapshots:
         # plain snapshots and .catalog.json manifests alike: every index
         # they hold becomes a member behind the cost-based query planner
-        catalog = IndexCatalog.load(*snapshots)
-        dataset = catalog.primary.index.space.dataset
-        workload = (
-            None
-            if http_mode
-            else make_workload(dataset.name, n=len(dataset), n_queries=args.queries)
-        )
+        service = QueryService.from_snapshots(snapshots, **options)
+        dataset = service.index.space.dataset
         banner = (
-            f"restored {' + '.join(catalog.ids())} ({len(dataset)} objects, "
-            f"{dataset.distance.name}) from {' '.join(snapshots)} -- no rebuild"
+            f"restored {' + '.join(service.catalog.ids())} ({len(dataset)} "
+            f"objects, {dataset.distance.name}) from {' '.join(snapshots)} "
+            "-- no rebuild"
         )
     else:
         workload = make_workload(args.dataset, n=args.n, n_queries=args.queries)
@@ -442,31 +415,25 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"cannot build {args.index}: {exc}")
             return 2
-        catalog = IndexCatalog()
-        catalog.register(result.index)
-        banner = None
-    service = QueryService(
-        catalog=catalog,
-        cache_size=args.cache_size,
-        cache_bytes=args.cache_bytes,
-        cache_ttl_s=args.cache_ttl,
-        max_batch_size=args.batch_size,
-        max_wait_ms=args.max_wait_ms,
-        metrics=metrics,
-    )
-    if snapshots:
-        service.snapshot_path = snapshots[0] if len(snapshots) == 1 else None
-        service.planner.calibrate()
-    bounds_error = _apply_serve_bounds(service, getattr(args, "bounds", None))
-    if bounds_error is not None:
-        service.close()
-        print(bounds_error)
-        return 2
+        # a fresh bill: the build's compdists are not serving work
+        service = QueryService(result.index, counters=CostCounters(), **options)
+    if args.bounds:
+        try:
+            service.set_bounds(args.bounds)
+        except ValueError as exc:
+            service.close()
+            print(exc)
+            return 2
     with service:
         if banner:
             print(banner, flush=True)
         if http_mode:
             return _serve_http(service, args)
+        if workload is None:
+            dataset = service.index.space.dataset
+            workload = make_workload(
+                dataset.name, n=len(dataset), n_queries=args.queries
+            )
         radius = workload.radius_for(0.16)
         # the request stream: single queries, mixed MRQ/MkNNQ, repeating the
         # query sample (online traffic repeats popular queries)
@@ -596,37 +563,29 @@ def _cmd_cluster(args) -> int:
         metrics = MetricsRegistry()
     workdir = None
     try:
-        if args.snapshot.endswith(".cluster.json"):
-            manifest = load_cluster_manifest(args.snapshot)
-            mode = args.mode or "shard"
-            if mode != "shard":
-                print("a .cluster.json manifest implies --mode shard")
-                return 2
-            snapshots = [entry["snapshot"] for entry in manifest["shards"]]
-            if args.backends is not None and args.backends != len(snapshots):
-                print(
-                    f"--backends {args.backends} does not match the manifest's "
-                    f"{len(snapshots)} shards"
-                )
-                return 2
+        manifest = args.snapshot if args.snapshot.endswith(".cluster.json") else None
+        mode = args.mode or ("shard" if manifest else "replica")
+        if manifest and mode != "shard":
+            print("a .cluster.json manifest implies --mode shard")
+            return 2
+        if mode == "replica":
+            snapshots = [args.snapshot] * (args.backends or 2)
         else:
-            mode = args.mode or "replica"
-            if mode == "replica":
-                snapshots = [args.snapshot] * (args.backends or 2)
-            else:
+            if manifest is None:
                 # shard mode from a monolithic snapshot: split it into
                 # per-shard parts under a scratch dir that lives as long
                 # as the cluster serves
                 workdir = tempfile.TemporaryDirectory(prefix="repro-cluster-split-")
                 stem = Path(workdir.name) / Path(args.snapshot).stem
-                manifest = load_cluster_manifest(split_snapshot(args.snapshot, stem))
-                snapshots = [entry["snapshot"] for entry in manifest["shards"]]
-                if args.backends is not None and args.backends != len(snapshots):
-                    print(
-                        f"--backends {args.backends} does not match the "
-                        f"snapshot's {len(snapshots)} shards"
-                    )
-                    return 2
+                manifest = split_snapshot(args.snapshot, stem)
+            shards = load_cluster_manifest(manifest)["shards"]
+            snapshots = [entry["snapshot"] for entry in shards]
+            if args.backends is not None and args.backends != len(snapshots):
+                print(
+                    f"--backends {args.backends} does not match the "
+                    f"{len(snapshots)} shards of {args.snapshot}"
+                )
+                return 2
         supervisor = ClusterSupervisor(
             snapshots=snapshots,
             mode=mode,

@@ -120,6 +120,32 @@ class MetricIndex(ABC):
         reachable :class:`~repro.storage.pager.Pager` as a safety net.
         """
 
+    # -- hosting -----------------------------------------------------------
+    #
+    # What a service asks of the index it hosts beyond queries.  An index
+    # whose data lives in this process answers all three trivially; one
+    # whose data lives in other processes (repro.service.cluster) is where
+    # they mean something.
+
+    def health(self) -> dict:
+        """Facts a front-end adds to its ``/healthz`` and ``/stats``: none
+        for an in-process index; a remote one reports its backends."""
+        return {}
+
+    def reload(self, snapshot):
+        """Roll ``snapshot`` out to where this index's data lives.
+
+        Returns the :class:`~repro.service.snapshot.SnapshotInfo` of what
+        now serves, or None when the data lives right here -- the host
+        then restores the snapshot and serves the new index in this one's
+        place (:meth:`repro.service.catalog.IndexCatalog.reload`).
+        """
+        return None
+
+    def close(self) -> None:
+        """Release what the index holds open (sockets, threads); the
+        hosting service calls it when it closes.  Nothing, by default."""
+
     # -- accounting --------------------------------------------------------
 
     def storage_bytes(self) -> dict[str, int]:

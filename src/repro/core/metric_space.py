@@ -96,6 +96,49 @@ class MetricSpace:
             self.dataset.gather(left_ids), self.dataset.gather(right_ids)
         )
 
+    # -- wire values ----------------------------------------------------------
+
+    def decode(self, value, field: str = "query"):
+        """A wire value (a JSON value, or a binary frame's ndarray) as an
+        object of this space's dataset; ValueError names what is wrong.
+
+        Vector datasets cast to their dtype and check the shape against
+        their dimensionality; everything else (strings for Words) passes
+        through, but never as an array.
+        """
+        objects = self.dataset.objects
+        if self.dataset.is_vector:
+            try:
+                arr = np.asarray(value, dtype=objects.dtype)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{field!r} must be a numeric array for this index"
+                ) from None
+            if arr.shape != objects.shape[1:]:
+                raise ValueError(
+                    f"{field!r} has shape {arr.shape}, index expects "
+                    f"{objects.shape[1:]}"
+                )
+            return arr
+        if isinstance(value, np.ndarray):
+            raise ValueError(f"{field!r} must not be an array for this index")
+        return value
+
+    def decode_many(self, values) -> list:
+        """:meth:`decode` of a query batch.  A binary frame's 2-D matrix is
+        validated once and cast whole -- no per-element Python object."""
+        if not isinstance(values, np.ndarray):
+            return [self.decode(value, "queries[]") for value in values]
+        objects = self.dataset.objects
+        if not self.dataset.is_vector:
+            raise ValueError("'queries' must not be an array for this index")
+        if values.ndim != 2 or values.shape[1:] != objects.shape[1:]:
+            raise ValueError(
+                f"'queries' has shape {values.shape}, index expects "
+                f"(batch, {', '.join(map(str, objects.shape[1:]))})"
+            )
+        return list(np.asarray(values, dtype=objects.dtype))
+
     # -- convenience ----------------------------------------------------------
 
     def __len__(self) -> int:

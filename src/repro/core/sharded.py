@@ -43,9 +43,12 @@ standalone single-shard parts whose answers already carry **global** ids
 snapshotted and served by its own process; :meth:`ShardedIndex.merge`
 reassembles parts into one index, and the static
 :meth:`merge_range_answers` / :meth:`merge_knn_answers` helpers are the
-single definition of the exact merge -- the in-process fan-out here and
-the multi-process cluster router (:mod:`repro.service.cluster`) both call
-them, so scatter-gather answers cannot drift from single-process ones.
+single definition of the exact merge.  A sharded index built with
+``shard_ids=None`` fans out over parts that already answer global ids:
+that is how a cluster's shard mode (:mod:`repro.service.cluster`) serves
+remote backends, each hosting one ``split()`` part, through this very
+fan-out and merge -- so scatter-gather answers cannot drift from
+single-process ones.
 """
 
 from __future__ import annotations
@@ -87,15 +90,33 @@ class ShardedIndex(MetricIndex):
         self,
         space: MetricSpace,
         shards: list[MetricIndex],
-        shard_ids: list[Sequence[int]],
+        shard_ids: list[Sequence[int]] | None,
         executor=None,
         per_shard_counters: bool = False,
     ):
         super().__init__(space)
         self.shards = shards
-        self._shard_ids = [list(ids) for ids in shard_ids]
+        # shard s's local id i is global id shard_ids[s][i]; None when every
+        # shard already answers in global ids (split() parts, remote backends)
+        self._shard_ids = (
+            None if shard_ids is None else [list(ids) for ids in shard_ids]
+        )
         self.executor = executor
         self.per_shard_counters = per_shard_counters
+
+    def _global_ids(self, position: int, local: list[int]) -> list[int]:
+        """Shard ``position``'s MRQ answer in global ids."""
+        if self._shard_ids is None:
+            return local
+        ids = self._shard_ids[position]
+        return [ids[i] for i in local]
+
+    def _global_neighbors(self, position: int, local: list) -> list[Neighbor]:
+        """Shard ``position``'s MkNNQ answer in global ids."""
+        if self._shard_ids is None:
+            return local
+        ids = self._shard_ids[position]
+        return [Neighbor(n.distance, ids[n.object_id]) for n in local]
 
     def _merge_delta(self, shard: MetricIndex, delta: CostSnapshot) -> None:
         """Fold a shard's measured delta into the parent's counters.
@@ -207,7 +228,7 @@ class ShardedIndex(MetricIndex):
             per_shard_counters=per_shard_counters,
         )
 
-    # -- exact merges (the single definition, shared with the cluster router) ---
+    # -- exact merges (the single definition of a scatter-gather answer) ------
 
     @staticmethod
     def merge_range_answers(per_part) -> list[int]:
@@ -240,21 +261,17 @@ class ShardedIndex(MetricIndex):
     # -- queries ---------------------------------------------------------------
 
     def range_query(self, query_obj, radius: float) -> list[int]:
-        per_part = []
-        for shard, ids in zip(self.shards, self._shard_ids):
-            local_results = self._call_shard(shard, "range_query", query_obj, radius)
-            per_part.append([ids[local] for local in local_results])
+        per_part = [
+            self._global_ids(i, self._call_shard(s, "range_query", query_obj, radius))
+            for i, s in enumerate(self.shards)
+        ]
         return self.merge_range_answers(per_part)
 
     def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        per_part = []
-        for shard, ids in zip(self.shards, self._shard_ids):
-            per_part.append(
-                [
-                    Neighbor(neighbor.distance, ids[neighbor.object_id])
-                    for neighbor in self._call_shard(shard, "knn_query", query_obj, k)
-                ]
-            )
+        per_part = [
+            self._global_neighbors(i, self._call_shard(s, "knn_query", query_obj, k))
+            for i, s in enumerate(self.shards)
+        ]
         return self.merge_knn_answers(per_part, k)
 
     # -- batch queries ----------------------------------------------------------
@@ -267,8 +284,8 @@ class ShardedIndex(MetricIndex):
             return []
         per_shard = self._map_shards("range_query_many", queries, radius)
         mapped = [
-            [[ids[local] for local in results] for results in batches]
-            for ids, batches in zip(self._shard_ids, per_shard)
+            [self._global_ids(i, results) for results in batches]
+            for i, batches in enumerate(per_shard)
         ]
         return [self.merge_range_answers(parts) for parts in zip(*mapped)]
 
@@ -279,11 +296,8 @@ class ShardedIndex(MetricIndex):
             return []
         per_shard = self._map_shards("knn_query_many", queries, k)
         mapped = [
-            [
-                [Neighbor(n.distance, ids[n.object_id]) for n in neighbors]
-                for neighbors in batches
-            ]
-            for ids, batches in zip(self._shard_ids, per_shard)
+            [self._global_neighbors(i, neighbors) for neighbors in batches]
+            for i, batches in enumerate(per_shard)
         ]
         return [self.merge_knn_answers(parts, k) for parts in zip(*mapped)]
 
@@ -296,10 +310,10 @@ class ShardedIndex(MetricIndex):
         so ``part.range_query(...)`` / ``part.knn_query(...)`` return ids
         in the *parent's* id space -- a part can be snapshotted
         (:func:`repro.service.snapshot.save_index`) and served by its own
-        process, and a router merging the parts' answers with
-        :meth:`merge_range_answers` / :meth:`merge_knn_answers` reproduces
-        this index's answers bit-for-bit.  The parts share the shards (no
-        copies); the executor is not carried over.
+        process, and a ``ShardedIndex(space, remote_parts, None)`` over
+        those processes reproduces this index's answers bit-for-bit.  The
+        parts share the shards (no copies); the executor is not carried
+        over.
         """
         return [
             ShardedIndex(shard.space, [shard], [list(ids)])

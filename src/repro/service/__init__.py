@@ -22,9 +22,11 @@ service (the ROADMAP's serving north star):
   hosted as a catalog of one, ``catalog=`` hosts several behind the planner;
 * :mod:`~repro.service.http` -- the JSON HTTP front-end over the facade
   (``python -m repro serve --http PORT``) and its :class:`ServiceClient`;
-* :mod:`~repro.service.cluster` -- the multi-process topology layer: a
-  router scatter-gathering over shard backends (or load-balancing over
-  replicas) with health-checked membership and rolling reloads
+* :mod:`~repro.service.cluster` -- the multi-process topology layer:
+  remote backends as index members (:class:`RemoteIndex`), a
+  :class:`ClusterIndex` of them scatter-gathering over shards (or
+  load-balancing over replicas) with health-checked membership and
+  rolling reloads, served by the same HTTP front-end
   (``python -m repro cluster``).
 
 Observability (:mod:`repro.obs`) threads through every layer: pass one
@@ -43,9 +45,11 @@ from .catalog import (
     load_catalog_manifest,
 )
 from .cluster import (
+    BackendUnavailable,
     ClusterError,
-    ClusterRouter,
+    ClusterIndex,
     ClusterSupervisor,
+    RemoteIndex,
     load_cluster_manifest,
     save_split,
     split_snapshot,
@@ -68,10 +72,11 @@ from .snapshot import (
 )
 
 __all__ = [
+    "BackendUnavailable",
     "CatalogError",
     "CatalogMember",
     "ClusterError",
-    "ClusterRouter",
+    "ClusterIndex",
     "ClusterSupervisor",
     "CostModel",
     "DispatcherStats",
@@ -81,6 +86,7 @@ __all__ = [
     "QueryPlanner",
     "QueryResultCache",
     "QueryService",
+    "RemoteIndex",
     "ServiceClient",
     "ServiceClientError",
     "SNAPSHOT_FORMAT_VERSION",

@@ -31,6 +31,7 @@ is impossible when two members share one accumulator.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -53,6 +54,8 @@ __all__ = [
     "IndexCatalog",
     "is_catalog_manifest",
     "load_catalog_manifest",
+    "manifest_stem",
+    "read_manifest",
 ]
 
 CATALOG_MANIFEST_KIND = "repro-catalog"
@@ -71,10 +74,10 @@ class CatalogMember:
     counters: CostCounters
 
 
-def _manifest_stem(path: Path) -> Path:
-    """Naming stem: ``color.catalog.json`` and ``color.snap`` -> ``color``."""
-    if path.name.endswith(".catalog.json"):
-        return path.with_name(path.name[: -len(".catalog.json")])
+def manifest_stem(path: Path, suffix: str) -> Path:
+    """Naming stem: ``color{suffix}`` and ``color.snap`` -> ``color``."""
+    if path.name.endswith(suffix):
+        return path.with_name(path.name[: -len(suffix)])
     return path.with_suffix("") if path.suffix else path
 
 
@@ -90,28 +93,44 @@ def is_catalog_manifest(path) -> bool:
     return isinstance(manifest, dict) and manifest.get("kind") == CATALOG_MANIFEST_KIND
 
 
-def load_catalog_manifest(path) -> dict:
-    """Parse and validate a catalog manifest; member paths come back absolute."""
+def read_manifest(
+    path, kind: str, entries: str, entry: str, empty: str, error=CatalogError
+) -> dict:
+    """Parse and validate a snapshot-set manifest of ``kind``.
+
+    The one reader behind both manifest kinds: a catalog's ``members`` and
+    a cluster's ``shards`` list ``{"snapshot": file, ...}`` ``entry``
+    records naming files beside the manifest; the paths come back
+    absolute.  Every defect raises ``error``, the kind's own type, and an
+    empty list is reported as naming no ``empty``.
+    """
     path = Path(path)
+    noun = kind.removeprefix("repro-")
     try:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CatalogError(f"cannot read catalog manifest {path}: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("kind") != CATALOG_MANIFEST_KIND:
-        raise CatalogError(f"{path} is not a repro catalog manifest")
-    members = manifest.get("members")
-    if not isinstance(members, list) or not members:
-        raise CatalogError(f"{path} names no catalog members")
-    seen: set[str] = set()
-    for entry in members:
-        member_id = entry.get("id")
-        if not isinstance(member_id, str) or not member_id or member_id in seen:
-            raise CatalogError(f"{path} has a missing or duplicate member id")
-        seen.add(member_id)
-        snap = path.parent / entry["snapshot"]
+        raise error(f"cannot read {noun} manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
+        raise error(f"{path} is not a repro {noun} manifest")
+    listed = manifest.get(entries)
+    if not isinstance(listed, list) or not listed:
+        raise error(f"{path} names no {empty}")
+    for item in listed:
+        snap = path.parent / item["snapshot"]
         if not snap.exists():
-            raise CatalogError(f"{path} names missing member snapshot {snap}")
-        entry["snapshot"] = str(snap)
+            raise error(f"{path} names missing {entry} snapshot {snap}")
+        item["snapshot"] = str(snap)
+    return manifest
+
+
+def load_catalog_manifest(path) -> dict:
+    """Parse and validate a catalog manifest; member paths come back absolute."""
+    manifest = read_manifest(
+        path, CATALOG_MANIFEST_KIND, "members", "member", "catalog members"
+    )
+    ids = [entry.get("id") for entry in manifest["members"]]
+    if not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != len(ids):
+        raise CatalogError(f"{path} has a missing or duplicate member id")
     return manifest
 
 
@@ -282,7 +301,7 @@ class IndexCatalog:
         if len(members) == 1 and not path.name.endswith(".catalog.json"):
             save_index(members[0].index, path)
             return path
-        stem = _manifest_stem(path)
+        stem = manifest_stem(path, ".catalog.json")
         stem.parent.mkdir(parents=True, exist_ok=True)
         entries = []
         for i, m in enumerate(members):
@@ -345,9 +364,20 @@ class IndexCatalog:
         drift).  Returns the plain snapshot's header, or a
         :class:`~repro.service.snapshot.SnapshotInfo` describing the
         restored primary.
+
+        A member whose data lives in other processes rolls the snapshot
+        out to them itself (:meth:`~repro.core.index.MetricIndex.reload`);
+        it is then the only member, and ``path`` may also be a list, one
+        snapshot per backend.
         """
+        members = self.members()
+        if len(members) == 1:
+            rolled = members[0].index.reload(path)
+            if rolled is not None:
+                return rolled
+        if not isinstance(path, (str, os.PathLike)):
+            raise CatalogError(f"{path!r} is not a snapshot path")
         if not is_catalog_manifest(path):
-            members = self.members()
             if len(members) != 1:
                 raise CatalogError(
                     f"{path} is not a catalog manifest; a catalog of "

@@ -1,9 +1,9 @@
 """HTTP front-end: the :class:`QueryService` surface as JSON over a socket.
 
-Until this module, "serving" meant in-process concurrent callers -- the
-snapshots, the LRU result cache, and the micro-batching dispatcher were all
-unreachable from another process.  :class:`HttpQueryServer` closes that gap
-with a stdlib-only threaded HTTP server:
+:class:`HttpQueryServer` is a stdlib-only threaded HTTP server, and the one
+front-end whatever the service hosts -- a cluster router is this server
+over a service whose member is a
+:class:`~repro.service.cluster.ClusterIndex` of remote backends:
 
 * **endpoints** -- ``POST /range``, ``POST /knn``, their batch variants
   ``POST /range_many`` / ``POST /knn_many``, mutations ``POST /insert`` /
@@ -12,42 +12,36 @@ with a stdlib-only threaded HTTP server:
 * **layering preserved** -- each handler thread calls straight into the
   hosted :class:`~repro.service.service.QueryService`, so wire traffic
   flows through the exact cache -> dispatcher -> batch stack in-process
-  callers use: concurrent HTTP clients' single queries coalesce into
-  vectorised ``*_query_many`` calls, and repeats are absorbed by the LRU;
+  callers use;
+* **one handler** -- it reads a request's whole body before admitting it,
+  decodes each wire value through the hosted space (a remote member's
+  passes values through for its backends to validate), checks ``k`` and
+  ``radius`` itself, and maps errors to statuses by type: 400 for a bad
+  request, 501 for :class:`~repro.core.index.UnsupportedOperation`, a
+  remote member's :class:`ServiceClientError` relayed with its own status
+  (a backend's 4xx, or 503 naming backends that could not answer), 500
+  for anything else;
 * **backpressure** -- at most ``max_inflight`` requests run at once;
-  excess requests are rejected immediately with ``503`` instead of
-  queueing without bound;
+  excess requests are rejected immediately with ``503``;
 * **graceful shutdown** -- :meth:`HttpQueryServer.close` stops admitting
-  work (new requests get 503), waits for every in-flight request to
-  finish, drains the dispatcher (``service.close()``), and only then
-  closes the listening socket.
+  work, waits for every in-flight request, closes the service, and only
+  then closes the listening socket.
 
-Wire formats: **JSON** (the default; bodies both ways) and the **binary
-fast path** of :mod:`repro.service.wire`, negotiated per request via
-``Content-Type`` (request body) and ``Accept`` (response body) naming
-``application/x-repro-binary`` -- JSON clients keep working unchanged
-against a binary-capable server.  Under JSON, vector queries travel as
-JSON arrays and are decoded to the hosted dataset's dtype, string queries
-(the Words workload) as JSON strings; kNN answers are
-``[distance, object_id]`` pairs.  Python's JSON float encoding is
-shortest-repr and round-trips float64 exactly; the binary frames carry
-raw little-endian buffers.  Either way HTTP answers are **bit-for-bit**
-the answers a direct :class:`QueryService` call returns -- asserted in
-``tests/test_http.py`` and by the CI loopback smoke.  Binary request
-bodies decode straight to numpy (one ``frombuffer`` view for a whole
-query batch, no per-element Python objects), which is what removes the
-codec tax on the 282-d Color workload.
+Wire formats: **JSON** (the default) and the **binary fast path** of
+:mod:`repro.service.wire`, negotiated per request via ``Content-Type``
+(request body) and ``Accept`` (response body) naming
+``application/x-repro-binary``.  Under JSON, vector queries travel as
+arrays decoded to the hosted dataset's dtype, string queries (Words) as
+strings, kNN answers as ``[distance, object_id]`` pairs; Python's
+shortest-repr float encoding round-trips float64 exactly, and binary
+frames carry raw little-endian buffers.  Either way HTTP answers are
+**bit-for-bit** a direct :class:`QueryService` call's (``tests/test_http.py``
+and the CI loopback smoke).  An optional **structured access log**
+(``access_log=<file-like>``) writes one JSON line per request.
 
-An optional **structured access log** (``access_log=<file-like>``, off by
-default; ``repro serve --http --access-log PATH``) writes one JSON line
-per request: method, path, status, response bytes, wall milliseconds, and
-the negotiated codec.
-
-:class:`ServiceClient` is the matching programmatic client (one pooled
-stdlib ``http.client`` keep-alive connection per client, transparently
-re-established on stale sockets; ``binary=True`` switches it to the
-binary protocol); see ``examples/http_quickstart.py`` for the full
-lifecycle.
+:class:`ServiceClient` is the matching programmatic client (pooled
+keep-alive connections, re-established on stale sockets; ``binary=True``
+for the binary protocol); see ``examples/http_quickstart.py``.
 """
 
 from __future__ import annotations
@@ -55,6 +49,7 @@ from __future__ import annotations
 import hmac
 import http.client
 import json
+import math
 import socket
 import sys
 import threading
@@ -64,6 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from ..core.index import UnsupportedOperation
 from ..core.queries import Neighbor
 from ..obs import tracing
 from ..obs.metrics import BYTE_SIZE_BUCKETS, MetricsRegistry
@@ -143,7 +139,7 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     @property
-    def app(self) -> "_HttpAppBase":
+    def app(self) -> "HttpQueryServer":
         return self.server.app
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -157,25 +153,24 @@ class _Handler(BaseHTTPRequestHandler):
     _log_codec = "json"
 
     def _send_json(self, status: int, payload: dict) -> None:
-        """Send a response in the request's negotiated codec.
+        """Send a payload in the request's negotiated codec.
 
-        Despite the name (kept for the JSON-era tests that monkeypatch
-        around it), the payload is encoded with the binary wire codec when
-        the request's ``Accept`` header asked for it -- error payloads
+        Despite the name, the payload is encoded with the binary wire codec
+        when the request's ``Accept`` header asked for it -- error payloads
         included, so a binary client never has to guess a response's
         format from its status code.
         """
+        if getattr(self, "_binary_accept", False):
+            self._send(status, wire.dumps(payload), BINARY_CONTENT_TYPE)
+        else:
+            self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
+
+    def _send(self, status: int, blob: bytes, content_type: str) -> None:
         if self.app.draining:
             # graceful drain: answer, then shed the keep-alive connection so
             # pooled clients reconnect (and find the listener gone once the
             # drain completes) instead of talking to a lingering handler
             self.close_connection = True
-        if getattr(self, "_binary_accept", False):
-            blob = wire.dumps(payload)
-            content_type = BINARY_CONTENT_TYPE
-        else:
-            blob = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
         self._log_status, self._log_bytes = status, len(blob)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -186,38 +181,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(blob)
 
-    def _send_text(self, status: int, text: str) -> None:
-        """Send a plain-text response (the Prometheus exposition format)."""
-        if self.app.draining:
-            self.close_connection = True
-        blob = text.encode("utf-8")
-        self._log_status, self._log_bytes = status, len(blob)
-        self._log_codec = "text"
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(blob)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(blob)
-
-    # early-reply paths (404/503) discard the request body up to this much;
+    # early-reply paths (404/401) discard the request body up to this much;
     # a body any bigger is not worth reading just to be polite
     _DRAIN_LIMIT = 1 << 20
+    # a body still incomplete this long after its headers is abandoned and
+    # its connection closed (idle keep-alive waits for the *next* request
+    # stay unbounded)
+    _BODY_TIMEOUT_S = 10.0
 
     def _drain_body(self) -> None:
         """Consume the unread request body before an early reply.
 
         Replying with body bytes still queued desynchronises keep-alive
         parsing and -- worse -- makes the kernel RST the connection, which
-        can destroy the 503 before the client reads it.  Bodies within the
-        limit are drained fully (connection stays reusable); anything
-        larger is abandoned and the connection closed after the reply.
+        can destroy the reply before the client reads it.  Bodies within
+        the limit are drained fully (connection stays reusable); anything
+        larger, or of unknown length, is abandoned and the connection
+        closed after the reply.
         """
         try:
             remaining = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            remaining = 0
+            remaining = 1  # unknown length: the stream cannot be resynchronised
         budget = self._DRAIN_LIMIT
         while remaining > 0 and budget > 0:
             chunk = self.rfile.read(min(65536, remaining, budget))
@@ -228,14 +213,43 @@ class _Handler(BaseHTTPRequestHandler):
         if remaining > 0:
             self.close_connection = True
 
-    def _read_payload(self) -> dict:
+    def _read_body(self) -> bytes | None:
+        """The whole request body, or None for a bad, stalled or abandoned
+        one -- its connection then closes (after a 400 / 408 reply)."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True  # the stream cannot be resynchronised
+            self._send_json(400, {"error": "Content-Length must be a byte count"})
+            return None
+        self._log_req_bytes = length
+        stalled = False
+        self.connection.settimeout(self._BODY_TIMEOUT_S)
+        try:
+            body = self.rfile.read(length)
+        except socket.timeout:
+            body, stalled = b"", True
+        except OSError:  # the client went away
+            body = b""
+        finally:
+            self.connection.settimeout(None)
+        if len(body) == length:
+            return body
+        self.close_connection = True
+        if stalled:
+            self._send_json(
+                408,
+                {"error": f"request body incomplete after {self._BODY_TIMEOUT_S:g} s"},
+            )
+        return None
+
+    def _payload(self, body: bytes) -> dict:
         """The request body as a payload dict, per its ``Content-Type``."""
-        length = int(self.headers.get("Content-Length") or 0)
-        self._log_req_bytes = max(0, length)
-        body = self.rfile.read(length) if length > 0 else b""
         if not body:
             raise _BadRequest("request body must be a payload object")
-        if wire.accepts_binary(self.headers.get("Content-Type")):
+        if self._binary_body:
             try:
                 payload = wire.loads(body)
             except WireError as exc:
@@ -250,11 +264,11 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _negotiate(self) -> bool:
-        """Fix this request's response codec from its ``Accept`` header."""
+        """Fix this request's codecs: its body's from ``Content-Type``, its
+        reply's from ``Accept`` (returned)."""
         self._binary_accept = wire.accepts_binary(self.headers.get("Accept"))
-        if self._binary_accept or wire.accepts_binary(
-            self.headers.get("Content-Type")
-        ):
+        self._binary_body = wire.accepts_binary(self.headers.get("Content-Type"))
+        if self._binary_accept or self._binary_body:
             self._log_codec = "binary"
         return self._binary_accept
 
@@ -339,7 +353,13 @@ class _Handler(BaseHTTPRequestHandler):
                     {"error": "metrics not enabled (serve with --metrics)"},
                 )
             else:
-                self._send_text(200, self.app.metrics.render())
+                # the Prometheus text exposition format
+                self._log_codec = "text"
+                self._send(
+                    200,
+                    self.app.metrics.render().encode("utf-8"),
+                    "text/plain; version=0.0.4; charset=utf-8",
+                )
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
@@ -351,13 +371,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._drain_body()
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        auth_error = app._auth_error(self.path, self.headers.get("Authorization"))
+        auth_error = app._auth_error(self.path, self.headers)
         if auth_error is not None:
             self._drain_body()
             self._send_json(401, {"error": auth_error})
             return
+        # the body arrives before admission: a stalled or malformed one
+        # never holds a slot, and a 503 leaves the connection in sync
+        body = self._read_body()
+        if body is None:
+            return
         if not app._begin_request():
-            self._drain_body()
             self._send_json(
                 503,
                 {
@@ -370,38 +394,68 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = self._read_payload()
-            self._send_json(200, route(payload, binary))
+            self._send_json(200, route(self._payload(body), binary))
         except _BadRequest as exc:
             self._send_json(400, {"error": str(exc)})
+        except UnsupportedOperation as exc:
+            self._send_json(501, {"error": str(exc)})
+        except ServiceClientError as exc:
+            # a remote member's own answer: a backend's 4xx, or a 503
+            # naming the backends that could not answer
+            self._send_json(exc.status, exc.payload)
         except Exception as exc:  # index/service errors -> 500, not a hang
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
         finally:
             app._end_request()
 
 
-class _HttpAppBase:
-    """Lifecycle, admission, and observability shared by HTTP front-ends.
+class HttpQueryServer:
+    """Expose one :class:`QueryService` as a threaded JSON HTTP server.
 
-    Both :class:`HttpQueryServer` (one in-process service) and the cluster
-    router (:mod:`repro.service.cluster`) expose the same HTTP surface;
-    this base owns everything that is not about *answering*: the threaded
-    listener, background-thread start/join, the drain-then-close shutdown,
-    ``max_inflight`` admission, bearer-token checks on mutation/admin
-    paths, per-endpoint request metrics, and the structured access and
-    slow-query logs.  Subclasses provide ``post_routes`` (path ->
-    handler), ``health()`` / ``stats()``, and the :meth:`_on_drained`
-    hook that runs between the request drain and the socket close.
+    Args:
+        service: the (already built or restored) service to serve -- over
+            in-process indexes, or over remote backends (a cluster router
+            hosts a :class:`~repro.service.cluster.ClusterIndex`).
+        host / port: bind address; port 0 picks a free ephemeral port
+            (read it back from :attr:`port`).
+        max_inflight: bound on concurrently executing requests -- the
+            backpressure limit.  Requests beyond it receive ``503``
+            immediately; clients are expected to retry.
+        access_log: optional file-like object; when given, every request
+            appends one JSON line (method, path, status, bytes, wall ms,
+            codec).  Off by default -- serving must not pay logging IO
+            unless asked to.
+        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
+            when given, ``GET /metrics`` serves its Prometheus text
+            exposition, per-endpoint request latency/outcome/size metrics
+            are recorded, and the percentile summaries appear under
+            ``/stats``'s ``telemetry`` key (share the registry with the
+            hosted service to get its cache/dispatcher/batch metrics in
+            the same exposition).
+        slow_query_ms: optional threshold in milliseconds; when set, every
+            query request runs inside a trace span tree and any request
+            slower than the threshold writes one JSON line -- including
+            the span tree with per-request attributed batch costs -- to
+            ``slow_query_log``.  0 traces (and logs) every query request.
+        slow_query_log: file-like sink for slow-query lines; defaults to
+            ``sys.stderr``.
+        auth_token: optional bearer token; when set, ``/insert``,
+            ``/delete``, and ``/admin/reload`` require
+            ``Authorization: Bearer <token>`` and answer 401 without it.
+            Query and observability endpoints stay open.
+
+    Use :meth:`start` to serve from a background thread and :meth:`close`
+    (or the context manager form) to shut down gracefully: draining
+    requests, then the dispatcher, then the socket -- in that order.
     """
 
     # paths that require ``Authorization: Bearer <token>`` when an
     # auth_token is configured; query and observability paths stay open
     _PROTECTED_PATHS = frozenset({"/insert", "/delete", "/admin/reload"})
-    _handler_class = _Handler
-    _thread_name = "repro-http"
 
     def __init__(
         self,
+        service: QueryService,
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
@@ -415,6 +469,7 @@ class _HttpAppBase:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if slow_query_ms is not None and slow_query_ms < 0:
             raise ValueError(f"slow_query_ms must be >= 0, got {slow_query_ms}")
+        self.service = service
         self.max_inflight = int(max_inflight)
         self.access_log = access_log
         self.metrics = metrics
@@ -467,7 +522,18 @@ class _HttpAppBase:
         self._closed = False
         self.requests_served = 0
         self.rejected = 0
-        self._httpd = _ThreadedServer((host, port), self._handler_class)
+        self._admin_lock = threading.Lock()  # one reload at a time
+        self.post_routes = {
+            "/range": self._handle_range,
+            "/knn": self._handle_knn,
+            "/range_many": self._handle_range_many,
+            "/knn_many": self._handle_knn_many,
+            "/insert": self._handle_insert,
+            "/delete": self._handle_delete,
+            "/plan": self._handle_plan,
+            "/admin/reload": self._handle_reload,
+        }
+        self._httpd = _ThreadedServer((host, port), _Handler)
         self._httpd.app = self
         self._thread: threading.Thread | None = None
 
@@ -490,14 +556,14 @@ class _HttpAppBase:
         """True while the background accept loop is alive."""
         return self._thread is not None and self._thread.is_alive()
 
-    def start(self) -> "_HttpAppBase":
+    def start(self) -> "HttpQueryServer":
         """Serve from a background thread; returns self for chaining."""
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name=self._thread_name,
+            name="repro-http",
             daemon=True,
         )
         self._thread.start()
@@ -509,12 +575,13 @@ class _HttpAppBase:
             self._thread.join(timeout)
 
     def close(self, drain_timeout: float | None = None) -> bool:
-        """Graceful shutdown: requests, then :meth:`_on_drained`, then socket.
+        """Graceful shutdown: requests, then the service, then the socket.
 
         1. stop admitting work -- new requests are rejected with 503;
         2. wait (up to ``drain_timeout``) for in-flight requests to finish;
-        3. run the subclass's :meth:`_on_drained` hook (the query server
-           drains its dispatcher there, the router its backend pool);
+        3. close the service: its dispatcher drains, so every coalesced
+           batch an HTTP thread is waiting on resolves, and its hosted
+           indexes release what they hold (a remote member its sockets);
         4. only then stop the accept loop and close the listening socket.
 
         Idempotent.  With the default ``drain_timeout=None`` the drain
@@ -536,7 +603,7 @@ class _HttpAppBase:
                 self._closed = True
         if already:
             return drained
-        self._on_drained()
+        self.service.close()
         if self._thread is not None:
             # shutdown() handshakes with serve_forever; calling it on a
             # never-started server would wait forever on an event only
@@ -547,10 +614,7 @@ class _HttpAppBase:
             self._thread.join(timeout=5.0)
         return drained
 
-    def _on_drained(self) -> None:
-        """Release owned resources; runs after the request drain, once."""
-
-    def __enter__(self) -> "_HttpAppBase":
+    def __enter__(self) -> "HttpQueryServer":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -573,7 +637,7 @@ class _HttpAppBase:
             if self._active == 0:
                 self._idle.notify_all()
 
-    def _auth_error(self, path: str, header: str | None) -> str | None:
+    def _auth_error(self, path: str, headers) -> str | None:
         """None when the request may proceed, else the 401 error message.
 
         Token comparison is constant-time (:func:`hmac.compare_digest`);
@@ -581,6 +645,7 @@ class _HttpAppBase:
         """
         if self.auth_token is None or path not in self._PROTECTED_PATHS:
             return None
+        header = headers.get("Authorization")
         if not header or not header.startswith("Bearer "):
             return f"{path} requires 'Authorization: Bearer <token>'"
         if not hmac.compare_digest(header[len("Bearer ") :], self.auth_token):
@@ -649,100 +714,24 @@ class _HttpAppBase:
                 pass  # a full disk or closed sink must never fail a request
 
 
-class HttpQueryServer(_HttpAppBase):
-    """Expose one :class:`QueryService` as a threaded JSON HTTP server.
-
-    Args:
-        service: the (already built or restored) service to serve.
-        host / port: bind address; port 0 picks a free ephemeral port
-            (read it back from :attr:`port`).
-        max_inflight: bound on concurrently executing requests -- the
-            backpressure limit.  Requests beyond it receive ``503``
-            immediately; clients are expected to retry.
-        access_log: optional file-like object; when given, every request
-            appends one JSON line (method, path, status, bytes, wall ms,
-            codec).  Off by default -- serving must not pay logging IO
-            unless asked to.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, ``GET /metrics`` serves its Prometheus text
-            exposition, per-endpoint request latency/outcome/size metrics
-            are recorded, and the percentile summaries appear under
-            ``/stats``'s ``telemetry`` key (share the registry with the
-            hosted service to get its cache/dispatcher/batch metrics in
-            the same exposition).
-        slow_query_ms: optional threshold in milliseconds; when set, every
-            query request runs inside a trace span tree and any request
-            slower than the threshold writes one JSON line -- including
-            the span tree with per-request attributed batch costs -- to
-            ``slow_query_log``.  0 traces (and logs) every query request.
-        slow_query_log: file-like sink for slow-query lines; defaults to
-            ``sys.stderr``.
-        auth_token: optional bearer token; when set, ``/insert``,
-            ``/delete``, and ``/admin/reload`` require
-            ``Authorization: Bearer <token>`` and answer 401 without it.
-            Query and observability endpoints stay open.
-
-    Use :meth:`start` to serve from a background thread and :meth:`close`
-    (or the context manager form) to shut down gracefully: draining
-    requests, then the dispatcher, then the socket -- in that order.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_inflight: int = 64,
-        access_log=None,
-        metrics: MetricsRegistry | None = None,
-        slow_query_ms: float | None = None,
-        slow_query_log=None,
-        auth_token: str | None = None,
-    ):
-        self.service = service
-        super().__init__(
-            host=host,
-            port=port,
-            max_inflight=max_inflight,
-            access_log=access_log,
-            metrics=metrics,
-            slow_query_ms=slow_query_ms,
-            slow_query_log=slow_query_log,
-            auth_token=auth_token,
-        )
-        self._admin_lock = threading.Lock()  # one reload at a time
-        self.post_routes = {
-            "/range": self._handle_range,
-            "/knn": self._handle_knn,
-            "/range_many": self._handle_range_many,
-            "/knn_many": self._handle_knn_many,
-            "/insert": self._handle_insert,
-            "/delete": self._handle_delete,
-            "/plan": self._handle_plan,
-            "/admin/reload": self._handle_reload,
-        }
-
-    def _on_drained(self) -> None:
-        # service.close() drains and joins the dispatcher worker, so every
-        # coalesced batch an HTTP thread is waiting on resolves before the
-        # listening socket goes away
-        self.service.close()
-
-    # -- observability ---------------------------------------------------------
-
     def health(self) -> dict:
-        return {
-            "status": "draining" if self._draining else "ok",
+        out = {
+            "status": "ok",
             "index": self.service.index_id,
             "members": self.service.catalog.ids(),
             "objects": len(self.service.index.space),
             "uptime_s": round(time.monotonic() - self._t_start, 3),
             "snapshot": self.service.snapshot_path,
             "reload_generation": self.service.reload_generation,
+            **self.service.index.health(),
         }
+        if self._draining:
+            out["status"] = "draining"
+        return out
 
     def stats(self) -> dict:
         out = self.service.stats()
+        out.update(self.service.index.health())
         with self._lock:
             out["http"] = {
                 "active": self._active,
@@ -754,66 +743,50 @@ class HttpQueryServer(_HttpAppBase):
         return out
 
     # -- payload decoding ------------------------------------------------------
+    #
+    # The hosted space turns wire values into query objects (a remote
+    # member's passes them through, for its backends to validate); the
+    # scalars of a request are checked here, whatever is hosted.
 
-    def _decode_object(self, value, field: str = "query"):
-        """A wire value as a query/dataset object of the hosted dataset.
-
-        Vector datasets decode JSON arrays -- or binary-frame numpy views
-        -- to their numpy dtype (shape checked against the dataset's
-        dimensionality); everything else (strings for Words) passes
-        through as-is.
-        """
+    def _decode(self, value, field: str = "query"):
         if value is None:
             raise _BadRequest(f"missing {field!r}")
-        dataset = self.service.index.space.dataset
-        if dataset.is_vector:
-            try:
-                arr = np.asarray(value, dtype=dataset.objects.dtype)
-            except (TypeError, ValueError):
-                raise _BadRequest(
-                    f"{field!r} must be a numeric array for this index"
-                ) from None
-            if arr.shape != dataset.objects.shape[1:]:
-                raise _BadRequest(
-                    f"{field!r} has shape {arr.shape}, index expects "
-                    f"{dataset.objects.shape[1:]}"
-                )
-            return arr
-        if isinstance(value, np.ndarray):
-            raise _BadRequest(f"{field!r} must not be an array for this index")
-        return value
+        try:
+            return self.service.index.space.decode(value, field)
+        except ValueError as exc:
+            raise _BadRequest(str(exc)) from None
 
     def _decode_many(self, payload) -> list:
         queries = payload.get("queries")
-        if isinstance(queries, np.ndarray):
-            # binary fast path: one 2-d (batch x dim) buffer for the whole
-            # batch -- validate once, hand the index row views, never touch
-            # a per-element Python object
-            dataset = self.service.index.space.dataset
-            if not dataset.is_vector:
-                raise _BadRequest("'queries' must not be an array for this index")
-            if queries.ndim != 2 or queries.shape[1:] != dataset.objects.shape[1:]:
-                raise _BadRequest(
-                    f"'queries' has shape {queries.shape}, index expects "
-                    f"(batch, {', '.join(map(str, dataset.objects.shape[1:]))})"
-                )
-            if queries.shape[0] == 0:
-                raise _BadRequest("'queries' must be a non-empty batch")
-            return list(np.asarray(queries, dtype=dataset.objects.dtype))
-        if not isinstance(queries, list) or not queries:
-            raise _BadRequest("'queries' must be a non-empty JSON array")
-        return [self._decode_object(q, "queries[]") for q in queries]
+        if not (
+            isinstance(queries, list) and queries
+            or isinstance(queries, np.ndarray) and queries.size
+        ):
+            raise _BadRequest("'queries' must be a non-empty batch")
+        try:
+            return self.service.index.space.decode_many(queries)
+        except ValueError as exc:
+            raise _BadRequest(str(exc)) from None
 
     @staticmethod
     def _number(payload, field: str) -> float:
         value = payload.get(field)
+        # bool subclasses int; NaN compares unequal to itself
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise _BadRequest(f"{field!r} must be a number")
+        if value != value:
+            raise _BadRequest(f"{field!r} must be a number, not NaN")
         return float(value)
+
+    def _radius(self, payload) -> float:
+        radius = self._number(payload, "radius")
+        if radius < 0:
+            raise _BadRequest("'radius' must be >= 0")
+        return radius
 
     def _k(self, payload) -> int:
         k = self._number(payload, "k")
-        if k < 1 or k != int(k):
+        if not 1 <= k < math.inf or k != int(k):
             raise _BadRequest("'k' must be a positive integer")
         return int(k)
 
@@ -834,15 +807,15 @@ class HttpQueryServer(_HttpAppBase):
     # -- query endpoints -------------------------------------------------------
 
     def _handle_range(self, payload: dict, binary: bool = False) -> dict:
-        query = self._decode_object(payload.get("query"))
-        radius = self._number(payload, "radius")
+        query = self._decode(payload.get("query"))
+        radius = self._radius(payload)
         ids = self.service.range_query(query, radius, index=self._pin(payload))
         if binary:
             return {"ids": wire.pack_id_list(ids)}
         return {"ids": [int(i) for i in ids]}
 
     def _handle_knn(self, payload: dict, binary: bool = False) -> dict:
-        query = self._decode_object(payload.get("query"))
+        query = self._decode(payload.get("query"))
         k = self._k(payload)
         neighbors = self.service.knn_query(query, k, index=self._pin(payload))
         if binary:
@@ -851,7 +824,7 @@ class HttpQueryServer(_HttpAppBase):
 
     def _handle_range_many(self, payload: dict, binary: bool = False) -> dict:
         queries = self._decode_many(payload)
-        radius = self._number(payload, "radius")
+        radius = self._radius(payload)
         answers = self.service.range_query_many(
             queries, radius, index=self._pin(payload)
         )
@@ -870,7 +843,7 @@ class HttpQueryServer(_HttpAppBase):
     def _handle_plan(self, payload: dict, binary: bool = False) -> dict:
         """The planner's explain table for one query shape: a row a member."""
         if "radius" in payload:
-            kind, param = "range", self._number(payload, "radius")
+            kind, param = "range", self._radius(payload)
         elif "k" in payload:
             kind, param = "knn", float(self._k(payload))
         else:
@@ -896,7 +869,7 @@ class HttpQueryServer(_HttpAppBase):
         return object_id
 
     def _handle_insert(self, payload: dict, binary: bool = False) -> dict:
-        obj = self._decode_object(payload.get("object"), "object")
+        obj = self._decode(payload.get("object"), "object")
         object_id = self._object_id(payload, required=False)
         return {"object_id": int(self.service.insert(obj, object_id=object_id))}
 
@@ -906,20 +879,26 @@ class HttpQueryServer(_HttpAppBase):
         return {"deleted": object_id}
 
     def _handle_reload(self, payload: dict, binary: bool = False) -> dict:
-        path = payload.get("snapshot")
-        if not isinstance(path, str) or not path:
+        """Hot-swap what the service hosts.  ``{"snapshot": path}``, or --
+        for a member rolling out to several backends -- ``{"snapshots":
+        [path, ...]}``, one per backend; the reply is the new header plus
+        the hosted index's :meth:`~repro.core.index.MetricIndex.health`."""
+        target = payload.get("snapshots", payload.get("snapshot"))
+        paths = target if isinstance(target, list) and target else [target]
+        if not all(isinstance(path, str) and path for path in paths):
             raise _BadRequest("'snapshot' must be a path string")
         with self._admin_lock:
             try:
-                info = self.service.reload_from_snapshot(path)
+                info = self.service.reload_from_snapshot(target)
             except (OSError, SnapshotError, CatalogError) as exc:
-                raise _BadRequest(f"cannot reload {path!r}: {exc}") from None
+                raise _BadRequest(f"cannot reload {target!r}: {exc}") from None
         return {
-            "reloaded": path,
+            "reloaded": target,
             "index": info.index_name,
             "objects": info.n_objects,
             "distance": info.distance_name,
             "dataset": info.dataset_name,
+            **self.service.index.health(),
         }
 
 
@@ -927,11 +906,13 @@ class HttpQueryServer(_HttpAppBase):
 
 
 class ServiceClientError(RuntimeError):
-    """A non-200 response from the server; carries the HTTP status."""
+    """A non-200 response from the server; carries the HTTP status and, as
+    ``payload``, the decoded reply -- what a router relays to its client."""
 
     def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+        self.payload = {"error": message}
 
 
 class ServiceClient:
@@ -957,12 +938,14 @@ class ServiceClient:
     :class:`~repro.core.queries.Neighbor` lists, bit-for-bit equal to a
     direct :class:`QueryService` call's.
 
-    ``binary=True`` switches the wire format to
-    :mod:`repro.service.wire`'s framed binary codec: request bodies carry
-    raw numpy buffers (a whole ``*_query_many`` vector batch travels as
-    one 2-D matrix), ``Accept`` asks the server for binary responses, and
-    answers decode from flat columnar arrays.  Same endpoints, same
-    answers bit-for-bit -- only the codec tax changes.
+    ``binary=True`` sends numpy arrays as :mod:`repro.service.wire`'s
+    framed binary codec: a request carrying one travels as a frame of raw
+    buffers (a whole ``*_query_many`` vector batch as one 2-D matrix) and
+    asks, through ``Accept``, for a framed reply whose answers decode from
+    flat columnar arrays.  A request without an array -- strings, ids, a
+    health check -- goes as plain JSON both ways, which a frame would only
+    wrap.  Same endpoints, same answers bit-for-bit -- only the codec tax
+    changes.
     """
 
     # a stale pooled socket surfaces as one of these on the next request;
@@ -1100,29 +1083,6 @@ class ServiceClient:
             self._discard(conn)
             raise
 
-    def forward(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        headers: dict | None = None,
-        idempotent: bool = True,
-    ) -> tuple[int, bytes, str | None]:
-        """Exchange a raw request verbatim: ``(status, body, content_type)``.
-
-        The codec-blind escape hatch the cluster router is built on: the
-        caller supplies the exact body bytes and headers (any codec, any
-        ``Accept``), the response comes back undecoded, and non-200
-        statuses are returned -- not raised -- so the router can relay a
-        backend's error payload to its own client untouched.  The pooled
-        connection, stale-socket retry, and ``retries`` accounting are
-        shared with the typed methods.
-        """
-        hdrs = dict(headers or {})
-        if self.auth_token is not None:
-            hdrs.setdefault("Authorization", f"Bearer {self.auth_token}")
-        return self._roundtrip(method, path, body, hdrs, idempotent=idempotent)
-
     def _request(
         self,
         method: str,
@@ -1133,14 +1093,17 @@ class ServiceClient:
     ):
         body = None
         headers = {}
-        if self.binary:
-            headers["Accept"] = BINARY_CONTENT_TYPE
         if self.auth_token is not None:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         if payload is not None:
-            if self.binary:
+            # a frame pays off for the raw buffers it carries: a payload with
+            # an array goes framed and asks for a framed reply; anything else
+            # is plain JSON both ways, which a frame would only wrap
+            if self.binary and any(
+                isinstance(value, np.ndarray) for value in payload.values()
+            ):
                 body = wire.dumps(payload)
-                headers["Content-Type"] = BINARY_CONTENT_TYPE
+                headers["Content-Type"] = headers["Accept"] = BINARY_CONTENT_TYPE
             else:
                 body = json.dumps(payload).encode("utf-8")
                 headers["Content-Type"] = "application/json"
@@ -1164,7 +1127,9 @@ class ServiceClient:
             except json.JSONDecodeError:
                 out = {"error": blob.decode("utf-8", "replace")}
         if status != 200:
-            raise ServiceClientError(status, out.get("error", "unexpected response"))
+            error = ServiceClientError(status, out.get("error", "unexpected response"))
+            error.payload = out
+            raise error
         return out
 
     # -- queries ---------------------------------------------------------------

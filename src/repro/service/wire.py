@@ -36,6 +36,7 @@ protocols.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -182,7 +183,10 @@ def loads(data: bytes):
             raise WireError(f"corrupt array table entry: {exc}") from None
         if dtype.kind not in _WIRE_KINDS:
             raise WireError(f"dtype {dtype} not allowed in binary frames")
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        if min(shape, default=0) < 0:
+            raise WireError(f"negative array shape {shape}")
+        count = math.prod(shape)
+        expected = dtype.itemsize * count
         if nbytes != expected:
             raise WireError(
                 f"array byte count {nbytes} does not match shape {shape} x {dtype}"
@@ -191,7 +195,7 @@ def loads(data: bytes):
         if start + nbytes > len(data):
             raise WireError("binary frame truncated inside an array buffer")
         arrays.append(
-            np.frombuffer(data, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=start).reshape(shape)
+            np.frombuffer(data, dtype=dtype, count=count, offset=start).reshape(shape)
         )
     return _decode_tree(tree, arrays)
 

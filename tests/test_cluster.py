@@ -1,4 +1,4 @@
-"""Multi-process cluster layer: split snapshots, router, supervisor.
+"""Multi-process cluster layer: split snapshots, remote members, supervisor.
 
 Covers the tentpole contracts:
 
@@ -39,7 +39,7 @@ from repro.cli import main
 from repro.core.sharded import ShardedIndex
 from repro.service.cluster import (
     ClusterError,
-    ClusterRouter,
+    ClusterIndex,
     ClusterSupervisor,
     load_cluster_manifest,
     save_split,
@@ -67,17 +67,31 @@ def _serve(index, port=0, **service_kwargs):
     return HttpQueryServer(service, port=port).start()
 
 
+def _router(backends, mode, metrics=None, auth_token=None):
+    """The router: the one HTTP front-end over a ``ClusterIndex`` of the
+    backends (prober off: tests drive membership with ``probe_now``, so
+    nothing is timing-dependent)."""
+    topology = ClusterIndex(
+        [(b.host, b.port) for b in backends],
+        mode=mode,
+        probe_interval_s=0,
+        metrics=metrics,
+        auth_token=auth_token,
+    )
+    service = QueryService(topology, cache_size=0, use_dispatcher=False)
+    return HttpQueryServer(service, metrics=metrics, auth_token=auth_token).start()
+
+
+def _probe_now(router):
+    router.service.index.probe_now()
+
+
 @pytest.fixture
 def shard_cluster(datasets):
-    """3 shard backends behind a shard-mode router (prober off: tests
-    drive membership with ``probe_now`` so nothing is timing-dependent)."""
+    """3 shard backends behind a shard-mode router."""
     dataset, sharded = _sharded_words(datasets)
     backends = [_serve(part) for part in sharded.split()]
-    router = ClusterRouter(
-        backends=[(b.host, b.port) for b in backends],
-        mode="shard",
-        probe_interval_s=0,
-    ).start()
+    router = _router(backends, "shard")
     yield dataset, sharded, backends, router
     router.close()
     for backend in backends:
@@ -93,11 +107,7 @@ def replica_cluster(datasets):
         for _ in range(2)
     ]
     backends = [_serve(index) for index in indexes]
-    router = ClusterRouter(
-        backends=[(b.host, b.port) for b in backends],
-        mode="replica",
-        probe_interval_s=0,
-    ).start()
+    router = _router(backends, "replica")
     yield dataset, indexes, backends, router
     router.close()
     for backend in backends:
@@ -255,7 +265,7 @@ def test_dead_shard_is_clear_503_then_recovers(shard_cluster):
     with ServiceClient(router.host, router.port) as client:
         assert client.range_query(q, radius) == expected
         backends[1].close()
-        router.probe_now()
+        _probe_now(router)
         with pytest.raises(ServiceClientError) as excinfo:
             client.range_query(q, radius)
         assert excinfo.value.status == 503
@@ -265,7 +275,7 @@ def test_dead_shard_is_clear_503_then_recovers(shard_cluster):
         assert health["live_backends"] == [0, 2]
         # restart the shard on the same port: the next probe readmits it
         backends[1] = _serve(victim_part, port=victim_port)
-        router.probe_now()
+        _probe_now(router)
         assert client.healthz()["status"] == "ok"
         assert client.range_query(q, radius) == expected
 
@@ -303,7 +313,7 @@ def test_replica_failover_kill_mid_burst_then_rejoin(replica_cluster):
         backends[0].close()
         for i, q in enumerate(queries * 3):
             assert client.range_query(q, radius) == expected[i % len(queries)]
-        router.probe_now()
+        _probe_now(router)
         health = client.healthz()
         assert health["status"] == "ok"  # degraded capacity, still serving
         assert health["live_backends"] == [1]
@@ -313,7 +323,7 @@ def test_replica_failover_kill_mid_burst_then_rejoin(replica_cluster):
         # restart on the same port: the probe marks it back up and it
         # serves again
         backends[0] = _serve(victim_index, port=victim_port)
-        router.probe_now()
+        _probe_now(router)
         assert client.healthz()["live_backends"] == [0, 1]
         for _ in range(6):
             assert client.range_query(queries[0], radius) == expected[0]
@@ -325,7 +335,7 @@ def test_all_replicas_down_is_503(replica_cluster):
     dataset, indexes, backends, router = replica_cluster
     for backend in backends:
         backend.close()
-    router.probe_now()
+    _probe_now(router)
     with ServiceClient(router.host, router.port) as client:
         assert client.healthz()["status"] == "unavailable"
         with pytest.raises(ServiceClientError) as excinfo:
@@ -355,7 +365,7 @@ def test_replica_mutations_fan_out_to_all(replica_cluster):
                 assert victim in direct.range_query(q, radius)
         # a mutation with a replica down would fork the set: refused
         backends[1].close()
-        router.probe_now()
+        _probe_now(router)
         with pytest.raises(ServiceClientError) as excinfo:
             client.delete(victim)
         assert excinfo.value.status == 503
@@ -391,11 +401,7 @@ def test_rolling_reload_zero_downtime(datasets, tmp_path):
         ).start()
         for _ in range(2)
     ]
-    router = ClusterRouter(
-        backends=[(b.host, b.port) for b in backends],
-        mode="replica",
-        probe_interval_s=0,
-    ).start()
+    router = _router(backends, "replica")
     try:
         errors: list[Exception] = []
         stop = threading.Event()
@@ -415,8 +421,8 @@ def test_rolling_reload_zero_downtime(datasets, tmp_path):
             t.start()
         with ServiceClient(router.host, router.port) as client:
             out = client.reload(path_large)
-            assert [r["backend"] for r in out["reloaded"]] == [0, 1]
-            assert all(r["objects"] == 200 for r in out["reloaded"])
+            assert [r["backend"] for r in out["backends"]] == [0, 1]
+            assert all(r["objects"] == 200 for r in out["backends"])
             stop.set()
             for t in readers:
                 t.join(timeout=20)
@@ -448,12 +454,7 @@ def test_router_auth_guards_edge_and_forwards_to_backends(datasets):
         ).start()
         for index in indexes
     ]
-    router = ClusterRouter(
-        backends=[(b.host, b.port) for b in backends],
-        mode="replica",
-        probe_interval_s=0,
-        auth_token=token,
-    ).start()
+    router = _router(backends, "replica", auth_token=token)
     try:
         radius = RADIUS["Words"]
         victim = 0
@@ -494,12 +495,7 @@ def test_router_stats_shape_and_metrics(datasets):
     dataset, sharded = _sharded_words(datasets, n=120)
     registry = MetricsRegistry()
     backends = [_serve(part) for part in sharded.split()]
-    router = ClusterRouter(
-        backends=[(b.host, b.port) for b in backends],
-        mode="shard",
-        probe_interval_s=0,
-        metrics=registry,
-    ).start()
+    router = _router(backends, "shard", metrics=registry)
     try:
         with ServiceClient(router.host, router.port) as client:
             client.range_query(dataset[0], RADIUS["Words"])
@@ -530,11 +526,11 @@ def test_router_stats_shape_and_metrics(datasets):
 
 def test_router_rejects_bad_topologies():
     with pytest.raises(ClusterError, match="at least one backend"):
-        ClusterRouter(backends=[])
+        ClusterIndex(backends=[])
     with pytest.raises(ClusterError, match="mode"):
-        ClusterRouter(backends=[("127.0.0.1", 1)], mode="quorum")
+        ClusterIndex(backends=[("127.0.0.1", 1)], mode="quorum")
     with pytest.raises(ClusterError, match="host:port"):
-        ClusterRouter(backends=["not-an-address"])
+        ClusterIndex(backends=["not-an-address"])
 
 
 # ---------------------------------------------------------------------------

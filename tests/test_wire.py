@@ -5,7 +5,8 @@ Covers the tentpole contracts:
 * ``wire.dumps`` / ``wire.loads`` round-trip JSON-like trees with numpy
   arrays bit-for-bit (dtype, shape, and bytes preserved; no pickle);
 * malformed frames -- bad magic, unknown version, truncation, forbidden
-  dtypes, reserved keys -- raise :class:`~repro.service.wire.WireError`;
+  dtypes, reserved keys, negative shapes -- raise
+  :class:`~repro.service.wire.WireError`;
 * the columnar answer forms (id lists, neighbor lists) round-trip through
   frames and still accept the plain JSON shapes;
 * content negotiation: ``binary=True`` clients get answers bit-for-bit
@@ -130,6 +131,18 @@ def test_frame_rejects_smuggled_object_dtype():
     assert b'"<f8"' in blob
     with pytest.raises(wire.WireError):
         wire.loads(blob.replace(b'"<f8"', b'"|O8"', 1))
+
+
+def test_frame_rejects_negative_shape():
+    # a tampered negative shape with a matching negative byte count (same
+    # header length) must be refused, not handed to numpy
+    blob = wire.dumps({"a": np.arange(4, dtype=np.float64)})
+    tampered = blob.replace(b'"shape": [4]', b'"shape":[-4]', 1).replace(
+        b'"nbytes": 32', b'"nbytes":-32', 1
+    )
+    assert tampered != blob
+    with pytest.raises(wire.WireError, match="negative"):
+        wire.loads(tampered)
 
 
 def test_accepts_binary_header_matching():
