@@ -23,6 +23,9 @@ from .common import FrontierTreeMixin, require_discrete
 
 __all__ = ["BKT"]
 
+# children per node: equal-width ranges over the node's distances
+_N_BUCKETS = 16
+
 
 @dataclass
 class _BktLeaf:
@@ -47,25 +50,16 @@ class BKT(FrontierTreeMixin, MetricIndex):
 
     name = "BKT"
 
-    def __init__(self, space: MetricSpace, root, leaf_size: int, n_buckets: int, seed: int):
+    def __init__(self, space: MetricSpace, root, leaf_size: int, seed: int):
         super().__init__(space)
         self.root = root
         self.leaf_size = leaf_size
-        self.n_buckets = n_buckets
         self._rng = np.random.default_rng(seed)
 
     @classmethod
-    def build(
-        cls,
-        space: MetricSpace,
-        leaf_size: int = 16,
-        n_buckets: int = 16,
-        seed: int = 0,
-    ) -> "BKT":
+    def build(cls, space: MetricSpace, leaf_size: int = 16, seed: int = 0) -> "BKT":
         require_discrete(space, "BKT")
-        rng = np.random.default_rng(seed)
-        index = cls(space, None, leaf_size, n_buckets, seed)
-        index._rng = rng
+        index = cls(space, None, leaf_size, seed)
         index.root = index._build_node(list(range(len(space))))
         return index
 
@@ -78,7 +72,7 @@ class BKT(FrontierTreeMixin, MetricIndex):
         dists = self.space.d_ids(self.space.dataset[pivot_id], rest)
         node = _BktNode(pivot_id=pivot_id)
         lo, hi = float(dists.min()), float(dists.max())
-        width = max(1.0, np.ceil((hi - lo + 1) / self.n_buckets))
+        width = max(1.0, np.ceil((hi - lo + 1) / _N_BUCKETS))
         buckets: dict[int, list[int]] = {}
         bucket_bounds: dict[int, tuple[float, float]] = {}
         for object_id, d in zip(rest, dists):

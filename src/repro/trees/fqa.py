@@ -5,10 +5,11 @@ The FQA linearises an FQT: each object is represented by the tuple of its
 one lexicographically sorted array.  Subtrees of the conceptual FQT
 correspond to contiguous runs of the array, found by binary search.
 
-Storing b bits per coordinate compresses the signature matrix; the price is
-that a stored value v only tells us d(o, p) lies in the bucket [v*w,
-(v+1)*w), so the Lemma 1 lower bound works on bucket bounds (the same
-discretisation trade-off the SPB-tree makes, Section 5.4).
+Each coordinate is one byte, the cell of a :class:`~repro.core.quantise.Frame`
+fitted per pivot column: low end 0 and the smallest integer width that
+keeps the build's largest distance below the open top cell.  Lemma 1 works
+on cell bounds (the discretisation trade-off of Section 5.4): a gap table
+per query and column, looked up at every row's code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
-from ..core.pivot_filter import query_chunk
+from ..core.quantise import Frame, gap_tables
 from ..core.queries import Neighbor, best_first_knn
 from ..tables.rows import claim_row_id, remove_row
 from .common import require_discrete
@@ -31,65 +32,46 @@ class FQA(MetricIndex):
 
     name = "FQA"
 
-    def __init__(
-        self,
-        space: MetricSpace,
-        pivot_ids,
-        signatures: np.ndarray,
-        row_ids: np.ndarray,
-        width: float,
-    ):
+    def __init__(self, space: MetricSpace, pivot_ids, signatures, row_ids, frames):
         super().__init__(space)
         self.pivot_ids = [int(p) for p in pivot_ids]
-        self._signatures = signatures  # n x l unsigned buckets, lex-sorted
+        self._signatures = signatures  # n x l codes, lex-sorted
         self._row_ids = row_ids
-        self._width = width
+        self._frames = frames  # one per pivot column
+
+    def __setstate__(self, state):
+        if "_width" in state:  # uint32 buckets of one width; past 255 is the open top cell
+            buckets = state["_signatures"]
+            state["_frames"] = (Frame(0.0, state.pop("_width"), False),) * buckets.shape[1]
+            state["_signatures"] = np.minimum(buckets, 255).astype(np.uint8)
+        self.__dict__.update(state)
 
     @classmethod
-    def build(
-        cls, space: MetricSpace, pivot_ids, bits_per_pivot: int = 8
-    ) -> "FQA":
+    def build(cls, space: MetricSpace, pivot_ids) -> "FQA":
         require_discrete(space, "FQA")
         matrix = PivotMapping(space, pivot_ids).matrix
         max_value = float(matrix.max()) if matrix.size else 1.0
-        levels = (1 << bits_per_pivot) - 1
-        width = max(1.0, np.ceil((max_value + 1) / levels))
-        signatures = np.minimum((matrix // width).astype(np.uint32), levels)
+        # the narrowest integer width that leaves the top cell to inserts
+        frame = Frame(0.0, max(1.0, np.ceil((max_value + 1) / 255)), False)
+        signatures = frame.encode(matrix)  # every column shares the frame
         order = np.lexsort(signatures.T[::-1])  # lexicographic by column 0,1,...
-        return cls(
-            space,
-            pivot_ids,
-            signatures[order],
-            np.arange(len(space), dtype=np.intp)[order],
-            width,
-        )
+        row_ids = np.arange(len(space), dtype=np.intp)[order]
+        return cls(space, pivot_ids, signatures[order], row_ids, (frame,) * matrix.shape[1])
 
     # -- bounds -----------------------------------------------------------------
 
     def _lower_bounds_many(self, query_dist_matrix: np.ndarray) -> np.ndarray:
-        """Lemma 1 over bucket intervals [v*w, (v+1)*w): ``q x n`` bounds.
+        """Lemma 1 over the code cells: ``q x n`` bounds.
 
         The FQA is the linearised FQT, so its batch engine is the table
-        indexes' 2-D bound matrix rather than a node frontier: one
-        broadcast over (queries x rows x pivots), chunked along the query
-        axis to bound the temporary (same policy as
-        :func:`~repro.core.pivot_filter.lower_bound_many_queries`).
+        indexes' 2-D bound matrix rather than a node frontier: per column,
+        one gap table per query looked up at every row's code.
         """
         qmat = np.atleast_2d(np.asarray(query_dist_matrix, dtype=np.float64))
-        n_rows = self._signatures.shape[0]
-        if not self._signatures.size:
-            return np.zeros((qmat.shape[0], n_rows))
-        lows = self._signatures * self._width
-        highs = lows + self._width  # exclusive upper bucket edge
-        out = np.empty((qmat.shape[0], n_rows))
-        step = query_chunk(n_rows, self._signatures.shape[1])
-        for start in range(0, qmat.shape[0], step):
-            block = qmat[start : start + step, None, :]
-            below = lows[None, :, :] - block  # bucket entirely above d(q,p)
-            above = block - highs[None, :, :]  # bucket entirely below
-            out[start : start + step] = np.maximum(
-                np.maximum(below, above), 0.0
-            ).max(axis=2)
+        out = np.zeros((qmat.shape[0], self._signatures.shape[0]))
+        tables = gap_tables(self._frames, qmat)  # q x l x cells
+        for column, codes in enumerate(self._signatures.T):
+            np.maximum(out, tables[:, column, codes], out=out)
         return out
 
     def _query_pivot_matrix(self, queries) -> np.ndarray:
@@ -139,11 +121,13 @@ class FQA(MetricIndex):
     def insert(self, obj, object_id: int | None = None) -> int:
         """l distance computations + sorted insertion."""
         object_id = claim_row_id(self, obj, object_id)
-        dists = np.asarray(
-            [self.space.d(obj, self.space.dataset[p]) for p in self.pivot_ids]
+        signature = np.array(
+            [
+                frame.encode_one(self.space.d(obj, self.space.dataset[p]))
+                for frame, p in zip(self._frames, self.pivot_ids)
+            ],
+            dtype=self._signatures.dtype,
         )
-        levels = np.iinfo(self._signatures.dtype).max
-        signature = np.minimum((dists // self._width).astype(np.uint32), levels)
         # binary search for the lexicographic position
         position = self._lex_position(signature)
         self._signatures = np.insert(self._signatures, position, signature, axis=0)

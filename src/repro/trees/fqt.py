@@ -21,6 +21,9 @@ from .common import FrontierTreeMixin, require_discrete
 
 __all__ = ["FQT"]
 
+# children per node: equal-width ranges over the level's distances
+_N_BUCKETS = 16
+
 
 @dataclass
 class _FqtLeaf:
@@ -44,18 +47,15 @@ class FQT(FrontierTreeMixin, MetricIndex):
 
     name = "FQT"
 
-    def __init__(self, space: MetricSpace, pivot_ids, root, n_buckets: int):
+    def __init__(self, space: MetricSpace, pivot_ids, root):
         super().__init__(space)
         self.pivot_ids = [int(p) for p in pivot_ids]
         self.root = root
-        self.n_buckets = n_buckets
 
     @classmethod
-    def build(
-        cls, space: MetricSpace, pivot_ids, n_buckets: int = 16
-    ) -> "FQT":
+    def build(cls, space: MetricSpace, pivot_ids) -> "FQT":
         require_discrete(space, "FQT")
-        index = cls(space, pivot_ids, None, n_buckets)
+        index = cls(space, pivot_ids, None)
         index.root = index._build_node(list(range(len(space))), level=0)
         return index
 
@@ -66,7 +66,7 @@ class FQT(FrontierTreeMixin, MetricIndex):
         dists = self.space.d_ids(pivot_obj, ids)
         node = _FqtNode(level=level)
         lo, hi = float(dists.min()), float(dists.max())
-        width = max(1.0, np.ceil((hi - lo + 1) / self.n_buckets))
+        width = max(1.0, np.ceil((hi - lo + 1) / _N_BUCKETS))
         buckets: dict[int, list[int]] = {}
         bounds: dict[int, tuple[float, float]] = {}
         for object_id, d in zip(ids, dists):

@@ -12,21 +12,15 @@ most |P|.  Internal nodes store the split values as tight child bounds.
 **What a leaf holds.**  The mvp-tree keeps, for every leaf object, its
 distances to the vantage points on its root path and applies Lemma 1 to
 them before d(q, o) is computed.  A leaf here holds its ids as 4-byte
-integers and, per object, one ``uint8`` *code* per path level: the index of
-the cell of that level's *frame* the object's pivot distance fell in.  A
-frame is fixed when the level is built -- the integer distance itself when
-the metric is discrete and the level's distances fit a byte, else 256
-equal-width cells over the level's [min, max] -- and its two end cells are
-open-ended, so an object inserted later outside the frame still decodes to
-an interval that contains its distance.  One byte, not a float, because the
-path distances are the tree's only per-object cost: five float64 levels
-would triple MVPT's structure bytes, five codes beside 4-byte ids add one
-byte an object to what 8-byte ids cost.  At query time a level's 256 cell
-lower bounds of |d(q, p) - d(o, p)| are derived once from the d(q, p) the
-walk already holds, Lemma 1 is a table lookup, and it runs over all the
-leaves a query reached at once (:meth:`MVPT._leaf_filter`), never leaf by
-leaf and never calling the metric.  VPT is the arity-2 case and shares all
-of it.
+integers and, per object, one ``uint8`` code per path level: the cell of
+that level's :class:`~repro.core.quantise.Frame` its pivot distance fell
+in, the frame fitted by :meth:`~repro.core.quantise.Frame.spanning` when
+the level is built.  One byte, not a float, because the path distances are
+the tree's only per-object cost: five float64 levels would triple MVPT's
+structure bytes.  At query time Lemma 1 is a lookup in each level's gap
+table, over all the leaves a query reached at once
+(:meth:`MVPT._leaf_filter`), never calling the metric.  VPT is MVPT at
+arity 2.
 
 The build works a level at a time in array form: one counted ``d_ids`` call
 per level over the objects still in splitting nodes, that level's frame and
@@ -43,12 +37,11 @@ import numpy as np
 
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
+from ..core.quantise import Frame, gap_tables
 from .common import FrontierTreeMixin
 
 __all__ = ["MVPT", "VPT"]
 
-# cell edges of a frame, in units of its width past its low end
-_CELL_EDGES = np.arange(257, dtype=np.float64)
 _FRAME_BYTES = 8 + 8 + 1  # low end, cell width, exact flag
 
 
@@ -80,78 +73,6 @@ class _MvptNode:
     children: list
 
     is_leaf = False
-
-
-def _frame_of(dists: np.ndarray, discrete: bool) -> tuple[float, float, bool]:
-    """(low end, cell width, exact) for a level whose distances are ``dists``."""
-    lo, hi = float(dists.min()), float(dists.max())
-    if discrete and 0 <= lo and hi <= 255:
-        return 0.0, 1.0, True
-    return lo, (hi - lo) / 256, False
-
-
-def _cell_bounds(frame) -> tuple[np.ndarray, np.ndarray]:
-    """Closed [low, high] of each of the 256 cells; the end cells are open."""
-    lo, width, exact = frame
-    edges = lo + width * _CELL_EDGES
-    low = edges[:-1].copy()
-    high = low.copy() if exact else edges[1:].copy()
-    low[0], high[-1] = -np.inf, np.inf
-    return low, high
-
-
-def _encode(frame, dists) -> np.ndarray:
-    """The cell of each distance, as ``uint8``.
-
-    Raises unless every decoded interval contains its distance: a code that
-    excluded it would let the leaf filter drop a true answer.
-    """
-    lo, width, _ = frame
-    dists = np.asarray(dists, dtype=np.float64)
-    cells = np.searchsorted(lo + width * _CELL_EDGES, dists, side="right") - 1
-    codes = np.clip(cells, 0, 255).astype(np.uint8)
-    low, high = _cell_bounds(frame)
-    if not ((low[codes] <= dists) & (dists <= high[codes])).all():
-        raise AssertionError(f"frame {frame} lost a distance among {dists!r}")
-    return codes
-
-
-def _encode_one(frame, dist: float) -> int:
-    """:func:`_encode` for the one distance of an insert, without arrays."""
-    lo, width, exact = frame
-    if dist >= lo + width * 255:
-        cell = 255
-    elif dist < lo + width:
-        cell = 0
-    else:  # inside the frame: the quotient is off by a rounding at most
-        cell = int((dist - lo) // width)
-        while dist < lo + width * cell:
-            cell -= 1
-        while dist >= lo + width * (cell + 1):
-            cell += 1
-    low = lo + width * cell
-    high = low if exact else lo + width * (cell + 1)
-    if (cell > 0 and dist < low) or (cell < 255 and dist > high):
-        raise AssertionError(f"frame {frame} lost the distance {dist!r}")
-    return cell
-
-
-def _gap_tables(frames, query_to_pivots) -> np.ndarray:
-    """Lemma 1 per code: row i holds, for each cell of ``frames[i]``, a lower
-    bound of |d(q, p_i) - d(o, p_i)| given ``query_to_pivots[i]``.
-
-    The cell bounds are those of :func:`_cell_bounds`, term for term, for
-    several levels in one pass.
-    """
-    lo, width, exact = np.array(frames, dtype=np.float64).T[:, :, None]
-    dq = np.asarray(query_to_pivots, dtype=np.float64)[:, None]
-    edges = lo + width * _CELL_EDGES - dq  # every cell edge, seen from d(q, p)
-    below = edges[:, :-1]  # low - d(q, p)
-    above = -np.where(exact, below, edges[:, 1:])  # d(q, p) - high
-    gaps = np.maximum(below, above)
-    gaps[:, :1] = above[:, :1]  # the end cells are open
-    gaps[:, -1:] = below[:, -1:]
-    return np.maximum(gaps, 0.0)
 
 
 def _back_to_back(starts: np.ndarray, sizes: np.ndarray):
@@ -205,9 +126,14 @@ class MVPT(FrontierTreeMixin, MetricIndex):
     """m-ary vantage point tree with shared per-level pivots."""
 
     name = "MVPT"
-    # one (low end, cell width, exact) per built level; a tree restored from
-    # a snapshot that predates the codes has none and needs none
+    # one Frame per built level; a tree restored from a snapshot that
+    # predates the codes has none and needs none
     _frames = ()
+
+    def __setstate__(self, state):
+        if state.get("_frames"):  # pickled as (low, width, exact) tuples
+            state["_frames"] = [Frame(*frame) for frame in state["_frames"]]
+        self.__dict__.update(state)
 
     def __init__(self, space: MetricSpace, pivot_ids, arity: int, leaf_size: int):
         super().__init__(space)
@@ -250,9 +176,9 @@ class MVPT(FrontierTreeMixin, MetricIndex):
                 ids = perm[pos]
                 pivot = space.dataset[self.pivot_ids[level]]
                 dists = space.d_ids(pivot, ids)
-                frame = _frame_of(dists, space.is_discrete)
+                frame = Frame.spanning(dists, space.is_discrete)
                 self._frames.append(frame)
-                codes[level, ids] = _encode(frame, dists)
+                codes[level, ids] = frame.encode(dists)
                 order = np.lexsort((dists, seg))
                 dists = dists[order]
                 perm[pos] = ids[order]
@@ -321,7 +247,7 @@ class MVPT(FrontierTreeMixin, MetricIndex):
             known, deepest = len(tables), max(by_depth)
             if filtering and deepest > known:
                 tables.extend(
-                    _gap_tables(
+                    gap_tables(
                         frames[known:deepest],
                         [pivot_dist(level) for level in range(known, deepest)],
                     )
@@ -349,7 +275,7 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         object_id, leaf, known = self._route_insert(obj, object_id)
         leaf.ids.append(object_id)
         leaf.codes.extend(
-            _encode_one(self._frames[level], known[level]) for level in range(leaf.depth)
+            self._frames[level].encode_one(known[level]) for level in range(leaf.depth)
         )
         return object_id
 
@@ -384,9 +310,5 @@ class VPT(MVPT):
     name = "VPT"
 
     @classmethod
-    def build(
-        cls, space: MetricSpace, pivot_ids, arity: int = 2, leaf_size: int = 16
-    ) -> "VPT":
-        if arity != 2:
-            raise ValueError("VPT is binary; use MVPT for m-way splits")
+    def build(cls, space: MetricSpace, pivot_ids, leaf_size: int = 16) -> "VPT":
         return super().build(space, pivot_ids, 2, leaf_size)

@@ -120,10 +120,8 @@ def leaf_code_rows(index):
     query-time gap table reads it; the exact distance is recomputed from the
     dataset, uncounted.
     """
-    from repro.trees.mvpt import _cell_bounds
-
     dataset, distance = index.space.dataset, index.space.distance
-    bounds = [_cell_bounds(frame) for frame in index._frames]
+    bounds = [frame.bounds(range(frame.cells)) for frame in index._frames]
     rows = []
     stack = [(index.root, 0)]
     while stack:

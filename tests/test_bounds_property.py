@@ -39,7 +39,7 @@ from repro.core.pivot_filter import (
     upper_bound_many,
 )
 from repro.core.staged import StagedPruner, score_pivot_order
-from repro.trees.mvpt import _cell_bounds, _encode, _encode_one, _frame_of, _gap_tables
+from repro.core.quantise import Frame, gap_tables
 
 from conftest import assert_codes_hold
 
@@ -234,16 +234,18 @@ def test_ptolemaic_pairs_budget_respected():
         assert pairs.shape[0] == min(budget, 15)  # C(6,2) distinct pairs
 
 
-# -- MVPT / VPT path-distance codes -------------------------------------------
+# -- pivot-distance codes: MVPT / VPT paths, FQA signatures, SPB-tree grid --------
 
 DISTS = st.floats(min_value=0.0, max_value=5000.0, allow_nan=False)
 
 
 @st.composite
 def frame_cases(draw):
-    """A level's build-time distances, then distances met later (inserts,
-    some outside the frame) and query-to-pivot distances."""
-    discrete = draw(st.booleans())
+    """A frame fitted to a column's build-time distances by one index's
+    policy, then distances met later (inserts, some on cell edges, some
+    outside the frame) and query-to-pivot distances."""
+    policy = draw(st.sampled_from(["mvpt", "fqa", "spb"]))
+    discrete = policy == "fqa" or draw(st.booleans())
     shape = draw(st.sampled_from(["spread", "narrow", "equal", "byte", "past-byte"]))
     top = {"spread": 5000.0, "narrow": 1e-6, "equal": 0.0, "byte": 255.0, "past-byte": 3000.0}[shape]
     base = draw(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
@@ -256,37 +258,53 @@ def frame_cases(draw):
     later = draw(st.lists(DISTS, max_size=10)) + [0.0, base / 2, base + 2 * top + 1]
     if discrete:
         build, later = [float(round(d)) for d in build], [float(round(d)) for d in later]
-    queries = draw(st.lists(DISTS, min_size=1, max_size=6)) + [b for b in build[:3]]
-    return discrete, np.asarray(build), later, queries
+    build = np.asarray(build)
+    if policy == "mvpt":
+        frame = Frame.spanning(build, discrete)
+    elif policy == "fqa":  # low end 0, the integer width that leaves the top cell open
+        frame = Frame(0.0, max(1.0, np.ceil((build.max() + 1) / 255)), False)
+    else:  # SPB-tree: low end 0, width eps, 2^bits cells
+        bits = draw(st.sampled_from([4, 8, 12]))
+        eps = max(build.max(), 1e-9) / ((1 << bits) - 1) * (1 + 1e-9)
+        frame = Frame(0.0, eps, False, 1 << bits)
+    # cell edges, the frame's own two ends and past them included
+    cells = draw(st.lists(st.integers(-2, frame.cells + 2), max_size=6)) + [frame.cells]
+    later += [d for d in (frame.low + frame.width * c for c in cells) if d >= 0]
+    queries = draw(st.lists(DISTS, min_size=1, max_size=6)) + list(build[:3])
+    return policy, discrete, frame, build, later, queries
 
 
 @given(case=frame_cases())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_codes_never_exclude_their_distance(case):
     """A code's decoded interval holds the exact distance -- at build, and
-    for distances below and above the frame fixed then -- so the gap table
-    built from a query-to-pivot distance is a Lemma 1 lower bound."""
-    discrete, build, later, queries = case
-    frame = _frame_of(build, discrete)
-    if discrete and build.max() <= 255:
-        assert frame == (0.0, 1.0, True)
-    else:
-        assert not frame[2] and frame[0] == build.min()
-    codes = _encode(frame, build)
-    assert codes.dtype == np.uint8 and codes.shape == build.shape
+    for distances on cell edges, below and above the frame fixed then -- so
+    the gap table built from a query-to-pivot distance is a Lemma 1 lower
+    bound, whichever index fitted the frame."""
+    policy, discrete, frame, build, later, queries = case
+    if policy == "mvpt" and discrete and build.max() <= 255:
+        assert frame == (0.0, 1.0, True, 256)
+    elif policy == "mvpt":
+        assert not frame.exact and frame.low == build.min()
+    codes = frame.encode(build)
+    assert codes.dtype == (np.uint16 if frame.cells > 256 else np.uint8)
+    assert codes.shape == build.shape
+    if policy != "mvpt":  # fitted so the build leaves the open top cell free
+        assert codes.max() < frame.cells - 1
     dists = np.concatenate([build, later])
-    codes = np.concatenate([codes, _encode(frame, later)])
-    assert [_encode_one(frame, float(d)) for d in dists] == codes.tolist()
-    low, high = _cell_bounds(frame)
+    codes = np.concatenate([codes, frame.encode(later)])
+    assert [frame.encode_one(float(d)) for d in dists] == codes.tolist()
+    low, high = frame.bounds(np.arange(frame.cells))
     assert low[0] == -np.inf and high[-1] == np.inf  # the end cells are open
     assert (low[1:] <= high[1:]).all() and (high[:-1] <= low[1:]).all()
     assert (low[codes] <= dists).all() and (dists <= high[codes]).all()
-    tables = _gap_tables([frame] * len(queries), queries)
-    assert tables.shape == (len(queries), 256) and (tables >= 0).all()
+    assert all(np.array_equal(a, b) for a, b in zip(frame.bounds(codes), (low[codes], high[codes])))
+    tables = gap_tables([frame] * len(queries), queries)
+    assert tables.shape == (len(queries), frame.cells) and (tables >= 0).all()
     for dq, table in zip(queries, tables):
         assert np.array_equal(table, np.maximum(np.maximum(low - dq, dq - high), 0.0))
         assert (table[codes] <= np.abs(dq - dists)).all()
-        if frame[2]:  # exact codes lose nothing inside the byte
+        if frame.exact:  # exact codes lose nothing inside the byte
             inside = dists < 255
             assert (table[codes][inside] == np.abs(dq - dists)[inside]).all()
 

@@ -68,7 +68,9 @@ def reference_spbtree(space, pivot_ids, curve_cls):
     index.raf = PerRecordRAF(pager)
     keyed = []
     for object_id in range(mapping.n_objects):
-        cell = index._grid_cell(mapping.vector(object_id))
+        # the floor-division grid the SPB-tree keyed by before its shared frame
+        cell = np.floor(mapping.vector(object_id) / index.frame.width).astype(np.int64)
+        cell = np.clip(cell, 0, index.curve.max_coordinate)
         keyed.append((index.curve.encode(cell), object_id))
     keyed.sort()
     items = []

@@ -10,6 +10,8 @@ import pytest
 from repro import (
     DEPT,
     CostCounters,
+    Dataset,
+    L2,
     MIndex,
     MIndexStar,
     MetricSpace,
@@ -18,6 +20,7 @@ from repro import (
     OmniSequentialFile,
     PMTree,
     SPBTree,
+    brute_force_knn,
     brute_force_range,
     make_la,
     make_words,
@@ -255,28 +258,33 @@ class TestSPBTreeDetail:
     # oracle those are held to, cell for cell.
 
     @staticmethod
-    def _cell_lower_bound(index, qdists, coords) -> float:
-        lows, highs = index._cell_bounds(coords)
+    def _cell_edges(index, coords):
+        """[c * eps, (c + 1) * eps] per pivot; the grid's top cell has an
+        open high edge, since objects inserted past the build-time grid land
+        there."""
+        cell = np.asarray(coords, dtype=np.float64)
+        highs = np.where(
+            cell >= index.curve.max_coordinate, np.inf, (cell + 1.0) * index.frame.width
+        )
+        return cell * index.frame.width, highs
+
+    @classmethod
+    def _cell_lower_bound(cls, index, qdists, coords) -> float:
+        lows, highs = cls._cell_edges(index, coords)
         gaps = np.maximum(np.maximum(lows - qdists, qdists - highs), 0.0)
         return float(gaps.max())
 
-    @staticmethod
-    def _cell_upper_bound(index, qdists, coords) -> float:
-        coords = np.asarray(coords)
-        if coords.max() >= index.curve.max_coordinate:
-            # a clipped cell no longer upper-bounds the true distance
-            # (inserted objects may exceed the build-time grid), so Lemma 4
-            # must not fire on it
-            return float("inf")
-        _, highs = index._cell_bounds(coords)
+    @classmethod
+    def _cell_upper_bound(cls, index, qdists, coords) -> float:
+        _, highs = cls._cell_edges(index, coords)
         return float((qdists + highs).min())
 
-    @staticmethod
-    def _box_lower_bound(index, qdists, aux) -> float:
+    @classmethod
+    def _box_lower_bound(cls, index, qdists, aux) -> float:
         if aux is None:
             return 0.0
-        clows, _ = index._cell_bounds(aux[0])
-        _, chighs = index._cell_bounds(aux[1])
+        clows, _ = cls._cell_edges(index, aux[0])
+        _, chighs = cls._cell_edges(index, aux[1])
         gaps = np.maximum(np.maximum(clows - qdists, qdists - chighs), 0.0)
         return float(gaps.max())
 
@@ -363,7 +371,7 @@ class TestSPBTreeDetail:
         # validate, around a query the far objects are nowhere near
         dataset = index.space.dataset
         q = dataset[1]
-        nominal = float((qmat[0] + (edge + 1.0) * index.eps).min())
+        nominal = float((qmat[0] + (edge + 1.0) * index.frame.width).min())
         for far_id in far_ids:
             assert index.space.dataset.distance(q, dataset[far_id]) > nominal + 1.0
         got = index.range_query(q, nominal + 1.0)
@@ -375,8 +383,34 @@ class TestSPBTreeDetail:
 
     def test_eps_covers_max_distance(self, la, la_pivots):
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
-        max_cell = index._grid_cell(index.mapping.matrix.max(axis=0))
-        assert max_cell.max() <= index.curve.max_coordinate
+        max_cell = index.frame.encode(index.mapping.matrix.max(axis=0))
+        # the build stays below the open top cell, which inserts may reach
+        assert max_cell.max() < index.curve.max_coordinate
+
+    def test_objects_inserted_past_the_grid_are_found(self):
+        """Objects inserted far past the build-time grid land in its open
+        top cell, as leaf entries and as the high corner of child boxes;
+        neither Lemma 1 on an entry nor on a box may prune them."""
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.uniform(0, 1, size=(300, 2)), L2, name="unit")
+        index = SPBTree.build(MetricSpace(dataset, CostCounters()), [0, 1, 2])
+        far = rng.uniform(49.5, 50.5, size=(150, 2))
+        for obj in far:
+            index.insert(obj)
+        top = index.curve.max_coordinate
+        boxes = [
+            aux[1]
+            for node in self._nodes(index)
+            if not node.is_leaf
+            for aux in node.aux
+            if aux is not None
+        ]
+        assert any(min(high) >= top for high in boxes)  # a box wholly past the grid
+        space = MetricSpace(dataset)
+        for q in (np.array([50.0, 50.5]), far[17] + 0.01, np.array([0.5, 0.5])):
+            assert index.range_query(q, 1.0) == brute_force_range(space, q, 1.0)
+            want = brute_force_knn(space, q, 5)
+            assert [n.object_id for n in index.knn_query(q, 5)] == [n.object_id for n in want]
 
 
 class TestDEPTDetail:

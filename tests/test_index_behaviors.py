@@ -225,8 +225,8 @@ class TestSPBMechanics:
         mapping = index.mapping
         for object_id in (0, 7, 123):
             vec = mapping.vector(object_id)
-            cell = index._grid_cell(vec)
-            lows, highs = index._cell_bounds(cell)
+            cell = index.frame.encode(vec)
+            lows, highs = index.frame.bounds(cell)
             assert np.all(lows <= vec + 1e-9)
             assert np.all(vec <= highs + 1e-9)
 

@@ -5,6 +5,7 @@ of the RAF's page format."""
 
 from __future__ import annotations
 
+import json
 import pickle
 from array import array
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro import (
     select_pivots,
 )
 from repro.core import load_dataset, save_dataset
+from repro.core.quantise import Frame
 from repro.service import iter_components, load_index, rebind_counters, save_index
 from repro.storage.pager import Pager
 from repro.storage.raf import RafPage, RecordPointer
@@ -218,6 +220,55 @@ def test_snapshot_with_codeless_leaves_still_loads(name):
         assert index.range_query(q, 900.0) == brute_force_range(oracle, q, 900.0)
         assert index.knn_query(q, 6) == brute_force_knn(oracle, q, 6)
     assert all(not leaf.codes for leaf in leaves)
+
+
+def _coded_answers(index, queries, radius, k):
+    """Every query form's answers, as the fixture writer recorded them, and
+    the compdists they cost."""
+    counters = index.space.counters
+    before = counters.snapshot()
+    got = {
+        "range": [index.range_query(q, radius) for q in queries],
+        "range_many": index.range_query_many(queries, radius),
+        "knn": [[[n.distance, n.object_id] for n in index.knn_query(q, k)] for q in queries],
+        "knn_many": [
+            [[n.distance, n.object_id] for n in row] for row in index.knn_query_many(queries, k)
+        ],
+    }
+    return got, (counters.snapshot() - before).distance_computations
+
+
+@pytest.mark.parametrize("name", ["mvpt", "vpt", "fqa"])
+def test_snapshot_with_pre_frame_codes_still_loads(name):
+    """``tests/data/tuple_frames_{mvpt,vpt}_la300.snap`` (``make_la(300,
+    seed=11)``) and ``u32_signatures_fqa_words300.snap`` (``make_words(300,
+    seed=11)``; 5 HFI pivots, seed 3) were written when MVPT / VPT level
+    frames were ``(low, width, exact)`` tuples and FQA signatures were
+    ``uint32`` buckets of one ``_width``: object 7 deleted and put back, 31
+    deleted, and one object inserted past the frame (its FQA buckets past
+    255).  They load as :class:`Frame` codes with no distance computed and
+    give the answers they gave when written, at the same compdists."""
+    expected = json.loads((DATA / "coded_la300_words300_expected.json").read_text())[name]
+    if name == "fqa":
+        dataset = make_words(300, seed=11)
+        path = DATA / "u32_signatures_fqa_words300.snap"
+        queries = [dataset[5], dataset[31], dataset[200], "q" * 298]
+    else:
+        dataset = make_la(300, seed=11)
+        path = DATA / f"tuple_frames_{name}_la300.snap"
+        queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    index = load_index(path)
+    assert index.space.counters.distance_computations == 0
+    assert all(type(frame) is Frame for frame in index._frames)
+    if name == "fqa":
+        assert index._signatures.dtype == np.uint8
+        assert index._signatures.max() == 255  # the far word, in the open top cell
+    else:
+        assert index._frames == [tuple(frame) + (256,) for frame in expected["frames"]]
+        assert_codes_hold(index)
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
 
 
 @pytest.mark.parametrize("dataset_name,index_name", [("LA", "MVPT"), ("LA", "VPT"), ("Words", "MVPT")])

@@ -167,27 +167,7 @@ class TestFQADetail:
         index.insert(words[7], object_id=7)
         sigs = [tuple(row) for row in index._signatures]
         assert sigs == sorted(sigs)
-
-    def test_bits_tradeoff_correctness(self, words, words_pivots):
-        q = words[11]
-        want = brute_force_range(MetricSpace(words), q, 4.0)
-        for bits in (2, 4, 8):
-            index = FQA.build(
-                MetricSpace(words, CostCounters()), words_pivots, bits_per_pivot=bits
-            )
-            assert index.range_query(q, 4.0) == want
-
-    def test_coarser_bits_weaker_pruning(self, words, words_pivots):
-        costs = []
-        for bits in (2, 8):
-            counters = CostCounters()
-            index = FQA.build(
-                MetricSpace(words, counters), words_pivots, bits_per_pivot=bits
-            )
-            counters.reset()
-            index.range_query(words[11], 3.0)
-            costs.append(counters.distance_computations)
-        assert costs[1] <= costs[0]
+        assert index._signatures.dtype == np.uint8  # one byte a coordinate
 
 
 class TestVptMvptDetail:
@@ -202,10 +182,6 @@ class TestVptMvptDetail:
                 check(child)
 
         check(index.root)
-
-    def test_vpt_rejects_other_arity(self, words, words_pivots):
-        with pytest.raises(ValueError):
-            VPT.build(MetricSpace(words, CostCounters()), words_pivots, arity=3)
 
     def test_mvpt_arity_bound(self, words, words_pivots):
         for arity in (2, 3, 5, 9):
@@ -311,7 +287,7 @@ class TestLeafCodes:
     @pytest.mark.parametrize("tree", [MVPT, VPT])
     def test_discrete_codes_are_the_distances(self, words, words_pivots, tree):
         index = tree.build(MetricSpace(words, CostCounters()), words_pivots)
-        assert index._frames and all(f == (0.0, 1.0, True) for f in index._frames)
+        assert index._frames and all(f == (0.0, 1.0, True, 256) for f in index._frames)
         rows = leaf_code_rows(index)
         assert sorted(object_id for _, _, object_id, _, _ in rows) == list(range(len(words)))
         for _, _, _, exact, decoded in rows:
@@ -324,13 +300,13 @@ class TestLeafCodes:
         dataset = maker(300, seed=73)
         pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
         index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
-        assert not any(exact for _, _, exact in index._frames)
+        assert not any(frame.exact for frame in index._frames)
         assert assert_codes_hold(index) >= len(dataset)
         # a cell is 1/256 of the level's span, end cells aside
         for _, _, _, _, decoded in leaf_code_rows(index):
             for level, (low, high) in enumerate(decoded):
                 if np.isfinite(low) and np.isfinite(high):
-                    assert high - low <= index._frames[level][1] * (1 + 1e-9)
+                    assert high - low <= index._frames[level].width * (1 + 1e-9)
 
     def test_storage_counts_real_item_sizes(self, words, words_pivots):
         index = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
@@ -353,7 +329,7 @@ class TestLeafCodes:
         index = VPT.build(
             MetricSpace(dataset, CostCounters()), [0, len(xs) - 2], leaf_size=4
         )
-        (lo0, width0, _), (lo1, width1, _) = index._frames
+        (lo0, width0, _, _), (lo1, width1, _, _) = index._frames
         assert (lo0, lo0 + 256 * width0) == (0.0, 61.0)
         assert (lo1, lo1 + 256 * width1) == (10.0, 110.0)
         below = index.insert(np.array([54.0]))  # 54 from pivot 0, 6 from pivot 1
@@ -381,7 +357,7 @@ class TestLeafCodes:
         )
         pivots = select_pivots(MetricSpace(dataset), 3, strategy="hfi", seed=1)
         index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
-        lo, width, exact = index._frames[0]
+        lo, width, exact, _ = index._frames[0]
         assert not exact and lo + 256 * width > 255
         assert_codes_hold(index)
         _assert_exact(index, [dataset[3], dataset[90], dataset[3] + 1.0], 700.0, k=9)
@@ -392,7 +368,7 @@ class TestLeafCodes:
         dataset = Dataset(np.full((40, 2), 3.0), L2, name="same")
         index = MVPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
         assert index.space.counters.distance_computations == 40
-        assert index._frames == [(0.0, 0.0, False)]
+        assert index._frames == [(0.0, 0.0, False, 256)]
         root = index.root
         assert root.is_leaf and root.depth == 0 and len(root.ids) == 40 and not root.codes
         new_id = index.insert(np.array([9.0, 9.0]))
