@@ -22,6 +22,7 @@ __all__ = [
     "brute_force_knn",
     "brute_force_range_many",
     "brute_force_knn_many",
+    "claim_object_id",
 ]
 
 
@@ -154,6 +155,26 @@ class MetricIndex(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.__class__.__name__}(n={len(self.space)})"
+
+
+def claim_object_id(space: MetricSpace, obj, object_id: int | None, is_live) -> int:
+    """The id an inserted object goes under, before anything is written.
+
+    ``None`` appends ``obj`` to the dataset.  An explicit id re-registers
+    an existing dataset slot (delete, then insert back), so it must name
+    one, and ``is_live(object_id)`` must be false: a second live copy would
+    answer twice forever after, and an id past the dataset would make every
+    later verification raise.
+    """
+    if object_id is None:
+        return int(space.dataset.add(obj))
+    if not 0 <= object_id < len(space.dataset):
+        raise ValueError(
+            f"object_id {object_id} is outside the dataset (0..{len(space.dataset) - 1})"
+        )
+    if is_live(object_id):
+        raise ValueError(f"object {object_id} is already indexed")
+    return int(object_id)
 
 
 def brute_force_range(space: MetricSpace, query_obj, radius: float) -> list[int]:

@@ -1,5 +1,5 @@
 """Paged M-tree substrate (CPT, PM-tree)."""
 
-from .mtree import MLeafEntry, MNode, MRoutingEntry, MTree
+from .mtree import MNode, MTree
 
-__all__ = ["MLeafEntry", "MNode", "MRoutingEntry", "MTree"]
+__all__ = ["MNode", "MTree"]

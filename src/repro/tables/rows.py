@@ -11,28 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.index import claim_object_id
+
 __all__ = ["claim_row_id", "append_row", "remove_row"]
 
 
 def claim_row_id(index, obj, object_id: int | None) -> int:
-    """The id a new row goes under, before any distance is computed.
-
-    ``None`` appends ``obj`` to the dataset.  An explicit id re-registers
-    an existing dataset slot (delete, then insert back), so it must name
-    one and must not be live in the table: a duplicate row would answer
-    twice forever after, and an id past the dataset would make every
-    later verification raise.
-    """
-    if object_id is None:
-        return int(index.space.dataset.add(obj))
-    if not 0 <= object_id < len(index.space.dataset):
-        raise ValueError(
-            f"object_id {object_id} is outside the dataset "
-            f"(0..{len(index.space.dataset) - 1})"
-        )
-    if (index._row_ids == object_id).any():
-        raise ValueError(f"object {object_id} is already in the table")
-    return int(object_id)
+    """The id a new row goes under, before any distance is computed
+    (:func:`~repro.core.index.claim_object_id` against ``_row_ids``)."""
+    return claim_object_id(
+        index.space, obj, object_id, lambda i: bool((index._row_ids == i).any())
+    )
 
 
 def append_row(index, object_id: int, **columns) -> None:

@@ -128,8 +128,8 @@ class TestStorageFailureInjection:
         data = make_uniform(5, dim=2, seed=0)
         space = MetricSpace(data)
         tree = MTree(space, Pager(page_size=512))
-        assert tree.range_query(data[0], 10.0) == []
-        assert tree.knn_query(data[0], 3) == []
+        assert tree.range_search([data[0]], 10.0) == [[]]
+        assert tree.knn_search(data[0], 3) == []
         assert not tree.delete(0)
 
 

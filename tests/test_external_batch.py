@@ -200,7 +200,9 @@ def test_batch_range_matches_sequential_and_brute_force(
     assert batch == sequential == singles
     assert batch == brute_force_range_many(MetricSpace(dataset), queries, radius)
     # batch MRQ must pay exactly the sequential loop's distance computations,
-    # whatever the batch size (PM-tree: this pins its two bodies to each other)
+    # whatever the batch size: range_query is the q = 1 view of one body, and
+    # the descent computes a (query, entry) distance only where that query's
+    # own descent would
     assert batch_cost.distance_computations == seq_cost.distance_computations
     assert singles_cost.distance_computations == seq_cost.distance_computations
     pinned = PINNED_RANGE_COMPDISTS[index_name][METRICS.index(metric_name)]

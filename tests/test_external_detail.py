@@ -43,9 +43,11 @@ class TestPMTreeDetail:
         index = PMTree.build(
             MetricSpace(la, CostCounters()), la_pivots, page_size=4096
         )
-        for _, entry in index.mtree.iter_leaf_entries():
-            assert entry.vec is not None
-            assert entry.vec.shape == (len(la_pivots),)
+        leaves = list(index.mtree.iter_leaves())
+        assert sum(len(leaf) for _, leaf in leaves) == len(la)
+        for _, leaf in leaves:
+            assert leaf.vecs.shape == (len(leaf), len(la_pivots))
+            assert np.array_equal(leaf.vecs, index.mapping.matrix[leaf.ids])
 
     def test_routing_mbbs_cover_subtrees(self, la, la_pivots):
         index = PMTree.build(
@@ -56,25 +58,16 @@ class TestPMTreeDetail:
         def check(page_id):
             node = tree.read_node(page_id)
             if node.is_leaf:
-                vecs = [e.vec for e in node.entries]
-                if not vecs:
-                    return None
-                return np.min(vecs, axis=0), np.max(vecs, axis=0)
-            lows, highs = [], []
-            for e in node.entries:
-                child_box = check(e.child_page)
-                if child_box is None:
-                    continue
-                assert e.mbb_lows is not None
-                assert np.all(e.mbb_lows <= child_box[0] + 1e-9)
-                assert np.all(e.mbb_highs >= child_box[1] - 1e-9)
-                lows.append(e.mbb_lows)
-                highs.append(e.mbb_highs)
-            if not lows:
-                return None
-            return np.min(lows, axis=0), np.max(highs, axis=0)
+                return node.vecs.min(axis=0), node.vecs.max(axis=0)
+            assert node.lows.shape == node.highs.shape == (len(node), len(la_pivots))
+            for child, lows, highs in zip(node.child_pages, node.lows, node.highs):
+                child_lows, child_highs = check(child)
+                assert np.all(lows <= child_lows) and np.all(highs >= child_highs)
+            return node.lows.min(axis=0), node.highs.max(axis=0)
 
+        assert tree.height > 1
         check(tree.root_page)
+        tree.check_invariants()
 
     def test_box_pruning_reduces_compdists(self, la, la_pivots):
         """PM-tree (ball+box) should verify fewer than the plain M-tree."""

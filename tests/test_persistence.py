@@ -369,3 +369,48 @@ def test_snapshot_with_list_pages_still_loads(tmp_path, name):
     assert pickle.dumps(restored.raf._open_page) == pickle.dumps(raf._open_page)
     assert _external_answers(restored, queries, 900.0, gone={31}) == (got, want)
     assert restored.storage_bytes() == index.storage_bytes()
+
+
+# -- M-tree snapshots across the change to columnar nodes ----------------------------
+
+
+@pytest.mark.parametrize("name", ["pmtree", "cpt", "mtree"])
+def test_snapshot_with_entry_nodes_still_loads(tmp_path, name):
+    """``tests/data/entry_nodes_{pmtree,cpt,mtree}_la300.snap`` (PM-tree, CPT
+    and M-tree on ``make_la(300, seed=11)``, 5 HFI pivots, seed 3, 4 KB
+    pages) were written when an M-tree node was a list of entry objects:
+    object 7 deleted and put back, 31 deleted.  They load with no distance
+    computed, read each node as columns, give the answers they gave when
+    written at the same compdists, take updates, and round-trip through
+    ``save_index`` again."""
+    expected = json.loads((DATA / "entry_nodes_la300_expected.json").read_text())[name]
+    dataset = make_la(300, seed=11)
+    queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    index = load_index(DATA / f"entry_nodes_{name}_la300.snap")
+    assert index.space.counters.distance_computations == 0
+    tree = index.mtree
+    assert tree.carries_vectors is (name == "pmtree")
+    tree.check_invariants()
+    leaves = [leaf for _, leaf in tree.iter_leaves()]
+    assert all(type(leaf.ids) is np.ndarray for leaf in leaves)
+    assert sorted(i for leaf in leaves for i in leaf.ids.tolist()) == [
+        i for i in range(300) if i != 31
+    ]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
+
+    with pytest.raises(ValueError):
+        index.insert(dataset[7], object_id=7)
+    assert index.insert(dataset[31], object_id=31) == 31
+    index.delete(12)
+    assert index.insert(dataset[12], object_id=12) == 12
+    tree.check_invariants()
+    got, want = _external_answers(index, queries, 900.0)
+    assert got == want
+
+    save_index(index, tmp_path / "again.snap")
+    restored = load_index(tmp_path / "again.snap")
+    assert restored.space.counters.distance_computations == 0
+    assert _external_answers(restored, queries, 900.0) == (got, want)
+    assert restored.storage_bytes()["disk"] <= index.storage_bytes()["disk"]

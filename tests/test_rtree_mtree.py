@@ -5,10 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CostCounters, MetricSpace, brute_force_knn, brute_force_range, make_la, make_words
+from repro import (
+    CostCounters,
+    MetricSpace,
+    MTreeIndex,
+    PMTree,
+    brute_force_knn,
+    brute_force_range,
+    make_la,
+    make_words,
+)
 from repro.mtree import MTree
 from repro.rtree import Rect, RTree
 from repro.storage import Pager
+
+from conftest import DATASET_MAKERS
 
 
 class TestRect:
@@ -143,14 +154,14 @@ class TestMTree:
         ds, tree, _ = self._build()
         tree.check_invariants()
         for qi, radius in ((0, 300.0), (100, 900.0), (250, 50.0)):
-            got = sorted(tree.range_query(ds[qi], radius))
+            got = tree.range_search([ds[qi]], radius)[0]
             want = brute_force_range(MetricSpace(ds), ds[qi], radius)
             assert got == want
 
     def test_knn_matches_brute_force(self):
         ds, tree, _ = self._build(seed=1)
         for qi in (0, 33, 77):
-            got = [round(n.distance, 6) for n in tree.knn_query(ds[qi], 12)]
+            got = [round(n.distance, 6) for n in tree.knn_search(ds[qi], 12)]
             want = [
                 round(n.distance, 6)
                 for n in brute_force_knn(MetricSpace(ds), ds[qi], 12)
@@ -163,7 +174,7 @@ class TestMTree:
         tree = MTree(space, Pager(page_size=2048), seed=2)
         for i in range(300):
             tree.insert(i, ds[i])
-        got = sorted(tree.range_query(ds[4], 4.0))
+        got = tree.range_search([ds[4]], 4.0)[0]
         assert got == brute_force_range(MetricSpace(ds), ds[4], 4.0)
 
     def test_delete(self):
@@ -171,7 +182,7 @@ class TestMTree:
         for i in range(0, 100):
             assert tree.delete(i)
         assert not tree.delete(0)
-        got = sorted(tree.range_query(ds[200], 800.0))
+        got = tree.range_search([ds[200]], 800.0)[0]
         want = [
             i for i in brute_force_range(MetricSpace(ds), ds[200], 800.0) if i >= 100
         ]
@@ -189,7 +200,7 @@ class TestMTree:
 
     def test_iter_leaf_entries(self):
         ds, tree, _ = self._build(n=200, seed=5)
-        ids = sorted(e.object_id for _, e in tree.iter_leaf_entries())
+        ids = sorted(i for _, leaf in tree.iter_leaves() for i in leaf.ids.tolist())
         assert ids == list(range(200))
 
     def test_build_counts_costs(self):
@@ -197,9 +208,80 @@ class TestMTree:
         assert counters.distance_computations > 300  # descent + splits
         assert counters.page_writes > 0
 
+    @pytest.mark.parametrize("name", ["PM-tree", "M-tree"])
+    def test_interleaved_updates_match_brute_force(self, name):
+        """Deletes, re-inserts and the splits they cause, interleaved: the
+        columns stay consistent and both query bodies stay exact."""
+        ds = make_la(400, seed=8)
+        space = MetricSpace(ds, CostCounters())
+        if name == "PM-tree":
+            index = PMTree.build(space, [0, 1, 2], page_size=1024, seed=8)
+        else:
+            index = MTreeIndex.build(space, page_size=1024, seed=8)
+        rng = np.random.default_rng(8)
+        live = set(range(400))
+        oracle = MetricSpace(ds)
+        queries = [ds[3], ds[150], ds[399]]
+
+        def churn(n_delete, n_insert):
+            for object_id in rng.choice(sorted(live), size=n_delete, replace=False).tolist():
+                index.delete(object_id)
+                live.discard(object_id)
+            gone = sorted(set(range(400)) - live)
+            for object_id in rng.choice(gone, size=n_insert, replace=False).tolist():
+                index.insert(ds[object_id], object_id=object_id)
+                live.add(object_id)
+
+        churn(200, 0)
+        pages = index.mtree.pager.store._next_id
+        for _ in range(6):
+            churn(30, 50)
+            index.mtree.check_invariants()
+            for q in queries:
+                want = [i for i in brute_force_range(oracle, q, 700.0) if i in live]
+                assert index.range_query(q, 700.0) == want
+                nearest = [n for n in brute_force_knn(oracle, q, 400) if n.object_id in live]
+                assert index.knn_query(q, 9) == nearest[:9]
+            assert index.range_query_many(queries, 700.0) == [
+                index.range_query(q, 700.0) for q in queries
+            ]
+        assert len(index.mtree) == len(live) == 320
+        assert index.mtree.pager.store._next_id > pages  # the inserts split nodes
+
+    # (4 KB with I(o), 4 KB without, 40 KB with, 40 KB without), l = 5: the
+    # capacities nodes had when they were lists of entry objects
+    CAPACITIES = {
+        "LA": (13, 17, 136, 173),
+        "Words": (15, 35, 152, 358),
+        "Color": (4, 4, 16, 16),
+        "Synthetic": (9, 10, 92, 107),
+    }
+
+    @pytest.mark.parametrize("dataset_name", sorted(CAPACITIES))
+    def test_capacity_is_the_entry_layouts(self, dataset_name):
+        ds = DATASET_MAKERS[dataset_name]()
+        got = []
+        for page_size in (4096, 40960):
+            for vec in (np.zeros(5), None):
+                tree = MTree(MetricSpace(ds), Pager(page_size=page_size))
+                tree.insert(0, ds[0], vec)
+                got.append(tree.capacity)
+        assert tuple(got) == self.CAPACITIES[dataset_name]
+
     def test_track_vectors_requires_vec(self):
+        """Whether entries carry I(o) is the first insert's to decide; the
+        tree then refuses an insert that disagrees, before touching a page."""
         ds = make_la(10, seed=7)
-        space = MetricSpace(ds)
-        tree = MTree(space, Pager(page_size=1024), track_vectors=True)
+        counters = CostCounters()
+        tree = MTree(MetricSpace(ds, counters), Pager(page_size=1024, counters=counters))
+        tree.insert(0, ds[0], vec=np.array([1.0, 2.0]))
+        before = counters.snapshot()
         with pytest.raises(ValueError):
-            tree.insert(0, ds[0])
+            tree.insert(1, ds[1])
+        cost = counters.snapshot() - before
+        assert cost.distance_computations == cost.page_reads == cost.page_writes == 0
+        plain = MTree(MetricSpace(ds), Pager(page_size=1024))
+        plain.insert(0, ds[0])
+        with pytest.raises(ValueError):
+            plain.insert(1, ds[1], vec=np.array([1.0, 2.0]))
+        assert len(tree) == len(plain) == 1

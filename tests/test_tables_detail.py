@@ -197,7 +197,7 @@ class TestCPTDetail:
         index = CPT.build(
             MetricSpace(la, CostCounters()), la_pivots, page_size=4096
         )
-        ids = sorted(e.object_id for _, e in index.mtree.iter_leaf_entries())
+        ids = sorted(i for _, leaf in index.mtree.iter_leaves() for i in leaf.ids.tolist())
         assert ids == list(range(len(la)))
 
     def test_knn_matches_brute_force_after_updates(self, la, la_pivots):

@@ -74,31 +74,40 @@ def test_delete_missing_raises(datasets, pivots, dataset_name):
             index.delete(999_999)
 
 
-@pytest.mark.parametrize("index_name", ["LAESA", "EPT", "EPT*", "CPT", "FQA"])
+@pytest.mark.parametrize(
+    "index_name",
+    [
+        "LAESA", "EPT", "EPT*", "CPT", "FQA",
+        "PM-tree", "M-tree", "SPB-tree", "Omni-seq", "OmniB+", "OmniR-tree",
+        "M-index", "M-index*", "DEPT",
+    ],
+)
 def test_table_insert_rejects_live_and_unknown_ids(datasets, pivots, index_name):
-    """One row helper validates for the whole table family.
+    """One id check validates for the table family and the external category.
 
     ``insert(obj, object_id=i)`` with ``i`` still live used to leave a
-    duplicate row (``[.., i, i, ..]`` in every later answer); with ``i``
-    outside the dataset every later verification raised ``IndexError``.
-    Both are refused before a distance is computed or a row is touched.
+    duplicate row or record (``[.., i, i, ..]`` in every later answer, ``i``
+    twice in a k-nearest answer); with ``i`` outside the dataset every later
+    verification raised ``IndexError``.  Both are refused before a distance
+    is computed or a row or page is touched.
     """
     dataset = datasets["Words"]
     index = fresh_index(datasets, pivots, "Words", index_name)
     q, radius = dataset[5], RADIUS["Words"]
-    want = index.range_query(q, radius)
-    assert 5 in want
+    want = index.range_query(q, radius), index.range_query(q, 0), index.knn_query(q, 3)
+    assert 5 in want[0] and want[1] == [5]
     before = index.space.counters.snapshot()
     for bad_id in (5, len(dataset), -1):
         with pytest.raises(ValueError):
             index.insert(dataset[5], object_id=bad_id)
-    assert (index.space.counters.snapshot() - before).distance_computations == 0
-    assert index.range_query(q, radius) == want
+    cost = index.space.counters.snapshot() - before
+    assert cost.distance_computations == cost.page_writes == 0
+    assert (index.range_query(q, radius), index.range_query(q, 0), index.knn_query(q, 3)) == want
     index.delete(5)
     with pytest.raises(KeyError):
         index.delete(5)
     assert index.insert(dataset[5], object_id=5) == 5
-    assert index.range_query(q, radius) == want
+    assert (index.range_query(q, radius), index.range_query(q, 0), index.knn_query(q, 3)) == want
 
 
 @pytest.mark.parametrize(
