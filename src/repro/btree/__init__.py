@@ -1,5 +1,5 @@
 """Paged B+-tree substrate (M-index, SPB-tree, OmniB+-tree)."""
 
-from .bptree import Augmentation, BPlusTree, InternalNode, LeafNode
+from .bptree import BPlusTree, InternalNode, LeafNode
 
-__all__ = ["Augmentation", "BPlusTree", "InternalNode", "LeafNode"]
+__all__ = ["BPlusTree", "InternalNode", "LeafNode"]

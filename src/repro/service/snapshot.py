@@ -248,7 +248,43 @@ class _SnapshotPickler(pickle.Pickler):
         return NotImplemented
 
 
-class _SnapshotUnpickler(pickle.Unpickler):
+class _Retired:
+    """What a snapshot's reference to a deleted name loads as: an inert
+    object the owner's ``__setstate__`` drops."""
+
+    def __setstate__(self, state):
+        pass
+
+
+# names older snapshots pickled that the code has since deleted: the
+# SPB-tree's B+-tree ``Augmentation`` (before leaves carried grid cells) and
+# the two SPB-tree methods it held
+_RETIRED_GLOBALS = {
+    ("repro.btree.bptree", "Augmentation"): _Retired,
+    ("repro.external.spbtree", "SPBTree._merge_summaries"): _Retired,
+}
+_RETIRED_METHODS = frozenset({"_entry_summary"})
+
+
+def _getattr(obj, name):
+    """``getattr`` for pickled bound methods, a deleted one loading as
+    :class:`_Retired`."""
+    if name in _RETIRED_METHODS and not hasattr(obj, name):
+        return _Retired
+    return getattr(obj, name)
+
+
+class _Unpickler(pickle.Unpickler):
+    """Unpickler that loads references to deleted names as inert objects."""
+
+    def find_class(self, module, name):
+        if (module, name) == ("builtins", "getattr"):
+            return _getattr
+        retired = _RETIRED_GLOBALS.get((module, name))
+        return retired if retired is not None else super().find_class(module, name)
+
+
+class _SnapshotUnpickler(_Unpickler):
     """Unpickler resolving region references to copy-on-write memmaps.
 
     ``mode="c"`` maps the file privately: reads fault pages straight from
@@ -466,7 +502,7 @@ def load_index(path, counters: CostCounters | None = None) -> MetricIndex:
             payload = fh.read(info.payload_bytes)
             if len(payload) != info.payload_bytes:
                 raise SnapshotError(f"{path} is truncated (payload short)")
-            loader = lambda: pickle.loads(payload)  # noqa: E731
+            loader = _Unpickler(io.BytesIO(payload)).load
         try:
             index = loader()
         except SnapshotError:

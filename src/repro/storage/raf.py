@@ -22,6 +22,7 @@ field, a column per field, and one tombstone byte per slot::
 
     field of the records        column                      bytes a record
     int (fits int64)            int64 array                 8
+    float                       float64 array               8
     ndarray (one dtype, shape)  (slots, *shape) block       nbytes
     str                         UTF-8 blob + int32 ends     encoded length + 4
     anything else               list, pickled with the page its pickled length
@@ -31,7 +32,7 @@ A page holds records of one *schema* -- the same arity (or bare values) and
 the same column for each field -- and a record of another schema starts a
 new page.  A record's size is that arithmetic over its fields; only a field
 with no columnar form (the last row) is sized by pickling it.  A page
-pickles each column as raw bytes (``_packed``), so its stored size is its
+pickles each column as raw bytes (:func:`pack_column`), so its stored size is its
 payload plus a header of ~90 B: what the page's empty form pickles to, plus
 3 B for each buffer whose length outgrows a one-byte encoding.  The header
 is charged once per page against the ``fill_factor`` budget -- a page takes
@@ -60,12 +61,21 @@ import numpy as np
 from ..obs import tracing
 from .pager import Pager
 
-__all__ = ["RecordPointer", "RandomAccessFile", "RafPage"]
+__all__ = [
+    "RecordPointer",
+    "RandomAccessFile",
+    "RafPage",
+    "encode_column",
+    "field_bytes",
+    "pack_column",
+    "unpack_column",
+]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 # field specs: the column a field value is stored in
 _INT = ("i",)  # int64 array
+_FLOAT = ("f",)  # float64 array
 _STR = ("s",)  # UTF-8 blob + int32 end offsets
 _OBJ = ("o",)  # list, pickled with the page; ("a", dtype, shape) is a block
 _PICKLED = (None, (_OBJ,))  # the schema any records fit
@@ -80,7 +90,7 @@ class RecordPointer:
     slot: int
 
 
-def _field_bytes(spec, value) -> int | None:
+def field_bytes(spec, value) -> int | None:
     """Bytes ``value`` takes in a column of ``spec``; None if it has no
     place there."""
     kind = spec[0]
@@ -96,6 +106,8 @@ def _field_bytes(spec, value) -> int | None:
         if type(value) is int and _INT64_MIN <= value < _INT64_END:
             return 8
         return None
+    if kind == "f":
+        return 8 if type(value) is float else None
     if kind == "s":
         if type(value) is str:
             try:
@@ -110,6 +122,8 @@ def _spec_of(value):
     """The most specific column ``value`` can live in."""
     if type(value) is int:
         spec = _INT
+    elif type(value) is float:
+        return _FLOAT
     elif type(value) is str:
         spec = _STR
     elif (
@@ -121,7 +135,7 @@ def _spec_of(value):
         spec = ("a", value.dtype, value.shape)
     else:
         return _OBJ
-    return spec if _field_bytes(spec, value) is not None else _OBJ
+    return spec if field_bytes(spec, value) is not None else _OBJ
 
 
 def _schema_of(record):
@@ -143,7 +157,7 @@ def _record_bytes(schema, record) -> int | None:
         return None
     total = 1
     for spec, value in zip(specs, fields):
-        nbytes = _field_bytes(spec, value)
+        nbytes = field_bytes(spec, value)
         if nbytes is None:
             return None
         total += nbytes
@@ -169,16 +183,19 @@ def _blank(schema):
         if spec[0] == "a":
             values.append(np.zeros(spec[2], dtype=spec[1]))
         else:
-            values.append({"i": 0, "s": "", "o": None}[spec[0]])
+            values.append({"i": 0, "f": 0.0, "s": "", "o": None}[spec[0]])
     return tuple(values) if schema[0] is not None else values[0]
 
 
-def _column(spec, values):
+def encode_column(spec, values):
+    """``values`` as a column of ``spec`` (see the module docstring)."""
     kind = spec[0]
     if kind == "a":
         return np.array(values, dtype=spec[1]).reshape(len(values), *spec[2])
     if kind == "i":
         return np.array(values, dtype=np.int64)
+    if kind == "f":
+        return np.array(values, dtype=np.float64)
     if kind == "s":
         encoded = [value.encode() for value in values]
         return b"".join(encoded), np.cumsum([len(e) for e in encoded], dtype=np.int32)
@@ -199,6 +216,8 @@ def _cell(kind, column, slot):
         return column[slot]
     if kind == "i":
         return int(column[slot])
+    if kind == "f":
+        return float(column[slot])
     if kind == "s":
         blob, ends = column
         return blob[ends[slot - 1] if slot else 0 : ends[slot]].decode()
@@ -219,38 +238,40 @@ def _with_cell(kind, column, slot, value):
     return column
 
 
-def _packed(kind, column):
+def pack_column(kind, column):
     """A column as a page pickles it: raw bytes, not an ndarray (whose
     pickle costs ~100 B of header)."""
     if kind == "a":
         return column.dtype.str, column.shape[1:], column.tobytes()
-    if kind == "i":
+    if kind in "if":
         return column.tobytes()
     if kind == "s":
         return column[0], column[1].tobytes()
     return column
 
 
-def _unpacked(kind, packed):
+def unpack_column(kind, packed):
     """The column back from its packed form, arrays as read-only views."""
     if kind == "a":
         dtype, shape, raw = packed
         return np.frombuffer(raw, dtype=dtype).reshape(-1, *shape)
     if kind == "i":
         return np.frombuffer(packed, dtype=np.int64)
+    if kind == "f":
+        return np.frombuffer(packed, dtype=np.float64)
     if kind == "s":
         return packed[0], np.frombuffer(packed[1], dtype=np.int32)
     return packed
 
 
 def _page_from(arity, kinds, packed, dead):
-    return RafPage(arity, kinds, tuple(map(_unpacked, kinds, packed)), dead)
+    return RafPage(arity, kinds, tuple(map(unpack_column, kinds, packed)), dead)
 
 
 class RafPage:
     """One RAF page: a column per record field plus a tombstone mask.
 
-    ``kinds`` names each field's column (``i`` / ``a`` / ``s`` / ``o``, see
+    ``kinds`` names each field's column (``i`` / ``f`` / ``a`` / ``s`` / ``o``, see
     the module docstring), ``arity`` is the records' tuple length (None for
     bare values), ``dead`` has one byte per slot.  Immutable by convention:
     every write builds a new page.
@@ -265,7 +286,7 @@ class RafPage:
         self.dead = dead
 
     def __reduce__(self):
-        packed = tuple(map(_packed, self.kinds, self.columns))
+        packed = tuple(map(pack_column, self.kinds, self.columns))
         return _page_from, (self.arity, self.kinds, packed, self.dead)
 
     def __len__(self) -> int:
@@ -282,7 +303,7 @@ class RafPage:
         return cls(
             arity,
             "".join(spec[0] for spec in specs),
-            tuple(_column(spec, values) for spec, values in zip(specs, fields)),
+            tuple(encode_column(spec, values) for spec, values in zip(specs, fields)),
             bytes(len(records)),
         )
 
@@ -310,7 +331,7 @@ class RafPage:
             if kind == "s":
                 total += len(column[0]) + 4 * len(self.dead)
             elif kind == "o":
-                total += sum(_field_bytes(_OBJ, value) for value in column)
+                total += sum(field_bytes(_OBJ, value) for value in column)
             else:
                 total += column.nbytes
         return total
@@ -500,8 +521,10 @@ class RandomAccessFile:
         The lazy counterpart of :meth:`read_many` for best-first MkNNQ:
         ``cache`` is a :class:`~repro.storage.pager.BatchReadCache`, so the
         record's page is read at most once per batch no matter how many
-        queries pop candidates from it.
+        queries pop candidates from it.  ``cache`` None is :meth:`read`.
         """
+        if cache is None:
+            return self.read(pointer)
         return _record_at(cache.read(pointer.page_id), pointer)
 
     def update(self, pointer: RecordPointer, record: Any) -> None:

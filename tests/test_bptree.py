@@ -1,19 +1,20 @@
-"""B+-tree substrate: ordering, duplicates, deletes, bulk load, augmentation."""
+"""B+-tree substrate: ordering, duplicates, deletes, bulk load, cell boxes."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import Augmentation, BPlusTree
+from repro.btree import BPlusTree
 from repro.storage import Pager
 
 
-def make_tree(page_size=512, **kwargs) -> BPlusTree:
-    return BPlusTree(Pager(page_size=page_size), **kwargs)
+def make_tree(page_size=512) -> BPlusTree:
+    return BPlusTree(Pager(page_size=page_size))
 
 
 class TestBasicOps:
@@ -151,21 +152,16 @@ class TestBulkLoad:
 
     def test_bulk_draws_its_input_a_leaf_at_a_time(self):
         """Generators give the tree lists give, and are never drawn far ahead."""
-        minmax = Augmentation(
-            from_entry=lambda key, value: (key, key),
-            merge=lambda aux: (min(a[0] for a in aux), max(a[1] for a in aux)),
-        )
         probe = make_tree(page_size=256)
-        probe.bulk_load([(0, 0)])
+        probe.bulk_load([(0, 0)], cells=[[0]])
         per_leaf = int(probe.leaf_capacity * 0.85)
         assert per_leaf >= 4
-        spill = 3 * per_leaf + per_leaf // 2  # below: the last leaf joins the third
+        spill = 3 * per_leaf + per_leaf // 2  # below: the last two leaves share rows
         for n in (1, 2, per_leaf, per_leaf + 1, 2 * per_leaf, spill - 1, spill, 1000):
-            listed = make_tree(page_size=256, augmentation=minmax)
-            listed.bulk_load(
-                [(k, k) for k in range(n)], summaries=[(k, k) for k in range(n)]
-            )
-            streamed = make_tree(page_size=256, augmentation=minmax)
+            cells = np.arange(n)[:, None]
+            listed = make_tree(page_size=256)
+            listed.bulk_load([(k, k) for k in range(n)], cells=cells)
+            streamed = make_tree(page_size=256)
             ahead = []
 
             def items():
@@ -175,13 +171,14 @@ class TestBulkLoad:
                     ahead.append(k - written * per_leaf)
                     yield k, k
 
-            streamed.bulk_load(items(), summaries=((k, k) for k in range(n)))
+            streamed.bulk_load(items(), cells=cells)
             assert max(ahead) < 2 * per_leaf
             # the leaves the all-at-once loader cut: full ones, and a last
-            # one that joins its neighbour when it is under half full
+            # one that shares the last two's rows evenly when under half full
             sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
             if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
-                sizes[-2:] = [sizes[-2] + sizes[-1]]
+                total = sizes[-2] + sizes[-1]
+                sizes[-2:] = [(total + 1) // 2, total // 2]
             node = streamed.read_node(streamed.root_page)
             while not node.is_leaf:
                 node = streamed.read_node(node.children[0])
@@ -195,7 +192,7 @@ class TestBulkLoad:
                 listed.height,
                 n,
             )
-            streamed.check_invariants()
+            streamed.check_invariants(cells_of=_key_cells, tight=True)
 
     def test_bulk_checks_order_and_count_as_the_input_arrives(self):
         items = [(k, k) for k in range(500)]
@@ -203,36 +200,39 @@ class TestBulkLoad:
         with pytest.raises(ValueError, match="sorted"):
             make_tree(page_size=256).bulk_load(iter(late))
         for count in (0, 499, 501):
-            with pytest.raises(ValueError, match="summaries"):
+            with pytest.raises(ValueError, match="cells"):
                 make_tree(page_size=256).bulk_load(
-                    iter(items), summaries=((k, k) for k in range(count))
+                    iter(items), cells=np.arange(count)[:, None]
                 )
+        with pytest.raises(ValueError, match="cells"):
+            make_tree(page_size=256).bulk_load([], cells=[[0]])
+
+
+def _key_cells(keys) -> np.ndarray:
+    """The one-column cells these tests give each entry: its key."""
+    return np.asarray(keys, dtype=np.int64).reshape(len(keys), 1)
 
 
 class TestAugmentation:
-    """The SPB-tree's MBB maintenance rides on these summaries."""
-
-    @staticmethod
-    def _minmax_augmentation():
-        return Augmentation(
-            from_entry=lambda key, value: (key, key),
-            merge=lambda xs: (min(x[0] for x in xs), max(x[1] for x in xs)),
-        )
+    """The SPB-tree's MBB maintenance: each internal node's box of a child
+    is the column-wise (min, max) of the grid cells beneath it."""
 
     def _assert_summaries(self, tree):
-        """Every internal aux must equal the true (min, max) of its subtree."""
+        """Every internal box must equal the true (min, max) of its subtree."""
 
         def check(page_id):
             node = tree.read_node(page_id)
             if node.is_leaf:
-                if not node.keys:
+                assert np.array_equal(node.cells, _key_cells(node.keys))
+                if not len(node):
                     return None
                 return (min(node.keys), max(node.keys))
             result = None
-            for child, aux in zip(node.children, node.aux):
+            for child, low, high in zip(node.children, node.lows, node.highs):
                 truth = check(child)
                 if truth is not None:
-                    assert aux == truth, f"stale aux {aux} != {truth}"
+                    got = (int(low[0]), int(high[0]))
+                    assert got == truth, f"stale box {got} != {truth}"
                     result = (
                         truth
                         if result is None
@@ -241,70 +241,70 @@ class TestAugmentation:
             return result
 
         check(tree.root_page)
+        tree.check_invariants(cells_of=_key_cells, tight=True)
 
     def test_bulk_load_summaries(self):
-        tree = BPlusTree(
-            Pager(page_size=256), augmentation=self._minmax_augmentation()
-        )
-        tree.bulk_load([(k, k) for k in range(500)])
+        tree = make_tree(page_size=256)
+        tree.bulk_load([(k, k) for k in range(500)], cells=_key_cells(range(500)))
         self._assert_summaries(tree)
 
-    def test_bulk_load_merges_given_summaries_without_from_entry(self):
-        """``summaries=`` stands in for ``from_entry`` during the load only."""
-        asked = []
-        minmax = self._minmax_augmentation()
-        counting = Augmentation(
-            from_entry=lambda key, value: asked.append(key) or (key, key),
-            merge=minmax.merge,
-        )
+    def test_bulk_load_boxes_the_given_cells(self):
+        """``cells=`` are stored as given and boxed by min / max, with no
+        other description of them asked for; inserts then carry their own."""
         items = [(k, k) for k in range(505)]  # 505: the last leaf takes a spill
-        tree = BPlusTree(Pager(page_size=256), augmentation=counting)
-        tree.bulk_load(items, summaries=[(k, k) for k, _ in items])
-        assert asked == []
+        tree = make_tree(page_size=256)
+        tree.bulk_load(items, cells=_key_cells(range(505)))
+        assert tree.height >= 3
         self._assert_summaries(tree)
-        tree.insert(250, 0)  # inserts still summarise through from_entry
-        assert asked
+        tree.insert(250, 0, (250,))  # inserts carry their cell
         self._assert_summaries(tree)
-        with pytest.raises(ValueError, match="summaries"):
-            BPlusTree(Pager(page_size=256), augmentation=counting).bulk_load(
-                items, summaries=[(0, 0)]
-            )
+        with pytest.raises(ValueError, match="cells"):
+            make_tree(page_size=256).bulk_load(items, cells=[(0,)])
+        # a tree's entries all carry a cell, or none does; refused before
+        # any page changes
+        before = dict(tree.pager.store._pages)
+        with pytest.raises(ValueError, match="cell"):
+            tree.insert(251, 0)
+        assert tree.pager.store._pages == before and len(tree) == 506
+        plain = make_tree(page_size=256)
+        plain.insert(1, 1)
+        with pytest.raises(ValueError, match="cell"):
+            plain.insert(2, 2, (2,))
 
     def test_insert_maintains_summaries(self):
-        tree = BPlusTree(
-            Pager(page_size=256), augmentation=self._minmax_augmentation()
-        )
+        tree = make_tree(page_size=256)
         rng = random.Random(2)
         for _ in range(600):
-            tree.insert(rng.randint(0, 10_000), 0)
+            key = rng.randint(0, 10_000)
+            tree.insert(key, 0, (key,))
         self._assert_summaries(tree)
 
     def test_delete_keeps_summaries_conservative(self):
-        tree = BPlusTree(
-            Pager(page_size=256), augmentation=self._minmax_augmentation()
-        )
+        tree = make_tree(page_size=256)
         keys = list(range(400))
-        tree.bulk_load([(k, k) for k in keys])
+        tree.bulk_load([(k, k) for k in keys], cells=_key_cells(keys))
         rng = random.Random(3)
         rng.shuffle(keys)
         for k in keys[:300]:
             tree.delete(k, k)
 
-        # summaries must still *cover* the remaining keys (may be stale-wide)
+        # boxes must still *cover* the remaining cells (may be stale-wide)
         def check(page_id, keys_below):
             node = tree.read_node(page_id)
             if node.is_leaf:
+                assert np.array_equal(node.cells, _key_cells(node.keys))
                 return list(node.keys)
             collected = []
-            for child, aux in zip(node.children, node.aux):
+            for child, low, high in zip(node.children, node.lows, node.highs):
                 child_keys = check(child, keys_below)
-                if child_keys and aux is not None:
-                    assert aux[0] <= min(child_keys)
-                    assert aux[1] >= max(child_keys)
+                if child_keys:
+                    assert low[0] <= min(child_keys)
+                    assert high[0] >= max(child_keys)
                 collected.extend(child_keys)
             return collected
 
         check(tree.root_page, None)
+        tree.check_invariants(cells_of=_key_cells)
 
 
 class TestPropertyBased:

@@ -5,7 +5,7 @@ Every RAF-backed ``build`` hands its ordered records to one
 and summarises the whole dataset in array form.  This file holds those bulk
 paths to a per-object reference kept here, in the tests: one ``append`` per
 record (one pager write of the open page, its columns grown by a row),
-scalar curve ``encode`` per object, B+-tree summaries recovered by scalar
+scalar curve ``encode`` per object, B+-tree cells recovered by scalar
 ``decode``.  The two must produce the same index byte for byte -- only the
 construction cost may differ, and that cost is pinned: the same distance
 computations, and one page write per page.  The RAF's pages themselves are
@@ -78,7 +78,9 @@ def reference_spbtree(space, pivot_ids, curve_cls):
         pointer = index.raf.append((object_id, space.dataset[object_id]))
         index._pointers[object_id] = pointer
         items.append((key, (object_id, pointer)))
-    index.btree.bulk_load(items)  # summaries by scalar decode of every key
+    # cells by scalar decode of every key
+    cells = [index.curve.decode(key) for key, _ in items]
+    index.btree.bulk_load(items, cells=np.asarray(cells, dtype=np.uint8))
     return index
 
 
@@ -274,33 +276,33 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
 def test_spbtree_boxes_cover_exactly_the_cells_beneath_them(
     datasets, pivots_by_count, dataset_name, count, curve_cls
 ):
-    """Summaries handed to ``bulk_load`` are what decoding would have found."""
+    """Cells handed to ``bulk_load`` are what decoding would have found, and
+    each box is exactly the column-wise min / max of the cells beneath it."""
     dataset = datasets[dataset_name]
     index = SPBTree.build(
         MetricSpace(dataset, CostCounters()),
         pivots_by_count(dataset_name, count),
-        page_size=PAGE_SIZE,
+        page_size=PAGE_SIZE // 2,  # three B+-tree levels at n = 400
         curve_cls=curve_cls,
     )
     assert index.btree.height >= 3
-    index.btree.check_invariants()
+    index.btree.check_invariants(cells_of=index.cells_of, tight=True)
     internal_nodes = 0
 
     def cells_under(page_id):
         nonlocal internal_nodes
         node = index.btree.read_node(page_id)
         if node.is_leaf:
-            return np.asarray([index.curve.decode(key) for key in node.keys])
+            decoded = np.asarray([index.curve.decode(key) for key in node.keys])
+            assert np.array_equal(node.cells, decoded)
+            assert node.cells.dtype == np.uint8
+            return decoded
         internal_nodes += 1
         below = []
-        for child, aux in zip(node.children, node.aux):
+        for child, low, high in zip(node.children, node.lows, node.highs):
             cells = cells_under(child)
-            assert aux == (
-                tuple(cells.min(axis=0).tolist()),
-                tuple(cells.max(axis=0).tolist()),
-            )
-            # plain ints: a numpy scalar would change the pickled page
-            assert all(type(c) is int for corner in aux for c in corner)
+            assert np.array_equal(low, cells.min(axis=0))
+            assert np.array_equal(high, cells.max(axis=0))
             below.append(cells)
         return np.concatenate(below)
 
@@ -315,8 +317,8 @@ def test_bulk_built_index_survives_a_snapshot_and_takes_an_insert(
 ):
     """save -> load costs nothing, answers exactly, and the file stays open.
 
-    The insert on the restored index runs ``Augmentation.from_entry`` (the
-    bulk load never did) and appends to the RAF page the build left open.
+    The insert on the restored index adds a row and its cell to a leaf the
+    bulk load wrote, and appends to the RAF page the build left open.
     """
     dataset = DATASET_MAKERS[dataset_name]()
     count, build = BUILDERS[name]

@@ -233,11 +233,10 @@ class TestSPBTreeDetail:
                     return None
                 arr = np.asarray(cells)
                 return arr.min(axis=0), arr.max(axis=0)
-            for child, aux in zip(node.children, node.aux):
+            for child, lows, highs in zip(node.children, node.lows, node.highs):
                 box = check(child)
-                if box is None or aux is None:
+                if box is None:
                     continue
-                lows, highs = np.asarray(aux[0]), np.asarray(aux[1])
                 assert np.all(lows <= box[0]) and np.all(highs >= box[1])
             return None
 
@@ -273,11 +272,9 @@ class TestSPBTreeDetail:
         return float((qdists + highs).min())
 
     @classmethod
-    def _box_lower_bound(cls, index, qdists, aux) -> float:
-        if aux is None:
-            return 0.0
-        clows, _ = cls._cell_edges(index, aux[0])
-        _, chighs = cls._cell_edges(index, aux[1])
+    def _box_lower_bound(cls, index, qdists, box) -> float:
+        clows, _ = cls._cell_edges(index, box[0])
+        _, chighs = cls._cell_edges(index, box[1])
         gaps = np.maximum(np.maximum(clows - qdists, qdists - chighs), 0.0)
         return float(gaps.max())
 
@@ -313,16 +310,12 @@ class TestSPBTreeDetail:
         for node in self._nodes(index):
             if not node.is_leaf:
                 continue
-            entries, lower, upper = index._leaf_bounds(qmat, node)
-            live = [
-                (key, value)
-                for key, value in zip(node.keys, node.values)
-                if value[0] not in tombstoned
-            ]
-            assert entries == [value for _, value in live]
+            rows, lower, upper = index._leaf_bounds(qmat, node)
+            live = [j for j, object_id in enumerate(node.ids) if object_id not in tombstoned]
+            assert rows == live
             assert lower.shape == upper.shape == (len(qmat), len(live))
-            for j, (key, _) in enumerate(live):
-                coords = index.curve.decode(key)
+            for j, row in enumerate(live):
+                coords = index.curve.decode(node.keys[row])
                 clipped_cells += max(coords) >= index.curve.max_coordinate
                 for i, qdists in enumerate(qmat):
                     assert lower[i, j] == self._cell_lower_bound(index, qdists, coords)
@@ -335,18 +328,20 @@ class TestSPBTreeDetail:
         index, qmat, _, _ = grown
         internal = [node for node in self._nodes(index) if not node.is_leaf]
         assert internal
-        # plus a node with children that carry no box (an emptied subtree)
+        # plus a node whose first and last children are emptied subtrees:
+        # theirs is the inverted box (top cell low, cell 0 high)
         boxed = internal[0]
-        holes = SimpleNamespace(
-            children=list(boxed.children), aux=[None] + list(boxed.aux[1:-1]) + [None]
-        )
+        lows, highs = boxed.lows.copy(), boxed.highs.copy()
+        lows[[0, -1]], highs[[0, -1]] = index.curve.max_coordinate, 0
+        holes = SimpleNamespace(children=list(boxed.children), lows=lows, highs=highs)
         for node in internal + [holes]:
             bounds = index._child_bounds(qmat, node)
             assert bounds.shape == (len(qmat), len(node.children))
-            for j, aux in enumerate(node.aux):
+            for j, box in enumerate(zip(node.lows, node.highs)):
                 for i, qdists in enumerate(qmat):
-                    assert bounds[i, j] == self._box_lower_bound(index, qdists, aux)
-        assert not index._child_bounds(qmat, holes)[:, [0, -1]].any()
+                    assert bounds[i, j] == self._box_lower_bound(index, qdists, box)
+        # no query reaches an emptied subtree
+        assert (index._child_bounds(qmat, holes)[:, [0, -1]] > 0).all()
 
     def test_clipped_cell_never_validates(self, grown):
         """Lemma 4 must not fire on a cell at the grid edge: an object
@@ -356,9 +351,9 @@ class TestSPBTreeDetail:
         for node in self._nodes(index):
             if not node.is_leaf:
                 continue
-            entries, _, upper = index._leaf_bounds(qmat, node)
-            for j, (object_id, _) in enumerate(entries):
-                if object_id in far_ids:
+            rows, _, upper = index._leaf_bounds(qmat, node)
+            for j, row in enumerate(rows):
+                if node.ids[row] in far_ids:
                     assert np.all(np.isinf(upper[:, j]))
         # end to end: a radius the clipped cell's nominal bound would
         # validate, around a query the far objects are nowhere near
@@ -391,13 +386,7 @@ class TestSPBTreeDetail:
         for obj in far:
             index.insert(obj)
         top = index.curve.max_coordinate
-        boxes = [
-            aux[1]
-            for node in self._nodes(index)
-            if not node.is_leaf
-            for aux in node.aux
-            if aux is not None
-        ]
+        boxes = [high for node in self._nodes(index) if not node.is_leaf for high in node.highs]
         assert any(min(high) >= top for high in boxes)  # a box wholly past the grid
         space = MetricSpace(dataset)
         for q in (np.array([50.0, 50.5]), far[17] + 0.01, np.array([0.5, 0.5])):

@@ -1,7 +1,8 @@
 """Dataset persistence (save_dataset / load_dataset), the walk of the index
 graph that snapshots and counter rebinding stand on, tree snapshots across
-the change of MVPT / VPT's leaf layout, and RAF snapshots across the change
-of the RAF's page format."""
+the change of MVPT / VPT's leaf layout, RAF snapshots across the change of
+the RAF's page format, and B+-tree snapshots across the change to columnar
+leaves."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from repro import (
     make_words,
     select_pivots,
 )
+from repro.btree import LeafNode
 from repro.core import load_dataset, save_dataset
 from repro.core.quantise import Frame
 from repro.service import iter_components, load_index, rebind_counters, save_index
@@ -368,6 +370,72 @@ def test_snapshot_with_list_pages_still_loads(tmp_path, name):
     assert restored.space.counters.distance_computations == 0
     assert pickle.dumps(restored.raf._open_page) == pickle.dumps(raf._open_page)
     assert _external_answers(restored, queries, 900.0, gone={31}) == (got, want)
+    assert restored.storage_bytes() == index.storage_bytes()
+
+
+# -- B+-tree snapshots across the change to columnar leaves -------------------------
+
+
+def _btree_nodes(tree):
+    stack = [tree.root_page]
+    while stack:
+        node = tree.read_node(stack.pop())
+        yield node
+        if not node.is_leaf:
+            stack.extend(node.children)
+
+
+def _check_btrees(index, name):
+    """Every B+-tree of ``index`` holds; returns them."""
+    trees = getattr(index, "trees", None) or [index.btree]
+    for tree in trees:
+        tree.check_invariants(cells_of=index.cells_of if name == "spbtree" else None)
+        leaves = [node for node in _btree_nodes(tree) if node.is_leaf]
+        assert all(type(leaf) is LeafNode for leaf in leaves)
+        if name == "spbtree":
+            assert all(leaf.cells.dtype == np.uint8 for leaf in leaves)
+        else:
+            assert all(leaf.cells is None for leaf in leaves)
+    return trees
+
+
+@pytest.mark.parametrize("name", ["omnib", "spbtree", "mindexstar"])
+def test_snapshot_with_list_leaves_answers_as_written(tmp_path, name):
+    """``tests/data/list_leaves_omnib_la300.snap`` (OmniB+, written as
+    ``list_pages_*`` were: ``make_la(300, seed=11)``, 5 HFI pivots seed 3, 7
+    deleted and re-inserted twice, 31 deleted) and the SPB-tree and M-index*
+    ``list_pages_*`` snapshots hold B+-tree leaves as key / value lists.
+    They load with no distance computed, read every node as columns (an
+    SPB-tree's leaves with the cells their keys decode to), give the
+    answers and compdists they gave when written, take a delete and a
+    re-insert, and round-trip through ``save_index`` again."""
+    expected = json.loads((DATA / "list_leaves_la300_expected.json").read_text())[name]
+    dataset = make_la(300, seed=11)
+    if name == "omnib":
+        path = DATA / "list_leaves_omnib_la300.snap"
+    else:
+        path = DATA / f"list_pages_{name}_la300.snap"
+    index = load_index(path)
+    assert index.space.counters.distance_computations == 0
+    _check_btrees(index, name)
+    queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
+    got, want = _external_answers(index, queries[:3], 900.0, gone={31})
+    assert got == want
+
+    index.delete(12)
+    assert index.insert(dataset[12], object_id=12) == 12
+    _check_btrees(index, name)
+    got, want = _external_answers(index, queries[:3], 900.0, gone={31})
+    assert got == want
+
+    save_index(index, tmp_path / "again.snap")
+    restored = load_index(tmp_path / "again.snap")
+    assert restored.space.counters.distance_computations == 0
+    _check_btrees(restored, name)
+    assert _external_answers(restored, queries[:3], 900.0, gone={31}) == (got, want)
     assert restored.storage_bytes() == index.storage_bytes()
 
 
