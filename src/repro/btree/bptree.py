@@ -19,7 +19,14 @@ Design points:
   boxes wide, which is conservative.
 * **Bulk load** builds a compact tree from sorted input (used at index
   construction time, like the paper's bottom-up builds), ``_BULK_FILL`` of
-  each node full so that later inserts find room.
+  each node full so that later inserts find room.  It takes a leaf's own
+  columns -- keys, then object ids / RAF pages / RAF slots or one value
+  column, plus the cells -- checks key order and the cell count on them
+  before any page is written, places the leaf boundaries by arithmetic and
+  lists each leaf's rows with one ``tolist`` of a slice a column: no
+  per-entry tuple is made, and no more than one leaf of rows is listed at
+  a time (listing whole columns raised the SPB-tree set-up's resident
+  memory by a fifth).
 
 **Node format.**  A node is stored by column, with the RAF page's column
 kinds and raw-bytes packing (:func:`~repro.storage.raf.pack_column`).  A
@@ -60,6 +67,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 import pickle
 
 import numpy as np
@@ -98,6 +106,14 @@ def _packed(kind: str, values: list):
 def _unpacked(kind: str, packed) -> list:
     column = unpack_column(kind, packed)
     return column if kind == "o" else column.tolist()
+
+
+def _rows(column, lo: int, hi: int) -> list:
+    """Rows ``[lo, hi)`` of a :meth:`BPlusTree.bulk_load` column, as the
+    list a leaf holds."""
+    if isinstance(column, np.ndarray):
+        return column[lo:hi].tolist()
+    return list(column[lo:hi])
 
 
 def _is_ref(value) -> bool:
@@ -424,21 +440,22 @@ class BPlusTree:
 
     # -- capacity ---------------------------------------------------------
 
-    def _ensure_capacities(self, key, value, cell) -> None:
-        """Fan-out from the first entry's row bytes; see module docstring."""
+    def _ensure_capacities(self, leaf: LeafNode) -> None:
+        """Fan-out from the row bytes of ``leaf``'s first row (the tree's
+        first entry); see module docstring."""
         if self._leaf_capacity is not None:
             return
-        leaf = LeafNode.of([key], [value], None if cell is None else [cell])
-        kinds = "".join(_kind_of(column) for column in leaf.columns)
+        kinds = "".join(map(_kind_of, leaf.columns))
         row = sum(field_bytes((k,), column[0]) for k, column in zip(kinds, leaf.columns))
-        spec = None if cell is None else (leaf.cells.dtype.str, leaf.cells.shape[1])
-        cell_bytes = 0 if cell is None else leaf.cells[0].nbytes
+        cells = leaf.cells
+        spec = None if cells is None else (cells.dtype.str, cells.shape[1])
+        cell_bytes = 0 if cells is None else cells[0].nbytes
         page_size = self.pager.page_size
         self._leaf_capacity = max(
             4, (page_size - _leaf_header(kinds, spec)) // (row + cell_bytes)
         )
         # a separator, a child page id, and the child's two box corners
-        internal_row = field_bytes((kinds[0],), key) + 8 + 2 * cell_bytes
+        internal_row = field_bytes((kinds[0],), leaf.keys[0]) + 8 + 2 * cell_bytes
         self._internal_capacity = max(
             4, (page_size - _internal_header(kinds[0], spec)) // internal_row
         )
@@ -538,7 +555,8 @@ class BPlusTree:
     def insert(self, key, value, cell=None) -> None:
         """Add one entry; ``cell`` is its grid cell in a tree whose entries
         carry one."""
-        self._ensure_capacities(key, value, cell)
+        if self._leaf_capacity is None:
+            self._ensure_capacities(LeafNode.of([key], [value], None if cell is None else [cell]))
         page_id, leaf, path = self._find_leaf(key)
         leaf.insert(bisect.bisect_right(leaf.keys, key), key, value, cell)
         self._size += 1
@@ -723,71 +741,70 @@ class BPlusTree:
 
     # -- bulk load ------------------------------------------------------------------
 
-    def bulk_load(self, items, cells=None) -> None:
-        """Build the tree bottom-up from sorted ``(key, value)`` pairs.
+    def bulk_load(self, columns, cells=None) -> None:
+        """Build the tree bottom-up from a leaf's columns in key order.
 
-        Requires an empty tree.  ``cells`` (an ``n x l`` integer array, one
-        row per item in the same order) gives the entries grid cells; the
-        boxes are their column-wise min / max, so nothing is decoded.
-        ``items`` is any iterable and is drawn a leaf at a time (one leaf
-        ahead, to see whether the last one is underfull), so a caller that
-        generates it holds two leaves of entries at most, never a list of
-        all of them.  A last leaf that would be under half full shares the
-        rows of the last two evenly.  Order and count are checked as the
-        input arrives: a load that raises part-way has written pages, and
-        the tree is to be discarded.
+        Requires an empty tree.  ``columns`` are the keys, then either the
+        object ids, RAF pages and RAF slots of ``(object id,
+        RecordPointer)`` values or one column of other values; each is a
+        1-D array or a list (keys with no int64 form, such as the M-index's
+        tuples or Hilbert keys past 63 bits, stay Python objects in a list
+        or an object array).  ``cells`` (an ``n x l`` integer array, one row
+        per key) gives the entries grid cells; the boxes are their
+        column-wise min / max, so nothing is decoded.  Key order, column
+        lengths and the cell count are checked before any page is written.
+        Leaves are cut by arithmetic, ``_BULK_FILL`` of a leaf's capacity
+        each, and a last leaf that would be under half full shares the rows
+        of the last two evenly; each leaf takes one ``tolist`` of a slice a
+        column, so no per-entry tuple is ever made.
         """
         if self._size:
             raise RuntimeError("bulk_load requires an empty tree")
-        items = iter(items)
-        run = list(itertools.islice(items, 1))
+        columns = list(columns)
+        n = len(columns[0])
+        if len(columns) not in (2, _REF) or any(len(c) != n for c in columns):
+            raise ValueError("bulk_load takes keys and one or three value columns of one length")
         if cells is not None:
             cells = np.asarray(cells)
-        if cells is not None and len(cells) < len(run):
-            raise ValueError("bulk_load ran out of cells after 0 items")
-        if not run:
-            if cells is not None and len(cells):
-                raise ValueError(f"bulk_load got {len(cells)} cells for its 0 items")
+            if len(cells) != n:
+                raise ValueError(f"bulk_load got {len(cells)} cells for its {n} items")
+        keys = columns[0]
+        if isinstance(keys, np.ndarray):
+            unsorted = n > 1 and bool((keys[:-1] > keys[1:]).any())
+        else:
+            unsorted = any(map(operator.gt, keys, itertools.islice(keys, 1, None)))
+        if unsorted:
+            raise ValueError("bulk_load input must be sorted by key")
+        if not n:
             return
-        self._ensure_capacities(*run[0], None if cells is None else cells[0])
+        first = LeafNode([_rows(c, 0, 1) for c in columns], None if cells is None else cells[:1])
+        self._ensure_capacities(first)
         per_leaf = max(2, int(self._leaf_capacity * _BULK_FILL))
         per_internal = max(2, int(self._internal_capacity * _BULK_FILL))
+        full, rest = divmod(n, per_leaf)
+        sizes = [per_leaf] * full + [rest] * (rest > 0)
+        if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
+            # the last leaf would be under half full: the last two share
+            # their rows evenly (joined, they could overflow)
+            both = sizes[-2] + sizes[-1]
+            sizes[-2:] = [(both + 1) // 2, both // 2]
 
         self.pager.free(self.root_page)
 
         # build leaves
         level: list[tuple] = []  # (page, first key, box)
-        run += itertools.islice(items, per_leaf - 1)
-        page = self.pager.allocate()
-        last_key = run[0][0]
-        size = 0
-        while run:
-            following = list(itertools.islice(items, per_leaf))
-            if 0 < len(following) < per_leaf // 2:
-                # the last leaf would be under half full: the last two
-                # share their rows evenly (joined, they could overflow)
-                tail = run + following
-                run, following = tail[: (len(tail) + 1) // 2], tail[(len(tail) + 1) // 2 :]
-            next_page = self.pager.allocate() if following else None
-            keys = [key for key, _ in run]
-            for key in keys:
-                if last_key > key:
-                    raise ValueError("bulk_load input must be sorted by key")
-                last_key = key
-            block = None
-            if cells is not None:
-                block = cells[size : size + len(run)]
-                if len(block) != len(run):
-                    raise ValueError(
-                        f"bulk_load ran out of cells after {size + len(block)} items"
-                    )
-            leaf = LeafNode.of(keys, [value for _, value in run], block, next_page)
+        page, lo = self.pager.allocate(), 0
+        for size in sizes:
+            hi = lo + size
+            next_page = self.pager.allocate() if hi < n else None
+            leaf = LeafNode(
+                [_rows(c, lo, hi) for c in columns],
+                None if cells is None else cells[lo:hi],
+                next_page,
+            )
             self._write(page, leaf)
-            level.append((page, keys[0], leaf.box()))
-            size += len(run)
-            run, page = following, next_page
-        if cells is not None and len(cells) != size:
-            raise ValueError(f"bulk_load got {len(cells)} cells for its {size} items")
+            level.append((page, leaf.keys[0], leaf.box()))
+            page, lo = next_page, hi
 
         # build internal levels
         self.height = 1
@@ -808,7 +825,7 @@ class BPlusTree:
             level = next_level
             self.height += 1
         self.root_page = level[0][0]
-        self._size = size
+        self._size = n
 
     def add_cells(self, cells_of) -> None:
         """Give every leaf row the cell ``cells_of(keys)`` (an ``m x l``

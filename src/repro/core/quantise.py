@@ -51,19 +51,40 @@ class Frame(NamedTuple):
         return low, high
 
     def encode(self, dists) -> np.ndarray:
-        """The cell of each distance.
+        """The cell of each distance: the last whose low edge it reaches,
+        the end cells open.
 
-        Raises unless every decoded interval contains its distance: a code
-        that excluded it would let a Lemma 1 filter drop a true answer.
+        The cell is ``floor((d - low) / width)``, clipped, then checked
+        once against the ``edges`` array; the few distances rounding left
+        outside their cell's edges (all of them, at a zero width) are
+        placed by ``searchsorted`` over the same edges, so every code is
+        the one ``searchsorted`` alone would give.  Raises unless every
+        decoded interval contains its distance: a code that excluded it
+        would let a Lemma 1 filter drop a true answer.
         """
         dists = np.asarray(dists, dtype=np.float64)
+        top = self.cells - 1
         edges = self.low + self.width * np.arange(self.cells + 1, dtype=np.float64)
-        codes = np.empty(dists.shape, dtype=np.min_scalar_type(self.cells - 1))
+        # cell c holds [starts[c], ends[c]), the end cells open
+        starts, ends = edges[:-1].copy(), edges[1:].copy()
+        starts[0], ends[-1] = -np.inf, np.inf
+        codes = np.empty(dists.shape, dtype=np.min_scalar_type(top))
         flat = dists.reshape(-1)
         for start in range(0, flat.size, _BLOCK):
             block = flat[start : start + _BLOCK]
-            cells = np.searchsorted(edges, block, side="right") - 1
-            np.clip(cells, 0, self.cells - 1, out=cells)
+            guess = block - self.low
+            if self.width > 0:
+                guess /= self.width
+                np.floor(guess, out=guess)
+            else:  # every distance is placed below
+                guess[:] = 0
+            # fmax / fmin, unlike clip, send NaN to a bound
+            cells = np.fmin(np.fmax(guess, 0, out=guess), top, out=guess).astype(np.intp)
+            # rounding can leave a distance outside its cell
+            off = np.flatnonzero((block < starts[cells]) | (block >= ends[cells]))
+            if len(off):
+                placed = np.searchsorted(edges, block[off], side="right") - 1
+                cells[off] = np.clip(placed, 0, top)
             low, high = self.bounds(cells)
             if not ((low <= block) & (block <= high)).all():
                 raise AssertionError(f"frame {self} lost a distance among {dists!r}")

@@ -274,6 +274,42 @@ def frame_cases(draw):
     return policy, discrete, frame, build, later, queries
 
 
+def _searchsorted_codes(frame, dists) -> np.ndarray:
+    """The cell of each distance by ``searchsorted`` over the 2^k + 1 cell
+    edges: the form ``Frame.encode`` computed before it went by arithmetic."""
+    edges = frame.low + frame.width * np.arange(frame.cells + 1, dtype=np.float64)
+    cells = np.searchsorted(edges, np.asarray(dists, dtype=np.float64), side="right") - 1
+    return np.clip(cells, 0, frame.cells - 1)
+
+
+@given(
+    case=frame_cases(),
+    steps=st.lists(st.integers(-3, 3), max_size=8),
+    far=st.floats(min_value=1e3, max_value=1e12),
+)
+@settings(max_examples=400, deadline=None)
+def test_arithmetic_encode_is_the_searchsorted_form(case, steps, far):
+    """``floor((d - low) / width)`` plus the edge check gives every code
+    ``searchsorted`` gives: on the frame's cell edges and one ulp either
+    side of them, past both ends, on exact (discrete) frames and on frames
+    of zero width."""
+    _, _, frame, build, later, _ = case
+    edges = frame.low + frame.width * np.arange(frame.cells + 1, dtype=np.float64)
+    picked = edges[[s % len(edges) for s in steps] + [0, frame.cells - 1, frame.cells]]
+    near = np.concatenate([picked, np.nextafter(picked, -np.inf), np.nextafter(picked, np.inf)])
+    if frame.exact:  # discrete distances only: an exact cell holds its edge alone
+        near = picked
+        far = float(round(far))
+    dists = np.concatenate(
+        [build, later, near, [frame.low - far, frame.low + far * max(frame.width, 1.0)]]
+    )
+    dists = dists[dists >= 0]
+    assert np.array_equal(frame.encode(dists), _searchsorted_codes(frame, dists))
+    # blocks past the first, and a matrix of them, code the same
+    grid = np.resize(dists, (3, 9000))
+    assert np.array_equal(frame.encode(grid), _searchsorted_codes(frame, grid))
+
+
 @given(case=frame_cases())
 @settings(max_examples=400, deadline=None)
 def test_codes_never_exclude_their_distance(case):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree
-from repro.storage import Pager
+from repro.btree import BPlusTree, LeafNode
+from repro.storage import Pager, RecordPointer
 
 
 def make_tree(page_size=512) -> BPlusTree:
@@ -113,28 +114,74 @@ class TestDelete:
         assert len(tree.search(9)) == 400 - len(range(0, 400, 7))
 
 
+def _columns(items) -> tuple:
+    """``(key, value)`` pairs as ``bulk_load`` takes them: a key column and
+    a value column."""
+    return tuple(map(list, zip(*items))) if items else ([], [])
+
+
+def _as_list(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _leaf_chain(tree) -> list:
+    node = tree.read_node(tree.root_page)
+    while not node.is_leaf:
+        node = tree.read_node(node.children[0])
+    chain = [node]
+    while chain[-1].next_page is not None:
+        chain.append(tree.read_node(chain[-1].next_page))
+    return chain
+
+
+def _leaf_sizes(n: int, per_leaf: int) -> list[int]:
+    """Full leaves, and a last one that shares the last two's rows evenly
+    when it would be under half full."""
+    sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
+    if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
+        total = sizes[-2] + sizes[-1]
+        sizes[-2:] = [(total + 1) // 2, total // 2]
+    return sizes
+
+
+def _bulk_input(kind: str, n: int):
+    """``(columns, cells)`` of ``n`` sorted entries whose keys are ``kind``."""
+    ids = np.arange(n, dtype=np.int64)
+    refs = (ids, ids // 7, ids % 7)  # (object id, RAF page, RAF slot) values
+    if kind == "int64":
+        return (ids * 3, *refs), _key_cells(ids * 3) % 256
+    if kind == "wide":  # past 63 bits: an object array of Python ints
+        return (np.array([2**70 + 5 * i for i in range(n)], dtype=object), *refs), None
+    if kind == "wide list":
+        return ([2**64 + i for i in range(n)], [str(i) for i in range(n)]), None
+    if kind == "float":
+        return (np.linspace(0.0, 1.0, n), ids), None
+    # the M-index's (cluster path, distance) tuples
+    return ([((i // 50,), float(i % 50)) for i in range(n)], *refs), None
+
+
 class TestBulkLoad:
     def test_bulk_matches_inserts(self):
         items = [(k, str(k)) for k in range(0, 2000, 2)]
         bulk = make_tree()
-        bulk.bulk_load(items)
+        bulk.bulk_load(_columns(items))
         bulk.check_invariants()
         assert list(bulk.items()) == items
 
     def test_bulk_requires_sorted(self):
         tree = make_tree()
         with pytest.raises(ValueError):
-            tree.bulk_load([(2, "b"), (1, "a")])
+            tree.bulk_load(([2, 1], ["b", "a"]))
 
     def test_bulk_requires_empty(self):
         tree = make_tree()
         tree.insert(1, 1)
         with pytest.raises(RuntimeError):
-            tree.bulk_load([(2, 2)])
+            tree.bulk_load(([2], [2]))
 
     def test_bulk_then_mutate(self):
         tree = make_tree(page_size=256)
-        tree.bulk_load([(k, k) for k in range(500)])
+        tree.bulk_load((np.arange(500), np.arange(500)))
         for k in range(500, 700):
             tree.insert(k, k)
         for k in range(0, 500, 3):
@@ -145,67 +192,76 @@ class TestBulkLoad:
 
     def test_bulk_empty(self):
         tree = make_tree()
-        tree.bulk_load([])
+        tree.bulk_load(([], []))
         assert list(tree.items()) == []
-        tree.bulk_load(iter(()))
+        tree.bulk_load((np.zeros(0), np.zeros(0, dtype=np.int64)))
         assert list(tree.items()) == []
 
-    def test_bulk_draws_its_input_a_leaf_at_a_time(self):
-        """Generators give the tree lists give, and are never drawn far ahead."""
-        probe = make_tree(page_size=256)
-        probe.bulk_load([(0, 0)], cells=[[0]])
+    @pytest.mark.parametrize("kind", ["int64", "wide", "wide list", "float", "tuple"])
+    def test_bulk_cuts_leaves_by_arithmetic(self, kind):
+        """Leaves of ``per_leaf`` rows, the last two sharing when the last
+        would be under half full, each the leaf its entries make one by one."""
+        columns, cells = _bulk_input(kind, 1)
+        probe = make_tree(page_size=512)
+        probe.bulk_load(columns, cells=cells)
         per_leaf = int(probe.leaf_capacity * 0.85)
         assert per_leaf >= 4
         spill = 3 * per_leaf + per_leaf // 2  # below: the last two leaves share rows
-        for n in (1, 2, per_leaf, per_leaf + 1, 2 * per_leaf, spill - 1, spill, 1000):
-            cells = np.arange(n)[:, None]
-            listed = make_tree(page_size=256)
-            listed.bulk_load([(k, k) for k in range(n)], cells=cells)
-            streamed = make_tree(page_size=256)
-            ahead = []
-
-            def items():
-                for k in range(n):
-                    # one write made the empty root, every later one a full leaf
-                    written = streamed.pager.counters.page_writes - 1
-                    ahead.append(k - written * per_leaf)
-                    yield k, k
-
-            streamed.bulk_load(items(), cells=cells)
-            assert max(ahead) < 2 * per_leaf
-            # the leaves the all-at-once loader cut: full ones, and a last
-            # one that shares the last two's rows evenly when under half full
-            sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
-            if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
-                total = sizes[-2] + sizes[-1]
-                sizes[-2:] = [(total + 1) // 2, total // 2]
-            node = streamed.read_node(streamed.root_page)
-            while not node.is_leaf:
-                node = streamed.read_node(node.children[0])
-            chain = [node]
-            while chain[-1].next_page is not None:
-                chain.append(streamed.read_node(chain[-1].next_page))
-            assert [len(leaf) for leaf in chain] == sizes
-            assert streamed.pager.store._pages == listed.pager.store._pages
-            assert (streamed.root_page, streamed.height, len(streamed)) == (
-                listed.root_page,
-                listed.height,
-                n,
+        for n in (1, 2, per_leaf - 1, per_leaf, per_leaf + 1, 2 * per_leaf, spill - 1, spill):
+            columns, cells = _bulk_input(kind, n)
+            tree = make_tree(page_size=512)
+            tree.bulk_load(columns, cells=cells)
+            chain = _leaf_chain(tree)
+            assert [len(leaf) for leaf in chain] == _leaf_sizes(n, per_leaf)
+            # each leaf as the per-entry form of its rows builds it
+            keys = _as_list(columns[0])
+            if len(columns) == 4:
+                values = [(int(i), RecordPointer(int(p), int(s))) for i, p, s in zip(*columns[1:])]
+            else:
+                values = _as_list(columns[1])
+            lo = 0
+            for leaf in chain:
+                hi = lo + len(leaf)
+                block = None if cells is None else cells[lo:hi]
+                entry_form = LeafNode.of(keys[lo:hi], values[lo:hi], block, leaf.next_page)
+                assert pickle.dumps(leaf) == pickle.dumps(entry_form)
+                lo = hi
+            assert list(tree.items()) == list(zip(keys, values))
+            assert len(tree) == n
+            tree.check_invariants(
+                cells_of=None if cells is None else (lambda ks: _key_cells(ks) % 256),
+                tight=cells is not None,
             )
-            streamed.check_invariants(cells_of=_key_cells, tight=True)
 
-    def test_bulk_checks_order_and_count_as_the_input_arrives(self):
-        items = [(k, k) for k in range(500)]
-        late = items[:400] + [(10, 10)] + items[400:]
-        with pytest.raises(ValueError, match="sorted"):
-            make_tree(page_size=256).bulk_load(iter(late))
-        for count in (0, 499, 501):
-            with pytest.raises(ValueError, match="cells"):
-                make_tree(page_size=256).bulk_load(
-                    iter(items), cells=np.arange(count)[:, None]
-                )
+    @pytest.mark.parametrize("kind", ["int64", "tuple"])
+    def test_bulk_checks_order_and_count_before_writing(self, kind):
+        """Unsorted keys, uneven columns and a wrong cell count raise with
+        no page written."""
+        columns, _ = _bulk_input(kind, 500)
+        keys = columns[0]
+        late = (
+            np.insert(keys, 400, keys[10])
+            if isinstance(keys, np.ndarray)
+            else keys[:400] + [keys[10]] + keys[400:]
+        )
+        last_two_swapped = keys[[*range(498), 499, 498]] if isinstance(keys, np.ndarray) else [
+            *keys[:498], keys[499], keys[498]
+        ]
+        bad = [
+            ((late, *(np.insert(c, 400, 0) for c in columns[1:])), None, "sorted"),
+            ((last_two_swapped, *columns[1:]), None, "sorted"),
+            ((keys, *(c[:-1] for c in columns[1:])), None, "length"),
+        ] + [(columns, np.arange(count)[:, None], "cells") for count in (0, 499, 501)]
+        for given_columns, cells, message in bad:
+            tree = make_tree(page_size=256)
+            before = dict(tree.pager.store._pages)
+            with pytest.raises(ValueError, match=message):
+                tree.bulk_load(given_columns, cells=cells)
+            assert tree.pager.store._pages == before
+            assert tree.pager.counters.page_writes == 1  # the empty root only
+            assert len(tree) == 0 and list(tree.items()) == []
         with pytest.raises(ValueError, match="cells"):
-            make_tree(page_size=256).bulk_load([], cells=[[0]])
+            make_tree(page_size=256).bulk_load(([], []), cells=[[0]])
 
 
 def _key_cells(keys) -> np.ndarray:
@@ -245,7 +301,7 @@ class TestAugmentation:
 
     def test_bulk_load_summaries(self):
         tree = make_tree(page_size=256)
-        tree.bulk_load([(k, k) for k in range(500)], cells=_key_cells(range(500)))
+        tree.bulk_load((np.arange(500), np.arange(500)), cells=_key_cells(range(500)))
         self._assert_summaries(tree)
 
     def test_bulk_load_boxes_the_given_cells(self):
@@ -253,13 +309,13 @@ class TestAugmentation:
         other description of them asked for; inserts then carry their own."""
         items = [(k, k) for k in range(505)]  # 505: the last leaf takes a spill
         tree = make_tree(page_size=256)
-        tree.bulk_load(items, cells=_key_cells(range(505)))
+        tree.bulk_load(_columns(items), cells=_key_cells(range(505)))
         assert tree.height >= 3
         self._assert_summaries(tree)
         tree.insert(250, 0, (250,))  # inserts carry their cell
         self._assert_summaries(tree)
         with pytest.raises(ValueError, match="cells"):
-            make_tree(page_size=256).bulk_load(items, cells=[(0,)])
+            make_tree(page_size=256).bulk_load(_columns(items), cells=[(0,)])
         # a tree's entries all carry a cell, or none does; refused before
         # any page changes
         before = dict(tree.pager.store._pages)
@@ -282,7 +338,7 @@ class TestAugmentation:
     def test_delete_keeps_summaries_conservative(self):
         tree = make_tree(page_size=256)
         keys = list(range(400))
-        tree.bulk_load([(k, k) for k in keys], cells=_key_cells(keys))
+        tree.bulk_load((keys, keys), cells=_key_cells(keys))
         rng = random.Random(3)
         rng.shuffle(keys)
         for k in keys[:300]:

@@ -54,10 +54,16 @@ PAGE_SIZE = 1024  # small pages: several RAF pages and two B+-tree levels at n =
 
 
 class PerRecordRAF(RandomAccessFile):
-    """The reference write path: every record is its own ``append``."""
+    """The reference write path: every record is its own one-row write."""
 
-    def append_many(self, records):
-        return [RandomAccessFile.append_many(self, (record,))[0] for record in records]
+    def append_many(self, fields):
+        columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 1 else c for c in fields]
+        pages, slots = [], []
+        for record in zip(*columns):
+            page, slot = RandomAccessFile.append_many(self, tuple([v] for v in record))
+            pages += page.tolist()
+            slots += slot.tolist()
+        return np.array(pages, dtype=np.int64), np.array(slots, dtype=np.int64)
 
 
 def reference_spbtree(space, pivot_ids, curve_cls):
@@ -80,7 +86,13 @@ def reference_spbtree(space, pivot_ids, curve_cls):
         items.append((key, (object_id, pointer)))
     # cells by scalar decode of every key
     cells = [index.curve.decode(key) for key, _ in items]
-    index.btree.bulk_load(items, cells=np.asarray(cells, dtype=np.uint8))
+    columns = (
+        [key for key, _ in items],
+        [object_id for _, (object_id, _) in items],
+        [pointer.page_id for _, (_, pointer) in items],
+        [pointer.slot for _, (_, pointer) in items],
+    )
+    index.btree.bulk_load(columns, cells=np.asarray(cells, dtype=np.uint8))
     return index
 
 
@@ -360,12 +372,13 @@ def test_bulk_built_index_survives_a_snapshot_and_takes_an_insert(
 def test_spbtree_build_generates_its_entries_instead_of_listing_them():
     """What the build allocates beyond what it keeps stays well below it.
 
-    The B+-tree load draws entries and cells a block at a time.  Listed
-    whole they were more tuples than the finished index keeps (transient
-    1.09 x kept at any n; 0.46 x now at n = 5 000, less above: a block is
-    a fixed 0.3 MB), and which allocator arenas emptied when they were
-    freed differed from run to run: the benchmark's SPB-tree set-up read
-    8.2, 8.5 or 9.1 MB resident for the same index.
+    The RAF and the B+-tree load take the build's columns, and a leaf's
+    rows are listed from them one leaf at a time.  Entries listed whole as
+    ``(key, (id, pointer))`` tuples were more than the finished index
+    keeps (transient 1.09 x kept at any n), and which allocator arenas
+    emptied when they were freed differed from run to run: the
+    benchmark's SPB-tree set-up read 8.2, 8.5 or 9.1 MB resident for the
+    same index.
     """
     space = MetricSpace(make_la(5_000, seed=1), CostCounters())
     pivot_ids = select_pivots(space, 5, strategy="hfi", seed=3)

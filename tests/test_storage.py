@@ -6,11 +6,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.counters import CostCounters
 from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile, RecordPointer
 from repro.storage import pager as pager_module
-from repro.storage.raf import RafPage, _schema_of
+from repro.storage.raf import RafPage, _record_bytes, _schema_of
 
 
 @pytest.fixture
@@ -359,6 +361,21 @@ class TestRandomAccessFile:
         assert raf.read(big) == "B" * 1000
 
 
+def _columns(records):
+    """``records`` as ``append_many`` takes them: a list a field when they
+    are non-empty tuples of one length, else one column of bare values."""
+    if records and all(type(r) is tuple and r for r in records):
+        if len({len(r) for r in records}) == 1:
+            return tuple(map(list, zip(*records)))
+    return list(records)
+
+
+def _append_all(raf, records) -> list[RecordPointer]:
+    """``append_many`` of ``records``, its result as pointers."""
+    pages, slots = raf.append_many(_columns(records))
+    return list(map(RecordPointer, pages.tolist(), slots.tolist()))
+
+
 class TestAppendMany:
     """``append_many`` is the write body; ``append`` is its one-record view."""
 
@@ -376,17 +393,19 @@ class TestAppendMany:
 
     def test_bulk_append_writes_each_page_once(self):
         raf, pager, counters = self._raf()
-        ptrs = raf.append_many(("record", i) for i in range(200))
-        pages = {p.page_id for p in ptrs}
-        assert counters.page_writes == len(pages) == len(pager.store)
+        pages, slots = raf.append_many((["record"] * 200, np.arange(200)))
+        assert pages.dtype == slots.dtype == np.int64
+        ptrs = list(map(RecordPointer, pages.tolist(), slots.tolist()))
+        assert counters.page_writes == len(set(pages.tolist())) == len(pager.store)
         assert [raf.read(p) for p in ptrs] == [("record", i) for i in range(200)]
+        assert all(type(raf.read(p)[1]) is int for p in ptrs)  # int64 ids read as ints
         assert len(raf) == 200
 
     def test_same_layout_as_single_appends(self):
         records = [("r" * (i % 17), i) for i in range(150)]
         one, one_pager, _ = self._raf()
         many, many_pager, _ = self._raf()
-        assert many.append_many(records) == [one.append(r) for r in records]
+        assert _append_all(many, records) == [one.append(r) for r in records]
         # stored bytes, page by page: rows appended one at a time to the
         # open page's columns encode exactly as the page encoded whole
         assert many_pager.store._pages == one_pager.store._pages
@@ -397,28 +416,37 @@ class TestAppendMany:
         ref, ref_pager, _ = self._raf()
         expected = [ref.append(r) for r in records]
         raf, pager, _ = self._raf()
-        got = raf.append_many(records[:50])
+        got = _append_all(raf, records[:50])
         got.append(raf.append(records[50]))  # continues the page left open
         assert got[-1].page_id == got[-2].page_id
         assert got[-1].slot == got[-2].slot + 1
-        got += raf.append_many(iter(records[51:90]))
-        got += raf.append_many(r for r in records[90:])
+        got += _append_all(raf, records[51:90])
+        got += _append_all(raf, records[90:])
         assert got == expected
         assert pager.store._pages == ref_pager.store._pages
 
     def test_empty_iterable_writes_nothing(self):
         raf, pager, counters = self._raf()
-        assert raf.append_many([]) == []
-        assert raf.append_many(iter(())) == []
+        for nothing in ([], (), ([], np.zeros((0, 3)))):
+            pages, slots = raf.append_many(nothing)
+            assert len(pages) == len(slots) == 0
         assert counters.page_writes == 0 and len(pager.store) == 0
         raf.append("x")
         counters.reset()
-        assert raf.append_many([]) == []
+        assert len(raf.append_many([])[0]) == 0
         assert counters.page_writes == 0
+
+    def test_columns_of_one_length(self):
+        raf, pager, counters = self._raf()
+        with pytest.raises(ValueError, match="length"):
+            raf.append_many((np.arange(3), ["a", "b"]))
+        with pytest.raises(ValueError, match="row"):
+            raf.append_many(np.float64(1.0))
+        assert counters.page_writes == 0 and len(pager.store) == 0
 
     def test_oversized_record_pays_the_multi_page_write(self):
         raf, pager, counters = self._raf()
-        small, big, after = raf.append_many(["s", "B" * 3000, "t"])
+        small, big, after = _append_all(raf, ["s", "B" * 3000, "t"])
         assert len({small.page_id, big.page_id, after.page_id}) == 3
         span = pager.store.pages_spanned(pager.store.page_bytes(big.page_id))
         assert span > 1
@@ -432,6 +460,119 @@ class TestAppendMany:
         raf.append("b")
         assert cached.records() == ["a"]  # the pool's earlier node did not grow
         assert pager.read(first.page_id).records() == ["a", "b"]
+
+
+def _per_record_append(raf, records) -> list[RecordPointer]:
+    """The greedy packer a record at a time -- the loop ``append_many`` was
+    before it took columns -- kept here as the oracle of the column body."""
+    pointers = []
+    page_id, page, used = raf._open_page_id, raf._open_page, raf._open_bytes
+    schema = page.schema if page is not None else None
+    limit = raf._limit(schema) if schema is not None else 0
+    first = len(page) if page is not None else 0
+    rows = []
+
+    def grown():
+        fresh = RafPage.encode(rows, schema)
+        return fresh if page is None else page.joined(fresh)
+
+    for record in records:
+        nbytes = _record_bytes(schema, record) if page_id is not None else None
+        if nbytes is None or used + nbytes > limit:
+            if rows:
+                raf.pager.write(page_id, grown())
+            if nbytes is None:
+                schema = _schema_of(record)
+                nbytes = _record_bytes(schema, record)
+                limit = raf._limit(schema)
+            page_id, page, used, first, rows = raf.pager.allocate(), None, 0, 0, []
+        pointers.append(RecordPointer(page_id, first + len(rows)))
+        rows.append(record)
+        used += nbytes
+    if rows:
+        page = grown()
+        raf.pager.write(page_id, page)
+    raf._open_page_id, raf._open_page, raf._open_bytes = page_id, page, used
+    raf._count += len(pointers)
+    return pointers
+
+
+# non-ASCII words, oversized ones, and lone surrogates (no UTF-8 form: pickled)
+_words = st.text(max_size=12) | st.text(max_size=1500) | st.sampled_from(["\ud800", "é\udfffx"])
+# pickled values, and ints / floats that open columns of their own
+_objects = (
+    st.none()
+    | st.dictionaries(st.text(max_size=3), st.integers())
+    | st.lists(st.integers(), max_size=40)
+    | st.integers()
+    | st.floats()
+)
+
+
+@st.composite
+def _call(draw):
+    """One ``append_many`` call: ``(records, columns)`` of one schema."""
+    n = draw(st.integers(0, 60))
+    schema = draw(
+        st.sampled_from(["id, array", "id, word", "word", "id, object", "object", "wide id"])
+    )
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    if schema == "id, array":
+        dtype, width = draw(st.sampled_from([(np.float64, 2), (np.float32, 7), (np.uint8, 40)]))
+        block = np.arange(n * width, dtype=np.float64).reshape(n, width).astype(dtype)
+        return [(i, block[r]) for r, i in enumerate(ids)], (np.array(ids, np.int64), block)
+    if schema == "wide id":  # past int64: a pickled column
+        ids = [i + 2**64 for i in ids]
+        return [(i, i % 7) for i in ids], (ids, np.array([i % 7 for i in ids]))
+    if schema in ("word", "object"):
+        values = draw(st.lists(_words if schema == "word" else _objects, min_size=n, max_size=n))
+        return values, values
+    values = draw(st.lists(_words if schema == "id, word" else _objects, min_size=n, max_size=n))
+    return list(zip(ids, values)), (np.array(ids, np.int64), values)
+
+
+class TestAppendManyOracle:
+    """``append_many`` on columns lays out what the per-record packer did."""
+
+    @given(
+        calls=st.lists(_call(), min_size=1, max_size=5),
+        page_size=st.sampled_from([128, 512, 1024, 4096]),
+        fill_factor=st.sampled_from([0.5, 0.9, 1.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_pointers_and_every_blob_equal_the_per_record_packer(
+        self, calls, page_size, fill_factor
+    ):
+        ref = RandomAccessFile(Pager(page_size=page_size), fill_factor)
+        raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
+        for records, columns in calls:  # each call continues the page left open
+            want = _per_record_append(ref, records)
+            pages, slots = raf.append_many(columns)
+            assert list(map(RecordPointer, pages.tolist(), slots.tolist())) == want
+        assert raf.pager.store._pages == ref.pager.store._pages
+        assert raf.pager.counters.page_writes == ref.pager.counters.page_writes
+        assert (raf._open_page_id, raf._open_bytes, len(raf)) == (
+            ref._open_page_id,
+            ref._open_bytes,
+            len(ref),
+        )
+
+    def test_words_that_fill_a_page_exactly_stay_on_it(self):
+        """Variable-width rows whose bytes end exactly at the limit, on the
+        page left open and on a new one, pack as the per-record packer does."""
+        ref = RandomAccessFile(Pager(page_size=512))
+        raf = RandomAccessFile(Pager(page_size=512))
+        opened = _per_record_append(ref, ["a"])[0].page_id
+        raf.append_many(["a"])
+        limit = raf._limit(raf._open_page.schema)
+        room = limit - raf._open_bytes
+        # a bare word takes its UTF-8 bytes, a 4 B end offset and a tombstone byte
+        words = ["b" * (room - 25), "c" * 15, "d" * (limit - 25), "e" * 15, "f"]
+        want = _per_record_append(ref, words)
+        pages, slots = raf.append_many(words)
+        assert list(map(RecordPointer, pages.tolist(), slots.tolist())) == want
+        assert pages.tolist() == [opened, opened, opened + 1, opened + 1, opened + 2]
+        assert raf.pager.store._pages == ref.pager.store._pages
 
 
 # -- the columnar page format ---------------------------------------------------
@@ -501,7 +642,7 @@ _KINDS = {
     "0-d array": {"o"},
     "structured, empty": {"oo"},
     "lone surrogate": {"is", "io"},
-    "empty tuples": {""},
+    "empty tuples": {"o"},  # no field to make a column of: bare values
 }
 
 
@@ -513,7 +654,7 @@ class TestRafPageCodec:
     def test_every_record_shape_round_trips_through_stored_pages(self, shape):
         records = _records()[shape]
         raf = self._raf()
-        pointers = raf.append_many(records)
+        pointers = _append_all(raf, records)
         # capacity 0: every read unpickles the stored blob
         for pointer, record in zip(pointers, records):
             assert _same(raf.read(pointer), record), (pointer, record)
@@ -545,7 +686,7 @@ class TestRafPageCodec:
     def test_tombstones_at_any_slot(self, slots):
         records = _records()["id, vector"]
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = raf.append_many(records)
+        pointers = _append_all(raf, records)
         assert len({p.page_id for p in pointers}) == 1
         for slot in slots:
             raf.mark_deleted(pointers[slot])
@@ -563,7 +704,7 @@ class TestRafPageCodec:
     def test_an_all_tombstone_page(self):
         records = _records()["id, word"][:10]
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = raf.append_many(records)
+        pointers = _append_all(raf, records)
         for pointer in pointers:
             raf.mark_deleted(pointer)
         assert raf.read_many(pointers) == [None] * 10
@@ -574,7 +715,7 @@ class TestRafPageCodec:
 
     def test_a_record_of_another_schema_starts_a_page(self):
         raf = self._raf()
-        a, b = raf.append_many([(0, np.zeros(2)), (1, np.zeros(2))])
+        a, b = _append_all(raf, [(0, np.zeros(2)), (1, np.zeros(2))])
         c = raf.append((2, "word"))
         d = raf.append((3, np.zeros(2, dtype=np.float32)))
         assert a.page_id == b.page_id
@@ -584,7 +725,7 @@ class TestRafPageCodec:
 
     def test_update_to_another_schema_re_encodes_the_page(self):
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = raf.append_many([(i, np.full(2, float(i))) for i in range(5)])
+        pointers = _append_all(raf, [(i, np.full(2, float(i))) for i in range(5)])
         raf.update(pointers[2], (2, "now a word"))
         page = raf.pager.read(pointers[0].page_id)
         assert (page.arity, page.kinds) == (None, "o")  # records pickled whole
@@ -596,7 +737,7 @@ class TestRafPageCodec:
 
     def test_writes_change_one_row_never_the_page_record_by_record(self, monkeypatch):
         raf = self._raf(cache_bytes=64 * 1024)
-        pointers = raf.append_many((i, np.full(2, float(i))) for i in range(20))
+        pointers = _append_all(raf, [(i, np.full(2, float(i))) for i in range(20)])
         page_id = pointers[0].page_id
         before = raf.pager.read(page_id)
         monkeypatch.setattr(
@@ -662,7 +803,7 @@ class TestRafPageCodec:
         records = _records(1000)["id, vector, mapped"]
         for page_size, fill_factor in ((1024, 0.9), (4096, 0.9), (4096, 1.0)):
             raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
-            pointers = raf.append_many(records)
+            pointers = _append_all(raf, records)
             schema = _schema_of(records[0])
             empty = RafPage.encode([], schema)
             # the empty page's pickle, and 3 B for each of its 4 buffers

@@ -83,6 +83,29 @@ def test_frame_arrays_decode_zero_copy_readonly():
     assert not out.flags.writeable
 
 
+@pytest.mark.parametrize("q,d", [(1, 2), (16, 282), (64, 282), (7, 3)])
+def test_query_batch_frame_is_its_header_and_exactly_its_floats(q, d):
+    """The binary frame of a ``q x d`` float64 batch costs no per-element
+    byte: its prefix, its JSON header, the first buffer's alignment and
+    exactly ``8 q d`` bytes; it decodes as a read-only view of the frame.
+    (The property a wall-ratio gate against the in-process call stood for.)"""
+    queries = np.random.default_rng(q).random((q, d))
+    frame = wire.dumps({"queries": queries, "radius": 2.0, "k": 5})
+    magic, version, header_len = wire._PREFIX.unpack_from(frame)
+    assert (magic, version) == (wire.WIRE_MAGIC, wire.WIRE_VERSION)
+    header = json.loads(frame[wire._PREFIX.size : wire._PREFIX.size + header_len])
+    assert header == {
+        "tree": {"queries": {"$nd": 0}, "radius": 2.0, "k": 5},
+        "arrays": [{"dtype": "<f8", "shape": [q, d], "offset": 0, "nbytes": 8 * q * d}],
+    }
+    assert len(frame) == wire._PREFIX.size + header_len + wire._align(0) + 8 * q * d
+    out = wire.loads(frame)["queries"]
+    assert out.dtype == np.float64 and out.shape == (q, d)
+    assert out.tobytes() == queries.tobytes()
+    assert not out.flags.writeable
+    assert np.shares_memory(out, np.frombuffer(frame, dtype=np.uint8))
+
+
 def test_frame_scalar_numpy_values_become_python():
     out = wire.loads(wire.dumps({"x": np.float64(1.5), "n": np.int64(7)}))
     assert out == {"x": 1.5, "n": 7}
