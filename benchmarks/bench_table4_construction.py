@@ -62,8 +62,8 @@ def test_table4_construction_costs(table4, benchmark, workloads):
         # SPB-tree beats PM-tree on construction PA
         assert by_key[(wl_name, "SPB-tree")]["PA"] < by_key[(wl_name, "PM-tree")]["PA"]
     # the SPB-tree has the smallest disk footprint (paper Table 4), on
-    # every dataset: its leaf rows are a key, an id, a pointer and l cell
-    # bytes, against M-index* key tuples and R-tree / M-tree node objects
+    # every dataset: its leaf rows are a key, an id and l cell bytes,
+    # against M-index* key tuples and R-tree / M-tree node objects
     not_smallest = [
         row
         for row in table4

@@ -8,7 +8,9 @@ Design points:
 * **Paged**: every node lives on one page of a
   :class:`~repro.storage.pager.Pager`; all traffic is counted as PA.
 * **Duplicate keys** are allowed (many objects share an SFC value or an
-  iDistance key); deletion therefore matches on (key, value).
+  iDistance key); deletion therefore matches on (key, value).  Every index
+  stores object ids as values: where an object's record lies is its RAF's
+  business (:mod:`repro.storage.raf`).
 * **Grid cells**: an entry may carry an integer cell (the SPB-tree's grid
   coordinates, one per pivot).  A leaf keeps its entries' cells as an
   ``m x l`` block, and every internal node keeps, per child, the
@@ -20,23 +22,21 @@ Design points:
 * **Bulk load** builds a compact tree from sorted input (used at index
   construction time, like the paper's bottom-up builds), ``_BULK_FILL`` of
   each node full so that later inserts find room.  It takes a leaf's own
-  columns -- keys, then object ids / RAF pages / RAF slots or one value
-  column, plus the cells -- checks key order and the cell count on them
-  before any page is written, places the leaf boundaries by arithmetic and
-  lists each leaf's rows with one ``tolist`` of a slice a column: no
-  per-entry tuple is made, and no more than one leaf of rows is listed at
-  a time (listing whole columns raised the SPB-tree set-up's resident
-  memory by a fifth).
+  columns -- keys and values, plus the cells -- checks key order and the
+  cell count on them before any page is written, places the leaf
+  boundaries by arithmetic and lists each leaf's rows with one ``tolist``
+  of a slice a column: no per-entry tuple is made, and no more than one
+  leaf of rows is listed at a time (listing whole columns raised the
+  SPB-tree set-up's resident memory by a fifth).
 
 **Node format.**  A node is stored by column, with the RAF page's column
 kinds and raw-bytes packing (:func:`~repro.storage.raf.pack_column`).  A
-leaf row is ``(key, value fields[, cell])``::
+leaf row is ``(key, value[, cell])``, one leaf layout for every tree::
 
-    column                      kind                           bytes a row
-    key                         int64 / float64 / pickled      8 / 8 / its pickle
-    value (object id, pointer)  int64 id, page, slot           24
-    any other value             int64 / float64 / pickled      8 / 8 / its pickle
-    cell                        (rows, l) block, cell dtype    l x itemsize
+    column   kind                           bytes a row
+    key      int64 / float64 / pickled      8 / 8 / its pickle
+    value    int64 / float64 / pickled      8 / 8 / its pickle
+    cell     (rows, l) block, cell dtype    l x itemsize
 
 An internal node holds ``separators`` (the key column's kind), ``children``
 (int64 page ids) and the ``c x l`` ``lows`` / ``highs`` of a tree whose
@@ -50,16 +50,19 @@ each raw buffer's length opcode and memo) and the row bytes those of the
 first entry the tree is given.
 
 Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 8-bit grid,
-4 KB pages): a row is an int64 Hilbert key, object id, RAF page and slot
-plus 5 ``uint8`` cell bytes, 37 B; the header is 110 B, so a leaf takes
-``(4096 - 110) // 37 = 107`` rows and a bulk-loaded leaf 90 (a blob of at
-most 110 + 90 * 37 = 3 440 B).  20 000 objects fill 223 leaves, where key
-/ value lists sized by one entry's standalone pickle (93 B a row) filled
-556.
+4 KB pages): a row is an int64 Hilbert key and an int64 object id plus 5
+``uint8`` cell bytes, 21 B; the header is 95 B, so a leaf takes
+``(4096 - 95) // 21 = 190`` rows and a bulk-loaded leaf 161 (a blob of at
+most 95 + 161 * 21 = 3 476 B).  20 000 objects fill 125 leaves under one
+root, where rows that also held the record's RAF page and slot (37 B)
+filled 223 and key / value lists sized by one entry's standalone pickle
+(93 B a row) 556.
 
 Pages written when leaves were key / value lists read into columns and are
 written back as columns; an SPB-tree from then gets its cells and boxes
-when it loads (:meth:`BPlusTree.add_cells`).
+when it loads (:meth:`BPlusTree.add_cells`).  A leaf whose values were
+``(object id, RAF pointer)`` pairs -- as two more columns, or in a list --
+keeps the ids.
 """
 
 from __future__ import annotations
@@ -73,18 +76,11 @@ import pickle
 import numpy as np
 
 from ..storage.pager import Pager
-from ..storage.raf import (
-    RecordPointer,
-    encode_column,
-    field_bytes,
-    pack_column,
-    unpack_column,
-)
+from ..storage.raf import encode_column, field_bytes, pack_column, unpack_column
 
 __all__ = ["BPlusTree", "LeafNode", "InternalNode"]
 
 _BULK_FILL = 0.85  # of a node's capacity, filled by bulk_load
-_REF = 4  # columns of a leaf of (object id, RecordPointer) values
 _FAR_PAGE = (1 << 31) - 1  # a next-page id as long as its pickle gets
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
 
@@ -116,10 +112,6 @@ def _rows(column, lo: int, hi: int) -> list:
     return list(column[lo:hi])
 
 
-def _is_ref(value) -> bool:
-    return type(value) is tuple and len(value) == 2 and type(value[1]) is RecordPointer
-
-
 def _span(lows, highs):
     """``(lows.min, highs.max)`` over rows: the box of cells (or of child
     boxes); an empty set of rows has the inverted box no query reaches."""
@@ -149,7 +141,8 @@ def _leaf_args(kinds, columns, cells, next_page) -> tuple:
 
 def _leaf_from(kinds, packed, cells, next_page) -> "LeafNode":
     leaf = LeafNode.__new__(LeafNode)
-    leaf.columns = list(map(_unpacked, kinds, packed))
+    # a leaf written when values were (id, RAF page, RAF slot) keeps its ids
+    leaf.columns = list(map(_unpacked, kinds[:2], packed[:2]))
     leaf.cells = None if cells is None else unpack_column("a", cells)
     leaf.next_page = next_page
     return leaf
@@ -158,9 +151,7 @@ def _leaf_from(kinds, packed, cells, next_page) -> "LeafNode":
 class LeafNode:
     """One leaf: its rows by column, and the next leaf's page.
 
-    ``columns`` are lists, one entry a row: the keys, then the values -- one
-    column of them, or, when every value is an ``(object id,
-    RecordPointer)`` pair, three (ids, pointer pages, pointer slots).
+    ``columns`` are two lists, one entry a row: the keys and the values.
     ``cells`` is the rows' ``m x l`` grid cells, or None in a tree whose
     entries carry none.
     """
@@ -173,29 +164,18 @@ class LeafNode:
         self.cells = cells
         self.next_page = next_page
 
-    @classmethod
-    def of(cls, keys, values, cells=None, next_page=None) -> "LeafNode":
-        """A leaf of the rows ``keys[i]`` / ``values[i]`` (/ ``cells[i]``)."""
-        if values and all(map(_is_ref, values)):
-            columns = [
-                list(keys),
-                [v[0] for v in values],
-                [v[1].page_id for v in values],
-                [v[1].slot for v in values],
-            ]
-        else:
-            columns = [list(keys), list(values)]
-        return cls(columns, None if cells is None else np.asarray(cells), next_page)
-
     def __reduce__(self):
         kinds = "".join(map(_kind_of, self.columns))
         return _leaf_from, _leaf_args(kinds, self.columns, self.cells, self.next_page)
 
     def __setstate__(self, state):
         # pickled as the dataclass of key and value lists (the layout
-        # before columns): read into columns, written back as columns
-        fresh = LeafNode.of(state["keys"], state["values"], None, state["next_page"])
-        self.columns, self.cells, self.next_page = fresh.columns, None, fresh.next_page
+        # before columns): read into columns, written back as columns; a
+        # tuple value is an (object id, RAF pointer) pair, of which the id
+        # stays
+        values = [v[0] if type(v) is tuple else v for v in state["values"]]
+        self.columns, self.cells = [list(state["keys"]), values], None
+        self.next_page = state["next_page"]
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -205,19 +185,8 @@ class LeafNode:
         return self.columns[0]
 
     @property
-    def ids(self) -> list:
-        """The object ids of ``(object id, pointer)`` values (the values
-        themselves in a leaf of other values)."""
-        return self.columns[1]
-
-    def value(self, i: int):
-        if len(self.columns) == _REF:
-            _, ids, pages, slots = self.columns
-            return ids[i], RecordPointer(pages[i], slots[i])
-        return self.columns[1][i]
-
     def values(self) -> list:
-        return [self.value(i) for i in range(len(self))]
+        return self.columns[1]
 
     def box(self):
         return _span(self.cells, self.cells)
@@ -231,26 +200,16 @@ class LeafNode:
             cell is not None and self.cells is None and len(self)
         ):
             raise ValueError("every entry of a tree carries a grid cell, or none does")
-        if not len(self):  # an empty leaf takes its first row's layout
-            dtype = None if self.cells is None else self.cells.dtype
-            cells = None if cell is None else np.asarray([cell], dtype=dtype)
-            fresh = LeafNode.of([key], [value], cells)
-            self.columns, self.cells = fresh.columns, fresh.cells
-            return
-        if len(self.columns) == _REF and not _is_ref(value):
-            self.columns = [self.keys, self.values()]
-        if len(self.columns) == _REF:
-            fields = (key, value[0], value[1].page_id, value[1].slot)
-        else:
-            fields = (key, value)
-        for column, field in zip(self.columns, fields):
-            column.insert(pos, field)
-        if cell is not None:
+        self.keys.insert(pos, key)
+        self.values.insert(pos, value)
+        if cell is not None and self.cells is None:  # a new leaf's first row
+            self.cells = np.asarray([cell])
+        elif cell is not None:
             self.cells = np.insert(self.cells, pos, cell, axis=0)
 
     def pop(self, pos: int) -> tuple:
         """Remove the row at ``pos``; returns its ``(key, value, cell)``."""
-        row = self.keys[pos], self.value(pos), None if self.cells is None else self.cells[pos]
+        row = self.keys[pos], self.values[pos], None if self.cells is None else self.cells[pos]
         for column in self.columns:
             del column[pos]
         if self.cells is not None:
@@ -276,9 +235,6 @@ class LeafNode:
         if not len(self):
             self.columns, self.cells = right.columns, right.cells
         elif len(right):
-            if len(self.columns) != len(right.columns):
-                self.columns = [self.keys, self.values()]
-                right.columns = [right.keys, right.values()]
             for column, tail in zip(self.columns, right.columns):
                 column.extend(tail)
             if self.cells is not None:
@@ -518,7 +474,7 @@ class BPlusTree:
             for i in range(bisect.bisect_left(keys, key), len(keys)):
                 if keys[i] != key:
                     return results
-                results.append(leaf.value(i))
+                results.append(leaf.values[i])
             if leaf.next_page is None:
                 return results
             leaf = self._read(leaf.next_page)
@@ -534,7 +490,7 @@ class BPlusTree:
             for i in range(bisect.bisect_left(keys, low), len(keys)):
                 if keys[i] > high:
                     return
-                yield keys[i], leaf.value(i)
+                yield keys[i], leaf.values[i]
             if leaf.next_page is None:
                 return
             leaf = self.read_node(leaf.next_page, cache)
@@ -545,7 +501,7 @@ class BPlusTree:
         while not node.is_leaf:
             node = self._read(node.children[0])
         while True:
-            yield from zip(node.keys, node.values())
+            yield from zip(node.keys, node.values)
             if node.next_page is None:
                 return
             node = self._read(node.next_page)
@@ -556,7 +512,8 @@ class BPlusTree:
         """Add one entry; ``cell`` is its grid cell in a tree whose entries
         carry one."""
         if self._leaf_capacity is None:
-            self._ensure_capacities(LeafNode.of([key], [value], None if cell is None else [cell]))
+            cells = None if cell is None else np.asarray([cell])
+            self._ensure_capacities(LeafNode([[key], [value]], cells))
         page_id, leaf, path = self._find_leaf(key)
         leaf.insert(bisect.bisect_right(leaf.keys, key), key, value, cell)
         self._size += 1
@@ -627,7 +584,7 @@ class BPlusTree:
             for i in range(bisect.bisect_left(keys, key), len(keys)):
                 if keys[i] != key:
                     return False
-                if value is ... or leaf.value(i) == value:
+                if value is ... or leaf.values[i] == value:
                     found = i
                     break
             if found >= 0:
@@ -744,12 +701,10 @@ class BPlusTree:
     def bulk_load(self, columns, cells=None) -> None:
         """Build the tree bottom-up from a leaf's columns in key order.
 
-        Requires an empty tree.  ``columns`` are the keys, then either the
-        object ids, RAF pages and RAF slots of ``(object id,
-        RecordPointer)`` values or one column of other values; each is a
-        1-D array or a list (keys with no int64 form, such as the M-index's
-        tuples or Hilbert keys past 63 bits, stay Python objects in a list
-        or an object array).  ``cells`` (an ``n x l`` integer array, one row
+        Requires an empty tree.  ``columns`` are the keys and the values,
+        each a 1-D array or a list (keys with no int64 form, such as the
+        M-index's tuples or Hilbert keys past 63 bits, stay Python objects
+        in a list or an object array).  ``cells`` (an ``n x l`` integer array, one row
         per key) gives the entries grid cells; the boxes are their
         column-wise min / max, so nothing is decoded.  Key order, column
         lengths and the cell count are checked before any page is written.
@@ -762,8 +717,8 @@ class BPlusTree:
             raise RuntimeError("bulk_load requires an empty tree")
         columns = list(columns)
         n = len(columns[0])
-        if len(columns) not in (2, _REF) or any(len(c) != n for c in columns):
-            raise ValueError("bulk_load takes keys and one or three value columns of one length")
+        if len(columns) != 2 or len(columns[1]) != n:
+            raise ValueError("bulk_load takes a key and a value column of one length")
         if cells is not None:
             cells = np.asarray(cells)
             if len(cells) != n:

@@ -8,7 +8,6 @@ invariant (index answers == brute-force answers) uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .queries import Neighbor
 __all__ = [
     "MetricIndex",
     "UnsupportedOperation",
+    "InsertRefused",
+    "NotIndexed",
     "brute_force_range",
     "brute_force_knn",
     "brute_force_range_many",
@@ -31,6 +32,14 @@ class UnsupportedOperation(RuntimeError):
 
     Example: AESA has no dynamic delete; BKT/FQT reject continuous metrics.
     """
+
+
+class InsertRefused(ValueError):
+    """An insert :func:`claim_object_id` refuses, before anything is written."""
+
+
+class NotIndexed(KeyError):
+    """A delete of an id the index does not hold, before anything is written."""
 
 
 class MetricIndex(ABC):
@@ -162,18 +171,24 @@ def claim_object_id(space: MetricSpace, obj, object_id: int | None, is_live) -> 
 
     ``None`` appends ``obj`` to the dataset.  An explicit id re-registers
     an existing dataset slot (delete, then insert back), so it must name
-    one, and ``is_live(object_id)`` must be false: a second live copy would
+    one, ``is_live(object_id)`` must be false -- a second live copy would
     answer twice forever after, and an id past the dataset would make every
-    later verification raise.
+    later verification raise -- and ``obj`` must be the slot's object by
+    value (a copy is fine): the index keys it by ``obj`` but verifies and
+    deletes it by ``dataset[object_id]``.
     """
     if object_id is None:
         return int(space.dataset.add(obj))
     if not 0 <= object_id < len(space.dataset):
-        raise ValueError(
+        raise InsertRefused(
             f"object_id {object_id} is outside the dataset (0..{len(space.dataset) - 1})"
         )
     if is_live(object_id):
-        raise ValueError(f"object {object_id} is already indexed")
+        raise InsertRefused(f"object {object_id} is already indexed")
+    held = space.dataset[object_id]
+    vectors = isinstance(held, np.ndarray) or isinstance(obj, np.ndarray)
+    if not (np.array_equal(held, obj) if vectors else held == obj):
+        raise InsertRefused(f"object {object_id} of the dataset is another object")
     return int(object_id)
 
 
@@ -225,9 +240,3 @@ def brute_force_knn_many(space: MetricSpace, queries, k: int) -> list[list[Neigh
         out.append([_Neighbor(float(row[i]), int(i)) for i in order])
     return out
 
-
-def live_ids(deleted: set[int], n: int) -> Sequence[int]:
-    """Helper: ids currently present given a deleted-set (scan indexes)."""
-    if not deleted:
-        return range(n)
-    return [i for i in range(n) if i not in deleted]

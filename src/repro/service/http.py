@@ -17,10 +17,12 @@ over a service whose member is a
   decodes each wire value through the hosted space (a remote member's
   passes values through for its backends to validate), checks ``k`` and
   ``radius`` itself, and maps errors to statuses by type: 400 for a bad
-  request, 501 for :class:`~repro.core.index.UnsupportedOperation`, a
-  remote member's :class:`ServiceClientError` relayed with its own status
-  (a backend's 4xx, or 503 naming backends that could not answer), 500
-  for anything else;
+  request or an :class:`~repro.core.index.InsertRefused`, 404 for a
+  :class:`~repro.core.index.NotIndexed` delete, 501 for
+  :class:`~repro.core.index.UnsupportedOperation`, a remote member's
+  :class:`ServiceClientError` relayed with its own status (a backend's
+  4xx, or 503 naming backends that could not answer), 500 for anything
+  else -- an index fault past its checks among them;
 * **backpressure** -- at most ``max_inflight`` requests run at once;
   excess requests are rejected immediately with ``503``;
 * **graceful shutdown** -- :meth:`HttpQueryServer.close` stops admitting
@@ -59,7 +61,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from ..core.index import UnsupportedOperation
+from ..core.index import InsertRefused, NotIndexed, UnsupportedOperation
 from ..core.queries import Neighbor
 from ..obs import tracing
 from ..obs.metrics import BYTE_SIZE_BUCKETS, MetricsRegistry
@@ -395,8 +397,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             self._send_json(200, route(self._payload(body), binary))
-        except _BadRequest as exc:
+        except (_BadRequest, InsertRefused) as exc:
             self._send_json(400, {"error": str(exc)})
+        except NotIndexed as exc:
+            self._send_json(404, {"error": exc.args[0]})
         except UnsupportedOperation as exc:
             self._send_json(501, {"error": str(exc)})
         except ServiceClientError as exc:

@@ -52,16 +52,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..core.counters import CostCounters
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
-from ..storage.pager import PageStore, Pager, _rebuild_page_store
+from ..storage.pager import PageStore, Pager, _rebuild_page_store, _restored_page_loader
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -257,11 +259,13 @@ class _Retired:
 
 
 # names older snapshots pickled that the code has since deleted: the
-# SPB-tree's B+-tree ``Augmentation`` (before leaves carried grid cells) and
-# the two SPB-tree methods it held
+# SPB-tree's B+-tree ``Augmentation`` (before leaves carried grid cells), the
+# two SPB-tree methods it held, and the RAF's ``RecordPointer`` (before the
+# RAF was addressed by id), kept with its ``page_id`` and ``slot``
 _RETIRED_GLOBALS = {
     ("repro.btree.bptree", "Augmentation"): _Retired,
     ("repro.external.spbtree", "SPBTree._merge_summaries"): _Retired,
+    ("repro.storage.raf", "RecordPointer"): SimpleNamespace,
 }
 _RETIRED_METHODS = frozenset({"_entry_summary"})
 
@@ -282,6 +286,15 @@ class _Unpickler(pickle.Unpickler):
             return _getattr
         retired = _RETIRED_GLOBALS.get((module, name))
         return retired if retired is not None else super().find_class(module, name)
+
+
+def _load_page(blob):
+    """How every page store :func:`load_index` restores reads a page: one
+    that names a deleted global (a leaf of RAF pointers) via :class:`_Unpickler`."""
+    try:
+        return pickle.loads(blob)
+    except AttributeError:
+        return _Unpickler(io.BytesIO(blob)).load()
 
 
 class _SnapshotUnpickler(_Unpickler):
@@ -371,22 +384,30 @@ def save_index(index: MetricIndex, path) -> SnapshotInfo:
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(len(header_blob).to_bytes(4, "big"))
-        fh.write(header_blob)
-        written = fh.tell()
-        fh.write(b"\x00" * (_align_up(written) - written))
-        base = fh.tell()
-        for arr, entry in zip(regions, table):
-            pad = (base + entry["offset"]) - fh.tell()
+    # written beside ``path`` and renamed over it: a region may be mapped
+    # from the file it replaces (an index saved back over its snapshot),
+    # and truncating that file would pull the pages from under the write
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(SNAPSHOT_MAGIC)
+            fh.write(len(header_blob).to_bytes(4, "big"))
+            fh.write(header_blob)
+            written = fh.tell()
+            fh.write(b"\x00" * (_align_up(written) - written))
+            base = fh.tell()
+            for arr, entry in zip(regions, table):
+                pad = (base + entry["offset"]) - fh.tell()
+                if pad:
+                    fh.write(b"\x00" * pad)
+                fh.write(memoryview(arr).cast("B"))
+            pad = (base + regions_span) - fh.tell()
             if pad:
                 fh.write(b"\x00" * pad)
-            fh.write(memoryview(arr).cast("B"))
-        pad = (base + regions_span) - fh.tell()
-        if pad:
-            fh.write(b"\x00" * pad)
-        fh.write(payload)
+            fh.write(payload)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
     known = {k: header[k] for k in SnapshotInfo.__dataclass_fields__ if k in header}
     return SnapshotInfo(**known)
 
@@ -503,12 +524,15 @@ def load_index(path, counters: CostCounters | None = None) -> MetricIndex:
             if len(payload) != info.payload_bytes:
                 raise SnapshotError(f"{path} is truncated (payload short)")
             loader = _Unpickler(io.BytesIO(payload)).load
+        restoring = _restored_page_loader.set(_load_page)
         try:
             index = loader()
         except SnapshotError:
             raise
         except Exception as exc:
             raise SnapshotError(f"{path} payload failed to unpickle: {exc}") from exc
+        finally:
+            _restored_page_loader.reset(restoring)
     if not isinstance(index, MetricIndex):
         raise SnapshotError(
             f"{path} payload is a {type(index).__name__}, not a MetricIndex"

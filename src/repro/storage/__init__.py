@@ -1,7 +1,7 @@
 """Simulated disk substrate: page store, buffer pool, random access file."""
 
 from .pager import DEFAULT_PAGE_SIZE, BufferPool, Pager, PageStore
-from .raf import RandomAccessFile, RecordPointer
+from .raf import RandomAccessFile
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
@@ -9,5 +9,4 @@ __all__ = [
     "Pager",
     "PageStore",
     "RandomAccessFile",
-    "RecordPointer",
 ]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
+from contextvars import ContextVar
 from typing import Any
 
 import numpy as np
@@ -46,6 +47,10 @@ from ..obs.tracing import add_event
 __all__ = ["PageStore", "BufferPool", "Pager", "BatchReadCache", "DEFAULT_PAGE_SIZE"]
 
 DEFAULT_PAGE_SIZE = 4096
+
+# how a page store unpickled under it reads its pages: the snapshot loader
+# sets one that also reads names deleted since the snapshot was written
+_restored_page_loader = ContextVar("restored_page_loader", default=pickle.loads)
 
 
 def _rebuild_page_store(page_size, next_id, directory, empty_ids, region):
@@ -65,6 +70,7 @@ def _rebuild_page_store(page_size, next_id, directory, empty_ids, region):
     store._next_id = int(next_id)
     store._lazy = {int(pid): (int(o), int(n)) for pid, (o, n) in directory.items()}
     store._region = region
+    store._unpickle = _restored_page_loader.get()
     return store
 
 
@@ -83,7 +89,11 @@ class PageStore:
     shared ``_region`` buffer, usually a memmap).  ``_pages`` always wins:
     the first :meth:`write` to a lazy page moves it there, so the region
     stays an immutable snapshot image while the store stays fully mutable.
+    A page is unpickled by ``_unpickle``: a store restored from a snapshot
+    takes the snapshot loader's (see ``_restored_page_loader``).
     """
+
+    _unpickle = staticmethod(pickle.loads)
 
     def __init__(
         self,
@@ -102,9 +112,8 @@ class PageStore:
     def __setstate__(self, state):
         # pre-memmap pickles (v1 snapshots, old process-pool payloads)
         # predate the lazy-region attributes
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_lazy", {})
-        self.__dict__.setdefault("_region", None)
+        self.__dict__.update({"_lazy": {}, "_region": None, **state})
+        self._unpickle = _restored_page_loader.get()
 
     def allocate(self) -> int:
         """Reserve a new page id (no I/O counted)."""
@@ -134,12 +143,12 @@ class PageStore:
             add_event("page_reads", self.pages_spanned(length))
             # a contiguous uint8 slice satisfies the buffer protocol, so
             # unpickling reads straight out of the mapped snapshot region
-            return pickle.loads(self._region[offset : offset + length])
+            return self._unpickle(self._region[offset : offset + length])
         if not blob:
             raise KeyError(f"page {page_id} was allocated but never written")
         self.counters.add_page_read(self.pages_spanned(len(blob)))
         add_event("page_reads", self.pages_spanned(len(blob)))
-        return pickle.loads(blob)
+        return self._unpickle(blob)
 
     def free(self, page_id: int) -> None:
         self._pages.pop(page_id, None)

@@ -1,10 +1,15 @@
 """Random Access File: the separate object store of the Omni / M-index / SPB.
 
-The Omni-family, M-index and SPB-tree keep the real objects (optionally with
-their pre-computed pivot distances) out of the index structure, in a
-sequential record file addressed by (page, slot) pointers.  Reading a record
-costs one page access unless the page is cached -- the paper's duplicate-RAF-
-access discussion for MkNNQ is exactly about this.
+The Omni-family, M-index, SPB-tree and DEPT keep the real objects (optionally
+with their pre-computed pivot distances) out of the index structure, in a
+sequential record file.  A record is ``(object id, obj, ...)``, and the file
+is addressed by that id: it keeps a **locator**, one int64 page array and
+one int64 slot array indexed by object id (-1: no live record), filled by
+the writes and cleared by :meth:`RandomAccessFile.mark_deleted`.  It is the
+only module that knows where a record lies; an index stores ids and asks
+``id in raf``.  Reading a record costs one page access unless the page is
+cached -- the paper's duplicate-RAF-access discussion for MkNNQ is exactly
+about this.
 
 Records are grouped into pages greedily in insertion order, mirroring the
 sequential layout the paper describes; M-index and SPB-tree pass records in
@@ -13,8 +18,8 @@ cluster/SFC order so that proximate objects share pages.
 Writing has one body, :meth:`RandomAccessFile.append_many`, and it takes
 the records as field columns: an index under construction passes an int64
 id array, its objects as ``dataset.gather(order)`` (a block for vectors, a
-list for strings) and, on the M-index, its ``mapping.matrix[order]`` block,
-and gets the rows' pages and slots back as two arrays.  Rows are sized a
+list for strings) and, on the M-index, its ``mapping.matrix[order]`` block;
+the id column fills the locator.  Rows are sized a
 column at a time by the arithmetic below: fixed-width rows fill ``room //
 row`` of a page, variable-width ones (``str``, pickled fields) are cut at a
 cumulative sum, a page always taking at least one row.  A page's new rows
@@ -48,9 +53,10 @@ payload plus a header of ~90 B: what the page's empty form pickles to, plus
 is charged once per page against the ``fill_factor`` budget -- a page takes
 records while ``header + payload <= page_size * fill_factor`` -- so a stored
 page never spans two pages unless a single record does.  ``read`` /
-``read_many`` / ``read_cached`` return ``(id, obj, ...)`` tuples by slot (or
-the bare value), an array field as a row view of its block, ``None`` for a
-tombstone.
+``read_many`` / ``read_cached`` return an id's ``(id, obj, ...)`` tuple, an
+array field as a row view of its block; an id with no live record raises
+``KeyError``.  A page of bare values (a pickled-list page's records, pickled
+whole) is read the same way.
 
 Pages are copy-on-write: ``append`` adds one row to the open page's
 columns, ``update`` rewrites one row, ``mark_deleted`` sets one tombstone
@@ -65,7 +71,6 @@ import bisect
 import functools
 import math
 import pickle
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -74,13 +79,12 @@ from ..obs import tracing
 from .pager import Pager
 
 __all__ = [
-    "RecordPointer",
     "RandomAccessFile",
     "RafPage",
     "encode_column",
     "field_bytes",
+    "locate_pointer_map",
     "pack_column",
-    "pointers_by_id",
     "unpack_column",
 ]
 
@@ -93,20 +97,6 @@ _STR = ("s",)  # UTF-8 blob + int32 end offsets
 _OBJ = ("o",)  # list, pickled with the page; ("a", dtype, shape) is a block
 _PICKLED = (None, (_OBJ,))  # the schema any records fit
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
-
-
-@dataclass(frozen=True)
-class RecordPointer:
-    """Stable address of one record: page id + slot within the page."""
-
-    page_id: int
-    slot: int
-
-
-def pointers_by_id(ids, pages, slots) -> dict[int, RecordPointer]:
-    """``{id: pointer}`` of rows :meth:`RandomAccessFile.append_many` wrote
-    (``pages`` / ``slots`` its result, ``ids`` the rows' object ids)."""
-    return dict(zip(ids.tolist(), map(RecordPointer, pages.tolist(), slots.tolist())))
 
 
 def field_bytes(spec, value) -> int | None:
@@ -304,18 +294,6 @@ class _Column:
         if kind == "o" or type(self.values) is list:
             return encode_column(spec, self.objects(lo, hi))
         return np.array(self.values[lo:hi], dtype=spec[1] if kind == "a" else None)
-
-
-def _columns_of(fields) -> tuple:
-    """``(arity, columns)`` of :meth:`RandomAccessFile.append_many`'s
-    argument: a tuple is one column a field, anything else the one column
-    of bare values."""
-    if type(fields) is tuple:
-        columns = list(map(_Column, fields))
-        if len({len(column) for column in columns}) > 1:
-            raise ValueError("record field columns differ in length")
-        return len(columns), columns
-    return None, [_Column(fields)]
 
 
 def _run_end(schema, arity, columns, lo: int) -> int:
@@ -588,17 +566,28 @@ def _header_bytes(schema) -> int:
     return len(pickle.dumps(empty, protocol=_PROTOCOL)) + 3 * buffers
 
 
-def _record_at(page, pointer: RecordPointer):
-    try:
-        if type(page) is list:  # a page of the pickled-list format
-            return page[pointer.slot]
-        return page.record(pointer.slot)
-    except (IndexError, TypeError):
-        raise KeyError(f"no record at {pointer}") from None
+def _record_at(page, slot: int):
+    if type(page) is list:  # a page of the pickled-list format
+        return page[slot]
+    return page.record(slot)
+
+
+def locate_pointer_map(state: dict) -> dict:
+    """An index's pickled state with the ``{id: pointer}`` map it kept
+    before its RAF located records (``_pointers``) moved into that RAF's
+    locator -- the one conversion every RAF-backed index loads through."""
+    pointers = state.pop("_pointers", None)
+    if pointers is not None:
+        ids = np.fromiter(pointers, np.int64, len(pointers))
+        where = np.array([(p.page_id, p.slot) for p in pointers.values()], np.int64)
+        state["raf"]._locate(ids, *where.reshape(-1, 2).T)
+        state["raf"]._count = len(ids)
+    return state
 
 
 class RandomAccessFile:
-    """Append-organised record file over a :class:`~repro.storage.pager.Pager`.
+    """Append-organised record file over a :class:`~repro.storage.pager.Pager`,
+    addressed by object id.
 
     Args:
         pager: page allocator/IO with PA counting (shared with the index).
@@ -616,7 +605,12 @@ class RandomAccessFile:
         # the open page as last written (copy-on-write: the pool may hold it)
         self._open_page: RafPage | None = None
         self._open_bytes = 0  # its payload, as sizing charged it
-        self._count = 0
+        self._count = 0  # live records
+
+    # the locator: an object id's page and slot, -1 where it has none; these
+    # empty class-level arrays until the first write (a file pickled before
+    # it located its records gets it from its index: locate_pointer_map)
+    _pages = _slots = np.empty(0, np.int64)
 
     def __setstate__(self, state):
         records = state.pop("_open_records", None)
@@ -633,24 +627,67 @@ class RandomAccessFile:
         # a pickle frame header (9 B) for every 64 KiB of a large page
         return budget - _header_bytes(schema) - 9 * (budget >> 16)
 
-    def append(self, record: Any) -> RecordPointer:
-        """Write one record, returning its pointer (one page write): the
-        one-row view of :meth:`append_many`."""
-        if type(record) is tuple and record:
-            fields = tuple([value] for value in record)
-        else:
-            fields = [record]
-        pages, slots = self.append_many(fields)
-        return RecordPointer(int(pages[0]), int(slots[0]))
+    # -- the locator ------------------------------------------------------------
 
-    def append_many(self, fields) -> tuple[np.ndarray, np.ndarray]:
-        """Write records given as field columns, returning their ``(pages,
-        slots)`` as two int64 arrays.
+    def __contains__(self, object_id) -> bool:
+        """Whether ``object_id`` has a live record."""
+        return 0 <= object_id < len(self._pages) and self._pages.item(object_id) >= 0
+
+    def __len__(self) -> int:
+        """The number of live records."""
+        return self._count
+
+    def live(self, ids) -> np.ndarray:
+        """A bool mask: which of ``ids`` (non-negative) have a live record."""
+        ids = np.asarray(ids, dtype=np.int64)
+        mask = ids < len(self._pages)  # then, of those, the live ones
+        mask[mask] = self._pages[ids[mask]] >= 0
+        return mask
+
+    def page_order(self, ids) -> list[int]:
+        """``ids`` (each live) sorted by where their records lie: page,
+        then slot -- the order that reads each page once."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return ids[np.lexsort((self._slots[ids], self._pages[ids]))].tolist()
+
+    def locator_bytes(self) -> int:
+        """The locator's memory: 16 B an id up to the largest written."""
+        return self._pages.nbytes + self._slots.nbytes
+
+    def _where(self, object_id) -> tuple[int, int]:
+        """``(page, slot)`` of a live record; KeyError when there is none."""
+        if object_id not in self:
+            raise KeyError(f"object {object_id} has no live record")
+        return self._pages.item(object_id), self._slots.item(object_id)
+
+    def _locate(self, ids, pages, slots) -> None:
+        """Point ``ids`` at their new rows, growing the locator (by an
+        eighth at least) to hold the largest."""
+        if not len(ids):
+            return
+        size, top = len(self._pages), int(ids.max()) + 1
+        if top > size:
+            none = np.full(max(top, size + size // 8) - size, -1, np.int64)
+            self._pages = np.concatenate([self._pages, none])
+            self._slots = np.concatenate([self._slots, none])
+        self._pages[ids] = pages
+        self._slots[ids] = slots
+
+    # -- writes -------------------------------------------------------------------
+
+    def append(self, record: tuple) -> None:
+        """Write one ``(id, obj, ...)`` record (one page write): the
+        one-row view of :meth:`append_many`."""
+        self.append_many(tuple([value] for value in record))
+
+    def append_many(self, fields) -> None:
+        """Write records given as field columns, the object ids first.
 
         ``fields`` is a tuple of one column a field -- say an int64 id
         array and ``dataset.gather(order)``, a block for vectors and a list
-        for strings -- for ``(id, obj, ...)`` records, or one column of
-        bare values.  The one write body of the file.  Rows are packed
+        for strings -- for ``(id, obj, ...)`` records; the ids are
+        non-negative, distinct and without a live record, and the id column
+        fills the locator.  The one write body of the file.  Rows are packed
         greedily by their computed size against the page's limit,
         continuing the page left open by the previous call, a page always
         taking at least one row.  The rows are taken a run of one schema at
@@ -662,12 +699,21 @@ class RandomAccessFile:
         sliced off the columns and appended to its own -- so a bulk build
         costs one write per page, a single :meth:`append` one write.
         """
-        arity, columns = _columns_of(fields)
-        n = len(columns[0]) if columns else 0
+        if type(fields) is not tuple or not fields:
+            raise ValueError("records are (id, ...) field columns, the object ids first")
+        columns = list(map(_Column, fields))
+        arity, n = len(columns), len(columns[0])
+        if any(len(column) != n for column in columns):
+            raise ValueError("record field columns differ in length")
+        if n and columns[0].spec != _INT:
+            raise ValueError("object ids must be int64 integers")
+        ids = np.asarray(columns[0].values, dtype=np.int64)
+        if n and (ids.min() < 0 or self.live(ids).any()):
+            raise ValueError("object ids must be non-negative and without a live record")
         pages, slots = np.empty(n, np.int64), np.empty(n, np.int64)
         page_id, page, used = self._open_page_id, self._open_page, self._open_bytes
         schema = None if page is None else page.schema
-        if n and arity is not None and schema == _PICKLED:
+        if n and schema == _PICKLED:
             # a page of bare pickled values takes a record whole -- and so
             # does every page after it, whose schema the records fit
             records = list(zip(*(column.objects(0, n) for column in columns)))
@@ -699,29 +745,61 @@ class RandomAccessFile:
                 lo = hi
             carried = False
         self._open_page_id, self._open_page, self._open_bytes = page_id, page, used
+        self._locate(ids, pages, slots)
         self._count += n
-        return pages, slots
 
-    def read(self, pointer: RecordPointer) -> Any:
-        """Fetch one record (one page access on cache miss)."""
-        return _record_at(self.pager.read(pointer.page_id), pointer)
+    def update(self, object_id: int, record: tuple) -> None:
+        """Rewrite an id's record in place (one row of the page's columns);
+        the record keeps its id."""
+        page_id, slot = self._where(object_id)
+        if type(record) is not tuple or record[:1] != (object_id,):
+            raise ValueError(f"the record of object {object_id} must start with its id")
+        page = self._rewrite(page_id, lambda page: page.with_record(slot, record))
+        if page_id == self._open_page_id:
+            self._open_bytes = page.payload_bytes()
 
-    def read_many(self, pointers) -> list[Any]:
-        """Fetch a batch of records with each distinct page read once.
+    def mark_deleted(self, object_id: int) -> None:
+        """Tombstone an id's record (slot positions stay stable) and drop
+        it from the locator; KeyError when the id has no live record."""
+        page_id, slot = self._where(object_id)
+        self._rewrite(page_id, lambda page: page.with_tombstone(slot))
+        self._pages[object_id] = self._slots[object_id] = -1
+        self._count -= 1
+
+    def _rewrite(self, page_id: int, change) -> RafPage:
+        """Write ``change(page)`` over the page; returns it."""
+        page = self.pager.read(page_id)
+        if type(page) is list:  # the pickled-list format: re-encoded now
+            page = RafPage.from_records(page)
+        page = change(page)
+        self.pager.write(page_id, page)
+        if page_id == self._open_page_id:
+            self._open_page = page
+        return page
+
+    # -- reads ----------------------------------------------------------------------
+
+    def read(self, object_id: int) -> Any:
+        """Fetch an id's record (one page access on cache miss)."""
+        page_id, slot = self._where(object_id)
+        return _record_at(self.pager.read(page_id), slot)
+
+    def read_many(self, ids) -> list[Any]:
+        """Fetch a batch of ids' records with each distinct page read once.
 
         The storage half of the external category's grouped candidate
-        fetching: pointers are resolved page-first through
+        fetching: records are resolved page-first through
         :meth:`~repro.storage.pager.Pager.read_many`, so however many
         queries of a batch share a record page, it costs one read (repeats
         are counted as ``grouped_hits``).  Records come back in input order.
         """
-        pointers = list(pointers)
-        with tracing.span("raf_read_many", records=len(pointers)):
-            pages = self.pager.read_many(p.page_id for p in pointers)
-        return [_record_at(pages[pointer.page_id], pointer) for pointer in pointers]
+        where = [self._where(object_id) for object_id in ids]
+        with tracing.span("raf_read_many", records=len(where)):
+            pages = self.pager.read_many(page_id for page_id, _ in where)
+        return [_record_at(pages[page_id], slot) for page_id, slot in where]
 
-    def read_cached(self, cache, pointer: RecordPointer) -> Any:
-        """Fetch one record through a batch-scoped page cache.
+    def read_cached(self, cache, object_id: int) -> Any:
+        """Fetch an id's record through a batch-scoped page cache.
 
         The lazy counterpart of :meth:`read_many` for best-first MkNNQ:
         ``cache`` is a :class:`~repro.storage.pager.BatchReadCache`, so the
@@ -729,34 +807,6 @@ class RandomAccessFile:
         queries pop candidates from it.  ``cache`` None is :meth:`read`.
         """
         if cache is None:
-            return self.read(pointer)
-        return _record_at(cache.read(pointer.page_id), pointer)
-
-    def update(self, pointer: RecordPointer, record: Any) -> None:
-        """Rewrite a record in place (one row of the page's columns)."""
-        page = self._rewrite(
-            pointer, lambda page: page.with_record(pointer.slot, record)
-        )
-        if pointer.page_id == self._open_page_id:
-            self._open_bytes = page.payload_bytes()
-
-    def mark_deleted(self, pointer: RecordPointer) -> None:
-        """Tombstone a record (slot positions must stay stable)."""
-        self._rewrite(pointer, lambda page: page.with_tombstone(pointer.slot))
-
-    def _rewrite(self, pointer: RecordPointer, change) -> RafPage:
-        """Write ``change(page)`` over the pointer's page; returns it."""
-        page = self.pager.read(pointer.page_id)
-        if type(page) is list:  # the pickled-list format: re-encoded now
-            page = RafPage.from_records(page)
-        try:
-            page = change(page)
-        except IndexError:
-            raise KeyError(f"no record at {pointer}") from None
-        self.pager.write(pointer.page_id, page)
-        if pointer.page_id == self._open_page_id:
-            self._open_page = page
-        return page
-
-    def __len__(self) -> int:
-        return self._count
+            return self.read(object_id)
+        page_id, slot = self._where(object_id)
+        return _record_at(cache.read(page_id), slot)

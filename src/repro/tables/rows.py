@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.index import claim_object_id
+from ..core.index import NotIndexed, claim_object_id
 
 __all__ = ["claim_row_id", "append_row", "remove_row"]
 
@@ -37,6 +37,6 @@ def remove_row(index, object_id: int, *columns: str) -> None:
     """Drop ``object_id``'s row from ``_row_ids`` and each named array."""
     positions = np.flatnonzero(index._row_ids == object_id)
     if positions.size == 0:
-        raise KeyError(f"object {object_id} is not in the table")
+        raise NotIndexed(f"object {object_id} is not in the table")
     for name in ("_row_ids", *columns):
         setattr(index, name, np.delete(getattr(index, name), positions[0], axis=0))

@@ -63,6 +63,7 @@ import itertools
 
 import numpy as np
 
+from ..core.index import NotIndexed, claim_object_id
 from ..core.queries import KnnHeap, Neighbor
 
 __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
@@ -312,12 +313,13 @@ class FrontierTreeMixin:
         """Descend to the leaf ``obj`` belongs in: ``(id, leaf, known)``.
 
         One distance per pivot on the way down (``known``, by pivot key).
-        An explicit ``object_id`` re-registers a dataset slot (delete, then
-        insert back), so it must name one and must not be live: a second
-        copy would answer twice forever after.  The live copy, if any, sits
-        under children whose bounds hold the distances just computed, so
-        the check costs none of its own; bounds stretch only once it
-        passed.
+        The id is claimed by :func:`~repro.core.index.claim_object_id`: an
+        explicit ``object_id`` re-registers a dataset slot (delete, then
+        insert back), so it must name one holding ``obj`` and must not be
+        live -- a second copy would answer twice forever after.  The live
+        copy, if any, sits under children whose bounds hold the distances
+        just computed, so the check costs none of its own; bounds stretch
+        only once it passed.
         """
         known: dict = {}
         path = []
@@ -337,15 +339,12 @@ class FrontierTreeMixin:
                     best, best_gap = i, gap
             path.append((node, best, d))
             node = node.children[best]
-        dataset = self.space.dataset
-        if object_id is None:
-            object_id = dataset.add(obj)
-        elif not 0 <= object_id < len(dataset):
-            raise ValueError(
-                f"object_id {object_id} is outside the dataset (0..{len(dataset) - 1})"
-            )
-        elif self._holder(self.root, object_id, lambda at: known.get(self._frontier_key(at))):
-            raise ValueError(f"object {object_id} is already in the tree")
+
+        def is_live(i):
+            holder = self._holder(self.root, i, lambda at: known.get(self._frontier_key(at)))
+            return holder is not None
+
+        object_id = claim_object_id(self.space, obj, object_id, is_live)
         for at, best, d in path:
             at.lows[best] = min(at.lows[best], d)
             at.highs[best] = max(at.highs[best], d)
@@ -364,7 +363,7 @@ class FrontierTreeMixin:
             holder = self._holder(self.root, object_id, pivot_dist)
             if holder is not None:
                 return holder
-        raise KeyError(f"object {object_id} is not in the tree")
+        raise NotIndexed(f"object {object_id} is not in the tree")
 
     def _holder(self, node, object_id: int, pivot_dist):
         """Depth-first through every child whose bounds hold the object's

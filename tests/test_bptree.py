@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, LeafNode
-from repro.storage import Pager, RecordPointer
+from repro.storage import Pager
 
 
 def make_tree(page_size=512) -> BPlusTree:
@@ -146,18 +146,17 @@ def _leaf_sizes(n: int, per_leaf: int) -> list[int]:
 
 def _bulk_input(kind: str, n: int):
     """``(columns, cells)`` of ``n`` sorted entries whose keys are ``kind``."""
-    ids = np.arange(n, dtype=np.int64)
-    refs = (ids, ids // 7, ids % 7)  # (object id, RAF page, RAF slot) values
+    ids = np.arange(n, dtype=np.int64)  # object id values
     if kind == "int64":
-        return (ids * 3, *refs), _key_cells(ids * 3) % 256
+        return (ids * 3, ids), _key_cells(ids * 3) % 256
     if kind == "wide":  # past 63 bits: an object array of Python ints
-        return (np.array([2**70 + 5 * i for i in range(n)], dtype=object), *refs), None
+        return (np.array([2**70 + 5 * i for i in range(n)], dtype=object), ids), None
     if kind == "wide list":
         return ([2**64 + i for i in range(n)], [str(i) for i in range(n)]), None
     if kind == "float":
         return (np.linspace(0.0, 1.0, n), ids), None
     # the M-index's (cluster path, distance) tuples
-    return ([((i // 50,), float(i % 50)) for i in range(n)], *refs), None
+    return ([((i // 50,), float(i % 50)) for i in range(n)], ids), None
 
 
 class TestBulkLoad:
@@ -214,16 +213,12 @@ class TestBulkLoad:
             chain = _leaf_chain(tree)
             assert [len(leaf) for leaf in chain] == _leaf_sizes(n, per_leaf)
             # each leaf as the per-entry form of its rows builds it
-            keys = _as_list(columns[0])
-            if len(columns) == 4:
-                values = [(int(i), RecordPointer(int(p), int(s))) for i, p, s in zip(*columns[1:])]
-            else:
-                values = _as_list(columns[1])
+            keys, values = _as_list(columns[0]), _as_list(columns[1])
             lo = 0
             for leaf in chain:
                 hi = lo + len(leaf)
                 block = None if cells is None else cells[lo:hi]
-                entry_form = LeafNode.of(keys[lo:hi], values[lo:hi], block, leaf.next_page)
+                entry_form = LeafNode([keys[lo:hi], values[lo:hi]], block, leaf.next_page)
                 assert pickle.dumps(leaf) == pickle.dumps(entry_form)
                 lo = hi
             assert list(tree.items()) == list(zip(keys, values))

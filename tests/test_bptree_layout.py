@@ -36,16 +36,16 @@ BUILDERS = {
 }
 
 # (leaf header, leaf row, internal header, internal row) in bytes, 4 pivots.
-# SPB-tree: int64 key, id, page, slot + 4 uint8 cell bytes; separator, child
-# and two box corners.  M-index* (one cluster level at n = 400): the
-# ((pivot,), distance) key pickled (27 B), id, page, slot; separator and
-# child.  OmniB+: float64 key, int64 id; separator and child.
+# SPB-tree: int64 key and id + 4 uint8 cell bytes; separator, child and two
+# box corners.  M-index* (one cluster level at n = 400): the ((pivot,),
+# distance) key pickled (27 B) and the id; separator and child.  OmniB+:
+# float64 key, int64 id; separator and child.
 LAYOUT = {
-    "SPB-tree": (110, 8 + 8 + 8 + 8 + 4, 109, 8 + 8 + 2 * 4),
-    "M-index*": (89, 27 + 8 + 8 + 8, 71, 27 + 8),
+    "SPB-tree": (95, 8 + 8 + 4, 109, 8 + 8 + 2 * 4),
+    "M-index*": (74, 27 + 8, 71, 27 + 8),
     "OmniB+": (78, 8 + 8, 75, 8 + 8),
 }
-CAPACITIES = {"SPB-tree": (110, 166), "M-index*": (78, 115), "OmniB+": (251, 251)}
+CAPACITIES = {"SPB-tree": (200, 166), "M-index*": (114, 115), "OmniB+": (251, 251)}
 
 
 def _trees(index) -> list[BPlusTree]:
@@ -79,8 +79,8 @@ def _build(name, dataset_name, pivots, **kwargs):
 @pytest.mark.parametrize("name", list(BUILDERS))
 @pytest.mark.parametrize("dataset_name", list(DATASET_MAKERS))
 def test_capacities_are_the_arithmetic(pivots, dataset_name, name):
-    """The same on every dataset: a leaf row holds a key, an id and a
-    pointer (and cells), never the object."""
+    """The same on every dataset: a leaf row holds a key and an id (and
+    cells), never the object nor where the RAF keeps it."""
     index = _build(name, dataset_name, pivots)
     leaf_header, leaf_row, internal_header, internal_row = LAYOUT[name]
     assert CAPACITIES[name] == (
@@ -175,7 +175,7 @@ def test_check_invariants_catches_a_bad_cell_a_wide_box_and_a_short_column(pivot
     edited(tree.root_page, root, tree.check_invariants, "box", cells_of=cells_of)
     root.lows[1, 2] = lo
     edited(tree.root_page, root, tree.check_invariants, cells_of=cells_of, tight=True)
-    leaf.columns[2] = leaf.columns[2][:-1]
+    leaf.columns[1] = leaf.columns[1][:-1]
     edited(page, leaf, tree.check_invariants, "columns")
 
 
@@ -257,18 +257,16 @@ def test_a_batch_reads_each_btree_page_once(monkeypatch, pivots, name):
 
 
 def test_a_leaf_pickles_its_columns_as_raw_bytes():
-    """A leaf of ``(int key, (id, RecordPointer))`` rows with cells pickles
-    to its header plus 37 B a row at five pivots -- the worked LA leaf of
+    """A leaf of ``(int key, object id)`` rows with cells pickles to its
+    header plus 21 B a row at five pivots -- the worked LA leaf of
     :mod:`repro.btree.bptree` -- and reads back equal."""
-    from repro.storage.raf import RecordPointer
-
-    rows = 90
+    rows = 161
     keys = list(range(10**9, 10**9 + rows))
-    values = [(i, RecordPointer(7 + i // 140, i % 140)) for i in range(rows)]
+    values = list(range(rows))
     cells = np.arange(rows * 5, dtype=np.uint8).reshape(rows, 5)
-    leaf = LeafNode.of(keys, values, cells, next_page=70_000)
+    leaf = LeafNode([keys, values], cells, next_page=70_000)
     blob = pickle.dumps(leaf, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(blob) == 110 + rows * 37 == 3_440
+    assert len(blob) == 95 + rows * 21 == 3_476
     back = pickle.loads(blob)
-    assert back.keys == keys and back.values() == values and back.next_page == 70_000
+    assert back.keys == keys and back.values == values and back.next_page == 70_000
     assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint8

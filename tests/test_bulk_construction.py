@@ -46,7 +46,7 @@ from repro.external import mindex as mindex_module
 from repro.external import omni as omni_module
 from repro.sfc import HilbertCurve, ZOrderCurve
 from repro.storage.pager import Pager, PageStore
-from repro.storage.raf import RafPage, RandomAccessFile, RecordPointer
+from repro.storage.raf import RafPage, RandomAccessFile
 
 from conftest import DATASET_MAKERS, N_SMALL, RADIUS
 
@@ -58,12 +58,8 @@ class PerRecordRAF(RandomAccessFile):
 
     def append_many(self, fields):
         columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 1 else c for c in fields]
-        pages, slots = [], []
         for record in zip(*columns):
-            page, slot = RandomAccessFile.append_many(self, tuple([v] for v in record))
-            pages += page.tolist()
-            slots += slot.tolist()
-        return np.array(pages, dtype=np.int64), np.array(slots, dtype=np.int64)
+            RandomAccessFile.append_many(self, tuple([v] for v in record))
 
 
 def reference_spbtree(space, pivot_ids, curve_cls):
@@ -79,19 +75,11 @@ def reference_spbtree(space, pivot_ids, curve_cls):
         cell = np.clip(cell, 0, index.curve.max_coordinate)
         keyed.append((index.curve.encode(cell), object_id))
     keyed.sort()
-    items = []
-    for key, object_id in keyed:
-        pointer = index.raf.append((object_id, space.dataset[object_id]))
-        index._pointers[object_id] = pointer
-        items.append((key, (object_id, pointer)))
+    for _, object_id in keyed:
+        index.raf.append((object_id, space.dataset[object_id]))
     # cells by scalar decode of every key
-    cells = [index.curve.decode(key) for key, _ in items]
-    columns = (
-        [key for key, _ in items],
-        [object_id for _, (object_id, _) in items],
-        [pointer.page_id for _, (_, pointer) in items],
-        [pointer.slot for _, (_, pointer) in items],
-    )
+    cells = [index.curve.decode(key) for key, _ in keyed]
+    columns = ([key for key, _ in keyed], [object_id for _, object_id in keyed])
     index.btree.bulk_load(columns, cells=np.asarray(cells, dtype=np.uint8))
     return index
 
@@ -224,17 +212,23 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
 
     # -- the same index ------------------------------------------------------
     assert type(bulk.raf) is RandomAccessFile and type(ref.raf) is PerRecordRAF
-    assert bulk._pointers == ref._pointers
-    assert list(bulk._pointers) == list(ref._pointers)
-    assert len(bulk.raf) == len(ref.raf) == len(dataset)
+    # the same locator (the reference's grew an eighth at a time past it)
+    n = len(dataset)
+    assert len(bulk.raf._pages) == len(bulk.raf) == len(ref.raf) == n
+    assert np.array_equal(bulk.raf._pages, ref.raf._pages[:n])
+    assert np.array_equal(bulk.raf._slots, ref.raf._slots[:n])
+    assert (ref.raf._pages[n:] == -1).all()
     assert [list(t.items()) for t in _trees(bulk)] == [
         list(t.items()) for t in _trees(ref)
     ]
     # page by page, as stored bytes: the RAF, the B+-tree(s), everything
     assert bulk.pager.store._pages == ref.pager.store._pages
-    raf_pages = {p.page_id for p in bulk._pointers.values()}
+    raf_pages = set(bulk.raf._pages.tolist())
     assert len(raf_pages) > 3
-    assert bulk.storage_bytes() == ref.storage_bytes()
+    memory = bulk.storage_bytes()["memory"] - bulk.raf.locator_bytes()
+    assert memory == ref.storage_bytes()["memory"] - ref.raf.locator_bytes()
+    assert bulk.storage_bytes()["disk"] == ref.storage_bytes()["disk"]
+    assert bulk.raf.locator_bytes() == 16 * n
     # the RAF keeps appending where the build stopped, on both
     assert (bulk.raf._open_page_id, bulk.raf._open_bytes) == (
         ref.raf._open_page_id,
@@ -357,11 +351,11 @@ def test_bulk_built_index_survives_a_snapshot_and_takes_an_insert(
     new_id = restored.insert(dataset[2])
     assert new_id == N_SMALL
     # next slot of the page the build left open, or -- full -- a new page
-    assert restored._pointers[new_id] in (
-        RecordPointer(open_page, open_slots),
-        RecordPointer(restored.raf._open_page_id, 0),
+    assert restored.raf._where(new_id) in (
+        (open_page, open_slots),
+        (restored.raf._open_page_id, 0),
     )
-    assert restored.raf.read(restored._pointers[new_id])[0] == new_id
+    assert restored.raf.read(new_id)[0] == new_id
     for q in queries:
         got = restored.range_query(q, radius)
         assert got == brute_force_range(oracle, q, radius)
@@ -391,7 +385,7 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(index._pointers) == 5_000
+    assert len(index.raf) == 5_000
     assert peak - kept < 0.6 * (kept - before)
 
 
@@ -400,7 +394,7 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
 
 def _raf_pages(index):
     """The index's RAF pages in file order, as stored."""
-    page_ids = sorted({p.page_id for p in index._pointers.values()})
+    page_ids = sorted(set(index.raf._pages.tolist()))
     return page_ids, [index.pager.store.read(page_id) for page_id in page_ids]
 
 

@@ -110,7 +110,7 @@ class TestOmniDetail:
         index = OmniRTree.build(MetricSpace(la, CostCounters()), la_pivots)
         counters = index.space.counters
         counters.reset()
-        object_id, obj = index.raf.read(index._pointers[42])
+        object_id, obj = index.raf.read(42)
         assert object_id == 42 and np.array_equal(obj, la[42])
         assert counters.page_reads == 1
 
@@ -153,14 +153,14 @@ class TestMIndexDetail:
     def test_keys_use_first_path_pivot(self, la, la_pivots):
         index = self._build(la, la_pivots)
         mapping = index.mapping
-        for key, (object_id, _ptr) in index.btree.items():
+        for key, object_id in index.btree.items():
             path, dist = key
             assert dist == pytest.approx(float(mapping.vector(object_id)[path[0]]))
 
     def test_nearest_pivot_assignment(self, la, la_pivots):
         index = self._build(la, la_pivots)
         mapping = index.mapping
-        for key, (object_id, _ptr) in index.btree.items():
+        for key, object_id in index.btree.items():
             path, _ = key
             vec = mapping.vector(object_id)
             assert path[0] == int(np.argmin(vec))
@@ -203,10 +203,7 @@ class TestMIndexDetail:
 class TestSPBTreeDetail:
     def test_raf_in_key_order(self, la, la_pivots):
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
-        pages_in_key_order = [
-            index._pointers[object_id].page_id
-            for _, (object_id, _ptr) in index.btree.items()
-        ]
+        pages_in_key_order = [index.raf._where(i)[0] for _, i in index.btree.items()]
         # RAF pages must be non-decreasing when walked in key order
         assert pages_in_key_order == sorted(pages_in_key_order)
 
@@ -295,10 +292,10 @@ class TestSPBTreeDetail:
         index = SPBTree.build(MetricSpace(dataset, CostCounters()), la_pivots)
         far = [dataset[i] * 4.0 + 50_000.0 for i in (3, 30, 300)]
         far_ids = [index.insert(obj) for obj in far]
-        # entries whose object is gone from ``_pointers`` but still in a leaf
+        # entries whose object is gone from the RAF but still in a leaf
         tombstoned = [7, 77, 177]
         for object_id in tombstoned:
-            del index._pointers[object_id]
+            index.raf.mark_deleted(object_id)
         qmat = index.mapping.map_query_many(
             [dataset[1], dataset[250], far[0], dataset[42] + 3.0]
         )
@@ -311,8 +308,8 @@ class TestSPBTreeDetail:
             if not node.is_leaf:
                 continue
             rows, lower, upper = index._leaf_bounds(qmat, node)
-            live = [j for j, object_id in enumerate(node.ids) if object_id not in tombstoned]
-            assert rows == live
+            live = [j for j, object_id in enumerate(node.values) if object_id not in tombstoned]
+            assert rows.tolist() == live
             assert lower.shape == upper.shape == (len(qmat), len(live))
             for j, row in enumerate(live):
                 coords = index.curve.decode(node.keys[row])
@@ -353,7 +350,7 @@ class TestSPBTreeDetail:
                 continue
             rows, _, upper = index._leaf_bounds(qmat, node)
             for j, row in enumerate(rows):
-                if node.ids[row] in far_ids:
+                if node.values[row] in far_ids:
                     assert np.all(np.isinf(upper[:, j]))
         # end to end: a radius the clipped cell's nominal bound would
         # validate, around a query the far objects are nowhere near
@@ -364,7 +361,7 @@ class TestSPBTreeDetail:
             assert index.space.dataset.distance(q, dataset[far_id]) > nominal + 1.0
         got = index.range_query(q, nominal + 1.0)
         assert not set(got) & set(far_ids)
-        live = [i for i in range(len(dataset)) if i in index._pointers]
+        live = [i for i in range(len(dataset)) if i in index.raf]
         assert got == [
             i for i in live if dataset.distance(q, dataset[i]) <= nominal + 1.0
         ]
@@ -441,7 +438,7 @@ class TestDEPTDetail:
         ids, bounds = index._scan_bounds_many(queries)
         want_ids, want = self._reference(index, queries)
         assert ids == want_ids and len(set(ids)) == len(ids)
-        assert sorted(ids) == sorted(index._pointers)
+        assert sorted(ids) == [i for i in range(len(index.space.dataset)) if i in index.raf]
         assert np.array_equal(bounds, want)
 
 

@@ -627,6 +627,77 @@ def test_insert_rejects_boolean_object_id(datasets):
             assert excinfo.value.status == 400
 
 
+@pytest.mark.parametrize("front", ["server", "router"])
+def test_refused_mutations_are_client_errors(datasets, front):
+    """An insert the index refuses answers 400 -- an id already indexed,
+    an id outside the dataset, another object than the dataset's under an
+    id -- and a delete of an id the index does not hold answers 404 (each
+    answered 500 before), from the server and relayed by a replica router
+    whose remote member is that server; a refused mutation changes
+    nothing."""
+    from repro.external import SPBTree
+    from repro.service.cluster import ClusterIndex
+
+    dataset = datasets["LA"].subset(range(120))
+    space = MetricSpace(dataset, CostCounters())
+    index = SPBTree.build(space, select_pivots(MetricSpace(dataset), 3, strategy="hfi"))
+    backend = HttpQueryServer(QueryService(index, use_dispatcher=False)).start()
+    server = backend
+    if front == "router":
+        member = ClusterIndex([(backend.host, backend.port)], mode="replica", probe_interval_s=0)
+        server = HttpQueryServer(QueryService(member, cache_size=0, use_dispatcher=False)).start()
+    try:
+        client = ServiceClient(port=server.port)
+        q, radius = dataset[5], RADIUS["LA"]
+        baseline = client.range_query(q, radius)
+        assert 5 in baseline
+        client.delete(5)
+
+        def refused(call, status, message):
+            with pytest.raises(ServiceClientError) as excinfo:
+                call()
+            assert excinfo.value.status == status, excinfo.value
+            assert message in excinfo.value.payload["error"]
+
+        refused(lambda: client.insert(dataset[7] + 5000.0, object_id=5), 400, "another object")
+        refused(lambda: client.delete(5), 404, "not in the index")
+        refused(lambda: client.delete(10_000), 404, "not in the index")
+        assert client.insert(np.array(dataset[5]), object_id=5) == 5  # a copy is fine
+        refused(lambda: client.insert(dataset[5], object_id=5), 400, "already indexed")
+        refused(lambda: client.insert(dataset[5], object_id=120), 400, "outside the dataset")
+        assert client.range_query(q, radius) == baseline
+        assert client.range_query(dataset[7] + 5000.0, 1.0) == []
+        assert len(index.raf) == 120
+    finally:
+        server.close()
+        if server is not backend:
+            backend.close()
+
+
+def test_mutation_faults_past_the_checks_answer_500(datasets, monkeypatch):
+    """Only the index's own refusals are client errors: a ``KeyError`` or
+    ``ValueError`` an insert or delete raises past its checks (a page
+    never written, a broken invariant) is the server's fault and answers
+    500."""
+    index = _laesa_over(datasets["Words"].subset(range(40)))
+
+    def page_fault(*args, **kwargs):
+        raise KeyError("page 3 was allocated but never written")
+
+    def invariant_fault(*args, **kwargs):
+        raise ValueError("leaf keys out of order")
+
+    monkeypatch.setattr(index, "delete", page_fault)
+    monkeypatch.setattr(index, "insert", invariant_fault)
+    with QueryService(index, use_dispatcher=False) as service:
+        with HttpQueryServer(service).start() as server:
+            client = ServiceClient(port=server.port)
+            for call in (lambda: client.delete(3), lambda: client.insert("abc")):
+                with pytest.raises(ServiceClientError) as excinfo:
+                    call()
+                assert excinfo.value.status == 500, excinfo.value
+
+
 def test_mutations_serialize_with_reload(datasets):
     """insert/delete must hold the reload lock: an acknowledged mutation
     may never land in an index a concurrent hot swap is discarding."""

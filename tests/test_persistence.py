@@ -26,11 +26,12 @@ from repro import (
     select_pivots,
 )
 from repro.btree import LeafNode
+from repro.external import SPBTree
 from repro.core import load_dataset, save_dataset
 from repro.core.quantise import Frame
 from repro.service import iter_components, load_index, rebind_counters, save_index
 from repro.storage.pager import Pager
-from repro.storage.raf import RafPage, RecordPointer
+from repro.storage.raf import RafPage
 from repro.tables import LAESA
 
 from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for
@@ -344,7 +345,8 @@ def test_snapshot_with_list_pages_still_loads(tmp_path, name):
     index = load_index(DATA / f"list_pages_{name}_la300.snap")
     assert index.space.counters.distance_computations == 0
     raf = index.raf
-    page_ids = sorted({p.page_id for p in index._pointers.values()})
+    assert len(raf) == 299 and 31 not in raf and 7 in raf
+    page_ids = sorted(set(raf._pages[raf._pages >= 0].tolist()))
     assert all(type(index.pager.read(p)) is list for p in page_ids)
     # the pickled open record list came back as the open page
     assert type(raf._open_page) is RafPage and None in raf._open_page.records()
@@ -354,14 +356,16 @@ def test_snapshot_with_list_pages_still_loads(tmp_path, name):
     assert got == want
 
     # a delete and re-insert of a live id: the pages written are re-encoded
-    old = index._pointers[12]
+    old_page, old_slot = raf._where(12)
     open_page, open_slots = raf._open_page_id, len(raf._open_page)
     index.delete(12)
-    assert type(index.pager.read(old.page_id)) is RafPage
+    assert 12 not in raf
+    assert type(index.pager.read(old_page)) is RafPage
+    assert index.pager.read(old_page).record(old_slot) is None
     assert index.insert(dataset[12], object_id=12) == 12
-    assert index._pointers[12] == RecordPointer(open_page, open_slots)
+    assert raf._where(12) == (open_page, open_slots)
     assert type(index.pager.read(open_page)) is RafPage
-    assert raf.read(old) is None and raf.read(index._pointers[12])[0] == 12
+    assert raf.read(12)[0] == 12
     got, want = _external_answers(index, queries, 900.0, gone={31})
     assert got == want
 
@@ -437,6 +441,105 @@ def test_snapshot_with_list_leaves_answers_as_written(tmp_path, name):
     _check_btrees(restored, name)
     assert _external_answers(restored, queries[:3], 900.0, gone={31}) == (got, want)
     assert restored.storage_bytes() == index.storage_bytes()
+
+
+@pytest.mark.parametrize("name", ["spbtree", "mindexstar", "omnib", "omnir", "dept"])
+def test_snapshot_with_record_pointers_answers_as_written(tmp_path, name):
+    """``tests/data/record_pointers_*_la300.snap`` (SPB-tree, M-index*,
+    OmniB+, OmniR-tree and DEPT, written as ``list_pages_*`` were:
+    ``make_la(300, seed=11)``, 5 HFI pivots seed 3, 4 KB pages, 7 deleted
+    and re-inserted twice, 31 deleted) were written when every index kept an
+    ``{id: RecordPointer}`` map and SPB-tree / M-index* leaves held each
+    row's RAF page and slot.  They load with no distance computed, the map
+    moved into the RAF's locator and the leaves read as key / id columns,
+    give the answers and compdists they gave when written, take a delete
+    and a re-insert, and round-trip through ``save_index`` again."""
+    expected = json.loads((DATA / "record_pointers_la300_expected.json").read_text())[name]
+    dataset = make_la(300, seed=11)
+    index = load_index(DATA / f"record_pointers_{name}_la300.snap")
+    assert index.space.counters.distance_computations == 0
+    assert "_pointers" not in vars(index)
+    live = [i for i in range(300) if i != 31]
+    assert [i for i in range(-1, 302) if i in index.raf] == live and len(index.raf) == 299
+    assert [record[0] for record in index.raf.read_many(live)] == live
+    if name in ("spbtree", "mindexstar", "omnib"):
+        for tree in _check_btrees(index, name):
+            assert all(len(node.columns) == 2 for node in _btree_nodes(tree) if node.is_leaf)
+    queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
+
+    index.delete(12)
+    with pytest.raises(KeyError):
+        index.delete(12)
+    assert 12 not in index.raf and index.insert(dataset[12], object_id=12) == 12
+    got, want = _external_answers(index, queries[:3], 900.0, gone={31})
+    assert got == want
+
+    save_index(index, tmp_path / "again.snap")
+    restored = load_index(tmp_path / "again.snap")
+    assert restored.space.counters.distance_computations == 0
+    assert _external_answers(restored, queries[:3], 900.0, gone={31}) == (got, want)
+    assert restored.storage_bytes() == index.storage_bytes()
+
+
+@pytest.mark.parametrize("name", ["spbtree", "mindexstar"])
+def test_v1_snapshot_with_record_pointer_leaves_answers_as_written(tmp_path, name):
+    """``tests/data/pr21_{spbtree,mindexstar}_la300.v1.snap`` were written in
+    snapshot format 1 (the whole index one pickle, its page stores' pages
+    pickled blobs inside it) by the PR 21 writer: ``make_la(300, seed=11)``,
+    5 HFI pivots seed 3, 7 deleted and re-inserted twice, 31 deleted.  Their
+    B+-tree leaves are lists of ``(key, (id, RecordPointer))``, read while
+    the index itself unpickles.  They load with no distance computed, give
+    the answers and compdists they gave when written, take a delete and a
+    re-insert, and round-trip through ``save_index``."""
+    expected = json.loads((DATA / "pr21_raf_la300_expected.json").read_text())[name]
+    dataset = make_la(300, seed=11)
+    index = load_index(DATA / f"pr21_{name}_la300.v1.snap")
+    assert index.space.counters.distance_computations == 0
+    assert "_pointers" not in vars(index)
+    live = [i for i in range(300) if i != 31]
+    assert [i for i in range(-1, 302) if i in index.raf] == live and len(index.raf) == 299
+    _check_btrees(index, name)
+    queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
+
+    index.delete(12)
+    assert index.insert(dataset[12], object_id=12) == 12
+    got, want = _external_answers(index, queries[:3], 900.0, gone={31})
+    assert got == want
+    save_index(index, tmp_path / "again.snap")
+    restored = load_index(tmp_path / "again.snap")
+    assert _external_answers(restored, queries[:3], 900.0, gone={31}) == (got, want)
+
+
+def test_a_restored_index_saves_back_over_its_own_snapshot(tmp_path):
+    """A restored index's arrays and pages are mapped from its snapshot
+    file.  Saving it back to that path truncated the file under the
+    mapping before the write read the mapped pages: the write failed
+    (``OSError: Bad address``) with the snapshot already lost, and a later
+    read of a mapped page killed the process (SIGBUS).  The file is now
+    written beside the target and renamed over it, so the old mapping
+    keeps its pages."""
+    dataset = make_la(600, seed=4)
+    space = MetricSpace(dataset, CostCounters())
+    index = SPBTree.build(space, select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=3))
+    path = tmp_path / "spb.snap"
+    save_index(index, path)
+    restored = load_index(path)
+    queries = [dataset[5], dataset[400]]
+    want = _external_answers(restored, queries, 900.0)
+    assert want[0] == want[1]
+    restored.delete(5)
+    save_index(restored, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spb.snap"]
+    # the old mapping still reads, and the new file holds the delete
+    assert _external_answers(restored, queries, 900.0, gone={5}) == _external_answers(
+        load_index(path), queries, 900.0, gone={5}
+    )
 
 
 # -- M-tree snapshots across the change to columnar nodes ----------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CostCounters
-from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile, RecordPointer
+from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
 from repro.storage import pager as pager_module
-from repro.storage.raf import RafPage, _record_bytes, _schema_of
+from repro.storage.raf import RafPage, _record_bytes, _schema_of, locate_pointer_map
 
 
 @pytest.fixture
@@ -308,45 +309,70 @@ class TestPager:
 class TestRandomAccessFile:
     def test_append_read(self):
         raf = RandomAccessFile(Pager(page_size=256))
-        ptrs = [raf.append(("obj", i)) for i in range(20)]
-        for i, ptr in enumerate(ptrs):
-            assert raf.read(ptr) == ("obj", i)
-        assert len(raf) == 20
+        for i in range(20):
+            raf.append((i, "obj"))
+        for i in range(20):
+            assert i in raf and raf.read(i) == (i, "obj")
+        assert len(raf) == 20 and 20 not in raf and -1 not in raf
 
     def test_records_grouped_into_pages(self):
         pager = Pager(page_size=256)
         raf = RandomAccessFile(pager)
-        ptrs = [raf.append(i) for i in range(50)]
-        pages = {p.page_id for p in ptrs}
+        for i in range(50):
+            raf.append((i, i))
+        pages = {raf._where(i)[0] for i in range(50)}
         assert 1 < len(pages) < 50  # grouped, but more than one page
 
     def test_sequential_reads_share_page_accesses(self):
         counters = CostCounters()
         pager = Pager(page_size=512, counters=counters, cache_bytes=4096)
         raf = RandomAccessFile(pager)
-        ptrs = [raf.append(i) for i in range(30)]
+        for i in range(30):
+            raf.append((i, i))
         pager.set_cache_bytes(4096)  # warm cache cleared, fresh start
         counters.reset()
-        for ptr in ptrs:
-            raf.read(ptr)
-        pages = {p.page_id for p in ptrs}
+        for i in range(30):
+            raf.read(i)
+        pages = {raf._where(i)[0] for i in range(30)}
         assert counters.page_reads == len(pages)
 
     def test_update_and_tombstone(self):
         raf = RandomAccessFile(Pager(page_size=256))
-        ptr = raf.append("old")
-        raf.update(ptr, "new")
-        assert raf.read(ptr) == "new"
-        raf.mark_deleted(ptr)
-        assert raf.read(ptr) is None
+        raf.append((0, "old"))
+        raf.update(0, (0, "new"))
+        assert raf.read(0) == (0, "new")
+        page, slot = raf._where(0)
+        raf.mark_deleted(0)
+        assert 0 not in raf and len(raf) == 0
+        assert raf.pager.read(page).record(slot) is None
+        with pytest.raises(KeyError):
+            raf.read(0)
+        with pytest.raises(KeyError):
+            raf.mark_deleted(0)  # a second delete
+        raf.append((0, "again"))  # the id takes a new slot
+        assert raf._where(0) == (page, slot + 1) and raf.read(0) == (0, "again")
 
     def test_bad_pointer(self):
+        """Ids with no live record raise ``KeyError``; an update that
+        changes the id and an append under a live id raise ``ValueError``."""
         raf = RandomAccessFile(Pager(page_size=256))
-        ptr = raf.append("x")
-        from repro.storage import RecordPointer
-
+        raf.append((0, "x"))
+        for missing in (1, 99, -1):
+            with pytest.raises(KeyError):
+                raf.read(missing)
+            with pytest.raises(KeyError):
+                raf.update(missing, (missing, "y"))
+            with pytest.raises(KeyError):
+                raf.mark_deleted(missing)
         with pytest.raises(KeyError):
-            raf.read(RecordPointer(ptr.page_id, 99))
+            raf.read_many([0, 1])
+        with pytest.raises(ValueError, match="id"):
+            raf.update(0, (1, "y"))
+        writes = raf.pager.counters.page_writes
+        for ids in ([0], [-1], ["a"], [2**64]):
+            with pytest.raises(ValueError):
+                raf.append_many((ids, ["y"]))
+        assert raf.pager.counters.page_writes == writes and raf.read(0) == (0, "x")
 
     def test_fill_factor_validation(self):
         with pytest.raises(ValueError):
@@ -355,25 +381,22 @@ class TestRandomAccessFile:
     def test_oversized_record_gets_own_page(self):
         pager = Pager(page_size=128)
         raf = RandomAccessFile(pager)
-        small = raf.append("s")
-        big = raf.append("B" * 1000)
-        assert big.page_id != small.page_id
-        assert raf.read(big) == "B" * 1000
+        raf.append((0, "s"))
+        raf.append((1, "B" * 1000))
+        assert raf._where(1)[0] != raf._where(0)[0]
+        assert raf.read(1) == (1, "B" * 1000)
 
 
 def _columns(records):
-    """``records`` as ``append_many`` takes them: a list a field when they
-    are non-empty tuples of one length, else one column of bare values."""
-    if records and all(type(r) is tuple and r for r in records):
-        if len({len(r) for r in records}) == 1:
-            return tuple(map(list, zip(*records)))
-    return list(records)
+    """``records`` (``(id, ...)`` tuples of one length) as ``append_many``
+    takes them: a list a field."""
+    return tuple(map(list, zip(*records))) if records else ([],)
 
 
-def _append_all(raf, records) -> list[RecordPointer]:
-    """``append_many`` of ``records``, its result as pointers."""
-    pages, slots = raf.append_many(_columns(records))
-    return list(map(RecordPointer, pages.tolist(), slots.tolist()))
+def _append_all(raf, records) -> list[tuple[int, int]]:
+    """``append_many`` of ``records``; where the locator puts each."""
+    raf.append_many(_columns(records))
+    return [raf._where(record[0]) for record in records]
 
 
 class TestAppendMany:
@@ -386,40 +409,48 @@ class TestAppendMany:
 
     def test_single_appends_cost_one_write_each(self):
         raf, _, counters = self._raf()
-        ptrs = [raf.append(("record", i)) for i in range(200)]
-        assert len({p.page_id for p in ptrs}) > 3
+        for i in range(200):
+            raf.append((i, "record"))
+        assert len({raf._where(i)[0] for i in range(200)}) > 3
         # a page that fills is not written again when it is sealed
         assert counters.page_writes == 200
 
     def test_bulk_append_writes_each_page_once(self):
         raf, pager, counters = self._raf()
-        pages, slots = raf.append_many((["record"] * 200, np.arange(200)))
-        assert pages.dtype == slots.dtype == np.int64
-        ptrs = list(map(RecordPointer, pages.tolist(), slots.tolist()))
-        assert counters.page_writes == len(set(pages.tolist())) == len(pager.store)
-        assert [raf.read(p) for p in ptrs] == [("record", i) for i in range(200)]
-        assert all(type(raf.read(p)[1]) is int for p in ptrs)  # int64 ids read as ints
-        assert len(raf) == 200
+        order = np.arange(200)[::-1].copy()
+        assert raf.append_many((order, ["record"] * 200)) is None
+        assert raf._pages.dtype == raf._slots.dtype == np.int64
+        assert counters.page_writes == len(set(raf._pages.tolist())) == len(pager.store)
+        # written in the given order: id 199 first
+        assert raf._where(199) == (raf._pages.min(), 0)
+        assert raf.read_many(range(200)) == [(i, "record") for i in range(200)]
+        assert all(type(raf.read(i)[0]) is int for i in range(200))  # int64 ids read as ints
+        assert len(raf) == 200 and raf.locator_bytes() == 200 * 16
 
     def test_same_layout_as_single_appends(self):
-        records = [("r" * (i % 17), i) for i in range(150)]
+        records = [(i, "r" * (i % 17)) for i in range(150)]
         one, one_pager, _ = self._raf()
         many, many_pager, _ = self._raf()
-        assert _append_all(many, records) == [one.append(r) for r in records]
+        for record in records:
+            one.append(record)
+        assert _append_all(many, records) == [one._where(i) for i in range(150)]
         # stored bytes, page by page: rows appended one at a time to the
         # open page's columns encode exactly as the page encoded whole
         assert many_pager.store._pages == one_pager.store._pages
         assert many_pager.disk_bytes() == one_pager.disk_bytes()
 
     def test_open_page_is_carried_across_calls(self):
-        records = [("record", i) for i in range(120)]
+        records = [(i, "record") for i in range(120)]
         ref, ref_pager, _ = self._raf()
-        expected = [ref.append(r) for r in records]
+        for record in records:
+            ref.append(record)
+        expected = [ref._where(i) for i in range(120)]
         raf, pager, _ = self._raf()
         got = _append_all(raf, records[:50])
-        got.append(raf.append(records[50]))  # continues the page left open
-        assert got[-1].page_id == got[-2].page_id
-        assert got[-1].slot == got[-2].slot + 1
+        raf.append(records[50])  # continues the page left open
+        got.append(raf._where(50))
+        assert got[-1][0] == got[-2][0]
+        assert got[-1][1] == got[-2][1] + 1
         got += _append_all(raf, records[51:90])
         got += _append_all(raf, records[90:])
         assert got == expected
@@ -427,45 +458,46 @@ class TestAppendMany:
 
     def test_empty_iterable_writes_nothing(self):
         raf, pager, counters = self._raf()
-        for nothing in ([], (), ([], np.zeros((0, 3)))):
-            pages, slots = raf.append_many(nothing)
-            assert len(pages) == len(slots) == 0
-        assert counters.page_writes == 0 and len(pager.store) == 0
-        raf.append("x")
+        for nothing in (([],), (np.zeros(0, np.int64), []), ([], np.zeros((0, 3)))):
+            assert raf.append_many(nothing) is None
+        assert counters.page_writes == 0 and len(pager.store) == 0 and len(raf) == 0
+        raf.append((0, "x"))
         counters.reset()
-        assert len(raf.append_many([])[0]) == 0
-        assert counters.page_writes == 0
+        raf.append_many(([],))
+        assert counters.page_writes == 0 and len(raf) == 1
 
     def test_columns_of_one_length(self):
         raf, pager, counters = self._raf()
         with pytest.raises(ValueError, match="length"):
             raf.append_many((np.arange(3), ["a", "b"]))
         with pytest.raises(ValueError, match="row"):
-            raf.append_many(np.float64(1.0))
+            raf.append_many((np.int64(1), ["a"]))
+        with pytest.raises(ValueError, match="ids first"):
+            raf.append_many(np.arange(3))
         assert counters.page_writes == 0 and len(pager.store) == 0
 
     def test_oversized_record_pays_the_multi_page_write(self):
         raf, pager, counters = self._raf()
-        small, big, after = _append_all(raf, ["s", "B" * 3000, "t"])
-        assert len({small.page_id, big.page_id, after.page_id}) == 3
-        span = pager.store.pages_spanned(pager.store.page_bytes(big.page_id))
+        small, big, after = _append_all(raf, [(0, "s"), (1, "B" * 3000), (2, "t")])
+        assert len({small[0], big[0], after[0]}) == 3
+        span = pager.store.pages_spanned(pager.store.page_bytes(big[0]))
         assert span > 1
         assert counters.page_writes == 2 + span
-        assert raf.read(big) == "B" * 3000
+        assert raf.read(1) == (1, "B" * 3000)
 
     def test_pooled_open_page_is_not_aliased(self):
         raf, pager, _ = self._raf(cache_bytes=4096)
-        first = raf.append("a")
-        cached = pager.read(first.page_id)
-        raf.append("b")
-        assert cached.records() == ["a"]  # the pool's earlier node did not grow
-        assert pager.read(first.page_id).records() == ["a", "b"]
+        raf.append((0, "a"))
+        cached = pager.read(raf._where(0)[0])
+        raf.append((1, "b"))
+        assert cached.records() == [(0, "a")]  # the pool's earlier node did not grow
+        assert pager.read(raf._where(0)[0]).records() == [(0, "a"), (1, "b")]
 
 
-def _per_record_append(raf, records) -> list[RecordPointer]:
+def _per_record_append(raf, records) -> None:
     """The greedy packer a record at a time -- the loop ``append_many`` was
     before it took columns -- kept here as the oracle of the column body."""
-    pointers = []
+    where = []
     page_id, page, used = raf._open_page_id, raf._open_page, raf._open_bytes
     schema = page.schema if page is not None else None
     limit = raf._limit(schema) if schema is not None else 0
@@ -486,15 +518,17 @@ def _per_record_append(raf, records) -> list[RecordPointer]:
                 nbytes = _record_bytes(schema, record)
                 limit = raf._limit(schema)
             page_id, page, used, first, rows = raf.pager.allocate(), None, 0, 0, []
-        pointers.append(RecordPointer(page_id, first + len(rows)))
+        where.append((page_id, first + len(rows)))
         rows.append(record)
         used += nbytes
     if rows:
         page = grown()
         raf.pager.write(page_id, page)
     raf._open_page_id, raf._open_page, raf._open_bytes = page_id, page, used
-    raf._count += len(pointers)
-    return pointers
+    if records:
+        pages, slots = np.array(where, dtype=np.int64).T
+        raf._locate(np.array([r[0] for r in records], dtype=np.int64), pages, slots)
+    raf._count += len(records)
 
 
 # non-ASCII words, oversized ones, and lone surrogates (no UTF-8 form: pickled)
@@ -510,23 +544,19 @@ _objects = (
 
 
 @st.composite
-def _call(draw):
-    """One ``append_many`` call: ``(records, columns)`` of one schema."""
+def _call(draw, first_id: int):
+    """One ``append_many`` call: ``(records, columns)`` of one schema, its
+    ids distinct ones from ``first_id`` on."""
     n = draw(st.integers(0, 60))
-    schema = draw(
-        st.sampled_from(["id, array", "id, word", "word", "id, object", "object", "wide id"])
-    )
-    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    schema = draw(st.sampled_from(["id, array", "id, word", "id, object", "id, wide int"]))
+    ids = draw(st.permutations(range(first_id, first_id + n)))
     if schema == "id, array":
         dtype, width = draw(st.sampled_from([(np.float64, 2), (np.float32, 7), (np.uint8, 40)]))
         block = np.arange(n * width, dtype=np.float64).reshape(n, width).astype(dtype)
         return [(i, block[r]) for r, i in enumerate(ids)], (np.array(ids, np.int64), block)
-    if schema == "wide id":  # past int64: a pickled column
-        ids = [i + 2**64 for i in ids]
-        return [(i, i % 7) for i in ids], (ids, np.array([i % 7 for i in ids]))
-    if schema in ("word", "object"):
-        values = draw(st.lists(_words if schema == "word" else _objects, min_size=n, max_size=n))
-        return values, values
+    if schema == "id, wide int":  # past int64: a pickled column
+        wide = [i + 2**64 for i in ids]
+        return list(zip(ids, wide)), (list(ids), wide)
     values = draw(st.lists(_words if schema == "id, word" else _objects, min_size=n, max_size=n))
     return list(zip(ids, values)), (np.array(ids, np.int64), values)
 
@@ -535,7 +565,9 @@ class TestAppendManyOracle:
     """``append_many`` on columns lays out what the per-record packer did."""
 
     @given(
-        calls=st.lists(_call(), min_size=1, max_size=5),
+        calls=st.tuples(*(_call(100 * c) for c in range(5))).flatmap(
+            lambda calls: st.integers(1, 5).map(lambda k: calls[:k])
+        ),
         page_size=st.sampled_from([128, 512, 1024, 4096]),
         fill_factor=st.sampled_from([0.5, 0.9, 1.0]),
     )
@@ -546,9 +578,9 @@ class TestAppendManyOracle:
         ref = RandomAccessFile(Pager(page_size=page_size), fill_factor)
         raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
         for records, columns in calls:  # each call continues the page left open
-            want = _per_record_append(ref, records)
-            pages, slots = raf.append_many(columns)
-            assert list(map(RecordPointer, pages.tolist(), slots.tolist())) == want
+            _per_record_append(ref, records)
+            raf.append_many(columns)
+            assert [raf._where(r[0]) for r in records] == [ref._where(r[0]) for r in records]
         assert raf.pager.store._pages == ref.pager.store._pages
         assert raf.pager.counters.page_writes == ref.pager.counters.page_writes
         assert (raf._open_page_id, raf._open_bytes, len(raf)) == (
@@ -562,16 +594,20 @@ class TestAppendManyOracle:
         page left open and on a new one, pack as the per-record packer does."""
         ref = RandomAccessFile(Pager(page_size=512))
         raf = RandomAccessFile(Pager(page_size=512))
-        opened = _per_record_append(ref, ["a"])[0].page_id
-        raf.append_many(["a"])
+        _per_record_append(ref, [(0, "a")])
+        opened = ref._where(0)[0]
+        raf.append_many(([0], ["a"]))
         limit = raf._limit(raf._open_page.schema)
         room = limit - raf._open_bytes
-        # a bare word takes its UTF-8 bytes, a 4 B end offset and a tombstone byte
-        words = ["b" * (room - 25), "c" * 15, "d" * (limit - 25), "e" * 15, "f"]
-        want = _per_record_append(ref, words)
-        pages, slots = raf.append_many(words)
-        assert list(map(RecordPointer, pages.tolist(), slots.tolist())) == want
-        assert pages.tolist() == [opened, opened, opened + 1, opened + 1, opened + 2]
+        # an (id, word) row takes 8 B, the word's UTF-8 bytes, a 4 B end
+        # offset and a tombstone byte
+        words = ["b" * (room - 33), "c" * 7, "d" * (limit - 33), "e" * 7, "f"]
+        records = list(enumerate(words, start=1))
+        _per_record_append(ref, records)
+        raf.append_many(_columns(records))
+        got = [raf._where(i) for i, _ in records]
+        assert got == [ref._where(i) for i, _ in records]
+        assert [page for page, _ in got] == [opened, opened, opened + 1, opened + 1, opened + 2]
         assert raf.pager.store._pages == ref.pager.store._pages
 
 
@@ -597,7 +633,8 @@ def _same(got, want) -> bool:
 
 
 def _records(n=40):
-    """Every record shape ``src/`` writes, and the ones it might."""
+    """Every record shape ``src/`` writes, and the ones it might: the object
+    id, then the fields."""
     rows = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
     return {
         # SPB-tree / Omni / D-EPT on vectors, on words; M-index
@@ -608,20 +645,20 @@ def _records(n=40):
         "float32": [(i, rows[i].astype(np.float32)) for i in range(n)],
         "uint8 matrix": [(i, np.full((2, 3), i % 256, dtype=np.uint8)) for i in range(n)],
         "int32": [(i, np.arange(i % 4 + 1, dtype=np.int32)[:1]) for i in range(n)],
-        # test_storage's plain values
-        "ints": list(range(n)),
-        "strings": [f"value-{i}" for i in range(n)],
-        "str, int": [("obj", i) for i in range(n)],
+        # plain values
+        "ints": [(i, i * 7) for i in range(n)],
+        "strings": [(i, f"value-{i}") for i in range(n)],
+        "str, int": [(i, "obj", i) for i in range(n)],
         # fields with no column of their own: pickled in a list
-        "beyond int64": [(2**70 + i, i) for i in range(n)],
-        "bool, dict": [(bool(i % 2), {"k": i}) for i in range(n)],
-        "0-d array": [np.array(float(i)) for i in range(n)],
+        "beyond int64": [(i, 2**70 + i) for i in range(n)],
+        "bool, dict": [(i, bool(i % 2), {"k": i}) for i in range(n)],
+        "0-d array": [(i, np.array(float(i))) for i in range(n)],
         "structured, empty": [
-            (np.array([(i, 0.5)], dtype=[("a", "<i4"), ("b", "<f8")]), np.zeros(0))
+            (i, np.array([(i, 0.5)], dtype=[("a", "<i4"), ("b", "<f8")]), np.zeros(0))
             for i in range(n)
         ],
         "lone surrogate": [(i, "\ud800" * (i % 3)) for i in range(n)],
-        "empty tuples": [() for _ in range(n)],
+        "empty tuples": [(i,) for i in range(n)],  # the id alone
     }
 
 
@@ -634,15 +671,15 @@ _KINDS = {
     "float32": {"ia"},
     "uint8 matrix": {"ia"},
     "int32": {"ia"},
-    "ints": {"i"},
-    "strings": {"s"},
-    "str, int": {"si"},
-    "beyond int64": {"oi"},
-    "bool, dict": {"oo"},
-    "0-d array": {"o"},
-    "structured, empty": {"oo"},
+    "ints": {"ii"},
+    "strings": {"is"},
+    "str, int": {"isi"},
+    "beyond int64": {"io"},
+    "bool, dict": {"ioo"},
+    "0-d array": {"io"},
+    "structured, empty": {"ioo"},
     "lone surrogate": {"is", "io"},
-    "empty tuples": {"o"},  # no field to make a column of: bare values
+    "empty tuples": {"i"},
 }
 
 
@@ -654,17 +691,19 @@ class TestRafPageCodec:
     def test_every_record_shape_round_trips_through_stored_pages(self, shape):
         records = _records()[shape]
         raf = self._raf()
-        pointers = _append_all(raf, records)
+        where = _append_all(raf, records)
+        ids = [record[0] for record in records]
         # capacity 0: every read unpickles the stored blob
-        for pointer, record in zip(pointers, records):
-            assert _same(raf.read(pointer), record), (pointer, record)
-        assert all(
-            _same(got, want)
-            for got, want in zip(raf.read_many(pointers), records)
-        )
-        stored = [raf.pager.store.read(p) for p in {p.page_id for p in pointers}]
+        for object_id, record in zip(ids, records):
+            assert _same(raf.read(object_id), record), record
+        assert all(_same(got, want) for got, want in zip(raf.read_many(ids), records))
+        stored = [raf.pager.store.read(page) for page in {page for page, _ in where}]
         assert all(type(page) is RafPage for page in stored)
         assert {page.kinds for page in stored} == _KINDS[shape]
+        # and a page of bare values: the form a pickled-list page re-encodes to
+        bare = [record[1:] if len(record) > 2 else record[-1] for record in records]
+        page = pickle.loads(pickle.dumps(RafPage.from_records(bare)))
+        assert all(_same(got, want) for got, want in zip(page.records(), bare))
 
     def test_columns_are_what_the_fields_are(self):
         page = RafPage.encode(
@@ -686,67 +725,74 @@ class TestRafPageCodec:
     def test_tombstones_at_any_slot(self, slots):
         records = _records()["id, vector"]
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = _append_all(raf, records)
-        assert len({p.page_id for p in pointers}) == 1
+        where = _append_all(raf, records)
+        assert len({page for page, _ in where}) == 1
+        assert [slot for _, slot in where] == list(range(len(records)))
         for slot in slots:
-            raf.mark_deleted(pointers[slot])
-        for slot, (pointer, record) in enumerate(zip(pointers, records)):
-            got = raf.read(pointer)
-            assert got is None if slot in slots else _same(got, record)
+            raf.mark_deleted(slot)  # id i lies in slot i
+        stored = raf.pager.read(where[0][0])
+        for slot, record in enumerate(records):
+            if slot in slots:
+                assert slot not in raf and stored.record(slot) is None
+            else:
+                assert _same(raf.read(slot), record)
+        assert len(raf) == len(records) - len(slots)
         # the same page as the pickled-list form with None in those slots
         listed = [None if i in slots else r for i, r in enumerate(records)]
         page = RafPage.from_records(listed)
         assert page.dead == bytes(int(i in slots) for i in range(len(records)))
-        stored = raf.pager.read(pointers[0].page_id)
         assert stored.dead == page.dead and stored.kinds == page.kinds == "ia"
         assert all(_same(a, b) for a, b in zip(stored.records(), page.records()))
 
     def test_an_all_tombstone_page(self):
         records = _records()["id, word"][:10]
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = _append_all(raf, records)
-        for pointer in pointers:
-            raf.mark_deleted(pointer)
-        assert raf.read_many(pointers) == [None] * 10
+        where = _append_all(raf, records)
+        for object_id in range(10):
+            raf.mark_deleted(object_id)
+        assert len(raf) == 0 and not raf.live(range(10)).any()
+        assert raf.pager.read(where[0][0]).records() == [None] * 10
         assert RafPage.from_records([None] * 3).records() == [None] * 3
         # the open page keeps taking records after its tombstones
-        new = raf.append((10, "new"))
-        assert new.slot == 10 and raf.read(new) == (10, "new")
+        raf.append((10, "new"))
+        assert raf._where(10) == (where[0][0], 10) and raf.read(10) == (10, "new")
 
     def test_a_record_of_another_schema_starts_a_page(self):
         raf = self._raf()
         a, b = _append_all(raf, [(0, np.zeros(2)), (1, np.zeros(2))])
-        c = raf.append((2, "word"))
-        d = raf.append((3, np.zeros(2, dtype=np.float32)))
-        assert a.page_id == b.page_id
-        assert len({b.page_id, c.page_id, d.page_id}) == 3
-        assert raf.read(c) == (2, "word")
-        assert raf.read(d)[1].dtype == np.float32
+        raf.append((2, "word"))
+        raf.append((3, np.zeros(2, dtype=np.float32)))
+        c, d = raf._where(2), raf._where(3)
+        assert a[0] == b[0]
+        assert len({b[0], c[0], d[0]}) == 3
+        assert raf.read(2) == (2, "word")
+        assert raf.read(3)[1].dtype == np.float32
 
     def test_update_to_another_schema_re_encodes_the_page(self):
         raf = RandomAccessFile(Pager(page_size=4096))
-        pointers = _append_all(raf, [(i, np.full(2, float(i))) for i in range(5)])
-        raf.update(pointers[2], (2, "now a word"))
-        page = raf.pager.read(pointers[0].page_id)
+        where = _append_all(raf, [(i, np.full(2, float(i))) for i in range(5)])
+        raf.update(2, (2, "now a word"))
+        page = raf.pager.read(where[0][0])
         assert (page.arity, page.kinds) == (None, "o")  # records pickled whole
-        assert raf.read(pointers[2]) == (2, "now a word")
+        assert raf.read(2) == (2, "now a word")
         for i in (0, 1, 3, 4):
-            assert _same(raf.read(pointers[i]), (i, np.full(2, float(i))))
+            assert _same(raf.read(i), (i, np.full(2, float(i))))
         # and the open page still takes records of its new schema
-        assert raf.append((5, np.zeros(2))).page_id == pointers[0].page_id
+        raf.append((5, np.zeros(2)))
+        assert raf._where(5) == (where[0][0], 5)
 
     def test_writes_change_one_row_never_the_page_record_by_record(self, monkeypatch):
         raf = self._raf(cache_bytes=64 * 1024)
-        pointers = _append_all(raf, [(i, np.full(2, float(i))) for i in range(20)])
-        page_id = pointers[0].page_id
+        where = _append_all(raf, [(i, np.full(2, float(i))) for i in range(20)])
+        page_id = where[0][0]
         before = raf.pager.read(page_id)
         monkeypatch.setattr(
             RafPage, "record", lambda *a: pytest.fail("a write decoded a record")
         )
-        raf.mark_deleted(pointers[3])
+        raf.mark_deleted(3)
         deleted = raf.pager.read(page_id)
         assert deleted.columns is before.columns  # one tombstone byte
-        raf.update(pointers[4], (40, np.full(2, 40.0)))
+        raf.update(4, (4, np.full(2, 40.0)))
         updated = raf.pager.read(page_id)
         assert updated.columns[1] is not deleted.columns[1]
         assert np.array_equal(
@@ -759,12 +805,13 @@ class TestRafPageCodec:
         monkeypatch.undo()
         # copy-on-write: each pooled node kept what it held
         assert before.dead == bytes(20)
-        assert deleted.record(3) is None and deleted.record(4)[0] == 4
-        assert updated.record(4)[0] == 40 and appended.record(20)[0] == 20
+        assert deleted.record(3) is None and deleted.record(4)[1][0] == 4.0
+        assert updated.record(4)[1][0] == 40.0 and appended.record(20)[0] == 20
 
     def test_list_page_is_read_as_is_and_re_encoded_on_first_write(self):
         """A RAF pickled with the record-list page format loads, reads its
-        list pages as they are, and re-encodes a page when it writes it."""
+        list pages as they are, and re-encodes a page when it writes it.
+        Its locator is filled from the owning index's pointer map."""
         pager = Pager(page_size=1024)
         sealed, open_page = pager.allocate(), pager.allocate()
         full = [(i, np.full(2, float(i))) for i in range(4)]
@@ -782,34 +829,46 @@ class TestRafPageCodec:
                 "_count": 6,
             }
         )
+        assert len(raf._pages) == 0
+        # the index's pointer map, as its pickle loads (see service.snapshot)
+        pointers = {
+            i: SimpleNamespace(page_id=page, slot=slot)
+            for i, page, slot in ((0, sealed, 0), (2, sealed, 2), (3, sealed, 3), (4, open_page, 1))
+        }
+        state = locate_pointer_map({"raf": raf, "_pointers": pointers, "other": 1})
+        assert state == {"raf": raf, "other": 1}
+        assert [i for i in range(6) if i in raf] == [0, 2, 3, 4] and len(raf) == 4
         assert type(pager.read(sealed)) is list
-        assert raf.read(RecordPointer(sealed, 1)) is None
-        assert _same(raf.read(RecordPointer(sealed, 2)), full[2])
+        assert _same(raf.read(2), full[2])
         assert raf._open_page.records()[0] is None
         # the open page's first write re-encodes it with the row it adds
-        pointer = raf.append((5, np.full(2, 5.0)))
-        assert pointer == RecordPointer(open_page, 2)
+        raf.append((5, np.full(2, 5.0)))
+        assert raf._where(5) == (open_page, 2)
         stored = pager.read(open_page)
         assert type(stored) is RafPage and stored.dead == b"\x01\x00\x00"
         assert [r if r is None else r[0] for r in stored.records()] == [None, 4, 5]
-        raf.mark_deleted(RecordPointer(sealed, 0))
+        raf.mark_deleted(0)
         assert type(pager.read(sealed)) is RafPage
-        assert [r if r is None else r[0] for r in raf.read_many(
-            RecordPointer(sealed, s) for s in range(4)
-        )] == [None, None, 2, 3]
+        assert [r if r is None else r[0] for r in pager.read(sealed).records()] == [
+            None,
+            None,
+            2,
+            3,
+        ]
+        assert [r[0] for r in raf.read_many([3, 2, 5, 4])] == [3, 2, 5, 4]
 
     def test_pages_fill_to_the_budget_header_included(self):
         """Fixed-size records: the page count is the arithmetic minimum."""
         records = _records(1000)["id, vector, mapped"]
         for page_size, fill_factor in ((1024, 0.9), (4096, 0.9), (4096, 1.0)):
             raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
-            pointers = _append_all(raf, records)
+            where = _append_all(raf, records)
             schema = _schema_of(records[0])
             empty = RafPage.encode([], schema)
             # the empty page's pickle, and 3 B for each of its 4 buffers
             header = len(pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)) + 3 * 4
             per_page = (int(page_size * fill_factor) - header) // (8 + 16 + 16 + 1)
-            pages = {p.page_id for p in pointers}
+            pages = {page for page, _ in where}
             assert len(pages) == -(-len(records) // per_page)
             assert max(raf.pager.store.page_bytes(p) for p in pages) <= (
                 page_size * fill_factor

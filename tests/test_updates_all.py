@@ -111,6 +111,50 @@ def test_table_insert_rejects_live_and_unknown_ids(datasets, pivots, index_name)
 
 
 @pytest.mark.parametrize(
+    "index_name", [name for name in indexes_for("LA") + ("DEPT",) if name != "AESA"]
+)
+def test_insert_refuses_another_object_under_an_id(index_name):
+    """``insert(obj, object_id=i)`` puts dataset slot ``i`` back, so ``obj``
+    must be that slot's object (a copy is fine).
+
+    Every family used to take another one: after ``delete(5)``, ``insert(
+    la[7] + 5000, object_id=5)`` was accepted, the SPB-tree, M-index* and
+    OmniR-tree then answered ``[5]`` to a range query around the stranger
+    at r = 1 while ``dataset[5]`` was unchanged (brute force: ``[]``), and
+    MVPT's next ``delete(5)`` raised ``KeyError``.  The insert is now
+    refused before any row or page is written.
+    """
+    from repro import CostCounters, make_la, select_pivots
+    from repro.bench.runner import build_index
+
+    dataset = make_la(400, seed=11)
+    space = MetricSpace(dataset, CostCounters())
+    pivot_ids = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=3)
+    index = build_index(index_name, space, pivot_ids, workload_name="LA", seed=5)
+    oracle = MetricSpace(dataset)
+    q, radius = dataset[5], RADIUS["LA"]
+    index.delete(5)
+    stranger = dataset[7] + 5000.0
+    before = space.counters.snapshot()
+    with pytest.raises(ValueError, match="another object"):
+        index.insert(stranger, object_id=5)
+    assert (space.counters.snapshot() - before).page_writes == 0
+    assert len(dataset) == 400
+    assert index.range_query(stranger, 1.0) == []
+    assert index.range_query(q, radius) == [
+        i for i in brute_force_range(oracle, q, radius) if i != 5
+    ]
+    with pytest.raises(KeyError):
+        index.delete(5)
+    # a copy of the object itself goes back, and out again
+    assert index.insert(dataset[5].copy(), object_id=5) == 5
+    assert index.range_query(q, radius) == brute_force_range(oracle, q, radius)
+    assert index.knn_query(q, 4) == brute_force_knn(oracle, q, 4)
+    index.delete(5)
+    assert 5 not in index.range_query(q, radius)
+
+
+@pytest.mark.parametrize(
     "dataset_name,index_name",
     [("LA", "MVPT"), ("LA", "VPT"), ("Words", "MVPT"), ("Words", "BKT"), ("Words", "FQT")],
 )
