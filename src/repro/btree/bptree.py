@@ -42,12 +42,17 @@ An internal node holds ``separators`` (the key column's kind), ``children``
 (int64 page ids) and the ``c x l`` ``lows`` / ``highs`` of a tree whose
 entries carry cells.  A node holds its columns as lists (and its cells and
 boxes as arrays) in memory, so a read is one ``frombuffer`` a column.  The
-kinds are chosen when a node is pickled: the narrowest that holds every
-value of the column, so a key with no columnar form (the M-index's tuple)
-is a pickled list.  Fan-out is arithmetic: ``(page_size - header) // row
-bytes``, the header being what the node's empty form pickles to (plus
-each raw buffer's length opcode and memo) and the row bytes those of the
-first entry the tree is given.
+kinds are chosen when a node is pickled, by the function that also packs
+the column (``_typed``): one pass over the values' types decides -- every
+value an ``int`` gives ``int64`` unless the encode raises ``OverflowError``
+(an int past int64), every value a ``float`` gives ``float64``, and
+anything else (the M-index's tuples, a ``bool``, an int / float mix) a
+pickled list.  On a 161-row leaf column the type pass
+(``set(map(type, values))``) takes 4 us, where a type test a value plus a
+``min`` and a ``max`` took 12 (2-core x86 VM).  Fan-out is arithmetic:
+``(page_size - header) // row bytes``, the header being what the node's
+empty form pickles to (plus each raw buffer's length opcode and memo) and
+the row bytes those of the first entry the tree is given.
 
 Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 8-bit grid,
 4 KB pages): a row is an int64 Hilbert key and an int64 object id plus 5
@@ -82,21 +87,26 @@ __all__ = ["BPlusTree", "LeafNode", "InternalNode"]
 
 _BULK_FILL = 0.85  # of a node's capacity, filled by bulk_load
 _FAR_PAGE = (1 << 31) - 1  # a next-page id as long as its pickle gets
-_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
-
-
-def _kind_of(values) -> str:
-    """The narrowest column kind holding every value: ``i`` (int64), ``f``
-    (float64) or ``o`` (a pickled list)."""
-    if all(type(v) is int for v in values):
-        if not values or (_INT64_MIN <= min(values) and max(values) < _INT64_END):
-            return "i"
-        return "o"
-    return "f" if all(type(v) is float for v in values) else "o"
 
 
 def _packed(kind: str, values: list):
     return pack_column(kind, encode_column((kind,), values))
+
+
+def _typed(values) -> tuple:
+    """``(kind, packed)`` of a node column: the narrowest kind holding every
+    value -- ``i`` (int64), ``f`` (float64) or ``o`` (a pickled list) -- and
+    the column packed in it.  One pass over the values' types decides; an
+    int past int64 shows as the ``OverflowError`` of the int64 encode."""
+    types = set(map(type, values))
+    if types <= {int}:
+        try:
+            return "i", _packed("i", values)
+        except OverflowError:
+            pass
+    elif types == {float}:
+        return "f", _packed("f", values)
+    return "o", _packed("o", values)
 
 
 def _unpacked(kind: str, packed) -> list:
@@ -135,8 +145,8 @@ def _cells_packed(cells):
     return None if cells is None else pack_column("a", cells)
 
 
-def _leaf_args(kinds, columns, cells, next_page) -> tuple:
-    return kinds, tuple(map(_packed, kinds, columns)), _cells_packed(cells), next_page
+def _leaf_args(kinds, packed, cells, next_page) -> tuple:
+    return kinds, tuple(packed), _cells_packed(cells), next_page
 
 
 def _leaf_from(kinds, packed, cells, next_page) -> "LeafNode":
@@ -165,8 +175,8 @@ class LeafNode:
         self.next_page = next_page
 
     def __reduce__(self):
-        kinds = "".join(map(_kind_of, self.columns))
-        return _leaf_from, _leaf_args(kinds, self.columns, self.cells, self.next_page)
+        kinds, packed = zip(*map(_typed, self.columns))
+        return _leaf_from, _leaf_args("".join(kinds), packed, self.cells, self.next_page)
 
     def __setstate__(self, state):
         # pickled as the dataclass of key and value lists (the layout
@@ -243,9 +253,10 @@ class LeafNode:
 
 
 def _internal_args(kind, separators, children, lows, highs) -> tuple:
+    """The node's arguments, its ``separators`` already packed as ``kind``."""
     return (
         kind,
-        _packed(kind, separators),
+        separators,
         _packed("i", children),
         _cells_packed(lows),
         _cells_packed(highs),
@@ -276,9 +287,9 @@ class InternalNode:
         self.lows, self.highs = _stacked(boxes)
 
     def __reduce__(self):
-        kind = _kind_of(self.separators)
+        kind, separators = _typed(self.separators)
         return _internal_from, _internal_args(
-            kind, self.separators, self.children, self.lows, self.highs
+            kind, separators, self.children, self.lows, self.highs
         )
 
     def __setstate__(self, state):
@@ -358,7 +369,8 @@ def _header_bytes(empty, buffers: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _leaf_header(kinds: str, cell_spec) -> int:
     """The header of a leaf of ``kinds`` (with the longest next-page id)."""
-    args = _leaf_args(kinds, [[] for _ in kinds], _no_cells(cell_spec), _FAR_PAGE)
+    empty = [_packed(kind, []) for kind in kinds]
+    args = _leaf_args(kinds, empty, _no_cells(cell_spec), _FAR_PAGE)
     buffers = sum(kind != "o" for kind in kinds) + (cell_spec is not None)
     return _header_bytes((_leaf_from, args), buffers)
 
@@ -367,7 +379,7 @@ def _leaf_header(kinds: str, cell_spec) -> int:
 def _internal_header(kind: str, cell_spec) -> int:
     """The header of an internal node whose separators are of ``kind``."""
     boxes = _no_cells(cell_spec)
-    args = _internal_args(kind, [], [], boxes, boxes)
+    args = _internal_args(kind, _packed(kind, []), [], boxes, boxes)
     buffers = 1 + (kind != "o") + 2 * (cell_spec is not None)
     return _header_bytes((_internal_from, args), buffers)
 
@@ -401,7 +413,7 @@ class BPlusTree:
         first entry); see module docstring."""
         if self._leaf_capacity is not None:
             return
-        kinds = "".join(map(_kind_of, leaf.columns))
+        kinds = "".join(_typed(column)[0] for column in leaf.columns)
         row = sum(field_bytes((k,), column[0]) for k, column in zip(kinds, leaf.columns))
         cells = leaf.cells
         spec = None if cells is None else (cells.dtype.str, cells.shape[1])

@@ -10,18 +10,27 @@ in a scalar and an array form.
 insert / delete / query paths, which handle one key or one leaf at a time.
 The array form works on the columns of an ``n x dims`` integer matrix and
 serves bulk construction.  Neither replaces the other: measured on the
-Hilbert decode (bits = 8, dims = 5; encode reads the same), the array form
-costs ~0.3 ms however few keys it is given, so one key is 35x slower than
-the scalar form (350 vs 10 us), 4096 keys are 17x faster (3.9 vs 67.5 ms),
-and the crossover sits at about 30 keys -- one B+-tree leaf holds 36 (390
-vs 507 us), and a scan decodes only a leaf's live entries -- which is why
-query-side leaf scans stay on the scalar form.  Keys are Python integers in
-both forms (they are pickled into B+-tree leaves and compared by
-``bisect``); the array form assembles keys wider than 63 bits from limbs of
-at most 63 bits, so one code path serves every width.
+Hilbert curve (bits = 8, dims = 5, 2-core x86 VM), the array encode costs
+~0.35 ms however few keys it is given -- one key 0.32 ms against 11 us for
+the scalar form, 4096 keys 0.56 ms against 65 ms -- and the crossover sits
+at about 25 keys; the array decode costs ~0.5 ms fixed (one key 0.45 ms
+against 18 us, 4096 keys 2.7 ms against 75 ms) and crosses over at about
+30.  No query decodes a key (B+-tree leaves carry their cells); the array
+decode gives cells to a tree written before leaves had them, as it loads.
+
+**Key widths.**  The array form works on coordinate columns in the
+narrowest unsigned dtype that holds ``max_coordinate`` (``uint8`` at bits =
+8) and interleaves by lookup: a key is the OR of one
+table lookup per axis and coordinate byte (:func:`_spread_tables`).  Keys
+come back as an ``int64`` array whenever ``bits * dims <= 63`` and as an
+object array of Python ints past that (the tables themselves are then
+Python ints); the scalar form returns a Python int, which is what B+-tree
+leaves hold and compare by ``bisect``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -56,20 +65,41 @@ def _limb_widths(total_bits: int) -> list[int]:
     return [_LIMB_BITS] * full + ([rest] if rest else [])
 
 
-def _interleave_columns(columns: list[np.ndarray], bits: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _spread_tables(bits: int, dims: int) -> tuple:
+    """Lookup tables of the interleave, one a coordinate byte and axis.
+
+    ``tables[j][i][v]`` is the part of a key that byte ``j`` (bits ``8j``
+    to ``8j + 7``) of axis ``i``'s coordinate contributes when it is ``v``:
+    bit ``b`` of the coordinate lands on key bit ``b * dims + dims - 1 - i``.
+    A key is the OR of one lookup a byte and axis.  The tables are ``int64``
+    when every key fits 63 bits, else Python ints in object arrays.
+    """
+    dtype = np.int64 if bits * dims <= _LIMB_BITS else object
+    tables = []
+    for low in range(0, bits, 8):
+        width = min(8, bits - low)  # a table no larger than the byte's values
+        values = np.arange(1 << width).astype(dtype)
+        spread = np.zeros_like(values)
+        for b in range(width):
+            spread |= ((values >> b) & 1) << ((low + b) * dims)
+        axes = [spread << (dims - 1 - i) for i in range(dims)]
+        for table in axes:
+            table.flags.writeable = False
+        tables.append(tuple(axes))
+    return tuple(tables)
+
+
+def _interleave_columns(columns: list[np.ndarray], bits: int) -> np.ndarray:
     """Array form of :func:`interleave`: one key per row of the columns."""
-    widths = _limb_widths(bits * len(columns))
-    limbs = [np.zeros(len(columns[0]), dtype=np.int64) for _ in widths]
-    position = 0
-    for bit in range(bits - 1, -1, -1):
-        for column in columns:
-            limb = limbs[position // _LIMB_BITS]
-            limb <<= 1
-            limb |= (column >> bit) & 1
-            position += 1
-    keys = limbs[0].tolist()
-    for limb, width in zip(limbs[1:], widths[1:]):
-        keys = [(key << width) | low for key, low in zip(keys, limb.tolist())]
+    keys = None
+    for low, tables in zip(range(0, bits, 8), _spread_tables(bits, len(columns))):
+        for column, table in zip(columns, tables):
+            part = table.take(column if bits <= 8 else (column >> low) & 0xFF)
+            if keys is None:
+                keys = part
+            else:
+                keys |= part
     return keys
 
 
@@ -131,27 +161,34 @@ class GridCurve:
 
     # -- array form ------------------------------------------------------------
 
-    def encode_many(self, coords) -> list[int]:
-        """Keys (Python ints) for each row of an ``n x dims`` integer matrix."""
+    def encode_many(self, coords) -> np.ndarray:
+        """Keys for each row of an ``n x dims`` integer matrix: an ``int64``
+        array when a key fits 63 bits, else an object array of Python ints."""
         matrix = np.asarray(coords)
-        if matrix.size == 0 and matrix.ndim < 2:
-            return []
+        if matrix.size == 0 and matrix.ndim < 2:  # no rows
+            matrix = matrix.reshape(0, self.dims)
         if matrix.ndim != 2 or matrix.shape[1] != self.dims:
             got = matrix.shape[1] if matrix.ndim == 2 else matrix.shape
             raise ValueError(f"expected {self.dims} coordinates, got {got}")
-        # a private dims x n copy: each column contiguous, free to change in place
-        columns = np.array(matrix.T, dtype=np.int64, order="C")
-        bad = (columns < 0) | (columns > self.max_coordinate)
-        if bad.any():
-            raise ValueError(
-                f"coordinate {columns.T[bad.T][0]} out of range "
-                f"[0, {self.max_coordinate}]"
-            )
+        if matrix.dtype.kind not in "ui":
+            matrix = matrix.astype(np.int64)
+        if matrix.dtype.kind == "i" or np.iinfo(matrix.dtype).max > self.max_coordinate:
+            bad = (matrix < 0) | (matrix > self.max_coordinate)
+            if bad.any():
+                raise ValueError(
+                    f"coordinate {matrix[bad][0]} out of range "
+                    f"[0, {self.max_coordinate}]"
+                )
+        # a private dims x n copy in the narrowest unsigned type that holds a
+        # coordinate: each column contiguous, free to change in place
+        dtype = np.min_scalar_type(self.max_coordinate)
+        columns = np.array(matrix.T, dtype=dtype, order="C")
         columns = self._axes_to_transpose_columns(list(columns))
         return _interleave_columns(columns, self.bits)
 
     def decode_many(self, keys) -> np.ndarray:
-        """``n x dims`` int64 matrix of the cells of ``keys``."""
+        """``n x dims`` int64 matrix of the cells of ``keys`` (a sequence of
+        keys, or an array of them as :meth:`encode_many` returns)."""
         keys = [int(key) for key in keys]
         for key in keys:
             self._check_key(key)

@@ -13,8 +13,15 @@ The transform exists twice, on purpose (:mod:`repro.sfc.curve` has the
 measurement): the scalar ``encode`` / ``decode`` on Python integers are the
 insert / delete / query path and the reference the tests hold the array
 form to; ``encode_many`` / ``decode_many`` run the same steps over the
-columns of an ``n x dims`` matrix -- ``bits * dims`` whole-array passes --
-and are what bulk construction calls, once.
+columns of an ``n x dims`` matrix and are what bulk construction calls,
+once.  The column form has no branch: each of Skilling's ``(bits - 1) *
+dims`` flip-or-exchange steps is eleven whole-column integer operations on
+a mask of the tested bit (:func:`_flip_or_exchange`), and the Gray step's
+running parity is an inverse Gray code by doubling shifts.  Encode runs on
+``uint8`` columns at bits = 8; on LA (n = 20 000, 5 pivots) it costs 1.4 ms
+where ``int64`` columns with ``np.where`` selects and a bit-by-bit
+interleave into a list of Python ints cost 16 ms (median of 9 builds, four
+processes a side, 2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -27,15 +34,18 @@ __all__ = ["HilbertCurve"]
 
 
 def _flip_or_exchange(x: list[np.ndarray], i: int, q: int) -> None:
-    """Skilling's inner step on columns, in place.
+    """Skilling's inner step on columns, in place, without a branch.
 
     Row by row: where bit ``q`` of ``x[i]`` is set, the low bits of ``x[0]``
     are inverted; elsewhere ``x[0]`` and ``x[i]`` exchange their low bits.
+    ``mask`` is all ones on the rows of the first kind and zero on the
+    others, and ``t`` the low bits in which ``x[0]`` and ``x[i]`` differ on
+    the others (none at ``i = 0``), so one XOR a column does both.
     """
     p = q - 1
-    hit = (x[i] & q) != 0
-    t = np.where(hit, 0, (x[0] ^ x[i]) & p)
-    x[0] ^= np.where(hit, p, t)
+    mask = -((x[i] >> (q.bit_length() - 1)) & 1)
+    t = (x[0] ^ x[i]) & p & ~mask
+    x[0] ^= (mask & p) | t
     x[i] ^= t
 
 
@@ -78,7 +88,7 @@ class HilbertCurve(GridCurve):
         return x
 
     def _axes_to_transpose_columns(self, x: list[np.ndarray]) -> list[np.ndarray]:
-        """:meth:`_axes_to_transpose` on ``dims`` int64 columns, in place."""
+        """:meth:`_axes_to_transpose` on ``dims`` unsigned columns, in place."""
         n = self.dims
         m = 1 << (self.bits - 1)
         q = m
@@ -88,11 +98,13 @@ class HilbertCurve(GridCurve):
             q >>= 1
         for i in range(1, n):
             x[i] ^= x[i - 1]
-        t = np.zeros_like(x[0])
-        q = m
-        while q > 1:
-            t ^= np.where((x[n - 1] & q) != 0, q - 1, 0)
-            q >>= 1
+        # bit j of t is the parity of the bits of x[n - 1] above j: the
+        # inverse Gray code of x[n - 1] >> 1, by doubling shifts
+        t = x[n - 1] >> 1
+        shift = 1
+        while shift < self.bits:
+            t ^= t >> shift
+            shift <<= 1
         for i in range(n):
             x[i] ^= t
         return x
@@ -128,7 +140,7 @@ class HilbertCurve(GridCurve):
         return x
 
     def _transpose_to_axes_columns(self, x: list[np.ndarray]) -> list[np.ndarray]:
-        """:meth:`_transpose_to_axes` on ``dims`` int64 columns, in place."""
+        """:meth:`_transpose_to_axes` on ``dims`` integer columns, in place."""
         n = self.dims
         m = 1 << (self.bits - 1)
         t = x[n - 1] >> 1

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro import CostCounters, MetricSpace, brute_force_knn, brute_force_range
-from repro.btree import BPlusTree, LeafNode
-from repro.external import MIndexStar, OmniBPlusTree, SPBTree
+from repro.btree import BPlusTree, InternalNode, LeafNode
+from repro.external import MIndex, MIndexStar, OmniBPlusTree, SPBTree
 from repro.sfc.curve import GridCurve
 from repro.sfc.hilbert import HilbertCurve
 from repro.storage.pager import PageStore
@@ -270,3 +270,68 @@ def test_a_leaf_pickles_its_columns_as_raw_bytes():
     back = pickle.loads(blob)
     assert back.keys == keys and back.values == values and back.next_page == 70_000
     assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint8
+
+
+def _kinds(node) -> str:
+    """The column kinds a node pickles under (the first of its arguments)."""
+    return node.__reduce__()[1][0]
+
+
+def _roundtrip(node):
+    return pickle.loads(pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+@pytest.mark.parametrize(
+    "column,kind",
+    [
+        ([], "i"),
+        ([-(1 << 63), 0, (1 << 63) - 1], "i"),  # int64's own ends
+        ([0.5, -2.0, 1e300], "f"),
+        ([1, 2, 1 << 63], "o"),  # an int past int64
+        ([-(1 << 63) - 1, 0], "o"),
+        ([1, True, 3], "o"),  # a bool is no int64
+        ([1, 2.5, 3], "o"),  # an int / float mix
+        ([2.5, 1, 3.5], "o"),
+        ([(1, 2), (1, 3)], "o"),
+    ],
+)
+def test_a_column_takes_the_narrowest_kind_and_round_trips(column, kind):
+    """Leaf keys, leaf values and internal separators are typed alike: one
+    pass over the values' types, int64 when every int fits, else a pickled
+    list -- which gives back every value with its type."""
+    ids = list(range(len(column)))
+    leaf = LeafNode([list(column), ids])
+    assert _kinds(leaf) == kind + "i"
+    back = _roundtrip(leaf)
+    assert back.keys == column and list(map(type, back.keys)) == list(map(type, column))
+    assert back.values == ids
+    swapped = LeafNode([ids, list(column)])
+    assert _kinds(swapped) == "i" + kind
+    back = _roundtrip(swapped)
+    assert back.values == column and list(map(type, back.values)) == list(map(type, column))
+    node = InternalNode(list(column), list(range(len(column) + 1)))
+    assert _kinds(node) == kind
+    back = _roundtrip(node)
+    assert back.separators == column
+    assert list(map(type, back.separators)) == list(map(type, column))
+    assert back.children == list(range(len(column) + 1))
+
+
+@pytest.mark.parametrize(
+    "name,kinds",
+    [("SPB-tree", "ii"), ("M-index", "oi"), ("M-index*", "oi"), ("OmniB+", "fi")],
+)
+def test_each_index_keeps_its_leaf_kinds(pivots, name, kinds):
+    """Hilbert keys are int64, iDistance keys ``(path, distance)`` tuples
+    pickled whole, Omni keys float64 distances, and every value an int64
+    object id: the kinds the pages were written with, so no page byte
+    moves with the typing code."""
+    builders = {
+        **BUILDERS,
+        "M-index": lambda space, pivots: MIndex.build(space, pivots, page_size=PAGE_SIZE),
+    }
+    dataset = DATASET_MAKERS["LA"]()
+    index = builders[name](MetricSpace(dataset, CostCounters()), pivots["LA"])
+    for tree in _trees(index):
+        for _, node in _nodes(tree):
+            assert _kinds(node) == (kinds if node.is_leaf else kinds[0])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distances import _BLOCK_ELEMENTS
+from repro.core.distances import _BLOCK_ELEMENTS, _COLUMN_DIMS
 from repro import (
     BKT,
     LAESA,
@@ -214,6 +214,39 @@ class TestBlockedLPKernel:
         want = np.stack([_unblocked_column(L1, x, ys) for x in xs])
         assert np.array_equal(L1.pairwise(xs, ys), want)
         assert np.array_equal(L1.pairwise(ys, xs), want.T)
+
+    @pytest.mark.parametrize("dim", range(10))
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
+    def test_column_path_is_call_is_a_pairwise_row(self, dist, dim):
+        """Below ``_COLUMN_DIMS`` = 8 coordinates ``one_to_many`` sums a
+        coordinate at a time, from 8 on it reduces rows: on both sides of the
+        switch, for every layout and dtype, each float is ``__call__``'s and
+        a ``pairwise`` row's, bit for bit -- zero coordinates included, where
+        every distance is 0 (L_inf's row maximum used to raise there)."""
+        assert _COLUMN_DIMS == 8
+        rng = np.random.default_rng(100 + dim)
+        q = rng.normal(scale=100.0, size=dim)
+        for n in (0, 1, 10, self._block_rows(max(dim, 1)) + 1):
+            mat = rng.normal(scale=100.0, size=(2 * n, dim))
+            # __call__ on every row of a small batch, on a sample of a large one
+            sample = np.unique(np.r_[0:10, n - 10 : n, rng.integers(0, max(n, 1), 100)])
+            sample = sample[(sample >= 0) & (sample < n)]
+            for view in (
+                mat[:n],
+                np.asfortranarray(mat[:n]),
+                mat[::2],
+                mat[:n].astype(np.float32),
+                (mat[:n] * 10).astype(np.int64),
+                mat[:n].tolist(),
+            ):
+                got = dist.one_to_many(q, view)
+                assert got.dtype == np.float64 and got.shape == (n,), (n, dim)
+                rows = np.asarray(view, dtype=np.float64).reshape(n, dim)
+                want = [dist(q, rows[i]) for i in sample]
+                assert np.array_equal(got[sample], want), (n, dim)
+                assert np.array_equal(dist.pairwise([q], view)[0], got), (n, dim)
+                if not dim:
+                    assert not got.any()
 
     @pytest.mark.parametrize("dist", [L1, L2, LInf], ids=lambda d: d.name)
     def test_no_temporary_larger_than_one_block(self, dist):

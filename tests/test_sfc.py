@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from repro.sfc import HilbertCurve, ZOrderCurve
 
 # (bits, dims): the smallest curve, one axis, the SPB-tree default, a key of
-# exactly 64 bits, the 72-bit keys of the Fig. 18 sweep (l = 9), wide axes
-KERNEL_SHAPES = [(1, 1), (8, 1), (8, 5), (8, 8), (8, 9), (32, 3)]
+# exactly 64 bits, the 72-bit keys of the Fig. 18 sweep (l = 9), wide axes;
+# then coordinates past one byte (the interleave's tables go byte by byte):
+# two bytes at the 63-bit edge, two whole bytes, three bytes at the edge
+KERNEL_SHAPES = [(1, 1), (8, 1), (8, 5), (8, 8), (8, 9), (32, 3), (9, 7), (16, 3), (21, 3)]
+
+
+def _key_dtype(curve):
+    """The array form's key dtype: int64 up to 63 bits, Python ints past."""
+    return np.dtype(np.int64) if curve.bits * curve.dims <= 63 else np.dtype(object)
 
 
 @pytest.mark.parametrize("curve_cls", [HilbertCurve, ZOrderCurve])
@@ -54,7 +61,8 @@ class TestCurveCommon:
         curve = curve_cls(bits=4, dims=2)
         coords = np.array([[0, 0], [3, 7], [15, 15]])
         keys = curve.encode_many(coords)
-        assert keys == [curve.encode(row) for row in coords]
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [curve.encode(row) for row in coords]
 
     @pytest.mark.parametrize("bits,dims", KERNEL_SHAPES)
     @given(data=st.data())
@@ -72,32 +80,44 @@ class TestCurveCommon:
             )
         )
         keys = curve.encode_many(np.asarray(rows, dtype=np.int64))
-        assert keys == [curve.encode(row) for row in rows]
+        assert keys.dtype == _key_dtype(curve) and keys.shape == (len(rows),)
+        assert keys.tolist() == [curve.encode(row) for row in rows]
         # pickled into leaves, compared by bisect: never numpy scalars
-        assert all(type(key) is int for key in keys)
-        cells = curve.decode_many(keys)
-        assert cells.shape == (len(rows), dims)
-        assert cells.dtype == np.int64
-        assert [tuple(row) for row in cells.tolist()] == [curve.decode(k) for k in keys]
-        assert cells.tolist() == rows
+        assert all(type(key) is int for key in keys.tolist())
+        # the narrowest input a coordinate fits gives the same keys
+        narrow = np.asarray(rows, dtype=np.min_scalar_type(curve.max_coordinate))
+        assert curve.encode_many(narrow).tolist() == keys.tolist()
+        for given in (keys, keys.tolist()):
+            cells = curve.decode_many(given)
+            assert cells.shape == (len(rows), dims)
+            assert cells.dtype == np.int64
+            assert [tuple(row) for row in cells.tolist()] == [
+                curve.decode(k) for k in keys.tolist()
+            ]
+            assert cells.tolist() == rows
 
     @pytest.mark.parametrize("bits,dims", KERNEL_SHAPES)
     def test_array_form_on_extreme_cells_and_keys(self, curve_cls, bits, dims):
         curve = curve_cls(bits=bits, dims=dims)
         top = curve.max_coordinate
         rows = [[0] * dims, [top] * dims, [top] + [0] * (dims - 1), [0] * (dims - 1) + [top]]
-        assert curve.encode_many(rows) == [curve.encode(row) for row in rows]
+        assert curve.encode_many(rows).tolist() == [curve.encode(row) for row in rows]
         keys = [0, 1, curve.max_key // 2, curve.max_key - 1, curve.max_key]
         cells = curve.decode_many(keys)
         assert [tuple(row) for row in cells.tolist()] == [curve.decode(k) for k in keys]
-        assert curve.encode_many(cells) == keys
+        assert curve.encode_many(cells).tolist() == keys
+        assert curve.decode_many(np.asarray(keys, dtype=_key_dtype(curve))).tolist() == (
+            cells.tolist()
+        )
 
     def test_array_form_empty_input(self, curve_cls):
-        curve = curve_cls(bits=8, dims=5)
-        assert curve.encode_many([]) == []
-        assert curve.encode_many(np.zeros((0, 5), dtype=np.int64)) == []
-        cells = curve.decode_many([])
-        assert cells.shape == (0, 5)
+        for dims in (5, 9):  # int64 keys, and keys past 63 bits
+            curve = curve_cls(bits=8, dims=dims)
+            for empty in ([], np.zeros((0, dims), dtype=np.int64)):
+                keys = curve.encode_many(empty)
+                assert keys.shape == (0,) and keys.dtype == _key_dtype(curve)
+            for empty in ([], np.zeros(0, dtype=np.int64)):
+                assert curve.decode_many(empty).shape == (0, dims)
 
     def test_array_form_rejects_what_the_scalar_form_rejects(self, curve_cls):
         curve = curve_cls(bits=4, dims=3)
@@ -175,3 +195,23 @@ def test_one_interleave_serves_both_curves():
         transposed = hilbert._axes_to_transpose(list(cell))
         assert hilbert.encode(cell) == interleave(transposed, 6)
         assert tuple(deinterleave(zorder.encode(cell), 6, 3)) == cell
+
+
+def test_spbtree_build_keys_are_the_scalar_keys():
+    """The SPB-tree's bulk construction (LA, 5 HFI pivots, the default
+    8-bit grid) encodes its grid cells with the array form; every key it
+    files an object under is the scalar ``encode`` of that object's cell."""
+    from repro import CostCounters, MetricSpace, SPBTree, make_la, select_pivots
+
+    dataset = make_la(20000, seed=1)
+    pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
+    index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots)
+    cells = index.frame.encode(index.mapping.matrix)
+    assert cells.dtype == np.uint8
+    keys = index.curve.encode_many(cells)
+    assert keys.dtype == np.int64
+    scalar = [index.curve.encode(cell) for cell in cells.tolist()]
+    assert keys.tolist() == scalar
+    filed = dict((object_id, key) for key, object_id in index.btree.items())
+    assert len(filed) == len(dataset)
+    assert all(filed[object_id] == key for object_id, key in enumerate(scalar))
