@@ -14,9 +14,11 @@
   (``tests/test_staged_cascade.py``: column-cells evaluated, from the
   per-stage counters); here both wall times are printed beside that count.
 
-Exactness is asserted before anything is gated: the Ptolemaic build must
-answer bit-for-bit like the triangle build *and* like brute force, and the
-staged mask must equal the single-shot mask.
+The triangle baseline is the Ptolemaic pruner's own column order and
+prefix with no pivot-pair matrix (an L2 build always makes one), so the
+two differ in stage 4 alone.  Exactness is asserted before anything is
+gated: the Ptolemaic table must answer bit-for-bit like the baseline *and*
+like brute force, and the staged mask must equal the single-shot mask.
 
 Scale note: this bench pins its own cardinality (``REPRO_PTOLEMAIC_N``,
 default 20000) instead of following ``REPRO_BENCH_N``.  The paper's Color
@@ -79,22 +81,32 @@ def color_l2():
     return data, pivots, queries, radii
 
 
-def _laesa(data, pivots, bounds: str) -> LAESA:
+def _lemma1_baseline(pruner: StagedPruner) -> StagedPruner:
+    """The same column order and prefix with no pair matrix: stages 1-3
+    only, the triangle-inequality baseline the Ptolemaic stage is gated
+    against."""
+    return StagedPruner(pruner.order, pruner.prefix)
+
+
+def _laesas(data, pivots) -> dict[str, LAESA]:
+    """One L2 table, searched with and without the Ptolemaic stage."""
     space = MetricSpace(data, CostCounters())
     mapping = PivotMapping(space, pivots)
     pruner = StagedPruner.build(
-        space, mapping.matrix, mapping.pivot_objects, bounds=bounds,
-        pair_budget=PAIR_BUDGET,
+        space, mapping.matrix, mapping.pivot_objects, pair_budget=PAIR_BUDGET
     )
-    return LAESA(space, mapping, pruner=pruner)
+    assert pruner.use_ptolemaic
+    return {
+        "triangle": LAESA(space, mapping, pruner=_lemma1_baseline(pruner)),
+        "ptolemaic": LAESA(space, mapping, pruner=pruner),
+    }
 
 
 def test_ptolemaic_compdist_gate(color_l2):
     data, pivots, queries, radii = color_l2
     radius = radii[COMPDIST_SELECTIVITY]
     results = {}
-    for bounds in ("triangle", "ptolemaic"):
-        index = _laesa(data, pivots, bounds)
+    for bounds, index in _laesas(data, pivots).items():
         index.space.counters.reset()
         answers = index.range_query_many(queries, radius)
         results[bounds] = (
@@ -147,8 +159,8 @@ def test_staged_mask_exact_and_costed(color_l2):
     space = MetricSpace(data, CostCounters())
     mapping = PivotMapping(space, pivots)
     qmat = mapping.map_query_many(queries)
-    pruner = StagedPruner.build(
-        space, mapping.matrix, mapping.pivot_objects, bounds="triangle"
+    pruner = _lemma1_baseline(
+        StagedPruner.build(space, mapping.matrix, mapping.pivot_objects)
     )
     counters = CostCounters()
 

@@ -51,7 +51,6 @@ from .core import (
     PivotMapping,
     QuadraticFormDistance,
     QueryStats,
-    RangeResult,
     UnsupportedOperation,
     ShardedIndex,
     brute_force_knn,
@@ -176,7 +175,6 @@ __all__ = [
     "QueryResultCache",
     "QueryService",
     "QueryStats",
-    "RangeResult",
     "SPBTree",
     "ServiceClient",
     "ServiceClientError",

@@ -123,24 +123,16 @@ def build_index(
     """
     n_pivots = len(pivot_ids)
     page_size = overrides.pop("page_size", _page_size_for(name, workload_name))
-    # the bound family only exists on the pivot-table family; the trees
-    # and external indexes silently keep their own bound machinery
-    pruning = {"bounds": overrides.pop("bounds")} if "bounds" in overrides else {}
     if name == "AESA":
-        bounds = pruning.get("bounds")
-        return AESA.build(space, **({"bounds": bounds} if bounds else {}))
+        return AESA.build(space, **overrides)
     if name == "LAESA":
-        return LAESA.build(space, pivot_ids, **pruning, **overrides)
+        return LAESA.build(space, pivot_ids, **overrides)
     if name == "EPT":
-        return EPT.build(space, n_groups=n_pivots, seed=seed, **pruning, **overrides)
+        return EPT.build(space, n_groups=n_pivots, seed=seed, **overrides)
     if name == "EPT*":
-        return EPTStar.build(
-            space, n_pivots_per_object=n_pivots, seed=seed, **pruning, **overrides
-        )
+        return EPTStar.build(space, n_pivots_per_object=n_pivots, seed=seed, **overrides)
     if name == "CPT":
-        return CPT.build(
-            space, pivot_ids, page_size=page_size, seed=seed, **pruning, **overrides
-        )
+        return CPT.build(space, pivot_ids, page_size=page_size, seed=seed, **overrides)
     if name == "BKT":
         return BKT.build(space, seed=seed, **overrides)
     if name == "FQT":

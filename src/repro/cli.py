@@ -403,27 +403,9 @@ def _cmd_serve(args) -> int:
     else:
         workload = make_workload(args.dataset, n=args.n, n_queries=args.queries)
         pivots = shared_pivots(workload, args.pivots)
-        try:
-            # --bounds ptolemaic on a non-Ptolemaic metric fails here with
-            # the staged pruner's ValueError
-            result = measure_build(
-                args.index,
-                workload,
-                pivots,
-                **({"bounds": args.bounds} if args.bounds else {}),
-            )
-        except ValueError as exc:
-            print(f"cannot build {args.index}: {exc}")
-            return 2
+        result = measure_build(args.index, workload, pivots)
         # a fresh bill: the build's compdists are not serving work
         service = QueryService(result.index, counters=CostCounters(), **options)
-    if args.bounds:
-        try:
-            service.set_bounds(args.bounds)
-        except ValueError as exc:
-            service.close()
-            print(exc)
-            return 2
     with service:
         if banner:
             print(banner, flush=True)
@@ -760,14 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=2.0)
-    p.add_argument(
-        "--bounds",
-        choices=("triangle", "ptolemaic", "auto"),
-        default=None,
-        help="staged-pruner bound family for the hosted index(es); applies "
-        "to snapshot-restored pruners too (auto = Ptolemaic only when the "
-        "metric declares it)",
-    )
     p.add_argument(
         "--http",
         type=int,

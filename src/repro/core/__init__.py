@@ -36,7 +36,7 @@ from .index import (
 from .mapping import PivotMapping
 from .metric_space import MetricSpace
 from .pivot_selection import hf, hfi, max_variance_pivots, psa, random_pivots, select_pivots
-from .queries import KnnHeap, Neighbor, RangeResult
+from .queries import KnnHeap, Neighbor
 from .sharded import ShardedIndex
 
 __all__ = [
@@ -80,6 +80,5 @@ __all__ = [
     "select_pivots",
     "KnnHeap",
     "Neighbor",
-    "RangeResult",
     "ShardedIndex",
 ]

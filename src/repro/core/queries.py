@@ -1,4 +1,4 @@
-"""Query result containers, the bounded k-NN heap, and the two MkNNQ
+"""The k-NN answer type, the bounded k-NN heap, and the two MkNNQ
 verification strategies of the pivot-table family.
 
 Defines the two query types of Section 2.1:
@@ -24,7 +24,7 @@ changes nothing about what is verified).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "Neighbor",
     "KnnHeap",
-    "RangeResult",
     "best_first_knn",
     "storage_order_knn",
 ]
@@ -44,28 +43,6 @@ class Neighbor:
 
     distance: float
     object_id: int
-
-
-@dataclass
-class RangeResult:
-    """Answer set of a metric range query."""
-
-    ids: list[int] = field(default_factory=list)
-    distances: dict[int, float] = field(default_factory=dict)
-
-    def add(self, object_id: int, distance: float | None = None) -> None:
-        self.ids.append(object_id)
-        if distance is not None:
-            self.distances[object_id] = distance
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, object_id: int) -> bool:
-        return object_id in set(self.ids)
-
-    def sorted_ids(self) -> list[int]:
-        return sorted(self.ids)
 
 
 # first threshold prefix of the ascending order: enough for the first two

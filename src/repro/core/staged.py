@@ -33,14 +33,20 @@ validated masks equal the single-shot masks composed from the kernels
 (``tests/test_staged_cascade.py`` builds that reference); staging changes
 how much numpy work runs, never which objects verify as answers.
 
+Whether stage 4 runs is a fact about the metric, decided once, at build
+time: a build computes the pivot-pair matrix exactly when there are two
+pivots or more and the metric declares ``is_ptolemaic``, and stage 4 runs
+exactly when the pruner carries that matrix.
+
 The pivot order is scored once, at build time, from the stored distance
 table (zero extra distance computations) and stays frozen: the masks do not
 depend on it, only how much numpy work runs and which pivot pairs the
 Ptolemaic budget picks -- so a pruner is immutable after construction,
 shares across threads without a lock, and sequential and batch execution
 cost the same compdists by construction.  Snapshots written while the
-order could still be re-ranked online (before PR 22) carry that
-bookkeeping as extra attributes; they load, and the extras are ignored.
+order could still be re-ranked online, or while a ``bounds`` mode was
+stored beside the pair matrix, carry that state as extra attributes; they
+load, and the extras are ignored.
 """
 
 from __future__ import annotations
@@ -58,14 +64,22 @@ from .pivot_filter import (
 __all__ = [
     "StagedPruner",
     "PerObjectStagedPruner",
-    "BOUNDS_MODES",
+    "prefix_size",
     "score_pivot_order",
 ]
 
-BOUNDS_MODES = ("triangle", "ptolemaic", "auto")
-
 # default Ptolemaic pair budget: pairs among the top ~4 ranked pivots
 DEFAULT_PAIR_BUDGET = 8
+# the per-object pruner's budget: slot pairs among the top 3 ranked slots,
+# each costing counted pivot-pair distances at build
+PER_OBJECT_PAIR_BUDGET = 3
+
+
+def prefix_size(l: int) -> int:
+    """Stage-1 columns for an ``l``-column table: about a quarter of them,
+    at least one, and one fewer than ``l`` so the refine stage has a tail
+    (``l <= 1`` gives 1, which every cascade treats as single-shot)."""
+    return max(1, min(l - 1, (l + 3) // 4))
 
 
 def score_pivot_order(matrix, sample: int = 64, seed: int = 0) -> np.ndarray:
@@ -140,22 +154,11 @@ class StagedPruner:
         self,
         order,
         prefix: int,
-        bounds: str = "auto",
-        is_ptolemaic: bool = False,
         pair_matrix=None,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
     ):
-        if bounds not in BOUNDS_MODES:
-            raise ValueError(f"bounds must be one of {BOUNDS_MODES}, got {bounds!r}")
-        if bounds == "ptolemaic" and not is_ptolemaic:
-            raise ValueError(
-                "bounds='ptolemaic' requires a metric declaring is_ptolemaic "
-                "(the Ptolemaic inequality does not hold for this metric)"
-            )
         self.order = np.asarray(order, dtype=np.intp)
         self.prefix = int(prefix)
-        self.bounds = bounds
-        self.is_ptolemaic = bool(is_ptolemaic)
         self.pair_budget = int(pair_budget)
         self.pair_matrix = (
             None if pair_matrix is None else np.asarray(pair_matrix, dtype=np.float64)
@@ -173,56 +176,33 @@ class StagedPruner:
         space,
         matrix,
         pivot_objects,
-        bounds: str = "auto",
         pair_budget: int = DEFAULT_PAIR_BUDGET,
-        prefix: int | None = None,
-        sample: int = 64,
-        seed: int = 0,
     ) -> "StagedPruner":
         """Score the order and (for Ptolemaic metrics) the pair matrix.
 
         The pivot-pair distance matrix is computed with the *counted*
         metric -- it is real build work, exactly like the mapping itself
-        -- and only when the bounds mode will use it, so non-Ptolemaic
-        builds (Hamming, edit) cost nothing extra.
+        -- and only when the metric declares ``is_ptolemaic``, so
+        non-Ptolemaic builds (Hamming, edit) cost nothing extra.
         """
-        order = score_pivot_order(matrix, sample=sample, seed=seed)
+        order = score_pivot_order(matrix)
         l = order.shape[0]
-        if prefix is None:
-            prefix = max(1, min(l - 1, (l + 3) // 4)) if l > 1 else 1
-        is_pt = bool(getattr(space.distance, "is_ptolemaic", False))
         pair_matrix = None
-        if bounds == "ptolemaic" and not is_pt:
-            raise ValueError(
-                f"bounds='ptolemaic' but metric {space.distance.name!r} does "
-                "not declare is_ptolemaic"
-            )
-        if l > 1 and is_pt and bounds in ("ptolemaic", "auto"):
+        if l > 1 and space.distance.is_ptolemaic:
             pair_matrix = space.pairwise_objects(list(pivot_objects), list(pivot_objects))
-        return cls(
-            order,
-            prefix,
-            bounds=bounds,
-            is_ptolemaic=is_pt,
-            pair_matrix=pair_matrix,
-            pair_budget=pair_budget,
-        )
+        return cls(order, prefix_size(l), pair_matrix=pair_matrix, pair_budget=pair_budget)
 
     # -- properties -----------------------------------------------------------
 
     @property
     def use_ptolemaic(self) -> bool:
-        """Whether stage 4 runs: the mode allows it AND the metric licenses
-        it AND the pair matrix exists (non-Ptolemaic metrics skip it
-        automatically -- ``auto`` never turns the bound on unsoundly)."""
-        if self.pair_matrix is None or not self.is_ptolemaic:
-            return False
-        return self.bounds in ("ptolemaic", "auto")
+        """Whether stage 4 runs: the build made a pair matrix, which it
+        does only for a metric declaring ``is_ptolemaic``."""
+        return self.pair_matrix is not None
 
     def stats(self) -> dict:
         """Pruner configuration for /stats and explain."""
         return {
-            "bounds": self.bounds,
             "ptolemaic": self.use_ptolemaic,
             "prefix": self.prefix,
             "order": [int(i) for i in self.order],
@@ -434,21 +414,11 @@ class PerObjectStagedPruner:
         self,
         slot_order,
         prefix: int,
-        bounds: str = "auto",
-        is_ptolemaic: bool = False,
         pair_matrix=None,
         slot_pairs=None,
     ):
-        if bounds not in BOUNDS_MODES:
-            raise ValueError(f"bounds must be one of {BOUNDS_MODES}, got {bounds!r}")
-        if bounds == "ptolemaic" and not is_ptolemaic:
-            raise ValueError(
-                "bounds='ptolemaic' requires a metric declaring is_ptolemaic"
-            )
         self.slot_order = np.asarray(slot_order, dtype=np.intp)
         self.prefix = int(prefix)
-        self.bounds = bounds
-        self.is_ptolemaic = bool(is_ptolemaic)
         self.pair_matrix = (
             None if pair_matrix is None else np.asarray(pair_matrix, dtype=np.float64)
         )
@@ -465,9 +435,6 @@ class PerObjectStagedPruner:
         pivot_ids,
         pivot_idx,
         pivot_dist,
-        bounds: str = "auto",
-        pair_budget: int = 3,
-        prefix: int | None = None,
     ) -> "PerObjectStagedPruner":
         pivot_dist = np.asarray(pivot_dist, dtype=np.float64)
         pivot_idx = np.asarray(pivot_idx)
@@ -476,25 +443,17 @@ class PerObjectStagedPruner:
         # |d(q,p) - d(o,p)| gaps -> more stage-1 pruning (zero compdists)
         spread = pivot_dist.std(axis=0) if pivot_dist.size else np.zeros(l)
         slot_order = np.argsort(-spread, kind="stable").astype(np.intp)
-        if prefix is None:
-            prefix = max(1, min(l - 1, (l + 3) // 4)) if l > 1 else 1
-        is_pt = bool(getattr(space.distance, "is_ptolemaic", False))
-        if bounds == "ptolemaic" and not is_pt:
-            raise ValueError(
-                f"bounds='ptolemaic' but metric {space.distance.name!r} does "
-                "not declare is_ptolemaic"
-            )
         pair_matrix = None
         slot_pairs = None
-        if l > 1 and is_pt and bounds in ("ptolemaic", "auto"):
+        if l > 1 and space.distance.is_ptolemaic:
             ranked = slot_order
             slot_pairs = []
             for second in range(1, l):
                 for first in range(second):
                     slot_pairs.append((int(ranked[first]), int(ranked[second])))
-                    if len(slot_pairs) >= pair_budget:
+                    if len(slot_pairs) >= PER_OBJECT_PAIR_BUDGET:
                         break
-                if len(slot_pairs) >= pair_budget:
+                if len(slot_pairs) >= PER_OBJECT_PAIR_BUDGET:
                     break
             slot_pairs = np.asarray(slot_pairs, dtype=np.intp)
             # counted build work: only the pivot pairs the budgeted slot
@@ -513,23 +472,16 @@ class PerObjectStagedPruner:
                 d = space.d_between_ids(int(pivot_ids[i]), int(pivot_ids[j]))
                 pair_matrix[i, j] = pair_matrix[j, i] = d
         return cls(
-            slot_order,
-            prefix,
-            bounds=bounds,
-            is_ptolemaic=is_pt,
-            pair_matrix=pair_matrix,
-            slot_pairs=slot_pairs,
+            slot_order, prefix_size(l), pair_matrix=pair_matrix, slot_pairs=slot_pairs
         )
 
     @property
     def use_ptolemaic(self) -> bool:
-        if self.pair_matrix is None or not self.is_ptolemaic:
-            return False
-        return self.bounds in ("ptolemaic", "auto")
+        """Whether stage 4 runs: as :attr:`StagedPruner.use_ptolemaic`."""
+        return self.pair_matrix is not None
 
     def stats(self) -> dict:
         return {
-            "bounds": self.bounds,
             "ptolemaic": self.use_ptolemaic,
             "prefix": self.prefix,
             "order": [int(i) for i in self.slot_order],

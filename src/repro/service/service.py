@@ -294,32 +294,6 @@ class QueryService:
         for member in self.catalog.members():
             yield from iter_pruners(member.index)
 
-    def set_bounds(self, bounds: str) -> None:
-        """Switch every hosted staged pruner to the ``bounds`` family.
-
-        Works on snapshot-restored indexes too: the pruner (order, prefix,
-        pivot-pair matrix) rides inside the snapshot, so the switch is an
-        attribute assignment, not a rebuild.  ``ptolemaic`` needs the
-        metric to declare Ptolemy's inequality AND the index to carry a
-        pair matrix (one built with ``bounds="triangle"`` has none); a
-        ValueError names the first pruner that cannot, before any switch.
-        """
-        pruners = list(self._hosted_pruners())
-        if bounds == "ptolemaic":
-            for owner, pruner in pruners:
-                if not getattr(pruner, "is_ptolemaic", False):
-                    raise ValueError(
-                        f"{owner.name}: --bounds ptolemaic but the metric does "
-                        "not satisfy Ptolemy's inequality"
-                    )
-                if getattr(pruner, "pair_matrix", None) is None:
-                    raise ValueError(
-                        f"{owner.name}: snapshot carries no pivot-pair matrix "
-                        "(built with bounds=triangle); rebuild with --bounds auto"
-                    )
-        for _owner, pruner in pruners:
-            pruner.bounds = bounds
-
     # -- query surface --------------------------------------------------------
 
     def _resolve_pin(self, pin: str | None) -> str | None:

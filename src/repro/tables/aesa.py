@@ -26,22 +26,13 @@ class AESA(MetricIndex):
 
     name = "AESA"
 
-    def __init__(self, space: MetricSpace, table: np.ndarray, bounds: str = "auto"):
+    def __init__(self, space: MetricSpace, table: np.ndarray):
         super().__init__(space)
         self.table = table
-        if bounds not in ("triangle", "ptolemaic", "auto"):
-            raise ValueError(f"unknown bounds mode {bounds!r}")
-        is_pt = bool(getattr(space.distance, "is_ptolemaic", False))
-        if bounds == "ptolemaic" and not is_pt:
-            raise ValueError(
-                f"bounds='ptolemaic' but metric {space.distance.name!r} does "
-                "not declare is_ptolemaic"
-            )
-        self.bounds = bounds
-        self._use_ptolemaic = is_pt and bounds in ("ptolemaic", "auto")
+        self._use_ptolemaic = space.distance.is_ptolemaic
 
     @classmethod
-    def build(cls, space: MetricSpace, bounds: str = "auto") -> "AESA":
+    def build(cls, space: MetricSpace) -> "AESA":
         """Compute the n x n distance table (n(n-1)/2 computations)."""
         n = len(space)
         table = np.zeros((n, n), dtype=np.float64)
@@ -51,7 +42,7 @@ class AESA(MetricIndex):
                 row = space.d_many(dataset[i], dataset.gather(range(i + 1, n)))
                 table[i, i + 1 :] = row
                 table[i + 1 :, i] = row
-        return cls(space, table, bounds=bounds)
+        return cls(space, table)
 
     def _tighten(
         self, lower: np.ndarray, pick: int, d: float, prev: tuple[int, float]

@@ -42,7 +42,6 @@ class CPT(LAESA):
         page_size: int = 40960,
         seed: int = 0,
         use_validation: bool = False,
-        bounds: str = "auto",
     ) -> "CPT":
         """Compute the distance table and cluster all objects in an M-tree.
 
@@ -53,9 +52,11 @@ class CPT(LAESA):
 
         Lemma 4 validation (``use_validation``) pays double for CPT: a
         validated object is an answer without the leaf *fetch*, so it
-        saves a page access on top of the distance computation.
+        saves a page access on top of the distance computation.  The
+        table and its pruner are :meth:`LAESA.build`'s, Ptolemaic stage
+        included when the metric declares it.
         """
-        index = super().build(space, pivot_ids, use_validation, bounds)
+        index = super().build(space, pivot_ids, use_validation)
         if pager is None:
             pager = Pager(page_size=page_size, counters=space.counters)
         index.mtree = MTree(space, pager, seed=seed)

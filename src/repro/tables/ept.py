@@ -141,13 +141,14 @@ class EPT(_ExtremePivotTableBase):
         group_size: int | None = None,
         seed: int = 0,
         sample_size: int = 256,
-        bounds: str = "auto",
     ) -> "EPT":
         """Draw ``n_groups`` random groups and assign extreme pivots.
 
         ``group_size`` (m) defaults to the Equation (1) estimate: the m
         minimising  m*l + n * (1 - Pr(|X - Y| > r))^l  on sampled
         distances, with r set to a small quantile of the pairwise distances.
+        The per-object pruner adds Ptolemaic slot pairs exactly when the
+        metric declares ``is_ptolemaic`` (:mod:`~repro.core.staged`).
         """
         rng = np.random.default_rng(seed)
         n = len(space)
@@ -172,9 +173,7 @@ class EPT(_ExtremePivotTableBase):
             mu_columns.extend(float(v) for v in mus)
             pivot_idx[:, j] = base + choice
             pivot_dist[:, j] = columns[np.arange(n), choice]
-        pruner = PerObjectStagedPruner.build(
-            space, pivot_ids, pivot_idx, pivot_dist, bounds=bounds
-        )
+        pruner = PerObjectStagedPruner.build(space, pivot_ids, pivot_idx, pivot_dist)
         return cls(
             space,
             pivot_ids,
@@ -259,9 +258,9 @@ class EPTStar(_ExtremePivotTableBase):
         candidate_scale: int = 40,
         sample_size: int = 64,
         seed: int = 0,
-        bounds: str = "auto",
     ) -> "EPTStar":
-        """Run PSA over the whole dataset (deliberately expensive)."""
+        """Run PSA over the whole dataset (deliberately expensive); the
+        pruner is EPT's, Ptolemaic slot pairs as the metric allows."""
         pivot_idx, pivot_dist, candidates = psa(
             space,
             n_pivots_per_object,
@@ -274,9 +273,7 @@ class EPTStar(_ExtremePivotTableBase):
             int(i)
             for i in rng.choice(len(space), size=min(sample_size, len(space)), replace=False)
         ]
-        pruner = PerObjectStagedPruner.build(
-            space, candidates, pivot_idx, pivot_dist, bounds=bounds
-        )
+        pruner = PerObjectStagedPruner.build(space, candidates, pivot_idx, pivot_dist)
         return cls(space, candidates, pivot_idx, pivot_dist, sample_ids, pruner=pruner)
 
     def insert(self, obj, object_id: int | None = None) -> int:

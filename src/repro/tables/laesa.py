@@ -100,17 +100,16 @@ class LAESA(MetricIndex):
         space: MetricSpace,
         pivot_ids,
         use_validation: bool = False,
-        bounds: str = "auto",
     ) -> "LAESA":
         """Pre-compute the distance table (and pruner state): the columns of
         ``pivot_ids``, then the max-min continuation the module docstring
-        sizes (none on objects under ``_OBJECT_BYTES_PER_COLUMN``)."""
+        sizes (none on objects under ``_OBJECT_BYTES_PER_COLUMN``).  The
+        pruner runs the Ptolemaic stage exactly when the metric declares
+        ``is_ptolemaic`` (:mod:`~repro.core.staged`)."""
         mapping = PivotMapping(space, pivot_ids)
         per_object = space.dataset.nbytes() // max(1, len(space.dataset))
         mapping.extend_max_min(per_object // _OBJECT_BYTES_PER_COLUMN, _EXPLAINED_SHARE)
-        pruner = StagedPruner.build(
-            space, mapping.matrix, mapping.pivot_objects, bounds=bounds
-        )
+        pruner = StagedPruner.build(space, mapping.matrix, mapping.pivot_objects)
         return cls(space, mapping, use_validation, pruner=pruner)
 
     # -- the one table ------------------------------------------------------

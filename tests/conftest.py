@@ -7,6 +7,8 @@ Tests that mutate an index build their own copies.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import (
@@ -19,6 +21,7 @@ from repro import (
     select_pivots,
 )
 from repro.bench.runner import build_index
+from repro.core.staged import PerObjectStagedPruner, StagedPruner
 
 N_SMALL = 400
 N_PIVOTS = 4
@@ -110,6 +113,21 @@ def fresh_index(datasets, pivots, dataset_name: str, index_name: str):
         seed=5,
         **kwargs,
     )
+
+
+def lemma1_baseline(index):
+    """``index`` with the same pruner minus its pivot pairs: the column
+    order and prefix the build chose, stages 1-3 only.  AESA keeps no
+    pruner; its copy stops adding the dynamic pair bound."""
+    baseline = copy.copy(index)
+    p = getattr(index, "pruner", None)
+    if isinstance(p, StagedPruner):
+        baseline.pruner = StagedPruner(p.order, p.prefix)
+    elif isinstance(p, PerObjectStagedPruner):
+        baseline.pruner = PerObjectStagedPruner(p.slot_order, p.prefix)
+    else:
+        baseline._use_ptolemaic = False
+    return baseline
 
 
 def leaf_code_rows(index):

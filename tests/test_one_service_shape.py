@@ -334,7 +334,7 @@ def test_snapshot_with_retired_pruner_state_still_loads(name):
         # the retired bookkeeping rides along as inert attributes
         assert vars(pruner)["adaptive"] is True and vars(pruner)["reranks"] == 8
         assert [int(i) for i in pruner.order] == expected["reranked_order"]
-    assert set(pruner.stats()) == {"bounds", "ptolemaic", "prefix", "order", "n_pairs"}
+    assert set(pruner.stats()) == {"ptolemaic", "prefix", "order", "n_pairs"}
     dataset = make_la(300, seed=11)
     queries = [dataset[i] for i in expected["query_ids"]]
     order_before = pruner.stats()["order"]

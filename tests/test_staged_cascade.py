@@ -14,8 +14,10 @@ module composes from the full-broadcast kernels of ``core.pivot_filter``
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from repro import (
     brute_force_knn_many,
     brute_force_range_many,
     load_index,
+    make_color,
+    make_la,
     save_index,
     select_pivots,
 )
@@ -48,6 +52,8 @@ from repro.tables.aesa import AESA
 from repro.tables.cpt import CPT
 from repro.tables.ept import EPT, EPTStar
 from repro.tables.laesa import LAESA
+
+from conftest import lemma1_baseline
 
 N = 120
 N_PIVOTS = 5
@@ -160,11 +166,12 @@ def _assert_cascade_equals_single_shot(index, queries, radius):
 def test_staged_equals_single_shot_equals_brute_force(space_name, index_name):
     """The tentpole invariant, per metric x index family.
 
-    Both bound families of the same index must return brute-force answers
-    for MRQ and MkNNQ, and the cascade's masks must equal the single-shot
-    masks composed from the kernels (AESA has no mask stage).  Hamming
-    runs too: its build must silently skip the Ptolemaic machinery
-    (is_ptolemaic=False) and still be exact.
+    The built index and its Lemma 1 baseline (the same pruner without
+    pivot pairs) must both return brute-force answers for MRQ and MkNNQ,
+    and the cascade's masks must equal the single-shot masks composed from
+    the kernels (AESA has no mask stage).  Hamming runs too: its build
+    must skip the Ptolemaic machinery (is_ptolemaic=False) and still be
+    exact.
     """
     radius, k = RADII[space_name], 10
     space = SPACES[space_name]()
@@ -175,11 +182,11 @@ def test_staged_equals_single_shot_equals_brute_force(space_name, index_name):
         for row in brute_force_knn_many(space, queries, k)
     ]
 
-    for kwargs in ({"bounds": "auto"}, {"bounds": "triangle"}):
-        index = _build(index_name, SPACES[space_name](), **kwargs)
+    built = _build(index_name, SPACES[space_name]())
+    for label, index in (("built", built), ("lemma1", lemma1_baseline(built))):
         got_range, got_knn = _answers(index, queries, radius, k)
-        assert got_range == expected_range, (index_name, kwargs)
-        assert got_knn == expected_knn, (index_name, kwargs)
+        assert got_range == expected_range, (index_name, label)
+        assert got_knn == expected_knn, (index_name, label)
         # the one-query view agrees with the batch it is a view of
         assert index.range_query(queries[0], radius) == expected_range[0]
         if index_name != "AESA":
@@ -219,7 +226,7 @@ def test_one_pivot_table_is_a_prefix_with_an_empty_tail(space_name, index_name):
 def test_pruner_pickled_with_retired_staged_attribute_still_answers(index_name):
     """Snapshots written before the ``staged=`` option was retired carry a
     ``staged`` attribute on the pruner; it must unpickle and be ignored."""
-    index = _build(index_name, _l2_space(), bounds="auto")
+    index = _build(index_name, _l2_space())
     queries = _queries(index.space)
     expected = _answers(index, queries, RADII["l2"], 5)
     current_stats = index.pruner.stats()
@@ -234,44 +241,28 @@ def test_pruner_pickled_with_retired_staged_attribute_still_answers(index_name):
 
 @pytest.mark.parametrize("space_name", ["l2", "quadratic"])
 def test_ptolemaic_enabled_on_declaring_metrics(space_name):
-    index = _build("LAESA", SPACES[space_name](), bounds="auto")
+    index = _build("LAESA", SPACES[space_name]())
     assert index.pruner.use_ptolemaic
     assert index.pruner.pair_matrix is not None
     assert index.pruner.pairs.shape[0] > 0
 
 
 def test_hamming_skips_ptolemaic_stage():
-    """auto never turns the bound on unsoundly: no pair matrix, no pairs."""
-    index = _build("LAESA", _hamming_space(), bounds="auto")
+    """The build never turns the bound on unsoundly: no pair matrix, no
+    pairs."""
+    index = _build("LAESA", _hamming_space())
     assert not index.pruner.use_ptolemaic
     assert index.pruner.pair_matrix is None
     assert index.pruner.pairs.shape[0] == 0
 
 
-def test_ptolemaic_bounds_mode_rejected_for_non_ptolemaic_metric():
-    with pytest.raises(ValueError, match="is_ptolemaic"):
-        _build("LAESA", _hamming_space(), bounds="ptolemaic")
-    with pytest.raises(ValueError, match="is_ptolemaic"):
-        _build("EPT", _hamming_space(), bounds="ptolemaic")
-    with pytest.raises(ValueError, match="is_ptolemaic"):
-        _build("AESA", _hamming_space(), bounds="ptolemaic")
-
-
-def test_unknown_bounds_mode_rejected():
-    with pytest.raises(ValueError, match="bounds"):
-        StagedPruner(np.arange(3), 1, bounds="bogus")
-    with pytest.raises(ValueError, match="bounds"):
-        PerObjectStagedPruner(np.arange(3), 1, bounds="bogus")
-    with pytest.raises(ValueError, match="bounds"):
-        _build("AESA", _l2_space(), bounds="bogus")
-
-
 def test_ptolemaic_never_loosens_the_survivor_mask():
-    """auto's survivors are a subset of triangle's, and stage 4 fires."""
+    """The built pruner's survivors are a subset of its Lemma 1
+    baseline's, and stage 4 fires."""
     space = _l2_space()
     queries = _queries(space, n=8)
-    tri = _build("LAESA", _l2_space(), bounds="triangle")
-    pto = _build("LAESA", _l2_space(), bounds="auto")
+    pto = _build("LAESA", _l2_space())
+    tri = lemma1_baseline(pto)
     qmat = tri.mapping.map_query_many(queries)
     radius = RADII["l2"]
     tri_alive, _ = tri.pruner.masks_many_queries(qmat, tri._rows, radius)
@@ -287,7 +278,7 @@ def test_ptolemaic_never_loosens_the_survivor_mask():
 
 def test_prune_stage_counters_flow_to_cost_snapshot():
     space = _l2_space()
-    index = _build("LAESA", space, bounds="auto", use_validation=True)
+    index = _build("LAESA", space, use_validation=True)
     space = index.space
     space.counters.reset()
     queries = _queries(space)
@@ -307,7 +298,7 @@ def test_validation_decides_only_survivors():
     full table -- validated and surviving masks are disjoint and their
     union is bounded by what stage 1/2 left alive."""
     space = _l2_space()
-    index = _build("LAESA", space, bounds="auto", use_validation=True)
+    index = _build("LAESA", space, use_validation=True)
     queries = _queries(index.space)
     qmat = index.mapping.map_query_many(queries)
     # a generous radius: Lemma 4's min_i (d(q,p_i) + d(o,p_i)) needs head
@@ -352,7 +343,7 @@ def _reference_stage_counts(pruner, qmat, omat, radius, validate):
 @pytest.mark.parametrize("validate", [False, True])
 @pytest.mark.parametrize("space_name", ["l2", "quadratic"])
 def test_stage_counters_equal_the_kernel_composition(space_name, validate):
-    index = _build("LAESA", SPACES[space_name](), bounds="auto")
+    index = _build("LAESA", SPACES[space_name]())
     queries = _queries(index.space, n=8)
     qmat = index.mapping.map_query_many(queries)
     radius = RADII[space_name] * (3.0 if validate else 1.0)  # Lemma 4 needs room
@@ -378,9 +369,7 @@ def test_ptolemaic_stage_gathers_survivors_not_the_table():
     pivots = points[:l]
     omat = L2.pairwise(points, pivots)
     qmat = L2.pairwise(rng.uniform(0, 100, size=(2, 3)), pivots)
-    pruner = StagedPruner(
-        np.arange(l), 2, is_ptolemaic=True, pair_matrix=L2.pairwise(pivots, pivots)
-    )
+    pruner = StagedPruner(np.arange(l), 2, pair_matrix=L2.pairwise(pivots, pivots))
     n_pairs = pruner.pairs.shape[0]
     assert n_pairs == 8
     alive = np.zeros((2, n), dtype=bool)
@@ -426,7 +415,7 @@ def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
     data = Dataset(vectors, L2, name="ColorL2")
     space = MetricSpace(data, CostCounters())
     pivots = select_pivots(MetricSpace(data), 8, strategy="hfi", seed=3)
-    index = LAESA.build(space, pivots, bounds="triangle")
+    index = lemma1_baseline(LAESA.build(space, pivots))
     rng = np.random.default_rng(5)
     queries = [data[int(i)] for i in rng.choice(len(data), 16, replace=False)]
     radius = float(np.quantile(L2.pairwise(np.asarray(queries[:8]), vectors), 0.05))
@@ -449,7 +438,7 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
     """The per-object pruner's full matrix is Lemma 1 max'd with its slot
     pair bound -- the tightening is applied, not computed and dropped --
     and the lazy form agrees with it on any subset of rows."""
-    index = _build(index_name, _l2_space(), bounds="auto")
+    index = _build(index_name, _l2_space())
     pruner = index.pruner
     assert pruner.use_ptolemaic
     qdists = index._query_pivot_dists_many(_queries(index.space))
@@ -506,7 +495,7 @@ def test_ptolemaic_pairs_skip_degenerate_denominators():
 
 def test_ptolemaic_bound_is_a_true_lower_bound():
     space = _l2_space()
-    index = _build("LAESA", space, bounds="auto")
+    index = _build("LAESA", space)
     space = index.space
     q = _queries(space, n=1)[0]
     qdists = index.mapping.map_query(q)
@@ -523,7 +512,7 @@ def test_ptolemaic_bound_is_a_true_lower_bound():
 @pytest.mark.parametrize("index_name", ["LAESA", "EPT*"])
 def test_staged_pruner_survives_snapshot_roundtrip(tmp_path, index_name):
     space = _l2_space()
-    index = _build(index_name, space, bounds="auto")
+    index = _build(index_name, space)
     queries = _queries(index.space)
     expected = _answers(index, queries, RADII["l2"], 5)
     path = tmp_path / "staged.snap"
@@ -537,7 +526,7 @@ def test_staged_pruner_survives_snapshot_roundtrip(tmp_path, index_name):
 
 
 def test_service_snapshot_restore_keeps_prune_stats(tmp_path):
-    index = _build("LAESA", _l2_space(), bounds="auto")
+    index = _build("LAESA", _l2_space())
     path = tmp_path / "svc.snap"
     save_index(index, path)
     with QueryService.from_snapshot(str(path)) as service:
@@ -548,4 +537,66 @@ def test_service_snapshot_restore_keeps_prune_stats(tmp_path):
     (pruning,) = stats["pruning"]
     assert pruning["index"] == "LAESA" and pruning["ptolemaic"] is True
     # the order is fixed at build: nothing about re-ranking is reported
-    assert set(pruning) == {"index", "bounds", "ptolemaic", "prefix", "order", "n_pairs"}
+    assert set(pruning) == {"index", "ptolemaic", "prefix", "order", "n_pairs"}
+
+
+# -- pruners pickled while a ``bounds`` mode sat beside the pair matrix --------
+
+DATA = Path(__file__).parent / "data"
+# fixture -> (metric is L2, expected-answers file and key, or None)
+LEGACY_PRUNER_SNAPSHOTS = {
+    "entry_nodes_cpt_la300.snap": (True, ("entry_nodes_la300_expected.json", "cpt")),
+    "pr21_eptstar_la300.snap": (True, ("pr21_la300_expected.json", None)),
+    "pr21_laesa_la300.v1.snap": (True, ("pr21_la300_expected.json", None)),
+    "pr21_laesa_reranked_la300.snap": (True, ("pr21_la300_expected.json", None)),
+    "pr23_laesa_color64.snap": (False, None),
+}
+
+
+def _legacy_queries(name, expected):
+    """The queries each fixture's expected answers were recorded for."""
+    if name.startswith("pr23"):
+        dataset = make_color(64, seed=11)
+        return [dataset[i] for i in (0, 7, 31, 40)]
+    dataset = make_la(300, seed=11)
+    if name.startswith("entry_nodes"):
+        return [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
+    return [dataset[i] for i in expected["query_ids"]]
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_PRUNER_SNAPSHOTS))
+def test_pruner_pickled_with_a_bounds_mode_follows_the_metric(name):
+    """Every checked-in snapshot that carries a staged pruner was pickled
+    with ``bounds="auto"`` and ``is_ptolemaic`` stored on it.  It loads with
+    no distance computed, the Ptolemaic stage runs iff the metric is L2
+    (the pickle holds a pair matrix iff so), the stale attributes decide
+    nothing -- flipping them changes neither the stage nor an answer --
+    and the answers are the ones recorded when the fixture was written."""
+    is_l2, recorded = LEGACY_PRUNER_SNAPSHOTS[name]
+    expected = None
+    if recorded is not None:
+        file, key = recorded
+        expected = json.loads((DATA / file).read_text())
+        expected = expected[key] if key else expected
+    index = load_index(DATA / name)
+    assert index.space.counters.distance_computations == 0
+    pruner = index.pruner
+    assert vars(pruner)["bounds"] == "auto"
+    assert vars(pruner)["is_ptolemaic"] is is_l2
+    assert index.space.distance.is_ptolemaic is is_l2
+    assert pruner.use_ptolemaic is is_l2
+    assert set(pruner.stats()) == {"ptolemaic", "prefix", "order", "n_pairs"}
+
+    queries = _legacy_queries(name, expected)
+    radius = expected["radius"] if expected else 9000.0
+    k = expected["k"] if expected else 5
+    answers = _answers(index, queries, radius, k)
+    if expected is not None:
+        assert answers[0] == expected.get("range_many", expected["range"])
+        assert [[[d, i] for i, d in row] for row in answers[1]] == expected.get(
+            "knn_many", expected["knn"]
+        )
+    pruner.bounds = "ptolemaic" if not is_l2 else "triangle"
+    pruner.is_ptolemaic = not is_l2
+    assert pruner.use_ptolemaic is is_l2
+    assert _answers(index, queries, radius, k) == answers

@@ -20,6 +20,8 @@ from repro import (
     select_pivots,
 )
 
+from conftest import lemma1_baseline
+
 
 @pytest.fixture(scope="module")
 def la():
@@ -60,12 +62,13 @@ class TestLAESADetail:
     def test_range_compdists_is_pivots_plus_survivors(self, la, la_pivots):
         """The exact accounting the paper's cost model uses.
 
-        Pinned to ``bounds="triangle"`` so the survivor count is exactly
-        Lemma 1's -- under ``auto`` the Ptolemaic stage may (provably)
-        prune more, which is asserted separately below.
+        Searched with the build's Lemma 1 baseline (its pruner without
+        pivot pairs) so the survivor count is exactly Lemma 1's -- on L2
+        the Ptolemaic stage may (provably) prune more, which is asserted
+        separately below.
         """
-        index = LAESA.build(
-            MetricSpace(la, CostCounters()), la_pivots, bounds="triangle"
+        index = lemma1_baseline(
+            LAESA.build(MetricSpace(la, CostCounters()), la_pivots)
         )
         counters = index.space.counters
         q = la[9]
@@ -85,12 +88,11 @@ class TestLAESADetail:
 
     def test_auto_bounds_verify_no_more_than_triangle(self, la, la_pivots):
         """Ptolemaic stage 4 can only shrink the verified candidate set."""
+        built = LAESA.build(MetricSpace(la, CostCounters()), la_pivots)
+        assert built.pruner.use_ptolemaic
         answers = {}
         compdists = {}
-        for bounds in ("triangle", "auto"):
-            index = LAESA.build(
-                MetricSpace(la, CostCounters()), la_pivots, bounds=bounds
-            )
+        for bounds, index in (("triangle", lemma1_baseline(built)), ("auto", built)):
             counters = index.space.counters
             counters.reset()
             answers[bounds] = index.range_query(la[9], 500.0)
