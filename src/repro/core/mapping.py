@@ -100,8 +100,10 @@ class PivotMapping:
             pivot_id = int(nearest.argmax())
             column = self.space.d_many(dataset[pivot_id], dataset.objects)
             # Lemma 1 from the new pivot's own row, through two n-long buffers
-            # (``lower_bound_many`` copies the table each call: 2 MB a step at
-            # n = 20 000, which the heap keeps -- +3.4 MB resident after set-up)
+            # allocated once.  This loop stays outside the bound kernel, whose
+            # column form reads a contiguous copy of the table: 2 MB a step
+            # at n = 20 000, which the heap keeps (+3.4 MB resident after
+            # set-up)
             bound.fill(0.0)
             for have in range(width):
                 np.subtract(table[:, have], table[pivot_id, have], out=gap)

@@ -30,6 +30,7 @@ __all__ = [
     "hf",
     "hfi",
     "psa",
+    "psa_greedy",
     "select_pivots",
 ]
 
@@ -227,23 +228,33 @@ def psa(
 
     pivot_idx = np.zeros((n, l), dtype=np.int32)
     pivot_dist = np.zeros((n, l), dtype=np.float64)
-    n_cand = len(candidates)
     for o in range(n):
         # gaps[c, s] = |d(q_s, p_c) - d(o, p_c)|
         gaps = np.abs(cand_sample - cand_obj[:, o : o + 1])
-        ratios = gaps / denom[:, o][None, :]
-        current = np.zeros(len(sample_ids), dtype=np.float64)
-        used: list[int] = []
-        for _ in range(l):
-            scores = np.maximum(current[None, :], ratios).mean(axis=1)
-            if used:
-                scores[used] = -1.0
-            best = int(np.argmax(scores))
-            used.append(best)
-            current = np.maximum(current, ratios[best])
+        used = psa_greedy(gaps / denom[:, o][None, :], l)
         pivot_idx[o] = used
         pivot_dist[o] = cand_obj[used, o]
     return pivot_idx, pivot_dist, candidates
+
+
+def psa_greedy(ratios: np.ndarray, count: int) -> list[int]:
+    """PSA's greedy pick: ``count`` distinct rows of the ``|CP| x |S|``
+    ratio matrix D(q_s, o) / d(q_s, o), one at a time, each the candidate
+    whose ratios raise the mean of the running per-sample maximum most.
+
+    The one copy of the step that :func:`psa`, ``EPTStar.insert`` and
+    ``DEPT.build`` run; returns candidate row indices in pick order.
+    """
+    current = np.zeros(ratios.shape[1], dtype=np.float64)
+    used: list[int] = []
+    for _ in range(count):
+        scores = np.maximum(current[None, :], ratios).mean(axis=1)
+        if used:
+            scores[used] = -1.0
+        best = int(np.argmax(scores))
+        used.append(best)
+        current = np.maximum(current, ratios[best])
+    return used
 
 
 _STRATEGIES = {

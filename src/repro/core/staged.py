@@ -1,16 +1,18 @@
 """Staged pruning cascade: ordered Lemma 1 prefix -> refine -> Lemma 4 ->
 Ptolemaic, over shared-pivot distance tables.
 
-A single-shot filter (the ``q x n`` kernels of
+A single-shot filter (the bound kernels of
 :mod:`~repro.core.pivot_filter`) evaluates Lemma 1 over every pivot column
 for every (query, object) cell before any cell is decided.  This module is
 the one mask path the tables run, a cascade that spends columns where they
 pay:
 
 1. **Prefix** -- Lemma 1 over a small prefix of pivot columns, ordered by
-   measured pruning power (the column-at-a-time kernel
+   measured pruning power (the bound kernel
    :func:`~repro.core.pivot_filter.lower_bound_many_queries` on those
-   columns).  Most cells die here when the ordering is good.
+   columns).  Most cells die here when the ordering is good.  The stages
+   after it run on survivors only, so they gather cells rather than call
+   the kernel.
 2. **Refine** -- only surviving cells see the remaining columns (cell-wise
    fancy indexing, not a full broadcast).
 3. **Validate** (optional, Lemma 4) -- surviving cells whose upper bound is

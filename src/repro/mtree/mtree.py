@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.metric_space import MetricSpace
-from ..core.pivot_filter import lower_bound_many_queries, mbb_min_dist_many_queries
+from ..core.pivot_filter import lower_bound_many_queries
 from ..core.queries import KnnHeap, Neighbor
 from ..storage.pager import Pager
 
@@ -501,7 +501,7 @@ class MTree:
             if query_vectors is not None and node.vecs is not None:
                 keep &= lower_bound_many_queries(query_vectors[active], node.vecs) <= radius
             elif query_vectors is not None and node.lows is not None:
-                boxes = mbb_min_dist_many_queries(query_vectors[active], node.lows, node.highs)
+                boxes = lower_bound_many_queries(query_vectors[active], node.lows, node.highs)
                 keep &= boxes <= radius
             reached: dict[int, tuple[list, list]] = {}
             for qi, row in zip(active.tolist(), keep):
@@ -558,7 +558,7 @@ class MTree:
                 continue
             boxes = [0.0] * n
             if qvec is not None and node.lows is not None:
-                boxes = mbb_min_dist_many_queries(qvec, node.lows, node.highs)[0].tolist()
+                boxes = lower_bound_many_queries(qvec, node.lows, node.highs)[0].tolist()
             entries = zip(node.child_pages.tolist(), node.objs, node.radii.tolist(), gaps, boxes)
             for child_page, obj, radius, gap, box in entries:
                 r = heap.radius

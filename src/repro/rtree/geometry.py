@@ -4,7 +4,8 @@ The OmniR-tree indexes mapped vectors I(o) in R^l; its rectangles are minimum
 bounding boxes over those vectors.  Distances between a query's mapped point
 and a rectangle are measured in the L-infinity metric because
 max_i |d(q,p_i) - v_i| is the triangle-inequality lower bound of d(q, o) --
-see Lemma 1 and :func:`repro.core.pivot_filter.mbb_min_dist`.
+see Lemma 1 and :func:`repro.core.pivot_filter.lower_bound_many_queries`,
+which computes them for many boxes at once.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ class Rect:
         new_lows = np.minimum(self.lows, point)
         new_highs = np.maximum(self.highs, point)
         return float((new_highs - new_lows).sum() - (self.highs - self.lows).sum())
-
-    def min_dist_linf(self, point) -> float:
-        """L-infinity distance from a point to the box (0 when inside)."""
-        point = np.asarray(point, dtype=np.float64)
-        gaps = np.maximum(np.maximum(self.lows - point, point - self.highs), 0.0)
-        return float(gaps.max()) if gaps.size else 0.0
 
     def __eq__(self, other) -> bool:
         return (

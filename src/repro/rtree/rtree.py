@@ -25,6 +25,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ..core.pivot_filter import lower_bound_many_queries
 from ..storage.pager import Pager
 from .geometry import Rect
 
@@ -57,6 +58,12 @@ class RInternalNode:
 
     def mbb(self) -> Rect:
         return Rect.union_of(self.rects)
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The children's boxes as two ``c x l`` arrays: low corners, high corners."""
+        lows = np.asarray([rect.lows for rect in self.rects], dtype=np.float64)
+        highs = np.asarray([rect.highs for rect in self.rects], dtype=np.float64)
+        return lows, highs
 
 
 class RTree:
@@ -412,15 +419,13 @@ class RTree:
                 continue
             node = self.pager.read(payload)
             if node.is_leaf:
-                for p, pl in zip(node.points, node.payloads):
-                    d = float(np.abs(p - point).max()) if p.size else 0.0
+                bounds = lower_bound_many_queries(point, node.points)[0].tolist()
+                for d, p, pl in zip(bounds, node.points, node.payloads):
                     heapq.heappush(heap, (d, next(counter), True, (p, pl)))
             else:
-                for child, rect in zip(node.children, node.rects):
-                    heapq.heappush(
-                        heap,
-                        (rect.min_dist_linf(point), next(counter), False, child),
-                    )
+                bounds = lower_bound_many_queries(point, *node.boxes())[0].tolist()
+                for d, child in zip(bounds, node.children):
+                    heapq.heappush(heap, (d, next(counter), False, child))
 
     # -- diagnostics ------------------------------------------------------------
 

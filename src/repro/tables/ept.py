@@ -27,7 +27,7 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
-from ..core.pivot_selection import hf, psa
+from ..core.pivot_selection import psa, psa_greedy
 from ..core.queries import Neighbor, best_first_knn, storage_order_knn
 from ..core.staged import PerObjectStagedPruner
 from .rows import append_row, claim_row_id, remove_row
@@ -140,7 +140,6 @@ class EPT(_ExtremePivotTableBase):
         n_groups: int = 5,
         group_size: int | None = None,
         seed: int = 0,
-        sample_size: int = 256,
     ) -> "EPT":
         """Draw ``n_groups`` random groups and assign extreme pivots.
 
@@ -287,15 +286,6 @@ class EPTStar(_ExtremePivotTableBase):
         # cand_sample[c, s] = d(p_c, q_s): pivots vs proxies (counted)
         cand_sample = self.space.pairwise_ids(self.pivot_ids, self._sample_ids)
         ratios = np.abs(cand_sample - cand_d[:, None]) / denom[None, :]
-        l = self._pivot_idx.shape[1]
-        current = np.zeros(len(self._sample_ids), dtype=np.float64)
-        used: list[int] = []
-        for _ in range(l):
-            scores = np.maximum(current[None, :], ratios).mean(axis=1)
-            if used:
-                scores[used] = -1.0
-            best = int(np.argmax(scores))
-            used.append(best)
-            current = np.maximum(current, ratios[best])
+        used = psa_greedy(ratios, self._pivot_idx.shape[1])
         append_row(self, object_id, _pivot_idx=used, _pivot_dist=cand_d[used])
         return object_id

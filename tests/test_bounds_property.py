@@ -29,14 +29,10 @@ from repro import (
     brute_force_range,
 )
 from repro.core.pivot_filter import (
-    lower_bound_many,
     lower_bound_many_queries,
-    mbb_max_dist,
-    mbb_min_dist,
-    ptolemaic_lower_bound_many,
     ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
-    upper_bound_many,
+    upper_bound_many_queries,
 )
 from repro.core.staged import StagedPruner, score_pivot_order
 from repro.core.quantise import Frame, gap_tables
@@ -91,16 +87,16 @@ def test_bound_sandwich_holds_for_every_family(case):
     true_d = metric.one_to_many(query, objects)
 
     # triangle (Lemma 1 / Lemma 4)
-    lower = lower_bound_many(qdists, omat)
-    upper = upper_bound_many(qdists, omat)
+    lower = lower_bound_many_queries(qdists, omat)[0]
+    upper = upper_bound_many_queries(qdists, omat)[0]
     assert (lower <= true_d + EPS).all()
     assert (true_d <= upper + EPS).all()
 
     # MBB: the pivot-space bounding box of the whole object set must
     # sandwich every member's true distance
     lows, highs = omat.min(axis=0), omat.max(axis=0)
-    lo = mbb_min_dist(qdists, lows, highs)
-    hi = mbb_max_dist(qdists, lows, highs)
+    lo = lower_bound_many_queries(qdists, lows, highs)[0, 0]
+    hi = upper_bound_many_queries(qdists, highs)[0, 0]
     assert (lo <= true_d + EPS).all()
     assert (true_d <= hi + EPS).all()
     # and it can never beat the per-object triangle bound
@@ -109,7 +105,7 @@ def test_bound_sandwich_holds_for_every_family(case):
     # Ptolemaic -- only on metrics declaring the inequality
     if metric.is_ptolemaic and len(pivots) > 1:
         pair = metric.pairwise(pivots, pivots)
-        pt = ptolemaic_lower_bound_many(qdists, omat, pair)
+        pt = ptolemaic_lower_bound_many_queries(qdists, omat, pair)[0]
         assert (pt <= true_d + EPS).all()
     else:
         assert kind == "hamming" or len(pivots) == 1
@@ -136,7 +132,7 @@ def test_staged_pruner_bound_dominates_triangle(case):
         space, omat, [space.dataset[i] for i in range(len(pivots))]
     )
     combined = pruner.lower_bounds_many(qdists, omat)
-    triangle = lower_bound_many(qdists, omat)
+    triangle = lower_bound_many_queries(qdists, omat)[0]
     assert (combined >= triangle - EPS).all()
     assert (combined <= true_d + EPS).all()
     if not metric.is_ptolemaic:

@@ -1,7 +1,9 @@
-"""Pivot filtering (Lemmas 1-4) and pivot selection strategies."""
+"""Pivot filtering (Lemmas 1 and 4, the bound kernel) and pivot selection
+strategies."""
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,25 +11,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MetricSpace, make_la, make_uniform, make_words
+from repro import CostCounters, MetricSpace, make_la, make_uniform, make_words
+from repro.core import pivot_filter
 from repro.core.pivot_filter import (
     _COLUMN_BLOCK_FLOATS,
-    can_prune,
-    can_validate,
-    double_pivot_can_prune,
-    lower_bound,
-    lower_bound_many,
+    _WHOLE_FLOATS,
     lower_bound_many_queries,
-    mbb_can_prune,
-    mbb_can_validate,
-    mbb_max_dist,
-    mbb_min_dist,
-    range_pivot_can_prune,
-    range_pivot_min_dist,
-    upper_bound,
-    upper_bound_many,
+    upper_bound_many_queries,
 )
 from repro.core.pivot_selection import hf, hfi, max_variance_pivots, psa, random_pivots, select_pivots
+from repro.external.dept import DEPT
+from repro.tables.ept import EPTStar
+
+
+# -- the bound kernel's reference: one cell at a time, in pure Python ---------
+#
+# Lemma 1 and Lemma 4 by their definitions, on Python floats: no numpy code is
+# shared with the kernel.  Subtraction and addition round the same way on
+# Python floats as on float64 arrays, and max / min / abs are exact, so the
+# kernel must equal these cells bit for bit.
+
+
+def _cell_lower(q, low, high=None) -> float:
+    """Lemma 1 for one cell: max_i |q_i - o_i| on a row, or the L-infinity
+    distance from q to the box [low, high]."""
+    if high is None:
+        return max((abs(x - o) for x, o in zip(q, low)), default=0.0)
+    return max((max(lo - x, x - hi, 0.0) for x, lo, hi in zip(q, low, high)), default=0.0)
+
+
+def _cell_upper(q, high) -> float:
+    """Lemma 4 for one cell: min_i q_i + o_i on a row or a box's high corner."""
+    return min((x + h for x, h in zip(q, high)), default=float("inf"))
+
+
+def _reference(cell, qmat, *tables, rows=None) -> list[list[float]]:
+    """The ``q x n`` matrix of ``cell``, over every row or over ``rows``."""
+    columns = [np.asarray(t).tolist() for t in tables]
+    picked = range(len(columns[0])) if rows is None else rows
+    return [[cell(q, *(c[j] for c in columns)) for j in picked] for q in np.asarray(qmat).tolist()]
 
 
 def _setup(n=120, pivots=3, seed=0):
@@ -52,41 +74,42 @@ class TestLemma1And4Bounds:
 
     def test_bounds_sandwich_truth(self):
         qd, mat, true = _setup()
-        lows = lower_bound_many(qd, mat)
-        highs = upper_bound_many(qd, mat)
+        lows = lower_bound_many_queries(qd, mat)[0]
+        highs = upper_bound_many_queries(qd, mat)[0]
         assert np.all(lows <= true + 1e-9)
         assert np.all(highs >= true - 1e-9)
 
     def test_scalar_versions_agree(self):
+        """Each object's bounds are its cell's definition."""
         qd, mat, true = _setup()
+        lows = lower_bound_many_queries(qd, mat)[0]
+        highs = upper_bound_many_queries(qd, mat)[0]
         for i in range(len(true)):
-            assert lower_bound(qd, mat[i]) == pytest.approx(
-                lower_bound_many(qd, mat)[i]
-            )
-            assert upper_bound(qd, mat[i]) == pytest.approx(
-                upper_bound_many(qd, mat)[i]
-            )
+            assert lows[i] == _cell_lower(qd.tolist(), mat[i].tolist())
+            assert highs[i] == _cell_upper(qd.tolist(), mat[i].tolist())
 
     def test_prune_never_drops_answers(self):
         qd, mat, true = _setup(seed=1)
+        lows = lower_bound_many_queries(qd, mat)[0]
         for radius in (0.0, 50.0, 200.0, 800.0):
-            for i in range(len(true)):
-                if can_prune(qd, mat[i], radius):
-                    assert true[i] > radius
+            pruned = lows > radius
+            assert (true[pruned] > radius).all()
 
     def test_validate_never_admits_non_answers(self):
         qd, mat, true = _setup(seed=2)
+        highs = upper_bound_many_queries(qd, mat)[0]
         for radius in (50.0, 200.0, 800.0):
-            for i in range(len(true)):
-                if can_validate(qd, mat[i], radius):
-                    assert true[i] <= radius
+            validated = highs <= radius
+            assert (true[validated] <= radius).all()
 
     def test_empty_pivots(self):
-        assert lower_bound([], []) == 0.0
-        assert upper_bound([], []) == float("inf")
+        # one query and one object, neither with a pivot distance
+        none = np.empty((1, 0))
+        assert lower_bound_many_queries(none, none).tolist() == [[0.0]]
+        assert upper_bound_many_queries(none, none).tolist() == [[float("inf")]]
 
 
-def _table_layouts(omat, tmp_path):
+def _table_layouts(omat, tmp_path, name="table"):
     """One table, every memory layout a caller hands the batch kernel."""
     n, l = omat.shape
     wide = np.zeros((n, 2 * l + 1))
@@ -100,7 +123,7 @@ def _table_layouts(omat, tmp_path):
         "read-only": frozen,
     }
     if omat.size:  # an empty file cannot be mapped
-        path = tmp_path / f"table_{n}x{l}.bin"
+        path = tmp_path / f"{name}_{n}x{l}.bin"
         omat.tofile(path)
         # what load_index hands a restored LAESA, minus the write permission
         layouts["memmap"] = np.memmap(path, dtype=np.float64, mode="r", shape=(n, l))
@@ -108,9 +131,9 @@ def _table_layouts(omat, tmp_path):
 
 
 class TestLemma1BatchKernel:
-    """``lower_bound_many_queries`` (a pivot column at a time) against the
-    scalar ``lower_bound`` and the ``n x l`` ``lower_bound_many``: the two
-    forms that stay as references."""
+    """``lower_bound_many_queries`` and ``upper_bound_many_queries`` on rows
+    and on boxes, whole and a pivot column at a time, against the
+    pure-Python cell definitions above."""
 
     @pytest.mark.parametrize("l", [0, 1, 5])
     @pytest.mark.parametrize("n", [0, 1, 3000, 50_001])
@@ -119,100 +142,136 @@ class TestLemma1BatchKernel:
         rng = np.random.default_rng(1000 * q + 10 * n + l)
         qmat = rng.uniform(0, 100, size=(q, l))
         omat = rng.uniform(0, 100, size=(n, l))
-        got = lower_bound_many_queries(qmat, omat)
-        assert got.shape == (q, n) and got.dtype == np.float64
-        # every cell against the n x l form, one query at a time
-        for i in range(q):
-            assert np.array_equal(got[i], lower_bound_many(qmat[i], omat))
-        # the scalar loop: every cell of a small table, a sample of a large
-        # one (both ends included: block and chunk edges)
-        rows = range(n) if n <= 1 else {0, n - 1, *rng.integers(0, n, 64).tolist()}
-        for i in range(q):
-            for j in rows:
-                assert got[i, j] == lower_bound(qmat[i], omat[j])
+        lows = omat - rng.uniform(0, 10, size=(n, l))
+        highs = omat + rng.uniform(0, 10, size=(n, l))
+        # every cell of a small table, a sample of a large one (both ends
+        # included: block and chunk edges)
+        rows = None if n <= 3000 else sorted({0, n - 1, *rng.integers(0, n, 64).tolist()})
+        cols = slice(None) if rows is None else rows
+        got = {
+            "rows lower": lower_bound_many_queries(qmat, omat),
+            "box lower": lower_bound_many_queries(qmat, lows, highs),
+            "rows upper": upper_bound_many_queries(qmat, omat),
+            "box upper": upper_bound_many_queries(qmat, highs),
+        }
+        want = {
+            "rows lower": _reference(_cell_lower, qmat, omat, rows=rows),
+            "box lower": _reference(_cell_lower, qmat, lows, highs, rows=rows),
+            "rows upper": _reference(_cell_upper, qmat, omat, rows=rows),
+            "box upper": _reference(_cell_upper, qmat, highs, rows=rows),
+        }
+        for kind, bounds in got.items():
+            assert bounds.shape == (q, n) and bounds.dtype == np.float64, kind
+            assert bounds[:, cols].tolist() == want[kind], kind
         # 3000 rows -> 21 queries a block, so 33 queries end on a short one
-        for name, table in _table_layouts(omat, tmp_path).items():
-            assert np.array_equal(lower_bound_many_queries(qmat, table), got), name
+        row_layouts = _table_layouts(omat, tmp_path)
+        low_layouts = _table_layouts(lows, tmp_path, "lows")
+        high_layouts = _table_layouts(highs, tmp_path, "highs")
+        for name, table in row_layouts.items():
+            lo, hi = low_layouts[name], high_layouts[name]
+            assert np.array_equal(lower_bound_many_queries(qmat, table), got["rows lower"]), name
+            assert np.array_equal(upper_bound_many_queries(qmat, table), got["rows upper"]), name
+            assert np.array_equal(lower_bound_many_queries(qmat, lo, hi), got["box lower"]), name
+            assert np.array_equal(upper_bound_many_queries(qmat, hi), got["box upper"]), name
             assert np.array_equal(table, omat), name  # never written
+            assert np.array_equal(lo, lows) and np.array_equal(hi, highs), name
 
-    def test_no_q_by_n_by_l_temporary(self):
+    @pytest.mark.parametrize("shape", [(1, 256, 4), (1, 257, 4), (4, 64, 4), (4, 65, 4), (2, 3, 1)])
+    def test_whole_and_column_forms_agree(self, shape, monkeypatch):
+        """The size rule picks a form, never a value: with the threshold
+        forced low (every input a pivot column at a time) and high (every
+        input one broadcast) each kernel returns the same bits, and the
+        pure-Python cells."""
+        q, n, l = shape
+        rng = np.random.default_rng(q * n * l)
+        qmat = rng.uniform(0, 100, size=(q, l))
+        omat = rng.uniform(0, 100, size=(n, l))
+        lows, highs = omat - rng.uniform(0, 10, size=(n, l)), omat + 5.0
+        want = [
+            _reference(_cell_lower, qmat, omat),
+            _reference(_cell_lower, qmat, lows, highs),
+            _reference(_cell_upper, qmat, highs),
+        ]
+        for threshold in (0, _WHOLE_FLOATS, 10**12):
+            monkeypatch.setattr(pivot_filter, "_WHOLE_FLOATS", threshold)
+            got = [
+                lower_bound_many_queries(qmat, omat),
+                lower_bound_many_queries(qmat, lows, highs),
+                upper_bound_many_queries(qmat, highs),
+            ]
+            assert [g.tolist() for g in got] == want, threshold
+
+    def test_degenerate_shapes(self):
+        """Zero pivots, zero rows, a bare row and a 1-D empty table: one
+        ``q x n`` answer from both kernels, boxes included."""
+        qmat = np.asarray([[1.0, 2.0], [3.0, 5.0], [0.0, 0.0]])
+        kernels = {
+            "lower": lambda qs, t: lower_bound_many_queries(qs, t),
+            "box": lambda qs, t: lower_bound_many_queries(qs, t, t),
+            "upper": upper_bound_many_queries,
+        }
+        empty = {"lower": 0.0, "box": 0.0, "upper": float("inf")}
+        for kind, kernel in kernels.items():
+            # zero pivots: a trivial bound for each of the 4 objects
+            got = kernel(np.empty((3, 0)), np.empty((4, 0)))
+            assert got.shape == (3, 4) and (got == empty[kind]).all(), kind
+            # zero rows, and a 1-D empty table: no objects, not one phantom
+            for table in (np.empty((0, 2)), np.empty(0)):
+                got = kernel(qmat, table)
+                assert got.shape == (3, 0) and got.dtype == np.float64, kind
+            # zero queries
+            assert kernel(np.empty((0, 2)), np.ones((4, 2))).shape == (0, 4), kind
+            # a bare row is one object; a bare query row is one query
+            row = [2.0, 1.0]
+            assert kernel(qmat, row).shape == (3, 1), kind
+            assert kernel(qmat[1], np.ones((4, 2))).shape == (1, 4), kind
+        assert lower_bound_many_queries(qmat, [2.0, 1.0])[:, 0].tolist() == [1.0, 4.0, 2.0]
+        assert upper_bound_many_queries(qmat, [2.0, 1.0])[:, 0].tolist() == [3.0, 5.0, 1.0]
+
+    @staticmethod
+    def _peak_within_one_block(boxes: bool):
         q, n, l = 32, 50_000, 5
         rng = np.random.default_rng(0)
         qmat, omat = rng.uniform(size=(q, l)), rng.uniform(size=(n, l))
-        lower_bound_many_queries(qmat[:1], omat[:8])  # warm numpy's own caches
+        tables = (omat, omat + 1.0) if boxes else (omat,)
+        lower_bound_many_queries(qmat[:1], *(t[:8] for t in tables))  # warm numpy's caches
         tracemalloc.start()
         try:
-            out = lower_bound_many_queries(qmat, omat)
+            out = lower_bound_many_queries(qmat, *tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         q_chunk = max(1, _COLUMN_BLOCK_FLOATS // n)
-        scratch = 8 * (q_chunk * n + l * n)  # one block + the l x n table copy
+        # one block + the l x n copy of each table
+        scratch = 8 * (q_chunk * n + len(tables) * l * n)
         assert peak - out.nbytes < 3 * scratch
         assert peak < 8 * q * n * l / 2  # nothing of the broadcast's order
 
+    def test_no_q_by_n_by_l_temporary(self):
+        self._peak_within_one_block(boxes=False)
 
-class TestLemma2:
-    def test_range_pivot(self):
-        # ball region of radius 3 around p; q at distance 10 from p
-        assert range_pivot_can_prune(10.0, 3.0, 6.0)
-        assert not range_pivot_can_prune(10.0, 3.0, 7.0)
-        assert range_pivot_min_dist(10.0, 3.0) == 7.0
-        assert range_pivot_min_dist(2.0, 3.0) == 0.0
-
-    def test_range_pivot_safety_on_real_data(self):
-        ds = make_la(200, seed=3)
-        rng = np.random.default_rng(3)
-        p = ds[0]
-        members = [int(i) for i in rng.choice(200, size=50)]
-        region_radius = max(ds.distance(p, ds[i]) for i in members)
-        q = ds[7]
-        dqp = ds.distance(q, p)
-        for radius in (100.0, 500.0):
-            if range_pivot_can_prune(dqp, region_radius, radius):
-                for i in members:
-                    assert ds.distance(q, ds[i]) > radius
-
-
-class TestLemma3:
-    def test_double_pivot(self):
-        assert double_pivot_can_prune(10.0, 3.0, 3.0)
-        assert not double_pivot_can_prune(10.0, 3.0, 4.0)
-
-    def test_double_pivot_safety(self):
-        ds = make_la(300, seed=4)
-        pi, pj = ds[0], ds[1]
-        region = [
-            i
-            for i in range(2, 300)
-            if ds.distance(ds[i], pi) <= ds.distance(ds[i], pj)
-        ]
-        q = ds[5]
-        dqi, dqj = ds.distance(q, pi), ds.distance(q, pj)
-        for radius in (50.0, 400.0):
-            if double_pivot_can_prune(dqi, dqj, radius):
-                for i in region:
-                    assert ds.distance(q, ds[i]) > radius
+    def test_no_q_by_n_by_l_temporary_on_boxes(self):
+        self._peak_within_one_block(boxes=True)
 
 
 class TestMbbBounds:
     def test_min_max_dist(self):
         qd = np.array([5.0, 5.0])
-        assert mbb_min_dist(qd, [6.0, 0.0], [8.0, 4.0]) == 1.0
-        assert mbb_min_dist(qd, [4.0, 4.0], [6.0, 6.0]) == 0.0
-        assert mbb_max_dist(qd, [0.0, 0.0], [2.0, 3.0]) == 7.0
+        assert lower_bound_many_queries(qd, [6.0, 0.0], [8.0, 4.0])[0, 0] == 1.0
+        assert lower_bound_many_queries(qd, [4.0, 4.0], [6.0, 6.0])[0, 0] == 0.0
+        assert upper_bound_many_queries(qd, [2.0, 3.0])[0, 0] == 7.0
 
     def test_prune_validate(self):
         qd = np.array([5.0])
-        assert mbb_can_prune(qd, [10.0], [12.0], 4.9)
-        assert not mbb_can_prune(qd, [10.0], [12.0], 5.0)
-        assert mbb_can_validate(qd, [0.0], [1.0], 6.0)
+        assert lower_bound_many_queries(qd, [10.0], [12.0])[0, 0] > 4.9
+        assert not lower_bound_many_queries(qd, [10.0], [12.0])[0, 0] > 5.0
+        assert upper_bound_many_queries(qd, [1.0])[0, 0] <= 6.0
 
     def test_mbb_bounds_cover_members(self):
         qd, mat, true = _setup(seed=5)
         lows, highs = mat.min(axis=0), mat.max(axis=0)
-        lo = mbb_min_dist(qd, lows, highs)
-        hi = mbb_max_dist(qd, lows, highs)
+        lo = lower_bound_many_queries(qd, lows, highs)[0, 0]
+        hi = upper_bound_many_queries(qd, highs)[0, 0]
         assert lo <= true.min() + 1e-9
         assert hi >= true.min() - 1e-9  # upper bound holds for each member
         assert np.all(true >= lo - 1e-9)
@@ -226,10 +285,11 @@ class TestMbbBounds:
         size = min(len(qd), len(deltas))
         qd = np.asarray(qd[:size])
         point = np.asarray(deltas[:size])
-        # a degenerate box equals the point: min dist == lower bound formula
-        assert mbb_min_dist(qd, point, point) == pytest.approx(
-            float(np.abs(qd - point).max())
+        # a degenerate box equals the point: its bound is the row's bound
+        assert lower_bound_many_queries(qd, point, point)[0, 0] == float(
+            np.abs(qd - point).max()
         )
+        assert lower_bound_many_queries(qd, point)[0, 0] == float(np.abs(qd - point).max())
 
 
 class TestPivotSelection:
@@ -308,9 +368,37 @@ class TestPivotSelection:
         pivots = max_variance_pivots(self.space, 3, seed=5)
         assert len(set(pivots)) == 3
 
+    def test_psa_greedy_picks_are_pinned(self):
+        """PSA's greedy step (``psa_greedy``) is shared by ``psa``,
+        ``EPTStar.insert`` and ``DEPT.build``: the per-object pivots and
+        distances of an EPT* build, one EPT* insert and DEPT's group pivots
+        on LA n = 300 hash to fixed digests, at fixed distance counts."""
+
+        def digest(*parts):
+            h = hashlib.sha256()
+            for part in parts:
+                if isinstance(part, np.ndarray):
+                    h.update(part.tobytes() + str(part.dtype).encode())
+                else:
+                    h.update(repr(part).encode())
+            return h.hexdigest()[:16]
+
+        la = make_la(300, seed=1)
+        counters = CostCounters()
+        ept = EPTStar.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=0)
+        assert digest(ept._pivot_idx, ept._pivot_dist, ept.pivot_ids) == "58a7944e64bd843f"
+        assert counters.distance_computations == 44067
+        oid = ept.insert(make_la(301, seed=7)[300])
+        assert digest(ept._pivot_idx[oid], ept._pivot_dist[oid]) == "c34a277ff422eac1"
+        assert counters.distance_computations == 46731
+        counters = CostCounters()
+        dept = DEPT.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=2)
+        assert digest(sorted(dept.group_pivots.items()), dept.candidate_ids) == "bb751b900d2f4a18"
+        assert counters.distance_computations == 23577
+
 
 class TestManyQueriesMbbBounds:
-    """2-D MBB bounds: agree with the scalar forms, masks stay safe."""
+    """2-D box bounds: every cell is its definition, masks stay safe."""
 
     def _boxes(self, n_boxes=12, l=4, seed=9):
         rng = np.random.default_rng(seed)
@@ -320,58 +408,39 @@ class TestManyQueriesMbbBounds:
         return qmat, lows, highs
 
     def test_agree_with_scalar_forms(self):
-        from repro.core.pivot_filter import (
-            mbb_max_dist_many_queries,
-            mbb_min_dist_many_queries,
-        )
-
         qmat, lows, highs = self._boxes()
-        mins = mbb_min_dist_many_queries(qmat, lows, highs)
-        maxs = mbb_max_dist_many_queries(qmat, lows, highs)
+        mins = lower_bound_many_queries(qmat, lows, highs)
+        maxs = upper_bound_many_queries(qmat, highs)
         assert mins.shape == maxs.shape == (7, 12)
-        for i in range(qmat.shape[0]):
-            for j in range(lows.shape[0]):
-                assert mins[i, j] == mbb_min_dist(qmat[i], lows[j], highs[j])
-                assert maxs[i, j] == mbb_max_dist(qmat[i], lows[j], highs[j])
+        assert mins.tolist() == _reference(_cell_lower, qmat, lows, highs)
+        assert maxs.tolist() == _reference(_cell_upper, qmat, highs)
 
     def test_single_box_broadcast(self):
-        from repro.core.pivot_filter import (
-            mbb_max_dist_many_queries,
-            mbb_min_dist_many_queries,
-        )
-
         qmat, lows, highs = self._boxes()
-        one = mbb_min_dist_many_queries(qmat, lows[0], highs[0])
+        one = lower_bound_many_queries(qmat, lows[0], highs[0])
         assert one.shape == (7, 1)
-        assert one[3, 0] == mbb_min_dist(qmat[3], lows[0], highs[0])
-        assert mbb_max_dist_many_queries(qmat, lows[0], highs[0]).shape == (7, 1)
+        assert one[3, 0] == _cell_lower(qmat[3].tolist(), lows[0].tolist(), highs[0].tolist())
+        assert upper_bound_many_queries(qmat, highs[0]).shape == (7, 1)
 
     def test_masks_match_scalar_decisions(self):
-        from repro.core.pivot_filter import (
-            mbb_prune_mask_many_queries,
-            mbb_validate_mask_many_queries,
-        )
-
         qmat, lows, highs = self._boxes()
         radius = 25.0
-        prune = mbb_prune_mask_many_queries(qmat, lows, highs, radius)
-        validate = mbb_validate_mask_many_queries(qmat, lows, highs, radius)
+        prune = lower_bound_many_queries(qmat, lows, highs) > radius
+        validate = upper_bound_many_queries(qmat, highs) <= radius
         for i in range(qmat.shape[0]):
             for j in range(lows.shape[0]):
-                assert prune[i, j] == mbb_can_prune(qmat[i], lows[j], highs[j], radius)
-                assert validate[i, j] == mbb_can_validate(
-                    qmat[i], lows[j], highs[j], radius
-                )
+                q, lo, hi = qmat[i].tolist(), lows[j].tolist(), highs[j].tolist()
+                assert prune[i, j] == (_cell_lower(q, lo, hi) > radius)
+                assert validate[i, j] == (_cell_upper(q, hi) <= radius)
 
     def test_per_query_radii(self):
-        from repro.core.pivot_filter import mbb_prune_mask_many_queries
-
         qmat, lows, highs = self._boxes()
         radii = np.linspace(5.0, 60.0, qmat.shape[0])
-        masks = mbb_prune_mask_many_queries(qmat, lows, highs, radii)
+        masks = lower_bound_many_queries(qmat, lows, highs) > radii[:, None]
         for i, r in enumerate(radii):
             for j in range(lows.shape[0]):
-                assert masks[i, j] == mbb_can_prune(qmat[i], lows[j], highs[j], r)
+                q, lo, hi = qmat[i].tolist(), lows[j].tolist(), highs[j].tolist()
+                assert masks[i, j] == (_cell_lower(q, lo, hi) > r)
 
 
 def _hfi_reference(space, n_pivots, candidate_scale=40, sample_pairs=200, seed=0):

@@ -15,6 +15,7 @@ from repro import (
     make_la,
     make_words,
 )
+from repro.core.pivot_filter import lower_bound_many_queries
 from repro.mtree import MTree
 from repro.rtree import Rect, RTree
 from repro.storage import Pager
@@ -44,10 +45,11 @@ class TestRect:
         assert r.expanded_point([5, 1]).highs[0] == 5
 
     def test_min_dist_linf(self):
+        # the R-tree measures a point against a node's rectangle with the box kernel
         r = Rect([2, 2], [4, 4])
-        assert r.min_dist_linf([0, 3]) == 2.0
-        assert r.min_dist_linf([3, 3]) == 0.0
-        assert r.min_dist_linf([5, 6]) == 2.0
+        points = [[0.0, 3.0], [3.0, 3.0], [5.0, 6.0]]
+        dists = lower_bound_many_queries(points, r.lows, r.highs)[:, 0]
+        assert dists.tolist() == [2.0, 0.0, 2.0]
 
     def test_margin_volume_enlargement(self):
         r = Rect([0, 0], [2, 3])
@@ -118,6 +120,17 @@ class TestRTree:
         assert dists == sorted(dists)
         brute = np.sort(np.abs(pts - q).max(axis=1))[:20]
         assert np.allclose(dists, brute)
+
+    def test_internal_node_boxes_are_its_rects(self):
+        pts = self._data(500, seed=2)
+        tree = RTree(Pager(page_size=1024), dims=3)
+        tree.bulk_load(pts, range(500))
+        root = tree.pager.read(tree.root_page)
+        assert not root.is_leaf
+        lows, highs = root.boxes()
+        assert lows.shape == highs.shape == (len(root.children), 3)
+        for rect, low, high in zip(root.rects, lows, highs):
+            assert np.array_equal(rect.lows, low) and np.array_equal(rect.highs, high)
 
     def test_empty_tree(self):
         tree = RTree(Pager(page_size=512), dims=2)

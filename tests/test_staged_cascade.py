@@ -38,12 +38,9 @@ from repro import (
     select_pivots,
 )
 from repro.core.pivot_filter import (
-    lower_bound_many,
     lower_bound_many_queries,
-    ptolemaic_lower_bound_many,
     ptolemaic_lower_bound_many_queries,
     ptolemaic_pairs,
-    upper_bound_many,
     upper_bound_many_queries,
 )
 from repro.core.staged import PerObjectStagedPruner, StagedPruner
@@ -468,10 +465,10 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
 def test_lower_bound_many_zero_size_shapes():
     q = np.asarray([1.0, 2.0])
     for empty in (np.empty((0, 2)), np.empty(0), np.float64(3.0)):
-        out = lower_bound_many(q, empty)
+        out = lower_bound_many_queries(q, empty)[0]
         assert out.shape == (0,)
         assert out.dtype == np.float64
-        out = upper_bound_many(q, empty)
+        out = upper_bound_many_queries(q, empty)[0]
         assert out.shape == (0,)
         assert out.dtype == np.float64
 
@@ -500,9 +497,9 @@ def test_ptolemaic_bound_is_a_true_lower_bound():
     q = _queries(space, n=1)[0]
     qdists = index.mapping.map_query(q)
     true_d = space.distance.one_to_many(q, space.dataset.objects)
-    bounds = ptolemaic_lower_bound_many(
+    bounds = ptolemaic_lower_bound_many_queries(
         qdists, index._rows, index.pruner.pair_matrix, pairs=index.pruner.pairs
-    )
+    )[0]
     assert (bounds <= true_d + 1e-9).all()
 
 

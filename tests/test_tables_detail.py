@@ -76,13 +76,13 @@ class TestLAESADetail:
         counters.reset()
         result = index.range_query(q, radius)
         # recompute survivors independently
-        from repro.core.pivot_filter import lower_bound_many
+        from repro.core.pivot_filter import lower_bound_many_queries
 
         qd = np.asarray([la.distance(q, la[p]) for p in la_pivots])
         # ``mapping.matrix`` is the table the index scans (``_rows`` is its
         # name inside LAESA), no longer a build-time copy beside it
         assert index.mapping.matrix is index._rows
-        survivors = int((lower_bound_many(qd, index.mapping.matrix) <= radius).sum())
+        survivors = int((lower_bound_many_queries(qd, index.mapping.matrix) <= radius).sum())
         assert counters.distance_computations == len(la_pivots) + survivors
         assert set(result) <= set(range(len(la)))
 
