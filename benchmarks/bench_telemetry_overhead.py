@@ -102,7 +102,7 @@ def test_telemetry_overhead_ratio(color_workload, color_laesa):
     queries = list(color_workload.queries)
 
     # both modes serve the same index; cache off + no dispatcher thread so
-    # every pass re-evaluates and the timing has no coalescing-wait noise
+    # every pass re-evaluates and the timing has no thread-handoff noise
     service_kw = dict(cache_size=0, use_dispatcher=False)
     off = QueryService(color_laesa, **service_kw)
     on = QueryService(color_laesa, metrics=MetricsRegistry(), **service_kw)

@@ -7,8 +7,9 @@ Walks the full query-service lifecycle the README describes:
 2. snapshot it to disk,
 3. restore it in a "new process" with zero distance computations,
 4. serve concurrent single-query traffic through the QueryService --
-   the micro-batching dispatcher coalesces callers into vectorised batch
-   calls and the LRU result cache absorbs the repeats.
+   the queries that queue up while the dispatcher runs a batch are answered
+   together by its next vectorised batch call (at most ``max_batch_size``
+   of one kind), and the LRU result cache absorbs the repeats.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -65,7 +66,7 @@ def main() -> None:
     # 25 distinct queries, each repeated 8 times: the shape of online
     # traffic, where popular queries recur
     queries = [words[i] for i in range(25)] * 8
-    with QueryService(restored, max_batch_size=16, max_wait_ms=2.0) as service:
+    with QueryService(restored, max_batch_size=16) as service:
         with ThreadPoolExecutor(max_workers=8) as clients:
             t0 = time.perf_counter()
             answers = list(

@@ -385,7 +385,6 @@ def _cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         cache_ttl_s=args.cache_ttl,
         max_batch_size=args.batch_size,
-        max_wait_ms=args.max_wait_ms,
         metrics=metrics,
     )
     snapshots = args.snapshot or []
@@ -740,8 +739,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="byte budget for the result cache (evict by accounted result "
         "size, not just entry count)",
     )
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=2.0)
+    p.add_argument(
+        "--batch-size",
+        type=int,
+        default=32,
+        help="the most queued queries of one group the dispatcher answers "
+        "in one batch call",
+    )
     p.add_argument(
         "--http",
         type=int,

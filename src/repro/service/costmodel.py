@@ -10,14 +10,14 @@ model behind that answer is deliberately small:
   wall milliseconds) taken from the member's private
   :class:`~repro.core.counters.CostCounters` delta (the same sum-exact
   bracketing the telemetry layer has used since PR 7);
-* per ``(index_id, kind)`` the last ``window`` observations are kept and a
+* per ``(index_id, kind)`` the last :data:`WINDOW` observations are kept and a
   least-squares fit maps the feature row ``[1, param, param^2, batch_size,
   cardinality]`` to the three per-query cost targets.  The quadratic term
   matters: MRQ cost grows superlinearly in the radius for every pivot
   filter (the candidate ball's volume does), and a straight line
   misorders members between calibrated radii;
-* fits refresh lazily (every ``refit_every`` records), so the hot path
-  pays one deque append and the occasional tiny ``lstsq`` on a <=window x 5
+* fits refresh lazily (every :data:`REFIT_EVERY` records), so the hot path
+  pays one deque append and the occasional tiny ``lstsq`` on a <=WINDOW x 5
   matrix.
 
 With fewer observations than features the normal equations are
@@ -41,6 +41,9 @@ __all__ = ["CostModel", "Observation", "MIN_FIT_OBSERVATIONS"]
 # below this many observations a least-squares plane is pure extrapolation;
 # predict from the running mean instead
 MIN_FIT_OBSERVATIONS = 6
+# observations kept per (index_id, kind), and records between refits
+WINDOW = 512
+REFIT_EVERY = 16
 
 _TARGETS = ("compdists", "page_reads", "wall_ms")
 
@@ -76,13 +79,7 @@ class CostModel:
     direct batch callers concurrently with the planner's predictions.
     """
 
-    def __init__(self, window: int = 512, refit_every: int = 16):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1, got {refit_every}")
-        self.window = window
-        self.refit_every = refit_every
+    def __init__(self):
         self._lock = threading.Lock()
         self._obs: dict[tuple, deque] = {}
         self._coef: dict[tuple, np.ndarray | None] = {}  # 5 x 3, or None
@@ -115,7 +112,7 @@ class CostModel:
         with self._lock:
             bucket = self._obs.get(key)
             if bucket is None:
-                bucket = self._obs[key] = deque(maxlen=self.window)
+                bucket = self._obs[key] = deque(maxlen=WINDOW)
             bucket.append(obs)
             self._dirty[key] = self._dirty.get(key, 0) + 1
 
@@ -176,7 +173,7 @@ class CostModel:
             # yet, or when the last fit fell back to the mean but fresh
             # records may have pushed the window past the fit threshold
             if (
-                self._dirty[key] >= self.refit_every
+                self._dirty[key] >= REFIT_EVERY
                 or key not in self._coef
                 or (self._coef[key] is None and self._dirty[key] > 0)
             ):

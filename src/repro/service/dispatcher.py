@@ -1,54 +1,21 @@
 """Micro-batching dispatcher: coalesce single queries into vectorised batches.
 
-PR 1's batch execution layer answers a *batch* of queries 4.6-9.6x faster
-than a per-query loop -- but online traffic arrives one query at a time,
-from many concurrent callers.  The dispatcher bridges the two: callers
-submit individual queries and get a Future; a background worker groups
-compatible queries (same operation, same radius or k) and executes each
-group as **one** ``range_query_many`` / ``knn_query_many`` call, so single
-query traffic inherits the batch layer's throughput.
-
-Two tuning knobs bound the coalescing:
-
-* ``max_batch_size`` -- a group is dispatched as soon as it reaches this
-  many queries (caps per-batch latency and memory);
-* ``max_wait_ms`` -- the oldest query in a group never waits longer than
-  this before dispatch (caps added latency when traffic is sparse; 0
-  dispatches every group as soon as the worker sees it).
-
-Groups are keyed ``(index_id, kind, param)``.  The index id matters when
-one dispatcher serves a catalog of several hosted indexes: two members
-answering the same radius must never have their queries coalesced into
-one batch -- the batch executes against exactly one index, so a shared
-``(kind, param)`` key would silently answer half the batch from the
-wrong structure.  Single-index services pass their one namespace for
-every submission and behave exactly as before.
-
-The wait actually applied is *adaptive* (unless ``adaptive_wait=False``):
-a per-(index_id, kind, param)-group EWMA of observed arrival intervals
-estimates how long filling a batch from that group would take
-(``ewma * (max_batch_size - 1)``), and the group's effective wait is that
-estimate clamped to the configured ``max_wait_ms`` bound.  Rates are
-tracked per group because only same-parameter queries against the same
-index can ever share a batch -- a dense mix of distinct radii must still
-read as sparse for every group.  A dense group fills batches quickly, so
-its wait shrinks toward zero latency overhead; at the sparse extreme --
-the group's EWMA interval at or beyond the bound itself, so not even one
-more compatible arrival is expected inside it -- the wait collapses to
-zero instead of stalling every caller for the full bound on the off
-chance of company.  ``stats()`` exposes the most recently active group's
-values.
-
-Answers are contractually identical to direct per-query calls: the batch
-layer guarantees ``query_many(qs)[i] == query(qs[i])``, and grouping keys
-include the query parameter, so no approximation is introduced anywhere.
+Callers submit single queries and get a Future; one worker thread answers
+each group of compatible queries with one ``range_query_many`` /
+``knn_query_many`` call.  The rule is the queue itself, with no timer: the
+worker sleeps until something is queued, then takes each group's queued
+queries, at most ``max_batch_size``, as one batch; queries that arrive
+while those batches run form the next ones.  A lone query goes at once,
+and batches grow exactly as far as traffic outpaces the index.  Groups are
+keyed ``(index_id, kind, param)``: a batch runs on one catalog member at
+one radius or k, so answers equal direct per-query calls
+(``query_many(qs)[i] == query(qs[i])``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Callable
 
@@ -59,24 +26,15 @@ __all__ = ["MicroBatchDispatcher", "DispatcherStats"]
 
 
 class DispatcherStats:
-    """Counts of what the dispatcher coalesced (read via ``stats()``).
-
-    Written by the worker thread (:meth:`record`, per dispatched batch) and
-    by submitter threads (:meth:`record_wait`, per arrival) while
-    ``as_dict()`` is read concurrently from ``QueryService.stats()`` -- so
-    every update and every read holds one internal lock.  Without it a
-    reader can observe a torn snapshot (``queries`` already incremented,
-    ``batches`` not yet).
-    """
+    """Counts of what the dispatcher coalesced.  The worker writes them and
+    ``QueryService.stats()`` reads them under one lock, so a reader never
+    sees ``queries`` already incremented and ``batches`` not yet."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.queries = 0
         self.batches = 0
         self.largest_batch = 0
-        # adaptive wait / arrival EWMA of the most recently active group
-        self.current_wait_ms = 0.0
-        self.ewma_arrival_ms: float | None = None
 
     def record(self, batch_size: int) -> None:
         with self._lock:
@@ -84,32 +42,18 @@ class DispatcherStats:
             self.batches += 1
             self.largest_batch = max(self.largest_batch, batch_size)
 
-    def record_wait(self, wait_ms: float, ewma_ms: float | None) -> None:
-        """Publish the most recently active group's wait and arrival EWMA."""
-        with self._lock:
-            self.current_wait_ms = wait_ms
-            self.ewma_arrival_ms = ewma_ms
-
     @property
     def mean_batch_size(self) -> float:
         with self._lock:
-            return self.queries / self.batches if self.batches else 0.0
+            return self.queries / max(self.batches, 1)
 
     def as_dict(self) -> dict:
         with self._lock:
             return {
                 "queries": self.queries,
                 "batches": self.batches,
-                "mean_batch_size": (
-                    round(self.queries / self.batches, 2) if self.batches else 0.0
-                ),
+                "mean_batch_size": round(self.queries / max(self.batches, 1), 2),
                 "largest_batch": self.largest_batch,
-                "current_wait_ms": round(self.current_wait_ms, 4),
-                "ewma_arrival_ms": (
-                    None
-                    if self.ewma_arrival_ms is None
-                    else round(self.ewma_arrival_ms, 4)
-                ),
             }
 
 
@@ -118,57 +62,28 @@ class MicroBatchDispatcher:
 
     Args:
         execute_batch: ``execute_batch(index_id, kind, param, queries) ->
-            results``, one result per query in order; ``index_id`` is the
-            hosted index the group was submitted against, ``kind`` is
-            ``"range"`` or ``"knn"`` and ``param`` the radius / k shared
-            by the group.  The service facade passes its cache-aware
-            batch executor here.
-        max_batch_size: dispatch a group once it holds this many queries.
-        max_wait_ms: upper bound on how long a group's oldest query waits,
-            full or not.  With ``adaptive_wait`` the applied wait is
-            usually below this bound (see module docstring).
-        adaptive_wait: derive each group's applied wait from an EWMA of
-            its observed arrival intervals, clamped to ``[0, max_wait_ms]``;
-            False always waits the full configured bound.
-        ewma_alpha: smoothing factor of the arrival-interval EWMA.
+            results``, one result per query in order, for one group's
+            member, ``"range"`` / ``"knn"`` and radius / k (the service
+            passes its cache-aware batch executor).
+        max_batch_size: the most queries of one group a batch takes.
+        metrics: optional registry for the queue-wait / batch-size histograms.
 
-    Thread-safe; use as a context manager or call :meth:`close` so the
-    worker thread is joined deterministically.
+    Thread-safe; :meth:`close` (or leaving a ``with`` block) joins the worker.
     """
 
     def __init__(
         self,
         execute_batch: Callable[[str, str, float, list], list],
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
-        adaptive_wait: bool = True,
-        ewma_alpha: float = 0.2,
         metrics: MetricsRegistry | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self._execute_batch = execute_batch
         self.max_batch_size = max_batch_size
-        self.max_wait = max_wait_ms / 1000.0
-        self.adaptive_wait = adaptive_wait
-        self.ewma_alpha = ewma_alpha
-        # arrival tracking is *per group*: batches only ever form inside
-        # one (index_id, kind, param) group, so a globally dense stream of
-        # distinct parameters must still read as sparse for each group.
-        # Entries: key -> [last arrival, ewma interval or None, applied
-        # wait].
-        self._rates: "OrderedDict[tuple, list]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        # (index_id, kind, param) -> list of (query, future, submit-time
-        # span or None, enqueue time); arrival holds the enqueue time of
-        # each group's oldest member
+        self._wake = threading.Condition(threading.Lock())
+        # (index_id, kind, param) -> [(query, future, span, enqueue time)]
         self._pending: dict[tuple, list[tuple]] = {}
-        self._arrival: dict[tuple, float] = {}
         self._closed = False
         self._queue_wait_ms = self._batch_size_hist = None
         if metrics is not None:
@@ -183,18 +98,14 @@ class MicroBatchDispatcher:
                 buckets=BATCH_SIZE_BUCKETS,
             )
         self.stats = DispatcherStats()
-        self.stats.record_wait(self.max_wait * 1000.0, None)
         self._worker = threading.Thread(
             target=self._run, name="repro-dispatcher", daemon=True
         )
         self._worker.start()
 
-    # -- submission ----------------------------------------------------------
-
     def submit(self, index_id: str, kind: str, query_obj, param) -> Future:
         """Enqueue one query against one hosted index; the Future resolves
-        to its answer list.  Only queries sharing the full
-        ``(index_id, kind, param)`` key can be coalesced."""
+        to its answer list.  Only queries sharing a group key coalesce."""
         if kind not in ("range", "knn"):
             raise ValueError(f"kind must be 'range' or 'knn', got {kind!r}")
         future: Future = Future()
@@ -202,132 +113,37 @@ class MicroBatchDispatcher:
         with self._wake:
             if self._closed:
                 raise RuntimeError("dispatcher is closed")
-            now = time.monotonic()
-            self._observe_arrival(key, now)
-            group = self._pending.setdefault(key, [])
-            if not group:
-                self._arrival[key] = now
-            # the submit-time span (the caller's dispatcher_wait span, if
-            # traced) is where the batch's cost share will be attributed
-            group.append((query_obj, future, tracing.current_span(), now))
+            # the caller's span, if traced, takes its share of the batch's cost
+            self._pending.setdefault(key, []).append(
+                (query_obj, future, tracing.current_span(), time.monotonic())
+            )
             self._wake.notify()
         return future
 
-    # bound on distinct (index_id, kind, param) rate entries kept; beyond it the
-    # least recently active group's history is forgotten (it restarts at
-    # the configured bound on its next arrival)
-    _MAX_TRACKED_GROUPS = 4096
-
-    def _observe_arrival(self, key: tuple, now: float) -> None:
-        """Update one group's arrival EWMA and adaptive wait (lock held).
-
-        The wait targets the expected time to *fill* a batch from this
-        group's own arrivals, ``ewma * (max_batch_size - 1)``, clamped to
-        the configured bound: waiting longer than the fill time cannot
-        grow the batch any further before the size trigger fires.  When
-        the group's expected interval reaches the bound itself, no
-        companion arrival is likely inside it at all, so the wait drops to
-        zero -- a sparse group dispatches immediately rather than paying
-        the full bound per query for nothing.  Rates are per group because
-        only same-(index_id, kind, param) queries can share a batch: a
-        dense mix of distinct parameters must still count as sparse for
-        each group.
-        """
-        rate = self._rates.get(key)
-        if rate is None:
-            while len(self._rates) >= self._MAX_TRACKED_GROUPS:
-                self._rates.popitem(last=False)
-            # nothing observed for this group yet: the configured bound
-            self._rates[key] = [now, None, self.max_wait]
-            return
-        self._rates.move_to_end(key)
-        # clamp idle gaps to twice the bound before they enter the EWMA: a
-        # long pause says "sparse" exactly as loudly at 2x the bound as at
-        # 1000x, and an uncapped gap would poison the estimate so badly
-        # that the burst following the pause runs as singleton batches for
-        # dozens of queries while it decays
-        interval = min(now - rate[0], 2.0 * self.max_wait)
-        rate[0] = now
-        if rate[1] is None:
-            rate[1] = interval
-        else:
-            rate[1] += self.ewma_alpha * (interval - rate[1])
-        if self.adaptive_wait:
-            if rate[1] >= self.max_wait:
-                rate[2] = 0.0
-            else:
-                rate[2] = min(self.max_wait, rate[1] * (self.max_batch_size - 1))
-        # stats reflect the most recently active group
-        self.stats.record_wait(rate[2] * 1000.0, rate[1] * 1000.0)
-
-    def _wait_of(self, key: tuple) -> float:
-        """The applied coalescing wait for one group (lock held)."""
-        rate = self._rates.get(key)
-        return rate[2] if rate is not None else self.max_wait
-
-    def range_query(self, query_obj, radius: float, index_id: str = "") -> list:
-        """Blocking single MRQ through the batcher (for plain callers)."""
-        return self.submit(index_id, "range", query_obj, radius).result()
-
-    def knn_query(self, query_obj, k: int, index_id: str = "") -> list:
-        """Blocking single MkNNQ through the batcher."""
-        return self.submit(index_id, "knn", query_obj, k).result()
-
-    # -- worker --------------------------------------------------------------
-
-    def _take_ready(self, now: float, force: bool = False) -> list[tuple[tuple, list]]:
-        """Pop every group that is full or past its deadline (lock held)."""
-        ready = []
-        for key in list(self._pending):
-            group = self._pending[key]
-            if (
-                force
-                or len(group) >= self.max_batch_size
-                or now - self._arrival[key] >= self._wait_of(key)
-            ):
-                ready.append((key, group[: self.max_batch_size]))
-                remainder = group[self.max_batch_size :]
-                if remainder:
-                    # keep the group's original arrival time: the overflow
-                    # queries already waited, so the max_wait bound must
-                    # keep counting from their enqueue, not restart
-                    self._pending[key] = remainder
-                else:
-                    del self._pending[key]
-                    del self._arrival[key]
-        return ready
-
-    def _next_deadline(self) -> float | None:
-        if not self._arrival:
-            return None
-        return min(
-            arrived + self._wait_of(key) for key, arrived in self._arrival.items()
-        )
-
     def _run(self) -> None:
+        size = self.max_batch_size
         while True:
             with self._wake:
                 while not self._pending and not self._closed:
                     self._wake.wait()
-                if self._closed and not self._pending:
+                if not self._pending:  # closed and drained
                     return
-                now = time.monotonic()
-                # at close time everything pending is drained immediately
-                ready = self._take_ready(now, force=self._closed)
-                if not ready:
-                    deadline = self._next_deadline()
-                    # no group full or due yet: sleep until the oldest
-                    # group's deadline or an arrival that fills one
-                    self._wake.wait(timeout=max(0.0, (deadline or now) - now))
-                    continue
+                ready = list(self._pending.items())
+                self._pending = {
+                    key: group[size:] for key, group in ready if len(group) > size
+                }
             for (index_id, kind, param), group in ready:
-                self._dispatch(index_id, kind, param, group)
+                self._dispatch(index_id, kind, param, group[:size])
 
     def _dispatch(self, index_id: str, kind: str, param: float, group: list) -> None:
-        queries = [item[0] for item in group]
-        spans = [item[2] for item in group]
+        # a Future cancelled while queued is dropped; the rest can no longer
+        # be cancelled, so resolving them cannot raise
+        group = [item for item in group if item[1].set_running_or_notify_cancel()]
+        if not group:
+            return
+        queries, futures, spans, enqueued = map(list, zip(*group))
         now = time.monotonic()
-        for _, _, span_, t_enq in group:
+        for span_, t_enq in zip(spans, enqueued):
             wait_ms = (now - t_enq) * 1000.0
             if self._queue_wait_ms is not None:
                 self._queue_wait_ms.observe(wait_ms)
@@ -337,21 +153,17 @@ class MicroBatchDispatcher:
             self._batch_size_hist.observe(len(group))
         try:
             if any(span_ is not None for span_ in spans):
-                # batch_execution inside the executor attributes its
-                # measured cost delta back to these submit-time spans
-                with tracing.attribution_scope(spans):
+                with tracing.attribution_scope(spans):  # batch_execution bills these
                     results = self._execute_batch(index_id, kind, param, queries)
             else:
                 results = self._execute_batch(index_id, kind, param, queries)
         except BaseException as exc:  # propagate to every waiting caller
-            for item in group:
-                item[1].set_exception(exc)
+            for future in futures:
+                future.set_exception(exc)
             return
         self.stats.record(len(group))
-        for item, result in zip(group, results):
-            item[1].set_result(result)
-
-    # -- lifecycle -----------------------------------------------------------
+        for future, result in zip(futures, results):
+            future.set_result(result)
 
     def close(self) -> None:
         """Stop accepting queries, drain pending groups, join the worker."""

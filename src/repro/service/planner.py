@@ -63,7 +63,6 @@ class QueryPlanner:
     def __init__(
         self,
         catalog: IndexCatalog,
-        model: CostModel | None = None,
         epsilon: float = 0.05,
         seed: int = 0,
         metrics: MetricsRegistry | None = None,
@@ -71,7 +70,7 @@ class QueryPlanner:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         self.catalog = catalog
-        self.model = model if model is not None else CostModel()
+        self.model = CostModel()
         self.epsilon = epsilon
         self._rng = random.Random(seed)
         self._lock = threading.Lock()

@@ -8,9 +8,10 @@ Composes the service-layer pieces into one front door:
   distance computations;
 * **result cache** (:mod:`repro.service.cache`) -- every query checks the
   LRU first; only misses reach an index, as one vectorised batch;
-* **dispatcher** (:mod:`repro.service.dispatcher`) -- concurrent
-  single-query callers are coalesced into batch calls, so online traffic
-  inherits the batch layer's throughput;
+* **dispatcher** (:mod:`repro.service.dispatcher`) -- single-query
+  callers that queue up while a batch runs are answered together by the
+  next batch call, so concurrent traffic inherits the batch layer's
+  throughput and a lone query is never held back;
 * **catalog + planner** (:mod:`repro.service.catalog`,
   :mod:`repro.service.planner`) -- the hosted indexes are always an
   :class:`~repro.service.catalog.IndexCatalog`: one or several index
@@ -28,7 +29,7 @@ what a bare cache -> dispatcher -> index stack would.
 
 The layering is strict: cache -> planner -> dispatcher -> index batch
 call.  The LRU is consulted synchronously in the calling thread -- a hit
-never pays the dispatcher's thread handoff or coalescing wait, which is
+never pays the dispatcher's thread handoff or its queue, which is
 what makes warm repeat traffic an order of magnitude cheaper than
 re-evaluation.  Only misses are routed and enter the dispatcher, which
 groups them (deduplicated, per routed member) into one
@@ -112,10 +113,11 @@ class QueryService:
         cache_ttl_s: optional time-to-live for private-cache entries in
             seconds; expired lookups count as misses (see
             :class:`QueryResultCache`).  None keeps entries until evicted.
-        max_batch_size / max_wait_ms / adaptive_wait: dispatcher knobs
-            (see :class:`MicroBatchDispatcher`); ``use_dispatcher=False``
-            runs without a background thread (single calls become
-            one-query batches).
+        max_batch_size: the most queued queries of one group the
+            dispatcher answers in one batch call (see
+            :class:`MicroBatchDispatcher`); ``use_dispatcher=False`` runs
+            without a background thread (single calls become one-query
+            batches).
         counters: the service's accumulator (cache hit/miss/eviction
             stats are folded into it).  Under ``index=`` it is also what
             the index is billed to, defaulting to the index's own.  Under
@@ -139,8 +141,6 @@ class QueryService:
         cache_bytes: int | None = None,
         cache_ttl_s: float | None = None,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
-        adaptive_wait: bool = True,
         use_dispatcher: bool = True,
         counters: CostCounters | None = None,
         metrics: MetricsRegistry | None = None,
@@ -200,11 +200,7 @@ class QueryService:
         )
         self.dispatcher = (
             MicroBatchDispatcher(
-                self._execute_misses,
-                max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
-                adaptive_wait=adaptive_wait,
-                metrics=metrics,
+                self._execute_misses, max_batch_size=max_batch_size, metrics=metrics
             )
             if use_dispatcher
             else None
@@ -418,7 +414,7 @@ class QueryService:
         """Single query: synchronous cache check, dispatcher on a miss.
 
         The cache lookup runs in the calling thread, so warm repeat
-        traffic never pays the dispatcher's handoff or coalescing wait;
+        traffic never pays the dispatcher's handoff or queue;
         only misses are routed and enqueued for batching (the routed
         member is part of the dispatcher's group key, so only
         same-member queries coalesce).  A disabled cache (capacity 0) is

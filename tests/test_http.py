@@ -59,7 +59,7 @@ def _laesa_over(dataset):
 def served(datasets, built_indexes):
     """Words LAESA behind a loopback HTTP server (shared, read-only)."""
     index = built_indexes("Words", "LAESA")
-    service = QueryService(index, max_batch_size=16, max_wait_ms=25.0)
+    service = QueryService(index, max_batch_size=16)
     server = HttpQueryServer(service, max_inflight=64).start()
     client = ServiceClient(port=server.port)
     yield index, service, server, client
@@ -77,7 +77,7 @@ class _SlowServed:
 
     def __init__(self, dataset, max_inflight):
         self.index = _laesa_over(dataset)
-        self.service = QueryService(self.index, max_wait_ms=1.0)
+        self.service = QueryService(self.index)
         self.entered = threading.Semaphore(0)
         self.release = threading.Event()
         original = self.service.range_query
@@ -437,7 +437,7 @@ def test_reload_hot_swaps_snapshot(datasets, tmp_path):
             break
     assert query is not None, "fixture subsets too similar to distinguish"
 
-    service = QueryService.from_snapshot(path_small, max_wait_ms=1.0)
+    service = QueryService.from_snapshot(path_small)
     with service, HttpQueryServer(service).start() as server:
         client = ServiceClient(port=server.port)
         assert client.healthz()["objects"] == 100
@@ -460,7 +460,7 @@ def test_reload_rejects_bad_snapshots_and_keeps_serving(datasets, tmp_path):
     (index_small, path_small), _ = _snapshot_pair(datasets, tmp_path)
     junk = tmp_path / "junk.snap"
     junk.write_bytes(b"NOTASNAP" + b"\x00" * 32)
-    service = QueryService.from_snapshot(path_small, max_wait_ms=1.0)
+    service = QueryService.from_snapshot(path_small)
     with service, HttpQueryServer(service).start() as server:
         client = ServiceClient(port=server.port)
         q = datasets["Words"][0]
@@ -498,7 +498,7 @@ def test_service_reload_generation_drops_inflight_puts(datasets, tmp_path):
 def test_insert_and_delete_endpoints(datasets):
     dataset = datasets["Words"].subset(range(120))
     index = _laesa_over(dataset)
-    with QueryService(index, max_wait_ms=1.0) as service:
+    with QueryService(index) as service:
         with HttpQueryServer(service).start() as server:
             client = ServiceClient(port=server.port)
             q = dataset[0]
@@ -514,7 +514,7 @@ def test_insert_and_delete_endpoints(datasets):
 def test_insert_vector_object_over_wire(datasets):
     dataset = datasets["LA"].subset(range(80))
     index = _laesa_over(dataset)
-    with QueryService(index, max_wait_ms=1.0) as service:
+    with QueryService(index) as service:
         with HttpQueryServer(service).start() as server:
             client = ServiceClient(port=server.port)
             q = dataset[0]

@@ -397,7 +397,6 @@ def test_dispatcher_coalesced_attribution_sums_to_counters_delta(
         metrics=registry,
         cache_size=0,  # every request must reach the dispatcher
         max_batch_size=8,
-        max_wait_ms=25.0,
     ) as service:
         barrier = threading.Barrier(len(queries))
 

@@ -237,7 +237,7 @@ def test_reload_under_traffic_resolves_every_request(la, tmp_path, source):
         i: (brute_force_range(oracle, q, RADIUS), brute_force_knn(oracle, q, K))
         for i, q in enumerate(queries)
     }
-    service = QueryService(_build(la), cache_size=0, max_batch_size=8, max_wait_ms=2.0)
+    service = QueryService(_build(la), cache_size=0, max_batch_size=8)
     member_counters = service.catalog.primary.counters
     stop = threading.Event()
     reloads = []
@@ -359,8 +359,8 @@ def _http_service(n_members, dataset):
     catalog = _one_member_catalog(dataset, LAESA)
     if n_members == 2:
         catalog.register(_build(dataset))
-        return QueryService(catalog=catalog, max_wait_ms=1.0)
-    return QueryService(catalog.primary.index, max_wait_ms=1.0)
+        return QueryService(catalog=catalog)
+    return QueryService(catalog.primary.index)
 
 
 @pytest.mark.parametrize("n_members", [1, 2])

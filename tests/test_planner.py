@@ -51,6 +51,7 @@ from repro.service import (
     load_catalog_manifest,
     save_index,
 )
+from repro.service import costmodel
 from repro.service.costmodel import MIN_FIT_OBSERVATIONS
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_dispatcher_never_coalesces_across_hosted_indexes():
         seen.append((index_id, kind, param, len(queries)))
         return [index_id for _ in queries]
 
-    with MicroBatchDispatcher(executor, max_batch_size=8, max_wait_ms=50.0) as d:
+    with MicroBatchDispatcher(executor, max_batch_size=8) as d:
         futures = [d.submit("laesa", "range", f"q{i}", 3.0) for i in range(3)]
         futures += [d.submit("mvpt", "range", f"q{i}", 3.0) for i in range(3)]
         answers = [f.result(timeout=5) for f in futures]
@@ -141,8 +142,9 @@ class TestCostModel:
         assert predicted["page_reads"] == pytest.approx(1.0)
         assert predicted["wall_ms"] == pytest.approx(0.5)
 
-    def test_fit_tracks_parameter_dependence(self):
-        model = CostModel(refit_every=1)
+    def test_fit_tracks_parameter_dependence(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "REFIT_EVERY", 1)
+        model = CostModel()
         for r in range(1, 9):
             model.record("a", "range", float(r), 1, 100, 3.0 * r, float(r), 0.1 * r)
         p_small = model.predict("a", "range", 2.0, 1, 100)
@@ -151,8 +153,10 @@ class TestCostModel:
         assert p_small["compdists"] == pytest.approx(6.0, rel=0.05)
         assert p_large["wall_ms"] == pytest.approx(0.8, rel=0.05)
 
-    def test_window_evicts_stale_observations(self):
-        model = CostModel(window=4, refit_every=1)
+    def test_window_evicts_stale_observations(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "WINDOW", 4)
+        monkeypatch.setattr(costmodel, "REFIT_EVERY", 1)
+        model = CostModel()
         for _ in range(10):
             model.record("a", "range", 1.0, 1, 10, 100.0, 0.0, 1.0)
         for _ in range(4):
@@ -168,12 +172,6 @@ class TestCostModel:
         assert means["compdists"] == pytest.approx(10.0)
         assert means["page_reads"] == pytest.approx(2.0)
         assert means["wall_ms"] == pytest.approx(4.0)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="window"):
-            CostModel(window=0)
-        with pytest.raises(ValueError, match="refit_every"):
-            CostModel(refit_every=0)
 
 
 # ---------------------------------------------------------------------------

@@ -585,8 +585,24 @@ def _echo_executor(index_id, kind, param, queries):
     return [(index_id, kind, param, q) for q in queries]
 
 
+class _GatedExecutor:
+    """Echo executor whose first batch blocks until ``gate`` is set: the
+    worker is busy meanwhile, so everything submitted then is queued."""
+
+    def __init__(self):
+        self.batches = []
+        self.started = threading.Event()
+        self.gate = threading.Event()
+
+    def __call__(self, index_id, kind, param, queries):
+        self.batches.append(list(queries))
+        self.started.set()
+        self.gate.wait(timeout=5)
+        return _echo_executor(index_id, kind, param, queries)
+
+
 def test_dispatcher_answers_in_submission_order():
-    with MicroBatchDispatcher(_echo_executor, max_batch_size=4, max_wait_ms=5.0) as d:
+    with MicroBatchDispatcher(_echo_executor, max_batch_size=4) as d:
         futures = [d.submit("", "range", f"q{i}", 2.0) for i in range(10)]
         results = [f.result(timeout=5) for f in futures]
     assert results == [("", "range", 2.0, f"q{i}") for i in range(10)]
@@ -600,7 +616,7 @@ def test_dispatcher_coalesces_concurrent_callers():
         time.sleep(0.002)  # give the pending queue time to fill
         return [None for _ in queries]
 
-    with MicroBatchDispatcher(executor, max_batch_size=16, max_wait_ms=50.0) as d:
+    with MicroBatchDispatcher(executor, max_batch_size=16) as d:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(
                 pool.map(lambda i: d.submit("", "range", i, 1.0).result(), range(64))
@@ -620,7 +636,7 @@ def test_dispatcher_separates_incompatible_groups():
         seen.append((index_id, kind, param, len(queries)))
         return [0 for _ in queries]
 
-    with MicroBatchDispatcher(executor, max_batch_size=8, max_wait_ms=20.0) as d:
+    with MicroBatchDispatcher(executor, max_batch_size=8) as d:
         futures = [d.submit("", "range", i, 1.0) for i in range(3)]
         futures += [d.submit("", "range", i, 2.0) for i in range(3)]
         futures += [d.submit("", "knn", i, 2.0) for i in range(3)]
@@ -636,29 +652,88 @@ def test_dispatcher_propagates_executor_errors():
     def executor(index_id, kind, param, queries):
         raise ValueError("boom")
 
-    with MicroBatchDispatcher(executor, max_batch_size=4, max_wait_ms=1.0) as d:
+    with MicroBatchDispatcher(executor, max_batch_size=4) as d:
         future = d.submit("", "range", "q", 1.0)
         with pytest.raises(ValueError, match="boom"):
             future.result(timeout=5)
 
 
+@pytest.mark.parametrize("n", [1, 5, 8, 19])
+def test_dispatcher_batches_what_queued_behind_a_running_batch(n):
+    """No timer: the queries queued while a batch runs are the next
+    batches, exactly n of them, split at max_batch_size."""
+    executor = _GatedExecutor()
+    with MicroBatchDispatcher(executor, max_batch_size=8) as d:
+        first = d.submit("", "range", "first", 1.0)
+        assert executor.started.wait(timeout=5)  # the worker is inside batch 1
+        futures = [d.submit("", "range", i, 1.0) for i in range(n)]
+        executor.gate.set()
+        assert first.result(timeout=5) == ("", "range", 1.0, "first")
+        assert [f.result(timeout=5) for f in futures] == [
+            ("", "range", 1.0, i) for i in range(n)
+        ]
+    assert [len(batch) for batch in executor.batches] == (
+        [1] + [8] * (n // 8) + ([n % 8] if n % 8 else [])
+    )
+    assert [q for batch in executor.batches[1:] for q in batch] == list(range(n))
+
+
+def test_dispatcher_answers_stay_exact_across_batches():
+    with MicroBatchDispatcher(_echo_executor, max_batch_size=4) as d:
+        futures = [d.submit("", "range", f"q{i}", 2.0) for i in range(30)]
+        results = [f.result(timeout=5) for f in futures]
+    assert results == [("", "range", 2.0, f"q{i}") for i in range(30)]
+
+
 def test_dispatcher_close_drains_pending_and_rejects_new():
-    d = MicroBatchDispatcher(_echo_executor, max_batch_size=64, max_wait_ms=10_000.0)
+    executor = _GatedExecutor()
+    d = MicroBatchDispatcher(executor, max_batch_size=64)
+    first = d.submit("", "range", "first", 1.0)
+    assert executor.started.wait(timeout=5)
     futures = [d.submit("", "range", i, 1.0) for i in range(5)]
-    d.close()  # max_wait is huge: only the close-drain can resolve these
-    assert [f.result(timeout=5) for f in futures] == [
-        ("", "range", 1.0, i) for i in range(5)
-    ]
+    closer = threading.Thread(target=d.close)
+    closer.start()
+    deadline = time.monotonic() + 5
+    while not d._closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    # closed while work is still queued: new work is refused at once ...
     with pytest.raises(RuntimeError, match="closed"):
         d.submit("", "range", "late", 1.0)
+    executor.gate.set()
+    closer.join(timeout=5)
+    assert not closer.is_alive()
+    # ... and what was queued before still runs
+    assert first.result(timeout=0) == ("", "range", 1.0, "first")
+    assert [f.result(timeout=0) for f in futures] == [
+        ("", "range", 1.0, i) for i in range(5)
+    ]
+    assert [len(batch) for batch in executor.batches] == [1, 5]
     d.close()  # idempotent
+
+
+def test_cancelled_submission_leaves_the_worker_serving():
+    """A Future cancelled while queued is skipped; the worker must survive
+    it (resolving a cancelled Future raises InvalidStateError)."""
+    executor = _GatedExecutor()
+    with MicroBatchDispatcher(executor, max_batch_size=8) as d:
+        first = d.submit("", "range", "first", 1.0)
+        assert executor.started.wait(timeout=5)
+        doomed = d.submit("", "range", "doomed", 1.0)
+        kept = d.submit("", "range", "kept", 1.0)
+        assert doomed.cancel()
+        executor.gate.set()
+        assert first.result(timeout=5) == ("", "range", 1.0, "first")
+        assert kept.result(timeout=5) == ("", "range", 1.0, "kept")
+        assert d.submit("", "range", "next", 1.0).result(timeout=5) == (
+            "", "range", 1.0, "next"
+        )
+    assert doomed.cancelled()
+    assert executor.batches == [["first"], ["kept"], ["next"]]
 
 
 def test_dispatcher_rejects_bad_arguments():
     with pytest.raises(ValueError):
         MicroBatchDispatcher(_echo_executor, max_batch_size=0)
-    with pytest.raises(ValueError):
-        MicroBatchDispatcher(_echo_executor, max_wait_ms=-1.0)
     with MicroBatchDispatcher(_echo_executor) as d:
         with pytest.raises(ValueError, match="kind"):
             d.submit("", "nearest", "q", 1.0)
@@ -675,7 +750,7 @@ def test_service_answers_match_brute_force(datasets, built_indexes):
     queries = _sample_queries(dataset, n=8)
     radius = RADIUS["Words"]
     scratch = MetricSpace(dataset)
-    with QueryService(index, max_batch_size=8, max_wait_ms=1.0) as service:
+    with QueryService(index, max_batch_size=8) as service:
         with ThreadPoolExecutor(max_workers=6) as pool:
             range_answers = list(
                 pool.map(lambda q: service.range_query(q, radius), queries)
@@ -683,6 +758,34 @@ def test_service_answers_match_brute_force(datasets, built_indexes):
             knn_answers = list(pool.map(lambda q: service.knn_query(q, K), queries))
     assert range_answers == [brute_force_range(scratch, q, radius) for q in queries]
     assert knn_answers == [brute_force_knn(scratch, q, K) for q in queries]
+
+
+def test_service_submit_after_a_cancelled_future_resolves(
+    datasets, built_indexes, monkeypatch
+):
+    """Cancelling a ``submit_range`` Future before its batch runs must not
+    stall the service: the next submission still resolves."""
+    index = built_indexes("Words", "LAESA")
+    dataset, radius = datasets["Words"], RADIUS["Words"]
+    started, gate = threading.Event(), threading.Event()
+    answer_many = index.range_query_many
+
+    def held(queries, r):
+        started.set()
+        gate.wait(timeout=5)
+        return answer_many(queries, r)
+
+    monkeypatch.setattr(index, "range_query_many", held)
+    with QueryService(index, cache_size=0) as service:
+        first = service.submit_range(dataset[0], radius)
+        assert started.wait(timeout=5)
+        doomed = service.submit_range(dataset[1], radius)
+        assert doomed.cancel()
+        gate.set()
+        assert first.result(timeout=5) == index.range_query(dataset[0], radius)
+        after = service.submit_range(dataset[2], radius)
+        assert after.result(timeout=5) == index.range_query(dataset[2], radius)
+    assert doomed.cancelled()
 
 
 def test_service_warm_cache_skips_index_work(datasets, built_indexes):
@@ -806,7 +909,7 @@ def test_service_submit_futures(datasets, built_indexes):
     index = built_indexes("Words", "LAESA")
     q = dataset[5]
     radius = RADIUS["Words"]
-    with QueryService(index, max_wait_ms=1.0) as service:
+    with QueryService(index) as service:
         first = service.submit_range(q, radius).result(timeout=5)
         # second submit is a cache hit: resolved future, no dispatcher trip
         batches_before = service.dispatcher.stats.batches
@@ -1149,7 +1252,7 @@ def test_dispatcher_stats_never_torn_under_concurrent_reads():
 
 def test_dispatcher_stats_updates_and_reads_share_one_lock():
     """The synchronization contract itself: while a reader holds the stats
-    lock, record(), record_wait(), and as_dict() must all block -- updates
+    lock, record() and as_dict() must both block -- updates
     and reads are serialized, never interleaved."""
     from repro.service import DispatcherStats
 
@@ -1173,7 +1276,7 @@ def test_service_stats_consistent_under_load(datasets, built_indexes):
     index = built_indexes("Words", "LAESA")
     queries = _sample_queries(datasets["Words"], n=8)
     radius = RADIUS["Words"]
-    with QueryService(index, cache_size=0, max_wait_ms=1.0) as service:
+    with QueryService(index, cache_size=0) as service:
         stop = threading.Event()
         torn = []
 
@@ -1230,7 +1333,7 @@ def test_zero_capacity_cache_never_consulted(datasets, built_indexes):
     lookup are short-circuited, not just the counter."""
     index = built_indexes("Words", "LAESA")
     q = datasets["Words"][0]
-    with QueryService(index, cache_size=0, max_wait_ms=1.0) as service:
+    with QueryService(index, cache_size=0) as service:
 
         def forbidden(key):  # pragma: no cover - only on regression
             raise AssertionError("cache.get() reached despite capacity 0")
@@ -1266,84 +1369,3 @@ def test_zero_capacity_service_still_deduplicates_in_flight(
     ) as fresh:
         fresh.range_query(q, radius)
     assert batched_cost == single.distance_computations
-
-
-# ---------------------------------------------------------------------------
-# satellite: adaptive dispatcher wait
-# ---------------------------------------------------------------------------
-
-
-class TestAdaptiveDispatcherWait:
-    def test_wait_tracks_arrival_rate_and_clamps(self):
-        key = ("", "range", 1.0)
-        with MicroBatchDispatcher(
-            _echo_executor, max_batch_size=8, max_wait_ms=50.0
-        ) as d:
-            assert d._wait_of(key) == pytest.approx(0.05)  # nothing observed yet
-            futures = [d.submit("", "range", i, 1.0) for i in range(20)]
-            for f in futures:
-                f.result(timeout=5)
-            # back-to-back submissions: the group's EWMA interval is tiny,
-            # so the derived wait collapses far below the configured bound
-            _, ewma, wait = d._rates[key]
-            assert ewma is not None
-            assert wait <= 0.05
-            assert wait == pytest.approx(min(0.05, ewma * 7))
-            stats = d.stats.as_dict()
-            assert stats["current_wait_ms"] == pytest.approx(wait * 1000.0, abs=1e-4)
-            assert stats["ewma_arrival_ms"] is not None
-
-    def test_sparse_traffic_collapses_wait_to_zero(self):
-        key = ("", "range", 1.0)
-        with MicroBatchDispatcher(
-            _echo_executor, max_batch_size=8, max_wait_ms=5.0
-        ) as d:
-            with d._wake:
-                # arrivals 1s apart dwarf the 5ms bound: no companion query
-                # is expected inside it, so waiting would stall for nothing
-                d._observe_arrival(key, 100.0)
-                d._observe_arrival(key, 101.0)
-            assert d._wait_of(key) == 0.0
-            # a single sparse submission still resolves promptly
-            assert d.submit("", "range", "lonely", 1.0).result(timeout=5) == (
-                "",
-                "range",
-                1.0,
-                "lonely",
-            )
-
-    def test_rates_are_per_group_not_global(self):
-        """A dense mix of distinct parameters must stay sparse per group:
-        batches only form inside one (index, kind, param) group, so a globally
-        busy stream must not pin every group's wait at the full bound."""
-        with MicroBatchDispatcher(
-            _echo_executor, max_batch_size=8, max_wait_ms=5.0
-        ) as d:
-            with d._wake:
-                # 40 globally dense arrivals (0.8ms apart), but each radius
-                # only every 8ms -- sparse within its own group
-                for step in range(40):
-                    key = ("", "range", float(step % 10))
-                    d._observe_arrival(key, 200.0 + step * 0.0008)
-            for radius in range(10):
-                assert d._wait_of(("", "range", float(radius))) == 0.0
-
-    def test_adaptive_wait_off_keeps_configured_bound(self):
-        key = ("", "range", 1.0)
-        with MicroBatchDispatcher(
-            _echo_executor, max_batch_size=4, max_wait_ms=25.0, adaptive_wait=False
-        ) as d:
-            futures = [d.submit("", "range", i, 1.0) for i in range(12)]
-            for f in futures:
-                f.result(timeout=5)
-            assert d._wait_of(key) == pytest.approx(0.025)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            MicroBatchDispatcher(_echo_executor, ewma_alpha=0.0)
-
-    def test_answers_stay_exact_under_adaptive_wait(self):
-        with MicroBatchDispatcher(_echo_executor, max_batch_size=4) as d:
-            futures = [d.submit("", "range", f"q{i}", 2.0) for i in range(30)]
-            results = [f.result(timeout=5) for f in futures]
-        assert results == [("", "range", 2.0, f"q{i}") for i in range(30)]

@@ -60,7 +60,6 @@ def telemetry_stack(datasets, built_indexes):
             metrics=registry,
             cache_size=cache_size,
             max_batch_size=16,
-            max_wait_ms=25.0,
             **service_kw,
         )
         slow_log, access_log = io.StringIO(), io.StringIO()
@@ -113,7 +112,7 @@ def test_metrics_endpoint_serves_prometheus_text(datasets, telemetry_stack):
 
 def test_metrics_404_when_registry_absent(datasets, built_indexes):
     index = built_indexes("Words", "LAESA")
-    with QueryService(index, max_wait_ms=1.0) as service:
+    with QueryService(index) as service:
         with HttpQueryServer(service).start() as server:
             client = ServiceClient(port=server.port)
             with pytest.raises(ServiceClientError) as err:
@@ -145,7 +144,7 @@ def test_healthz_reports_uptime_snapshot_and_generation(datasets, tmp_path):
     save_index(_laesa_over(small), path_small)
     save_index(_laesa_over(large), path_large)
 
-    service = QueryService.from_snapshot(path_small, max_wait_ms=1.0)
+    service = QueryService.from_snapshot(path_small)
     with service, HttpQueryServer(service).start() as server:
         client = ServiceClient(port=server.port)
         health = client.healthz()
