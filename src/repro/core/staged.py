@@ -111,6 +111,12 @@ def _cell_step(width: int) -> int:
     return max(1, _QUERY_CHUNK_FLOATS // max(1, width))
 
 
+def _still_alive(alive: np.ndarray, qi: np.ndarray, oj: np.ndarray):
+    """The cells ``(qi, oj)`` that ``alive`` still holds, in their order."""
+    keep = alive[qi, oj]
+    return qi[keep], oj[keep]
+
+
 def _tighteners(lower: np.ndarray, pair_bound) -> list:
     """Per query i, ``positions -> max(lower[i, positions], pair_bound(i,
     positions))``: the second half of a ``knn_bounds`` pair."""
@@ -290,7 +296,9 @@ class StagedPruner:
         alive = lower <= rcol
         n_prefix = int(alive.size - alive.sum())
 
-        # stage 2: refine survivors cell-wise with the remaining columns
+        # stage 2: refine survivors cell-wise with the remaining columns;
+        # the later stages take the stage-1 cells still alive, in the same
+        # row-major order, instead of a fresh nonzero over the q x n mask
         n_refine = 0
         qi, oj = np.nonzero(alive)
         if qi.size and tail.size:
@@ -304,24 +312,26 @@ class StagedPruner:
                 dead = diff.max(axis=1) > rcell
                 alive[ci[dead], cj[dead]] = False
                 n_refine += int(dead.sum())
+            if n_refine:
+                qi, oj = _still_alive(alive, qi, oj)
 
         # stage 3: Lemma 4 validation, only for still-undecided cells
         n_validated = 0
-        if validate:
-            qi, oj = np.nonzero(alive)
-            if qi.size:
-                cstep = _cell_step(l)
-                for start in range(0, qi.size, cstep):
-                    stop = start + cstep
-                    ci, cj = qi[start:stop], oj[start:stop]
-                    upper = (qmat[ci] + omat[cj]).min(axis=1)
-                    ok = upper <= (r[ci] if r.ndim else r)
-                    validated[ci[ok], cj[ok]] = True
-                    alive[ci[ok], cj[ok]] = False
-                    n_validated += int(ok.sum())
+        if validate and qi.size:
+            cstep = _cell_step(l)
+            for start in range(0, qi.size, cstep):
+                stop = start + cstep
+                ci, cj = qi[start:stop], oj[start:stop]
+                upper = (qmat[ci] + omat[cj]).min(axis=1)
+                ok = upper <= (r[ci] if r.ndim else r)
+                validated[ci[ok], cj[ok]] = True
+                alive[ci[ok], cj[ok]] = False
+                n_validated += int(ok.sum())
+            if n_validated:
+                qi, oj = _still_alive(alive, qi, oj)
 
         # stage 4: Ptolemaic filter on whatever is left
-        n_pt = self._ptolemaic_stage(qmat, omat, alive, r)
+        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r)
 
         if counters is not None:
             counters.add_prune_stages(
@@ -365,11 +375,11 @@ class StagedPruner:
             order = np.concatenate([known, missing])
         return order
 
-    def _ptolemaic_stage(self, qmat, omat, alive, r) -> int:
-        """Stage 4 in place on ``alive``; returns the decided-cell count."""
+    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r) -> int:
+        """Stage 4 in place on ``alive``, over its alive cells ``(qi, oj)``;
+        returns the decided-cell count."""
         if not self.use_ptolemaic or not self.pairs.size:
             return 0
-        qi, oj = np.nonzero(alive)
         if not qi.size:
             return 0
         bound = self._ptolemaic_cells(qmat, omat, qi, oj, self.pairs)

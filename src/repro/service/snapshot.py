@@ -130,9 +130,9 @@ class SnapshotInfo:
 
 # exact types that can neither be nor hold a component: checked before a
 # child reaches the walk's stack, because BKT / FQT leaves keep their ids in
-# plain lists, one int per object.  (MVPT / VPT leaves hold theirs in an
-# ``array`` beside a ``bytearray`` of path codes; they are slotted, so the
-# walk yields the leaf and opens nothing.)  Exact types only, so an instance
+# plain lists, one int per object.  (MVPT / VPT nodes and leaves are all
+# slotted: they hold no space and no pager, so the walk yields the root and
+# opens nothing below it.)  Exact types only, so an instance
 # of a ``repro`` subclass of one of these would still be walked and yielded.
 _ATOMS = frozenset(
     (int, float, bool, str, bytes, type(None))

@@ -26,12 +26,19 @@ The build works a level at a time in array form: one counted ``d_ids`` call
 per level over the objects still in splitting nodes, that level's frame and
 codes written straight to ``uint8``, one int32 permutation of the ids that
 ends up sliced into the leaves.
+
+**What a snapshot holds.**  A pickled tree is five columns, its nodes in
+preorder (:func:`_preorder_columns`): per node a fanout and a level or
+depth, the internal nodes' bounds, the leaf sizes, and all ids and codes
+back to back -- a few arrays the snapshot lifts into memmap regions,
+not one pickled object per node.  Unpickling checks that the columns
+agree and hangs the same nodes again; a tree pickled as node objects, as
+every snapshot was before, loads as before.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +72,23 @@ class _MvptLeaf:
         self.ids, self.codes, self.depth = state
 
 
-@dataclass
 class _MvptNode:
-    level: int
-    lows: np.ndarray  # tight per-child bounds, stretched in place by inserts
-    highs: np.ndarray
-    children: list
+    """The level whose pivot splits it, and per child tight bounds on the
+    distance to that pivot (stretched in place by inserts)."""
 
+    __slots__ = ("level", "lows", "highs", "children")
     is_leaf = False
+
+    def __init__(self, level: int, lows: np.ndarray, highs: np.ndarray, children: list):
+        self.level, self.lows, self.highs, self.children = level, lows, highs, children
+
+    def __getstate__(self):
+        return self.level, self.lows, self.highs, self.children
+
+    def __setstate__(self, state):
+        if isinstance(state, dict):  # pickled when nodes were dataclasses
+            state = state["level"], state["lows"], state["highs"], state["children"]
+        self.level, self.lows, self.highs, self.children = state
 
 
 def _back_to_back(starts: np.ndarray, sizes: np.ndarray):
@@ -122,6 +138,88 @@ def _hang_leaves(perm, codes, depth, starts, stops, homes) -> None:
         )
 
 
+def _preorder_columns(root) -> tuple:
+    """The tree as columns, nodes in preorder: ``(rows, bounds, sizes, ids,
+    codes)`` -- per node its fanout (0 for a leaf) and its level (a leaf's
+    depth); each internal node's lows then highs; each leaf's size; and
+    the leaves' ids and codes back to back."""
+    rows, bounds, sizes, ids, codes = [], [], [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            rows += (0, node.depth)
+            sizes.append(len(node.ids))
+            ids.append(node.ids)
+            codes.append(node.codes)
+        else:
+            rows += (len(node.children), node.level)
+            bounds += (node.lows, node.highs)
+            stack.extend(reversed(node.children))
+    return (
+        np.array(rows, dtype=np.intc).reshape(-1, 2),
+        np.concatenate(bounds, dtype=np.float64) if bounds else np.empty(0),
+        np.array(sizes, dtype=np.intc),
+        np.frombuffer(b"".join(ids), dtype=np.intc),
+        np.frombuffer(b"".join(codes), dtype=np.uint8),
+    )
+
+
+def _tree_of_columns(columns, n_frames: int, n_levels: int):
+    """The nodes :func:`_preorder_columns` packed, built again.
+
+    Raises ``ValueError`` before building anything unless the columns
+    agree: the fanouts consume exactly the node rows, the sizes the ids,
+    size x depth the codes, and 2 x fanout the bounds; no leaf is deeper
+    than the frames, and every internal level names a pivot.
+    """
+    rows, bounds, sizes, ids, codes = (np.asarray(column) for column in columns)
+    if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
+        raise ValueError(f"packed MVPT node rows have shape {rows.shape}")
+    fanout, level = rows.astype(np.int64).T
+    leaf = fanout == 0
+    depth = level[leaf]
+    sizes = sizes.astype(np.int64)
+    waiting = 1 + np.cumsum(fanout - 1)  # nodes still owed after each row
+    if (fanout < 0).any() or (waiting[:-1] <= 0).any() or waiting[-1] != 0:
+        raise ValueError("packed MVPT fanouts do not consume the node rows")
+    if sizes.shape != depth.shape or (sizes < 0).any() or sizes.sum() != len(ids):
+        raise ValueError(f"packed MVPT leaf sizes do not sum to its {len(ids)} ids")
+    if (sizes * depth).sum() != len(codes):
+        raise ValueError(f"packed MVPT leaf sizes and depths do not fill its {len(codes)} codes")
+    if 2 * fanout.sum() != len(bounds):
+        raise ValueError(f"packed MVPT fanouts do not match its {len(bounds)} bounds")
+    if (depth < 0).any() or (depth > n_frames).any():
+        raise ValueError(f"a packed MVPT leaf is deeper than its {n_frames} frames")
+    inner = level[~leaf]
+    if (inner < 0).any() or (inner >= n_levels).any():
+        raise ValueError(f"a packed MVPT node names a level past its {n_levels} pivots")
+    bounds = np.array(bounds, dtype=np.float64)  # off the memmap, writable
+    id_bytes = np.ascontiguousarray(ids, dtype=np.intc).tobytes()
+    code_bytes = np.ascontiguousarray(codes, dtype=np.uint8).tobytes()
+    width = np.dtype(np.intc).itemsize
+    top = [None]
+    homes = [(top, 0)]  # the slot each coming node is hung in, next on top
+    b = a = c = 0
+    leaves = iter(sizes.tolist())
+    for f, lv in rows.tolist():
+        holder, slot = homes.pop()
+        if f:
+            node = _MvptNode(lv, bounds[b : b + f], bounds[b + f : b + 2 * f], [None] * f)
+            homes.extend((node.children, i) for i in range(f - 1, -1, -1))
+            b += 2 * f
+        else:
+            m = next(leaves)
+            node = _MvptLeaf(
+                array("i", id_bytes[width * a : width * (a + m)]),
+                bytearray(code_bytes[c : c + lv * m]),
+                lv,
+            )
+            a, c = a + m, c + lv * m
+        holder[slot] = node
+    return top[0]
+
+
 class MVPT(FrontierTreeMixin, MetricIndex):
     """m-ary vantage point tree with shared per-level pivots."""
 
@@ -130,9 +228,19 @@ class MVPT(FrontierTreeMixin, MetricIndex):
     # predates the codes has none and needs none
     _frames = ()
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        if self.root is not None:
+            state["root"] = _preorder_columns(self.root)
+        return state
+
     def __setstate__(self, state):
         if state.get("_frames"):  # pickled as (low, width, exact) tuples
             state["_frames"] = [Frame(*frame) for frame in state["_frames"]]
+        if type(state.get("root")) is tuple:  # else node objects, as saved before
+            state["root"] = _tree_of_columns(
+                state["root"], len(state.get("_frames", ())), len(state["pivot_ids"])
+            )
         self.__dict__.update(state)
 
     def __init__(self, space: MetricSpace, pivot_ids, arity: int, leaf_size: int):

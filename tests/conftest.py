@@ -130,6 +130,17 @@ def lemma1_baseline(index):
     return baseline
 
 
+def tree_nodes(index):
+    """Every node of a tree index, in preorder from ``index.root``: the
+    component walk does not open tree nodes, they hold no space or pager."""
+    stack = [index.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend(reversed(node.children))
+
+
 def leaf_code_rows(index):
     """Every (leaf, slot, object id, path levels' exact distances, decoded
     intervals) of an MVPT / VPT, after checking each leaf's layout.

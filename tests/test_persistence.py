@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    MVPT,
     CostCounters,
     MetricSpace,
     ShardedIndex,
@@ -29,12 +30,18 @@ from repro.btree import LeafNode
 from repro.external import SPBTree
 from repro.core import load_dataset, save_dataset
 from repro.core.quantise import Frame
-from repro.service import iter_components, load_index, rebind_counters, save_index
+from repro.service import (
+    SnapshotError,
+    iter_components,
+    load_index,
+    rebind_counters,
+    save_index,
+)
 from repro.storage.pager import Pager
 from repro.storage.raf import RafPage
 from repro.tables import LAESA
 
-from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for
+from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for, tree_nodes
 
 
 class TestVectorRoundtrip:
@@ -152,6 +159,19 @@ def test_one_walk_rebinds_every_space_and_pager(built_indexes, index_name):
     assert index.is_disk_based == (n_pagers > 0)
 
 
+def test_the_walk_over_a_tree_does_not_grow_with_n():
+    """Tree nodes hold no space and no pager, so the walk stops at the
+    root: the same components at n = 300 as at n = 3 000."""
+    nodes, components = [], []
+    for n in (300, 3000):
+        space = MetricSpace(make_la(n, seed=2))
+        index = MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
+        nodes.append(sum(1 for _ in tree_nodes(index)))
+        components.append(len(list(iter_components(index))))
+    assert nodes[1] > 5 * nodes[0]
+    assert components[1] == components[0]
+
+
 def test_one_walk_per_shard_in_per_shard_counters_mode(datasets):
     space = MetricSpace(datasets["LA"], CostCounters())
     index = ShardedIndex.build(
@@ -191,6 +211,17 @@ def _tree_answers(index, queries, radius, k=8):
     return answers, (counters.snapshot() - before).distance_computations
 
 
+def _node_rows(index):
+    """An MVPT / VPT node for node, in preorder: levels and bounds of the
+    internal nodes; depths, ids and codes of the leaves."""
+    return [
+        ("leaf", node.depth, node.ids.tolist(), bytes(node.codes))
+        if node.is_leaf
+        else ("node", node.level, node.lows.tolist(), node.highs.tolist())
+        for node in tree_nodes(index)
+    ]
+
+
 @pytest.mark.parametrize("name", ["mvpt", "vpt"])
 def test_snapshot_with_codeless_leaves_still_loads(name):
     """``tests/data/pr20_*_la300.snap`` were written by the commit before
@@ -201,7 +232,7 @@ def test_snapshot_with_codeless_leaves_still_loads(name):
     index = load_index(DATA / f"pr20_{name}_la300.snap")
     assert index.space.counters.distance_computations == 0
     assert index._frames == ()
-    leaves = [c for c in iter_components(index) if getattr(c, "is_leaf", False)]
+    leaves = [node for node in tree_nodes(index) if node.is_leaf]
     assert sorted(i for leaf in leaves for i in leaf.ids) == [
         i for i in range(300) if i != 31
     ]
@@ -287,9 +318,12 @@ def test_coded_tree_round_trip_matches_the_live_index(
     restored = load_index(tmp_path / "tree.snap")
     assert restored.space.counters.distance_computations == 0
     assert restored._frames == live._frames
-    leaves = [c for c in iter_components(restored) if getattr(c, "is_leaf", False)]
-    # ids and codes travel as bytes, not as one pickled ndarray each
-    assert all(type(leaf.ids) is array and type(leaf.codes) is bytearray for leaf in leaves)
+    assert _node_rows(restored) == _node_rows(live)
+    leaves = [node for node in tree_nodes(restored) if node.is_leaf]
+    # leaves hold ids and codes as bytes, not as one ndarray each
+    assert leaves and all(
+        type(leaf.ids) is array and type(leaf.codes) is bytearray for leaf in leaves
+    )
     assert_codes_hold(restored)
     # one dataset object serves both sides here, so put back what each takes out
     for index in (live, restored):
@@ -307,6 +341,119 @@ def test_coded_tree_round_trip_matches_the_live_index(
     radius = RADIUS[dataset_name]
     assert _tree_answers(restored, queries, radius) == _tree_answers(live, queries, radius)
     assert restored.storage_bytes() == live.storage_bytes()
+
+
+@pytest.mark.parametrize("fixture", ["pr20_mvpt", "pr20_vpt", "tuple_frames_mvpt", "tuple_frames_vpt"])
+def test_object_tree_snapshot_saves_again_as_columns(tmp_path, fixture):
+    """A tree that loaded from node objects saves as preorder columns and
+    loads back equal to itself node for node, answering alike."""
+    dataset = make_la(300, seed=11)
+    old = load_index(DATA / f"{fixture}_la300.snap")
+    save_index(old, tmp_path / "again.snap")
+    again = load_index(tmp_path / "again.snap")
+    assert type(again.__getstate__()["root"]) is tuple
+    assert _node_rows(again) == _node_rows(old)
+    queries = [dataset[5], dataset[31], dataset[200]]
+    assert _tree_answers(again, queries, 900.0) == _tree_answers(old, queries, 900.0)
+
+
+def _packed_mvpt(n=2000):
+    dataset = make_la(n, seed=3)
+    space = MetricSpace(dataset)
+    return MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
+
+
+def _rewrite_header(path: Path, edit) -> None:
+    """Edit a saved snapshot's JSON header in place; regions and payload
+    stay where they are (they start at the next 4 KiB boundary)."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[8:12], "big")
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    prefix = blob[:8] + len(text).to_bytes(4, "big") + text
+    assert len(prefix) <= 4096 and 12 + length <= 4096
+    path.write_bytes(prefix + bytes(4096 - len(prefix)) + blob[4096:])
+
+
+@pytest.mark.parametrize("damage", ["truncated ids region", "rewritten fanout"])
+def test_hostile_packed_tree_is_a_snapshot_error(tmp_path, monkeypatch, damage):
+    """A saved tree with one region cut short or one fanout rewritten is
+    refused as a whole, before a node is built."""
+    index = _packed_mvpt()
+    path = tmp_path / "tree.snap"
+    if damage == "rewritten fanout":
+        packed = MVPT.__getstate__
+
+        def one_fanout_more(self):
+            state = packed(self)
+            rows = state["root"][0].copy()
+            rows[0, 0] += 1
+            state["root"] = (rows,) + state["root"][1:]
+            return state
+
+        monkeypatch.setattr(MVPT, "__getstate__", one_fanout_more)
+    save_index(index, path)
+    if damage == "truncated ids region":
+
+        def one_id_short(header):
+            (ids,) = [r for r in header["regions"] if r["dtype"] == "<i4" and r["shape"] == [2000]]
+            ids["shape"], ids["nbytes"] = [1999], ids["nbytes"] - 4
+
+        _rewrite_header(path, one_id_short)
+    with pytest.raises(SnapshotError, match="packed MVPT"):
+        load_index(path)
+
+
+def _columns_edit(edit):
+    """A state edit that rewrites the packed columns through ``edit``."""
+
+    def apply(state):
+        rows, bounds, sizes, ids, codes = (np.array(column) for column in state["root"])
+        state["root"] = edit(rows, bounds, sizes, ids, codes)
+
+    return apply
+
+
+def _first_leaf_first(rows, *rest):
+    """Every count still adds up, but the preorder ends after one row."""
+    leaf = int(np.flatnonzero(rows[:, 0] == 0)[0])
+    return (np.concatenate([rows[leaf : leaf + 1], np.delete(rows, leaf, axis=0)]), *rest)
+
+
+def _a_negative_fanout(rows, bounds, *rest):
+    """The root owes two more children, a last row of fanout -1 takes both
+    and two more bounds pay for it: every count adds up."""
+    rows = np.concatenate([rows, [[-1, 0]]])
+    rows[0, 0] += 2
+    return (rows, np.concatenate([bounds, [0.0, 0.0]]), *rest)
+
+
+def _one_frame_short(state):
+    state["_frames"] = state["_frames"][:-1]
+
+
+@pytest.mark.parametrize(
+    "mismatch",
+    {
+        "rows": _columns_edit(_first_leaf_first),
+        "negative fanout": _columns_edit(_a_negative_fanout),
+        "ids": _columns_edit(lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids[1:], codes)),
+        "codes": _columns_edit(lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids, codes[:-1])),
+        "bounds": _columns_edit(lambda rows, bounds, *rest: (rows, bounds[:-1], *rest)),
+        "frames": _one_frame_short,
+        "pivots": _columns_edit(lambda rows, *rest: (rows + [[0, 9]] * (rows[:, :1] > 0), *rest)),
+    }.items(),
+    ids=lambda item: item[0],
+)
+def test_packed_columns_that_disagree_raise(mismatch):
+    """Each check on the packed columns, alone: the edit leaves every other
+    check satisfied."""
+    _, damage = mismatch
+    state = _packed_mvpt(600).__getstate__()
+    damage(state)
+    with pytest.raises(ValueError, match="packed MVPT"):
+        MVPT.__new__(MVPT).__setstate__(state)
 
 
 # -- RAF snapshots across the change of page format ----------------------------------

@@ -384,10 +384,10 @@ def test_ptolemaic_stage_gathers_survivors_not_the_table():
     want[qi[want_dead], oj[want_dead]] = False
     assert 0 < want_dead.sum() < cells
 
-    pruner._ptolemaic_stage(qmat, omat, alive.copy(), radius)  # warm caches
+    pruner._ptolemaic_stage(qmat, omat, qi, oj, alive.copy(), radius)  # warm caches
     tracemalloc.start()
     try:
-        decided = pruner._ptolemaic_stage(qmat, omat, alive, radius)
+        decided = pruner._ptolemaic_stage(qmat, omat, qi, oj, alive, radius)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
