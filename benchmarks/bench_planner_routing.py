@@ -60,9 +60,7 @@ def test_planner_routing_beats_worst_member(workloads):
                 r,
             )
 
-    with QueryService(
-        catalog=catalog, cache_size=0, use_dispatcher=False, planner_epsilon=0.0
-    ) as service:
+    with QueryService(catalog=catalog, cache_size=0, use_dispatcher=False) as service:
         service.planner.calibrate(radii=radii, n_queries=len(queries))
 
         # -- member timings: the same service path, pinned per member -------

@@ -14,11 +14,11 @@ Commands:
                   cache, micro-batching dispatcher) against a stream of
                   concurrent single-query requests and report throughput.
                   Repeat ``--snapshot`` (or point it at a ``.catalog.json``
-                  manifest) to host an index catalog with cost-based
+                  manifest) to host an index catalog with measured-cost
                   planner routing.
 * ``plan``     -- build several indexes on one workload, calibrate the
-                  query planner's cost models, and print the explain
-                  tables (predicted vs measured cost per member).
+                  query planner's table, and print its explain tables
+                  (mean cost per member, and the member a query routes to).
 * ``cluster``  -- spawn a router + N backend serve processes (shard
                   scatter-gather or replica load-balancing) from a split
                   manifest or a single snapshot.
@@ -391,7 +391,7 @@ def _cmd_serve(args) -> int:
     banner = workload = None
     if snapshots:
         # plain snapshots and .catalog.json manifests alike: every index
-        # they hold becomes a member behind the cost-based query planner
+        # they hold becomes a member behind the query planner
         service = QueryService.from_snapshots(snapshots, **options)
         dataset = service.index.space.dataset
         banner = (
@@ -457,7 +457,7 @@ def _cmd_serve(args) -> int:
 
 
 def _plan_cell(costs: dict | None, key: str) -> str:
-    if not costs or key not in costs:
+    if costs is None:
         return "-"
     value = costs[key]
     return f"{value:.3f}" if key == "wall_ms" else f"{value:.1f}"
@@ -486,7 +486,7 @@ def _cmd_plan(args) -> int:
         # measure_build gives each member its own MetricSpace, which the
         # catalog requires for per-member cost attribution
         catalog.register(measure_build(name, workload, pivots).index)
-    planner = QueryPlanner(catalog, epsilon=0.0)
+    planner = QueryPlanner(catalog)
     radii = [float(r) for r in args.radius] if args.radius else None
     ks = tuple(args.k) if args.k else (10,)
     if radii is None:
@@ -501,16 +501,13 @@ def _cmd_plan(args) -> int:
     for kind, param, title in tasks:
         rows = []
         for row in planner.explain(kind, param):
-            predicted, measured = row["predicted"], row["measured"]
-            stages = row["prune_stages"]
+            costs, stages = row["predicted"], row["prune_stages"]
             rows.append(
                 {
                     "Index": row["index"],
-                    "Pred compdists": _plan_cell(predicted, "compdists"),
-                    "Meas compdists": _plan_cell(measured, "compdists"),
-                    "Pred PA": _plan_cell(predicted, "page_reads"),
-                    "Meas PA": _plan_cell(measured, "page_reads"),
-                    "Pred ms": _plan_cell(predicted, "wall_ms"),
+                    "compdists": _plan_cell(costs, "compdists"),
+                    "PA": _plan_cell(costs, "page_reads"),
+                    "ms": _plan_cell(costs, "wall_ms"),
                     "Obs": row["observations"],
                     # objects decided per cascade stage over the calibration
                     # traffic: prefix/refine Lemma-1 prunes, Lemma-4
@@ -817,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan",
         help="calibrate the query planner over several indexes and print "
-        "the predicted-vs-measured explain tables",
+        "its explain tables (mean cost per member, the routed member)",
     )
     p.add_argument("dataset", choices=sorted(DATASET_FACTORIES))
     p.add_argument(

@@ -13,10 +13,11 @@ service (the ROADMAP's serving north star):
 * :mod:`~repro.service.catalog` -- the :class:`IndexCatalog`: one or
   several hosted indexes over one dataset, kept answer-equivalent (fan-out
   mutations, whole-catalog snapshots), each with private cost counters;
-* :mod:`~repro.service.costmodel` / :mod:`~repro.service.planner` -- the
-  cost-based :class:`QueryPlanner`: per-(index, kind) least-squares cost
-  models fitted online from counter deltas, routing every query to the
-  predicted-cheapest catalog member (``repro plan`` explains the choice);
+* :mod:`~repro.service.planner` -- the :class:`QueryPlanner`: one table
+  of what each member cost per (kind, half-octave of the radius or k,
+  single or batch), filled from counter deltas, routing every query to
+  the member with the lowest mean wall there (``repro plan`` explains the
+  choice);
 * :mod:`~repro.service.service` -- the :class:`QueryService` facade wiring
   the layers together (used by ``python -m repro serve``); an index is
   hosted as a catalog of one, ``catalog=`` hosts several behind the planner;
@@ -54,7 +55,6 @@ from .cluster import (
     save_split,
     split_snapshot,
 )
-from .costmodel import CostModel
 from .dispatcher import DispatcherStats, MicroBatchDispatcher
 from .http import HttpQueryServer, ServiceClient, ServiceClientError
 from .planner import QueryPlanner
@@ -78,7 +78,6 @@ __all__ = [
     "ClusterError",
     "ClusterIndex",
     "ClusterSupervisor",
-    "CostModel",
     "DispatcherStats",
     "HttpQueryServer",
     "IndexCatalog",

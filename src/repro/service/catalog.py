@@ -360,8 +360,9 @@ class IndexCatalog:
         grouped under that id resolve against the new index and serving
         stats accumulate across the swap.  A manifest replaces the whole
         membership in a single dict assignment; member counters restart
-        fresh (the planner's epsilon-greedy refresh re-learns any cost
-        drift).  Returns the plain snapshot's header, or a
+        fresh (the planner keeps its table cells for the ids that
+        persist, and explores a new id in each row on its next query
+        there).  Returns the plain snapshot's header, or a
         :class:`~repro.service.snapshot.SnapshotInfo` describing the
         restored primary.
 

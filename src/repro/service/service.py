@@ -16,7 +16,7 @@ Composes the service-layer pieces into one front door:
   :mod:`repro.service.planner`) -- the hosted indexes are always an
   :class:`~repro.service.catalog.IndexCatalog`: one or several index
   families over the same dataset, each cache-missed query or batch
-  partition routed to the member a fitted cost model predicts cheapest.
+  partition routed to the member that cost least on queries like it.
 
 There is one service shape.  The paper's finding that no single index
 dominates makes the catalog the general case; ``QueryService(index)`` is
@@ -24,7 +24,7 @@ dominates makes the catalog the general case; ``QueryService(index)`` is
 The constructor is the only place that knows which spelling was used:
 every method below it works on ``self.catalog`` and ``self.planner``, and
 ``service.index`` is the primary member.  A planner with one member has
-nothing to choose and does no model work, so the one-member service costs
+nothing to choose and records nothing, so the one-member service costs
 what a bare cache -> dispatcher -> index stack would.
 
 The layering is strict: cache -> planner -> dispatcher -> index batch
@@ -88,21 +88,17 @@ class QueryService:
             ``catalog``.
         catalog: an :class:`~repro.service.catalog.IndexCatalog` of >= 1
             answer-equivalent members; every cache-missed query or batch
-            partition is routed to the member the planner's fitted cost
-            model predicts cheapest.  Pass ``planner_epsilon`` /
-            ``planner_seed`` to tune exploration, and call
+            partition is routed to the member with the lowest mean wall
+            in the planner's table row for it.  Call
             ``service.planner.calibrate()`` (or construct via
-            :meth:`from_snapshots`) for a deterministic seed-time model.
+            :meth:`from_snapshots`) to fill the table at seed time.
         index_id: cache namespace for this service (and, under ``index=``,
             the member's id); defaults to the one member's id -- the
             index's paper name under ``index=`` -- or to ``"catalog"`` for
             several members: they answer identically, so one namespace
             serves them all and a hit never cares who computed it.
-        planner_epsilon: epsilon-greedy exploration rate of the planner
-            (fraction of routes sent to a random member so the cost
-            models track drift); moot with one member.
-        planner_seed: seed of the planner's exploration RNG
-            (deterministic routing for tests/benches).
+        planner_seed: seed of the planner's calibration sample (which
+            dataset objects, and which pairs behind the default radii).
         cache: a shared :class:`QueryResultCache`, or None to create a
             private one sized ``cache_size``.
         cache_size: capacity of the private cache (entries); 0 disables
@@ -145,7 +141,6 @@ class QueryService:
         counters: CostCounters | None = None,
         metrics: MetricsRegistry | None = None,
         catalog: IndexCatalog | None = None,
-        planner_epsilon: float = 0.05,
         planner_seed: int = 0,
     ):
         if (index is None) == (catalog is None):
@@ -169,9 +164,7 @@ class QueryService:
             counters = lone.counters if lone is not None else CostCounters()
         self.index_id = index_id
         self.counters = counters
-        self.planner = QueryPlanner(
-            catalog, epsilon=planner_epsilon, seed=planner_seed, metrics=metrics
-        )
+        self.planner = QueryPlanner(catalog, seed=planner_seed, metrics=metrics)
         self.metrics = metrics
         if metrics is not None:
             batch_ms = metrics.histogram(
@@ -230,8 +223,8 @@ class QueryService:
         ... when two hold the same family) or a ``*.catalog.json``
         manifest (every member it names); see :meth:`IndexCatalog.load`.
         ``calibrate=True`` (default) runs the planner's deterministic
-        seed-time pass so the very first query routes on a fitted cost
-        model -- with one member there is nothing to fit and it costs
+        seed-time pass so the very first query routes on measured costs
+        -- with one member there is nothing to measure and it costs
         nothing.  Keyword arguments are forwarded to the constructor.
         """
         paths = [str(path) for path in paths]
@@ -270,7 +263,7 @@ class QueryService:
         restores into the one member of a one-member service, keeping its
         id and counters (so requests already queued under that id resolve,
         and serving stats accumulate across the swap); a manifest replaces
-        the membership, and the planner's cost models carry over for the
+        the membership, and the planner's table cells carry over for the
         ids that persist.  See :meth:`IndexCatalog.reload`, which raises
         :class:`~repro.service.catalog.CatalogError` for a plain snapshot
         offered to several members.  Returns a
@@ -300,8 +293,8 @@ class QueryService:
 
     def _route(self, kind: str, param: float, batch_size: int, pin: str | None) -> str:
         """The dispatcher group / executor target for one miss partition:
-        the pinned member, or whichever member the planner's cost model
-        predicts cheapest (the only one, when there is only one)."""
+        the pinned member, or whichever member the planner's table picks
+        (the only one, when there is only one)."""
         if pin is not None:
             return pin
         return self.planner.route(kind, param, batch_size)
@@ -317,7 +310,7 @@ class QueryService:
         each distinct query costs one evaluation; every answer is cached
         on the way out.  While the planner has a choice to learn, the
         member's counters are bracketed around the call and the measured
-        delta feeds its cost model.
+        delta feeds the planner's table.
         """
         results: list = [None] * len(queries)
         positions_by_key: dict = {}  # cache key -> positions awaiting it
@@ -364,7 +357,6 @@ class QueryService:
                     kind,
                     param,
                     len(distinct),
-                    len(index.space),
                     delta.distance_computations,
                     delta.page_reads,
                     wall_ms,

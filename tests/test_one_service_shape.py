@@ -4,7 +4,7 @@
 ``from_snapshot(plain.snap)`` and ``from_snapshot(<one-member manifest>)``
 are four spellings of the same service.  These tests hold them to one
 behaviour on purpose -- same stats shape, same answers, same compdists as
-the bare index, a planner that does no model work -- and pin the defects
+the bare index, a planner that records nothing -- and pin the defects
 the two-shape service had grown (reload errors answered 500 on one shape,
 pins and ``/plan`` refused on the other).
 """
@@ -30,7 +30,6 @@ from repro import (
 )
 from repro.service import (
     CatalogError,
-    CostModel,
     HttpQueryServer,
     IndexCatalog,
     QueryPlanner,
@@ -38,6 +37,8 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+from repro.service import planner as planner_module
+from repro.service.planner import row_key
 from repro.service.service import iter_pruners
 from repro.tables import LAESA
 from repro.trees import MVPT
@@ -129,37 +130,37 @@ def test_four_spellings_one_service(la, tmp_path, spelling):
             "index", "cache", "distance_computations", "page_accesses",
             "prune_stages", "planner", "members",
         }
-        # nothing to choose between, so nothing was modelled
+        # nothing to choose between, so nothing was recorded
         assert stats["planner"]["observations"] == 0
         assert stats["planner"]["routes"] == {"MVPT": 2}
-        assert service.planner.model.n_observations("MVPT", "range") == 0
 
 
 def test_one_member_planner_does_no_model_work(la, monkeypatch):
-    """``route`` short-circuits, ``observe`` and ``calibrate`` fit nothing:
-    neither ``CostModel.cost`` nor ``record`` runs for a catalog of one --
-    and both do from the moment a second member is registered."""
+    """``route`` short-circuits, ``observe`` and ``calibrate`` record
+    nothing: no table row is looked up or filled for a catalog of one --
+    and both happen from the moment a second member is registered."""
     calls = []
-    for name in ("cost", "record", "predict"):
-        original = getattr(CostModel, name)
 
-        def spy(self, *args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(self, *args, **kwargs)
+    def spy(*args):
+        calls.append(args)
+        return row_key(*args)
 
-        monkeypatch.setattr(CostModel, name, spy)
+    monkeypatch.setattr(planner_module, "row_key", spy)
     catalog = _one_member_catalog(la, LAESA)
-    planner = QueryPlanner(catalog, epsilon=0.5)
+    planner = QueryPlanner(catalog)
     assert not planner.choosing
     assert planner.calibrate() == 0
     assert catalog.primary.counters.distance_computations == 0
     assert planner.route("range", RADIUS) == "LAESA"
-    planner.observe("LAESA", "range", RADIUS, 4, len(la), 120.0, 0.0, 1.5)
-    assert calls == [] and planner.stats()["observations"] == 0
+    planner.observe("LAESA", "range", RADIUS, 4, 120.0, 0.0, 1.5)
+    assert calls == [] and planner.table == {}
+    assert planner.stats()["observations"] == 0
     catalog.register(_build(la))
     assert planner.choosing
-    planner.observe("LAESA", "range", RADIUS, 4, len(la), 120.0, 0.0, 1.5)
-    assert "record" in calls and planner.stats()["observations"] == 1
+    planner.observe("LAESA", "range", RADIUS, 4, 120.0, 0.0, 1.5)
+    assert calls == [("range", RADIUS, 4)]
+    assert planner.table == {row_key("range", RADIUS, 4): {"LAESA": [1, 30.0, 0.0, 0.375]}}
+    assert planner.stats()["observations"] == 1
 
 
 def test_counters_passed_with_one_index_are_its_bill(la):
@@ -383,7 +384,10 @@ def test_http_surface_is_the_same_for_one_member_or_two(la, n_members):
             service.knn_query(q, K, index="nope")
         plan = client.plan(k=K)
         assert [row["index"] for row in plan] == members
-        assert sum(row["chosen"] for row in plan) == (1 if n_members == 1 else 0)
+        # one row is chosen, the member a k-NN query would be routed to next
+        # (with two members: the first one no k-NN query has explored yet)
+        (chosen,) = [row["index"] for row in plan if row["chosen"]]
+        assert chosen == service.planner.route("knn", K) == members[0]
         stats = client.stats()
         assert stats["planner"]["members"] == list(stats["members"]) == members
         assert stats["distance_computations"] == sum(

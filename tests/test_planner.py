@@ -4,8 +4,9 @@ Covers the four load-bearing claims of the routed serving stack:
 
 * the dispatcher's batch groups are index-aware -- two hosted indexes
   never coalesce, even at identical (kind, param);
-* the windowed least-squares cost model learns parameter dependence and
-  falls back to window means below its fit threshold;
+* the planner's table routes deterministically: each member is explored
+  once per (kind, half-octave, single-or-batch) row, then the lowest mean
+  wall wins, and ``explain`` marks the member ``route`` picks;
 * the catalog keeps members answer-equivalent (registration guards,
   fan-out mutations, whole-catalog snapshots and hot reloads);
 * routed answers are bit-for-bit equal to every member's own answers and
@@ -17,6 +18,7 @@ Covers the four load-bearing claims of the routed serving stack:
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,7 +41,6 @@ from repro.bench.runner import build_index
 from repro.obs import MetricsRegistry, tracing
 from repro.service import (
     CatalogError,
-    CostModel,
     HttpQueryServer,
     IndexCatalog,
     MicroBatchDispatcher,
@@ -51,8 +52,7 @@ from repro.service import (
     load_catalog_manifest,
     save_index,
 )
-from repro.service import costmodel
-from repro.service.costmodel import MIN_FIT_OBSERVATIONS
+from repro.service.planner import row_key
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -120,58 +120,103 @@ def test_dispatcher_never_coalesces_across_hosted_indexes():
 
 
 # ---------------------------------------------------------------------------
-# cost model
+# the planner's table, driven by observe() with synthetic walls
 # ---------------------------------------------------------------------------
 
 
-class TestCostModel:
-    def test_unknown_key_predicts_none(self):
-        model = CostModel()
-        assert model.predict("a", "range", 1.0) is None
-        assert model.cost("a", "range", 1.0) is None
-        assert model.measured_means("a", "range") is None
-        assert model.n_observations("a", "range") == 0
+class TestPlannerTable:
+    @staticmethod
+    def _planner(names=("LAESA", "VPT", "MVPT")):
+        return QueryPlanner(_build_catalog(make_words(120, seed=13), names=names))
 
-    def test_mean_fallback_below_fit_threshold(self):
-        model = CostModel()
-        for _ in range(MIN_FIT_OBSERVATIONS - 1):
-            model.record("a", "range", 2.0, 1, 100, 10.0, 1.0, 0.5)
-        predicted = model.predict("a", "range", 99.0)
-        # feature-independent below the threshold: the window mean
-        assert predicted["compdists"] == pytest.approx(10.0)
-        assert predicted["page_reads"] == pytest.approx(1.0)
-        assert predicted["wall_ms"] == pytest.approx(0.5)
+    def test_each_member_is_explored_once_per_row_then_the_lowest_mean_wins(self):
+        planner = self._planner()
+        walls = {"LAESA": 3.0, "VPT": 1.0, "MVPT": 2.0}
+        explored = []
+        for _ in walls:
+            choice = planner.route("range", 4.0)
+            explored.append(choice)
+            planner.observe(choice, "range", 4.0, 1, 10.0, 0.0, walls[choice])
+        assert sorted(explored) == sorted(walls)
+        assert planner.stats()["explored"] == 3
+        assert [planner.route("range", 4.0) for _ in range(3)] == ["VPT"] * 3
+        # the mean ranks, not the last reading: VPT's (1 + 4) / 2 loses to 2
+        planner.observe("VPT", "range", 4.0, 1, 10.0, 0.0, 4.0)
+        assert planner.route("range", 4.0) == "MVPT"
+        assert planner.stats()["explored"] == 3
 
-    def test_fit_tracks_parameter_dependence(self, monkeypatch):
-        monkeypatch.setattr(costmodel, "REFIT_EVERY", 1)
-        model = CostModel()
-        for r in range(1, 9):
-            model.record("a", "range", float(r), 1, 100, 3.0 * r, float(r), 0.1 * r)
-        p_small = model.predict("a", "range", 2.0, 1, 100)
-        p_large = model.predict("a", "range", 8.0, 1, 100)
-        assert p_large["compdists"] > p_small["compdists"]
-        assert p_small["compdists"] == pytest.approx(6.0, rel=0.05)
-        assert p_large["wall_ms"] == pytest.approx(0.8, rel=0.05)
+    def test_a_radius_two_half_octaves_away_is_its_own_row(self):
+        planner = self._planner(("LAESA", "VPT"))
+        for member_id, wall in (("LAESA", 1.0), ("VPT", 2.0)):
+            planner.observe(member_id, "range", 4.0, 1, 10.0, 0.0, wall)
+        # 2 log2(4.5) = 4.34 rounds into radius 4's row
+        assert row_key("range", 4.5, 1) == row_key("range", 4.0, 1)
+        assert planner.route("range", 4.5) == "LAESA"
+        # radius 8 is two half-octaves up: unexplored, so round-robin
+        assert row_key("range", 8.0, 1) != row_key("range", 4.0, 1)
+        assert [planner.route("range", 8.0) for _ in range(2)] == ["LAESA", "VPT"]
+        # radius 0 and an unbounded radius have rows of their own
+        assert len({row_key("range", r, 1) for r in (0.0, 1.0, math.inf)}) == 3
 
-    def test_window_evicts_stale_observations(self, monkeypatch):
-        monkeypatch.setattr(costmodel, "WINDOW", 4)
-        monkeypatch.setattr(costmodel, "REFIT_EVERY", 1)
-        model = CostModel()
-        for _ in range(10):
-            model.record("a", "range", 1.0, 1, 10, 100.0, 0.0, 1.0)
-        for _ in range(4):
-            model.record("a", "range", 1.0, 1, 10, 2.0, 0.0, 1.0)
-        assert model.n_observations("a", "range") == 4
-        predicted = model.predict("a", "range", 1.0, 1, 10)
-        assert predicted["compdists"] == pytest.approx(2.0)
+    def test_a_batch_is_explored_apart_from_a_single_query(self):
+        planner = self._planner(("LAESA", "VPT"))
+        for member_id, wall in (("LAESA", 1.0), ("VPT", 2.0)):
+            planner.observe(member_id, "range", 4.0, 1, 10.0, 0.0, wall)
+        assert planner.route("range", 4.0, batch_size=1) == "LAESA"
+        assert [planner.route("range", 4.0, batch_size=8) for _ in range(2)] == [
+            "LAESA",
+            "VPT",
+        ]
+        # totals arrive per batch and are kept per query
+        planner.observe("VPT", "range", 4.0, 8, 80.0, 16.0, 4.0)
+        planner.observe("LAESA", "range", 4.0, 8, 40.0, 0.0, 8.0)
+        rows = planner.explain("range", 4.0, batch_size=8)
+        assert [row["predicted"] for row in rows] == [
+            {"compdists": 5.0, "page_reads": 0.0, "wall_ms": 1.0},
+            {"compdists": 10.0, "page_reads": 2.0, "wall_ms": 0.5},
+        ]
+        assert [row["observations"] for row in rows] == [1, 1]
+        assert planner.route("range", 4.0, batch_size=8) == "VPT"
+        assert planner.route("range", 4.0, batch_size=1) == "LAESA"
 
-    def test_totals_are_stored_per_query(self):
-        model = CostModel()
-        model.record("a", "knn", 5.0, 10, 50, 100.0, 20.0, 40.0)
-        means = model.measured_means("a", "knn")
-        assert means["compdists"] == pytest.approx(10.0)
-        assert means["page_reads"] == pytest.approx(2.0)
-        assert means["wall_ms"] == pytest.approx(4.0)
+    def test_two_planners_fed_the_same_observations_route_the_same(self):
+        dataset = make_words(120, seed=13)
+        names = ("LAESA", "VPT", "MVPT")
+        planners = [QueryPlanner(_build_catalog(dataset, names=names)) for _ in "ab"]
+        base = {"LAESA": 1.0, "VPT": 1.2, "MVPT": 0.9}
+        shapes = [("range", r, b) for r in (1.0, 2.0, 4.0, 8.0) for b in (1, 6)]
+        shapes += [("knn", 5.0, 1), ("knn", 10.0, 6)]
+        noise = np.random.default_rng(4).uniform(0.5, 1.5, size=300)
+        routes = [[], []]
+        for step, factor in enumerate(noise):
+            kind, param, batch = shapes[step % len(shapes)]
+            for planner, seen in zip(planners, routes):
+                choice = planner.route(kind, param, batch)
+                seen.append(choice)
+                wall = base[choice] * factor * batch
+                planner.observe(choice, kind, param, batch, 10.0 * batch, 0.0, wall)
+        assert routes[0] == routes[1]
+        assert len(set(routes[0])) == 3
+        assert planners[0].table == planners[1].table
+        for shape in shapes:
+            assert planners[0].explain(*shape) == planners[1].explain(*shape)
+
+    def test_explain_marks_the_member_route_will_pick(self):
+        """Only LAESA has a cell in the row: MVPT is explored next, and
+        ``explain`` must say so."""
+        planner = QueryPlanner(_build_catalog(make_la(160, seed=9), ("LAESA", "MVPT")))
+
+        def chosen():
+            rows = planner.explain("range", 100.0)
+            return [row["index"] for row in rows if row["chosen"]]
+
+        planner.observe("LAESA", "range", 100.0, 1, 30.0, 0.0, 1.0)
+        assert chosen() == ["MVPT"] == [planner.route("range", 100.0)]
+        # and once both are in, the lower mean wall
+        planner.observe("MVPT", "range", 100.0, 1, 40.0, 0.0, 0.5)
+        assert chosen() == ["MVPT"] == [planner.route("range", 100.0)]
+        planner.observe("MVPT", "range", 100.0, 1, 40.0, 0.0, 3.5)
+        assert chosen() == ["LAESA"] == [planner.route("range", 100.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,52 +319,66 @@ class TestIndexCatalog:
 
 
 class TestQueryPlanner:
-    def test_epsilon_validation(self):
-        dataset = make_words(120, seed=13)
-        catalog = _build_catalog(dataset, names=("LAESA",))
-        with pytest.raises(ValueError, match="epsilon"):
-            QueryPlanner(catalog, epsilon=1.5)
-
     def test_single_member_fast_path(self):
         dataset = make_words(120, seed=13)
         catalog = _build_catalog(dataset, names=("LAESA",))
-        planner = QueryPlanner(catalog, epsilon=0.0)
+        planner = QueryPlanner(catalog)
         assert planner.route("range", 3.0) == "LAESA"
 
     def test_forced_exploration_covers_unmodeled_members(self):
         dataset = make_words(120, seed=13)
         catalog = _build_catalog(dataset)
-        planner = QueryPlanner(catalog, epsilon=0.0)
-        # no observations yet: round-robin over the unmodeled set
-        assert {planner.route("range", 3.0) for _ in range(2)} == set(catalog.ids())
+        planner = QueryPlanner(catalog)
+        # no observations yet: round-robin over the unmodeled set, which
+        # has no costs to show
+        assert [planner.route("range", 3.0) for _ in range(4)] == catalog.ids() * 2
+        for row in planner.explain("range", 3.0):
+            assert row["predicted"] is None and row["observations"] == 0
 
     def test_calibration_fits_models_and_explains(self):
         dataset = make_words(160, seed=13)
         catalog = _build_catalog(dataset)
-        planner = QueryPlanner(catalog, epsilon=0.0)
+        planner = QueryPlanner(catalog)
         recorded = planner.calibrate(radii=[2.0, 5.0], ks=(5,), n_queries=6)
-        # 2 members x 3 tasks x 3 batch sizes
-        assert recorded == 18
-        rows = planner.explain("range", 3.0)
+        # 2 members x 3 tasks x 2 batch sizes
+        assert recorded == 12
+        # the table holds what was measured and extrapolates nothing:
+        # radius 3 is a half-octave from either calibrated radius
+        assert [row["observations"] for row in planner.explain("range", 3.0)] == [0, 0]
+        rows = planner.explain("range", 5.0)
         assert [row["index"] for row in rows] == catalog.ids()
         assert sum(row["chosen"] for row in rows) == 1
         for row in rows:
             assert row["observations"] > 0
-            assert row["predicted"] is not None and row["measured"] is not None
+            assert row["predicted"] is not None
             for key in ("compdists", "page_reads", "wall_ms"):
                 assert row["predicted"][key] >= 0.0
         chosen = next(row["index"] for row in rows if row["chosen"])
-        assert planner.route("range", 3.0) == chosen
+        assert planner.route("range", 5.0) == chosen
         stats = planner.stats()
         assert stats["members"] == catalog.ids()
-        assert stats["observations"] == 18
+        assert stats["observations"] == 12
         assert stats["routes"] == {chosen: 1}
         assert 0.0 <= stats["mispredict_ratio"] <= 1.0
+
+    def test_calibration_on_a_one_object_dataset(self, tmp_path):
+        """No pair of distinct objects to derive radii from: the fallback
+        radius, one query, one batch size."""
+        dataset = make_la(1, seed=9)
+        catalog = _build_catalog(dataset, names=("LAESA", "MVPT"), n_pivots=1)
+        planner = QueryPlanner(catalog)
+        assert planner.default_radii() == [1.0]
+        # 2 members x (1 radius + 1 k) x 1 batch size
+        assert planner.calibrate() == 4
+        manifest = catalog.save(tmp_path / "one")
+        with QueryService.from_snapshot(manifest, use_dispatcher=False) as service:
+            assert service.planner.stats()["observations"] == 4
+            assert service.range_query(dataset[0], 1.0) == [0]
 
     def test_route_stamps_span_meta(self):
         dataset = make_words(120, seed=13)
         catalog = _build_catalog(dataset)
-        planner = QueryPlanner(catalog, epsilon=0.0)
+        planner = QueryPlanner(catalog)
         planner.calibrate(radii=[3.0], n_queries=4)
         with tracing.start_trace("request") as root:
             choice = planner.route("range", 3.0)
@@ -330,7 +389,7 @@ class TestQueryPlanner:
         dataset = make_words(120, seed=13)
         catalog = _build_catalog(dataset)
         metrics = MetricsRegistry()
-        planner = QueryPlanner(catalog, epsilon=0.0, metrics=metrics)
+        planner = QueryPlanner(catalog, metrics=metrics)
         planner.calibrate(radii=[3.0], n_queries=4)
         choice = planner.route("range", 3.0)
         rendered = metrics.render()
@@ -338,9 +397,8 @@ class TestQueryPlanner:
         assert "repro_planner_mispredict_ratio" in rendered
         assert f'repro_planner_routed_batch_ms_count{{index="{choice}"}}' in rendered
         assert planner.mispredict_ratio() < 1.0
-        # an absurd wall time scores as a mispredict against the fitted model
-        cardinality = len(catalog.primary.index.space)
-        planner.observe(choice, "range", 3.0, 1, cardinality, 50.0, 0.0, 1e6)
+        # an absurd wall time scores as a mispredict against the cell's mean
+        planner.observe(choice, "range", 3.0, 1, 50.0, 0.0, 1e6)
         assert planner.mispredict_ratio() > 0.0
 
 
@@ -364,9 +422,7 @@ def test_routed_answers_match_members_and_brute_force(maker):
     ref_space = MetricSpace(dataset, CostCounters())
     queries = [dataset[i] for i in (0, 7, 23, 41)]
     radius = _moderate_radius(dataset, queries[0])
-    with QueryService(
-        catalog=catalog, planner_epsilon=0.5, planner_seed=3, use_dispatcher=False
-    ) as service:
+    with QueryService(catalog=catalog, use_dispatcher=False) as service:
         service.planner.calibrate(radii=[radius], n_queries=4)
         for q in queries:
             routed = service.range_query(q, radius)
@@ -394,9 +450,7 @@ def test_routed_dispatcher_path_stays_exact():
     ref_space = MetricSpace(dataset, CostCounters())
     queries = [dataset[i] for i in (0, 5, 11, 17, 29, 41, 53, 67)]
     expected = {id(q): brute_force_range(ref_space, q, 4.0) for q in queries}
-    with QueryService(
-        catalog=catalog, planner_epsilon=0.3, planner_seed=1, cache_size=0
-    ) as service:
+    with QueryService(catalog=catalog, cache_size=0) as service:
         service.planner.calibrate(radii=[4.0], n_queries=4)
         with ThreadPoolExecutor(max_workers=8) as pool:
             answers = list(
@@ -515,7 +569,7 @@ def test_single_index_service_api_unchanged():
 def test_http_catalog_surface():
     dataset = make_words(160, seed=13)
     catalog = _build_catalog(dataset)
-    service = QueryService(catalog=catalog, planner_epsilon=0.0)
+    service = QueryService(catalog=catalog)
     service.planner.calibrate(radii=[4.0], n_queries=4)
     q = dataset[3]
     with service, HttpQueryServer(service) as server:
