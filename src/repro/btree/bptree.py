@@ -63,11 +63,10 @@ root, where rows that also held the record's RAF page and slot (37 B)
 filled 223 and key / value lists sized by one entry's standalone pickle
 (93 B a row) 556.
 
-Pages written when leaves were key / value lists read into columns and are
-written back as columns; an SPB-tree from then gets its cells and boxes
-when it loads (:meth:`BPlusTree.add_cells`).  A leaf whose values were
-``(object id, RAF pointer)`` pairs -- as two more columns, or in a list --
-keeps the ids.
+Trees written when leaves were key / value lists, or whose values were
+``(object id, RAF pointer)`` pairs, are converted by ``repro migrate``
+(:mod:`repro.service.migrate`), which also gives such an SPB-tree's leaves
+their cells and its internal nodes their boxes.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ def _leaf_args(kinds, packed, cells, next_page) -> tuple:
 
 def _leaf_from(kinds, packed, cells, next_page) -> "LeafNode":
     leaf = LeafNode.__new__(LeafNode)
-    # a leaf written when values were (id, RAF page, RAF slot) keeps its ids
-    leaf.columns = list(map(_unpacked, kinds[:2], packed[:2]))
+    leaf.columns = list(map(_unpacked, kinds, packed))
     leaf.cells = None if cells is None else unpack_column("a", cells)
     leaf.next_page = next_page
     return leaf
@@ -177,15 +175,6 @@ class LeafNode:
     def __reduce__(self):
         kinds, packed = zip(*map(_typed, self.columns))
         return _leaf_from, _leaf_args("".join(kinds), packed, self.cells, self.next_page)
-
-    def __setstate__(self, state):
-        # pickled as the dataclass of key and value lists (the layout
-        # before columns): read into columns, written back as columns; a
-        # tuple value is an (object id, RAF pointer) pair, of which the id
-        # stays
-        values = [v[0] if type(v) is tuple else v for v in state["values"]]
-        self.columns, self.cells = [list(state["keys"]), values], None
-        self.next_page = state["next_page"]
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -292,12 +281,6 @@ class InternalNode:
             kind, separators, self.children, self.lows, self.highs
         )
 
-    def __setstate__(self, state):
-        # pickled as the dataclass with one summary a child: an SPB-tree
-        # rebuilds its boxes from its leaves' cells when it loads
-        self.separators, self.children = state["separators"], state["children"]
-        self.lows = self.highs = None
-
     def __len__(self) -> int:
         return len(self.children)
 
@@ -395,16 +378,6 @@ class BPlusTree:
         self.height = 1
         self._size = 0
         self.pager.write(self.root_page, LeafNode([[], []]))
-
-    def __setstate__(self, state):
-        if "augmentation" in state:
-            # pickled when leaves were key / value lists: capacities are
-            # re-derived by the next insert, and an SPB-tree (the one
-            # augmented tree) gives its leaves cells when it loads
-            if state.pop("augmentation") is not None:
-                state["_uncelled"] = True
-            state["_leaf_capacity"] = state["_internal_capacity"] = None
-        self.__dict__.update(state)
 
     # -- capacity ---------------------------------------------------------
 
@@ -793,22 +766,6 @@ class BPlusTree:
             self.height += 1
         self.root_page = level[0][0]
         self._size = n
-
-    def add_cells(self, cells_of) -> None:
-        """Give every leaf row the cell ``cells_of(keys)`` (an ``m x l``
-        array for a leaf's keys) and every internal node its children's
-        boxes: how a tree written before leaves carried cells loads."""
-
-        def convert(page_id):
-            node = self._read(page_id)
-            if node.is_leaf:
-                node.cells = cells_of(node.keys)
-            else:
-                node.lows, node.highs = _stacked([convert(c) for c in node.children])
-            self._write(page_id, node)
-            return node.box()
-
-        convert(self.root_page)
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -10,6 +10,7 @@ Commands:
                   over one query per call, the paper's protocol).
 * ``snapshot`` -- build an index and save it to disk (or inspect an
                   existing snapshot file) for instant restores.
+* ``migrate``  -- convert an older snapshot to the current format and layout.
 * ``serve``    -- run the query service (snapshot restore, LRU result
                   cache, micro-batching dispatcher) against a stream of
                   concurrent single-query requests and report throughput.
@@ -54,6 +55,7 @@ from .service import (
     save_index,
     snapshot_info,
 )
+from .service.migrate import migrate
 
 __all__ = ["main"]
 
@@ -251,6 +253,12 @@ def _cmd_snapshot(args) -> int:
             f"verified: restored in {load_s:.2f}s with 0 build compdists, "
             f"{len(workload.queries)} MRQ answers identical"
         )
+    return 0
+
+
+def _cmd_migrate(args) -> int:
+    migrate(args.old, args.new)
+    print(format_table([snapshot_info(args.new).row()], title=f"Migrated {args.old}"))
     return 0
 
 
@@ -708,6 +716,11 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro cluster`)",
     )
     p.set_defaults(func=_cmd_snapshot)
+
+    p = sub.add_parser("migrate", help="convert an older snapshot to the current layout")
+    p.add_argument("old")
+    p.add_argument("new", help="where to write it (may be OLD)")
+    p.set_defaults(func=_cmd_migrate)
 
     p = sub.add_parser(
         "serve",

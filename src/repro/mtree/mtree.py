@@ -86,16 +86,6 @@ def _node_from(is_leaf, objs, packed) -> "MNode":
     return node
 
 
-class MLeafEntry:
-    """A leaf entry of the layout before nodes were columnar: only the name
-    old pickles resolve to, read by :meth:`MNode.__setstate__`."""
-
-
-class MRoutingEntry:
-    """A routing entry of the layout before nodes were columnar (see
-    :class:`MLeafEntry`)."""
-
-
 class MNode:
     """One M-tree page: a column per entry field (module docstring).
 
@@ -120,32 +110,6 @@ class MNode:
             for column in map(self.__getattribute__, _COLUMNS)
         )
         return _node_from, (self.is_leaf, _packed_objects(self.objs), packed)
-
-    def __setstate__(self, state):
-        """Convert a node pickled as a list of entry objects."""
-        entries = state["entries"]
-        rows = [e.__dict__ for e in entries]
-        columns = {"parent_dists": [row["parent_dist"] for row in rows]}
-        if state["is_leaf"]:
-            columns["ids"] = [row["object_id"] for row in rows]
-            if rows and rows[0]["vec"] is not None:
-                columns["vecs"] = np.array([row["vec"] for row in rows], dtype=np.float64)
-        else:
-            columns["radii"] = [row["radius"] for row in rows]
-            columns["child_pages"] = [row["child_page"] for row in rows]
-            if any(row["mbb_lows"] is not None for row in rows):
-                # a subtree that held no vector when its entry was made has
-                # the empty box: it contains nothing, and grows on insert
-                l = next(len(row["mbb_lows"]) for row in rows if row["mbb_lows"] is not None)
-                for side, empty in (("lows", np.inf), ("highs", -np.inf)):
-                    columns[side] = np.array(
-                        [
-                            np.full(l, empty) if row[f"mbb_{side}"] is None else row[f"mbb_{side}"]
-                            for row in rows
-                        ],
-                        dtype=np.float64,
-                    )
-        self.__init__(state["is_leaf"], [row["obj"] for row in rows], **columns)
 
     def __len__(self) -> int:
         return len(self.objs)
@@ -209,12 +173,6 @@ class MTree:
         # object directory: id -> leaf page (maintained across splits);
         # real deployments keep an equivalent id index beside the tree.
         self.leaf_of: dict[int, int] = {}
-
-    def __setstate__(self, state):
-        # trees pickled before the option went said it up front
-        if "track_vectors" in state:
-            state["carries_vectors"] = state.pop("track_vectors")
-        self.__dict__.update(state)
 
     def __len__(self) -> int:
         return self._size

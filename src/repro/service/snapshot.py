@@ -8,8 +8,7 @@ process start repeated that cost.  A snapshot captures a built
 stores, dataset and distance) so a later process restores it and serves
 queries immediately, with **zero** build-time distance computations.
 
-File format v2 (versioned; v1 files -- one pickle, no regions -- still
-load, nothing writes them)::
+File format v3::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | header JSON
     | pad to 4096 | array regions (each 4096-aligned, little-endian)
@@ -33,7 +32,10 @@ provenance, so incompatible snapshots fail fast with a clear error instead
 of unpickling garbage.  Every index upholds the snapshot contract
 documented on :meth:`MetricIndex.prepare_snapshot` (picklable state,
 buffered pages flushed), and :class:`~repro.core.counters.CostCounters`
-drops its lock on pickling.
+drops its lock on pickling.  Format 3 is format 2's bytes, the number
+marking that every object and page is in today's layout: :func:`load_index`
+reads it alone, with one plain unpickler, and refuses formats 1 and 2 with
+a :class:`SnapshotError` naming ``repro migrate`` (:mod:`.migrate`).
 
 Round-trip equality contract (asserted by ``tests/test_service.py`` for
 every index family): for any queries, the restored index returns answers
@@ -54,16 +56,15 @@ import io
 import json
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from ..core.counters import CostCounters
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
-from ..storage.pager import PageStore, Pager, _rebuild_page_store, _restored_page_loader
+from ..storage.pager import PageStore, Pager, _rebuild_page_store
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -77,7 +78,9 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"REPROSNP"
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
+# the formats a header may name: 1 and 2 only ``repro migrate`` reads
+_KNOWN_FORMATS = (1, 2, SNAPSHOT_FORMAT_VERSION)
 
 # regions start and stay on this boundary: mmap offsets must be multiples
 # of the allocation granularity (4096 on every platform we run on), and
@@ -250,54 +253,7 @@ class _SnapshotPickler(pickle.Pickler):
         return NotImplemented
 
 
-class _Retired:
-    """What a snapshot's reference to a deleted name loads as: an inert
-    object the owner's ``__setstate__`` drops."""
-
-    def __setstate__(self, state):
-        pass
-
-
-# names older snapshots pickled that the code has since deleted: the
-# SPB-tree's B+-tree ``Augmentation`` (before leaves carried grid cells), the
-# two SPB-tree methods it held, and the RAF's ``RecordPointer`` (before the
-# RAF was addressed by id), kept with its ``page_id`` and ``slot``
-_RETIRED_GLOBALS = {
-    ("repro.btree.bptree", "Augmentation"): _Retired,
-    ("repro.external.spbtree", "SPBTree._merge_summaries"): _Retired,
-    ("repro.storage.raf", "RecordPointer"): SimpleNamespace,
-}
-_RETIRED_METHODS = frozenset({"_entry_summary"})
-
-
-def _getattr(obj, name):
-    """``getattr`` for pickled bound methods, a deleted one loading as
-    :class:`_Retired`."""
-    if name in _RETIRED_METHODS and not hasattr(obj, name):
-        return _Retired
-    return getattr(obj, name)
-
-
-class _Unpickler(pickle.Unpickler):
-    """Unpickler that loads references to deleted names as inert objects."""
-
-    def find_class(self, module, name):
-        if (module, name) == ("builtins", "getattr"):
-            return _getattr
-        retired = _RETIRED_GLOBALS.get((module, name))
-        return retired if retired is not None else super().find_class(module, name)
-
-
-def _load_page(blob):
-    """How every page store :func:`load_index` restores reads a page: one
-    that names a deleted global (a leaf of RAF pointers) via :class:`_Unpickler`."""
-    try:
-        return pickle.loads(blob)
-    except AttributeError:
-        return _Unpickler(io.BytesIO(blob)).load()
-
-
-class _SnapshotUnpickler(_Unpickler):
+class _SnapshotUnpickler(pickle.Unpickler):
     """Unpickler resolving region references to copy-on-write memmaps.
 
     ``mode="c"`` maps the file privately: reads fault pages straight from
@@ -408,8 +364,7 @@ def save_index(index: MetricIndex, path) -> SnapshotInfo:
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
-    known = {k: header[k] for k in SnapshotInfo.__dataclass_fields__ if k in header}
-    return SnapshotInfo(**known)
+    return _info_of(header, path)
 
 
 def _read_header(fh, path: Path) -> tuple[SnapshotInfo, dict, int]:
@@ -426,30 +381,47 @@ def _read_header(fh, path: Path) -> tuple[SnapshotInfo, dict, int]:
         header = json.loads(header_blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path} has a corrupt header: {exc}") from None
-    version = header.get("format_version")
-    if version not in (1, 2):
+    info = _info_of(header, path)
+    if info.format_version not in _KNOWN_FORMATS:
         raise SnapshotError(
-            f"{path} uses snapshot format {version}; this build reads "
-            f"formats 1..{SNAPSHOT_FORMAT_VERSION}"
+            f"{path} uses snapshot format {info.format_version}; this build "
+            f"reads format {SNAPSHOT_FORMAT_VERSION}"
         )
-    known = {k: header[k] for k in SnapshotInfo.__dataclass_fields__ if k in header}
     prefix_len = len(SNAPSHOT_MAGIC) + 4 + header_len
-    return SnapshotInfo(**known), header, prefix_len
+    return info, header, prefix_len
+
+
+def _info_of(header, path: Path) -> SnapshotInfo:
+    """The header's :class:`SnapshotInfo`: a :class:`SnapshotError` unless
+    the header is an object holding each field (but those with a default)
+    with its type, and no count or size is negative."""
+    if not isinstance(header, dict):
+        raise SnapshotError(f"{path} has a corrupt header: not a JSON object")
+    known = {}
+    for field in fields(SnapshotInfo):
+        value = known[field.name] = header.get(field.name, field.default)
+        want = int if field.type == "int" else str
+        if type(value) is not want or want is int and value < 0:
+            shown = "missing" if value is MISSING else f"{value!r}"
+            raise SnapshotError(f"{path} has a corrupt header: {field.name} is {shown}")
+    return SnapshotInfo(**known)
 
 
 def _validated_regions(header: dict, path: Path, file_size: int, prefix_len: int):
-    """Check the v2 region table against the file; returns (table, start, span).
+    """Check the region table against the file; returns (table, start, span).
 
     Every failure mode -- nonsense offsets, dtype/shape/nbytes mismatch,
     regions poking past the file -- raises :class:`SnapshotError` before
     any mmap or unpickle happens.
     """
     table = header.get("regions", [])
+    if not isinstance(table, list):
+        raise SnapshotError(f"{path} has a corrupt region table")
     regions_start = _align_up(prefix_len)
     try:
         regions_span = int(header["regions_span"])
     except (KeyError, TypeError, ValueError):
-        raise SnapshotError(f"{path} v2 header is missing its region span") from None
+        raise SnapshotError(f"{path} header is missing its region span") from None
     for i, entry in enumerate(table):
         try:
             dtype = np.dtype(entry["dtype"])
@@ -491,51 +463,52 @@ def snapshot_info(path) -> SnapshotInfo:
     return info
 
 
+def _unpickle(path, unpickler=_SnapshotUnpickler, formats=(SNAPSHOT_FORMAT_VERSION,)):
+    """The index a snapshot of one of ``formats`` holds, through
+    ``unpickler`` (a :class:`_SnapshotUnpickler` class); any other format
+    is a :class:`SnapshotError` naming ``repro migrate``.  Format 1 has no
+    regions, its payload following the header; later formats have the
+    region table checked before anything is mapped or unpickled."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        info, header, prefix_len = _read_header(fh, path)
+        if info.format_version not in formats:
+            raise SnapshotError(
+                f"{path} is snapshot format {info.format_version}, which this "
+                f"build reads only through `repro migrate {path} NEW`"
+            )
+        file_size = fh.seek(0, 2)
+        if info.format_version == 1:
+            table, regions_start, payload_start = [], 0, prefix_len
+        else:
+            table, regions_start, span = _validated_regions(header, path, file_size, prefix_len)
+            payload_start = regions_start + span
+        if payload_start + info.payload_bytes > file_size:
+            raise SnapshotError(f"{path} is truncated (payload short)")
+        fh.seek(payload_start)
+        payload = io.BytesIO(fh.read(info.payload_bytes))
+    try:
+        index = unpickler(payload, path, table, regions_start).load()
+    except SnapshotError:
+        raise
+    except Exception as exc:
+        raise SnapshotError(f"{path} payload failed to unpickle: {exc}") from exc
+    if not isinstance(index, MetricIndex):
+        raise SnapshotError(f"{path} payload is a {type(index).__name__}, not a MetricIndex")
+    return index
+
+
 def load_index(path, counters: CostCounters | None = None) -> MetricIndex:
     """Restore an index from a snapshot file.
 
     The restored index is handed ``counters`` (or a fresh zeroed
     :class:`CostCounters`) across all of its spaces and page stores, so
     serving measurements start clean.  No distance computations happen:
-    the tables, trees, and page stores come back exactly as saved -- under
-    format 2 the heavy arrays come back as copy-on-write memmaps, so the
-    restore cost is the pickle skeleton, not the vector table.
+    the tables, trees, and page stores come back exactly as saved -- the
+    heavy arrays as copy-on-write memmaps, so the restore cost is the
+    pickle skeleton, not the vector table.  A file of an older format is
+    a :class:`SnapshotError` that names ``repro migrate``.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        info, header, prefix_len = _read_header(fh, path)
-        if info.format_version >= 2:
-            fh.seek(0, 2)
-            file_size = fh.tell()
-            table, regions_start, regions_span = _validated_regions(
-                header, path, file_size, prefix_len
-            )
-            payload_start = regions_start + regions_span
-            if payload_start + info.payload_bytes > file_size:
-                raise SnapshotError(f"{path} is truncated (payload short)")
-            fh.seek(payload_start)
-            payload = fh.read(info.payload_bytes)
-            unpickler = _SnapshotUnpickler(
-                io.BytesIO(payload), path, table, regions_start
-            )
-            loader = unpickler.load
-        else:
-            payload = fh.read(info.payload_bytes)
-            if len(payload) != info.payload_bytes:
-                raise SnapshotError(f"{path} is truncated (payload short)")
-            loader = _Unpickler(io.BytesIO(payload)).load
-        restoring = _restored_page_loader.set(_load_page)
-        try:
-            index = loader()
-        except SnapshotError:
-            raise
-        except Exception as exc:
-            raise SnapshotError(f"{path} payload failed to unpickle: {exc}") from exc
-        finally:
-            _restored_page_loader.reset(restoring)
-    if not isinstance(index, MetricIndex):
-        raise SnapshotError(
-            f"{path} payload is a {type(index).__name__}, not a MetricIndex"
-        )
+    index = _unpickle(path)
     rebind_counters(index, counters if counters is not None else CostCounters())
     return index

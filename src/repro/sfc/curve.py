@@ -16,7 +16,8 @@ the scalar form, 4096 keys 0.56 ms against 65 ms -- and the crossover sits
 at about 25 keys; the array decode costs ~0.5 ms fixed (one key 0.45 ms
 against 18 us, 4096 keys 2.7 ms against 75 ms) and crosses over at about
 30.  No query decodes a key (B+-tree leaves carry their cells); the array
-decode gives cells to a tree written before leaves had them, as it loads.
+decode checks a tree's cells against its keys, and ``repro migrate`` gives
+cells through it to a tree written before leaves had them.
 
 **Key widths.**  The array form works on coordinate columns in the
 narrowest unsigned dtype that holds ``max_coordinate`` (``uint8`` at bits =

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from contextvars import ContextVar
 from typing import Any
 
 import numpy as np
@@ -48,17 +47,13 @@ __all__ = ["PageStore", "BufferPool", "Pager", "BatchReadCache", "DEFAULT_PAGE_S
 
 DEFAULT_PAGE_SIZE = 4096
 
-# how a page store unpickled under it reads its pages: the snapshot loader
-# sets one that also reads names deleted since the snapshot was written
-_restored_page_loader = ContextVar("restored_page_loader", default=pickle.loads)
-
 
 def _rebuild_page_store(page_size, next_id, directory, empty_ids, region):
     """Rebuild a :class:`PageStore` from its snapshot-region form.
 
     ``region`` is one flat uint8 buffer holding every written page's blob
     back to back, ``directory`` maps page id -> (offset, length) into it.
-    Under the v2 snapshot format the buffer arrives as a ``np.memmap``, so
+    Restored from a snapshot the buffer arrives as a ``np.memmap``, so
     the store starts with **zero** pages materialised -- blobs fault in
     from the OS page cache on first read.  Counters are rebound by
     ``load_index`` after restore.
@@ -70,7 +65,6 @@ def _rebuild_page_store(page_size, next_id, directory, empty_ids, region):
     store._next_id = int(next_id)
     store._lazy = {int(pid): (int(o), int(n)) for pid, (o, n) in directory.items()}
     store._region = region
-    store._unpickle = _restored_page_loader.get()
     return store
 
 
@@ -84,16 +78,12 @@ class PageStore:
             passing 40960).
         counters: shared cost counters (same object as the metric space's).
 
-    Pages live in ``_pages`` (page id -> pickled bytes) or -- after a v2
+    Pages live in ``_pages`` (page id -> pickled bytes) or -- after a
     snapshot restore -- in ``_lazy`` (page id -> (offset, length) into the
     shared ``_region`` buffer, usually a memmap).  ``_pages`` always wins:
     the first :meth:`write` to a lazy page moves it there, so the region
     stays an immutable snapshot image while the store stays fully mutable.
-    A page is unpickled by ``_unpickle``: a store restored from a snapshot
-    takes the snapshot loader's (see ``_restored_page_loader``).
     """
-
-    _unpickle = staticmethod(pickle.loads)
 
     def __init__(
         self,
@@ -108,12 +98,6 @@ class PageStore:
         self._next_id = 0
         self._lazy: dict[int, tuple[int, int]] = {}
         self._region = None
-
-    def __setstate__(self, state):
-        # pre-memmap pickles (v1 snapshots, old process-pool payloads)
-        # predate the lazy-region attributes
-        self.__dict__.update({"_lazy": {}, "_region": None, **state})
-        self._unpickle = _restored_page_loader.get()
 
     def allocate(self) -> int:
         """Reserve a new page id (no I/O counted)."""
@@ -143,12 +127,12 @@ class PageStore:
             add_event("page_reads", self.pages_spanned(length))
             # a contiguous uint8 slice satisfies the buffer protocol, so
             # unpickling reads straight out of the mapped snapshot region
-            return self._unpickle(self._region[offset : offset + length])
+            return pickle.loads(self._region[offset : offset + length])
         if not blob:
             raise KeyError(f"page {page_id} was allocated but never written")
         self.counters.add_page_read(self.pages_spanned(len(blob)))
         add_event("page_reads", self.pages_spanned(len(blob)))
-        return self._unpickle(blob)
+        return pickle.loads(blob)
 
     def free(self, page_id: int) -> None:
         self._pages.pop(page_id, None)

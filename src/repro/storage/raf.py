@@ -55,14 +55,13 @@ records while ``header + payload <= page_size * fill_factor`` -- so a stored
 page never spans two pages unless a single record does.  ``read`` /
 ``read_many`` / ``read_cached`` return an id's ``(id, obj, ...)`` tuple, an
 array field as a row view of its block; an id with no live record raises
-``KeyError``.  A page of bare values (a pickled-list page's records, pickled
+``KeyError``.  A page of bare values (records of mixed schemas, pickled
 whole) is read the same way.
 
 Pages are copy-on-write: ``append`` adds one row to the open page's
 columns, ``update`` rewrites one row, ``mark_deleted`` sets one tombstone
 byte, each into a new page object, so a node the buffer pool already holds
-never changes under it.  Pages written as pickled record lists (the format
-before this one) are read as they are and re-encoded on their first write.
+never changes under it.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ __all__ = [
     "RafPage",
     "encode_column",
     "field_bytes",
-    "locate_pointer_map",
     "pack_column",
     "unpack_column",
 ]
@@ -471,8 +469,8 @@ class RafPage:
 
     @classmethod
     def from_records(cls, records) -> "RafPage":
-        """A page of any records, ``None`` standing for a tombstone (the
-        form of a page written as a pickled record list)."""
+        """A page of any records, ``None`` standing for a tombstone: the
+        records of a page re-encoded to fit one of another schema."""
         schema = _schema_for(r for r in records if r is not None)
         blank = _blank(schema)
         page = cls.encode([blank if r is None else r for r in records], schema)
@@ -566,25 +564,6 @@ def _header_bytes(schema) -> int:
     return len(pickle.dumps(empty, protocol=_PROTOCOL)) + 3 * buffers
 
 
-def _record_at(page, slot: int):
-    if type(page) is list:  # a page of the pickled-list format
-        return page[slot]
-    return page.record(slot)
-
-
-def locate_pointer_map(state: dict) -> dict:
-    """An index's pickled state with the ``{id: pointer}`` map it kept
-    before its RAF located records (``_pointers``) moved into that RAF's
-    locator -- the one conversion every RAF-backed index loads through."""
-    pointers = state.pop("_pointers", None)
-    if pointers is not None:
-        ids = np.fromiter(pointers, np.int64, len(pointers))
-        where = np.array([(p.page_id, p.slot) for p in pointers.values()], np.int64)
-        state["raf"]._locate(ids, *where.reshape(-1, 2).T)
-        state["raf"]._count = len(ids)
-    return state
-
-
 class RandomAccessFile:
     """Append-organised record file over a :class:`~repro.storage.pager.Pager`,
     addressed by object id.
@@ -608,18 +587,8 @@ class RandomAccessFile:
         self._count = 0  # live records
 
     # the locator: an object id's page and slot, -1 where it has none; these
-    # empty class-level arrays until the first write (a file pickled before
-    # it located its records gets it from its index: locate_pointer_map)
+    # empty class-level arrays until the first write
     _pages = _slots = np.empty(0, np.int64)
-
-    def __setstate__(self, state):
-        records = state.pop("_open_records", None)
-        self.__dict__.update(state)
-        if records is not None:
-            # pickled with a list-format open page: the next append
-            # re-encodes it with the record it adds
-            self._open_page = RafPage.from_records(records) if records else None
-            self._open_bytes = self._open_page.payload_bytes() if records else 0
 
     def _limit(self, schema) -> int:
         """Payload bytes a page of ``schema`` takes (header charged)."""
@@ -768,10 +737,7 @@ class RandomAccessFile:
 
     def _rewrite(self, page_id: int, change) -> RafPage:
         """Write ``change(page)`` over the page; returns it."""
-        page = self.pager.read(page_id)
-        if type(page) is list:  # the pickled-list format: re-encoded now
-            page = RafPage.from_records(page)
-        page = change(page)
+        page = change(self.pager.read(page_id))
         self.pager.write(page_id, page)
         if page_id == self._open_page_id:
             self._open_page = page
@@ -782,7 +748,7 @@ class RandomAccessFile:
     def read(self, object_id: int) -> Any:
         """Fetch an id's record (one page access on cache miss)."""
         page_id, slot = self._where(object_id)
-        return _record_at(self.pager.read(page_id), slot)
+        return self.pager.read(page_id).record(slot)
 
     def read_many(self, ids) -> list[Any]:
         """Fetch a batch of ids' records with each distinct page read once.
@@ -796,7 +762,7 @@ class RandomAccessFile:
         where = [self._where(object_id) for object_id in ids]
         with tracing.span("raf_read_many", records=len(where)):
             pages = self.pager.read_many(page_id for page_id, _ in where)
-        return [_record_at(pages[page_id], slot) for page_id, slot in where]
+        return [pages[page_id].record(slot) for page_id, slot in where]
 
     def read_cached(self, cache, object_id: int) -> Any:
         """Fetch an id's record through a batch-scoped page cache.
@@ -809,4 +775,4 @@ class RandomAccessFile:
         if cache is None:
             return self.read(object_id)
         page_id, slot = self._where(object_id)
-        return _record_at(cache.read(page_id), slot)
+        return cache.read(page_id).record(slot)

@@ -124,14 +124,6 @@ class LAESA(MetricIndex):
     def _rows(self, table: np.ndarray) -> None:
         self.mapping.matrix = table
 
-    def __setstate__(self, state: dict) -> None:
-        # pickled while the table was kept twice: ``_rows`` was the live
-        # copy, ``mapping.matrix`` the one that went stale at the first insert
-        rows = state.pop("_rows", None)
-        self.__dict__.update(state)
-        if rows is not None:
-            self._rows = rows
-
     # -- queries ------------------------------------------------------------
 
     def _distances(self, queries, ids_per_query) -> list[np.ndarray]:

@@ -39,13 +39,6 @@ class FQA(MetricIndex):
         self._row_ids = row_ids
         self._frames = frames  # one per pivot column
 
-    def __setstate__(self, state):
-        if "_width" in state:  # uint32 buckets of one width; past 255 is the open top cell
-            buckets = state["_signatures"]
-            state["_frames"] = (Frame(0.0, state.pop("_width"), False),) * buckets.shape[1]
-            state["_signatures"] = np.minimum(buckets, 255).astype(np.uint8)
-        self.__dict__.update(state)
-
     @classmethod
     def build(cls, space: MetricSpace, pivot_ids) -> "FQA":
         require_discrete(space, "FQA")

@@ -33,7 +33,7 @@ depth, the internal nodes' bounds, the leaf sizes, and all ids and codes
 back to back -- a few arrays the snapshot lifts into memmap regions,
 not one pickled object per node.  Unpickling checks that the columns
 agree and hangs the same nodes again; a tree pickled as node objects, as
-every snapshot was before, loads as before.
+every snapshot was before, is converted by ``repro migrate``.
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ class _MvptLeaf:
     def __init__(self, ids: array, codes: bytearray, depth: int):
         self.ids, self.codes, self.depth = ids, codes, depth
 
-    def __getstate__(self):
-        return self.ids, self.codes, self.depth
-
-    def __setstate__(self, state):
-        if isinstance(state, dict):
-            # written before leaves carried codes (ids in a list): such a
-            # leaf has no path levels to filter on and is verified whole
-            state = array("i", state["ids"]), bytearray(), 0
-        self.ids, self.codes, self.depth = state
-
 
 class _MvptNode:
     """The level whose pivot splits it, and per child tight bounds on the
@@ -81,14 +71,6 @@ class _MvptNode:
 
     def __init__(self, level: int, lows: np.ndarray, highs: np.ndarray, children: list):
         self.level, self.lows, self.highs, self.children = level, lows, highs, children
-
-    def __getstate__(self):
-        return self.level, self.lows, self.highs, self.children
-
-    def __setstate__(self, state):
-        if isinstance(state, dict):  # pickled when nodes were dataclasses
-            state = state["level"], state["lows"], state["highs"], state["children"]
-        self.level, self.lows, self.highs, self.children = state
 
 
 def _back_to_back(starts: np.ndarray, sizes: np.ndarray):
@@ -224,9 +206,6 @@ class MVPT(FrontierTreeMixin, MetricIndex):
     """m-ary vantage point tree with shared per-level pivots."""
 
     name = "MVPT"
-    # one Frame per built level; a tree restored from a snapshot that
-    # predates the codes has none and needs none
-    _frames = ()
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -235,11 +214,9 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         return state
 
     def __setstate__(self, state):
-        if state.get("_frames"):  # pickled as (low, width, exact) tuples
-            state["_frames"] = [Frame(*frame) for frame in state["_frames"]]
-        if type(state.get("root")) is tuple:  # else node objects, as saved before
+        if state["root"] is not None:
             state["root"] = _tree_of_columns(
-                state["root"], len(state.get("_frames", ())), len(state["pivot_ids"])
+                state["root"], len(state["_frames"]), len(state["pivot_ids"])
             )
         self.__dict__.update(state)
 
@@ -251,6 +228,7 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         self.arity = arity
         self.leaf_size = leaf_size
         self.root = None
+        self._frames: list[Frame] = []  # one per built level
 
     @classmethod
     def build(

@@ -8,6 +8,8 @@ Tests that mutate an index build their own copies.
 from __future__ import annotations
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro import (
 )
 from repro.bench.runner import build_index
 from repro.core.staged import PerObjectStagedPruner, StagedPruner
+from repro.service.migrate import migrate
 
 N_SMALL = 400
 N_PIVOTS = 4
@@ -99,6 +102,52 @@ def built_indexes(datasets, pivots):
         return cache[key]
 
     return get
+
+
+# snapshots written by earlier versions of the code: ``load_index`` refuses
+# them, ``repro migrate`` converts them
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="session")
+def migrated(tmp_path_factory):
+    """``migrated(name)``: the path of ``tests/data/<name>`` converted by
+    :func:`~repro.service.migrate.migrate`, once a session."""
+    out = tmp_path_factory.mktemp("migrated")
+    done: dict[str, Path] = {}
+
+    def path(name: str) -> Path:
+        if name not in done:
+            migrate(DATA / name, out / name)
+            done[name] = out / name
+        return done[name]
+
+    return path
+
+
+# a header whose shape is wrong, each edit alone: before it was checked,
+# the first two escaped ``snapshot_info`` and ``load_index`` as an
+# AttributeError / TypeError, the string size escaped ``load_index`` as a
+# TypeError, and the negative one read the rest of the file as payload
+MALFORMED_HEADERS = {
+    "a JSON list": lambda header: [header],
+    "no index_name": lambda header: {k: v for k, v in header.items() if k != "index_name"},
+    "payload_bytes a string": lambda header: {**header, "payload_bytes": "12"},
+    "payload_bytes negative": lambda header: {**header, "payload_bytes": -1},
+}
+
+
+def rewrite_header(path: Path, edit) -> None:
+    """Replace a saved snapshot's JSON header by ``edit(header)``; regions
+    and payload stay where they are (they start at the next 4 KiB
+    boundary)."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[8:12], "big")
+    header = edit(json.loads(blob[12 : 12 + length]))
+    text = json.dumps(header, sort_keys=True).encode()
+    prefix = blob[:8] + len(text).to_bytes(4, "big") + text
+    assert len(prefix) <= 4096 and 12 + length <= 4096
+    path.write_bytes(prefix + bytes(4096 - len(prefix)) + blob[4096:])
 
 
 def fresh_index(datasets, pivots, dataset_name: str, index_name: str):

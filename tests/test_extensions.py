@@ -23,6 +23,8 @@ from repro import (
     make_words,
     select_pivots,
 )
+from repro.service import load_index, save_index
+from repro.service.migrate import migrate
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +83,20 @@ class TestDEPT:
         with pytest.raises(KeyError):
             index.delete(100)
 
-    def test_state_pickled_before_live_rows_were_tracked(self, la):
+    def test_state_pickled_before_live_rows_were_tracked(self, la, tmp_path):
         """A DEPT pickled when ``_pointers`` membership was the only
-        liveness test has no ``_row_page``: it is rebuilt from the table
-        pages on load, an id's last row being its live one."""
+        liveness test has no ``_row_page``: ``repro migrate`` rebuilds it
+        from the table pages, an id's last row being its live one."""
         index = DEPT.build(MetricSpace(la, CostCounters()), seed=2)
         index.delete(100)
         index.delete(5)
         index.insert(la[5], object_id=5)  # the old row of 5 stays on its page
-        state = dict(index.__dict__)
-        want = state.pop("_row_page")
-        state["_group_of"] = {}  # what such a pickle carries instead
-        restored = DEPT.__new__(DEPT)
-        restored.__setstate__(state)
+        want = index._row_page
+        del index._row_page
+        index._group_of = {}  # what such a pickle carries instead
+        save_index(index, tmp_path / "old.snap")
+        migrate(tmp_path / "old.snap", tmp_path / "new.snap")
+        restored = load_index(tmp_path / "new.snap")
         assert restored._row_page == want
         q = la[5]
         assert restored.range_query(q, 800.0) == [

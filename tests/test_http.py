@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RADIUS
+from conftest import MALFORMED_HEADERS, RADIUS, rewrite_header
 from repro import (
     CostCounters,
     MetricSpace,
@@ -470,6 +470,27 @@ def test_reload_rejects_bad_snapshots_and_keeps_serving(datasets, tmp_path):
                 client.reload(bad)
             assert excinfo.value.status == 400
         # the old index is untouched and still serving
+        assert client.healthz()["objects"] == 100
+        assert client.range_query(q, RADIUS["Words"]) == expected
+
+
+def test_reload_refuses_a_malformed_header_and_keeps_serving(datasets, tmp_path):
+    """A snapshot whose header is not an object, lacks a field, or holds a
+    size of the wrong type or sign is a 400, not a server error, and the
+    old index keeps serving."""
+    (_, path_small), (_, path_large) = _snapshot_pair(datasets, tmp_path)
+    service = QueryService.from_snapshot(path_small)
+    with service, HttpQueryServer(service).start() as server:
+        client = ServiceClient(port=server.port)
+        q = datasets["Words"][0]
+        expected = client.range_query(q, RADIUS["Words"])
+        for name, edit in MALFORMED_HEADERS.items():
+            bad = tmp_path / f"{name}.snap"
+            bad.write_bytes(path_large.read_bytes())
+            rewrite_header(bad, edit)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.reload(bad)
+            assert excinfo.value.status == 400, name
         assert client.healthz()["objects"] == 100
         assert client.range_query(q, RADIUS["Words"]) == expected
 

@@ -319,7 +319,7 @@ def test_plain_snapshot_cannot_replace_several_members(la, tmp_path):
 @pytest.mark.parametrize(
     "name", ["pr21_laesa_reranked_la300.snap", "pr21_eptstar_la300.snap"]
 )
-def test_snapshot_with_retired_pruner_state_still_loads(name):
+def test_snapshot_with_retired_pruner_state_still_loads(migrated, name):
     """Written by PR 21: the LAESA pruner had been switched to online
     re-ranking and driven through eight re-ranks (``adaptive``,
     ``decided_counts``, ``rerank_interval``, ``reranks`` in its pickle),
@@ -328,7 +328,7 @@ def test_snapshot_with_retired_pruner_state_still_loads(name):
     what that commit answered."""
     expected = json.loads((DATA / "pr21_la300_expected.json").read_text())
     counters = CostCounters()
-    index = load_index(DATA / name, counters=counters)
+    index = load_index(migrated(name), counters=counters)
     assert counters.distance_computations == 0
     ((_, pruner),) = iter_pruners(index)
     if index.name == "LAESA":

@@ -2,7 +2,8 @@
 graph that snapshots and counter rebinding stand on, tree snapshots across
 the change of MVPT / VPT's leaf layout, RAF snapshots across the change of
 the RAF's page format, and B+-tree snapshots across the change to columnar
-leaves."""
+leaves: each old snapshot read through ``repro migrate`` (the ``migrated``
+fixture), its answers and compdists those it gave when written."""
 
 from __future__ import annotations
 
@@ -41,7 +42,14 @@ from repro.storage.pager import Pager
 from repro.storage.raf import RafPage
 from repro.tables import LAESA
 
-from conftest import RADIUS, assert_codes_hold, fresh_index, indexes_for, tree_nodes
+from conftest import (
+    RADIUS,
+    assert_codes_hold,
+    fresh_index,
+    indexes_for,
+    rewrite_header,
+    tree_nodes,
+)
 
 
 class TestVectorRoundtrip:
@@ -223,13 +231,13 @@ def _node_rows(index):
 
 
 @pytest.mark.parametrize("name", ["mvpt", "vpt"])
-def test_snapshot_with_codeless_leaves_still_loads(name):
+def test_snapshot_with_codeless_leaves_still_loads(migrated, name):
     """``tests/data/pr20_*_la300.snap`` were written by the commit before
     leaves carried path codes (ids in lists; object 7 deleted and put back,
     31 deleted).  They load with no distance computed, as leaves of depth 0
     that are verified whole, and take updates like any other tree."""
     dataset = make_la(300, seed=11)
-    index = load_index(DATA / f"pr20_{name}_la300.snap")
+    index = load_index(migrated(f"pr20_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
     assert index._frames == ()
     leaves = [node for node in tree_nodes(index) if node.is_leaf]
@@ -273,7 +281,7 @@ def _coded_answers(index, queries, radius, k):
 
 
 @pytest.mark.parametrize("name", ["mvpt", "vpt", "fqa"])
-def test_snapshot_with_pre_frame_codes_still_loads(name):
+def test_snapshot_with_pre_frame_codes_still_loads(migrated, name):
     """``tests/data/tuple_frames_{mvpt,vpt}_la300.snap`` (``make_la(300,
     seed=11)``) and ``u32_signatures_fqa_words300.snap`` (``make_words(300,
     seed=11)``; 5 HFI pivots, seed 3) were written when MVPT / VPT level
@@ -285,11 +293,11 @@ def test_snapshot_with_pre_frame_codes_still_loads(name):
     expected = json.loads((DATA / "coded_la300_words300_expected.json").read_text())[name]
     if name == "fqa":
         dataset = make_words(300, seed=11)
-        path = DATA / "u32_signatures_fqa_words300.snap"
+        path = migrated("u32_signatures_fqa_words300.snap")
         queries = [dataset[5], dataset[31], dataset[200], "q" * 298]
     else:
         dataset = make_la(300, seed=11)
-        path = DATA / f"tuple_frames_{name}_la300.snap"
+        path = migrated(f"tuple_frames_{name}_la300.snap")
         queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
     index = load_index(path)
     assert index.space.counters.distance_computations == 0
@@ -344,11 +352,11 @@ def test_coded_tree_round_trip_matches_the_live_index(
 
 
 @pytest.mark.parametrize("fixture", ["pr20_mvpt", "pr20_vpt", "tuple_frames_mvpt", "tuple_frames_vpt"])
-def test_object_tree_snapshot_saves_again_as_columns(tmp_path, fixture):
+def test_object_tree_snapshot_saves_again_as_columns(migrated, tmp_path, fixture):
     """A tree that loaded from node objects saves as preorder columns and
     loads back equal to itself node for node, answering alike."""
     dataset = make_la(300, seed=11)
-    old = load_index(DATA / f"{fixture}_la300.snap")
+    old = load_index(migrated(f"{fixture}_la300.snap"))
     save_index(old, tmp_path / "again.snap")
     again = load_index(tmp_path / "again.snap")
     assert type(again.__getstate__()["root"]) is tuple
@@ -361,19 +369,6 @@ def _packed_mvpt(n=2000):
     dataset = make_la(n, seed=3)
     space = MetricSpace(dataset)
     return MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
-
-
-def _rewrite_header(path: Path, edit) -> None:
-    """Edit a saved snapshot's JSON header in place; regions and payload
-    stay where they are (they start at the next 4 KiB boundary)."""
-    blob = path.read_bytes()
-    length = int.from_bytes(blob[8:12], "big")
-    header = json.loads(blob[12 : 12 + length])
-    edit(header)
-    text = json.dumps(header, sort_keys=True).encode()
-    prefix = blob[:8] + len(text).to_bytes(4, "big") + text
-    assert len(prefix) <= 4096 and 12 + length <= 4096
-    path.write_bytes(prefix + bytes(4096 - len(prefix)) + blob[4096:])
 
 
 @pytest.mark.parametrize("damage", ["truncated ids region", "rewritten fanout"])
@@ -399,8 +394,9 @@ def test_hostile_packed_tree_is_a_snapshot_error(tmp_path, monkeypatch, damage):
         def one_id_short(header):
             (ids,) = [r for r in header["regions"] if r["dtype"] == "<i4" and r["shape"] == [2000]]
             ids["shape"], ids["nbytes"] = [1999], ids["nbytes"] - 4
+            return header
 
-        _rewrite_header(path, one_id_short)
+        rewrite_header(path, one_id_short)
     with pytest.raises(SnapshotError, match="packed MVPT"):
         load_index(path)
 
@@ -480,21 +476,22 @@ def _external_answers(index, queries, radius, k=6, gone=()):
 
 
 @pytest.mark.parametrize("name", ["spbtree", "mindexstar", "dept"])
-def test_snapshot_with_list_pages_still_loads(tmp_path, name):
+def test_snapshot_with_list_pages_still_loads(migrated, tmp_path, name):
     """``tests/data/list_pages_*_la300.snap`` (SPB-tree, M-index*, DEPT on
     ``make_la(300, seed=11)``, 5 HFI pivots, seed 3) were written when each
     RAF page was a pickled list of records: object 7 deleted and put back
-    twice -- a tombstone on the open page -- and 31 deleted.  They load with
-    no distance computed, read their list pages as they are, answer as
-    brute force does, re-encode a page when they write it, and round-trip
-    through ``save_index`` again."""
+    twice -- a tombstone on the open page -- and 31 deleted.  They migrate
+    and load with no distance computed, every list page a :class:`RafPage`
+    and the open record list the open page, answer as brute force does,
+    take a delete and a re-insert, and round-trip through ``save_index``
+    again."""
     dataset = make_la(300, seed=11)
-    index = load_index(DATA / f"list_pages_{name}_la300.snap")
+    index = load_index(migrated(f"list_pages_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
     raf = index.raf
     assert len(raf) == 299 and 31 not in raf and 7 in raf
     page_ids = sorted(set(raf._pages[raf._pages >= 0].tolist()))
-    assert all(type(index.pager.read(p)) is list for p in page_ids)
+    assert all(type(index.pager.read(p)) is RafPage for p in page_ids)
     # the pickled open record list came back as the open page
     assert type(raf._open_page) is RafPage and None in raf._open_page.records()
     assert raf._open_page.record(len(raf._open_page) - 1)[0] == 7
@@ -502,7 +499,7 @@ def test_snapshot_with_list_pages_still_loads(tmp_path, name):
     got, want = _external_answers(index, queries, 900.0, gone={31})
     assert got == want
 
-    # a delete and re-insert of a live id: the pages written are re-encoded
+    # a delete and re-insert of a live id
     old_page, old_slot = raf._where(12)
     open_page, open_slots = raf._open_page_id, len(raf._open_page)
     index.delete(12)
@@ -551,7 +548,7 @@ def _check_btrees(index, name):
 
 
 @pytest.mark.parametrize("name", ["omnib", "spbtree", "mindexstar"])
-def test_snapshot_with_list_leaves_answers_as_written(tmp_path, name):
+def test_snapshot_with_list_leaves_answers_as_written(migrated, tmp_path, name):
     """``tests/data/list_leaves_omnib_la300.snap`` (OmniB+, written as
     ``list_pages_*`` were: ``make_la(300, seed=11)``, 5 HFI pivots seed 3, 7
     deleted and re-inserted twice, 31 deleted) and the SPB-tree and M-index*
@@ -563,9 +560,9 @@ def test_snapshot_with_list_leaves_answers_as_written(tmp_path, name):
     expected = json.loads((DATA / "list_leaves_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
     if name == "omnib":
-        path = DATA / "list_leaves_omnib_la300.snap"
+        path = migrated("list_leaves_omnib_la300.snap")
     else:
-        path = DATA / f"list_pages_{name}_la300.snap"
+        path = migrated(f"list_pages_{name}_la300.snap")
     index = load_index(path)
     assert index.space.counters.distance_computations == 0
     _check_btrees(index, name)
@@ -591,7 +588,7 @@ def test_snapshot_with_list_leaves_answers_as_written(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["spbtree", "mindexstar", "omnib", "omnir", "dept"])
-def test_snapshot_with_record_pointers_answers_as_written(tmp_path, name):
+def test_snapshot_with_record_pointers_answers_as_written(migrated, tmp_path, name):
     """``tests/data/record_pointers_*_la300.snap`` (SPB-tree, M-index*,
     OmniB+, OmniR-tree and DEPT, written as ``list_pages_*`` were:
     ``make_la(300, seed=11)``, 5 HFI pivots seed 3, 4 KB pages, 7 deleted
@@ -603,7 +600,7 @@ def test_snapshot_with_record_pointers_answers_as_written(tmp_path, name):
     and a re-insert, and round-trip through ``save_index`` again."""
     expected = json.loads((DATA / "record_pointers_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
-    index = load_index(DATA / f"record_pointers_{name}_la300.snap")
+    index = load_index(migrated(f"record_pointers_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
     assert "_pointers" not in vars(index)
     live = [i for i in range(300) if i != 31]
@@ -632,18 +629,18 @@ def test_snapshot_with_record_pointers_answers_as_written(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["spbtree", "mindexstar"])
-def test_v1_snapshot_with_record_pointer_leaves_answers_as_written(tmp_path, name):
+def test_v1_snapshot_with_record_pointer_leaves_answers_as_written(migrated, tmp_path, name):
     """``tests/data/pr21_{spbtree,mindexstar}_la300.v1.snap`` were written in
     snapshot format 1 (the whole index one pickle, its page stores' pages
     pickled blobs inside it) by the PR 21 writer: ``make_la(300, seed=11)``,
     5 HFI pivots seed 3, 7 deleted and re-inserted twice, 31 deleted.  Their
-    B+-tree leaves are lists of ``(key, (id, RecordPointer))``, read while
-    the index itself unpickles.  They load with no distance computed, give
+    B+-tree leaves are lists of ``(key, (id, RecordPointer))``.  They
+    migrate and load with no distance computed, give
     the answers and compdists they gave when written, take a delete and a
     re-insert, and round-trip through ``save_index``."""
     expected = json.loads((DATA / "pr21_raf_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
-    index = load_index(DATA / f"pr21_{name}_la300.v1.snap")
+    index = load_index(migrated(f"pr21_{name}_la300.v1.snap"))
     assert index.space.counters.distance_computations == 0
     assert "_pointers" not in vars(index)
     live = [i for i in range(300) if i != 31]
@@ -693,7 +690,7 @@ def test_a_restored_index_saves_back_over_its_own_snapshot(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["pmtree", "cpt", "mtree"])
-def test_snapshot_with_entry_nodes_still_loads(tmp_path, name):
+def test_snapshot_with_entry_nodes_still_loads(migrated, tmp_path, name):
     """``tests/data/entry_nodes_{pmtree,cpt,mtree}_la300.snap`` (PM-tree, CPT
     and M-tree on ``make_la(300, seed=11)``, 5 HFI pivots, seed 3, 4 KB
     pages) were written when an M-tree node was a list of entry objects:
@@ -704,7 +701,7 @@ def test_snapshot_with_entry_nodes_still_loads(tmp_path, name):
     expected = json.loads((DATA / "entry_nodes_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
     queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
-    index = load_index(DATA / f"entry_nodes_{name}_la300.snap")
+    index = load_index(migrated(f"entry_nodes_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
     tree = index.mtree
     assert tree.carries_vectors is (name == "pmtree")

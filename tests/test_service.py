@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RADIUS, indexes_for
+from conftest import MALFORMED_HEADERS, RADIUS, indexes_for, rewrite_header
 from repro import (
     CostCounters,
     MetricSpace,
@@ -216,6 +216,17 @@ def test_snapshot_rejects_future_format(datasets, built_indexes, tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+def test_snapshot_rejects_a_malformed_header(built_indexes, tmp_path, edit):
+    path = tmp_path / "laesa.snap"
+    save_index(built_indexes("LA", "LAESA"), path)
+    rewrite_header(path, edit)
+    with pytest.raises(SnapshotError, match="header"):
+        snapshot_info(path)
+    with pytest.raises(SnapshotError, match="header"):
+        load_index(path)
+
+
 def test_snapshot_rejects_truncated_payload(datasets, built_indexes, tmp_path):
     index = built_indexes("Words", "LAESA")
     path = tmp_path / "laesa.snap"
@@ -226,11 +237,12 @@ def test_snapshot_rejects_truncated_payload(datasets, built_indexes, tmp_path):
         load_index(path)
 
 
-def test_v1_snapshot_still_loads():
+def test_v1_snapshot_still_loads(migrated):
     """Cross-version regression: snapshots written as v1 (one pickle, no
-    regions) keep loading.  Nothing writes v1 any more, so the file is one
-    the PR 21 writer left in ``tests/data`` (LAESA, ``make_la(300,
-    seed=11)``, 5 HFI pivots) beside the answers that commit gave."""
+    regions) keep loading through ``repro migrate``.  Nothing writes v1 any
+    more, so the file is one the PR 21 writer left in ``tests/data``
+    (LAESA, ``make_la(300, seed=11)``, 5 HFI pivots) beside the answers
+    that commit gave."""
     path = DATA / "pr21_laesa_la300.v1.snap"
     expected = json.loads((DATA / "pr21_la300_expected.json").read_text())
     info = snapshot_info(path)
@@ -238,7 +250,7 @@ def test_v1_snapshot_still_loads():
     assert info.n_regions == 0 and info.region_bytes == 0
 
     counters = CostCounters()
-    restored = load_index(path, counters=counters)
+    restored = load_index(migrated(path.name), counters=counters)
     assert counters.distance_computations == 0
     dataset = make_la(300, seed=11)
     queries = [dataset[i] for i in expected["query_ids"]]
@@ -255,7 +267,7 @@ def test_v2_snapshot_grows_memmap_regions(datasets, built_indexes, tmp_path):
     path = tmp_path / "laesa.v2.snap"
     whole_pickle = len(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
     v2_info = save_index(index, path)
-    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 2
+    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 3
     assert v2_info.n_regions > 0
     assert v2_info.region_bytes > 0
     # the bytes moved, they didn't duplicate: the v2 pickle shrinks by

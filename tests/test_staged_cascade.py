@@ -562,10 +562,10 @@ def _legacy_queries(name, expected):
 
 
 @pytest.mark.parametrize("name", sorted(LEGACY_PRUNER_SNAPSHOTS))
-def test_pruner_pickled_with_a_bounds_mode_follows_the_metric(name):
+def test_pruner_pickled_with_a_bounds_mode_follows_the_metric(migrated, name):
     """Every checked-in snapshot that carries a staged pruner was pickled
-    with ``bounds="auto"`` and ``is_ptolemaic`` stored on it.  It loads with
-    no distance computed, the Ptolemaic stage runs iff the metric is L2
+    with ``bounds="auto"`` and ``is_ptolemaic`` stored on it.  It migrates
+    and loads with no distance computed, the Ptolemaic stage runs iff the metric is L2
     (the pickle holds a pair matrix iff so), the stale attributes decide
     nothing -- flipping them changes neither the stage nor an answer --
     and the answers are the ones recorded when the fixture was written."""
@@ -575,7 +575,7 @@ def test_pruner_pickled_with_a_bounds_mode_follows_the_metric(name):
         file, key = recorded
         expected = json.loads((DATA / file).read_text())
         expected = expected[key] if key else expected
-    index = load_index(DATA / name)
+    index = load_index(migrated(name))
     assert index.space.counters.distance_computations == 0
     pruner = index.pruner
     assert vars(pruner)["bounds"] == "auto"

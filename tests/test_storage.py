@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.counters import CostCounters
 from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
 from repro.storage import pager as pager_module
-from repro.storage.raf import RafPage, _record_bytes, _schema_of, locate_pointer_map
+from repro.storage.raf import RafPage, _record_bytes, _schema_of
 
 
 @pytest.fixture
@@ -700,7 +699,7 @@ class TestRafPageCodec:
         stored = [raf.pager.store.read(page) for page in {page for page, _ in where}]
         assert all(type(page) is RafPage for page in stored)
         assert {page.kinds for page in stored} == _KINDS[shape]
-        # and a page of bare values: the form a pickled-list page re-encodes to
+        # and a page of bare values: the form mixed records re-encode to
         bare = [record[1:] if len(record) > 2 else record[-1] for record in records]
         page = pickle.loads(pickle.dumps(RafPage.from_records(bare)))
         assert all(_same(got, want) for got, want in zip(page.records(), bare))
@@ -737,7 +736,7 @@ class TestRafPageCodec:
             else:
                 assert _same(raf.read(slot), record)
         assert len(raf) == len(records) - len(slots)
-        # the same page as the pickled-list form with None in those slots
+        # the same page from its records, None in those slots
         listed = [None if i in slots else r for i, r in enumerate(records)]
         page = RafPage.from_records(listed)
         assert page.dead == bytes(int(i in slots) for i in range(len(records)))
@@ -807,55 +806,6 @@ class TestRafPageCodec:
         assert before.dead == bytes(20)
         assert deleted.record(3) is None and deleted.record(4)[1][0] == 4.0
         assert updated.record(4)[1][0] == 40.0 and appended.record(20)[0] == 20
-
-    def test_list_page_is_read_as_is_and_re_encoded_on_first_write(self):
-        """A RAF pickled with the record-list page format loads, reads its
-        list pages as they are, and re-encodes a page when it writes it.
-        Its locator is filled from the owning index's pointer map."""
-        pager = Pager(page_size=1024)
-        sealed, open_page = pager.allocate(), pager.allocate()
-        full = [(i, np.full(2, float(i))) for i in range(4)]
-        pager.write(sealed, [full[0], None, full[2], full[3]])
-        pager.write(open_page, [None, (4, np.full(2, 4.0))])
-        # the pickled state of that format: the open page as a record list
-        raf = RandomAccessFile.__new__(RandomAccessFile)
-        raf.__setstate__(
-            {
-                "pager": pager,
-                "fill_factor": 0.9,
-                "_open_page_id": open_page,
-                "_open_records": [None, (4, np.full(2, 4.0))],
-                "_open_bytes": 300,
-                "_count": 6,
-            }
-        )
-        assert len(raf._pages) == 0
-        # the index's pointer map, as its pickle loads (see service.snapshot)
-        pointers = {
-            i: SimpleNamespace(page_id=page, slot=slot)
-            for i, page, slot in ((0, sealed, 0), (2, sealed, 2), (3, sealed, 3), (4, open_page, 1))
-        }
-        state = locate_pointer_map({"raf": raf, "_pointers": pointers, "other": 1})
-        assert state == {"raf": raf, "other": 1}
-        assert [i for i in range(6) if i in raf] == [0, 2, 3, 4] and len(raf) == 4
-        assert type(pager.read(sealed)) is list
-        assert _same(raf.read(2), full[2])
-        assert raf._open_page.records()[0] is None
-        # the open page's first write re-encodes it with the row it adds
-        raf.append((5, np.full(2, 5.0)))
-        assert raf._where(5) == (open_page, 2)
-        stored = pager.read(open_page)
-        assert type(stored) is RafPage and stored.dead == b"\x01\x00\x00"
-        assert [r if r is None else r[0] for r in stored.records()] == [None, 4, 5]
-        raf.mark_deleted(0)
-        assert type(pager.read(sealed)) is RafPage
-        assert [r if r is None else r[0] for r in pager.read(sealed).records()] == [
-            None,
-            None,
-            2,
-            3,
-        ]
-        assert [r[0] for r in raf.read_many([3, 2, 5, 4])] == [3, 2, 5, 4]
 
     def test_pages_fill_to_the_budget_header_included(self):
         """Fixed-size records: the page count is the arithmetic minimum."""

@@ -10,7 +10,6 @@ datasets, and the gain as a count.
 
 from __future__ import annotations
 
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro import (
 from repro.core.mapping import PivotMapping
 from repro.tables import LAESA
 
-DATA = Path(__file__).parent / "data"
 K = 10
 
 
@@ -212,13 +210,13 @@ def test_widened_table_is_exact_across_updates_and_snapshots(
     ).storage_bytes()["memory"]
 
 
-def test_snapshot_written_with_two_table_copies_still_loads():
+def test_snapshot_written_with_two_table_copies_still_loads(migrated):
     """``tests/data/pr23_laesa_color64.snap``: LAESA on ``make_color(64,
     seed=11)`` and five HFI pivots, written by the commit that kept
     ``mapping.matrix`` beside ``_rows`` (object 7 deleted and put back, 31 --
     a pivot -- deleted, so the two had parted: 64 stale rows, 63 live)."""
     dataset = make_color(64, seed=11)
-    index = load_index(DATA / "pr23_laesa_color64.snap")
+    index = load_index(migrated("pr23_laesa_color64.snap"))
     assert index.space.counters.distance_computations == 0
     assert index.mapping.n_pivots == 5  # widening happens at build, not at load
     assert index._rows is index.mapping.matrix and index._rows.shape == (63, 5)
