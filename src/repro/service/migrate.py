@@ -11,12 +11,11 @@ function registered for it below.  No distance is computed.
 from __future__ import annotations
 
 import io
-from array import array
 from types import SimpleNamespace
 
 import numpy as np
 
-from .. import CPT, DEPT, FQA, LAESA, MVPT, VPT, MIndex, MIndexStar, SPBTree
+from .. import BKT, CPT, DEPT, FQA, FQT, LAESA, MVPT, VPT, MIndex, MIndexStar, SPBTree
 from ..btree.bptree import BPlusTree, InternalNode, LeafNode, _leaf_from, _stacked
 from ..core.counters import CostCounters
 from ..core.quantise import Frame
@@ -24,7 +23,6 @@ from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
-from ..trees.mvpt import _MvptLeaf, _MvptNode, _preorder_columns
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
 
@@ -135,19 +133,77 @@ def _mtree(state):
     return state
 
 
-@_converts(_MvptLeaf)
-def _mvpt_leaf(state):
-    if isinstance(state, dict):
-        # ids in a list, before leaves carried codes: no path levels to
-        # filter on, so the leaf is verified whole
-        state = array("i", state["ids"]), bytearray(), 0
-    return dict(zip(_MvptLeaf.__slots__, state))
+class _TreeNode:
+    """A tree node as pickled before trees were preorder columns: its
+    attributes, from a dict or from a tuple of ``fields``."""
+
+    fields = ()
+
+    def __setstate__(self, state):
+        self.__dict__.update(state if isinstance(state, dict) else zip(self.fields, state))
 
 
-@_converts(_MvptNode)
-def _mvpt_node(state):
-    # a tuple, or the dict of the node's dataclass days
-    return state if isinstance(state, dict) else dict(zip(_MvptNode.__slots__, state))
+class _MvptLeaf(_TreeNode):
+    # ids in a list and no codes before leaves carried them: depth 0, so
+    # the leaf is verified whole
+    fields, is_leaf, codes, depth = ("ids", "codes", "depth"), True, b"", 0
+
+
+class _MvptNode(_TreeNode):
+    fields, is_leaf = ("level", "lows", "highs", "children"), False
+
+
+class _FqtLeaf(_TreeNode):
+    is_leaf, codes, depth = True, b"", 0
+
+
+class _FqtNode(_TreeNode):
+    is_leaf = False
+
+
+class _BktLeaf(_FqtLeaf):
+    pass
+
+
+class _BktNode(_TreeNode):
+    is_leaf = False
+
+
+for _module, _shims in (
+    ("repro.trees.mvpt", (_MvptLeaf, _MvptNode)),
+    ("repro.trees.fqt", (_FqtLeaf, _FqtNode)),
+    ("repro.trees.bkt", (_BktLeaf, _BktNode)),
+):
+    _RETIRED.update({(_module, shim.__name__): shim for shim in _shims})
+
+
+def _flattened(root) -> tuple:
+    """A tree of node objects as the five preorder columns of
+    :mod:`repro.trees.common`: per node its fanout (0 for a leaf) and key
+    (a level or pivot id; a leaf's depth); each internal node's lows then
+    highs; each leaf's size; the leaves' ids and codes back to back."""
+    rows, bounds, sizes, ids, codes = [], [], [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            rows += (0, node.depth)
+            sizes.append(len(node.ids))
+            ids.extend(node.ids)
+            codes.append(bytes(node.codes))
+        else:
+            # a BKT node's key is its pivot, -1 once tombstoned
+            key = node.pivot_id if isinstance(node, _BktNode) else node.level
+            rows += (len(node.children), key)
+            bounds += (*node.lows, *node.highs)
+            stack.extend(reversed(node.children))
+    return (
+        np.array(rows, dtype=np.intc).reshape(-1, 2),
+        np.array(bounds, dtype=np.float64),
+        np.array(sizes, dtype=np.intc),
+        np.array(ids, dtype=np.intc),
+        np.frombuffer(b"".join(codes), dtype=np.uint8),
+    )
 
 
 @_converts(MVPT, VPT)
@@ -155,9 +211,13 @@ def _mvpt(state):
     state.setdefault("_frames", ())  # none before leaves carried codes
     if state["_frames"]:  # (low, width, exact) tuples before Frame
         state["_frames"] = [Frame(*frame) for frame in state["_frames"]]
+    return _fqt(state)
+
+
+@_converts(FQT, BKT)
+def _fqt(state):
     if state["root"] is not None and type(state["root"]) is not tuple:
-        # node objects, as every tree was pickled before preorder columns
-        state["root"] = _preorder_columns(state["root"])
+        state["root"] = _flattened(state["root"])  # node objects
     return state
 
 

@@ -269,6 +269,15 @@ class _SnapshotUnpickler(pickle.Unpickler):
         self._regions_start = regions_start
         self._loaded: dict[int, np.ndarray] = {}
 
+    def find_class(self, module, name):
+        try:
+            return super().find_class(module, name)
+        except AttributeError:  # a layout the code has retired
+            raise SnapshotError(
+                f"{self._path} holds {module}.{name}, which this build reads "
+                f"only through `repro migrate {self._path} NEW`"
+            ) from None
+
     def persistent_load(self, pid):
         try:
             kind, idx = pid

@@ -7,26 +7,56 @@ subtree whose objects have d(o, p) inside [lo, hi] can be skipped when
 the subtree; best-first MkNNQ orders subtrees by the maximum such gap
 accumulated along the path from the root.
 
+**A tree is its columns.**  MVPT / VPT, FQT and BKT each hold five arrays,
+their nodes in preorder, from build through snapshot to query:
+
+* ``_rows`` (nodes x 2, int32): per node its fanout (0 for a leaf) and a
+  key.  An internal node's key names its pivot -- the level of the shared
+  per-level pivots of MVPT / VPT / FQT, BKT's own pivot object, or -1 for
+  a tombstoned BKT pivot, which cannot prune.  A leaf's key is its depth:
+  the path codes each of its objects carries (0 but in MVPT / VPT);
+* ``_bounds`` (float64): each internal node's per-child lows, then highs
+  -- tight bounds on the distance from the node's pivot to the child's
+  objects;
+* ``_sizes`` (int32): each leaf's object count;
+* ``_ids`` (int32) and ``_codes`` (uint8): the leaves' ids and path codes
+  (depth bytes an object, object-major), back to back.
+
+A snapshot lifts exactly these into memmap regions (the pickled state's
+``root``).  Where a node's children and a leaf's objects sit is derived,
+not saved: :meth:`FrontierTreeMixin._hold_columns` checks that the
+columns agree and computes, in O(nodes) numpy, ``_at`` (an internal node's
+first child slot -- its bounds start at twice that -- or a leaf's rank),
+``_child`` (the node of every child slot) and ``_id_at`` / ``_code_at``
+(where each leaf's ids and codes start).
+
+**Writes touch one leaf.**  The first insert or delete in a leaf copies its
+ids and codes into ``_overlay`` (leaf rank -> ``(ids, codes)``), which
+every later read of that leaf prefers; bounds stretch in place and BKT's
+tombstone is a key of -1 (a restored tree's columns are copy-on-write
+memmaps, so the file is never written).  No write copies a whole column;
+pickling folds the overlay back into the columns.
+
 Because the pruning rule is identical everywhere, the whole family shares
 its traversals (:class:`FrontierTreeMixin`), one body per query type:
 
-* **MRQ is a batch frontier.**  A frontier of (node, active-query-subset)
-  pairs descends the tree once per *batch*: at each node the query-to-pivot
-  distances of every still-active query come from one counted ``pairwise``
-  call, ``interval_gap`` is one vectorized 2-D operation over (active
-  queries x children), and the active set is re-partitioned per child.  The
-  active set carried to a node is exactly the set of queries whose own
-  traversal would visit it, so a batch costs the sum of its queries'
-  compdists, and ``range_query`` is the batch of one.
-* **MkNNQ is a per-query best-first walk** (``_knn_walk``): scalar
-  ``interval_gap`` on a node, one :class:`~repro.core.queries.KnnHeap`, a
-  pivot distance computed once per (query, pivot).  ``knn_query_many`` runs
-  that walk query after query and shares nothing else -- a query's pivot
-  distances and its radius are its own, and a frontier common to the batch
-  (cut off at the largest radius among its heaps) tightened every radius
-  late and cost more distances than the loop it replaced.  The heap's
-  canonical (distance, id) tie-breaking makes the answer independent of
-  verification order, so both views equal brute force bit for bit.
+* **MRQ is one level-synchronous frontier** of (query, node) index arrays:
+  per step the query-to-pivot distances of the pairs come from one counted
+  ``pairwise`` call per pivot (each (query, pivot) once), the gaps of
+  every (pair, child) are one vectorized operation, and the pairs whose
+  gap passes become the next step.  A pair reaches a node exactly when
+  that query's own traversal would, so a batch costs the sum of its
+  queries' compdists, and ``range_query`` is the batch of one.
+* **MkNNQ is a per-query best-first walk** (``_knn_walk``) over node
+  indices: scalar ``interval_gap`` on a node, one
+  :class:`~repro.core.queries.KnnHeap`, a pivot distance computed once per
+  (query, pivot).  ``knn_query_many`` runs that walk query after query and
+  shares nothing else -- a query's pivot distances and its radius are its
+  own, and a frontier common to the batch (cut off at the largest radius
+  among its heaps) tightened every radius late and cost more distances
+  than the loop it replaced.  The heap's canonical (distance, id)
+  tie-breaking makes the answer independent of verification order, so
+  both views equal brute force bit for bit.
 
 **Leaf verification is deferred, and filtered first.**  MRQ collects the
 leaves each query reached and verifies them at the end; the MkNNQ walk
@@ -39,27 +69,18 @@ VPT keep per-object path-distance codes and drop there what Lemma 1
 excludes; BKT / FQT hold no path distances and pass every id through.  The
 filter never calls the metric.
 
-Node protocol the traversals expect (what all the trees already store):
-
-* leaves have ``is_leaf = True`` and an ``ids`` sequence;
-* internal nodes have parallel ``lows`` / ``highs`` arrays and a
-  ``children`` list, with tight per-child distance bounds to the node's
-  pivot.
-
-Trees plug in via small hooks: :meth:`FrontierTreeMixin._frontier_key`
-maps a node to a hashable pivot identity (``None`` = no pruning possible,
-e.g. BKT's tombstoned pivots) shared by every node using the same pivot
-(the distance-cache key), and :meth:`FrontierTreeMixin._frontier_pivot`
-resolves that key to the raw pivot object.  BKT additionally reports its
-pivot as a result candidate via ``_frontier_candidate``.  The same hooks
-drive the descent behind every tree's ``insert`` and ``delete``
-(``_route_insert``, ``_find_for_delete``).
+Trees plug in via :meth:`FrontierTreeMixin._frontier_pivot` (a key's pivot
+object), :meth:`FrontierTreeMixin._key_limits` (the keys and depths their
+columns may hold) and ``_pivots_answer`` (BKT's pivot is itself a result
+candidate).  The same columns drive the descent behind every tree's
+``insert`` and ``delete`` (``_route_insert``, ``_find_for_delete``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +88,26 @@ from ..core.index import NotIndexed, claim_object_id
 from ..core.queries import KnnHeap, Neighbor
 
 __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
+
+# what a tree holds beside its pickled state: the columns (saved as
+# ``root``), and what is derived from them or written over them
+_COLUMNS = ("_rows", "_bounds", "_sizes", "_ids", "_codes")
+_DERIVED = ("_at", "_child", "_id_at", "_code_at", "_overlay", "_flat")
+
+
+class _Flat(NamedTuple):
+    """A tree's columns and derived arrays as flat memoryviews, for the
+    walks' one-at-a-time reads: an item is a Python number, several times
+    cheaper than a numpy scalar.  ``rows`` is (fanout, key) pairs."""
+
+    rows: memoryview
+    at: memoryview
+    child: memoryview
+    bounds: memoryview
+    id_at: memoryview
+    code_at: memoryview
+    ids: memoryview
+    codes: memoryview
 
 
 def interval_gap(query_to_pivot: float, lo: float, hi: float) -> float:
@@ -94,33 +135,55 @@ def require_discrete(space, index_name: str) -> None:
         )
 
 
-def _every_id(leaves, radius: float) -> np.ndarray:
-    """The leaf filter of a tree that keeps no path distances."""
-    return np.fromiter(
-        itertools.chain.from_iterable(leaf.ids for leaf in leaves), dtype=np.intp
-    )
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of ``counts`` starts when laid end to end, then the end
+    (int32 while the end fits)."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out.astype(np.intc) if out[-1] < 2**31 else out
 
 
-def _interval_gaps(dists: np.ndarray, node) -> np.ndarray:
-    """Vectorized :func:`interval_gap`: (active queries) x (children)."""
-    lows = np.asarray(node.lows, dtype=np.float64)
-    highs = np.asarray(node.highs, dtype=np.float64)
-    d = dists[:, None]
-    return np.maximum(np.maximum(lows[None, :] - d, d - highs[None, :]), 0.0)
+def _placed(rows: np.ndarray):
+    """``(at, child)``: per node its first child slot (internal) or rank
+    (leaf); per child slot its node.  A subtree ends at the first row after
+    which one node fewer is owed than before its root, and a node's next
+    sibling starts there."""
+    fan = rows[:, 0].astype(np.intp)
+    n = len(fan)
+    leaf = fan == 0
+    at = np.where(leaf, np.cumsum(leaf) - 1, np.cumsum(fan) - fan)
+    owed = 1 + np.cumsum(fan - 1)  # nodes still owed after each row
+    position = np.arange(n)
+    stride = n + 1
+    runs = np.sort(owed * stride + position)  # by owed, then by row
+    due = (owed - fan) * stride + position  # one fewer than before the row
+    end = runs[np.searchsorted(runs, due)] % stride + 1
+    child = np.empty(int(fan.sum()), dtype=np.intc)
+    nodes = np.flatnonzero(~leaf)
+    kids, j = nodes + 1, 0
+    while len(nodes):
+        child[at[nodes] + j] = kids
+        j += 1
+        more = fan[nodes] > j
+        nodes, kids = nodes[more], end[kids[more]]
+    return at.astype(np.intc), child
 
 
 class FrontierTreeMixin:
     """Traversals shared by VPT/MVPT/BKT/FQT.
 
     Provides the four query methods and the descent behind ``insert`` /
-    ``delete`` on top of the node protocol and hooks described in the
-    module docstring.  Mixing classes must define ``root`` and ``space``.
+    ``delete`` on top of the columns and hooks described in the module
+    docstring.  Mixing classes must define ``space``.
     """
+
+    # BKT: a node's pivot is a dataset object, and so a result candidate
+    _pivots_answer = False
 
     # -- hooks ---------------------------------------------------------------
 
-    def _frontier_key(self, node):
-        """Hashable identity of the node's pivot (``None``: cannot prune).
+    def _frontier_pivot(self, key):
+        """The raw pivot object a node key names.
 
         Nodes sharing a key share one cached distance per query -- the
         per-level pivots of VPT/MVPT/FQT cost at most one computation per
@@ -129,13 +192,9 @@ class FrontierTreeMixin:
         """
         raise NotImplementedError
 
-    def _frontier_pivot(self, key):
-        """The raw pivot object for a key returned by `_frontier_key`."""
+    def _key_limits(self) -> tuple[int, int, int]:
+        """``(lowest key, key stop, deepest leaf)`` the columns may hold."""
         raise NotImplementedError
-
-    def _frontier_candidate(self, node) -> int | None:
-        """Object id of a pivot that is itself a result candidate (BKT)."""
-        return None
 
     def _leaf_filter(self, pivot_dist):
         """One query's ``keep(leaves, radius) -> ids`` still to be verified.
@@ -145,7 +204,151 @@ class FrontierTreeMixin:
         here what Lemma 1 excludes at ``radius`` (MVPT / VPT); the others
         hold none and pass every reached id through.
         """
-        return _every_id
+        return lambda leaves, radius: self._leaf_columns(leaves)[0]
+
+    # -- columns -------------------------------------------------------------
+
+    def _hold_columns(self, rows, bounds, sizes, ids, codes) -> None:
+        """Hold a tree's five columns and what derives from them.
+
+        Raises ``ValueError`` before holding anything unless the columns
+        agree: the fanouts consume exactly the node rows, the sizes the ids,
+        size x depth the codes, and 2 x fanout the bounds; no leaf is deeper
+        than the tree's frames, and every internal key names a pivot.
+        """
+        what = f"packed {self.name}"
+        rows = np.ascontiguousarray(rows, dtype=np.intc)
+        bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+        sizes = np.ascontiguousarray(sizes, dtype=np.intc)
+        ids = np.ascontiguousarray(ids, dtype=np.intc)
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
+            raise ValueError(f"{what} node rows have shape {rows.shape}")
+        fanout, key = rows.astype(np.int64).T
+        leaf = fanout == 0
+        depth = key[leaf]
+        counts = sizes.astype(np.int64)
+        waiting = 1 + np.cumsum(fanout - 1)  # nodes still owed after each row
+        if (fanout < 0).any() or (waiting[:-1] <= 0).any() or waiting[-1] != 0:
+            raise ValueError(f"{what} fanouts do not consume the node rows")
+        if counts.shape != depth.shape or (counts < 0).any() or counts.sum() != len(ids):
+            raise ValueError(f"{what} leaf sizes do not sum to its {len(ids)} ids")
+        if (counts * depth).sum() != len(codes):
+            raise ValueError(f"{what} leaf sizes and depths do not fill its {len(codes)} codes")
+        if 2 * fanout.sum() != len(bounds):
+            raise ValueError(f"{what} fanouts do not match its {len(bounds)} bounds")
+        low, stop, deepest = self._key_limits()
+        if (depth < 0).any() or (depth > deepest).any():
+            raise ValueError(f"a {what} leaf is deeper than its {deepest} frames")
+        inner = key[~leaf]
+        if (inner < low).any() or (inner >= stop).any():
+            raise ValueError(f"a {what} node names a pivot outside [{low}, {stop})")
+        self._rows, self._bounds, self._sizes, self._ids, self._codes = (
+            rows, bounds, sizes, ids, codes,
+        )
+        self._at, self._child = _placed(rows)
+        self._id_at = _offsets(counts)
+        self._code_at = _offsets(counts * depth)
+        self._overlay: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._flat = _Flat(
+            *(
+                memoryview(column.reshape(-1))
+                for column in (
+                    rows, self._at, self._child, bounds, self._id_at, self._code_at, ids, codes
+                )
+            )
+        )
+
+    def _columns(self) -> tuple:
+        """The five columns, the overlay folded back in."""
+        if self._overlay:
+            sizes = np.array(self._sizes)
+            id_parts, code_parts, done = [], [], 0
+            for rank in sorted(self._overlay):
+                ids, codes = self._overlay[rank]
+                id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], ids)
+                code_parts += (self._codes[self._code_at[done] : self._code_at[rank]], codes)
+                sizes[rank] = len(ids)
+                done = rank + 1
+            id_parts.append(self._ids[self._id_at[done] :])
+            code_parts.append(self._codes[self._code_at[done] :])
+            self._hold_columns(
+                self._rows, self._bounds, sizes, np.concatenate(id_parts), np.concatenate(code_parts)
+            )
+        return self._rows, self._bounds, self._sizes, self._ids, self._codes
+
+    def __getstate__(self):
+        state = {k: v for k, v in self.__dict__.items() if k not in _COLUMNS + _DERIVED}
+        state["root"] = self._columns() if "_rows" in self.__dict__ else None
+        return state
+
+    def __setstate__(self, state):
+        state = dict(state)
+        root = state.pop("root")
+        self.__dict__.update(state)
+        if root is not None:
+            self._hold_columns(*root)
+
+    def _leaf(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """A leaf's ids and codes, from the overlay if a write touched it."""
+        held = self._overlay.get(rank)
+        if held is not None:
+            return held
+        id_at, code_at = self._flat.id_at, self._flat.code_at
+        return (
+            self._ids[id_at[rank] : id_at[rank + 1]],
+            self._codes[code_at[rank] : code_at[rank + 1]],
+        )
+
+    def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and codes of ``leaves`` (node numbers), back to back."""
+        _, at, _, _, id_at, code_at, ids, codes = self._flat
+        if len(leaves) == 1:
+            return self._leaf(at[leaves[0]])
+        overlay = self._overlay
+        id_parts, code_parts = [], []
+        for leaf in leaves:
+            rank = at[leaf]
+            held = overlay.get(rank)
+            if held is None:
+                id_parts.append(ids[id_at[rank] : id_at[rank + 1]])
+                code_parts.append(codes[code_at[rank] : code_at[rank + 1]])
+            else:
+                id_parts.append(held[0])
+                code_parts.append(held[1])
+        return (
+            np.frombuffer(b"".join(id_parts), dtype=np.intc),
+            np.frombuffer(b"".join(code_parts), dtype=np.uint8),
+        )
+
+    def _leaf_add(self, leaf: int, object_id: int, codes=()) -> None:
+        rank = int(self._at[leaf])
+        ids, held = self._leaf(rank)
+        self._overlay[rank] = (
+            np.concatenate([ids, np.array([object_id], dtype=np.intc)]),
+            np.concatenate([held, np.array(codes, dtype=np.uint8)]),
+        )
+
+    def _leaf_remove(self, leaf: int, object_id: int) -> None:
+        rank = int(self._at[leaf])
+        depth = int(self._rows[leaf, 1])
+        ids, codes = self._leaf(rank)
+        slot = int(np.flatnonzero(ids == object_id)[0])
+        self._overlay[rank] = (
+            np.concatenate([ids[:slot], ids[slot + 1 :]]),
+            np.concatenate([codes[: slot * depth], codes[(slot + 1) * depth :]]),
+        )
+
+    def _structure_bytes(self) -> int:
+        """The ``nbytes`` of the columns as a save writes them (a leaf in
+        the overlay at its overlay's size) and of the arrays derived."""
+        held = sum(
+            getattr(self, name).nbytes for name in _COLUMNS + ("_at", "_child", "_id_at", "_code_at")
+        )
+        for rank, (ids, codes) in self._overlay.items():
+            held += ids.nbytes - self._ids.itemsize * int(self._sizes[rank])
+            held += codes.nbytes - int(self._code_at[rank + 1] - self._code_at[rank])
+        return held
 
     # -- queries -------------------------------------------------------------
 
@@ -156,51 +359,62 @@ class FrontierTreeMixin:
         return self._knn_walk(query_obj, k)
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batched MRQ: one frontier descent for the whole batch.
+        """Batched MRQ: one level-synchronous frontier for the whole batch.
 
-        The active set carried to each node is exactly the set of queries
-        whose sequential traversal would visit it, and leaf verification is
-        deferred into one leaf-filter pass and one vectorized counted call
-        per query at the end, so the counted distance computations match
-        the sequential loop query for query.
+        The (query, node) pairs of each step are exactly those the queries'
+        own traversals would visit, and leaf verification is deferred into
+        one leaf-filter pass and one vectorized counted call per query at
+        the end, so the counted distance computations match the sequential
+        loop query for query.
         """
         queries = list(queries)
         if not queries:
             return []
         take = self._query_selector(queries)
+        n_queries = len(queries)
+        rows, bounds, child, at = self._rows, self._bounds, self._child, self._at
         results: list[list[int]] = [[] for _ in queries]
-        reached: list[list] = [[] for _ in queries]  # leaves to verify
-        cache: dict = {}
-        stack = [(self.root, np.arange(len(queries), dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            if node.is_leaf:
-                if node.ids:
-                    for qi in active.tolist():
-                        reached[qi].append(node)
-                continue
-            key = self._frontier_key(node)
-            if key is None:  # no pruning possible: descend with everyone
-                for child in node.children:
-                    stack.append((child, active))
-                continue
-            d = self._pivot_dists(cache, take, len(queries), key, active)
-            candidate = self._frontier_candidate(node)
-            if candidate is not None:
-                for qi, dq in zip(active, d):
-                    if dq <= radius:
-                        results[qi].append(candidate)
-            alive = _interval_gaps(d, node) <= radius  # active x children
-            for j in np.flatnonzero(alive.any(axis=0)).tolist():
-                stack.append((node.children[j], active[alive[:, j]]))
-        gather = self.space.dataset.gather
-        for qi, leaves in enumerate(reached):
-            if not leaves:
-                continue
-            ids = self._leaf_filter(lambda key: cache[key][qi])(leaves, radius)
-            if len(ids):
-                dists = self.space.d_many(queries[qi], gather(ids))
-                results[qi].extend(ids[dists <= radius].tolist())
+        cache: dict = {}  # pivot key -> d(q, pivot) per query, nan until paid
+        reached_by, reached = [], []  # (query, leaf) pairs to verify
+        qs = np.arange(n_queries)
+        nodes = np.zeros(n_queries, dtype=np.intp)
+        while len(nodes):
+            fan, keys = rows[nodes].T
+            inner = fan > 0
+            if not inner.all():
+                reached_by.append(qs[~inner])
+                reached.append(nodes[~inner])
+                if not inner.any():
+                    break
+                qs, nodes, fan, keys = qs[inner], nodes[inner], fan[inner], keys[inner]
+            d, blind = self._frontier_dists(cache, take, n_queries, keys, qs)
+            if self._pivots_answer:
+                hit = d <= radius if blind is None else (d <= radius) & ~blind
+                for qi, key in zip(qs[hit].tolist(), keys[hit].tolist()):
+                    results[qi].append(key)
+            first = at[nodes]
+            owner = np.repeat(np.arange(len(nodes)), fan)
+            slot = np.arange(len(owner)) + np.repeat(first - np.cumsum(fan) + fan, fan)
+            low = slot + first[owner]  # a node's lows start at twice its first slot
+            dq = d[owner]
+            gap = np.maximum(bounds[low] - dq, dq - bounds[low + fan[owner]])
+            alive = np.maximum(gap, 0.0) <= radius
+            if blind is not None:  # a tombstoned pivot: every child is reached
+                alive |= blind[owner]
+            qs, nodes = qs[owner[alive]], child[slot[alive]]
+        if reached:
+            by, leaves = np.concatenate(reached_by), np.concatenate(reached)
+            if n_queries > 1:
+                order = np.argsort(by, kind="stable")
+                by, leaves = by[order], leaves[order]
+            cuts = np.searchsorted(by, np.arange(n_queries + 1))
+            gather = self.space.dataset.gather
+            for qi in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+                keep = self._leaf_filter(lambda key: cache[key][qi])
+                ids = keep(leaves[cuts[qi] : cuts[qi + 1]].tolist(), radius)
+                if len(ids):
+                    dists = self.space.d_many(queries[qi], gather(ids))
+                    results[qi].extend(ids[dists <= radius].tolist())
         return [sorted(ids) for ids in results]
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
@@ -227,10 +441,12 @@ class FrontierTreeMixin:
         """
         space = self.space
         gather = space.dataset.gather
+        rows, at, child, bounds = self._flat[:4]
+        answers = self._pivots_answer
         heap = KnnHeap(k)
         known: dict = {}  # pivot key -> d(q, pivot)
         keep = self._leaf_filter(known.__getitem__)
-        pending: list = []
+        pending: list[int] = []
         counter = itertools.count(1)
 
         def verify_pending() -> None:
@@ -241,35 +457,34 @@ class FrontierTreeMixin:
                 for object_id, d in zip(ids.tolist(), dists.tolist()):
                     heap.consider(object_id, d)
 
-        pq = [(0.0, 0, self.root)]
+        pq = [(0.0, 0, 0)]
         while pq:
             bound, _, node = heapq.heappop(pq)
             if bound > heap.radius:
                 break  # pops ascend by bound: the rest of the frontier is dead
-            if node.is_leaf:
-                if node.ids:
-                    pending.append(node)
+            fan = rows[2 * node]
+            if not fan:
+                pending.append(node)
                 continue
             if pending:
                 verify_pending()
-            key = self._frontier_key(node)
-            if key is None:  # no pruning possible: every child inherits
-                for child in node.children:
-                    heapq.heappush(pq, (bound, next(counter), child))
+            key, first = rows[2 * node + 1], at[node]
+            kids = child[first : first + fan]
+            if key < 0:  # no pruning possible: every child inherits
+                for kid in kids:
+                    heapq.heappush(pq, (bound, next(counter), kid))
                 continue
             d = known.get(key)
             if d is None:
                 d = known[key] = space.d(query_obj, self._frontier_pivot(key))
-            candidate = self._frontier_candidate(node)
-            if candidate is not None:
-                heap.consider(candidate, d)
+            if answers:
+                heap.consider(key, d)
             radius = heap.radius
-            for lo, hi, child in zip(
-                node.lows.tolist(), node.highs.tolist(), node.children
-            ):
+            lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
+            for lo, hi, kid in zip(lows_highs, lows_highs[fan:], kids):
                 child_bound = max(bound, interval_gap(d, lo, hi))
                 if child_bound <= radius:
-                    heapq.heappush(pq, (child_bound, next(counter), child))
+                    heapq.heappush(pq, (child_bound, next(counter), kid))
         if pending:
             verify_pending()
         return heap.neighbors()
@@ -292,16 +507,39 @@ class FrontierTreeMixin:
                 pass
         return lambda idxs: [queries[i] for i in idxs]
 
+    def _frontier_dists(self, cache: dict, take, n_queries: int, keys, qs):
+        """``(d, blind)``: d(q, pivot) of each (query, node) pair, and which
+        pairs' nodes have no pivot to prune with (``None``: none)."""
+        key = int(keys[0])
+        if key >= 0 and (keys == key).all():  # one pivot a level: MVPT / FQT
+            return self._pivot_dists(cache, take, n_queries, key, qs), None
+        blind = keys < 0
+        d = np.zeros(len(keys))
+        where = np.flatnonzero(~blind)
+        if len(where):
+            order = np.argsort(keys[where], kind="stable")
+            where = where[order]
+            sorted_keys = keys[where]
+            cut = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+            for key, on in zip(sorted_keys[np.r_[0, cut]].tolist(), np.split(where, cut)):
+                d[on] = self._pivot_dists(cache, take, n_queries, key, qs[on])
+        return d, blind if blind.any() else None
+
     def _pivot_dists(
         self, cache: dict, take, n_queries: int, key, active: np.ndarray
     ) -> np.ndarray:
         """d(q, pivot) for the active queries, lazily computed and cached."""
         column = cache.get(key)
         if column is None:
-            column = np.full(n_queries, np.nan)
-            cache[key] = column
-        need = active[np.isnan(column[active])]
-        if need.size:
+            column = cache[key] = np.full(n_queries, np.nan)
+            need = active
+        else:
+            need = active[np.isnan(column[active])]
+        if len(need):
+            if len(need) > 1:  # a query may reach many nodes of one pivot
+                flags = np.zeros(n_queries, dtype=bool)
+                flags[need] = True
+                need = np.flatnonzero(flags)
             column[need] = self.space.pairwise_objects(
                 take(need), [self._frontier_pivot(key)]
             )[:, 0]
@@ -321,62 +559,67 @@ class FrontierTreeMixin:
         just computed, so the check costs none of its own; bounds stretch
         only once it passed.
         """
+        rows, at, child, bounds = self._flat[:4]
         known: dict = {}
         path = []
-        node = self.root
-        while not node.is_leaf:
-            key = self._frontier_key(node)
-            if key is None:
+        node = 0
+        while fan := rows[2 * node]:
+            key, first = rows[2 * node + 1], at[node]
+            if key < 0:
                 # tombstoned pivot: queries descend all children of this node
                 # unconditionally, so routing is free to pick any child
-                node = node.children[0]
+                node = child[first]
                 continue
             d = known[key] = self.space.d(obj, self._frontier_pivot(key))
-            best, best_gap = 0, float("inf")
-            for i, (lo, hi) in enumerate(zip(node.lows.tolist(), node.highs.tolist())):
-                gap = interval_gap(d, lo, hi)
-                if gap < best_gap:
-                    best, best_gap = i, gap
-            path.append((node, best, d))
-            node = node.children[best]
+            lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
+            gaps = [interval_gap(d, lo, hi) for lo, hi in zip(lows_highs, lows_highs[fan:])]
+            best = gaps.index(min(gaps))
+            path.append((2 * first + best, 2 * first + fan + best, d))
+            node = child[first + best]
 
         def is_live(i):
-            holder = self._holder(self.root, i, lambda at: known.get(self._frontier_key(at)))
-            return holder is not None
+            return self._holder(i, known.get) is not None
 
         object_id = claim_object_id(self.space, obj, object_id, is_live)
-        for at, best, d in path:
-            at.lows[best] = min(at.lows[best], d)
-            at.highs[best] = max(at.highs[best], d)
+        bounds = self._bounds
+        for low, high, d in path:
+            bounds[low] = min(bounds[low], d)
+            bounds[high] = max(bounds[high], d)
         return int(object_id), node, known
 
-    def _find_for_delete(self, object_id: int):
+    def _find_for_delete(self, object_id: int) -> int:
         """The leaf (or BKT node anchored on it) holding a live object."""
         dataset = self.space.dataset
         if 0 <= object_id < len(dataset):
             obj = dataset[object_id]
-
-            def pivot_dist(at):
-                key = self._frontier_key(at)
-                return None if key is None else self.space.d(obj, self._frontier_pivot(key))
-
-            holder = self._holder(self.root, object_id, pivot_dist)
+            holder = self._holder(
+                object_id, lambda key: self.space.d(obj, self._frontier_pivot(key))
+            )
             if holder is not None:
                 return holder
         raise NotIndexed(f"object {object_id} is not in the tree")
 
-    def _holder(self, node, object_id: int, pivot_dist):
-        """Depth-first through every child whose bounds hold the object's
-        pivot distance (all children where ``pivot_dist`` has none)."""
-        if node.is_leaf:
-            return node if object_id in node.ids else None
-        if self._frontier_candidate(node) == object_id:
-            return node
-        d = pivot_dist(node)
-        for lo, hi, child in zip(node.lows.tolist(), node.highs.tolist(), node.children):
-            if d is not None and interval_gap(d, lo, hi) > 0:
+    def _holder(self, object_id: int, pivot_dist) -> int | None:
+        """Depth first, in preorder, through every child whose bounds hold
+        the object's pivot distance (all children where ``pivot_dist(key)``
+        gives none)."""
+        rows, at, child, bounds = self._flat[:4]
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            fan, key, first = rows[2 * node], rows[2 * node + 1], at[node]
+            if not fan:
+                if (self._leaf(first)[0] == object_id).any():
+                    return node
                 continue
-            found = self._holder(child, object_id, pivot_dist)
-            if found is not None:
-                return found
+            if self._pivots_answer and key == object_id:
+                return node
+            d = None if key < 0 else pivot_dist(key)
+            lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
+            kids = [
+                kid
+                for lo, hi, kid in zip(lows_highs, lows_highs[fan:], child[first : first + fan])
+                if d is None or interval_gap(d, lo, hi) <= 0
+            ]
+            stack.extend(reversed(kids))
         return None

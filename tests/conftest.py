@@ -11,6 +11,7 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -179,15 +180,67 @@ def lemma1_baseline(index):
     return baseline
 
 
+class TreeNode:
+    """Node ``i`` of a tree index's preorder columns, read live: every
+    attribute reads the index as it is now (a leaf's ids and codes through
+    any write overlay).  A test-side view; the trees hold no node objects."""
+
+    def __init__(self, index, i: int):
+        self.index, self.i = index, int(i)
+
+    def __eq__(self, other):
+        return isinstance(other, TreeNode) and (self.index, self.i) == (other.index, other.i)
+
+    def __hash__(self):
+        return hash((id(self.index), self.i))
+
+    @property
+    def _fan(self) -> int:
+        return int(self.index._rows[self.i, 0])
+
+    @property
+    def is_leaf(self) -> bool:
+        return self._fan == 0
+
+    @property
+    def level(self) -> int:  # an internal node's key: its level or pivot
+        return int(self.index._rows[self.i, 1])
+
+    pivot_id = depth = level  # BKT's key; a leaf's depth
+
+    @property
+    def ids(self):
+        return self.index._leaf(int(self.index._at[self.i]))[0]
+
+    @property
+    def codes(self) -> bytes:
+        return bytes(self.index._leaf(int(self.index._at[self.i]))[1])
+
+    def _bounds(self, side: int):
+        b = 2 * int(self.index._at[self.i])
+        return self.index._bounds[b + side * self._fan : b + (side + 1) * self._fan]
+
+    @property
+    def lows(self):
+        return self._bounds(0)
+
+    @property
+    def highs(self):
+        return self._bounds(1)
+
+    @property
+    def children(self):
+        first = int(self.index._at[self.i])
+        return [TreeNode(self.index, c) for c in self.index._child[first : first + self._fan]]
+
+
+def tree_root(index) -> TreeNode:
+    return TreeNode(index, 0)
+
+
 def tree_nodes(index):
-    """Every node of a tree index, in preorder from ``index.root``: the
-    component walk does not open tree nodes, they hold no space or pager."""
-    stack = [index.root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.extend(reversed(node.children))
+    """Every node of a tree index, in preorder: node ``i`` is row ``i``."""
+    return (TreeNode(index, i) for i in range(len(index._rows)))
 
 
 def leaf_code_rows(index):
@@ -201,7 +254,7 @@ def leaf_code_rows(index):
     dataset, distance = index.space.dataset, index.space.distance
     bounds = [frame.bounds(range(frame.cells)) for frame in index._frames]
     rows = []
-    stack = [(index.root, 0)]
+    stack = [(tree_root(index), 0)]
     while stack:
         node, depth = stack.pop()
         if not node.is_leaf:
@@ -209,8 +262,7 @@ def leaf_code_rows(index):
             stack.extend((child, depth + 1) for child in node.children)
             continue
         assert node.depth == depth
-        assert node.ids.itemsize == 4 and node.ids.typecode == "i"
-        assert isinstance(node.codes, bytearray)
+        assert node.ids.dtype == np.intc
         assert len(node.codes) == depth * len(node.ids)
         for slot, object_id in enumerate(node.ids):
             codes = node.codes[slot * depth : (slot + 1) * depth]

@@ -35,6 +35,8 @@ GONE = {
     "list_pages_dept_la300.snap": (31,),
     "list_pages_mindexstar_la300.snap": (31,),
     "list_pages_spbtree_la300.snap": (31,),
+    "node_form_bkt_words300.snap": (31,),
+    "node_form_fqt_words300.snap": (31,),
     "pr20_mvpt_la300.snap": (31,),
     "pr20_vpt_la300.snap": (31,),
     "pr21_eptstar_la300.snap": (),

@@ -7,15 +7,18 @@ fixture), its answers and compdists those it gave when written."""
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
-from array import array
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import (
+    BKT,
+    FQT,
     MVPT,
     CostCounters,
     MetricSpace,
@@ -180,6 +183,41 @@ def test_the_walk_over_a_tree_does_not_grow_with_n():
     assert components[1] == components[0]
 
 
+_ATOMS = (int, float, bool, complex, str, bytes, type(None))
+_CODE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def _objects_reachable(root) -> int:
+    """Python objects reachable from ``root`` through ``gc.get_referents``,
+    numbers and strings aside (values, not structure), and without entering
+    classes, modules or functions."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        count += 1
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, _ATOMS + _CODE):
+                seen.add(id(ref))
+                stack.append(ref)
+    return count
+
+
+def test_a_tree_holds_as_many_objects_at_any_n(tmp_path):
+    """A tree is its columns: built or restored, an MVPT at n = 8 000 holds
+    as many Python objects as at n = 2 000 -- one more frame per level
+    built, and nothing per node or leaf."""
+    built, restored = [], []
+    for n in (2000, 8000):
+        space = MetricSpace(make_la(n, seed=2))
+        index = MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
+        save_index(index, tmp_path / f"{n}.snap")
+        again = load_index(tmp_path / f"{n}.snap")
+        assert len(again._frames) == len(index._frames)
+        built.append(_objects_reachable(index) - len(index._frames))
+        restored.append(_objects_reachable(again) - len(again._frames))
+    assert built[0] == built[1]
+    assert restored[0] == restored[1]
+
+
 def test_one_walk_per_shard_in_per_shard_counters_mode(datasets):
     space = MetricSpace(datasets["LA"], CostCounters())
     index = ShardedIndex.build(
@@ -244,9 +282,7 @@ def test_snapshot_with_codeless_leaves_still_loads(migrated, name):
     assert sorted(i for leaf in leaves for i in leaf.ids) == [
         i for i in range(300) if i != 31
     ]
-    assert all(
-        leaf.ids.typecode == "i" and leaf.depth == 0 and not leaf.codes for leaf in leaves
-    )
+    assert all(leaf.ids.dtype == np.intc and leaf.depth == 0 and not leaf.codes for leaf in leaves)
     oracle = MetricSpace(dataset)
     queries = [dataset[5], dataset[31], dataset[200]]
     for q in queries:
@@ -313,6 +349,31 @@ def test_snapshot_with_pre_frame_codes_still_loads(migrated, name):
     assert compdists == expected["compdists"]
 
 
+@pytest.mark.parametrize("name", ["fqt", "bkt"])
+def test_node_form_fqt_and_bkt_snapshots_answer_as_written(migrated, tmp_path, name):
+    """``tests/data/node_form_{fqt,bkt}_words300.snap`` (``make_words(300,
+    seed=11)``; FQT on 5 HFI pivots, seed 3; BKT seed 3, its root pivot
+    deleted and put back, so the root is tombstoned; then object 7 deleted
+    and put back, 31 deleted) were written when FQT / BKT were node
+    objects.  ``load_index`` refuses them, naming ``repro migrate``;
+    migrated, they are columns that give the answers they gave when
+    written, at the same compdists, and save and load again alike."""
+    expected = json.loads((DATA / "node_form_words300_expected.json").read_text())[name]
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / f"node_form_{name}_words300.snap")
+    index = load_index(migrated(f"node_form_{name}_words300.snap"))
+    assert index.space.counters.distance_computations == 0
+    assert (index._rows[0, 1] == -1) == (name == "bkt")
+    dataset = index.space.dataset
+    queries = [dataset[5], dataset[31], dataset[200], "q" * 12]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert compdists == expected["compdists"]
+    save_index(index, tmp_path / "again.snap")
+    again = load_index(tmp_path / "again.snap")
+    assert _coded_answers(again, queries, expected["radius"], expected["k"]) == (got, compdists)
+
+
 @pytest.mark.parametrize("dataset_name,index_name", [("LA", "MVPT"), ("LA", "VPT"), ("Words", "MVPT")])
 def test_coded_tree_round_trip_matches_the_live_index(
     datasets, pivots, tmp_path, dataset_name, index_name
@@ -327,11 +388,11 @@ def test_coded_tree_round_trip_matches_the_live_index(
     assert restored.space.counters.distance_computations == 0
     assert restored._frames == live._frames
     assert _node_rows(restored) == _node_rows(live)
-    leaves = [node for node in tree_nodes(restored) if node.is_leaf]
-    # leaves hold ids and codes as bytes, not as one ndarray each
-    assert leaves and all(
-        type(leaf.ids) is array and type(leaf.codes) is bytearray for leaf in leaves
-    )
+    # the tree is its five columns, and nothing was written over them yet
+    assert [column.dtype for column in restored.__getstate__()["root"]] == [
+        np.intc, np.float64, np.intc, np.intc, np.uint8
+    ]
+    assert restored._overlay == {}
     assert_codes_hold(restored)
     # one dataset object serves both sides here, so put back what each takes out
     for index in (live, restored):
@@ -371,14 +432,19 @@ def _packed_mvpt(n=2000):
     return MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
 
 
-@pytest.mark.parametrize("damage", ["truncated ids region", "rewritten fanout"])
-def test_hostile_packed_tree_is_a_snapshot_error(tmp_path, monkeypatch, damage):
-    """A saved tree with one region cut short or one fanout rewritten is
-    refused as a whole, before a node is built."""
-    index = _packed_mvpt()
-    path = tmp_path / "tree.snap"
+def _packed(tree: str, n=2000):
+    """A built FQT or BKT on Words."""
+    space = MetricSpace(make_words(n, seed=3))
+    if tree == "FQT":
+        return FQT.build(space, select_pivots(space, 5, strategy="random", seed=0))
+    return BKT.build(space, seed=3)
+
+
+def _hostile_save(index, path, monkeypatch, damage) -> None:
+    """Save ``index`` at ``path`` with one region cut short or one fanout
+    rewritten."""
     if damage == "rewritten fanout":
-        packed = MVPT.__getstate__
+        packed = type(index).__getstate__
 
         def one_fanout_more(self):
             state = packed(self)
@@ -387,18 +453,34 @@ def test_hostile_packed_tree_is_a_snapshot_error(tmp_path, monkeypatch, damage):
             state["root"] = (rows,) + state["root"][1:]
             return state
 
-        monkeypatch.setattr(MVPT, "__getstate__", one_fanout_more)
+        monkeypatch.setattr(type(index), "__getstate__", one_fanout_more)
     save_index(index, path)
     if damage == "truncated ids region":
+        n_ids = len(index.__getstate__()["root"][3])
 
         def one_id_short(header):
-            (ids,) = [r for r in header["regions"] if r["dtype"] == "<i4" and r["shape"] == [2000]]
-            ids["shape"], ids["nbytes"] = [1999], ids["nbytes"] - 4
+            (ids,) = [r for r in header["regions"] if r["dtype"] == "<i4" and r["shape"] == [n_ids]]
+            ids["shape"], ids["nbytes"] = [n_ids - 1], ids["nbytes"] - 4
             return header
 
         rewrite_header(path, one_id_short)
+
+
+@pytest.mark.parametrize("damage", ["truncated ids region", "rewritten fanout"])
+def test_hostile_packed_tree_is_a_snapshot_error(tmp_path, monkeypatch, damage):
+    """A saved tree with one region cut short or one fanout rewritten is
+    refused as a whole, before anything is held."""
+    _hostile_save(_packed_mvpt(), tmp_path / "tree.snap", monkeypatch, damage)
     with pytest.raises(SnapshotError, match="packed MVPT"):
-        load_index(path)
+        load_index(tmp_path / "tree.snap")
+
+
+@pytest.mark.parametrize("tree", ["FQT", "BKT"])
+@pytest.mark.parametrize("damage", ["truncated ids region", "rewritten fanout"])
+def test_hostile_packed_fqt_and_bkt_are_snapshot_errors(tmp_path, monkeypatch, damage, tree):
+    _hostile_save(_packed(tree), tmp_path / "tree.snap", monkeypatch, damage)
+    with pytest.raises(SnapshotError, match=f"packed {tree}"):
+        load_index(tmp_path / "tree.snap")
 
 
 def _columns_edit(edit):
@@ -450,6 +532,43 @@ def test_packed_columns_that_disagree_raise(mismatch):
     damage(state)
     with pytest.raises(ValueError, match="packed MVPT"):
         MVPT.__new__(MVPT).__setstate__(state)
+
+
+def _one_leaf_deeper(rows, bounds, sizes, ids, codes):
+    """A leaf of depth 1, and the code bytes to fill: every count adds up."""
+    leaf = int(np.flatnonzero(rows[:, 0] == 0)[0])
+    rows[leaf, 1] = 1
+    size = sizes[int((rows[:leaf, 0] == 0).sum())]
+    return rows, bounds, sizes, ids, np.concatenate([codes, np.zeros(size, np.uint8)])
+
+
+@pytest.mark.parametrize("tree", ["FQT", "BKT"])
+@pytest.mark.parametrize(
+    "mismatch",
+    {
+        "rows": _columns_edit(_first_leaf_first),
+        "negative fanout": _columns_edit(_a_negative_fanout),
+        "ids": _columns_edit(lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids[1:], codes)),
+        "codes": _columns_edit(
+            lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids, np.append(codes, 0))
+        ),
+        "bounds": _columns_edit(lambda rows, bounds, *rest: (rows, bounds[:-1], *rest)),
+        "depth": _columns_edit(_one_leaf_deeper),
+        "pivots": _columns_edit(
+            lambda rows, *rest: (np.where(rows[:, :1] > 0, [[0, 10**6]], [[0, 0]]) + rows, *rest)
+        ),
+    }.items(),
+    ids=lambda item: item[0],
+)
+def test_packed_fqt_and_bkt_columns_that_disagree_raise(tree, mismatch):
+    """The same checks on FQT / BKT columns, whose leaves carry no codes
+    and whose BKT keys are pivot ids."""
+    _, damage = mismatch
+    index = _packed(tree, 600)
+    state = index.__getstate__()
+    damage(state)
+    with pytest.raises(ValueError, match=f"packed {tree}"):
+        type(index).__new__(type(index)).__setstate__(state)
 
 
 # -- RAF snapshots across the change of page format ----------------------------------

@@ -27,7 +27,7 @@ from repro import (
 )
 from repro.trees.common import interval_gap
 
-from conftest import assert_codes_hold, leaf_code_rows
+from conftest import assert_codes_hold, leaf_code_rows, tree_root
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,9 @@ class TestBKTDetail:
         """BKT keeps random pivots (the paper's stated exception)."""
         a = BKT.build(MetricSpace(words, CostCounters()), seed=1)
         b = BKT.build(MetricSpace(words, CostCounters()), seed=2)
-        assert a.root.pivot_id != b.root.pivot_id or True  # seeds may collide
+        assert tree_root(a).pivot_id != tree_root(b).pivot_id or True  # seeds may collide
         # structure itself must differ somewhere for different seeds
-        assert a.root.pivot_id is not None
+        assert tree_root(a).pivot_id is not None
 
     def test_unbalanced_is_fine(self, words):
         index = BKT.build(MetricSpace(words, CostCounters()), leaf_size=4, seed=1)
@@ -82,13 +82,13 @@ class TestBKTDetail:
                 return 1
             return 1 + min(min_depth(c) for c in node.children)
 
-        assert depth(index.root) >= min_depth(index.root)
+        assert depth(tree_root(index)) >= min_depth(tree_root(index))
 
     def test_pivot_delete_tombstones(self, words):
         index = BKT.build(MetricSpace(words, CostCounters()), seed=1)
-        root_pivot = index.root.pivot_id
+        root_pivot = tree_root(index).pivot_id
         index.delete(root_pivot)
-        assert index.root.pivot_id == -1
+        assert tree_root(index).pivot_id == -1
         q = words[3]
         want = [i for i in brute_force_range(MetricSpace(words), q, 4.0) if i != root_pivot]
         assert index.range_query(q, 4.0) == want
@@ -116,7 +116,7 @@ class TestBKTDetail:
                 collected.extend(child_ids)
             return collected
 
-        assert sorted(check(index.root)) == list(range(len(words)))
+        assert sorted(check(tree_root(index))) == list(range(len(words)))
 
 
 class TestFQTDetail:
@@ -130,7 +130,7 @@ class TestFQTDetail:
             for child in node.children:
                 check_levels(child, level + 1)
 
-        check_levels(index.root, 0)
+        check_levels(tree_root(index), 0)
 
     def test_query_computes_one_distance_per_level(self, words, words_pivots):
         index = FQT.build(MetricSpace(words, CostCounters()), words_pivots)
@@ -181,7 +181,7 @@ class TestVptMvptDetail:
             for child in node.children:
                 check(child)
 
-        check(index.root)
+        check(tree_root(index))
 
     def test_mvpt_arity_bound(self, words, words_pivots):
         for arity in (2, 3, 5, 9):
@@ -196,7 +196,7 @@ class TestVptMvptDetail:
                 for child in node.children:
                     check(child)
 
-            check(index.root)
+            check(tree_root(index))
 
     def test_invalid_arity(self, words, words_pivots):
         with pytest.raises(ValueError):
@@ -212,7 +212,7 @@ class TestVptMvptDetail:
                 return 0
             return 1 + max(depth(c) for c in node.children)
 
-        assert depth(index.root) <= len(words_pivots)
+        assert depth(tree_root(index)) <= len(words_pivots)
 
     def test_balanced_quantile_split(self):
         """MVPT children should be roughly equal-sized on continuous data."""
@@ -221,7 +221,7 @@ class TestVptMvptDetail:
         index = MVPT.build(
             MetricSpace(synthetic, CostCounters()), pivots, arity=5, leaf_size=4
         )
-        root = index.root
+        root = tree_root(index)
         sizes = []
 
         def count(node):
@@ -252,7 +252,7 @@ class TestVptMvptDetail:
 
 
 def _leaves(index):
-    stack, out = [index.root], []
+    stack, out = [tree_root(index)], []
     while stack:
         node = stack.pop()
         if node.is_leaf:
@@ -369,7 +369,7 @@ class TestLeafCodes:
         index = MVPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
         assert index.space.counters.distance_computations == 40
         assert index._frames == [(0.0, 0.0, False, 256)]
-        root = index.root
+        root = tree_root(index)
         assert root.is_leaf and root.depth == 0 and len(root.ids) == 40 and not root.codes
         new_id = index.insert(np.array([9.0, 9.0]))
         assert not root.codes
@@ -379,7 +379,7 @@ class TestLeafCodes:
         dataset = make_la(10, seed=75)
         index = VPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
         assert index.space.counters.distance_computations == 0
-        assert index.root.is_leaf and index.root.depth == 0 and index._frames == []
+        assert tree_root(index).is_leaf and tree_root(index).depth == 0 and index._frames == []
         _assert_exact(index, [dataset[2]], 500.0, k=4)
 
     def test_unseparable_node_becomes_a_leaf(self):
@@ -564,7 +564,7 @@ class TestLevelAtATimeBuild:
         pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
         space = MetricSpace(dataset, CostCounters())
         index = MVPT.build(space, pivots, arity=arity, leaf_size=leaf_size)
-        assert _structure(index.root) == _reference_structure(
+        assert _structure(tree_root(index)) == _reference_structure(
             dataset, pivots, arity, leaf_size
         )
         # one counted distance per object per level it is split on

@@ -11,7 +11,7 @@ import pytest
 
 from repro import MetricSpace, UnsupportedOperation, brute_force_knn, brute_force_range
 
-from conftest import DATASET_MAKERS, RADIUS, fresh_index, indexes_for
+from conftest import DATASET_MAKERS, RADIUS, fresh_index, indexes_for, tree_root
 
 UPDATABLE_CASES = [
     (dataset_name, index_name)
@@ -214,7 +214,7 @@ def test_bkt_insert_rejects_a_live_pivot(datasets, pivots):
     """A BKT pivot lives in a node, not a leaf; its id is taken all the same."""
     dataset = datasets["Words"]
     index = fresh_index(datasets, pivots, "Words", "BKT")
-    pivot_id = next(c for c in index.root.children if not c.is_leaf).pivot_id
+    pivot_id = next(c for c in tree_root(index).children if not c.is_leaf).pivot_id
     with pytest.raises(ValueError):
         index.insert(dataset[pivot_id], object_id=pivot_id)
     index.delete(pivot_id)
