@@ -36,6 +36,7 @@ from repro import (
     UnsupportedOperation,
     load_index,
     make_la,
+    make_words,
     save_index,
     select_pivots,
     snapshot_info,
@@ -887,6 +888,27 @@ def test_service_mutations_invalidate_cache(datasets, pivots):
         assert victim not in after_delete
         service.insert(dataset[victim], object_id=victim)
         assert service.range_query(q, radius) == before
+
+
+def test_reinsert_tied_at_the_kth_distance_drops_the_cached_knn():
+    """The kNN answer cached after its 5th object was deleted ends at a tie
+    (object 5, at the deleted object's distance 3).  Re-inserting the
+    deleted object at its id brings back a neighbour *at* the kth distance,
+    which wins the tie on its id: the cache must drop the entry (``d <=``
+    the kth distance, not ``<``) and serve what the index answers."""
+    words = make_words(500, seed=7)
+    space = MetricSpace(words)
+    index = LAESA.build(space, select_pivots(space, 4, strategy="hfi", seed=0))
+    q = words[0]
+    with QueryService(index, cache_size=64) as service:
+        gone = service.knn_query(q, 5)[-1].object_id
+        service.delete(gone)
+        after_delete = service.knn_query(q, 5)
+        assert after_delete[-1].distance == 3.0 and gone not in [n.object_id for n in after_delete]
+        service.insert(words[gone], object_id=gone)
+        served = service.knn_query(q, 5)
+    assert [n.object_id for n in served] == [n.object_id for n in index.knn_query(q, 5)]
+    assert [n.object_id for n in served] == [0, 1, 2, 3, 4]
 
 
 def test_service_from_snapshot_roundtrip(datasets, built_indexes, tmp_path):
