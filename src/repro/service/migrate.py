@@ -133,48 +133,32 @@ def _mtree(state):
     return state
 
 
-class _TreeNode:
+class _OldNode:
     """A tree node as pickled before trees were preorder columns: its
     attributes, from a dict or from a tuple of ``fields``."""
 
-    fields = ()
+    fields, is_leaf = ("level", "lows", "highs", "children"), False
 
     def __setstate__(self, state):
         self.__dict__.update(state if isinstance(state, dict) else zip(self.fields, state))
 
 
-class _MvptLeaf(_TreeNode):
-    # ids in a list and no codes before leaves carried them: depth 0, so
-    # the leaf is verified whole
+class _OldLeaf(_OldNode):
+    # FQT and BKT leaves, and MVPT's before they carried codes, hold ids
+    # alone: depth 0, so the leaf is verified whole
     fields, is_leaf, codes, depth = ("ids", "codes", "depth"), True, b"", 0
 
 
-class _MvptNode(_TreeNode):
-    fields, is_leaf = ("level", "lows", "highs", "children"), False
-
-
-class _FqtLeaf(_TreeNode):
-    is_leaf, codes, depth = True, b"", 0
-
-
-class _FqtNode(_TreeNode):
-    is_leaf = False
-
-
-class _BktLeaf(_FqtLeaf):
-    pass
-
-
-class _BktNode(_TreeNode):
-    is_leaf = False
-
-
-for _module, _shims in (
-    ("repro.trees.mvpt", (_MvptLeaf, _MvptNode)),
-    ("repro.trees.fqt", (_FqtLeaf, _FqtNode)),
-    ("repro.trees.bkt", (_BktLeaf, _BktNode)),
-):
-    _RETIRED.update({(_module, shim.__name__): shim for shim in _shims})
+_RETIRED.update(
+    {
+        ("repro.trees.mvpt", "_MvptLeaf"): _OldLeaf,
+        ("repro.trees.mvpt", "_MvptNode"): _OldNode,
+        ("repro.trees.fqt", "_FqtLeaf"): _OldLeaf,
+        ("repro.trees.fqt", "_FqtNode"): _OldNode,
+        ("repro.trees.bkt", "_BktLeaf"): _OldLeaf,
+        ("repro.trees.bkt", "_BktNode"): _OldNode,
+    }
+)
 
 
 def _flattened(root) -> tuple:
@@ -192,8 +176,8 @@ def _flattened(root) -> tuple:
             ids.extend(node.ids)
             codes.append(bytes(node.codes))
         else:
-            # a BKT node's key is its pivot, -1 once tombstoned
-            key = node.pivot_id if isinstance(node, _BktNode) else node.level
+            # a BKT node's key is its pivot's id, -1 once tombstoned
+            key = node.pivot_id if hasattr(node, "pivot_id") else node.level
             rows += (len(node.children), key)
             bounds += (*node.lows, *node.highs)
             stack.extend(reversed(node.children))

@@ -35,7 +35,8 @@ ids and codes into ``_overlay`` (leaf rank -> ``(ids, codes)``), which
 every later read of that leaf prefers; bounds stretch in place and BKT's
 tombstone is a key of -1 (a restored tree's columns are copy-on-write
 memmaps, so the file is never written).  No write copies a whole column;
-pickling folds the overlay back into the columns.
+a pickle -- a snapshot -- holds the columns with the overlay folded back
+in.
 
 Because the pruning rule is identical everywhere, the whole family shares
 its traversals (:class:`FrontierTreeMixin`), one body per query type:
@@ -80,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -93,6 +95,10 @@ __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
 # ``root``), and what is derived from them or written over them
 _COLUMNS = ("_rows", "_bounds", "_sizes", "_ids", "_codes")
 _DERIVED = ("_at", "_child", "_id_at", "_code_at", "_overlay", "_flat")
+# an MRQ frontier level of fewer (query, node) pairs than this steps pair by
+# pair, not as arrays: at one LA query a level, the array calls' fixed cost
+# made the walk ~4x the pair loop's
+_FEW_PAIRS = 16
 
 
 class _Flat(NamedTuple):
@@ -155,7 +161,7 @@ def _placed(rows: np.ndarray):
     owed = 1 + np.cumsum(fan - 1)  # nodes still owed after each row
     position = np.arange(n)
     stride = n + 1
-    runs = np.sort(owed * stride + position)  # by owed, then by row
+    runs = (owed * stride + position)[np.lexsort((position, owed))]  # by owed, then by row
     due = (owed - fan) * stride + position  # one fewer than before the row
     end = runs[np.searchsorted(runs, due)] % stride + 1
     child = np.empty(int(fan.sum()), dtype=np.intc)
@@ -249,7 +255,7 @@ class FrontierTreeMixin:
         self._at, self._child = _placed(rows)
         self._id_at = _offsets(counts)
         self._code_at = _offsets(counts * depth)
-        self._overlay: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._overlay: dict[int, tuple[array, bytearray]] = {}
         self._flat = _Flat(
             *(
                 memoryview(column.reshape(-1))
@@ -260,22 +266,21 @@ class FrontierTreeMixin:
         )
 
     def _columns(self) -> tuple:
-        """The five columns, the overlay folded back in."""
-        if self._overlay:
-            sizes = np.array(self._sizes)
-            id_parts, code_parts, done = [], [], 0
-            for rank in sorted(self._overlay):
-                ids, codes = self._overlay[rank]
-                id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], ids)
-                code_parts += (self._codes[self._code_at[done] : self._code_at[rank]], codes)
-                sizes[rank] = len(ids)
-                done = rank + 1
-            id_parts.append(self._ids[self._id_at[done] :])
-            code_parts.append(self._codes[self._code_at[done] :])
-            self._hold_columns(
-                self._rows, self._bounds, sizes, np.concatenate(id_parts), np.concatenate(code_parts)
-            )
-        return self._rows, self._bounds, self._sizes, self._ids, self._codes
+        """The five columns as a save writes them: the overlay folded in
+        (the tree itself keeps reading through its overlay)."""
+        if not self._overlay:
+            return self._rows, self._bounds, self._sizes, self._ids, self._codes
+        sizes = np.array(self._sizes)
+        id_parts, code_parts, done = [], [], 0
+        for rank in sorted(self._overlay):
+            ids, codes = self._overlay[rank]
+            id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], np.frombuffer(ids, np.intc))
+            code_parts += (self._codes[self._code_at[done] : self._code_at[rank]], codes)
+            sizes[rank] = len(ids)
+            done = rank + 1
+        id_parts.append(self._ids[self._id_at[done] :])
+        code_parts.append(self._codes[self._code_at[done] :])
+        return self._rows, self._bounds, sizes, np.concatenate(id_parts), np.concatenate(code_parts)
 
     def __getstate__(self):
         state = {k: v for k, v in self.__dict__.items() if k not in _COLUMNS + _DERIVED}
@@ -289,55 +294,47 @@ class FrontierTreeMixin:
         if root is not None:
             self._hold_columns(*root)
 
-    def _leaf(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """A leaf's ids and codes, from the overlay if a write touched it."""
+    def _leaf(self, rank: int):
+        """A leaf's ids and codes as buffers (int32, uint8): its overlay if a
+        write touched it, else views of the columns."""
         held = self._overlay.get(rank)
         if held is not None:
             return held
-        id_at, code_at = self._flat.id_at, self._flat.code_at
+        flat = self._flat
         return (
-            self._ids[id_at[rank] : id_at[rank + 1]],
-            self._codes[code_at[rank] : code_at[rank + 1]],
+            flat.ids[flat.id_at[rank] : flat.id_at[rank + 1]],
+            flat.codes[flat.code_at[rank] : flat.code_at[rank + 1]],
         )
 
     def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The ids and codes of ``leaves`` (node numbers), back to back."""
-        _, at, _, _, id_at, code_at, ids, codes = self._flat
-        if len(leaves) == 1:
-            return self._leaf(at[leaves[0]])
-        overlay = self._overlay
-        id_parts, code_parts = [], []
-        for leaf in leaves:
-            rank = at[leaf]
-            held = overlay.get(rank)
-            if held is None:
-                id_parts.append(ids[id_at[rank] : id_at[rank + 1]])
-                code_parts.append(codes[code_at[rank] : code_at[rank + 1]])
-            else:
-                id_parts.append(held[0])
-                code_parts.append(held[1])
+        ids, codes = zip(*map(self._leaf, map(self._flat.at.__getitem__, leaves)))
         return (
-            np.frombuffer(b"".join(id_parts), dtype=np.intc),
-            np.frombuffer(b"".join(code_parts), dtype=np.uint8),
+            np.frombuffer(b"".join(ids), dtype=np.intc),
+            np.frombuffer(b"".join(codes), dtype=np.uint8),
         )
+
+    def _written(self, leaf: int) -> tuple[array, bytearray]:
+        """The overlay of a leaf, made by its first write: ids and codes
+        copied out of the columns, for this leaf alone."""
+        rank = self._flat.at[leaf]
+        held = self._overlay.get(rank)
+        if held is None:
+            ids, codes = self._leaf(rank)
+            held = self._overlay[rank] = (array("i", bytes(ids)), bytearray(codes))
+        return held
 
     def _leaf_add(self, leaf: int, object_id: int, codes=()) -> None:
-        rank = int(self._at[leaf])
-        ids, held = self._leaf(rank)
-        self._overlay[rank] = (
-            np.concatenate([ids, np.array([object_id], dtype=np.intc)]),
-            np.concatenate([held, np.array(codes, dtype=np.uint8)]),
-        )
+        ids, held = self._written(leaf)
+        ids.append(object_id)
+        held.extend(codes)
 
     def _leaf_remove(self, leaf: int, object_id: int) -> None:
-        rank = int(self._at[leaf])
-        depth = int(self._rows[leaf, 1])
-        ids, codes = self._leaf(rank)
-        slot = int(np.flatnonzero(ids == object_id)[0])
-        self._overlay[rank] = (
-            np.concatenate([ids[:slot], ids[slot + 1 :]]),
-            np.concatenate([codes[: slot * depth], codes[(slot + 1) * depth :]]),
-        )
+        ids, codes = self._written(leaf)
+        depth = self._flat.rows[2 * leaf + 1]
+        slot = ids.index(object_id)
+        del ids[slot]
+        del codes[slot * depth : (slot + 1) * depth]
 
     def _structure_bytes(self) -> int:
         """The ``nbytes`` of the columns as a save writes them (a leaf in
@@ -346,8 +343,8 @@ class FrontierTreeMixin:
             getattr(self, name).nbytes for name in _COLUMNS + ("_at", "_child", "_id_at", "_code_at")
         )
         for rank, (ids, codes) in self._overlay.items():
-            held += ids.nbytes - self._ids.itemsize * int(self._sizes[rank])
-            held += codes.nbytes - int(self._code_at[rank + 1] - self._code_at[rank])
+            held += ids.itemsize * (len(ids) - int(self._sizes[rank]))
+            held += len(codes) - int(self._code_at[rank + 1] - self._code_at[rank])
         return held
 
     # -- queries -------------------------------------------------------------
@@ -370,52 +367,12 @@ class FrontierTreeMixin:
         queries = list(queries)
         if not queries:
             return []
-        take = self._query_selector(queries)
-        n_queries = len(queries)
-        rows, bounds, child, at = self._rows, self._bounds, self._child, self._at
-        results: list[list[int]] = [[] for _ in queries]
-        cache: dict = {}  # pivot key -> d(q, pivot) per query, nan until paid
-        reached_by, reached = [], []  # (query, leaf) pairs to verify
-        qs = np.arange(n_queries)
-        nodes = np.zeros(n_queries, dtype=np.intp)
+        walk = _RangeWalk(self, queries, radius)
+        qs, nodes = np.arange(len(queries)), np.zeros(len(queries), dtype=np.intp)
         while len(nodes):
-            fan, keys = rows[nodes].T
-            inner = fan > 0
-            if not inner.all():
-                reached_by.append(qs[~inner])
-                reached.append(nodes[~inner])
-                if not inner.any():
-                    break
-                qs, nodes, fan, keys = qs[inner], nodes[inner], fan[inner], keys[inner]
-            d, blind = self._frontier_dists(cache, take, n_queries, keys, qs)
-            if self._pivots_answer:
-                hit = d <= radius if blind is None else (d <= radius) & ~blind
-                for qi, key in zip(qs[hit].tolist(), keys[hit].tolist()):
-                    results[qi].append(key)
-            first = at[nodes]
-            owner = np.repeat(np.arange(len(nodes)), fan)
-            slot = np.arange(len(owner)) + np.repeat(first - np.cumsum(fan) + fan, fan)
-            low = slot + first[owner]  # a node's lows start at twice its first slot
-            dq = d[owner]
-            gap = np.maximum(bounds[low] - dq, dq - bounds[low + fan[owner]])
-            alive = np.maximum(gap, 0.0) <= radius
-            if blind is not None:  # a tombstoned pivot: every child is reached
-                alive |= blind[owner]
-            qs, nodes = qs[owner[alive]], child[slot[alive]]
-        if reached:
-            by, leaves = np.concatenate(reached_by), np.concatenate(reached)
-            if n_queries > 1:
-                order = np.argsort(by, kind="stable")
-                by, leaves = by[order], leaves[order]
-            cuts = np.searchsorted(by, np.arange(n_queries + 1))
-            gather = self.space.dataset.gather
-            for qi in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
-                keep = self._leaf_filter(lambda key: cache[key][qi])
-                ids = keep(leaves[cuts[qi] : cuts[qi + 1]].tolist(), radius)
-                if len(ids):
-                    dists = self.space.d_many(queries[qi], gather(ids))
-                    results[qi].extend(ids[dists <= radius].tolist())
-        return [sorted(ids) for ids in results]
+            step = walk.step_pairs if len(nodes) < _FEW_PAIRS else walk.step_arrays
+            qs, nodes = step(qs, nodes)
+        return walk.verified()
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
         """Batch MkNNQ: the walk once per query.
@@ -507,44 +464,6 @@ class FrontierTreeMixin:
                 pass
         return lambda idxs: [queries[i] for i in idxs]
 
-    def _frontier_dists(self, cache: dict, take, n_queries: int, keys, qs):
-        """``(d, blind)``: d(q, pivot) of each (query, node) pair, and which
-        pairs' nodes have no pivot to prune with (``None``: none)."""
-        key = int(keys[0])
-        if key >= 0 and (keys == key).all():  # one pivot a level: MVPT / FQT
-            return self._pivot_dists(cache, take, n_queries, key, qs), None
-        blind = keys < 0
-        d = np.zeros(len(keys))
-        where = np.flatnonzero(~blind)
-        if len(where):
-            order = np.argsort(keys[where], kind="stable")
-            where = where[order]
-            sorted_keys = keys[where]
-            cut = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            for key, on in zip(sorted_keys[np.r_[0, cut]].tolist(), np.split(where, cut)):
-                d[on] = self._pivot_dists(cache, take, n_queries, key, qs[on])
-        return d, blind if blind.any() else None
-
-    def _pivot_dists(
-        self, cache: dict, take, n_queries: int, key, active: np.ndarray
-    ) -> np.ndarray:
-        """d(q, pivot) for the active queries, lazily computed and cached."""
-        column = cache.get(key)
-        if column is None:
-            column = cache[key] = np.full(n_queries, np.nan)
-            need = active
-        else:
-            need = active[np.isnan(column[active])]
-        if len(need):
-            if len(need) > 1:  # a query may reach many nodes of one pivot
-                flags = np.zeros(n_queries, dtype=bool)
-                flags[need] = True
-                need = np.flatnonzero(flags)
-            column[need] = self.space.pairwise_objects(
-                take(need), [self._frontier_pivot(key)]
-            )[:, 0]
-        return column[active]
-
     # -- maintenance ---------------------------------------------------------
 
     def _route_insert(self, obj, object_id: int | None):
@@ -609,7 +528,7 @@ class FrontierTreeMixin:
             node = stack.pop()
             fan, key, first = rows[2 * node], rows[2 * node + 1], at[node]
             if not fan:
-                if (self._leaf(first)[0] == object_id).any():
+                if object_id in self._leaf(first)[0]:
                     return node
                 continue
             if self._pivots_answer and key == object_id:
@@ -623,3 +542,130 @@ class FrontierTreeMixin:
             ]
             stack.extend(reversed(kids))
         return None
+
+
+class _RangeWalk:
+    """One MRQ batch's frontier: the pivot distances its queries have paid,
+    their results, and the (query, leaf) pairs reached, which
+    :meth:`verified` filters and verifies at the end.
+
+    A level of the frontier steps as index arrays (:meth:`step_arrays`) or,
+    when it holds fewer than ``_FEW_PAIRS`` pairs, pair by pair through the
+    tree's flat views (:meth:`step_pairs`): both pay the same distances,
+    reach the same pairs and compute the same gaps.
+    """
+
+    def __init__(self, tree, queries: list, radius: float):
+        self.tree, self.queries, self.radius = tree, queries, radius
+        self.take = tree._query_selector(queries)
+        self.paid: dict = {}  # pivot key -> d(q, pivot) per query, nan until paid
+        self.results: list[list[int]] = [[] for _ in queries]
+        self.reached: list[tuple] = []  # (queries, leaves) to verify
+
+    def pay(self, key: int, qs: np.ndarray) -> np.ndarray:
+        """The column of d(q, pivot), paid for ``qs`` (one counted
+        ``pairwise`` call for those that have not paid it yet)."""
+        column = self.paid.get(key)
+        if column is None:
+            column = self.paid[key] = np.full(len(self.queries), np.nan)
+            need = qs
+        else:
+            need = qs[np.isnan(column[qs])]
+        if len(need):
+            if len(need) > 1:  # a query may reach many nodes of one pivot
+                flags = np.zeros(len(self.queries), dtype=bool)
+                flags[need] = True
+                need = np.flatnonzero(flags)
+            column[need] = self.tree.space.pairwise_objects(
+                self.take(need), [self.tree._frontier_pivot(key)]
+            )[:, 0]
+        return column
+
+    def step_arrays(self, qs: np.ndarray, nodes: np.ndarray):
+        """One level as index arrays: the gaps of every (pair, child) at once."""
+        tree, radius = self.tree, self.radius
+        fan, keys = tree._rows[nodes].T
+        inner = fan > 0
+        if not inner.all():
+            self.reached.append((qs[~inner], nodes[~inner]))
+            qs, nodes, fan, keys = qs[inner], nodes[inner], fan[inner], keys[inner]
+            if not len(nodes):
+                return qs, nodes
+        blind = keys < 0  # a tombstoned pivot cannot prune
+        if (keys == keys[0]).all() and not blind[0]:  # one pivot a level: MVPT / FQT
+            d = self.pay(int(keys[0]), qs)[qs]
+        else:  # BKT: the pairs of each pivot
+            d = np.zeros(len(nodes))
+            where = np.flatnonzero(~blind)
+            order = np.argsort(keys[where], kind="stable")
+            where, sorted_keys = where[order], keys[where[order]]
+            cut = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+            for key, on in zip(sorted_keys[np.r_[0, cut]].tolist(), np.split(where, cut)):
+                d[on] = self.pay(key, qs[on])[qs[on]]
+        if tree._pivots_answer:
+            hit = (d <= radius) & ~blind
+            for qi, key in zip(qs[hit].tolist(), keys[hit].tolist()):
+                self.results[qi].append(key)
+        first = tree._at[nodes]
+        owner = np.repeat(np.arange(len(nodes)), fan)
+        slot = np.arange(len(owner)) + np.repeat(first - np.cumsum(fan) + fan, fan)
+        low = slot + first[owner]  # a node's lows start at twice its first slot
+        dq = d[owner]
+        gap = np.maximum(tree._bounds[low] - dq, dq - tree._bounds[low + fan[owner]])
+        alive = (np.maximum(gap, 0.0) <= radius) | blind[owner]
+        return qs[owner[alive]], tree._child[slot[alive]]
+
+    def step_pairs(self, qs: np.ndarray, nodes: np.ndarray):
+        """One level pair by pair: for a narrow level -- one query's, mostly
+        -- cheaper than the array calls' fixed cost."""
+        rows, at, child, bounds = self.tree._flat[:4]
+        radius, answers = self.radius, self.tree._pivots_answer
+        pairs = list(zip(qs.tolist(), nodes.tolist()))
+        leaves = [pair for pair in pairs if not rows[2 * pair[1]]]
+        if leaves:
+            self.reached.append(tuple(np.array(column, dtype=np.intp) for column in zip(*leaves)))
+        waiting: dict[int, list[int]] = {}  # pivot -> the queries that reached it
+        for q, node in pairs:
+            key = rows[2 * node + 1]
+            if rows[2 * node] and key >= 0:
+                waiting.setdefault(key, []).append(q)
+        columns = {key: self.pay(key, np.array(on)) for key, on in waiting.items()}
+        next_qs, next_nodes = [], []
+        for q, node in pairs:
+            fan = rows[2 * node]
+            if not fan:
+                continue
+            key, first = rows[2 * node + 1], at[node]
+            kids = child[first : first + fan]
+            if key < 0:  # a tombstoned pivot: every child is reached
+                next_qs += [q] * fan
+                next_nodes += kids
+                continue
+            d = float(columns[key][q])
+            if answers and d <= radius:
+                self.results[q].append(key)
+            lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
+            for lo, hi, kid in zip(lows_highs, lows_highs[fan:], kids):
+                if max(lo - d, d - hi, 0.0) <= radius:
+                    next_qs.append(q)
+                    next_nodes.append(kid)
+        return np.array(next_qs, dtype=np.intp), np.array(next_nodes, dtype=np.intp)
+
+    def verified(self) -> list[list[int]]:
+        """Each query's reached leaves through the leaf filter, then one
+        counted ``d_many`` call; the sorted answers."""
+        if self.reached:
+            by = np.concatenate([pair[0] for pair in self.reached])
+            leaves = np.concatenate([pair[1] for pair in self.reached])
+            if len(self.queries) > 1:
+                order = np.argsort(by, kind="stable")
+                by, leaves = by[order], leaves[order]
+            cuts = np.searchsorted(by, np.arange(len(self.queries) + 1))
+            space, radius = self.tree.space, self.radius
+            for qi in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+                keep = self.tree._leaf_filter(lambda key: self.paid[key][qi])
+                ids = keep(leaves[cuts[qi] : cuts[qi + 1]].tolist(), radius)
+                if len(ids):
+                    dists = space.d_many(self.queries[qi], space.dataset.gather(ids))
+                    self.results[qi].extend(ids[dists <= radius].tolist())
+        return [sorted(ids) for ids in self.results]

@@ -85,54 +85,50 @@ def _preorder(levels, perm: np.ndarray, codes: np.ndarray) -> tuple:
     """The five columns of the tree the build's levels describe.
 
     ``levels[t]`` is ``(fanout, lows, highs, starts, stops)`` for the
-    segments level ``t`` ends with: per segment its fanout (0 for a leaf),
-    the internal ones' child bounds back to back, and the leaves' slices of
-    ``perm``.  The children of level ``t``'s internal segments are level
+    segments level ``t`` ends with: per segment its fanout (0 for a leaf)
+    and slice of ``perm``, and the internal ones' child bounds back to
+    back.  The children of level ``t``'s internal segments are level
     ``t + 1``'s segments, in order; a node's preorder position is its
     parent's, plus one, plus the subtree sizes of its elder siblings.
     """
-    sizes = [np.ones(len(level[0]), dtype=np.intp) for level in levels]
+    fanouts = [level[0] for level in levels]
+    sizes = [np.ones(len(fanout), dtype=np.intp) for fanout in fanouts]
     for t in range(len(levels) - 2, -1, -1):  # subtree sizes, bottom up
-        fanout = levels[t][0]
-        inner = fanout > 0
+        inner = fanouts[t] > 0
         if inner.any():
-            groups = np.cumsum(fanout[inner]) - fanout[inner]
-            sizes[t][inner] += np.add.reduceat(sizes[t + 1], groups)
-    where = [np.zeros(1, dtype=np.intp)]
+            first_child = np.cumsum(fanouts[t][inner]) - fanouts[t][inner]
+            sizes[t][inner] += np.add.reduceat(sizes[t + 1], first_child)
+    positions = [np.zeros(1, dtype=np.intp)]
     for t in range(len(levels) - 1):  # preorder positions, top down
-        fanout = levels[t][0][levels[t][0] > 0]
-        parent = np.repeat(where[t][levels[t][0] > 0], fanout)
-        below = sizes[t + 1]
-        elder = np.cumsum(below) - below
-        elder -= np.repeat(elder[np.cumsum(fanout) - fanout], fanout)
-        where.append(parent + 1 + elder)
-    position = np.concatenate(where)
-    fanout = np.concatenate([level[0] for level in levels])
-    depth = np.concatenate([np.full(len(level[0]), t) for t, level in enumerate(levels)])
-    rows = np.empty((len(position), 2), dtype=np.intc)
-    rows[position, 0] = fanout
-    rows[position, 1] = depth
+        inner = fanouts[t] > 0
+        width = fanouts[t][inner]
+        elder = np.cumsum(sizes[t + 1]) - sizes[t + 1]
+        elder -= np.repeat(elder[np.cumsum(width) - width], width)
+        positions.append(np.repeat(positions[t][inner], width) + 1 + elder)
+    fanout = np.concatenate(fanouts)
+    depth = np.concatenate([np.full(len(f), t) for t, f in enumerate(fanouts)])
+    segment = np.empty(len(fanout), dtype=np.intp)  # by preorder position
+    segment[np.concatenate(positions)] = np.arange(len(fanout))
+    rows = np.column_stack([fanout[segment], depth[segment]]).astype(np.intc)
 
-    inner = fanout > 0  # bounds: each internal node's lows, then highs
-    order = np.argsort(position[inner])
-    width = fanout[inner][order]
-    lows = np.concatenate([level[1] for level in levels])
-    highs = np.concatenate([level[2] for level in levels])
-    _, source = _back_to_back((np.cumsum(fanout[inner]) - fanout[inner])[order], width)
+    inner = segment[rows[:, 0] > 0]  # bounds: each internal node's lows, then highs
+    width = fanout[inner]
+    block = np.cumsum(fanout) - fanout  # where a segment's child bounds start
+    _, source = _back_to_back(block[inner], width)
     slot = np.cumsum(width) - width
-    bounds = np.empty(2 * len(lows))
-    bounds[_back_to_back(2 * slot, width)[1]] = lows[source]
-    bounds[_back_to_back(2 * slot + width, width)[1]] = highs[source]
+    bounds = np.empty(2 * len(source))
+    bounds[_back_to_back(2 * slot, width)[1]] = np.concatenate([level[1] for level in levels])[source]
+    bounds[_back_to_back(2 * slot + width, width)[1]] = np.concatenate([level[2] for level in levels])[source]
 
-    order = np.argsort(position[~inner])  # leaves: ids, then their codes
-    starts = np.concatenate([level[3] for level in levels])[order]
-    leaf_sizes = np.concatenate([level[4] for level in levels])[order] - starts
-    leaf_depth = depth[~inner][order]
-    id_at, where_ids = _back_to_back(starts, leaf_sizes)
-    ids = perm[where_ids]
+    leaf = segment[rows[:, 0] == 0]  # leaves: ids, then their codes
+    starts = np.concatenate([level[3] for level in levels])[leaf]
+    leaf_sizes = np.concatenate([level[4] for level in levels])[leaf] - starts
+    leaf_depth = depth[leaf]
+    id_at, slots = _back_to_back(starts, leaf_sizes)
+    ids = perm[slots]
     code_at = np.cumsum(leaf_sizes * leaf_depth) - leaf_sizes * leaf_depth
     out = np.empty(int((leaf_sizes * leaf_depth).sum()), dtype=np.uint8)
-    for d in np.unique(leaf_depth[leaf_depth > 0]).tolist():
+    for d in range(1, int(leaf_depth.max()) + 1):
         group = leaf_depth == d
         held = ids[_back_to_back(id_at[group], leaf_sizes[group])[1]]
         out[_back_to_back(code_at[group], d * leaf_sizes[group])[1]] = codes[:d, held].T.ravel()
@@ -205,8 +201,7 @@ class MVPT(FrontierTreeMixin, MetricIndex):
                 lows, highs = dists[run_start[grows]], dists[run_stop[grows] - 1]
                 next_starts = pos[run_start[grows]]
                 next_stops = pos[run_stop[grows] - 1] + 1
-            closes = ~splits
-            levels.append((fanouts, lows, highs, starts[closes], stops[closes]))
+            levels.append((fanouts, lows, highs, starts, stops))
             starts, stops = next_starts, next_stops
             if not len(starts):
                 break

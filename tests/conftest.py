@@ -210,7 +210,7 @@ class TreeNode:
 
     @property
     def ids(self):
-        return self.index._leaf(int(self.index._at[self.i]))[0]
+        return np.frombuffer(bytes(self.index._leaf(int(self.index._at[self.i]))[0]), np.intc)
 
     @property
     def codes(self) -> bytes:
