@@ -41,13 +41,16 @@ in.
 Because the pruning rule is identical everywhere, the whole family shares
 its traversals (:class:`FrontierTreeMixin`), one body per query type:
 
-* **MRQ is one level-synchronous frontier** of (query, node) index arrays:
-  per step the query-to-pivot distances of the pairs come from one counted
-  ``pairwise`` call per pivot (each (query, pivot) once), the gaps of
-  every (pair, child) are one vectorized operation, and the pairs whose
-  gap passes become the next step.  A pair reaches a node exactly when
-  that query's own traversal would, so a batch costs the sum of its
-  queries' compdists, and ``range_query`` is the batch of one.
+* **MRQ is one level-synchronous frontier** of (query, node) index arrays
+  (:class:`_RangeWalk`): per level the query-to-pivot distances of the
+  pairs come from one counted ``pairwise`` call per pivot (each (query,
+  pivot) once), the gaps of every (pair, child) are one vectorized
+  operation, and the pairs whose gap passes become the next level.  A
+  level of few pairs -- one query's, mostly -- takes the same step pair by
+  pair through flat views of the columns, which costs less than the array
+  calls.  A pair reaches a node exactly when that query's own traversal
+  would, so a batch costs the sum of its queries' compdists, and
+  ``range_query`` is the batch of one.
 * **MkNNQ is a per-query best-first walk** (``_knn_walk``) over node
   indices: scalar ``interval_gap`` on a node, one
   :class:`~repro.core.queries.KnnHeap`, a pivot distance computed once per
@@ -151,19 +154,29 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 def _placed(rows: np.ndarray):
     """``(at, child)``: per node its first child slot (internal) or rank
-    (leaf); per child slot its node.  A subtree ends at the first row after
-    which one node fewer is owed than before its root, and a node's next
-    sibling starts there."""
+    (leaf); per child slot its node.
+
+    A subtree ends at the first row after which one node fewer is owed than
+    before its root, and a node's next sibling starts there: each root's
+    ``(owed - 1, row)`` is merged into the rows' ``(owed, row)`` by one
+    ``lexsort``, and the next row in that order is where its subtree ends.
+    """
     fan = rows[:, 0].astype(np.intp)
     n = len(fan)
     leaf = fan == 0
-    at = np.where(leaf, np.cumsum(leaf) - 1, np.cumsum(fan) - fan)
+    at = np.cumsum(fan) - fan
+    at[leaf] = np.arange(int(leaf.sum()))
     owed = 1 + np.cumsum(fan - 1)  # nodes still owed after each row
     position = np.arange(n)
-    stride = n + 1
-    runs = (owed * stride + position)[np.lexsort((position, owed))]  # by owed, then by row
-    due = (owed - fan) * stride + position  # one fewer than before the row
-    end = runs[np.searchsorted(runs, due)] % stride + 1
+    order = np.lexsort(  # by (owed, row), a root before the row it waits at
+        (np.repeat([1, 0], n), np.tile(position, 2), np.concatenate([owed, owed - fan]))
+    )
+    is_row = order < n
+    row_at = np.full(2 * n, 2 * n)
+    row_at[is_row] = np.flatnonzero(is_row)
+    row_at = np.minimum.accumulate(row_at[::-1])[::-1]  # the next row in the order
+    end = np.empty(n, dtype=np.intp)
+    end[order[~is_row] - n] = order[row_at[~is_row]] + 1
     child = np.empty(int(fan.sum()), dtype=np.intc)
     nodes = np.flatnonzero(~leaf)
     kids, j = nodes + 1, 0
@@ -274,7 +287,7 @@ class FrontierTreeMixin:
         id_parts, code_parts, done = [], [], 0
         for rank in sorted(self._overlay):
             ids, codes = self._overlay[rank]
-            id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], np.frombuffer(ids, np.intc))
+            id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], np.frombuffer(ids.tobytes(), np.intc))
             code_parts += (self._codes[self._code_at[done] : self._code_at[rank]], codes)
             sizes[rank] = len(ids)
             done = rank + 1

@@ -531,6 +531,50 @@ def _structure(node):
     )
 
 
+def _random_fanouts(rng, n_max=300):
+    """Per node (fanout, level) of a random tree, in preorder."""
+    rows = []
+
+    def node(depth):
+        fanout = 0 if depth > 5 or rng.random() < 0.4 or len(rows) > n_max else int(rng.integers(1, 7))
+        rows.append((fanout, depth))
+        for _ in range(fanout):
+            node(depth + 1)
+
+    node(0)
+    return np.array(rows, dtype=np.intc)
+
+
+def test_child_positions_derived_from_the_fanouts_are_the_recursive_walks():
+    """Where each node's children and each leaf's rank sit, derived from
+    the fanouts in numpy, against a recursive walk of the same rows."""
+    from repro.trees.common import _placed
+
+    rng = np.random.default_rng(85)
+    for _ in range(200):
+        rows = _random_fanouts(rng)
+        fanouts = rows[:, 0].tolist()
+        firsts = np.cumsum(fanouts) - fanouts
+        ranks = np.cumsum([f == 0 for f in fanouts]) - 1
+        want = [None] * sum(fanouts)
+        row = 0
+
+        def walk():
+            nonlocal row
+            me = row
+            row += 1
+            for j in range(fanouts[me]):
+                want[firsts[me] + j] = row
+                walk()
+
+        walk()
+        at, child = _placed(rows)
+        assert child.tolist() == want
+        assert at.tolist() == [
+            int(ranks[i]) if f == 0 else int(firsts[i]) for i, f in enumerate(fanouts)
+        ]
+
+
 class TestLevelAtATimeBuild:
     def test_segment_quantiles_are_numpys(self):
         """Bit for bit, not approximately: a split that moved by an ulp
