@@ -236,8 +236,15 @@ class FrontierTreeMixin:
         than the tree's frames, and every internal key names a pivot.
         """
         what = f"packed {self.name}"
-        rows = np.ascontiguousarray(rows, dtype=np.intc)
-        bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+        # writes stretch bounds and tombstone keys in place (copy-on-write
+        # memmaps take them; a read-only column is copied first)
+        rows, bounds = (
+            column if column.flags.writeable else column.copy()
+            for column in (
+                np.ascontiguousarray(rows, dtype=np.intc),
+                np.ascontiguousarray(bounds, dtype=np.float64),
+            )
+        )
         sizes = np.ascontiguousarray(sizes, dtype=np.intc)
         ids = np.ascontiguousarray(ids, dtype=np.intc)
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -321,10 +328,21 @@ class FrontierTreeMixin:
 
     def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The ids and codes of ``leaves`` (node numbers), back to back."""
-        ids, codes = zip(*map(self._leaf, map(self._flat.at.__getitem__, leaves)))
+        _, at, _, _, id_at, code_at, ids, codes = self._flat
+        overlay = self._overlay
+        id_parts, code_parts = [], []
+        for leaf in leaves:
+            rank = at[leaf]
+            if rank in overlay:
+                leaf_ids, leaf_codes = overlay[rank]
+            else:
+                leaf_ids = ids[id_at[rank] : id_at[rank + 1]]
+                leaf_codes = codes[code_at[rank] : code_at[rank + 1]]
+            id_parts.append(leaf_ids)
+            code_parts.append(leaf_codes)
         return (
-            np.frombuffer(b"".join(ids), dtype=np.intc),
-            np.frombuffer(b"".join(codes), dtype=np.uint8),
+            np.frombuffer(b"".join(id_parts), dtype=np.intc),
+            np.frombuffer(b"".join(code_parts), dtype=np.uint8),
         )
 
     def _written(self, leaf: int) -> tuple[array, bytearray]:
@@ -439,7 +457,7 @@ class FrontierTreeMixin:
             if pending:
                 verify_pending()
             key, first = rows[2 * node + 1], at[node]
-            kids = child[first : first + fan]
+            kids = child[first : first + fan].tolist()
             if key < 0:  # no pruning possible: every child inherits
                 for kid in kids:
                     heapq.heappush(pq, (bound, next(counter), kid))
@@ -504,8 +522,11 @@ class FrontierTreeMixin:
                 continue
             d = known[key] = self.space.d(obj, self._frontier_pivot(key))
             lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
-            gaps = [interval_gap(d, lo, hi) for lo, hi in zip(lows_highs, lows_highs[fan:])]
-            best = gaps.index(min(gaps))
+            best, best_gap = 0, float("inf")
+            for j in range(fan):
+                gap = interval_gap(d, lows_highs[j], lows_highs[fan + j])
+                if gap < best_gap:
+                    best, best_gap = j, gap
             path.append((2 * first + best, 2 * first + fan + best, d))
             node = child[first + best]
 
@@ -513,7 +534,6 @@ class FrontierTreeMixin:
             return self._holder(i, known.get) is not None
 
         object_id = claim_object_id(self.space, obj, object_id, is_live)
-        bounds = self._bounds
         for low, high, d in path:
             bounds[low] = min(bounds[low], d)
             bounds[high] = max(bounds[high], d)
@@ -535,25 +555,27 @@ class FrontierTreeMixin:
         """Depth first, in preorder, through every child whose bounds hold
         the object's pivot distance (all children where ``pivot_dist(key)``
         gives none)."""
-        rows, at, child, bounds = self._flat[:4]
+        rows, at, child, bounds, id_at, _, ids, _ = self._flat
+        overlay, answers = self._overlay, self._pivots_answer
         stack = [0]
         while stack:
             node = stack.pop()
-            fan, key, first = rows[2 * node], rows[2 * node + 1], at[node]
+            fan, first = rows[2 * node], at[node]
             if not fan:
-                if object_id in self._leaf(first)[0]:
+                held = overlay.get(first)
+                leaf_ids = ids[id_at[first] : id_at[first + 1]] if held is None else held[0]
+                if object_id in leaf_ids.tolist():
                     return node
                 continue
-            if self._pivots_answer and key == object_id:
+            key = rows[2 * node + 1]
+            if answers and key == object_id:
                 return node
             d = None if key < 0 else pivot_dist(key)
             lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
-            kids = [
-                kid
-                for lo, hi, kid in zip(lows_highs, lows_highs[fan:], child[first : first + fan])
-                if d is None or interval_gap(d, lo, hi) <= 0
-            ]
-            stack.extend(reversed(kids))
+            kids = child[first : first + fan].tolist()
+            for j in range(fan - 1, -1, -1):  # pushed last to first: popped in order
+                if d is None or interval_gap(d, lows_highs[j], lows_highs[fan + j]) <= 0:
+                    stack.append(kids[j])
         return None
 
 
