@@ -635,7 +635,8 @@ class _RangeWalk:
             order = np.argsort(keys[where], kind="stable")
             where, sorted_keys = where[order], keys[where[order]]
             cut = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            for key, on in zip(sorted_keys[np.r_[0, cut]].tolist(), np.split(where, cut)):
+            starts = np.r_[0, cut] if len(where) else cut
+            for key, on in zip(sorted_keys[starts].tolist(), np.split(where, cut)):
                 d[on] = self.pay(key, qs[on])[qs[on]]
         if tree._pivots_answer:
             hit = (d <= radius) & ~blind

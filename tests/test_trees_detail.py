@@ -98,6 +98,20 @@ class TestBKTDetail:
             MetricSpace(words), q, 4.0
         )
 
+    def test_a_batch_through_a_level_of_tombstones(self, words):
+        """Every pivot of the first two levels deleted: a batch meets a wide
+        level whose nodes none can prune, and stays exact."""
+        index = BKT.build(MetricSpace(words, CostCounters()), leaf_size=4, seed=1)
+        root = tree_root(index)
+        gone = [root.pivot_id] + [c.pivot_id for c in root.children if not c.is_leaf]
+        for pivot_id in gone:
+            index.delete(pivot_id)
+        queries = [words[i] for i in range(40)]
+        oracle = MetricSpace(words)
+        assert index.range_query_many(queries, 2.0) == [
+            [i for i in brute_force_range(oracle, q, 2.0) if i not in gone] for q in queries
+        ]
+
     def test_interval_coverage(self, words):
         """Every stored object's pivot distance lies inside its child interval."""
         index = BKT.build(MetricSpace(words, CostCounters()), seed=3)
