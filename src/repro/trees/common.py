@@ -314,18 +314,6 @@ class FrontierTreeMixin:
         if root is not None:
             self._hold_columns(*root)
 
-    def _leaf(self, rank: int):
-        """A leaf's ids and codes as buffers (int32, uint8): its overlay if a
-        write touched it, else views of the columns."""
-        held = self._overlay.get(rank)
-        if held is not None:
-            return held
-        flat = self._flat
-        return (
-            flat.ids[flat.id_at[rank] : flat.id_at[rank + 1]],
-            flat.codes[flat.code_at[rank] : flat.code_at[rank + 1]],
-        )
-
     def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The ids and codes of ``leaves`` (node numbers), back to back."""
         _, at, _, _, id_at, code_at, ids, codes = self._flat
@@ -351,8 +339,8 @@ class FrontierTreeMixin:
         rank = self._flat.at[leaf]
         held = self._overlay.get(rank)
         if held is None:
-            ids, codes = self._leaf(rank)
-            held = self._overlay[rank] = (array("i", bytes(ids)), bytearray(codes))
+            ids, codes = self._leaf_columns([leaf])
+            held = self._overlay[rank] = (array("i", ids.tobytes()), bytearray(codes))
         return held
 
     def _leaf_add(self, leaf: int, object_id: int, codes=()) -> None:

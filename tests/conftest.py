@@ -210,11 +210,11 @@ class TreeNode:
 
     @property
     def ids(self):
-        return np.frombuffer(bytes(self.index._leaf(int(self.index._at[self.i]))[0]), np.intc)
+        return self.index._leaf_columns([self.i])[0]
 
     @property
     def codes(self) -> bytes:
-        return bytes(self.index._leaf(int(self.index._at[self.i]))[1])
+        return self.index._leaf_columns([self.i])[1].tobytes()
 
     def _bounds(self, side: int):
         b = 2 * int(self.index._at[self.i])
