@@ -109,9 +109,10 @@ def _preorder(levels, perm: np.ndarray, codes: np.ndarray) -> tuple:
     depth = np.concatenate([np.full(len(f), t) for t, f in enumerate(fanouts)])
     segment = np.empty(len(fanout), dtype=np.intp)  # by preorder position
     segment[np.concatenate(positions)] = np.arange(len(fanout))
+    splits = fanout[segment] > 0
     rows = np.column_stack([fanout[segment], depth[segment]]).astype(np.intc)
 
-    inner = segment[rows[:, 0] > 0]  # bounds: each internal node's lows, then highs
+    inner = segment[splits]  # bounds: each internal node's lows, then highs
     width = fanout[inner]
     block = np.cumsum(fanout) - fanout  # where a segment's child bounds start
     _, source = _back_to_back(block[inner], width)
@@ -120,18 +121,24 @@ def _preorder(levels, perm: np.ndarray, codes: np.ndarray) -> tuple:
     bounds[_back_to_back(2 * slot, width)[1]] = np.concatenate([level[1] for level in levels])[source]
     bounds[_back_to_back(2 * slot + width, width)[1]] = np.concatenate([level[2] for level in levels])[source]
 
-    leaf = segment[rows[:, 0] == 0]  # leaves: ids, then their codes
+    leaf = segment[~splits]  # leaves: ids, then their codes
     starts = np.concatenate([level[3] for level in levels])[leaf]
     leaf_sizes = np.concatenate([level[4] for level in levels])[leaf] - starts
     leaf_depth = depth[leaf]
     id_at, slots = _back_to_back(starts, leaf_sizes)
     ids = perm[slots]
-    code_at = np.cumsum(leaf_sizes * leaf_depth) - leaf_sizes * leaf_depth
-    out = np.empty(int((leaf_sizes * leaf_depth).sum()), dtype=np.uint8)
-    for d in range(1, int(leaf_depth.max()) + 1):
-        group = leaf_depth == d
-        held = ids[_back_to_back(id_at[group], leaf_sizes[group])[1]]
-        out[_back_to_back(code_at[group], d * leaf_sizes[group])[1]] = codes[:d, held].T.ravel()
+    # each object's codes, object-major, a run of equal-depth leaves at a time
+    edges = np.r_[id_at, len(ids)]
+    first = np.r_[0, np.flatnonzero(np.diff(leaf_depth)) + 1]
+    last = np.r_[first[1:], len(leaf_depth)]
+    out = np.concatenate(
+        [np.empty(0, dtype=np.uint8)]
+        + [
+            codes[:d].T[ids[edges[a] : edges[b]]].ravel()
+            for a, b, d in zip(first.tolist(), last.tolist(), leaf_depth[first].tolist())
+            if d
+        ]
+    )
     return rows, bounds, leaf_sizes.astype(np.intc), ids, out
 
 
