@@ -97,7 +97,8 @@ __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
 # what a tree holds beside its pickled state: the columns (saved as
 # ``root``), and what is derived from them or written over them
 _COLUMNS = ("_rows", "_bounds", "_sizes", "_ids", "_codes")
-_DERIVED = ("_at", "_child", "_id_at", "_code_at", "_overlay", "_flat")
+_DERIVED_ARRAYS = ("_at", "_child", "_id_at", "_code_at")
+_DERIVED = _DERIVED_ARRAYS + ("_overlay", "_flat")
 # an MRQ frontier level of fewer (query, node) pairs than this steps pair by
 # pair, not as arrays: at one LA query a level, the array calls' fixed cost
 # made the walk ~4x the pair loop's
@@ -359,7 +360,7 @@ class FrontierTreeMixin:
         """The ``nbytes`` of the columns as a save writes them (a leaf in
         the overlay at its overlay's size) and of the arrays derived."""
         held = sum(
-            getattr(self, name).nbytes for name in _COLUMNS + ("_at", "_child", "_id_at", "_code_at")
+            getattr(self, name).nbytes for name in _COLUMNS + _DERIVED_ARRAYS
         )
         for rank, (ids, codes) in self._overlay.items():
             held += ids.itemsize * (len(ids) - int(self._sizes[rank]))
