@@ -188,12 +188,6 @@ class TreeNode:
     def __init__(self, index, i: int):
         self.index, self.i = index, int(i)
 
-    def __eq__(self, other):
-        return isinstance(other, TreeNode) and (self.index, self.i) == (other.index, other.i)
-
-    def __hash__(self):
-        return hash((id(self.index), self.i))
-
     @property
     def _fan(self) -> int:
         return int(self.index._rows[self.i, 0])
