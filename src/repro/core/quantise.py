@@ -10,7 +10,6 @@ frame) still decodes to an interval that holds it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -113,16 +112,6 @@ class Frame(NamedTuple):
         return cell
 
 
-@lru_cache(maxsize=32)
-def _cell_bounds(frames: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell's ``(low, high)`` per frame (read-only, levels x cells):
-    a tree's frames are fixed once built, and its queries share them."""
-    columns = Frame(*np.array(frames, dtype=np.float64).T[:, :, None])  # fields l x 1
-    low, high = columns.bounds(np.arange(frames[0].cells))
-    low.flags.writeable = high.flags.writeable = False
-    return low, high
-
-
 def gap_tables(frames, dists) -> np.ndarray:
     """Lemma 1 per code, for frames of one cell count.
 
@@ -130,6 +119,7 @@ def gap_tables(frames, dists) -> np.ndarray:
     ``[..., i, c]`` of the result lower-bounds |d(q, p_i) - d(o, p_i)| for
     every o coded ``c`` in ``frames[i]``.
     """
-    low, high = _cell_bounds(tuple(frames))
+    columns = Frame(*np.array(frames, dtype=np.float64).T[:, :, None])  # fields l x 1
+    low, high = columns.bounds(np.arange(frames[0].cells))
     dq = np.asarray(dists, dtype=np.float64)[..., None]
     return np.maximum(np.maximum(low - dq, dq - high), 0.0)

@@ -242,8 +242,11 @@ class QueryService:
     def save(self, path):
         """Snapshot the hosted catalog; returns the path to restore from
         (see :meth:`IndexCatalog.save`: one member writes the plain
-        snapshot at ``path``, several a manifest plus member snapshots)."""
-        return self.catalog.save(path)
+        snapshot at ``path``, several a manifest plus member snapshots).
+        Holds the reload lock like :meth:`insert`: a save folds a tree's
+        written leaves back into its columns, which no write may race."""
+        with self._reload_lock:
+            return self.catalog.save(path)
 
     def reload_from_snapshot(self, path):
         """Hot-swap the hosted indexes for ones restored from ``path``.

@@ -272,7 +272,7 @@ class _SnapshotUnpickler(pickle.Unpickler):
     def find_class(self, module, name):
         try:
             return super().find_class(module, name)
-        except AttributeError:  # a layout the code has retired
+        except (AttributeError, ImportError):  # a layout the code has retired
             raise SnapshotError(
                 f"{self._path} holds {module}.{name}, which this build reads "
                 f"only through `repro migrate {self._path} NEW`"

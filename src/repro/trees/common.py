@@ -31,12 +31,12 @@ first child slot -- its bounds start at twice that -- or a leaf's rank),
 (where each leaf's ids and codes start).
 
 **Writes touch one leaf.**  The first insert or delete in a leaf copies its
-ids and codes into ``_overlay`` (leaf rank -> ``(ids, codes)``), which
-every later read of that leaf prefers; bounds stretch in place and BKT's
-tombstone is a key of -1 (a restored tree's columns are copy-on-write
-memmaps, so the file is never written).  No write copies a whole column;
-a pickle -- a snapshot -- holds the columns with the overlay folded back
-in.
+ids and codes into the overlay (``_flat.overlay``: leaf rank -> ``(ids,
+codes)``), which every later read of that leaf prefers; bounds stretch in
+place and BKT's tombstone is a key of -1 (a restored tree's columns are
+copy-on-write memmaps, so the file is never written).  No write copies a
+whole column.  A pickle -- a snapshot -- first folds the overlay back into
+the live tree's columns, so a saved tree holds no per-leaf copies.
 
 Because the pruning rule is identical everywhere, the whole family shares
 its traversals (:class:`FrontierTreeMixin`), one body per query type:
@@ -98,17 +98,24 @@ __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
 # ``root``), and what is derived from them or written over them
 _COLUMNS = ("_rows", "_bounds", "_sizes", "_ids", "_codes")
 _DERIVED_ARRAYS = ("_at", "_child", "_id_at", "_code_at")
-_DERIVED = _DERIVED_ARRAYS + ("_overlay", "_flat")
+_DERIVED = _DERIVED_ARRAYS + ("_flat",)
 # an MRQ frontier level of fewer (query, node) pairs than this steps pair by
-# pair, not as arrays: at one LA query a level, the array calls' fixed cost
-# made the walk ~4x the pair loop's
-_FEW_PAIRS = 16
+# pair, not as arrays.  Timed per level on MVPT (LA n = 50 000, Words
+# n = 2 500): the pair loop costs ~4-7 us a pair, the array step ~25-70 us
+# at any width up to 512 pairs, and they cross between 4 and 8 pairs; a
+# 32-query LA batch walked pair by pair alone took 1.4x the wall
+_FEW_PAIRS = 8
 
 
 class _Flat(NamedTuple):
     """A tree's columns and derived arrays as flat memoryviews, for the
     walks' one-at-a-time reads: an item is a Python number, several times
-    cheaper than a numpy scalar.  ``rows`` is (fanout, key) pairs."""
+    cheaper than a numpy scalar.  ``rows`` is (fanout, key) pairs.
+
+    ``overlay`` maps a written leaf's rank to its ``(ids, codes)`` copy.
+    It travels with the views it overrides, so a reader that takes
+    ``_flat`` once sees one consistent tree while a save folds it.
+    """
 
     rows: memoryview
     at: memoryview
@@ -118,6 +125,7 @@ class _Flat(NamedTuple):
     code_at: memoryview
     ids: memoryview
     codes: memoryview
+    overlay: dict
 
 
 def interval_gap(query_to_pivot: float, lo: float, hi: float) -> float:
@@ -276,36 +284,43 @@ class FrontierTreeMixin:
         self._at, self._child = _placed(rows)
         self._id_at = _offsets(counts)
         self._code_at = _offsets(counts * depth)
-        self._overlay: dict[int, tuple[array, bytearray]] = {}
+        overlay: dict[int, tuple[array, bytearray]] = {}
         self._flat = _Flat(
             *(
                 memoryview(column.reshape(-1))
                 for column in (
                     rows, self._at, self._child, bounds, self._id_at, self._code_at, ids, codes
                 )
-            )
+            ),
+            overlay,
         )
 
-    def _columns(self) -> tuple:
-        """The five columns as a save writes them: the overlay folded in
-        (the tree itself keeps reading through its overlay)."""
-        if not self._overlay:
-            return self._rows, self._bounds, self._sizes, self._ids, self._codes
+    def _fold(self) -> None:
+        """Fold the overlay back into the columns, which the tree then holds
+        in place of its per-leaf copies."""
+        overlay = self._flat.overlay
+        if not overlay:
+            return
         sizes = np.array(self._sizes)
         id_parts, code_parts, done = [], [], 0
-        for rank in sorted(self._overlay):
-            ids, codes = self._overlay[rank]
+        for rank in sorted(overlay):
+            ids, codes = overlay[rank]
             id_parts += (self._ids[self._id_at[done] : self._id_at[rank]], np.frombuffer(ids.tobytes(), np.intc))
             code_parts += (self._codes[self._code_at[done] : self._code_at[rank]], codes)
             sizes[rank] = len(ids)
             done = rank + 1
         id_parts.append(self._ids[self._id_at[done] :])
         code_parts.append(self._codes[self._code_at[done] :])
-        return self._rows, self._bounds, sizes, np.concatenate(id_parts), np.concatenate(code_parts)
+        self._hold_columns(
+            self._rows, self._bounds, sizes, np.concatenate(id_parts), np.concatenate(code_parts)
+        )
 
     def __getstate__(self):
         state = {k: v for k, v in self.__dict__.items() if k not in _COLUMNS + _DERIVED}
-        state["root"] = self._columns() if "_rows" in self.__dict__ else None
+        state["root"] = None
+        if "_rows" in self.__dict__:
+            self._fold()
+            state["root"] = tuple(getattr(self, name) for name in _COLUMNS)
         return state
 
     def __setstate__(self, state):
@@ -317,8 +332,7 @@ class FrontierTreeMixin:
 
     def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The ids and codes of ``leaves`` (node numbers), back to back."""
-        _, at, _, _, id_at, code_at, ids, codes = self._flat
-        overlay = self._overlay
+        _, at, _, _, id_at, code_at, ids, codes, overlay = self._flat
         id_parts, code_parts = [], []
         for leaf in leaves:
             rank = at[leaf]
@@ -337,11 +351,11 @@ class FrontierTreeMixin:
     def _written(self, leaf: int) -> tuple[array, bytearray]:
         """The overlay of a leaf, made by its first write: ids and codes
         copied out of the columns, for this leaf alone."""
-        rank = self._flat.at[leaf]
-        held = self._overlay.get(rank)
+        rank, overlay = self._flat.at[leaf], self._flat.overlay
+        held = overlay.get(rank)
         if held is None:
             ids, codes = self._leaf_columns([leaf])
-            held = self._overlay[rank] = (array("i", ids.tobytes()), bytearray(codes))
+            held = overlay[rank] = (array("i", ids.tobytes()), bytearray(codes))
         return held
 
     def _leaf_add(self, leaf: int, object_id: int, codes=()) -> None:
@@ -362,7 +376,7 @@ class FrontierTreeMixin:
         held = sum(
             getattr(self, name).nbytes for name in _COLUMNS + _DERIVED_ARRAYS
         )
-        for rank, (ids, codes) in self._overlay.items():
+        for rank, (ids, codes) in self._flat.overlay.items():
             held += ids.itemsize * (len(ids) - int(self._sizes[rank]))
             held += len(codes) - int(self._code_at[rank + 1] - self._code_at[rank])
         return held
@@ -544,8 +558,8 @@ class FrontierTreeMixin:
         """Depth first, in preorder, through every child whose bounds hold
         the object's pivot distance (all children where ``pivot_dist(key)``
         gives none)."""
-        rows, at, child, bounds, id_at, _, ids, _ = self._flat
-        overlay, answers = self._overlay, self._pivots_answer
+        rows, at, child, bounds, id_at, _, ids, _, overlay = self._flat
+        answers = self._pivots_answer
         stack = [0]
         while stack:
             node = stack.pop()

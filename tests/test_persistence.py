@@ -204,7 +204,9 @@ def _objects_reachable(root) -> int:
 def test_a_tree_holds_as_many_objects_at_any_n(tmp_path):
     """A tree is its columns: built or restored, an MVPT at n = 8 000 holds
     as many Python objects as at n = 2 000 -- one more frame per level
-    built, and nothing per node or leaf."""
+    built, and nothing per node or leaf.  Writes copy the leaves they touch
+    aside, and the next save folds those copies back: the tree then holds
+    what it held unwritten."""
     built, restored = [], []
     for n in (2000, 8000):
         space = MetricSpace(make_la(n, seed=2))
@@ -214,6 +216,20 @@ def test_a_tree_holds_as_many_objects_at_any_n(tmp_path):
         assert len(again._frames) == len(index._frames)
         built.append(_objects_reachable(index) - len(index._frames))
         restored.append(_objects_reachable(again) - len(again._frames))
+        for tree, unwritten in ((index, built[-1]), (again, restored[-1])):
+            # delete every 7th object, put every other one back: most leaves
+            for object_id in range(0, n, 7):
+                tree.delete(object_id)
+            for object_id in range(0, n, 14):
+                tree.insert(tree.space.dataset[object_id], object_id=object_id)
+            assert len(tree._flat.overlay) > 100
+            assert _objects_reachable(tree) - len(tree._frames) > unwritten
+            save_index(tree, tmp_path / f"{n}.written.snap")
+            assert tree._flat.overlay == {}
+            assert _objects_reachable(tree) - len(tree._frames) == unwritten
+            assert sorted(tree.range_query(tree.space.dataset[1], 1e9)) == [
+                i for i in range(n) if i % 7 or not i % 14
+            ]
     assert built[0] == built[1]
     assert restored[0] == restored[1]
 
@@ -392,7 +408,7 @@ def test_coded_tree_round_trip_matches_the_live_index(
     assert [column.dtype for column in restored.__getstate__()["root"]] == [
         np.intc, np.float64, np.intc, np.intc, np.uint8
     ]
-    assert restored._overlay == {}
+    assert restored._flat.overlay == {}
     assert_codes_hold(restored)
     # one dataset object serves both sides here, so put back what each takes out
     for index in (live, restored):
@@ -481,6 +497,23 @@ def test_hostile_packed_fqt_and_bkt_are_snapshot_errors(tmp_path, monkeypatch, d
     _hostile_save(_packed(tree), tmp_path / "tree.snap", monkeypatch, damage)
     with pytest.raises(SnapshotError, match=f"packed {tree}"):
         load_index(tmp_path / "tree.snap")
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [(b"repro.trees.mvpt", b"repro.trees.gone"), (b"\x8c\x04MVPT", b"\x8c\x04GONE")],
+    ids=["module", "class"],
+)
+def test_a_snapshot_naming_code_that_is_gone_is_a_snapshot_error(tmp_path, retired):
+    """A pickle naming a module, or a class of a module, that this build no
+    longer has is refused as a SnapshotError naming ``repro migrate`` (a
+    reload answers it with a 400, not a server error)."""
+    save_index(_packed_mvpt(300), tmp_path / "tree.snap")
+    blob = (tmp_path / "tree.snap").read_bytes()
+    assert retired[0] in blob
+    (tmp_path / "gone.snap").write_bytes(blob.replace(*retired))
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(tmp_path / "gone.snap")
 
 
 def _columns_edit(edit):
