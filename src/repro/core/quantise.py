@@ -6,10 +6,15 @@ its Hilbert keys store a pivot distance d(o, p) as the *cell* of a
 shares the arithmetic: encoding, cell bounds, Lemma 1 gap tables.  Both
 end cells are open, so a distance met after fitting (an insert past the
 frame) still decodes to an interval that holds it.
+
+A frame's fields may be arrays: MVPT codes every object within the band
+of its own path (:meth:`Frame.band`), one frame per (object, level), and
+encodes and decodes them all in one call.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,78 +27,95 @@ _BLOCK = 8192
 
 
 class Frame(NamedTuple):
-    """``cells`` equal cells of ``width`` from ``low``; cell ``c`` covers
-    ``[low + width * c, low + width * (c + 1)]``, or just its low edge when
-    ``exact`` (discrete distances that are their own codes).  The end cells
-    are open.  Codes take the smallest unsigned dtype that holds ``cells``."""
+    """``cells`` equal cells of ``width`` from ``low``: cell ``c`` holds the
+    distances from its low edge ``low + width * c`` up to, not including,
+    the next edge, and decodes to the closed interval between the two.  On
+    a ``discrete`` metric (whole-number distances) it decodes to the
+    integers inside those edges, so a width of 1 from a whole ``low`` is
+    one distance a cell.  The end cells are open.  Codes take the smallest
+    unsigned dtype that holds ``cells``."""
 
     low: float
     width: float
-    exact: bool
+    discrete: bool
     cells: int = 256
 
     @classmethod
-    def spanning(cls, dists: np.ndarray, discrete: bool) -> "Frame":
-        """256 cells over ``[dists.min(), dists.max()]``; on a discrete
-        metric whose distances fit a byte, the distances themselves."""
-        lo, hi = float(dists.min()), float(dists.max())
-        if discrete and 0 <= lo and hi <= 255:
-            return cls(0.0, 1.0, True)
-        return cls(lo, (hi - lo) / 256, False)
+    def band(cls, low, high, discrete: bool) -> "Frame":
+        """256 cells over each band ``[low, high]`` (numbers or arrays); on
+        a discrete metric, a band that fits a byte has a cell a distance,
+        the code being the distance less ``low``."""
+        span = high - low
+        width = span / 256
+        if discrete and np.ndim(span):
+            width = np.where(span <= 255, 1.0, width)
+        elif discrete and span <= 255:  # one band, as numbers (an insert)
+            width = 1.0
+        return cls(low, width, discrete)
 
     def bounds(self, codes) -> tuple[np.ndarray, np.ndarray]:
         """Closed ``(low, high)`` of each code's cell; the end cells are open."""
         codes = np.asarray(codes)
-        low = self.low + self.width * codes.astype(np.float64)
-        high = np.where(self.exact, low, self.low + self.width * (codes + 1.0))
-        low[..., codes == 0] = -np.inf
-        high[..., codes == self.cells - 1] = np.inf
+        cell = codes.astype(np.float64)
+        low = self.low + self.width * cell
+        high = self.low + self.width * (cell + 1.0)
+        if np.any(self.discrete):
+            # the integers at or past the low edge and before the high one
+            # (a cell holding none decodes to its low end)
+            low = np.where(self.discrete, np.ceil(low), low)
+            high = np.where(self.discrete, np.maximum(np.ceil(high) - 1.0, low), high)
+        low = np.where(codes == 0, -np.inf, low)
+        high = np.where(codes == self.cells - 1, np.inf, high)
         return low, high
 
     def encode(self, dists) -> np.ndarray:
         """The cell of each distance: the last whose low edge it reaches,
         the end cells open.
 
-        The cell is ``floor((d - low) / width)``, clipped, then checked
-        once against the ``edges`` array; the few distances rounding left
-        outside their cell's edges (all of them, at a zero width) are
-        placed by ``searchsorted`` over the same edges, so every code is
-        the one ``searchsorted`` alone would give.  Raises unless every
-        decoded interval contains its distance: a code that excluded it
-        would let a Lemma 1 filter drop a true answer.
+        The cell is ``floor((d - low) / width)``, clipped, then stepped
+        until the distance lies between the cell's edges (rounding leaves
+        it a cell off at most, but for edges a rounding apart), so every
+        code is the one ``searchsorted`` over the edges gives.  A frame of
+        zero width places each distance at or past ``low`` in the top cell.
+        Fields that are arrays code the distance they broadcast to.  Raises
+        unless every decoded interval contains its distance: a code that
+        excluded it would let a Lemma 1 filter drop a true answer.
         """
         dists = np.asarray(dists, dtype=np.float64)
         top = self.cells - 1
-        edges = self.low + self.width * np.arange(self.cells + 1, dtype=np.float64)
-        # cell c holds [starts[c], ends[c]), the end cells open
-        starts, ends = edges[:-1].copy(), edges[1:].copy()
-        starts[0], ends[-1] = -np.inf, np.inf
+        # array fields, one value a distance, are cut into blocks with them
+        fields = [
+            np.broadcast_to(field, dists.shape).reshape(-1) if np.ndim(field) else field
+            for field in self[:3]
+        ]
         codes = np.empty(dists.shape, dtype=np.min_scalar_type(top))
         flat = dists.reshape(-1)
         for start in range(0, flat.size, _BLOCK):
-            block = flat[start : start + _BLOCK]
-            guess = block - self.low
-            if self.width > 0:
-                guess /= self.width
-                np.floor(guess, out=guess)
-            else:  # every distance is placed below
-                guess[:] = 0
+            part = slice(start, start + _BLOCK)
+            block = flat[part]
+            lo, w, discrete = (f[part] if np.ndim(f) else f for f in fields)
+            guess = np.divide(block - lo, w, out=np.zeros(len(block)), where=w > 0)
+            np.floor(guess, out=guess)
+            if np.any(w == 0):  # every distance at or past its low end is on top
+                guess = np.where(w > 0, guess, np.where(block >= lo, top, 0))
             # fmax / fmin, unlike clip, send NaN to a bound
-            cells = np.fmin(np.fmax(guess, 0, out=guess), top, out=guess).astype(np.intp)
-            # rounding can leave a distance outside its cell
-            off = np.flatnonzero((block < starts[cells]) | (block >= ends[cells]))
-            if len(off):
-                placed = np.searchsorted(edges, block[off], side="right") - 1
-                cells[off] = np.clip(placed, 0, top)
-            low, high = self.bounds(cells)
-            if not ((low <= block) & (block <= high)).all():
+            cells = np.fmin(np.fmax(guess, 0), top).astype(np.intp)
+            while True:  # rounding can leave a distance outside its cell
+                down = (cells > 0) & (block < lo + w * cells)
+                up = (cells < top) & (block >= lo + w * (cells + 1))
+                if not (down.any() or up.any()):
+                    break
+                cells += up.astype(np.intp) - down
+            low_end, high_end = Frame(lo, w, discrete, self.cells).bounds(cells)
+            if not ((low_end <= block) & (block <= high_end)).all():
                 raise AssertionError(f"frame {self} lost a distance among {dists!r}")
-            codes.reshape(-1)[start : start + _BLOCK] = cells
+            codes.reshape(-1)[part] = cells
         return codes
 
     def encode_one(self, dist: float) -> int:
-        """:meth:`encode` for one distance, without arrays."""
-        lo, width, exact, cells = self
+        """:meth:`encode` for one distance, on a frame of numbers, without
+        arrays."""
+        lo, width, discrete, cells = self
         top = cells - 1
         if dist >= lo + width * top:
             cell = top
@@ -105,8 +127,10 @@ class Frame(NamedTuple):
                 cell -= 1
             while dist >= lo + width * (cell + 1):
                 cell += 1
-        low = lo + width * cell
-        high = low if exact else lo + width * (cell + 1)
+        low, high = lo + width * cell, lo + width * (cell + 1)
+        if discrete:
+            low = math.ceil(low)
+            high = max(math.ceil(high) - 1, low)
         if (cell > 0 and dist < low) or (cell < top and dist > high):
             raise AssertionError(f"frame {self} lost the distance {dist!r}")
         return cell

@@ -192,10 +192,50 @@ def _flattened(root) -> tuple:
 
 @_converts(MVPT, VPT)
 def _mvpt(state):
-    state.setdefault("_frames", ())  # none before leaves carried codes
-    if state["_frames"]:  # (low, width, exact) tuples before Frame
-        state["_frames"] = [Frame(*frame) for frame in state["_frames"]]
-    return _fqt(state)
+    # codes were cells of one frame a level (none before leaves carried
+    # codes); they are made again within each object's path bands
+    frames = state.pop("_frames", ())
+    state = _fqt(state)
+    state["_stretched"] = {}
+    if frames and state["root"] is not None:
+        state["root"] = _band_coded(state)
+    return state
+
+
+def _band_coded(state) -> tuple:
+    """The columns of ``state``'s tree with every leaf object's codes made
+    within the bands of its path, from its distances to the path's pivots:
+    computed once, here, through the metric itself (a conversion, not a
+    query, so no counter sees them)."""
+    tree = MVPT.__new__(MVPT)
+    tree.__setstate__(dict(state))
+    space = tree.space
+    rows, at, child = tree._rows.tolist(), tree._at.tolist(), tree._child.tolist()
+    paths = {}  # leaf rank -> (depth, path)
+    stack = [(0, ())]
+    while stack:
+        node, path = stack.pop()
+        (fan, key), first = rows[node], at[node]
+        if not fan:
+            paths[first] = key, path
+        for j in range(fan):
+            stack.append((child[first + j], path + ((2 * first + j, 2 * first + fan + j),)))
+    codes = []
+    for rank in range(len(tree._sizes)):
+        depth, path = paths[rank]
+        ids = tree._ids[tree._id_at[rank] : tree._id_at[rank + 1]]
+        if depth and len(ids):
+            objects = space.dataset.gather(ids)
+            dists = np.column_stack(
+                [
+                    space.distance.one_to_many(space.dataset[tree.pivot_ids[level]], objects)
+                    for level in range(depth)
+                ]
+            )
+            frame, _, _ = tree._code_bands(np.array(path[:depth], dtype=np.intp))
+            codes.append(frame.encode(dists).reshape(-1))
+    codes = np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
+    return (tree._rows, tree._bounds, tree._sizes, tree._ids, codes)
 
 
 @_converts(FQT, BKT)
@@ -209,7 +249,8 @@ def _fqt(state):
 def _fqa(state):
     if "_width" in state:  # uint32 buckets of one width; past 255 is the open top cell
         buckets = state["_signatures"]
-        state["_frames"] = (Frame(0.0, state.pop("_width"), False),) * buckets.shape[1]
+        frame = Frame(0.0, state.pop("_width"), state["space"].is_discrete)
+        state["_frames"] = (frame,) * buckets.shape[1]
         state["_signatures"] = np.minimum(buckets, 255).astype(np.uint8)
     return state
 
@@ -243,7 +284,7 @@ def _located(state):
         state["raf"]._locate(ids, *where.reshape(-1, 2).T)
         state["raf"]._count = len(ids)
     if "eps" in state:  # an SPB-tree pickled before its grid was a Frame
-        state["frame"] = Frame(0.0, state.pop("eps"), False, 1 << state["bits"])
+        state["frame"] = Frame(0.0, state.pop("eps"), state["space"].is_discrete, 1 << state["bits"])
     return state
 
 

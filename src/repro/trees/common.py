@@ -20,7 +20,8 @@ their nodes in preorder, from build through snapshot to query:
   objects;
 * ``_sizes`` (int32): each leaf's object count;
 * ``_ids`` (int32) and ``_codes`` (uint8): the leaves' ids and path codes
-  (depth bytes an object, object-major), back to back.
+  (depth bytes an object, object-major, each a cell of its path's band at
+  that level), back to back.
 
 A snapshot lifts exactly these into memmap regions (the pickled state's
 ``root``).  Where a node's children and a leaf's objects sit is derived,
@@ -39,22 +40,35 @@ whole column.  A pickle -- a snapshot -- first folds the overlay back into
 the live tree's columns, so a saved tree holds no per-leaf copies.
 
 Because the pruning rule is identical everywhere, the whole family shares
-its traversals (:class:`FrontierTreeMixin`), one body per query type:
+its traversals (:class:`FrontierTreeMixin`), one body per query type.
+Both walks carry, for every node they reach, its *path*: where in
+``_bounds`` the child bounds they passed sit, one ``(low, high)`` pair a
+level.  MVPT / VPT leaves code their objects' path distances within those
+bands, so the path is what decodes them.
 
-* **MRQ is one level-synchronous frontier** of (query, node) index arrays
-  (:class:`_RangeWalk`): per level the query-to-pivot distances of the
-  pairs come from one counted ``pairwise`` call per pivot (each (query,
-  pivot) once), the gaps of every (pair, child) are one vectorized
+* **MRQ is one level-synchronous frontier** of (query, node, path) index
+  arrays (:class:`_RangeWalk`): per level the query-to-pivot distances of
+  the pairs come from one counted ``pairwise`` call per pivot (each
+  (query, pivot) once), the gaps of every (pair, child) are one vectorized
   operation, and the pairs whose gap passes become the next level.  A
   level of few pairs -- one query's, mostly -- takes the same step pair by
   pair through flat views of the columns, which costs less than the array
   calls.  A pair reaches a node exactly when that query's own traversal
   would, so a batch costs the sum of its queries' compdists, and
-  ``range_query`` is the batch of one.
-* **MkNNQ is a per-query best-first walk** (``_knn_walk``) over node
-  indices: scalar ``interval_gap`` on a node, one
-  :class:`~repro.core.queries.KnnHeap`, a pivot distance computed once per
-  (query, pivot).  ``knn_query_many`` runs that walk query after query and
+  ``range_query`` is the batch of one.  The leaves each query reached are
+  verified at the end: bounded object by object by the tree's *leaf
+  filter* (:meth:`FrontierTreeMixin._leaf_bounds`), a level's leaves in
+  one call, and the objects within the radius go to one counted
+  ``d_many`` call per query.
+* **MkNNQ is a per-query best-first walk** (``_knn_walk``) over nodes and
+  then objects: nodes wait in a heap by the gap accumulated on their path,
+  the objects of the leaves it reached in one run sorted by their own
+  leaf-filter bounds, and whatever is lowest goes next.  Leaves set aside
+  one after another are bounded in one call; objects are verified in
+  ascending bound order, in chunks (k, then ``max(k, 32)``, as
+  :func:`~repro.core.queries.best_first_knn` takes them, then growing) that
+  never pass the next node's bound, and the walk stops at the k-th
+  distance.  ``knn_query_many`` runs that walk query after query and
   shares nothing else -- a query's pivot distances and its radius are its
   own, and a frontier common to the batch (cut off at the largest radius
   among its heaps) tightened every radius late and cost more distances
@@ -62,21 +76,17 @@ its traversals (:class:`FrontierTreeMixin`), one body per query type:
   tie-breaking makes the answer independent of verification order, so
   both views equal brute force bit for bit.
 
-**Leaf verification is deferred, and filtered first.**  MRQ collects the
-leaves each query reached and verifies them at the end; the MkNNQ walk
-collects consecutive leaf pops and verifies them when the next internal
-node arrives.  Either way the reached leaves first pass through the
-tree's *leaf filter* (:meth:`FrontierTreeMixin._leaf_filter`) -- all of
-them in one call, with the query's pivot distances and its current radius
--- and only the ids it returns reach one counted ``d_many`` call.  MVPT /
-VPT keep per-object path-distance codes and drop there what Lemma 1
-excludes; BKT / FQT hold no path distances and pass every id through.  The
-filter never calls the metric.
+MVPT / VPT's leaf filter is Lemma 1 on each object's path codes.  BKT /
+FQT hold no path distances: an object is bounded by its leaf, so their
+MkNNQ verifies a leaf's objects, in id order, as the leaf's turn comes.
+The filter never calls the metric.
 
 Trees plug in via :meth:`FrontierTreeMixin._frontier_pivot` (a key's pivot
 object), :meth:`FrontierTreeMixin._key_limits` (the keys and depths their
-columns may hold) and ``_pivots_answer`` (BKT's pivot is itself a result
-candidate).  The same columns drive the descent behind every tree's
+columns may hold), :meth:`FrontierTreeMixin._leaf_bounds` and
+:meth:`FrontierTreeMixin._stretching` (MVPT / VPT keep a band aside before
+an insert stretches it) and ``_pivots_answer`` (BKT's pivot is itself a
+result candidate).  The same columns drive the descent behind every tree's
 ``insert`` and ``delete`` (``_route_insert``, ``_find_for_delete``).
 """
 
@@ -105,6 +115,11 @@ _DERIVED = _DERIVED_ARRAYS + ("_flat",)
 # at any width up to 512 pairs, and they cross between 4 and 8 pairs; a
 # 32-query LA batch walked pair by pair alone took 1.4x the wall
 _FEW_PAIRS = 8
+# MkNNQ verification chunks: k objects, then max(k, 32), then each four
+# times the last.  An edit distance costs ~6 us an object in calls of 32 and
+# ~2.4 in calls of 512 (Words); a chunk never passes the next node's bound,
+# so only objects the walk would reach next anyway make it longer
+_CHUNK_GROWTH = 4
 
 
 class _Flat(NamedTuple):
@@ -126,6 +141,16 @@ class _Flat(NamedTuple):
     ids: memoryview
     codes: memoryview
     overlay: dict
+
+
+def _chunk_sizes(k: int):
+    """MkNNQ verification chunk sizes: k, max(k, 32), then each four times
+    the last."""
+    yield k
+    size = max(k, 32)
+    while True:
+        yield size
+        size *= _CHUNK_GROWTH
 
 
 def interval_gap(query_to_pivot: float, lo: float, hi: float) -> float:
@@ -224,15 +249,25 @@ class FrontierTreeMixin:
         """``(lowest key, key stop, deepest leaf)`` the columns may hold."""
         raise NotImplementedError
 
-    def _leaf_filter(self, pivot_dist):
-        """One query's ``keep(leaves, radius) -> ids`` still to be verified.
+    def _leaf_bounds(self, pivot_dist, leaves, paths, floors):
+        """``(ids, bounds)``: the objects of ``leaves`` (node numbers) and a
+        lower bound of d(q, o) for each, never below its leaf's ``floors``
+        entry.
 
-        ``pivot_dist(key)`` is the query's distance to a pivot its walk has
-        already paid for.  A tree whose leaves hold path distances drops
-        here what Lemma 1 excludes at ``radius`` (MVPT / VPT); the others
-        hold none and pass every reached id through.
+        ``paths[i]`` holds, root first, the ``(low, high)`` positions in
+        ``_bounds`` of the child bounds the walk passed on its way to
+        ``leaves[i]`` -- every leaf of one call at the same depth --
+        and ``pivot_dist(key)`` is the query's distance to a pivot the walk
+        has paid for.  A tree whose leaves code their path distances bounds
+        each object by Lemma 1 on them (MVPT / VPT); the others hold none,
+        and an object is bounded by its leaf.
         """
-        return lambda leaves, radius: self._leaf_columns(leaves)[0]
+        ids, _, counts = self._leaf_columns(np.asarray(leaves).tolist())
+        return ids, np.repeat(floors, counts)
+
+    def _stretching(self, low: int, lo: float, hi: float) -> None:
+        """An insert is about to stretch the child bounds ``[lo, hi]`` at
+        ``_bounds[low]`` (and the high one beside it)."""
 
     # -- columns -------------------------------------------------------------
 
@@ -330,8 +365,9 @@ class FrontierTreeMixin:
         if root is not None:
             self._hold_columns(*root)
 
-    def _leaf_columns(self, leaves: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The ids and codes of ``leaves`` (node numbers), back to back."""
+    def _leaf_columns(self, leaves: list[int]):
+        """The ids and codes of ``leaves`` (node numbers), back to back, and
+        each leaf's object count."""
         _, at, _, _, id_at, code_at, ids, codes, overlay = self._flat
         id_parts, code_parts = [], []
         for leaf in leaves:
@@ -346,6 +382,7 @@ class FrontierTreeMixin:
         return (
             np.frombuffer(b"".join(id_parts), dtype=np.intc),
             np.frombuffer(b"".join(code_parts), dtype=np.uint8),
+            np.array([len(part) for part in id_parts], dtype=np.intp),
         )
 
     def _written(self, leaf: int) -> tuple[array, bytearray]:
@@ -354,7 +391,7 @@ class FrontierTreeMixin:
         rank, overlay = self._flat.at[leaf], self._flat.overlay
         held = overlay.get(rank)
         if held is None:
-            ids, codes = self._leaf_columns([leaf])
+            ids, codes, _ = self._leaf_columns([leaf])
             held = overlay[rank] = (array("i", ids.tobytes()), bytearray(codes))
         return held
 
@@ -403,9 +440,10 @@ class FrontierTreeMixin:
             return []
         walk = _RangeWalk(self, queries, radius)
         qs, nodes = np.arange(len(queries)), np.zeros(len(queries), dtype=np.intp)
+        paths = np.empty((len(queries), 0, 2), dtype=np.intp)
         while len(nodes):
             step = walk.step_pairs if len(nodes) < _FEW_PAIRS else walk.step_arrays
-            qs, nodes = step(qs, nodes)
+            qs, nodes, paths = step(qs, nodes, paths)
         return walk.verified()
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
@@ -419,16 +457,31 @@ class FrontierTreeMixin:
         return [self._knn_walk(query_obj, k) for query_obj in queries]
 
     def _knn_walk(self, query_obj, k: int) -> list[Neighbor]:
-        """The one MkNNQ body: best-first over nodes by accumulated gap.
+        """The one MkNNQ body: best-first over nodes, then over objects.
 
-        Leaf verification is deferred across consecutive leaf pops: popped
-        leaves wait in ``pending`` and go through the leaf filter and one
-        counted ``d_many`` call when the next internal node arrives (so its
-        pruning sees a fresh radius) or the frontier empties.  Deferral is
-        answer-preserving -- a radius that would have shrunk between two
-        leaf pops can only let extra candidates in, and those lose to the
-        heap's canonical (distance, id) ordering exactly as if considered
-        late.
+        Nodes wait in a heap by the gap accumulated on their path; leaf
+        objects wait in one run sorted by their own lower bound.  Whatever
+        is lowest goes next -- at a tie, a step that costs no distance
+        first:
+
+        * a leaf is set aside.  The leaves set aside are bounded together,
+          by one :meth:`_leaf_bounds` call, once an internal node or a
+          verification comes next, and their objects within the radius
+          join the run;
+        * an internal node is expanded: the query's distance to its pivot
+          (once per key), and the children whose gap stays within the
+          radius are pushed;
+        * the run's head starts a verification chunk: one counted
+          ``d_many`` call over the objects next in bound order, up to the
+          next node's bound -- k objects at first, then ``max(k, 32)``, as
+          :func:`~repro.core.queries.best_first_knn` takes them, then each
+          chunk four times the last.
+
+        The walk stops once both heads exceed the k-th distance, so an
+        object is verified only if its bound is within the radius when its
+        turn comes, and never before a node below it was opened.  The
+        heap's canonical (distance, id) ordering makes the answer
+        independent of that order.
         """
         space = self.space
         gather = space.dataset.gather
@@ -436,49 +489,83 @@ class FrontierTreeMixin:
         answers = self._pivots_answer
         heap = KnnHeap(k)
         known: dict = {}  # pivot key -> d(q, pivot)
-        keep = self._leaf_filter(known.__getitem__)
-        pending: list[int] = []
+        nodes = [(0.0, 0, 0, ())]  # (bound, tie, node, path)
+        lower, ids = np.empty(0), np.empty(0, dtype=np.intc)  # the objects' run
+        pending: list[tuple] = []  # leaves set aside: (bound, node, path)
         counter = itertools.count(1)
+        chunks = _chunk_sizes(k)
 
-        def verify_pending() -> None:
-            ids = keep(pending, heap.radius)
+        def bound_pending():
+            by_depth: dict[int, list[tuple]] = {}
+            for entry in pending:
+                by_depth.setdefault(len(entry[2]), []).append(entry)
             pending.clear()
-            if len(ids):
-                dists = space.d_many(query_obj, gather(ids))
-                for object_id, d in zip(ids.tolist(), dists.tolist()):
-                    heap.consider(object_id, d)
-
-        pq = [(0.0, 0, 0)]
-        while pq:
-            bound, _, node = heapq.heappop(pq)
-            if bound > heap.radius:
-                break  # pops ascend by bound: the rest of the frontier is dead
-            fan = rows[2 * node]
-            if not fan:
-                pending.append(node)
-                continue
-            if pending:
-                verify_pending()
-            key, first = rows[2 * node + 1], at[node]
-            kids = child[first : first + fan].tolist()
-            if key < 0:  # no pruning possible: every child inherits
-                for kid in kids:
-                    heapq.heappush(pq, (bound, next(counter), kid))
-                continue
-            d = known.get(key)
-            if d is None:
-                d = known[key] = space.d(query_obj, self._frontier_pivot(key))
-            if answers:
-                heap.consider(key, d)
             radius = heap.radius
-            lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
-            for lo, hi, kid in zip(lows_highs, lows_highs[fan:], kids):
-                child_bound = max(bound, interval_gap(d, lo, hi))
-                if child_bound <= radius:
-                    heapq.heappush(pq, (child_bound, next(counter), kid))
-        if pending:
-            verify_pending()
-        return heap.neighbors()
+            runs_lower, runs_ids = [lower], [ids]
+            for depth, group in by_depth.items():
+                floors, leaves, paths = zip(*group)
+                new_ids, new_lower = self._leaf_bounds(
+                    known.__getitem__,
+                    np.array(leaves),
+                    np.array(paths, dtype=np.intp).reshape(len(group), depth, 2),
+                    np.array(floors),
+                )
+                near = new_lower <= radius
+                runs_lower.append(new_lower[near])
+                runs_ids.append(new_ids[near])
+            merged_lower, merged_ids = np.concatenate(runs_lower), np.concatenate(runs_ids)
+            order = np.lexsort((merged_ids, merged_lower))
+            return merged_lower[order], merged_ids[order]
+
+        while True:
+            radius = heap.radius
+            step = nodes[0] if nodes and nodes[0][0] <= radius else None
+            if step is not None:
+                bound, _, node, path = step
+                fan, key = rows[2 * node], rows[2 * node + 1]
+                # what may lie below the node: objects in the run and, for an
+                # internal node, in the leaves set aside
+                below = lower[0] if len(lower) else np.inf
+                if fan and pending:
+                    below = min(below, pending[0][0])
+                if bound < below or (bound == below and (not fan or key < 0 or key in known)):
+                    heapq.heappop(nodes)
+                    if not fan:
+                        pending.append((bound, node, path))
+                        continue
+                    first = at[node]
+                    kids = child[first : first + fan].tolist()
+                    slots = [path + ((2 * first + j, 2 * first + fan + j),) for j in range(fan)]
+                    if key < 0:  # no pruning possible: every child inherits
+                        for kid, kid_path in zip(kids, slots):
+                            heapq.heappush(nodes, (bound, next(counter), kid, kid_path))
+                        continue
+                    d = known.get(key)
+                    if d is None:
+                        d = known[key] = space.d(query_obj, self._frontier_pivot(key))
+                    if answers:
+                        heap.consider(key, d)
+                    radius = heap.radius
+                    lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
+                    for lo, hi, kid, kid_path in zip(lows_highs, lows_highs[fan:], kids, slots):
+                        child_bound = max(bound, interval_gap(d, lo, hi))
+                        if child_bound <= radius:
+                            heapq.heappush(nodes, (child_bound, next(counter), kid, kid_path))
+                    continue
+            if pending:
+                lower, ids = bound_pending()
+                continue
+            if not len(lower) or lower[0] > radius:
+                return heap.neighbors()
+            # a chunk from the run's head, up to the next node's bound
+            cut = radius if step is None else min(radius, step[0])
+            within = int(np.searchsorted(lower, cut, "right"))
+            take = max(1, min(next(chunks), within))
+            verify, lower, ids = ids[:take], lower[take:], ids[take:]
+            dists = space.d_many(query_obj, gather(verify))
+            near = dists <= radius
+            for object_id, d in zip(verify[near].tolist(), dists[near].tolist()):
+                heap.consider(object_id, d)
 
     # -- MRQ machinery ---------------------------------------------------------
 
@@ -501,16 +588,19 @@ class FrontierTreeMixin:
     # -- maintenance ---------------------------------------------------------
 
     def _route_insert(self, obj, object_id: int | None):
-        """Descend to the leaf ``obj`` belongs in: ``(id, leaf, known)``.
+        """Descend to the leaf ``obj`` belongs in: ``(id, leaf, path)``.
 
-        One distance per pivot on the way down (``known``, by pivot key).
-        The id is claimed by :func:`~repro.core.index.claim_object_id`: an
+        One distance per pivot on the way down; ``path`` holds, root first,
+        each ``(low, high, d)``: where in ``_bounds`` the child bounds the
+        descent took sit, and the distance to that node's pivot (a
+        tombstoned BKT pivot adds none).  The id is claimed by :func:`~repro.core.index.claim_object_id`: an
         explicit ``object_id`` re-registers a dataset slot (delete, then
         insert back), so it must name one holding ``obj`` and must not be
         live -- a second copy would answer twice forever after.  The live
         copy, if any, sits under children whose bounds hold the distances
         just computed, so the check costs none of its own; bounds stretch
-        only once it passed.
+        only once it passed, each stretched band announced first to
+        :meth:`_stretching`.
         """
         rows, at, child, bounds = self._flat[:4]
         known: dict = {}
@@ -538,9 +628,11 @@ class FrontierTreeMixin:
 
         object_id = claim_object_id(self.space, obj, object_id, is_live)
         for low, high, d in path:
-            bounds[low] = min(bounds[low], d)
-            bounds[high] = max(bounds[high], d)
-        return int(object_id), node, known
+            if d < bounds[low] or d > bounds[high]:
+                self._stretching(low, bounds[low], bounds[high])
+                bounds[low] = min(bounds[low], d)
+                bounds[high] = max(bounds[high], d)
+        return int(object_id), node, path
 
     def _find_for_delete(self, object_id: int) -> int:
         """The leaf (or BKT node anchored on it) holding a live object."""
@@ -584,13 +676,14 @@ class FrontierTreeMixin:
 
 class _RangeWalk:
     """One MRQ batch's frontier: the pivot distances its queries have paid,
-    their results, and the (query, leaf) pairs reached, which
-    :meth:`verified` filters and verifies at the end.
+    their results, and the (query, leaf, path) triples reached, which
+    :meth:`verified` bounds and verifies at the end.
 
-    A level of the frontier steps as index arrays (:meth:`step_arrays`) or,
-    when it holds fewer than ``_FEW_PAIRS`` pairs, pair by pair through the
-    tree's flat views (:meth:`step_pairs`): both pay the same distances,
-    reach the same pairs and compute the same gaps.
+    A level of the frontier -- (query, node) pairs and each pair's path,
+    ``(pairs, level, 2)`` positions in ``_bounds`` -- steps as index arrays
+    (:meth:`step_arrays`) or, when it holds fewer than ``_FEW_PAIRS`` pairs,
+    pair by pair through the tree's flat views (:meth:`step_pairs`): both
+    pay the same distances, reach the same pairs and compute the same gaps.
     """
 
     def __init__(self, tree, queries: list, radius: float):
@@ -598,7 +691,7 @@ class _RangeWalk:
         self.take = tree._query_selector(queries)
         self.paid: dict = {}  # pivot key -> d(q, pivot) per query, nan until paid
         self.results: list[list[int]] = [[] for _ in queries]
-        self.reached: list[tuple] = []  # (queries, leaves) to verify
+        self.reached: list[tuple] = []  # a level's (queries, leaves, paths) to verify
 
     def pay(self, key: int, qs: np.ndarray) -> np.ndarray:
         """The column of d(q, pivot), paid for ``qs`` (one counted
@@ -619,16 +712,17 @@ class _RangeWalk:
             )[:, 0]
         return column
 
-    def step_arrays(self, qs: np.ndarray, nodes: np.ndarray):
+    def step_arrays(self, qs: np.ndarray, nodes: np.ndarray, paths: np.ndarray):
         """One level as index arrays: the gaps of every (pair, child) at once."""
         tree, radius = self.tree, self.radius
         fan, keys = tree._rows[nodes].T
         inner = fan > 0
         if not inner.all():
-            self.reached.append((qs[~inner], nodes[~inner]))
-            qs, nodes, fan, keys = qs[inner], nodes[inner], fan[inner], keys[inner]
+            self.reached.append((qs[~inner], nodes[~inner], paths[~inner]))
+            qs, nodes, paths = qs[inner], nodes[inner], paths[inner]
+            fan, keys = fan[inner], keys[inner]
             if not len(nodes):
-                return qs, nodes
+                return qs, nodes, paths
         blind = keys < 0  # a tombstoned pivot cannot prune
         if (keys == keys[0]).all() and not blind[0]:  # one pivot a level: MVPT / FQT
             d = self.pay(int(keys[0]), qs)[qs]
@@ -649,28 +743,31 @@ class _RangeWalk:
         owner = np.repeat(np.arange(len(nodes)), fan)
         slot = np.arange(len(owner)) + np.repeat(first - np.cumsum(fan) + fan, fan)
         low = slot + first[owner]  # a node's lows start at twice its first slot
+        high = low + fan[owner]
         dq = d[owner]
-        gap = np.maximum(tree._bounds[low] - dq, dq - tree._bounds[low + fan[owner]])
+        gap = np.maximum(tree._bounds[low] - dq, dq - tree._bounds[high])
         alive = (np.maximum(gap, 0.0) <= radius) | blind[owner]
-        return qs[owner[alive]], tree._child[slot[alive]]
+        kept = owner[alive]
+        band = np.stack([low[alive], high[alive]], axis=1)[:, None, :]
+        return qs[kept], tree._child[slot[alive]], np.concatenate([paths[kept], band], axis=1)
 
-    def step_pairs(self, qs: np.ndarray, nodes: np.ndarray):
+    def step_pairs(self, qs: np.ndarray, nodes: np.ndarray, paths: np.ndarray):
         """One level pair by pair: for a narrow level -- one query's, mostly
         -- cheaper than the array calls' fixed cost."""
         rows, at, child, bounds = self.tree._flat[:4]
         radius, answers = self.radius, self.tree._pivots_answer
         pairs = list(zip(qs.tolist(), nodes.tolist()))
-        leaves = [pair for pair in pairs if not rows[2 * pair[1]]]
+        leaves = [i for i, (_, node) in enumerate(pairs) if not rows[2 * node]]
         if leaves:
-            self.reached.append(tuple(np.array(column, dtype=np.intp) for column in zip(*leaves)))
+            self.reached.append((qs[leaves], nodes[leaves], paths[leaves]))
         waiting: dict[int, list[int]] = {}  # pivot -> the queries that reached it
         for q, node in pairs:
             key = rows[2 * node + 1]
             if rows[2 * node] and key >= 0:
                 waiting.setdefault(key, []).append(q)
         columns = {key: self.pay(key, np.array(on)) for key, on in waiting.items()}
-        next_qs, next_nodes = [], []
-        for q, node in pairs:
+        next_qs, next_nodes, parents, bands = [], [], [], []
+        for i, (q, node) in enumerate(pairs):
             fan = rows[2 * node]
             if not fan:
                 continue
@@ -679,32 +776,53 @@ class _RangeWalk:
             if key < 0:  # a tombstoned pivot: every child is reached
                 next_qs += [q] * fan
                 next_nodes += kids
+                parents += [i] * fan
+                bands += [(2 * first + j, 2 * first + fan + j) for j in range(fan)]
                 continue
             d = float(columns[key][q])
             if answers and d <= radius:
                 self.results[q].append(key)
             lows_highs = bounds[2 * first : 2 * (first + fan)].tolist()
-            for lo, hi, kid in zip(lows_highs, lows_highs[fan:], kids):
+            for j, (lo, hi, kid) in enumerate(zip(lows_highs, lows_highs[fan:], kids)):
                 if max(lo - d, d - hi, 0.0) <= radius:
                     next_qs.append(q)
                     next_nodes.append(kid)
-        return np.array(next_qs, dtype=np.intp), np.array(next_nodes, dtype=np.intp)
+                    parents.append(i)
+                    bands.append((2 * first + j, 2 * first + fan + j))
+        band = np.array(bands, dtype=np.intp).reshape(-1, 1, 2)
+        return (
+            np.array(next_qs, dtype=np.intp),
+            np.array(next_nodes, dtype=np.intp),
+            np.concatenate([paths[np.array(parents, dtype=np.intp)], band], axis=1),
+        )
 
     def verified(self) -> list[list[int]]:
-        """Each query's reached leaves through the leaf filter, then one
-        counted ``d_many`` call; the sorted answers."""
-        if self.reached:
-            by = np.concatenate([pair[0] for pair in self.reached])
-            leaves = np.concatenate([pair[1] for pair in self.reached])
-            if len(self.queries) > 1:
-                order = np.argsort(by, kind="stable")
-                by, leaves = by[order], leaves[order]
-            cuts = np.searchsorted(by, np.arange(len(self.queries) + 1))
-            space, radius = self.tree.space, self.radius
+        """Each query's reached leaves bounded object by object, and the
+        objects within the radius verified by one counted ``d_many`` call;
+        the sorted answers."""
+        n = len(self.queries)
+        reached: list[list[tuple]] = [[] for _ in range(n)]  # per query: (leaves, paths)
+        for qs, leaves, paths in self.reached:  # a level's leaves, of one depth
+            if n == 1:
+                reached[0].append((leaves, paths))
+                continue
+            order = np.argsort(qs, kind="stable")
+            cuts = np.searchsorted(qs[order], np.arange(n + 1))
             for qi in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
-                keep = self.tree._leaf_filter(lambda key: self.paid[key][qi])
-                ids = keep(leaves[cuts[qi] : cuts[qi + 1]].tolist(), radius)
-                if len(ids):
-                    dists = space.d_many(self.queries[qi], space.dataset.gather(ids))
-                    self.results[qi].extend(ids[dists <= radius].tolist())
+                mine = order[cuts[qi] : cuts[qi + 1]]
+                reached[qi].append((leaves[mine], paths[mine]))
+        space, radius = self.tree.space, self.radius
+        for qi, groups in enumerate(reached):
+            if not groups:
+                continue
+            kept = []
+            for leaves, paths in groups:
+                ids, lower = self.tree._leaf_bounds(
+                    lambda key: self.paid[key][qi], leaves, paths, np.zeros(len(leaves))
+                )
+                kept.append(ids[lower <= radius])  # ties stay: d(q, o) may equal r
+            ids = kept[0] if len(kept) == 1 else np.concatenate(kept)
+            if len(ids):
+                dists = space.d_many(self.queries[qi], space.dataset.gather(ids))
+                self.results[qi].extend(ids[dists <= radius].tolist())
         return [sorted(ids) for ids in self.results]

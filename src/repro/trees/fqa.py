@@ -45,7 +45,7 @@ class FQA(MetricIndex):
         matrix = PivotMapping(space, pivot_ids).matrix
         max_value = float(matrix.max()) if matrix.size else 1.0
         # the narrowest integer width that leaves the top cell to inserts
-        frame = Frame(0.0, max(1.0, np.ceil((max_value + 1) / 255)), False)
+        frame = Frame(0.0, max(1.0, np.ceil((max_value + 1) / 255)), True)
         signatures = frame.encode(matrix)  # every column shares the frame
         order = np.lexsort(signatures.T[::-1])  # lexicographic by column 0,1,...
         row_ids = np.arange(len(space), dtype=np.intp)[order]

@@ -9,31 +9,52 @@ Following the paper's equal-footing protocol, nodes at the same level share
 the same pivot, taken from the common pivot set; the tree height is thus at
 most |P|.  Internal nodes store the split values as tight child bounds.
 
-**One layout, built, saved and queried.**  The mvp-tree keeps, for every
-leaf object, its distances to the vantage points on its root path and
-applies Lemma 1 to them before d(q, o) is computed.  Here an object holds
-them as one ``uint8`` code per path level: the cell of that level's
-:class:`~repro.core.quantise.Frame` its pivot distance fell in, the frame
-fitted by :meth:`~repro.core.quantise.Frame.spanning` when the level is
-built.  One byte, not a float, because the path distances are the tree's
-only per-object cost: five float64 levels would triple MVPT's structure
-bytes.  The tree is the preorder columns of
-:mod:`~repro.trees.common` -- per node a fanout and a level (a leaf's
-depth), the internal nodes' bounds, the leaf sizes, and the leaves' 4-byte
-ids and their codes back to back -- and nothing else: no node objects at
-build, in a snapshot (the columns become memmap regions, checked against
-each other on load) or at query time.  Lemma 1 is a lookup in each level's
-gap table, over all the leaves a query reached at once
-(:meth:`MVPT._leaf_filter`), never calling the metric.  VPT is MVPT at
+**Leaf codes from the path.**  The mvp-tree keeps, for every leaf object,
+its distances to the vantage points on its root path and applies Lemma 1
+to them before d(q, o) is computed.  Here an object holds them as one
+``uint8`` code per path level: its cell of the *band* its ancestor at that
+level holds the object's subtree in -- the child bounds ``[low, high]`` the
+node split on, which the node stores anyway -- cut into 256 cells
+(:meth:`~repro.core.quantise.Frame.band`).  On a discrete metric a band
+that fits a byte has a cell a distance, the code being the distance less
+``low``: Words codes are exact.  A band is a node's share of a level, so
+its cells are far finer than a level's would be (on LA n = 50 000 a
+level's 256 cells were 46-53 wide, against a served radius of 92), and
+they cost no byte beyond the code: the frame is read off the bounds.
+
+**The leaf filter** (:meth:`MVPT._leaf_bounds`) bounds every object of
+the leaves one walk step reached in one vectorised pass: the walk carries
+each leaf's path (where in ``_bounds`` its bands sit), the codes decode to
+``band_low + code * width`` and the next edge, the end cells ending at the
+bounds as they stand, and Lemma 1 against the query's pivot distances --
+which the walk has paid for -- bounds d(q, o), never calling the metric.
+MRQ keeps the objects within the radius; MkNNQ verifies them in the order
+of those bounds (:mod:`~repro.trees.common`).
+
+**Inserts.**  An insert outside its path's bands stretches them, as it
+must for the node pruning; the codes already made in a stretched band must
+still decode alike, so the band before the first stretch is kept aside
+(``_stretched``, keyed by the band's low position in ``_bounds``; bytes
+only for stretched bands, and a delete + re-insert never stretches one).
+The new object's codes are cells of the same band, an end cell where it
+lies outside, and every decoded cell ends at the stretched bounds.
+
+**One layout, built, saved and queried.**  The tree is the preorder
+columns of :mod:`~repro.trees.common` -- per node a fanout and a level (a
+leaf's depth), the internal nodes' bounds, the leaf sizes, and the leaves'
+4-byte ids and their codes back to back -- and nothing else: no node
+objects at build, in a snapshot (the columns become memmap regions,
+checked against each other on load) or at query time.  VPT is MVPT at
 arity 2.
 
 The build works a level at a time in array form: one counted ``d_ids`` call
-per level over the objects still in splitting nodes, that level's frame and
-codes written straight to ``uint8``, one int32 permutation of the ids whose
-segments become the leaves.  The levels' nodes are then laid out in
-preorder (:func:`_preorder`), again a level at a time.  A tree pickled as
-node objects, as snapshots were before trees saved as columns, is
-converted by ``repro migrate``.
+per level over the objects still in splitting nodes, each object's code
+written in the band of the child it falls in, one int32 permutation of the
+ids whose segments become the leaves.  The levels' nodes are then laid out
+in preorder (:func:`_preorder`), again a level at a time.  A tree pickled
+as node objects, or with codes in one frame a level as before bands, is
+refused by ``load_index`` and converted by ``repro migrate``, which makes
+the codes again from each object's path distances (computed once, there).
 """
 
 from __future__ import annotations
@@ -42,12 +63,13 @@ import numpy as np
 
 from ..core.index import MetricIndex
 from ..core.metric_space import MetricSpace
-from ..core.quantise import Frame, gap_tables
+from ..core.quantise import Frame
 from .common import FrontierTreeMixin
 
 __all__ = ["MVPT", "VPT"]
 
-_FRAME_BYTES = 8 + 8 + 1  # low end, cell width, exact flag
+# a stretched slot's key and the band its codes were made in
+_STRETCHED_BYTES = 8 + 8 + 8
 
 
 def _back_to_back(starts: np.ndarray, sizes: np.ndarray):
@@ -154,7 +176,9 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         self.pivot_ids = [int(p) for p in pivot_ids]
         self.arity = arity
         self.leaf_size = leaf_size
-        self._frames: list[Frame] = []  # one per built level
+        # where an insert stretched a child's bounds (its low one's position
+        # in ``_bounds``): the band its objects' codes stay in
+        self._stretched: dict[int, tuple[float, float]] = {}
 
     @classmethod
     def build(
@@ -171,7 +195,6 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         perm = np.arange(n, dtype=np.intc)  # a node is a slice of this
         codes = np.zeros((n_levels, n), dtype=np.uint8)  # by object id
         fractions = np.linspace(0, 1, arity + 1)[1:-1]
-        self._frames = []
         levels = []  # per level: fanouts, child bounds, leaf slices
         starts, stops = np.zeros(1, dtype=np.intp), np.full(1, n, dtype=np.intp)
         for level in range(n_levels + 1):
@@ -187,12 +210,9 @@ class MVPT(FrontierTreeMixin, MetricIndex):
                 ids = perm[pos]
                 pivot = space.dataset[self.pivot_ids[level]]
                 dists = space.d_ids(pivot, ids)
-                frame = Frame.spanning(dists, space.is_discrete)
-                self._frames.append(frame)
-                codes[level, ids] = frame.encode(dists)
                 order = np.lexsort((dists, seg))
-                dists = dists[order]
-                perm[pos] = ids[order]
+                dists, ids = dists[order], ids[order]
+                perm[pos] = ids
                 cuts = _segment_quantiles(dists, first, seg_sizes, fractions)
                 child = np.zeros(len(seg), dtype=np.intp)
                 for j in range(arity - 1):  # = searchsorted(cuts, d, "left")
@@ -204,6 +224,13 @@ class MVPT(FrontierTreeMixin, MetricIndex):
                 # a pivot that cannot separate a node's objects ends it
                 splits[which[fanout <= 1]] = False
                 fanouts[which] = np.where(fanout > 1, fanout, 0)
+                # each object's code: its cell in the band of its child
+                run_sizes = run_stop - run_start
+                codes[level, ids] = Frame.band(
+                    np.repeat(dists[run_start], run_sizes),
+                    np.repeat(dists[run_stop - 1], run_sizes),
+                    space.is_discrete,
+                ).encode(dists)
                 grows = np.repeat(fanout > 1, fanout)
                 lows, highs = dists[run_start[grows]], dists[run_stop[grows] - 1]
                 next_starts = pos[run_start[grows]]
@@ -215,7 +242,17 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         self._hold_columns(*_preorder(levels, perm, codes))
 
     def _key_limits(self) -> tuple[int, int, int]:
-        return 0, len(self.pivot_ids), len(self._frames)
+        return 0, len(self.pivot_ids), len(self.pivot_ids)
+
+    def __setstate__(self, state):
+        if "_frames" in state:
+            from ..service.snapshot import SnapshotError
+
+            raise SnapshotError(
+                f"an {self.name} whose leaves code path distances in level frames "
+                "reads only through `repro migrate OLD NEW`"
+            )
+        super().__setstate__(state)
 
     # -- queries ----------------------------------------------------------------
     # MRQ/MkNNQ (single and batched) come from FrontierTreeMixin; nodes at
@@ -224,47 +261,57 @@ class MVPT(FrontierTreeMixin, MetricIndex):
     def _frontier_pivot(self, key):
         return self.space.dataset[self.pivot_ids[key]]
 
-    def _leaf_filter(self, pivot_dist):
-        """Lemma 1 on the path codes of every reached leaf, grouped by depth."""
-        frames, rows = self._frames, self._flat.rows
-        tables: list[np.ndarray] = []  # by level: gap per code, for this query
+    def _code_bands(self, paths: np.ndarray):
+        """``(frame, low, high)`` of the child bounds at ``paths`` (``(...,
+        2)`` positions in ``_bounds``): the frame their codes are cells of,
+        and the bounds as they stand now."""
+        band = self._bounds[paths]
+        low, high = band[..., 0], band[..., 1]
+        code_low, code_high = low, high
+        if self._stretched:  # codes stay in the band they were made in
+            stretched = np.isin(paths[..., 0], list(self._stretched))
+            if stretched.any():
+                code_low, code_high = low.copy(), high.copy()
+                for at in zip(*np.nonzero(stretched)):
+                    code_low[at], code_high[at] = self._stretched[int(paths[at][0])]
+        return Frame.band(code_low, code_high, self.space.is_discrete), low, high
 
-        def keep(leaves: list[int], radius: float) -> np.ndarray:
-            by_depth: dict[int, list[int]] = {}
-            for leaf in leaves:
-                by_depth.setdefault(rows[2 * leaf + 1], []).append(leaf)
-            filtering = radius != np.inf
-            known, deepest = len(tables), max(by_depth)
-            if filtering and deepest > known:
-                tables.extend(
-                    gap_tables(
-                        frames[known:deepest],
-                        [pivot_dist(level) for level in range(known, deepest)],
-                    )
-                )
-            kept = []
-            for d, group in by_depth.items():
-                ids, codes = self._leaf_columns(group)
-                if d and filtering:
-                    codes = codes.reshape(-1, d)
-                    bound = tables[0][codes[:, 0]]
-                    for level in range(1, d):
-                        np.maximum(bound, tables[level][codes[:, level]], out=bound)
-                    ids = ids[bound <= radius]  # ties stay: d(q, o) may equal r
-                kept.append(ids)
-            return kept[0] if len(kept) == 1 else np.concatenate(kept)
-
-        return keep
+    def _leaf_bounds(self, pivot_dist, leaves, paths, floors):
+        """Lemma 1 on every object's path codes, decoded within the bands of
+        its path, for the leaves of one depth at once."""
+        leaves = np.asarray(leaves).tolist()
+        ids, codes, counts = self._leaf_columns(leaves)
+        lower = np.repeat(floors, counts)
+        # leaves at one depth code it all, or none (snapshots older than codes)
+        depth = self._flat.rows[2 * leaves[0] + 1]
+        if not depth:
+            return ids, lower
+        frame, now_low, now_high = self._code_bands(paths[:, :depth])
+        of = np.repeat(np.arange(len(leaves)), counts)
+        low, high = Frame(frame.low[of], frame.width[of], frame.discrete).bounds(
+            codes.reshape(-1, depth)
+        )
+        # a cell never reaches past its bounds: the end cells end there
+        low, high = np.maximum(low, now_low[of]), np.minimum(high, now_high[of])
+        dq = np.array([pivot_dist(level) for level in range(depth)])
+        np.maximum(lower, np.maximum(low - dq, dq - high).max(axis=1), out=lower)
+        return ids, lower
 
     # -- maintenance ----------------------------------------------------------------
 
+    def _stretching(self, low: int, lo: float, hi: float) -> None:
+        self._stretched.setdefault(low, (lo, hi))
+
     def insert(self, obj, object_id: int | None = None) -> int:
-        """One distance per level; bounds stretch to cover the new object."""
-        object_id, leaf, known = self._route_insert(obj, object_id)
-        depth = int(self._rows[leaf, 1])
-        self._leaf_add(
-            leaf, object_id, [self._frames[level].encode_one(known[level]) for level in range(depth)]
-        )
+        """One distance per level; bounds stretch to cover the new object,
+        whose codes are cells of the bands its path's codes are made in."""
+        object_id, leaf, path = self._route_insert(obj, object_id)
+        bounds, discrete = self._flat.bounds, self.space.is_discrete
+        codes = [
+            Frame.band(*self._stretched.get(low, (bounds[low], bounds[high])), discrete).encode_one(d)
+            for low, high, d in path[: self._flat.rows[2 * leaf + 1]]
+        ]
+        self._leaf_add(leaf, object_id, codes)
         return object_id
 
     def delete(self, object_id: int) -> None:
@@ -276,8 +323,8 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         objects = sum(
             self.space.dataset.object_nbytes(i) for i in range(len(self.space))
         )
-        levels = 8 * len(self.pivot_ids) + _FRAME_BYTES * len(self._frames)
-        return {"memory": self._structure_bytes() + levels + objects, "disk": 0}
+        held = 8 * len(self.pivot_ids) + _STRETCHED_BYTES * len(self._stretched)
+        return {"memory": self._structure_bytes() + held + objects, "disk": 0}
 
 
 class VPT(MVPT):

@@ -24,6 +24,7 @@ from repro import (
     select_pivots,
 )
 from repro.bench.runner import build_index
+from repro.core.quantise import Frame
 from repro.core.staged import PerObjectStagedPruner, StagedPruner
 from repro.service.migrate import migrate
 
@@ -239,36 +240,48 @@ def tree_nodes(index):
 
 def leaf_code_rows(index):
     """Every (leaf, slot, object id, path levels' exact distances, decoded
-    intervals) of an MVPT / VPT, after checking each leaf's layout.
+    intervals, bands) of an MVPT / VPT, after checking each leaf's layout.
 
-    The decoded interval of a code is read off the level's frame the way the
-    query-time gap table reads it; the exact distance is recomputed from the
-    dataset, uncounted.
+    A level's code is a cell of the band its ancestor at that level holds
+    the object's subtree in: the child bounds there, or the bounds they
+    stood at before an insert stretched them (``index._stretched``).  It
+    decodes through :meth:`Frame.band`, its end cells ending at the bounds
+    as they stand now; ``bands`` holds each level's ``(code band, bounds
+    now)``.  The exact distance is recomputed from the dataset, uncounted.
     """
     dataset, distance = index.space.dataset, index.space.distance
-    bounds = [frame.bounds(range(frame.cells)) for frame in index._frames]
     rows = []
-    stack = [(tree_root(index), 0)]
+    stack = [(tree_root(index), ())]
     while stack:
-        node, depth = stack.pop()
+        node, path = stack.pop()
         if not node.is_leaf:
-            assert node.level == depth
-            stack.extend((child, depth + 1) for child in node.children)
+            assert node.level == len(path)
+            first = 2 * int(index._at[node.i])
+            fan = len(node.children)
+            stack.extend(
+                (child, path + ((first + j, first + fan + j),))
+                for j, child in enumerate(node.children)
+            )
             continue
+        depth = len(path)
         assert node.depth == depth
         assert node.ids.dtype == np.intc
         assert len(node.codes) == depth * len(node.ids)
+        bands = []
+        for low_at, high_at in path:
+            now = (float(index._bounds[low_at]), float(index._bounds[high_at]))
+            bands.append((index._stretched.get(low_at, now), now))
         for slot, object_id in enumerate(node.ids):
             codes = node.codes[slot * depth : (slot + 1) * depth]
             exact = [
                 distance(dataset[object_id], dataset[index.pivot_ids[level]])
                 for level in range(depth)
             ]
-            decoded = [
-                (bounds[level][0][code], bounds[level][1][code])
-                for level, code in enumerate(codes)
-            ]
-            rows.append((node, slot, object_id, exact, decoded))
+            decoded = []
+            for code, (band, now) in zip(codes, bands):
+                low, high = Frame.band(*band, index.space.is_discrete).bounds(code)
+                decoded.append((max(float(low), now[0]), min(float(high), now[1])))
+            rows.append((node, slot, object_id, exact, decoded, bands))
     return rows
 
 
@@ -276,7 +289,7 @@ def assert_codes_hold(index) -> int:
     """Each decoded interval contains the exact distance; returns how many
     (object, level) codes were checked."""
     checked = 0
-    for _, _, object_id, exact, decoded in leaf_code_rows(index):
+    for _, _, object_id, exact, decoded, _ in leaf_code_rows(index):
         for level, (d, (low, high)) in enumerate(zip(exact, decoded)):
             assert low <= d <= high, (object_id, level, d, low, high)
             checked += 1

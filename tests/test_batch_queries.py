@@ -496,7 +496,7 @@ PINNED_KNN_COMPDISTS = {
     ("Words", "CPT"): [49, 394, 918, 968],
     ("Words", "EPT"): [99, 430, 939, 1010],
     ("Words", "EPT*"): [123, 423, 942, 1013],
-    ("Words", "FQA"): [111, 111, 956, 956],
+    ("Words", "FQA"): [49, 49, 918, 918],
     ("Words", "Omni-seq"): [49, 394, 918, 968],
     ("Words", "DEPT"): [104, 434, 973, 1013],
 }

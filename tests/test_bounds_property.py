@@ -255,17 +255,19 @@ def frame_cases(draw):
     if discrete:
         build, later = [float(round(d)) for d in build], [float(round(d)) for d in later]
     build = np.asarray(build)
-    if policy == "mvpt":
-        frame = Frame.spanning(build, discrete)
+    if policy == "mvpt":  # one node's band: the build's distances span it
+        frame = Frame.band(build.min(), build.max(), discrete)
     elif policy == "fqa":  # low end 0, the integer width that leaves the top cell open
-        frame = Frame(0.0, max(1.0, np.ceil((build.max() + 1) / 255)), False)
+        frame = Frame(0.0, max(1.0, np.ceil((build.max() + 1) / 255)), True)
     else:  # SPB-tree: low end 0, width eps, 2^bits cells
         bits = draw(st.sampled_from([4, 8, 12]))
         eps = max(build.max(), 1e-9) / ((1 << bits) - 1) * (1 + 1e-9)
-        frame = Frame(0.0, eps, False, 1 << bits)
-    # cell edges, the frame's own two ends and past them included
+        frame = Frame(0.0, eps, discrete, 1 << bits)
+    # cell edges, the frame's own two ends and past them included (on a
+    # discrete metric, the whole distances nearest them)
     cells = draw(st.lists(st.integers(-2, frame.cells + 2), max_size=6)) + [frame.cells]
-    later += [d for d in (frame.low + frame.width * c for c in cells) if d >= 0]
+    edges = [float(frame.low + frame.width * c) for c in cells]
+    later += [float(round(d)) if discrete else d for d in edges if d >= 0]
     queries = draw(st.lists(DISTS, min_size=1, max_size=6)) + list(build[:3])
     return policy, discrete, frame, build, later, queries
 
@@ -293,13 +295,14 @@ def test_arithmetic_encode_is_the_searchsorted_form(case, steps, far):
     edges = frame.low + frame.width * np.arange(frame.cells + 1, dtype=np.float64)
     picked = edges[[s % len(edges) for s in steps] + [0, frame.cells - 1, frame.cells]]
     near = np.concatenate([picked, np.nextafter(picked, -np.inf), np.nextafter(picked, np.inf)])
-    if frame.exact:  # discrete distances only: an exact cell holds its edge alone
-        near = picked
-        far = float(round(far))
+    if frame.discrete:  # whole distances only: the nearest to the edges
+        near = np.round(near)
     dists = np.concatenate(
         [build, later, near, [frame.low - far, frame.low + far * max(frame.width, 1.0)]]
     )
     dists = dists[dists >= 0]
+    if frame.discrete:
+        dists = np.round(dists)
     assert np.array_equal(frame.encode(dists), _searchsorted_codes(frame, dists))
     # blocks past the first, and a matrix of them, code the same
     grid = np.resize(dists, (3, 9000))
@@ -314,10 +317,10 @@ def test_codes_never_exclude_their_distance(case):
     the gap table built from a query-to-pivot distance is a Lemma 1 lower
     bound, whichever index fitted the frame."""
     policy, discrete, frame, build, later, queries = case
-    if policy == "mvpt" and discrete and build.max() <= 255:
-        assert frame == (0.0, 1.0, True, 256)
-    elif policy == "mvpt":
-        assert not frame.exact and frame.low == build.min()
+    if policy == "mvpt":  # a cell a distance from the band's low end, if that fits a byte
+        assert frame.low == build.min() and frame.discrete == discrete
+        span = build.max() - build.min()
+        assert frame.width == (1.0 if discrete and span <= 255 else span / 256)
     codes = frame.encode(build)
     assert codes.dtype == (np.uint16 if frame.cells > 256 else np.uint8)
     assert codes.shape == build.shape
@@ -336,9 +339,71 @@ def test_codes_never_exclude_their_distance(case):
     for dq, table in zip(queries, tables):
         assert np.array_equal(table, np.maximum(np.maximum(low - dq, dq - high), 0.0))
         assert (table[codes] <= np.abs(dq - dists)).all()
-        if frame.exact:  # exact codes lose nothing inside the byte
-            inside = dists < 255
+        if frame.discrete and frame.width == 1.0:  # a distance a cell: the
+            # bounded cells lose nothing
+            inside = (codes > 0) & (codes < frame.cells - 1)
             assert (table[codes][inside] == np.abs(dq - dists)[inside]).all()
+
+
+@st.composite
+def band_cases(draw):
+    """Bands as MVPT nodes hold them -- zero width, a byte wide or under on
+    a discrete metric, wider -- and distances met in each: the band's ends,
+    its cell edges and one ulp either side, and inserts far outside it."""
+    discrete = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    lows, highs, dists = [], [], []
+    for _ in range(n):
+        low = draw(DISTS)
+        span = draw(st.sampled_from([0.0, 1e-6, 1.0, 37.0, 255.0, 256.0, 4000.0]))
+        high = low + span
+        if discrete:
+            low, high = float(round(low)), float(round(high))
+        frame = Frame.band(low, high, discrete)
+        cells = draw(st.lists(st.integers(0, 256), max_size=5)) + [0, 256]
+        mine = [low, high] + [float(frame.low + frame.width * c) for c in cells]
+        mine = [d for d in mine if low <= d <= high]
+        mine += [float(np.nextafter(d, side)) for d in mine for side in (-np.inf, np.inf)]
+        mine = [d for d in mine if low <= d <= high]
+        far = draw(st.lists(st.floats(1.0, 1e9), max_size=3))
+        mine += [low + f for f in far] + [max(0.0, low - f) for f in far]
+        if discrete:
+            mine = [float(round(d)) for d in mine]
+        lows += [low] * len(mine)
+        highs += [high] * len(mine)
+        dists += mine
+    return discrete, np.array(lows), np.array(highs), np.array(dists)
+
+
+@given(case=band_cases())
+@settings(max_examples=300, deadline=None)
+def test_band_codes_hold_within_their_bands(case):
+    """One call codes every distance in its own band, as the band's frame
+    alone codes it; a code decodes, its end cells ending at the band as an
+    insert stretched it, to an interval that holds the distance -- a whole
+    distance's own on a discrete band a byte wide, 1/256 of the band on a
+    wider one."""
+    discrete, lows, highs, dists = case
+    codes = Frame.band(lows, highs, discrete).encode(dists)
+    assert codes.dtype == np.uint8
+    for low, high, d, code in zip(lows, highs, dists, codes.tolist()):
+        frame = Frame.band(low, high, discrete)
+        assert frame.encode_one(d) == code == int(frame.encode(np.array([d]))[0])
+        now_low, now_high = min(low, d), max(high, d)  # stretched by the insert
+        decoded_low, decoded_high = (float(v) for v in frame.bounds(code))
+        decoded_low, decoded_high = max(decoded_low, now_low), min(decoded_high, now_high)
+        assert decoded_low <= d <= decoded_high
+        if discrete and high - low <= 255:  # a distance a cell, inserts too
+            assert code == min(max(d - low, 0), 255)
+            if low <= d and code < 255:  # the open end cells aside
+                assert decoded_low == decoded_high == d
+        elif not low <= d <= high:  # past the band: an end cell
+            assert code == (0 if d < low else 255)
+        else:
+            # a cell's width, to the rounding of its two edges (on a discrete
+            # metric, the whole distances inside them)
+            slack = 1.0 if discrete else 4 * np.spacing(high)
+            assert decoded_high - decoded_low <= (high - low) / 256 * (1 + 1e-9) + slack
 
 
 @st.composite

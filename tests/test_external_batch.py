@@ -84,7 +84,7 @@ PINNED_RANGE_COMPDISTS = {
     "OmniR-tree": (456, 2894, 1307),
     "M-index": (456, 2894, 1307),
     "M-index*": (455, 2850, 1306),
-    "SPB-tree": (466, 2879, 1331),
+    "SPB-tree": (466, 2850, 1331),
     "PM-tree": (618, 3230, 1331),
     "DEPT": (703, 2955, 1466),
 }

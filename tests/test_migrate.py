@@ -34,6 +34,7 @@ GONE = {
     "list_leaves_omnib_la300.snap": (31,),
     "list_pages_dept_la300.snap": (31,),
     "list_pages_mindexstar_la300.snap": (31,),
+    "level_frames_mvpt_la300.snap": (31,),
     "list_pages_spbtree_la300.snap": (31,),
     "node_form_bkt_words300.snap": (31,),
     "node_form_fqt_words300.snap": (31,),

@@ -20,6 +20,7 @@ from repro import (
     BKT,
     FQT,
     MVPT,
+    VPT,
     CostCounters,
     MetricSpace,
     ShardedIndex,
@@ -203,19 +204,18 @@ def _objects_reachable(root) -> int:
 
 def test_a_tree_holds_as_many_objects_at_any_n(tmp_path):
     """A tree is its columns: built or restored, an MVPT at n = 8 000 holds
-    as many Python objects as at n = 2 000 -- one more frame per level
-    built, and nothing per node or leaf.  Writes copy the leaves they touch
-    aside, and the next save folds those copies back: the tree then holds
-    what it held unwritten."""
+    as many Python objects as at n = 2 000 -- nothing per level, node or
+    leaf.  Writes copy the leaves they touch aside, and the next save folds
+    those copies back: the tree then holds what it held unwritten."""
     built, restored = [], []
     for n in (2000, 8000):
         space = MetricSpace(make_la(n, seed=2))
         index = MVPT.build(space, select_pivots(space, 5, strategy="hfi", seed=0))
         save_index(index, tmp_path / f"{n}.snap")
         again = load_index(tmp_path / f"{n}.snap")
-        assert len(again._frames) == len(index._frames)
-        built.append(_objects_reachable(index) - len(index._frames))
-        restored.append(_objects_reachable(again) - len(again._frames))
+        assert again._stretched == index._stretched == {}
+        built.append(_objects_reachable(index))
+        restored.append(_objects_reachable(again))
         for tree, unwritten in ((index, built[-1]), (again, restored[-1])):
             # delete every 7th object, put every other one back: most leaves
             for object_id in range(0, n, 7):
@@ -223,10 +223,10 @@ def test_a_tree_holds_as_many_objects_at_any_n(tmp_path):
             for object_id in range(0, n, 14):
                 tree.insert(tree.space.dataset[object_id], object_id=object_id)
             assert len(tree._flat.overlay) > 100
-            assert _objects_reachable(tree) - len(tree._frames) > unwritten
+            assert _objects_reachable(tree) > unwritten
             save_index(tree, tmp_path / f"{n}.written.snap")
-            assert tree._flat.overlay == {}
-            assert _objects_reachable(tree) - len(tree._frames) == unwritten
+            assert tree._flat.overlay == {} and tree._stretched == {}
+            assert _objects_reachable(tree) == unwritten
             assert sorted(tree.range_query(tree.space.dataset[1], 1e9)) == [
                 i for i in range(n) if i % 7 or not i % 14
             ]
@@ -293,7 +293,7 @@ def test_snapshot_with_codeless_leaves_still_loads(migrated, name):
     dataset = make_la(300, seed=11)
     index = load_index(migrated(f"pr20_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
-    assert index._frames == ()
+    assert index._stretched == {}
     leaves = [node for node in tree_nodes(index) if node.is_leaf]
     assert sorted(i for leaf in leaves for i in leaf.ids) == [
         i for i in range(300) if i != 31
@@ -332,6 +332,12 @@ def _coded_answers(index, queries, radius, k):
     return got, (counters.snapshot() - before).distance_computations
 
 
+# the fixtures below: compdists of every query form when written (their
+# expected files), and migrated -- FQA cells holding the whole distances
+# inside their edges, MVPT / VPT codes cells of their path bands
+_COMPDISTS = {"fqa": (2740, 2578), "mvpt": (610, 478), "vpt": (350, 340), "level_frames_mvpt": (610, 478)}
+
+
 @pytest.mark.parametrize("name", ["mvpt", "vpt", "fqa"])
 def test_snapshot_with_pre_frame_codes_still_loads(migrated, name):
     """``tests/data/tuple_frames_{mvpt,vpt}_la300.snap`` (``make_la(300,
@@ -340,8 +346,10 @@ def test_snapshot_with_pre_frame_codes_still_loads(migrated, name):
     frames were ``(low, width, exact)`` tuples and FQA signatures were
     ``uint32`` buckets of one ``_width``: object 7 deleted and put back, 31
     deleted, and one object inserted past the frame (its FQA buckets past
-    255).  They load as :class:`Frame` codes with no distance computed and
-    give the answers they gave when written, at the same compdists."""
+    255).  Migrated, FQA's signatures are :class:`Frame` codes on its
+    discrete metric, and MVPT / VPT codes are made again within each
+    object's path bands; they load with no distance computed and give the
+    answers they gave when written, at fewer compdists."""
     expected = json.loads((DATA / "coded_la300_words300_expected.json").read_text())[name]
     if name == "fqa":
         dataset = make_words(300, seed=11)
@@ -353,16 +361,67 @@ def test_snapshot_with_pre_frame_codes_still_loads(migrated, name):
         queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
     index = load_index(path)
     assert index.space.counters.distance_computations == 0
-    assert all(type(frame) is Frame for frame in index._frames)
     if name == "fqa":
+        assert all(type(frame) is Frame and frame.discrete for frame in index._frames)
         assert index._signatures.dtype == np.uint8
         assert index._signatures.max() == 255  # the far word, in the open top cell
     else:
-        assert index._frames == [tuple(frame) + (256,) for frame in expected["frames"]]
-        assert_codes_hold(index)
+        assert index._stretched == {}
+        assert assert_codes_hold(index) > 0
     got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
     assert got == {form: expected[form] for form in got}
-    assert compdists == expected["compdists"]
+    assert (expected["compdists"], compdists) == _COMPDISTS[name]
+
+
+def test_level_frame_mvpt_snapshot_loads_through_migrate(migrated):
+    """``tests/data/level_frames_mvpt_la300.snap`` (``make_la(300,
+    seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and put back, 31
+    deleted, one object inserted past every level's frame) was written when
+    MVPT codes were cells of one frame a level.  ``load_index`` refuses it,
+    naming ``repro migrate``; migrated -- each object's path distances
+    computed once, offline -- its codes are cells of their path bands, it
+    restores at no distance and answers as written, at fewer compdists."""
+    expected = json.loads((DATA / "level_frames_mvpt_la300_expected.json").read_text())
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / "level_frames_mvpt_la300.snap")
+    index = load_index(migrated("level_frames_mvpt_la300.snap"))
+    assert index.space.counters.distance_computations == 0
+    assert index._stretched == {}
+    assert assert_codes_hold(index) > 0
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in (5, 31, 200, expected["far_id"])]
+    got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
+    assert got == {form: expected[form] for form in got}
+    assert (expected["compdists"], compdists) == _COMPDISTS["level_frames_mvpt"]
+
+
+@pytest.mark.parametrize("tree", [MVPT, VPT])
+def test_a_stretching_insert_survives_save_and_load(tmp_path, tree):
+    """Inserts far outside the bands stretch them; the codes stay cells of
+    the bands they were made in, which the tree keeps beside its columns.
+    Saved and restored (at no distance), it keeps them and answers as
+    brute force does, at the live tree's compdists."""
+    dataset = make_la(400, seed=21)  # private: inserts grow it
+    space = MetricSpace(dataset)
+    index = tree.build(space, select_pivots(space, 4, strategy="hfi", seed=1))
+    far = [index.insert(dataset[i] * 2.5 + 3000.0) for i in (3, 50, 120)]
+    index.delete(9)
+    index.insert(dataset[9], object_id=9)
+    assert index._stretched
+    assert_codes_hold(index)
+    save_index(index, tmp_path / "stretched.snap")
+    again = load_index(tmp_path / "stretched.snap")
+    assert again.space.counters.distance_computations == 0
+    assert again._stretched == index._stretched
+    assert_codes_hold(again)
+    assert again.storage_bytes() == index.storage_bytes()
+    oracle = MetricSpace(again.space.dataset)
+    queries = [dataset[3], dataset[far[0]], dataset[far[2]] * 0.5, dataset[200]]
+    for q in queries:
+        for radius in (0.0, 900.0, 4000.0):
+            assert again.range_query(q, radius) == brute_force_range(oracle, q, radius)
+        assert again.knn_query(q, 7) == brute_force_knn(oracle, q, 7)
+    assert _tree_answers(again, queries, 900.0) == _tree_answers(index, queries, 900.0)
 
 
 @pytest.mark.parametrize("name", ["fqt", "bkt"])
@@ -402,7 +461,7 @@ def test_coded_tree_round_trip_matches_the_live_index(
     save_index(live, tmp_path / "tree.snap")
     restored = load_index(tmp_path / "tree.snap")
     assert restored.space.counters.distance_computations == 0
-    assert restored._frames == live._frames
+    assert restored._stretched == live._stretched
     assert _node_rows(restored) == _node_rows(live)
     # the tree is its five columns, and nothing was written over them yet
     assert [column.dtype for column in restored.__getstate__()["root"]] == [
@@ -540,8 +599,14 @@ def _a_negative_fanout(rows, bounds, *rest):
     return (rows, np.concatenate([bounds, [0.0, 0.0]]), *rest)
 
 
-def _one_frame_short(state):
-    state["_frames"] = state["_frames"][:-1]
+def _a_leaf_past_the_pivots(rows, bounds, sizes, ids, codes):
+    """A leaf coding one path level more than the tree has pivots, and the
+    code bytes to fill: every count adds up."""
+    leaf = int(np.flatnonzero(rows[:, 0] == 0)[0])
+    size = sizes[int((rows[:leaf, 0] == 0).sum())]
+    deeper = 6 - rows[leaf, 1]  # the tree has 5 pivots
+    rows[leaf, 1] = 6
+    return rows, bounds, sizes, ids, np.concatenate([codes, np.zeros(size * deeper, np.uint8)])
 
 
 @pytest.mark.parametrize(
@@ -552,7 +617,7 @@ def _one_frame_short(state):
         "ids": _columns_edit(lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids[1:], codes)),
         "codes": _columns_edit(lambda rows, b, sizes, ids, codes: (rows, b, sizes, ids, codes[:-1])),
         "bounds": _columns_edit(lambda rows, bounds, *rest: (rows, bounds[:-1], *rest)),
-        "frames": _one_frame_short,
+        "depth": _columns_edit(_a_leaf_past_the_pivots),
         "pivots": _columns_edit(lambda rows, *rest: (rows + [[0, 9]] * (rows[:, :1] > 0), *rest)),
     }.items(),
     ids=lambda item: item[0],

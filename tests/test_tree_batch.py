@@ -212,13 +212,13 @@ class TestTreeBatchEquality:
 @pytest.mark.parametrize("metric_name", METRICS)
 @pytest.mark.parametrize("tree_name", ["VPT", "MVPT"])
 def test_leaf_filter_only_removes_work(built_trees, metric_name, tree_name):
-    """With the leaf filter's verdict replaced by "every reached id" the
-    same walk verifies a superset, query for query."""
+    """With the leaf filter's object bounds replaced by their leaf's bound
+    (every reached id kept) the same walk verifies a superset, query for
+    query."""
     index, dataset = built_trees(metric_name, tree_name)
 
     class Unfiltered(type(index)):
-        def _leaf_filter(self, pivot_dist):
-            return FrontierTreeMixin._leaf_filter(self, pivot_dist)
+        _leaf_bounds = FrontierTreeMixin._leaf_bounds
 
     unfiltered = copy.copy(index)
     unfiltered.__class__ = Unfiltered

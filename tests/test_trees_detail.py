@@ -296,17 +296,22 @@ def _assert_exact(index, queries, radius, k, gone=()):
 
 class TestLeafCodes:
     """MVPT / VPT leaves: 4-byte ids beside one code byte per path level,
-    each code decoding to an interval that holds the exact pivot distance."""
+    each code a cell of the band its path's node at that level holds the
+    object's subtree in, decoding to an interval that holds the exact pivot
+    distance."""
 
     @pytest.mark.parametrize("tree", [MVPT, VPT])
     def test_discrete_codes_are_the_distances(self, words, words_pivots, tree):
+        """Words bands fit a byte: a code is the distance less its band's
+        low end, and decodes to that distance alone."""
         index = tree.build(MetricSpace(words, CostCounters()), words_pivots)
-        assert index._frames and all(f == (0.0, 1.0, True, 256) for f in index._frames)
         rows = leaf_code_rows(index)
-        assert sorted(object_id for _, _, object_id, _, _ in rows) == list(range(len(words)))
-        for _, _, _, exact, decoded in rows:
-            # a point, but for the open low end of cell 0 (the pivot itself)
-            assert [(d if d else -np.inf, d) for d in exact] == decoded
+        assert sorted(object_id for _, _, object_id, _, _, _ in rows) == list(range(len(words)))
+        assert any(len(exact) for _, _, _, exact, _, _ in rows)
+        for leaf, slot, _, exact, decoded, bands in rows:
+            codes = leaf.codes[slot * leaf.depth : (slot + 1) * leaf.depth]
+            assert [d - band[0] for d, (band, _) in zip(exact, bands)] == list(codes)
+            assert [(d, d) for d in exact] == decoded
 
     @pytest.mark.parametrize("tree", [MVPT, VPT])
     @pytest.mark.parametrize("maker", [make_la, make_color])
@@ -314,13 +319,12 @@ class TestLeafCodes:
         dataset = maker(300, seed=73)
         pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=1)
         index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
-        assert not any(frame.exact for frame in index._frames)
         assert assert_codes_hold(index) >= len(dataset)
-        # a cell is 1/256 of the level's span, end cells aside
-        for _, _, _, _, decoded in leaf_code_rows(index):
-            for level, (low, high) in enumerate(decoded):
-                if np.isfinite(low) and np.isfinite(high):
-                    assert high - low <= index._frames[level].width * (1 + 1e-9)
+        # a cell is 1/256 of its band, which is the node's child bounds
+        for _, _, _, _, decoded, bands in leaf_code_rows(index):
+            for (low, high), (band, now) in zip(decoded, bands):
+                assert band == now and np.isfinite(low) and np.isfinite(high)
+                assert high - low <= (band[1] - band[0]) / 256 * (1 + 1e-9)
 
     def test_storage_counts_real_item_sizes(self, words, words_pivots):
         index = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
@@ -335,27 +339,40 @@ class TestLeafCodes:
         assert index.storage_bytes()["memory"] == before - 4 - leaf.depth
 
     def test_inserts_outside_the_frame_stay_conservative(self):
-        """Level 1's frame spans [10, 110] (its pivot sits in a leaf the root
-        already closed); objects inserted at 6 and at 112 from that pivot take
-        its end cells, which are open-ended."""
+        """The root (pivot x = 0) holds its children in [0, 50] and [60, 61];
+        its first child (pivot x = 60) holds its own in [10, 58] and [59,
+        110].  Objects inserted past those bands stretch them; the codes
+        already there, and the new ones, stay cells of the band as it was
+        (its end cells now reaching the stretched bounds)."""
         xs = [0, 1, 2, 3, 4] + [50] * 15 + [-50] * 15 + [60, 61]
         dataset = Dataset(np.asarray(xs, dtype=np.float64).reshape(-1, 1), L2, name="line")
         index = VPT.build(
             MetricSpace(dataset, CostCounters()), [0, len(xs) - 2], leaf_size=4
         )
-        (lo0, width0, _, _), (lo1, width1, _, _) = index._frames
-        assert (lo0, lo0 + 256 * width0) == (0.0, 61.0)
-        assert (lo1, lo1 + 256 * width1) == (10.0, 110.0)
+        root, first = tree_root(index), tree_root(index).children[0]
+        assert (root.lows.tolist(), root.highs.tolist()) == ([0.0, 60.0], [50.0, 61.0])
+        assert (first.lows.tolist(), first.highs.tolist()) == ([10.0, 59.0], [58.0, 110.0])
+        before = {object_id: decoded for _, _, object_id, _, decoded, _ in leaf_code_rows(index)}
+        assert index._stretched == {}
         below = index.insert(np.array([54.0]))  # 54 from pivot 0, 6 from pivot 1
         above = index.insert(np.array([-52.0]))  # 52 and 112
-        beyond = index.insert(np.array([700.0]))  # past level 0's frame: 700
-        rows = {object_id: (leaf, slot) for leaf, slot, object_id, _, _ in leaf_code_rows(index)}
-        leaf, slot = rows[below]
-        assert leaf.depth == 2 and leaf.codes[2 * slot + 1] == 0
-        leaf, slot = rows[above]
+        beyond = index.insert(np.array([700.0]))  # past the root's [60, 61]: 700
+        # the low bound's position in ``_bounds`` -> the band before
+        assert index._stretched == {0: (0.0, 50.0), 4: (10.0, 58.0), 5: (59.0, 110.0), 1: (60.0, 61.0)}
+        rows = {object_id: (leaf, slot, decoded) for leaf, slot, object_id, _, decoded, _ in leaf_code_rows(index)}
+        leaf, slot, _ = rows[below]
+        assert leaf.depth == 2 and leaf.codes[2 * slot : 2 * slot + 2] == bytes([255, 0])
+        leaf, slot, _ = rows[above]
         assert leaf.depth == 2 and leaf.codes[2 * slot + 1] == 255
-        leaf, slot = rows[beyond]
+        leaf, slot, _ = rows[beyond]
         assert leaf.depth == 1 and leaf.codes[slot] == 255
+        for object_id, decoded in before.items():  # only the end cells reach further
+            leaf, slot, now = rows[object_id]
+            codes = leaf.codes[slot * leaf.depth : (slot + 1) * leaf.depth]
+            for code, (was_low, was_high), (low, high) in zip(codes, decoded, now):
+                assert low <= was_low and was_high <= high
+                if 0 < code < 255:
+                    assert (low, high) == (was_low, was_high)
         assert_codes_hold(index)
         queries = [np.array([x]) for x in (54.0, 57.0, -52.0, -60.0, 700.0, 640.0, 20.0)]
         for radius in (0.0, 3.0, 6.0, 60.0):
@@ -371,8 +388,16 @@ class TestLeafCodes:
         )
         pivots = select_pivots(MetricSpace(dataset), 3, strategy="hfi", seed=1)
         index = tree.build(MetricSpace(dataset, CostCounters()), pivots)
-        lo, width, exact, _ = index._frames[0]
-        assert not exact and lo + 256 * width > 255
+        rows = leaf_code_rows(index)
+        # bands past a byte: cells of several distances, their edges whole
+        wide = [
+            (low, high)
+            for _, _, _, _, decoded, bands in rows
+            for (low, high), (band, _) in zip(decoded, bands)
+            if band[1] - band[0] > 255
+        ]
+        assert wide and any(high > low for low, high in wide)
+        assert all(low == int(low) and high == int(high) for low, high in wide)
         assert_codes_hold(index)
         _assert_exact(index, [dataset[3], dataset[90], dataset[3] + 1.0], 700.0, k=9)
 
@@ -382,7 +407,7 @@ class TestLeafCodes:
         dataset = Dataset(np.full((40, 2), 3.0), L2, name="same")
         index = MVPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
         assert index.space.counters.distance_computations == 40
-        assert index._frames == [(0.0, 0.0, False, 256)]
+        assert len(index._rows) == 1 and not len(index._bounds)
         root = tree_root(index)
         assert root.is_leaf and root.depth == 0 and len(root.ids) == 40 and not root.codes
         new_id = index.insert(np.array([9.0, 9.0]))
@@ -393,7 +418,7 @@ class TestLeafCodes:
         dataset = make_la(10, seed=75)
         index = VPT.build(MetricSpace(dataset, CostCounters()), [0, 1])
         assert index.space.counters.distance_computations == 0
-        assert tree_root(index).is_leaf and tree_root(index).depth == 0 and index._frames == []
+        assert tree_root(index).is_leaf and tree_root(index).depth == 0 and not len(index._bounds)
         _assert_exact(index, [dataset[2]], 500.0, k=4)
 
     def test_unseparable_node_becomes_a_leaf(self):
@@ -431,7 +456,7 @@ class TestLeafCodes:
         """Words at r = 2: answers at distance exactly 2 whose Lemma 1 bound
         is exactly 2 too -- ``lb <= r`` keeps them."""
         index = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
-        path = {object_id: exact for _, _, object_id, exact, _ in leaf_code_rows(index)}
+        path = {object_id: exact for _, _, object_id, exact, _, _ in leaf_code_rows(index)}
         ties = 0
         for q in words.objects[:60]:
             got = index.range_query(q, 2.0)
@@ -502,6 +527,50 @@ class TestLeafCodes:
         assert_codes_hold(index)
         queries = [dataset[i] for i in (3, 100, len(dataset) - 1, sorted(gone)[0])]
         _assert_exact(index, queries, radius, k=7, gone=gone)
+
+
+# (dataset, tree) -> compdists of 40 held-out queries, one a call: MRQ (LA
+# r = 400, Words r = 2), MkNNQ k = 10.  ``level_frames`` is the commit whose
+# codes were cells of one frame a level and whose MkNNQ verified each
+# reached leaf whole; ``bands`` is this one.  Words codes are exact both
+# ways, so its MRQ counts are equal; MkNNQ now verifies object by object in
+# bound order, and never costs more.
+TREE_COUNTS = {
+    ("LA", "MVPT"): {"level_frames": (1931, 1854), "bands": (1833, 805)},
+    ("LA", "VPT"): {"level_frames": (1846, 3873), "bands": (1763, 837)},
+    ("Words", "MVPT"): {"level_frames": (12886, 54218), "bands": (12886, 54082)},
+    ("Words", "VPT"): {"level_frames": (11807, 53737), "bands": (11807, 53088)},
+}
+
+
+@pytest.mark.parametrize("dataset_name,tree_name", sorted(TREE_COUNTS))
+def test_tree_counts_against_the_level_frame_walk(dataset_name, tree_name):
+    maker, radius = {"LA": (make_la, 400.0), "Words": (make_words, 2.0)}[dataset_name]
+    full = maker(2040, seed=5)
+    dataset = Dataset(full.objects[:2000], full.distance, name=full.name)
+    queries = [full[i] for i in range(2000, 2040)]
+    pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
+    space = MetricSpace(dataset, CostCounters())
+    index = {"MVPT": MVPT, "VPT": VPT}[tree_name].build(space, pivots)
+    oracle = MetricSpace(dataset)
+    counters = space.counters
+    counters.reset()
+    ranges = [index.range_query(q, radius) for q in queries]
+    mrq = counters.distance_computations
+    counters.reset()
+    knns = [index.knn_query(q, 10) for q in queries]
+    knn = counters.distance_computations
+    counters.reset()
+    assert index.knn_query_many(queries, 10) == knns
+    assert counters.distance_computations == knn  # the batch is the loop
+    assert ranges == [brute_force_range(oracle, q, radius) for q in queries]
+    assert knns == [brute_force_knn(oracle, q, 10) for q in queries]
+    pinned = TREE_COUNTS[dataset_name, tree_name]
+    assert (mrq, knn) == pinned["bands"]
+    old_mrq, old_knn = pinned["level_frames"]
+    assert mrq <= old_mrq and knn <= old_knn
+    if dataset_name == "Words":
+        assert mrq == old_mrq
 
 
 def _reference_structure(dataset, pivot_ids, arity, leaf_size, ids=None, level=0):
