@@ -59,7 +59,7 @@ class Frame(NamedTuple):
         cell = codes.astype(np.float64)
         low = self.low + self.width * cell
         high = self.low + self.width * (cell + 1.0)
-        if np.any(self.discrete):
+        if self.discrete is not False and np.any(self.discrete):
             # the integers at or past the low edge and before the high one
             # (a cell holding none decodes to its low end)
             low = np.where(self.discrete, np.ceil(low), low)

@@ -66,9 +66,9 @@ bands, so the path is what decodes them.
   leaf-filter bounds, and whatever is lowest goes next.  Leaves set aside
   one after another are bounded in one call; objects are verified in
   ascending bound order, in chunks (k, then ``max(k, 32)``, as
-  :func:`~repro.core.queries.best_first_knn` takes them, then growing) that
-  never pass the next node's bound, and the walk stops at the k-th
-  distance.  ``knn_query_many`` runs that walk query after query and
+  :func:`~repro.core.queries.best_first_knn` takes them, then growing) that,
+  once the first has filled the heap, never pass the next node's bound, and
+  the walk stops at the k-th distance.  ``knn_query_many`` runs that walk query after query and
   shares nothing else -- a query's pivot distances and its radius are its
   own, and a frontier common to the batch (cut off at the largest radius
   among its heaps) tightened every radius late and cost more distances
@@ -117,8 +117,9 @@ _DERIVED = _DERIVED_ARRAYS + ("_flat",)
 _FEW_PAIRS = 8
 # MkNNQ verification chunks: k objects, then max(k, 32), then each four
 # times the last.  An edit distance costs ~6 us an object in calls of 32 and
-# ~2.4 in calls of 512 (Words); a chunk never passes the next node's bound,
-# so only objects the walk would reach next anyway make it longer
+# ~2.4 in calls of 512 (Words); past the first, a chunk never passes the
+# next node's bound, so only objects the walk would reach next anyway make
+# it longer
 _CHUNK_GROWTH = 4
 
 
@@ -472,14 +473,18 @@ class FrontierTreeMixin:
           (once per key), and the children whose gap stays within the
           radius are pushed;
         * the run's head starts a verification chunk: one counted
-          ``d_many`` call over the objects next in bound order, up to the
-          next node's bound -- k objects at first, then ``max(k, 32)``, as
+          ``d_many`` call over the objects next in bound order -- k objects
+          at first, filling the heap, then ``max(k, 32)``, as
           :func:`~repro.core.queries.best_first_knn` takes them, then each
-          chunk four times the last.
+          chunk four times the last.  Every chunk but the first stops at
+          the next node's bound (cut there, the first chunk on LA
+          n = 50 000 often held one object, and each cost a leaf-bounding
+          pass and a metric call).
 
         The walk stops once both heads exceed the k-th distance, so an
         object is verified only if its bound is within the radius when its
-        turn comes, and never before a node below it was opened.  The
+        turn comes and, past the first chunk, never before a node below it
+        was opened.  The
         heap's canonical (distance, id) ordering makes the answer
         independent of that order.
         """
@@ -491,6 +496,7 @@ class FrontierTreeMixin:
         known: dict = {}  # pivot key -> d(q, pivot)
         nodes = [(0.0, 0, 0, ())]  # (bound, tie, node, path)
         lower, ids = np.empty(0), np.empty(0, dtype=np.intc)  # the objects' run
+        run = np.inf  # its head's bound
         pending: list[tuple] = []  # leaves set aside: (bound, node, path)
         counter = itertools.count(1)
         chunks = _chunk_sizes(k)
@@ -525,9 +531,7 @@ class FrontierTreeMixin:
                 fan, key = rows[2 * node], rows[2 * node + 1]
                 # what may lie below the node: objects in the run and, for an
                 # internal node, in the leaves set aside
-                below = lower[0] if len(lower) else np.inf
-                if fan and pending:
-                    below = min(below, pending[0][0])
+                below = min(run, pending[0][0]) if fan and pending else run
                 if bound < below or (bound == below and (not fan or key < 0 or key in known)):
                     heapq.heappop(nodes)
                     if not fan:
@@ -554,14 +558,17 @@ class FrontierTreeMixin:
                     continue
             if pending:
                 lower, ids = bound_pending()
+                run = float(lower[0]) if len(lower) else np.inf
                 continue
-            if not len(lower) or lower[0] > radius:
+            if not len(lower) or run > radius:
                 return heap.neighbors()
-            # a chunk from the run's head, up to the next node's bound
-            cut = radius if step is None else min(radius, step[0])
+            # a chunk from the run's head, up to the next node's bound once
+            # the heap is full (the first fills it, as best_first_knn's does)
+            cut = radius if step is None or radius == np.inf else min(radius, step[0])
             within = int(np.searchsorted(lower, cut, "right"))
             take = max(1, min(next(chunks), within))
             verify, lower, ids = ids[:take], lower[take:], ids[take:]
+            run = float(lower[0]) if len(lower) else np.inf
             dists = space.d_many(query_obj, gather(verify))
             near = dists <= radius
             for object_id, d in zip(verify[near].tolist(), dists[near].tolist()):

@@ -287,12 +287,13 @@ class MVPT(FrontierTreeMixin, MetricIndex):
         if not depth:
             return ids, lower
         frame, now_low, now_high = self._code_bands(paths[:, :depth])
-        of = np.repeat(np.arange(len(leaves)), counts)
-        low, high = Frame(frame.low[of], frame.width[of], frame.discrete).bounds(
-            codes.reshape(-1, depth)
+        # every object's band frame and bounds: each leaf's, repeated
+        band_low, width, now_low, now_high = np.repeat(
+            np.array([frame.low, frame.width, now_low, now_high]), counts, axis=1
         )
+        low, high = Frame(band_low, width, frame.discrete).bounds(codes.reshape(-1, depth))
         # a cell never reaches past its bounds: the end cells end there
-        low, high = np.maximum(low, now_low[of]), np.minimum(high, now_high[of])
+        low, high = np.maximum(low, now_low), np.minimum(high, now_high)
         dq = np.array([pivot_dist(level) for level in range(depth)])
         np.maximum(lower, np.maximum(low - dq, dq - high).max(axis=1), out=lower)
         return ids, lower

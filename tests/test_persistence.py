@@ -335,7 +335,7 @@ def _coded_answers(index, queries, radius, k):
 # the fixtures below: compdists of every query form when written (their
 # expected files), and migrated -- FQA cells holding the whole distances
 # inside their edges, MVPT / VPT codes cells of their path bands
-_COMPDISTS = {"fqa": (2740, 2578), "mvpt": (610, 478), "vpt": (350, 340), "level_frames_mvpt": (610, 478)}
+_COMPDISTS = {"fqa": (2740, 2578), "mvpt": (610, 478), "vpt": (350, 316), "level_frames_mvpt": (610, 478)}
 
 
 @pytest.mark.parametrize("name", ["mvpt", "vpt", "fqa"])

@@ -536,9 +536,9 @@ class TestLeafCodes:
 # ways, so its MRQ counts are equal; MkNNQ now verifies object by object in
 # bound order, and never costs more.
 TREE_COUNTS = {
-    ("LA", "MVPT"): {"level_frames": (1931, 1854), "bands": (1833, 805)},
-    ("LA", "VPT"): {"level_frames": (1846, 3873), "bands": (1763, 837)},
-    ("Words", "MVPT"): {"level_frames": (12886, 54218), "bands": (12886, 54082)},
+    ("LA", "MVPT"): {"level_frames": (1931, 1854), "bands": (1833, 781)},
+    ("LA", "VPT"): {"level_frames": (1846, 3873), "bands": (1763, 678)},
+    ("Words", "MVPT"): {"level_frames": (12886, 54218), "bands": (12886, 54085)},
     ("Words", "VPT"): {"level_frames": (11807, 53737), "bands": (11807, 53088)},
 }
 
