@@ -53,19 +53,26 @@ class Frame(NamedTuple):
             width = 1.0
         return cls(low, width, discrete)
 
-    def bounds(self, codes) -> tuple[np.ndarray, np.ndarray]:
-        """Closed ``(low, high)`` of each code's cell; the end cells are open."""
+    def bounds(self, codes, ends=(-np.inf, np.inf)) -> tuple[np.ndarray, np.ndarray]:
+        """Closed ``(low, high)`` of each code's cell; the end cells are open,
+        reaching ``ends`` (what else bounds the distances, if anything)."""
         codes = np.asarray(codes)
         cell = codes.astype(np.float64)
         low = self.low + self.width * cell
         high = self.low + self.width * (cell + 1.0)
-        if self.discrete is not False and np.any(self.discrete):
+        discrete = self.discrete
+        if discrete is not False and np.any(discrete):
             # the integers at or past the low edge and before the high one
-            # (a cell holding none decodes to its low end)
-            low = np.where(self.discrete, np.ceil(low), low)
-            high = np.where(self.discrete, np.maximum(np.ceil(high) - 1.0, low), high)
-        low = np.where(codes == 0, -np.inf, low)
-        high = np.where(codes == self.cells - 1, np.inf, high)
+            # (a cell holding none decodes to its low end); ``discrete`` is
+            # one flag, or one a frame for :func:`gap_tables`
+            whole_low = np.ceil(low)
+            whole_high = np.maximum(np.ceil(high) - 1.0, whole_low)
+            if np.ndim(discrete):
+                whole_low = np.where(discrete, whole_low, low)
+                whole_high = np.where(discrete, whole_high, high)
+            low, high = whole_low, whole_high
+        low = np.where(codes == 0, ends[0], low)
+        high = np.where(codes == self.cells - 1, ends[1], high)
         return low, high
 
     def encode(self, dists) -> np.ndarray:
