@@ -5,7 +5,10 @@ layout only; :func:`migrate` also reads formats 1 and 2, converts every
 object and page eagerly and saves the index again (a current file's pages
 come back byte for byte).  A class whose pickled state changed shape loads
 as a *stand-in* that becomes the real class, its state converted by the
-function registered for it below.  No distance is computed.
+function registered for it below.  No counted distance is computed: an
+MVPT / VPT whose codes were cells of one frame a level has them made again
+in its path bands from each object's path distances, which the conversion
+takes once through the metric itself.
 """
 
 from __future__ import annotations
@@ -330,7 +333,7 @@ def migrate(old, new):
     """Convert the snapshot ``old`` (format 1, 2 or 3, any layout the index
     classes have had) to format 3 and today's layout at ``new``, which may
     be ``old``; returns the index, its counters started with the
-    conversion (no distance, the page pass's reads and writes)."""
+    conversion (no counted distance, the page pass's reads and writes)."""
     index = _unpickle(old, _MigrationUnpickler, _KNOWN_FORMATS)
     rebind_counters(index, CostCounters())
     _migrate_pages(index, old)

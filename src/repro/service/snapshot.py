@@ -35,7 +35,9 @@ buffered pages flushed), and :class:`~repro.core.counters.CostCounters`
 drops its lock on pickling.  Format 3 is format 2's bytes, the number
 marking that every object and page is in today's layout: :func:`load_index`
 reads it alone, with one plain unpickler, and refuses formats 1 and 2 with
-a :class:`SnapshotError` naming ``repro migrate`` (:mod:`.migrate`).
+a :class:`SnapshotError` naming ``repro migrate`` (:mod:`.migrate`), as it
+refuses a format 3 file in a layout since retired (a class the code no
+longer has, an MVPT / VPT whose codes are cells of level frames).
 
 Round-trip equality contract (asserted by ``tests/test_service.py`` for
 every index family): for any queries, the restored index returns answers
