@@ -74,8 +74,9 @@ PAPER_NOTES = {
     ),
     "fig17": (
         "Paper shape: cost grows with k; LAESA/CPT verify in storage order "
-        "(extra compdists); SPB-tree keeps the lowest PA; in-memory indexes "
-        "have the lowest CPU."
+        "(extra compdists: the paper-order columns, beside the best-first "
+        "order their knn_query runs); SPB-tree keeps the lowest PA; "
+        "in-memory indexes have the lowest CPU."
     ),
     "fig18": (
         "Paper shape: compdists fall monotonically with |P|; PA and CPU "

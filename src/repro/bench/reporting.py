@@ -39,10 +39,11 @@ def format_table(
     title: str = "",
     first_column: str | None = None,
 ) -> str:
-    """Aligned plain-text table from a list of dicts (shared keys)."""
+    """Aligned plain-text table from a list of dicts: every key any row
+    has is a column, in first-seen order; a row without it shows blank."""
     if not rows:
         return f"{title}\n(no rows)"
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     if first_column and first_column in columns:
         columns.remove(first_column)
         columns.insert(0, first_column)
@@ -68,7 +69,7 @@ def format_markdown(
     """GitHub-flavoured Markdown table (for EXPERIMENTS.md)."""
     if not rows:
         return "(no rows)"
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     if first_column and first_column in columns:
         columns.remove(first_column)
         columns.insert(0, first_column)

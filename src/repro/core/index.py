@@ -61,35 +61,30 @@ class MetricIndex(ABC):
         self.space = space
 
     # -- queries ---------------------------------------------------------
+    #
+    # The batch entry points are each index's bodies; one query is a batch
+    # of one.  An index whose MkNNQ is a per-query walk (the SPB-tree,
+    # OmniR-tree, M-index*, the frontier trees) overrides ``knn_query`` with
+    # that walk: the same distance computations, and on the paged ones the
+    # buffer pool's page accesses rather than a batch's shared page cache.
 
     @abstractmethod
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        """MRQ(q, r): ids of all objects within ``radius`` of ``query_obj``."""
-
-    @abstractmethod
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        """MkNNQ(q, k): the k nearest objects, ascending by distance."""
-
-    # -- batch queries ---------------------------------------------------
-
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Batched MRQ: one answer list per query, in query order.
+        """Batched MRQ(q, r): for each query, in query order, the sorted
+        ids of all objects within ``radius`` of it."""
 
-        The default is a correct sequential loop; indexes that can amortise
-        work across queries (the table category, sharded combinators)
-        override it with genuinely vectorized implementations.  Whatever the
-        implementation, ``range_query_many(qs, r)[i]`` must equal
-        ``range_query(qs[i], r)`` exactly.
-        """
-        return [self.range_query(q, radius) for q in queries]
-
+    @abstractmethod
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Batched MkNNQ: one neighbor list per query, in query order.
+        """Batched MkNNQ(q, k): for each query, in query order, its k
+        nearest objects ascending by (distance, id)."""
 
-        Same contract as :meth:`range_query_many`: per-query results must be
-        identical to sequential :meth:`knn_query` answers.
-        """
-        return [self.knn_query(q, k) for q in queries]
+    def range_query(self, query_obj, radius: float) -> list[int]:
+        """MRQ(q, r): the ``q = 1`` view of :meth:`range_query_many`."""
+        return self.range_query_many([query_obj], radius)[0]
+
+    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
+        """MkNNQ(q, k): the ``q = 1`` view of :meth:`knn_query_many`."""
+        return self.knn_query_many([query_obj], k)[0]
 
     # -- maintenance -------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""The k-NN answer type, the bounded k-NN heap, and the two MkNNQ
-verification strategies of the pivot-table family.
+"""The k-NN answer type, the bounded k-NN heap, and the one MkNNQ
+verification order of the pivot-table family.
 
 Defines the two query types of Section 2.1:
 
@@ -12,13 +12,15 @@ shrinks to the current k-th nearest distance as candidates are verified.
 
 Given one query's lower-bound column, the order in which candidates are
 verified is the only decision left, and it lives here once:
-:func:`storage_order_knn` is the paper's LAESA-style scan (the accounting
-Fig. 17 depends on), :func:`best_first_knn` the cheaper ascending-bound
-order the batch layer uses.  Both return the identical answer.  The column
-they are handed is the cheap bound every row has (Lemma 1); sorting, and a
-dearer bound behind an optional ``tighten`` callback, are paid only for
-the rows a query can still reach (:func:`best_first_knn` says why that
-changes nothing about what is verified).
+:func:`best_first_knn` verifies in ascending bound order, and
+:func:`best_first_knn_many` runs it for every query of a scanning table's
+columns.  The column it is handed is the cheap bound every row has
+(Lemma 1); sorting, and a dearer bound behind an optional ``tighten``
+callback, are paid only for the rows a query can still reach
+(:func:`best_first_knn` says why that changes nothing about what is
+verified).  The paper's own LAESA order -- rows as stored, the accounting
+its Fig. 17 reports -- is a finding, not a query path: it lives beside the
+Fig. 17 regenerator, in :mod:`repro.bench.experiments`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
     "Neighbor",
     "KnnHeap",
     "best_first_knn",
-    "storage_order_knn",
+    "best_first_knn_many",
 ]
 
 
@@ -95,11 +97,10 @@ def best_first_knn(
     Candidates are verified in ascending lower-bound order, a chunk at a
     time, stopping once the next lower bound exceeds the running k-th
     nearest distance -- no object that could still enter the answer is ever
-    skipped (d >= lower bound for every candidate).  This is the batch query
-    layer's verification order: it typically needs far fewer distance
-    computations than :func:`storage_order_knn` (the closest candidates
-    tend to come first, so the radius tightens immediately), while
-    returning the identical answer.
+    skipped (d >= lower bound for every candidate).  It typically needs far
+    fewer distance computations than the paper's storage-order scan (the
+    closest candidates tend to come first, so the radius tightens
+    immediately), while returning the identical answer.
     The saving is not a guarantee: chunk granularity always verifies the
     first chunk of k candidates before any radius exists, so adversarial
     data can make either order cheaper.
@@ -168,43 +169,15 @@ def best_first_knn(
     return heap.neighbors()
 
 
-def storage_order_knn(
-    lower_bounds: np.ndarray,
-    row_ids: Sequence[int],
-    k: int,
-    verify_many: Callable[[list[int]], np.ndarray],
-    tighten: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[Neighbor]:
-    """Exact MkNNQ over a pre-computed lower-bound column, in storage order.
-
-    The paper's LAESA MkNNQ (Section 3.1, and the reason its Fig. 17
-    compdists exceed the tree-based orders): rows are visited as stored,
-    a row is verified unless its lower bound already exceeds the running
-    k-th nearest distance.  The first k rows meet an infinite radius, so
-    they are verified in one call; after that every verification may
-    tighten the radius the next row is tested against, so the paper's
-    count needs one object per call.  Same arguments and same answer as
-    :func:`best_first_knn`; ``tighten`` is applied to the rows whose cheap
-    bound is within the radius the first k leave behind -- a row above it
-    can never be verified, whatever its final bound.
-    """
-    heap = KnnHeap(k)
-    head = min(k, len(row_ids))
-    if head == 0:
-        return []
-    ids = [int(i) for i in row_ids[:head]]
-    for object_id, d in zip(ids, verify_many(ids)):
-        heap.consider(object_id, float(d))
-    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
-    positions = head + np.flatnonzero(lower_bounds[head:] <= heap.radius)
-    bounds = lower_bounds[positions] if tighten is None else tighten(positions)
-    reachable = bounds <= heap.radius
-    for pos, bound in zip(positions[reachable], bounds[reachable]):
-        if bound > heap.radius:
-            continue
-        object_id = int(row_ids[pos])
-        heap.consider(object_id, float(verify_many([object_id])[0]))
-    return heap.neighbors()
+def best_first_knn_many(columns, k: int) -> list[list[Neighbor]]:
+    """:func:`best_first_knn` for every query of one scanning table's
+    ``_knn_columns(queries)``: ``(row_ids, q x n lower bounds, one
+    tighten or None per query, one verify_many per query)``."""
+    row_ids, lower, tighteners, verifiers = columns
+    return [
+        best_first_knn(row, row_ids, k, verify, tighten)
+        for row, tighten, verify in zip(lower, tighteners, verifiers)
+    ]
 
 
 class KnnHeap:

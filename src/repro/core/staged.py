@@ -228,9 +228,8 @@ class StagedPruner:
         ``tighten(positions)`` returning query i's final bounds (Lemma 1
         max'd with the Ptolemaic bound over the budgeted pairs) for the
         given storage positions only: :func:`~repro.core.queries.
-        best_first_knn` / :func:`~repro.core.queries.storage_order_knn`
-        call it for the rows the query can still reach, not for the table
-        (the exactness argument lives with them).
+        best_first_knn` calls it for the rows the query can still reach,
+        not for the table (the exactness argument lives there).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)

@@ -443,12 +443,6 @@ class ClusterIndex(MetricIndex):
 
     # -- queries ---------------------------------------------------------------
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
-
-    def knn_query(self, query_obj, k: int):
-        return self.knn_query_many([query_obj], k)[0]
-
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         return self._query("range_query_many", list(queries), radius)
 

@@ -66,9 +66,6 @@ class AESA(MetricIndex):
         pt = np.abs(prev_d * self.table[pick] - d * self.table[prev_pick]) / denom
         return tri, np.maximum(tri, pt)
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
-
     def _range_scan(
         self,
         query_obj,
@@ -97,9 +94,6 @@ class AESA(MetricIndex):
             counters.add_prune_stages(refine=n_tri, ptolemaic=n_pt)
             alive &= lower <= radius
             prev = (pick, d)
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        return self.knn_query_many([query_obj], k)[0]
 
     def _knn_scan(
         self,

@@ -7,7 +7,7 @@ object, the pre-computed pivot distances plus a pointer to the M-tree leaf
 holding the object.
 
 Query processing is LAESA's -- the class below inherits the mapping, the
-staged cascade and both MkNNQ strategies unchanged -- except every
+staged cascade and the MkNNQ verification order unchanged -- except every
 verification must *fetch the object from disk* first, the paper's
 explanation for CPT's CPU and I/O overheads.  That one step is
 :meth:`CPT._distances`: candidates are fetched grouped by the M-tree leaf

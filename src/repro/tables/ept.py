@@ -15,9 +15,8 @@ more expensive -- exactly as Table 4 reports -- but queries prune better
 (Fig. 14).
 
 MRQ/MkNNQ processing is identical to LAESA's -- one batch body per query
-type, ``range_query`` its one-query view, ``knn_query`` the paper's
-storage-order scan -- except that the lower bound of object o uses o's own
-pivots.
+type, the one-query entry points their ``q = 1`` views, MkNNQ verified
+best-first -- except that the lower bound of object o uses o's own pivots.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import psa, psa_greedy
-from ..core.queries import Neighbor, best_first_knn, storage_order_knn
+from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import PerObjectStagedPruner
 from .rows import append_row, claim_row_id, remove_row
 
@@ -64,12 +63,6 @@ class _ExtremePivotTableBase(MetricIndex):
         pivots = self.space.dataset.gather(self.pivot_ids)
         return self.space.pairwise_objects(queries, pivots)
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        return self._knn([query_obj], k, storage_order_knn)[0]
-
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         """MRQ: one pairwise call for all query-pivot distances, the staged
         per-object-pivot cascade, vectorised per-query verification."""
@@ -94,19 +87,16 @@ class _ExtremePivotTableBase(MetricIndex):
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
         """MkNNQ: shared Lemma 1 matrix + best-first chunked verification."""
         queries = list(queries)
-        return self._knn(queries, k, best_first_knn) if queries else []
+        return best_first_knn_many(self._knn_columns(queries), k) if queries else []
 
-    def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
-        qdists = self._query_pivot_dists_many(queries)
+    def _knn_columns(self, queries):
+        """Row ids, the ``q x n`` bounds over each object's own pivots, and
+        per query its tightener and counted distance call."""
         lower, tighteners = self.pruner.knn_bounds(
-            qdists, self._pivot_idx, self._pivot_dist
+            self._query_pivot_dists_many(queries), self._pivot_idx, self._pivot_dist
         )
-        return [
-            strategy(
-                row, self._row_ids, k, lambda ids, q=q: self.space.d_ids(q, ids), tighten
-            )
-            for q, row, tighten in zip(queries, lower, tighteners)
-        ]
+        verifiers = [lambda ids, q=q: self.space.d_ids(q, ids) for q in queries]
+        return self._row_ids, lower, tighteners, verifiers
 
     def delete(self, object_id: int) -> None:
         remove_row(self, object_id, "_pivot_idx", "_pivot_dist")

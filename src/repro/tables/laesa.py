@@ -6,16 +6,18 @@ for every object o and pivot p -- O(|P| x |O|) memory instead of AESA's
 O(|O|^2).
 
 * MRQ scans the distance table, prunes with Lemma 1, and verifies survivors.
-* MkNNQ verifies objects *in storage order* (the paper points out this is
-  suboptimal and the reason LAESA's kNN compdists exceed tree-based orders)
-  with the radius tightening to the running k-th nearest distance.
+* MkNNQ bounds every row with Lemma 1 and verifies in ascending bound
+  order (:func:`~repro.core.queries.best_first_knn`), the radius tightening
+  to the running k-th nearest distance.  The paper verifies *in storage
+  order* instead -- suboptimal, as it points out, and the reason LAESA's
+  kNN compdists exceed tree-based orders in its Fig. 17; that order is
+  reported beside the regenerator (:mod:`repro.bench.experiments`), from
+  the same columns (:meth:`LAESA._knn_columns`).
 
-There is one query path: ``range_query`` is the one-query view of
-``range_query_many``, and the two MkNNQ entry points differ only in the
-verification strategy they name -- ``knn_query`` the paper's
-:func:`~repro.core.queries.storage_order_knn`, ``knn_query_many`` the
-cheaper :func:`~repro.core.queries.best_first_knn`.  :class:`~repro.tables.
-cpt.CPT` subclasses this table and overrides only :meth:`LAESA._distances`.
+There is one query path: ``range_query_many`` and ``knn_query_many`` are
+the bodies, and the one-query entry points their ``q = 1`` views.
+:class:`~repro.tables.cpt.CPT` subclasses this table and overrides only
+:meth:`LAESA._distances`.
 
 **The caller's pivots seed the table; ``build`` sizes it.**  With d(q, p) and
 d(o, p) stored, the Lemma 1 scan and the best-first order are already the
@@ -61,7 +63,7 @@ import numpy as np
 from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
-from ..core.queries import Neighbor, best_first_knn, storage_order_knn
+from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import StagedPruner
 from .rows import append_row, claim_row_id, remove_row
 
@@ -126,16 +128,16 @@ class LAESA(MetricIndex):
 
     # -- queries ------------------------------------------------------------
 
+    # the base class's q = 1 views, bound here by name too: the spine's
+    # tracer (benchmarks/spine/tracer.py) times the entry points it finds
+    # in this class's own namespace
+    range_query = MetricIndex.range_query
+    knn_query = MetricIndex.knn_query
+
     def _distances(self, queries, ids_per_query) -> list[np.ndarray]:
         """Counted d(q_i, o) for each query's candidate ids: the one step
         a subclass that stores its objects elsewhere replaces."""
         return [self.space.d_ids(q, ids) for q, ids in zip(queries, ids_per_query)]
-
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        return self._knn([query_obj], k, storage_order_knn)[0]
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         """Vectorised MRQ.
@@ -169,30 +171,20 @@ class LAESA(MetricIndex):
 
     def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
         """Vectorised MkNNQ, verified best-first (ascending lower bound,
-        chunked vectorised distance calls).  Answers equal
-        :meth:`knn_query`'s; distance-computation counts are typically far
-        lower than its storage-order scan (see
-        :func:`~repro.core.queries.best_first_knn` for why that is not a
-        strict guarantee)."""
+        chunked vectorised distance calls) over :meth:`_knn_columns`."""
         queries = list(queries)
-        return self._knn(queries, k, best_first_knn) if queries else []
+        return best_first_knn_many(self._knn_columns(queries), k) if queries else []
 
-    def _knn(self, queries, k: int, strategy) -> list[list[Neighbor]]:
-        """The query-pivot matrix and Lemma 1 for every row up front, then
-        each query verifies in the order ``strategy`` names, tightening
-        (Ptolemaic) only the rows that order reaches."""
-        qmat = self.mapping.map_query_many(queries)
-        lower, tighteners = self.pruner.knn_bounds(qmat, self._rows)
-        return [
-            strategy(
-                row,
-                self._row_ids,
-                k,
-                lambda ids, q=q: self._distances([q], [ids])[0],
-                tighten,
-            )
-            for q, row, tighten in zip(queries, lower, tighteners)
-        ]
+    def _knn_columns(self, queries):
+        """What MkNNQ verifies from: the row ids, the ``q x n`` Lemma 1
+        matrix of one query-pivot mapping, and per query the Ptolemaic
+        tightener (applied only to the rows the verification order
+        reaches) and the counted distance call."""
+        lower, tighteners = self.pruner.knn_bounds(
+            self.mapping.map_query_many(queries), self._rows
+        )
+        verifiers = [lambda ids, q=q: self._distances([q], [ids])[0] for q in queries]
+        return self._row_ids, lower, tighteners, verifiers
 
     # -- maintenance ----------------------------------------------------------
 

@@ -99,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.index import NotIndexed, claim_object_id
+from ..core.index import MetricIndex, NotIndexed, claim_object_id
 from ..core.queries import KnnHeap, Neighbor
 
 __all__ = ["FrontierTreeMixin", "interval_gap", "require_discrete"]
@@ -421,8 +421,10 @@ class FrontierTreeMixin:
 
     # -- queries -------------------------------------------------------------
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
+    # the base class's q = 1 view, bound here by name too: the spine's
+    # tracer (benchmarks/spine/tracer.py) times the entry points it finds
+    # in this class's own namespace
+    range_query = MetricIndex.range_query
 
     def knn_query(self, query_obj, k: int) -> list[Neighbor]:
         return self._knn_walk(query_obj, k)

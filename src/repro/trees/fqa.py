@@ -75,12 +75,6 @@ class FQA(MetricIndex):
 
     # -- queries -------------------------------------------------------------------
 
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        return self.range_query_many([query_obj], radius)[0]
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        return self.knn_query_many([query_obj], k)[0]
-
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         """MRQ: one q x l pivot matrix, one 2-D bound matrix."""
         queries = list(queries)

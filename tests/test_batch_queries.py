@@ -5,13 +5,16 @@ the same grid as the golden suite.  The batch API contract is exact: for
 every index, ``range_query_many(qs, r)[i] == range_query(qs[i], r)`` and
 ``knn_query_many(qs, k)[i] == knn_query(qs[i], k)`` bit-for-bit (canonical
 (distance, id) tie-breaking makes the k-NN answer order-independent), plus
-edge cases: empty batches, k > n, foreign query objects, and counter
-attribution parity for the vectorized table overrides.
+edge cases: empty batches, k > n, foreign query objects, and the cost
+contract of every family: a one-query call costs what its batch of one
+costs.
 
-The two MkNNQ verification strategies draw their order lazily (a threshold
-prefix at a time, tightening only the rows a prefix reaches); the full-sort
-bodies they replaced are kept here as references, and the sequence of
-``verify_many`` calls must be theirs call for call.
+The two MkNNQ verification orders -- ``best_first_knn``, and the paper's
+storage-order scan the Fig. 17 regenerator reports beside it
+(``repro.bench``) -- draw their order lazily (a threshold prefix at a time,
+tightening only the rows a prefix reaches); the full-sort bodies they
+replaced are kept here as references, and the sequence of ``verify_many``
+calls must be theirs call for call.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from hypothesis import strategies as st
 
 from repro import (
     CostCounters,
+    MetricIndex,
     MetricSpace,
     ShardedIndex,
     brute_force_knn_many,
     brute_force_range_many,
     select_pivots,
 )
-from repro.core.queries import KnnHeap, best_first_knn, storage_order_knn
+from repro.bench import paper_order_knn, storage_order_knn
+from repro.core.queries import KnnHeap, best_first_knn
 from repro.tables import LAESA
 
 from conftest import DATASET_MAKERS, RADIUS, indexes_for
@@ -40,18 +45,24 @@ CASES = [
     for index_name in indexes_for(dataset_name)
 ]
 
-# indexes with genuinely vectorized batch overrides (the rest exercise the
-# sequential default of the MetricIndex base class)
+# the pivot tables, whose batch bodies vectorise across the queries
 VECTORIZED = ("AESA", "LAESA", "EPT", "EPT*", "CPT")
 
 # the pivot-table family: one query path each, so a sequential call is the
 # one-query view of the batch engine and must cost exactly what it costs
 TABLE_FAMILY = VECTORIZED + ("FQA",)
 FAMILY_CASES = [case for case in CASES if case[1] in TABLE_FAMILY]
+# the tables that bound every row and verify from those columns: best-first
+# in ``knn_query``, the paper's storage order in ``repro.bench``
 STORAGE_ORDER_CASES = [
     case for case in CASES if case[1] in ("LAESA", "EPT", "EPT*", "CPT")
 ]
-BEST_FIRST_CASES = [case for case in CASES if case[1] in ("AESA", "FQA")]
+# every family: the grid, plus DEPT, the plain M-tree and a sharded LAESA
+CONTRACT_CASES = CASES + [
+    (dataset_name, index_name)
+    for dataset_name in ("LA", "Words")
+    for index_name in ("DEPT", "M-tree", "Sharded")
+]
 COST_FIELDS = (
     "distance_computations",
     "prune_prefix",
@@ -183,26 +194,51 @@ class TestBatchCounterAttribution:
             # a batch shares leaf reads across queries; it never adds any
             assert batch_cost.page_reads <= seq_cost.page_reads, case
 
-    @pytest.mark.parametrize("dataset_name,index_name", BEST_FIRST_CASES)
-    def test_best_first_knn_costs(
+    @pytest.mark.parametrize("dataset_name,index_name", CONTRACT_CASES)
+    def test_one_query_is_a_batch_of_one(
         self, datasets, built_indexes, dataset_name, index_name
     ):
-        """AESA and FQA verify best-first on both entry points: a
-        ``knn_query`` costs exactly its one-query batch."""
-        index = built_indexes(dataset_name, index_name)
+        """The cost contract of every family: ``knn_query(q)`` answers
+        ``knn_query_many([q])[0]`` and ``range_query(q, r)`` answers
+        ``range_query_many([q], r)[0]``, at equal distance computations and
+        page accesses -- except the page accesses of an index that walks
+        its own ``knn_query`` (its batch reads through one shared page
+        cache, the one-query walk through the buffer pool)."""
+        if index_name == "Sharded":
+            index = _sharded_laesa(datasets[dataset_name])
+        else:
+            index = built_indexes(dataset_name, index_name)
+        walks = type(index).knn_query is not MetricIndex.knn_query
+        radius = RADIUS[dataset_name]
+
+        def same_cost(one_query, batch_of_one, same_pages=True):
+            one, one_cost = _cost(index, one_query)
+            batch, batch_cost = _cost(index, batch_of_one)
+            assert one == batch
+            assert one_cost.distance_computations == batch_cost.distance_computations
+            if same_pages:
+                assert one_cost.page_accesses == batch_cost.page_accesses
+
         for q in _queries_for(datasets[dataset_name]):
-            sequential, seq_cost = _cost(index, lambda: index.knn_query(q, 10))
-            batch, batch_cost = _cost(index, lambda: index.knn_query_many([q], 10))
-            assert batch == [sequential]
-            assert batch_cost.distance_computations == seq_cost.distance_computations
+            same_cost(
+                lambda: index.range_query(q, radius),
+                lambda: index.range_query_many([q], radius)[0],
+            )
+            for k in (1, 10):
+                same_cost(
+                    lambda: index.knn_query(q, k),
+                    lambda: index.knn_query_many([q], k)[0],
+                    same_pages=not walks,
+                )
 
     @pytest.mark.parametrize("dataset_name,index_name", STORAGE_ORDER_CASES)
     def test_storage_order_knn_costs(
         self, datasets, built_indexes, dataset_name, index_name
     ):
         """The paper's MkNNQ accounting for the LAESA-style tables (the
-        numbers Fig. 17 reports), pinned against the per-object loop the
-        paper describes -- kept here, and only here, as the oracle."""
+        numbers Fig. 17 reports beside ``knn_query``'s): ``repro.bench``'s
+        paper-order helper, pinned against the per-object loop the paper
+        describes -- kept here, and only here, as the oracle."""
         index = built_indexes(dataset_name, index_name)
         space = index.space
 
@@ -228,7 +264,7 @@ class TestBatchCounterAttribution:
         for q in _queries_for(datasets[dataset_name]):
             for k in (1, 10):
                 want, want_cost = _cost(index, lambda: reference(q, k))
-                got, got_cost = _cost(index, lambda: index.knn_query(q, k))
+                got, got_cost = _cost(index, lambda: paper_order_knn(index, q, k))
                 assert got == want
                 assert got_cost.distance_computations == want_cost.distance_computations
 
@@ -246,14 +282,11 @@ class TestBatchCounterAttribution:
         index.knn_query_many(queries, 10)
         batch = space.counters.distance_computations
 
-        # Regression guard on this fixed, deterministic workload: best-first
-        # verification beats the storage-order scan here.  This is NOT a
-        # universal invariant (chunk granularity verifies k candidates
-        # before any radius exists, so adversarial data can flip it).
-        assert batch <= sequential
+        # one verification order for both entry points: a batch costs the
+        # sum of its queries' one-query calls
+        assert batch == sequential
 
-        # the same guard on every scan whose two entry points differ in
-        # verification order, on every fixture
+        # the same on every table that bounds every row, on every fixture
         for dataset_name in DATASET_MAKERS:
             queries = _queries_for(datasets[dataset_name])
             for index_name in ("LAESA", "EPT*", "CPT"):
@@ -268,22 +301,50 @@ class TestBatchCounterAttribution:
                     assert many == loop, (dataset_name, index_name, k)
                     assert (
                         many_cost.distance_computations
-                        <= loop_cost.distance_computations
+                        == loop_cost.distance_computations
                     ), (dataset_name, index_name, k)
+
+
+def test_the_base_views_are_a_batch_of_one(datasets):
+    """``MetricIndex``: the batch entry points are abstract bodies, and the
+    one-query entry points hand them ``[q]`` and return the answer at the
+    batch's position 0 -- the one computed for q."""
+    calls = []
+
+    class Recording(MetricIndex):
+        def range_query_many(self, queries, radius):
+            calls.append((list(queries), radius))
+            return [[1], [2]]
+
+        def knn_query_many(self, queries, k):
+            calls.append((list(queries), k))
+            return [[3], [4]]
+
+    space = MetricSpace(datasets["LA"])
+    with pytest.raises(TypeError, match="abstract"):
+        MetricIndex(space)
+    index = Recording(space)
+    q = datasets["LA"][0]
+    assert index.range_query(q, 5.0) == [1]
+    assert index.knn_query(q, 7) == [3]
+    assert [(len(qs), qs[0] is q, p) for qs, p in calls] == [(1, True, 5.0), (1, True, 7)]
+
+
+def _sharded_laesa(dataset, n_shards=3, **kwargs):
+    """LAESA in ``n_shards`` shards over ``dataset``, 3 HFI pivots each."""
+
+    def build_shard(sub_space):
+        pivots = select_pivots(MetricSpace(sub_space.dataset), 3, strategy="hfi", seed=3)
+        return LAESA.build(sub_space, pivots)
+
+    space = MetricSpace(dataset, CostCounters())
+    return ShardedIndex.build(space, build_shard, n_shards=n_shards, seed=1, **kwargs)
 
 
 class TestShardedBatch:
     def test_sharded_batch_fanout(self, datasets):
         dataset = datasets["LA"]
-        space = MetricSpace(dataset, CostCounters())
-
-        def build_shard(sub_space):
-            pivots = select_pivots(
-                MetricSpace(sub_space.dataset), 3, strategy="hfi", seed=3
-            )
-            return LAESA.build(sub_space, pivots)
-
-        sharded = ShardedIndex.build(space, build_shard, n_shards=3, seed=1)
+        sharded = _sharded_laesa(dataset)
         queries = _queries_for(dataset)
         radius = RADIUS["LA"]
         assert sharded.range_query_many(queries, radius) == [
@@ -303,18 +364,8 @@ class TestShardedBatch:
         from concurrent.futures import ThreadPoolExecutor
 
         dataset = datasets["LA"]
-        space = MetricSpace(dataset, CostCounters())
-
-        def build_shard(sub_space):
-            pivots = select_pivots(
-                MetricSpace(sub_space.dataset), 3, strategy="hfi", seed=3
-            )
-            return LAESA.build(sub_space, pivots)
-
         with ThreadPoolExecutor(max_workers=2) as pool:
-            sharded = ShardedIndex.build(
-                space, build_shard, n_shards=4, seed=1, executor=pool
-            )
+            sharded = _sharded_laesa(dataset, n_shards=4, executor=pool)
             queries = _queries_for(dataset)
             radius = RADIUS["LA"]
             assert sharded.range_query_many(queries, radius) == [
@@ -477,10 +528,39 @@ def test_best_first_tightens_the_frontier_not_the_table():
     assert sum(seen) <= 64 + 4 * 64  # the first prefix, at most one refill
 
 
-# knn_query_many / knn_query distance computations on the conftest LA and
-# Words sets, queries _queries_for, k = 1 then k = 10: [many, sequential,
-# many, sequential].  Values are the parent commit's (full stable argsort,
-# full-matrix tightening), except LA-EPT and LA-EPT*: there the parent's
+def test_best_first_draws_no_rows_past_its_cutoff():
+    """A chunk that keeps only some of its rows ends the query: the rows
+    after it are all above the radius, so nothing more is tightened or
+    sorted.  Here the cut falls in the last chunk of the first prefix
+    (k = 32: prefix 128 rows, four chunks of 32), so a query that went on
+    would draw the next prefix -- verifying nothing more, but tightening
+    again."""
+    k, n = 32, 1_000
+    cheap = np.full(n, 3_000.0)
+    cheap[:112] = 0.0  # chunks 1-3 and half of chunk 4 verify
+    cheap[112:128] = 2_000.0  # above the radius the first chunk leaves
+    dist = np.full(n, 1_000.0)
+    row_ids = np.arange(n)
+    drawn: list[int] = []
+
+    def tighten(positions):
+        drawn.append(len(positions))
+        return cheap[positions]
+
+    got, calls = _recorded(best_first_knn, cheap, row_ids, k, dist, tighten=tighten)
+    assert (got, calls) == _recorded(_full_sort_best_first, cheap, row_ids, k, dist)
+    assert [len(c) for c in calls] == [32, 32, 32, 16]
+    assert drawn == [128]
+
+
+# Distance computations on the conftest LA and Words sets, queries
+# _queries_for, k = 1 then k = 10: [many, sequential, many, sequential].
+# ``knn_query`` costs exactly its share of ``knn_query_many`` (asserted).
+# The sequential columns pin, one query a call, the paper's storage-order
+# scan on the tables that bound every row (``repro.bench.paper_order_knn``;
+# it was their ``knn_query`` when these were recorded, at the same counts),
+# and ``knn_query`` on FQA.  Values are the parent commit's (full stable
+# argsort, full-matrix tightening), except LA-EPT and LA-EPT*: the parent's
 # PerObjectStagedPruner.lower_bounds_many_queries computed the Ptolemaic
 # tightening for every cell and then wrote it into a fancy-index copy, so
 # its MkNNQ ran on Lemma 1 alone (LA-EPT [15, 29, 58, 172], LA-EPT*
@@ -506,10 +586,13 @@ PINNED_KNN_COMPDISTS = {
 def test_knn_compdists_pinned(datasets, built_indexes, dataset_name, index_name):
     index = built_indexes(dataset_name, index_name)
     queries = _queries_for(datasets[dataset_name])
+    scan = paper_order_knn if hasattr(index, "_knn_columns") else type(index).knn_query
     got = []
     for k in (1, 10):
         many, many_cost = _cost(index, lambda: index.knn_query_many(queries, k))
         seq, seq_cost = _cost(index, lambda: [index.knn_query(q, k) for q in queries])
-        assert many == seq
-        got += [many_cost.distance_computations, seq_cost.distance_computations]
+        paper, paper_cost = _cost(index, lambda: [scan(index, q, k) for q in queries])
+        assert many == seq == paper
+        assert seq_cost.distance_computations == many_cost.distance_computations
+        got += [many_cost.distance_computations, paper_cost.distance_computations]
     assert got == PINNED_KNN_COMPDISTS[dataset_name, index_name]

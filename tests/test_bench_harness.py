@@ -98,9 +98,8 @@ class TestRunner:
     @pytest.mark.parametrize("workload_name", ("words_workload", "la_workload"))
     def test_one_query_per_call_protocol(self, request, workload_name, index_name):
         """Section 6.1: a reported figure is the mean over queries answered
-        one at a time -- never a batch's (which verifies LAESA's MkNNQ
-        best-first instead of in storage order and shares page reads
-        between queries) -- from the buffer state the paper prescribes."""
+        one at a time -- never a batch's (which shares page reads between
+        queries) -- from the buffer state the paper prescribes."""
         workload = request.getfixturevalue(workload_name)
         pivots = shared_pivots(workload, 4, seed=1)
         index = measure_build(index_name, workload, pivots).index

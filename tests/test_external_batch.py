@@ -11,12 +11,12 @@ tie-breaking), and QuadraticForm (the expensive-distance representative):
 
 * batch answers are bit-for-bit the sequential and brute-force answers for
   MRQ and MkNNQ;
-* cost parity for the whole family: batch MRQ performs exactly the
-  sequential loop's counted distance computations, at ``q = 1`` too; batch
-  MkNNQ performs exactly the sum of the one-query calls' on the six indexes
-  whose two entry points share a verification order, and no more on the two
-  scans; and the one-query calls cost what they cost before the bodies
-  were merged (values pinned from that commit);
+* cost parity for the whole family: batch MRQ and MkNNQ perform exactly
+  the sequential loop's counted distance computations, at ``q = 1`` too;
+  the one-query calls cost what they cost before the bodies were merged
+  (values pinned from that commit), the scans' MkNNQ what their best-first
+  order costs; and the scans' paper-order MkNNQ (``repro.bench``) is the
+  paper's per-object loop, computation for computation;
 * the RAF-backed indexes read each touched page at most once per batch:
   batch page accesses undercut the sequential loop's, with the saved I/O
   visible as ``grouped_hits``.
@@ -40,6 +40,7 @@ from repro.core.distances import (
     L2,
     QuadraticFormDistance,
 )
+from repro.bench import paper_order_knn
 from repro.core.queries import KnnHeap
 from repro.external import (
     DEPT,
@@ -71,9 +72,9 @@ EXTERNAL = (
 # inside its nodes, so it has no RAF to group -- its batch win is reading
 # each *node* once per batch instead)
 RAF_BACKED = tuple(name for name in EXTERNAL if name != "PM-tree")
-# the scans: ``knn_query`` verifies in storage order (the paper's count),
-# ``knn_query_many`` best-first; everywhere else both are one order
-STORAGE_ORDER_SCANS = ("Omni-seq", "DEPT")
+# the scans: MkNNQ verifies best-first from one bound matrix; the paper's
+# storage order over the same columns is ``repro.bench.paper_order_knn``
+SCANS = ("Omni-seq", "DEPT")
 
 # distance computations of the 12 one-query calls, (euclidean, hamming,
 # quadratic), measured at the commit before the sequential bodies became
@@ -88,15 +89,21 @@ PINNED_RANGE_COMPDISTS = {
     "PM-tree": (618, 3230, 1331),
     "DEPT": (703, 2955, 1466),
 }
+# The scans' MkNNQ counts are their best-first order's since one-query
+# calls became views of the batch body; as the paper's storage-order scan
+# they read Omni-seq (875, 2482, 1536) and DEPT (1137, 2207, 1590); that
+# scan is ``repro.bench.paper_order_knn`` now, and
+# ``test_scan_knn_query_is_the_storage_order_loop`` holds it to the
+# per-object loop.
 PINNED_KNN_COMPDISTS = {
-    "Omni-seq": (875, 2482, 1536),
+    "Omni-seq": (480, 2077, 1125),
     "OmniB+": (1064, 2297, 1790),
     "OmniR-tree": (377, 2077, 1103),
     "M-index": (1064, 2297, 1790),
     "M-index*": (581, 2209, 1221),
     "SPB-tree": (388, 2077, 1116),
     "PM-tree": (676, 2143, 1258),
-    "DEPT": (1137, 2207, 1590),
+    "DEPT": (744, 1743, 1205),
 }
 
 _BUILDERS = {
@@ -225,13 +232,9 @@ def test_batch_knn_matches_sequential_and_brute_force(
 
     assert batch == sequential
     assert batch == brute_force_knn_many(MetricSpace(dataset), queries, K)
-    # a batch is its queries' walks (or rounds): the sum of their
-    # computations, not a shared frontier's; only the scans' batch order
-    # differs from their one-query order, and it is the cheaper one
-    if index_name in STORAGE_ORDER_SCANS:
-        assert batch_cost.distance_computations <= seq_cost.distance_computations
-    else:
-        assert batch_cost.distance_computations == seq_cost.distance_computations
+    # a batch is its queries' walks (or rounds, or verification orders):
+    # the sum of their computations, not a shared frontier's
+    assert batch_cost.distance_computations == seq_cost.distance_computations
     pinned = PINNED_KNN_COMPDISTS[index_name][METRICS.index(metric_name)]
     assert seq_cost.distance_computations == pinned
     # the batch-scoped record cache can only save reads
@@ -241,9 +244,10 @@ def test_batch_knn_matches_sequential_and_brute_force(
 
 
 def _storage_order_reference(index, lower_bounds, ids, query_obj, k):
-    """The per-object MkNNQ scan the Omni sequential file and DEPT ran
-    before their ``knn_query`` named ``storage_order_knn``: rows as stored,
-    a row verified unless its bound exceeds the running k-th distance."""
+    """The per-object MkNNQ scan the Omni sequential file and DEPT ran as
+    their ``knn_query`` before the paper's order moved to ``repro.bench``:
+    rows as stored, a row verified unless its bound exceeds the running
+    k-th distance."""
     heap = KnnHeap(min(k, len(ids)))
     for object_id, bound in zip(ids, lower_bounds):
         if bound > heap.radius:
@@ -254,18 +258,20 @@ def _storage_order_reference(index, lower_bounds, ids, query_obj, k):
 
 
 @pytest.mark.parametrize("k", [1, K])
-@pytest.mark.parametrize("index_name", STORAGE_ORDER_SCANS)
+@pytest.mark.parametrize("index_name", SCANS)
 @pytest.mark.parametrize("metric_name", METRICS)
 def test_scan_knn_query_is_the_storage_order_loop(
     metric_datasets, built_externals, metric_name, index_name, k
 ):
-    """``knn_query`` on the scans: the paper's count, object for object."""
+    """The scans' paper-order MkNNQ (``repro.bench.paper_order_knn``, what
+    Fig. 17 reports beside ``knn_query``): the paper's count, object for
+    object."""
     dataset = metric_datasets[metric_name]
     index = built_externals(metric_name, index_name)
     counters = index.space.counters
     for q in _queries(dataset)[:4]:
         before = counters.snapshot()
-        got = index.knn_query(q, k)
+        got = paper_order_knn(index, q, k)
         cost = (counters.snapshot() - before).distance_computations
         # the bound row costs the query-pivot distances once more; only the
         # verifications are compared

@@ -804,6 +804,12 @@ def test_snapshot_with_list_leaves_answers_as_written(migrated, tmp_path, name):
     assert restored.storage_bytes() == index.storage_bytes()
 
 
+# compdists of every query form as written and now, for the scanning tables
+# among the fixtures: their one-query MkNNQ was the paper's storage-order
+# scan when written, and is the best-first batch body's ``q = 1`` view now
+_SCAN_COMPDISTS = {"dept": (726, 582), "cpt": (321, 242)}
+
+
 @pytest.mark.parametrize("name", ["spbtree", "mindexstar", "omnib", "omnir", "dept"])
 def test_snapshot_with_record_pointers_answers_as_written(migrated, tmp_path, name):
     """``tests/data/record_pointers_*_la300.snap`` (SPB-tree, M-index*,
@@ -829,7 +835,8 @@ def test_snapshot_with_record_pointers_answers_as_written(migrated, tmp_path, na
     queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
     got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
     assert got == {form: expected[form] for form in got}
-    assert compdists == expected["compdists"]
+    written = expected["compdists"]
+    assert (written, compdists) == _SCAN_COMPDISTS.get(name, (written, written))
 
     index.delete(12)
     with pytest.raises(KeyError):
@@ -930,7 +937,8 @@ def test_snapshot_with_entry_nodes_still_loads(migrated, tmp_path, name):
     ]
     got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
     assert got == {form: expected[form] for form in got}
-    assert compdists == expected["compdists"]
+    written = expected["compdists"]
+    assert (written, compdists) == _SCAN_COMPDISTS.get(name, (written, written))
 
     with pytest.raises(ValueError):
         index.insert(dataset[7], object_id=7)
