@@ -37,6 +37,14 @@ def test_fig14_ept_vs_ept_star(fig14, benchmark, workloads):
             star = sum(by[(wl_name, "EPT*", k)] for k in KS)
             plain = sum(by[(wl_name, "EPT", k)] for k in KS)
             assert star <= plain * 1.3, f"EPT* not competitive on {wl_name} ({column})"
+    # best-first verifies no more than the paper's storage order, on every
+    # EPT and EPT* row at every k
+    for row in fig14:
+        assert row["Compdists"] <= row["Compdists (paper order)"], (
+            row["Dataset"],
+            row["Index"],
+            row["k"],
+        )
     workload = workloads["LA"]
     index = measure_build("EPT*", workload, shared_pivots(workload, 5)).index
     q = workload.queries[0]

@@ -26,6 +26,11 @@ a time over blocks of queries, so no ``q x n x l`` temporary exists.  Each
 cell is the same subtractions and additions on the same operands either
 way, and max, min and abs are exact, so both forms agree bit for bit: the
 choice follows the input's size and is not an option.
+
+A table may hold ``float32`` cells (LAESA's).  The bounds are ``float64``
+all the same: the column form widens the cells, exactly, inside the one
+per-call column copy it makes, and the broadcast form promotes them, so no
+second copy of the table is made.
 """
 
 from __future__ import annotations
@@ -53,14 +58,18 @@ _QUERY_CHUNK_FLOATS = 1_000_000
 
 
 def _object_rows(object_pivot_matrix) -> np.ndarray:
-    """Normalize an object-pivot table to a 2-D float64 ``n x l`` array.
+    """Normalize an object-pivot table to a 2-D ``n x l`` array: ``float32``
+    cells stay as they are (the bounds widen what they read), anything else
+    becomes ``float64``.
 
     Accepts the degenerate shapes the empty-table / empty-pivot edges
     produce: a 0-d scalar and a 1-D empty array (both mean zero objects),
     an ``n x 0`` matrix (zero pivots), and a bare 1-D row (one object's
     pivot distances).
     """
-    mat = np.asarray(object_pivot_matrix, dtype=np.float64)
+    mat = np.asarray(object_pivot_matrix)
+    if mat.dtype != np.float32:
+        mat = mat.astype(np.float64, copy=False)
     if mat.ndim == 2:
         return mat
     if mat.ndim == 0 or mat.size == 0:
@@ -103,9 +112,12 @@ def _fold(query_pivot_matrix, terms, reduce, empty: float) -> np.ndarray:
             reduce(cells, term(whole, table), out=cells)
         return reduce.reduce(cells, axis=2)
     out = np.empty((n_queries, n_objects), dtype=np.float64)
-    # the tables are read through per-call contiguous l x n copies (an input
-    # may be a strided view or a read-only memmap; it is never written)
-    columns = [(term, np.ascontiguousarray(table.T)) for term, table in terms]
+    # the tables are read through per-call contiguous float64 l x n copies
+    # (an input may be a strided view, a read-only memmap or float32 cells;
+    # it is never written)
+    columns = [
+        (term, np.ascontiguousarray(table.T, dtype=np.float64)) for term, table in terms
+    ]
     step = max(1, _COLUMN_BLOCK_FLOATS // n_objects)
     scratch = np.empty((min(step, n_queries), n_objects), dtype=np.float64)
     for start in range(0, n_queries, step):

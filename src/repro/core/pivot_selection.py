@@ -110,8 +110,9 @@ def hf(
     if n_foci >= 2 and f2 != f1:
         foci.append(f2)
 
-    errors = np.zeros(len(sample_ids), dtype=np.float64)
-    for focus in foci:
+    # f1's row is ``dists``, in hand: only the foci after it are computed
+    errors = np.abs(dists - edge)
+    for focus in foci[1:]:
         errors += np.abs(space.d_many(space.dataset[focus], sample_objs) - edge)
     chosen = set(foci)
     while len(foci) < n_foci:

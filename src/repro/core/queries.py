@@ -48,10 +48,12 @@ class Neighbor:
 
 
 # first threshold prefix of the ascending order: enough for the first two
-# verification chunks (k, then max(k, 32)) of a typical query; each refill
-# takes four times as many rows
+# verification chunks (k, then 32) of a typical query; each refill takes
+# four times as many rows
 _FIRST_PREFIX = 64
 _PREFIX_GROWTH = 4
+# rows a verification chunk holds after the first (which holds k)
+_CHUNK = 32
 
 
 def _ascending_slices(lower_bounds: np.ndarray, first: int, tighten):
@@ -139,8 +141,9 @@ def best_first_knn(
     positions = np.empty(0, dtype=np.intp)
     bounds = np.empty(0, dtype=np.float64)
     # first chunk: exactly k (fills the heap, establishing a radius, with
-    # the minimum mandatory verifications); later chunks: larger, to
-    # amortise the per-call overhead of verify_many
+    # the minimum mandatory verifications); later chunks: 32 rows whatever
+    # k, enough to amortise the per-call overhead of verify_many, few
+    # enough that a chunk does not run far past the tightening radius
     chunk = k
     while True:
         # draw more of the order only while the chunk is short and its
@@ -165,7 +168,7 @@ def best_first_knn(
         if keep.size < block.size:
             break
         positions, bounds = positions[chunk:], bounds[chunk:]
-        chunk = max(k, 32)
+        chunk = _CHUNK
     return heap.neighbors()
 
 

@@ -35,6 +35,19 @@ validated masks equal the single-shot masks composed from the kernels
 (``tests/test_staged_cascade.py`` builds that reference); staging changes
 how much numpy work runs, never which objects verify as answers.
 
+A table whose cells are ``float32`` (LAESA's) hands every call its
+``slack``: no cell is further than that from the distance it stands for,
+with room for the arithmetic (:func:`~repro.tables.laesa.narrowed`).
+Every bound gives it up, here and only here (:func:`_slackened` and the
+Ptolemaic cell): Lemma 1 -- stage 1, the refine stage, the MkNNQ column --
+subtracts it (the masks compare against the radius plus it), Lemma 4 adds
+it, and the Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) /
+d(p_i,p_j).  What Lemma 1 gives up carries two ulps of the query's largest
+pivot distance on top, the room the rounding of |d(q,p) - t| needs, so no
+bound over the cells is above -- Lemma 4's below -- what the ``float64``
+table gives.  Every bound is computed, and returned, in ``float64``.  A
+``float64`` table has slack 0, and its bounds are the arithmetic they were.
+
 Whether stage 4 runs is a fact about the metric, decided once, at build
 time: a build computes the pivot-pair matrix exactly when there are two
 pivots or more and the metric declares ``is_ptolemaic``, and stage 4 runs
@@ -115,6 +128,18 @@ def _still_alive(alive: np.ndarray, qi: np.ndarray, oj: np.ndarray):
     """The cells ``(qi, oj)`` that ``alive`` still holds, in their order."""
     keep = alive[qi, oj]
     return qi[keep], oj[keep]
+
+
+def _slackened(qmat: np.ndarray, slack: float):
+    """What the bounds over a table with ``slack`` give up, for the queries
+    of ``qmat``: ``(given, uppers)``.  ``given`` is Lemma 1's, per query --
+    the slack plus two ulps of its largest pivot distance -- and ``uppers``
+    the query side of Lemma 4, d(q,p) + slack rounded up.  For a table with
+    no slack, ``(0.0, qmat)``: the bounds are the exact table's."""
+    if not slack:
+        return 0.0, qmat
+    given = slack + 2.0 * np.spacing(qmat.max(axis=1))
+    return given, np.nextafter(qmat + slack, np.inf)
 
 
 def _tighteners(lower: np.ndarray, pair_bound) -> list:
@@ -219,7 +244,7 @@ class StagedPruner:
 
     # -- MkNNQ bounds ---------------------------------------------------------
 
-    def knn_bounds(self, qmat, omat) -> tuple[np.ndarray, list]:
+    def knn_bounds(self, qmat, omat, slack: float = 0.0) -> tuple[np.ndarray, list]:
         """What MkNNQ verification is handed: ``(lower, tighteners)``.
 
         ``lower`` is the ``q x n`` Lemma 1 matrix -- the one bound computed
@@ -229,19 +254,23 @@ class StagedPruner:
         max'd with the Ptolemaic bound over the budgeted pairs) for the
         given storage positions only: :func:`~repro.core.queries.
         best_first_knn` calls it for the rows the query can still reach,
-        not for the table (the exactness argument lives there).
+        not for the table (the exactness argument lives there).  Both give
+        up the table's ``slack`` (module docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
         lower = lower_bound_many_queries(qmat, omat)
+        if slack:
+            lower -= _slackened(qmat, slack)[0][:, None]
         pairs = self.pairs
         if not (self.use_ptolemaic and pairs.size):
             return lower, [None] * lower.shape[0]
         return lower, _tighteners(
-            lower, lambda i, rows: self._ptolemaic_cells(qmat, omat, i, rows, pairs)
+            lower,
+            lambda i, rows: self._ptolemaic_cells(qmat, omat, i, rows, pairs, slack),
         )
 
-    def lower_bounds_many_queries(self, qmat, omat) -> np.ndarray:
+    def lower_bounds_many_queries(self, qmat, omat, slack: float = 0.0) -> np.ndarray:
         """Full ``q x n`` lower bounds: triangle, tightened by Ptolemaic.
 
         :meth:`knn_bounds` with every row tightened -- the matrix no query
@@ -249,12 +278,12 @@ class StagedPruner:
         form against (it equals ``max(lower_bound_many_queries,
         ptolemaic_lower_bound_many_queries)`` bit for bit).
         """
-        return _tighten_every_row(*self.knn_bounds(qmat, omat))
+        return _tighten_every_row(*self.knn_bounds(qmat, omat, slack))
 
-    def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
+    def lower_bounds_many(self, query_pivot_dists, omat, slack: float = 0.0) -> np.ndarray:
         """Single-query form of :meth:`lower_bounds_many_queries`."""
         q = np.asarray(query_pivot_dists, dtype=np.float64)
-        return self.lower_bounds_many_queries(q.reshape(1, -1), omat)[0]
+        return self.lower_bounds_many_queries(q.reshape(1, -1), omat, slack)[0]
 
     # -- the cascade (range / radius-driven masks) ----------------------------
 
@@ -265,6 +294,7 @@ class StagedPruner:
         radius,
         counters: CostCounters | None = None,
         validate: bool = False,
+        slack: float = 0.0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run the cascade; return ``(survivors, validated)`` bool masks.
 
@@ -274,7 +304,8 @@ class StagedPruner:
         per-query array.  Per-stage decided counts go to ``counters``.
         The masks are independent of the column order (a one-column
         table is a prefix with an empty tail), which is what keeps the
-        cascade == single-shot == brute force exact.
+        cascade == single-shot == brute force exact.  Every stage gives up
+        the table's ``slack`` (module docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
@@ -283,7 +314,11 @@ class StagedPruner:
         if n_q == 0 or n_o == 0 or omat.shape[1] == 0:
             return np.ones((n_q, n_o), dtype=bool), validated
         r = np.asarray(radius, dtype=np.float64)
-        rcol = r[:, None] if r.ndim else r
+        given, uppers = _slackened(qmat, slack)
+        # Lemma 1 keeps a cell whose bound, less what it gives up, is
+        # within the radius: within the radius plus it
+        reach = r + given
+        rcol = reach[:, None] if reach.ndim else reach
         l = omat.shape[1]
 
         order = self._column_order(l)
@@ -307,7 +342,7 @@ class StagedPruner:
                 stop = start + cstep
                 ci, cj = qi[start:stop], oj[start:stop]
                 diff = np.abs(q_tail[ci] - o_tail[cj])
-                rcell = r[ci] if r.ndim else r
+                rcell = reach[ci] if reach.ndim else reach
                 dead = diff.max(axis=1) > rcell
                 alive[ci[dead], cj[dead]] = False
                 n_refine += int(dead.sum())
@@ -321,7 +356,7 @@ class StagedPruner:
             for start in range(0, qi.size, cstep):
                 stop = start + cstep
                 ci, cj = qi[start:stop], oj[start:stop]
-                upper = (qmat[ci] + omat[cj]).min(axis=1)
+                upper = (uppers[ci] + omat[cj]).min(axis=1)
                 ok = upper <= (r[ci] if r.ndim else r)
                 validated[ci[ok], cj[ok]] = True
                 alive[ci[ok], cj[ok]] = False
@@ -330,7 +365,7 @@ class StagedPruner:
                 qi, oj = _still_alive(alive, qi, oj)
 
         # stage 4: Ptolemaic filter on whatever is left
-        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r)
+        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r, slack)
 
         if counters is not None:
             counters.add_prune_stages(
@@ -348,6 +383,7 @@ class StagedPruner:
         radius: float,
         counters: CostCounters | None = None,
         validate: bool = False,
+        slack: float = 0.0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Single-query form: 1-D ``(survivors, validated)`` masks.
 
@@ -357,7 +393,12 @@ class StagedPruner:
         """
         q = np.asarray(query_pivot_dists, dtype=np.float64)
         alive, validated = self.masks_many_queries(
-            q.reshape(1, -1), omat, radius, counters=counters, validate=validate
+            q.reshape(1, -1),
+            omat,
+            radius,
+            counters=counters,
+            validate=validate,
+            slack=slack,
         )
         return alive[0], validated[0]
 
@@ -374,19 +415,19 @@ class StagedPruner:
             order = np.concatenate([known, missing])
         return order
 
-    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r) -> int:
+    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack=0.0) -> int:
         """Stage 4 in place on ``alive``, over its alive cells ``(qi, oj)``;
         returns the decided-cell count."""
         if not self.use_ptolemaic or not self.pairs.size:
             return 0
         if not qi.size:
             return 0
-        bound = self._ptolemaic_cells(qmat, omat, qi, oj, self.pairs)
+        bound = self._ptolemaic_cells(qmat, omat, qi, oj, self.pairs, slack)
         dead = bound > (r[qi] if r.ndim else r)
         alive[qi[dead], oj[dead]] = False
         return int(dead.sum())
 
-    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs) -> np.ndarray:
+    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs, slack=0.0) -> np.ndarray:
         """Best Ptolemaic bound over ``pairs`` for the cells ``(ci, cj)``.
 
         ``cj`` holds table rows, ``ci`` the query of each (or one query
@@ -394,7 +435,8 @@ class StagedPruner:
         pair columns taken from that gather, so work and memory are
         O(cells x pairs) whatever the table's size.  The one Ptolemaic
         evaluation of this pruner: stage 4, the MkNNQ tightening and the
-        full-matrix oracle all come here.
+        full-matrix oracle all come here, and each pair gives up the
+        table's ``slack`` weighted by the query's distances to the pair.
         """
         left, right = pairs[:, 0], pairs[:, 1]
         denom = self.pair_matrix[left, right]
@@ -405,6 +447,8 @@ class StagedPruner:
             cells = slice(start, start + step)
             q, o = qmat[ci[cells]], omat[cj[cells]]
             cross = np.abs(q[:, left] * o[:, right] - q[:, right] * o[:, left])
+            if slack:
+                cross -= slack * (q[:, left] + q[:, right])
             out[cells] = (cross / denom).max(axis=1)
         return out
 

@@ -8,7 +8,9 @@ as a *stand-in* that becomes the real class, its state converted by the
 function registered for it below.  No counted distance is computed: an
 MVPT / VPT whose codes were cells of one frame a level has them made again
 in its path bands from each object's path distances, which the conversion
-takes once through the metric itself.
+takes once through the metric itself.  A LAESA / CPT table of ``float64``
+cells is narrowed to ``float32`` under its slack, as ``LAESA.build`` does,
+and its cascade's choices, scored on the ``float64`` table, are kept.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
+from ..tables.laesa import narrowed
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
 
@@ -264,6 +267,10 @@ def _laesa(state):
     # ``mapping.matrix`` the one that went stale at the first insert
     if "_rows" in state:
         state["mapping"].matrix = state.pop("_rows")
+    if "slack" not in state:  # float64 cells and intp row ids
+        mapping = state["mapping"]
+        mapping.matrix, state["slack"] = narrowed(mapping.matrix)
+        state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
     return state
 
 

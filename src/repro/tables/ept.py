@@ -47,7 +47,7 @@ class _ExtremePivotTableBase(MetricIndex):
     ):
         super().__init__(space)
         self.pivot_ids = pivot_ids  # global candidate/pivot object ids
-        self._row_ids = np.arange(pivot_idx.shape[0], dtype=np.intp)
+        self._row_ids = np.arange(pivot_idx.shape[0], dtype=np.int32)
         # the builds make these arrays for this table: kept, not copied
         self._pivot_idx = np.asarray(pivot_idx, dtype=np.int32)  # n x l, into pivot_ids
         self._pivot_dist = np.asarray(pivot_dist, dtype=np.float64)  # n x l

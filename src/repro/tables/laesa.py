@@ -5,6 +5,18 @@ objects), an object table (the data), and a distance table holding d(o, p)
 for every object o and pivot p -- O(|P| x |O|) memory instead of AESA's
 O(|O|^2).
 
+**Cells are 4 bytes.**  ``build`` computes the table in ``float64``, scores
+the cascade on it (:class:`~repro.core.staged.StagedPruner`), then narrows
+it to ``float32`` (:func:`narrowed`) and records ``slack``: no cell is
+further than that from its distance, with room for the arithmetic of a
+bound.  Every bound gives the slack up (:mod:`~repro.core.staged`), so each
+is at or below -- Lemma 4's at or above -- what the ``float64`` table
+gives, and the answers are the same; ``insert`` widens the slack when a new
+row rounds further.  Row ids are ``int32``.  Per object the table is 4
+bytes a column plus 4 for the id, half of the ``float64`` / ``intp`` pair it
+was; a snapshot memmaps the ``<f4`` region as it is.  On Color the slack is
+~0.001 against a 1 % radius of ~2 700, on LA ~0.0005 against ~95.
+
 * MRQ scans the distance table, prunes with Lemma 1, and verifies survivors.
 * MkNNQ bounds every row with Lemma 1 and verifies in ascending bound
   order (:func:`~repro.core.queries.best_first_knn`), the radius tightening
@@ -29,9 +41,10 @@ nearest pivot so far, read off the columns in hand, so choosing is free and
 a column costs n computations (:meth:`~repro.core.mapping.PivotMapping.
 extend_max_min`) -- under two rules that look only at the input:
 
-* *Width:* one more 8-byte cell per ``_OBJECT_BYTES_PER_COLUMN`` = 256 bytes
-  of object, so the table never grows ``index_bytes_per_object`` by more
-  than 3.2 %.  Color's 2 256-byte vectors get 8 columns after the given
+* *Width:* one more column per ``_OBJECT_BYTES_PER_COLUMN`` = 256 bytes of
+  object.  A column is a 4-byte cell an object, so the continuation never
+  grows ``index_bytes_per_object`` by more than 1.6 % (3.2 % while cells
+  were 8 bytes).  Color's 2 256-byte vectors get 8 columns after the given
   ones; LA (16 B), Synthetic (160 B) and Words (<= 34 B) get none, and
   their tables, counts and bytes are exactly the given pivots'.
 * *Early stop:* a new column is discarded, and the continuation ends, when
@@ -67,13 +80,46 @@ from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import StagedPruner
 from .rows import append_row, claim_row_id, remove_row
 
-__all__ = ["LAESA"]
+__all__ = ["LAESA", "narrowed"]
 
 # The two constants of the width rule (module docstring has the readings):
 # one continuation column per this many bytes of object ...
 _OBJECT_BYTES_PER_COLUMN = 256
 # ... until the table's Lemma 1 bound explains this share of a new column.
 _EXPLAINED_SHARE = 0.9
+
+# what a row that rounds adds to the slack for the float64 rounding of the
+# bounds over it, as a share of its largest cell: a Ptolemaic cell rounds by
+# under 4 ulps of that cell per unit of d(q, p_i) + d(q, p_j), a Lemma 1
+# term by one; this is 32
+_ARITHMETIC_ROOM = 2.0**-48
+
+
+def narrowed(table) -> tuple[np.ndarray, float]:
+    """``table`` (``float64``) as ``float32`` cells, and its slack.
+
+    The slack is 0 when every cell is exact in ``float32``: the bounds then
+    compute exactly what they compute over the ``float64`` table.  Else it
+    is the largest, over the rows that round, of the row's largest
+    |float32(v) - v| (exact in ``float64``) plus ``_ARITHMETIC_ROOM`` of
+    its largest cell, widened by one ulp: enough that no bound over the
+    cells is above (Lemma 4: below) the ``float64`` table's, rounding
+    included.  The table is read a column at a time, so the only table-sized
+    allocation is the ``float32`` copy.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    cells = table.astype(np.float32)
+    n = table.shape[0]
+    error, largest, gap = np.zeros(n), np.zeros(n), np.empty(n)
+    for column in range(table.shape[1]):
+        np.subtract(cells[:, column], table[:, column], out=gap)
+        np.maximum(error, np.abs(gap, out=gap), out=error)
+        np.maximum(largest, np.abs(cells[:, column]), out=largest)
+    rounds = error > 0.0
+    if not rounds.any():
+        return cells, 0.0
+    room = error[rounds] + _ARITHMETIC_ROOM * largest[rounds]
+    return cells, float(np.nextafter(room.max(), np.inf))
 
 
 class LAESA(MetricIndex):
@@ -91,10 +137,23 @@ class LAESA(MetricIndex):
         super().__init__(space)
         self.mapping = mapping
         self.use_validation = use_validation
-        self._row_ids = np.arange(mapping.n_objects, dtype=np.intp)
+        self._row_ids = np.arange(mapping.n_objects, dtype=np.int32)
         if pruner is None:
             pruner = StagedPruner.build(space, self._rows, mapping.pivot_objects)
         self.pruner = pruner
+        # scored on the float64 table above: the cascade's choices do not
+        # depend on the narrowing
+        mapping.matrix, self.slack = narrowed(mapping.matrix)
+
+    def __setstate__(self, state):
+        if "slack" not in state:
+            from ..service.snapshot import SnapshotError
+
+            raise SnapshotError(
+                f"a {self.name} whose table holds float64 cells "
+                "reads only through `repro migrate OLD NEW`"
+            )
+        self.__dict__.update(state)
 
     @classmethod
     def build(
@@ -118,8 +177,9 @@ class LAESA(MetricIndex):
 
     @property
     def _rows(self) -> np.ndarray:
-        """The live distance table, one row per ``_row_ids`` entry.  It *is*
-        ``mapping.matrix``: inserts and deletes rebind that one array."""
+        """The live ``float32`` distance table, one row per ``_row_ids``
+        entry.  It *is* ``mapping.matrix``: inserts and deletes rebind that
+        one array."""
         return self.mapping.matrix
 
     @_rows.setter
@@ -152,12 +212,16 @@ class LAESA(MetricIndex):
         if not queries:
             return []
         qmat = self.mapping.map_query_many(queries)
+        # the table is read before its slack (here and in _knn_columns):
+        # ``insert`` widens the slack before it appends, so the slack read
+        # covers every row read
         survivors, validated = self.pruner.masks_many_queries(
             qmat,
             self._rows,
             radius,
             counters=self.space.counters,
             validate=self.use_validation,
+            slack=self.slack,
         )
         ids_per_query = [[int(i) for i in self._row_ids[row]] for row in survivors]
         out: list[list[int]] = []
@@ -181,7 +245,7 @@ class LAESA(MetricIndex):
         tightener (applied only to the rows the verification order
         reaches) and the counted distance call."""
         lower, tighteners = self.pruner.knn_bounds(
-            self.mapping.map_query_many(queries), self._rows
+            self.mapping.map_query_many(queries), self._rows, self.slack
         )
         verifiers = [lambda ids, q=q: self._distances([q], [ids])[0] for q in queries]
         return self._row_ids, lower, tighteners, verifiers
@@ -189,9 +253,13 @@ class LAESA(MetricIndex):
     # -- maintenance ----------------------------------------------------------
 
     def insert(self, obj, object_id: int | None = None) -> int:
-        """Append a table row: |P| distance computations."""
+        """Append a table row: |P| distance computations.  The slack widens
+        first, so a query running beside the insert never sees a row it
+        does not cover."""
         object_id = claim_row_id(self, obj, object_id)
-        append_row(self, object_id, _rows=self.mapping.map_object(obj))
+        cells, slack = narrowed(self.mapping.map_object(obj).reshape(1, -1))
+        self.slack = max(self.slack, slack)
+        append_row(self, object_id, _rows=cells[0])
         return object_id
 
     def delete(self, object_id: int) -> None:

@@ -1,7 +1,8 @@
 """Row maintenance shared by the pivot-table family.
 
-Every table keeps ``_row_ids`` beside one or more parallel per-row arrays
-(the distance table, EPT's pivot references, FQA's signatures).  The id
+Every table keeps ``_row_ids`` (``int32``) beside one or more parallel
+per-row arrays (the distance table, EPT's pivot references, FQA's
+signatures).  The id
 lookup, the validation of a caller-chosen id and the array surgery live
 here once, so an insert that would corrupt a table is refused the same way
 everywhere.
@@ -25,8 +26,10 @@ def claim_row_id(index, obj, object_id: int | None) -> int:
 
 
 def append_row(index, object_id: int, **columns) -> None:
-    """Append ``object_id`` and its row of each named per-row array."""
-    index._row_ids = np.concatenate([index._row_ids, [object_id]])
+    """Append ``object_id`` and its row of each named per-row array; every
+    array keeps its dtype (row ids are ``int32``)."""
+    ids = index._row_ids
+    index._row_ids = np.concatenate([ids, np.asarray([object_id], dtype=ids.dtype)])
     for name, row in columns.items():
         table = getattr(index, name)
         row = np.asarray(row, dtype=table.dtype).reshape(1, -1)

@@ -48,7 +48,7 @@ class FQA(MetricIndex):
         frame = Frame(0.0, max(1.0, np.ceil((max_value + 1) / 255)), True)
         signatures = frame.encode(matrix)  # every column shares the frame
         order = np.lexsort(signatures.T[::-1])  # lexicographic by column 0,1,...
-        row_ids = np.arange(len(space), dtype=np.intp)[order]
+        row_ids = np.arange(len(space), dtype=np.int32)[order]
         return cls(space, pivot_ids, signatures[order], row_ids, (frame,) * matrix.shape[1])
 
     # -- bounds -----------------------------------------------------------------

@@ -19,6 +19,8 @@ calls must be theirs call for call.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,8 @@ from repro import (
     ShardedIndex,
     brute_force_knn_many,
     brute_force_range_many,
+    load_index,
+    save_index,
     select_pivots,
 )
 from repro.bench import paper_order_knn, storage_order_knn
@@ -196,14 +200,18 @@ class TestBatchCounterAttribution:
 
     @pytest.mark.parametrize("dataset_name,index_name", CONTRACT_CASES)
     def test_one_query_is_a_batch_of_one(
-        self, datasets, built_indexes, dataset_name, index_name
+        self, datasets, built_indexes, tmp_path, dataset_name, index_name
     ):
         """The cost contract of every family: ``knn_query(q)`` answers
         ``knn_query_many([q])[0]`` and ``range_query(q, r)`` answers
         ``range_query_many([q], r)[0]``, at equal distance computations and
         page accesses -- except the page accesses of an index that walks
         its own ``knn_query`` (its batch reads through one shared page
-        cache, the one-query walk through the buffer pool)."""
+        cache, the one-query walk through the buffer pool).  A batch of
+        several queries reads no more pages than its queries one a call,
+        and a restore computes no distance and answers as the saved index
+        did, at the compdists it cost (for LAESA and CPT: from the same
+        float32 table under the same slack)."""
         if index_name == "Sharded":
             index = _sharded_laesa(datasets[dataset_name])
         else:
@@ -219,7 +227,8 @@ class TestBatchCounterAttribution:
             if same_pages:
                 assert one_cost.page_accesses == batch_cost.page_accesses
 
-        for q in _queries_for(datasets[dataset_name]):
+        queries = _queries_for(datasets[dataset_name])
+        for q in queries:
             same_cost(
                 lambda: index.range_query(q, radius),
                 lambda: index.range_query_many([q], radius)[0],
@@ -230,6 +239,39 @@ class TestBatchCounterAttribution:
                     lambda: index.knn_query_many([q], k)[0],
                     same_pages=not walks,
                 )
+
+        def batches(ix):
+            return (
+                lambda: ix.range_query_many(queries, radius),
+                lambda: ix.knn_query_many(queries, 10),
+            )
+
+        # batch PA <= loop PA, the batch first, so the loop is the one
+        # that finds the buffer pool warm
+        loops = (
+            lambda: [index.range_query(q, radius) for q in queries],
+            lambda: [index.knn_query(q, 10) for q in queries],
+        )
+        for batch_run, loop_run in zip(batches(index), loops):
+            batch, batch_cost = _cost(index, batch_run)
+            loop, loop_cost = _cost(index, loop_run)
+            assert batch == loop
+            assert batch_cost.page_accesses <= loop_cost.page_accesses
+
+        # a restore costs 0 compdists; a copy is saved, so the shared
+        # index's buffer pool is left as it was
+        save_index(copy.deepcopy(index), tmp_path / "index.snap")
+        restored = load_index(tmp_path / "index.snap")
+        assert restored.space.counters.distance_computations == 0
+        if index_name in ("LAESA", "CPT"):
+            assert restored._rows.dtype == np.float32
+            assert restored.slack == index.slack
+            assert np.array_equal(restored._rows, index._rows)
+        for live_run, restored_run in zip(batches(index), batches(restored)):
+            live, live_cost = _cost(index, live_run)
+            again, again_cost = _cost(restored, restored_run)
+            assert again == live
+            assert again_cost.distance_computations == live_cost.distance_computations
 
     @pytest.mark.parametrize("dataset_name,index_name", STORAGE_ORDER_CASES)
     def test_storage_order_knn_costs(
@@ -381,8 +423,8 @@ class TestShardedBatch:
 
 def _full_sort_best_first(final_bounds, row_ids, k, verify_many):
     """Reference: sort every final bound (stable: ties by storage position),
-    cut chunks of k then max(k, 32) -- the body ``best_first_knn`` had
-    before it drew its order a prefix at a time."""
+    cut chunks of k then 32 -- the body ``best_first_knn`` had before it
+    drew its order a prefix at a time."""
     heap = KnnHeap(k)
     n = len(row_ids)
     if n == 0:
@@ -390,7 +432,7 @@ def _full_sort_best_first(final_bounds, row_ids, k, verify_many):
     order = np.argsort(final_bounds, kind="stable")
     start = 0
     while start < n:
-        chunk = k if start == 0 else max(k, 32)
+        chunk = k if start == 0 else 32
         stop = min(start + chunk, n)
         block = order[start:stop]
         keep = block[final_bounds[block] <= heap.radius]

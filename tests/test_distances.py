@@ -449,7 +449,8 @@ class TestEditDistanceCostContract:
         space = MetricSpace(dataset)
         pivots = select_pivots(space, 4, "hfi")
         assert pivots == self.PIVOTS
-        assert space.counters.distance_computations == 37704
+        # 37 704 while hf computed its first focus's row twice
+        assert space.counters.distance_computations == 37192
         builders = {
             "MVPT": lambda s: MVPT.build(s, pivots),
             "BKT": BKT.build,

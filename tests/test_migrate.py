@@ -31,6 +31,8 @@ GONE = {
     "entry_nodes_cpt_la300.snap": (31,),
     "entry_nodes_mtree_la300.snap": (31,),
     "entry_nodes_pmtree_la300.snap": (31,),
+    "f64_cells_cpt_la300.snap": (31,),
+    "f64_cells_laesa_la300.snap": (31,),
     "list_leaves_omnib_la300.snap": (31,),
     "list_pages_dept_la300.snap": (31,),
     "list_pages_mindexstar_la300.snap": (31,),

@@ -395,6 +395,35 @@ def test_level_frame_mvpt_snapshot_loads_through_migrate(migrated):
     assert (expected["compdists"], compdists) == _COMPDISTS["level_frames_mvpt"]
 
 
+@pytest.mark.parametrize("name", ["laesa", "cpt"])
+def test_float64_cell_table_snapshot_loads_through_migrate(migrated, tmp_path, name):
+    """``tests/data/f64_cells_{laesa,cpt}_la300.snap`` (``make_la(300,
+    seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and put back, 31
+    deleted) were written while the table held float64 cells and intp row
+    ids.  ``load_index`` refuses them, naming ``repro migrate``; migrated --
+    narrowed to float32 under a slack, at no distance -- they answer as
+    written, at the compdists they cost then, and the narrowed table
+    survives another save and load."""
+    expected = json.loads((DATA / "f64_cells_la300_expected.json").read_text())
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / f"f64_cells_{name}_la300.snap")
+    index = load_index(migrated(f"f64_cells_{name}_la300.snap"))
+    assert index.space.counters.distance_computations == 0
+    assert index._rows.dtype == np.float32 and index._row_ids.dtype == np.int32
+    assert 0 < index.slack < 1e-3
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]] + [dataset[3] * 3.0 + 9000.0]
+    radius, k = expected["radius"], expected["k"]
+    got, compdists = _coded_answers(index, queries, radius, k)
+    want = expected[name]
+    assert got == {form: want[form] for form in got}
+    assert compdists == want["compdists"]
+    save_index(index, tmp_path / "again.snap")
+    again = load_index(tmp_path / "again.snap")
+    assert again._rows.dtype == np.float32 and again.slack == index.slack
+    assert _coded_answers(again, queries, radius, k) == (got, compdists)
+
+
 @pytest.mark.parametrize("tree", [MVPT, VPT])
 def test_a_stretching_insert_survives_save_and_load(tmp_path, tree):
     """Inserts far outside the bands stretch them; the codes stay cells of

@@ -387,14 +387,15 @@ class TestPivotSelection:
         counters = CostCounters()
         ept = EPTStar.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=0)
         assert digest(ept._pivot_idx, ept._pivot_dist, ept.pivot_ids) == "58a7944e64bd843f"
-        assert counters.distance_computations == 44067
+        # 44 067 while hf computed its first focus's row twice
+        assert counters.distance_computations == 43767
         oid = ept.insert(make_la(301, seed=7)[300])
         assert digest(ept._pivot_idx[oid], ept._pivot_dist[oid]) == "c34a277ff422eac1"
-        assert counters.distance_computations == 46731
+        assert counters.distance_computations == 46431  # 46 731 before, as above
         counters = CostCounters()
         dept = DEPT.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=2)
         assert digest(sorted(dept.group_pivots.items()), dept.candidate_ids) == "bb751b900d2f4a18"
-        assert counters.distance_computations == 23577
+        assert counters.distance_computations == 23321  # 23 577 before, as above
 
 
 class TestManyQueriesMbbBounds:

@@ -491,16 +491,26 @@ def test_ptolemaic_pairs_skip_degenerate_denominators():
 
 
 def test_ptolemaic_bound_is_a_true_lower_bound():
+    """On the exact float64 table (the reference bound), and on the index's
+    float32 cells as the pruner evaluates them, under the table's slack."""
     space = _l2_space()
     index = _build("LAESA", space)
     space = index.space
     q = _queries(space, n=1)[0]
     qdists = index.mapping.map_query(q)
-    true_d = space.distance.one_to_many(q, space.dataset.objects)
+    objects = space.dataset.objects
+    true_d = space.distance.one_to_many(q, objects)
+    exact = space.distance.pairwise(objects, index.mapping.pivot_objects)
     bounds = ptolemaic_lower_bound_many_queries(
-        qdists, index._rows, index.pruner.pair_matrix, pairs=index.pruner.pairs
+        qdists, exact, index.pruner.pair_matrix, pairs=index.pruner.pairs
     )[0]
     assert (bounds <= true_d + 1e-9).all()
+    rows = np.arange(len(objects))
+    cells = index.pruner._ptolemaic_cells(
+        qdists[None], index._rows, 0, rows, index.pruner.pairs, index.slack
+    )
+    assert index._rows.dtype == np.float32 and index.slack > 0
+    assert (cells <= bounds).all()
 
 
 # -- snapshots and the live service -------------------------------------------
