@@ -4,6 +4,11 @@ Given pivots P = {p_1, ..., p_l}, each object o maps to
 I(o) = <d(o, p_1), ..., d(o, p_l)>.  The L-infinity distance between mapped
 points lower-bounds the original distance (contractiveness), which is what
 makes every filter in :mod:`repro.core.pivot_filter` safe.
+
+A table may be narrowed to ``float32`` cells (:meth:`PivotMapping.narrow`,
+LAESA's): the mapping then carries the table's ``slack`` beside the cells it
+describes, so every index over one mapping reads the same slack, and the
+bounds give it up (:mod:`repro.core.staged`).
 """
 
 from __future__ import annotations
@@ -14,7 +19,40 @@ import numpy as np
 
 from .metric_space import MetricSpace
 
-__all__ = ["PivotMapping"]
+__all__ = ["PivotMapping", "narrowed"]
+
+# what a row that rounds adds to the slack for the float64 rounding of the
+# bounds over it, as a share of its largest cell: a Ptolemaic cell rounds by
+# under 4 ulps of that cell per unit of d(q, p_i) + d(q, p_j), a Lemma 1
+# term by one; this is 32
+_ARITHMETIC_ROOM = 2.0**-48
+
+
+def narrowed(table) -> tuple[np.ndarray, float]:
+    """``table`` (``float64``) as ``float32`` cells, and its slack.
+
+    The slack is 0 when every cell is exact in ``float32``: the bounds then
+    compute exactly what they compute over the ``float64`` table.  Else it
+    is the largest, over the rows that round, of the row's largest
+    |float32(v) - v| (exact in ``float64``) plus ``_ARITHMETIC_ROOM`` of
+    its largest cell, widened by one ulp: enough that no bound over the
+    cells is above (Lemma 4: below) the ``float64`` table's, rounding
+    included.  The table is read a column at a time, so the only table-sized
+    allocation is the ``float32`` copy.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    cells = table.astype(np.float32)
+    n = table.shape[0]
+    error, largest, gap = np.zeros(n), np.zeros(n), np.empty(n)
+    for column in range(table.shape[1]):
+        np.subtract(cells[:, column], table[:, column], out=gap)
+        np.maximum(error, np.abs(gap, out=gap), out=error)
+        np.maximum(largest, np.abs(cells[:, column]), out=largest)
+    rounds = error > 0.0
+    if not rounds.any():
+        return cells, 0.0
+    room = error[rounds] + _ARITHMETIC_ROOM * largest[rounds]
+    return cells, float(np.nextafter(room.max(), np.inf))
 
 
 class PivotMapping:
@@ -26,8 +64,15 @@ class PivotMapping:
         pivot_ids: ids of the chosen pivots within ``space.dataset``.
 
     Attributes:
-        matrix: ``n x l`` float matrix; row i is I(o_i).
+        matrix: ``n x l`` float matrix; row i is I(o_i).  ``float64``
+            unless :meth:`narrow` made it ``float32`` cells.
+        slack: no cell is further than this from the distance it stands
+            for; 0 for a ``float64`` table.
     """
+
+    # a float64 table is exact (and a mapping pickled before tables were
+    # narrowed has no slack of its own)
+    slack = 0.0
 
     def __init__(self, space: MetricSpace, pivot_ids: Sequence[int]):
         self.space = space
@@ -119,14 +164,33 @@ class PivotMapping:
         if width < table.shape[1]:
             self.matrix = table[:, :width].copy()
 
-    def append(self, vector: np.ndarray) -> int:
-        """Register a newly inserted object's mapped vector; returns its row."""
+    def narrow(self) -> None:
+        """Hold the table as ``float32`` cells under its ``slack``
+        (:func:`narrowed`).  A table already narrowed is kept as it is, and
+        its slack with it: the slack is measured on the ``float64`` values,
+        which the cells no longer hold."""
+        if self.matrix.dtype != np.float32:
+            self.matrix, self.slack = narrowed(self.matrix)
+
+    def row(self, vector) -> np.ndarray:
+        """One object's mapped vector as a row of this table's cells.  For
+        ``float32`` cells the slack is widened first to cover the row's
+        rounding, so a query that reads the slack after the table never
+        meets a row it does not cover."""
         vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
         if vector.shape[1] != self.n_pivots:
             raise ValueError(
                 f"vector has {vector.shape[1]} entries, expected {self.n_pivots}"
             )
-        self.matrix = np.concatenate([self.matrix, vector])
+        if self.matrix.dtype != np.float32:
+            return vector[0]
+        cells, slack = narrowed(vector)
+        self.slack = max(self.slack, slack)
+        return cells[0]
+
+    def append(self, vector: np.ndarray) -> int:
+        """Register a newly inserted object's mapped vector; returns its row."""
+        self.matrix = np.concatenate([self.matrix, self.row(vector)[None]])
         return self.matrix.shape[0] - 1
 
     def max_distance_bound(self) -> float:

@@ -35,14 +35,14 @@ validated masks equal the single-shot masks composed from the kernels
 (``tests/test_staged_cascade.py`` builds that reference); staging changes
 how much numpy work runs, never which objects verify as answers.
 
-A table whose cells are ``float32`` (LAESA's) hands every call its
-``slack``: no cell is further than that from the distance it stands for,
-with room for the arithmetic (:func:`~repro.tables.laesa.narrowed`).
-Every bound gives it up, here and only here (:func:`_slackened` and the
-Ptolemaic cell): Lemma 1 -- stage 1, the refine stage, the MkNNQ column --
-subtracts it (the masks compare against the radius plus it), Lemma 4 adds
-it, and the Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) /
-d(p_i,p_j).  What Lemma 1 gives up carries two ulps of the query's largest
+A table whose cells are ``float32`` (LAESA's) hands the cascade and the
+MkNNQ bounds its ``slack``, which its mapping keeps beside the cells: no
+cell is further than that from the distance it stands for, with room for
+the arithmetic (:func:`~repro.core.mapping.narrowed`).  Every bound gives
+it up, here and only here (:func:`_slackened` and the Ptolemaic cell):
+Lemma 1 -- stage 1, the refine stage, the MkNNQ column -- subtracts it
+(the masks compare against the radius plus it), Lemma 4 adds it, and the
+Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  What Lemma 1 gives up carries two ulps of the query's largest
 pivot distance on top, the room the rounding of |d(q,p) - t| needs, so no
 bound over the cells is above -- Lemma 4's below -- what the ``float64``
 table gives.  Every bound is computed, and returned, in ``float64``.  A
@@ -280,10 +280,11 @@ class StagedPruner:
         """
         return _tighten_every_row(*self.knn_bounds(qmat, omat, slack))
 
-    def lower_bounds_many(self, query_pivot_dists, omat, slack: float = 0.0) -> np.ndarray:
-        """Single-query form of :meth:`lower_bounds_many_queries`."""
+    def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
+        """Single-query form of :meth:`lower_bounds_many_queries`, over a
+        table with no slack."""
         q = np.asarray(query_pivot_dists, dtype=np.float64)
-        return self.lower_bounds_many_queries(q.reshape(1, -1), omat, slack)[0]
+        return self.lower_bounds_many_queries(q.reshape(1, -1), omat)[0]
 
     # -- the cascade (range / radius-driven masks) ----------------------------
 
@@ -383,9 +384,9 @@ class StagedPruner:
         radius: float,
         counters: CostCounters | None = None,
         validate: bool = False,
-        slack: float = 0.0,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-query form: 1-D ``(survivors, validated)`` masks.
+        """Single-query form: 1-D ``(survivors, validated)`` masks, over a
+        table with no slack.
 
         Routes through :meth:`masks_many_queries` with a one-row query
         matrix so sequential and batch execution make identical pruning
@@ -393,12 +394,7 @@ class StagedPruner:
         """
         q = np.asarray(query_pivot_dists, dtype=np.float64)
         alive, validated = self.masks_many_queries(
-            q.reshape(1, -1),
-            omat,
-            radius,
-            counters=counters,
-            validate=validate,
-            slack=slack,
+            q.reshape(1, -1), omat, radius, counters=counters, validate=validate
         )
         return alive[0], validated[0]
 
@@ -415,7 +411,7 @@ class StagedPruner:
             order = np.concatenate([known, missing])
         return order
 
-    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack=0.0) -> int:
+    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack) -> int:
         """Stage 4 in place on ``alive``, over its alive cells ``(qi, oj)``;
         returns the decided-cell count."""
         if not self.use_ptolemaic or not self.pairs.size:
@@ -427,7 +423,7 @@ class StagedPruner:
         alive[qi[dead], oj[dead]] = False
         return int(dead.sum())
 
-    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs, slack=0.0) -> np.ndarray:
+    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs, slack) -> np.ndarray:
         """Best Ptolemaic bound over ``pairs`` for the cells ``(ci, cj)``.
 
         ``cj`` holds table rows, ``ci`` the query of each (or one query

@@ -28,7 +28,6 @@ from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
-from ..tables.laesa import narrowed
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
 
@@ -267,10 +266,9 @@ def _laesa(state):
     # ``mapping.matrix`` the one that went stale at the first insert
     if "_rows" in state:
         state["mapping"].matrix = state.pop("_rows")
-    if "slack" not in state:  # float64 cells and intp row ids
-        mapping = state["mapping"]
-        mapping.matrix, state["slack"] = narrowed(mapping.matrix)
-        state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
+    # float64 cells and intp row ids
+    state["mapping"].narrow()
+    state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
     return state
 
 

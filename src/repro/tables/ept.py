@@ -29,7 +29,7 @@ from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import psa, psa_greedy
 from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import PerObjectStagedPruner
-from .rows import append_row, claim_row_id, remove_row
+from .rows import append_row, claim_row_id, remove_row, restore_rows
 
 __all__ = ["EPT", "EPTStar"]
 
@@ -56,6 +56,9 @@ class _ExtremePivotTableBase(MetricIndex):
                 space, pivot_ids, self._pivot_idx, self._pivot_dist
             )
         self.pruner = pruner
+
+    def __setstate__(self, state):
+        restore_rows(self, state)
 
     def _query_pivot_dists_many(self, queries) -> np.ndarray:
         """d(q, p) for every query and every pivot the table references:

@@ -7,15 +7,19 @@ O(|O|^2).
 
 **Cells are 4 bytes.**  ``build`` computes the table in ``float64``, scores
 the cascade on it (:class:`~repro.core.staged.StagedPruner`), then narrows
-it to ``float32`` (:func:`narrowed`) and records ``slack``: no cell is
-further than that from its distance, with room for the arithmetic of a
-bound.  Every bound gives the slack up (:mod:`~repro.core.staged`), so each
-is at or below -- Lemma 4's at or above -- what the ``float64`` table
-gives, and the answers are the same; ``insert`` widens the slack when a new
-row rounds further.  Row ids are ``int32``.  Per object the table is 4
-bytes a column plus 4 for the id, half of the ``float64`` / ``intp`` pair it
-was; a snapshot memmaps the ``<f4`` region as it is.  On Color the slack is
-~0.001 against a 1 % radius of ~2 700, on LA ~0.0005 against ~95.
+it to ``float32`` (:meth:`~repro.core.mapping.PivotMapping.narrow`); the
+mapping keeps the ``slack`` beside the cells, so every index over one
+mapping reads the same one: no cell is further than that from its distance,
+with room for the arithmetic of a bound.  Every bound gives the slack up
+(:mod:`~repro.core.staged`), so each is at or below -- Lemma 4's at or
+above -- what the ``float64`` table gives, and the answers are the same;
+what it costs is the objects whose ``float64`` bound lies within the slack
+past the radius, verified now (on the spine's Color workload 0.0003-0.001
+more a query, against ~637; none on LA).  ``insert`` widens the slack when
+a new row rounds further.  Row ids are ``int32``.  Per object the table is
+4 bytes a column plus 4 for the id, half of the ``float64`` / ``intp`` pair
+it was; a snapshot memmaps the ``<f4`` region as it is.  On Color the slack is ~0.001
+against a 1 % radius of ~2 700, on LA ~0.0005 against ~95.
 
 * MRQ scans the distance table, prunes with Lemma 1, and verifies survivors.
 * MkNNQ bounds every row with Lemma 1 and verifies in ascending bound
@@ -78,49 +82,15 @@ from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import StagedPruner
-from .rows import append_row, claim_row_id, remove_row
+from .rows import append_row, claim_row_id, remove_row, restore_rows
 
-__all__ = ["LAESA", "narrowed"]
+__all__ = ["LAESA"]
 
 # The two constants of the width rule (module docstring has the readings):
 # one continuation column per this many bytes of object ...
 _OBJECT_BYTES_PER_COLUMN = 256
 # ... until the table's Lemma 1 bound explains this share of a new column.
 _EXPLAINED_SHARE = 0.9
-
-# what a row that rounds adds to the slack for the float64 rounding of the
-# bounds over it, as a share of its largest cell: a Ptolemaic cell rounds by
-# under 4 ulps of that cell per unit of d(q, p_i) + d(q, p_j), a Lemma 1
-# term by one; this is 32
-_ARITHMETIC_ROOM = 2.0**-48
-
-
-def narrowed(table) -> tuple[np.ndarray, float]:
-    """``table`` (``float64``) as ``float32`` cells, and its slack.
-
-    The slack is 0 when every cell is exact in ``float32``: the bounds then
-    compute exactly what they compute over the ``float64`` table.  Else it
-    is the largest, over the rows that round, of the row's largest
-    |float32(v) - v| (exact in ``float64``) plus ``_ARITHMETIC_ROOM`` of
-    its largest cell, widened by one ulp: enough that no bound over the
-    cells is above (Lemma 4: below) the ``float64`` table's, rounding
-    included.  The table is read a column at a time, so the only table-sized
-    allocation is the ``float32`` copy.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    cells = table.astype(np.float32)
-    n = table.shape[0]
-    error, largest, gap = np.zeros(n), np.zeros(n), np.empty(n)
-    for column in range(table.shape[1]):
-        np.subtract(cells[:, column], table[:, column], out=gap)
-        np.maximum(error, np.abs(gap, out=gap), out=error)
-        np.maximum(largest, np.abs(cells[:, column]), out=largest)
-    rounds = error > 0.0
-    if not rounds.any():
-        return cells, 0.0
-    room = error[rounds] + _ARITHMETIC_ROOM * largest[rounds]
-    return cells, float(np.nextafter(room.max(), np.inf))
-
 
 class LAESA(MetricIndex):
     """Pivot table with shared pivots for every object."""
@@ -142,18 +112,25 @@ class LAESA(MetricIndex):
             pruner = StagedPruner.build(space, self._rows, mapping.pivot_objects)
         self.pruner = pruner
         # scored on the float64 table above: the cascade's choices do not
-        # depend on the narrowing
-        mapping.matrix, self.slack = narrowed(mapping.matrix)
+        # depend on the narrowing.  A mapping another table narrowed first
+        # is kept, with the slack it measured
+        mapping.narrow()
+
+    @property
+    def slack(self) -> float:
+        """The table's slack (:meth:`~repro.core.mapping.PivotMapping.narrow`),
+        kept with its cells on the mapping."""
+        return self.mapping.slack
 
     def __setstate__(self, state):
-        if "slack" not in state:
+        if state["mapping"].matrix.dtype != np.float32:
             from ..service.snapshot import SnapshotError
 
             raise SnapshotError(
                 f"a {self.name} whose table holds float64 cells "
                 "reads only through `repro migrate OLD NEW`"
             )
-        self.__dict__.update(state)
+        restore_rows(self, state)
 
     @classmethod
     def build(
@@ -257,9 +234,7 @@ class LAESA(MetricIndex):
         first, so a query running beside the insert never sees a row it
         does not cover."""
         object_id = claim_row_id(self, obj, object_id)
-        cells, slack = narrowed(self.mapping.map_object(obj).reshape(1, -1))
-        self.slack = max(self.slack, slack)
-        append_row(self, object_id, _rows=cells[0])
+        append_row(self, object_id, _rows=self.mapping.row(self.mapping.map_object(obj)))
         return object_id
 
     def delete(self, object_id: int) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.index import NotIndexed, claim_object_id
 
-__all__ = ["claim_row_id", "append_row", "remove_row"]
+__all__ = ["claim_row_id", "append_row", "remove_row", "restore_rows"]
 
 
 def claim_row_id(index, obj, object_id: int | None) -> int:
@@ -43,3 +43,10 @@ def remove_row(index, object_id: int, *columns: str) -> None:
         raise NotIndexed(f"object {object_id} is not in the table")
     for name in ("_row_ids", *columns):
         setattr(index, name, np.delete(getattr(index, name), positions[0], axis=0))
+
+
+def restore_rows(index, state: dict) -> None:
+    """Restore a pickled table's ``state`` with ``int32`` row ids: a table
+    pickled while they were ``intp`` loads in the layout a build makes."""
+    state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
+    index.__dict__.update(state)

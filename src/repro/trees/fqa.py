@@ -21,7 +21,7 @@ from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.quantise import Frame, gap_tables
 from ..core.queries import Neighbor, best_first_knn
-from ..tables.rows import claim_row_id, remove_row
+from ..tables.rows import claim_row_id, remove_row, restore_rows
 from .common import require_discrete
 
 __all__ = ["FQA"]
@@ -38,6 +38,9 @@ class FQA(MetricIndex):
         self._signatures = signatures  # n x l codes, lex-sorted
         self._row_ids = row_ids
         self._frames = frames  # one per pivot column
+
+    def __setstate__(self, state):
+        restore_rows(self, state)
 
     @classmethod
     def build(cls, space: MetricSpace, pivot_ids) -> "FQA":

@@ -286,9 +286,9 @@ class TestBatchCounterAttribution:
 
         def reference(query_obj, k):
             if index_name in ("LAESA", "CPT"):
-                lower = index.pruner.lower_bounds_many(
-                    index.mapping.map_query(query_obj), index._rows
-                )
+                lower = index.pruner.lower_bounds_many_queries(
+                    index.mapping.map_query_many([query_obj]), index._rows, index.slack
+                )[0]
             else:
                 lower = index.pruner.lower_bounds_many_queries(
                     index._query_pivot_dists_many([query_obj]),

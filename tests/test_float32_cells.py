@@ -1,8 +1,8 @@
 """LAESA's float32 cells: every bound gives up the table's slack.
 
 ``LAESA.build`` narrows its float64 distance table to float32 cells and
-records a ``slack`` (:func:`repro.tables.laesa.narrowed`); the staged
-pruner gives it up in every bound.  Held here:
+its mapping records a ``slack`` (:func:`repro.core.mapping.narrowed`); the
+staged pruner gives it up in every bound.  Held here:
 
 * the property: over drawn tables -- values just past and short of powers
   of two among them, where float32 rounding changes step -- every bound
@@ -12,7 +12,9 @@ pruner gives it up in every bound.  Held here:
 * one small index per bound on which float32 rounding flips a decision --
   an answer at exactly the radius, a nearest neighbour by 2^-31 -- so a
   bound that forgets the slack (or an ``insert`` that does not widen it)
-  returns a wrong answer.
+  returns a wrong answer;
+* two tables over one mapping read the one slack measured on its float64
+  values.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro import L1, L2, CostCounters, Dataset, MetricSpace, brute_force_knn, b
 from repro.core.pivot_filter import upper_bound_many_queries
 from repro.core.staged import StagedPruner, _slackened, prefix_size
 from repro.tables import LAESA
-from repro.tables.laesa import narrowed
+from repro.core.mapping import PivotMapping, narrowed
 
 # offsets from a power of two, as a share of it: one float64 ulp past and
 # short of it, float32's half step past it (a rounding tie) and a float64
@@ -95,7 +97,7 @@ def test_every_float32_bound_holds_to_the_float64_tables(case):
         rows = np.arange(table.shape[0])
         for i in range(qmat.shape[0]):
             cell32 = pruner._ptolemaic_cells(qmat, cells, i, rows, pruner.pairs, slack)
-            cell64 = pruner._ptolemaic_cells(qmat, table, i, rows, pruner.pairs)
+            cell64 = pruner._ptolemaic_cells(qmat, table, i, rows, pruner.pairs, 0.0)
             assert cell32.dtype == np.float64 and (cell32 <= cell64).all()
 
     # Lemma 4 from the query side the cascade adds the slack to: never
@@ -186,6 +188,24 @@ def test_insert_widens_the_slack_for_a_row_that_rounds():
     assert index.slack == before
 
 
+def test_two_tables_over_one_mapping_read_one_slack():
+    """Two LAESAs over one mapping, as the Ptolemaic bench builds them: the
+    first narrows the table, the second keeps it, and both give up the
+    slack measured on the float64 values -- not the 0 the float32 cells
+    measure of themselves, under which the second would drop the answer at
+    the radius."""
+    dataset = _line([0.0, _UP, 2.5, 3.0])
+    space = MetricSpace(dataset, CostCounters())
+    mapping = PivotMapping(space, [0])
+    want = narrowed(mapping.matrix)[1]
+    first = LAESA(space, mapping)
+    second = LAESA(space, mapping, pruner=first.pruner)
+    assert narrowed(mapping.matrix)[1] == 0.0
+    assert first.slack == second.slack == mapping.slack == want > 0
+    q, radius = np.array([0.5]), 0.5 - 2.0**-30
+    assert first.range_query(q, radius) == second.range_query(q, radius) == [1]
+
+
 def test_ptolemaic_cell_keeps_an_answer_at_the_radius():
     """Four points near one circle, in the order q, o, p_i, p_j, where
     Ptolemy's inequality is all but tight: over the float64 table the pair
@@ -202,5 +222,5 @@ def test_ptolemaic_cell_keeps_an_answer_at_the_radius():
     # the flip is the Ptolemaic stage's: the cells alone put o past the radius
     rows = np.array([2])
     qmat = index.mapping.map_query_many([q])
-    forgetful = index.pruner._ptolemaic_cells(qmat, index._rows, 0, rows, index.pruner.pairs)
+    forgetful = index.pruner._ptolemaic_cells(qmat, index._rows, 0, rows, index.pruner.pairs, 0.0)
     assert forgetful[0] > radius

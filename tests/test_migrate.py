@@ -9,6 +9,7 @@ second migration changes nothing.  A current snapshot migrates losslessly.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import DATA, RADIUS, indexes_for
@@ -92,6 +93,8 @@ def test_every_fixture_loads_through_migrate_alone(tmp_path, name):
     assert migrate(DATA / name, tmp_path / "once.snap").space.counters.distance_computations == 0
     once = load_index(tmp_path / "once.snap")
     assert once.space.counters.distance_computations == 0
+    # every row table comes out with the int32 row ids a build makes
+    assert getattr(once, "_row_ids", np.empty(0, np.int32)).dtype == np.int32
     dataset = once.space.dataset
     queries = [dataset[i] for i in QUERY_IDS]
     radius = RADIUS[dataset.name]

@@ -424,6 +424,25 @@ def test_float64_cell_table_snapshot_loads_through_migrate(migrated, tmp_path, n
     assert _coded_answers(again, queries, radius, k) == (got, compdists)
 
 
+@pytest.mark.parametrize(
+    "dataset_name,index_name", [("LA", "EPT"), ("LA", "EPT*"), ("Words", "FQA")]
+)
+def test_intp_row_ids_restore_as_int32(datasets, pivots, tmp_path, dataset_name, index_name):
+    """A row table pickled while its row ids were ``intp`` (an EPT, EPT* or
+    FQA snapshot of format 3 loads without ``repro migrate``) restores them
+    as the ``int32`` a build makes: the same stored bytes, and an insert
+    keeps the dtype."""
+    index = fresh_index(datasets, pivots, dataset_name, index_name)
+    built = index.storage_bytes()
+    index._row_ids = index._row_ids.astype(np.intp)
+    save_index(index, tmp_path / "intp.snap")
+    restored = load_index(tmp_path / "intp.snap")
+    assert restored._row_ids.dtype == np.int32
+    assert restored.storage_bytes() == built
+    restored.insert(datasets[dataset_name][3])
+    assert restored._row_ids.dtype == np.int32
+
+
 @pytest.mark.parametrize("tree", [MVPT, VPT])
 def test_a_stretching_insert_survives_save_and_load(tmp_path, tree):
     """Inserts far outside the bands stretch them; the codes stay cells of
