@@ -1,5 +1,5 @@
 """Staged pruning cascade: ordered Lemma 1 prefix -> refine -> Lemma 4 ->
-Ptolemaic, over shared-pivot distance tables.
+Ptolemaic, over a pivot distance table of either layout.
 
 A single-shot filter (the bound kernels of
 :mod:`~repro.core.pivot_filter`) evaluates Lemma 1 over every pivot column
@@ -7,21 +7,30 @@ for every (query, object) cell before any cell is decided.  This module is
 the one mask path the tables run, a cascade that spends columns where they
 pay:
 
-1. **Prefix** -- Lemma 1 over a small prefix of pivot columns, ordered by
-   measured pruning power (the bound kernel
-   :func:`~repro.core.pivot_filter.lower_bound_many_queries` on those
-   columns).  Most cells die here when the ordering is good.  The stages
-   after it run on survivors only, so they gather cells rather than call
-   the kernel.
-2. **Refine** -- only surviving cells see the remaining columns (cell-wise
-   fancy indexing, not a full broadcast).
+1. **Prefix** -- Lemma 1 over a small prefix of the table's slots, ordered
+   by measured pruning power.  Most cells die here when the ordering is
+   good; the stages after it gather the surviving cells.
+2. **Refine** -- only surviving cells see the remaining slots.
 3. **Validate** (optional, Lemma 4) -- surviving cells whose upper bound is
    within the radius are accepted without an exact distance.
 4. **Ptolemaic** -- for metrics declaring
    :attr:`~repro.core.distances.MetricDistance.is_ptolemaic`, the pair bound
-   ``|d(q,p_i) d(o,p_j) - d(q,p_j) d(o,p_i)| / d(p_i,p_j)`` runs over a
-   budgeted set of pivot pairs as a final filter before exact verification,
-   on the surviving cells only (their rows are gathered first).
+   ``|d(q,p_i) d(o,p_j) - d(q,p_j) d(o,p_i)| / d(p_i,p_j)`` over a budgeted
+   set of slot pairs, on the surviving cells only.
+
+**One cascade, two table layouts.**  A table is ``n x l``: row o holds
+d(o, p) for the pivots of its ``l`` *slots*.  In a shared-pivot table
+(LAESA, CPT) slot j is pivot j for every row.  In a per-object table (EPT,
+EPT*) each row names its own pivots, and the table hands every call its
+*slot map* (``slots=``), the ``n x l`` positions of those pivots in the
+query-pivot matrix; ``None`` is the identity.  Every stage reads a cell's
+query distance through it, ``qmat[i, slots[o, j]]`` for ``qmat[i, j]``,
+and the Ptolemaic cell looks each pair's denominator up the same way, per
+cell; a pair whose two pivots are one object (EPT's random groups can draw
+an object twice) contributes 0.  The lemmas and Ptolemy's inequality hold
+for whichever pivots a row stores, so only the build policy differs
+between layouts (:meth:`StagedPruner.build`,
+:meth:`PerObjectStagedPruner.build`).
 
 MkNNQ has no radius to stage against, so it gets bounds instead of masks
 (:meth:`StagedPruner.knn_bounds`): Lemma 1 for every row -- the order and
@@ -31,9 +40,9 @@ reach (:func:`~repro.core.queries.best_first_knn` has the exactness
 argument).
 
 Exactness: every stage only makes *provable* decisions, so the survivor /
-validated masks equal the single-shot masks composed from the kernels
-(``tests/test_staged_cascade.py`` builds that reference); staging changes
-how much numpy work runs, never which objects verify as answers.
+validated masks equal the single-shot masks composed from full broadcasts
+(``tests/test_staged_cascade.py`` builds that reference for both layouts);
+staging changes how much numpy work runs, never which objects verify.
 
 A table whose cells are ``float32`` (LAESA's) hands the cascade and the
 MkNNQ bounds its ``slack``, which its mapping keeps beside the cells: no
@@ -42,26 +51,26 @@ the arithmetic (:func:`~repro.core.mapping.narrowed`).  Every bound gives
 it up, here and only here (:func:`_slackened` and the Ptolemaic cell):
 Lemma 1 -- stage 1, the refine stage, the MkNNQ column -- subtracts it
 (the masks compare against the radius plus it), Lemma 4 adds it, and the
-Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  What Lemma 1 gives up carries two ulps of the query's largest
-pivot distance on top, the room the rounding of |d(q,p) - t| needs, so no
-bound over the cells is above -- Lemma 4's below -- what the ``float64``
-table gives.  Every bound is computed, and returned, in ``float64``.  A
-``float64`` table has slack 0, and its bounds are the arithmetic they were.
+Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  What
+Lemma 1 gives up carries two ulps of the query's largest pivot distance
+on top, the room the rounding of |d(q,p) - t| needs, so no bound over the
+cells is above -- Lemma 4's below -- what the ``float64`` table gives.
+Every bound is computed, and returned, in ``float64``.  A ``float64``
+table has slack 0, and its bounds are the arithmetic they were.
 
 Whether stage 4 runs is a fact about the metric, decided once, at build
-time: a build computes the pivot-pair matrix exactly when there are two
-pivots or more and the metric declares ``is_ptolemaic``, and stage 4 runs
+time: a build computes pivot-pair distances exactly when there are two
+slots or more and the metric declares ``is_ptolemaic``, and stage 4 runs
 exactly when the pruner carries that matrix.
 
-The pivot order is scored once, at build time, from the stored distance
-table (zero extra distance computations) and stays frozen: the masks do not
-depend on it, only how much numpy work runs and which pivot pairs the
-Ptolemaic budget picks -- so a pruner is immutable after construction,
-shares across threads without a lock, and sequential and batch execution
-cost the same compdists by construction.  Snapshots written while the
-order could still be re-ranked online, or while a ``bounds`` mode was
-stored beside the pair matrix, carry that state as extra attributes; they
-load, and the extras are ignored.
+The slot order is scored once, at build time, from the stored table (zero
+distance computations) and stays frozen: the masks do not depend on it,
+only how much numpy work runs and which pairs the budget picks -- so a
+pruner is immutable after construction, shares across threads without a
+lock, and sequential and batch execution cost the same compdists.
+Snapshots written while the order could still be re-ranked online, or
+while a ``bounds`` mode was stored beside the pair matrix, carry that
+state as extra attributes; they load, and the extras are ignored.
 """
 
 from __future__ import annotations
@@ -142,41 +151,52 @@ def _slackened(qmat: np.ndarray, slack: float):
     return given, np.nextafter(qmat + slack, np.inf)
 
 
-def _tighteners(lower: np.ndarray, pair_bound) -> list:
-    """Per query i, ``positions -> max(lower[i, positions], pair_bound(i,
-    positions))``: the second half of a ``knn_bounds`` pair."""
+def _lemma1(qmat: np.ndarray, omat: np.ndarray, slots, cols) -> np.ndarray:
+    """Lemma 1 over the slots ``cols`` for every (query, row) cell: the
+    ``q x n`` matrix of max_j |d(q,p_{o,j}) - d(o,p_{o,j})|.  A shared-pivot
+    table runs the bound kernel on those columns; through a slot map each
+    slot's query distances are a ``q x n`` gather, a slot at a time."""
+    if slots is None:
+        return lower_bound_many_queries(qmat[:, cols], omat[:, cols])
+    out = np.zeros((qmat.shape[0], omat.shape[0]), dtype=np.float64)
+    for j in np.arange(omat.shape[1])[cols]:
+        np.maximum(out, np.abs(qmat[:, slots[:, j]] - omat[:, j]), out=out)
+    return out
 
-    def tightener(i: int):
-        return lambda positions: np.maximum(
-            lower[i, positions], pair_bound(i, positions)
-        )
 
-    return [tightener(i) for i in range(lower.shape[0])]
+def _cell_reader(qmat: np.ndarray, omat: np.ndarray, slots, cols):
+    """What the cell-wise stages read on the slots ``cols``:
+    ``(ci, cj) -> (q, o, at)`` for the cells ``(ci, cj)``, the query's
+    distances ``q`` read through the slot map, the row's ``o``, and ``at``,
+    the query-matrix position each slot names (a row of them per cell, or
+    the slot positions themselves on a shared-pivot table)."""
+    o = omat[:, cols]
+    if slots is None:
+        q, at = qmat[:, cols], np.arange(omat.shape[1])[cols]
+        return lambda ci, cj: (q[ci], o[cj], at)
+    s = slots[:, cols]
 
+    def read(ci, cj):
+        at = s[cj]
+        return qmat[ci[:, None], at], o[cj], at
 
-def _tighten_every_row(lower: np.ndarray, tighteners: list) -> np.ndarray:
-    """A ``knn_bounds`` pair collapsed to the full final-bound matrix: the
-    form no query path builds, kept for the tests that use it as oracle."""
-    every = np.arange(lower.shape[1], dtype=np.intp)
-    for row, tighten in zip(lower, tighteners):
-        if tighten is not None:
-            row[:] = tighten(every)
-    return lower
+    return read
 
 
 class StagedPruner:
-    """The staged cascade over one shared-pivot ``n x l`` distance table.
+    """The staged cascade over one ``n x l`` pivot distance table, of
+    either layout (module docstring).
 
-    The pruner owns *pivot-side* state only (column order, prefix size,
-    Ptolemaic pair matrix and budgeted pairs), fixed at construction; the
-    object table is passed into every call, so tables that grow via
-    ``insert`` need no pruner maintenance.  Plain attributes only, so
-    indexes carrying a pruner snapshot and restore with zero distance
-    computations.
+    The pruner owns *slot-side* state only (slot order, prefix size,
+    Ptolemaic pair matrix and budgeted slot pairs), fixed at construction;
+    the object table -- and a per-object table's slot map -- is passed into
+    every call, so tables that grow via ``insert`` need no pruner
+    maintenance.  Plain attributes only, so indexes carrying a pruner
+    snapshot and restore with zero distance computations.
 
     What runs over the whole table and what does not: Lemma 1 is the only
     bound evaluated for every (query, row) cell -- stage 1 of the masks on
-    the prefix columns, :meth:`knn_bounds` on all of them.  Refinement,
+    the prefix slots, :meth:`knn_bounds` on all of them.  Refinement,
     validation and the Ptolemaic bound see selected cells only: the
     cascade's survivors, or the rows an MkNNQ's verification order
     reaches.  ``lower_bounds_many(_queries)`` (everything for every row)
@@ -211,7 +231,8 @@ class StagedPruner:
         pivot_objects,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
     ) -> "StagedPruner":
-        """Score the order and (for Ptolemaic metrics) the pair matrix.
+        """Score the order and (for Ptolemaic metrics) the pair matrix of a
+        shared-pivot table.
 
         The pivot-pair distance matrix is computed with the *counted*
         metric -- it is real build work, exactly like the mapping itself
@@ -244,7 +265,9 @@ class StagedPruner:
 
     # -- MkNNQ bounds ---------------------------------------------------------
 
-    def knn_bounds(self, qmat, omat, slack: float = 0.0) -> tuple[np.ndarray, list]:
+    def knn_bounds(
+        self, qmat, omat, slack: float = 0.0, slots=None
+    ) -> tuple[np.ndarray, list]:
         """What MkNNQ verification is handed: ``(lower, tighteners)``.
 
         ``lower`` is the ``q x n`` Lemma 1 matrix -- the one bound computed
@@ -255,30 +278,41 @@ class StagedPruner:
         given storage positions only: :func:`~repro.core.queries.
         best_first_knn` calls it for the rows the query can still reach,
         not for the table (the exactness argument lives there).  Both give
-        up the table's ``slack`` (module docstring).
+        up the table's ``slack`` and read through its ``slots`` (module
+        docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
-        lower = lower_bound_many_queries(qmat, omat)
+        lower = _lemma1(qmat, omat, slots, slice(None))
         if slack:
             lower -= _slackened(qmat, slack)[0][:, None]
-        pairs = self.pairs
-        if not (self.use_ptolemaic and pairs.size):
+        if not (self.use_ptolemaic and self.pairs.size):
             return lower, [None] * lower.shape[0]
-        return lower, _tighteners(
-            lower,
-            lambda i, rows: self._ptolemaic_cells(qmat, omat, i, rows, pairs, slack),
-        )
 
-    def lower_bounds_many_queries(self, qmat, omat, slack: float = 0.0) -> np.ndarray:
+        def tightener(i: int):
+            return lambda rows: np.maximum(
+                lower[i, rows], self._ptolemaic_cells(qmat, omat, i, rows, slack, slots)
+            )
+
+        return lower, [tightener(i) for i in range(lower.shape[0])]
+
+    def lower_bounds_many_queries(
+        self, qmat, omat, slack: float = 0.0, slots=None
+    ) -> np.ndarray:
         """Full ``q x n`` lower bounds: triangle, tightened by Ptolemaic.
 
         :meth:`knn_bounds` with every row tightened -- the matrix no query
         path builds any more, kept as the oracle tests compare the lazy
-        form against (it equals ``max(lower_bound_many_queries,
-        ptolemaic_lower_bound_many_queries)`` bit for bit).
+        form against (on a shared-pivot table it equals
+        ``max(lower_bound_many_queries, ptolemaic_lower_bound_many_queries)``
+        bit for bit).
         """
-        return _tighten_every_row(*self.knn_bounds(qmat, omat, slack))
+        lower, tighteners = self.knn_bounds(qmat, omat, slack, slots)
+        every = np.arange(lower.shape[1], dtype=np.intp)
+        for row, tighten in zip(lower, tighteners):
+            if tighten is not None:
+                row[:] = tighten(every)
+        return lower
 
     def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
         """Single-query form of :meth:`lower_bounds_many_queries`, over a
@@ -296,6 +330,7 @@ class StagedPruner:
         counters: CostCounters | None = None,
         validate: bool = False,
         slack: float = 0.0,
+        slots=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run the cascade; return ``(survivors, validated)`` bool masks.
 
@@ -303,10 +338,11 @@ class StagedPruner:
         i; ``validated[i, j]`` -- object j is provably an answer of query
         i (only when ``validate``, Lemma 4).  ``radius`` is a scalar or a
         per-query array.  Per-stage decided counts go to ``counters``.
-        The masks are independent of the column order (a one-column
-        table is a prefix with an empty tail), which is what keeps the
-        cascade == single-shot == brute force exact.  Every stage gives up
-        the table's ``slack`` (module docstring).
+        The masks are independent of the slot order (a one-slot table is
+        a prefix with an empty tail), which is what keeps the cascade ==
+        single-shot == brute force exact.  Every stage gives up the
+        table's ``slack`` and reads the query through its ``slots``
+        (module docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
@@ -326,25 +362,24 @@ class StagedPruner:
         prefix = min(max(1, self.prefix), max(1, l - 1))
         head, tail = order[:prefix], order[prefix:]
 
-        # stage 1: Lemma 1 over the ranked prefix columns
-        lower = lower_bound_many_queries(qmat[:, head], omat[:, head])
-        alive = lower <= rcol
+        # stage 1: Lemma 1 over the ranked prefix slots
+        alive = _lemma1(qmat, omat, slots, head) <= rcol
         n_prefix = int(alive.size - alive.sum())
 
-        # stage 2: refine survivors cell-wise with the remaining columns;
+        # stage 2: refine survivors cell-wise with the remaining slots;
         # the later stages take the stage-1 cells still alive, in the same
         # row-major order, instead of a fresh nonzero over the q x n mask
         n_refine = 0
         qi, oj = np.nonzero(alive)
         if qi.size and tail.size:
-            q_tail, o_tail = qmat[:, tail], omat[:, tail]
+            read = _cell_reader(qmat, omat, slots, tail)
             cstep = _cell_step(tail.shape[0])
             for start in range(0, qi.size, cstep):
                 stop = start + cstep
                 ci, cj = qi[start:stop], oj[start:stop]
-                diff = np.abs(q_tail[ci] - o_tail[cj])
+                q, o, _ = read(ci, cj)
                 rcell = reach[ci] if reach.ndim else reach
-                dead = diff.max(axis=1) > rcell
+                dead = np.abs(q - o).max(axis=1) > rcell
                 alive[ci[dead], cj[dead]] = False
                 n_refine += int(dead.sum())
             if n_refine:
@@ -353,12 +388,13 @@ class StagedPruner:
         # stage 3: Lemma 4 validation, only for still-undecided cells
         n_validated = 0
         if validate and qi.size:
+            read = _cell_reader(uppers, omat, slots, slice(None))
             cstep = _cell_step(l)
             for start in range(0, qi.size, cstep):
                 stop = start + cstep
                 ci, cj = qi[start:stop], oj[start:stop]
-                upper = (uppers[ci] + omat[cj]).min(axis=1)
-                ok = upper <= (r[ci] if r.ndim else r)
+                q, o, _ = read(ci, cj)
+                ok = (q + o).min(axis=1) <= (r[ci] if r.ndim else r)
                 validated[ci[ok], cj[ok]] = True
                 alive[ci[ok], cj[ok]] = False
                 n_validated += int(ok.sum())
@@ -366,7 +402,7 @@ class StagedPruner:
                 qi, oj = _still_alive(alive, qi, oj)
 
         # stage 4: Ptolemaic filter on whatever is left
-        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r, slack)
+        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r, slack, slots)
 
         if counters is not None:
             counters.add_prune_stages(
@@ -401,7 +437,7 @@ class StagedPruner:
     # -- internals ------------------------------------------------------------
 
     def _column_order(self, l: int) -> np.ndarray:
-        """The ranked column order, padded if the table grew new columns."""
+        """The ranked slot order, padded if the table grew new columns."""
         order = self.order
         if order.shape[0] != l:
             known = order[order < l]
@@ -411,63 +447,75 @@ class StagedPruner:
             order = np.concatenate([known, missing])
         return order
 
-    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack) -> int:
+    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack, slots=None) -> int:
         """Stage 4 in place on ``alive``, over its alive cells ``(qi, oj)``;
         returns the decided-cell count."""
         if not self.use_ptolemaic or not self.pairs.size:
             return 0
         if not qi.size:
             return 0
-        bound = self._ptolemaic_cells(qmat, omat, qi, oj, self.pairs, slack)
+        bound = self._ptolemaic_cells(qmat, omat, qi, oj, slack, slots)
         dead = bound > (r[qi] if r.ndim else r)
         alive[qi[dead], oj[dead]] = False
         return int(dead.sum())
 
-    def _ptolemaic_cells(self, qmat, omat, ci, cj, pairs, slack) -> np.ndarray:
-        """Best Ptolemaic bound over ``pairs`` for the cells ``(ci, cj)``.
+    def _ptolemaic_cells(self, qmat, omat, ci, cj, slack=0.0, slots=None) -> np.ndarray:
+        """Best Ptolemaic bound over the budgeted slot pairs for the cells
+        ``(ci, cj)``.
 
         ``cj`` holds table rows, ``ci`` the query of each (or one query
         index shared by all).  The chosen rows are gathered first and the
-        pair columns taken from that gather, so work and memory are
+        pair slots taken from that gather, so work and memory are
         O(cells x pairs) whatever the table's size.  The one Ptolemaic
-        evaluation of this pruner: stage 4, the MkNNQ tightening and the
-        full-matrix oracle all come here, and each pair gives up the
-        table's ``slack`` weighted by the query's distances to the pair.
+        evaluation: stage 4, the MkNNQ tightening and the full-matrix
+        oracle all come here.  Each pair's denominator is the distance
+        between the two pivots the cell's slots name (0 contributes 0),
+        and each gives up the table's ``slack`` weighted by the query's
+        distances to the pair.
         """
+        pairs = self.pairs
         left, right = pairs[:, 0], pairs[:, 1]
-        denom = self.pair_matrix[left, right]
         ci = np.broadcast_to(ci, cj.shape)
+        read = _cell_reader(qmat, omat, slots, slice(None))
         out = np.empty(cj.shape[0], dtype=np.float64)
         step = _cell_step(max(omat.shape[1], pairs.shape[0]))
         for start in range(0, cj.shape[0], step):
             cells = slice(start, start + step)
-            q, o = qmat[ci[cells]], omat[cj[cells]]
+            q, o, at = read(ci[cells], cj[cells])
             cross = np.abs(q[:, left] * o[:, right] - q[:, right] * o[:, left])
             if slack:
                 cross -= slack * (q[:, left] + q[:, right])
-            out[cells] = (cross / denom).max(axis=1)
+            denom = self.pair_matrix[at[..., left], at[..., right]]
+            bound = np.divide(cross, denom, out=np.zeros_like(cross), where=denom > 0.0)
+            out[cells] = bound.max(axis=1)
         return out
 
 
-class PerObjectStagedPruner:
-    """The staged cascade for per-object-pivot tables (EPT / EPT*).
+class PerObjectStagedPruner(StagedPruner):
+    """:class:`StagedPruner` built for a per-object-pivot table (EPT / EPT*).
 
-    EPT rows reference *different* pivots per object (``pivot_idx`` maps
-    each of the ``l`` slots to a global pivot id), so the cascade stages
-    over slot columns instead of shared pivot columns.  Stage 4 uses a
-    sparse pivot-pair distance matrix holding only the pairs the budgeted
-    slot pairs actually reference -- a full ``|P| x |P|`` matrix would
-    cost more build distance computations than the table itself when the
-    group size is large.
+    Its tables hand every call their slot map (``pivot_idx``), so the
+    cascade is the base class's; what is this class's own is the build
+    policy: slots ranked by the spread of their stored distances, the
+    first :data:`PER_OBJECT_PAIR_BUDGET` ranked slot pairs, and a sparse
+    ``|P| x |P|`` pivot-pair matrix holding only the pairs those slot pairs
+    reference -- a full one would cost more counted build distances than
+    the table itself when the group size is large.  The state keeps its
+    slot names (``slot_order``, ``slot_pairs``), so snapshots of every age
+    load as they are.
     """
 
-    def __init__(
-        self,
-        slot_order,
-        prefix: int,
-        pair_matrix=None,
-        slot_pairs=None,
-    ):
+    # the base class's entry points, bound here by name too: the spine's
+    # tracer (benchmarks/spine/tracer.py) times the ones it finds in this
+    # class's own namespace
+    masks_many = StagedPruner.masks_many
+    masks_many_queries = StagedPruner.masks_many_queries
+    lower_bounds_many_queries = StagedPruner.lower_bounds_many_queries
+
+    order = property(lambda self: self.slot_order)
+    pairs = property(lambda self: self.slot_pairs)
+
+    def __init__(self, slot_order, prefix: int, pair_matrix=None, slot_pairs=None):
         self.slot_order = np.asarray(slot_order, dtype=np.intp)
         self.prefix = int(prefix)
         self.pair_matrix = (
@@ -480,13 +528,7 @@ class PerObjectStagedPruner:
         )
 
     @classmethod
-    def build(
-        cls,
-        space,
-        pivot_ids,
-        pivot_idx,
-        pivot_dist,
-    ) -> "PerObjectStagedPruner":
+    def build(cls, space, pivot_ids, pivot_idx, pivot_dist) -> "PerObjectStagedPruner":
         pivot_dist = np.asarray(pivot_dist, dtype=np.float64)
         pivot_idx = np.asarray(pivot_idx)
         l = pivot_dist.shape[1] if pivot_dist.ndim == 2 else 0
@@ -494,172 +536,16 @@ class PerObjectStagedPruner:
         # |d(q,p) - d(o,p)| gaps -> more stage-1 pruning (zero compdists)
         spread = pivot_dist.std(axis=0) if pivot_dist.size else np.zeros(l)
         slot_order = np.argsort(-spread, kind="stable").astype(np.intp)
-        pair_matrix = None
-        slot_pairs = None
+        pair_matrix = slot_pairs = None
         if l > 1 and space.distance.is_ptolemaic:
-            ranked = slot_order
-            slot_pairs = []
-            for second in range(1, l):
-                for first in range(second):
-                    slot_pairs.append((int(ranked[first]), int(ranked[second])))
-                    if len(slot_pairs) >= PER_OBJECT_PAIR_BUDGET:
-                        break
-                if len(slot_pairs) >= PER_OBJECT_PAIR_BUDGET:
-                    break
-            slot_pairs = np.asarray(slot_pairs, dtype=np.intp)
+            ranked = [(f, s) for s in range(1, l) for f in range(s)]
+            slot_pairs = slot_order[np.array(ranked[:PER_OBJECT_PAIR_BUDGET])]
             # counted build work: only the pivot pairs the budgeted slot
             # pairs reference, not the full |P| x |P| matrix
-            n_pivots = len(pivot_ids)
-            pair_matrix = np.zeros((n_pivots, n_pivots), dtype=np.float64)
-            needed: set[tuple[int, int]] = set()
-            for a, b in slot_pairs:
-                cols = np.unique(
-                    np.stack([pivot_idx[:, a], pivot_idx[:, b]], axis=1), axis=0
-                )
-                for i, j in cols:
-                    if i != j:
-                        needed.add((int(min(i, j)), int(max(i, j))))
-            for i, j in sorted(needed):
+            ends = np.sort(pivot_idx[:, slot_pairs].reshape(-1, 2), axis=1)
+            ends = np.unique(ends[ends[:, 0] != ends[:, 1]], axis=0)
+            pair_matrix = np.zeros((len(pivot_ids), len(pivot_ids)), dtype=np.float64)
+            for i, j in ends:
                 d = space.d_between_ids(int(pivot_ids[i]), int(pivot_ids[j]))
                 pair_matrix[i, j] = pair_matrix[j, i] = d
-        return cls(
-            slot_order, prefix_size(l), pair_matrix=pair_matrix, slot_pairs=slot_pairs
-        )
-
-    @property
-    def use_ptolemaic(self) -> bool:
-        """Whether stage 4 runs: as :attr:`StagedPruner.use_ptolemaic`."""
-        return self.pair_matrix is not None
-
-    def stats(self) -> dict:
-        return {
-            "ptolemaic": self.use_ptolemaic,
-            "prefix": self.prefix,
-            "order": [int(i) for i in self.slot_order],
-            "n_pairs": int(self.slot_pairs.shape[0]),
-        }
-
-    # -- bounds ---------------------------------------------------------------
-
-    def _slot_bound_cells(self, qdists, pivot_idx, pivot_dist, ci, cj, slots):
-        """max_j |d(q,p_{o,j}) - d(o,p_{o,j})| over ``slots``, per cell."""
-        idx = pivot_idx[cj][:, slots]
-        qd = qdists[ci[:, None], idx]
-        pd = pivot_dist[cj][:, slots]
-        return np.abs(qd - pd).max(axis=1)
-
-    def _ptolemaic_cells(self, qdists, pivot_idx, pivot_dist, ci, cj):
-        """Best Ptolemaic bound over the budgeted slot pairs, per cell
-        (``ci`` may be one query index shared by all of ``cj``)."""
-        best = np.zeros(cj.shape[0], dtype=np.float64)
-        for a, b in self.slot_pairs:
-            ia, ib = pivot_idx[cj, a], pivot_idx[cj, b]
-            denom = self.pair_matrix[ia, ib]
-            qa, qb = qdists[ci, ia], qdists[ci, ib]
-            oa, ob = pivot_dist[cj, a], pivot_dist[cj, b]
-            cross = np.abs(qa * ob - qb * oa)
-            ok = denom > 0.0
-            np.maximum(
-                best, np.where(ok, cross / np.where(ok, denom, 1.0), 0.0), out=best
-            )
-        return best
-
-    def _slot_bounds(self, qdists, pivot_idx, pivot_dist, slots) -> np.ndarray:
-        """Lemma 1 over ``slots`` for every cell: the ``q x n`` matrix of
-        max_j |d(q,p_{o,j}) - d(o,p_{o,j})|, a slot at a time."""
-        out = np.zeros((qdists.shape[0], pivot_idx.shape[0]), dtype=np.float64)
-        for j in slots:
-            np.maximum(
-                out, np.abs(qdists[:, pivot_idx[:, j]] - pivot_dist[:, j]), out=out
-            )
-        return out
-
-    def knn_bounds(self, qdists, pivot_idx, pivot_dist) -> tuple[np.ndarray, list]:
-        """``(lower, tighteners)`` as :meth:`StagedPruner.knn_bounds`:
-        Lemma 1 over every slot for every row, the Ptolemaic slot pairs
-        only for the positions a query's verification asks about."""
-        qdists = np.atleast_2d(np.asarray(qdists, dtype=np.float64))
-        lower = self._slot_bounds(
-            qdists, pivot_idx, pivot_dist, range(pivot_idx.shape[1])
-        )
-        if not (self.use_ptolemaic and self.slot_pairs.size):
-            return lower, [None] * lower.shape[0]
-        return lower, _tighteners(
-            lower,
-            lambda i, rows: self._ptolemaic_cells(
-                qdists, pivot_idx, pivot_dist, i, rows
-            ),
-        )
-
-    def lower_bounds_many_queries(self, qdists, pivot_idx, pivot_dist) -> np.ndarray:
-        """Full ``q x n`` lower bounds (triangle max'd with Ptolemaic):
-        :meth:`knn_bounds` with every row tightened, the tests' oracle."""
-        return _tighten_every_row(*self.knn_bounds(qdists, pivot_idx, pivot_dist))
-
-    def masks_many_queries(
-        self,
-        qdists,
-        pivot_idx,
-        pivot_dist,
-        radius,
-        counters: CostCounters | None = None,
-    ) -> np.ndarray:
-        """Run the cascade; return the ``q x n`` survivor mask."""
-        qdists = np.atleast_2d(np.asarray(qdists, dtype=np.float64))
-        n_q = qdists.shape[0]
-        n_o, l = pivot_idx.shape
-        if n_q == 0 or n_o == 0 or l == 0:
-            return np.ones((n_q, n_o), dtype=bool)
-        r = np.asarray(radius, dtype=np.float64)
-        rcol = r[:, None] if r.ndim else r
-
-        order = self.slot_order
-        if order.shape[0] != l:
-            order = np.arange(l, dtype=np.intp)
-        prefix = min(max(1, self.prefix), max(1, l - 1))
-        head, tail = order[:prefix], order[prefix:]
-
-        # stage 1: Lemma 1 over the prefix slots
-        lower = self._slot_bounds(qdists, pivot_idx, pivot_dist, head)
-        alive = lower <= rcol
-        n_prefix = int(alive.size - alive.sum())
-
-        # stage 2: refine survivors cell-wise with the remaining slots
-        n_refine = 0
-        if tail.size:
-            qi, oj = np.nonzero(alive)
-            cstep = _cell_step(tail.shape[0])
-            for start in range(0, qi.size, cstep):
-                ci = qi[start : start + cstep]
-                cj = oj[start : start + cstep]
-                bound = self._slot_bound_cells(
-                    qdists, pivot_idx, pivot_dist, ci, cj, tail
-                )
-                dead = bound > (r[ci] if r.ndim else r)
-                alive[ci[dead], cj[dead]] = False
-                n_refine += int(dead.sum())
-
-        # stage 4: Ptolemaic over budgeted slot pairs
-        n_pt = 0
-        if self.use_ptolemaic and self.slot_pairs.size:
-            qi, oj = np.nonzero(alive)
-            cstep = _cell_step(self.slot_pairs.shape[0])
-            for start in range(0, qi.size, cstep):
-                ci = qi[start : start + cstep]
-                cj = oj[start : start + cstep]
-                pt = self._ptolemaic_cells(qdists, pivot_idx, pivot_dist, ci, cj)
-                dead = pt > (r[ci] if r.ndim else r)
-                alive[ci[dead], cj[dead]] = False
-                n_pt += int(dead.sum())
-
-        if counters is not None:
-            counters.add_prune_stages(
-                prefix=n_prefix, refine=n_refine, ptolemaic=n_pt
-            )
-        return alive
-
-    def masks_many(self, qdists, pivot_idx, pivot_dist, radius, counters=None):
-        q = np.asarray(qdists, dtype=np.float64)
-        return self.masks_many_queries(
-            q.reshape(1, -1), pivot_idx, pivot_dist, radius, counters=counters
-        )[0]
+        return cls(slot_order, prefix_size(l), pair_matrix, slot_pairs)

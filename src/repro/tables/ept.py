@@ -14,9 +14,13 @@ candidate set the pivots maximising E[D(q,o)/d(q,o)].  Construction is far
 more expensive -- exactly as Table 4 reports -- but queries prune better
 (Fig. 14).
 
-MRQ/MkNNQ processing is identical to LAESA's -- one batch body per query
-type, the one-query entry points their ``q = 1`` views, MkNNQ verified
-best-first -- except that the lower bound of object o uses o's own pivots.
+MRQ/MkNNQ processing is LAESA's -- one batch body per query type, the
+one-query entry points their ``q = 1`` views, MkNNQ verified best-first --
+through the same staged cascade (:class:`~repro.core.staged.StagedPruner`).
+Only where a bound reads d(q, p) differs: each call hands the cascade the
+table's slot map ``_pivot_idx``, so every cell of object o is compared with
+the query's distance to o's own pivot.  What is EPT's own is the pruner's
+build policy (:class:`~repro.core.staged.PerObjectStagedPruner`).
 """
 
 from __future__ import annotations
@@ -68,17 +72,17 @@ class _ExtremePivotTableBase(MetricIndex):
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         """MRQ: one pairwise call for all query-pivot distances, the staged
-        per-object-pivot cascade, vectorised per-query verification."""
+        cascade through the slot map, vectorised per-query verification."""
         queries = list(queries)
         if not queries:
             return []
         qdists = self._query_pivot_dists_many(queries)
-        survivors = self.pruner.masks_many_queries(
+        survivors, _ = self.pruner.masks_many_queries(
             qdists,
-            self._pivot_idx,
             self._pivot_dist,
             radius,
             counters=self.space.counters,
+            slots=self._pivot_idx,
         )
         out: list[list[int]] = []
         for q, row in zip(queries, survivors):
@@ -96,7 +100,9 @@ class _ExtremePivotTableBase(MetricIndex):
         """Row ids, the ``q x n`` bounds over each object's own pivots, and
         per query its tightener and counted distance call."""
         lower, tighteners = self.pruner.knn_bounds(
-            self._query_pivot_dists_many(queries), self._pivot_idx, self._pivot_dist
+            self._query_pivot_dists_many(queries),
+            self._pivot_dist,
+            slots=self._pivot_idx,
         )
         verifiers = [lambda ids, q=q: self.space.d_ids(q, ids) for q in queries]
         return self._row_ids, lower, tighteners, verifiers

@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.bench.runner import build_index
 from repro.core.quantise import Frame
-from repro.core.staged import PerObjectStagedPruner, StagedPruner
+from repro.core.staged import StagedPruner
 from repro.service.migrate import migrate
 
 N_SMALL = 400
@@ -174,8 +174,6 @@ def lemma1_baseline(index):
     p = getattr(index, "pruner", None)
     if isinstance(p, StagedPruner):
         baseline.pruner = StagedPruner(p.order, p.prefix)
-    elif isinstance(p, PerObjectStagedPruner):
-        baseline.pruner = PerObjectStagedPruner(p.slot_order, p.prefix)
     else:
         baseline._use_ptolemaic = False
     return baseline

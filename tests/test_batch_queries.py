@@ -292,8 +292,8 @@ class TestBatchCounterAttribution:
             else:
                 lower = index.pruner.lower_bounds_many_queries(
                     index._query_pivot_dists_many([query_obj]),
-                    index._pivot_idx,
                     index._pivot_dist,
+                    slots=index._pivot_idx,
                 )[0]
             heap = KnnHeap(k)
             for i in range(len(index._row_ids)):
@@ -601,12 +601,12 @@ def test_best_first_draws_no_rows_past_its_cutoff():
 # The sequential columns pin, one query a call, the paper's storage-order
 # scan on the tables that bound every row (``repro.bench.paper_order_knn``;
 # it was their ``knn_query`` when these were recorded, at the same counts),
-# and ``knn_query`` on FQA.  Values are the parent commit's (full stable
-# argsort, full-matrix tightening), except LA-EPT and LA-EPT*: the parent's
-# PerObjectStagedPruner.lower_bounds_many_queries computed the Ptolemaic
-# tightening for every cell and then wrote it into a fancy-index copy, so
-# its MkNNQ ran on Lemma 1 alone (LA-EPT [15, 29, 58, 172], LA-EPT*
-# [123, 135, 154, 266]); the tightening now reaches the verification order.
+# and ``knn_query`` on FQA.  Values are those of the full-sort, full-matrix
+# MkNNQ the lazy tightening replaced, except LA-EPT and LA-EPT*: that form's
+# per-object bound matrix wrote the Ptolemaic tightening into a fancy-index
+# copy, so their MkNNQ ran on Lemma 1 alone (LA-EPT [15, 29, 58, 172],
+# LA-EPT* [123, 135, 154, 266]); the tightening now reaches the
+# verification order.
 PINNED_KNN_COMPDISTS = {
     ("LA", "LAESA"): [15, 27, 43, 155],
     ("LA", "CPT"): [15, 27, 43, 155],

@@ -96,8 +96,8 @@ def test_every_float32_bound_holds_to_the_float64_tables(case):
     if pruner.pairs.size:
         rows = np.arange(table.shape[0])
         for i in range(qmat.shape[0]):
-            cell32 = pruner._ptolemaic_cells(qmat, cells, i, rows, pruner.pairs, slack)
-            cell64 = pruner._ptolemaic_cells(qmat, table, i, rows, pruner.pairs, 0.0)
+            cell32 = pruner._ptolemaic_cells(qmat, cells, i, rows, slack)
+            cell64 = pruner._ptolemaic_cells(qmat, table, i, rows, 0.0)
             assert cell32.dtype == np.float64 and (cell32 <= cell64).all()
 
     # Lemma 4 from the query side the cascade adds the slack to: never
@@ -222,5 +222,5 @@ def test_ptolemaic_cell_keeps_an_answer_at_the_radius():
     # the flip is the Ptolemaic stage's: the cells alone put o past the radius
     rows = np.array([2])
     qmat = index.mapping.map_query_many([q])
-    forgetful = index.pruner._ptolemaic_cells(qmat, index._rows, 0, rows, index.pruner.pairs, 0.0)
+    forgetful = index.pruner._ptolemaic_cells(qmat, index._rows, 0, rows, 0.0)
     assert forgetful[0] > radius

@@ -2,12 +2,15 @@
 layout.
 
 Every file in ``tests/data`` was written by an earlier version of the code.
-``load_index`` refuses each one and names the migrator; the migrated file
-loads with no distance computed and answers as brute force does, and a
-second migration changes nothing.  A current snapshot migrates losslessly.
+``load_index`` refuses each one in a retired layout and names the migrator;
+the migrated file loads with no distance computed and answers as brute
+force does, and a second migration changes nothing.  A file in today's
+layout loads as it is, and it and a current snapshot migrate losslessly.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -23,9 +26,17 @@ from repro import (
     save_index,
 )
 from repro.cli import main
+from repro.core.staged import PerObjectStagedPruner
 from repro.service.migrate import migrate
 
-FIXTURES = sorted(path.name for path in DATA.glob("*.snap"))
+# written by an earlier version in today's layout: an EPT / EPT* table whose
+# pruner names its state for slots (``slot_order``, ``slot_pairs``), saved
+# while that pruner ran a cascade of its own; they load as they are
+CURRENT_LAYOUT = {
+    "slot_names_ept_la300.snap": "ept",
+    "slot_names_eptstar_la300.snap": "eptstar",
+}
+FIXTURES = sorted(path.name for path in DATA.glob("*.snap") if path.name not in CURRENT_LAYOUT)
 # the ids each fixture's writer deleted and left deleted; a fixture missing
 # here fails, so a new one cannot go unchecked
 GONE = {
@@ -105,6 +116,36 @@ def test_every_fixture_loads_through_migrate_alone(tmp_path, name):
     twice = load_index(tmp_path / "twice.snap")
     assert _answers(twice, queries, radius) == (got, compdists)
     assert twice.storage_bytes() == once.storage_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CURRENT_LAYOUT))
+def test_a_fixture_in_todays_layout_loads_as_it_is(tmp_path, name):
+    """``tests/data/slot_names_{ept,eptstar}_la300.snap`` (``make_la(300,
+    seed=11)``; 5 slots, seed 3; object 7 deleted and put back, 31 deleted)
+    load with ``load_index`` alone, at no distance, into the one cascade,
+    and answer as brute force and as recorded when they were written, at
+    the compdists they cost then; migrating them changes nothing."""
+    expected = json.loads((DATA / "slot_names_la300_expected.json").read_text())
+    want = expected[CURRENT_LAYOUT[name]]
+    index = load_index(DATA / name)
+    assert index.space.counters.distance_computations == 0
+    assert isinstance(index.pruner, PerObjectStagedPruner) and index.pruner.use_ptolemaic
+    assert set(vars(index.pruner)) == {"slot_order", "prefix", "pair_matrix", "slot_pairs"}
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]]
+    radius, gone = expected["radius"], tuple(expected["gone"])
+    assert (radius, expected["k"]) == (RADIUS["LA"], K)
+    got, compdists = _answers(index, queries, radius)
+    assert got == _brute_force(dataset, queries, radius, gone)
+    neighbors = [[[[n.distance, n.object_id] for n in row] for row in form] for form in got[2:]]
+    assert (list(got[:2]) + neighbors, compdists) == (
+        [want[form] for form in ("range", "range_many", "knn", "knn_many")],
+        want["compdists"],
+    )
+    migrate(DATA / name, tmp_path / "migrated.snap")
+    migrated = load_index(tmp_path / "migrated.snap")
+    assert _answers(migrated, queries, radius) == (got, compdists)
+    assert migrated.storage_bytes() == index.storage_bytes()
 
 
 @pytest.mark.parametrize("index_name", indexes_for("Words"))

@@ -43,7 +43,7 @@ from repro.core.pivot_filter import (
     ptolemaic_pairs,
     upper_bound_many_queries,
 )
-from repro.core.staged import PerObjectStagedPruner, StagedPruner
+from repro.core.staged import StagedPruner
 from repro.service import QueryService
 from repro.tables.aesa import AESA
 from repro.tables.cpt import CPT
@@ -114,48 +114,55 @@ def _answers(index, queries, radius, k):
     )
 
 
-def _single_shot_masks(pruner, qmat, omat, radius, validate=False):
+def _single_shot_masks(pruner, qmat, omat, radius, validate=False, slots=None):
     """The single-shot filter: one full q x n broadcast per lemma, every
-    cell decided only after every column has been evaluated."""
-    alive = lower_bound_many_queries(qmat, omat) <= radius
+    cell decided only after every slot has been evaluated.  A shared-pivot
+    table composes it from the kernels; a per-object one reads every cell's
+    query distances through its slot map at once (``q x n x l``)."""
+    if slots is None:
+        lower = lower_bound_many_queries(qmat, omat)
+        upper = upper_bound_many_queries(qmat, omat)
+        if pruner.use_ptolemaic:
+            pair_bound = ptolemaic_lower_bound_many_queries(
+                qmat, omat, pruner.pair_matrix, pairs=pruner.pairs
+            )
+    else:
+        q, o = qmat[:, slots], omat[None]
+        lower, upper = np.abs(q - o).max(axis=2), (q + o).min(axis=2)
+        if pruner.use_ptolemaic:
+            a, b = pruner.pairs[:, 0], pruner.pairs[:, 1]
+            denom = pruner.pair_matrix[slots[:, a], slots[:, b]]
+            cross = np.abs(q[..., a] * o[..., b] - q[..., b] * o[..., a])
+            ok = denom > 0
+            pair_bound = np.where(ok, cross / np.where(ok, denom, 1.0), 0.0).max(axis=2)
+    alive = lower <= radius
     validated = np.zeros_like(alive)
     if validate:
-        validated = alive & (upper_bound_many_queries(qmat, omat) <= radius)
+        validated = alive & (upper <= radius)
         alive &= ~validated
     if pruner.use_ptolemaic:
-        pair_bound = ptolemaic_lower_bound_many_queries(
-            qmat, omat, pruner.pair_matrix, pairs=pruner.pairs
-        )
         alive &= pair_bound <= radius
     return alive, validated
 
 
+def _table_of(index, queries):
+    """``(qmat, omat, slots)``: what a table hands its pruner for
+    ``queries``, the slot map ``None`` on a shared-pivot table."""
+    if hasattr(index, "mapping"):
+        return index.mapping.map_query_many(queries), index._rows, None
+    return index._query_pivot_dists_many(queries), index._pivot_dist, index._pivot_idx
+
+
 def _assert_cascade_equals_single_shot(index, queries, radius):
-    """Cascade masks == the kernel-composed single-shot masks, cell for cell."""
-    if isinstance(index.pruner, StagedPruner):
-        qmat = index.mapping.map_query_many(queries)
-        for validate in (False, True):
-            got = index.pruner.masks_many_queries(
-                qmat, index._rows, radius, validate=validate
-            )
-            want = _single_shot_masks(index.pruner, qmat, index._rows, radius, validate)
-            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
-    elif isinstance(index.pruner, PerObjectStagedPruner):
-        # per-object pivots have no shared-column kernel: the triangle
-        # single-shot is one gather + broadcast over every slot; the pair
-        # stage may only remove cells from it
-        qdists = index._query_pivot_dists_many(queries)
-        triangle = (
-            np.abs(qdists[:, index._pivot_idx] - index._pivot_dist[None]).max(axis=2)
-            <= radius
-        )
+    """Cascade masks == the single-shot masks, cell for cell, on either
+    table layout, with and without Lemma 4."""
+    qmat, omat, slots = _table_of(index, queries)
+    for validate in (False, True):
         got = index.pruner.masks_many_queries(
-            qdists, index._pivot_idx, index._pivot_dist, radius
+            qmat, omat, radius, validate=validate, slots=slots
         )
-        if index.pruner.use_ptolemaic:
-            assert not (got & ~triangle).any()
-        else:
-            assert (got == triangle).all()
+        want = _single_shot_masks(index.pruner, qmat, omat, radius, validate, slots)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
 
 
 @pytest.mark.parametrize("space_name", sorted(SPACES))
@@ -442,13 +449,12 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
     idx, dist = index._pivot_idx, index._pivot_dist
     triangle = np.abs(qdists[:, idx] - dist[None]).max(axis=2)
     n_q, n_o = triangle.shape
-    pair = pruner._ptolemaic_cells(
-        qdists, idx, dist, np.repeat(np.arange(n_q), n_o), np.tile(np.arange(n_o), n_q)
-    ).reshape(n_q, n_o)
-    full = pruner.lower_bounds_many_queries(qdists, idx, dist)
+    ci, cj = np.repeat(np.arange(n_q), n_o), np.tile(np.arange(n_o), n_q)
+    pair = pruner._ptolemaic_cells(qdists, dist, ci, cj, slots=idx).reshape(n_q, n_o)
+    full = pruner.lower_bounds_many_queries(qdists, dist, slots=idx)
     assert np.array_equal(full, np.maximum(triangle, pair))
     assert (pair > triangle).any()
-    lower, tighteners = pruner.knn_bounds(qdists, idx, dist)
+    lower, tighteners = pruner.knn_bounds(qdists, dist, slots=idx)
     assert np.array_equal(lower, triangle)
     some = np.arange(n_o)[::3][::-1]
     for i, tighten in enumerate(tighteners):
@@ -457,6 +463,40 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
         np.asarray(_queries(index.space)), index.space.dataset.objects
     )
     assert (full <= true_d + 1e-9).all()
+
+
+def test_a_slot_pair_naming_one_pivot_object_contributes_nothing():
+    """EPT's random groups may draw one object into two groups, and an
+    object may pick it in both slots: that slot pair's pivot distance is 0.
+    Its Ptolemaic term is 0, so every bound stays finite, and the cascade
+    still equals its single-shot reference and brute force."""
+    space = _l2_space()
+    objects = space.dataset.objects
+    pivot_ids = [0, 1, 0, 2]  # two groups of two, object 0 in both
+    # half the rows take object 0 in both slots, the rest objects 1 and 2
+    both = np.arange(N) % 2 == 0
+    pivot_idx = np.where(both[:, None], [0, 2], [1, 3]).astype(np.int32)
+    columns = space.distance.pairwise(objects, objects[pivot_ids])
+    pivot_dist = np.take_along_axis(columns, pivot_idx, axis=1)
+    index = EPT(space, pivot_ids, pivot_idx, pivot_dist, 2, columns.mean(axis=0))
+    pruner = index.pruner
+    assert pruner.use_ptolemaic and pruner.pair_matrix[0, 2] == 0.0
+    queries = _queries(space)
+    qmat, omat, slots = _table_of(index, queries)
+    n_q = len(queries)
+    cj = np.flatnonzero(both)
+    pair = pruner._ptolemaic_cells(
+        qmat, omat, np.repeat(np.arange(n_q), cj.size), np.tile(cj, n_q), slots=slots
+    )
+    assert (pair == 0.0).all()
+    full = pruner.lower_bounds_many_queries(qmat, omat, slots=slots)
+    assert np.isfinite(full).all()
+    for radius in (20.0, RADII["l2"], 120.0):
+        _assert_cascade_equals_single_shot(index, queries, radius)
+        assert index.range_query_many(queries, radius) == brute_force_range_many(
+            space, queries, radius
+        )
+    assert index.knn_query_many(queries, 10) == brute_force_knn_many(space, queries, 10)
 
 
 # -- zero-size normalization (satellite) --------------------------------------
@@ -507,7 +547,7 @@ def test_ptolemaic_bound_is_a_true_lower_bound():
     assert (bounds <= true_d + 1e-9).all()
     rows = np.arange(len(objects))
     cells = index.pruner._ptolemaic_cells(
-        qdists[None], index._rows, 0, rows, index.pruner.pairs, index.slack
+        qdists[None], index._rows, 0, rows, index.slack
     )
     assert index._rows.dtype == np.float32 and index.slack > 0
     assert (cells <= bounds).all()

@@ -9,7 +9,8 @@ both ``*_many`` forms, and save -> load, after which the mutations go on
 on the restored tree or on the saved one, whose written leaves the save
 folded back into its columns.  Every answer is checked against brute force over
 the live ids; an MRQ alone costs the compdists of a batch of one; a
-restore costs none.
+restore costs none.  ``test_table_stateful.py`` runs the pivot tables under
+the same rules.
 
 The settings are derandomised, so every run replays the same programs.
 """
@@ -162,10 +163,13 @@ class TreeIndexes(RuleBasedStateMachine):
         restored = load_index(path)
         assert restored.space.counters.distance_computations == 0
         assert restored.storage_bytes() == index.storage_bytes()
+        self._check_saved(index, restored)
+        # go on with either: the restored index, or the saved live one
+        self.indexes[name] = restored if data.draw(st.booleans()) else index
+
+    def _check_saved(self, index, restored):
         # the save folded the written leaves back into the live tree's columns
         assert index._flat.overlay == {} == restored._flat.overlay
-        # go on with either: the restored tree, or the folded live one
-        self.indexes[name] = restored if data.draw(st.booleans()) else index
 
 
 class LaTrees(TreeIndexes):
