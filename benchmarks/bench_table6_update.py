@@ -10,22 +10,35 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import (
+    DEFAULT_INDEX_NAMES,
+    build_all,
     exp_table7_ranking,
     format_ranking,
     format_table,
     run_updates,
 )
 
-from _bench_common import N_QUERIES, built_indexes, emit, workloads  # noqa: F401  (fixtures)
+from _bench_common import N_QUERIES, emit, workloads  # noqa: F401  (fixtures)
 
 N_UPDATES = max(10, N_QUERIES)
 
 
 @pytest.fixture(scope="module")
-def table6(workloads, built_indexes):
+def updated_indexes(workloads):
+    """Indexes of this module's own, not the session's ``built_indexes``: a
+    re-insert moves its row to the end of a scanning table, so updating
+    the shared indexes would change the storage order -- and so the
+    paper-order counts -- of every bench that runs later in the session."""
+    return {
+        wl_name: build_all(workloads[wl_name], DEFAULT_INDEX_NAMES)
+        for wl_name in ("LA", "Words")
+    }
+
+
+@pytest.fixture(scope="module")
+def table6(updated_indexes):
     rows = []
-    for wl_name in ("LA", "Words"):
-        indexes = built_indexes(wl_name)
+    for wl_name, indexes in updated_indexes.items():
         victims = list(range(10, 10 + N_UPDATES))
         for index_name, result in indexes.items():
             cost = run_updates(result.index, victims)
@@ -41,7 +54,7 @@ def table6(workloads, built_indexes):
     return rows
 
 
-def test_table6_update_costs(table6, benchmark, workloads, built_indexes):
+def test_table6_update_costs(table6, benchmark, updated_indexes):
     emit(
         "table6_updates",
         format_table(table6, title="Table 6: update costs", first_column="Dataset"),
@@ -55,7 +68,7 @@ def test_table6_update_costs(table6, benchmark, workloads, built_indexes):
         )
         # LAESA deletes by scan: few computations
         assert by_key[(wl_name, "LAESA")]["Compdists"] <= 2 * 5 + 1
-    index = built_indexes("Words")["MVPT"].index
+    index = updated_indexes["Words"]["MVPT"].index
     benchmark.pedantic(
         lambda: run_updates(index, [40, 41, 42]), rounds=3, iterations=1
     )

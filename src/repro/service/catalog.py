@@ -10,22 +10,32 @@ layers that fix it (catalog -> planner -> executor):
   instances over the *same* dataset, each with its own private
   :class:`~repro.core.counters.CostCounters` so the planner can attribute
   every batch's measured cost to exactly the member that ran it;
+* the members hold **one dataset**: ``register`` binds every member's
+  space to the primary's :class:`~repro.core.dataset.Dataset` object -- a
+  member over an equal copy (same length, distance, dtype and shape, then
+  the same objects) is rebound to it, anything else is refused -- so the
+  objects are resident once, and an insert the primary appends is the
+  object every other member registers under the same id;
 * **mutations fan out** to every member (same object, same id), so all
   members keep answering every query identically -- which is what lets the
   planner route any query to any member and lets one result-cache
-  namespace serve them all;
+  namespace serve them all.  A member that refuses its part is a
+  :class:`CatalogError`, raised after the members that had applied the
+  mutation undo it;
 * the whole catalog **snapshots as one unit**: ``save`` writes one
   ``{stem}.member{i:02d}.snap`` per member plus a ``{stem}.catalog.json``
   manifest (the same idiom as the cluster layer's shard manifests), and
-  ``load`` restores every member with zero distance computations.  A
-  plain ``.snap`` file *is* a catalog of one: ``load`` and ``reload`` read
-  either form, and a one-member ``save`` to a path not named
-  ``*.catalog.json`` writes the plain file.
+  ``load`` restores every member with zero distance computations.  The
+  objects are written once, in the primary's file; every later member's
+  file references them (see :mod:`repro.service.snapshot`) and loads only
+  through its manifest.  A plain ``.snap`` file *is* a catalog of one:
+  ``load`` and ``reload`` read either form, and a one-member ``save`` to a
+  path not named ``*.catalog.json`` writes the plain file.
 
 Members must be built on *separate* :class:`~repro.core.metric_space.
-MetricSpace` instances (over the same dataset): counters live on the
-space, and per-member cost attribution -- the planner's entire input --
-is impossible when two members share one accumulator.
+MetricSpace` instances over that one dataset: counters live on the space,
+and per-member cost attribution -- the planner's entire input -- is
+impossible when two members share one accumulator.
 """
 
 from __future__ import annotations
@@ -37,10 +47,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..core.counters import CostCounters
+from ..core.dataset import Dataset
 from ..core.index import MetricIndex
+from ..core.metric_space import MetricSpace
 from .snapshot import (
     SnapshotInfo,
+    _save,
+    _unpickle,
+    iter_components,
     load_index,
     rebind_counters,
     save_index,
@@ -145,6 +162,45 @@ def _member_snapshots(path) -> list[tuple[str | None, str]]:
     return [(None, path)]
 
 
+def _same_objects(a: Dataset, b: Dataset) -> bool:
+    """True when two datasets hold equal objects under one distance: the
+    length, the distance's name and the layout (dtype and shape) first,
+    then the objects themselves."""
+    if a is b:
+        return True
+    if (len(a), a.distance.name, a.is_vector) != (len(b), b.distance.name, b.is_vector):
+        return False
+    x, y = a.objects, b.objects
+    if a.is_vector:
+        return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    return x == y
+
+
+def _bind_dataset(index: MetricIndex, dataset: Dataset) -> None:
+    """Point every space of ``index`` over its own dataset at ``dataset``
+    (spaces over other data -- a sharded index's parts -- keep theirs)."""
+    own = index.space.dataset
+    for component in iter_components(index):
+        if isinstance(component, MetricSpace) and component.dataset is own:
+            component.dataset = dataset
+            component.distance = dataset.distance
+
+
+def _undone(applied, undo, message: str) -> CatalogError:
+    """The :class:`CatalogError` of a fan-out a member refused, once
+    ``undo`` has run on the members in ``applied`` (latest first); one it
+    failed on is named, as it no longer matches the rest."""
+    stuck = []
+    for m in reversed(applied):
+        try:
+            undo(m.index)
+        except Exception as exc:
+            stuck.append(f"{m.index_id!r} ({exc})")
+    if stuck:
+        message += f"; undoing it failed on {', '.join(stuck)}"
+    return CatalogError(message)
+
+
 class IndexCatalog:
     """Named hosted indexes over one dataset, kept answer-equivalent.
 
@@ -174,7 +230,9 @@ class IndexCatalog:
         to host two instances of one family).  The index is rebound to
         ``counters`` (a fresh private accumulator when omitted) so its
         cost is attributable separately from every other member's --
-        which is why members must not share a ``MetricSpace``.
+        which is why members must not share a ``MetricSpace`` -- and to
+        the catalog's dataset, the primary's: a member over an equal copy
+        leaves the copy behind, one over other objects is refused.
         """
         member_id = index_id if index_id is not None else index.name
         counters = counters if counters is not None else CostCounters()
@@ -188,18 +246,16 @@ class IndexCatalog:
                         f"{other.index_id!r}; build each member on its own "
                         "space so costs attribute per member"
                     )
-                if len(other.index.space.dataset) != len(index.space.dataset) or (
-                    other.index.space.dataset.distance.name
-                    != index.space.dataset.distance.name
-                ):
+            if self._members:
+                primary = self.primary
+                ours, theirs = primary.index.space.dataset, index.space.dataset
+                if not _same_objects(ours, theirs):
                     raise CatalogError(
                         f"member {member_id!r} hosts a different dataset than "
-                        f"{other.index_id!r} ({len(index.space.dataset)} objects "
-                        f"under {index.space.dataset.distance.name!r} vs "
-                        f"{len(other.index.space.dataset)} under "
-                        f"{other.index.space.dataset.distance.name!r}); catalog "
-                        "members must answer every query identically"
+                        f"{primary.index_id!r} ({theirs!r} vs {ours!r}); "
+                        "catalog members must answer every query identically"
                     )
+                _bind_dataset(index, ours)
             rebind_counters(index, counters)
             self._members[member_id] = CatalogMember(member_id, index, counters)
         return member_id
@@ -247,42 +303,47 @@ class IndexCatalog:
     def insert(self, obj, object_id: int | None = None) -> int:
         """Insert into every member, forcing one shared object id.
 
-        The primary assigns (or validates) the id; every other member is
-        told that id explicitly so all members keep answering
-        identically.  A member that cannot insert raises -- after the
-        primary already has -- so the failure is loud (a
-        :class:`CatalogError` naming the divergence), never a silently
-        inconsistent catalog.
+        The primary assigns (or validates) the id -- appending ``obj`` to
+        the one dataset when ``object_id`` is None -- and every other
+        member registers that slot explicitly, so all members keep
+        answering identically.  A member that cannot insert is a
+        :class:`CatalogError` naming the divergence, raised after the
+        members that had inserted delete the id again (the appended slot
+        stays in the dataset, indexed by no member).
         """
         members = self.members()
         new_id = members[0].index.insert(obj, object_id=object_id)
-        for m in members[1:]:
+        for i, m in enumerate(members[1:], 1):
             try:
                 got = m.index.insert(obj, object_id=new_id)
+                if got != new_id:
+                    m.index.delete(got)
+                    raise CatalogError(f"it assigned id {got}")
             except Exception as exc:
-                raise CatalogError(
+                raise _undone(
+                    members[:i],
+                    lambda index: index.delete(new_id),
                     f"insert fan-out diverged: member {m.index_id!r} failed "
-                    f"after {members[0].index_id!r} inserted id {new_id} ({exc})"
+                    f"after {members[0].index_id!r} inserted id {new_id} ({exc})",
                 ) from exc
-            if got != new_id:
-                raise CatalogError(
-                    f"insert fan-out diverged: member {m.index_id!r} assigned "
-                    f"id {got}, primary assigned {new_id}"
-                )
         return new_id
 
     def delete(self, object_id: int) -> None:
-        """Delete one object from every member (loud on divergence)."""
+        """Delete one object from every member.  A member that cannot is a
+        :class:`CatalogError`, raised after the members that had deleted
+        insert ``dataset[object_id]`` back under its id."""
         members = self.members()
         members[0].index.delete(object_id)
-        for m in members[1:]:
+        for i, m in enumerate(members[1:], 1):
             try:
                 m.index.delete(object_id)
             except Exception as exc:
-                raise CatalogError(
+                obj = members[0].index.space.dataset[object_id]
+                raise _undone(
+                    members[:i],
+                    lambda index: index.insert(obj, object_id=object_id),
                     f"delete fan-out diverged: member {m.index_id!r} failed "
-                    f"after {members[0].index_id!r} deleted id {object_id} "
-                    f"({exc})"
+                    f"after {members[0].index_id!r} deleted id {object_id} ({exc})",
                 ) from exc
 
     # -- snapshots -----------------------------------------------------------
@@ -291,10 +352,11 @@ class IndexCatalog:
         """Snapshot every member; returns the path :meth:`load` takes.
 
         Writes ``{stem}.member{i:02d}.snap`` per member and a
-        ``{stem}.catalog.json`` manifest naming them in order.  A catalog
-        of one saved to a path not named ``*.catalog.json`` is written as
-        the plain snapshot at exactly that path -- the format that holds
-        one index.
+        ``{stem}.catalog.json`` manifest naming them in order.  The
+        primary's file holds the dataset; every later member's references
+        it, so the objects are on disk once.  A catalog of one saved to a
+        path not named ``*.catalog.json`` is written as the plain snapshot
+        at exactly that path -- the format that holds one index.
         """
         path = Path(path)
         members = self.members()
@@ -303,10 +365,12 @@ class IndexCatalog:
             return path
         stem = manifest_stem(path, ".catalog.json")
         stem.parent.mkdir(parents=True, exist_ok=True)
+        manifest_path = stem.parent / f"{stem.name}.catalog.json"
+        shared = (members[0].index.space.dataset, manifest_path.name)
         entries = []
         for i, m in enumerate(members):
             part = stem.parent / f"{stem.name}.member{i:02d}.snap"
-            info = save_index(m.index, part)
+            info = _save(m.index, part, shared if i else None)
             entries.append(
                 {
                     "id": m.index_id,
@@ -323,7 +387,6 @@ class IndexCatalog:
             "n_objects": len(space),
             "members": entries,
         }
-        manifest_path = stem.parent / f"{stem.name}.catalog.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         return manifest_path
 
@@ -335,19 +398,27 @@ class IndexCatalog:
         plain snapshot (a member named after its index's paper name);
         several paths concatenate.  Ids that collide are deduplicated
         with ``#2``, ``#3``, ... so two snapshots of one family can be
-        hosted side by side.
+        hosted side by side.  A manifest's later members resolve their
+        dataset reference to its first member's restored dataset; members
+        that each hold their own copy -- plain files, manifests written
+        before the objects were saved once -- share one by
+        :meth:`register`.
         """
         catalog = cls()
         for path in paths:
+            dataset = None
             for member_id, snapshot in _member_snapshots(path):
                 counters = CostCounters()
-                index = load_index(snapshot, counters=counters)
+                index = _unpickle(snapshot, dataset=dataset)
+                rebind_counters(index, counters)
                 base = member_id if member_id is not None else index.name
                 member_id, suffix = base, 2
                 while member_id in catalog:
                     member_id = f"{base}#{suffix}"
                     suffix += 1
                 catalog.register(index, index_id=member_id, counters=counters)
+                if dataset is None:
+                    dataset = index.space.dataset
         return catalog
 
     def reload(self, path) -> SnapshotInfo:

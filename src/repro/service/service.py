@@ -496,7 +496,8 @@ class QueryService:
         in the index that keeps serving, never in one a concurrent
         :meth:`reload_from_snapshot` is about to discard.  The insert fans
         out to every member (same object, same id, loud on divergence) so
-        all members stay answer-equivalent."""
+        all members stay answer-equivalent; a fan-out a member refuses is
+        undone before it raises, so the cached answers still hold."""
         with self._reload_lock:
             new_id = self.catalog.insert(obj, object_id=object_id)
             distance = self.index.space.distance

@@ -49,7 +49,12 @@ Multi-index deployments compose this format rather than extend it: an
 member plus a ``{stem}.catalog.json`` manifest naming them (the same
 idiom as the cluster layer's shard manifests), and the cluster layer's
 ``save_split`` writes per-shard ``.snap`` files behind a
-``.cluster.json`` manifest.
+``.cluster.json`` manifest.  The members of a catalog share one dataset,
+and its objects are written once: the primary's file holds the dataset,
+and every later member's pickle names it by a second kind of persistent
+reference, ``("catalog-dataset", manifest name)``, which only the
+catalog's loader resolves -- :func:`load_index` of such a member file
+alone is a :class:`SnapshotError` naming its manifest.
 """
 
 from __future__ import annotations
@@ -91,6 +96,9 @@ _REGION_ALIGN = 4096
 # arrays smaller than this stay inline in the pickle -- a region entry,
 # its alignment slack, and an mmap each cost more than they save
 _MIN_REGION_BYTES = 4096
+
+# the persistent reference a catalog member's pickle names its dataset by
+_DATASET_REF = "catalog-dataset"
 
 # dtype kinds that may live in regions: bool, (un)signed ints, floats,
 # complex -- anything bit-copyable; object/str arrays stay in the pickle
@@ -222,14 +230,22 @@ class _SnapshotPickler(pickle.Pickler):
     ``reducer_override`` sends :class:`PageStore` through its packed
     region form -- the flat uint8 page image then gets caught by
     ``persistent_id`` like any other array.
+
+    ``shared`` is a catalog member's ``(dataset, manifest name)``: that
+    dataset object is not written, only a ``("catalog-dataset", manifest
+    name)`` reference the catalog's loader resolves to its primary's.
     """
 
-    def __init__(self, file):
+    def __init__(self, file, shared=None):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self.regions: list[np.ndarray] = []
         self._region_by_id: dict[int, int] = {}
+        # a fresh object stands in for no dataset: no object of the graph is it
+        self._shared, self._manifest = shared or (object(), None)
 
     def persistent_id(self, obj):
+        if obj is self._shared:
+            return (_DATASET_REF, self._manifest)
         if (
             isinstance(obj, np.ndarray)
             and obj.dtype.kind in _REGION_KINDS
@@ -264,11 +280,14 @@ class _SnapshotUnpickler(pickle.Unpickler):
     index stays fully mutable and the file is never modified.
     """
 
-    def __init__(self, file, path: Path, table: list[dict], regions_start: int):
+    def __init__(
+        self, file, path: Path, table: list[dict], regions_start: int, dataset=None
+    ):
         super().__init__(file)
         self._path = path
         self._table = table
         self._regions_start = regions_start
+        self._dataset = dataset
         self._loaded: dict[int, np.ndarray] = {}
 
     def find_class(self, module, name):
@@ -285,6 +304,14 @@ class _SnapshotUnpickler(pickle.Unpickler):
             kind, idx = pid
         except (TypeError, ValueError):
             raise SnapshotError(f"{self._path} has an unknown reference {pid!r}")
+        if kind == _DATASET_REF:
+            if self._dataset is None:
+                raise SnapshotError(
+                    f"{self._path} is a catalog member whose objects live in "
+                    f"the catalog's primary; load it through its manifest "
+                    f"{self._path.parent / str(idx)}"
+                )
+            return self._dataset
         if kind != "ndarray-region" or not 0 <= idx < len(self._table):
             raise SnapshotError(
                 f"{self._path} references region {pid!r} outside its region table"
@@ -312,11 +339,18 @@ def save_index(index: MetricIndex, path) -> SnapshotInfo:
     writes the versioned header, the array regions, and the pickle of the
     remaining index graph.
     """
+    return _save(index, path)
+
+
+def _save(index: MetricIndex, path, shared=None) -> SnapshotInfo:
+    """:func:`save_index`; a catalog member passes ``shared``, the
+    ``(dataset, manifest name)`` its pickle references (see
+    :class:`_SnapshotPickler`)."""
     index.prepare_snapshot()
     for pager in _pagers_of(index):
         pager.prepare_snapshot()
     buffer = io.BytesIO()
-    pickler = _SnapshotPickler(buffer)
+    pickler = _SnapshotPickler(buffer, shared)
     pickler.dump(index)
     payload = buffer.getvalue()
     regions = pickler.regions
@@ -474,12 +508,15 @@ def snapshot_info(path) -> SnapshotInfo:
     return info
 
 
-def _unpickle(path, unpickler=_SnapshotUnpickler, formats=(SNAPSHOT_FORMAT_VERSION,)):
+def _unpickle(
+    path, unpickler=_SnapshotUnpickler, formats=(SNAPSHOT_FORMAT_VERSION,), dataset=None
+):
     """The index a snapshot of one of ``formats`` holds, through
     ``unpickler`` (a :class:`_SnapshotUnpickler` class); any other format
     is a :class:`SnapshotError` naming ``repro migrate``.  Format 1 has no
     regions, its payload following the header; later formats have the
-    region table checked before anything is mapped or unpickled."""
+    region table checked before anything is mapped or unpickled.
+    ``dataset`` is what a catalog member's dataset reference resolves to."""
     path = Path(path)
     with open(path, "rb") as fh:
         info, header, prefix_len = _read_header(fh, path)
@@ -499,7 +536,7 @@ def _unpickle(path, unpickler=_SnapshotUnpickler, formats=(SNAPSHOT_FORMAT_VERSI
         fh.seek(payload_start)
         payload = io.BytesIO(fh.read(info.payload_bytes))
     try:
-        index = unpickler(payload, path, table, regions_start).load()
+        index = unpickler(payload, path, table, regions_start, dataset).load()
     except SnapshotError:
         raise
     except Exception as exc:
@@ -518,7 +555,8 @@ def load_index(path, counters: CostCounters | None = None) -> MetricIndex:
     the tables, trees, and page stores come back exactly as saved -- the
     heavy arrays as copy-on-write memmaps, so the restore cost is the
     pickle skeleton, not the vector table.  A file of an older format is
-    a :class:`SnapshotError` that names ``repro migrate``.
+    a :class:`SnapshotError` that names ``repro migrate``, and a catalog
+    member saved without its objects one that names its manifest.
     """
     index = _unpickle(path)
     rebind_counters(index, counters if counters is not None else CostCounters())
