@@ -1,5 +1,6 @@
-"""The k-NN answer type, the bounded k-NN heap, and the one MkNNQ
-verification order of the pivot-table family.
+"""The k-NN answer type, the bounded k-NN heap, and the two MkNNQ
+verification orders: the pivot tables' bound column, and the paged
+indexes' best-first walk.
 
 Defines the two query types of Section 2.1:
 
@@ -21,11 +22,16 @@ callback, are paid only for the rows a query can still reach
 verified).  The paper's own LAESA order -- rows as stored, the accounting
 its Fig. 17 reports -- is a finding, not a query path: it lives beside the
 Fig. 17 regenerator, in :mod:`repro.bench.experiments`.
+
+The paged indexes (OmniR-tree, M-index*, SPB-tree, M-tree / PM-tree) have
+no column to sort: their MkNNQ is :func:`best_first_walk`, one queue of
+nodes and entries that each index only expands and verifies.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +42,7 @@ __all__ = [
     "KnnHeap",
     "best_first_knn",
     "best_first_knn_many",
+    "best_first_walk",
 ]
 
 
@@ -181,6 +188,43 @@ def best_first_knn_many(columns, k: int) -> list[list[Neighbor]]:
         best_first_knn(row, row_ids, k, verify, tighten)
         for row, tighten, verify in zip(lower, tighteners, verifiers)
     ]
+
+
+def best_first_walk(
+    k: int, root, expand: Callable, verify: Callable | None
+) -> list[Neighbor]:
+    """Exact MkNNQ by one best-first walk over a paged index.
+
+    One queue of ``(bound, arrival, is_entry, item)``; ties pop in arrival
+    order, so items are never compared.  ``expand(node, bound, heap)``
+    reads a popped node and returns ``(items, bounds, are_entries)``: its
+    children or its entries (object ids) under lower bounds of their
+    distance to the query; only those within the radius are queued.  A
+    popped entry is verified: ``verify(entry, radius)`` returns d(q, entry),
+    or ``None`` when a bound read with its record exceeds the radius.  The
+    first pop bounded above the radius ends the walk.  An expansion that
+    verifies its entries itself, in node order (the M-tree's leaves),
+    offers them to ``heap`` and returns none; its index passes ``None`` as
+    ``verify``.
+    """
+    heap = KnnHeap(k)
+    arrival = itertools.count()
+    queue = [(0.0, next(arrival), False, root)]
+    while queue:
+        bound, _, is_entry, item = heapq.heappop(queue)
+        if bound > heap.radius:
+            break
+        if is_entry:
+            distance = verify(item, heap.radius)
+            if distance is not None:
+                heap.consider(item, distance)
+            continue
+        items, bounds, are_entries = expand(item, bound, heap)
+        radius = heap.radius
+        for below, below_bound in zip(items, bounds):
+            if below_bound <= radius:
+                heapq.heappush(queue, (below_bound, next(arrival), are_entries, below))
+    return heap.neighbors()
 
 
 class KnnHeap:

@@ -21,7 +21,8 @@ on routing nodes.  The first insert decides whether a tree carries them.
 There is one body per query type, and every user of the tree runs it:
 :meth:`MTree.range_search` (one descent for a batch of queries with active
 query subsets; a single query is a batch of one) and :meth:`MTree.knn_search`
-(one best-first walk).  A node's pruning tests run as arrays over its
+(the paged indexes' :func:`~repro.core.queries.best_first_walk`, a leaf
+verified in node order).  A node's pruning tests run as arrays over its
 entries -- the parent-distance prefilter, and, where the node has vector
 columns and the caller mapped its queries, Lemma 1 on ``vecs`` or on the
 MBBs -- so the PM-tree is this tree with a pivot filter, not a second walk.
@@ -36,7 +37,6 @@ correct, radii stay conservative), as in production M-tree implementations.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import pickle
 from typing import Iterator
@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.metric_space import MetricSpace
 from ..core.pivot_filter import lower_bound_many_queries
-from ..core.queries import KnnHeap, Neighbor
+from ..core.queries import Neighbor, best_first_walk
 from ..storage.pager import Pager
 
 __all__ = ["MTree", "MNode"]
@@ -481,28 +481,24 @@ class MTree:
         return [sorted(r) for r in results]
 
     def knn_search(self, query_obj, k: int, query_vector=None) -> list[Neighbor]:
-        """MkNNQ, best-first by the larger of the ball and box bounds.
+        """MkNNQ, :func:`~repro.core.queries.best_first_walk` over nodes by
+        the larger of the ball and box bounds.
 
         A node's parent-distance gaps and (with ``query_vector`` = I(q) and
         vector columns) its Lemma 1 / MBB bounds are computed as arrays when
         the node is read; its entries are then considered in node order
-        against the live heap radius, so a distance is computed exactly
-        when an entry-at-a-time walk would compute it.
+        against the live heap radius -- a leaf's verified there (Ciaccia's
+        algorithm) -- so a distance is computed exactly when an
+        entry-at-a-time walk would compute it.
         """
-        heap = KnnHeap(k)
-        counter = itertools.count()
         qvec = None if query_vector is None else np.asarray(query_vector, dtype=np.float64)[None]
-        pq: list[tuple[float, int, int, float | None]] = [
-            (0.0, next(counter), self.root_page, None)
-        ]
-        while pq:
-            bound, _, page_id, d_parent = heapq.heappop(pq)
-            if bound > heap.radius:
-                break
+
+        def expand(item, _bound, heap):
+            page_id, d_parent = item
             node = self.read_node(page_id)
             n = len(node)
             if not n:
-                continue
+                return (), (), False
             gaps = [0.0] * n if d_parent is None else np.abs(d_parent - node.parent_dists).tolist()
             if node.is_leaf:
                 lower = [0.0] * n
@@ -510,23 +506,23 @@ class MTree:
                     lower = lower_bound_many_queries(qvec, node.vecs)[0].tolist()
                 for object_id, obj, gap, low in zip(node.ids.tolist(), node.objs, gaps, lower):
                     r = heap.radius
-                    if gap > r or low > r:
-                        continue
-                    heap.consider(object_id, self.space.d(query_obj, obj))
-                continue
+                    if gap <= r and low <= r:
+                        heap.consider(object_id, self.space.d(query_obj, obj))
+                return (), (), False
             boxes = [0.0] * n
             if qvec is not None and node.lows is not None:
                 boxes = lower_bound_many_queries(qvec, node.lows, node.highs)[0].tolist()
+            children, bounds = [], []
             entries = zip(node.child_pages.tolist(), node.objs, node.radii.tolist(), gaps, boxes)
             for child_page, obj, radius, gap, box in entries:
                 r = heap.radius
-                if gap > r + radius or box > r:
-                    continue
-                d = self.space.d(query_obj, obj)
-                child_bound = max(0.0, d - radius, box)
-                if child_bound <= heap.radius:
-                    heapq.heappush(pq, (child_bound, next(counter), child_page, d))
-        return heap.neighbors()
+                if gap <= r + radius and box <= r:
+                    d = self.space.d(query_obj, obj)
+                    children.append((child_page, d))
+                    bounds.append(max(0.0, d - radius, box))
+            return children, bounds, False
+
+        return best_first_walk(k, (self.root_page, None), expand, None)
 
     # -- iteration / diagnostics ----------------------------------------------------------
 

@@ -7,9 +7,8 @@ with their MBBs.  Supported operations:
 * STR (sort-tile-recursive) bulk load -- the construction path,
 * insert with least-margin-enlargement choose-subtree and quadratic split,
 * delete with condense-and-reinsert,
-* rectangle range search (SR(q) intersection, Lemma 1),
-* best-first incremental nearest search under the L-infinity mindist, which
-  lower-bounds the metric distance d(q, o) (drives MkNNQ).
+* rectangle range search (SR(q) intersection, Lemma 1); MkNNQ is the
+  OmniR-tree's :func:`~repro.core.queries.best_first_walk` over its nodes.
 
 All node traffic flows through the shared :class:`~repro.storage.pager.Pager`
 and is therefore counted as page accesses.
@@ -17,7 +16,6 @@ and is therefore counted as page accesses.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +23,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from ..core.pivot_filter import lower_bound_many_queries
 from ..storage.pager import Pager
 from .geometry import Rect
 
@@ -399,33 +396,6 @@ class RTree:
                     if rect.intersects(child_rect):
                         stack.append(child)
         return results
-
-    def nearest_linf(self, point) -> Iterator[tuple[float, np.ndarray, Any]]:
-        """Best-first enumeration of entries by L-infinity mindist to ``point``.
-
-        Yields (mindist, entry_point, payload) in nondecreasing mindist
-        order; the caller stops consuming once its search radius is beaten,
-        so node reads are lazy and counted only when popped.
-        """
-        point = np.asarray(point, dtype=np.float64)
-        counter = itertools.count()
-        heap: list[tuple[float, int, bool, Any]] = []
-        heapq.heappush(heap, (0.0, next(counter), False, self.root_page))
-        while heap:
-            dist, _, is_entry, payload = heapq.heappop(heap)
-            if is_entry:
-                entry_point, entry_payload = payload
-                yield dist, entry_point, entry_payload
-                continue
-            node = self.pager.read(payload)
-            if node.is_leaf:
-                bounds = lower_bound_many_queries(point, node.points)[0].tolist()
-                for d, p, pl in zip(bounds, node.points, node.payloads):
-                    heapq.heappush(heap, (d, next(counter), True, (p, pl)))
-            else:
-                bounds = lower_bound_many_queries(point, *node.boxes())[0].tolist()
-                for d, child in zip(bounds, node.children):
-                    heapq.heappush(heap, (d, next(counter), False, child))
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro import (
     make_uniform,
     make_words,
 )
+from repro.core import queries
+from repro.core.queries import best_first_walk
 
 
 class TestCounters:
@@ -224,6 +228,100 @@ class TestKnnHeap:
     def test_neighbor_ordering(self):
         assert Neighbor(1.0, 5) < Neighbor(2.0, 1)
         assert Neighbor(1.0, 1) < Neighbor(1.0, 2)
+
+
+def _toy_tree():
+    """A root over four leaves; an entry is ``(object id, bound)`` and its
+    distance is ``_TOY_DISTANCES[id]``.  Nodes are dicts, which do not
+    order, so a tie the walk broke by comparing items would raise."""
+    a = {"entries": [(5, 1.0), (6, 1.5)]}
+    b = {"entries": [(1, 2.0), (7, 2.5)]}
+    c = {"entries": [(0, 4.0)]}
+    d = {"entries": [(3, 2.2)]}
+    return {"children": [(a, 0.0), (b, 2.0), (d, 2.0), (c, 4.0)]}
+
+
+_TOY_DISTANCES = {5: 1.0, 6: 2.0, 1: 2.0, 7: 3.0, 0: 4.0, 3: 2.2}
+_TOY_BOUNDS = {5: 1.0, 6: 1.5, 1: 2.0, 7: 2.5, 0: 4.0, 3: 2.2}
+
+
+def _toy_distance(object_id, _radius):
+    return _TOY_DISTANCES[object_id]
+
+
+def _toy_walk(k, root=None, verify=_toy_distance, permute=lambda items: items, expanded=None):
+    def expand(node, _bound, _heap):
+        if expanded is not None:
+            expanded.append(node)
+        is_entry = "entries" in node
+        items = permute(list(node["entries" if is_entry else "children"]))
+        return [item for item, _ in items], [bound for _, bound in items], is_entry
+
+    return best_first_walk(k, _toy_tree() if root is None else root, expand, verify)
+
+
+class TestBestFirstWalk:
+    """:func:`~repro.core.queries.best_first_walk` on a hand-built tree.
+
+    With k = 2 the radius is 2.0 once objects 5 and 6 are verified; object
+    1 ties 6 at that radius with a smaller id, and both its leaf's bound
+    and its own equal the radius when they are pushed and popped."""
+
+    ANSWER = [Neighbor(1.0, 5), Neighbor(2.0, 1)]
+
+    def test_ties_at_the_kth_distance_are_canonical_in_any_arrival_order(self):
+        for order in itertools.permutations(range(4)):
+            for flip in (False, True):
+
+                def permute(items, order=order, flip=flip):
+                    if len(items) == 4:
+                        items = [items[i] for i in order]
+                    return items[::-1] if flip else items
+
+                assert _toy_walk(2, permute=permute) == self.ANSWER, (order, flip)
+
+    def test_a_verify_returning_none_never_reaches_the_heap(self):
+        def verify(object_id, _radius):
+            return None if object_id == 5 else _TOY_DISTANCES[object_id]
+
+        assert _toy_walk(2, verify=verify) == [Neighbor(2.0, 1), Neighbor(2.0, 6)]
+
+    def test_no_entry_is_verified_or_node_expanded_past_the_radius(self):
+        calls = []
+
+        def verify(object_id, radius):
+            calls.append((object_id, radius))
+            return _TOY_DISTANCES[object_id]
+
+        expanded = []
+        assert _toy_walk(2, verify=verify, expanded=expanded) == self.ANSWER
+        assert all(_TOY_BOUNDS[object_id] <= radius for object_id, radius in calls)
+        assert [object_id for object_id, _ in calls] == [5, 6, 1]
+        # the root and every leaf but the one bounded at 4.0
+        assert len(expanded) == 4
+        assert all(node["entries"] != [(0, 4.0)] for node in expanded[1:])
+
+    def test_an_item_bounded_past_the_radius_is_never_queued(self, monkeypatch):
+        queued = []
+        push = queries.heapq.heappush
+
+        def recording_push(queue, item):
+            if len(item) == 4:  # the walk's queue, not a KnnHeap's
+                queued.append(item[3])
+            push(queue, item)
+
+        monkeypatch.setattr(queries.heapq, "heappush", recording_push)
+        assert _toy_walk(2) == self.ANSWER
+        # 7 (bound 2.5) and 3 (2.2) are reached once the radius is 2.0
+        assert sorted(item for item in queued if isinstance(item, int)) == [1, 5, 6]
+
+    def test_k_at_least_the_entries_returns_them_all(self):
+        want = sorted(Neighbor(d, i) for i, d in _TOY_DISTANCES.items())
+        assert _toy_walk(len(_TOY_DISTANCES)) == want
+        assert _toy_walk(50) == want
+
+    def test_an_empty_root_returns_nothing(self):
+        assert _toy_walk(3, root={"children": []}) == []
 
 
 class TestBruteForce:

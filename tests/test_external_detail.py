@@ -114,6 +114,17 @@ class TestOmniDetail:
         assert object_id == 42 and np.array_equal(obj, la[42])
         assert counters.page_reads == 1
 
+    def test_rtree_knn_skips_an_entry_whose_record_is_gone(self, la, la_pivots, monkeypatch):
+        """A delete whose R-tree entry is not found leaves the entry behind;
+        the walk drops it at its pop, without reading its record."""
+        index = OmniRTree.build(MetricSpace(la, CostCounters()), la_pivots)
+        monkeypatch.setattr(index.rtree, "delete", lambda point, payload: False)
+        q = la[17]
+        nearest = [n.object_id for n in brute_force_knn(MetricSpace(la), q, 4)]
+        index.delete(nearest[0])
+        assert len(index.rtree) == len(la)  # the entry is still there
+        assert [n.object_id for n in index.knn_query(q, 3)] == nearest[1:]
+
     @pytest.mark.parametrize(
         "cls", [OmniSequentialFile, OmniBPlusTree, OmniRTree]
     )
@@ -390,6 +401,23 @@ class TestSPBTreeDetail:
             assert index.range_query(q, 1.0) == brute_force_range(space, q, 1.0)
             want = brute_force_knn(space, q, 5)
             assert [n.object_id for n in index.knn_query(q, 5)] == [n.object_id for n in want]
+
+    def test_k_past_the_live_count_walks_as_k_equal_to_it(self):
+        """Once every live object is verified the radius is final: a walk
+        for more neighbours than there are objects stops there, and does
+        not read the subtrees of deleted far objects, whose boxes stay."""
+        dataset = make_la(200, seed=5)
+        pivots = select_pivots(MetricSpace(dataset), 4, strategy="hfi", seed=3)
+        index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots, page_size=1024)
+        for far_id in [index.insert(dataset[i] * 3.0 + 50_000.0) for i in range(120)]:
+            index.delete(far_id)
+        counters = index.space.counters
+        costs = []
+        for k in (200, 210):
+            before = counters.counts()
+            assert len(index.knn_query(dataset[3], k)) == 200
+            costs.append(counters.delta_since(before))
+        assert costs[0] == costs[1]
 
 
 class TestDEPTDetail:

@@ -108,19 +108,6 @@ class TestRTree:
         tree.check_invariants()
         assert len(tree) == 200
 
-    def test_nearest_order_and_completeness(self):
-        pts = self._data(500, seed=2)
-        tree = RTree(Pager(page_size=1024), dims=3)
-        tree.bulk_load(pts, range(500))
-        q = np.array([50.0, 50.0, 50.0])
-        stream = [next(tree.nearest_linf(q)) for _ in range(1)]  # restartable
-        it = tree.nearest_linf(q)
-        got = [next(it) for _ in range(20)]
-        dists = [g[0] for g in got]
-        assert dists == sorted(dists)
-        brute = np.sort(np.abs(pts - q).max(axis=1))[:20]
-        assert np.allclose(dists, brute)
-
     def test_internal_node_boxes_are_its_rects(self):
         pts = self._data(500, seed=2)
         tree = RTree(Pager(page_size=1024), dims=3)
@@ -135,7 +122,6 @@ class TestRTree:
     def test_empty_tree(self):
         tree = RTree(Pager(page_size=512), dims=2)
         assert tree.search_rect(Rect([0, 0], [1, 1])) == []
-        assert list(tree.nearest_linf([0, 0])) == []
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
