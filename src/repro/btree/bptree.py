@@ -21,7 +21,8 @@ Design points:
   boxes wide, which is conservative.
 * **Bulk load** builds a compact tree from sorted input (used at index
   construction time, like the paper's bottom-up builds), ``_BULK_FILL`` of
-  each node full so that later inserts find room.  It takes a leaf's own
+  each node full so that later inserts find room; a last leaf under half
+  full joins the one before when the two fit a leaf.  It takes a leaf's own
   columns -- keys and values, plus the cells -- checks key order and the
   cell count on them before any page is written, places the leaf
   boundaries by arithmetic and lists each leaf's rows with one ``tolist``
@@ -33,10 +34,10 @@ Design points:
 kinds and raw-bytes packing (:func:`~repro.storage.raf.pack_column`).  A
 leaf row is ``(key, value[, cell])``, one leaf layout for every tree::
 
-    column   kind                           bytes a row
-    key      int64 / float64 / pickled      8 / 8 / its pickle
-    value    int64 / float64 / pickled      8 / 8 / its pickle
-    cell     (rows, l) block, cell dtype    l x itemsize
+    column   kind                                   bytes a row
+    key      int32 / int64 / float64 / pickled      4 / 8 / 8 / its pickle
+    value    int32 / int64 / float64 / pickled      4 / 8 / 8 / its pickle
+    cell     (rows, l) block, cell dtype            l x itemsize
 
 An internal node holds ``separators`` (the key column's kind), ``children``
 (int64 page ids) and the ``c x l`` ``lows`` / ``highs`` of a tree whose
@@ -44,24 +45,31 @@ entries carry cells.  A node holds its columns as lists (and its cells and
 boxes as arrays) in memory, so a read is one ``frombuffer`` a column.  The
 kinds are chosen when a node is pickled, by the function that also packs
 the column (``_typed``): one pass over the values' types decides -- every
-value an ``int`` gives ``int64`` unless the encode raises ``OverflowError``
-(an int past int64), every value a ``float`` gives ``float64``, and
-anything else (the M-index's tuples, a ``bool``, an int / float mix) a
-pickled list.  On a 161-row leaf column the type pass
-(``set(map(type, values))``) takes 4 us, where a type test a value plus a
-``min`` and a ``max`` took 12 (2-core x86 VM).  Fan-out is arithmetic:
-``(page_size - header) // row bytes``, the header being what the node's
-empty form pickles to (plus each raw buffer's length opcode and memo) and
-the row bytes those of the first entry the tree is given.
+value an ``int`` gives ``int32``, unless its encode raises ``OverflowError``
+(an int past int32), then ``int64``, unless that encode raises too (an int
+past int64), every value a ``float`` gives ``float64``, and anything else
+(the M-index's tuples, a ``bool``, an int / float mix) a pickled list.  On a
+161-row leaf column the type pass (``set(map(type, values))``) takes 4 us,
+where a type test a value plus a ``min`` and a ``max`` took 12 (2-core x86
+VM); an int32 encode that fails does so at its first wide value.  Fan-out
+is arithmetic: ``(page_size - header) // row bytes``, the header being what
+the node's empty form pickles to (plus each raw buffer's length opcode and
+memo) and the row bytes those of the first entry the tree is given -- an
+int key at int64 width, whatever the first one's (keys grow: a Hilbert key
+past the first few outgrows int32), and the value at its kind's, which the
+tree then holds every value to: a value of a wider kind (an id past int32
+in a tree of int32 ids) is refused before any page is written.  A tree
+pickled before values were typed keeps the capacities it was built with,
+its values held to int64.
 
 Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 8-bit grid,
-4 KB pages): a row is an int64 Hilbert key and an int64 object id plus 5
-``uint8`` cell bytes, 21 B; the header is 95 B, so a leaf takes
-``(4096 - 95) // 21 = 190`` rows and a bulk-loaded leaf 161 (a blob of at
-most 95 + 161 * 21 = 3 476 B).  20 000 objects fill 125 leaves under one
-root, where rows that also held the record's RAF page and slot (37 B)
-filled 223 and key / value lists sized by one entry's standalone pickle
-(93 B a row) 556.
+4 KB pages): a row is a Hilbert key charged at int64 width, an int32 object
+id and 5 ``uint8`` cell bytes, 17 B; the header is 95 B, so a leaf takes
+``(4096 - 95) // 17 = 235`` rows and a bulk-loaded leaf 199 (a blob of at
+most 95 + 199 * 17 = 3 478 B).  20 000 objects fill 101 leaves under one
+root, where int64 ids (21 B rows) filled 125, rows that also held the
+record's RAF page and slot (37 B) 223, and key / value lists sized by one
+entry's standalone pickle (93 B a row) 556.
 
 Trees written when leaves were key / value lists, or whose values were
 ``(object id, RAF pointer)`` pairs, are converted by ``repro migrate``
@@ -73,6 +81,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+from array import array
 import itertools
 import operator
 import pickle
@@ -80,12 +89,13 @@ import pickle
 import numpy as np
 
 from ..storage.pager import Pager
-from ..storage.raf import encode_column, field_bytes, pack_column, unpack_column
+from ..storage.raf import encode_column, field_bytes, int_kind, pack_column, unpack_column
 
 __all__ = ["BPlusTree", "LeafNode", "InternalNode"]
 
 _BULK_FILL = 0.85  # of a node's capacity, filled by bulk_load
 _FAR_PAGE = (1 << 31) - 1  # a next-page id as long as its pickle gets
+_WIDTH = {"j": 4, "i": 8, "f": 8}  # a row's bytes in a fixed-width column
 
 
 def _packed(kind: str, values: list):
@@ -94,11 +104,18 @@ def _packed(kind: str, values: list):
 
 def _typed(values) -> tuple:
     """``(kind, packed)`` of a node column: the narrowest kind holding every
-    value -- ``i`` (int64), ``f`` (float64) or ``o`` (a pickled list) -- and
-    the column packed in it.  One pass over the values' types decides; an
-    int past int64 shows as the ``OverflowError`` of the int64 encode."""
+    value -- ``j`` (int32), ``i`` (int64), ``f`` (float64) or ``o`` (a
+    pickled list) -- and the column packed in it.  One pass over the values'
+    types decides; an int past int32, or past int64, shows as the
+    ``OverflowError`` of that encode."""
     types = set(map(type, values))
     if types <= {int}:
+        try:
+            # the int32 column's raw bytes: a C int array (4 B on every
+            # platform numpy runs on) raises at the first value past int32
+            return "j", array("i", values).tobytes()
+        except OverflowError:
+            pass
         try:
             return "i", _packed("i", values)
         except OverflowError:
@@ -106,6 +123,22 @@ def _typed(values) -> tuple:
     elif types == {float}:
         return "f", _packed("f", values)
     return "o", _packed("o", values)
+
+
+def _column_kind(column) -> str:
+    """The kind :func:`_typed` gives a whole :meth:`BPlusTree.bulk_load`
+    column, a signed-int or float array's without listing it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+        return int_kind(column)
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return "f"
+    return _typed(_rows(column, 0, len(column)))[0]
+
+
+def _holds(kind: str, value_kind: str) -> bool:
+    """Whether a column of ``kind`` holds values of ``value_kind``: its own,
+    int32 ones in an int64 column, and any in a pickled one."""
+    return kind in (value_kind, "o") or (kind, value_kind) == ("i", "j")
 
 
 def _unpacked(kind: str, packed) -> list:
@@ -370,6 +403,10 @@ def _internal_header(kind: str, cell_spec) -> int:
 class BPlusTree:
     """B+-tree over an external pager; see module docstring."""
 
+    # the kind every value is held to; a tree pickled before values were
+    # typed charged its (object id) values at int64 width
+    _value_kind = "i"
+
     def __init__(self, pager: Pager):
         self.pager = pager
         self._leaf_capacity: int | None = None
@@ -381,25 +418,39 @@ class BPlusTree:
 
     # -- capacity ---------------------------------------------------------
 
-    def _ensure_capacities(self, leaf: LeafNode) -> None:
-        """Fan-out from the row bytes of ``leaf``'s first row (the tree's
-        first entry); see module docstring."""
+    def _ensure_capacities(self, key, value, cells, value_kind: str) -> None:
+        """Fan-out from the tree's first entry -- ``key``, ``value`` and
+        ``cells``'s first row -- with its values held to ``value_kind``;
+        see module docstring.  An int key is charged at int64 width, as the
+        keys after a narrow first one may be wide."""
         if self._leaf_capacity is not None:
             return
-        kinds = "".join(_typed(column)[0] for column in leaf.columns)
-        row = sum(field_bytes((k,), column[0]) for k, column in zip(kinds, leaf.columns))
-        cells = leaf.cells
+        key_kind = _typed([key])[0].replace("j", "i")
+        key_bytes = _WIDTH.get(key_kind) or field_bytes(("o",), key)
+        value_bytes = _WIDTH.get(value_kind) or field_bytes(("o",), value)
         spec = None if cells is None else (cells.dtype.str, cells.shape[1])
         cell_bytes = 0 if cells is None else cells[0].nbytes
         page_size = self.pager.page_size
+        self._value_kind = value_kind
         self._leaf_capacity = max(
-            4, (page_size - _leaf_header(kinds, spec)) // (row + cell_bytes)
+            4,
+            (page_size - _leaf_header(key_kind + value_kind, spec))
+            // (key_bytes + value_bytes + cell_bytes),
         )
         # a separator, a child page id, and the child's two box corners
-        internal_row = field_bytes((kinds[0],), leaf.keys[0]) + 8 + 2 * cell_bytes
+        internal_row = key_bytes + 8 + 2 * cell_bytes
         self._internal_capacity = max(
-            4, (page_size - _internal_header(kinds[0], spec)) // internal_row
+            4, (page_size - _internal_header(key_kind, spec)) // internal_row
         )
+
+    def _check_values(self, kind: str) -> None:
+        """Refuse values of ``kind`` when the tree's value kind cannot hold
+        them (its capacities charged narrower rows)."""
+        if not _holds(self._value_kind, kind):
+            raise ValueError(
+                f"this tree's values are of kind {self._value_kind!r}, "
+                f"which cannot hold one of kind {kind!r}"
+            )
 
     @property
     def leaf_capacity(self) -> int:
@@ -496,9 +547,11 @@ class BPlusTree:
     def insert(self, key, value, cell=None) -> None:
         """Add one entry; ``cell`` is its grid cell in a tree whose entries
         carry one."""
+        kind = _typed([value])[0]
         if self._leaf_capacity is None:
             cells = None if cell is None else np.asarray([cell])
-            self._ensure_capacities(LeafNode([[key], [value]], cells))
+            self._ensure_capacities(key, value, cells, kind)
+        self._check_values(kind)
         page_id, leaf, path = self._find_leaf(key)
         leaf.insert(bisect.bisect_right(leaf.keys, key), key, value, cell)
         self._size += 1
@@ -694,9 +747,11 @@ class BPlusTree:
         column-wise min / max, so nothing is decoded.  Key order, column
         lengths and the cell count are checked before any page is written.
         Leaves are cut by arithmetic, ``_BULK_FILL`` of a leaf's capacity
-        each, and a last leaf that would be under half full shares the rows
-        of the last two evenly; each leaf takes one ``tolist`` of a slice a
-        column, so no per-entry tuple is ever made.
+        each, and a last leaf that would be under half full joins the one
+        before it when the two fit a leaf (so rows that fit one leaf make a
+        one-leaf tree), else the two share their rows evenly; each leaf
+        takes one ``tolist`` of a slice a column, so no per-entry tuple is
+        ever made.
         """
         if self._size:
             raise RuntimeError("bulk_load requires an empty tree")
@@ -717,17 +772,22 @@ class BPlusTree:
             raise ValueError("bulk_load input must be sorted by key")
         if not n:
             return
-        first = LeafNode([_rows(c, 0, 1) for c in columns], None if cells is None else cells[:1])
-        self._ensure_capacities(first)
+        kind = _column_kind(columns[1])
+        self._ensure_capacities(
+            _rows(columns[0], 0, 1)[0], _rows(columns[1], 0, 1)[0], cells, kind
+        )
+        self._check_values(kind)
         per_leaf = max(2, int(self._leaf_capacity * _BULK_FILL))
         per_internal = max(2, int(self._internal_capacity * _BULK_FILL))
         full, rest = divmod(n, per_leaf)
         sizes = [per_leaf] * full + [rest] * (rest > 0)
         if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
-            # the last leaf would be under half full: the last two share
-            # their rows evenly (joined, they could overflow)
+            # the last leaf would be under half full: it joins the one
+            # before when the two fit a leaf (a leaf fewer, and none left
+            # below the half a delete keeps), else the two share their rows
+            # evenly
             both = sizes[-2] + sizes[-1]
-            sizes[-2:] = [(both + 1) // 2, both // 2]
+            sizes[-2:] = [both] if both <= self._leaf_capacity else [(both + 1) // 2, both // 2]
 
         self.pager.free(self.root_page)
 

@@ -119,6 +119,18 @@ class Dataset:
             self._objects.append(obj)
         return len(self._objects) - 1
 
+    def drop_last(self, object_id: int) -> None:
+        """The inverse of :meth:`add`: drop ``object_id``, which must be the
+        last slot (an id that an insert appended and no index holds)."""
+        if object_id != len(self._objects) - 1:
+            raise ValueError(
+                f"only the last slot ({len(self._objects) - 1}) can be dropped, not {object_id}"
+            )
+        if self._is_vector:
+            self._objects = self._objects[:-1]
+        else:
+            self._objects.pop()
+
     def object_nbytes(self, object_id: int) -> int:
         """Approximate serialised size of one object, for storage accounting."""
         obj = self._objects[object_id]

@@ -186,10 +186,11 @@ def _bind_dataset(index: MetricIndex, dataset: Dataset) -> None:
             component.distance = dataset.distance
 
 
-def _undone(applied, undo, message: str) -> CatalogError:
+def _undone(applied, undo, message: str, then=None) -> CatalogError:
     """The :class:`CatalogError` of a fan-out a member refused, once
-    ``undo`` has run on the members in ``applied`` (latest first); one it
-    failed on is named, as it no longer matches the rest."""
+    ``undo`` has run on the members in ``applied`` (latest first) and then
+    ``then()``, when given, if no member was left stuck; one it failed on is
+    named, as it no longer matches the rest."""
     stuck = []
     for m in reversed(applied):
         try:
@@ -198,6 +199,8 @@ def _undone(applied, undo, message: str) -> CatalogError:
             stuck.append(f"{m.index_id!r} ({exc})")
     if stuck:
         message += f"; undoing it failed on {', '.join(stuck)}"
+    elif then is not None:
+        then()
     return CatalogError(message)
 
 
@@ -308,10 +311,12 @@ class IndexCatalog:
         member registers that slot explicitly, so all members keep
         answering identically.  A member that cannot insert is a
         :class:`CatalogError` naming the divergence, raised after the
-        members that had inserted delete the id again (the appended slot
-        stays in the dataset, indexed by no member).
+        members that had inserted delete the id again -- and, when the
+        primary had appended the object, the dataset drops that last slot,
+        so the next insert without an id gets the same id.
         """
         members = self.members()
+        dataset = members[0].index.space.dataset
         new_id = members[0].index.insert(obj, object_id=object_id)
         for i, m in enumerate(members[1:], 1):
             try:
@@ -325,6 +330,7 @@ class IndexCatalog:
                     lambda index: index.delete(new_id),
                     f"insert fan-out diverged: member {m.index_id!r} failed "
                     f"after {members[0].index_id!r} inserted id {new_id} ({exc})",
+                    then=None if object_id is not None else lambda: dataset.drop_last(new_id),
                 ) from exc
         return new_id
 

@@ -3,20 +3,24 @@
 The Omni-family, M-index, SPB-tree and DEPT keep the real objects (optionally
 with their pre-computed pivot distances) out of the index structure, in a
 sequential record file.  A record is ``(object id, obj, ...)``, and the file
-is addressed by that id: it keeps a **locator**, one int64 page array and
-one int64 slot array indexed by object id (-1: no live record), filled by
-the writes and cleared by :meth:`RandomAccessFile.mark_deleted`.  It is the
-only module that knows where a record lies; an index stores ids and asks
-``id in raf``.  Reading a record costs one page access unless the page is
-cached -- the paper's duplicate-RAF-access discussion for MkNNQ is exactly
-about this.
+is addressed by that id: it keeps a **locator**, one int32 page array and
+one slot array indexed by object id (page -1 and slot 0: no live record),
+filled by the writes and cleared by :meth:`RandomAccessFile.mark_deleted`.
+Every row costs at least its tombstone byte, so a slot number is below the
+page size, and the slot array takes the narrowest unsigned dtype that holds
+it (``np.min_scalar_type(page_size)``: ``uint16`` below 64 KB pages), 6 B
+an id in all at 4 KB.  A locator restored from a file written when both
+arrays were int64 is narrowed as it loads.  It is the only module that
+knows where a record lies; an index stores ids and asks ``id in raf``.
+Reading a record costs one page access unless the page is cached -- the
+paper's duplicate-RAF-access discussion for MkNNQ is exactly about this.
 
 Records are grouped into pages greedily in insertion order, mirroring the
 sequential layout the paper describes; M-index and SPB-tree pass records in
 cluster/SFC order so that proximate objects share pages.
 
 Writing has one body, :meth:`RandomAccessFile.append_many`, and it takes
-the records as field columns: an index under construction passes an int64
+the records as field columns: an index under construction passes an integer
 id array, its objects as ``dataset.gather(order)`` (a block for vectors, a
 list for strings) and, on the M-index, its ``mapping.matrix[order]`` block;
 the id column fills the locator.  Rows are sized a
@@ -34,7 +38,8 @@ insert path -- and costs one write of the open page.
 field, a column per field, and one tombstone byte per slot::
 
     field of the records        column                      bytes a record
-    int (fits int64)            int64 array                 8
+    int (fits int32)            int32 array                 4
+    int (fits int64 only)       int64 array                 8
     float                       float64 array               8
     ndarray (one dtype, shape)  (slots, *shape) block       nbytes
     str                         UTF-8 blob + int32 ends     encoded length + 4
@@ -42,11 +47,16 @@ field, a column per field, and one tombstone byte per slot::
     (tombstone)                 bytes mask, 1 = deleted     1
 
 A page holds records of one *schema* -- the same arity (or bare values) and
-the same column for each field.  A record with no place in the open page's
-columns starts a page of its own schema; a page started because the last
-one was full keeps the last one's schema (so a pickled column, which takes
-anything, carries on).  A record's size is that arithmetic over its fields;
-only a field with no columnar form (the last row) is sized by pickling it.  A page
+the same column for each field.  An int's column is a function of its value
+alone: ``j`` (int32) when it fits int32, ``i`` (int64) when it fits int64
+only, so an id below 2**31 takes 4 B.  A record with no place in the open
+page's columns starts a page of its own schema (so a file written when
+every int was int64 takes ``j`` pages beside its ``i`` ones, each page
+decoding by its own kinds, and an update re-encodes such a page to today's
+kinds); a page started because the last one was full keeps the last one's
+schema (so a pickled column, which takes anything, carries on).  A
+record's size is that arithmetic over its fields; only a field with no
+columnar form (the last row) is sized by pickling it.  A page
 pickles each column as raw bytes (:func:`pack_column`), so its stored size is its
 payload plus a header of ~90 B: what the page's empty form pickles to, plus
 3 B for each buffer whose length outgrows a one-byte encoding.  The header
@@ -82,6 +92,7 @@ __all__ = [
     "RafPage",
     "encode_column",
     "field_bytes",
+    "int_kind",
     "pack_column",
     "unpack_column",
 ]
@@ -89,12 +100,15 @@ __all__ = [
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 # field specs: the column a field value is stored in
-_INT = ("i",)  # int64 array
+_INT32 = ("j",)  # int32 array: ints that fit int32
+_INT = ("i",)  # int64 array: ints that fit int64 and not int32
 _FLOAT = ("f",)  # float64 array
 _STR = ("s",)  # UTF-8 blob + int32 end offsets
 _OBJ = ("o",)  # list, pickled with the page; ("a", dtype, shape) is a block
 _PICKLED = (None, (_OBJ,))  # the schema any records fit
+_INT32_MIN, _INT32_END = -(1 << 31), 1 << 31
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
+_INT_DTYPES = {"j": np.int32, "i": np.int64}
 
 
 def field_bytes(spec, value) -> int | None:
@@ -109,9 +123,11 @@ def field_bytes(spec, value) -> int | None:
         ):
             return value.nbytes
         return None
+    if kind == "j":
+        return 4 if type(value) is int and _INT32_MIN <= value < _INT32_END else None
     if kind == "i":
         if type(value) is int and _INT64_MIN <= value < _INT64_END:
-            return 8
+            return None if _INT32_MIN <= value < _INT32_END else 8
         return None
     if kind == "f":
         return 8 if type(value) is float else None
@@ -125,10 +141,18 @@ def field_bytes(spec, value) -> int | None:
     return len(pickle.dumps(value, protocol=_PROTOCOL))
 
 
+def int_kind(column: np.ndarray) -> str:
+    """The column an integer array's values take as a whole: ``j`` (int32)
+    when every one fits int32, else ``i`` (int64)."""
+    if not len(column) or column.min() >= _INT32_MIN and column.max() < _INT32_END:
+        return "j"
+    return "i"
+
+
 def _spec_of(value):
     """The most specific column ``value`` can live in."""
     if type(value) is int:
-        spec = _INT
+        spec = _INT32 if _INT32_MIN <= value < _INT32_END else _INT
     elif type(value) is float:
         return _FLOAT
     elif type(value) is str:
@@ -210,8 +234,7 @@ class _Column:
             if not row and (
                 kind == "i" or kind == "u" and (not len(values) or values.max() < _INT64_END)
             ):
-                self.values = values.astype(np.int64, copy=False)
-                self.spec, self.nbytes = _INT, 8
+                self._hold_ints(values.astype(np.int64, copy=False))
                 return
             if not row and values.dtype == np.float64:
                 self.values, self.spec, self.nbytes = values, _FLOAT, 8
@@ -230,7 +253,7 @@ class _Column:
         first = specs[0]
         if specs.count(first) == len(specs):
             self.spec = first
-            if first[0] in "ifa":  # fixed width
+            if first[0] in "ijfa":  # fixed width
                 self.nbytes = field_bytes(first, values[0])
                 return
         self.nbytes = np.fromiter(
@@ -245,6 +268,22 @@ class _Column:
         self.starts = (np.flatnonzero(np.diff(self.codes)) + 1).tolist()
         if _STR in kinds:
             self.encoded = [v.encode() if s is _STR else None for s, v in zip(specs, values)]
+
+    def _hold_ints(self, values) -> None:
+        """An int64 array, each row in the column its value takes: one spec
+        when the rows agree, else a code a row.  The array is kept as it is;
+        a page's rows are cast as :meth:`encode` slices them off."""
+        self.values = values
+        if int_kind(values) == "j":
+            self.spec, self.nbytes = _INT32, 4
+            return
+        wide = (values < _INT32_MIN) | (values >= _INT32_END)
+        if wide.all():
+            self.spec, self.nbytes = _INT, 8
+            return
+        self.specs, self.codes = [_INT32, _INT], wide.astype(np.int64)
+        self.starts = (np.flatnonzero(np.diff(self.codes)) + 1).tolist()
+        self.nbytes = np.where(wide, 8, 4)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -291,7 +330,8 @@ class _Column:
             return b"".join(self.encoded[lo:hi]), ends
         if kind == "o" or type(self.values) is list:
             return encode_column(spec, self.objects(lo, hi))
-        return np.array(self.values[lo:hi], dtype=spec[1] if kind == "a" else None)
+        dtype = spec[1] if kind == "a" else _INT_DTYPES.get(kind)
+        return np.array(self.values[lo:hi], dtype=dtype)
 
 
 def _run_end(schema, arity, columns, lo: int) -> int:
@@ -343,7 +383,7 @@ def _blank(schema):
         if spec[0] == "a":
             values.append(np.zeros(spec[2], dtype=spec[1]))
         else:
-            values.append({"i": 0, "f": 0.0, "s": "", "o": None}[spec[0]])
+            values.append({"j": 0, "i": 0, "f": 0.0, "s": "", "o": None}[spec[0]])
     return tuple(values) if schema[0] is not None else values[0]
 
 
@@ -352,8 +392,8 @@ def encode_column(spec, values):
     kind = spec[0]
     if kind == "a":
         return np.array(values, dtype=spec[1]).reshape(len(values), *spec[2])
-    if kind == "i":
-        return np.array(values, dtype=np.int64)
+    if kind in "ji":
+        return np.array(values, dtype=_INT_DTYPES[kind])
     if kind == "f":
         return np.array(values, dtype=np.float64)
     if kind == "s":
@@ -374,7 +414,7 @@ def _joined(kind, head, tail):
 def _cell(kind, column, slot):
     if kind == "a":
         return column[slot]
-    if kind == "i":
+    if kind in "ji":
         return int(column[slot])
     if kind == "f":
         return float(column[slot])
@@ -403,7 +443,7 @@ def pack_column(kind, column):
     pickle costs ~100 B of header)."""
     if kind == "a":
         return column.dtype.str, column.shape[1:], column.tobytes()
-    if kind in "if":
+    if kind in "jif":
         return column.tobytes()
     if kind == "s":
         return column[0], column[1].tobytes()
@@ -415,8 +455,8 @@ def unpack_column(kind, packed):
     if kind == "a":
         dtype, shape, raw = packed
         return np.frombuffer(raw, dtype=dtype).reshape(-1, *shape)
-    if kind == "i":
-        return np.frombuffer(packed, dtype=np.int64)
+    if kind in "ji":
+        return np.frombuffer(packed, dtype=_INT_DTYPES[kind])
     if kind == "f":
         return np.frombuffer(packed, dtype=np.float64)
     if kind == "s":
@@ -431,10 +471,10 @@ def _page_from(arity, kinds, packed, dead):
 class RafPage:
     """One RAF page: a column per record field plus a tombstone mask.
 
-    ``kinds`` names each field's column (``i`` / ``f`` / ``a`` / ``s`` / ``o``, see
-    the module docstring), ``arity`` is the records' tuple length (None for
-    bare values), ``dead`` has one byte per slot.  Immutable by convention:
-    every write builds a new page.
+    ``kinds`` names each field's column (``j`` / ``i`` / ``f`` / ``a`` /
+    ``s`` / ``o``, see the module docstring), ``arity`` is the records'
+    tuple length (None for bare values), ``dead`` has one byte per slot.
+    Immutable by convention: every write builds a new page.
     """
 
     __slots__ = ("arity", "kinds", "columns", "dead")
@@ -586,9 +626,22 @@ class RandomAccessFile:
         self._open_bytes = 0  # its payload, as sizing charged it
         self._count = 0  # live records
 
-    # the locator: an object id's page and slot, -1 where it has none; these
-    # empty class-level arrays until the first write
-    _pages = _slots = np.empty(0, np.int64)
+    # the locator: an object id's page (-1 where it has none) and slot (0
+    # there); these empty class-level arrays until the first write
+    _pages = np.empty(0, np.int32)
+    _slots = np.empty(0, np.uint16)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        pages = self._pages
+        if pages.dtype != np.int32:  # written when both arrays were int64 (-1: none)
+            self._pages = pages.astype(np.int32)
+            self._slots = np.where(pages >= 0, self._slots, 0).astype(self._slot_dtype())
+
+    def _slot_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype holding every number below the page
+        size: a slot's (each row costs its tombstone byte at least)."""
+        return np.min_scalar_type(self.pager.page_size)
 
     def _limit(self, schema) -> int:
         """Payload bytes a page of ``schema`` takes (header charged)."""
@@ -620,7 +673,8 @@ class RandomAccessFile:
         return ids[np.lexsort((self._slots[ids], self._pages[ids]))].tolist()
 
     def locator_bytes(self) -> int:
-        """The locator's memory: 16 B an id up to the largest written."""
+        """The locator's memory, an id up to the largest written: a 4 B page
+        and a slot as wide as the page size needs (2 B up to 64 KB pages)."""
         return self._pages.nbytes + self._slots.nbytes
 
     def _where(self, object_id) -> tuple[int, int]:
@@ -629,16 +683,23 @@ class RandomAccessFile:
             raise KeyError(f"object {object_id} has no live record")
         return self._pages.item(object_id), self._slots.item(object_id)
 
+    def _reserve(self, top: int) -> None:
+        """Grow the locator (by an eighth at least) to hold the ids below
+        ``top``."""
+        size = len(self._pages)
+        if top <= size:
+            return
+        grown = max(top, size + size // 8)
+        pages, slots = np.full(grown, -1, np.int32), np.zeros(grown, self._slot_dtype())
+        pages[:size], slots[:size] = self._pages, self._slots
+        self._pages, self._slots = pages, slots
+
     def _locate(self, ids, pages, slots) -> None:
-        """Point ``ids`` at their new rows, growing the locator (by an
-        eighth at least) to hold the largest."""
+        """Point ``ids`` at their new rows (``pages`` / ``slots``: an array
+        or one value each), growing the locator to hold the largest."""
         if not len(ids):
             return
-        size, top = len(self._pages), int(ids.max()) + 1
-        if top > size:
-            none = np.full(max(top, size + size // 8) - size, -1, np.int64)
-            self._pages = np.concatenate([self._pages, none])
-            self._slots = np.concatenate([self._slots, none])
+        self._reserve(int(ids.max()) + 1)
         self._pages[ids] = pages
         self._slots[ids] = slots
 
@@ -652,7 +713,7 @@ class RandomAccessFile:
     def append_many(self, fields) -> None:
         """Write records given as field columns, the object ids first.
 
-        ``fields`` is a tuple of one column a field -- say an int64 id
+        ``fields`` is a tuple of one column a field -- say an integer id
         array and ``dataset.gather(order)``, a block for vectors and a list
         for strings -- for ``(id, obj, ...)`` records; the ids are
         non-negative, distinct and without a live record, and the id column
@@ -674,12 +735,13 @@ class RandomAccessFile:
         arity, n = len(columns), len(columns[0])
         if any(len(column) != n for column in columns):
             raise ValueError("record field columns differ in length")
-        if n and columns[0].spec != _INT:
+        if n and not {*(columns[0].specs or [columns[0].spec])} <= {_INT32, _INT}:
             raise ValueError("object ids must be int64 integers")
         ids = np.asarray(columns[0].values, dtype=np.int64)
         if n and (ids.min() < 0 or self.live(ids).any()):
             raise ValueError("object ids must be non-negative and without a live record")
-        pages, slots = np.empty(n, np.int64), np.empty(n, np.int64)
+        if n:  # the locator to the largest id, each page's rows pointed at as it goes
+            self._reserve(int(ids.max()) + 1)
         page_id, page, used = self._open_page_id, self._open_page, self._open_bytes
         schema = None if page is None else page.schema
         if n and schema == _PICKLED:
@@ -707,14 +769,12 @@ class RandomAccessFile:
                 fresh = RafPage(arity, kinds, columns_in, bytes(count))
                 first = 0 if page is None else len(page)
                 page = fresh if page is None else page.joined(fresh)
-                pages[lo:hi] = page_id
-                slots[lo:hi] = np.arange(first, first + count)
+                self._locate(ids[lo:hi], page_id, np.arange(first, first + count))
                 used += nbytes
                 self.pager.write(page_id, page)
                 lo = hi
             carried = False
         self._open_page_id, self._open_page, self._open_bytes = page_id, page, used
-        self._locate(ids, pages, slots)
         self._count += n
 
     def update(self, object_id: int, record: tuple) -> None:
@@ -732,7 +792,7 @@ class RandomAccessFile:
         it from the locator; KeyError when the id has no live record."""
         page_id, slot = self._where(object_id)
         self._rewrite(page_id, lambda page: page.with_tombstone(slot))
-        self._pages[object_id] = self._slots[object_id] = -1
+        self._pages[object_id], self._slots[object_id] = -1, 0
         self._count -= 1
 
     def _rewrite(self, page_id: int, change) -> RafPage:

@@ -134,13 +134,13 @@ def _leaf_chain(tree) -> list:
     return chain
 
 
-def _leaf_sizes(n: int, per_leaf: int) -> list[int]:
-    """Full leaves, and a last one that shares the last two's rows evenly
-    when it would be under half full."""
+def _leaf_sizes(n: int, per_leaf: int, capacity: int) -> list[int]:
+    """Full leaves, and a last one that would be under half full joined to
+    the one before when the two fit a leaf, else sharing their rows evenly."""
     sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
     if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
         total = sizes[-2] + sizes[-1]
-        sizes[-2:] = [(total + 1) // 2, total // 2]
+        sizes[-2:] = [total] if total <= capacity else [(total + 1) // 2, total // 2]
     return sizes
 
 
@@ -198,20 +198,25 @@ class TestBulkLoad:
 
     @pytest.mark.parametrize("kind", ["int64", "wide", "wide list", "float", "tuple"])
     def test_bulk_cuts_leaves_by_arithmetic(self, kind):
-        """Leaves of ``per_leaf`` rows, the last two sharing when the last
-        would be under half full, each the leaf its entries make one by one."""
+        """Leaves of ``per_leaf`` rows, the last joining the one before (when
+        the two fit a leaf) or sharing with it when it would be under half
+        full, each the leaf its entries make one by one."""
         columns, cells = _bulk_input(kind, 1)
         probe = make_tree(page_size=512)
         probe.bulk_load(columns, cells=cells)
         per_leaf = int(probe.leaf_capacity * 0.85)
         assert per_leaf >= 4
         spill = 3 * per_leaf + per_leaf // 2  # below: the last two leaves share rows
-        for n in (1, 2, per_leaf - 1, per_leaf, per_leaf + 1, 2 * per_leaf, spill - 1, spill):
+        capacity = probe.leaf_capacity
+        # per_leaf + capacity: the last two join in one full leaf; one more
+        # row and they share
+        for n in (1, 2, per_leaf - 1, per_leaf, per_leaf + 1, capacity, capacity + 1,
+                  2 * per_leaf, per_leaf + capacity, per_leaf + capacity + 1, spill - 1, spill):
             columns, cells = _bulk_input(kind, n)
             tree = make_tree(page_size=512)
             tree.bulk_load(columns, cells=cells)
             chain = _leaf_chain(tree)
-            assert [len(leaf) for leaf in chain] == _leaf_sizes(n, per_leaf)
+            assert [len(leaf) for leaf in chain] == _leaf_sizes(n, per_leaf, tree.leaf_capacity)
             # each leaf as the per-entry form of its rows builds it
             keys, values = _as_list(columns[0]), _as_list(columns[1])
             lo = 0
@@ -391,3 +396,63 @@ class TestPropertyBased:
                     model.pop(removed)
         assert sorted(k for k, _ in model) == [k for k, _ in tree.items()]
         tree.check_invariants()
+
+
+class TestValueKind:
+    """The first entry fixes what a value may be: its capacities charge
+    that kind's bytes a row, so a value it cannot hold is refused before
+    any page is written."""
+
+    def _refuses(self, tree, write, match="kind"):
+        before, writes = dict(tree.pager.store._pages), tree.pager.counters.page_writes
+        size = len(tree)
+        with pytest.raises(ValueError, match=match):
+            write()
+        assert tree.pager.store._pages == before
+        assert tree.pager.counters.page_writes == writes and len(tree) == size
+
+    def test_an_int32_valued_tree_refuses_a_wider_value(self):
+        tree = make_tree()
+        tree.insert(1, 5)
+        assert tree._value_kind == "j"
+        for value in (1 << 31, -(1 << 31) - 1, 2.5, "five", True):
+            self._refuses(tree, lambda: tree.insert(2, value))
+        tree.insert(2, (1 << 31) - 1)  # int32's end
+        assert list(tree.items()) == [(1, 5), (2, (1 << 31) - 1)]
+        # a bulk load into the emptied tree is held to the same kind
+        tree.delete(1)
+        tree.delete(2)
+        self._refuses(tree, lambda: tree.bulk_load((np.arange(3), np.array([0, 1, 1 << 31]))))
+
+    def test_an_int64_valued_tree_holds_int32_values_too(self):
+        tree = make_tree()
+        tree.bulk_load((np.arange(3), np.array([0, 1 << 40, 2])))
+        assert tree._value_kind == "i"
+        tree.insert(5, 7)
+        self._refuses(tree, lambda: tree.insert(6, 1 << 63))  # past int64: pickled
+        self._refuses(tree, lambda: tree.insert(6, 1.0))
+        assert [v for _, v in tree.items()] == [0, 1 << 40, 2, 7]
+
+    def test_a_pickled_valued_tree_holds_anything(self):
+        tree = make_tree()
+        tree.insert(1, "one")
+        tree.insert(2, 2)
+        tree.insert(3, 1 << 70)
+        assert tree._value_kind == "o" and len(tree) == 3
+
+    def test_an_int_key_is_charged_at_int64_width(self):
+        """A first key that fits int32 still charges 8 B a key: the keys
+        after it may not fit, and no leaf outgrows its page."""
+        page_size = 512
+        tree = make_tree(page_size)
+        tree.insert(5, 0)
+        wide = make_tree(page_size)
+        wide.insert(1 << 40, 0)
+        assert tree.leaf_capacity == wide.leaf_capacity
+        assert tree.internal_capacity == wide.internal_capacity
+        for i in range(1, 2000):
+            tree.insert((1 << 40) + i, i)
+        tree.check_invariants()
+        tree.pager.flush()
+        for page_id in tree.pager.store._pages:
+            assert tree.pager.store.page_bytes(page_id) <= page_size

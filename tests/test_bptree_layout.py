@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import CostCounters, MetricSpace, brute_force_knn, brute_force_range
+from repro import CostCounters, MetricSpace, brute_force_knn, brute_force_range, select_pivots
 from repro.btree import BPlusTree, InternalNode, LeafNode
 from repro.external import MIndex, MIndexStar, OmniBPlusTree, SPBTree
 from repro.sfc.curve import GridCurve
@@ -36,16 +36,17 @@ BUILDERS = {
 }
 
 # (leaf header, leaf row, internal header, internal row) in bytes, 4 pivots.
-# SPB-tree: int64 key and id + 4 uint8 cell bytes; separator, child and two
-# box corners.  M-index* (one cluster level at n = 400): the ((pivot,),
-# distance) key pickled (27 B) and the id; separator and child.  OmniB+:
-# float64 key, int64 id; separator and child.
+# SPB-tree: an int key charged at int64 width, an int32 id and 4 uint8 cell
+# bytes; separator (int64 width), child and two box corners.  M-index* (one
+# cluster level at n = 400): the ((pivot,), distance) key pickled (27 B) and
+# the int32 id; separator and child.  OmniB+: float64 key, int32 id;
+# separator and child.
 LAYOUT = {
-    "SPB-tree": (95, 8 + 8 + 4, 109, 8 + 8 + 2 * 4),
-    "M-index*": (74, 27 + 8, 71, 27 + 8),
-    "OmniB+": (78, 8 + 8, 75, 8 + 8),
+    "SPB-tree": (95, 8 + 4 + 4, 109, 8 + 8 + 2 * 4),
+    "M-index*": (74, 27 + 4, 71, 27 + 8),
+    "OmniB+": (78, 8 + 4, 75, 8 + 8),
 }
-CAPACITIES = {"SPB-tree": (200, 166), "M-index*": (114, 115), "OmniB+": (251, 251)}
+CAPACITIES = {"SPB-tree": (250, 166), "M-index*": (129, 115), "OmniB+": (334, 251)}
 
 
 def _trees(index) -> list[BPlusTree]:
@@ -95,11 +96,13 @@ def test_capacities_are_the_arithmetic(pivots, dataset_name, name):
                 # fixed-size rows whose every buffer outgrows a one-byte
                 # length: the blob is the arithmetic to the byte, but for
                 # the next page's id (the header holds the longest, 4 B
-                # more than None)
-                rows = nbytes - len(node) * leaf_row
+                # more than None) and an SPB-tree leaf whose keys all fit
+                # int32 (stored 4 B narrower than charged)
+                assert nbytes - len(node) * leaf_row <= leaf_header
+                narrow = 4 * (_kinds(node)[0] == "j")
+                rows = nbytes - len(node) * (leaf_row - narrow)
                 if name != "M-index*" and len(node) * 4 >= 256:
-                    assert leaf_header - 4 <= rows
-                assert rows <= leaf_header
+                    assert leaf_header - 4 <= rows <= leaf_header
             else:
                 assert nbytes <= internal_header + len(node) * internal_row
 
@@ -167,13 +170,14 @@ def test_check_invariants_catches_a_bad_cell_a_wide_box_and_a_short_column(pivot
     edited(page, leaf, tree.check_invariants, "cell", cells_of=cells_of)
     leaf.cells = cells
     edited(page, leaf, tree.check_invariants, cells_of=cells_of, tight=True)
-    lo = int(lows[1, 2])
-    root.lows[1, 2] = lo - 1  # wider than the cells beneath it: still covers them
+    dim = int(np.flatnonzero(lows[1] > 0)[0])  # a low corner that can widen
+    lo = int(lows[1, dim])
+    root.lows[1, dim] = lo - 1  # wider than the cells beneath it: still covers them
     edited(tree.root_page, root, tree.check_invariants, cells_of=cells_of)
     edited(tree.root_page, root, tree.check_invariants, "box", cells_of=cells_of, tight=True)
-    root.lows[1, 2] = lo + 1  # narrower: a cell outside its box
+    root.lows[1, dim] = lo + 1  # narrower: a cell outside its box
     edited(tree.root_page, root, tree.check_invariants, "box", cells_of=cells_of)
-    root.lows[1, 2] = lo
+    root.lows[1, dim] = lo
     edited(tree.root_page, root, tree.check_invariants, cells_of=cells_of, tight=True)
     leaf.columns[1] = leaf.columns[1][:-1]
     edited(page, leaf, tree.check_invariants, "columns")
@@ -257,19 +261,22 @@ def test_a_batch_reads_each_btree_page_once(monkeypatch, pivots, name):
 
 
 def test_a_leaf_pickles_its_columns_as_raw_bytes():
-    """A leaf of ``(int key, object id)`` rows with cells pickles to its
-    header plus 21 B a row at five pivots -- the worked LA leaf of
-    :mod:`repro.btree.bptree` -- and reads back equal."""
-    rows = 161
-    keys = list(range(10**9, 10**9 + rows))
-    values = list(range(rows))
-    cells = np.arange(rows * 5, dtype=np.uint8).reshape(rows, 5)
-    leaf = LeafNode([keys, values], cells, next_page=70_000)
-    blob = pickle.dumps(leaf, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(blob) == 95 + rows * 21 == 3_476
-    back = pickle.loads(blob)
-    assert back.keys == keys and back.values == values and back.next_page == 70_000
-    assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint8
+    """A bulk-loaded leaf of ``(int key, object id)`` rows with cells
+    pickles to its header plus 17 B a row at five pivots when its keys
+    outgrow int32 -- the worked LA leaf of :mod:`repro.btree.bptree` -- and
+    13 B when they fit it, and reads back equal."""
+    rows = 199
+    for first_key, nbytes in ((10**12, 95 + rows * 17), (10**9, 95 + rows * 13)):
+        keys = list(range(first_key, first_key + rows))
+        values = list(range(rows))
+        cells = np.arange(rows * 5, dtype=np.uint8).reshape(rows, 5)
+        leaf = LeafNode([keys, values], cells, next_page=70_000)
+        blob = pickle.dumps(leaf, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) == nbytes
+        back = pickle.loads(blob)
+        assert back.keys == keys and back.values == values and back.next_page == 70_000
+        assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint8
+    assert 95 + rows * 17 == 3_478
 
 
 def _kinds(node) -> str:
@@ -284,7 +291,7 @@ def _roundtrip(node):
 @pytest.mark.parametrize(
     "column,kind",
     [
-        ([], "i"),
+        ([], "j"),
         ([-(1 << 63), 0, (1 << 63) - 1], "i"),  # int64's own ends
         ([0.5, -2.0, 1e300], "f"),
         ([1, 2, 1 << 63], "o"),  # an int past int64
@@ -293,20 +300,24 @@ def _roundtrip(node):
         ([1, 2.5, 3], "o"),  # an int / float mix
         ([2.5, 1, 3.5], "o"),
         ([(1, 2), (1, 3)], "o"),
+        ([-(1 << 31), 0, (1 << 31) - 1], "j"),  # int32's own ends
+        ([0, 1 << 31], "i"),  # an int past int32
+        ([-(1 << 31) - 1, 0], "i"),
     ],
 )
 def test_a_column_takes_the_narrowest_kind_and_round_trips(column, kind):
     """Leaf keys, leaf values and internal separators are typed alike: one
-    pass over the values' types, int64 when every int fits, else a pickled
-    list -- which gives back every value with its type."""
+    pass over the values' types, int32 when every int fits it, int64 when
+    every int fits that, else a pickled list -- which gives back every value
+    with its type."""
     ids = list(range(len(column)))
     leaf = LeafNode([list(column), ids])
-    assert _kinds(leaf) == kind + "i"
+    assert _kinds(leaf) == kind + "j"
     back = _roundtrip(leaf)
     assert back.keys == column and list(map(type, back.keys)) == list(map(type, column))
     assert back.values == ids
     swapped = LeafNode([ids, list(column)])
-    assert _kinds(swapped) == "i" + kind
+    assert _kinds(swapped) == "j" + kind
     back = _roundtrip(swapped)
     assert back.values == column and list(map(type, back.values)) == list(map(type, column))
     node = InternalNode(list(column), list(range(len(column) + 1)))
@@ -319,19 +330,45 @@ def test_a_column_takes_the_narrowest_kind_and_round_trips(column, kind):
 
 @pytest.mark.parametrize(
     "name,kinds",
-    [("SPB-tree", "ii"), ("M-index", "oi"), ("M-index*", "oi"), ("OmniB+", "fi")],
+    [("SPB-tree", "ij"), ("M-index", "oj"), ("M-index*", "oj"), ("OmniB+", "fj")],
 )
 def test_each_index_keeps_its_leaf_kinds(pivots, name, kinds):
-    """Hilbert keys are int64, iDistance keys ``(path, distance)`` tuples
-    pickled whole, Omni keys float64 distances, and every value an int64
-    object id: the kinds the pages were written with, so no page byte
-    moves with the typing code."""
+    """Hilbert keys are int64 (int32 in a node whose keys all fit it),
+    iDistance keys ``(path, distance)`` tuples pickled whole, Omni keys
+    float64 distances, and every value an int32 object id: the kinds the
+    pages were written with, so no page byte moves with the typing code."""
     builders = {
         **BUILDERS,
         "M-index": lambda space, pivots: MIndex.build(space, pivots, page_size=PAGE_SIZE),
     }
     dataset = DATASET_MAKERS["LA"]()
     index = builders[name](MetricSpace(dataset, CostCounters()), pivots["LA"])
+    seen = set()
     for tree in _trees(index):
         for _, node in _nodes(tree):
-            assert _kinds(node) == (kinds if node.is_leaf else kinds[0])
+            keys = node.keys if node.is_leaf else node.separators
+            key_kind = "j" if kinds[0] == "i" and max(keys) < 1 << 31 else kinds[0]
+            assert _kinds(node) == (key_kind + kinds[1] if node.is_leaf else key_kind)
+            seen.add(_kinds(node))
+    assert kinds in seen  # 32-bit Hilbert keys: some leaves hold keys past int32
+
+
+def test_spbtree_keys_past_int32_fit_their_pages_through_churn():
+    """Five pivots of 8 bits: 40-bit Hilbert keys, every one past int32.
+    The key column is charged at int64 width and the ids at int32, and no
+    node outgrows its page after a build and a round of churn."""
+    dataset = DATASET_MAKERS["LA"]()
+    pivot_ids = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
+    index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivot_ids, page_size=PAGE_SIZE)
+    tree = index.btree
+    assert (index.curve.dims, index.curve.bits) == (5, 8)
+    assert min(key for key, _ in tree.items()) >= 1 << 31
+    assert tree.leaf_capacity == (PAGE_SIZE - 95) // (8 + 4 + 5) == 235
+    for churned in (False, True):
+        if churned:
+            _churn(index, "LA", random.Random(11))
+            index.pager.flush()
+        tree.check_invariants(cells_of=_decoded(index), tight=not churned)
+        for page_id, node in _nodes(tree):
+            assert tree.pager.store.page_bytes(page_id) <= PAGE_SIZE
+            assert _kinds(node) == ("ij" if node.is_leaf else "i")

@@ -228,7 +228,7 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
     memory = bulk.storage_bytes()["memory"] - bulk.raf.locator_bytes()
     assert memory == ref.storage_bytes()["memory"] - ref.raf.locator_bytes()
     assert bulk.storage_bytes()["disk"] == ref.storage_bytes()["disk"]
-    assert bulk.raf.locator_bytes() == 16 * n
+    assert bulk.raf.locator_bytes() == 6 * n  # an int32 page, a uint16 slot
     # the RAF keeps appending where the build stopped, on both
     assert (bulk.raf._open_page_id, bulk.raf._open_bytes) == (
         ref.raf._open_page_id,
@@ -435,8 +435,8 @@ def test_raf_pages_are_the_fewest_the_budget_allows(datasets, pivots, dataset_na
         opener = RafPage.encode([following.record(0)], schema).payload_bytes()
         assert page.payload_bytes() + opener > limit
         assert page.payload_bytes() <= limit or len(page) == 1
-    if dataset_name != "Words":  # fixed-size records: id, arrays, tombstone
-        per_record = 8 + sum(field.nbytes for field in pages[0].record(0)[1:]) + 1
+    if dataset_name != "Words":  # fixed-size records: int32 id, arrays, tombstone
+        per_record = 4 + sum(field.nbytes for field in pages[0].record(0)[1:]) + 1
         per_page = max(1, limit // per_record)
         assert len(pages) == -(-len(dataset) // per_page)
     if dataset_name == "Color":  # 282 float64s a record: one a page

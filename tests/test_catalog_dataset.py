@@ -262,8 +262,10 @@ def _refusing(monkeypatch, index, method):
 @pytest.mark.parametrize("how", RESTORES)
 def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how):
     """The second member refuses an insert: the primary deletes the id
-    again, every member answers as before the insert, and the service's
-    cached answers still equal fresh ones."""
+    again and the dataset drops the slot it appended, every member answers
+    as before the insert, the service's cached answers still equal fresh
+    ones, a save writes the objects as they were, and the next insert
+    gets the refused one's id."""
     dataset = _dataset("LA")
     restored, mutator = _restore(_catalog(dataset), how, tmp_path)
     new = dataset[7] + 0.5  # inside every cached ball below
@@ -273,11 +275,13 @@ def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how):
         cached = [mutator.range_query(q, RADIUS["LA"]) for q in queries]
         cached += [mutator.knn_query(q, K) for q in queries]
     _refusing(monkeypatch, restored.get("MVPT"), "insert")
+    n = len(dataset)
     with pytest.raises(CatalogError, match="'MVPT' failed after 'LAESA'.*insert refused"):
         mutator.insert(new)
-    # the appended slot stays in the dataset, indexed by no member
-    assert len(restored.primary.index.space.dataset) == len(dataset) + 1
-    _assert_brute_force(restored, queries, RADIUS["LA"], gone={len(dataset)})
+    # the appended slot is dropped again: no orphan object
+    assert len(restored.primary.index.space.dataset) == n
+    assert all(m.index.space.dataset is restored.primary.index.space.dataset for m in restored)
+    _assert_brute_force(restored, queries, RADIUS["LA"])
     if cached is not None:
         again = [mutator.range_query(q, RADIUS["LA"]) for q in queries]
         again += [mutator.knn_query(q, K) for q in queries]
@@ -285,8 +289,11 @@ def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how):
         fresh += [restored.primary.index.knn_query(q, K) for q in queries]
         assert again == cached == fresh
     monkeypatch.undo()
-    assert mutator.insert(new) == len(dataset) + 1
-    _assert_brute_force(restored, queries, RADIUS["LA"], gone={len(dataset)})
+    saved = IndexCatalog.load(restored.save(tmp_path / "after"))
+    assert len(saved.primary.index.space.dataset) == n
+    assert mutator.insert(new) == n
+    _assert_brute_force(restored, queries, RADIUS["LA"])
+    assert [n] == [hit.object_id for hit in restored.get("MVPT").knn_query(new, 1)]
 
 
 @pytest.mark.parametrize("how", RESTORES)
@@ -361,3 +368,15 @@ def test_a_catalog_saved_with_a_dataset_per_member(tmp_path):
     again = IndexCatalog.load(tmp_path / "again.catalog.json")
     assert len(_datasets(again)) == 1
     _assert_brute_force(again, queries + [NEW["LA"]], radius)
+
+
+@pytest.mark.parametrize("name", ["LA", "Words"])
+def test_drop_last_is_the_inverse_of_add(name):
+    dataset = _dataset(name)
+    n = len(dataset)
+    new = dataset.add(dataset[3])
+    with pytest.raises(ValueError, match="last slot"):
+        dataset.drop_last(new - 1)
+    dataset.drop_last(new)
+    assert len(dataset) == n and dataset.add(dataset[5]) == n
+    assert len(dataset) == n + 1

@@ -36,7 +36,19 @@ CURRENT_LAYOUT = {
     "slot_names_ept_la300.snap": "ept",
     "slot_names_eptstar_la300.snap": "eptstar",
 }
-FIXTURES = sorted(path.name for path in DATA.glob("*.snap") if path.name not in CURRENT_LAYOUT)
+# written by the commit before the paged layer stored ids in 4 bytes: an
+# int64 RAF locator, int64 id columns on RAF pages and int64 B+-tree leaf
+# values; a page decodes by its own kinds, so they load as they are too
+INT64_IDS = {
+    "int64_ids_mindexstar_la300.snap": "mindexstar",
+    "int64_ids_omnib_la300.snap": "omnib",
+    "int64_ids_spbtree_la300.snap": "spbtree",
+}
+FIXTURES = sorted(
+    path.name
+    for path in DATA.glob("*.snap")
+    if path.name not in CURRENT_LAYOUT and path.name not in INT64_IDS
+)
 # the ids each fixture's writer deleted and left deleted; a fixture missing
 # here fails, so a new one cannot go unchecked
 GONE = {
@@ -146,6 +158,62 @@ def test_a_fixture_in_todays_layout_loads_as_it_is(tmp_path, name):
     migrated = load_index(tmp_path / "migrated.snap")
     assert _answers(migrated, queries, radius) == (got, compdists)
     assert migrated.storage_bytes() == index.storage_bytes()
+
+
+def _raf_kinds(index) -> set[str]:
+    """The id column kinds of the index's live RAF pages, as stored."""
+    pages = set(index.raf._pages[index.raf._pages >= 0].tolist())
+    return {index.pager.store.read(page_id).kinds[0] for page_id in pages}
+
+
+@pytest.mark.parametrize("name", sorted(INT64_IDS))
+def test_a_fixture_with_int64_ids_loads_and_takes_int32_pages(tmp_path, name):
+    """``tests/data/int64_ids_{spbtree,mindexstar,omnib}_la300.snap``
+    (``make_la(300, seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and
+    put back, 31 deleted) load with ``load_index`` alone and answer as
+    brute force and as recorded when written, at the same compdists; the
+    locator narrows to 6 B an id as it loads.  Deletes and re-inserts write
+    int32-id pages beside the int64 ones, and the mixed file saves and loads
+    again with equal answers and equal stored bytes."""
+    expected = json.loads((DATA / "int64_ids_la300_expected.json").read_text())
+    want = expected[INT64_IDS[name]]
+    index = load_index(DATA / name)
+    assert index.space.counters.distance_computations == 0
+    raf = index.raf
+    assert (raf._pages.dtype, raf._slots.dtype) == (np.int32, np.uint16)
+    assert raf.locator_bytes() == 6 * len(raf._pages)
+    assert want["written_locator_dtypes"] == ["int64", "int64"]
+    written = want["written_storage_bytes"]
+    assert index.storage_bytes() == {
+        "memory": written["memory"] - 10 * len(raf._pages),
+        "disk": written["disk"],
+    }
+    assert _raf_kinds(index) == {"i"}
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]]
+    radius, gone = expected["radius"], tuple(expected["gone"])
+    assert (radius, expected["k"]) == (RADIUS["LA"], K)
+    got, compdists = _answers(index, queries, radius)
+    assert got == _brute_force(dataset, queries, radius, gone)
+    neighbors = [[[[n.distance, n.object_id] for n in row] for row in form] for form in got[2:]]
+    assert (list(got[:2]) + neighbors, compdists) == (
+        [want[form] for form in ("range", "range_many", "knn", "knn_many")],
+        want["compdists"],
+    )
+
+    for object_id in range(40, 60):
+        index.delete(object_id)
+    for object_id in range(40, 50):
+        index.insert(dataset[object_id], object_id=object_id)
+    gone += tuple(range(50, 60))
+    assert _raf_kinds(index) == {"i", "j"}
+    got, compdists = _answers(index, queries, radius)
+    assert got == _brute_force(dataset, queries, radius, gone)
+    save_index(index, tmp_path / "mixed.snap")
+    again = load_index(tmp_path / "mixed.snap")
+    assert _raf_kinds(again) == {"i", "j"}
+    assert _answers(again, queries, radius) == (got, compdists)
+    assert again.storage_bytes() == index.storage_bytes()
 
 
 @pytest.mark.parametrize("index_name", indexes_for("Words"))

@@ -418,13 +418,14 @@ class TestAppendMany:
         raf, pager, counters = self._raf()
         order = np.arange(200)[::-1].copy()
         assert raf.append_many((order, ["record"] * 200)) is None
-        assert raf._pages.dtype == raf._slots.dtype == np.int64
+        # a 4-byte page and a slot below the 1 KB page size: 6 B an id
+        assert (raf._pages.dtype, raf._slots.dtype) == (np.int32, np.uint16)
         assert counters.page_writes == len(set(raf._pages.tolist())) == len(pager.store)
         # written in the given order: id 199 first
         assert raf._where(199) == (raf._pages.min(), 0)
         assert raf.read_many(range(200)) == [(i, "record") for i in range(200)]
-        assert all(type(raf.read(i)[0]) is int for i in range(200))  # int64 ids read as ints
-        assert len(raf) == 200 and raf.locator_bytes() == 200 * 16
+        assert all(type(raf.read(i)[0]) is int for i in range(200))  # int32 ids read as ints
+        assert len(raf) == 200 and raf.locator_bytes() == 200 * 6
 
     def test_same_layout_as_single_appends(self):
         records = [(i, "r" * (i % 17)) for i in range(150)]
@@ -598,9 +599,9 @@ class TestAppendManyOracle:
         raf.append_many(([0], ["a"]))
         limit = raf._limit(raf._open_page.schema)
         room = limit - raf._open_bytes
-        # an (id, word) row takes 8 B, the word's UTF-8 bytes, a 4 B end
+        # an (id, word) row takes 4 B, the word's UTF-8 bytes, a 4 B end
         # offset and a tombstone byte
-        words = ["b" * (room - 33), "c" * 7, "d" * (limit - 33), "e" * 7, "f"]
+        words = ["b" * (room - 25), "c" * 7, "d" * (limit - 25), "e" * 7, "f"]
         records = list(enumerate(words, start=1))
         _per_record_append(ref, records)
         raf.append_many(_columns(records))
@@ -664,21 +665,21 @@ def _records(n=40):
 # the columns each shape is stored in (a lone surrogate has no UTF-8 form,
 # so the first such word starts a page whose word column is pickled)
 _KINDS = {
-    "id, vector": {"ia"},
-    "id, word": {"is"},
-    "id, vector, mapped": {"iaa"},
-    "float32": {"ia"},
-    "uint8 matrix": {"ia"},
-    "int32": {"ia"},
-    "ints": {"ii"},
-    "strings": {"is"},
-    "str, int": {"isi"},
-    "beyond int64": {"io"},
-    "bool, dict": {"ioo"},
-    "0-d array": {"io"},
-    "structured, empty": {"ioo"},
-    "lone surrogate": {"is", "io"},
-    "empty tuples": {"i"},
+    "id, vector": {"ja"},
+    "id, word": {"js"},
+    "id, vector, mapped": {"jaa"},
+    "float32": {"ja"},
+    "uint8 matrix": {"ja"},
+    "int32": {"ja"},
+    "ints": {"jj"},
+    "strings": {"js"},
+    "str, int": {"jsj"},
+    "beyond int64": {"jo"},
+    "bool, dict": {"joo"},
+    "0-d array": {"jo"},
+    "structured, empty": {"joo"},
+    "lone surrogate": {"js", "jo"},
+    "empty tuples": {"j"},
 }
 
 
@@ -710,13 +711,13 @@ class TestRafPageCodec:
             _schema_of((1, np.arange(3.0), "ab")),
         )
         ids, block, (blob, ends) = page.columns
-        assert page.kinds == "ias" and page.arity == 3
-        assert ids.dtype == np.int64 and list(ids) == [1, 2]
+        assert page.kinds == "jas" and page.arity == 3
+        assert ids.dtype == np.int32 and list(ids) == [1, 2]
         assert block.shape == (2, 3) and block.dtype == np.float64
         assert blob == b"abc" and ends.dtype == np.int32 and list(ends) == [2, 3]
         assert page.dead == bytes(2)
-        # the sizing rule: 8 + nbytes + (encoded length + 4) + 1 a record
-        assert page.payload_bytes() == (8 + 24 + 2 + 4 + 1) + (8 + 24 + 1 + 4 + 1)
+        # the sizing rule: 4 + nbytes + (encoded length + 4) + 1 a record
+        assert page.payload_bytes() == (4 + 24 + 2 + 4 + 1) + (4 + 24 + 1 + 4 + 1)
         a_row = page.record(0)[1]
         assert np.shares_memory(a_row, block)  # a row view, not a copy
 
@@ -740,7 +741,7 @@ class TestRafPageCodec:
         listed = [None if i in slots else r for i, r in enumerate(records)]
         page = RafPage.from_records(listed)
         assert page.dead == bytes(int(i in slots) for i in range(len(records)))
-        assert stored.dead == page.dead and stored.kinds == page.kinds == "ia"
+        assert stored.dead == page.dead and stored.kinds == page.kinds == "ja"
         assert all(_same(a, b) for a, b in zip(stored.records(), page.records()))
 
     def test_an_all_tombstone_page(self):
@@ -817,9 +818,84 @@ class TestRafPageCodec:
             empty = RafPage.encode([], schema)
             # the empty page's pickle, and 3 B for each of its 4 buffers
             header = len(pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)) + 3 * 4
-            per_page = (int(page_size * fill_factor) - header) // (8 + 16 + 16 + 1)
+            per_page = (int(page_size * fill_factor) - header) // (4 + 16 + 16 + 1)
             pages = {page for page, _ in where}
             assert len(pages) == -(-len(records) // per_page)
             assert max(raf.pager.store.page_bytes(p) for p in pages) <= (
                 page_size * fill_factor
             )
+
+
+# -- id and slot widths ---------------------------------------------------------
+
+
+class TestIdWidths:
+    """An int takes the int32 column when it fits int32, the int64 one when
+    it fits int64 only; a slot is as wide as the page size needs."""
+
+    def test_an_id_past_int32_is_stored_in_an_int64_column(self):
+        # the page level: a RAF locator is dense in the object id, so a
+        # file holding id 1 << 31 would allocate 2**31 locator rows
+        record = (1 << 31, "wide")
+        schema = _schema_of(record)
+        assert schema == (2, (("i",), ("s",)))
+        assert _record_bytes(schema, (5, "x")) is None  # an int32 id: another schema
+        page = pickle.loads(pickle.dumps(RafPage.encode([record], schema)))
+        assert page.kinds == "is" and page.columns[0].dtype == np.int64
+        assert page.record(0) == record and type(page.record(0)[0]) is int
+        assert page.payload_bytes() == 8 + 4 + 4 + 1
+        assert page.with_tombstone(0).record(0) is None
+        # a page of both is re-encoded whole: one schema holds neither
+        both = RafPage.from_records([(5, "x"), record])
+        assert (both.arity, both.kinds) == (None, "o") and both.records() == [(5, "x"), record]
+
+    def test_an_int_past_int32_starts_a_page_of_its_own_schema(self):
+        raf = RandomAccessFile(Pager(page_size=4096))
+        raf.append_many((np.arange(3), np.array([7, 8, 9])))
+        raf.append_many((np.arange(3, 6), np.array([10, 1 << 31, 11])))
+        where = [raf._where(i) for i in range(6)]
+        pages = [raf.pager.read(page_id) for page_id, _ in where]
+        assert [page.kinds for page in pages] == ["jj"] * 4 + ["ji", "jj"]
+        assert [page_id for page_id, _ in where] == [0, 0, 0, 0, 1, 2]
+        assert [raf.read(i) for i in range(6)] == [
+            (0, 7), (1, 8), (2, 9), (3, 10), (4, 1 << 31), (5, 11)
+        ]
+        raf.mark_deleted(4)
+        assert 4 not in raf and raf.read(5) == (5, 11) and len(raf) == 5
+        assert (raf._pages[4], raf._slots[4]) == (-1, 0)
+
+    def test_an_id_column_of_either_width(self):
+        """int32 and int64 id arrays and a list of ints write one layout."""
+        blobs = []
+        for ids in (np.arange(50, dtype=np.int32), np.arange(50), list(range(50))):
+            raf = RandomAccessFile(Pager(page_size=512))
+            raf.append_many((ids, np.ones((50, 2))))
+            assert raf.read(49)[0] == 49 and len(raf) == 50
+            blobs.append(raf.pager.store._pages)
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_a_large_page_takes_uint32_slots(self):
+        page_size = 1 << 19
+        raf = RandomAccessFile(Pager(page_size=page_size))
+        n = 70_000  # (id,) records: 4 B and a tombstone byte, one page
+        raf.append_many((np.arange(n),))
+        assert raf._slots.dtype == np.uint32 and raf._pages.dtype == np.int32
+        assert raf.locator_bytes() == 8 * n
+        assert raf._where(n - 1) == (raf._where(0)[0], n - 1) and n - 1 > 65_535
+        assert raf.read(n - 1) == (n - 1,) and raf.read(65_536) == (65_536,)
+        assert raf.pager.store.page_bytes(raf._where(0)[0]) <= page_size
+
+    def test_a_locator_of_int64_arrays_narrows_as_it_loads(self):
+        raf = RandomAccessFile(Pager(page_size=4096))
+        raf.append_many((np.arange(10), ["r"] * 10))
+        raf.mark_deleted(3)
+        state = dict(vars(raf))
+        state["_pages"] = raf._pages.astype(np.int64)
+        state["_slots"] = np.where(raf._pages >= 0, raf._slots, -1).astype(np.int64)
+        old = RandomAccessFile.__new__(RandomAccessFile)
+        old.__setstate__(state)
+        assert (old._pages.dtype, old._slots.dtype) == (np.int32, np.uint16)
+        assert np.array_equal(old._pages, raf._pages)
+        assert np.array_equal(old._slots, raf._slots)
+        assert old.locator_bytes() == raf.locator_bytes() == 6 * len(raf._pages)
+        assert [old.read(i) for i in (0, 9)] == [(0, "r"), (9, "r")] and 3 not in old
