@@ -129,14 +129,6 @@ class ShardedIndex(MetricIndex):
             return
         self.space.counters.merge(delta)
 
-    def _call_shard(self, shard: MetricIndex, method: str, *args):
-        """One serial shard call, honouring the counter mode."""
-        if not self.per_shard_counters:
-            return getattr(shard, method)(*args)
-        result, delta = _invoke_shard((shard, method, args))
-        self._merge_delta(shard, delta)
-        return result
-
     def _map_shards(self, method: str, *args) -> list:
         """Run ``method(*args)`` on every shard, via the executor if set.
 
@@ -259,22 +251,9 @@ class ShardedIndex(MetricIndex):
         return heap.neighbors()
 
     # -- queries ---------------------------------------------------------------
-
-    def range_query(self, query_obj, radius: float) -> list[int]:
-        per_part = [
-            self._global_ids(i, self._call_shard(s, "range_query", query_obj, radius))
-            for i, s in enumerate(self.shards)
-        ]
-        return self.merge_range_answers(per_part)
-
-    def knn_query(self, query_obj, k: int) -> list[Neighbor]:
-        per_part = [
-            self._global_neighbors(i, self._call_shard(s, "knn_query", query_obj, k))
-            for i, s in enumerate(self.shards)
-        ]
-        return self.merge_knn_answers(per_part, k)
-
-    # -- batch queries ----------------------------------------------------------
+    #
+    # The q = 1 entry points are the base class's views of these bodies, so
+    # a single query fans out through _map_shards too, in either counter mode
 
     def range_query_many(self, queries, radius: float) -> list[list[int]]:
         """Batch fan-out: each shard answers the whole batch once, and the

@@ -11,7 +11,9 @@ pages (40 KB for CPT / PM-tree on the high-dimensional datasets) with a
 * :class:`BufferPool` is an LRU write-back cache in front of the store.
   Its capacity is expressed in bytes, like the paper's 128 KB cache.
 * :meth:`Pager.read_many` is the batch read path: each distinct page is
-  read once per call, repeats are counted as ``grouped_hits``.
+  read once per call, repeats are counted as ``grouped_hits``;
+  :func:`page_ordered_chunks` feeds it a batch's candidates in page order,
+  ``FETCH_CHUNK`` at a time.
 
 Indexes never touch pickled bytes directly -- they read and write Python
 node objects; serialisation happens at the store boundary so that reported
@@ -43,9 +45,39 @@ import numpy as np
 from ..core.counters import CostCounters
 from ..obs.tracing import add_event
 
-__all__ = ["PageStore", "BufferPool", "Pager", "BatchReadCache", "DEFAULT_PAGE_SIZE"]
+__all__ = [
+    "PageStore",
+    "BufferPool",
+    "Pager",
+    "BatchReadCache",
+    "DEFAULT_PAGE_SIZE",
+    "FETCH_CHUNK",
+    "page_ordered_chunks",
+]
 
 DEFAULT_PAGE_SIZE = 4096
+
+# candidates resident in memory at once during batch verification; the
+# disk indexes' premise is that objects only fit on disk, so the union of
+# a big batch's candidates must not be materialised wholesale
+FETCH_CHUNK = 1024
+
+
+def page_ordered_chunks(ids, page_order, fetch):
+    """Fetch the distinct ``ids`` in page order, ``FETCH_CHUNK`` at a time.
+
+    ``page_order(distinct)`` sorts the distinct ids by the page holding
+    them and ``fetch(chunk)`` returns their objects or records in chunk
+    order (through :meth:`Pager.read_many`), so every touched page is read
+    at most once per chunk -- only a chunk-boundary page can be read
+    twice -- and candidates sharing a page ride along as ``grouped_hits``.
+    Yields one ``{id: fetched}`` dict a chunk: the one copy of the bounded,
+    page-grouped fetch every eager verification of a batch shares.
+    """
+    ordered = page_order(list(dict.fromkeys(ids)))
+    for start in range(0, len(ordered), FETCH_CHUNK):
+        chunk = ordered[start : start + FETCH_CHUNK]
+        yield dict(zip(chunk, fetch(chunk)))
 
 
 def _rebuild_page_store(page_size, next_id, directory, empty_ids, region):

@@ -12,7 +12,9 @@ verification must *fetch the object from disk* first, the paper's
 explanation for CPT's CPU and I/O overheads.  That one step is
 :meth:`CPT._distances`: candidates are fetched grouped by the M-tree leaf
 that holds them, so a leaf shared by several candidates (of one query or
-of several queries of a batch) is read once.
+of several queries of a batch) is read once -- in the pager's bounded,
+page-ordered chunks (:func:`~repro.storage.pager.page_ordered_chunks`),
+the same fetch the RAF-backed indexes verify through.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..core.metric_space import MetricSpace
 from ..mtree.mtree import MTree
-from ..storage.pager import Pager
+from ..storage.pager import Pager, page_ordered_chunks
 from .laesa import LAESA
 
 __all__ = ["CPT"]
@@ -66,30 +68,27 @@ class CPT(LAESA):
 
     # -- queries -----------------------------------------------------------
 
-    # candidates resident in memory at once during verification; the
-    # index's premise is that objects only fit on disk, so the union of a
-    # big batch's candidates must not be materialised wholesale
-    _FETCH_CHUNK = 1024
-
     def _distances(self, queries, ids_per_query) -> list[np.ndarray]:
         """Leaf-grouped fetch, then one vectorised distance call per query.
 
         The distinct candidates of all queries are fetched through
-        :meth:`~repro.mtree.mtree.MTree.fetch_objects_many` in bounded
-        chunks *ordered by owning leaf page*, so every touched leaf is
-        read (at most) once per call -- candidates sharing a leaf land in
-        the same chunk (they ride along as ``grouped_hits``); only a
+        :meth:`~repro.mtree.mtree.MTree.fetch_objects_many` in the pager's
+        bounded chunks *ordered by owning leaf page*
+        (:func:`~repro.storage.pager.page_ordered_chunks`), so every touched
+        leaf is read (at most) once per call -- candidates sharing a leaf
+        land in the same chunk (they ride along as ``grouped_hits``); only a
         chunk-boundary leaf can be read twice -- while at most
-        ``_FETCH_CHUNK`` objects are in memory at a time.  Each query is
+        ``FETCH_CHUNK`` objects are in memory at a time.  Each query is
         charged its own candidates, so distance counts equal LAESA's; only
         page accesses depend on how candidates are grouped into calls.
         """
-        distinct = list(dict.fromkeys(i for ids in ids_per_query for i in ids))
-        distinct.sort(key=lambda i: self.mtree.leaf_of.get(i, -1))
+        leaf_of = self.mtree.leaf_of
         found: list[dict[int, float]] = [{} for _ in queries]
-        for start in range(0, len(distinct), self._FETCH_CHUNK):
-            chunk = distinct[start : start + self._FETCH_CHUNK]
-            objects = dict(zip(chunk, self.mtree.fetch_objects_many(chunk)))
+        for objects in page_ordered_chunks(
+            (i for ids in ids_per_query for i in ids),
+            lambda distinct: sorted(distinct, key=lambda i: leaf_of.get(i, -1)),
+            self.mtree.fetch_objects_many,
+        ):
             for q, ids, dists in zip(queries, ids_per_query, found):
                 ids = [i for i in ids if i in objects]
                 dists.update(zip(ids, self.space.d_many(q, [objects[i] for i in ids])))

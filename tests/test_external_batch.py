@@ -42,6 +42,8 @@ from repro.core.distances import (
 )
 from repro.bench import paper_order_knn
 from repro.core.queries import KnnHeap
+from repro.core.pivot_filter import lower_bound_many_queries
+from repro.external.batch import expanding_radius_knn, key_run_slices
 from repro.external import (
     DEPT,
     MIndex,
@@ -323,3 +325,99 @@ def test_empty_batch_and_empty_results(metric_datasets, built_externals):
         assert index.knn_query_many([], K) == []
         far = dataset[0] + 1e7  # far outside the data: empty answers
         assert index.range_query_many([far, far], 1.0) == [[], []]
+
+
+def test_key_run_slices_equal_one_scan_per_span():
+    """The merged key-run scan yields each query what a scan of its span
+    alone would, and scans each merged run once."""
+    entries = [(1.0, 10), (2.0, 11), (2.0, 12), (3.0, 13), (5.0, 14), (5.0, 15),
+               (6.0, 16), (7.0, 17), (9.0, 18), (9.0, 19), (12.0, 20)]
+    calls = []
+
+    def scan(lo, hi):
+        calls.append((lo, hi))
+        # id 15 is skipped, as a deleted entry is
+        return ((key, i) for key, i in entries if lo <= key <= hi and i != 15)
+
+    spans = {
+        0: (2.0, 5.0),  # ties at both inclusive edges
+        1: (3.0, 4.0),  # nested in 0
+        2: (5.0, 7.0),  # touches 0 at 5.0
+        3: (6.0, 9.0),  # overlaps 2, ties at its upper edge
+        4: (11.0, 12.0),  # a run of its own
+        5: (8.0, 7.5),  # empty
+        6: (0.0, 1.0),  # tie at the upper edge of the first run
+    }
+    sliced = key_run_slices(spans, scan)
+    assert calls == [(0.0, 1.0), (2.0, 9.0), (11.0, 12.0)]
+    alone = {qi: [i for _, i in scan(lo, hi)] for qi, (lo, hi) in spans.items()}
+    assert sliced == alone
+    assert sliced[0] == [11, 12, 13, 14] and sliced[3] == [16, 17, 18, 19]
+
+
+def test_expanding_radius_rounds_stop_once_every_object_is_verified(
+    metric_datasets, built_externals
+):
+    """A query that has verified every live object stops, even while its
+    k-th distance still exceeds the round's radius."""
+    dataset = metric_datasets["euclidean"]
+    index = built_externals("euclidean", "OmniB+")
+    query, live = dataset[0], len(index.raf)
+    qmat = index.mapping.map_query_many([query])
+    # every object's Lemma 1 bound is within the first round's radius
+    radius = float(lower_bound_many_queries(qmat, index.mapping.matrix).max()) * (1 + 1e-9)
+    radii = []
+
+    def candidates_many(qmat, radius, active):
+        radii.append(radius)
+        return index._candidates_many(qmat, radius, active)
+
+    answers = expanding_radius_knn(index, [query], live, radius, candidates_many)
+    assert answers == brute_force_knn_many(MetricSpace(dataset), [query], live)
+    assert answers[0][-1].distance > radius and radii == [radius]
+
+
+def test_expanding_radius_rounds_read_records_in_page_order(metric_datasets, monkeypatch):
+    """Each round reads a query's new candidates in page order, also once
+    re-inserts have moved records out of id order."""
+    dataset = metric_datasets["euclidean"]
+    pivots = select_pivots(MetricSpace(dataset), N_PIVOTS, strategy="hfi", seed=3)
+    index = OmniBPlusTree.build(MetricSpace(dataset, CostCounters()), pivots)
+    for object_id in range(0, 120, 3):  # their records move to new pages
+        index.delete(object_id)
+        index.insert(dataset[object_id], object_id)
+    rounds: list[list[int]] = []
+    read_cached = index.raf.read_cached
+
+    def spy(cache, object_id):
+        rounds[-1].append(object_id)
+        return read_cached(cache, object_id)
+
+    def candidates_many(qmat, radius, active):
+        rounds.append([])
+        return index._candidates_many(qmat, radius, active)
+
+    monkeypatch.setattr(index.raf, "read_cached", spy)
+    answers = expanding_radius_knn(index, [dataset[1]], 40, 1.0, candidates_many)
+    assert answers == brute_force_knn_many(MetricSpace(dataset), [dataset[1]], 40)
+    assert all(ids == index.raf.page_order(ids) for ids in rounds)
+    assert any(ids != sorted(ids) for ids in rounds)
+
+
+@pytest.mark.parametrize("index_name", ("M-index", "M-index*"))
+def test_mindex_scans_skip_an_entry_without_a_live_record(metric_datasets, index_name):
+    """A B+-tree entry whose record is tombstoned is never a candidate."""
+    dataset = metric_datasets["euclidean"]
+    pivots = select_pivots(MetricSpace(dataset), N_PIVOTS, strategy="hfi", seed=3)
+    index = _BUILDERS[index_name](MetricSpace(dataset, CostCounters()), pivots)
+    index.raf.mark_deleted(5)  # the B+-tree keeps its entry
+    queries = [dataset[5], dataset[6]]
+    radius = RADIUS["euclidean"]
+    golden = brute_force_range_many(MetricSpace(dataset), queries, radius)
+    assert index.range_query_many(queries, radius) == [
+        [i for i in ids if i != 5] for ids in golden
+    ]
+    golden = brute_force_knn_many(MetricSpace(dataset), queries, K + 1)
+    assert index.knn_query_many(queries, K) == [
+        [n for n in neighbors if n.object_id != 5][:K] for neighbors in golden
+    ]

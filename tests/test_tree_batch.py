@@ -32,6 +32,8 @@ from repro.core.distances import (
     L2,
     QuadraticFormDistance,
 )
+from repro.external import MIndexStar, OmniBPlusTree, SPBTree
+from repro.storage import pager as pager_module
 from repro.storage.pager import Pager
 from repro.tables import CPT
 from repro.trees import BKT, FQA, FQT, MVPT, VPT
@@ -285,8 +287,12 @@ def test_tree_batch_across_shard_fanout(metric_datasets, metric_name):
         assert sharded.knn_query_many(queries, k) == golden_knn
 
 
+PAGED = {"SPB-tree": SPBTree, "M-index*": MIndexStar, "OmniB+": OmniBPlusTree}
+
+
 class TestCptLeafGroupedPaging:
-    """CPT's batch verification reads each touched leaf once per batch."""
+    """CPT's batch verification reads each touched leaf once per batch (and
+    the RAF-backed indexes share its chunked, page-ordered fetch)."""
 
     @pytest.fixture(scope="class")
     def cpt(self):
@@ -331,14 +337,46 @@ class TestCptLeafGroupedPaging:
         assert grouped.grouped_hits > 0
         assert grouped.page_reads <= seq.page_reads
 
-    def test_chunked_fetch_stays_exact(self, cpt, monkeypatch):
-        """Tiny fetch chunks (bounded memory) change I/O, never answers."""
-        dataset = cpt.space.dataset
-        queries = [dataset[5], dataset[120], dataset[200]]
+    @pytest.mark.parametrize("name", ("CPT", "SPB-tree", "M-index*", "OmniB+"))
+    def test_chunked_fetch_stays_exact(self, cpt, name, monkeypatch):
+        """Tiny fetch chunks (bounded memory) change I/O, never answers or
+        compdists; in page order a page is read again only where a chunk
+        boundary splits its candidates."""
+        if name == "CPT":
+            index, owner, method = cpt, cpt.mtree, "fetch_objects_many"
+        else:
+            space = MetricSpace(cpt.space.dataset, CostCounters())
+            index = PAGED[name].build(space, cpt.mapping.pivot_ids, page_size=1024)
+            owner, method = index.raf, "read_many"
+        chunks: list[int] = []
+        fetched: list[int] = []
+        fetch = getattr(owner, method)
+
+        def spy(ids):
+            chunks.append(len(ids))
+            fetched.extend(ids)
+            return fetch(ids)
+
+        monkeypatch.setattr(owner, method, spy)
+        dataset = index.space.dataset
+        # the repeated query shares every candidate: each is fetched once
+        queries = [dataset[5], dataset[120], dataset[200], dataset[5]]
         radius = RADIUS["euclidean"]
-        expected = cpt.range_query_many(queries, radius)
-        monkeypatch.setattr(type(cpt), "_FETCH_CHUNK", 5)
-        assert cpt.range_query_many(queries, radius) == expected
+        counters = index.space.counters
+        counters.reset()
+        expected = index.range_query_many(queries, radius)
+        whole = counters.snapshot()
+        assert len(chunks) == 1
+        monkeypatch.setattr(pager_module, "FETCH_CHUNK", 5)
+        chunks.clear()
+        fetched.clear()
+        counters.reset()
+        assert index.range_query_many(queries, radius) == expected
+        small = counters.snapshot()
+        assert small.distance_computations == whole.distance_computations
+        assert len(chunks) > 2 and max(chunks) == 5
+        assert len(fetched) == len(set(fetched))
+        assert whole.page_reads <= small.page_reads <= whole.page_reads + len(chunks) - 1
 
     def test_fetch_objects_many_matches_singles(self, cpt):
         ids = [3, 50, 3, 121, 50]
