@@ -49,6 +49,7 @@ from repro.core.staged import StagedPruner
 from repro.bench import format_table
 from repro.bench.runner import _best_seconds
 from repro.tables.laesa import LAESA
+from repro.tables.store import PivotTable
 
 from _bench_common import emit
 
@@ -91,9 +92,9 @@ def _lemma1_baseline(pruner: StagedPruner) -> StagedPruner:
 def _laesas(data, pivots) -> dict[str, LAESA]:
     """One L2 table, searched with and without the Ptolemaic stage."""
     space = MetricSpace(data, CostCounters())
-    mapping = PivotMapping(space, pivots)
+    mapping = PivotTable(space, pivots)
     pruner = StagedPruner.build(
-        space, mapping.matrix, mapping.pivot_objects, pair_budget=PAIR_BUDGET
+        space, mapping.table.view.table, mapping.pivot_objects, pair_budget=PAIR_BUDGET
     )
     assert pruner.use_ptolemaic
     return {

@@ -197,17 +197,18 @@ def storage_order_knn(
     :func:`~repro.core.queries.best_first_knn`; ``tighten`` is applied to
     the rows whose cheap bound is within the radius the first k leave
     behind -- a row above it can never be verified, whatever its final
-    bound.
+    bound.  A NaN row holds no object (a table's tombstone) and is skipped.
     """
     heap = KnnHeap(k)
-    head = min(k, len(row_ids))
-    if head == 0:
+    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
+    rows = np.flatnonzero(~np.isnan(lower_bounds))
+    if k == 0 or rows.size == 0:
         return []
-    ids = [int(i) for i in row_ids[:head]]
+    ids = [int(row_ids[pos]) for pos in rows[:k]]
     for object_id, d in zip(ids, verify_many(ids)):
         heap.consider(object_id, float(d))
-    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
-    positions = head + np.flatnonzero(lower_bounds[head:] <= heap.radius)
+    rest = rows[k:]
+    positions = rest[lower_bounds[rest] <= heap.radius]
     bounds = lower_bounds[positions] if tighten is None else tighten(positions)
     reachable = bounds <= heap.radius
     for pos, bound in zip(positions[reachable], bounds[reachable]):

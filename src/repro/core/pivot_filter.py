@@ -27,10 +27,11 @@ cell is the same subtractions and additions on the same operands either
 way, and max, min and abs are exact, so both forms agree bit for bit: the
 choice follows the input's size and is not an option.
 
-A table may hold ``float32`` cells (LAESA's).  The bounds are ``float64``
-all the same: the column form widens the cells, exactly, inside the one
-per-call column copy it makes, and the broadcast form promotes them, so no
-second copy of the table is made.
+The column form reads a column-major table -- a pivot table's store
+(:mod:`repro.tables.store`) -- in place, ``float32`` cells included, each
+term widening its column exactly; a row-major one (node boxes, the Omni
+sequential file's blocks) is copied once a call to ``float64`` columns
+(:func:`columns_of`).  The input's layout decides, not an option.
 """
 
 from __future__ import annotations
@@ -93,31 +94,38 @@ def _above(q, highs, out=None):
     return np.subtract(q, highs, out=out)
 
 
-def _fold(query_pivot_matrix, terms, reduce, empty: float) -> np.ndarray:
+def columns_of(table, picks=slice(None)):
+    """The pivot columns ``picks`` of an ``n x l`` table: views of its own
+    columns when each is contiguous (a column store's table), else one
+    contiguous ``float64`` copy of them (an input may be a strided view or
+    a read-only memmap; it is never written)."""
+    table = _object_rows(table)
+    if table.strides[0] == table.itemsize:
+        return [table[:, j] for j in np.arange(table.shape[1])[picks]]
+    return np.ascontiguousarray(table.T[picks], dtype=np.float64)
+
+
+def _fold(query_pivot_matrix, terms, reduce, empty: float, picks) -> np.ndarray:
     """The ``q x n`` fold with ``reduce`` (``np.maximum`` / ``np.minimum``)
-    of ``term(d(q,p), table column)`` over every pivot column of every
-    ``(term, table)`` pair in ``terms``; ``empty`` where there is no term.
+    of ``term(d(q,p), table column)`` over the pivot columns ``picks`` of
+    every ``(term, table)`` pair in ``terms``, one a column of
+    ``query_pivot_matrix``; ``empty`` where there is no term.
     """
     qmat = np.asarray(query_pivot_matrix, dtype=np.float64)
     if qmat.ndim != 2:
         qmat = qmat.reshape(1, -1)
     terms = [(term, _object_rows(table)) for term, table in terms]
     n_queries, n_objects = qmat.shape[0], terms[0][1].shape[0]
-    if qmat.size == 0 or terms[0][1].size == 0:
+    if qmat.size == 0 or n_objects == 0:
         return np.full((n_queries, n_objects), empty)
     if n_queries * n_objects * qmat.shape[1] <= _WHOLE_FLOATS:
         whole = qmat[:, None, :]
-        cells = terms[0][0](whole, terms[0][1])
+        cells = terms[0][0](whole, terms[0][1][:, picks])
         for term, table in terms[1:]:
-            reduce(cells, term(whole, table), out=cells)
+            reduce(cells, term(whole, table[:, picks]), out=cells)
         return reduce.reduce(cells, axis=2)
+    terms = [(term, columns_of(table, picks)) for term, table in terms]
     out = np.empty((n_queries, n_objects), dtype=np.float64)
-    # the tables are read through per-call contiguous float64 l x n copies
-    # (an input may be a strided view, a read-only memmap or float32 cells;
-    # it is never written)
-    columns = [
-        (term, np.ascontiguousarray(table.T, dtype=np.float64)) for term, table in terms
-    ]
     step = max(1, _COLUMN_BLOCK_FLOATS // n_objects)
     scratch = np.empty((min(step, n_queries), n_objects), dtype=np.float64)
     for start in range(0, n_queries, step):
@@ -125,8 +133,8 @@ def _fold(query_pivot_matrix, terms, reduce, empty: float) -> np.ndarray:
         qblock = qmat[start : start + step]
         diff = scratch[: block.shape[0]]
         target = block  # the first column writes the block, the rest fold into it
-        for term, table in columns:
-            for j, column in enumerate(table):
+        for term, columns in terms:
+            for j, column in enumerate(columns):
                 term(qblock[:, j : j + 1], column, out=target)
                 if target is diff:
                     reduce(block, diff, out=block)
@@ -134,17 +142,19 @@ def _fold(query_pivot_matrix, terms, reduce, empty: float) -> np.ndarray:
     return out
 
 
-def lower_bound_many_queries(query_pivot_matrix, lows, highs=None) -> np.ndarray:
+def lower_bound_many_queries(query_pivot_matrix, lows, highs=None, picks=slice(None)):
     """Lemma 1: ``q x n`` lower bounds of d(q_i, o_j).
 
     ``lows`` is the ``n x l`` table of mapped rows I(o_j); with ``highs``
     the two are the low and high corners of ``n`` boxes, and entry (i, j)
     bounds every object inside box j: the L-infinity distance from I(q_i)
-    to the box, 0 when I(q_i) is inside it.
+    to the box, 0 when I(q_i) is inside it.  ``picks`` selects the table's
+    pivot columns, one a column of ``query_pivot_matrix``.
     """
     if highs is None:
-        return _fold(query_pivot_matrix, [(_distance, lows)], np.maximum, 0.0)
-    out = _fold(query_pivot_matrix, [(_below, lows), (_above, highs)], np.maximum, 0.0)
+        return _fold(query_pivot_matrix, [(_distance, lows)], np.maximum, 0.0, picks)
+    terms = [(_below, lows), (_above, highs)]
+    out = _fold(query_pivot_matrix, terms, np.maximum, 0.0, picks)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -154,7 +164,7 @@ def upper_bound_many_queries(query_pivot_matrix, highs) -> np.ndarray:
     ``highs`` is the ``n x l`` table of mapped rows, or the high corners of
     ``n`` boxes -- then entry (i, j) bounds every object inside box j.
     """
-    return _fold(query_pivot_matrix, [(np.add, highs)], np.minimum, np.inf)
+    return _fold(query_pivot_matrix, [(np.add, highs)], np.minimum, np.inf, slice(None))
 
 
 # -- Ptolemaic bounds ---------------------------------------------------------

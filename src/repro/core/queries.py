@@ -75,12 +75,14 @@ def _ascending_slices(lower_bounds: np.ndarray, first: int, tighten):
     and emits those whose final bound lies in (previous t, t].  Complete
     because tightening only raises a bound: every row with final <= t has
     a cheap bound <= t, so it is among the round's candidates, and rows it
-    lifts above t come back in a later round.
+    lifts above t come back in a later round.  NaN rows sort last, and a
+    threshold on one is infinity: none is reached.
     """
     n = lower_bounds.shape[0]
     m, done = first, -np.inf
     while n:
         t = np.partition(lower_bounds, m - 1)[m - 1] if m < n else np.inf
+        t = np.inf if np.isnan(t) else t
         reached = np.flatnonzero(lower_bounds <= t)
         bounds = lower_bounds[reached] if tighten is None else tighten(reached)
         fresh = (bounds > done) & (bounds <= t)
@@ -141,6 +143,9 @@ def best_first_knn(
             ids (one vectorised counted call per chunk).
         tighten: optional ``positions -> final bounds`` (each a true lower
             bound >= ``lower_bounds[positions]``).
+
+    A NaN bound is no object (a table's tombstone): never ordered,
+    tightened or verified, and the other rows verify as without it.
     """
     heap = KnnHeap(k)
     lower_bounds = np.asarray(lower_bounds, dtype=np.float64)

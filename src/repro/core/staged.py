@@ -43,20 +43,17 @@ Exactness: every stage only makes *provable* decisions, so the survivor /
 validated masks equal the single-shot masks composed from full broadcasts
 (``tests/test_staged_cascade.py`` builds that reference for both layouts);
 staging changes how much numpy work runs, never which objects verify.
+A table may be column-major (a pivot table's store) or row-major; the
+stages read the first in place and gather cells from either.
 
-A table whose cells are ``float32`` (LAESA's) hands the cascade and the
-MkNNQ bounds its ``slack``, which its mapping keeps beside the cells: no
-cell is further than that from the distance it stands for, with room for
-the arithmetic (:func:`~repro.core.mapping.narrowed`).  Every bound gives
-it up, here and only here (:func:`_slackened` and the Ptolemaic cell):
-Lemma 1 -- stage 1, the refine stage, the MkNNQ column -- subtracts it
-(the masks compare against the radius plus it), Lemma 4 adds it, and the
-Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  What
-Lemma 1 gives up carries two ulps of the query's largest pivot distance
-on top, the room the rounding of |d(q,p) - t| needs, so no bound over the
-cells is above -- Lemma 4's below -- what the ``float64`` table gives.
-Every bound is computed, and returned, in ``float64``.  A ``float64``
-table has slack 0, and its bounds are the arithmetic they were.
+A table of ``float32`` cells (LAESA's) hands the cascade and the MkNNQ
+bounds its ``slack`` (:class:`~repro.core.mapping.CellRounding`), and every
+bound gives it up here alone (:func:`_slackened`, the Ptolemaic cell):
+Lemma 1 -- stage 1, the refine stage, the MkNNQ column -- subtracts it and
+two ulps of the query's largest pivot distance, Lemma 4 adds it, and the
+Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  So no
+bound over the cells is above -- Lemma 4's below -- what the ``float64``
+table gives.  Every bound is ``float64``; a ``float64`` table has slack 0.
 
 Whether stage 4 runs is a fact about the metric, decided once, at build
 time: a build computes pivot-pair distances exactly when there are two
@@ -112,8 +109,9 @@ def score_pivot_order(matrix, sample: int = 64, seed: int = 0) -> np.ndarray:
     The classic estimator: for random object pairs (a, b), the mean of
     ``|d(a,p_i) - d(b,p_i)|`` per pivot -- the expected Lemma 1 bound a
     single pivot yields.  Computed from the stored ``n x l`` table alone,
-    so scoring costs zero distance computations.  Deterministic in
-    ``seed``; stable argsort keeps build-order ties reproducible.
+    so scoring costs zero distance computations, in ``float64`` whatever
+    the cells.  Deterministic in ``seed``; stable argsort keeps build-order
+    ties reproducible.
     """
     mat = _object_rows(matrix)
     n, l = mat.shape
@@ -124,7 +122,7 @@ def score_pivot_order(matrix, sample: int = 64, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     left = rng.integers(0, n, size=sample)
     right = rng.integers(0, n, size=sample)
-    power = np.abs(mat[left] - mat[right]).mean(axis=0)
+    power = np.abs(mat[left] - mat[right].astype(np.float64)).mean(axis=0)
     return np.argsort(-power, kind="stable").astype(np.intp)
 
 
@@ -154,10 +152,11 @@ def _slackened(qmat: np.ndarray, slack: float):
 def _lemma1(qmat: np.ndarray, omat: np.ndarray, slots, cols) -> np.ndarray:
     """Lemma 1 over the slots ``cols`` for every (query, row) cell: the
     ``q x n`` matrix of max_j |d(q,p_{o,j}) - d(o,p_{o,j})|.  A shared-pivot
-    table runs the bound kernel on those columns; through a slot map each
-    slot's query distances are a ``q x n`` gather, a slot at a time."""
+    table runs the bound kernel on those columns, picked from a
+    column-major table, not copied; through a slot map each slot's query
+    distances are a ``q x n`` gather, a slot at a time."""
     if slots is None:
-        return lower_bound_many_queries(qmat[:, cols], omat[:, cols])
+        return lower_bound_many_queries(qmat[:, cols], omat, picks=cols)
     out = np.zeros((qmat.shape[0], omat.shape[0]), dtype=np.float64)
     for j in np.arange(omat.shape[1])[cols]:
         np.maximum(out, np.abs(qmat[:, slots[:, j]] - omat[:, j]), out=out)
@@ -169,16 +168,17 @@ def _cell_reader(qmat: np.ndarray, omat: np.ndarray, slots, cols):
     ``(ci, cj) -> (q, o, at)`` for the cells ``(ci, cj)``, the query's
     distances ``q`` read through the slot map, the row's ``o``, and ``at``,
     the query-matrix position each slot names (a row of them per cell, or
-    the slot positions themselves on a shared-pivot table)."""
-    o = omat[:, cols]
+    the slot positions themselves on a shared-pivot table).  The cells'
+    rows are gathered straight from the table, on those slots only, so no
+    copy of a column is made."""
+    picked = np.arange(omat.shape[1])[cols]
     if slots is None:
-        q, at = qmat[:, cols], np.arange(omat.shape[1])[cols]
-        return lambda ci, cj: (q[ci], o[cj], at)
-    s = slots[:, cols]
+        q = qmat[:, picked]
+        return lambda ci, cj: (q[ci], omat[cj[:, None], picked], picked)
 
     def read(ci, cj):
-        at = s[cj]
-        return qmat[ci[:, None], at], o[cj], at
+        at = slots[cj[:, None], picked]
+        return qmat[ci[:, None], at], omat[cj[:, None], picked], at
 
     return read
 

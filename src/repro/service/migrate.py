@@ -8,9 +8,10 @@ as a *stand-in* that becomes the real class, its state converted by the
 function registered for it below.  No counted distance is computed: an
 MVPT / VPT whose codes were cells of one frame a level has them made again
 in its path bands from each object's path distances, which the conversion
-takes once through the metric itself.  A LAESA / CPT table of ``float64``
-cells is narrowed to ``float32`` under its slack, as ``LAESA.build`` does,
-and its cascade's choices, scored on the ``float64`` table, are kept.
+takes once through the metric itself.  A row-major LAESA / CPT / EPT /
+EPT* table goes into a column store (:mod:`repro.tables.store`), a LAESA /
+CPT table of ``float64`` cells narrowed to ``float32`` under its slack on
+the way, as ``LAESA.build`` narrows; a cascade's choices are kept.
 """
 
 from __future__ import annotations
@@ -20,14 +21,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .. import BKT, CPT, DEPT, FQA, FQT, LAESA, MVPT, VPT, MIndex, MIndexStar, SPBTree
+from .. import (
+    BKT, CPT, DEPT, EPT, FQA, FQT, LAESA, MVPT, VPT, EPTStar, MIndex, MIndexStar, SPBTree,
+)
 from ..btree.bptree import BPlusTree, InternalNode, LeafNode, _leaf_from, _stacked
 from ..core.counters import CostCounters
+from ..core.mapping import narrowed
 from ..core.quantise import Frame
 from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
+from ..tables.store import ColumnStore, PivotTable
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
 
@@ -262,13 +267,30 @@ def _fqa(state):
 
 @_converts(LAESA, CPT)
 def _laesa(state):
-    # pickled while the table was kept twice: ``_rows`` was the live copy,
-    # ``mapping.matrix`` the one that went stale at the first insert
-    if "_rows" in state:
-        state["mapping"].matrix = state.pop("_rows")
-    # float64 cells and intp row ids
-    state["mapping"].narrow()
-    state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
+    old = state["mapping"]
+    if isinstance(old, PivotTable):
+        return state
+    # the row-major ``mapping.matrix``: float64 cells (and intp ids) before
+    # they were float32 under the mapping's slack; pickled while the table
+    # was kept twice, ``_rows`` is the live copy (the matrix went stale)
+    rows = state.pop("_rows", old.__dict__.pop("matrix"))
+    slack = old.__dict__.pop("slack", 0.0)
+    if rows.dtype != np.float32:
+        rows, slack = narrowed(rows)
+    state["mapping"] = mapping = PivotTable.__new__(PivotTable)
+    table = ColumnStore(np.ascontiguousarray(rows.T), state.pop("_row_ids"), slack)
+    mapping.__dict__.update(vars(old), table=table)
+    return state
+
+
+@_converts(EPT, EPTStar)
+def _ept(state):
+    if "table" not in state:  # row-major pivot distances and slot map
+        state["table"] = ColumnStore(
+            np.ascontiguousarray(np.asarray(state.pop("_pivot_dist")).T, dtype=np.float64),
+            state.pop("_row_ids"),
+            slots=np.ascontiguousarray(np.asarray(state.pop("_pivot_idx")).T, dtype=np.int32),
+        )
     return state
 
 

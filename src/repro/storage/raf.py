@@ -12,6 +12,9 @@ it (``np.min_scalar_type(page_size)``: ``uint16`` below 64 KB pages), 6 B
 an id in all at 4 KB.  A locator restored from a file written when both
 arrays were int64 is narrowed as it loads.  It is the only module that
 knows where a record lies; an index stores ids and asks ``id in raf``.
+Being dense, it may grow in a write to twice its length with the records
+written, or to ``_LOCATOR_FLOOR`` ids: a larger id is refused with
+:class:`IdOutOfBounds` before anything is allocated.
 Reading a record costs one page access unless the page is cached -- the
 paper's duplicate-RAF-access discussion for MkNNQ is exactly about this.
 
@@ -88,6 +91,7 @@ from ..obs import tracing
 from .pager import Pager
 
 __all__ = [
+    "IdOutOfBounds",
     "RandomAccessFile",
     "RafPage",
     "encode_column",
@@ -604,6 +608,14 @@ def _header_bytes(schema) -> int:
     return len(pickle.dumps(empty, protocol=_PROTOCOL)) + 3 * buffers
 
 
+# the locator length a write may always reach: 384 KB at 4 KB pages
+_LOCATOR_FLOOR = 1 << 16
+
+
+class IdOutOfBounds(ValueError):
+    """An object id past what the RAF's dense locator may grow to."""
+
+
 class RandomAccessFile:
     """Append-organised record file over a :class:`~repro.storage.pager.Pager`,
     addressed by object id.
@@ -740,6 +752,12 @@ class RandomAccessFile:
         ids = np.asarray(columns[0].values, dtype=np.int64)
         if n and (ids.min() < 0 or self.live(ids).any()):
             raise ValueError("object ids must be non-negative and without a live record")
+        bound = max(2 * (len(self._pages) + n), _LOCATOR_FLOOR)
+        if n and ids.max() >= bound:
+            raise IdOutOfBounds(
+                f"object id {int(ids.max())} is past {bound}: the locator is dense in "
+                f"the id and grows at most to twice its length, or to {_LOCATOR_FLOOR}"
+            )
         if n:  # the locator to the largest id, each page's rows pointed at as it goes
             self._reserve(int(ids.max()) + 1)
         page_id, page, used = self._open_page_id, self._open_page, self._open_bytes

@@ -6,7 +6,8 @@ clustered by an M-tree so that verified candidates cause few page reads
 object, the pre-computed pivot distances plus a pointer to the M-tree leaf
 holding the object.
 
-Query processing is LAESA's -- the class below inherits the mapping, the
+Query processing is LAESA's -- the class below inherits the mapping and
+its column store of ``float32`` cells (:mod:`~repro.tables.store`), the
 staged cascade and the MkNNQ verification order unchanged -- except every
 verification must *fetch the object from disk* first, the paper's
 explanation for CPT's CPU and I/O overheads.  That one step is
@@ -105,7 +106,7 @@ class CPT(LAESA):
         return object_id
 
     def delete(self, object_id: int) -> None:
-        """Table row removal + M-tree leaf update."""
+        """Table row tombstone + M-tree leaf update."""
         super().delete(object_id)
         self.mtree.delete(object_id)
 
@@ -118,8 +119,4 @@ class CPT(LAESA):
     # -- accounting -----------------------------------------------------------
 
     def storage_bytes(self) -> dict[str, int]:
-        table = int(self._rows.nbytes) + int(self._row_ids.nbytes)
-        return {
-            "memory": table + 8 * self.mapping.n_pivots,
-            "disk": self.mtree.pager.disk_bytes(),
-        }
+        return {"memory": self._table_bytes(), "disk": self.mtree.pager.disk_bytes()}

@@ -14,31 +14,30 @@ candidate set the pivots maximising E[D(q,o)/d(q,o)].  Construction is far
 more expensive -- exactly as Table 4 reports -- but queries prune better
 (Fig. 14).
 
-MRQ/MkNNQ processing is LAESA's -- one batch body per query type, the
-one-query entry points their ``q = 1`` views, MkNNQ verified best-first --
-through the same staged cascade (:class:`~repro.core.staged.StagedPruner`).
-Only where a bound reads d(q, p) differs: each call hands the cascade the
-table's slot map ``_pivot_idx``, so every cell of object o is compared with
-the query's distance to o's own pivot.  What is EPT's own is the pruner's
-build policy (:class:`~repro.core.staged.PerObjectStagedPruner`).
+MRQ/MkNNQ processing is LAESA's, the same bodies
+(:class:`~repro.tables.store.ColumnTable`) over the same staged cascade
+(:class:`~repro.core.staged.StagedPruner`), MkNNQ verified best-first.
+Only where a bound reads d(q, p) differs: the table's column store holds
+``float64`` distances with an ``int32`` slot map beside them, which each
+call hands the cascade, so every cell of object o is compared with the
+query's distance to o's own pivot.  What is EPT's own is the pruner's build
+policy (:class:`~repro.core.staged.PerObjectStagedPruner`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.index import MetricIndex
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.pivot_selection import psa, psa_greedy
-from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import PerObjectStagedPruner
-from .rows import append_row, claim_row_id, remove_row, restore_rows
+from .store import ColumnStore, ColumnTable
 
 __all__ = ["EPT", "EPTStar"]
 
 
-class _ExtremePivotTableBase(MetricIndex):
+class _ExtremePivotTableBase(ColumnTable):
     """Shared query machinery: per-object pivot ids + distances."""
 
     def __init__(
@@ -51,18 +50,21 @@ class _ExtremePivotTableBase(MetricIndex):
     ):
         super().__init__(space)
         self.pivot_ids = pivot_ids  # global candidate/pivot object ids
-        self._row_ids = np.arange(pivot_idx.shape[0], dtype=np.int32)
-        # the builds make these arrays for this table: kept, not copied
-        self._pivot_idx = np.asarray(pivot_idx, dtype=np.int32)  # n x l, into pivot_ids
-        self._pivot_dist = np.asarray(pivot_dist, dtype=np.float64)  # n x l
+        # pivot_dist and pivot_idx (into pivot_ids) are n x l, copied once
+        # into the store's columns
+        self.table = ColumnStore(
+            np.ascontiguousarray(np.asarray(pivot_dist).T, dtype=np.float64),
+            np.arange(pivot_idx.shape[0], dtype=np.int32),
+            slots=np.ascontiguousarray(np.asarray(pivot_idx).T, dtype=np.int32),
+        )
         if pruner is None:
-            pruner = PerObjectStagedPruner.build(
-                space, pivot_ids, self._pivot_idx, self._pivot_dist
-            )
+            pruner = PerObjectStagedPruner.build(space, pivot_ids, pivot_idx, pivot_dist)
         self.pruner = pruner
 
-    def __setstate__(self, state):
-        restore_rows(self, state)
+    # the live table, column-major: d(o, p) of each row's slots, and the
+    # slots, positions in ``pivot_ids``
+    _pivot_dist = property(lambda self: self.table.view.table)
+    _pivot_idx = property(lambda self: self.table.view.slot_map)
 
     def _query_pivot_dists_many(self, queries) -> np.ndarray:
         """d(q, p) for every query and every pivot the table references:
@@ -70,54 +72,14 @@ class _ExtremePivotTableBase(MetricIndex):
         pivots = self.space.dataset.gather(self.pivot_ids)
         return self.space.pairwise_objects(queries, pivots)
 
-    def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """MRQ: one pairwise call for all query-pivot distances, the staged
-        cascade through the slot map, vectorised per-query verification."""
-        queries = list(queries)
-        if not queries:
-            return []
-        qdists = self._query_pivot_dists_many(queries)
-        survivors, _ = self.pruner.masks_many_queries(
-            qdists,
-            self._pivot_dist,
-            radius,
-            counters=self.space.counters,
-            slots=self._pivot_idx,
-        )
-        out: list[list[int]] = []
-        for q, row in zip(queries, survivors):
-            ids = [int(i) for i in self._row_ids[row]]
-            dists = self.space.d_ids(q, ids)
-            out.append(sorted(o for o, d in zip(ids, dists) if d <= radius))
-        return out
-
-    def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """MkNNQ: shared Lemma 1 matrix + best-first chunked verification."""
-        queries = list(queries)
-        return best_first_knn_many(self._knn_columns(queries), k) if queries else []
-
-    def _knn_columns(self, queries):
-        """Row ids, the ``q x n`` bounds over each object's own pivots, and
-        per query its tightener and counted distance call."""
-        lower, tighteners = self.pruner.knn_bounds(
-            self._query_pivot_dists_many(queries),
-            self._pivot_dist,
-            slots=self._pivot_idx,
-        )
-        verifiers = [lambda ids, q=q: self.space.d_ids(q, ids) for q in queries]
-        return self._row_ids, lower, tighteners, verifiers
-
-    def delete(self, object_id: int) -> None:
-        remove_row(self, object_id, "_pivot_idx", "_pivot_dist")
+    _query_matrix = _query_pivot_dists_many
 
     def storage_bytes(self) -> dict[str, int]:
-        objects = sum(
-            self.space.dataset.object_nbytes(int(i)) for i in self._row_ids
-        )
+        view = self.table.view  # the used rows, tombstones too
         # each cell stores the pivot reference *and* the distance (the paper
         # notes this overhead relative to LAESA)
-        table = int(self._pivot_dist.nbytes) + int(self._pivot_idx.nbytes)
-        return {"memory": table + 8 * len(self.pivot_ids) + objects, "disk": 0}
+        table = int(view.table.nbytes) + int(view.slot_map.nbytes)
+        return {"memory": table + 8 * len(self.pivot_ids) + self._object_bytes(), "disk": 0}
 
 
 class EPT(_ExtremePivotTableBase):
@@ -215,7 +177,7 @@ class EPT(_ExtremePivotTableBase):
         estimates against a sample so the extremeness criterion stays
         calibrated.
         """
-        object_id = claim_row_id(self, obj, object_id)
+        object_id = self.table.claim(self.space, obj, object_id)
         rng = np.random.default_rng(object_id)
         n_pivots = len(self.pivot_ids)
         sample_size = min(512, len(self.space))
@@ -226,7 +188,7 @@ class EPT(_ExtremePivotTableBase):
         dists = self.space.d_many(
             obj, self.space.dataset.gather(self.pivot_ids)
         )
-        l = self._pivot_idx.shape[1]
+        l = self.table.view.cells.shape[0]
         m = n_pivots // l
         idx_row, dist_row = [], []
         for j in range(l):
@@ -235,7 +197,7 @@ class EPT(_ExtremePivotTableBase):
             pick = lo + int(extremeness.argmax())
             idx_row.append(pick)
             dist_row.append(float(dists[pick]))
-        append_row(self, object_id, _pivot_idx=idx_row, _pivot_dist=dist_row)
+        self.table.append(object_id, dist_row, slots=idx_row)
         return object_id
 
 
@@ -276,7 +238,7 @@ class EPTStar(_ExtremePivotTableBase):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """PSA for a single object: |CP| + |S| distances plus the greedy scan."""
-        object_id = claim_row_id(self, obj, object_id)
+        object_id = self.table.claim(self.space, obj, object_id)
         cand_objs = self.space.dataset.gather(self.pivot_ids)
         cand_d = self.space.d_many(obj, cand_objs)  # d(o, p_c)
         sample_objs = self.space.dataset.gather(self._sample_ids)
@@ -285,6 +247,6 @@ class EPTStar(_ExtremePivotTableBase):
         # cand_sample[c, s] = d(p_c, q_s): pivots vs proxies (counted)
         cand_sample = self.space.pairwise_ids(self.pivot_ids, self._sample_ids)
         ratios = np.abs(cand_sample - cand_d[:, None]) / denom[None, :]
-        used = psa_greedy(ratios, self._pivot_idx.shape[1])
-        append_row(self, object_id, _pivot_idx=used, _pivot_dist=cand_d[used])
+        used = psa_greedy(ratios, self.table.view.cells.shape[0])
+        self.table.append(object_id, cand_d[used], slots=used)
         return object_id

@@ -5,21 +5,18 @@ objects), an object table (the data), and a distance table holding d(o, p)
 for every object o and pivot p -- O(|P| x |O|) memory instead of AESA's
 O(|O|^2).
 
-**Cells are 4 bytes.**  ``build`` computes the table in ``float64``, scores
-the cascade on it (:class:`~repro.core.staged.StagedPruner`), then narrows
-it to ``float32`` (:meth:`~repro.core.mapping.PivotMapping.narrow`); the
-mapping keeps the ``slack`` beside the cells, so every index over one
-mapping reads the same one: no cell is further than that from its distance,
-with room for the arithmetic of a bound.  Every bound gives the slack up
-(:mod:`~repro.core.staged`), so each is at or below -- Lemma 4's at or
-above -- what the ``float64`` table gives, and the answers are the same;
-what it costs is the objects whose ``float64`` bound lies within the slack
-past the radius, verified now (on the spine's Color workload 0.0003-0.001
-more a query, against ~637; none on LA).  ``insert`` widens the slack when
-a new row rounds further.  Row ids are ``int32``.  Per object the table is
-4 bytes a column plus 4 for the id, half of the ``float64`` / ``intp`` pair
-it was; a snapshot memmaps the ``<f4`` region as it is.  On Color the slack is ~0.001
-against a 1 % radius of ~2 700, on LA ~0.0005 against ~95.
+**Cells are 4 bytes, in columns** (:mod:`~repro.tables.store`): ``build``
+narrows each column to ``float32`` as it computes it, so no ``float64``
+table exists; the bound kernel and the cascade read the columns in place;
+``insert`` writes into spare room and ``delete`` leaves a tombstone, so no
+write copies the table.  Every bound gives up the store's ``slack``
+(:mod:`~repro.core.staged`) and stays on the safe side of the ``float64``
+table's, so the answers are the same; what it costs is the objects whose
+``float64`` bound lies within the slack past the radius (on the spine's
+Color workload 0.0003-0.001 more a query, against ~637; none on LA).  On
+Color the slack is ~0.001 against a 1 % radius of ~2 700, on LA ~0.0005
+against ~95.  A row is 4 bytes a column and a 4-byte id, half the
+``float64`` / ``intp`` pair it was; a snapshot memmaps the ``<f4`` columns.
 
 * MRQ scans the distance table, prunes with Lemma 1, and verifies survivors.
 * MkNNQ bounds every row with Lemma 1 and verifies in ascending bound
@@ -42,8 +39,8 @@ dimension the only way to verify fewer objects is to hold more columns.
 After the given columns ``build`` continues the pivot set the way LAESA's
 authors chose base prototypes -- next pivot = the object farthest from its
 nearest pivot so far, read off the columns in hand, so choosing is free and
-a column costs n computations (:meth:`~repro.core.mapping.PivotMapping.
-extend_max_min`) -- under two rules that look only at the input:
+a column costs n computations (:class:`~repro.tables.store.PivotTable`)
+-- under two rules that look only at the input:
 
 * *Width:* one more column per ``_OBJECT_BYTES_PER_COLUMN`` = 256 bytes of
   object.  A column is a 4-byte cell an object, so the continuation never
@@ -59,7 +56,7 @@ extend_max_min`) -- under two rules that look only at the input:
   on Synthetic.
 
 The wider table is the same table: the continuation pivots sit in
-``mapping.pivot_ids`` / ``pivot_objects`` and the rows like the given ones,
+``mapping.pivot_ids`` / ``pivot_objects`` and their columns beside the given ones,
 so the cascade ranks and stages them, and queries, ``insert`` (one counted
 call, a computation a column), ``delete``, snapshots, ``storage_bytes`` and
 CPT need no second body.  What it buys on the spine's ``color_table_batch``
@@ -78,11 +75,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.index import MetricIndex
-from ..core.mapping import PivotMapping
+from ..core.mapping import narrowed
 from ..core.metric_space import MetricSpace
-from ..core.queries import Neighbor, best_first_knn_many
 from ..core.staged import StagedPruner
-from .rows import append_row, claim_row_id, remove_row, restore_rows
+from .store import ColumnTable, PivotTable
 
 __all__ = ["LAESA"]
 
@@ -92,7 +88,7 @@ _OBJECT_BYTES_PER_COLUMN = 256
 # ... until the table's Lemma 1 bound explains this share of a new column.
 _EXPLAINED_SHARE = 0.9
 
-class LAESA(MetricIndex):
+class LAESA(ColumnTable):
     """Pivot table with shared pivots for every object."""
 
     name = "LAESA"
@@ -100,37 +96,16 @@ class LAESA(MetricIndex):
     def __init__(
         self,
         space: MetricSpace,
-        mapping: PivotMapping,
+        mapping: PivotTable,
         use_validation: bool = False,
         pruner: StagedPruner | None = None,
     ):
         super().__init__(space)
         self.mapping = mapping
         self.use_validation = use_validation
-        self._row_ids = np.arange(mapping.n_objects, dtype=np.int32)
         if pruner is None:
             pruner = StagedPruner.build(space, self._rows, mapping.pivot_objects)
         self.pruner = pruner
-        # scored on the float64 table above: the cascade's choices do not
-        # depend on the narrowing.  A mapping another table narrowed first
-        # is kept, with the slack it measured
-        mapping.narrow()
-
-    @property
-    def slack(self) -> float:
-        """The table's slack (:meth:`~repro.core.mapping.PivotMapping.narrow`),
-        kept with its cells on the mapping."""
-        return self.mapping.slack
-
-    def __setstate__(self, state):
-        if state["mapping"].matrix.dtype != np.float32:
-            from ..service.snapshot import SnapshotError
-
-            raise SnapshotError(
-                f"a {self.name} whose table holds float64 cells "
-                "reads only through `repro migrate OLD NEW`"
-            )
-        restore_rows(self, state)
 
     @classmethod
     def build(
@@ -144,24 +119,17 @@ class LAESA(MetricIndex):
         sizes (none on objects under ``_OBJECT_BYTES_PER_COLUMN``).  The
         pruner runs the Ptolemaic stage exactly when the metric declares
         ``is_ptolemaic`` (:mod:`~repro.core.staged`)."""
-        mapping = PivotMapping(space, pivot_ids)
         per_object = space.dataset.nbytes() // max(1, len(space.dataset))
-        mapping.extend_max_min(per_object // _OBJECT_BYTES_PER_COLUMN, _EXPLAINED_SHARE)
-        pruner = StagedPruner.build(space, mapping.matrix, mapping.pivot_objects)
-        return cls(space, mapping, use_validation, pruner=pruner)
+        mapping = PivotTable(
+            space, pivot_ids, per_object // _OBJECT_BYTES_PER_COLUMN, _EXPLAINED_SHARE
+        )
+        return cls(space, mapping, use_validation)
 
     # -- the one table ------------------------------------------------------
 
-    @property
-    def _rows(self) -> np.ndarray:
-        """The live ``float32`` distance table, one row per ``_row_ids``
-        entry.  It *is* ``mapping.matrix``: inserts and deletes rebind that
-        one array."""
-        return self.mapping.matrix
-
-    @_rows.setter
-    def _rows(self, table: np.ndarray) -> None:
-        self.mapping.matrix = table
+    # the column store of float32 cells, and the slack that covers them
+    table = property(lambda self: self.mapping.table)
+    slack = property(lambda self: self.table.view.slack)
 
     # -- queries ------------------------------------------------------------
 
@@ -171,82 +139,29 @@ class LAESA(MetricIndex):
     range_query = MetricIndex.range_query
     knn_query = MetricIndex.knn_query
 
-    def _distances(self, queries, ids_per_query) -> list[np.ndarray]:
-        """Counted d(q_i, o) for each query's candidate ids: the one step
-        a subclass that stores its objects elsewhere replaces."""
-        return [self.space.d_ids(q, ids) for q, ids in zip(queries, ids_per_query)]
+    range_query_many = ColumnTable.range_query_many
+    knn_query_many = ColumnTable.knn_query_many
 
-    def range_query_many(self, queries, radius: float) -> list[list[int]]:
-        """Vectorised MRQ.
-
-        One ``pairwise`` call produces the full q x l query-pivot matrix,
-        the staged cascade (Lemma 1, optionally Lemma 4, Ptolemaic) decides
-        the q x n cells, and each query verifies all of its survivors with
-        one vectorised distance call.  Pivots that are themselves answers
-        are caught by the scan: their table rows contain a zero column.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        qmat = self.mapping.map_query_many(queries)
-        # the table is read before its slack (here and in _knn_columns):
-        # ``insert`` widens the slack before it appends, so the slack read
-        # covers every row read
-        survivors, validated = self.pruner.masks_many_queries(
-            qmat,
-            self._rows,
-            radius,
-            counters=self.space.counters,
-            validate=self.use_validation,
-            slack=self.slack,
-        )
-        ids_per_query = [[int(i) for i in self._row_ids[row]] for row in survivors]
-        out: list[list[int]] = []
-        for row, ids, dists in zip(
-            validated, ids_per_query, self._distances(queries, ids_per_query)
-        ):
-            results = [int(i) for i in self._row_ids[row]]
-            results.extend(o for o, d in zip(ids, dists) if d <= radius)
-            out.append(sorted(results))
-        return out
-
-    def knn_query_many(self, queries, k: int) -> list[list[Neighbor]]:
-        """Vectorised MkNNQ, verified best-first (ascending lower bound,
-        chunked vectorised distance calls) over :meth:`_knn_columns`."""
-        queries = list(queries)
-        return best_first_knn_many(self._knn_columns(queries), k) if queries else []
-
-    def _knn_columns(self, queries):
-        """What MkNNQ verifies from: the row ids, the ``q x n`` Lemma 1
-        matrix of one query-pivot mapping, and per query the Ptolemaic
-        tightener (applied only to the rows the verification order
-        reaches) and the counted distance call."""
-        lower, tighteners = self.pruner.knn_bounds(
-            self.mapping.map_query_many(queries), self._rows, self.slack
-        )
-        verifiers = [lambda ids, q=q: self._distances([q], [ids])[0] for q in queries]
-        return self._row_ids, lower, tighteners, verifiers
+    def _query_matrix(self, queries) -> np.ndarray:
+        return self.mapping.map_query_many(queries)
 
     # -- maintenance ----------------------------------------------------------
 
     def insert(self, obj, object_id: int | None = None) -> int:
-        """Append a table row: |P| distance computations.  The slack widens
-        first, so a query running beside the insert never sees a row it
-        does not cover."""
-        object_id = claim_row_id(self, obj, object_id)
-        append_row(self, object_id, _rows=self.mapping.row(self.mapping.map_object(obj)))
+        """Append a table row: |P| distance computations.  The row and the
+        slack that covers it are published together."""
+        object_id = self.table.claim(self.space, obj, object_id)
+        cells, slack = narrowed(self.mapping.map_object(obj)[None])
+        self.table.append(object_id, cells[0], slack)
         return object_id
 
-    def delete(self, object_id: int) -> None:
-        """Drop the object's table row (no distance computations)."""
-        remove_row(self, object_id, "_rows")
+    delete = ColumnTable.delete
 
     # -- accounting ----------------------------------------------------------
 
+    def _table_bytes(self) -> int:
+        view = self.table.view  # the used rows, tombstones too
+        return int(view.table.nbytes) + int(view.row_ids.nbytes) + 8 * self.mapping.n_pivots
+
     def storage_bytes(self) -> dict[str, int]:
-        objects = sum(
-            self.space.dataset.object_nbytes(int(i)) for i in self._row_ids
-        )
-        table = int(self._rows.nbytes) + int(self._row_ids.nbytes)
-        pivots = 8 * self.mapping.n_pivots
-        return {"memory": table + pivots + objects, "disk": 0}
+        return {"memory": self._table_bytes() + self._object_bytes(), "disk": 0}

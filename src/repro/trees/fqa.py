@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.index import MetricIndex
+from ..core.index import MetricIndex, NotIndexed, claim_object_id
 from ..core.mapping import PivotMapping
 from ..core.metric_space import MetricSpace
 from ..core.quantise import Frame, gap_tables
 from ..core.queries import Neighbor, best_first_knn
-from ..tables.rows import claim_row_id, remove_row, restore_rows
 from .common import require_discrete
 
 __all__ = ["FQA"]
@@ -40,7 +39,10 @@ class FQA(MetricIndex):
         self._frames = frames  # one per pivot column
 
     def __setstate__(self, state):
-        restore_rows(self, state)
+        # a table pickled while row ids were ``intp`` loads in the layout a
+        # build makes
+        state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
+        self.__dict__.update(state)
 
     @classmethod
     def build(cls, space: MetricSpace, pivot_ids) -> "FQA":
@@ -110,7 +112,9 @@ class FQA(MetricIndex):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """l distance computations + sorted insertion."""
-        object_id = claim_row_id(self, obj, object_id)
+        object_id = claim_object_id(
+            self.space, obj, object_id, lambda i: bool((self._row_ids == i).any())
+        )
         signature = np.array(
             [
                 frame.encode_one(self.space.d(obj, self.space.dataset[p]))
@@ -136,7 +140,11 @@ class FQA(MetricIndex):
         return lo
 
     def delete(self, object_id: int) -> None:
-        remove_row(self, object_id, "_signatures")
+        positions = np.flatnonzero(self._row_ids == object_id)
+        if positions.size == 0:
+            raise NotIndexed(f"object {object_id} is not in the table")
+        self._signatures = np.delete(self._signatures, positions[0], axis=0)
+        self._row_ids = np.delete(self._row_ids, positions[0])
 
     # -- accounting -----------------------------------------------------------------------
 

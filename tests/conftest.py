@@ -8,7 +8,9 @@ Tests that mutate an index build their own copies.
 from __future__ import annotations
 
 import copy
+import faulthandler
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,36 @@ from repro.service.migrate import migrate
 
 N_SMALL = 400
 N_PIVOTS = 4
+
+# every test's deadline, in seconds: several times the slowest test's wall
+# (4.8 s on a 2-core box).  A test that runs past it fails with
+# ``TimeoutError`` instead of stalling the suite; never raise it to let a
+# test pass
+TEST_DEADLINE_S = 60.0
+# past this, a hang no Python handler can interrupt (inside C code) dumps
+# every thread's traceback and ends the run
+_BACKSTOP_S = 30.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Run the test under its deadline: a real-time timer whose handler
+    raises ``TimeoutError`` in the test (Python runs signal handlers in the
+    main thread, so a hang in another thread surfaces through the main
+    thread's bounded wait on it), and ``faulthandler`` behind it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran past its {TEST_DEADLINE_S:g} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_DEADLINE_S)
+    faulthandler.dump_traceback_later(TEST_DEADLINE_S + _BACKSTOP_S, exit=True)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        faulthandler.cancel_dump_traceback_later()
+        signal.signal(signal.SIGALRM, previous)
 
 DATASET_MAKERS = {
     "LA": lambda: make_la(N_SMALL, seed=11),

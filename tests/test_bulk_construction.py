@@ -372,7 +372,10 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
     keeps (transient 1.09 x kept at any n), and which allocator arenas
     emptied when they were freed differed from run to run: the
     benchmark's SPB-tree set-up read 8.2, 8.5 or 9.1 MB resident for the
-    same index.
+    same index.  The ``n x l`` ``float64`` mapping table is allocated by
+    the build and, since the tree keeps its grid cells alone, let go at its
+    end: it is counted as kept, as it was while the tree held it, so the
+    bound is the one the build met then.
     """
     space = MetricSpace(make_la(5_000, seed=1), CostCounters())
     pivot_ids = select_pivots(space, 5, strategy="hfi", seed=3)
@@ -385,7 +388,8 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(index.raf) == 5_000
+    assert len(index.raf) == 5_000 and "matrix" not in vars(index.mapping)
+    kept += 5_000 * 5 * 8
     assert peak - kept < 0.6 * (kept - before)
 
 

@@ -19,6 +19,7 @@ from repro import (
     OmniRTree,
     OmniSequentialFile,
     PMTree,
+    PivotMapping,
     SPBTree,
     brute_force_knn,
     brute_force_range,
@@ -379,7 +380,10 @@ class TestSPBTreeDetail:
 
     def test_eps_covers_max_distance(self, la, la_pivots):
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
-        max_cell = index.frame.encode(index.mapping.matrix.max(axis=0))
+        # the table is build-only: the same pivots map the objects again
+        assert "matrix" not in vars(index.mapping)
+        matrix = PivotMapping(MetricSpace(la), la_pivots).matrix
+        max_cell = index.frame.encode(matrix.max(axis=0))
         # the build stays below the open top cell, which inserts may reach
         assert max_cell.max() < index.curve.max_coordinate
 

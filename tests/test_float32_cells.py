@@ -1,8 +1,9 @@
 """LAESA's float32 cells: every bound gives up the table's slack.
 
-``LAESA.build`` narrows its float64 distance table to float32 cells and
-its mapping records a ``slack`` (:func:`repro.core.mapping.narrowed`); the
-staged pruner gives it up in every bound.  Held here:
+``LAESA.build`` narrows each float64 distance column to float32 cells as
+it is computed, and its store records a ``slack``
+(:class:`repro.core.mapping.CellRounding`); the staged pruner gives it up
+in every bound.  Held here:
 
 * the property: over drawn tables -- values just past and short of powers
   of two among them, where float32 rounding changes step -- every bound
@@ -14,7 +15,7 @@ staged pruner gives it up in every bound.  Held here:
   bound that forgets the slack (or an ``insert`` that does not widen it)
   returns a wrong answer;
 * two tables over one mapping read the one slack measured on its float64
-  values.
+  values, as its columns were narrowed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.pivot_filter import upper_bound_many_queries
 from repro.core.staged import StagedPruner, _slackened, prefix_size
 from repro.tables import LAESA
 from repro.core.mapping import PivotMapping, narrowed
+from repro.tables.store import PivotTable
 
 # offsets from a power of two, as a share of it: one float64 ulp past and
 # short of it, float32's half step past it (a rounding tie) and a float64
@@ -189,19 +191,19 @@ def test_insert_widens_the_slack_for_a_row_that_rounds():
 
 
 def test_two_tables_over_one_mapping_read_one_slack():
-    """Two LAESAs over one mapping, as the Ptolemaic bench builds them: the
-    first narrows the table, the second keeps it, and both give up the
-    slack measured on the float64 values -- not the 0 the float32 cells
-    measure of themselves, under which the second would drop the answer at
-    the radius."""
+    """Two LAESAs over one mapping, as the Ptolemaic bench builds them: both
+    read its one column store, and the slack measured on the float64 values
+    as each column was narrowed -- not the 0 the float32 cells measure of
+    themselves, under which a table would drop the answer at the radius."""
     dataset = _line([0.0, _UP, 2.5, 3.0])
     space = MetricSpace(dataset, CostCounters())
-    mapping = PivotMapping(space, [0])
-    want = narrowed(mapping.matrix)[1]
+    want = narrowed(PivotMapping(space, [0]).matrix)[1]
+    mapping = PivotTable(space, [0])
     first = LAESA(space, mapping)
     second = LAESA(space, mapping, pruner=first.pruner)
-    assert narrowed(mapping.matrix)[1] == 0.0
-    assert first.slack == second.slack == mapping.slack == want > 0
+    assert first.table is second.table is mapping.table
+    assert narrowed(first._rows)[1] == 0.0
+    assert first.slack == second.slack == want > 0
     q, radius = np.array([0.5]), 0.5 - 2.0**-30
     assert first.range_query(q, radius) == second.range_query(q, radius) == [1]
 

@@ -29,10 +29,10 @@ from repro.cli import main
 from repro.core.staged import PerObjectStagedPruner
 from repro.service.migrate import migrate
 
-# written by an earlier version in today's layout: an EPT / EPT* table whose
-# pruner names its state for slots (``slot_order``, ``slot_pairs``), saved
-# while that pruner ran a cascade of its own; they load as they are
-CURRENT_LAYOUT = {
+# an EPT / EPT* table whose pruner names its state for slots
+# (``slot_order``, ``slot_pairs``), saved while that pruner ran a cascade of
+# its own and while the table was row-major
+SLOT_NAMES = {
     "slot_names_ept_la300.snap": "ept",
     "slot_names_eptstar_la300.snap": "eptstar",
 }
@@ -44,11 +44,7 @@ INT64_IDS = {
     "int64_ids_omnib_la300.snap": "omnib",
     "int64_ids_spbtree_la300.snap": "spbtree",
 }
-FIXTURES = sorted(
-    path.name
-    for path in DATA.glob("*.snap")
-    if path.name not in CURRENT_LAYOUT and path.name not in INT64_IDS
-)
+FIXTURES = sorted(path.name for path in DATA.glob("*.snap") if path.name not in INT64_IDS)
 # the ids each fixture's writer deleted and left deleted; a fixture missing
 # here fails, so a new one cannot go unchecked
 GONE = {
@@ -77,6 +73,11 @@ GONE = {
     "record_pointers_omnib_la300.snap": (31,),
     "record_pointers_omnir_la300.snap": (31,),
     "record_pointers_spbtree_la300.snap": (31,),
+    "row_major_cpt_la300.snap": (31,),
+    "row_major_ept_la300.snap": (31,),
+    "row_major_laesa_la300.snap": (31,),
+    "slot_names_ept_la300.snap": (31,),
+    "slot_names_eptstar_la300.snap": (31,),
     "tuple_frames_mvpt_la300.snap": (31,),
     "tuple_frames_vpt_la300.snap": (31,),
     "u32_signatures_fqa_words300.snap": (31,),
@@ -130,16 +131,17 @@ def test_every_fixture_loads_through_migrate_alone(tmp_path, name):
     assert twice.storage_bytes() == once.storage_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CURRENT_LAYOUT))
-def test_a_fixture_in_todays_layout_loads_as_it_is(tmp_path, name):
+@pytest.mark.parametrize("name", sorted(SLOT_NAMES))
+def test_a_slot_named_fixture_answers_as_written(tmp_path, name):
     """``tests/data/slot_names_{ept,eptstar}_la300.snap`` (``make_la(300,
     seed=11)``; 5 slots, seed 3; object 7 deleted and put back, 31 deleted)
-    load with ``load_index`` alone, at no distance, into the one cascade,
+    load through ``repro migrate``, at no distance, into the one cascade,
     and answer as brute force and as recorded when they were written, at
-    the compdists they cost then; migrating them changes nothing."""
+    the compdists they cost then; migrating them again changes nothing."""
     expected = json.loads((DATA / "slot_names_la300_expected.json").read_text())
-    want = expected[CURRENT_LAYOUT[name]]
-    index = load_index(DATA / name)
+    want = expected[SLOT_NAMES[name]]
+    migrate(DATA / name, tmp_path / "once.snap")
+    index = load_index(tmp_path / "once.snap")
     assert index.space.counters.distance_computations == 0
     assert isinstance(index.pruner, PerObjectStagedPruner) and index.pruner.use_ptolemaic
     assert set(vars(index.pruner)) == {"slot_order", "prefix", "pair_matrix", "slot_pairs"}
@@ -154,7 +156,7 @@ def test_a_fixture_in_todays_layout_loads_as_it_is(tmp_path, name):
         [want[form] for form in ("range", "range_many", "knn", "knn_many")],
         want["compdists"],
     )
-    migrate(DATA / name, tmp_path / "migrated.snap")
+    migrate(tmp_path / "once.snap", tmp_path / "migrated.snap")
     migrated = load_index(tmp_path / "migrated.snap")
     assert _answers(migrated, queries, radius) == (got, compdists)
     assert migrated.storage_bytes() == index.storage_bytes()

@@ -424,14 +424,46 @@ def test_float64_cell_table_snapshot_loads_through_migrate(migrated, tmp_path, n
     assert _coded_answers(again, queries, radius, k) == (got, compdists)
 
 
-@pytest.mark.parametrize(
-    "dataset_name,index_name", [("LA", "EPT"), ("LA", "EPT*"), ("Words", "FQA")]
-)
+@pytest.mark.parametrize("name", ["laesa", "cpt", "ept"])
+def test_row_major_table_snapshot_loads_through_migrate(migrated, tmp_path, name):
+    """``tests/data/row_major_{laesa,cpt,ept}_la300.snap`` (``make_la(300,
+    seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and put back, 31
+    deleted) were written while the tables were row-major arrays.
+    ``load_index`` refuses them, naming ``repro migrate``; migrated into a
+    column store -- the same cells, ids, slack and pivots, at no distance
+    -- they answer as written, at the compdists and stored bytes of then,
+    and survive another save and load."""
+    expected = json.loads((DATA / "row_major_la300_expected.json").read_text())
+    want = expected[name]
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / f"row_major_{name}_la300.snap")
+    index = load_index(migrated(f"row_major_{name}_la300.snap"))
+    assert index.space.counters.distance_computations == 0
+    view = index.table.view
+    assert view.dead == 0 and view.ids.dtype == np.int32 and view.table.T.flags.c_contiguous
+    if name != "ept":
+        assert index._rows.dtype == np.float32
+        assert index.slack == want["slack"] and index.mapping.pivot_ids == want["pivot_ids"]
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]] + [dataset[3] * 3.0 + 9000.0]
+    radius, k = expected["radius"], expected["k"]
+    got, compdists = _coded_answers(index, queries, radius, k)
+    assert got == {form: want[form] for form in got}
+    assert compdists == want["compdists"]
+    assert index.storage_bytes() == want["storage_bytes"]
+    save_index(index, tmp_path / "again.snap")
+    again = load_index(tmp_path / "again.snap")
+    assert np.array_equal(again.table.view.table, view.table)
+    assert _coded_answers(again, queries, radius, k) == (got, compdists)
+
+
+@pytest.mark.parametrize("dataset_name,index_name", [("Words", "FQA")])
 def test_intp_row_ids_restore_as_int32(datasets, pivots, tmp_path, dataset_name, index_name):
-    """A row table pickled while its row ids were ``intp`` (an EPT, EPT* or
-    FQA snapshot of format 3 loads without ``repro migrate``) restores them
-    as the ``int32`` a build makes: the same stored bytes, and an insert
-    keeps the dtype."""
+    """A row table pickled while its row ids were ``intp`` (an FQA snapshot
+    of format 3 loads without ``repro migrate``) restores them as the
+    ``int32`` a build makes: the same stored bytes, and an insert keeps the
+    dtype.  (EPT / EPT* files of that age are row-major, which ``repro
+    migrate`` converts: ``test_row_major_table_snapshot_loads_through_migrate``.)"""
     index = fresh_index(datasets, pivots, dataset_name, index_name)
     built = index.storage_bytes()
     index._row_ids = index._row_ids.astype(np.intp)

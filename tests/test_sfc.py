@@ -201,12 +201,12 @@ def test_spbtree_build_keys_are_the_scalar_keys():
     """The SPB-tree's bulk construction (LA, 5 HFI pivots, the default
     8-bit grid) encodes its grid cells with the array form; every key it
     files an object under is the scalar ``encode`` of that object's cell."""
-    from repro import CostCounters, MetricSpace, SPBTree, make_la, select_pivots
+    from repro import CostCounters, MetricSpace, PivotMapping, SPBTree, make_la, select_pivots
 
     dataset = make_la(20000, seed=1)
     pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
     index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots)
-    cells = index.frame.encode(index.mapping.matrix)
+    cells = index.frame.encode(PivotMapping(MetricSpace(dataset), pivots).matrix)
     assert cells.dtype == np.uint8
     keys = index.curve.encode_many(cells)
     assert keys.dtype == np.int64

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.counters import CostCounters
 from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
 from repro.storage import pager as pager_module
-from repro.storage.raf import RafPage, _record_bytes, _schema_of
+from repro.storage.raf import IdOutOfBounds, RafPage, _record_bytes, _schema_of
 
 
 @pytest.fixture
@@ -863,6 +863,27 @@ class TestIdWidths:
         raf.mark_deleted(4)
         assert 4 not in raf and raf.read(5) == (5, 11) and len(raf) == 5
         assert (raf._pages[4], raf._slots[4]) == (-1, 0)
+
+    def test_an_id_past_the_locator_bound_is_refused_before_any_allocation(self):
+        """The locator is dense in the id: a write may take it to twice its
+        length with its records, or to 65 536 ids.  Id ``1 << 31`` would ask
+        for 2**31 rows (~13 GB); it is refused with the named error and the
+        file is as it was -- asserted, not allocated."""
+        pager = Pager(page_size=4096)
+        raf = RandomAccessFile(pager)
+        for ids in ([1 << 31], [0, 1 << 31], [1 << 16]):
+            with pytest.raises(IdOutOfBounds, match="dense"):
+                raf.append_many((np.asarray(ids), ["x"] * len(ids)))
+        with pytest.raises(IdOutOfBounds):
+            raf.append((1 << 31, "x"))
+        assert len(raf._pages) == 0 and len(raf) == 0 and len(pager.store) == 0
+        # the floor, then twice the locator with the records written
+        raf.append(((1 << 16) - 1, "x"))
+        assert len(raf._pages) == 1 << 16
+        raf.append(((1 << 17) - 2, "y"))
+        with pytest.raises(IdOutOfBounds):
+            raf.append_many((np.array([4 * len(raf._pages)]), ["z"]))
+        assert [raf.read((1 << 16) - 1), len(raf)] == [((1 << 16) - 1, "x"), 2]
 
     def test_an_id_column_of_either_width(self):
         """int32 and int64 id arrays and a list of ints write one layout."""

@@ -7,12 +7,19 @@ rows widen LAESA's and CPT's slack), deletes, re-inserts under the same id,
 refused writes, MRQ and MkNNQ one query a call and batched, and save ->
 load: every answer is brute force over the live ids, and a restore costs
 no compdists and keeps the pruner and the slack.  On LA (L2) every table
-runs the Ptolemaic stage; on Words (edit distance) none does.
+runs the Ptolemaic stage; on Words (edit distance) none does.  On LA, where
+an insert is cheap for every table, a churn step deletes past the eighth of
+the used slots at which a column store compacts and puts the objects back
+past its spare room, so it grows.  After every step the store holds the
+live ids once each, its tombstones counted and under an eighth of the used
+slots.
 """
 
 from __future__ import annotations
 
-from hypothesis.stateful import invariant
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.stateful import invariant, precondition, rule
 
 from repro.tables.cpt import CPT
 from repro.tables.ept import EPT, EPTStar
@@ -44,6 +51,15 @@ class TableChecks:
         assert getattr(restored, "slack", None) == getattr(index, "slack", None)
 
     @invariant()
+    def store_holds_the_live_ids(self):
+        for name, index in self.indexes.items():
+            view = index.table.view
+            ids = view.row_ids
+            assert view.used <= len(view.ids) == view.cells.shape[1], name
+            assert view.dead == int((ids < 0).sum()) and 8 * view.dead <= view.used, name
+            assert sorted(ids[ids >= 0].tolist()) == sorted(self.live), name
+
+    @invariant()
     def slack_only_widens(self):
         for name, index in self.indexes.items():
             slack = getattr(index, "slack", 0.0)
@@ -53,6 +69,29 @@ class TableChecks:
 
 class LaTables(TableChecks, LaTrees):
     builders = _tables(LA_PIVOTS)
+
+    @precondition(lambda self: len(self.live) > 40)
+    @rule(seed=st.integers(0, 10_000))
+    def churn(self, seed):
+        """A sixth of the live objects deleted -- the store compacts into
+        fresh arrays -- then every one put back: past the eighth it kept to
+        spare, so it grows."""
+        shuffled = np.random.default_rng(seed).permutation(sorted(self.live)).tolist()
+        victims = shuffled[: len(self.live) // 6]
+        held = {name: index.table.view.cells for name, index in self.indexes.items()}
+        for object_id in victims:
+            for index in self.indexes.values():
+                index.delete(object_id)
+            self.live.remove(object_id)
+        for name, index in self.indexes.items():
+            assert index.table.view.cells is not held[name], f"{name} did not compact"
+            held[name] = index.table.view.cells
+        for object_id in victims:
+            for index in self.indexes.values():
+                index.insert(self._stored(object_id), object_id=object_id)
+            self.live.add(object_id)
+        for name, index in self.indexes.items():
+            assert index.table.view.cells is not held[name], f"{name} did not grow"
 
 
 class WordsTables(TableChecks, WordsTrees):

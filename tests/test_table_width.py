@@ -31,6 +31,7 @@ from repro import (
 )
 from repro.core.mapping import PivotMapping
 from repro.tables import LAESA
+from repro.tables.store import PivotTable
 
 K = 10
 
@@ -73,9 +74,11 @@ def test_color_width_is_given_plus_one_column_per_256_object_bytes(datasets, piv
     # the caller's pivots seed the table, in their order
     assert index.mapping.pivot_ids[:N_PIVOTS] == [int(p) for p in pivots["Color"]]
     assert len(set(index.mapping.pivot_ids)) == 12
-    # one table: the mapping's matrix is the live rows, every column a real
-    # one, narrowed to float32 cells within the slack of its distances
-    assert index._rows is index.mapping.matrix and index._rows.shape == (200, 12)
+    # one table: the mapping's column store holds the live rows, every
+    # column a real one, narrowed to float32 cells within the slack of its
+    # distances, each column contiguous
+    assert index.table is index.mapping.table and index._rows.shape == (200, 12)
+    assert index._rows.T.flags.c_contiguous
     assert index._rows.dtype == np.float32 and index._row_ids.dtype == np.int32
     for column, pivot_id in enumerate(index.mapping.pivot_ids):
         exact = L1.one_to_many(dataset[pivot_id], dataset.objects)
@@ -149,7 +152,7 @@ def test_early_stop_fires_on_data_a_line_explains():
     space = MetricSpace(dataset, CostCounters())
     index = LAESA.build(space, [0, 1])
     assert index.mapping.n_pivots == 2 and index.mapping.pivot_ids == [0, 1]
-    assert index._rows.shape == (300, 2) and index._rows.flags.c_contiguous
+    assert index._rows.shape == (300, 2) and index._rows.T.flags.c_contiguous
     assert space.counters.distance_computations == 300 * 3
     queries = _queries(dataset, 8)
     _assert_exact(index, dataset, queries, 50.0)
@@ -198,22 +201,27 @@ def test_widened_table_is_exact_across_updates_and_snapshots(
         index.insert(dataset[object_id], object_id=object_id)
         if index_name == "LAESA":  # one counted call, one computation a column
             assert counters.distance_computations - before == 12
-    assert index._rows is index.mapping.matrix and index._rows.shape == (199, 12)
+    # the four deletes left tombstones beside the 199 live rows, in order
+    assert index._rows.shape == (203, 12) and len(index.table) == 199
+    assert [int(i) for i in index._row_ids[-3:]] == victims[:3]
     _assert_exact(index, dataset, queries, radius, gone=victims[3:])
 
     save_index(index, tmp_path / "wide.snap")
     restored = load_index(tmp_path / "wide.snap")
     assert restored.space.counters.distance_computations == 0
     assert restored.mapping.pivot_ids == index.mapping.pivot_ids
-    assert restored._rows is restored.mapping.matrix
+    assert restored.table is restored.mapping.table
     assert np.array_equal(restored._rows, index._rows)
+    assert np.array_equal(restored._row_ids, index._row_ids)
     assert "_rows" not in vars(restored)  # the table travels once
     _assert_exact(restored, dataset, queries, radius, gone=victims[3:])
     restored.insert(dataset[150], object_id=150)
     _assert_exact(restored, dataset, queries, radius)
+    # what a fresh build stores, and the four tombstoned rows (12 cells, an id)
+    assert restored.table.view.dead == len(victims)
     assert restored.storage_bytes()["memory"] == fresh_index(
         datasets, pivots, "Color", index_name
-    ).storage_bytes()["memory"]
+    ).storage_bytes()["memory"] + len(victims) * (4 * 12 + 4)
 
 
 def test_snapshot_written_with_two_table_copies_still_loads(migrated):
@@ -225,7 +233,7 @@ def test_snapshot_written_with_two_table_copies_still_loads(migrated):
     index = load_index(migrated("pr23_laesa_color64.snap"))
     assert index.space.counters.distance_computations == 0
     assert index.mapping.n_pivots == 5  # widening happens at build, not at load
-    assert index._rows is index.mapping.matrix and index._rows.shape == (63, 5)
+    assert index.table is index.mapping.table and index._rows.shape == (63, 5)
     assert "_rows" not in vars(index)
     assert [int(i) for i in index._row_ids[-2:]] == [63, 7]
     queries = [dataset[i] for i in (0, 7, 31, 40)]
@@ -269,7 +277,7 @@ def test_widened_table_verifies_at_most_four_fifths_of_the_given_columns_count()
     given = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=3)
     wide = LAESA.build(MetricSpace(dataset, CostCounters()), given)
     space = MetricSpace(dataset, CostCounters())
-    narrow = LAESA(space, PivotMapping(space, given))
+    narrow = LAESA(space, PivotTable(space, given))
     assert (narrow.mapping.n_pivots, wide.mapping.n_pivots) == (5, 13)
     dists = np.concatenate([L1.one_to_many(q, dataset.objects) for q in queries])
     radius = float(np.quantile(dists, 0.01))

@@ -79,10 +79,10 @@ class TestLAESADetail:
         from repro.core.pivot_filter import lower_bound_many_queries
 
         qd = np.asarray([la.distance(q, la[p]) for p in la_pivots])
-        # ``mapping.matrix`` is the table the index scans (``_rows`` is its
-        # name inside LAESA), no longer a build-time copy beside it
-        assert index.mapping.matrix is index._rows
-        survivors = int((lower_bound_many_queries(qd, index.mapping.matrix) <= radius).sum())
+        # the mapping's column store is the table the index scans (``_rows``
+        # is its live view inside LAESA), no build-time copy beside it
+        assert index.mapping.table is index.table
+        survivors = int((lower_bound_many_queries(qd, index._rows) <= radius).sum())
         assert counters.distance_computations == len(la_pivots) + survivors
         assert set(result) <= set(range(len(la)))
 
@@ -106,7 +106,7 @@ class TestLAESADetail:
         # points get no continuation columns after them)
         assert index.mapping.pivot_ids == [int(p) for p in la_pivots]
         for j, p in enumerate(la_pivots):
-            assert index.mapping.matrix[p, j] == 0.0
+            assert index._rows[p, j] == 0.0
 
     def test_knn_equals_range_at_kth_distance(self, la, la_pivots):
         index = LAESA.build(MetricSpace(la, CostCounters()), la_pivots)
