@@ -159,23 +159,20 @@ def test_staged_mask_exact_and_costed(color_l2):
     radius = radii[WALL_SELECTIVITY]
     space = MetricSpace(data, CostCounters())
     mapping = PivotMapping(space, pivots)
+    table = mapping.build_table()
     qmat = mapping.map_query_many(queries)
-    pruner = _lemma1_baseline(
-        StagedPruner.build(space, mapping.matrix, mapping.pivot_objects)
-    )
+    pruner = _lemma1_baseline(StagedPruner.build(space, table, mapping.pivot_objects))
     counters = CostCounters()
 
     def staged():
-        return pruner.masks_many_queries(
-            qmat, mapping.matrix, radius, counters=counters
-        )[0]
+        return pruner.masks_many_queries(qmat, table, radius, counters=counters)[0]
 
     def single():
-        return lower_bound_many_queries(qmat, mapping.matrix) <= radius
+        return lower_bound_many_queries(qmat, table) <= radius
 
     assert (staged() == single()).all()
     decided_by_prefix = counters.snapshot().prune_prefix
-    q, n = qmat.shape[0], mapping.matrix.shape[0]
+    q, n = qmat.shape[0], table.shape[0]
     evaluated = pruner.prefix * q * n + (N_PIVOTS - pruner.prefix) * (
         q * n - decided_by_prefix
     )

@@ -747,10 +747,10 @@ class BPlusTree:
         column-wise min / max, so nothing is decoded.  Key order, column
         lengths and the cell count are checked before any page is written.
         Leaves are cut by arithmetic, ``_BULK_FILL`` of a leaf's capacity
-        each, and a last leaf that would be under half full joins the one
-        before it when the two fit a leaf (so rows that fit one leaf make a
-        one-leaf tree), else the two share their rows evenly; each leaf
-        takes one ``tolist`` of a slice a column, so no per-entry tuple is
+        each, and a last leaf under the fill a delete keeps (:meth:`_min_fill`)
+        joins the one before it when the two fit a leaf (so rows that fit one
+        leaf make a one-leaf tree), else the two share their rows evenly; each
+        leaf takes one ``tolist`` of a slice a column, so no per-entry tuple is
         ever made.
         """
         if self._size:
@@ -781,11 +781,10 @@ class BPlusTree:
         per_internal = max(2, int(self._internal_capacity * _BULK_FILL))
         full, rest = divmod(n, per_leaf)
         sizes = [per_leaf] * full + [rest] * (rest > 0)
-        if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
-            # the last leaf would be under half full: it joins the one
-            # before when the two fit a leaf (a leaf fewer, and none left
-            # below the half a delete keeps), else the two share their rows
-            # evenly
+        if len(sizes) > 1 and sizes[-1] < self._min_fill(self._leaf_capacity):
+            # the last leaf would be under the fill a delete keeps: it joins
+            # the one before when the two fit a leaf (a leaf fewer), else
+            # the two share their rows evenly
             both = sizes[-2] + sizes[-1]
             sizes[-2:] = [both] if both <= self._leaf_capacity else [(both + 1) // 2, both // 2]
 

@@ -5,11 +5,14 @@ I(o) = <d(o, p_1), ..., d(o, p_l)>.  The L-infinity distance between mapped
 points lower-bounds the original distance (contractiveness), which is what
 makes every filter in :mod:`repro.core.pivot_filter` safe.
 
-:class:`PivotMapping` holds the ``float64`` table the trees and the disk
-indexes build from.  LAESA's table keeps ``float32`` cells instead
-(:class:`~repro.tables.store.PivotTable`), narrowed a column at a time as
-each is computed (:class:`CellRounding`); its ``slack`` is what every bound
-over those cells gives up (:mod:`repro.core.staged`).
+:class:`PivotMapping` holds what the paper's disk indexes keep in memory:
+the pivots, the query mapping and, per pivot, the extent of every object
+mapped.  The vectors I(o) live in the indexes' pages: a build stores what
+it needs of :meth:`PivotMapping.build_table` and drops the rest.  LAESA's
+table keeps ``float32`` cells instead (:class:`~repro.tables.store.PivotTable`),
+narrowed a column at a time as each is computed (:class:`CellRounding`);
+its ``slack`` is what every bound over those cells gives up
+(:mod:`repro.core.staged`).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def narrowed(table) -> tuple[np.ndarray, float]:
 
 
 class PivotMapping:
-    """Pre-computes and serves distances to a fixed pivot set.
+    """The pivots, the query mapping, and the extent of what was mapped.
 
     Args:
         space: counted metric space (mapping construction counts toward
@@ -79,48 +82,54 @@ class PivotMapping:
         pivot_ids: ids of the chosen pivots within ``space.dataset``.
 
     Attributes:
-        matrix: ``n x l`` ``float64`` matrix; row i is I(o_i).
+        low, high: per pivot, the least / greatest distance :meth:`build_table`
+            or :meth:`map_object` has mapped (``inf`` / ``-inf`` before any).
     """
 
     def __init__(self, space: MetricSpace, pivot_ids: Sequence[int]):
-        self._hold_pivots(space, pivot_ids)
-        # filled in place: a list of columns stacked afterwards holds the
-        # table twice while it is built
-        self.matrix = np.empty((len(space.dataset), len(self.pivot_ids)), dtype=np.float64)
-        for column, pivot_obj in enumerate(self.pivot_objects):
-            self.matrix[:, column] = self.column(pivot_obj)
-
-    def _hold_pivots(self, space: MetricSpace, pivot_ids: Sequence[int]) -> None:
         self.space = space
         self.pivot_ids = [int(p) for p in pivot_ids]
         if not self.pivot_ids:
             raise ValueError("at least one pivot is required")
         self.pivot_objects = [space.dataset[p] for p in self.pivot_ids]
+        self.low = np.full(self.n_pivots, np.inf)
+        self.high = np.full(self.n_pivots, -np.inf)
 
-    def column(self, pivot_obj) -> np.ndarray:
-        """d(o, pivot) for every object of the dataset, in ``float64``: one
-        counted call, n computations."""
-        return self.space.d_many(pivot_obj, self.space.dataset.objects)
+    def __setstate__(self, state):
+        # a mapping pickled with its n x l table keeps the table's extent; one
+        # with neither (an SPB-tree's, a LAESA's) starts from an empty one
+        table = state.pop("matrix", np.empty((0, len(state["pivot_ids"]))))
+        state.setdefault("low", table.min(axis=0, initial=np.inf))
+        state.setdefault("high", table.max(axis=0, initial=-np.inf))
+        self.__dict__.update(state)
+
+    def build_table(self) -> np.ndarray:
+        """The ``n x l`` ``float64`` table a build reads, row i I(o_i), a
+        column at a time (n counted computations each); not kept."""
+        table = np.empty((len(self.space.dataset), self.n_pivots), dtype=np.float64)
+        for column, pivot_obj in enumerate(self.pivot_objects):
+            table[:, column] = self.space.d_many(pivot_obj, self.space.dataset.objects)
+        self._widen(table)
+        return table
+
+    def _widen(self, rows: np.ndarray) -> None:
+        self.low = np.minimum(self.low, rows.min(axis=0, initial=np.inf))
+        self.high = np.maximum(self.high, rows.max(axis=0, initial=-np.inf))
 
     @property
     def n_pivots(self) -> int:
         return len(self.pivot_ids)
-
-    @property
-    def n_objects(self) -> int:
-        return self.matrix.shape[0]
-
-    def vector(self, object_id: int) -> np.ndarray:
-        """I(o) for a stored object (no distance computations)."""
-        return self.matrix[object_id]
 
     def map_query(self, q) -> np.ndarray:
         """I(q) for an arbitrary query object (counts l computations)."""
         return self.space.d_many(q, self.pivot_objects)
 
     def map_object(self, obj) -> np.ndarray:
-        """Alias of :meth:`map_query` for insertion paths."""
-        return self.map_query(obj)
+        """I(o) for an object being stored or removed: :meth:`map_query`,
+        the extent widened to it."""
+        vec = self.map_query(obj)
+        self._widen(vec[None])
+        return vec
 
     def map_query_many(self, queries) -> np.ndarray:
         """I(q) for a whole query batch: a ``q x l`` matrix.
@@ -133,18 +142,3 @@ class PivotMapping:
         if not queries:
             return np.empty((0, self.n_pivots), dtype=np.float64)
         return self.space.pairwise_objects(queries, self.pivot_objects)
-
-    def append(self, vector: np.ndarray) -> int:
-        """Register a newly inserted object's mapped vector; returns its row."""
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        self.matrix = np.concatenate([self.matrix, vector])
-        return self.matrix.shape[0] - 1
-
-    def max_distance_bound(self) -> float:
-        """An upper bound of the dataset diameter derived from the mapping.
-
-        For any o, o': d(o,o') <= d(o,p) + d(o',p) <= 2 * max column value.
-        Used by indexes that need the paper's d+ (M-index keys, SPB-tree
-        discretisation) without extra distance computations.
-        """
-        return float(2.0 * self.matrix.max()) if self.matrix.size else 0.0

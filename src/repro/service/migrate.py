@@ -26,7 +26,7 @@ from .. import (
 )
 from ..btree.bptree import BPlusTree, InternalNode, LeafNode, _leaf_from, _stacked
 from ..core.counters import CostCounters
-from ..core.mapping import narrowed
+from ..core.mapping import PivotMapping, narrowed
 from ..core.quantise import Frame
 from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
@@ -270,9 +270,10 @@ def _laesa(state):
     old = state["mapping"]
     if isinstance(old, PivotTable):
         return state
-    # the row-major ``mapping.matrix``: float64 cells (and intp ids) before
-    # they were float32 under the mapping's slack; pickled while the table
-    # was kept twice, ``_rows`` is the live copy (the matrix went stale)
+    # the row-major ``matrix`` the mapping's stand-in below keeps: float64
+    # cells (and intp ids) before they were float32 under the mapping's
+    # slack; pickled while the table was kept twice, ``_rows`` is the live
+    # copy (the matrix went stale)
     rows = state.pop("_rows", old.__dict__.pop("matrix"))
     slack = old.__dict__.pop("slack", 0.0)
     if rows.dtype != np.float32:
@@ -281,6 +282,18 @@ def _laesa(state):
     table = ColumnStore(np.ascontiguousarray(rows.T), state.pop("_row_ids"), slack)
     mapping.__dict__.update(vars(old), table=table)
     return state
+
+
+def _holding_the_table(self, state):
+    # a mapping loads as pickled, ``matrix`` and all, for ``_laesa``;
+    # :func:`migrate` then has the class drop every table left
+    self.__class__ = PivotMapping
+    self.__dict__.update(state)
+
+
+_RETIRED["repro.core.mapping", "PivotMapping"] = type(
+    "PivotMapping", (PivotMapping,), {"__slots__": (), "__setstate__": _holding_the_table}
+)
 
 
 @_converts(EPT, EPTStar)
@@ -362,6 +375,9 @@ def migrate(old, new):
     be ``old``; returns the index, its counters started with the
     conversion (no counted distance, the page pass's reads and writes)."""
     index = _unpickle(old, _MigrationUnpickler, _KNOWN_FORMATS)
+    for mapping in iter_components(index):
+        if isinstance(mapping, PivotMapping):
+            mapping.__setstate__(vars(mapping))
     rebind_counters(index, CostCounters())
     _migrate_pages(index, old)
     for dept in iter_components(index):

@@ -25,11 +25,11 @@ cluster/SFC order so that proximate objects share pages.
 Writing has one body, :meth:`RandomAccessFile.append_many`, and it takes
 the records as field columns: an index under construction passes an integer
 id array, its objects as ``dataset.gather(order)`` (a block for vectors, a
-list for strings) and, on the M-index, its ``mapping.matrix[order]`` block;
-the id column fills the locator.  Rows are sized a
-column at a time by the arithmetic below: fixed-width rows fill ``room //
-row`` of a page, variable-width ones (``str``, pickled fields) are cut at a
-cumulative sum, a page always taking at least one row.  A page's new rows
+list for strings) and, on the M-index, the ``order`` rows of its build
+table, then the only copy of I(o); the id column fills the locator.  Rows
+are sized a column at a time by the arithmetic below: fixed-width rows fill
+``room // row`` of a page, variable-width ones (``str``, pickled fields) are
+cut at a cumulative sum, a page always taking at least one row.  A page's new rows
 are sliced off the columns, and every page is handed to the pager once,
 when it is full (the last one when the call ends), so a construction page
 access is a page of the finished file and not a record.  On LA n = 20 000
@@ -801,25 +801,28 @@ class RandomAccessFile:
         page_id, slot = self._where(object_id)
         if type(record) is not tuple or record[:1] != (object_id,):
             raise ValueError(f"the record of object {object_id} must start with its id")
-        page = self._rewrite(page_id, lambda page: page.with_record(slot, record))
+        self._rewrite(page_id, lambda page: page.with_record(slot, record))
         if page_id == self._open_page_id:
-            self._open_bytes = page.payload_bytes()
+            self._open_bytes = self._open_page.payload_bytes()
 
-    def mark_deleted(self, object_id: int) -> None:
-        """Tombstone an id's record (slot positions stay stable) and drop
-        it from the locator; KeyError when the id has no live record."""
+    def mark_deleted(self, object_id: int) -> Any:
+        """Tombstone an id's record (slot positions stay stable), drop it
+        from the locator and return it; KeyError when the id has no live
+        record."""
         page_id, slot = self._where(object_id)
-        self._rewrite(page_id, lambda page: page.with_tombstone(slot))
+        old = self._rewrite(page_id, lambda page: page.with_tombstone(slot))
         self._pages[object_id], self._slots[object_id] = -1, 0
         self._count -= 1
+        return old.record(slot)
 
     def _rewrite(self, page_id: int, change) -> RafPage:
-        """Write ``change(page)`` over the page; returns it."""
-        page = change(self.pager.read(page_id))
+        """Write ``change(page)`` over the page; returns the page it replaced."""
+        old = self.pager.read(page_id)
+        page = change(old)
         self.pager.write(page_id, page)
         if page_id == self._open_page_id:
             self._open_page = page
-        return page
+        return old
 
     # -- reads ----------------------------------------------------------------------
 

@@ -124,7 +124,7 @@ class EPT(_ExtremePivotTableBase):
         for j in range(l):
             group = [int(i) for i in rng.choice(n, size=m, replace=False)]
             # full distance columns: the dominant build cost of EPT (Table 4)
-            columns = PivotMapping(space, group).matrix  # n x m
+            columns = PivotMapping(space, group).build_table()  # n x m
             mus = columns.mean(axis=0)
             extremeness = np.abs(columns - mus)
             choice = extremeness.argmax(axis=1)  # per object: extreme pivot

@@ -47,7 +47,7 @@ class FQA(MetricIndex):
     @classmethod
     def build(cls, space: MetricSpace, pivot_ids) -> "FQA":
         require_discrete(space, "FQA")
-        matrix = PivotMapping(space, pivot_ids).matrix
+        matrix = PivotMapping(space, pivot_ids).build_table()
         max_value = float(matrix.max()) if matrix.size else 1.0
         # the narrowest integer width that leaves the top cell to inserts
         frame = Frame(0.0, max(1.0, np.ceil((max_value + 1) / 255)), True)

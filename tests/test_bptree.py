@@ -135,10 +135,11 @@ def _leaf_chain(tree) -> list:
 
 
 def _leaf_sizes(n: int, per_leaf: int, capacity: int) -> list[int]:
-    """Full leaves, and a last one that would be under half full joined to
-    the one before when the two fit a leaf, else sharing their rows evenly."""
+    """Full leaves, and a last one that would be under the fill a delete
+    keeps (half a leaf's capacity) joined to the one before when the two
+    fit a leaf, else sharing their rows evenly."""
     sizes = [per_leaf] * (n // per_leaf) + [n % per_leaf] * (n % per_leaf > 0)
-    if len(sizes) > 1 and sizes[-1] < per_leaf // 2:
+    if len(sizes) > 1 and sizes[-1] < max(1, capacity // 2):
         total = sizes[-2] + sizes[-1]
         sizes[-2:] = [total] if total <= capacity else [(total + 1) // 2, total // 2]
     return sizes
@@ -199,15 +200,15 @@ class TestBulkLoad:
     @pytest.mark.parametrize("kind", ["int64", "wide", "wide list", "float", "tuple"])
     def test_bulk_cuts_leaves_by_arithmetic(self, kind):
         """Leaves of ``per_leaf`` rows, the last joining the one before (when
-        the two fit a leaf) or sharing with it when it would be under half
-        full, each the leaf its entries make one by one."""
+        the two fit a leaf) or sharing with it when it would be under the
+        fill a delete keeps, each the leaf its entries make one by one."""
         columns, cells = _bulk_input(kind, 1)
         probe = make_tree(page_size=512)
         probe.bulk_load(columns, cells=cells)
         per_leaf = int(probe.leaf_capacity * 0.85)
         assert per_leaf >= 4
-        spill = 3 * per_leaf + per_leaf // 2  # below: the last two leaves share rows
         capacity = probe.leaf_capacity
+        spill = 3 * per_leaf + capacity // 2  # below: the last two leaves share rows
         # per_leaf + capacity: the last two join in one full leaf; one more
         # row and they share
         for n in (1, 2, per_leaf - 1, per_leaf, per_leaf + 1, capacity, capacity + 1,

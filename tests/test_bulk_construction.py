@@ -39,6 +39,7 @@ from repro.external import (
     OmniBPlusTree,
     OmniRTree,
     OmniSequentialFile,
+    PMTree,
     SPBTree,
 )
 from repro.external import dept as dept_module
@@ -65,13 +66,14 @@ class PerRecordRAF(RandomAccessFile):
 def reference_spbtree(space, pivot_ids, curve_cls):
     """The per-object SPB-tree build the bulk path replaced."""
     mapping = PivotMapping(space, pivot_ids)
+    table = mapping.build_table()
     pager = Pager(page_size=PAGE_SIZE, counters=space.counters)
     index = SPBTree(space, mapping, pager, 8, curve_cls)
     index.raf = PerRecordRAF(pager)
     keyed = []
-    for object_id in range(mapping.n_objects):
+    for object_id in range(len(table)):
         # the floor-division grid the SPB-tree keyed by before its shared frame
-        cell = np.floor(mapping.vector(object_id) / index.frame.width).astype(np.int64)
+        cell = np.floor(table[object_id] / index.frame.width).astype(np.int64)
         cell = np.clip(cell, 0, index.curve.max_coordinate)
         keyed.append((index.curve.encode(cell), object_id))
     keyed.sort()
@@ -391,6 +393,37 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
     assert len(index.raf) == 5_000 and "matrix" not in vars(index.mapping)
     kept += 5_000 * 5 * 8
     assert peak - kept < 0.6 * (kept - before)
+
+
+def test_a_mapping_holds_its_pivots_and_their_extent_not_a_table():
+    """After a build, no disk index's mapping holds an array with a row per
+    object: the mapped vectors live in the index's own pages, the mapping
+    keeps the pivots and, per pivot, the extent of what it mapped.  One
+    M-index* insert at LA n = 20 000 then allocates less than the ``n x l``
+    ``float64`` table (once copied whole by every insert)."""
+    space = MetricSpace(make_la(400, seed=1))
+    pivot_ids = select_pivots(space, 5, strategy="hfi", seed=3)
+    for build in (MIndexStar.build, MIndex.build, OmniSequentialFile.build, OmniBPlusTree.build,
+                  OmniRTree.build, PMTree.build, SPBTree.build):
+        index = build(MetricSpace(space.dataset, CostCounters()), pivot_ids)
+        held = {k: v.shape for k, v in vars(index.mapping).items() if isinstance(v, np.ndarray)}
+        assert all(shape[:1] != (len(space),) for shape in held.values()), index.name
+        assert held == {"low": (5,), "high": (5,)}, index.name
+
+    n = 20_000
+    space = MetricSpace(make_la(n, seed=1), CostCounters())
+    index = MIndexStar.build(space, select_pivots(space, 5, strategy="hfi", seed=3))
+    new = space.dataset[7] + 0.5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert index.insert(new) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < n * 5 * 8
+    assert index.knn_query(new, 1)[0].object_id == n
 
 
 # -- the RAF's pages: the sizing rule on every fixture ------------------------------

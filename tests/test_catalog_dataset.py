@@ -31,6 +31,7 @@ from repro import (
     select_pivots,
     snapshot_info,
 )
+from repro.external import MIndexStar, OmniRTree
 from repro.service import (
     CatalogError,
     HttpQueryServer,
@@ -56,12 +57,13 @@ def _dataset(name):
     return make_la(300, seed=11) if name == "LA" else make_words(300, seed=11)
 
 
-def _catalog(dataset):
-    """LAESA + MVPT, each on its own space over ``dataset``."""
+def _catalog(dataset, between=()):
+    """LAESA + MVPT, each on its own space over ``dataset``, with the
+    index classes ``between`` registered between the two."""
     pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=3)
     catalog = IndexCatalog()
-    catalog.register(LAESA.build(MetricSpace(dataset, CostCounters()), pivots))
-    catalog.register(MVPT.build(MetricSpace(dataset, CostCounters()), pivots))
+    for cls in (LAESA, *between, MVPT):
+        catalog.register(cls.build(MetricSpace(dataset, CostCounters()), pivots))
     return catalog
 
 
@@ -260,15 +262,20 @@ def _refusing(monkeypatch, index, method):
     monkeypatch.setattr(index, method, refuse)
 
 
-@pytest.mark.parametrize("how", RESTORES)
-def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how):
-    """The second member refuses an insert: the primary deletes the id
-    again and the dataset drops the slot it appended, every member answers
-    as before the insert, the service's cached answers still equal fresh
-    ones, a save writes the objects as they were, and the next insert
-    gets the refused one's id."""
+@pytest.mark.parametrize(
+    "how, between",
+    [pytest.param(how, (), id=how) for how in RESTORES]
+    + [pytest.param(how, (MIndexStar, OmniRTree), id=f"{how}-disk") for how in RESTORES],
+)
+def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how, between):
+    """The last member refuses an insert: the members before it delete the
+    id again and the dataset drops the slot it appended, every member
+    answers as before the insert, the service's cached answers still equal
+    fresh ones, a save writes the objects as they were, and the next insert
+    gets the refused one's id.  With disk members between, that id is then
+    reused by another object, which deletes and goes back exactly."""
     dataset = _dataset("LA")
-    restored, mutator = _restore(_catalog(dataset), how, tmp_path)
+    restored, mutator = _restore(_catalog(dataset, between), how, tmp_path)
     new = dataset[7] + 0.5  # inside every cached ball below
     queries = [dataset[7], dataset[100], new]
     cached = None
@@ -292,6 +299,14 @@ def test_a_refused_insert_is_undone(monkeypatch, tmp_path, how):
     monkeypatch.undo()
     saved = IndexCatalog.load(restored.save(tmp_path / "after"))
     assert len(saved.primary.index.space.dataset) == n
+    if between:
+        other = dataset[100] + 0.5  # another object under the undone id
+        assert mutator.insert(other) == n
+        mutator.delete(n)
+        _assert_brute_force(restored, queries + [other], RADIUS["LA"], gone=[n])
+        assert mutator.insert(other, object_id=n) == n
+        _assert_brute_force(restored, queries + [other], RADIUS["LA"])
+        return
     assert mutator.insert(new) == n
     _assert_brute_force(restored, queries, RADIUS["LA"])
     assert [n] == [hit.object_id for hit in restored.get("MVPT").knn_query(new, 1)]

@@ -340,14 +340,22 @@ class TestPivotMapping:
         ds = make_uniform(30, dim=2, seed=6)
         space = MetricSpace(ds)
         pm = PivotMapping(space, [0, 5])
-        assert pm.matrix.shape == (30, 2)
-        assert pm.matrix[0, 0] == 0.0  # pivot to itself
-        assert pm.matrix[7, 1] == pytest.approx(ds.distance(ds[7], ds[5]))
+        table = pm.build_table()
+        assert table.shape == (30, 2)
+        assert table[0, 0] == 0.0  # pivot to itself
+        assert table[7, 1] == pytest.approx(ds.distance(ds[7], ds[5]))
+        # the mapping keeps the table's extent, not the table
+        assert np.array_equal(pm.low, table.min(axis=0))
+        assert np.array_equal(pm.high, table.max(axis=0))
+        held = [v.shape for v in vars(pm).values() if isinstance(v, np.ndarray)]
+        assert held == [(2,), (2,)]
 
     def test_build_cost_counted(self):
         ds = make_uniform(30, dim=2, seed=6)
         counters = CostCounters()
-        PivotMapping(MetricSpace(ds, counters), [0, 5, 9])
+        pm = PivotMapping(MetricSpace(ds, counters), [0, 5, 9])
+        assert counters.distance_computations == 0
+        pm.build_table()
         assert counters.distance_computations == 90
 
     def test_map_query_counts(self):
@@ -364,20 +372,40 @@ class TestPivotMapping:
         with pytest.raises(ValueError):
             PivotMapping(MetricSpace(ds), [])
 
-    def test_append(self):
+    def test_map_object_widens_the_extent(self):
         ds = make_uniform(10, dim=2, seed=6)
         pm = PivotMapping(MetricSpace(ds), [0, 1])
-        row = pm.append([1.0, 2.0])
-        assert row == 10
-        assert pm.matrix.shape == (11, 2)
-        with pytest.raises(ValueError):
-            pm.append([1.0, 2.0, 3.0])
+        assert (pm.low == np.inf).all() and (pm.high == -np.inf).all()
+        table = pm.build_table()
+        far = np.array([40.0, -30.0])
+        vec = pm.map_object(far)
+        assert np.array_equal(pm.low, np.minimum(table.min(axis=0), vec))
+        assert np.array_equal(pm.high, np.maximum(table.max(axis=0), vec))
+        # a query maps without widening it
+        high = pm.high
+        pm.map_query(far * 2.0)
+        assert np.array_equal(pm.high, high)
 
-    def test_max_distance_bound(self):
+    def test_extent_bounds_the_diameter(self):
         ds = make_uniform(30, dim=2, seed=6)
         pm = PivotMapping(MetricSpace(ds), [0, 5])
-        bound = pm.max_distance_bound()
+        pm.build_table()
         true_max = max(
             ds.distance(ds[i], ds[j]) for i in range(30) for j in range(30)
         )
-        assert bound >= true_max
+        # d(o, o') <= d(o, p) + d(o', p): the M-index's d+
+        assert 2.0 * pm.high.max() >= true_max
+
+    def test_a_pickled_table_loads_as_its_extent(self):
+        ds = make_uniform(30, dim=2, seed=6)
+        pm = PivotMapping(MetricSpace(ds), [0, 5])
+        table = pm.build_table()
+        old = {k: v for k, v in vars(pm).items() if k not in ("low", "high")}
+        restored = PivotMapping.__new__(PivotMapping)
+        restored.__setstate__({**old, "matrix": table})
+        assert "matrix" not in vars(restored)
+        assert np.array_equal(restored.low, pm.low) and np.array_equal(restored.high, pm.high)
+        # pickled with neither (an SPB-tree's mapping after its build): empty
+        bare = PivotMapping.__new__(PivotMapping)
+        bare.__setstate__(dict(old))
+        assert (bare.low == np.inf).all() and (bare.high == -np.inf).all()

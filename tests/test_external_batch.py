@@ -42,6 +42,7 @@ from repro.core.distances import (
 )
 from repro.bench import paper_order_knn
 from repro.core.queries import KnnHeap
+from repro.core.mapping import PivotMapping
 from repro.core.pivot_filter import lower_bound_many_queries
 from repro.external.batch import expanding_radius_knn, key_run_slices
 from repro.external import (
@@ -365,7 +366,8 @@ def test_expanding_radius_rounds_stop_once_every_object_is_verified(
     query, live = dataset[0], len(index.raf)
     qmat = index.mapping.map_query_many([query])
     # every object's Lemma 1 bound is within the first round's radius
-    radius = float(lower_bound_many_queries(qmat, index.mapping.matrix).max()) * (1 + 1e-9)
+    table = PivotMapping(MetricSpace(dataset), index.mapping.pivot_ids).build_table()
+    radius = float(lower_bound_many_queries(qmat, table).max()) * (1 + 1e-9)
     radii = []
 
     def candidates_many(qmat, radius, active):

@@ -46,9 +46,10 @@ class TestPMTreeDetail:
         )
         leaves = list(index.mtree.iter_leaves())
         assert sum(len(leaf) for _, leaf in leaves) == len(la)
+        table = PivotMapping(MetricSpace(la), la_pivots).build_table()
         for _, leaf in leaves:
             assert leaf.vecs.shape == (len(leaf), len(la_pivots))
-            assert np.array_equal(leaf.vecs, index.mapping.matrix[leaf.ids])
+            assert np.array_equal(leaf.vecs, table[leaf.ids])
 
     def test_routing_mbbs_cover_subtrees(self, la, la_pivots):
         index = PMTree.build(
@@ -164,17 +165,15 @@ class TestMIndexDetail:
 
     def test_keys_use_first_path_pivot(self, la, la_pivots):
         index = self._build(la, la_pivots)
-        mapping = index.mapping
         for key, object_id in index.btree.items():
             path, dist = key
-            assert dist == pytest.approx(float(mapping.vector(object_id)[path[0]]))
+            assert dist == pytest.approx(float(index.raf.read(object_id)[2][path[0]]))
 
     def test_nearest_pivot_assignment(self, la, la_pivots):
         index = self._build(la, la_pivots)
-        mapping = index.mapping
         for key, object_id in index.btree.items():
             path, _ = key
-            vec = mapping.vector(object_id)
+            _, _, vec = index.raf.read(object_id)
             assert path[0] == int(np.argmin(vec))
 
     def test_maxnum_respected_after_build(self, la, la_pivots):
@@ -382,7 +381,7 @@ class TestSPBTreeDetail:
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
         # the table is build-only: the same pivots map the objects again
         assert "matrix" not in vars(index.mapping)
-        matrix = PivotMapping(MetricSpace(la), la_pivots).matrix
+        matrix = PivotMapping(MetricSpace(la), la_pivots).build_table()
         max_cell = index.frame.encode(matrix.max(axis=0))
         # the build stays below the open top cell, which inserts may reach
         assert max_cell.max() < index.curve.max_coordinate

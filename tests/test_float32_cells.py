@@ -197,7 +197,7 @@ def test_two_tables_over_one_mapping_read_one_slack():
     themselves, under which a table would drop the answer at the radius."""
     dataset = _line([0.0, _UP, 2.5, 3.0])
     space = MetricSpace(dataset, CostCounters())
-    want = narrowed(PivotMapping(space, [0]).matrix)[1]
+    want = narrowed(PivotMapping(space, [0]).build_table())[1]
     mapping = PivotTable(space, [0])
     first = LAESA(space, mapping)
     second = LAESA(space, mapping, pruner=first.pruner)

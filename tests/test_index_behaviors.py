@@ -198,7 +198,7 @@ class TestMIndexMechanics:
 
     def test_star_tracks_mbbs(self, datasets, pivots):
         index = fresh_index(datasets, pivots, "LA", "M-index*")
-        leaves = list(index._all_leaves(index.root))
+        leaves = [node for node in index._nodes(index.root) if node.is_leaf]
         assert any(leaf.mbb_lows is not None for leaf in leaves)
         for leaf in leaves:
             if leaf.mbb_lows is not None:

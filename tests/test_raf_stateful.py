@@ -4,7 +4,8 @@ One hypothesis state machine drives an SPB-tree, an M-index, an M-index*,
 the three Omni members and a DEPT over private copies of one small LA
 dataset through inserts of new objects (some far past the build-time
 grid), deletes, re-inserts under the same id, refused inserts and
-deletes, MRQ, MkNNQ, both ``*_many`` forms and snapshot round trips.
+deletes, inserts undone (the id then reused by another object), MRQ,
+MkNNQ, both ``*_many`` forms and snapshot round trips.
 Every answer is checked against brute force over the live ids, and after
 every step each index's RAF locates exactly the live ids: ``id in raf``
 for those and no other, ``len(raf)`` their count.
@@ -67,6 +68,7 @@ class RafIndexes(RuleBasedStateMachine):
         super().__init__()
         self.oracle = MetricSpace(_copy())
         self.live = set(range(N))
+        self.undone: set[int] = set()  # ids an undone insert left to reuse
         self.indexes = {
             name: build(MetricSpace(_copy(), CostCounters())) for name, build in BUILDERS.items()
         }
@@ -108,6 +110,28 @@ class RafIndexes(RuleBasedStateMachine):
             obj = np.array(self.oracle.dataset[object_id])  # a copy, as a wire decodes it
             assert index.insert(obj, object_id=object_id) == object_id, name
         self.live.add(object_id)
+
+    @rule(seed=st.integers(0, 10_000), far=st.booleans())
+    def undone_insert(self, seed, far):
+        """A fresh insert every index takes and deletes again, its slot
+        then dropped from each dataset -- a refused catalog fan-out's
+        undo: the next ``insert_new`` reuses the id with another object."""
+        obj = self._object(seed, far) + 0.25
+        new_id = len(self.oracle.dataset)
+        for name, index in self.indexes.items():
+            assert index.insert(obj.copy()) == new_id, name
+            index.delete(new_id)
+            index.space.dataset.drop_last(new_id)
+        self.undone.add(new_id)
+
+    @precondition(lambda self: self.undone & self.live and len(self.live) > 10)
+    @rule(data=st.data())
+    def delete_reused(self, data):
+        """Delete an object whose id an undone insert had held before."""
+        object_id = data.draw(st.sampled_from(sorted(self.undone & self.live)))
+        for index in self.indexes.values():
+            index.delete(object_id)
+        self.live.remove(object_id)
 
     @precondition(lambda self: len(self.live) < len(self.oracle.dataset))
     @rule(data=st.data(), seed=st.integers(0, 10_000))

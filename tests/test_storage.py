@@ -786,10 +786,16 @@ class TestRafPageCodec:
         where = _append_all(raf, [(i, np.full(2, float(i))) for i in range(20)])
         page_id = where[0][0]
         before = raf.pager.read(page_id)
-        monkeypatch.setattr(
-            RafPage, "record", lambda *a: pytest.fail("a write decoded a record")
-        )
-        raf.mark_deleted(3)
+        record, decoded = RafPage.record, []
+
+        def counted(page, slot):
+            decoded.append(slot)
+            return record(page, slot)
+
+        monkeypatch.setattr(RafPage, "record", counted)
+        # the record a delete returns is the one it decodes
+        tombstoned = raf.mark_deleted(3)
+        assert decoded == [3] and tombstoned[0] == 3 and tombstoned[1][0] == 3.0
         deleted = raf.pager.read(page_id)
         assert deleted.columns is before.columns  # one tombstone byte
         raf.update(4, (4, np.full(2, 40.0)))
@@ -802,6 +808,7 @@ class TestRafPageCodec:
         raf.append((20, np.full(2, 20.0)))
         appended = raf.pager.read(page_id)
         assert len(appended) == 21 and len(updated) == 20
+        assert decoded == [3]  # update and append decoded no record
         monkeypatch.undo()
         # copy-on-write: each pooled node kept what it held
         assert before.dead == bytes(20)
