@@ -198,6 +198,10 @@ def storage_order_knn(
     the rows whose cheap bound is within the radius the first k leave
     behind -- a row above it can never be verified, whatever its final
     bound.  A NaN row holds no object (a table's tombstone) and is skipped.
+
+    A row whose bound ties the radius is verified whatever its id: this is
+    the paper's accounting, not a query path, so it keeps the paper's
+    ``bound <= radius`` test rather than :meth:`KnnHeap.admits`.
     """
     heap = KnnHeap(k)
     lower_bounds = np.asarray(lower_bounds, dtype=np.float64)

@@ -54,7 +54,17 @@ class Dataset:
             anything else is stored as a list.
         distance: the metric the paper pairs with this data.
         name: label used in benchmark reports.
+
+    A vector dataset's :meth:`add` writes into spare rows past the live
+    ones: the first add copies the given array into one an eighth larger,
+    later adds grow it by an eighth when it is full.  ``objects``, ``len``,
+    :meth:`nbytes` and pickling see only the live rows.
     """
+
+    # a vector dataset's rows once an add has grown it, spare ones
+    # included; ``_objects`` is then a view of its first live rows, and the
+    # array handed to the constructor is never written
+    _buffer: np.ndarray | None = None
 
     def __init__(self, objects, distance: MetricDistance, name: str = "dataset"):
         if isinstance(objects, np.ndarray):
@@ -102,19 +112,25 @@ class Dataset:
             return self._objects[np.asarray(ids, dtype=np.intp)]
         return [self._objects[i] for i in ids]
 
-    def add(self, obj) -> int:
-        """Append a new object, returning its id.
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("_buffer", None)  # ``_objects`` is what is live
+        return state
 
-        Vector datasets pay an O(n) array copy; indexes that insert in bulk
-        should batch at the workload level.
-        """
+    def add(self, obj) -> int:
+        """Append a new object, returning its id (amortised O(1): a vector
+        dataset grows its rows by an eighth when they are full)."""
         if self._is_vector:
-            row = np.asarray(obj, dtype=self._objects.dtype).reshape(1, -1)
-            if row.shape[1] != self._objects.shape[1]:
-                raise ValueError(
-                    f"object has {row.shape[1]} dims, dataset has {self._objects.shape[1]}"
-                )
-            self._objects = np.concatenate([self._objects, row])
+            row = np.asarray(obj, dtype=self._objects.dtype).reshape(-1)
+            n, dims = self._objects.shape
+            if row.shape[0] != dims:
+                raise ValueError(f"object has {row.shape[0]} dims, dataset has {dims}")
+            if self._buffer is None or n == self._buffer.shape[0]:
+                grown = np.empty((n + max(1, n // 8), dims), dtype=self._objects.dtype)
+                grown[:n] = self._objects
+                self._buffer = grown
+            self._buffer[n] = row
+            self._objects = self._buffer[: n + 1]
         else:
             self._objects.append(obj)
         return len(self._objects) - 1

@@ -10,6 +10,13 @@ Defines the two query types of Section 2.1:
 :class:`KnnHeap` implements the standard "radius tightening" used by every
 MkNNQ algorithm in the paper: the search radius starts at infinity and
 shrinks to the current k-th nearest distance as candidates are verified.
+It also owns the one admission rule every best-first body asks before it
+verifies a candidate: one with lower bound b and id o is verified only if
+``(b, o) < (radius, id of the k-th answer)`` (any candidate while the heap
+is not full).  Answers rank by (distance, id), so a candidate whose bound
+ties the radius but whose id is larger could only tie and lose; the rule
+skips it, which on a discrete metric is a large share of a query's
+verifications, and changes no answer (:meth:`KnnHeap.admits`).
 
 Given one query's lower-bound column, the order in which candidates are
 verified is the only decision left, and it lives here once:
@@ -130,10 +137,15 @@ def best_first_knn(
 
     Exactness of ties: :class:`KnnHeap` ranks candidates canonically by
     (distance, object_id), so the answer is the k smallest such pairs over
-    all objects -- independent of verification order.  Every object that
-    could belong to the answer has a lower bound no larger than its distance
-    and hence no larger than the running radius when its turn comes, so it
-    is always verified before the cutoff triggers.
+    all objects -- independent of verification order.  A block verifies
+    only the rows the heap admits (:meth:`KnnHeap.admitted`): a row whose
+    (bound, id) pair is not below the k-th answer's (radius, id) could only
+    be refused by :meth:`KnnHeap.consider`, since its distance is at least
+    its bound.  Every object that could belong to the answer is therefore
+    admitted when its turn comes.  The stream ends once a block's last
+    bound exceeds the radius, not at the first refused row: ties are
+    ordered by storage position, so a refused tie (larger id) can come
+    before an admitted one (smaller id).
 
     Args:
         lower_bounds: per-storage-row lower bounds of d(q, o), length n.
@@ -149,6 +161,7 @@ def best_first_knn(
     """
     heap = KnnHeap(k)
     lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
+    row_ids = np.asarray(row_ids)
     slices = _ascending_slices(lower_bounds, max(4 * k, _FIRST_PREFIX), tighten)
     positions = np.empty(0, dtype=np.intp)
     bounds = np.empty(0, dtype=np.float64)
@@ -168,16 +181,18 @@ def best_first_knn(
                 break
             positions = np.concatenate([positions, more[0]])
             bounds = np.concatenate([bounds, more[1]])
-        block = positions[:chunk]
-        # ascending bounds: once one exceeds the radius, all later ones do
-        keep = block[bounds[:chunk] <= heap.radius]
-        if keep.size == 0:
+        block, block_bounds = positions[:chunk], bounds[:chunk]
+        if block.size == 0:
             break
-        ids = [int(row_ids[pos]) for pos in keep]
-        dists = verify_many(ids)
-        for object_id, d in zip(ids, dists):
-            heap.consider(object_id, float(d))
-        if keep.size < block.size:
+        block_ids = row_ids[block]
+        keep = heap.admitted(block_bounds, block_ids)
+        if keep.any():
+            ids = block_ids[keep].tolist()
+            dists = verify_many(ids)
+            for object_id, d in zip(ids, dists):
+                heap.consider(object_id, float(d))
+        # ascending bounds: once one exceeds the radius, all later ones do
+        if block_bounds[-1] > heap.radius:
             break
         positions, bounds = positions[chunk:], bounds[chunk:]
         chunk = _CHUNK
@@ -205,12 +220,14 @@ def best_first_walk(
     reads a popped node and returns ``(items, bounds, are_entries)``: its
     children or its entries (object ids) under lower bounds of their
     distance to the query; only those within the radius are queued.  A
-    popped entry is verified: ``verify(entry, radius)`` returns d(q, entry),
-    or ``None`` when a bound read with its record exceeds the radius.  The
-    first pop bounded above the radius ends the walk.  An expansion that
-    verifies its entries itself, in node order (the M-tree's leaves),
-    offers them to ``heap`` and returns none; its index passes ``None`` as
-    ``verify``.
+    popped entry is verified if the heap admits it (:meth:`KnnHeap.admits`
+    on its bound and id): ``verify(entry, heap)`` returns d(q, entry), or
+    ``None`` when a bound read with its record is not admitted.  A node
+    tied with the radius is still opened -- the ids below it are unknown.
+    The first pop bounded above the radius ends the walk.  An expansion
+    that verifies its entries itself, in node order (the M-tree's leaves),
+    asks ``heap`` the same, offers them to it and returns none; its index
+    passes ``None`` as ``verify``.
     """
     heap = KnnHeap(k)
     arrival = itertools.count()
@@ -220,9 +237,10 @@ def best_first_walk(
         if bound > heap.radius:
             break
         if is_entry:
-            distance = verify(item, heap.radius)
-            if distance is not None:
-                heap.consider(item, distance)
+            if heap.admits(bound, item):
+                distance = verify(item, heap)
+                if distance is not None:
+                    heap.consider(item, distance)
             continue
         items, bounds, are_entries = expand(item, bound, heap)
         radius = heap.radius
@@ -244,6 +262,13 @@ class KnnHeap:
     (e.g. best-first) order and still return bit-for-bit the sequential
     scan's answer, while matching the paper's definition of MkNNQ returning
     exactly k objects.
+
+    Exactness of ties: the same pair order decides which candidates are
+    worth verifying at all.  :meth:`admits` / :meth:`admitted` are the one
+    admission rule of every best-first body -- a candidate of bound b and
+    id o is verified only if ``(b, o) < (radius, id of the k-th answer)``
+    -- so a candidate whose bound ties the radius but whose id is larger
+    than the k-th answer's is never verified: it could only tie and lose.
     """
 
     def __init__(self, k: int):
@@ -272,6 +297,27 @@ class KnnHeap:
             heapq.heapreplace(self._heap, (-distance, -object_id))
             return True
         return False
+
+    def admits(self, bound: float, object_id: int) -> bool:
+        """Whether a candidate of lower bound ``bound`` is worth verifying.
+
+        :meth:`consider`'s own test with ``bound`` for the distance:
+        ``(bound, object_id) < (radius, id of the k-th answer)``, and true
+        for every candidate while the heap is not full.  Exact: a refused
+        candidate's distance is at least its bound, so :meth:`consider`
+        would refuse it too, and skipping it changes neither the heap nor
+        the radius.  A NaN bound is never admitted once the heap is full.
+        """
+        return len(self._heap) < self.k or (-bound, -object_id) > self._heap[0]
+
+    def admitted(self, bounds: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """:meth:`admits` over arrays of bounds and ids: a boolean mask."""
+        bounds = np.asarray(bounds)
+        if len(self._heap) < self.k:
+            return np.ones(bounds.shape, dtype=bool)
+        neg_radius, neg_id = self._heap[0]
+        radius = -neg_radius
+        return (bounds < radius) | ((bounds == radius) & (np.asarray(ids) < -neg_id))
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -488,8 +488,8 @@ class MTree:
         vector columns) its Lemma 1 / MBB bounds are computed as arrays when
         the node is read; its entries are then considered in node order
         against the live heap radius -- a leaf's verified there (Ciaccia's
-        algorithm) -- so a distance is computed exactly when an
-        entry-at-a-time walk would compute it.
+        algorithm) when the heap admits its bound and id -- so a distance
+        is computed exactly when an entry-at-a-time walk would compute it.
         """
         qvec = None if query_vector is None else np.asarray(query_vector, dtype=np.float64)[None]
 
@@ -505,8 +505,7 @@ class MTree:
                 if qvec is not None and node.vecs is not None:
                     lower = lower_bound_many_queries(qvec, node.vecs)[0].tolist()
                 for object_id, obj, gap, low in zip(node.ids.tolist(), node.objs, gaps, lower):
-                    r = heap.radius
-                    if gap <= r and low <= r:
+                    if heap.admits(max(gap, low), object_id):
                         heap.consider(object_id, self.space.d(query_obj, obj))
                 return (), (), False
             boxes = [0.0] * n

@@ -16,7 +16,6 @@ and is therefore counted as page accesses.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -296,13 +295,20 @@ class RTree:
 
     @staticmethod
     def _pick_seeds(rects: list[Rect]) -> tuple[int, int]:
-        best = (0, 1 if len(rects) > 1 else 0)
-        best_waste = -float("inf")
-        for i, j in itertools.combinations(range(len(rects)), 2):
-            waste = rects[i].expanded(rects[j]).margin() - rects[i].margin() - rects[j].margin()
-            if waste > best_waste:
-                best_waste, best = waste, (i, j)
-        return best
+        """The pair whose joint box wastes the most margin, the first of
+        the largest in ``itertools.combinations`` order: one pass over
+        every pair's columns, each waste the float ``a.expanded(b).margin()
+        - a.margin() - b.margin()`` gives."""
+        if len(rects) < 2:
+            return 0, 0
+        lows = np.array([r.lows for r in rects])
+        highs = np.array([r.highs for r in rects])
+        first, second = np.triu_indices(len(rects), 1)
+        joint = np.maximum(highs[first], highs[second]) - np.minimum(lows[first], lows[second])
+        margins = (highs - lows).sum(axis=1)
+        waste = joint.sum(axis=1) - margins[first] - margins[second]
+        best = int(np.argmax(waste))
+        return int(first[best]), int(second[best])
 
     # -- delete -----------------------------------------------------------------
 

@@ -109,6 +109,9 @@ class AESA(MetricIndex):
             if candidates.size == 0:
                 return heap.neighbors()
             pick = int(candidates[np.argmin(lower[candidates])])
+            # the radius alone, not KnnHeap.admits: every verified object
+            # tightens the other bounds, so skipping a tie the heap would
+            # refuse can cost a later verification
             if lower[pick] > heap.radius:
                 return heap.neighbors()
             alive[pick] = False

@@ -205,6 +205,11 @@ class EPTStar(_ExtremePivotTableBase):
     """EPT*: per-object pivots chosen by PSA (Algorithm 1)."""
 
     name = "EPT*"
+    # d(p_c, q_s) for every candidate pivot and query proxy (|CP| x |S|),
+    # computed at the first insert and kept: both are dataset slots, which
+    # are never rewritten, so it never goes stale.  A file written before
+    # it was kept loads without it and computes it at its first insert.
+    _cand_sample = None
 
     def __init__(self, space, pivot_ids, pivot_idx, pivot_dist, sample_ids, pruner=None):
         super().__init__(space, pivot_ids, pivot_idx, pivot_dist, pruner=pruner)
@@ -237,16 +242,17 @@ class EPTStar(_ExtremePivotTableBase):
         return cls(space, candidates, pivot_idx, pivot_dist, sample_ids, pruner=pruner)
 
     def insert(self, obj, object_id: int | None = None) -> int:
-        """PSA for a single object: |CP| + |S| distances plus the greedy scan."""
+        """PSA for a single object: |CP| + |S| distances plus the greedy
+        scan (the first insert also pays the |CP| x |S| matrix it keeps)."""
         object_id = self.table.claim(self.space, obj, object_id)
         cand_objs = self.space.dataset.gather(self.pivot_ids)
         cand_d = self.space.d_many(obj, cand_objs)  # d(o, p_c)
         sample_objs = self.space.dataset.gather(self._sample_ids)
         sample_d = self.space.d_many(obj, sample_objs)  # d(o, q_s)
         denom = np.maximum(sample_d, 1e-12)
-        # cand_sample[c, s] = d(p_c, q_s): pivots vs proxies (counted)
-        cand_sample = self.space.pairwise_ids(self.pivot_ids, self._sample_ids)
-        ratios = np.abs(cand_sample - cand_d[:, None]) / denom[None, :]
+        if self._cand_sample is None:
+            self._cand_sample = self.space.pairwise_ids(self.pivot_ids, self._sample_ids)
+        ratios = np.abs(self._cand_sample - cand_d[:, None]) / denom[None, :]
         used = psa_greedy(ratios, self.table.view.cells.shape[0])
         self.table.append(object_id, cand_d[used], slots=used)
         return object_id

@@ -484,10 +484,12 @@ class FrontierTreeMixin:
           pass and a metric call).
 
         The walk stops once both heads exceed the k-th distance, so an
-        object is verified only if its bound is within the radius when its
-        turn comes and, past the first chunk, never before a node below it
-        was opened.  The
-        heap's canonical (distance, id) ordering makes the answer
+        object is verified only if the heap admits it when its turn comes
+        (:meth:`~repro.core.queries.KnnHeap.admits`: its bound below the
+        radius, or on it with an id below the k-th answer's) and, past the
+        first chunk, never before a node below it was opened.  The run
+        ascends by (bound, id), so once its head is refused all of it is.
+        The heap's canonical (distance, id) ordering makes the answer
         independent of that order.
         """
         space = self.space
@@ -497,8 +499,8 @@ class FrontierTreeMixin:
         heap = KnnHeap(k)
         known: dict = {}  # pivot key -> d(q, pivot)
         nodes = [(0.0, 0, 0, ())]  # (bound, tie, node, path)
-        lower, ids = np.empty(0), np.empty(0, dtype=np.intc)  # the objects' run
-        run = np.inf  # its head's bound
+        # the objects' run, ascending by (bound, id); ``run`` is its head's bound
+        lower, ids = np.empty(0), np.empty(0, dtype=np.intc)
         pending: list[tuple] = []  # leaves set aside: (bound, node, path)
         counter = itertools.count(1)
         chunks = _chunk_sizes(k)
@@ -508,7 +510,6 @@ class FrontierTreeMixin:
             for entry in pending:
                 by_depth.setdefault(len(entry[2]), []).append(entry)
             pending.clear()
-            radius = heap.radius
             runs_lower, runs_ids = [lower], [ids]
             for depth, group in by_depth.items():
                 floors, leaves, paths = zip(*group)
@@ -518,7 +519,7 @@ class FrontierTreeMixin:
                     np.array(paths, dtype=np.intp).reshape(len(group), depth, 2),
                     np.array(floors),
                 )
-                near = new_lower <= radius
+                near = heap.admitted(new_lower, new_ids)
                 runs_lower.append(new_lower[near])
                 runs_ids.append(new_ids[near])
             merged_lower, merged_ids = np.concatenate(runs_lower), np.concatenate(runs_ids)
@@ -527,6 +528,11 @@ class FrontierTreeMixin:
 
         while True:
             radius = heap.radius
+            if len(lower) and not heap.admits(lower[0], ids[0]):
+                # the run ascends by (bound, id) and the k-th pair only
+                # falls: once its head is refused, all of it is for good
+                lower, ids = lower[:0], ids[:0]
+            run = float(lower[0]) if len(lower) else np.inf
             step = nodes[0] if nodes and nodes[0][0] <= radius else None
             if step is not None:
                 bound, _, node, path = step
@@ -560,17 +566,21 @@ class FrontierTreeMixin:
                     continue
             if pending:
                 lower, ids = bound_pending()
-                run = float(lower[0]) if len(lower) else np.inf
                 continue
-            if not len(lower) or run > radius:
+            if not len(lower):
                 return heap.neighbors()
             # a chunk from the run's head, up to the next node's bound once
-            # the heap is full (the first fills it, as best_first_knn's does)
-            cut = radius if step is None or radius == np.inf else min(radius, step[0])
-            within = int(np.searchsorted(lower, cut, "right"))
+            # the heap is full (the first fills it, as best_first_knn's
+            # does); cut at the radius, it ends after the last tie the heap
+            # admits (the tie band ascends by id, so those come first)
+            if step is None or radius == np.inf or step[0] >= radius:
+                ties = int(np.searchsorted(lower, radius, "left"))
+                band = slice(ties, int(np.searchsorted(lower, radius, "right")))
+                within = ties + int(np.count_nonzero(heap.admitted(lower[band], ids[band])))
+            else:
+                within = int(np.searchsorted(lower, step[0], "right"))
             take = max(1, min(next(chunks), within))
             verify, lower, ids = ids[:take], lower[take:], ids[take:]
-            run = float(lower[0]) if len(lower) else np.inf
             dists = space.d_many(query_obj, gather(verify))
             near = dists <= radius
             for object_id, d in zip(verify[near].tolist(), dists[near].tolist()):

@@ -38,7 +38,7 @@ from repro import (
     select_pivots,
 )
 from repro.bench import paper_order_knn, storage_order_knn
-from repro.core.queries import KnnHeap, best_first_knn
+from repro.core.queries import KnnHeap, Neighbor, best_first_knn
 from repro.tables import LAESA
 
 from conftest import DATASET_MAKERS, RADIUS, indexes_for
@@ -424,7 +424,10 @@ class TestShardedBatch:
 def _full_sort_best_first(final_bounds, row_ids, k, verify_many):
     """Reference: sort every final bound (stable: ties by storage position),
     cut chunks of k then 32 -- the body ``best_first_knn`` had before it
-    drew its order a prefix at a time."""
+    drew its order a prefix at a time.  A block verifies the rows that can
+    still enter the answer: with the heap full, those whose (bound, id) is
+    below the k-th answer's (distance, id).  The stream ends after a block
+    whose last bound exceeds the radius."""
     heap = KnnHeap(k)
     n = len(row_ids)
     if n == 0:
@@ -435,13 +438,17 @@ def _full_sort_best_first(final_bounds, row_ids, k, verify_many):
         chunk = k if start == 0 else 32
         stop = min(start + chunk, n)
         block = order[start:stop]
-        keep = block[final_bounds[block] <= heap.radius]
-        if keep.size == 0:
-            break
-        ids = [int(row_ids[pos]) for pos in keep]
-        for object_id, d in zip(ids, verify_many(ids)):
-            heap.consider(object_id, float(d))
-        if keep.size < block.size:
+        worst = heap.neighbors()[-1] if len(heap) == k else None
+        ids = [
+            int(row_ids[pos])
+            for pos in block
+            if worst is None
+            or (final_bounds[pos], int(row_ids[pos])) < (worst.distance, worst.object_id)
+        ]
+        if ids:
+            for object_id, d in zip(ids, verify_many(ids)):
+                heap.consider(object_id, float(d))
+        if final_bounds[block[-1]] > heap.radius:
             break
         start = stop
     return heap.neighbors()
@@ -537,17 +544,26 @@ def test_verification_sequence_equals_full_sort(case):
 
 
 def test_rows_tied_with_the_radius_are_verified():
-    """bound == radius is still reachable (d may tie and win on id): both
-    strategies verify such rows, as their references do."""
+    """bound == radius is still reachable when d may tie and win on id.
+    The storage-order scan verifies every such row, as its reference does;
+    best-first verifies a tie only if its id is below the k-th answer's,
+    and a refused tie ahead of an admitted one does not end the stream."""
     row_ids = np.arange(6)
     final = np.asarray([1.0, 3.0, 3.0, 3.0, 0.0, 3.0])
     got = _recorded(storage_order_knn, final, row_ids, 2, final)
     assert got == _recorded(_full_column_storage_order, final, row_ids, 2, final)
     assert got[1] == [(0, 1), (2,), (3,), (4,)]
     flat = np.ones(4)
+    # the first chunk leaves radius 1 and k-th id 2: of the ties (3, 0),
+    # 3 could only lose and is not verified, 0 is verified and wins
+    ids = np.asarray([1, 2, 3, 0])
+    got = _recorded(best_first_knn, flat, ids, 2, flat)
+    assert got == _recorded(_full_sort_best_first, flat, ids, 2, flat)
+    assert got == ([Neighbor(1.0, 0), Neighbor(1.0, 1)], [(1, 2), (0,)])
+    # ascending ids: no tie after the first chunk can win
     got = _recorded(best_first_knn, flat, row_ids[:4], 2, flat)
     assert got == _recorded(_full_sort_best_first, flat, row_ids[:4], 2, flat)
-    assert got[1] == [(0, 1), (2, 3)]
+    assert got[1] == [(0, 1)]
 
 
 def test_best_first_tightens_the_frontier_not_the_table():
@@ -606,7 +622,11 @@ def test_best_first_draws_no_rows_past_its_cutoff():
 # per-object bound matrix wrote the Ptolemaic tightening into a fancy-index
 # copy, so their MkNNQ ran on Lemma 1 alone (LA-EPT [15, 29, 58, 172],
 # LA-EPT* [123, 135, 154, 266]); the tightening now reaches the
-# verification order.
+# verification order.  The best-first Words columns fell when a row tied
+# with the radius and an id above the k-th answer's stopped being verified
+# (``KnnHeap.admits``); before: LAESA / CPT / Omni-seq [49, _, 918, _],
+# EPT [_, _, 939, _], EPT* [_, _, 942, _], FQA [49, 49, 918, 918], DEPT
+# [104, _, 973, _].  The paper-order columns did not move.
 PINNED_KNN_COMPDISTS = {
     ("LA", "LAESA"): [15, 27, 43, 155],
     ("LA", "CPT"): [15, 27, 43, 155],
@@ -614,13 +634,13 @@ PINNED_KNN_COMPDISTS = {
     ("LA", "EPT*"): [123, 135, 154, 264],
     ("LA", "Omni-seq"): [15, 30, 62, 162],
     ("LA", "DEPT"): [54, 84, 92, 217],
-    ("Words", "LAESA"): [49, 394, 918, 968],
-    ("Words", "CPT"): [49, 394, 918, 968],
-    ("Words", "EPT"): [99, 430, 939, 1010],
-    ("Words", "EPT*"): [123, 423, 942, 1013],
-    ("Words", "FQA"): [49, 49, 918, 918],
-    ("Words", "Omni-seq"): [49, 394, 918, 968],
-    ("Words", "DEPT"): [104, 434, 973, 1013],
+    ("Words", "LAESA"): [47, 394, 833, 968],
+    ("Words", "CPT"): [47, 394, 833, 968],
+    ("Words", "EPT"): [99, 430, 824, 1010],
+    ("Words", "EPT*"): [123, 423, 816, 1013],
+    ("Words", "FQA"): [47, 47, 833, 833],
+    ("Words", "Omni-seq"): [47, 394, 833, 968],
+    ("Words", "DEPT"): [103, 434, 893, 1013],
 }
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +88,47 @@ class TestDataset:
         assert len(ds) == 3
         with pytest.raises(ValueError):
             ds.add([1.0, 2.0])
+
+    def test_add_grows_spare_rows_and_shows_only_the_live_ones(self):
+        given = np.arange(48, dtype=np.float64).reshape(16, 3)
+        ds = Dataset(given, L2)
+        assert ds.objects is given  # kept as it is until the first add
+        for i in range(5):
+            assert ds.add([i, i, i]) == 16 + i
+        assert not np.shares_memory(ds.objects, given)
+        assert np.array_equal(given, np.arange(48).reshape(16, 3))  # never written
+        assert ds.objects.shape == (21, 3) and len(ds) == 21
+        assert ds.nbytes() == 21 * 3 * 8
+        assert np.array_equal(ds[20], [4, 4, 4])
+        ds.drop_last(20)
+        assert len(ds) == 20 and ds.add([9, 9, 9]) == 20
+        again = pickle.loads(pickle.dumps(ds))
+        assert again.objects.shape == (21, 3)
+        assert np.array_equal(again.objects, ds.objects)
+        assert len(pickle.dumps(ds)) < len(pickle.dumps(Dataset(np.zeros((24, 3)), L2)))
+        assert again.add([7, 7, 7]) == 21 and len(ds) == 21
+
+    def test_new_id_inserts_do_not_copy_the_objects(self):
+        """100 new-id inserts into an M-index* at LA n = 20 000 allocate,
+        beyond what the dataset and the index keep, less than one copy of
+        the object array (a copy an insert made 100 of them)."""
+        from repro.external import MIndexStar
+
+        made = make_la(20_100, seed=4)
+        ds = Dataset(made.objects[:20_000].copy(), made.distance)
+        space = MetricSpace(ds)
+        index = MIndexStar.build(space, [0, 1, 2, 3, 4])
+        one_copy = ds.objects.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for row in made.objects[20_000:]:
+                index.insert(row)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 20_100
+        assert peak - kept < one_copy, (peak - before, kept - before, one_copy)
 
     def test_add_string(self):
         ds = Dataset(["a"], EditDistance())
@@ -245,7 +288,7 @@ _TOY_DISTANCES = {5: 1.0, 6: 2.0, 1: 2.0, 7: 3.0, 0: 4.0, 3: 2.2}
 _TOY_BOUNDS = {5: 1.0, 6: 1.5, 1: 2.0, 7: 2.5, 0: 4.0, 3: 2.2}
 
 
-def _toy_distance(object_id, _radius):
+def _toy_distance(object_id, _heap):
     return _TOY_DISTANCES[object_id]
 
 
@@ -281,7 +324,7 @@ class TestBestFirstWalk:
                 assert _toy_walk(2, permute=permute) == self.ANSWER, (order, flip)
 
     def test_a_verify_returning_none_never_reaches_the_heap(self):
-        def verify(object_id, _radius):
+        def verify(object_id, _heap):
             return None if object_id == 5 else _TOY_DISTANCES[object_id]
 
         assert _toy_walk(2, verify=verify) == [Neighbor(2.0, 1), Neighbor(2.0, 6)]
@@ -289,8 +332,8 @@ class TestBestFirstWalk:
     def test_no_entry_is_verified_or_node_expanded_past_the_radius(self):
         calls = []
 
-        def verify(object_id, radius):
-            calls.append((object_id, radius))
+        def verify(object_id, heap):
+            calls.append((object_id, heap.radius))
             return _TOY_DISTANCES[object_id]
 
         expanded = []

@@ -335,7 +335,8 @@ def _coded_answers(index, queries, radius, k):
 # the fixtures below: compdists of every query form when written (their
 # expected files), and migrated -- FQA cells holding the whole distances
 # inside their edges, MVPT / VPT codes cells of their path bands
-_COMPDISTS = {"fqa": (2740, 2578), "mvpt": (610, 478), "vpt": (350, 316), "level_frames_mvpt": (610, 478)}
+# (fqa 2 578 before ties the heap refuses went unverified)
+_COMPDISTS = {"fqa": (2740, 2480), "mvpt": (610, 478), "vpt": (350, 316), "level_frames_mvpt": (610, 478)}
 
 
 @pytest.mark.parametrize("name", ["mvpt", "vpt", "fqa"])
@@ -504,6 +505,10 @@ def test_a_stretching_insert_survives_save_and_load(tmp_path, tree):
     assert _tree_answers(again, queries, 900.0) == _tree_answers(index, queries, 900.0)
 
 
+# compdists of every query form when written (their expected file), and now
+_NODE_FORM_COMPDISTS = {"fqt": (2410, 2320), "bkt": (3128, 3072)}
+
+
 @pytest.mark.parametrize("name", ["fqt", "bkt"])
 def test_node_form_fqt_and_bkt_snapshots_answer_as_written(migrated, tmp_path, name):
     """``tests/data/node_form_{fqt,bkt}_words300.snap`` (``make_words(300,
@@ -512,7 +517,9 @@ def test_node_form_fqt_and_bkt_snapshots_answer_as_written(migrated, tmp_path, n
     and put back, 31 deleted) were written when FQT / BKT were node
     objects.  ``load_index`` refuses them, naming ``repro migrate``;
     migrated, they are columns that give the answers they gave when
-    written, at the same compdists, and save and load again alike."""
+    written, at the compdists ``_NODE_FORM_COMPDISTS`` pins beside those
+    written (fewer: candidates tied with the radius and an id above the
+    k-th answer's are not verified), and save and load again alike."""
     expected = json.loads((DATA / "node_form_words300_expected.json").read_text())[name]
     with pytest.raises(SnapshotError, match="repro migrate"):
         load_index(DATA / f"node_form_{name}_words300.snap")
@@ -523,7 +530,7 @@ def test_node_form_fqt_and_bkt_snapshots_answer_as_written(migrated, tmp_path, n
     queries = [dataset[5], dataset[31], dataset[200], "q" * 12]
     got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
     assert got == {form: expected[form] for form in got}
-    assert compdists == expected["compdists"]
+    assert (expected["compdists"], compdists) == _NODE_FORM_COMPDISTS[name]
     save_index(index, tmp_path / "again.snap")
     again = load_index(tmp_path / "again.snap")
     assert _coded_answers(again, queries, expected["radius"], expected["k"]) == (got, compdists)

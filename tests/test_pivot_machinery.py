@@ -4,6 +4,7 @@ strategies."""
 from __future__ import annotations
 
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,15 @@ from repro.core.pivot_filter import (
     lower_bound_many_queries,
     upper_bound_many_queries,
 )
-from repro.core.pivot_selection import hf, hfi, max_variance_pivots, psa, random_pivots, select_pivots
+from repro.core.pivot_selection import (
+    hf,
+    hfi,
+    max_variance_pivots,
+    psa,
+    psa_greedy,
+    random_pivots,
+    select_pivots,
+)
 from repro.external.dept import DEPT
 from repro.tables.ept import EPTStar
 
@@ -396,6 +405,36 @@ class TestPivotSelection:
         dept = DEPT.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=2)
         assert digest(sorted(dept.group_pivots.items()), dept.candidate_ids) == "bb751b900d2f4a18"
         assert counters.distance_computations == 23321  # 23 577 before, as above
+
+    def test_an_ept_star_insert_costs_its_candidates_and_proxies(self):
+        """EPT* keeps its |CP| x |S| pivot-proxy matrix from the first
+        insert on: every later insert costs exactly |CP| + |S| distances,
+        and each writes the row PSA's greedy step picks over the matrix
+        computed afresh, as every insert computed it before.  A file
+        written without the matrix loads and computes it when first
+        needed."""
+        made = make_la(306, seed=5)
+        counters = CostCounters()
+        space = MetricSpace(made.subset(range(300)), counters)
+        ept = EPTStar.build(space, n_pivots_per_object=5, seed=0)
+        cp, s = len(ept.pivot_ids), len(ept._sample_ids)
+        oracle = MetricSpace(ept.space.dataset)  # uncounted
+        ept = pickle.loads(pickle.dumps(ept))  # no matrix yet: as an older file
+        counters = ept.space.counters
+        for i in range(300, 306):
+            obj = made[i]
+            before = counters.distance_computations
+            oid = ept.insert(obj)
+            cost = counters.distance_computations - before
+            assert cost == cp + s + (cp * s if i == 300 else 0)
+            cand_d = oracle.d_many(obj, oracle.dataset.gather(ept.pivot_ids))
+            sample_d = oracle.d_many(obj, oracle.dataset.gather(ept._sample_ids))
+            sample_d = np.maximum(sample_d, 1e-12)
+            fresh = oracle.pairwise_ids(ept.pivot_ids, ept._sample_ids)
+            ratios = np.abs(fresh - cand_d[:, None]) / sample_d[None, :]
+            used = psa_greedy(ratios, 5)
+            assert ept._pivot_idx[oid].tolist() == list(used)
+            assert ept._pivot_dist[oid].tolist() == cand_d[used].tolist()
 
 
 class TestManyQueriesMbbBounds:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CostCounters,
@@ -62,6 +66,37 @@ class TestRect:
         r = Rect.bounding_points([[1, 5], [3, 2]])
         assert r.lows.tolist() == [1, 2]
         assert r.highs.tolist() == [3, 5]
+
+
+def _pair_loop_seeds(rects):
+    """Reference: the first pair of largest waste, pair by pair."""
+    best = (0, 1 if len(rects) > 1 else 0)
+    best_waste = -float("inf")
+    for i, j in itertools.combinations(range(len(rects)), 2):
+        waste = rects[i].expanded(rects[j]).margin() - rects[i].margin() - rects[j].margin()
+        if waste > best_waste:
+            best_waste, best = waste, (i, j)
+    return best
+
+
+@given(
+    n=st.integers(0, 40),
+    dims=st.sampled_from([1, 2, 5, 9, 17]),
+    grid=st.sampled_from([None, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_seeds_are_the_pair_loops(n, dims, grid, seed):
+    """Every pair's waste in one pass picks the pair the loop over
+    ``itertools.combinations`` picks -- the same floats, the first of
+    equal wastes (a coarse grid makes them common)."""
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(-50, 50, size=(n, dims))
+    sides = rng.uniform(0, 30, size=(n, dims)) * (rng.random((n, 1)) < 0.7)
+    if grid is not None:
+        lows, sides = np.round(lows / 25) * 25, np.round(sides / 10) * 10
+    rects = [Rect(lo, lo + side) for lo, side in zip(lows, sides)]
+    assert RTree._pick_seeds(rects) == _pair_loop_seeds(rects)
 
 
 class TestRTree:

@@ -110,11 +110,14 @@ def test_each_continuation_pivot_is_the_object_farthest_from_its_nearest_pivot(d
 # (width, build compdists, 16-query MRQ compdists, MkNNQ k = 10 compdists,
 # storage bytes): the counts as the commit before the continuation read
 # them, the bytes those of float32 cells and int32 row ids (with float64
-# cells and intp ids they were 22 432, 20 277 and 80 032)
+# cells and intp ids they were 22 432, 20 277 and 80 032).  The MkNNQ
+# counts on the discrete metrics fell (Words 4 129, Synthetic 1 971) when
+# rows tied with the radius and an id above the k-th answer's stopped
+# being verified.
 UNMOVED = {
     "LA": (4, 1616, 455, 231, 14432),
-    "Words": (4, 1600, 3242, 4129, 12277),
-    "Synthetic": (4, 1600, 1337, 1971, 72032),
+    "Words": (4, 1600, 3242, 3903, 12277),
+    "Synthetic": (4, 1600, 1337, 1969, 72032),
 }
 
 

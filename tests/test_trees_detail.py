@@ -538,8 +538,9 @@ class TestLeafCodes:
 TREE_COUNTS = {
     ("LA", "MVPT"): {"level_frames": (1931, 1854), "bands": (1833, 781)},
     ("LA", "VPT"): {"level_frames": (1846, 3873), "bands": (1763, 678)},
-    ("Words", "MVPT"): {"level_frames": (12886, 54218), "bands": (12886, 54085)},
-    ("Words", "VPT"): {"level_frames": (11807, 53737), "bands": (11807, 53088)},
+    # kNN bands (54 085 / 53 088) fell once ties the heap refuses went unverified
+    ("Words", "MVPT"): {"level_frames": (12886, 54218), "bands": (12886, 50136)},
+    ("Words", "VPT"): {"level_frames": (11807, 53737), "bands": (11807, 48887)},
 }
 
 
