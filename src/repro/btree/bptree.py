@@ -166,6 +166,12 @@ def _span(lows, highs):
     return lows.min(axis=0), highs.max(axis=0)
 
 
+def _reduced(lows, highs, starts):
+    """The boxes of the row groups starting at ``starts``: the column-wise
+    min of ``lows`` and max of ``highs`` over each, in one reduction."""
+    return np.minimum.reduceat(lows, starts, axis=0), np.maximum.reduceat(highs, starts, axis=0)
+
+
 def _stacked(boxes):
     """``(lows, highs)`` arrays of per-child boxes; None without boxes."""
     if not boxes or boxes[0] is None:
@@ -744,7 +750,8 @@ class BPlusTree:
         M-index's tuples or Hilbert keys past 63 bits, stay Python objects
         in a list or an object array).  ``cells`` (an ``n x l`` integer array, one row
         per key) gives the entries grid cells; the boxes are their
-        column-wise min / max, so nothing is decoded.  Key order, column
+        column-wise min / max, so nothing is decoded, each level's in one
+        ``reduceat`` over the level below.  Key order, column
         lengths and the cell count are checked before any page is written.
         Leaves are cut by arithmetic, ``_BULK_FILL`` of a leaf's capacity
         each, and a last leaf under the fill a delete keeps (:meth:`_min_fill`)
@@ -789,11 +796,15 @@ class BPlusTree:
             sizes[-2:] = [both] if both <= self._leaf_capacity else [(both + 1) // 2, both // 2]
 
         self.pager.free(self.root_page)
+        starts = np.cumsum([0] + sizes[:-1])
+        # every box of a level in one reduction over the level below: the
+        # leaves' over the cells, each internal level's over its children's
+        boxes = None if cells is None else _reduced(cells, cells, starts)
 
         # build leaves
-        level: list[tuple] = []  # (page, first key, box)
-        page, lo = self.pager.allocate(), 0
-        for size in sizes:
+        level: list[tuple] = []  # (page, first key)
+        page = self.pager.allocate()
+        for lo, size in zip(starts.tolist(), sizes):
             hi = lo + size
             next_page = self.pager.allocate() if hi < n else None
             leaf = LeafNode(
@@ -802,25 +813,27 @@ class BPlusTree:
                 next_page,
             )
             self._write(page, leaf)
-            level.append((page, leaf.keys[0], leaf.box()))
-            page, lo = next_page, hi
+            level.append((page, leaf.keys[0]))
+            page = next_page
 
         # build internal levels
         self.height = 1
         while len(level) > 1:
+            firsts = list(range(0, len(level), per_internal))
+            if len(firsts) > 1 and len(level) - firsts[-1] < 2:
+                firsts.pop()  # a last group of one joins the one before
+            bounds = firsts + [len(level)]
             next_level = []
-            groups = [level[i : i + per_internal] for i in range(0, len(level), per_internal)]
-            if len(groups) > 1 and len(groups[-1]) < 2:
-                groups[-2].extend(groups.pop())
-            for group in groups:
-                node = InternalNode(
-                    [first_key for _, first_key, _ in group[1:]],
-                    [page for page, _, _ in group],
-                    [box for _, _, box in group],
-                )
+            for lo, hi in zip(bounds, bounds[1:]):
+                group = level[lo:hi]
+                node = InternalNode([key for _, key in group[1:]], [page for page, _ in group])
+                if boxes is not None:
+                    node.lows, node.highs = boxes[0][lo:hi].copy(), boxes[1][lo:hi].copy()
                 page = self.pager.allocate()
                 self._write(page, node)
-                next_level.append((page, group[0][1], node.box()))
+                next_level.append((page, group[0][1]))
+            if boxes is not None:
+                boxes = _reduced(*boxes, np.array(firsts))
             level = next_level
             self.height += 1
         self.root_page = level[0][0]

@@ -120,6 +120,12 @@ class PivotMapping:
     def n_pivots(self) -> int:
         return len(self.pivot_ids)
 
+    @property
+    def nbytes(self) -> int:
+        """What the mapping holds: 8 B a pivot (Table 4's count) and the
+        extent, ``low`` / ``high``, 16 B a pivot."""
+        return 8 * self.n_pivots + int(self.low.nbytes + self.high.nbytes)
+
     def map_query(self, q) -> np.ndarray:
         """I(q) for an arbitrary query object (counts l computations)."""
         return self.space.d_many(q, self.pivot_objects)

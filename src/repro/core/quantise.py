@@ -1,15 +1,28 @@
-"""One quantiser for pivot-distance codes (the paper's Section 5.4).
+"""Two quantisers for pivot-distance codes (the paper's Section 5.4).
 
 MVPT / VPT leaf path codes, FQA signatures and the SPB-tree's grid behind
-its Hilbert keys store a pivot distance d(o, p) as the *cell* of a
-:class:`Frame` it fell in.  Each index keeps its own fitting policy and
-shares the arithmetic: encoding, cell bounds, Lemma 1 gap tables.  Both
-end cells are open, so a distance met after fitting (an insert past the
-frame) still decodes to an interval that holds it.
+its Hilbert keys store a pivot distance d(o, p) as the *cell* it fell in.
+Each index keeps its own fitting policy and shares the arithmetic:
+encoding, cell bounds, Lemma 1 gap tables.  Both end cells are open, so a
+distance met after fitting (an insert past the cells) still decodes to an
+interval that holds it, and every encode checks that each code's interval
+holds its distance.
 
-A frame's fields may be arrays: MVPT codes every object within the band
-of its own path (:meth:`Frame.band`), one frame per (object, level), and
-encodes and decodes them all in one call.
+* :class:`Frame` -- equal cells of one width.  A frame's fields may be
+  arrays: MVPT codes every object within the band of its own path
+  (:meth:`Frame.band`), one frame per (object, level), and encodes and
+  decodes them all in one call.  FQA's signatures share one frame.
+* :class:`Marks` -- per pivot column, sorted cell edges that refine the
+  uniform grid over the build's range (:meth:`Frame.uniform`): each
+  uniform cell holding build distances keeps its edges, and the edges
+  left over split those cells in proportion to the distances each holds,
+  at equal ranks (a VA-file's equally populated marks, Weber et al., VLDB
+  1998).  No build distance decodes to a wider interval than on the
+  uniform grid, so no Lemma 1 / Lemma 4 bound loosens; on a discrete
+  metric whose span fits, one cell a whole distance.  The SPB-tree's grid:
+  the same 2^bits cells a pivot, the spare ones spent where the objects
+  are.  A uniform frame is a set of marks too (:meth:`Marks.of_frame`),
+  which is how a file written on a uniform grid converts.
 """
 
 from __future__ import annotations
@@ -19,11 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Frame", "gap_tables"]
+__all__ = ["Frame", "Marks", "gap_tables"]
 
-# distances encoded at a time: whole-matrix temporaries left the SPB-tree
-# build's heap half a megabyte larger at n = 20 000, and a block's are the
-# build's peak allocation (8 192 read 0.59 x what an LA n = 5 000 build keeps)
+# distances a frame encodes at a time: whole-table temporaries were a build's
+# peak allocation (measured while the SPB-tree coded through a frame: half a
+# megabyte more heap at n = 20 000, and 8 192-distance blocks read 0.59 x
+# what an LA n = 5 000 build keeps)
 _BLOCK = 6144
 
 
@@ -40,6 +54,14 @@ class Frame(NamedTuple):
     width: float
     discrete: bool
     cells: int = 256
+
+    @classmethod
+    def uniform(cls, top: float, discrete: bool, cells: int = 256) -> "Frame":
+        """``cells - 1`` equal cells from 0 to just past ``top``, the largest
+        distance (-inf for none), and the top cell above: the grid the
+        SPB-tree kept before its marks, which :meth:`Marks.fit` refines."""
+        top = max(top, 1e-9) if top > -np.inf else 1.0
+        return cls(0.0, float(top) / (cells - 1) * (1 + 1e-9), discrete, cells)
 
     @classmethod
     def band(cls, low, high, discrete: bool) -> "Frame":
@@ -144,6 +166,193 @@ class Frame(NamedTuple):
         if (cell > 0 and dist < low) or (cell < top and dist > high):
             raise AssertionError(f"frame {self} lost the distance {dist!r}")
         return cell
+
+
+class Marks:
+    """Per pivot column, ``cells`` sorted cell edges: ``edges[p, c]`` is the
+    low edge of cell ``c`` of column ``p``, which holds the distances from it
+    up to, not including, the next edge, and decodes to the closed interval
+    between the two -- on a ``discrete`` metric to the integers inside
+    them, as :class:`Frame` does.  The end cells are open.  Equal edges make
+    empty cells: a distance on such an edge goes to the last of them.
+
+    Decoding is a lookup: the cells' decoded lows and highs are two flat
+    tables made once, and a code ``c`` of column ``p`` reads entry
+    ``p * cells + c``.
+    """
+
+    __slots__ = ("edges", "discrete", "_lows", "_highs", "_offsets")
+
+    def __init__(self, edges, discrete: bool):
+        self.edges = edges = np.asarray(edges, dtype=np.float64)
+        self.discrete = bool(discrete)
+        lows, highs = _decoded(edges, self.discrete)
+        self._lows, self._highs = lows.reshape(-1), highs.reshape(-1)
+        self._offsets = np.arange(0, edges.size, edges.shape[1], dtype=np.intp)
+
+    def __reduce__(self):
+        return Marks, (self.edges, self.discrete)
+
+    @property
+    def cells(self) -> int:
+        return self.edges.shape[1]
+
+    @classmethod
+    def fit(cls, table, bits: int, discrete: bool) -> tuple["Marks", np.ndarray]:
+        """Marks for the columns of the ``n x l`` build ``table``, and the
+        table's codes.
+
+        The marks refine the uniform grid (:meth:`Frame.uniform`, the
+        ``2^bits - 1`` equal cells from 0 past the table's largest
+        distance): every uniform cell holding a column's build distances
+        keeps its edges, and the edges left over split those cells, each
+        earning a count in proportion to the distances it holds, at the
+        distances of equal rank within it.  So each build distance decodes
+        to an interval inside its uniform cell's -- a Lemma 1 / Lemma 4
+        bound never loosens -- and the cells are spent where the objects
+        are.  The top cell is left to inserts past the build: it starts just
+        above the column's largest distance (its next whole number on a
+        discrete metric).  On a discrete metric whose distances span fewer
+        whole numbers than the cells under it, each holds one whole
+        distance from the least.  The codes come by rank: one ``argsort`` a
+        column, and each cell's run of the sorted distances written back
+        through it; a column is checked, its runs against their decoded
+        cells, before the next is sorted.
+        """
+        table = np.asarray(table, dtype=np.float64)
+        n, l = table.shape
+        cells = 1 << bits
+        uniform = Frame.uniform(table.max(initial=-np.inf), discrete, cells)
+        uniform_edges = uniform.width * np.arange(cells, dtype=np.float64)
+        edges = np.empty((l, cells))
+        codes = np.empty((l, n), dtype=np.min_scalar_type(cells - 1))
+        numbers = np.arange(cells)
+        for p, column in enumerate(table.T):
+            order = np.argsort(column)
+            ranked = column[order]
+            edges[p] = _refined(ranked, uniform_edges, discrete)
+            starts = np.searchsorted(ranked, edges[p], side="left")
+            runs = np.diff(starts, append=n)
+            codes[p, order] = np.repeat(numbers, runs)
+            # a run is sorted: its cell holds it when it holds both its ends
+            held = np.flatnonzero(runs)
+            first, last = ranked[starts[held]], ranked[starts[held] + runs[held] - 1]
+            low, high = _decoded(edges[p], discrete)
+            if not ((low[held] <= first) & (last <= high[held])).all():
+                raise AssertionError(f"marks lost a distance among {table!r}")
+        return cls(edges, discrete), np.ascontiguousarray(codes.T)
+
+    @classmethod
+    def of_frame(cls, frame: Frame, columns: int) -> "Marks":
+        """``frame``'s cells on each of ``columns`` columns, exactly: the
+        edges ``low + width * c`` are the floats :meth:`Frame.bounds`
+        computes, so codes and bounds come out bit for bit."""
+        edges = frame.low + frame.width * np.arange(frame.cells, dtype=np.float64)
+        return cls(np.tile(edges, (columns, 1)), frame.discrete)
+
+    def bounds(self, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Closed ``(low, high)`` of each code's cell, codes ``(..., l)``;
+        the end cells are open."""
+        at = self._offsets + codes
+        return self._lows.take(at), self._highs.take(at)
+
+    def encode(self, dists) -> np.ndarray:
+        """The cell of each distance, ``dists`` ``(..., l)``: the last whose
+        low edge it reaches, the end cells open.  Raises unless every
+        decoded interval contains its distance: a code that excluded it
+        would let a Lemma 1 filter drop a true answer."""
+        dists = np.asarray(dists, dtype=np.float64)
+        codes = np.empty(dists.shape, dtype=np.min_scalar_type(self.cells - 1))
+        for p, edges in enumerate(self.edges):
+            cell = np.searchsorted(edges, dists[..., p], side="right") - 1
+            codes[..., p] = np.maximum(cell, 0)
+        low, high = self.bounds(codes)
+        if not ((low <= dists) & (dists <= high)).all():
+            raise AssertionError(f"marks lost a distance among {dists!r}")
+        return codes
+
+
+def _decoded(edges, discrete: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Closed ``(low, high)`` of each cell of ``edges`` (cells on the last
+    axis), the end cells open; on a ``discrete`` metric the integers at or
+    past the low edge and before the high one."""
+    lows = edges.copy()
+    highs = np.empty_like(edges)
+    highs[..., :-1], highs[..., -1] = edges[..., 1:], np.inf
+    if discrete:
+        np.ceil(lows, out=lows)
+        highs = np.maximum(np.ceil(highs) - 1.0, lows)
+    lows[..., 0], highs[..., -1] = -np.inf, np.inf
+    return lows, highs
+
+
+def _refined(ranked, uniform, discrete: bool) -> np.ndarray:
+    """One column's edges, as :meth:`Marks.fit` places them, from its sorted
+    build distances ``ranked`` and the uniform grid's low edges."""
+    if not len(ranked):  # an empty build is a column of one distance, 0
+        ranked = np.zeros(1)
+    cells, n = len(uniform), len(ranked)
+    low, high = ranked[0], ranked[-1]
+    starts = np.searchsorted(ranked, uniform, side="left")
+    starts[0] = 0  # cell 0 is open below
+    counts = np.diff(starts, append=n)
+    held = np.flatnonzero(counts)
+    # the least distance past the uniform grid's open cell 0 starts a cell,
+    # and cell 0 goes below it: its bound stays closed
+    bottom = int(held[0] > 0)
+    if discrete and high - low < cells - 1 - bottom:  # a cell a whole distance
+        return low - bottom + np.arange(cells, dtype=np.float64)
+    ceiling = high + 1.0 if discrete else np.nextafter(high, np.inf)
+    slots = cells - 2  # the edges between the bottom cell's and the top cell's
+    # the held cells' edges, but for the lowest one's low edge (the least
+    # distance, or none in cell 0) and the highest one's high edge (the
+    # ceiling); no sort: each list is in order as it is made
+    keep = np.zeros(cells, dtype=bool)
+    keep[held[1:]] = keep[held[:-1] + 1] = True
+    kept = np.ceil(uniform[keep]) if discrete else uniform[keep]  # the same whole distances
+    if bottom:
+        kept = np.append(low, kept)
+    kept = _distinct(kept)
+    # the spare edges in proportion to each held cell's count, by largest
+    # remainder (ties to the lower cell), at the distances of equal rank
+    # within it
+    share, remainder = np.divmod((slots - len(kept)) * counts[held], n)
+    extra = slots - len(kept) - share.sum()  # fewer than the held cells
+    if extra:
+        share += _largest(remainder, extra)
+    cell = np.repeat(np.arange(len(held)), share)
+    rank = 1 + np.arange(len(cell)) - np.repeat(np.cumsum(share) - share, share)
+    run = counts[held][cell]
+    splits = ranked[starts[held][cell] + rank * run // (share[cell] + 1)]
+    splits = splits[splits > low]
+    # merged in order: an edge goes after the splits below it, a split after
+    # the edges at or below it
+    inner = np.empty(len(kept) + len(splits))
+    inner[np.arange(len(kept)) + np.searchsorted(splits, kept, side="left")] = kept
+    inner[np.arange(len(splits)) + np.searchsorted(kept, splits, side="right")] = splits
+    inner = _distinct(inner)
+    return np.concatenate([[low], inner, np.full(slots + 1 - len(inner), ceiling)])
+
+
+def _largest(values, count: int) -> np.ndarray:
+    """A mask of the ``count`` largest of the whole, non-negative
+    ``values``, ties to the lower index: the cut found by bisection, not by a
+    sort (a first sort of a few hundred entries pages in code a build keeps
+    resident)."""
+    low, high = 0, int(values.max()) + 1  # at least count reach low, fewer high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if np.count_nonzero(values >= mid) >= count else (low, mid)
+    mask = values > low
+    mask[np.flatnonzero(values == low)[: count - np.count_nonzero(mask)]] = True
+    return mask
+
+
+def _distinct(ordered) -> np.ndarray:
+    """``ordered`` (non-decreasing) without its repeats."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] > ordered[:-1]
+    return ordered[first]
 
 
 def gap_tables(frames, dists) -> np.ndarray:

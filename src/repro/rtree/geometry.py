@@ -52,9 +52,6 @@ class Rect:
     def dims(self) -> int:
         return self.lows.shape[0]
 
-    def expanded(self, other: "Rect") -> "Rect":
-        return Rect(np.minimum(self.lows, other.lows), np.maximum(self.highs, other.highs))
-
     def expanded_point(self, point) -> "Rect":
         point = np.asarray(point, dtype=np.float64)
         return Rect(np.minimum(self.lows, point), np.maximum(self.highs, point))

@@ -236,39 +236,15 @@ class RTree:
     def _split(self, page_id: int, node) -> tuple[int, Rect, int, Rect]:
         """Quadratic split (Guttman); returns (left page, rect, right page, rect)."""
         if node.is_leaf:
-            rects = [Rect.from_point(p) for p in node.points]
+            lows = highs = np.array(node.points, dtype=np.float64)
             entries = list(zip(node.points, node.payloads))
         else:
-            rects = list(node.rects)
+            lows, highs = node.boxes()
             entries = list(zip(node.children, node.rects))
-        seed_a, seed_b = self._pick_seeds(rects)
-        groups: tuple[list[int], list[int]] = ([seed_a], [seed_b])
-        group_rects = [rects[seed_a], rects[seed_b]]
-        remaining = [i for i in range(len(entries)) if i not in (seed_a, seed_b)]
         capacity = self.leaf_capacity if node.is_leaf else self.internal_capacity
-        min_fill = self._min_fill(capacity)
-        while remaining:
-            # force-assign when one group must take everything left
-            for g in (0, 1):
-                if len(groups[g]) + len(remaining) == min_fill:
-                    groups[g].extend(remaining)
-                    for i in remaining:
-                        group_rects[g] = group_rects[g].expanded(rects[i])
-                    remaining = []
-                    break
-            if not remaining:
-                break
-            # pick the entry with the greatest preference difference
-            best_i, best_diff, best_g = remaining[0], -1.0, 0
-            for i in remaining:
-                d0 = group_rects[0].expanded(rects[i]).margin() - group_rects[0].margin()
-                d1 = group_rects[1].expanded(rects[i]).margin() - group_rects[1].margin()
-                diff = abs(d0 - d1)
-                if diff > best_diff:
-                    best_i, best_diff, best_g = i, diff, 0 if d0 < d1 else 1
-            remaining.remove(best_i)
-            groups[best_g].append(best_i)
-            group_rects[best_g] = group_rects[best_g].expanded(rects[best_i])
+        groups = self._distribute(
+            lows, highs, self._pick_seeds(lows, highs), self._min_fill(capacity)
+        )
 
         right_page = self.pager.allocate()
         if node.is_leaf:
@@ -294,21 +270,58 @@ class RTree:
         return page_id, left.mbb(), right_page, right.mbb()
 
     @staticmethod
-    def _pick_seeds(rects: list[Rect]) -> tuple[int, int]:
-        """The pair whose joint box wastes the most margin, the first of
-        the largest in ``itertools.combinations`` order: one pass over
-        every pair's columns, each waste the float ``a.expanded(b).margin()
-        - a.margin() - b.margin()`` gives."""
-        if len(rects) < 2:
+    def _pick_seeds(lows: np.ndarray, highs: np.ndarray) -> tuple[int, int]:
+        """The pair of boxes (rows of ``lows`` / ``highs``) whose joint box
+        wastes the most margin, the first of the largest in
+        ``itertools.combinations`` order: one pass over every pair's
+        columns, each waste the float the pair loop gives, the joint box's
+        margin less each box's (``Rect.margin``)."""
+        if len(lows) < 2:
             return 0, 0
-        lows = np.array([r.lows for r in rects])
-        highs = np.array([r.highs for r in rects])
-        first, second = np.triu_indices(len(rects), 1)
+        first, second = np.triu_indices(len(lows), 1)
         joint = np.maximum(highs[first], highs[second]) - np.minimum(lows[first], lows[second])
         margins = (highs - lows).sum(axis=1)
         waste = joint.sum(axis=1) - margins[first] - margins[second]
         best = int(np.argmax(waste))
         return int(first[best]), int(second[best])
+
+    @staticmethod
+    def _distribute(lows, highs, seeds, min_fill: int) -> tuple[list[int], list[int]]:
+        """Guttman's quadratic distribution of the boxes (rows of ``lows`` /
+        ``highs``) into two groups grown from ``seeds``: at each step the
+        entry left whose margin growth differs most between the groups, the
+        first of the largest, goes to the group it grows less (the second on
+        a tie), until one group must take every entry left to hold
+        ``min_fill``.  Each group's growth by every entry is one array pass,
+        made again only for the group that grew; each growth is the float
+        the entry loop gives, the margin of the group's box grown by the
+        entry less the group's margin (``Rect.margin``)."""
+        groups = ([seeds[0]], [seeds[1]])
+        left = np.ones(len(lows), dtype=bool)
+        left[list(seeds)] = False
+        boxes = [(lows[seed], highs[seed]) for seed in seeds]
+
+        def growth(low, high):
+            margin = float((high - low).sum())
+            return (np.maximum(high, highs) - np.minimum(low, lows)).sum(axis=1) - margin
+
+        grows = [growth(*box) for box in boxes]
+        remaining = int(left.sum())
+        while remaining:
+            full = [g for g in (0, 1) if len(groups[g]) + remaining == min_fill]
+            if full:  # one group must take everything left
+                groups[full[0]].extend(np.flatnonzero(left).tolist())
+                break
+            diff = np.where(left, np.abs(grows[0] - grows[1]), -1.0)
+            best = int(np.argmax(diff))
+            g = 0 if grows[0][best] < grows[1][best] else 1
+            groups[g].append(best)
+            left[best] = False
+            remaining -= 1
+            low, high = boxes[g]
+            boxes[g] = np.minimum(low, lows[best]), np.maximum(high, highs[best])
+            grows[g] = growth(*boxes[g])
+        return groups
 
     # -- delete -----------------------------------------------------------------
 

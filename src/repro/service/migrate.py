@@ -11,7 +11,10 @@ in its path bands from each object's path distances, which the conversion
 takes once through the metric itself.  A row-major LAESA / CPT / EPT /
 EPT* table goes into a column store (:mod:`repro.tables.store`), a LAESA /
 CPT table of ``float64`` cells narrowed to ``float32`` under its slack on
-the way, as ``LAESA.build`` narrows; a cascade's choices are kept.
+the way, as ``LAESA.build`` narrows; a cascade's choices are kept.  An
+SPB-tree's uniform grid (an ``eps``, later a ``Frame``) becomes the
+:class:`~repro.core.quantise.Marks` of the same cells, edge for edge, so
+its keys, cells and answers stay as written.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .. import (
 from ..btree.bptree import BPlusTree, InternalNode, LeafNode, _leaf_from, _stacked
 from ..core.counters import CostCounters
 from ..core.mapping import PivotMapping, narrowed
-from ..core.quantise import Frame
+from ..core.quantise import Frame, Marks
 from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
@@ -328,6 +331,9 @@ def _located(state):
         state["raf"]._count = len(ids)
     if "eps" in state:  # an SPB-tree pickled before its grid was a Frame
         state["frame"] = Frame(0.0, state.pop("eps"), state["space"].is_discrete, 1 << state["bits"])
+    if "frame" in state:  # an SPB-tree on a uniform grid: the same cells as marks
+        state["marks"] = Marks.of_frame(state.pop("frame"), state["mapping"].n_pivots)
+        state.pop("bits", None)  # the marks' cell count says it
     return state
 
 

@@ -35,7 +35,7 @@ from repro.core.pivot_filter import (
     upper_bound_many_queries,
 )
 from repro.core.staged import StagedPruner, score_pivot_order
-from repro.core.quantise import Frame, gap_tables
+from repro.core.quantise import Frame, Marks, gap_tables
 
 from conftest import assert_codes_hold
 
@@ -259,7 +259,8 @@ def frame_cases(draw):
         frame = Frame.band(build.min(), build.max(), discrete)
     elif policy == "fqa":  # low end 0, the integer width that leaves the top cell open
         frame = Frame(0.0, max(1.0, np.ceil((build.max() + 1) / 255)), True)
-    else:  # SPB-tree: low end 0, width eps, 2^bits cells
+    else:  # a uniform grid as the SPB-tree's was (the frame its old files
+        # convert from): low end 0, width eps, 2^bits cells
         bits = draw(st.sampled_from([4, 8, 12]))
         eps = max(build.max(), 1e-9) / ((1 << bits) - 1) * (1 + 1e-9)
         frame = Frame(0.0, eps, discrete, 1 << bits)
@@ -343,6 +344,137 @@ def test_codes_never_exclude_their_distance(case):
             # bounded cells lose nothing
             inside = (codes > 0) & (codes < frame.cells - 1)
             assert (table[codes][inside] == np.abs(dq - dists)[inside]).all()
+
+
+@st.composite
+def marks_cases(draw):
+    """A build table of one column kind -- spread, constant, a few values
+    many times over, whole distances whose span fits the cells or does not
+    -- the marks and codes fitted to it, and distances met later: below the
+    first edge, past the last, on the edges and one ulp either side."""
+    kind = draw(st.sampled_from(["spread", "constant", "duplicates", "fits", "edge", "past"]))
+    discrete = kind in ("fits", "edge", "past") or (kind != "spread" and draw(st.booleans()))
+    bits = draw(st.sampled_from([2, 4, 8]))
+    n = draw(st.integers(0, 60))
+    l = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = float(draw(st.integers(0, 500)))
+    below = (1 << bits) - 1
+    if kind == "spread":
+        table = base + rng.uniform(0, 5000, size=(n, l))
+    elif kind == "constant":
+        table = np.full((n, l), base)
+    elif kind == "duplicates":
+        table = rng.choice(base + rng.uniform(0, 50, size=3), size=(n, l))
+    elif kind == "fits":  # fewer whole distances than cells under the top one
+        table = base + rng.integers(0, below, size=(n, l))
+    elif kind == "edge":  # as many whole distances as those cells, or one fewer
+        table = base + rng.integers(0, below + 1, size=(n, l))
+        table[:1], table[-1:] = base, base + below - draw(st.integers(0, 1))
+    else:
+        table = base + rng.integers(0, 4 * below + 2, size=(n, l))
+    if discrete:
+        table = np.round(table)
+    marks, codes = Marks.fit(table, bits, discrete)
+    picked = marks.edges.reshape(-1)
+    later = np.concatenate(
+        [picked, np.nextafter(picked, -np.inf), np.nextafter(picked, np.inf)]
+        + [[0.0, base / 2, base + 1e4, 1e12]]
+    )
+    later = later[later >= 0]
+    if discrete:
+        later = np.round(later)
+    later = np.resize(later, (-(-len(later) // l), l))
+    return kind, discrete, bits, table, marks, codes, later
+
+
+@given(case=marks_cases())
+@settings(max_examples=400, deadline=None)
+def test_marks_refine_the_uniform_grid(case):
+    """Marks fitted by rank code the build as ``encode`` does; every build
+    distance, and every one met later, lies in its decoded cell, the end
+    cells open; the build leaves the top cell free; each build distance's
+    cell lies inside its cell on the uniform grid, so no bound loosens; no
+    two edges under the top cell's coincide (but for a cell 0 left below
+    the least distance), and a discrete metric's edges are whole numbers;
+    within a uniform cell, the cells hold equal shares of a column's
+    distinct distances; and on a discrete metric whose span fits them, one
+    whole distance each."""
+    kind, discrete, bits, table, marks, codes, later = case
+    n, l = table.shape
+    cells = 1 << bits
+    assert marks.cells == cells and marks.edges.shape == (l, cells)
+    assert (np.diff(marks.edges, axis=1) >= 0).all()
+    assert codes.dtype == np.uint8 and codes.shape == table.shape
+    assert np.array_equal(codes, marks.encode(table))
+    assert codes.max(initial=0) < cells - 1
+    for dists in (table, later):
+        low, high = marks.bounds(marks.encode(dists))
+        assert (low <= dists).all() and (dists <= high).all()
+    low, high = marks.bounds(np.tile(np.arange(cells), (l, 1)).T)
+    assert (low[0] == -np.inf).all() and (high[-1] == np.inf).all()
+    assert (low[1:] <= high[1:]).all()
+    # one row, as an insert codes it
+    for row in later[:3]:
+        assert np.array_equal(marks.encode(row), marks.encode(row[None])[0])
+    uniform = Frame.uniform(table.max(initial=-np.inf), discrete, cells)
+    grid = uniform.encode(table)
+    (mine_low, mine_high), (grid_low, grid_high) = marks.bounds(codes), uniform.bounds(grid)
+    assert (mine_low >= grid_low).all() and (mine_high <= grid_high).all()
+    if discrete:  # whole-number edges: no cell between two whole distances
+        assert (marks.edges == np.round(marks.edges)).all()
+    for p in range(l):
+        column = table[:, p]
+        # a least distance past the uniform grid's open cell 0 has cell 0 below it
+        bottom = int(n > 0 and grid[:, p].min() > 0)
+        # no two edges under the ceiling coincide: the unspent cells pad the top
+        spent = marks.edges[p][marks.edges[p] < marks.edges[p, -1]]
+        assert (np.diff(spent)[bottom:] > 0).all()
+        if discrete and n and column.max() - column.min() < cells - 1 - bottom:
+            assert (marks.edges[p] == column.min() - bottom + np.arange(cells)).all()
+            inside = slice(1, cells - 1)
+            assert (low[inside, p] == high[inside, p]).all()
+            assert (low[inside, p] == marks.edges[p, inside]).all()
+        elif len(np.unique(column)) == n:  # distinct: shares differ by one at most
+            for j in np.unique(grid[:, p]):
+                share = np.unique(codes[grid[:, p] == j, p], return_counts=True)[1]
+                assert np.ptp(share) <= 1
+
+
+def test_marks_refuse_a_distance_no_cell_holds():
+    """No interval holds NaN, and a whole-distance cell holds no fraction:
+    fitting or coding one raises instead of filing it in a cell a Lemma 1
+    filter would trust."""
+    with pytest.raises(AssertionError, match="marks lost"):
+        Marks.fit(np.array([[1.0], [2.0], [np.nan]]), 8, False)
+    marks, _ = Marks.fit(np.array([[1.0, 4.0], [2.0, 9.0]]), 8, True)
+    for dists in ([np.nan, 4.0], [1.0, 4.5]):
+        with pytest.raises(AssertionError, match="marks lost"):
+            marks.encode(np.array(dists))
+    # cell 0 is left below each column's least: both are past the uniform
+    # grid's cell 0
+    assert marks.encode(np.array([1.0, 5.0])).tolist() == [1, 2]
+
+
+@given(case=frame_cases(), columns=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_marks_of_a_uniform_frame_are_the_frame(case, columns):
+    """A uniform frame's cells as marks code every distance as
+    ``Frame.encode`` does and decode every code as ``Frame.bounds`` does,
+    bit for bit: how an SPB-tree file written on a uniform grid converts
+    without moving a key, a bound or a count."""
+    _, _, frame, build, later, _ = case
+    marks = Marks.of_frame(frame, columns)
+    assert marks.cells == frame.cells and marks.discrete == frame.discrete
+    dists = np.concatenate([build, later])
+    dists = np.resize(dists, (-(-len(dists) // columns), columns))
+    codes = frame.encode(dists)
+    assert np.array_equal(marks.encode(dists), codes)
+    every = np.tile(np.arange(frame.cells), (columns, 1)).T
+    for mine, theirs in zip(marks.bounds(every), frame.bounds(every)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    for mine, theirs in zip(marks.bounds(codes), frame.bounds(codes)):
+        assert np.array_equal(mine, theirs)
 
 
 @st.composite

@@ -65,7 +65,7 @@ def _nodes(tree):
 
 def _decoded(index):
     """``cells_of`` for ``check_invariants``: a key's cell by ``decode``."""
-    dtype = np.min_scalar_type(index.frame.cells - 1)
+    dtype = np.min_scalar_type(index.marks.cells - 1)
     return lambda keys: np.asarray(
         [index.curve.decode(key) for key in keys], dtype=dtype
     ).reshape(len(keys), index.curve.dims)

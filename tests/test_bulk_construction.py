@@ -14,7 +14,9 @@ held to the sizing rule of :mod:`repro.storage.raf` on every fixture.
 
 from __future__ import annotations
 
+import bisect
 import gc
+import math
 import pickle
 import tracemalloc
 
@@ -32,6 +34,7 @@ from repro import (
     select_pivots,
 )
 from repro.core.mapping import PivotMapping
+from repro.core.quantise import Marks
 from repro.external import (
     DEPT,
     MIndex,
@@ -63,19 +66,57 @@ class PerRecordRAF(RandomAccessFile):
             RandomAccessFile.append_many(self, tuple([v] for v in record))
 
 
+def reference_edges(column, top, discrete, cells=256):
+    """One column's marks by scalars: the uniform grid's cells that hold the
+    build keep their edges, and the spare ones split them in proportion to
+    their counts (largest remainder), at the distances of equal rank."""
+    ranked = sorted(column)
+    n, low, high = len(ranked), ranked[0], ranked[-1]
+    width = max(top, 1e-9) / (cells - 1) * (1 + 1e-9)
+    uniform = [width * c for c in range(cells)]
+    runs = {}  # uniform cell -> the ranks of its distances
+    for rank, d in enumerate(ranked):
+        runs.setdefault(max(bisect.bisect_right(uniform, d) - 1, 0), []).append(rank)
+    held = sorted(runs)
+    bottom = 1 if held[0] > 0 else 0  # cell 0 goes below the least
+    if discrete and high - low < cells - 1 - bottom:  # a cell a whole distance
+        return [low - bottom + c for c in range(cells)]
+    kept = {uniform[c] for c in held[1:]} | {uniform[c + 1] for c in held[:-1]}
+    if discrete:
+        kept = {float(math.ceil(e)) for e in kept}
+    if bottom:
+        kept.add(low)
+    spare = cells - 2 - len(kept)
+    share, remainder = zip(*(divmod(spare * len(runs[c]), n) for c in held))
+    share = list(share)
+    for k in sorted(range(len(held)), key=lambda k: -remainder[k])[: spare - sum(share)]:
+        share[k] += 1
+    splits = {
+        ranked[runs[c][0] + i * len(runs[c]) // (share[k] + 1)]
+        for k, c in enumerate(held)
+        for i in range(1, share[k] + 1)
+    }
+    inner = sorted(kept | {d for d in splits if d > low})
+    above = high + 1.0 if discrete else math.nextafter(high, math.inf)
+    return [low] + inner + [above] * (cells - 1 - len(inner))
+
+
 def reference_spbtree(space, pivot_ids, curve_cls):
-    """The per-object SPB-tree build the bulk path replaced."""
+    """The per-object SPB-tree build the bulk path replaced: the marks from
+    each column's sorted list, and every object's cell by a scalar bisect
+    over them."""
     mapping = PivotMapping(space, pivot_ids)
     table = mapping.build_table()
     pager = Pager(page_size=PAGE_SIZE, counters=space.counters)
-    index = SPBTree(space, mapping, pager, 8, curve_cls)
+    discrete = space.is_discrete
+    top = max(max(row) for row in table.tolist())
+    edges = [reference_edges(column, top, discrete) for column in table.T.tolist()]
+    index = SPBTree(space, mapping, pager, Marks(np.array(edges), discrete), curve_cls)
     index.raf = PerRecordRAF(pager)
     keyed = []
-    for object_id in range(len(table)):
-        # the floor-division grid the SPB-tree keyed by before its shared frame
-        cell = np.floor(table[object_id] / index.frame.width).astype(np.int64)
-        cell = np.clip(cell, 0, index.curve.max_coordinate)
-        keyed.append((index.curve.encode(cell), object_id))
+    for object_id, row in enumerate(table.tolist()):
+        cell = [max(bisect.bisect_right(e, d) - 1, 0) for e, d in zip(edges, row)]
+        keyed.append((index.curve.encode(np.array(cell, dtype=np.int64)), object_id))
     keyed.sort()
     for _, object_id in keyed:
         index.raf.append((object_id, space.dataset[object_id]))

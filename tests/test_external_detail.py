@@ -259,14 +259,16 @@ class TestSPBTreeDetail:
 
     @staticmethod
     def _cell_edges(index, coords):
-        """[c * eps, (c + 1) * eps] per pivot; the grid's top cell has an
-        open high edge, since objects inserted past the build-time grid land
-        there."""
-        cell = np.asarray(coords, dtype=np.float64)
-        highs = np.where(
-            cell >= index.curve.max_coordinate, np.inf, (cell + 1.0) * index.frame.width
-        )
-        return cell * index.frame.width, highs
+        """[edges[p, c], edges[p, c + 1]] per pivot p; the grid's end cells
+        are open: the top one since objects inserted past the build-time
+        grid land there, cell 0 since objects nearer a pivot than any the
+        build saw land there."""
+        edges, top = index.marks.edges, index.curve.max_coordinate
+        cell = np.asarray(coords, dtype=np.intp)
+        pivots = np.arange(len(cell))
+        lows = np.where(cell == 0, -np.inf, edges[pivots, cell])
+        highs = np.where(cell >= top, np.inf, edges[pivots, np.minimum(cell + 1, top)])
+        return lows, highs
 
     @classmethod
     def _cell_lower_bound(cls, index, qdists, coords) -> float:
@@ -367,7 +369,7 @@ class TestSPBTreeDetail:
         # validate, around a query the far objects are nowhere near
         dataset = index.space.dataset
         q = dataset[1]
-        nominal = float((qmat[0] + (edge + 1.0) * index.frame.width).min())
+        nominal = float((qmat[0] + index.marks.edges[:, edge]).min())
         for far_id in far_ids:
             assert index.space.dataset.distance(q, dataset[far_id]) > nominal + 1.0
         got = index.range_query(q, nominal + 1.0)
@@ -377,12 +379,12 @@ class TestSPBTreeDetail:
             i for i in live if dataset.distance(q, dataset[i]) <= nominal + 1.0
         ]
 
-    def test_eps_covers_max_distance(self, la, la_pivots):
+    def test_the_build_stays_below_the_open_top_cell(self, la, la_pivots):
         index = SPBTree.build(MetricSpace(la, CostCounters()), la_pivots)
         # the table is build-only: the same pivots map the objects again
         assert "matrix" not in vars(index.mapping)
         matrix = PivotMapping(MetricSpace(la), la_pivots).build_table()
-        max_cell = index.frame.encode(matrix.max(axis=0))
+        max_cell = index.marks.encode(matrix.max(axis=0))
         # the build stays below the open top cell, which inserts may reach
         assert max_cell.max() < index.curve.max_coordinate
 

@@ -225,8 +225,8 @@ class TestSPBMechanics:
         for object_id in (0, 7, 123):
             # the mapping table is build-only: map the object again
             vec = index.mapping.map_object(index.space.dataset[object_id])
-            cell = index.frame.encode(vec)
-            lows, highs = index.frame.bounds(cell)
+            cell = index.marks.encode(vec)
+            lows, highs = index.marks.bounds(cell)
             assert np.all(lows <= vec + 1e-9)
             assert np.all(vec <= highs + 1e-9)
 

@@ -81,6 +81,7 @@ GONE = {
     "tuple_frames_mvpt_la300.snap": (31,),
     "tuple_frames_vpt_la300.snap": (31,),
     "u32_signatures_fqa_words300.snap": (31,),
+    "uniform_grid_spbtree_la300.snap": (31,),
 }
 QUERY_IDS = (0, 7, 31, 40)
 K = 6
@@ -172,22 +173,31 @@ def _raf_kinds(index) -> set[str]:
 def test_a_fixture_with_int64_ids_loads_and_takes_int32_pages(tmp_path, name):
     """``tests/data/int64_ids_{spbtree,mindexstar,omnib}_la300.snap``
     (``make_la(300, seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and
-    put back, 31 deleted) load with ``load_index`` alone and answer as
-    brute force and as recorded when written, at the same compdists; the
-    locator narrows to 6 B an id as it loads.  Deletes and re-inserts write
+    put back, 31 deleted) load with ``load_index`` alone -- the SPB-tree,
+    on a uniform grid, through ``repro migrate`` -- and answer as brute
+    force and as recorded when written, at the same compdists; the locator
+    narrows to 6 B an id as it loads.  Deletes and re-inserts write
     int32-id pages beside the int64 ones, and the mixed file saves and loads
     again with equal answers and equal stored bytes."""
     expected = json.loads((DATA / "int64_ids_la300_expected.json").read_text())
     want = expected[INT64_IDS[name]]
-    index = load_index(DATA / name)
+    if INT64_IDS[name] == "spbtree":
+        migrate(DATA / name, tmp_path / "migrated.snap")
+        index = load_index(tmp_path / "migrated.snap")
+    else:
+        index = load_index(DATA / name)
     assert index.space.counters.distance_computations == 0
     raf = index.raf
     assert (raf._pages.dtype, raf._slots.dtype) == (np.int32, np.uint16)
     assert raf.locator_bytes() == 6 * len(raf._pages)
     assert want["written_locator_dtypes"] == ["int64", "int64"]
     written = want["written_storage_bytes"]
+    # counted since: the mapping's extent, and the SPB-tree's marks
+    held = 16 * index.mapping.n_pivots
+    if INT64_IDS[name] == "spbtree":
+        held += index.marks.edges.nbytes
     assert index.storage_bytes() == {
-        "memory": written["memory"] - 10 * len(raf._pages),
+        "memory": written["memory"] - 10 * len(raf._pages) + held,
         "disk": written["disk"],
     }
     assert _raf_kinds(index) == {"i"}
@@ -216,6 +226,46 @@ def test_a_fixture_with_int64_ids_loads_and_takes_int32_pages(tmp_path, name):
     assert _raf_kinds(again) == {"i", "j"}
     assert _answers(again, queries, radius) == (got, compdists)
     assert again.storage_bytes() == index.storage_bytes()
+
+
+def test_a_uniform_grid_spbtree_answers_as_written(tmp_path):
+    """``tests/data/uniform_grid_spbtree_la300.snap``, written by the commit
+    before the SPB-tree's grid became marks (``make_la(300, seed=11)``; 5 HFI
+    pivots, seed 3; object 7 deleted and put back, 31 deleted, one object
+    inserted past the grid as id 300): ``load_index`` refuses it, and
+    through ``repro migrate`` its grid is the same cells as marks, so it
+    answers as recorded when written, at the compdists and page accesses it
+    cost then."""
+    expected = json.loads((DATA / "uniform_grid_la300_expected.json").read_text())
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / "uniform_grid_spbtree_la300.snap")
+    migrate(DATA / "uniform_grid_spbtree_la300.snap", tmp_path / "marks.snap")
+    index = load_index(tmp_path / "marks.snap")
+    edges = index.marks.edges
+    width = edges[0, 1]
+    assert (edges == width * np.arange(256)).all() and not index.marks.discrete
+    assert "bits" not in vars(index)  # as a fresh build: the marks hold the cell count
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]]
+    radius, gone = expected["radius"], tuple(expected["gone"])
+    before = index.space.counters.snapshot()
+    got, compdists = _answers(index, queries, radius)
+    spent = index.space.counters.snapshot() - before
+    assert got == _brute_force(dataset, queries, radius, gone)
+    neighbors = [[[[n.distance, n.object_id] for n in row] for row in form] for form in got[2:]]
+    assert (list(got[:2]) + neighbors, compdists, spent.page_accesses) == (
+        [expected[form] for form in ("range", "range_many", "knn", "knn_many")],
+        expected["compdists"],
+        expected["page_accesses"],
+    )
+    # the object past the grid is in the open top cell of every pivot
+    far = index.mapping.map_query(dataset[expected["far"]])
+    assert index.marks.encode(far).tolist() == [255] * 5
+    written = expected["written_storage_bytes"]
+    assert index.storage_bytes() == {
+        "memory": written["memory"] + 16 * 5 + edges.nbytes,
+        "disk": written["disk"],
+    }
 
 
 @pytest.mark.parametrize("index_name", indexes_for("Words"))

@@ -68,12 +68,17 @@ class TestRect:
         assert r.highs.tolist() == [3, 5]
 
 
+def _expanded(a, b):
+    """The box holding both ``a`` and ``b``."""
+    return Rect(np.minimum(a.lows, b.lows), np.maximum(a.highs, b.highs))
+
+
 def _pair_loop_seeds(rects):
     """Reference: the first pair of largest waste, pair by pair."""
     best = (0, 1 if len(rects) > 1 else 0)
     best_waste = -float("inf")
     for i, j in itertools.combinations(range(len(rects)), 2):
-        waste = rects[i].expanded(rects[j]).margin() - rects[i].margin() - rects[j].margin()
+        waste = _expanded(rects[i], rects[j]).margin() - rects[i].margin() - rects[j].margin()
         if waste > best_waste:
             best_waste, best = waste, (i, j)
     return best
@@ -96,7 +101,63 @@ def test_split_seeds_are_the_pair_loops(n, dims, grid, seed):
     if grid is not None:
         lows, sides = np.round(lows / 25) * 25, np.round(sides / 10) * 10
     rects = [Rect(lo, lo + side) for lo, side in zip(lows, sides)]
-    assert RTree._pick_seeds(rects) == _pair_loop_seeds(rects)
+    assert RTree._pick_seeds(lows, lows + sides) == _pair_loop_seeds(rects)
+
+
+def _distribution_loop(rects, seeds, min_fill):
+    """Reference: the quadratic split's distribution, entry by entry and
+    ``Rect`` by ``Rect``, as the split ran it before its steps were array
+    passes."""
+    groups = ([seeds[0]], [seeds[1]])
+    group_rects = [rects[seeds[0]], rects[seeds[1]]]
+    remaining = [i for i in range(len(rects)) if i not in seeds]
+    while remaining:
+        for g in (0, 1):
+            if len(groups[g]) + len(remaining) == min_fill:
+                groups[g].extend(remaining)
+                remaining = []
+                break
+        if not remaining:
+            break
+        best_i, best_diff, best_g = remaining[0], -1.0, 0
+        for i in remaining:
+            d0 = _expanded(group_rects[0], rects[i]).margin() - group_rects[0].margin()
+            d1 = _expanded(group_rects[1], rects[i]).margin() - group_rects[1].margin()
+            diff = abs(d0 - d1)
+            if diff > best_diff:
+                best_i, best_diff, best_g = i, diff, 0 if d0 < d1 else 1
+        remaining.remove(best_i)
+        groups[best_g].append(best_i)
+        group_rects[best_g] = _expanded(group_rects[best_g], rects[best_i])
+    return groups
+
+
+@given(
+    n=st.integers(2, 60),
+    dims=st.sampled_from([1, 2, 5, 9]),
+    grid=st.sampled_from([None, 3]),
+    points=st.booleans(),
+    fill=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_distribution_is_the_entry_loop(n, dims, grid, points, fill, seed):
+    """The distribution's array steps put every entry in the group the
+    entry-by-entry loop does, in the same order: the same floats, the
+    first of equal preferences and the second group on equal growths (a
+    coarse grid makes both common), leaf points and child boxes alike."""
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(-50, 50, size=(n, dims))
+    sides = np.zeros((n, dims)) if points else rng.uniform(0, 30, size=(n, dims))
+    if grid is not None:
+        lows, sides = np.round(lows / 25) * 25, np.round(sides / 10) * 10
+    highs = lows + sides
+    rects = [Rect(lo, hi) for lo, hi in zip(lows, highs)]
+    seeds = RTree._pick_seeds(lows, highs)
+    min_fill = 1 + int(fill * (n // 2 - 1)) if n > 3 else 1
+    assert RTree._distribute(lows, highs, seeds, min_fill) == _distribution_loop(
+        rects, seeds, min_fill
+    )
 
 
 class TestRTree:

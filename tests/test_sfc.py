@@ -206,7 +206,7 @@ def test_spbtree_build_keys_are_the_scalar_keys():
     dataset = make_la(20000, seed=1)
     pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
     index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots)
-    cells = index.frame.encode(PivotMapping(MetricSpace(dataset), pivots).build_table())
+    cells = index.marks.encode(PivotMapping(MetricSpace(dataset), pivots).build_table())
     assert cells.dtype == np.uint8
     keys = index.curve.encode_many(cells)
     assert keys.dtype == np.int64
