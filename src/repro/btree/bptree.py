@@ -11,20 +11,27 @@ Design points:
   iDistance key); deletion therefore matches on (key, value).  Every index
   stores object ids as values: where an object's record lies is its RAF's
   business (:mod:`repro.storage.raf`).
-* **Grid cells**: an entry may carry an integer cell (the SPB-tree's grid
-  coordinates, one per pivot).  A leaf keeps its entries' cells as an
-  ``m x l`` block, and every internal node keeps, per child, the
-  column-wise min / max of the cells beneath it (``lows`` / ``highs``,
-  ``c x l``) -- the paper's MBB of each subtree in discretised pivot
-  space.  Boxes are kept exact through inserts, splits and rebalancing
-  deletes; a delete that walks past its descent path leaves its parents'
-  boxes wide, which is conservative.
+* **Cell trees**: a tree built with ``keys_of`` (the SPB-tree's, whose key
+  is the Hilbert value of a grid cell, one coordinate per pivot) gives
+  every entry a cell, and a leaf keeps its entries' cells as an ``m x l``
+  block *in place of* their keys: a key is ``keys_of`` of its cell.  The
+  rows of such a leaf are in no order.  An insert descends by its key and
+  appends its row, a delete finds its row by value in the leaves that may
+  hold its key, and only a write that must order a leaf's rows -- a split,
+  a borrow -- computes the leaf's keys (one ``keys_of`` call and a stable
+  sort); no read does.  Every internal node of a cell tree keeps, per
+  child, the column-wise min / max of the cells beneath it (``lows`` /
+  ``highs``, ``c x l``) -- the paper's MBB of each subtree in discretised
+  pivot space -- beside its separators.  Boxes are kept exact through
+  inserts, splits and rebalancing deletes; a keyed tree's delete that walks
+  past its descent path skips rebalancing, and a cell tree's keeps its
+  path as it walks.
 * **Bulk load** builds a compact tree from sorted input (used at index
   construction time, like the paper's bottom-up builds), ``_BULK_FILL`` of
   each node full so that later inserts find room; a last leaf under half
   full joins the one before when the two fit a leaf.  It takes a leaf's own
-  columns -- keys and values, plus the cells -- checks key order and the
-  cell count on them before any page is written, places the leaf
+  columns -- keys and values, plus a cell tree's cells -- checks key order
+  and the cell count on them before any page is written, places the leaf
   boundaries by arithmetic and lists each leaf's rows with one ``tolist``
   of a slice a column: no per-entry tuple is made, and no more than one
   leaf of rows is listed at a time (listing whole columns raised the
@@ -32,16 +39,17 @@ Design points:
 
 **Node format.**  A node is stored by column, with the RAF page's column
 kinds and raw-bytes packing (:func:`~repro.storage.raf.pack_column`).  A
-leaf row is ``(key, value[, cell])``, one leaf layout for every tree::
+keyed tree's leaf row is ``(key, value)`` and a cell tree's ``(value,
+cell)``::
 
     column   kind                                   bytes a row
     key      int32 / int64 / float64 / pickled      4 / 8 / 8 / its pickle
     value    int32 / int64 / float64 / pickled      4 / 8 / 8 / its pickle
     cell     (rows, l) block, cell dtype            l x itemsize
 
-An internal node holds ``separators`` (the key column's kind), ``children``
-(int64 page ids) and the ``c x l`` ``lows`` / ``highs`` of a tree whose
-entries carry cells.  A node holds its columns as lists (and its cells and
+An internal node holds ``separators`` (the keys' kind), ``children``
+(int64 page ids) and, in a cell tree, the ``c x l`` ``lows`` / ``highs``.
+A node holds its columns as lists (and its cells and
 boxes as arrays) in memory, so a read is one ``frombuffer`` a column.  The
 kinds are chosen when a node is pickled, by the function that also packs
 the column (``_typed``): one pass over the values' types decides -- every
@@ -62,19 +70,24 @@ in a tree of int32 ids) is refused before any page is written.  A tree
 pickled before values were typed keeps the capacities it was built with,
 its values held to int64.
 
-Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 8-bit grid,
-4 KB pages): a row is a Hilbert key charged at int64 width, an int32 object
-id and 5 ``uint8`` cell bytes, 17 B; the header is 95 B, so a leaf takes
-``(4096 - 95) // 17 = 235`` rows and a bulk-loaded leaf 199 (a blob of at
-most 95 + 199 * 17 = 3 478 B).  20 000 objects fill 101 leaves under one
-root, where int64 ids (21 B rows) filled 125, rows that also held the
-record's RAF page and slot (37 B) 223, and key / value lists sized by one
-entry's standalone pickle (93 B a row) 556.
+Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 10-bit
+grid, 4 KB pages): a row is an int32 object id and 5 ``uint16`` cell
+coordinates, 14 B; the header is 88 B, so a leaf takes ``(4096 - 88) // 14
+= 286`` rows and a bulk-loaded leaf 243 (a blob of at most 88 + 243 * 14 =
+3 490 B).  20 000 objects fill 83 leaves under one root.  Rows that also
+kept the Hilbert key (charged at int64 width) were 22 B at this grid, 181
+a leaf and 131 leaves under two internal nodes; on the 8-bit grid before
+it, 17 B rows filled 101 leaves, int64 ids (21 B rows) 125, rows that also
+held the record's RAF page and slot (37 B) 223, and key / value lists
+sized by one entry's standalone pickle (93 B a row) 556.  An internal row
+is the separator at int64 width, the child's page id and its box's two
+corners, 8 + 8 + 2 * 10 = 36 B: 110 children a node.
 
-Trees written when leaves were key / value lists, or whose values were
-``(object id, RAF pointer)`` pairs, are converted by ``repro migrate``
-(:mod:`repro.service.migrate`), which also gives such an SPB-tree's leaves
-their cells and its internal nodes their boxes.
+Trees written when leaves were key / value lists, whose values were
+``(object id, RAF pointer)`` pairs, or whose cells sat beside their keys,
+are converted by ``repro migrate`` (:mod:`repro.service.migrate`), which
+also gives such an SPB-tree's leaves their cells in place of their keys
+and its internal nodes their boxes.
 """
 
 from __future__ import annotations
@@ -198,9 +211,12 @@ def _leaf_from(kinds, packed, cells, next_page) -> "LeafNode":
 class LeafNode:
     """One leaf: its rows by column, and the next leaf's page.
 
-    ``columns`` are two lists, one entry a row: the keys and the values.
-    ``cells`` is the rows' ``m x l`` grid cells, or None in a tree whose
-    entries carry none.
+    A keyed tree's leaf has two ``columns``, lists of one entry a row: the
+    keys and the values, in key order; its ``cells`` is None.  A cell
+    tree's leaf has one column, the values, and ``cells``, the rows' ``m x
+    l`` grid cells: a row's key is a function of its cell, computed by the
+    tree when a write must order the rows, which the leaf keeps in no
+    particular order.
     """
 
     __slots__ = ("columns", "cells", "next_page")
@@ -219,40 +235,39 @@ class LeafNode:
         return len(self.columns[0])
 
     @property
-    def keys(self) -> list:
-        return self.columns[0]
+    def keys(self) -> list | None:
+        """The stored keys; None in a cell tree's leaf, which stores none."""
+        return self.columns[0] if len(self.columns) == 2 else None
 
     @property
     def values(self) -> list:
-        return self.columns[1]
+        return self.columns[-1]
 
     def box(self):
         return _span(self.cells, self.cells)
 
     # -- row edits (the tree writes the leaf afterwards) ---------------------------
 
-    def insert(self, pos: int, key, value, cell=None) -> None:
-        """Put one row at ``pos``; raises before any change when ``cell``
-        disagrees with the leaf's rows about carrying one."""
-        if cell is None and self.cells is not None or (
-            cell is not None and self.cells is None and len(self)
-        ):
-            raise ValueError("every entry of a tree carries a grid cell, or none does")
-        self.keys.insert(pos, key)
-        self.values.insert(pos, value)
+    def insert(self, pos: int, row: tuple, cell=None) -> None:
+        """Put ``row`` (one field a column) and its ``cell`` at ``pos``."""
+        for column, field in zip(self.columns, row):
+            column.insert(pos, field)
         if cell is not None and self.cells is None:  # a new leaf's first row
             self.cells = np.asarray([cell])
         elif cell is not None:
             self.cells = np.insert(self.cells, pos, cell, axis=0)
 
     def pop(self, pos: int) -> tuple:
-        """Remove the row at ``pos``; returns its ``(key, value, cell)``."""
-        row = self.keys[pos], self.values[pos], None if self.cells is None else self.cells[pos]
-        for column in self.columns:
-            del column[pos]
-        if self.cells is not None:
+        """Remove the row at ``pos``; returns its ``(row, cell)``."""
+        cell = None if self.cells is None else self.cells[pos]
+        if cell is not None:
             self.cells = np.delete(self.cells, pos, axis=0)
-        return row
+        return tuple(column.pop(pos) for column in self.columns), cell
+
+    def reorder(self, order: list) -> None:
+        """Put the rows in ``order`` (positions of the rows as they are)."""
+        self.columns = [[column[i] for i in order] for column in self.columns]
+        self.cells = self.cells[order]
 
     def split(self, mid: int, right_page: int) -> "LeafNode":
         """Keep rows ``[:mid]``; returns a leaf of the rest, chained after
@@ -407,20 +422,29 @@ def _internal_header(kind: str, cell_spec) -> int:
 
 
 class BPlusTree:
-    """B+-tree over an external pager; see module docstring."""
+    """B+-tree over an external pager; see module docstring.
+
+    ``keys_of`` makes a cell tree: it maps an ``m x l`` block of grid cells
+    to their ``m`` keys (an array), every entry carries a cell, and a leaf
+    stores the values and the cells alone.  Without it the tree is keyed
+    and no entry carries a cell.
+    """
 
     # the kind every value is held to; a tree pickled before values were
     # typed charged its (object id) values at int64 width
     _value_kind = "i"
+    # a tree pickled before cell trees is keyed
+    keys_of = None
 
-    def __init__(self, pager: Pager):
+    def __init__(self, pager: Pager, keys_of=None):
         self.pager = pager
+        self.keys_of = keys_of
         self._leaf_capacity: int | None = None
         self._internal_capacity: int | None = None
         self.root_page: int = self.pager.allocate()
         self.height = 1
         self._size = 0
-        self.pager.write(self.root_page, LeafNode([[], []]))
+        self.pager.write(self.root_page, LeafNode([[]] if keys_of else [[], []]))
 
     # -- capacity ---------------------------------------------------------
 
@@ -438,11 +462,11 @@ class BPlusTree:
         cell_bytes = 0 if cells is None else cells[0].nbytes
         page_size = self.pager.page_size
         self._value_kind = value_kind
-        self._leaf_capacity = max(
-            4,
-            (page_size - _leaf_header(key_kind + value_kind, spec))
-            // (key_bytes + value_bytes + cell_bytes),
-        )
+        if cells is None:
+            leaf_kinds, leaf_row = key_kind + value_kind, key_bytes + value_bytes
+        else:  # a cell leaf stores no key
+            leaf_kinds, leaf_row = value_kind, value_bytes + cell_bytes
+        self._leaf_capacity = max(4, (page_size - _leaf_header(leaf_kinds, spec)) // leaf_row)
         # a separator, a child page id, and the child's two box corners
         internal_row = key_bytes + 8 + 2 * cell_bytes
         self._internal_capacity = max(
@@ -457,6 +481,10 @@ class BPlusTree:
                 f"this tree's values are of kind {self._value_kind!r}, "
                 f"which cannot hold one of kind {kind!r}"
             )
+
+    def _check_cells(self, given: bool) -> None:
+        if given != (self.keys_of is not None):
+            raise ValueError("a cell tree's entries each carry a grid cell; no other entry does")
 
     @property
     def leaf_capacity(self) -> int:
@@ -483,6 +511,34 @@ class BPlusTree:
         the batch's repeat reads of a page."""
         return self._read(page_id) if cache is None else cache.read(page_id)
 
+    # -- keys of a cell leaf ------------------------------------------------------
+
+    def _ranked(self, leaf) -> tuple[list, list]:
+        """A cell leaf's keys in order, and the positions of its rows in
+        that order: one ``keys_of`` call and a stable sort."""
+        if not len(leaf):
+            return [], []
+        keys = np.asarray(self.keys_of(leaf.cells))
+        order = np.argsort(keys, kind="stable")
+        return keys[order].tolist(), order.tolist()
+
+    def _ordered(self, leaf) -> tuple[list, list]:
+        """``(keys, values)`` of a leaf's rows in key order; the leaf is not
+        changed."""
+        if self.keys_of is None:
+            return leaf.keys, leaf.values
+        keys, order = self._ranked(leaf)
+        return keys, [leaf.values[i] for i in order]
+
+    def _sorted_keys(self, leaf) -> list:
+        """A leaf's keys in order, a cell leaf's rows put in that order
+        first (a write that splits a leaf or moves one of its end rows)."""
+        if self.keys_of is None:
+            return leaf.keys
+        keys, order = self._ranked(leaf)
+        leaf.reorder(order)
+        return keys
+
     # -- search ------------------------------------------------------------------
 
     def _child_index(self, node: InternalNode, key) -> int:
@@ -507,16 +563,38 @@ class BPlusTree:
             node = read(page_id)
         return page_id, node, path
 
+    def _next_leaf(self, path, key):
+        """The leaf after the one ``path`` leads to, when it may hold
+        ``key`` -- the separator between the two is ``key`` -- as ``(page,
+        leaf)``, ``path`` moved to it; else None."""
+        for depth in range(len(path) - 1, -1, -1):
+            page_id, node, pos = path[depth]
+            if pos < len(node.separators):
+                break
+        else:
+            return None
+        if node.separators[pos] != key:
+            return None
+        del path[depth:]
+        path.append((page_id, node, pos + 1))
+        page_id = node.children[pos + 1]
+        node = self._read(page_id)
+        while not node.is_leaf:
+            path.append((page_id, node, 0))
+            page_id = node.children[0]
+            node = self._read(page_id)
+        return page_id, node
+
     def search(self, key) -> list:
         """All values stored under exactly ``key``."""
         _, leaf, _ = self._find_leaf(key)
         results: list = []
         while True:
-            keys = leaf.keys
+            keys, values = self._ordered(leaf)
             for i in range(bisect.bisect_left(keys, key), len(keys)):
                 if keys[i] != key:
                     return results
-                results.append(leaf.values[i])
+                results.append(values[i])
             if leaf.next_page is None:
                 return results
             leaf = self._read(leaf.next_page)
@@ -528,11 +606,11 @@ class BPlusTree:
             return
         _, leaf, _ = self._find_leaf(low, lambda page_id: self.read_node(page_id, cache))
         while True:
-            keys = leaf.keys
+            keys, values = self._ordered(leaf)
             for i in range(bisect.bisect_left(keys, low), len(keys)):
                 if keys[i] > high:
                     return
-                yield keys[i], leaf.values[i]
+                yield keys[i], values[i]
             if leaf.next_page is None:
                 return
             leaf = self.read_node(leaf.next_page, cache)
@@ -543,7 +621,7 @@ class BPlusTree:
         while not node.is_leaf:
             node = self._read(node.children[0])
         while True:
-            yield from zip(node.keys, node.values)
+            yield from zip(*self._ordered(node))
             if node.next_page is None:
                 return
             node = self._read(node.next_page)
@@ -551,25 +629,31 @@ class BPlusTree:
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key, value, cell=None) -> None:
-        """Add one entry; ``cell`` is its grid cell in a tree whose entries
-        carry one."""
+        """Add one entry; ``cell`` is its grid cell in a cell tree, whose
+        ``keys_of`` gives it ``key``."""
+        self._check_cells(cell is not None)
         kind = _typed([value])[0]
         if self._leaf_capacity is None:
             cells = None if cell is None else np.asarray([cell])
             self._ensure_capacities(key, value, cells, kind)
         self._check_values(kind)
         page_id, leaf, path = self._find_leaf(key)
-        leaf.insert(bisect.bisect_right(leaf.keys, key), key, value, cell)
+        if cell is None:
+            leaf.insert(bisect.bisect_right(leaf.keys, key), (key, value))
+        else:  # a cell leaf's rows are in no order: the row goes last
+            leaf.insert(len(leaf), (value,), cell)
         self._size += 1
         if len(leaf) <= self._leaf_capacity:
             self._write(page_id, leaf)
             self._refresh_path(path, leaf)
             return
+        keys = self._sorted_keys(leaf)
+        mid = len(leaf) // 2
         right_page = self.pager.allocate()
-        right = leaf.split(len(leaf) // 2, right_page)
+        right = leaf.split(mid, right_page)
         self._write(page_id, leaf)
         self._write(right_page, right)
-        self._insert_into_parent(path, page_id, leaf, right.keys[0], right_page, right)
+        self._insert_into_parent(path, page_id, leaf, keys[mid], right_page, right)
 
     def _insert_into_parent(
         self, path, left_page: int, left, separator, right_page: int, right
@@ -613,13 +697,28 @@ class BPlusTree:
     # -- delete -----------------------------------------------------------------
 
     def delete(self, key, value=...) -> bool:
-        """Remove one entry with ``key`` (and ``value``, when given).
+        """Remove one entry with ``key`` (and ``value``, when given; a cell
+        tree's delete needs it).
 
         Returns True when an entry was removed.  Underflowing nodes borrow
         from or merge with a sibling; the root collapses when it has a single
         child.
         """
         page_id, leaf, path = self._find_leaf(key)
+        if self.keys_of is not None:
+            # a cell leaf's rows are in no order: the row is found by its
+            # value, in the leaves that may hold ``key``, each reached with
+            # its path so that the delete rebalances wherever it lands
+            while value not in leaf.values:
+                step = self._next_leaf(path, key)
+                if step is None:
+                    return False
+                page_id, leaf = step
+            leaf.pop(leaf.values.index(value))
+            self._size -= 1
+            self._write(page_id, leaf)
+            self._rebalance(path, page_id, leaf)
+            return True
         walked = False
         # locate entry (may continue into following leaves on duplicates)
         while True:
@@ -709,8 +808,10 @@ class BPlusTree:
 
     def _borrow_from_left(self, parent, pos, left, node) -> None:
         if node.is_leaf:
+            # the left leaf's last row in key order, whose key is the new
+            # separator
+            parent.separators[pos - 1] = self._sorted_keys(left)[-1]
             node.insert(0, *left.pop(len(left) - 1))
-            parent.separators[pos - 1] = node.keys[0]
         else:
             node.separators.insert(0, parent.separators[pos - 1])
             parent.separators[pos - 1] = left.separators.pop()
@@ -718,8 +819,10 @@ class BPlusTree:
 
     def _borrow_from_right(self, parent, pos, node, right) -> None:
         if node.is_leaf:
+            # the right leaf's first row in key order; its second row's key
+            # is the new separator
+            parent.separators[pos] = self._sorted_keys(right)[1]
             node.insert(len(node), *right.pop(0))
-            parent.separators[pos] = right.keys[0]
         else:
             node.separators.append(parent.separators[pos])
             parent.separators[pos] = right.separators.pop(0)
@@ -748,11 +851,12 @@ class BPlusTree:
         Requires an empty tree.  ``columns`` are the keys and the values,
         each a 1-D array or a list (keys with no int64 form, such as the
         M-index's tuples or Hilbert keys past 63 bits, stay Python objects
-        in a list or an object array).  ``cells`` (an ``n x l`` integer array, one row
-        per key) gives the entries grid cells; the boxes are their
-        column-wise min / max, so nothing is decoded, each level's in one
-        ``reduceat`` over the level below.  Key order, column
-        lengths and the cell count are checked before any page is written.
+        in a list or an object array).  A cell tree takes ``cells`` too (an
+        ``n x l`` integer array, one row per key, the cells the keys are
+        ``keys_of``) and stores them in place of the keys; the boxes are
+        their column-wise min / max, so nothing is decoded, each level's in
+        one ``reduceat`` over the level below.  Key order, column lengths
+        and the cell count are checked before any page is written.
         Leaves are cut by arithmetic, ``_BULK_FILL`` of a leaf's capacity
         each, and a last leaf under the fill a delete keeps (:meth:`_min_fill`)
         joins the one before it when the two fit a leaf (so rows that fit one
@@ -766,6 +870,7 @@ class BPlusTree:
         n = len(columns[0])
         if len(columns) != 2 or len(columns[1]) != n:
             raise ValueError("bulk_load takes a key and a value column of one length")
+        self._check_cells(cells is not None)
         if cells is not None:
             cells = np.asarray(cells)
             if len(cells) != n:
@@ -780,9 +885,7 @@ class BPlusTree:
         if not n:
             return
         kind = _column_kind(columns[1])
-        self._ensure_capacities(
-            _rows(columns[0], 0, 1)[0], _rows(columns[1], 0, 1)[0], cells, kind
-        )
+        self._ensure_capacities(_rows(keys, 0, 1)[0], _rows(columns[1], 0, 1)[0], cells, kind)
         self._check_values(kind)
         per_leaf = max(2, int(self._leaf_capacity * _BULK_FILL))
         per_internal = max(2, int(self._internal_capacity * _BULK_FILL))
@@ -800,6 +903,7 @@ class BPlusTree:
         # every box of a level in one reduction over the level below: the
         # leaves' over the cells, each internal level's over its children's
         boxes = None if cells is None else _reduced(cells, cells, starts)
+        stored = columns if cells is None else columns[1:]  # a cell leaf keeps no key
 
         # build leaves
         level: list[tuple] = []  # (page, first key)
@@ -808,12 +912,12 @@ class BPlusTree:
             hi = lo + size
             next_page = self.pager.allocate() if hi < n else None
             leaf = LeafNode(
-                [_rows(c, lo, hi) for c in columns],
+                [_rows(c, lo, hi) for c in stored],
                 None if cells is None else cells[lo:hi],
                 next_page,
             )
             self._write(page, leaf)
-            level.append((page, leaf.keys[0]))
+            level.append((page, _rows(keys, lo, lo + 1)[0]))
             page = next_page
 
         # build internal levels
@@ -841,30 +945,34 @@ class BPlusTree:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def check_invariants(self, cells_of=None, tight: bool = False) -> None:
+    def check_invariants(self, tight: bool = False) -> None:
         """Raise AssertionError when structural invariants are violated.
 
-        Key order, balance and the size counter; every node's columns of
-        one length; each child's cells inside its box in the parent (equal
-        to it when ``tight``, as after :meth:`bulk_load`); with
-        ``cells_of``, each leaf row's cell is ``cells_of(keys)``'s row.
+        Key order (a cell leaf's keys computed from its cells), balance and
+        the size counter; every node's columns of one length, a leaf's two
+        in a keyed tree and one beside its cells in a cell tree; each
+        child's cells inside its box in the parent (equal to it when
+        ``tight``, as after :meth:`bulk_load`).
         """
-        self._check_node(self.root_page, None, None, None, cells_of, tight)
+        self._check_node(self.root_page, None, None, None, tight)
         keys = [k for k, _ in self.items()]
         assert keys == sorted(keys), "leaf chain out of order"
         assert len(keys) == self._size, "size counter out of sync"
 
-    def _check_node(self, page_id: int, low, high, box, cells_of, tight) -> int:
+    def _check_node(self, page_id: int, low, high, box, tight) -> int:
         node = self._read(page_id)
         if node.is_leaf:
-            assert all(len(c) == len(node) for c in node.columns), "leaf columns differ"
-            for k in node.keys:
+            # a cell tree's leaf keeps values and cells (but for a new
+            # tree's empty root), a keyed tree's keys and values
+            cell_tree = self.keys_of is not None
+            other = "a leaf of the other kind of tree"
+            assert len(node.columns) == 2 - cell_tree, other
+            assert (node.cells is not None) == cell_tree or not len(node), other
+            columns = node.columns + ([] if node.cells is None else [node.cells])
+            assert all(len(c) == len(node) for c in columns), "leaf columns differ"
+            for k in self._ordered(node)[0]:
                 assert low is None or k >= low, "leaf key below separator"
                 assert high is None or k <= high, "leaf key above separator"
-            if node.cells is not None:
-                assert len(node.cells) == len(node), "leaf cells differ from its rows"
-                if cells_of is not None:
-                    assert np.array_equal(node.cells, cells_of(node.keys)), "cell != key's"
         else:
             assert len(node.children) == len(node.separators) + 1
             if node.lows is not None:
@@ -881,8 +989,6 @@ class BPlusTree:
         bounds = [low, *node.separators, high]
         for i, child in enumerate(node.children):
             child_box = None if node.lows is None else (node.lows[i], node.highs[i])
-            depths.add(
-                self._check_node(child, bounds[i], bounds[i + 1], child_box, cells_of, tight)
-            )
+            depths.add(self._check_node(child, bounds[i], bounds[i + 1], child_box, tight))
         assert len(depths) == 1, "unbalanced subtrees"
         return depths.pop() + 1

@@ -27,6 +27,7 @@ holds its distance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -178,10 +179,12 @@ class Marks:
 
     Decoding is a lookup: the cells' decoded lows and highs are two flat
     tables made once, and a code ``c`` of column ``p`` reads entry
-    ``p * cells + c``.
+    ``p * cells + c``.  The same tables and each column's edges are also
+    held as buffers a Python float reads from (``memoryview``s, no copy),
+    for the one-row encode of an insert or a delete.
     """
 
-    __slots__ = ("edges", "discrete", "_lows", "_highs", "_offsets")
+    __slots__ = ("edges", "discrete", "_lows", "_highs", "_offsets", "_dtype", "_scalar")
 
     def __init__(self, edges, discrete: bool):
         self.edges = edges = np.asarray(edges, dtype=np.float64)
@@ -189,6 +192,12 @@ class Marks:
         lows, highs = _decoded(edges, self.discrete)
         self._lows, self._highs = lows.reshape(-1), highs.reshape(-1)
         self._offsets = np.arange(0, edges.size, edges.shape[1], dtype=np.intp)
+        self._dtype = np.min_scalar_type(self.cells - 1)
+        self._scalar = (
+            [memoryview(np.ascontiguousarray(column)) for column in edges],
+            memoryview(self._lows),
+            memoryview(self._highs),
+        )
 
     def __reduce__(self):
         return Marks, (self.edges, self.discrete)
@@ -260,9 +269,15 @@ class Marks:
         """The cell of each distance, ``dists`` ``(..., l)``: the last whose
         low edge it reaches, the end cells open.  Raises unless every
         decoded interval contains its distance: a code that excluded it
-        would let a Lemma 1 filter drop a true answer."""
+        would let a Lemma 1 filter drop a true answer.
+
+        One row (an insert's or a delete's) takes :meth:`_encode_row`: the
+        same codes, 8 us where the array path costs ~40 (LA, 5 pivots of
+        1 024 cells, 2-core x86 VM)."""
         dists = np.asarray(dists, dtype=np.float64)
-        codes = np.empty(dists.shape, dtype=np.min_scalar_type(self.cells - 1))
+        if dists.ndim == 1:
+            return self._encode_row(dists)
+        codes = np.empty(dists.shape, dtype=self._dtype)
         for p, edges in enumerate(self.edges):
             cell = np.searchsorted(edges, dists[..., p], side="right") - 1
             codes[..., p] = np.maximum(cell, 0)
@@ -270,6 +285,22 @@ class Marks:
         if not ((low <= dists) & (dists <= high)).all():
             raise AssertionError(f"marks lost a distance among {dists!r}")
         return codes
+
+    def _encode_row(self, row) -> np.ndarray:
+        """:meth:`encode` of one row on Python floats: a ``bisect_right``
+        over each column's edges is the ``searchsorted`` of the array path,
+        and each code's decoded interval is checked to hold its distance
+        (NaN is held by none, as there)."""
+        columns, lows, highs = self._scalar
+        if len(row) != len(columns):
+            raise ValueError(f"a row of {len(row)} distances for {len(columns)} columns")
+        cells, codes = self.cells, []
+        for p, (edges, dist) in enumerate(zip(columns, row.tolist())):
+            code = max(bisect.bisect_right(edges, dist) - 1, 0)
+            if not lows[p * cells + code] <= dist <= highs[p * cells + code]:
+                raise AssertionError(f"marks lost a distance among {row!r}")
+            codes.append(code)
+        return np.array(codes, dtype=self._dtype)
 
 
 def _decoded(edges, discrete: bool) -> tuple[np.ndarray, np.ndarray]:

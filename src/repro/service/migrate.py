@@ -13,8 +13,10 @@ EPT* table goes into a column store (:mod:`repro.tables.store`), a LAESA /
 CPT table of ``float64`` cells narrowed to ``float32`` under its slack on
 the way, as ``LAESA.build`` narrows; a cascade's choices are kept.  An
 SPB-tree's uniform grid (an ``eps``, later a ``Frame``) becomes the
-:class:`~repro.core.quantise.Marks` of the same cells, edge for edge, so
-its keys, cells and answers stay as written.
+:class:`~repro.core.quantise.Marks` of the same cells, edge for edge, and
+its leaves keep their cells (decoded from their keys where a leaf had
+none) and drop their keys, so its marks, cells and answers stay as
+written.
 """
 
 from __future__ import annotations
@@ -51,15 +53,25 @@ _DELETED = [
     ("repro.mtree.mtree", "MLeafEntry"),
     ("repro.mtree.mtree", "MRoutingEntry"),
 ]
+
+
+def _retired_leaf(kinds, packed, cells, next_page) -> LeafNode:
+    """A leaf as pickled: of (id, RAF page, RAF slot) values, with its ids
+    alone; with cells beside its keys (an SPB-tree's), with its cells and
+    ids alone, its tree computing the keys."""
+    kinds, packed = kinds[:2], packed[:2]
+    if cells is not None and len(kinds) == 2:
+        kinds, packed = kinds[1:], packed[1:]
+    return _leaf_from(kinds, packed, cells, next_page)
+
+
 # what a pickled (module, name) loads as where that differs from today: a
-# deleted name as a namespace, a bound method as None once deleted, a leaf of
-# (id, RAF page, RAF slot) values with its ids alone, and the stand-ins
-# :func:`_converts` registers
+# deleted name as a namespace, a bound method as None once deleted, a leaf
+# as :func:`_retired_leaf` reads it, and the stand-ins :func:`_converts`
+# registers
 _RETIRED = dict.fromkeys(_DELETED, SimpleNamespace) | {
     ("builtins", "getattr"): lambda obj, name: getattr(obj, name, None),
-    ("repro.btree.bptree", "_leaf_from"): lambda kinds, packed, *rest: _leaf_from(
-        kinds[:2], packed[:2], *rest
-    ),
+    ("repro.btree.bptree", "_leaf_from"): _retired_leaf,
 }
 
 
@@ -334,6 +346,12 @@ def _located(state):
     if "frame" in state:  # an SPB-tree on a uniform grid: the same cells as marks
         state["marks"] = Marks.of_frame(state.pop("frame"), state["mapping"].n_pivots)
         state.pop("bits", None)  # the marks' cell count says it
+    if "marks" in state and state["btree"].keys_of is None:
+        # an SPB-tree whose leaves kept keys: the page pass drops them, and
+        # the next insert sizes the narrower rows
+        tree = state["btree"]
+        tree.keys_of = state["curve"].encode_many
+        tree._leaf_capacity = tree._internal_capacity = None
     return state
 
 
@@ -347,7 +365,8 @@ class _MigrationUnpickler(_SnapshotUnpickler):
 def _migrate_pages(index, path) -> None:
     """Read every page with the migrating unpickler and write it back, a RAF
     record list as a :class:`RafPage`; an uncelled SPB-tree's pages first,
-    by a walk that gives its leaves cells and its internal nodes boxes."""
+    by a walk that gives its leaves cells in place of their keys and its
+    internal nodes boxes."""
     components = list(iter_components(index))
     blobs = {}  # (store, page id) -> the page as stored
     for store in components:
@@ -363,6 +382,7 @@ def _migrate_pages(index, path) -> None:
         node = read(spb.pager.store, page_id)
         if node.is_leaf:
             node.cells = spb.cells_of(node.keys)
+            node.columns = node.columns[1:]
         else:
             node.lows, node.highs = _stacked([boxed(spb, child) for child in node.children])
         spb.pager.store.write(page_id, node)

@@ -15,14 +15,19 @@ Hilbert curve (bits = 8, dims = 5, 2-core x86 VM), the array encode costs
 the scalar form, 4096 keys 0.56 ms against 65 ms -- and the crossover sits
 at about 25 keys; the array decode costs ~0.5 ms fixed (one key 0.45 ms
 against 18 us, 4096 keys 2.7 ms against 75 ms) and crosses over at about
-30.  No query decodes a key (B+-tree leaves carry their cells); the array
-decode checks a tree's cells against its keys, and ``repro migrate`` gives
-cells through it to a tree written before leaves had them.
+30.  No query decodes a key: the SPB-tree's leaves keep cells, not keys, and
+its B+-tree orders a leaf's rows by one array encode when a write splits
+the leaf or moves a row out of it.  The array decode gives ``repro
+migrate`` the cells of a tree written before leaves had them.
 
-**Key widths.**  The array form works on coordinate columns in the
-narrowest unsigned dtype that holds ``max_coordinate`` (``uint8`` at bits =
-8) and interleaves by lookup: a key is the OR of one
-table lookup per axis and coordinate byte (:func:`_spread_tables`).  Keys
+**Key widths.**  The array form works on coordinate columns of ``uint8``
+up to bits = 8 and of ``uint32`` past it, and interleaves by lookup: a key
+is the OR of one table lookup per axis and coordinate byte
+(:func:`_spread_tables`).  ``uint16`` columns were 1.2 ms faster at bits =
+10 (2.2 against 3.4 ms on LA n = 20 000, 5 axes, 2-core x86 VM), but their
+integer loops are numpy code no other step of an SPB-tree build runs: the
+build's first touches of that code cost 128 kB more resident memory,
+where ``uint32`` cost none.  Keys
 come back as an ``int64`` array whenever ``bits * dims <= 63`` and as an
 object array of Python ints past that (the tables themselves are then
 Python ints); the scalar form returns a Python int, which is what B+-tree
@@ -180,9 +185,9 @@ class GridCurve:
                     f"coordinate {matrix[bad][0]} out of range "
                     f"[0, {self.max_coordinate}]"
                 )
-        # a private dims x n copy in the narrowest unsigned type that holds a
-        # coordinate: each column contiguous, free to change in place
-        dtype = np.min_scalar_type(self.max_coordinate)
+        # a private dims x n copy in uint8 or uint32 (module docstring):
+        # each column contiguous, free to change in place
+        dtype = np.uint8 if self.max_coordinate <= 0xFF else np.uint32
         columns = np.array(matrix.T, dtype=dtype, order="C")
         columns = self._axes_to_transpose_columns(list(columns))
         return _interleave_columns(columns, self.bits)

@@ -18,7 +18,8 @@ once.  The column form has no branch: each of Skilling's ``(bits - 1) *
 dims`` flip-or-exchange steps is eleven whole-column integer operations on
 a mask of the tested bit (:func:`_flip_or_exchange`), and the Gray step's
 running parity is an inverse Gray code by doubling shifts.  Encode runs on
-``uint8`` columns at bits = 8; on LA (n = 20 000, 5 pivots) it costs 1.4 ms
+``uint8`` columns at bits = 8 (``uint32`` past it, :mod:`repro.sfc.curve`
+says why); on LA (n = 20 000, 5 pivots) it costs 1.4 ms
 where ``int64`` columns with ``np.where`` selects and a bit-by-bit
 interleave into a list of Python ints cost 16 ms (median of 9 builds, four
 processes a side, 2-core x86 VM).

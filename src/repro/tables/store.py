@@ -265,21 +265,22 @@ class PivotTable(PivotMapping):
     the ``float64`` columns as they arrive.  A column whose distances the
     table's Lemma 1 bound (read off the cells, widened) already explains --
     mean ``lb(o) / d(o, p)`` at or above ``explained`` -- is discarded and
-    the continuation stops; so it does when every object is a pivot.  The
-    extent is the kept ``float64`` columns'.
+    the continuation stops; so it does when every object is a pivot.  It
+    keeps no extent (a :class:`PivotMapping`'s ``low`` / ``high``): no
+    table reads one, so neither the build nor an insert widens one, and a
+    table pickled while it kept one lets it go on load.
     """
 
     def __init__(self, space, pivot_ids, extra: int = 0, explained: float = 1.0):
         super().__init__(space, pivot_ids)
+        del self.low, self.high
         dataset = space.dataset
         n, given = len(dataset), self.n_pivots
         cells = np.empty((given + (max(0, extra) if n else 0), n), dtype=np.float32)
         rounding, nearest = CellRounding(n), np.full(n, np.inf)
-        extent = []
         for column, pivot_obj in enumerate(self.pivot_objects):
             values = space.d_many(pivot_obj, dataset.objects)
             rounding.put(cells[column], values)
-            extent.append((values.min(initial=np.inf), values.max(initial=-np.inf)))
             np.minimum(nearest, values, out=nearest)
         width = given
         bound, gap = np.empty(n), np.empty(n)
@@ -296,12 +297,23 @@ class PivotTable(PivotMapping):
             if (bound[apart] / values[apart]).mean() >= explained:
                 break
             rounding.put(cells[width], values)
-            extent.append((values.min(), values.max()))
             np.minimum(nearest, values, out=nearest)
             self.pivot_ids.append(pivot_id)
             self.pivot_objects.append(dataset[pivot_id])
             width += 1
         if width < cells.shape[0]:
             cells = cells[:width].copy()
-        self.low, self.high = np.array(extent).reshape(width, 2).T
         self.table = ColumnStore(cells, np.arange(n, dtype=np.int32), rounding.slack())
+
+    def __setstate__(self, state):
+        # a table pickled while it kept an extent
+        state.pop("low", None)
+        state.pop("high", None)
+        self.__dict__.update(state)
+
+    def _widen(self, rows) -> None:
+        pass  # no extent to widen
+
+    @property
+    def nbytes(self) -> int:
+        return 8 * self.n_pivots

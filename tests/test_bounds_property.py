@@ -441,6 +441,45 @@ def test_marks_refine_the_uniform_grid(case):
                 assert np.ptp(share) <= 1
 
 
+@given(case=marks_cases(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_marks_code_one_row_as_the_matrix_path_does(case, data):
+    """``encode`` of one row (an insert's or a delete's, on Python floats)
+    gives the codes and dtype the matrix path gives that row as a ``1 x l``
+    matrix -- on the build, on every edge and an ulp either side, past both
+    ends -- on the case's grid and on 2^10 cells of the same table; a row
+    holding NaN, or a fraction where a discrete cell holds one whole
+    distance, raises on both paths alike, and a row of the wrong length
+    raises."""
+    _, discrete, _, table, marks, _, later = case
+    for grid in (marks, Marks.fit(table, 10, discrete)[0]):
+        rows = np.concatenate([table, later]) if len(table) else later
+        for row in rows:
+            one, matrix = grid.encode(row), grid.encode(row[None])[0]
+            assert one.dtype == matrix.dtype == np.min_scalar_type(grid.cells - 1)
+            assert np.array_equal(one, matrix)
+        bad = np.array(later[0], dtype=np.float64)
+        bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+            st.sampled_from([np.nan, 0.5] if discrete else [np.nan])
+        )
+        if discrete and not np.isnan(bad).any():
+            # a fraction raises only where its cell holds one whole distance
+            try:
+                expected = grid.encode(bad[None])[0]
+            except AssertionError:
+                expected = None
+        else:
+            expected = None
+        if expected is None:
+            for form in (bad, bad[None]):
+                with pytest.raises(AssertionError, match="marks lost"):
+                    grid.encode(form)
+        else:
+            assert np.array_equal(grid.encode(bad), expected)
+        with pytest.raises(ValueError):
+            grid.encode(np.append(later[0], 1.0))
+
+
 def test_marks_refuse_a_distance_no_cell_holds():
     """No interval holds NaN, and a whole-distance cell holds no fraction:
     fitting or coding one raises instead of filing it in a cell a Lemma 1

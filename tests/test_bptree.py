@@ -1,4 +1,4 @@
-"""B+-tree substrate: ordering, duplicates, deletes, bulk load, cell boxes."""
+"""B+-tree substrate: ordering, duplicates, deletes, bulk load, cell trees."""
 
 from __future__ import annotations
 
@@ -14,8 +14,18 @@ from repro.btree import BPlusTree, LeafNode
 from repro.storage import Pager
 
 
-def make_tree(page_size=512) -> BPlusTree:
-    return BPlusTree(Pager(page_size=page_size))
+def make_tree(page_size=512, keys_of=None) -> BPlusTree:
+    return BPlusTree(Pager(page_size=page_size), keys_of=keys_of)
+
+
+def _first(cells) -> np.ndarray:
+    """``keys_of`` of the cell trees here: a cell's key is its first
+    coordinate."""
+    return np.asarray(cells)[:, 0].astype(np.int64)
+
+
+def make_cell_tree(page_size=512) -> BPlusTree:
+    return make_tree(page_size, keys_of=_first)
 
 
 class TestBasicOps:
@@ -146,10 +156,13 @@ def _leaf_sizes(n: int, per_leaf: int, capacity: int) -> list[int]:
 
 
 def _bulk_input(kind: str, n: int):
-    """``(columns, cells)`` of ``n`` sorted entries whose keys are ``kind``."""
+    """``(columns, cells)`` of ``n`` sorted entries whose keys are ``kind``;
+    ``cells`` (a cell tree's, keyed by :func:`_first`) or None."""
     ids = np.arange(n, dtype=np.int64)  # object id values
+    if kind == "cells":
+        return (ids * 3, ids), np.column_stack([ids * 3, ids % 7])
     if kind == "int64":
-        return (ids * 3, ids), _key_cells(ids * 3) % 256
+        return (ids * 3, ids), None
     if kind == "wide":  # past 63 bits: an object array of Python ints
         return (np.array([2**70 + 5 * i for i in range(n)], dtype=object), ids), None
     if kind == "wide list":
@@ -197,13 +210,15 @@ class TestBulkLoad:
         tree.bulk_load((np.zeros(0), np.zeros(0, dtype=np.int64)))
         assert list(tree.items()) == []
 
-    @pytest.mark.parametrize("kind", ["int64", "wide", "wide list", "float", "tuple"])
+    @pytest.mark.parametrize("kind", ["cells", "int64", "wide", "wide list", "float", "tuple"])
     def test_bulk_cuts_leaves_by_arithmetic(self, kind):
         """Leaves of ``per_leaf`` rows, the last joining the one before (when
         the two fit a leaf) or sharing with it when it would be under the
-        fill a delete keeps, each the leaf its entries make one by one."""
+        fill a delete keeps, each the leaf its entries make one by one: a
+        keyed leaf its keys and values, a cell leaf its values and cells."""
+        keys_of = _first if kind == "cells" else None
         columns, cells = _bulk_input(kind, 1)
-        probe = make_tree(page_size=512)
+        probe = make_tree(page_size=512, keys_of=keys_of)
         probe.bulk_load(columns, cells=cells)
         per_leaf = int(probe.leaf_capacity * 0.85)
         assert per_leaf >= 4
@@ -214,7 +229,7 @@ class TestBulkLoad:
         for n in (1, 2, per_leaf - 1, per_leaf, per_leaf + 1, capacity, capacity + 1,
                   2 * per_leaf, per_leaf + capacity, per_leaf + capacity + 1, spill - 1, spill):
             columns, cells = _bulk_input(kind, n)
-            tree = make_tree(page_size=512)
+            tree = make_tree(page_size=512, keys_of=keys_of)
             tree.bulk_load(columns, cells=cells)
             chain = _leaf_chain(tree)
             assert [len(leaf) for leaf in chain] == _leaf_sizes(n, per_leaf, tree.leaf_capacity)
@@ -223,21 +238,21 @@ class TestBulkLoad:
             lo = 0
             for leaf in chain:
                 hi = lo + len(leaf)
-                block = None if cells is None else cells[lo:hi]
-                entry_form = LeafNode([keys[lo:hi], values[lo:hi]], block, leaf.next_page)
+                if cells is None:
+                    entry_form = LeafNode([keys[lo:hi], values[lo:hi]], None, leaf.next_page)
+                else:
+                    entry_form = LeafNode([values[lo:hi]], cells[lo:hi], leaf.next_page)
                 assert pickle.dumps(leaf) == pickle.dumps(entry_form)
                 lo = hi
             assert list(tree.items()) == list(zip(keys, values))
             assert len(tree) == n
-            tree.check_invariants(
-                cells_of=None if cells is None else (lambda ks: _key_cells(ks) % 256),
-                tight=cells is not None,
-            )
+            tree.check_invariants(tight=cells is not None)
 
     @pytest.mark.parametrize("kind", ["int64", "tuple"])
     def test_bulk_checks_order_and_count_before_writing(self, kind):
-        """Unsorted keys, uneven columns and a wrong cell count raise with
-        no page written."""
+        """Unsorted keys, uneven columns, a wrong cell count and cells given
+        to a keyed tree (or none to a cell tree) raise with no page
+        written."""
         columns, _ = _bulk_input(kind, 500)
         keys = columns[0]
         late = (
@@ -249,12 +264,14 @@ class TestBulkLoad:
             *keys[:498], keys[499], keys[498]
         ]
         bad = [
-            ((late, *(np.insert(c, 400, 0) for c in columns[1:])), None, "sorted"),
-            ((last_two_swapped, *columns[1:]), None, "sorted"),
-            ((keys, *(c[:-1] for c in columns[1:])), None, "length"),
-        ] + [(columns, np.arange(count)[:, None], "cells") for count in (0, 499, 501)]
-        for given_columns, cells, message in bad:
-            tree = make_tree(page_size=256)
+            ((late, *(np.insert(c, 400, 0) for c in columns[1:])), None, "sorted", None),
+            ((last_two_swapped, *columns[1:]), None, "sorted", None),
+            ((keys, *(c[:-1] for c in columns[1:])), None, "length", None),
+            (columns, np.arange(500)[:, None], "cell tree", None),
+            (columns, None, "cell tree", _first),
+        ] + [(columns, np.arange(count)[:, None], "cells", _first) for count in (0, 499, 501)]
+        for given_columns, cells, message, keys_of in bad:
+            tree = make_tree(page_size=256, keys_of=keys_of)
             before = dict(tree.pager.store._pages)
             with pytest.raises(ValueError, match=message):
                 tree.bulk_load(given_columns, cells=cells)
@@ -262,17 +279,21 @@ class TestBulkLoad:
             assert tree.pager.counters.page_writes == 1  # the empty root only
             assert len(tree) == 0 and list(tree.items()) == []
         with pytest.raises(ValueError, match="cells"):
-            make_tree(page_size=256).bulk_load(([], []), cells=[[0]])
+            make_cell_tree(page_size=256).bulk_load(([], []), cells=[[0]])
 
 
 def _key_cells(keys) -> np.ndarray:
-    """The one-column cells these tests give each entry: its key."""
-    return np.asarray(keys, dtype=np.int64).reshape(len(keys), 1)
+    """Two-column cells whose key (:func:`_first`) is ``keys``: the second
+    coordinate gives the boxes a column no key orders."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    return np.column_stack([keys, keys % 13])
 
 
 class TestAugmentation:
-    """The SPB-tree's MBB maintenance: each internal node's box of a child
-    is the column-wise (min, max) of the grid cells beneath it."""
+    """The SPB-tree's MBB maintenance, in a cell tree: leaves keep each
+    entry's cell in place of its key (the key is ``keys_of`` of the cell),
+    and each internal node's box of a child is the column-wise (min, max)
+    of the cells beneath it."""
 
     def _assert_summaries(self, tree):
         """Every internal box must equal the true (min, max) of its subtree."""
@@ -280,45 +301,45 @@ class TestAugmentation:
         def check(page_id):
             node = tree.read_node(page_id)
             if node.is_leaf:
-                assert np.array_equal(node.cells, _key_cells(node.keys))
+                assert node.keys is None and len(node.columns) == 1
                 if not len(node):
                     return None
-                return (min(node.keys), max(node.keys))
+                return node.cells.min(axis=0).tolist(), node.cells.max(axis=0).tolist()
             result = None
             for child, low, high in zip(node.children, node.lows, node.highs):
                 truth = check(child)
                 if truth is not None:
-                    got = (int(low[0]), int(high[0]))
+                    got = (low.tolist(), high.tolist())
                     assert got == truth, f"stale box {got} != {truth}"
-                    result = (
-                        truth
-                        if result is None
-                        else (min(result[0], truth[0]), max(result[1], truth[1]))
+                    result = truth if result is None else (
+                        list(map(min, result[0], truth[0])),
+                        list(map(max, result[1], truth[1])),
                     )
             return result
 
         check(tree.root_page)
-        tree.check_invariants(cells_of=_key_cells, tight=True)
+        tree.check_invariants(tight=True)
 
     def test_bulk_load_summaries(self):
-        tree = make_tree(page_size=256)
+        tree = make_cell_tree(page_size=256)
         tree.bulk_load((np.arange(500), np.arange(500)), cells=_key_cells(range(500)))
         self._assert_summaries(tree)
+        assert list(tree.items()) == [(k, k) for k in range(500)]
 
     def test_bulk_load_boxes_the_given_cells(self):
         """``cells=`` are stored as given and boxed by min / max, with no
         other description of them asked for; inserts then carry their own."""
         items = [(k, k) for k in range(505)]  # 505: the last leaf takes a spill
-        tree = make_tree(page_size=256)
+        tree = make_cell_tree(page_size=256)
         tree.bulk_load(_columns(items), cells=_key_cells(range(505)))
         assert tree.height >= 3
         self._assert_summaries(tree)
-        tree.insert(250, 0, (250,))  # inserts carry their cell
+        tree.insert(250, 0, _key_cells([250])[0])  # inserts carry their cell
         self._assert_summaries(tree)
         with pytest.raises(ValueError, match="cells"):
-            make_tree(page_size=256).bulk_load(_columns(items), cells=[(0,)])
-        # a tree's entries all carry a cell, or none does; refused before
-        # any page changes
+            make_cell_tree(page_size=256).bulk_load(_columns(items), cells=[(0, 0)])
+        # a cell tree's entries each carry a cell, and no other tree's do;
+        # refused before any page changes
         before = dict(tree.pager.store._pages)
         with pytest.raises(ValueError, match="cell"):
             tree.insert(251, 0)
@@ -326,42 +347,107 @@ class TestAugmentation:
         plain = make_tree(page_size=256)
         plain.insert(1, 1)
         with pytest.raises(ValueError, match="cell"):
-            plain.insert(2, 2, (2,))
+            plain.insert(2, 2, (2, 2))
 
     def test_insert_maintains_summaries(self):
-        tree = make_tree(page_size=256)
+        tree = make_cell_tree(page_size=256)
         rng = random.Random(2)
-        for _ in range(600):
+        for i in range(600):
             key = rng.randint(0, 10_000)
-            tree.insert(key, 0, (key,))
+            tree.insert(key, i, _key_cells([key])[0])
         self._assert_summaries(tree)
+        keys = [k for k, _ in tree.items()]
+        assert keys == sorted(keys) and len(keys) == 600
 
     def test_delete_keeps_summaries_conservative(self):
-        tree = make_tree(page_size=256)
+        """A cell tree's delete reaches its row with the row's path, so each
+        rebalancing write keeps every box its cells' (min, max): exact, so
+        conservative."""
+        tree = make_cell_tree(page_size=256)
         keys = list(range(400))
         tree.bulk_load((keys, keys), cells=_key_cells(keys))
         rng = random.Random(3)
         rng.shuffle(keys)
         for k in keys[:300]:
-            tree.delete(k, k)
+            assert tree.delete(k, k)
+            tree.check_invariants(tight=True)
+        self._assert_summaries(tree)
+        assert list(tree.items()) == sorted((k, k) for k in keys[300:])
+        assert not tree.delete(keys[0], keys[0])
 
-        # boxes must still *cover* the remaining cells (may be stale-wide)
-        def check(page_id, keys_below):
-            node = tree.read_node(page_id)
-            if node.is_leaf:
-                assert np.array_equal(node.cells, _key_cells(node.keys))
-                return list(node.keys)
-            collected = []
-            for child, low, high in zip(node.children, node.lows, node.highs):
-                child_keys = check(child, keys_below)
-                if child_keys:
-                    assert low[0] <= min(child_keys)
-                    assert high[0] >= max(child_keys)
-                collected.extend(child_keys)
-            return collected
+    def test_churn_over_a_key_spanning_leaves(self):
+        """Many equal keys across several leaves, then inserts, deletes,
+        splits, borrows and merges: after every step the tree holds its
+        invariants with exact boxes, and its entries, a ``search`` and a
+        ``range_scan`` are the model's."""
+        # a split is a leaf's row going into its parent
+        names = ("_insert_into_parent", "_borrow_from_left", "_borrow_from_right", "_merge")
+        calls = dict.fromkeys(names, 0)
+        tree = make_cell_tree(page_size=256)
+        for name in calls:
 
-        check(tree.root_page, None)
-        tree.check_invariants(cells_of=_key_cells)
+            def counted(*args, _name=name, _method=getattr(tree, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            setattr(tree, name, counted)
+        # 90 rows of key 50 between rows of keys 0..49 and 51..99
+        keys = sorted(list(range(100)) + [50] * 89)
+        model = {(key, value) for value, key in enumerate(keys)}
+        tree.bulk_load((keys, list(range(len(keys)))), cells=_key_cells(keys))
+        leaves = [leaf for leaf in _leaf_chain(tree) if 50 in _first(leaf.cells)]
+        assert len(leaves) >= 4
+        serial, rng = len(keys), random.Random(5)
+
+        def step():
+            tree.check_invariants(tight=True)
+            assert sorted(tree.items()) == sorted(model)
+            assert [k for k, _ in tree.items()] == sorted(k for k, _ in model)
+            assert sorted(tree.search(50)) == sorted(v for k, v in model if k == 50)
+            want = sorted((k, v) for k, v in model if 40 <= k <= 60)
+            assert sorted(tree.range_scan(40, 60)) == want
+            assert [k for k, _ in tree.range_scan(40, 60)] == [k for k, _ in want]
+
+        for round_ in range(4):
+            # grow: more of key 50 (splitting its leaves) and keys around it
+            for _ in range(40):
+                key = 50 if rng.random() < 0.5 else rng.randint(0, 100)
+                tree.insert(key, serial, _key_cells([key])[0])
+                model.add((key, serial))
+                serial += 1
+                step()
+            # shrink: delete by (key, value), most of key 50 first
+            victims = sorted(model, key=lambda kv: (kv[0] != 50, rng.random()))
+            for key, value in victims[: 50 + 10 * round_]:
+                assert tree.delete(key, value)
+                model.discard((key, value))
+                step()
+            assert not tree.delete(50, -1)
+            # a value is found only among the leaves its key leads to
+            tree.insert(50, serial, _key_cells([50])[0])
+            model.add((50, serial))
+            assert not tree.delete(10, serial) and not tree.delete(90, serial)
+            serial += 1
+            step()
+        assert all(calls.values()), calls
+        assert len(tree) == len(model)
+
+    def test_a_split_orders_the_leaf_by_its_cells_keys(self):
+        """Rows go into a cell leaf in arrival order; the split that follows
+        an overflow sorts them by the keys their cells give (one stable
+        sort) and cuts at the middle key."""
+        tree = make_cell_tree(page_size=256)
+        keys = [9, 3, 7, 3, 1, 8, 2, 6, 5, 4, 0, 3]
+        for value, key in enumerate(keys):
+            tree.insert(key, value, _key_cells([key])[0])
+            if tree.height == 1:
+                leaf = tree.read_node(tree.root_page)
+                assert leaf.values == list(range(value + 1))  # appended
+        assert tree.height == 2
+        tree.check_invariants(tight=True)
+        assert list(tree.items()) == sorted(
+            ((k, v) for v, k in enumerate(keys)), key=lambda kv: kv[0]
+        )
 
 
 class TestPropertyBased:

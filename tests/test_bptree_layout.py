@@ -3,9 +3,10 @@
 Fan-out is arithmetic over the node format of :mod:`repro.btree.bptree`
 (``(page_size - header) // row bytes``); no stored node outgrows its page,
 through a build and a round of churn; every node's columns have one
-length, an SPB-tree leaf's cells are what its keys decode to and each box
-holds the cells beneath it; the SPB-tree answers and updates without
-decoding a key; and a batch call reads each B+-tree page once.
+length, an SPB-tree leaf keeps ids and cells and no key, and each box holds
+the cells beneath it; the SPB-tree answers without encoding or decoding a
+key, and updates with one scalar encode each; and a batch call reads each
+B+-tree page once.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ BUILDERS = {
 }
 
 # (leaf header, leaf row, internal header, internal row) in bytes, 4 pivots.
-# SPB-tree: an int key charged at int64 width, an int32 id and 4 uint8 cell
-# bytes; separator (int64 width), child and two box corners.  M-index* (one
-# cluster level at n = 400): the ((pivot,), distance) key pickled (27 B) and
-# the int32 id; separator and child.  OmniB+: float64 key, int32 id;
-# separator and child.
+# SPB-tree (10-bit grid): an int32 id and 4 uint16 cell coordinates, no key;
+# separator (int64 width), child and two box corners.  M-index* (one cluster
+# level at n = 400): the ((pivot,), distance) key pickled (27 B) and the
+# int32 id; separator and child.  OmniB+: float64 key, int32 id; separator
+# and child.
 LAYOUT = {
-    "SPB-tree": (95, 8 + 4 + 4, 109, 8 + 8 + 2 * 4),
+    "SPB-tree": (88, 4 + 4 * 2, 109, 8 + 8 + 2 * 4 * 2),
     "M-index*": (74, 27 + 4, 71, 27 + 8),
     "OmniB+": (78, 8 + 4, 75, 8 + 8),
 }
-CAPACITIES = {"SPB-tree": (250, 166), "M-index*": (129, 115), "OmniB+": (334, 251)}
+CAPACITIES = {"SPB-tree": (334, 124), "M-index*": (129, 115), "OmniB+": (334, 251)}
 
 
 def _trees(index) -> list[BPlusTree]:
@@ -63,14 +64,6 @@ def _nodes(tree):
             stack.extend(node.children)
 
 
-def _decoded(index):
-    """``cells_of`` for ``check_invariants``: a key's cell by ``decode``."""
-    dtype = np.min_scalar_type(index.marks.cells - 1)
-    return lambda keys: np.asarray(
-        [index.curve.decode(key) for key in keys], dtype=dtype
-    ).reshape(len(keys), index.curve.dims)
-
-
 def _build(name, dataset_name, pivots, **kwargs):
     dataset = DATASET_MAKERS[dataset_name]()  # private: churn grows it
     space = MetricSpace(dataset, CostCounters())
@@ -80,8 +73,9 @@ def _build(name, dataset_name, pivots, **kwargs):
 @pytest.mark.parametrize("name", list(BUILDERS))
 @pytest.mark.parametrize("dataset_name", list(DATASET_MAKERS))
 def test_capacities_are_the_arithmetic(pivots, dataset_name, name):
-    """The same on every dataset: a leaf row holds a key and an id (and
-    cells), never the object nor where the RAF keeps it."""
+    """The same on every dataset: a leaf row holds a key and an id (an
+    SPB-tree's an id and a cell), never the object nor where the RAF keeps
+    it."""
     index = _build(name, dataset_name, pivots)
     leaf_header, leaf_row, internal_header, internal_row = LAYOUT[name]
     assert CAPACITIES[name] == (
@@ -96,11 +90,9 @@ def test_capacities_are_the_arithmetic(pivots, dataset_name, name):
                 # fixed-size rows whose every buffer outgrows a one-byte
                 # length: the blob is the arithmetic to the byte, but for
                 # the next page's id (the header holds the longest, 4 B
-                # more than None) and an SPB-tree leaf whose keys all fit
-                # int32 (stored 4 B narrower than charged)
-                assert nbytes - len(node) * leaf_row <= leaf_header
-                narrow = 4 * (_kinds(node)[0] == "j")
-                rows = nbytes - len(node) * (leaf_row - narrow)
+                # more than None)
+                rows = nbytes - len(node) * leaf_row
+                assert rows <= leaf_header
                 if name != "M-index*" and len(node) * 4 >= 256:
                     assert leaf_header - 4 <= rows <= leaf_header
             else:
@@ -129,15 +121,15 @@ def _churn(index, dataset_name, rng):
 def test_no_node_outgrows_its_page_through_a_build_and_churn(pivots, dataset_name, name):
     # small M-index* clusters: keys of paths one to four pivots long
     index = _build(name, dataset_name, pivots, **({"maxnum": 64} if name == "M-index*" else {}))
-    cells_of = _decoded(index) if name == "SPB-tree" else None
     for tree in _trees(index):
-        tree.check_invariants(cells_of=cells_of, tight=True)
+        tree.check_invariants(tight=True)
         for page_id, _ in _nodes(tree):
             assert tree.pager.store.page_bytes(page_id) <= PAGE_SIZE
     gone = _churn(index, dataset_name, random.Random(7))
     index.pager.flush()
     for tree in _trees(index):
-        tree.check_invariants(cells_of=cells_of)
+        # a cell tree's deletes keep their paths: its boxes stay exact
+        tree.check_invariants(tight=name == "SPB-tree")
         for page_id, node in _nodes(tree):
             assert tree.pager.store.page_bytes(page_id) <= PAGE_SIZE
             assert type(node) is LeafNode or node.lows is None or name == "SPB-tree"
@@ -151,10 +143,11 @@ def test_no_node_outgrows_its_page_through_a_build_and_churn(pivots, dataset_nam
 
 def test_check_invariants_catches_a_bad_cell_a_wide_box_and_a_short_column(pivots):
     index = _build("SPB-tree", "LA", pivots)
-    tree, cells_of = index.btree, _decoded(index)
-    tree.check_invariants(cells_of=cells_of, tight=True)
-    page = [page_id for page_id, node in _nodes(tree) if node.is_leaf][1]
-    leaf, root = tree.read_node(page), tree.read_node(tree.root_page)
+    tree = index.btree
+    tree.check_invariants(tight=True)
+    root = tree.read_node(tree.root_page)
+    page, last_page = root.children[0], root.children[-1]
+    leaf, last = tree.read_node(page), tree.read_node(last_page)
     cells, lows = leaf.cells, root.lows.copy()
 
     def edited(node_page, node, check, match=None, **kwargs):
@@ -165,51 +158,64 @@ def test_check_invariants_catches_a_bad_cell_a_wide_box_and_a_short_column(pivot
             with pytest.raises(AssertionError, match=match):
                 check(**kwargs)
 
+    # a cell of the last leaf in the first: its key is past the separator
     leaf.cells = cells.copy()
-    leaf.cells[3, 0] ^= 1
-    edited(page, leaf, tree.check_invariants, "cell", cells_of=cells_of)
+    leaf.cells[3] = last.cells[-1]
+    edited(page, leaf, tree.check_invariants, "separator")
     leaf.cells = cells
-    edited(page, leaf, tree.check_invariants, cells_of=cells_of, tight=True)
+    edited(page, leaf, tree.check_invariants, tight=True)
     dim = int(np.flatnonzero(lows[1] > 0)[0])  # a low corner that can widen
     lo = int(lows[1, dim])
     root.lows[1, dim] = lo - 1  # wider than the cells beneath it: still covers them
-    edited(tree.root_page, root, tree.check_invariants, cells_of=cells_of)
-    edited(tree.root_page, root, tree.check_invariants, "box", cells_of=cells_of, tight=True)
+    edited(tree.root_page, root, tree.check_invariants)
+    edited(tree.root_page, root, tree.check_invariants, "box", tight=True)
     root.lows[1, dim] = lo + 1  # narrower: a cell outside its box
-    edited(tree.root_page, root, tree.check_invariants, "box", cells_of=cells_of)
+    edited(tree.root_page, root, tree.check_invariants, "box")
     root.lows[1, dim] = lo
-    edited(tree.root_page, root, tree.check_invariants, cells_of=cells_of, tight=True)
-    leaf.columns[1] = leaf.columns[1][:-1]
+    edited(tree.root_page, root, tree.check_invariants, tight=True)
+    leaf.columns[0] = leaf.columns[0][:-1]
     edited(page, leaf, tree.check_invariants, "columns")
 
 
 def test_the_spbtree_decodes_no_key(monkeypatch, pivots):
     """Build, MRQ, MkNNQ, both ``*_many``, insert and delete: no call of
-    ``HilbertCurve.decode`` (nor of the array form)."""
+    ``HilbertCurve.decode`` (nor of the array form); the build encodes its
+    cells once in the array form, each insert and delete one cell in the
+    scalar form, and no query encodes any."""
     dataset = DATASET_MAKERS["LA"]()
     calls = []
 
-    def decode(self, key):
-        calls.append(key)
-        return original(self, key)
+    def logged(original, kind):
+        def call(self, arg):
+            calls.append(kind)
+            return original(self, arg)
 
-    original = HilbertCurve.decode
-    monkeypatch.setattr(HilbertCurve, "decode", decode)
-    monkeypatch.setattr(GridCurve, "decode_many", lambda self, keys: calls.extend(keys))
+        return call
+
+    for cls, name in (
+        (HilbertCurve, "decode"),
+        (GridCurve, "decode_many"),
+        (HilbertCurve, "encode"),
+        (GridCurve, "encode_many"),
+    ):
+        monkeypatch.setattr(cls, name, logged(getattr(cls, name), name))
     index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots["LA"])
+    assert calls == ["encode_many"]
     queries = [dataset[2], dataset[200], dataset[3] * 3.0 + 900.0]
+    del calls[:]
     for q in queries:
         index.range_query(q, RADIUS["LA"])
         index.knn_query(q, 7)
     index.range_query_many(queries, RADIUS["LA"])
     index.knn_query_many(queries, 7)
+    assert calls == []
     for object_id in (5, 17, 250):
         index.delete(object_id)
     index.insert(dataset[5], object_id=5)
     index.insert(dataset[17] * 5.0 + 1000.0)
-    assert calls == []
-    index.btree.check_invariants(cells_of=_decoded(index))  # the oracle does decode
-    assert calls
+    assert calls == ["encode"] * 5
+    index.btree.check_invariants(tight=True)  # computes keys: array encodes
+    assert "decode" not in calls and "decode_many" not in calls
 
 
 @pytest.mark.parametrize("name", ["SPB-tree", "M-index*"])
@@ -261,22 +267,28 @@ def test_a_batch_reads_each_btree_page_once(monkeypatch, pivots, name):
 
 
 def test_a_leaf_pickles_its_columns_as_raw_bytes():
-    """A bulk-loaded leaf of ``(int key, object id)`` rows with cells
-    pickles to its header plus 17 B a row at five pivots when its keys
-    outgrow int32 -- the worked LA leaf of :mod:`repro.btree.bptree` -- and
-    13 B when they fit it, and reads back equal."""
-    rows = 199
-    for first_key, nbytes in ((10**12, 95 + rows * 17), (10**9, 95 + rows * 13)):
+    """A bulk-loaded cell leaf of ``(object id, cell)`` rows pickles to its
+    header plus 14 B a row at five pivots of a 10-bit grid -- the worked LA
+    leaf of :mod:`repro.btree.bptree` -- and a keyed leaf of ``(int key,
+    object id)`` rows to its header plus 12 B a row when its keys outgrow
+    int32 and 8 B when they fit it; each reads back equal."""
+    rows = 243
+    values = list(range(rows))
+    cells = np.arange(rows * 5, dtype=np.uint16).reshape(rows, 5)
+    leaf = LeafNode([values], cells, next_page=70_000)
+    blob = pickle.dumps(leaf, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(blob) == 88 + rows * 14 == 3_490
+    back = pickle.loads(blob)
+    assert back.keys is None and back.values == values and back.next_page == 70_000
+    assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint16
+    for first_key, nbytes in ((10**12, 78 + rows * 12), (10**9, 78 + rows * 8)):
         keys = list(range(first_key, first_key + rows))
-        values = list(range(rows))
-        cells = np.arange(rows * 5, dtype=np.uint8).reshape(rows, 5)
-        leaf = LeafNode([keys, values], cells, next_page=70_000)
+        leaf = LeafNode([keys, values], next_page=70_000)
         blob = pickle.dumps(leaf, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(blob) == nbytes
         back = pickle.loads(blob)
         assert back.keys == keys and back.values == values and back.next_page == 70_000
-        assert np.array_equal(back.cells, cells) and back.cells.dtype == np.uint8
-    assert 95 + rows * 17 == 3_478
+        assert back.cells is None
 
 
 def _kinds(node) -> str:
@@ -333,42 +345,49 @@ def test_a_column_takes_the_narrowest_kind_and_round_trips(column, kind):
     [("SPB-tree", "ij"), ("M-index", "oj"), ("M-index*", "oj"), ("OmniB+", "fj")],
 )
 def test_each_index_keeps_its_leaf_kinds(pivots, name, kinds):
-    """Hilbert keys are int64 (int32 in a node whose keys all fit it),
-    iDistance keys ``(path, distance)`` tuples pickled whole, Omni keys
-    float64 distances, and every value an int32 object id: the kinds the
-    pages were written with, so no page byte moves with the typing code."""
+    """``kinds`` is a tree's key kind and value kind.  Hilbert keys are
+    int64 separators (int32 in a node whose keys all fit it) and no leaf
+    column, iDistance keys ``(path, distance)`` tuples pickled whole, Omni
+    keys float64 distances, and every value an int32 object id: the kinds
+    the pages were written with, so no page byte moves with the typing
+    code."""
     builders = {
         **BUILDERS,
         "M-index": lambda space, pivots: MIndex.build(space, pivots, page_size=PAGE_SIZE),
     }
     dataset = DATASET_MAKERS["LA"]()
     index = builders[name](MetricSpace(dataset, CostCounters()), pivots["LA"])
+    # an SPB-tree leaf keeps values and cells, no key
+    leaf_kinds = kinds[1:] if name == "SPB-tree" else kinds
     seen = set()
     for tree in _trees(index):
         for _, node in _nodes(tree):
-            keys = node.keys if node.is_leaf else node.separators
-            key_kind = "j" if kinds[0] == "i" and max(keys) < 1 << 31 else kinds[0]
-            assert _kinds(node) == (key_kind + kinds[1] if node.is_leaf else key_kind)
+            if node.is_leaf:
+                assert _kinds(node) == leaf_kinds
+                continue
+            narrow = kinds[0] == "i" and max(node.separators) < 1 << 31
+            assert _kinds(node) == ("j" if narrow else kinds[0])
             seen.add(_kinds(node))
-    assert kinds in seen  # 32-bit Hilbert keys: some leaves hold keys past int32
+    assert kinds[0] in seen  # 40-bit Hilbert keys: separators past int32
 
 
 def test_spbtree_keys_past_int32_fit_their_pages_through_churn():
-    """Five pivots of 8 bits: 40-bit Hilbert keys, every one past int32.
-    The key column is charged at int64 width and the ids at int32, and no
-    node outgrows its page after a build and a round of churn."""
+    """Five pivots of 10 bits: 50-bit Hilbert keys, every one past int32,
+    none stored in a leaf.  A leaf row is an int32 id and five uint16 cell
+    coordinates, the separators int64, and no node outgrows its page after
+    a build and a round of churn, which keeps every box exact."""
     dataset = DATASET_MAKERS["LA"]()
     pivot_ids = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
     index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivot_ids, page_size=PAGE_SIZE)
     tree = index.btree
-    assert (index.curve.dims, index.curve.bits) == (5, 8)
+    assert (index.curve.dims, index.curve.bits) == (5, 10)
     assert min(key for key, _ in tree.items()) >= 1 << 31
-    assert tree.leaf_capacity == (PAGE_SIZE - 95) // (8 + 4 + 5) == 235
+    assert tree.leaf_capacity == (PAGE_SIZE - 88) // (4 + 5 * 2) == 286
     for churned in (False, True):
         if churned:
             _churn(index, "LA", random.Random(11))
             index.pager.flush()
-        tree.check_invariants(cells_of=_decoded(index), tight=not churned)
+        tree.check_invariants(tight=True)
         for page_id, node in _nodes(tree):
             assert tree.pager.store.page_bytes(page_id) <= PAGE_SIZE
-            assert _kinds(node) == ("ij" if node.is_leaf else "i")
+            assert _kinds(node) == ("j" if node.is_leaf else "i")

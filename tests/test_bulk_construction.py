@@ -66,7 +66,7 @@ class PerRecordRAF(RandomAccessFile):
             RandomAccessFile.append_many(self, tuple([v] for v in record))
 
 
-def reference_edges(column, top, discrete, cells=256):
+def reference_edges(column, top, discrete, cells=1024):
     """One column's marks by scalars: the uniform grid's cells that hold the
     build keep their edges, and the spare ones split them in proportion to
     their counts (largest remainder), at the distances of equal rank."""
@@ -123,7 +123,7 @@ def reference_spbtree(space, pivot_ids, curve_cls):
     # cells by scalar decode of every key
     cells = [index.curve.decode(key) for key, _ in keyed]
     columns = ([key for key, _ in keyed], [object_id for _, object_id in keyed])
-    index.btree.bulk_load(columns, cells=np.asarray(cells, dtype=np.uint8))
+    index.btree.bulk_load(columns, cells=np.asarray(cells, dtype=np.uint16))
     return index
 
 
@@ -325,7 +325,7 @@ def test_bulk_build_lays_out_what_the_per_object_build_did(
 def test_spbtree_boxes_cover_exactly_the_cells_beneath_them(
     datasets, pivots_by_count, dataset_name, count, curve_cls
 ):
-    """Cells handed to ``bulk_load`` are what decoding would have found, and
+    """Each leaf keeps the cells its objects' pivot distances encode to, and
     each box is exactly the column-wise min / max of the cells beneath it."""
     dataset = datasets[dataset_name]
     index = SPBTree.build(
@@ -335,17 +335,17 @@ def test_spbtree_boxes_cover_exactly_the_cells_beneath_them(
         curve_cls=curve_cls,
     )
     assert index.btree.height >= 3
-    index.btree.check_invariants(cells_of=index.cells_of, tight=True)
+    index.btree.check_invariants(tight=True)
     internal_nodes = 0
 
     def cells_under(page_id):
         nonlocal internal_nodes
         node = index.btree.read_node(page_id)
         if node.is_leaf:
-            decoded = np.asarray([index.curve.decode(key) for key in node.keys])
-            assert np.array_equal(node.cells, decoded)
-            assert node.cells.dtype == np.uint8
-            return decoded
+            vectors = [index.mapping.map_object(dataset[i]) for i in node.values]
+            assert np.array_equal(node.cells, index.marks.encode(np.array(vectors)))
+            assert node.cells.dtype == np.uint16 and node.keys is None
+            return node.cells
         internal_nodes += 1
         below = []
         for child, low, high in zip(node.children, node.lows, node.highs):
@@ -416,8 +416,8 @@ def test_spbtree_build_generates_its_entries_instead_of_listing_them():
     emptied when they were freed differed from run to run: the
     benchmark's SPB-tree set-up read 8.2, 8.5 or 9.1 MB resident for the
     same index.  The ``n x l`` ``float64`` mapping table is allocated by
-    the build and, since the tree keeps its grid cells alone, let go at its
-    end: it is counted as kept, as it was while the tree held it, so the
+    the build and, since the tree keeps its grid cells alone, let go once
+    coded: it is counted as kept, as it was while the tree held it, so the
     bound is the one the build met then.
     """
     space = MetricSpace(make_la(5_000, seed=1), CostCounters())

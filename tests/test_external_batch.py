@@ -83,14 +83,16 @@ SCANS = ("Omni-seq", "DEPT")
 # quadratic), measured at the commit before the sequential bodies became
 # views: a view costs what the body it replaced cost.  The SPB-tree's moved
 # when its grid became marks refining the uniform grid; on the uniform grid
-# it read (466, 2850, 1331) here and (388, 1684, 1116) for MkNNQ
+# it read (466, 2850, 1331) here and (388, 1684, 1116) for MkNNQ.  They fell
+# again when its grid went from 2^8 to 2^10 cells a pivot: on 2^8 marks they
+# read (463, 2850, 1319) here and (382, 1679, 1112) for MkNNQ
 PINNED_RANGE_COMPDISTS = {
     "Omni-seq": (456, 2894, 1307),
     "OmniB+": (456, 2894, 1307),
     "OmniR-tree": (456, 2894, 1307),
     "M-index": (456, 2894, 1307),
     "M-index*": (455, 2850, 1306),
-    "SPB-tree": (463, 2850, 1319),
+    "SPB-tree": (456, 2850, 1308),
     "PM-tree": (618, 3230, 1331),
     "DEPT": (703, 2955, 1466),
 }
@@ -110,7 +112,7 @@ PINNED_KNN_COMPDISTS = {
     "OmniR-tree": (377, 1665, 1103),
     "M-index": (1064, 2297, 1790),
     "M-index*": (581, 1802, 1221),
-    "SPB-tree": (382, 1679, 1112),
+    "SPB-tree": (379, 1679, 1104),
     "PM-tree": (676, 1709, 1258),
     "DEPT": (744, 1376, 1205),
 }

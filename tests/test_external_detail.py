@@ -236,11 +236,9 @@ class TestSPBTreeDetail:
         def check(page_id):
             node = index.btree.read_node(page_id)
             if node.is_leaf:
-                cells = [index.curve.decode(k) for k in node.keys]
-                if not cells:
+                if not len(node):
                     return None
-                arr = np.asarray(cells)
-                return arr.min(axis=0), arr.max(axis=0)
+                return node.cells.min(axis=0), node.cells.max(axis=0)
             for child, lows, highs in zip(node.children, node.lows, node.highs):
                 box = check(child)
                 if box is None:
@@ -325,12 +323,12 @@ class TestSPBTreeDetail:
             assert rows.tolist() == live
             assert lower.shape == upper.shape == (len(qmat), len(live))
             for j, row in enumerate(live):
-                coords = index.curve.decode(node.keys[row])
+                coords = tuple(node.cells[row].tolist())
                 clipped_cells += max(coords) >= index.curve.max_coordinate
                 for i, qdists in enumerate(qmat):
                     assert lower[i, j] == self._cell_lower_bound(index, qdists, coords)
                     assert upper[i, j] == self._cell_upper_bound(index, qdists, coords)
-            seen += len(node.keys) - len(live)
+            seen += len(node) - len(live)
         assert seen == len(tombstoned)
         assert clipped_cells >= len(far_ids)
 

@@ -20,6 +20,8 @@ in every bound.  Held here:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +208,26 @@ def test_two_tables_over_one_mapping_read_one_slack():
     assert first.slack == second.slack == want > 0
     q, radius = np.array([0.5]), 0.5 - 2.0**-30
     assert first.range_query(q, radius) == second.range_query(q, radius) == [1]
+
+
+def test_a_pivot_table_keeps_no_extent():
+    """LAESA's mapping reads no per-pivot ``low`` / ``high``, so neither its
+    build nor an insert makes one, its ``nbytes`` is Table 4's 8 B a pivot,
+    and a table pickled while it kept one loads without it, answering as
+    before."""
+    dataset = _line([0.0, 1.0, 2.5, 3.0, 7.0, 9.5])
+    space = MetricSpace(dataset, CostCounters())
+    mapping = PivotTable(space, [0], extra=2)
+    index = LAESA(space, mapping)
+    index.insert(np.array([4.0]))
+    assert not {"low", "high"} & set(vars(mapping))
+    assert mapping.nbytes == 8 * mapping.n_pivots
+    q = np.array([2.0])
+    want = index.range_query(q, 1.5)
+    mapping.low, mapping.high = np.zeros(mapping.n_pivots), np.ones(mapping.n_pivots)
+    restored = pickle.loads(pickle.dumps(index))
+    assert not {"low", "high"} & set(vars(restored.mapping))
+    assert restored.range_query(q, 1.5) == want
 
 
 def test_ptolemaic_cell_keeps_an_answer_at_the_radius():

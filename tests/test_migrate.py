@@ -82,6 +82,7 @@ GONE = {
     "tuple_frames_vpt_la300.snap": (31,),
     "u32_signatures_fqa_words300.snap": (31,),
     "uniform_grid_spbtree_la300.snap": (31,),
+    "keyed_cells_spbtree_la300.snap": (31,),
 }
 QUERY_IDS = (0, 7, 31, 40)
 K = 6
@@ -266,6 +267,47 @@ def test_a_uniform_grid_spbtree_answers_as_written(tmp_path):
         "memory": written["memory"] + 16 * 5 + edges.nbytes,
         "disk": written["disk"],
     }
+
+
+def test_a_keyed_cells_spbtree_answers_as_written(tmp_path):
+    """``tests/data/keyed_cells_spbtree_la300.snap``, written by the commit
+    before SPB-tree leaves dropped their keys (``(key, id, cell)`` rows on an
+    8-bit grid; ``make_la(300, seed=11)``, 5 HFI pivots, seed 3; object 7
+    deleted and put back, 31 deleted, one object inserted past the grid as
+    id 300): ``load_index`` refuses it, and through ``repro migrate`` its
+    leaves keep their ids and cells alone under the marks it was written
+    with, so it answers as recorded when written, at the compdists and page
+    accesses it cost then, in the same bytes."""
+    expected = json.loads((DATA / "keyed_cells_la300_expected.json").read_text())
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / "keyed_cells_spbtree_la300.snap")
+    migrate(DATA / "keyed_cells_spbtree_la300.snap", tmp_path / "cells.snap")
+    index = load_index(tmp_path / "cells.snap")
+    assert index.marks.cells == 256 and index.curve.bits == 8
+    tree = index.btree
+    leaves = [tree.read_node(page) for page in tree.read_node(tree.root_page).children]
+    assert all(leaf.keys is None and leaf.cells.dtype == np.uint8 for leaf in leaves)
+    assert sum(map(len, leaves)) == len(tree) == 300
+    tree.check_invariants()
+    dataset = index.space.dataset
+    queries = [dataset[i] for i in expected["query_ids"]]
+    radius, gone = expected["radius"], tuple(expected["gone"])
+    before = index.space.counters.snapshot()
+    got, compdists = _answers(index, queries, radius)
+    spent = index.space.counters.snapshot() - before
+    assert got == _brute_force(dataset, queries, radius, gone)
+    neighbors = [[[[n.distance, n.object_id] for n in row] for row in form] for form in got[2:]]
+    assert (list(got[:2]) + neighbors, compdists, spent.page_accesses) == (
+        [expected[form] for form in ("range", "range_many", "knn", "knn_many")],
+        expected["compdists"],
+        expected["page_accesses"],
+    )
+    assert index.storage_bytes() == expected["written_storage_bytes"]
+    # the next insert sizes the narrower rows: an int32 id and 5 cell bytes
+    assert tree.leaf_capacity == 0
+    index.insert(dataset[31], object_id=31)
+    assert tree.leaf_capacity > expected["leaf_capacity"]
+    assert index.range_query(queries[2], radius) == _brute_force(dataset, queries, radius, ())[0][2]
 
 
 @pytest.mark.parametrize("index_name", indexes_for("Words"))

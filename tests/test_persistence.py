@@ -838,14 +838,16 @@ def _btree_nodes(tree):
 
 
 def _check_btrees(index, name):
-    """Every B+-tree of ``index`` holds; returns them."""
+    """Every B+-tree of ``index`` holds -- an SPB-tree's leaf keys, which
+    its cells give, between the separators its keys made -- and an
+    SPB-tree's leaves keep cells in place of keys; returns the trees."""
     trees = getattr(index, "trees", None) or [index.btree]
     for tree in trees:
-        tree.check_invariants(cells_of=index.cells_of if name == "spbtree" else None)
+        tree.check_invariants()
         leaves = [node for node in _btree_nodes(tree) if node.is_leaf]
         assert all(type(leaf) is LeafNode for leaf in leaves)
         if name == "spbtree":
-            assert all(leaf.cells.dtype == np.uint8 for leaf in leaves)
+            assert all(leaf.cells.dtype == np.uint8 and leaf.keys is None for leaf in leaves)
         else:
             assert all(leaf.cells is None for leaf in leaves)
     return trees
@@ -858,9 +860,9 @@ def test_snapshot_with_list_leaves_answers_as_written(migrated, tmp_path, name):
     deleted and re-inserted twice, 31 deleted) and the SPB-tree and M-index*
     ``list_pages_*`` snapshots hold B+-tree leaves as key / value lists.
     They load with no distance computed, read every node as columns (an
-    SPB-tree's leaves with the cells their keys decode to), give the
-    answers and compdists they gave when written, take a delete and a
-    re-insert, and round-trip through ``save_index`` again."""
+    SPB-tree's leaves with the cells their keys decode to, in place of the
+    keys), give the answers and compdists they gave when written, take a
+    delete and a re-insert, and round-trip through ``save_index`` again."""
     expected = json.loads((DATA / "list_leaves_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
     if name == "omnib":
@@ -905,9 +907,10 @@ def test_snapshot_with_record_pointers_answers_as_written(migrated, tmp_path, na
     and re-inserted twice, 31 deleted) were written when every index kept an
     ``{id: RecordPointer}`` map and SPB-tree / M-index* leaves held each
     row's RAF page and slot.  They load with no distance computed, the map
-    moved into the RAF's locator and the leaves read as key / id columns,
-    give the answers and compdists they gave when written, take a delete
-    and a re-insert, and round-trip through ``save_index`` again."""
+    moved into the RAF's locator and the leaves read as key / id columns
+    (an SPB-tree's as its id column beside its cells), give the answers and
+    compdists they gave when written, take a delete and a re-insert, and
+    round-trip through ``save_index`` again."""
     expected = json.loads((DATA / "record_pointers_la300_expected.json").read_text())[name]
     dataset = make_la(300, seed=11)
     index = load_index(migrated(f"record_pointers_{name}_la300.snap"))
@@ -918,7 +921,8 @@ def test_snapshot_with_record_pointers_answers_as_written(migrated, tmp_path, na
     assert [record[0] for record in index.raf.read_many(live)] == live
     if name in ("spbtree", "mindexstar", "omnib"):
         for tree in _check_btrees(index, name):
-            assert all(len(node.columns) == 2 for node in _btree_nodes(tree) if node.is_leaf)
+            stored = 1 if name == "spbtree" else 2
+            assert all(len(node.columns) == stored for node in _btree_nodes(tree) if node.is_leaf)
     queries = [dataset[5], dataset[31], dataset[200], dataset[3] * 3.0 + 9000.0]
     got, compdists = _coded_answers(index, queries, expected["radius"], expected["k"])
     assert got == {form: expected[form] for form in got}

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from repro.sfc import HilbertCurve, ZOrderCurve
 
-# (bits, dims): the smallest curve, one axis, the SPB-tree default, a key of
-# exactly 64 bits, the 72-bit keys of the Fig. 18 sweep (l = 9), wide axes;
-# then coordinates past one byte (the interleave's tables go byte by byte):
-# two bytes at the 63-bit edge, two whole bytes, three bytes at the edge
-KERNEL_SHAPES = [(1, 1), (8, 1), (8, 5), (8, 8), (8, 9), (32, 3), (9, 7), (16, 3), (21, 3)]
+# (bits, dims): the smallest curve, one axis, the SPB-tree's 8-bit grid, a
+# key of exactly 64 bits, the 72-bit keys of the Fig. 18 sweep (l = 9), wide
+# axes; then coordinates past one byte (the interleave's tables go byte by
+# byte): the SPB-tree default, two bytes at the 63-bit edge, two whole
+# bytes, three bytes at the edge
+KERNEL_SHAPES = [
+    (1, 1), (8, 1), (8, 5), (8, 8), (8, 9), (32, 3), (10, 5), (9, 7), (16, 3), (21, 3)
+]
 
 
 def _key_dtype(curve):
@@ -199,15 +202,16 @@ def test_one_interleave_serves_both_curves():
 
 def test_spbtree_build_keys_are_the_scalar_keys():
     """The SPB-tree's bulk construction (LA, 5 HFI pivots, the default
-    8-bit grid) encodes its grid cells with the array form; every key it
-    files an object under is the scalar ``encode`` of that object's cell."""
+    10-bit grid, so ``uint16`` cells) encodes its grid cells with the array
+    form; every key it files an object under is the scalar ``encode`` of
+    that object's cell."""
     from repro import CostCounters, MetricSpace, PivotMapping, SPBTree, make_la, select_pivots
 
     dataset = make_la(20000, seed=1)
     pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=0)
     index = SPBTree.build(MetricSpace(dataset, CostCounters()), pivots)
     cells = index.marks.encode(PivotMapping(MetricSpace(dataset), pivots).build_table())
-    assert cells.dtype == np.uint8
+    assert cells.dtype == np.uint16
     keys = index.curve.encode_many(cells)
     assert keys.dtype == np.int64
     scalar = [index.curve.encode(cell) for cell in cells.tolist()]
