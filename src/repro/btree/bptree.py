@@ -66,9 +66,7 @@ memo) and the row bytes those of the first entry the tree is given -- an
 int key at int64 width, whatever the first one's (keys grow: a Hilbert key
 past the first few outgrows int32), and the value at its kind's, which the
 tree then holds every value to: a value of a wider kind (an id past int32
-in a tree of int32 ids) is refused before any page is written.  A tree
-pickled before values were typed keeps the capacities it was built with,
-its values held to int64.
+in a tree of int32 ids) is refused before any page is written.
 
 Worked LA leaf (the SPB-tree of ``la_disk_mixed_rw``: 5 pivots, 10-bit
 grid, 4 KB pages): a row is an int32 object id and 5 ``uint16`` cell
@@ -82,12 +80,6 @@ held the record's RAF page and slot (37 B) 223, and key / value lists
 sized by one entry's standalone pickle (93 B a row) 556.  An internal row
 is the separator at int64 width, the child's page id and its box's two
 corners, 8 + 8 + 2 * 10 = 36 B: 110 children a node.
-
-Trees written when leaves were key / value lists, whose values were
-``(object id, RAF pointer)`` pairs, or whose cells sat beside their keys,
-are converted by ``repro migrate`` (:mod:`repro.service.migrate`), which
-also gives such an SPB-tree's leaves their cells in place of their keys
-and its internal nodes their boxes.
 """
 
 from __future__ import annotations
@@ -429,12 +421,6 @@ class BPlusTree:
     stores the values and the cells alone.  Without it the tree is keyed
     and no entry carries a cell.
     """
-
-    # the kind every value is held to; a tree pickled before values were
-    # typed charged its (object id) values at int64 width
-    _value_kind = "i"
-    # a tree pickled before cell trees is keyed
-    keys_of = None
 
     def __init__(self, pager: Pager, keys_of=None):
         self.pager = pager

@@ -55,6 +55,7 @@ from .service import (
     save_index,
     snapshot_info,
 )
+from .service.catalog import _member_snapshots
 from .service.migrate import migrate
 
 __all__ = ["main"]
@@ -258,7 +259,8 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_migrate(args) -> int:
     migrate(args.old, args.new)
-    print(format_table([snapshot_info(args.new).row()], title=f"Migrated {args.old}"))
+    rows = [snapshot_info(path).row() for _, path in _member_snapshots(args.new)]
+    print(format_table(rows, title=f"Migrated {args.old}"))
     return 0
 
 

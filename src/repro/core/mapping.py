@@ -95,14 +95,6 @@ class PivotMapping:
         self.low = np.full(self.n_pivots, np.inf)
         self.high = np.full(self.n_pivots, -np.inf)
 
-    def __setstate__(self, state):
-        # a mapping pickled with its n x l table keeps the table's extent; one
-        # with neither (an SPB-tree's, a LAESA's) starts from an empty one
-        table = state.pop("matrix", np.empty((0, len(state["pivot_ids"]))))
-        state.setdefault("low", table.min(axis=0, initial=np.inf))
-        state.setdefault("high", table.max(axis=0, initial=-np.inf))
-        self.__dict__.update(state)
-
     def build_table(self) -> np.ndarray:
         """The ``n x l`` ``float64`` table a build reads, row i I(o_i), a
         column at a time (n counted computations each); not kept."""

@@ -1,9 +1,9 @@
 """``repro migrate OLD NEW``: the one reader of retired snapshot layouts.
 
-:func:`~repro.service.snapshot.load_index` reads format 3 in the current
-layout only; :func:`migrate` also reads formats 1 and 2, converts every
-object and page eagerly and saves the index again (a current file's pages
-come back byte for byte).  A class whose pickled state changed shape loads
+:func:`~repro.service.snapshot.load_index` reads format 4, today's layout,
+only; :func:`migrate` also reads formats 1 to 3, converts every object and
+page eagerly and saves the index again (a current file's pages come back
+byte for byte).  A class whose pickled state changed shape loads
 as a *stand-in* that becomes the real class, its state converted by the
 function registered for it below.  No counted distance is computed: an
 MVPT / VPT whose codes were cells of one frame a level has them made again
@@ -16,7 +16,15 @@ SPB-tree's uniform grid (an ``eps``, later a ``Frame``) becomes the
 :class:`~repro.core.quantise.Marks` of the same cells, edge for edge, and
 its leaves keep their cells (decoded from their keys where a leaf had
 none) and drop their keys, so its marks, cells and answers stay as
-written.
+written.  Smaller shapes: a RAF locator of two ``int64`` arrays narrows to
+``int32`` pages and the narrowest slots (its ``int64`` id pages stay, read
+by their own kinds); FQA row ids pickled as ``intp`` become ``int32``; a
+pivot mapping pickled with its ``n x l`` table keeps the table's extent
+and drops it, and a LAESA / CPT table drops the extent it kept; a B+-tree
+pickled before values were typed keeps the capacities it was built with,
+its values held to ``int64``, one pickled before cell trees is keyed, and
+leaves of key / value lists (values once ``(object id, RAF pointer)``
+pairs) become columns.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
 from ..tables.store import ColumnStore, PivotTable
+from .catalog import IndexCatalog, _member_snapshots, is_catalog_manifest
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
 
@@ -83,7 +92,7 @@ def _converts(*classes):
     def register(convert):
         for cls in classes:
 
-            def __setstate__(self, state, cls=cls):
+            def restore(self, state, cls=cls):
                 self.__class__ = cls
                 state = convert(state)
                 if hasattr(cls, "__setstate__"):
@@ -91,7 +100,7 @@ def _converts(*classes):
                 for name, value in state.items():
                     object.__setattr__(self, name, value)
 
-            stand_in = type(cls.__name__, (cls,), {"__slots__": (), "__setstate__": __setstate__})
+            stand_in = type(cls.__name__, (cls,), {"__slots__": (), "__setstate__": restore})
             _RETIRED[cls.__module__, cls.__qualname__] = stand_in
         return convert
 
@@ -106,6 +115,9 @@ def _page_store(state):
 
 @_converts(BPlusTree)
 def _bplustree(state):
+    # pickled before cell trees (keyed) or before values were typed (int64)
+    state.setdefault("keys_of", None)
+    state.setdefault("_value_kind", "i")
     if "augmentation" in state:
         # leaves were key / value lists: capacities are re-derived by the
         # next insert, and an SPB-tree (the one augmented tree) gets its
@@ -158,14 +170,16 @@ def _mtree(state):
     return state
 
 
+def _node_state(node, state) -> None:
+    node.__dict__.update(state if isinstance(state, dict) else zip(node.fields, state))
+
+
 class _OldNode:
     """A tree node as pickled before trees were preorder columns: its
     attributes, from a dict or from a tuple of ``fields``."""
 
     fields, is_leaf = ("level", "lows", "highs", "children"), False
-
-    def __setstate__(self, state):
-        self.__dict__.update(state if isinstance(state, dict) else zip(self.fields, state))
+    __setstate__ = _node_state
 
 
 class _OldLeaf(_OldNode):
@@ -272,6 +286,8 @@ def _fqt(state):
 
 @_converts(FQA)
 def _fqa(state):
+    # row ids pickled as ``intp`` take the ``int32`` a build makes
+    state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
     if "_width" in state:  # uint32 buckets of one width; past 255 is the open top cell
         buckets = state["_signatures"]
         frame = Frame(0.0, state.pop("_width"), state["space"].is_discrete)
@@ -299,16 +315,12 @@ def _laesa(state):
     return state
 
 
-def _holding_the_table(self, state):
-    # a mapping loads as pickled, ``matrix`` and all, for ``_laesa``;
-    # :func:`migrate` then has the class drop every table left
-    self.__class__ = PivotMapping
-    self.__dict__.update(state)
-
-
-_RETIRED["repro.core.mapping", "PivotMapping"] = type(
-    "PivotMapping", (PivotMapping,), {"__slots__": (), "__setstate__": _holding_the_table}
-)
+@_converts(PivotTable)
+def _pivot_table(state):
+    # a LAESA / CPT table pickled while it kept an extent, which it never reads
+    state.pop("low", None)
+    state.pop("high", None)
+    return state
 
 
 @_converts(EPT, EPTStar)
@@ -328,6 +340,12 @@ def _raf(state):
     if records is not None:  # the open page as a record list
         state["_open_page"] = RafPage.from_records(records) if records else None
         state["_open_bytes"] = state["_open_page"].payload_bytes() if records else 0
+    pages = state.get("_pages")
+    if pages is not None and pages.dtype != np.int32:
+        # a locator of two int64 arrays (page -1: none) narrowed as a write makes it
+        state["_pages"] = pages.astype(np.int32)
+        slot_dtype = np.min_scalar_type(state["pager"].page_size)
+        state["_slots"] = np.where(pages >= 0, state["_slots"], 0).astype(slot_dtype)
     return state
 
 
@@ -395,22 +413,49 @@ def _migrate_pages(index, path) -> None:
         store.write(page_id, read(store, page_id))
 
 
-def migrate(old, new):
-    """Convert the snapshot ``old`` (format 1, 2 or 3, any layout the index
-    classes have had) to format 3 and today's layout at ``new``, which may
-    be ``old``; returns the index, its counters started with the
-    conversion (no counted distance, the page pass's reads and writes)."""
-    index = _unpickle(old, _MigrationUnpickler, _KNOWN_FORMATS)
+def _converted(path, dataset=None):
+    """The index the snapshot ``path`` holds, in today's layout, its
+    counters started with the conversion (no counted distance, the page
+    pass's reads and writes); ``dataset`` is what a catalog member's
+    dataset reference resolves to."""
+    index = _unpickle(path, _MigrationUnpickler, _KNOWN_FORMATS, dataset)
     for mapping in iter_components(index):
-        if isinstance(mapping, PivotMapping):
-            mapping.__setstate__(vars(mapping))
+        if type(mapping) is PivotMapping:
+            # a mapping pickled with its n x l table (kept until here for
+            # ``_laesa``) keeps the table's extent; one with neither starts
+            # from an empty one
+            state = vars(mapping)
+            table = state.pop("matrix", np.empty((0, mapping.n_pivots)))
+            state.setdefault("low", table.min(axis=0, initial=np.inf))
+            state.setdefault("high", table.max(axis=0, initial=-np.inf))
     rebind_counters(index, CostCounters())
-    _migrate_pages(index, old)
+    _migrate_pages(index, path)
     for dept in iter_components(index):
         if isinstance(dept, DEPT) and "_row_page" not in vars(dept):
             # pickled before live rows were tracked per page: inserts only
             # ever append pages, so an id's last row is its live one
             rows = {i: page for page in dept._table_pages for i in dept.pager.read(page)[0]}
             dept._row_page = {i: page for i, page in rows.items() if i in dept.raf}
-    save_index(index, new)
     return index
+
+
+def migrate(old, new):
+    """Convert the snapshot ``old`` (format 1, 2, 3 or 4, any layout the
+    index classes have had) to format 4 and today's layout at ``new``,
+    which may be ``old``; returns the index, its counters started with the
+    conversion.  A catalog manifest ``old`` converts member by member, its
+    later members' dataset references resolved to its first member's
+    objects, and saves as :meth:`IndexCatalog.save` does (``new`` named
+    ``*.catalog.json``); the catalog is returned."""
+    if not is_catalog_manifest(old):
+        index = _converted(old)
+        save_index(index, new)
+        return index
+    catalog, dataset = IndexCatalog(), None
+    for member_id, snapshot in _member_snapshots(old):
+        index = _converted(snapshot, dataset)
+        catalog.register(index, index_id=member_id, counters=index.space.counters)
+        if dataset is None:
+            dataset = index.space.dataset
+    catalog.save(new)
+    return catalog

@@ -8,7 +8,7 @@ process start repeated that cost.  A snapshot captures a built
 stores, dataset and distance) so a later process restores it and serves
 queries immediately, with **zero** build-time distance computations.
 
-File format v3::
+File format v4::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | header JSON
     | pad to 4096 | array regions (each 4096-aligned, little-endian)
@@ -32,12 +32,15 @@ provenance, so incompatible snapshots fail fast with a clear error instead
 of unpickling garbage.  Every index upholds the snapshot contract
 documented on :meth:`MetricIndex.prepare_snapshot` (picklable state,
 buffered pages flushed), and :class:`~repro.core.counters.CostCounters`
-drops its lock on pickling.  Format 3 is format 2's bytes, the number
-marking that every object and page is in today's layout: :func:`load_index`
-reads it alone, with one plain unpickler, and refuses formats 1 and 2 with
-a :class:`SnapshotError` naming ``repro migrate`` (:mod:`.migrate`), as it
-refuses a format 3 file in a layout since retired (a class the code no
-longer has, an MVPT / VPT whose codes are cells of level frames).
+drops its lock on pickling.  Format 4 is format 2's bytes, the number
+marking that every object and page is in today's layout, and it is the one
+layout check: :func:`load_index` reads format 4 alone, with one plain
+unpickler, and refuses any other with a :class:`SnapshotError` naming
+``repro migrate`` (:mod:`.migrate`, the one reader of older formats and
+layouts), as it refuses a pickle naming code this build no longer has.  No
+index class recognises a state of its own that a layout
+change retired: such a change bumps the number and registers a converter
+in :mod:`.migrate`.
 
 Round-trip equality contract (asserted by ``tests/test_service.py`` for
 every index family): for any queries, the restored index returns answers
@@ -85,9 +88,9 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"REPROSNP"
-SNAPSHOT_FORMAT_VERSION = 3
-# the formats a header may name: 1 and 2 only ``repro migrate`` reads
-_KNOWN_FORMATS = (1, 2, SNAPSHOT_FORMAT_VERSION)
+SNAPSHOT_FORMAT_VERSION = 4
+# the formats a header may name: all but the current only ``repro migrate`` reads
+_KNOWN_FORMATS = (1, 2, 3, SNAPSHOT_FORMAT_VERSION)
 
 # regions start and stay on this boundary: mmap offsets must be multiples
 # of the allocation granularity (4096 on every platform we run on), and

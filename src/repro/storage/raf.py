@@ -9,9 +9,8 @@ filled by the writes and cleared by :meth:`RandomAccessFile.mark_deleted`.
 Every row costs at least its tombstone byte, so a slot number is below the
 page size, and the slot array takes the narrowest unsigned dtype that holds
 it (``np.min_scalar_type(page_size)``: ``uint16`` below 64 KB pages), 6 B
-an id in all at 4 KB.  A locator restored from a file written when both
-arrays were int64 is narrowed as it loads.  It is the only module that
-knows where a record lies; an index stores ids and asks ``id in raf``.
+an id in all at 4 KB.  It is the only module that knows where a record
+lies; an index stores ids and asks ``id in raf``.
 Being dense, it may grow in a write to twice its length with the records
 written, or to ``_LOCATOR_FLOOR`` ids: a larger id is refused with
 :class:`IdOutOfBounds` before anything is allocated.
@@ -642,13 +641,6 @@ class RandomAccessFile:
     # there); these empty class-level arrays until the first write
     _pages = np.empty(0, np.int32)
     _slots = np.empty(0, np.uint16)
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        pages = self._pages
-        if pages.dtype != np.int32:  # written when both arrays were int64 (-1: none)
-            self._pages = pages.astype(np.int32)
-            self._slots = np.where(pages >= 0, self._slots, 0).astype(self._slot_dtype())
 
     def _slot_dtype(self) -> np.dtype:
         """The narrowest unsigned dtype holding every number below the page

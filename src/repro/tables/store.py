@@ -175,17 +175,6 @@ class ColumnTable(MetricIndex):
 
     use_validation = False
 
-    def __setstate__(self, state):
-        # a table pickled before the column store was row-major
-        if "table" not in state and "table" not in vars(state.get("mapping", self)):
-            from ..service.snapshot import SnapshotError
-
-            raise SnapshotError(
-                f"a {self.name} whose table is row-major reads only through "
-                "`repro migrate OLD NEW`"
-            )
-        self.__dict__.update(state)
-
     # the live table, column-major, and its row ids (-1 for a tombstone)
     _rows = property(lambda self: self.table.view.table)
     _row_ids = property(lambda self: self.table.view.row_ids)
@@ -267,8 +256,7 @@ class PivotTable(PivotMapping):
     mean ``lb(o) / d(o, p)`` at or above ``explained`` -- is discarded and
     the continuation stops; so it does when every object is a pivot.  It
     keeps no extent (a :class:`PivotMapping`'s ``low`` / ``high``): no
-    table reads one, so neither the build nor an insert widens one, and a
-    table pickled while it kept one lets it go on load.
+    table reads one, so neither the build nor an insert widens one.
     """
 
     def __init__(self, space, pivot_ids, extra: int = 0, explained: float = 1.0):
@@ -304,12 +292,6 @@ class PivotTable(PivotMapping):
         if width < cells.shape[0]:
             cells = cells[:width].copy()
         self.table = ColumnStore(cells, np.arange(n, dtype=np.int32), rounding.slack())
-
-    def __setstate__(self, state):
-        # a table pickled while it kept an extent
-        state.pop("low", None)
-        state.pop("high", None)
-        self.__dict__.update(state)
 
     def _widen(self, rows) -> None:
         pass  # no extent to widen

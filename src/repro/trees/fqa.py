@@ -38,12 +38,6 @@ class FQA(MetricIndex):
         self._row_ids = row_ids
         self._frames = frames  # one per pivot column
 
-    def __setstate__(self, state):
-        # a table pickled while row ids were ``intp`` loads in the layout a
-        # build makes
-        state["_row_ids"] = np.asarray(state["_row_ids"], dtype=np.int32)
-        self.__dict__.update(state)
-
     @classmethod
     def build(cls, space: MetricSpace, pivot_ids) -> "FQA":
         require_discrete(space, "FQA")

@@ -244,16 +244,6 @@ class MVPT(FrontierTreeMixin, MetricIndex):
     def _key_limits(self) -> tuple[int, int, int]:
         return 0, len(self.pivot_ids), len(self.pivot_ids)
 
-    def __setstate__(self, state):
-        if "_frames" in state:
-            from ..service.snapshot import SnapshotError
-
-            raise SnapshotError(
-                f"an {self.name} whose leaves code path distances in level frames "
-                "reads only through `repro migrate OLD NEW`"
-            )
-        super().__setstate__(state)
-
     # -- queries ----------------------------------------------------------------
     # MRQ/MkNNQ (single and batched) come from FrontierTreeMixin; nodes at
     # the same level share one pivot, so a node's key is its level.

@@ -352,19 +352,18 @@ def test_an_undo_that_fails_is_named(monkeypatch):
 
 def test_a_catalog_saved_with_a_dataset_per_member(tmp_path):
     """``tests/data/catalog/dataset_per_member_la300.*`` (``make_la(300, seed=11)``;
-    LAESA + MVPT on 5 HFI pivots, seed 3) was saved while each member's
-    file held the objects.  Its LAESA member's table was row-major, which
-    only ``repro migrate`` reads; that member migrated, the catalog loads
-    into one dataset, answers as recorded, takes a new insert on both
-    members, and is saved again with the objects in the primary's file
-    only."""
+    LAESA + MVPT on 5 HFI pivots, seed 3) was saved in snapshot format 3
+    while each member's file held the objects; its LAESA member's table was
+    row-major.  Only ``repro migrate`` reads it; migrated through its
+    manifest, in place, the catalog loads into one dataset, answers as
+    recorded, takes a new insert on both members, and is saved again with
+    the objects in the primary's file only."""
     for path in DATA.glob("dataset_per_member_la300.*"):
         (tmp_path / path.name).write_bytes(path.read_bytes())
-    member = tmp_path / "dataset_per_member_la300.member00.snap"
-    with pytest.raises(SnapshotError, match="repro migrate"):
-        IndexCatalog.load(tmp_path / "dataset_per_member_la300.catalog.json")
-    migrate(member, member)
     manifest = tmp_path / "dataset_per_member_la300.catalog.json"
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        IndexCatalog.load(manifest)
+    migrate(manifest, manifest)
     expected = json.loads((DATA / "dataset_per_member_la300_expected.json").read_text())
     catalog = IndexCatalog.load(manifest)
     assert catalog.ids() == ["LAESA", "MVPT"]

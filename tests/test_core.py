@@ -21,14 +21,20 @@ from repro import (
     brute_force_knn,
     brute_force_range,
     dataset_statistics,
+    load_index,
     make_color,
     make_la,
     make_synthetic,
     make_uniform,
     make_words,
+    save_index,
 )
 from repro.core import queries
 from repro.core.queries import best_first_walk
+from repro.external import OmniSequentialFile
+from repro.service.migrate import migrate
+
+from conftest import rewrite_header
 
 
 class TestCounters:
@@ -439,16 +445,24 @@ class TestPivotMapping:
         # d(o, o') <= d(o, p) + d(o', p): the M-index's d+
         assert 2.0 * pm.high.max() >= true_max
 
-    def test_a_pickled_table_loads_as_its_extent(self):
+    def test_a_pickled_table_loads_as_its_extent(self, tmp_path):
+        """A mapping pickled with its ``n x l`` table (``matrix``, in a
+        snapshot of format 3) takes the table's extent through ``repro
+        migrate``, which drops the table; one pickled with neither (an
+        SPB-tree's after its build) starts from an empty extent."""
         ds = make_uniform(30, dim=2, seed=6)
-        pm = PivotMapping(MetricSpace(ds), [0, 5])
+        index = OmniSequentialFile.build(MetricSpace(ds), [0, 5])
+        pm = index.mapping
         table = pm.build_table()
         old = {k: v for k, v in vars(pm).items() if k not in ("low", "high")}
-        restored = PivotMapping.__new__(PivotMapping)
-        restored.__setstate__({**old, "matrix": table})
-        assert "matrix" not in vars(restored)
-        assert np.array_equal(restored.low, pm.low) and np.array_equal(restored.high, pm.high)
-        # pickled with neither (an SPB-tree's mapping after its build): empty
-        bare = PivotMapping.__new__(PivotMapping)
-        bare.__setstate__(dict(old))
-        assert (bare.low == np.inf).all() and (bare.high == -np.inf).all()
+        empty = (np.full(2, np.inf), np.full(2, -np.inf))
+        for state, extent in (({**old, "matrix": table}, (pm.low, pm.high)), (old, empty)):
+            vars(pm).clear()
+            vars(pm).update(state)
+            save_index(index, tmp_path / "old.snap")
+            rewrite_header(tmp_path / "old.snap", lambda header: {**header, "format_version": 3})
+            migrate(tmp_path / "old.snap", tmp_path / "new.snap")
+            restored = load_index(tmp_path / "new.snap").mapping
+            assert "matrix" not in vars(restored)
+            assert np.array_equal(restored.low, extent[0])
+            assert np.array_equal(restored.high, extent[1])

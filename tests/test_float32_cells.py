@@ -20,15 +20,25 @@ in every bound.  Held here:
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import L1, L2, CostCounters, Dataset, MetricSpace, brute_force_knn, brute_force_range
+from conftest import rewrite_header
+from repro import (
+    L1,
+    L2,
+    CostCounters,
+    Dataset,
+    MetricSpace,
+    brute_force_knn,
+    brute_force_range,
+    load_index,
+    save_index,
+)
 from repro.core.pivot_filter import upper_bound_many_queries
 from repro.core.staged import StagedPruner, _slackened, prefix_size
+from repro.service.migrate import migrate
 from repro.tables import LAESA
 from repro.core.mapping import PivotMapping, narrowed
 from repro.tables.store import PivotTable
@@ -210,11 +220,11 @@ def test_two_tables_over_one_mapping_read_one_slack():
     assert first.range_query(q, radius) == second.range_query(q, radius) == [1]
 
 
-def test_a_pivot_table_keeps_no_extent():
+def test_a_pivot_table_keeps_no_extent(tmp_path):
     """LAESA's mapping reads no per-pivot ``low`` / ``high``, so neither its
     build nor an insert makes one, its ``nbytes`` is Table 4's 8 B a pivot,
-    and a table pickled while it kept one loads without it, answering as
-    before."""
+    and a table pickled while it kept one (snapshot format 3) loads through
+    ``repro migrate`` without it, answering as before."""
     dataset = _line([0.0, 1.0, 2.5, 3.0, 7.0, 9.5])
     space = MetricSpace(dataset, CostCounters())
     mapping = PivotTable(space, [0], extra=2)
@@ -225,8 +235,11 @@ def test_a_pivot_table_keeps_no_extent():
     q = np.array([2.0])
     want = index.range_query(q, 1.5)
     mapping.low, mapping.high = np.zeros(mapping.n_pivots), np.ones(mapping.n_pivots)
-    restored = pickle.loads(pickle.dumps(index))
+    save_index(index, tmp_path / "old.snap")
+    rewrite_header(tmp_path / "old.snap", lambda header: {**header, "format_version": 3})
+    restored = migrate(tmp_path / "old.snap", tmp_path / "new.snap")
     assert not {"low", "high"} & set(vars(restored.mapping))
+    assert vars(load_index(tmp_path / "new.snap").mapping).keys() == vars(restored.mapping).keys()
     assert restored.range_query(q, 1.5) == want
 
 

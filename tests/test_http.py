@@ -476,21 +476,24 @@ def test_reload_rejects_bad_snapshots_and_keeps_serving(datasets, tmp_path):
 
 def test_reload_refuses_a_malformed_header_and_keeps_serving(datasets, tmp_path):
     """A snapshot whose header is not an object, lacks a field, or holds a
-    size of the wrong type or sign is a 400, not a server error, and the
-    old index keeps serving."""
+    size of the wrong type or sign is a 400, not a server error, and so is
+    a current one whose header names format 3, which reads only through
+    ``repro migrate``; the old index keeps serving."""
     (_, path_small), (_, path_large) = _snapshot_pair(datasets, tmp_path)
     service = QueryService.from_snapshot(path_small)
+    refused = {**MALFORMED_HEADERS, "format 3": lambda header: {**header, "format_version": 3}}
     with service, HttpQueryServer(service).start() as server:
         client = ServiceClient(port=server.port)
         q = datasets["Words"][0]
         expected = client.range_query(q, RADIUS["Words"])
-        for name, edit in MALFORMED_HEADERS.items():
+        for name, edit in refused.items():
             bad = tmp_path / f"{name}.snap"
             bad.write_bytes(path_large.read_bytes())
             rewrite_header(bad, edit)
             with pytest.raises(ServiceClientError) as excinfo:
                 client.reload(bad)
             assert excinfo.value.status == 400, name
+        assert "repro migrate" in str(excinfo.value)  # the last, format 3
         assert client.healthz()["objects"] == 100
         assert client.range_query(q, RADIUS["Words"]) == expected
 

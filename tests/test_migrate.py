@@ -1,11 +1,11 @@
 """``repro migrate``: the one reader of snapshots of an older format or
 layout.
 
-Every file in ``tests/data`` was written by an earlier version of the code.
-``load_index`` refuses each one in a retired layout and names the migrator;
-the migrated file loads with no distance computed and answers as brute
-force does, and a second migration changes nothing.  A file in today's
-layout loads as it is, and it and a current snapshot migrate losslessly.
+Every file in ``tests/data`` was written by an earlier version of the code,
+in an older snapshot format.  ``load_index`` refuses each one and names the
+migrator; the migrated file loads with no distance computed and answers as
+brute force does, and a second migration changes nothing.  A current
+snapshot migrates losslessly.
 """
 
 from __future__ import annotations
@@ -15,19 +15,24 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA, RADIUS, indexes_for
+from conftest import DATA, RADIUS, indexes_for, rewrite_header
 from repro import (
     CostCounters,
+    IndexCatalog,
     MetricSpace,
     SnapshotError,
+    SPBTree,
     brute_force_knn,
     brute_force_range,
     load_index,
+    make_la,
     save_index,
+    select_pivots,
 )
 from repro.cli import main
 from repro.core.staged import PerObjectStagedPruner
 from repro.service.migrate import migrate
+from repro.tables import LAESA
 
 # an EPT / EPT* table whose pruner names its state for slots
 # (``slot_order``, ``slot_pairs``), saved while that pruner ran a cascade of
@@ -38,13 +43,13 @@ SLOT_NAMES = {
 }
 # written by the commit before the paged layer stored ids in 4 bytes: an
 # int64 RAF locator, int64 id columns on RAF pages and int64 B+-tree leaf
-# values; a page decodes by its own kinds, so they load as they are too
+# values; a page decodes by its own kinds, so migrated pages keep them
 INT64_IDS = {
     "int64_ids_mindexstar_la300.snap": "mindexstar",
     "int64_ids_omnib_la300.snap": "omnib",
     "int64_ids_spbtree_la300.snap": "spbtree",
 }
-FIXTURES = sorted(path.name for path in DATA.glob("*.snap") if path.name not in INT64_IDS)
+FIXTURES = sorted(path.name for path in DATA.glob("*.snap"))
 # the ids each fixture's writer deleted and left deleted; a fixture missing
 # here fails, so a new one cannot go unchecked
 GONE = {
@@ -53,6 +58,9 @@ GONE = {
     "entry_nodes_pmtree_la300.snap": (31,),
     "f64_cells_cpt_la300.snap": (31,),
     "f64_cells_laesa_la300.snap": (31,),
+    "int64_ids_mindexstar_la300.snap": (31,),
+    "int64_ids_omnib_la300.snap": (31,),
+    "int64_ids_spbtree_la300.snap": (31,),
     "list_leaves_omnib_la300.snap": (31,),
     "list_pages_dept_la300.snap": (31,),
     "list_pages_mindexstar_la300.snap": (31,),
@@ -174,19 +182,18 @@ def _raf_kinds(index) -> set[str]:
 def test_a_fixture_with_int64_ids_loads_and_takes_int32_pages(tmp_path, name):
     """``tests/data/int64_ids_{spbtree,mindexstar,omnib}_la300.snap``
     (``make_la(300, seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and
-    put back, 31 deleted) load with ``load_index`` alone -- the SPB-tree,
-    on a uniform grid, through ``repro migrate`` -- and answer as brute
-    force and as recorded when written, at the same compdists; the locator
-    narrows to 6 B an id as it loads.  Deletes and re-inserts write
-    int32-id pages beside the int64 ones, and the mixed file saves and loads
-    again with equal answers and equal stored bytes."""
+    put back, 31 deleted) load through ``repro migrate`` -- the SPB-tree's
+    uniform grid becoming marks -- and answer as brute force and as recorded
+    when written, at the same compdists; the locator narrows to 6 B an id as
+    it migrates.  Deletes and re-inserts write int32-id pages beside the
+    int64 ones, and the mixed file saves and loads again with equal answers
+    and equal stored bytes."""
     expected = json.loads((DATA / "int64_ids_la300_expected.json").read_text())
     want = expected[INT64_IDS[name]]
-    if INT64_IDS[name] == "spbtree":
-        migrate(DATA / name, tmp_path / "migrated.snap")
-        index = load_index(tmp_path / "migrated.snap")
-    else:
-        index = load_index(DATA / name)
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(DATA / name)
+    migrate(DATA / name, tmp_path / "migrated.snap")
+    index = load_index(tmp_path / "migrated.snap")
     assert index.space.counters.distance_computations == 0
     raf = index.raf
     assert (raf._pages.dtype, raf._slots.dtype) == (np.int32, np.uint16)
@@ -332,3 +339,65 @@ def test_the_cli_migrates_in_place(tmp_path, capsys):
     queries = [index.space.dataset[i] for i in QUERY_IDS]
     got, _ = _answers(index, queries, RADIUS["LA"])
     assert got == _brute_force(index.space.dataset, queries, RADIUS["LA"], ())
+
+
+def _shared_catalog(tmp_path):
+    """A LAESA + SPB-tree catalog over one LA dataset, saved as
+    ``shared.catalog.json``: the SPB-tree's file references the objects the
+    LAESA's holds."""
+    dataset = make_la(300, seed=11)
+    pivots = select_pivots(MetricSpace(dataset), 5, strategy="hfi", seed=3)
+    catalog = IndexCatalog()
+    catalog.register(LAESA.build(MetricSpace(dataset), pivots))
+    catalog.register(SPBTree.build(MetricSpace(dataset), pivots))
+    return catalog, catalog.save(tmp_path / "shared")
+
+
+def _planted(path):
+    """``path``'s header rewritten to name format 3."""
+    rewrite_header(path, lambda header: {**header, "format_version": 3})
+
+
+def test_a_planted_older_format_is_refused_on_every_load_path(tmp_path):
+    """A current file whose header names format 3 reads only through
+    ``repro migrate``: ``load_index`` refuses it, and so does
+    ``IndexCatalog.load`` of a manifest with that one member among current
+    ones (``/admin/reload``: ``tests/test_http.py::
+    test_reload_refuses_a_malformed_header_and_keeps_serving``)."""
+    _, manifest = _shared_catalog(tmp_path)
+    _planted(tmp_path / "shared.member01.snap")
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        IndexCatalog.load(manifest)
+    _planted(tmp_path / "shared.member00.snap")
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(tmp_path / "shared.member00.snap")
+
+
+def test_a_shared_dataset_catalog_migrates_through_its_manifest(tmp_path):
+    """A catalog whose later members reference the primary's objects
+    migrates through its manifest (a later member's file alone names the
+    manifest): members keep their ids, one dataset, their answers, compdists
+    and stored bytes, and a second migration, in place through the CLI,
+    changes nothing."""
+    catalog, manifest = _shared_catalog(tmp_path)
+    dataset = catalog.primary.index.space.dataset
+    queries = [dataset[i] for i in QUERY_IDS]
+    want = {
+        m.index_id: (_answers(m.index, queries, RADIUS["LA"]), m.index.storage_bytes())
+        for m in catalog.members()
+    }
+    for member in ("shared.member00.snap", "shared.member01.snap"):
+        _planted(tmp_path / member)
+    with pytest.raises(SnapshotError, match="shared.catalog.json"):
+        migrate(tmp_path / "shared.member01.snap", tmp_path / "alone.snap")
+    again = tmp_path / "again.catalog.json"
+    converted = migrate(manifest, again)
+    assert [m.counters.distance_computations for m in converted.members()] == [0, 0]
+    for _ in range(2):  # as migrated, then migrated again in place
+        loaded = IndexCatalog.load(again)
+        assert loaded.ids() == ["LAESA", "SPB-tree"]
+        assert len({id(m.index.space.dataset) for m in loaded.members()}) == 1
+        for m in loaded.members():
+            got = (_answers(m.index, queries, RADIUS["LA"]), m.index.storage_bytes())
+            assert got == want[m.index_id]
+        assert main(["migrate", str(again), str(again)]) == 0

@@ -42,6 +42,7 @@ from repro.service import (
     rebind_counters,
     save_index,
 )
+from repro.service.migrate import migrate
 from repro.storage.pager import Pager
 from repro.storage.raf import RafPage
 from repro.tables import LAESA
@@ -461,15 +462,19 @@ def test_row_major_table_snapshot_loads_through_migrate(migrated, tmp_path, name
 @pytest.mark.parametrize("dataset_name,index_name", [("Words", "FQA")])
 def test_intp_row_ids_restore_as_int32(datasets, pivots, tmp_path, dataset_name, index_name):
     """A row table pickled while its row ids were ``intp`` (an FQA snapshot
-    of format 3 loads without ``repro migrate``) restores them as the
-    ``int32`` a build makes: the same stored bytes, and an insert keeps the
-    dtype.  (EPT / EPT* files of that age are row-major, which ``repro
-    migrate`` converts: ``test_row_major_table_snapshot_loads_through_migrate``.)"""
+    of format 3) restores them, through ``repro migrate``, as the ``int32``
+    a build makes: the same stored bytes, and an insert keeps the dtype.
+    (EPT / EPT* files of that age are row-major, which ``repro migrate``
+    also converts: ``test_row_major_table_snapshot_loads_through_migrate``.)"""
     index = fresh_index(datasets, pivots, dataset_name, index_name)
     built = index.storage_bytes()
     index._row_ids = index._row_ids.astype(np.intp)
     save_index(index, tmp_path / "intp.snap")
-    restored = load_index(tmp_path / "intp.snap")
+    rewrite_header(tmp_path / "intp.snap", lambda header: {**header, "format_version": 3})
+    with pytest.raises(SnapshotError, match="repro migrate"):
+        load_index(tmp_path / "intp.snap")
+    migrate(tmp_path / "intp.snap", tmp_path / "int32.snap")
+    restored = load_index(tmp_path / "int32.snap")
     assert restored._row_ids.dtype == np.int32
     assert restored.storage_bytes() == built
     restored.insert(datasets[dataset_name][3])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CostCounters
+from repro.service.migrate import _MigrationUnpickler
 from repro.storage import BufferPool, Pager, PageStore, RandomAccessFile
 from repro.storage import pager as pager_module
 from repro.storage.raf import IdOutOfBounds, RafPage, _record_bytes, _schema_of
@@ -914,14 +916,18 @@ class TestIdWidths:
         assert raf.pager.store.page_bytes(raf._where(0)[0]) <= page_size
 
     def test_a_locator_of_int64_arrays_narrows_as_it_loads(self):
+        """A RAF pickled when both locator arrays were int64 loads through
+        ``repro migrate``'s unpickler with today's locator."""
         raf = RandomAccessFile(Pager(page_size=4096))
         raf.append_many((np.arange(10), ["r"] * 10))
         raf.mark_deleted(3)
-        state = dict(vars(raf))
-        state["_pages"] = raf._pages.astype(np.int64)
-        state["_slots"] = np.where(raf._pages >= 0, raf._slots, -1).astype(np.int64)
-        old = RandomAccessFile.__new__(RandomAccessFile)
-        old.__setstate__(state)
+        written = RandomAccessFile.__new__(RandomAccessFile)
+        vars(written).update(
+            vars(raf),
+            _pages=raf._pages.astype(np.int64),
+            _slots=np.where(raf._pages >= 0, raf._slots, -1).astype(np.int64),
+        )
+        old = _MigrationUnpickler(io.BytesIO(pickle.dumps(written)), "raf", [], 0).load()
         assert (old._pages.dtype, old._slots.dtype) == (np.int32, np.uint16)
         assert np.array_equal(old._pages, raf._pages)
         assert np.array_equal(old._slots, raf._slots)
