@@ -1,7 +1,7 @@
 """``repro migrate OLD NEW``: the one reader of retired snapshot layouts.
 
-:func:`~repro.service.snapshot.load_index` reads format 4, today's layout,
-only; :func:`migrate` also reads formats 1 to 3, converts every object and
+:func:`~repro.service.snapshot.load_index` reads format 5, today's layout,
+only; :func:`migrate` also reads formats 1 to 4, converts every object and
 page eagerly and saves the index again (a current file's pages come back
 byte for byte).  A class whose pickled state changed shape loads
 as a *stand-in* that becomes the real class, its state converted by the
@@ -18,7 +18,9 @@ its leaves keep their cells (decoded from their keys where a leaf had
 none) and drop their keys, so its marks, cells and answers stay as
 written.  Smaller shapes: a RAF locator of two ``int64`` arrays narrows to
 ``int32`` pages and the narrowest slots (its ``int64`` id pages stay, read
-by their own kinds); FQA row ids pickled as ``intp`` become ``int32``; a
+by their own kinds), and a RAF that filled its pages to a fraction of the
+page drops that fraction (its pages stay as written, later ones fill the
+page); FQA row ids pickled as ``intp`` become ``int32``; a
 pivot mapping pickled with its ``n x l`` table keeps the table's extent
 and drops it, and a LAESA / CPT table drops the extent it kept; a B+-tree
 pickled before values were typed keeps the capacities it was built with,
@@ -336,6 +338,9 @@ def _ept(state):
 
 @_converts(RandomAccessFile)
 def _raf(state):
+    # pages were filled to a fraction of the page size, the slack an
+    # in-place update of a record could grow into; today's fill the page
+    state.pop("fill_factor", None)
     records = state.pop("_open_records", None)
     if records is not None:  # the open page as a record list
         state["_open_page"] = RafPage.from_records(records) if records else None
@@ -440,8 +445,8 @@ def _converted(path, dataset=None):
 
 
 def migrate(old, new):
-    """Convert the snapshot ``old`` (format 1, 2, 3 or 4, any layout the
-    index classes have had) to format 4 and today's layout at ``new``,
+    """Convert the snapshot ``old`` (format 1 to 5, any layout the
+    index classes have had) to format 5 and today's layout at ``new``,
     which may be ``old``; returns the index, its counters started with the
     conversion.  A catalog manifest ``old`` converts member by member, its
     later members' dataset references resolved to its first member's

@@ -32,9 +32,9 @@ provenance, so incompatible snapshots fail fast with a clear error instead
 of unpickling garbage.  Every index upholds the snapshot contract
 documented on :meth:`MetricIndex.prepare_snapshot` (picklable state,
 buffered pages flushed), and :class:`~repro.core.counters.CostCounters`
-drops its lock on pickling.  Format 4 is format 2's bytes, the number
+drops its lock on pickling.  Format 5 is format 2's bytes, the number
 marking that every object and page is in today's layout, and it is the one
-layout check: :func:`load_index` reads format 4 alone, with one plain
+layout check: :func:`load_index` reads format 5 alone, with one plain
 unpickler, and refuses any other with a :class:`SnapshotError` naming
 ``repro migrate`` (:mod:`.migrate`, the one reader of older formats and
 layouts), as it refuses a pickle naming code this build no longer has.  No
@@ -88,9 +88,9 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"REPROSNP"
-SNAPSHOT_FORMAT_VERSION = 4
+SNAPSHOT_FORMAT_VERSION = 5
 # the formats a header may name: all but the current only ``repro migrate`` reads
-_KNOWN_FORMATS = (1, 2, 3, SNAPSHOT_FORMAT_VERSION)
+_KNOWN_FORMATS = (1, 2, 3, 4, SNAPSHOT_FORMAT_VERSION)
 
 # regions start and stay on this boundary: mmap offsets must be multiples
 # of the allocation granularity (4096 on every platform we run on), and

@@ -22,8 +22,8 @@ before it gets here: a B+-tree leaf by one pickled entry's size, an RAF page
 (:class:`~repro.storage.raf.RafPage`) by arithmetic -- an int64 column per
 int field, one ``(slots, *shape)`` block per array field, a UTF-8 blob and
 int32 ends per str field, one tombstone byte a slot, and the page's pickle
-header charged once against ``page_size * fill_factor`` -- so a stored RAF
-page fills its budget and never spans two pages unless one record does.
+header charged once against ``page_size`` -- so a stored RAF page fills
+the page and never spans two pages unless one record does.
 
 A page crosses that boundary with **one** pickle.  A pool of capacity 0 (the
 construction configuration) writes straight through, so a counted

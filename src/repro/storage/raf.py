@@ -4,8 +4,10 @@ The Omni-family, M-index, SPB-tree and DEPT keep the real objects (optionally
 with their pre-computed pivot distances) out of the index structure, in a
 sequential record file.  A record is ``(object id, obj, ...)``, and the file
 is addressed by that id: it keeps a **locator**, one int32 page array and
-one slot array indexed by object id (page -1 and slot 0: no live record),
-filled by the writes and cleared by :meth:`RandomAccessFile.mark_deleted`.
+one slot array indexed by object id, filled by the writes.  Page -1 and
+slot 0 is an id that never had a record; a delete
+(:meth:`RandomAccessFile.mark_deleted`) leaves the id its *dead address*,
+page ``-2 - page`` with the slot kept, so a live record is a page ``>= 0``.
 Every row costs at least its tombstone byte, so a slot number is below the
 page size, and the slot array takes the narrowest unsigned dtype that holds
 it (``np.min_scalar_type(page_size)``: ``uint16`` below 64 KB pages), 6 B
@@ -34,7 +36,14 @@ when it is full (the last one when the call ends), so a construction page
 access is a page of the finished file and not a record.  On LA n = 20 000
 the SPB-tree's RAF costs 1.9 ms this way, 49 ms record by record.
 :meth:`RandomAccessFile.append` is the one-row view of the same body -- the
-insert path -- and costs one write of the open page.
+insert path -- and costs one write of the open page.  A record put back
+under a deleted id (an update: delete, then insert the same object) goes
+into the slot its delete freed when that slot is still a tombstone and the
+record fits the page's own columns in the bytes the deleted one took: one
+write of that page, which then holds what it held before the delete, so an
+update keeps the page layout and the file's size.  Any other record -- a
+new id, one of another size, an int32 id whose page has an int64 id column
+-- appends.
 
 **Page format.**  A page is one :class:`RafPage`: its records stored by
 field, a column per field, and one tombstone byte per slot::
@@ -54,26 +63,27 @@ alone: ``j`` (int32) when it fits int32, ``i`` (int64) when it fits int64
 only, so an id below 2**31 takes 4 B.  A record with no place in the open
 page's columns starts a page of its own schema (so a file written when
 every int was int64 takes ``j`` pages beside its ``i`` ones, each page
-decoding by its own kinds, and an update re-encodes such a page to today's
-kinds); a page started because the last one was full keeps the last one's
-schema (so a pickled column, which takes anything, carries on).  A
-record's size is that arithmetic over its fields; only a field with no
-columnar form (the last row) is sized by pickling it.  A page
+decoding by its own kinds); a page started because the last one was full
+keeps the last one's schema (so a pickled column, which takes anything,
+carries on).  A record's size is that arithmetic over its fields; only a
+field with no columnar form (the last row) is sized by pickling it.  A page
 pickles each column as raw bytes (:func:`pack_column`), so its stored size is its
 payload plus a header of ~90 B: what the page's empty form pickles to, plus
 3 B for each buffer whose length outgrows a one-byte encoding.  The header
-is charged once per page against the ``fill_factor`` budget -- a page takes
-records while ``header + payload <= page_size * fill_factor`` -- so a stored
-page never spans two pages unless a single record does.  ``read`` /
+is charged once per page -- a page takes records while ``header + payload
+<= page_size`` -- so a stored page never spans two pages unless a single
+record does.  No record is ever rewritten to another size in place, so a
+page needs no slack and fills to the page.  ``read`` /
 ``read_many`` / ``read_cached`` return an id's ``(id, obj, ...)`` tuple, an
 array field as a row view of its block; an id with no live record raises
 ``KeyError``.  A page of bare values (records of mixed schemas, pickled
 whole) is read the same way.
 
 Pages are copy-on-write: ``append`` adds one row to the open page's
-columns, ``update`` rewrites one row, ``mark_deleted`` sets one tombstone
-byte, each into a new page object, so a node the buffer pool already holds
-never changes under it.
+columns or, putting a record back, rewrites the one row under its
+tombstone and clears the byte; ``mark_deleted`` sets one tombstone byte;
+each into a new page object, so a node the buffer pool already holds never
+changes under it.
 """
 
 from __future__ import annotations
@@ -337,6 +347,13 @@ class _Column:
         return np.array(self.values[lo:hi], dtype=dtype)
 
 
+def _rows_of(values, rows):
+    """The ``rows`` (positions) of a :class:`_Column`'s values."""
+    if isinstance(values, np.ndarray):
+        return values[rows]
+    return [values[r] for r in rows.tolist()]
+
+
 def _run_end(schema, arity, columns, lo: int) -> int:
     """The end of the run of records from ``lo`` that have a place on a
     page of ``schema`` (``lo`` when record ``lo`` has none)."""
@@ -542,12 +559,12 @@ class RafPage:
     def record(self, slot: int):
         """The record in ``slot`` (None under a tombstone); IndexError past
         the last slot."""
-        if self.dead[slot]:
-            return None
-        values = [
-            _cell(kind, column, slot)
-            for kind, column in zip(self.kinds, self.columns)
-        ]
+        return None if self.dead[slot] else self.cells(slot)
+
+    def cells(self, slot: int):
+        """What ``slot``'s columns hold, under a tombstone too: the record
+        it holds or held."""
+        values = [_cell(kind, column, slot) for kind, column in zip(self.kinds, self.columns)]
         return tuple(values) if self.arity is not None else values[0]
 
     def records(self) -> list:
@@ -566,16 +583,10 @@ class RafPage:
         )
 
     def with_record(self, slot: int, record) -> "RafPage":
-        """This page with ``record`` in ``slot``: one row rewritten, or --
-        a record of another schema -- the page re-encoded to fit it."""
-        if record is None:
-            return self.with_tombstone(slot)
+        """This page with ``record``, which fits its columns, live in
+        ``slot``: one row rewritten."""
         if not 0 <= slot < len(self.dead):
             raise IndexError(slot)
-        if _record_bytes(self.schema, record) is None:
-            records = self.records()
-            records[slot] = record
-            return RafPage.from_records(records)
         fields = (record,) if self.arity is None else record
         columns = tuple(
             _with_cell(kind, column, slot, value)
@@ -601,10 +612,13 @@ class RafPage:
 def _header_bytes(schema) -> int:
     """What a page of ``schema`` pickles to beyond its payload: its empty
     form, plus 3 bytes for each raw buffer (the mask, one a column, two for
-    a str column) whose length outgrows its one-byte pickle encoding."""
+    a str column) whose length outgrows its one-byte pickle encoding, and 1
+    for each buffer but the first, which the empty form pickles as a 2-byte
+    reference to its one empty ``bytes`` and a page as a buffer of its own
+    (a 1-byte memo entry more)."""
     empty = RafPage.encode([], schema)
     buffers = 1 + sum({"o": 0, "s": 2}.get(spec[0], 1) for spec in schema[1])
-    return len(pickle.dumps(empty, protocol=_PROTOCOL)) + 3 * buffers
+    return len(pickle.dumps(empty, protocol=_PROTOCOL)) + 4 * buffers - 1
 
 
 # the locator length a write may always reach: 384 KB at 4 KB pages
@@ -621,24 +635,19 @@ class RandomAccessFile:
 
     Args:
         pager: page allocator/IO with PA counting (shared with the index).
-        fill_factor: fraction of the page size a page is filled to, header
-            included, before a new page opens; < 1 leaves slack so updated
-            records can be rewritten in place without overflowing.
     """
 
-    def __init__(self, pager: Pager, fill_factor: float = 0.9):
-        if not 0 < fill_factor <= 1:
-            raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
+    def __init__(self, pager: Pager):
         self.pager = pager
-        self.fill_factor = fill_factor
         self._open_page_id: int | None = None
         # the open page as last written (copy-on-write: the pool may hold it)
         self._open_page: RafPage | None = None
         self._open_bytes = 0  # its payload, as sizing charged it
         self._count = 0  # live records
 
-    # the locator: an object id's page (-1 where it has none) and slot (0
-    # there); these empty class-level arrays until the first write
+    # the locator: an object id's page and slot; page -1 (slot 0) where it
+    # never had a record, ``-2 - page`` (its slot kept) where its record was
+    # deleted; these empty class-level arrays until the first write
     _pages = np.empty(0, np.int32)
     _slots = np.empty(0, np.uint16)
 
@@ -649,9 +658,9 @@ class RandomAccessFile:
 
     def _limit(self, schema) -> int:
         """Payload bytes a page of ``schema`` takes (header charged)."""
-        budget = int(self.pager.page_size * self.fill_factor)
+        size = self.pager.page_size
         # a pickle frame header (9 B) for every 64 KiB of a large page
-        return budget - _header_bytes(schema) - 9 * (budget >> 16)
+        return size - _header_bytes(schema) - 9 * (size >> 16)
 
     # -- the locator ------------------------------------------------------------
 
@@ -687,6 +696,21 @@ class RandomAccessFile:
             raise KeyError(f"object {object_id} has no live record")
         return self._pages.item(object_id), self._slots.item(object_id)
 
+    def _put_back(self, object_id: int, record) -> bool:
+        """Write ``record`` into the slot the delete of ``object_id`` freed,
+        if that slot is still a tombstone and the record fits the page's own
+        columns in the bytes the deleted one took (one write of the page,
+        which then stores what it did before the delete); False otherwise."""
+        page_id, slot = -2 - self._pages.item(object_id), self._slots.item(object_id)
+        page = self.pager.read(page_id)
+        schema = page.schema
+        nbytes = _record_bytes(schema, record)
+        if not page.dead[slot] or nbytes is None or nbytes != _record_bytes(schema, page.cells(slot)):
+            return False
+        self._write(page_id, page.with_record(slot, record))
+        self._pages[object_id] = page_id
+        return True
+
     def _reserve(self, top: int) -> None:
         """Grow the locator (by an eighth at least) to hold the ids below
         ``top``."""
@@ -721,7 +745,10 @@ class RandomAccessFile:
         array and ``dataset.gather(order)``, a block for vectors and a list
         for strings -- for ``(id, obj, ...)`` records; the ids are
         non-negative, distinct and without a live record, and the id column
-        fills the locator.  The one write body of the file.  Rows are packed
+        fills the locator.  The one write body of the file.  An id with a
+        dead address is put back into its freed slot when the record fits
+        it (module docstring), one write of that page each; the rest
+        append.  Rows are packed
         greedily by their computed size against the page's limit,
         continuing the page left open by the previous call, a page always
         taking at least one row.  The rows are taken a run of one schema at
@@ -752,6 +779,16 @@ class RandomAccessFile:
             )
         if n:  # the locator to the largest id, each page's rows pointed at as it goes
             self._reserve(int(ids.max()) + 1)
+            back = [
+                r
+                for r in np.flatnonzero(self._pages[ids] <= -2).tolist()
+                if self._put_back(ids.item(r), tuple(c.objects(r, r + 1)[0] for c in columns))
+            ]
+            if back:  # the rest append
+                self._count += len(back)
+                rest = np.delete(np.arange(n), back)
+                columns = [_Column(_rows_of(c.values, rest)) for c in columns]
+                ids, n = ids[rest], len(rest)
         page_id, page, used = self._open_page_id, self._open_page, self._open_bytes
         schema = None if page is None else page.schema
         if n and schema == _PICKLED:
@@ -788,33 +825,31 @@ class RandomAccessFile:
         self._count += n
 
     def update(self, object_id: int, record: tuple) -> None:
-        """Rewrite an id's record in place (one row of the page's columns);
-        the record keeps its id."""
-        page_id, slot = self._where(object_id)
+        """Replace an id's record: :meth:`mark_deleted`, then
+        :meth:`append` of ``record``, which takes the freed slot when it
+        fits there (module docstring) and appends otherwise."""
+        self._where(object_id)
         if type(record) is not tuple or record[:1] != (object_id,):
             raise ValueError(f"the record of object {object_id} must start with its id")
-        self._rewrite(page_id, lambda page: page.with_record(slot, record))
-        if page_id == self._open_page_id:
-            self._open_bytes = self._open_page.payload_bytes()
+        self.mark_deleted(object_id)
+        self.append(record)
 
     def mark_deleted(self, object_id: int) -> Any:
-        """Tombstone an id's record (slot positions stay stable), drop it
-        from the locator and return it; KeyError when the id has no live
-        record."""
+        """Tombstone an id's record (slot positions stay stable), leave the
+        id its dead address (``-2 - page``, the slot kept) and return the
+        record; KeyError when the id has no live record."""
         page_id, slot = self._where(object_id)
-        old = self._rewrite(page_id, lambda page: page.with_tombstone(slot))
-        self._pages[object_id], self._slots[object_id] = -1, 0
+        old = self.pager.read(page_id)
+        self._write(page_id, old.with_tombstone(slot))
+        self._pages[object_id] = -2 - page_id
         self._count -= 1
         return old.record(slot)
 
-    def _rewrite(self, page_id: int, change) -> RafPage:
-        """Write ``change(page)`` over the page; returns the page it replaced."""
-        old = self.pager.read(page_id)
-        page = change(old)
+    def _write(self, page_id: int, page: RafPage) -> None:
+        """Write ``page`` over the page ``page_id`` (the open one too)."""
         self.pager.write(page_id, page)
         if page_id == self._open_page_id:
             self._open_page = page
-        return old
 
     # -- reads ----------------------------------------------------------------------
 

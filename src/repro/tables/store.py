@@ -5,10 +5,13 @@ its slot map) as ``l x capacity`` arrays, the live rows first, beside an
 ``int32`` id column.  ``view.table`` is the live ``n x l`` table as a
 column-major view, which the bound kernel and the cascade read in place.
 An insert writes its row into the spare room, grown by an eighth when it
-runs out; a delete writes a tombstone (id -1) over a copy of the id
-column, and the row stays, so the live rows keep their insertion order and
-every answer and distance count is the table's without it (the cascade's
-per-stage counts include its cells).  Past an eighth of the used slots in
+runs out; a delete writes a tombstone over a copy of the id column -- the
+id's complement ``~id``, negative as every tombstone is -- and the row
+stays, so the live rows keep their insertion order and every answer and
+distance count is the table's without it (the cascade's per-stage counts
+include its cells).  An insert that puts an id back whose tombstoned row
+holds its cells (and slots) bit for bit publishes that row live again, in
+a copy of the id column, and writes no row.  Past an eighth of the used slots in
 tombstones the live rows are copied, in order, into fresh arrays with an
 eighth to spare.  Each write publishes one immutable :class:`TableView`
 (cells, ids, used count, slack, tombstones) with one attribute store, and
@@ -38,7 +41,7 @@ __all__ = ["ColumnStore", "ColumnTable", "PivotTable", "TableView"]
 
 class TableView(NamedTuple):
     """One state of a :class:`ColumnStore`: ``l x capacity`` cells (and
-    slot columns), ``capacity`` ids (-1 for a tombstone), of which the
+    slot columns), ``capacity`` ids (``~id`` for a tombstone), of which the
     first ``used`` are the table; ``slack`` covers every cell of them."""
 
     cells: np.ndarray
@@ -138,9 +141,16 @@ class ColumnStore:
 
     def append(self, object_id: int, cells, slack: float = 0.0, slots=None) -> None:
         """Write a row past the live ones, then publish it with the slack
-        widened to ``slack``."""
+        widened to ``slack`` -- or, when a tombstone of ``object_id`` holds
+        these cells (and slots) bit for bit, publish that row live again."""
         with self._writing:
             view = self.view
+            at = self._revivable(view, object_id, cells, slots)
+            if at >= 0:
+                ids = view.ids.copy()
+                ids[at] = object_id
+                self.view = view._replace(ids=ids, dead=view.dead - 1, slack=max(view.slack, slack))
+                return
             at = view.used
             if at == view.ids.shape[0]:
                 view = _moved(view, slice(0, at), at + max(1, at // 8))
@@ -150,6 +160,25 @@ class ColumnStore:
             view.ids[at] = object_id
             self.view = view._replace(used=at + 1, slack=max(view.slack, slack))
 
+    @staticmethod
+    def _revivable(view: TableView, object_id: int, cells, slots) -> int:
+        """A row tombstoned for ``object_id`` whose cells (and slots) are
+        ``cells`` (and ``slots``) as the store holds them, bit for bit; -1
+        if none."""
+        rows = np.flatnonzero(view.row_ids == ~object_id)
+        if not rows.size:
+            return -1
+        want = np.asarray(cells, dtype=view.cells.dtype).tobytes()
+        if slots is not None:
+            want += np.asarray(slots, dtype=view.slots.dtype).tobytes()
+        for at in rows.tolist():
+            held = view.cells[:, at].tobytes()
+            if slots is not None:
+                held += view.slots[:, at].tobytes()
+            if held == want:
+                return at
+        return -1
+
     def remove(self, object_id: int) -> None:
         """Tombstone ``object_id``'s row; compact past an eighth."""
         with self._writing:
@@ -158,7 +187,7 @@ class ColumnStore:
             if at < 0:
                 raise NotIndexed(f"object {object_id} is not in the table")
             ids = view.ids.copy()
-            ids[at] = -1
+            ids[at] = ~object_id
             view = view._replace(ids=ids, dead=view.dead + 1)
             if 8 * view.dead > view.used:
                 live = np.flatnonzero(view.row_ids >= 0)
@@ -175,7 +204,7 @@ class ColumnTable(MetricIndex):
 
     use_validation = False
 
-    # the live table, column-major, and its row ids (-1 for a tombstone)
+    # the live table, column-major, and its row ids (negative for a tombstone)
     _rows = property(lambda self: self.table.view.table)
     _row_ids = property(lambda self: self.table.view.row_ids)
 

@@ -476,13 +476,14 @@ def _raf_pages(index):
     return page_ids, [index.pager.store.read(page_id) for page_id in page_ids]
 
 
-def _page_limit(schema, page_size, fill_factor=0.9):
-    """Payload a page of ``schema`` takes: the budget less the header (the
-    empty page's pickle, and 3 B for each raw buffer: the mask, one an int
-    or array column, two a str column)."""
+def _page_limit(schema, page_size):
+    """Payload a page of ``schema`` takes: the page less the header (the
+    empty page's pickle, 3 B for each raw buffer -- the mask, one an int
+    or array column, two a str column -- and 1 B for each but the first,
+    which the empty page pickles as a reference to its first)."""
     buffers = 1 + sum(2 if spec == ("s",) else 1 for spec in schema[1])
     empty = pickle.dumps(RafPage.encode([], schema), protocol=pickle.HIGHEST_PROTOCOL)
-    return int(page_size * fill_factor) - len(empty) - 3 * buffers
+    return page_size - len(empty) - 4 * buffers + 1
 
 
 RAF_FIXTURE_BUILDERS = {

@@ -388,16 +388,18 @@ def test_expanding_radius_rounds_stop_once_every_object_is_verified(
 
 
 def test_expanding_radius_rounds_read_records_in_page_order(metric_datasets, monkeypatch):
-    """Each round reads a query's new candidates in page order, also once
-    re-inserts have moved records out of id order."""
+    """Each round reads a query's new candidates in page order, which on
+    the M-index (records in cluster order) is not id order -- also after
+    updates, which put each record back into its own slot."""
     dataset = metric_datasets["euclidean"]
     pivots = select_pivots(MetricSpace(dataset), N_PIVOTS, strategy="hfi", seed=3)
-    index = OmniBPlusTree.build(MetricSpace(dataset, CostCounters()), pivots)
-    for object_id in range(0, 120, 3):  # their records move to new pages
+    index = MIndex.build(MetricSpace(dataset, CostCounters()), pivots)
+    for object_id in range(0, 120, 3):
         index.delete(object_id)
         index.insert(dataset[object_id], object_id)
     rounds: list[list[int]] = []
     read_cached = index.raf.read_cached
+    pages = index.pager.batch_reader()
 
     def spy(cache, object_id):
         rounds[-1].append(object_id)
@@ -405,7 +407,7 @@ def test_expanding_radius_rounds_read_records_in_page_order(metric_datasets, mon
 
     def candidates_many(qmat, radius, active):
         rounds.append([])
-        return index._candidates_many(qmat, radius, active)
+        return index._candidates_many(qmat, radius, active, pages)
 
     monkeypatch.setattr(index.raf, "read_cached", spy)
     answers = expanding_radius_knn(index, [dataset[1]], 40, 1.0, candidates_many)

@@ -808,16 +808,15 @@ def test_snapshot_with_list_pages_still_loads(migrated, tmp_path, name):
     got, want = _external_answers(index, queries, 900.0, gone={31})
     assert got == want
 
-    # a delete and re-insert of a live id
+    # a delete and re-insert of a live id: the record goes back into its slot
     old_page, old_slot = raf._where(12)
-    open_page, open_slots = raf._open_page_id, len(raf._open_page)
     index.delete(12)
     assert 12 not in raf
     assert type(index.pager.read(old_page)) is RafPage
     assert index.pager.read(old_page).record(old_slot) is None
     assert index.insert(dataset[12], object_id=12) == 12
-    assert raf._where(12) == (open_page, open_slots)
-    assert type(index.pager.read(open_page)) is RafPage
+    assert raf._where(12) == (old_page, old_slot)
+    assert type(index.pager.read(old_page)) is RafPage
     assert raf.read(12)[0] == 12
     got, want = _external_answers(index, queries, 900.0, gone={31})
     assert got == want

@@ -268,7 +268,7 @@ def test_v2_snapshot_grows_memmap_regions(datasets, built_indexes, tmp_path):
     path = tmp_path / "laesa.v2.snap"
     whole_pickle = len(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
     v2_info = save_index(index, path)
-    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 4
+    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 5
     assert v2_info.n_regions > 0
     assert v2_info.region_bytes > 0
     # the bytes moved, they didn't duplicate: the v2 pickle shrinks by

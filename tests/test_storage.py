@@ -337,47 +337,84 @@ class TestRandomAccessFile:
         pages = {raf._where(i)[0] for i in range(30)}
         assert counters.page_reads == len(pages)
 
-    def test_update_and_tombstone(self):
+    def test_put_back_and_tombstone(self):
         raf = RandomAccessFile(Pager(page_size=256))
         raf.append((0, "old"))
-        raf.update(0, (0, "new"))
-        assert raf.read(0) == (0, "new")
+        raf.append((1, "next"))
         page, slot = raf._where(0)
         raf.mark_deleted(0)
-        assert 0 not in raf and len(raf) == 0
+        assert 0 not in raf and len(raf) == 1 and not raf.live([0]).any()
         assert raf.pager.read(page).record(slot) is None
+        assert (raf._pages[0], raf._slots[0]) == (-2 - page, slot)  # its dead address
         with pytest.raises(KeyError):
             raf.read(0)
         with pytest.raises(KeyError):
             raf.mark_deleted(0)  # a second delete
-        raf.append((0, "again"))  # the id takes a new slot
-        assert raf._where(0) == (page, slot + 1) and raf.read(0) == (0, "again")
+        writes = raf.pager.counters.page_writes
+        raf.append((0, "new"))  # the bytes it took: put back into its own slot
+        assert raf._where(0) == (page, slot) and raf.read(0) == (0, "new")
+        assert raf.pager.counters.page_writes == writes + 1 and len(raf) == 2
+        assert raf.pager.read(page).records() == [(0, "new"), (1, "next")]
+        raf.mark_deleted(0)
+        raf.append((0, "again"))  # another size: the id takes a new slot
+        assert raf._where(0) == (page, 2) and raf.read(0) == (0, "again")
+        assert raf.pager.read(page).record(slot) is None  # the freed slot stays freed
+        raf.append((2, "fresh"))  # a new id: the open page's next slot
+        assert raf._where(2) == (page, 3) and raf.read(1) == (1, "next")
+        raf.update(1, (1, "then"))  # a delete and a put-back
+        assert raf._where(1) == (page, 1) and raf.read(1) == (1, "then")
+        raf.update(1, (1, "longer"))
+        assert raf._where(1) == (page, 4) and len(raf) == 3
+        with pytest.raises(KeyError):
+            raf.update(9, (9, "none"))
+        with pytest.raises(ValueError, match="id"):
+            raf.update(1, (2, "another id"))
+
+    def test_a_record_that_does_not_fit_its_freed_slot_appends(self):
+        """Put back under its id, a record of another size or schema is
+        appended, and the slot its delete freed is not written."""
+        for other in ("a longer word", np.zeros(2), 7):
+            raf = RandomAccessFile(Pager(page_size=4096))
+            raf.append_many((np.arange(4), ["word"] * 4))
+            page_id, slot = raf._where(1)
+            raf.mark_deleted(1)
+            freed = raf.pager.read(page_id)
+            raf.append((1, other))
+            assert raf._where(1) != (page_id, slot) and _same(raf.read(1), (1, other))
+            now = raf.pager.read(page_id)
+            assert now.record(slot) is None and now.cells(slot) == (1, "word")
+            assert all(now.record(i) == freed.record(i) for i in range(len(freed)))
+            assert len(raf) == 4
+
+    def test_a_dead_address_on_a_live_slot_is_not_written(self):
+        """A put-back writes a slot only while it is a tombstone: an id
+        whose dead address names a live record's slot appends."""
+        raf = RandomAccessFile(Pager(page_size=4096))
+        raf.append_many((np.arange(3), ["word"] * 3))
+        page_id, _ = raf._where(0)
+        raf.mark_deleted(0)
+        raf._slots[0] = raf._where(2)[1]  # a locator that no longer matches its page
+        raf.append((0, "mine"))
+        assert raf.read(2) == (2, "word") and raf.read(0) == (0, "mine")
+        assert raf._where(0) == (page_id, 3)
 
     def test_bad_pointer(self):
-        """Ids with no live record raise ``KeyError``; an update that
-        changes the id and an append under a live id raise ``ValueError``."""
+        """Ids with no live record raise ``KeyError``; an append under a
+        live id (or of no int id) raises ``ValueError``."""
         raf = RandomAccessFile(Pager(page_size=256))
         raf.append((0, "x"))
         for missing in (1, 99, -1):
             with pytest.raises(KeyError):
                 raf.read(missing)
             with pytest.raises(KeyError):
-                raf.update(missing, (missing, "y"))
-            with pytest.raises(KeyError):
                 raf.mark_deleted(missing)
         with pytest.raises(KeyError):
             raf.read_many([0, 1])
-        with pytest.raises(ValueError, match="id"):
-            raf.update(0, (1, "y"))
         writes = raf.pager.counters.page_writes
         for ids in ([0], [-1], ["a"], [2**64]):
             with pytest.raises(ValueError):
                 raf.append_many((ids, ["y"]))
         assert raf.pager.counters.page_writes == writes and raf.read(0) == (0, "x")
-
-    def test_fill_factor_validation(self):
-        with pytest.raises(ValueError):
-            RandomAccessFile(Pager(), fill_factor=0.0)
 
     def test_oversized_record_gets_own_page(self):
         pager = Pager(page_size=128)
@@ -571,14 +608,11 @@ class TestAppendManyOracle:
             lambda calls: st.integers(1, 5).map(lambda k: calls[:k])
         ),
         page_size=st.sampled_from([128, 512, 1024, 4096]),
-        fill_factor=st.sampled_from([0.5, 0.9, 1.0]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_pointers_and_every_blob_equal_the_per_record_packer(
-        self, calls, page_size, fill_factor
-    ):
-        ref = RandomAccessFile(Pager(page_size=page_size), fill_factor)
-        raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
+    def test_pointers_and_every_blob_equal_the_per_record_packer(self, calls, page_size):
+        ref = RandomAccessFile(Pager(page_size=page_size))
+        raf = RandomAccessFile(Pager(page_size=page_size))
         for records, columns in calls:  # each call continues the page left open
             _per_record_append(ref, records)
             raf.append_many(columns)
@@ -770,18 +804,22 @@ class TestRafPageCodec:
         assert raf.read(2) == (2, "word")
         assert raf.read(3)[1].dtype == np.float32
 
-    def test_update_to_another_schema_re_encodes_the_page(self):
+    def test_records_of_two_schemas_re_encode_to_a_page_of_bare_values(self):
+        """``from_records`` (the one re-encoding, which ``repro migrate``
+        uses for a record-list page): a page of vectors with a word among
+        them is one of records pickled whole, tombstones kept."""
+        records = [(i, np.full(2, float(i))) for i in range(5)]
+        records[2], records[3] = (2, "now a word"), None
+        page = pickle.loads(pickle.dumps(RafPage.from_records(records)))
+        assert (page.arity, page.kinds, page.dead) == (None, "o", bytes([0, 0, 0, 1, 0]))
+        assert all(_same(got, want) for got, want in zip(page.records(), records))
+        # a RAF whose open page is such a page takes records whole after it
         raf = RandomAccessFile(Pager(page_size=4096))
-        where = _append_all(raf, [(i, np.full(2, float(i))) for i in range(5)])
-        raf.update(2, (2, "now a word"))
-        page = raf.pager.read(where[0][0])
-        assert (page.arity, page.kinds) == (None, "o")  # records pickled whole
-        assert raf.read(2) == (2, "now a word")
-        for i in (0, 1, 3, 4):
-            assert _same(raf.read(i), (i, np.full(2, float(i))))
-        # and the open page still takes records of its new schema
+        raf.append((0, "x"))
+        raf._open_page = page
+        raf.pager.write(raf._open_page_id, page)
         raf.append((5, np.zeros(2)))
-        assert raf._where(5) == (where[0][0], 5)
+        assert raf._where(5) == (raf._open_page_id, 5) and _same(raf.read(5), (5, np.zeros(2)))
 
     def test_writes_change_one_row_never_the_page_record_by_record(self, monkeypatch):
         raf = self._raf(cache_bytes=64 * 1024)
@@ -800,39 +838,41 @@ class TestRafPageCodec:
         assert decoded == [3] and tombstoned[0] == 3 and tombstoned[1][0] == 3.0
         deleted = raf.pager.read(page_id)
         assert deleted.columns is before.columns  # one tombstone byte
-        raf.update(4, (4, np.full(2, 40.0)))
-        updated = raf.pager.read(page_id)
-        assert updated.columns[1] is not deleted.columns[1]
+        raf.append((3, np.full(2, 30.0)))  # put back: the row under its tombstone
+        put_back = raf.pager.read(page_id)
+        assert raf._where(3) == (page_id, 3) and put_back.dead == bytes(20)
+        assert put_back.columns[1] is not deleted.columns[1]
         assert np.array_equal(
-            np.delete(updated.columns[1], 4, axis=0),
-            np.delete(deleted.columns[1], 4, axis=0),
+            np.delete(put_back.columns[1], 3, axis=0),
+            np.delete(deleted.columns[1], 3, axis=0),
         )
         raf.append((20, np.full(2, 20.0)))
         appended = raf.pager.read(page_id)
-        assert len(appended) == 21 and len(updated) == 20
-        assert decoded == [3]  # update and append decoded no record
+        assert len(appended) == 21 and len(put_back) == 20
+        assert decoded == [3]  # put-back and append decoded no record
         monkeypatch.undo()
         # copy-on-write: each pooled node kept what it held
         assert before.dead == bytes(20)
-        assert deleted.record(3) is None and deleted.record(4)[1][0] == 4.0
-        assert updated.record(4)[1][0] == 40.0 and appended.record(20)[0] == 20
+        assert deleted.record(3) is None and deleted.cells(3)[1][0] == 3.0
+        assert put_back.record(3)[1][0] == 30.0 and appended.record(20)[0] == 20
 
     def test_pages_fill_to_the_budget_header_included(self):
-        """Fixed-size records: the page count is the arithmetic minimum."""
+        """Fixed-size records: the page count is the arithmetic minimum,
+        each page filled to the page size, its header included."""
         records = _records(1000)["id, vector, mapped"]
-        for page_size, fill_factor in ((1024, 0.9), (4096, 0.9), (4096, 1.0)):
-            raf = RandomAccessFile(Pager(page_size=page_size), fill_factor)
+        for page_size in (1024, 4096):
+            raf = RandomAccessFile(Pager(page_size=page_size))
             where = _append_all(raf, records)
             schema = _schema_of(records[0])
             empty = RafPage.encode([], schema)
-            # the empty page's pickle, and 3 B for each of its 4 buffers
-            header = len(pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)) + 3 * 4
-            per_page = (int(page_size * fill_factor) - header) // (4 + 16 + 16 + 1)
+            # the empty page's pickle, 3 B for each of its 4 buffers and 1
+            # for each but the first (the empty page pickles a reference)
+            header = len(pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)) + 4 * 4 - 1
+            per_page = (page_size - header) // (4 + 16 + 16 + 1)
             pages = {page for page, _ in where}
             assert len(pages) == -(-len(records) // per_page)
-            assert max(raf.pager.store.page_bytes(p) for p in pages) <= (
-                page_size * fill_factor
-            )
+            sizes = [raf.pager.store.page_bytes(p) for p in pages]
+            assert max(sizes) <= page_size < max(sizes) + 4 + 16 + 16 + 1
 
 
 # -- id and slot widths ---------------------------------------------------------
@@ -871,7 +911,7 @@ class TestIdWidths:
         ]
         raf.mark_deleted(4)
         assert 4 not in raf and raf.read(5) == (5, 11) and len(raf) == 5
-        assert (raf._pages[4], raf._slots[4]) == (-1, 0)
+        assert (raf._pages[4], raf._slots[4]) == (-2 - 1, 0)  # its dead address
 
     def test_an_id_past_the_locator_bound_is_refused_before_any_allocation(self):
         """The locator is dense in the id: a write may take it to twice its
@@ -916,20 +956,26 @@ class TestIdWidths:
         assert raf.pager.store.page_bytes(raf._where(0)[0]) <= page_size
 
     def test_a_locator_of_int64_arrays_narrows_as_it_loads(self):
-        """A RAF pickled when both locator arrays were int64 loads through
+        """A RAF pickled when both locator arrays were int64 (page and slot
+        -1 for a deleted id, which kept no dead address) loads through
         ``repro migrate``'s unpickler with today's locator."""
         raf = RandomAccessFile(Pager(page_size=4096))
         raf.append_many((np.arange(10), ["r"] * 10))
         raf.mark_deleted(3)
+        live = raf._pages >= 0
         written = RandomAccessFile.__new__(RandomAccessFile)
         vars(written).update(
             vars(raf),
-            _pages=raf._pages.astype(np.int64),
-            _slots=np.where(raf._pages >= 0, raf._slots, -1).astype(np.int64),
+            _pages=np.where(live, raf._pages, -1).astype(np.int64),
+            _slots=np.where(live, raf._slots, -1).astype(np.int64),
+            fill_factor=0.9,
         )
         old = _MigrationUnpickler(io.BytesIO(pickle.dumps(written)), "raf", [], 0).load()
         assert (old._pages.dtype, old._slots.dtype) == (np.int32, np.uint16)
-        assert np.array_equal(old._pages, raf._pages)
-        assert np.array_equal(old._slots, raf._slots)
+        assert np.array_equal(old._pages, np.where(live, raf._pages, -1))
+        assert np.array_equal(old._slots, np.where(live, raf._slots, 0))
+        assert "fill_factor" not in vars(old)
         assert old.locator_bytes() == raf.locator_bytes() == 6 * len(raf._pages)
         assert [old.read(i) for i in (0, 9)] == [(0, "r"), (9, "r")] and 3 not in old
+        old.append((3, "r"))  # no dead address: it appends
+        assert old._where(3) == (old._where(0)[0], 10)

@@ -195,6 +195,7 @@ def test_widened_table_is_exact_across_updates_and_snapshots(
 
     # interleaved delete + re-insert, a continuation pivot among the victims
     victims = [3, index.mapping.pivot_ids[-1], 77, 150]
+    rows = [index.table.find(object_id) for object_id in victims]
     counters = index.space.counters
     for object_id in victims:
         index.delete(object_id)
@@ -204,9 +205,9 @@ def test_widened_table_is_exact_across_updates_and_snapshots(
         index.insert(dataset[object_id], object_id=object_id)
         if index_name == "LAESA":  # one counted call, one computation a column
             assert counters.distance_computations - before == 12
-    # the four deletes left tombstones beside the 199 live rows, in order
-    assert index._rows.shape == (203, 12) and len(index.table) == 199
-    assert [int(i) for i in index._row_ids[-3:]] == victims[:3]
+    # each re-insert revived its own row: the rows as built, the fourth a tombstone
+    assert index._rows.shape == (200, 12) and len(index.table) == 199
+    assert [index.table.find(object_id) for object_id in victims[:3]] == rows[:3]
     _assert_exact(index, dataset, queries, radius, gone=victims[3:])
 
     save_index(index, tmp_path / "wide.snap")
@@ -220,11 +221,11 @@ def test_widened_table_is_exact_across_updates_and_snapshots(
     _assert_exact(restored, dataset, queries, radius, gone=victims[3:])
     restored.insert(dataset[150], object_id=150)
     _assert_exact(restored, dataset, queries, radius)
-    # what a fresh build stores, and the four tombstoned rows (12 cells, an id)
-    assert restored.table.view.dead == len(victims)
+    # what a fresh build stores: every victim's row revived where it was built
+    assert restored.table.view.dead == 0 and restored.table.find(150) == rows[3]
     assert restored.storage_bytes()["memory"] == fresh_index(
         datasets, pivots, "Color", index_name
-    ).storage_bytes()["memory"] + len(victims) * (4 * 12 + 4)
+    ).storage_bytes()["memory"]
 
 
 def test_snapshot_written_with_two_table_copies_still_loads(migrated):
