@@ -9,10 +9,9 @@ makes every filter in :mod:`repro.core.pivot_filter` safe.
 the pivots, the query mapping and, per pivot, the extent of every object
 mapped.  The vectors I(o) live in the indexes' pages: a build stores what
 it needs of :meth:`PivotMapping.build_table` and drops the rest.  LAESA's
-table keeps ``float32`` cells instead (:class:`~repro.tables.store.PivotTable`),
-narrowed a column at a time as each is computed (:class:`CellRounding`);
-its ``slack`` is what every bound over those cells gives up
-(:mod:`repro.core.staged`).
+table keeps ``uint16`` codes instead (:class:`~repro.tables.store.PivotTable`),
+coded a column at a time as each is computed; their grid's ``slack`` is
+what every bound over them gives up (:mod:`repro.core.staged`).
 """
 
 from __future__ import annotations
@@ -23,54 +22,7 @@ import numpy as np
 
 from .metric_space import MetricSpace
 
-__all__ = ["CellRounding", "PivotMapping", "narrowed"]
-
-# what a row that rounds adds to the slack for the float64 rounding of the
-# bounds over it, as a share of its largest cell: a Ptolemaic cell rounds by
-# under 4 ulps of that cell per unit of d(q, p_i) + d(q, p_j), a Lemma 1
-# term by one; this is 32
-_ARITHMETIC_ROOM = 2.0**-48
-
-
-class CellRounding:
-    """What narrowing ``float64`` columns to ``float32`` cells costs, a
-    column at a time: per row, its largest |float32(v) - v| (exact in
-    ``float64``) and its largest cell.  :meth:`slack` is 0 when every cell
-    is exact; else the largest, over the rows that round, of the row's
-    error plus ``_ARITHMETIC_ROOM`` of its largest cell, widened by one
-    ulp: no bound over the cells is then above (Lemma 4: below) the
-    ``float64`` table's, rounding included.
-    """
-
-    def __init__(self, n: int):
-        self.error, self.largest, self._gap = np.zeros(n), np.zeros(n), np.empty(n)
-
-    def put(self, cells: np.ndarray, values: np.ndarray) -> None:
-        """Narrow the ``float64`` column ``values`` into ``cells``, one
-        ``float32`` column, and account for its rounding."""
-        cells[...] = values
-        gap = self._gap
-        np.subtract(cells, values, out=gap)
-        np.maximum(self.error, np.abs(gap, out=gap), out=self.error)
-        np.maximum(self.largest, np.abs(cells), out=self.largest)
-
-    def slack(self) -> float:
-        rounds = self.error > 0.0
-        if not rounds.any():
-            return 0.0
-        room = self.error[rounds] + _ARITHMETIC_ROOM * self.largest[rounds]
-        return float(np.nextafter(room.max(), np.inf))
-
-
-def narrowed(table) -> tuple[np.ndarray, float]:
-    """``table`` (``float64``, ``n x l``) as ``float32`` cells, and its
-    slack (:class:`CellRounding`): how an inserted row is narrowed."""
-    table = np.asarray(table, dtype=np.float64)
-    cells = np.empty(table.shape, dtype=np.float32)
-    rounding = CellRounding(table.shape[0])
-    for column in range(table.shape[1]):
-        rounding.put(cells[:, column], table[:, column])
-    return cells, rounding.slack()
+__all__ = ["PivotMapping"]
 
 
 class PivotMapping:

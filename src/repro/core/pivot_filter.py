@@ -28,15 +28,21 @@ way, and max, min and abs are exact, so both forms agree bit for bit: the
 choice follows the input's size and is not an option.
 
 The column form reads a column-major table -- a pivot table's store
-(:mod:`repro.tables.store`) -- in place, ``float32`` cells included, each
-term widening its column exactly; a row-major one (node boxes, the Omni
-sequential file's blocks) is copied once a call to ``float64`` columns
-(:func:`columns_of`).  The input's layout decides, not an option.
+(:mod:`repro.tables.store`) -- in place; a row-major one (node boxes, the
+Omni sequential file's blocks) is copied once a call to ``float64``
+columns (:func:`columns_of`).  The input's layout decides, not an option.
+A store's table is ``uint16`` codes, handed in with their
+:class:`~repro.core.quantise.Grid`: the fold reads the raw codes against
+the query's distances in steps (:meth:`~repro.core.quantise.Grid.in_steps`)
+and scales the result, which is the bound over the decoded cells bit for
+bit, with no pass that decodes the table.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .quantise import Grid
 
 __all__ = [
     "lower_bound_many_queries",
@@ -59,9 +65,9 @@ _QUERY_CHUNK_FLOATS = 1_000_000
 
 
 def _object_rows(object_pivot_matrix) -> np.ndarray:
-    """Normalize an object-pivot table to a 2-D ``n x l`` array: ``float32``
-    cells stay as they are (the bounds widen what they read), anything else
-    becomes ``float64``.
+    """Normalize an object-pivot table to a 2-D ``n x l`` array: ``uint16``
+    codes stay as they are (read through their grid), anything else becomes
+    ``float64``.
 
     Accepts the degenerate shapes the empty-table / empty-pivot edges
     produce: a 0-d scalar and a 1-D empty array (both mean zero objects),
@@ -69,7 +75,7 @@ def _object_rows(object_pivot_matrix) -> np.ndarray:
     pivot distances).
     """
     mat = np.asarray(object_pivot_matrix)
-    if mat.dtype != np.float32:
+    if mat.dtype != np.uint16:
         mat = mat.astype(np.float64, copy=False)
     if mat.ndim == 2:
         return mat
@@ -105,11 +111,15 @@ def columns_of(table, picks=slice(None)):
     return np.ascontiguousarray(table.T[picks], dtype=np.float64)
 
 
-def _fold(query_pivot_matrix, terms, reduce, empty: float, picks) -> np.ndarray:
+def _fold(
+    query_pivot_matrix, terms, reduce, empty: float, picks, grid: Grid | None = None, side=0.0
+) -> np.ndarray:
     """The ``q x n`` fold with ``reduce`` (``np.maximum`` / ``np.minimum``)
     of ``term(d(q,p), table column)`` over the pivot columns ``picks`` of
     every ``(term, table)`` pair in ``terms``, one a column of
-    ``query_pivot_matrix``; ``empty`` where there is no term.
+    ``query_pivot_matrix``; ``empty`` where there is no term.  Tables of
+    codes on ``grid`` are folded in steps, the query moved ``side``
+    centres, and the result scaled back.
     """
     qmat = np.asarray(query_pivot_matrix, dtype=np.float64)
     if qmat.ndim != 2:
@@ -118,6 +128,10 @@ def _fold(query_pivot_matrix, terms, reduce, empty: float, picks) -> np.ndarray:
     n_queries, n_objects = qmat.shape[0], terms[0][1].shape[0]
     if qmat.size == 0 or n_objects == 0:
         return np.full((n_queries, n_objects), empty)
+    if grid is not None:
+        out = _fold(grid.in_steps(qmat, side), terms, reduce, empty, picks)
+        out *= grid.step
+        return out
     if n_queries * n_objects * qmat.shape[1] <= _WHOLE_FLOATS:
         whole = qmat[:, None, :]
         cells = terms[0][0](whole, terms[0][1][:, picks])
@@ -142,29 +156,35 @@ def _fold(query_pivot_matrix, terms, reduce, empty: float, picks) -> np.ndarray:
     return out
 
 
-def lower_bound_many_queries(query_pivot_matrix, lows, highs=None, picks=slice(None)):
+def lower_bound_many_queries(
+    query_pivot_matrix, lows, highs=None, picks=slice(None), grid: Grid | None = None
+):
     """Lemma 1: ``q x n`` lower bounds of d(q_i, o_j).
 
-    ``lows`` is the ``n x l`` table of mapped rows I(o_j); with ``highs``
-    the two are the low and high corners of ``n`` boxes, and entry (i, j)
-    bounds every object inside box j: the L-infinity distance from I(q_i)
-    to the box, 0 when I(q_i) is inside it.  ``picks`` selects the table's
-    pivot columns, one a column of ``query_pivot_matrix``.
+    ``lows`` is the ``n x l`` table of mapped rows I(o_j) -- codes, with
+    their ``grid`` -- or with ``highs`` the two are the low and high
+    corners of ``n`` boxes, and entry (i, j) bounds every object inside box
+    j: the L-infinity distance from I(q_i) to the box, 0 when I(q_i) is
+    inside it.  ``picks`` selects the table's pivot columns, one a column
+    of ``query_pivot_matrix``.
     """
     if highs is None:
-        return _fold(query_pivot_matrix, [(_distance, lows)], np.maximum, 0.0, picks)
+        terms = [(_distance, lows)]
+        return _fold(query_pivot_matrix, terms, np.maximum, 0.0, picks, grid, -1.0)
     terms = [(_below, lows), (_above, highs)]
     out = _fold(query_pivot_matrix, terms, np.maximum, 0.0, picks)
     return np.maximum(out, 0.0, out=out)
 
 
-def upper_bound_many_queries(query_pivot_matrix, highs) -> np.ndarray:
+def upper_bound_many_queries(query_pivot_matrix, highs, grid: Grid | None = None) -> np.ndarray:
     """Lemma 4: ``q x n`` upper bounds of d(q_i, o_j), min_p d(q,p) + d(o,p).
 
-    ``highs`` is the ``n x l`` table of mapped rows, or the high corners of
-    ``n`` boxes -- then entry (i, j) bounds every object inside box j.
+    ``highs`` is the ``n x l`` table of mapped rows (codes, with their
+    ``grid``), or the high corners of ``n`` boxes -- then entry (i, j)
+    bounds every object inside box j.
     """
-    return _fold(query_pivot_matrix, [(np.add, highs)], np.minimum, np.inf, slice(None))
+    terms = [(np.add, highs)]
+    return _fold(query_pivot_matrix, terms, np.minimum, np.inf, slice(None), grid, 1.0)
 
 
 # -- Ptolemaic bounds ---------------------------------------------------------

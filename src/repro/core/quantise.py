@@ -397,3 +397,84 @@ def gap_tables(frames, dists) -> np.ndarray:
     low, high = columns.bounds(np.arange(frames[0].cells))
     dq = np.asarray(dists, dtype=np.float64)[..., None]
     return np.maximum(np.maximum(low - dq, dq - high), 0.0)
+
+
+# a pivot table's codes: 2^16 cells of one step from 0
+GRID_CELLS = 1 << 16
+# what a code's decoded centre adds to the slack beyond its half step, in
+# steps, for the float64 rounding of the bounds over it: a Ptolemaic cell
+# rounds by under 4 ulps of its largest cell per unit of d(q, p_i) +
+# d(q, p_j), a Lemma 1 term by one, and no cell reaches 2^16 steps; this
+# is 32 ulps of 2^16 steps
+_ROOM = 2.0**-32
+
+
+def cell_slack(step: float) -> float:
+    """What a bound over centre-decoded codes of ``step`` gives up: half a
+    step, the arithmetic room, one ulp more."""
+    return math.nextafter((0.5 + _ROOM) * step, math.inf)
+
+
+class Grid(NamedTuple):
+    """The one cell format of a pivot table (:mod:`repro.tables.store`):
+    ``uint16`` codes on a uniform grid of ``step``, a power of two, from 0.
+    Distance ``v`` is code ``floor(v / step)``.  On an *exact* grid (slack
+    0: every distance stored sits on its code's low edge, as whole-number
+    distances do on a step at most 1) a code decodes to ``c * step``;
+    otherwise to its cell's centre ``(c + 1/2) * step``, and ``slack`` --
+    at least :func:`cell_slack` -- covers every cell.  The step being a
+    power of two makes every decode and every change of units exact."""
+
+    step: float
+    slack: float = 0.0
+
+    @property
+    def centre(self) -> float:
+        """Where in its cell a code decodes, in steps."""
+        return 0.5 if self.slack else 0.0
+
+    def decode(self, codes) -> np.ndarray:
+        """The ``float64`` distances ``codes`` decode to."""
+        values = np.add(codes, self.centre, dtype=np.float64)
+        values *= self.step
+        return values
+
+    def in_steps(self, qmat, side: float) -> np.ndarray:
+        """Query distances ``qmat`` in steps, moved ``side`` centres: a
+        Lemma 1 (``side`` -1) or Lemma 4 (+1) term read off raw codes this
+        way, times the step, is the term over the decoded cells bit for
+        bit."""
+        out = np.divide(qmat, self.step, dtype=np.float64)
+        if self.slack:
+            out += side * self.centre
+        return out
+
+    @staticmethod
+    def step_for(top: float, cells: int) -> float:
+        """The least power of two with ``top`` below ``cells`` steps."""
+        return math.ldexp(1.0, math.frexp(top)[1] - cells.bit_length() + 1)
+
+    def code(self, values, out) -> "Grid":
+        """Write the codes of ``values`` (``float64``, each below
+        :data:`GRID_CELLS` steps) into ``out``; the grid with its slack
+        widened to :func:`cell_slack` when one of them is not exact."""
+        scaled = np.divide(values, self.step, dtype=np.float64)
+        coded = np.floor(scaled)
+        out[...] = coded
+        if self.slack or np.array_equal(coded, scaled):
+            return self
+        return self._replace(slack=cell_slack(self.step))
+
+    def doubled(self, codes, times: int) -> "Grid":
+        """Re-grid ``codes`` in place to ``times`` doublings of the step
+        (``codes >>= times``, exact: floor(floor(x) / 2) = floor(x / 2));
+        the new grid.  An exact grid stays exact while every code shifted
+        out was 0; a centred one doubles its slack with the step."""
+        if not times:
+            return self
+        lost = self.slack or np.any(codes & ((1 << times) - 1))
+        codes >>= times
+        step = math.ldexp(self.step, times)
+        if not lost:
+            return Grid(step)
+        return Grid(step, math.ldexp(self.slack, times) if self.slack else cell_slack(step))

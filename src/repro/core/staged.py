@@ -46,14 +46,19 @@ staging changes how much numpy work runs, never which objects verify.
 A table may be column-major (a pivot table's store) or row-major; the
 stages read the first in place and gather cells from either.
 
-A table of ``float32`` cells (LAESA's) hands the cascade and the MkNNQ
-bounds its ``slack`` (:class:`~repro.core.mapping.CellRounding`), and every
-bound gives it up here alone (:func:`_slackened`, the Ptolemaic cell):
-Lemma 1 -- stage 1, the refine stage, the MkNNQ column -- subtracts it and
-two ulps of the query's largest pivot distance, Lemma 4 adds it, and the
-Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) / d(p_i,p_j).  So no
-bound over the cells is above -- Lemma 4's below -- what the ``float64``
-table gives.  Every bound is ``float64``; a ``float64`` table has slack 0.
+A pivot table's store (:mod:`repro.tables.store`) hands the cascade and
+the MkNNQ bounds its ``uint16`` codes with their
+:class:`~repro.core.quantise.Grid`, and every bound decodes here alone:
+Lemma 1 over whole columns folds the raw codes against the query in steps
+(:func:`~repro.core.pivot_filter.lower_bound_many_queries`), and the
+cell-wise stages decode the cells they gather (:func:`_cell_reader`).  The
+grid's ``slack`` is given up here alone too (:func:`_slackened`, the
+Ptolemaic cell): Lemma 1 -- stage 1, the refine stage, the MkNNQ column --
+subtracts it and two ulps of the query's largest pivot distance, Lemma 4
+adds it, and the Ptolemaic cell subtracts slack (d(q,p_i) + d(q,p_j)) /
+d(p_i,p_j).  So no bound over the codes is above -- Lemma 4's below --
+what the ``float64`` table gives.  Every bound is ``float64``; a
+``float64`` table (no grid) and an exact grid have slack 0.
 
 Whether stage 4 runs is a fact about the metric, decided once, at build
 time: a build computes pivot-pair distances exactly when there are two
@@ -75,6 +80,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import CostCounters
+from .quantise import Grid
 from .pivot_filter import (
     _QUERY_CHUNK_FLOATS,
     _object_rows,
@@ -149,36 +155,45 @@ def _slackened(qmat: np.ndarray, slack: float):
     return given, np.nextafter(qmat + slack, np.inf)
 
 
-def _lemma1(qmat: np.ndarray, omat: np.ndarray, slots, cols) -> np.ndarray:
+def _lemma1(qmat: np.ndarray, omat: np.ndarray, slots, cols, grid: Grid | None) -> np.ndarray:
     """Lemma 1 over the slots ``cols`` for every (query, row) cell: the
     ``q x n`` matrix of max_j |d(q,p_{o,j}) - d(o,p_{o,j})|.  A shared-pivot
     table runs the bound kernel on those columns, picked from a
     column-major table, not copied; through a slot map each slot's query
-    distances are a ``q x n`` gather, a slot at a time."""
+    distances are a ``q x n`` gather, a slot at a time.  Codes are read
+    against the query in steps and the result scaled, as the kernel does."""
     if slots is None:
-        return lower_bound_many_queries(qmat[:, cols], omat, picks=cols)
+        return lower_bound_many_queries(qmat[:, cols], omat, picks=cols, grid=grid)
+    steps = qmat if grid is None else grid.in_steps(qmat, -1.0)
     out = np.zeros((qmat.shape[0], omat.shape[0]), dtype=np.float64)
     for j in np.arange(omat.shape[1])[cols]:
-        np.maximum(out, np.abs(qmat[:, slots[:, j]] - omat[:, j]), out=out)
+        np.maximum(out, np.abs(steps[:, slots[:, j]] - omat[:, j]), out=out)
+    if grid is not None:
+        out *= grid.step
     return out
 
 
-def _cell_reader(qmat: np.ndarray, omat: np.ndarray, slots, cols):
+def _cell_reader(qmat: np.ndarray, omat: np.ndarray, slots, cols, grid: Grid | None):
     """What the cell-wise stages read on the slots ``cols``:
     ``(ci, cj) -> (q, o, at)`` for the cells ``(ci, cj)``, the query's
-    distances ``q`` read through the slot map, the row's ``o``, and ``at``,
-    the query-matrix position each slot names (a row of them per cell, or
-    the slot positions themselves on a shared-pivot table).  The cells'
-    rows are gathered straight from the table, on those slots only, so no
-    copy of a column is made."""
+    distances ``q`` read through the slot map, the row's ``o`` (codes
+    decoded on ``grid``), and ``at``, the query-matrix position each slot
+    names (a row of them per cell, or the slot positions themselves on a
+    shared-pivot table).  The cells' rows are gathered straight from the
+    table, on those slots only, so no copy of a column is made."""
     picked = np.arange(omat.shape[1])[cols]
+    decode = (lambda rows: rows) if grid is None else grid.decode
+
+    def cells(cj):
+        return decode(omat[cj[:, None], picked])
+
     if slots is None:
         q = qmat[:, picked]
-        return lambda ci, cj: (q[ci], omat[cj[:, None], picked], picked)
+        return lambda ci, cj: (q[ci], cells(cj), picked)
 
     def read(ci, cj):
         at = slots[cj[:, None], picked]
-        return qmat[ci[:, None], at], omat[cj[:, None], picked], at
+        return qmat[ci[:, None], at], cells(cj), at
 
     return read
 
@@ -266,7 +281,7 @@ class StagedPruner:
     # -- MkNNQ bounds ---------------------------------------------------------
 
     def knn_bounds(
-        self, qmat, omat, slack: float = 0.0, slots=None
+        self, qmat, omat, grid: Grid | None = None, slots=None
     ) -> tuple[np.ndarray, list]:
         """What MkNNQ verification is handed: ``(lower, tighteners)``.
 
@@ -277,27 +292,27 @@ class StagedPruner:
         max'd with the Ptolemaic bound over the budgeted pairs) for the
         given storage positions only: :func:`~repro.core.queries.
         best_first_knn` calls it for the rows the query can still reach,
-        not for the table (the exactness argument lives there).  Both give
-        up the table's ``slack`` and read through its ``slots`` (module
-        docstring).
+        not for the table (the exactness argument lives there).  Both read
+        the table's codes through its ``grid``, give up its slack and read
+        through its ``slots`` (module docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
-        lower = _lemma1(qmat, omat, slots, slice(None))
-        if slack:
-            lower -= _slackened(qmat, slack)[0][:, None]
+        lower = _lemma1(qmat, omat, slots, slice(None), grid)
+        if grid is not None and grid.slack:
+            lower -= _slackened(qmat, grid.slack)[0][:, None]
         if not (self.use_ptolemaic and self.pairs.size):
             return lower, [None] * lower.shape[0]
 
         def tightener(i: int):
             return lambda rows: np.maximum(
-                lower[i, rows], self._ptolemaic_cells(qmat, omat, i, rows, slack, slots)
+                lower[i, rows], self._ptolemaic_cells(qmat, omat, i, rows, grid, slots)
             )
 
         return lower, [tightener(i) for i in range(lower.shape[0])]
 
     def lower_bounds_many_queries(
-        self, qmat, omat, slack: float = 0.0, slots=None
+        self, qmat, omat, grid: Grid | None = None, slots=None
     ) -> np.ndarray:
         """Full ``q x n`` lower bounds: triangle, tightened by Ptolemaic.
 
@@ -307,7 +322,7 @@ class StagedPruner:
         ``max(lower_bound_many_queries, ptolemaic_lower_bound_many_queries)``
         bit for bit).
         """
-        lower, tighteners = self.knn_bounds(qmat, omat, slack, slots)
+        lower, tighteners = self.knn_bounds(qmat, omat, grid, slots)
         every = np.arange(lower.shape[1], dtype=np.intp)
         for row, tighten in zip(lower, tighteners):
             if tighten is not None:
@@ -316,7 +331,7 @@ class StagedPruner:
 
     def lower_bounds_many(self, query_pivot_dists, omat) -> np.ndarray:
         """Single-query form of :meth:`lower_bounds_many_queries`, over a
-        table with no slack."""
+        ``float64`` table."""
         q = np.asarray(query_pivot_dists, dtype=np.float64)
         return self.lower_bounds_many_queries(q.reshape(1, -1), omat)[0]
 
@@ -329,7 +344,7 @@ class StagedPruner:
         radius,
         counters: CostCounters | None = None,
         validate: bool = False,
-        slack: float = 0.0,
+        grid: Grid | None = None,
         slots=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run the cascade; return ``(survivors, validated)`` bool masks.
@@ -340,9 +355,9 @@ class StagedPruner:
         per-query array.  Per-stage decided counts go to ``counters``.
         The masks are independent of the slot order (a one-slot table is
         a prefix with an empty tail), which is what keeps the cascade ==
-        single-shot == brute force exact.  Every stage gives up the
-        table's ``slack`` and reads the query through its ``slots``
-        (module docstring).
+        single-shot == brute force exact.  Every stage reads the table's
+        codes through its ``grid``, gives up its slack and reads the query
+        through its ``slots`` (module docstring).
         """
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         omat = _object_rows(omat)
@@ -351,7 +366,7 @@ class StagedPruner:
         if n_q == 0 or n_o == 0 or omat.shape[1] == 0:
             return np.ones((n_q, n_o), dtype=bool), validated
         r = np.asarray(radius, dtype=np.float64)
-        given, uppers = _slackened(qmat, slack)
+        given, uppers = _slackened(qmat, 0.0 if grid is None else grid.slack)
         # Lemma 1 keeps a cell whose bound, less what it gives up, is
         # within the radius: within the radius plus it
         reach = r + given
@@ -363,7 +378,7 @@ class StagedPruner:
         head, tail = order[:prefix], order[prefix:]
 
         # stage 1: Lemma 1 over the ranked prefix slots
-        alive = _lemma1(qmat, omat, slots, head) <= rcol
+        alive = _lemma1(qmat, omat, slots, head, grid) <= rcol
         n_prefix = int(alive.size - alive.sum())
 
         # stage 2: refine survivors cell-wise with the remaining slots;
@@ -372,7 +387,7 @@ class StagedPruner:
         n_refine = 0
         qi, oj = np.nonzero(alive)
         if qi.size and tail.size:
-            read = _cell_reader(qmat, omat, slots, tail)
+            read = _cell_reader(qmat, omat, slots, tail, grid)
             cstep = _cell_step(tail.shape[0])
             for start in range(0, qi.size, cstep):
                 stop = start + cstep
@@ -388,7 +403,7 @@ class StagedPruner:
         # stage 3: Lemma 4 validation, only for still-undecided cells
         n_validated = 0
         if validate and qi.size:
-            read = _cell_reader(uppers, omat, slots, slice(None))
+            read = _cell_reader(uppers, omat, slots, slice(None), grid)
             cstep = _cell_step(l)
             for start in range(0, qi.size, cstep):
                 stop = start + cstep
@@ -402,7 +417,7 @@ class StagedPruner:
                 qi, oj = _still_alive(alive, qi, oj)
 
         # stage 4: Ptolemaic filter on whatever is left
-        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r, slack, slots)
+        n_pt = self._ptolemaic_stage(qmat, omat, qi, oj, alive, r, grid, slots)
 
         if counters is not None:
             counters.add_prune_stages(
@@ -422,7 +437,7 @@ class StagedPruner:
         validate: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Single-query form: 1-D ``(survivors, validated)`` masks, over a
-        table with no slack.
+        ``float64`` table.
 
         Routes through :meth:`masks_many_queries` with a one-row query
         matrix so sequential and batch execution make identical pruning
@@ -447,19 +462,19 @@ class StagedPruner:
             order = np.concatenate([known, missing])
         return order
 
-    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, slack, slots=None) -> int:
+    def _ptolemaic_stage(self, qmat, omat, qi, oj, alive, r, grid, slots=None) -> int:
         """Stage 4 in place on ``alive``, over its alive cells ``(qi, oj)``;
         returns the decided-cell count."""
         if not self.use_ptolemaic or not self.pairs.size:
             return 0
         if not qi.size:
             return 0
-        bound = self._ptolemaic_cells(qmat, omat, qi, oj, slack, slots)
+        bound = self._ptolemaic_cells(qmat, omat, qi, oj, grid, slots)
         dead = bound > (r[qi] if r.ndim else r)
         alive[qi[dead], oj[dead]] = False
         return int(dead.sum())
 
-    def _ptolemaic_cells(self, qmat, omat, ci, cj, slack=0.0, slots=None) -> np.ndarray:
+    def _ptolemaic_cells(self, qmat, omat, ci, cj, grid=None, slots=None) -> np.ndarray:
         """Best Ptolemaic bound over the budgeted slot pairs for the cells
         ``(ci, cj)``.
 
@@ -470,13 +485,14 @@ class StagedPruner:
         evaluation: stage 4, the MkNNQ tightening and the full-matrix
         oracle all come here.  Each pair's denominator is the distance
         between the two pivots the cell's slots name (0 contributes 0),
-        and each gives up the table's ``slack`` weighted by the query's
+        and each gives up the ``grid``'s slack weighted by the query's
         distances to the pair.
         """
         pairs = self.pairs
         left, right = pairs[:, 0], pairs[:, 1]
         ci = np.broadcast_to(ci, cj.shape)
-        read = _cell_reader(qmat, omat, slots, slice(None))
+        read = _cell_reader(qmat, omat, slots, slice(None), grid)
+        slack = 0.0 if grid is None else grid.slack
         out = np.empty(cj.shape[0], dtype=np.float64)
         step = _cell_step(max(omat.shape[1], pairs.shape[0]))
         for start in range(0, cj.shape[0], step):

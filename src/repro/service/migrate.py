@@ -1,7 +1,7 @@
 """``repro migrate OLD NEW``: the one reader of retired snapshot layouts.
 
-:func:`~repro.service.snapshot.load_index` reads format 5, today's layout,
-only; :func:`migrate` also reads formats 1 to 4, converts every object and
+:func:`~repro.service.snapshot.load_index` reads format 6, today's layout,
+only; :func:`migrate` also reads formats 1 to 5, converts every object and
 page eagerly and saves the index again (a current file's pages come back
 byte for byte).  A class whose pickled state changed shape loads
 as a *stand-in* that becomes the real class, its state converted by the
@@ -9,9 +9,10 @@ function registered for it below.  No counted distance is computed: an
 MVPT / VPT whose codes were cells of one frame a level has them made again
 in its path bands from each object's path distances, which the conversion
 takes once through the metric itself.  A row-major LAESA / CPT / EPT /
-EPT* table goes into a column store (:mod:`repro.tables.store`), a LAESA /
-CPT table of ``float64`` cells narrowed to ``float32`` under its slack on
-the way, as ``LAESA.build`` narrows; a cascade's choices are kept.  An
+EPT* table goes into a column store (:mod:`repro.tables.store`), and a
+store of ``float32`` / ``float64`` cells (format 5 and before) has them
+coded on a grid read off them, as a build codes, its slack the cells' own
+plus the grid's (:func:`_gridded`); a cascade's choices are kept.  An
 SPB-tree's uniform grid (an ``eps``, later a ``Frame``) becomes the
 :class:`~repro.core.quantise.Marks` of the same cells, edge for edge, and
 its leaves keep their cells (decoded from their keys where a leaf had
@@ -41,13 +42,13 @@ from .. import (
 )
 from ..btree.bptree import BPlusTree, InternalNode, LeafNode, _leaf_from, _stacked
 from ..core.counters import CostCounters
-from ..core.mapping import PivotMapping, narrowed
-from ..core.quantise import Frame, Marks
+from ..core.mapping import PivotMapping
+from ..core.quantise import Frame, Grid, Marks, cell_slack
 from ..external.omni import OmniBPlusTree, OmniRTree, OmniSequentialFile
 from ..mtree.mtree import MNode, MTree
 from ..storage.pager import PageStore
 from ..storage.raf import RafPage, RandomAccessFile
-from ..tables.store import ColumnStore, PivotTable
+from ..tables.store import ColumnStore, PivotTable, coded
 from .catalog import IndexCatalog, _member_snapshots, is_catalog_manifest
 from .snapshot import _KNOWN_FORMATS, _SnapshotUnpickler, _unpickle
 from .snapshot import iter_components, rebind_counters, save_index
@@ -298,6 +299,24 @@ def _fqa(state):
     return state
 
 
+def _gridded(cells, slack: float) -> tuple[np.ndarray, Grid]:
+    """``l x n`` cells that read within ``slack`` of their distances, as
+    codes and their grid: a cell's code decodes within the grid's own slack
+    of it, so the two add (0 while both are exact)."""
+    codes, grid = coded(cells)
+    if slack:
+        grid = Grid(grid.step, slack + cell_slack(grid.step))
+    return codes, grid
+
+
+@_converts(ColumnStore)
+def _column_store(state):
+    if "grid" not in state:  # float32 / float64 cells under a slack
+        cells, grid = _gridded(state.pop("cells"), state.pop("slack", 0.0))
+        state.update(cells=cells, grid=grid)
+    return state
+
+
 @_converts(LAESA, CPT)
 def _laesa(state):
     old = state["mapping"]
@@ -308,12 +327,9 @@ def _laesa(state):
     # slack; pickled while the table was kept twice, ``_rows`` is the live
     # copy (the matrix went stale)
     rows = state.pop("_rows", old.__dict__.pop("matrix"))
-    slack = old.__dict__.pop("slack", 0.0)
-    if rows.dtype != np.float32:
-        rows, slack = narrowed(rows)
+    cells, grid = _gridded(np.asarray(rows).T, old.__dict__.pop("slack", 0.0))
     state["mapping"] = mapping = PivotTable.__new__(PivotTable)
-    table = ColumnStore(np.ascontiguousarray(rows.T), state.pop("_row_ids"), slack)
-    mapping.__dict__.update(vars(old), table=table)
+    mapping.__dict__.update(vars(old), table=ColumnStore(cells, state.pop("_row_ids"), grid))
     return state
 
 
@@ -329,7 +345,7 @@ def _pivot_table(state):
 def _ept(state):
     if "table" not in state:  # row-major pivot distances and slot map
         state["table"] = ColumnStore(
-            np.ascontiguousarray(np.asarray(state.pop("_pivot_dist")).T, dtype=np.float64),
+            np.asarray(state.pop("_pivot_dist")).T,
             state.pop("_row_ids"),
             slots=np.ascontiguousarray(np.asarray(state.pop("_pivot_idx")).T, dtype=np.int32),
         )
@@ -438,15 +454,16 @@ def _converted(path, dataset=None):
     for dept in iter_components(index):
         if isinstance(dept, DEPT) and "_row_page" not in vars(dept):
             # pickled before live rows were tracked per page: inserts only
-            # ever append pages, so an id's last row is its live one
+            # ever appended pages, so an id's last row is its live one, or
+            # its retired one (the page's complement) when it is deleted
             rows = {i: page for page in dept._table_pages for i in dept.pager.read(page)[0]}
-            dept._row_page = {i: page for i, page in rows.items() if i in dept.raf}
+            dept._row_page = {i: page if i in dept.raf else ~page for i, page in rows.items()}
     return index
 
 
 def migrate(old, new):
-    """Convert the snapshot ``old`` (format 1 to 5, any layout the
-    index classes have had) to format 5 and today's layout at ``new``,
+    """Convert the snapshot ``old`` (format 1 to 6, any layout the
+    index classes have had) to format 6 and today's layout at ``new``,
     which may be ``old``; returns the index, its counters started with the
     conversion.  A catalog manifest ``old`` converts member by member, its
     later members' dataset references resolved to its first member's

@@ -7,7 +7,7 @@ object, the pre-computed pivot distances plus a pointer to the M-tree leaf
 holding the object.
 
 Query processing is LAESA's -- the class below inherits the mapping and
-its column store of ``float32`` cells (:mod:`~repro.tables.store`), the
+its column store of ``uint16`` grid codes (:mod:`~repro.tables.store`), the
 staged cascade and the MkNNQ verification order unchanged -- except every
 verification must *fetch the object from disk* first, the paper's
 explanation for CPT's CPU and I/O overheads.  That one step is

@@ -18,10 +18,13 @@ MRQ/MkNNQ processing is LAESA's, the same bodies
 (:class:`~repro.tables.store.ColumnTable`) over the same staged cascade
 (:class:`~repro.core.staged.StagedPruner`), MkNNQ verified best-first.
 Only where a bound reads d(q, p) differs: the table's column store holds
-``float64`` distances with an ``int32`` slot map beside them, which each
-call hands the cascade, so every cell of object o is compared with the
-query's distance to o's own pivot.  What is EPT's own is the pruner's build
-policy (:class:`~repro.core.staged.PerObjectStagedPruner`).
+the distances as ``uint16`` codes on its one grid, as LAESA's does, with an
+``int32`` slot map beside them, which each call hands the cascade, so every
+cell of object o is compared with the query's distance to o's own pivot.
+A row is 6 bytes a slot (a 2-byte code, a 4-byte slot) and a 4-byte id,
+against 12 a slot while the cells were ``float64``; every bound gives up
+the grid's slack, 0 on whole-number distances.  What is EPT's own is the
+pruner's build policy (:class:`~repro.core.staged.PerObjectStagedPruner`).
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ class _ExtremePivotTableBase(ColumnTable):
     ):
         super().__init__(space)
         self.pivot_ids = pivot_ids  # global candidate/pivot object ids
-        # pivot_dist and pivot_idx (into pivot_ids) are n x l, copied once
-        # into the store's columns
+        # pivot_dist and pivot_idx (into pivot_ids) are n x l, coded /
+        # copied once into the store's columns
         self.table = ColumnStore(
-            np.ascontiguousarray(np.asarray(pivot_dist).T, dtype=np.float64),
+            np.asarray(pivot_dist).T,
             np.arange(pivot_idx.shape[0], dtype=np.int32),
             slots=np.ascontiguousarray(np.asarray(pivot_idx).T, dtype=np.int32),
         )
@@ -61,8 +64,8 @@ class _ExtremePivotTableBase(ColumnTable):
             pruner = PerObjectStagedPruner.build(space, pivot_ids, pivot_idx, pivot_dist)
         self.pruner = pruner
 
-    # the live table, column-major: d(o, p) of each row's slots, and the
-    # slots, positions in ``pivot_ids``
+    # the live table, column-major: the codes of d(o, p) of each row's
+    # slots, and the slots, positions in ``pivot_ids``
     _pivot_dist = property(lambda self: self.table.view.table)
     _pivot_idx = property(lambda self: self.table.view.slot_map)
 

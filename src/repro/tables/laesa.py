@@ -5,18 +5,20 @@ objects), an object table (the data), and a distance table holding d(o, p)
 for every object o and pivot p -- O(|P| x |O|) memory instead of AESA's
 O(|O|^2).
 
-**Cells are 4 bytes, in columns** (:mod:`~repro.tables.store`): ``build``
-narrows each column to ``float32`` as it computes it, so no ``float64``
-table exists; the bound kernel and the cascade read the columns in place;
-``insert`` writes into spare room and ``delete`` leaves a tombstone, so no
-write copies the table.  Every bound gives up the store's ``slack``
-(:mod:`~repro.core.staged`) and stays on the safe side of the ``float64``
-table's, so the answers are the same; what it costs is the objects whose
-``float64`` bound lies within the slack past the radius (on the spine's
-Color workload 0.0003-0.001 more a query, against ~637; none on LA).  On
-Color the slack is ~0.001 against a 1 % radius of ~2 700, on LA ~0.0005
-against ~95.  A row is 4 bytes a column and a 4-byte id, half the
-``float64`` / ``intp`` pair it was; a snapshot memmaps the ``<f4`` columns.
+**Cells are 2 bytes, in columns** (:mod:`~repro.tables.store`): ``build``
+codes each column as ``uint16`` on the store's one grid as it computes it,
+so no ``float64`` table exists; the bound kernel and the cascade read the
+codes in place, decoding as they read; ``insert`` writes into spare room
+and ``delete`` leaves a tombstone, so no write copies the table.  Every
+bound gives up the grid's ``slack`` (:mod:`~repro.core.staged`) and stays
+on the safe side of the ``float64`` table's, so the answers are the same;
+what it costs is the objects whose ``float64`` bound lies within the slack
+past the radius (on the spine's Color workload 0.35-0.37 more a query,
+against ~637; none on LA).  On Color the step is 1.0 and the slack 0.5
+against a 1 % radius of ~2 700, on LA 0.5 and 0.25 against ~95; on Words
+and Synthetic every distance sits on the grid, slack 0.  A row is 2 bytes
+a column and a 4-byte id, a quarter of the ``float64`` cells and half the
+``float32`` ones it had; a snapshot memmaps the ``<u2`` columns.
 
 * MRQ scans the distance table, prunes with Lemma 1, and verifies survivors.
 * MkNNQ bounds every row with Lemma 1 and verifies in ascending bound
@@ -43,9 +45,9 @@ a column costs n computations (:class:`~repro.tables.store.PivotTable`)
 -- under two rules that look only at the input:
 
 * *Width:* one more column per ``_OBJECT_BYTES_PER_COLUMN`` = 256 bytes of
-  object.  A column is a 4-byte cell an object, so the continuation never
-  grows ``index_bytes_per_object`` by more than 1.6 % (3.2 % while cells
-  were 8 bytes).  Color's 2 256-byte vectors get 8 columns after the given
+  object.  A column is a 2-byte cell an object, so the continuation never
+  grows ``index_bytes_per_object`` by more than 0.8 % (1.6 % while cells
+  were 4 bytes, 3.2 % at 8).  Color's 2 256-byte vectors get 8 columns after the given
   ones; LA (16 B), Synthetic (160 B) and Words (<= 34 B) get none, and
   their tables, counts and bytes are exactly the given pivots'.
 * *Early stop:* a new column is discarded, and the continuation ends, when
@@ -75,7 +77,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.index import MetricIndex
-from ..core.mapping import narrowed
 from ..core.metric_space import MetricSpace
 from ..core.staged import StagedPruner
 from .store import ColumnTable, PivotTable
@@ -127,9 +128,9 @@ class LAESA(ColumnTable):
 
     # -- the one table ------------------------------------------------------
 
-    # the column store of float32 cells, and the slack that covers them
+    # the column store of coded cells, and the slack that covers them
     table = property(lambda self: self.mapping.table)
-    slack = property(lambda self: self.table.view.slack)
+    slack = property(lambda self: self.table.view.grid.slack)
 
     # -- queries ------------------------------------------------------------
 
@@ -149,10 +150,9 @@ class LAESA(ColumnTable):
 
     def insert(self, obj, object_id: int | None = None) -> int:
         """Append a table row: |P| distance computations.  The row and the
-        slack that covers it are published together."""
+        grid that decodes it are published together."""
         object_id = self.table.claim(self.space, obj, object_id)
-        cells, slack = narrowed(self.mapping.map_object(obj)[None])
-        self.table.append(object_id, cells[0], slack)
+        self.table.append(object_id, self.mapping.map_object(obj))
         return object_id
 
     delete = ColumnTable.delete

@@ -2,59 +2,99 @@
 
 :class:`ColumnStore` holds a table's ``l`` columns of cells (and, on EPT,
 its slot map) as ``l x capacity`` arrays, the live rows first, beside an
-``int32`` id column.  ``view.table`` is the live ``n x l`` table as a
-column-major view, which the bound kernel and the cascade read in place.
-An insert writes its row into the spare room, grown by an eighth when it
-runs out; a delete writes a tombstone over a copy of the id column -- the
-id's complement ``~id``, negative as every tombstone is -- and the row
-stays, so the live rows keep their insertion order and every answer and
-distance count is the table's without it (the cascade's per-stage counts
-include its cells).  An insert that puts an id back whose tombstoned row
-holds its cells (and slots) bit for bit publishes that row live again, in
-a copy of the id column, and writes no row.  Past an eighth of the used slots in
-tombstones the live rows are copied, in order, into fresh arrays with an
-eighth to spare.  Each write publishes one immutable :class:`TableView`
-(cells, ids, used count, slack, tombstones) with one attribute store, and
-writes only rows past the used count of any view published before, so a
-query that reads ``store.view`` once reads one state throughout and never
-a half-written row; writes take the store's lock, one at a time.  An id
-is found by one scan of the id column.  A snapshot holds the used rows and
+``int32`` id column.  A cell is a ``uint16`` code on the table's one
+:class:`~repro.core.quantise.Grid` from 0: 2 bytes a cell, whatever the
+index.  ``view.table`` is the live ``n x l`` table of codes as a
+column-major view, which the bound kernel and the cascade read in place,
+decoding as they read (:mod:`repro.core.staged`); ``view.grid`` says how.
+The step is read off the build -- the table's largest distance lands in
+the grid's lower half -- and an insert past the top code re-grids: the
+step doubles and every code halves (``codes >> 1``, exact), in fresh
+arrays published as one view, so no code saturates.  An insert writes its
+row into the spare room, grown by an eighth when it runs out; a delete
+writes a tombstone over a copy of the id column -- the id's complement
+``~id``, negative as every tombstone is -- and the row stays, so the live
+rows keep their insertion order and every answer and distance count is the
+table's without it (the cascade's per-stage counts include its cells).  An
+insert that puts an id back whose tombstoned row holds its codes (and
+slots) bit for bit publishes that row live again, in a copy of the id
+column, and writes no row.  Past an eighth of the used slots in tombstones
+the live rows are copied, in order, into fresh arrays with an eighth to
+spare.  Each write publishes one immutable :class:`TableView` (codes, ids,
+used count, grid, tombstones) with one attribute store, and writes only
+rows past the used count of any view published before, so a query that
+reads ``store.view`` once reads one state throughout and never a
+half-written row; writes take the store's lock, one at a time.  An id is
+found by one scan of the id column.  A snapshot holds the used rows and
 no spare room.
 
 :class:`ColumnTable` is the one set of query bodies over a store, and
-:class:`PivotTable` LAESA's mapping, which fills its ``float32`` columns.
+:class:`PivotTable` LAESA's mapping, which codes its columns as it
+computes them.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from ..core.index import MetricIndex, NotIndexed, claim_object_id
-from ..core.mapping import CellRounding, PivotMapping
+from ..core.mapping import PivotMapping
+from ..core.quantise import GRID_CELLS, Grid
 from ..core.queries import Neighbor, best_first_knn_many
 
-__all__ = ["ColumnStore", "ColumnTable", "PivotTable", "TableView"]
+__all__ = ["ColumnStore", "ColumnTable", "PivotTable", "TableView", "coded"]
+
+# a build's step puts its largest distance below this many steps: half the grid
+_BUILD_CELLS = GRID_CELLS // 2
+
+
+def _doublings(grid: Grid, top: float, cells: int) -> int:
+    """How many times ``grid``'s step doubles to put ``top`` below
+    ``cells`` steps."""
+    return max(0, math.frexp(Grid.step_for(top, cells))[1] - math.frexp(grid.step)[1])
+
+
+def _checked_top(values: np.ndarray) -> float:
+    if not values.min(initial=0.0) >= 0.0:
+        raise ValueError("a pivot table codes distances, which are finite and >= 0")
+    return float(values.max(initial=0.0))
+
+
+def coded(values) -> tuple[np.ndarray, Grid]:
+    """``values`` (``l x n`` distances) as ``uint16`` codes and their grid:
+    the step puts the largest below half the grid."""
+    values = np.asarray(values, dtype=np.float64)
+    codes = np.empty(values.shape, dtype=np.uint16)
+    grid = Grid(Grid.step_for(_checked_top(values), _BUILD_CELLS))
+    return codes, grid.code(values, codes)
 
 
 class TableView(NamedTuple):
-    """One state of a :class:`ColumnStore`: ``l x capacity`` cells (and
+    """One state of a :class:`ColumnStore`: ``l x capacity`` codes (and
     slot columns), ``capacity`` ids (``~id`` for a tombstone), of which the
-    first ``used`` are the table; ``slack`` covers every cell of them."""
+    first ``used`` are the table; ``grid`` decodes every code of them."""
 
     cells: np.ndarray
     ids: np.ndarray
     used: int
-    slack: float = 0.0
+    grid: Grid
     slots: np.ndarray | None = None
     dead: int = 0
 
     @property
     def table(self) -> np.ndarray:
-        """The ``used x l`` table, column-major, tombstoned rows included."""
+        """The ``used x l`` codes, column-major, tombstoned rows included."""
         return self.cells[:, : self.used].T
+
+    @property
+    def values(self) -> np.ndarray:
+        """The ``used x l`` distances the codes decode to (a copy: what a
+        test or a tool reads; a query decodes the cells it reads)."""
+        return self.grid.decode(self.table)
 
     @property
     def row_ids(self) -> np.ndarray:
@@ -104,13 +144,17 @@ class ColumnStore:
     """A pivot table's columns (module docstring); ``view`` is its one
     published state."""
 
-    def __init__(self, cells, ids, slack: float = 0.0, slots=None):
+    def __init__(self, cells, ids, grid: Grid | None = None, slots=None):
         """A full store over the ``l x n`` arrays ``cells`` (and ``slots``)
-        and ``n`` ids, kept as they are: the first insert grows it."""
+        and ``n`` ids, kept as they are: the first insert grows it.
+        ``cells`` are codes on ``grid``, or distances -- no ``grid`` --
+        coded here (:func:`coded`)."""
+        if grid is None:
+            cells, grid = coded(cells)
         ids = np.asarray(ids, dtype=np.int32)
         self._writing = threading.Lock()
         self.view = TableView(
-            cells, ids, ids.shape[0], float(slack), slots, int(np.count_nonzero(ids < 0))
+            cells, ids, ids.shape[0], Grid(*grid), slots, int(np.count_nonzero(ids < 0))
         )
 
     def __getstate__(self):
@@ -118,7 +162,7 @@ class ColumnStore:
         return {
             "cells": view.cells[:, : view.used],
             "ids": view.row_ids,
-            "slack": view.slack,
+            "grid": tuple(view.grid),
             "slots": None if view.slots is None else view.slots[:, : view.used],
         }
 
@@ -139,17 +183,26 @@ class ColumnStore:
         rows = np.flatnonzero(self.view.row_ids == object_id)
         return int(rows[0]) if rows.size else -1
 
-    def append(self, object_id: int, cells, slack: float = 0.0, slots=None) -> None:
-        """Write a row past the live ones, then publish it with the slack
-        widened to ``slack`` -- or, when a tombstone of ``object_id`` holds
-        these cells (and slots) bit for bit, publish that row live again."""
+    def append(self, object_id: int, values, slots=None) -> None:
+        """Code the row of distances ``values`` and write it past the live
+        ones, then publish it -- re-gridded first when it is past the top
+        code, the grid's slack widened when it is not exact -- or, when a
+        tombstone of ``object_id`` holds its codes (and slots) bit for bit,
+        publish that row live again."""
+        values = np.asarray(values, dtype=np.float64)
         with self._writing:
             view = self.view
+            times = _doublings(view.grid, _checked_top(values), GRID_CELLS)
+            if times:
+                cells = view.cells.copy()
+                view = view._replace(cells=cells, grid=view.grid.doubled(cells[:, : view.used], times))
+            cells = np.empty(values.shape, dtype=np.uint16)
+            view = view._replace(grid=view.grid.code(values, cells))
             at = self._revivable(view, object_id, cells, slots)
             if at >= 0:
                 ids = view.ids.copy()
                 ids[at] = object_id
-                self.view = view._replace(ids=ids, dead=view.dead - 1, slack=max(view.slack, slack))
+                self.view = view._replace(ids=ids, dead=view.dead - 1)
                 return
             at = view.used
             if at == view.ids.shape[0]:
@@ -158,17 +211,17 @@ class ColumnStore:
             if slots is not None:
                 view.slots[:, at] = slots
             view.ids[at] = object_id
-            self.view = view._replace(used=at + 1, slack=max(view.slack, slack))
+            self.view = view._replace(used=at + 1)
 
     @staticmethod
     def _revivable(view: TableView, object_id: int, cells, slots) -> int:
-        """A row tombstoned for ``object_id`` whose cells (and slots) are
+        """A row tombstoned for ``object_id`` whose codes (and slots) are
         ``cells`` (and ``slots``) as the store holds them, bit for bit; -1
         if none."""
         rows = np.flatnonzero(view.row_ids == ~object_id)
         if not rows.size:
             return -1
-        want = np.asarray(cells, dtype=view.cells.dtype).tobytes()
+        want = cells.tobytes()
         if slots is not None:
             want += np.asarray(slots, dtype=view.slots.dtype).tobytes()
         for at in rows.tolist():
@@ -200,7 +253,8 @@ class ColumnTable(MetricIndex):
     LAESA / CPT and EPT / EPT*.  A subclass maps queries to their
     ``q x |P|`` pivot distances (:meth:`_query_matrix`); the cascade reads
     each cell's pivot through the store's slot map (none on a shared-pivot
-    table) and gives up its slack.  Each call reads ``table.view`` once."""
+    table) and its codes through the store's grid, giving up its slack.
+    Each call reads ``table.view`` once."""
 
     use_validation = False
 
@@ -233,7 +287,7 @@ class ColumnTable(MetricIndex):
             radius,
             counters=self.space.counters,
             validate=self.use_validation,
-            slack=view.slack,
+            grid=view.grid,
             slots=view.slot_map,
         )
         ids_per_query = [view.live_ids(row).tolist() for row in survivors]
@@ -259,7 +313,7 @@ class ColumnTable(MetricIndex):
         reaches) and the counted distance call."""
         view = self.table.view
         lower, tighteners = self.pruner.knn_bounds(
-            self._query_matrix(queries), view.table, view.slack, view.slot_map
+            self._query_matrix(queries), view.table, view.grid, view.slot_map
         )
         verifiers = [lambda ids, q=q: self._distances([q], [ids])[0] for q in queries]
         return view.row_ids, view.without_tombstones(lower), tighteners, verifiers
@@ -275,17 +329,18 @@ class ColumnTable(MetricIndex):
 
 class PivotTable(PivotMapping):
     """LAESA's mapping: the same pivots and query mapping as a
-    :class:`PivotMapping`, its table ``table``, a :class:`ColumnStore` of
-    ``float32`` cells, each column narrowed as it is computed
-    (:class:`~repro.core.mapping.CellRounding`), so no ``float64`` table
-    exists.  After the given pivots it takes up to ``extra`` more, max-min:
-    the next is the object farthest from its nearest pivot so far, read off
-    the ``float64`` columns as they arrive.  A column whose distances the
-    table's Lemma 1 bound (read off the cells, widened) already explains --
-    mean ``lb(o) / d(o, p)`` at or above ``explained`` -- is discarded and
-    the continuation stops; so it does when every object is a pivot.  It
-    keeps no extent (a :class:`PivotMapping`'s ``low`` / ``high``): no
-    table reads one, so neither the build nor an insert widens one.
+    :class:`PivotMapping`, its table ``table``, a :class:`ColumnStore`, each
+    column coded as it is computed -- the step read off the first, doubled
+    (the columns before re-gridded) while a later one's largest distance is
+    past half the grid -- so no ``float64`` table exists.  After the given
+    pivots it takes up to ``extra`` more, max-min: the next is the object
+    farthest from its nearest pivot so far, read off the ``float64``
+    columns as they arrive.  A column whose distances the table's Lemma 1
+    bound (read off the codes, in steps) already explains -- mean
+    ``lb(o) / d(o, p)`` at or above ``explained`` -- is discarded and the
+    continuation stops; so it does when every object is a pivot.  It keeps
+    no extent (a :class:`PivotMapping`'s ``low`` / ``high``): no table reads
+    one, so neither the build nor an insert widens one.
     """
 
     def __init__(self, space, pivot_ids, extra: int = 0, explained: float = 1.0):
@@ -293,34 +348,41 @@ class PivotTable(PivotMapping):
         del self.low, self.high
         dataset = space.dataset
         n, given = len(dataset), self.n_pivots
-        cells = np.empty((given + (max(0, extra) if n else 0), n), dtype=np.float32)
-        rounding, nearest = CellRounding(n), np.full(n, np.inf)
-        for column, pivot_obj in enumerate(self.pivot_objects):
-            values = space.d_many(pivot_obj, dataset.objects)
-            rounding.put(cells[column], values)
+        cells = np.empty((given + (max(0, extra) if n else 0), n), dtype=np.uint16)
+        grid, nearest = None, np.full(n, np.inf)
+
+        def put(column, values):
+            nonlocal grid
+            top = _checked_top(values)
+            if grid is None:
+                grid = Grid(Grid.step_for(top, _BUILD_CELLS))
+            grid = grid.doubled(cells[:column], _doublings(grid, top, _BUILD_CELLS))
+            grid = grid.code(values, cells[column])
             np.minimum(nearest, values, out=nearest)
+
+        for column, pivot_obj in enumerate(self.pivot_objects):
+            put(column, space.d_many(pivot_obj, dataset.objects))
         width = given
         bound, gap = np.empty(n), np.empty(n)
         while width < cells.shape[0] and nearest.max() > 0.0:
             pivot_id = int(nearest.argmax())
             values = space.d_many(dataset[pivot_id], dataset.objects)
-            # Lemma 1 from the new pivot's own row, through two n-long
-            # buffers allocated once
+            # Lemma 1 from the new pivot's own row, in steps, through two
+            # n-long buffers allocated once
             bound.fill(0.0)
             for have in cells[:width]:
                 np.subtract(have, have[pivot_id], out=gap, dtype=np.float64)
                 np.maximum(bound, np.abs(gap, out=gap), out=bound)
             apart = values > 0.0
-            if (bound[apart] / values[apart]).mean() >= explained:
+            if (bound[apart] * grid.step / values[apart]).mean() >= explained:
                 break
-            rounding.put(cells[width], values)
-            np.minimum(nearest, values, out=nearest)
+            put(width, values)
             self.pivot_ids.append(pivot_id)
             self.pivot_objects.append(dataset[pivot_id])
             width += 1
         if width < cells.shape[0]:
             cells = cells[:width].copy()
-        self.table = ColumnStore(cells, np.arange(n, dtype=np.int32), rounding.slack())
+        self.table = ColumnStore(cells, np.arange(n, dtype=np.int32), grid or Grid(1.0))
 
     def _widen(self, rows) -> None:
         pass  # no extent to widen

@@ -167,6 +167,22 @@ def spbtree_key_decodes(sources) -> dict[int, str]:
     return where
 
 
+# the modules that hold or read a pivot table's cells
+_CELL_MODULES = ("tables/", "core/mapping.py", "core/staged.py", "core/pivot_filter.py")
+
+
+def float32_uses(sources) -> list[tuple[str, int]]:
+    """``(path, line)`` of every ``float32`` name or attribute, and of every
+    ``"float32"`` / ``"f4"`` dtype string, in the cell modules."""
+    found = []
+    for under in _CELL_MODULES:
+        for path, node in _nodes(sources, (ast.Name, ast.Attribute, ast.Constant), under):
+            value = node.value if isinstance(node, ast.Constant) else _name(node)
+            if isinstance(value, str) and value.lstrip("<>=|") in ("float32", "f4"):
+                found.append((path, node.lineno))
+    return found
+
+
 def snapshot_error_raisers(sources) -> set[str]:
     """Modules raising ``SnapshotError``."""
     return {
@@ -265,6 +281,13 @@ def test_the_spbtree_decodes_a_key_only_in_cells_of(sources=None):
     assert set(spbtree_key_decodes(sources or _sources()).values()) == {"cells_of"}
 
 
+def test_pivot_table_cells_have_one_format(sources=None):
+    """A pivot table's cells are ``uint16`` codes on its grid alone: no
+    module that holds or reads them names ``float32``, so there is no
+    second cell format beside the grid."""
+    assert float32_uses(sources or _sources()) == []
+
+
 def test_snapshot_error_is_raised_by_the_snapshot_module_alone(sources=None):
     """The snapshot format number is the one layout check: the
     snapshot module refuses a file, and no index class refuses a state
@@ -311,6 +334,10 @@ PLANTED = {
     test_the_spbtree_decodes_a_key_only_in_cells_of: (
         "external/spbtree.py",
         "def range_query(self, q, r):\n    return self.curve.decode_many([q])\n",
+    ),
+    test_pivot_table_cells_have_one_format: (
+        "core/staged.py",
+        "cells = np.asarray(table, dtype=np.float32)\n",
     ),
     test_snapshot_error_is_raised_by_the_snapshot_module_alone: (
         "trees/mvpt.py",

@@ -460,7 +460,7 @@ class TestDEPTDetail:
         emptied = next(p for p in range(len(pages)) if p not in mixed)
         for object_id in pages[emptied][0]:
             index.delete(object_id)
-        # rows on pages of their own, one of them a re-insert
+        # a put-back (its retired row live again) and a new row (the tail page)
         index.insert(la[pages[emptied][0][0]], object_id=pages[emptied][0][0])
         index.insert(la[17] + 1.0)
         assert len(mixed) > 1  # several groups on one page is still covered
@@ -471,6 +471,48 @@ class TestDEPTDetail:
         assert ids == want_ids and len(set(ids)) == len(ids)
         assert sorted(ids) == [i for i in range(len(index.space.dataset)) if i in index.raf]
         assert np.array_equal(bounds, want)
+
+
+    def test_a_put_back_revives_its_row_and_a_new_row_fills_the_tail(self, la):
+        """An insert routes as the build did, so deleting an object and
+        putting it back points its id at its retired row again, writing no
+        page; a new object's row goes to the open tail page, so ten of them
+        take one page at most, not ten."""
+        index = DEPT.build(MetricSpace(la, CostCounters()), n_pivots_per_object=3, seed=4)
+        counters, held = index.space.counters, index.storage_bytes()
+        pages = list(index._table_pages)
+        for object_id in range(0, 500, 25):
+            page = index._row_page[object_id]
+            index.delete(object_id)
+            writes = counters.page_writes
+            index.insert(la[object_id], object_id=object_id)
+            assert index._row_page[object_id] == page
+            assert counters.page_writes == writes + 1  # the RAF record alone
+        assert index.storage_bytes() == held and index._table_pages == pages
+        for shift in range(10):
+            index.insert(la[shift] + 1000.0)
+        assert len(index._table_pages) <= len(pages) + 1
+        q = la[3] + 1000.0
+        assert index.range_query(q, 300.0) == brute_force_range(MetricSpace(index.space.dataset), q, 300.0)
+
+
+class TestOmniSeqPutBack:
+    def test_a_put_back_goes_into_the_page_its_delete_freed(self, la, la_pivots):
+        """Omni-seq: a deleted vector put back under its id returns to its
+        own page at its place in id order, so the file and its scan order
+        are what they were; a new object's vector still appends."""
+        index = OmniSequentialFile.build(MetricSpace(la, CostCounters()), la_pivots)
+
+        def layout():
+            return [index.pager.read(page)[0] for page in index._vector_pages]
+
+        before, held = layout(), index.storage_bytes()
+        for object_id in (0, 7, 260, 499):
+            index.delete(object_id)
+            index.insert(la[object_id], object_id=object_id)
+        assert layout() == before and index.storage_bytes() == held
+        new_id = index.insert(la[3] + 1.0)
+        assert layout()[-1][-1] == new_id
 
 
 class TestWordsExternal:

@@ -103,11 +103,13 @@ class TestEPT:
     def test_stored_distances_are_real(self, la_dataset):
         space = MetricSpace(la_dataset, CostCounters())
         ept = EPT.build(space, n_groups=2, group_size=2, seed=1)
+        view = ept.table.view  # codes: each decodes within the grid's slack
         for o in (0, 10, 99):
             for j in range(2):
                 pivot_id = ept.pivot_ids[ept._pivot_idx[o, j]]
                 want = la_dataset.distance(la_dataset[o], la_dataset[pivot_id])
-                assert ept._pivot_dist[o, j] == pytest.approx(want)
+                assert ept._pivot_dist[o, j] == int(want // view.grid.step)
+                assert abs(view.values[o, j] - want) <= view.grid.slack
 
     def test_group_size_estimated_when_omitted(self, la_dataset):
         space = MetricSpace(la_dataset, CostCounters())

@@ -34,7 +34,7 @@ from repro import (
 from repro.btree import LeafNode
 from repro.external import SPBTree
 from repro.core import load_dataset, save_dataset
-from repro.core.quantise import Frame
+from repro.core.quantise import Frame, cell_slack
 from repro.service import (
     SnapshotError,
     iter_components,
@@ -403,16 +403,16 @@ def test_float64_cell_table_snapshot_loads_through_migrate(migrated, tmp_path, n
     seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and put back, 31
     deleted) were written while the table held float64 cells and intp row
     ids.  ``load_index`` refuses them, naming ``repro migrate``; migrated --
-    narrowed to float32 under a slack, at no distance -- they answer as
-    written, at the compdists they cost then, and the narrowed table
-    survives another save and load."""
+    coded on a grid, at no distance -- they answer as written, at the
+    compdists they cost then, and the coded table survives another save
+    and load."""
     expected = json.loads((DATA / "f64_cells_la300_expected.json").read_text())
     with pytest.raises(SnapshotError, match="repro migrate"):
         load_index(DATA / f"f64_cells_{name}_la300.snap")
     index = load_index(migrated(f"f64_cells_{name}_la300.snap"))
     assert index.space.counters.distance_computations == 0
-    assert index._rows.dtype == np.float32 and index._row_ids.dtype == np.int32
-    assert 0 < index.slack < 1e-3
+    assert index._rows.dtype == np.uint16 and index._row_ids.dtype == np.int32
+    assert index.slack == cell_slack(index.table.view.grid.step)
     dataset = index.space.dataset
     queries = [dataset[i] for i in expected["query_ids"]] + [dataset[3] * 3.0 + 9000.0]
     radius, k = expected["radius"], expected["k"]
@@ -422,7 +422,7 @@ def test_float64_cell_table_snapshot_loads_through_migrate(migrated, tmp_path, n
     assert compdists == want["compdists"]
     save_index(index, tmp_path / "again.snap")
     again = load_index(tmp_path / "again.snap")
-    assert again._rows.dtype == np.float32 and again.slack == index.slack
+    assert again._rows.dtype == np.uint16 and again.slack == index.slack
     assert _coded_answers(again, queries, radius, k) == (got, compdists)
 
 
@@ -432,9 +432,10 @@ def test_row_major_table_snapshot_loads_through_migrate(migrated, tmp_path, name
     seed=11)``; 5 HFI pivots, seed 3; object 7 deleted and put back, 31
     deleted) were written while the tables were row-major arrays.
     ``load_index`` refuses them, naming ``repro migrate``; migrated into a
-    column store -- the same cells, ids, slack and pivots, at no distance
-    -- they answer as written, at the compdists and stored bytes of then,
-    and survive another save and load."""
+    column store -- the cells coded, the slack theirs plus the grid's, the
+    same ids and pivots, at no distance -- they answer as written, at the
+    compdists of then, in 2 bytes a cell (4 or 8 then), and survive another
+    save and load."""
     expected = json.loads((DATA / "row_major_la300_expected.json").read_text())
     want = expected[name]
     with pytest.raises(SnapshotError, match="repro migrate"):
@@ -443,16 +444,19 @@ def test_row_major_table_snapshot_loads_through_migrate(migrated, tmp_path, name
     assert index.space.counters.distance_computations == 0
     view = index.table.view
     assert view.dead == 0 and view.ids.dtype == np.int32 and view.table.T.flags.c_contiguous
+    assert view.table.dtype == np.uint16
     if name != "ept":
-        assert index._rows.dtype == np.float32
-        assert index.slack == want["slack"] and index.mapping.pivot_ids == want["pivot_ids"]
+        assert index.slack == want["slack"] + cell_slack(view.grid.step)
+        assert index.mapping.pivot_ids == want["pivot_ids"]
     dataset = index.space.dataset
     queries = [dataset[i] for i in expected["query_ids"]] + [dataset[3] * 3.0 + 9000.0]
     radius, k = expected["radius"], expected["k"]
     got, compdists = _coded_answers(index, queries, radius, k)
     assert got == {form: want[form] for form in got}
     assert compdists == want["compdists"]
-    assert index.storage_bytes() == want["storage_bytes"]
+    narrower = view.table.size * (6 if name == "ept" else 2)
+    memory = want["storage_bytes"]["memory"] - narrower
+    assert index.storage_bytes() == {**want["storage_bytes"], "memory": memory}
     save_index(index, tmp_path / "again.snap")
     again = load_index(tmp_path / "again.snap")
     assert np.array_equal(again.table.view.table, view.table)

@@ -381,7 +381,9 @@ class TestPivotSelection:
         """PSA's greedy step (``psa_greedy``) is shared by ``psa``,
         ``EPTStar.insert`` and ``DEPT.build``: the per-object pivots and
         distances of an EPT* build, one EPT* insert and DEPT's group pivots
-        on LA n = 300 hash to fixed digests, at fixed distance counts."""
+        on LA n = 300 hash to fixed digests, at fixed distance counts (the
+        distances as the table's ``uint16`` codes; the picks alone hash as
+        they did while the cells were ``float64``)."""
 
         def digest(*parts):
             h = hashlib.sha256()
@@ -395,11 +397,11 @@ class TestPivotSelection:
         la = make_la(300, seed=1)
         counters = CostCounters()
         ept = EPTStar.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=0)
-        assert digest(ept._pivot_idx, ept._pivot_dist, ept.pivot_ids) == "58a7944e64bd843f"
+        assert digest(ept._pivot_idx, ept._pivot_dist, ept.pivot_ids) == "136c46405ff4a2b6"
         # 44 067 while hf computed its first focus's row twice
         assert counters.distance_computations == 43767
         oid = ept.insert(make_la(301, seed=7)[300])
-        assert digest(ept._pivot_idx[oid], ept._pivot_dist[oid]) == "c34a277ff422eac1"
+        assert digest(ept._pivot_idx[oid], ept._pivot_dist[oid]) == "cab1a2e0ebaaa163"
         assert counters.distance_computations == 46431  # 46 731 before, as above
         counters = CostCounters()
         dept = DEPT.build(MetricSpace(la, counters), n_pivots_per_object=5, seed=2)
@@ -434,7 +436,9 @@ class TestPivotSelection:
             ratios = np.abs(fresh - cand_d[:, None]) / sample_d[None, :]
             used = psa_greedy(ratios, 5)
             assert ept._pivot_idx[oid].tolist() == list(used)
-            assert ept._pivot_dist[oid].tolist() == cand_d[used].tolist()
+            # the store's codes of those distances, on its grid
+            codes = np.floor(cand_d[used] / ept.table.view.grid.step)
+            assert ept._pivot_dist[oid].tolist() == codes.tolist()
 
 
 class TestManyQueriesMbbBounds:

@@ -10,9 +10,10 @@ MkNNQ, both ``*_many`` forms and snapshot round trips.
 Every answer is checked against brute force over the live ids, and after
 every step each index's RAF locates exactly the live ids: ``id in raf``
 for those and no other, ``len(raf)`` their count.  An update puts the
-record back into its own slot and grows no index (but DEPT, whose table
-takes a page for each insert, by that page); a new object's record goes
-to the RAF's open page, or to a new one when that is full.
+record back into its own slot and grows no index (Omni-seq's vector goes
+back into the page its delete freed, DEPT's row is live again where it
+was); a new object's record goes to the RAF's open page, or to a new one
+when that is full.
 
 The settings are derandomised, so every run replays the same programs.
 """
@@ -131,9 +132,7 @@ class RafIndexes(RuleBasedStateMachine):
     def update(self, data):
         """Delete an object and put it back under its id (the paper's
         update): its record takes the slot its delete freed, every RAF page
-        stores the bytes it did, and no index grows -- but Omni-seq, whose
-        vector goes to the end of its file, and DEPT, whose table takes a
-        page for each insert."""
+        stores the bytes it did, and no index grows."""
         object_id = data.draw(st.sampled_from(sorted(self.live)))
         for name, index in self.indexes.items():
             where, pages, held = index.raf._where(object_id), _raf_pages(index), index.storage_bytes()
@@ -141,8 +140,7 @@ class RafIndexes(RuleBasedStateMachine):
             assert index.insert(self._stored(object_id), object_id=object_id) == object_id, name
             assert index.raf._where(object_id) == where, name
             assert _raf_pages(index) == pages, name
-            if name not in ("Omni-seq", "DEPT"):
-                assert index.storage_bytes() == held, name
+            assert index.storage_bytes() == held, name
 
     @precondition(lambda self: len(self.live) > 10)
     @rule(data=st.data())

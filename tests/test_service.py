@@ -268,7 +268,7 @@ def test_v2_snapshot_grows_memmap_regions(datasets, built_indexes, tmp_path):
     path = tmp_path / "laesa.v2.snap"
     whole_pickle = len(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
     v2_info = save_index(index, path)
-    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 5
+    assert v2_info.format_version == SNAPSHOT_FORMAT_VERSION == 6
     assert v2_info.n_regions > 0
     assert v2_info.region_bytes > 0
     # the bytes moved, they didn't duplicate: the v2 pickle shrinks by
@@ -276,14 +276,16 @@ def test_v2_snapshot_grows_memmap_regions(datasets, built_indexes, tmp_path):
     assert v2_info.payload_bytes + v2_info.region_bytes < whole_pickle * 1.1
 
 
-def test_restored_tables_are_views_of_the_snapshot_file(datasets, built_indexes, tmp_path):
+def test_restored_tables_are_views_of_the_snapshot_file(tmp_path):
     """What the memmap restore is for, held by construction instead of by a
     wall-clock ratio: the restored vector tables are ``np.memmap`` views of
     the file (nothing was copied out of it), the regions hold at least the
     tables' bytes, no distance is computed, and answers are the live
-    index's."""
-    dataset = datasets["LA"]
-    index = built_indexes("LA", "LAESA")
+    index's.  (n = 1 200: the table is 2-byte codes, and a region holds
+    4 KB at least.)"""
+    dataset = make_la(1200, seed=5)
+    space = MetricSpace(dataset, CostCounters())
+    index = LAESA.build(space, select_pivots(space, 4, strategy="hfi", seed=0))
     queries = _sample_queries(dataset)
     path = tmp_path / "laesa.snap"
     info = save_index(index, path)

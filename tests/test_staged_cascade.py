@@ -145,12 +145,19 @@ def _single_shot_masks(pruner, qmat, omat, radius, validate=False, slots=None):
     return alive, validated
 
 
+def _cells(index):
+    """The ``float64`` table an index's codes decode to: the cascade's
+    logic is held here over such a table (``tests/test_float32_cells.py``
+    holds the codes to it)."""
+    return index.table.view.values
+
+
 def _table_of(index, queries):
     """``(qmat, omat, slots)``: what a table hands its pruner for
-    ``queries``, the slot map ``None`` on a shared-pivot table."""
+    ``queries``, decoded, the slot map ``None`` on a shared-pivot table."""
     if hasattr(index, "mapping"):
-        return index.mapping.map_query_many(queries), index._rows, None
-    return index._query_pivot_dists_many(queries), index._pivot_dist, index._pivot_idx
+        return index.mapping.map_query_many(queries), _cells(index), None
+    return index._query_pivot_dists_many(queries), _cells(index), index._pivot_idx
 
 
 def _assert_cascade_equals_single_shot(index, queries, radius):
@@ -269,10 +276,10 @@ def test_ptolemaic_never_loosens_the_survivor_mask():
     tri = lemma1_baseline(pto)
     qmat = tri.mapping.map_query_many(queries)
     radius = RADII["l2"]
-    tri_alive, _ = tri.pruner.masks_many_queries(qmat, tri._rows, radius)
+    tri_alive, _ = tri.pruner.masks_many_queries(qmat, _cells(tri), radius)
     counters = CostCounters()
     pto_alive, _ = pto.pruner.masks_many_queries(
-        qmat, pto._rows, radius, counters=counters
+        qmat, _cells(pto), radius, counters=counters
     )
     assert not (pto_alive & ~tri_alive).any()
     snap = counters.snapshot()
@@ -309,7 +316,7 @@ def test_validation_decides_only_survivors():
     # room over the true distance before it can accept answers unverified
     radius = 160.0
     survivors, validated = index.pruner.masks_many_queries(
-        qmat, index._rows, radius, validate=True
+        qmat, _cells(index), radius, validate=True
     )
     assert not (survivors & validated).any()
     assert validated.any()
@@ -352,13 +359,14 @@ def test_stage_counters_equal_the_kernel_composition(space_name, validate):
     qmat = index.mapping.map_query_many(queries)
     radius = RADII[space_name] * (3.0 if validate else 1.0)  # Lemma 4 needs room
     counters = CostCounters()
+    table = _cells(index)
     got = index.pruner.masks_many_queries(
-        qmat, index._rows, radius, counters=counters, validate=validate
+        qmat, table, radius, counters=counters, validate=validate
     )
-    want = _single_shot_masks(index.pruner, qmat, index._rows, radius, validate)
+    want = _single_shot_masks(index.pruner, qmat, table, radius, validate)
     assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
     snap = counters.snapshot()
-    counts = _reference_stage_counts(index.pruner, qmat, index._rows, radius, validate)
+    counts = _reference_stage_counts(index.pruner, qmat, table, radius, validate)
     assert {name: getattr(snap, name) for name in counts} == counts
     assert counts["prune_validated" if validate else "prune_ptolemaic"] > 0
 
@@ -391,10 +399,10 @@ def test_ptolemaic_stage_gathers_survivors_not_the_table():
     want[qi[want_dead], oj[want_dead]] = False
     assert 0 < want_dead.sum() < cells
 
-    pruner._ptolemaic_stage(qmat, omat, qi, oj, alive.copy(), radius, 0.0)  # warm caches
+    pruner._ptolemaic_stage(qmat, omat, qi, oj, alive.copy(), radius, None)  # warm caches
     tracemalloc.start()
     try:
-        decided = pruner._ptolemaic_stage(qmat, omat, qi, oj, alive, radius, 0.0)
+        decided = pruner._ptolemaic_stage(qmat, omat, qi, oj, alive, radius, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -426,9 +434,9 @@ def test_cascade_reads_a_pinned_share_of_the_column_cells(datasets):
     qmat = index.mapping.map_query_many(queries)
     counters = CostCounters()
     alive, _ = index.pruner.masks_many_queries(
-        qmat, index._rows, radius, counters=counters
+        qmat, _cells(index), radius, counters=counters
     )
-    assert (alive == (lower_bound_many_queries(qmat, index._rows) <= radius)).all()
+    assert (alive == (lower_bound_many_queries(qmat, _cells(index)) <= radius)).all()
     snap = counters.snapshot()
     q, n = alive.shape
     l, prefix = index.mapping.n_pivots, index.pruner.prefix
@@ -446,7 +454,7 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
     pruner = index.pruner
     assert pruner.use_ptolemaic
     qdists = index._query_pivot_dists_many(_queries(index.space))
-    idx, dist = index._pivot_idx, index._pivot_dist
+    idx, dist = index._pivot_idx, _cells(index)
     triangle = np.abs(qdists[:, idx] - dist[None]).max(axis=2)
     n_q, n_o = triangle.shape
     ci, cj = np.repeat(np.arange(n_q), n_o), np.tile(np.arange(n_o), n_q)
@@ -462,7 +470,10 @@ def test_per_object_knn_bounds_keep_their_ptolemaic_tightening(index_name):
     true_d = index.space.distance.pairwise(
         np.asarray(_queries(index.space)), index.space.dataset.objects
     )
-    assert (full <= true_d + 1e-9).all()
+    # over the codes, giving up the grid's slack: a true lower bound
+    grid = index.table.view.grid
+    coded = pruner.lower_bounds_many_queries(qdists, index._pivot_dist, grid, slots=idx)
+    assert (coded <= true_d + 1e-9).all()
 
 
 def test_a_slot_pair_naming_one_pivot_object_contributes_nothing():
@@ -532,7 +543,7 @@ def test_ptolemaic_pairs_skip_degenerate_denominators():
 
 def test_ptolemaic_bound_is_a_true_lower_bound():
     """On the exact float64 table (the reference bound), and on the index's
-    float32 cells as the pruner evaluates them, under the table's slack."""
+    codes as the pruner evaluates them, through the table's grid."""
     space = _l2_space()
     index = _build("LAESA", space)
     space = index.space
@@ -547,9 +558,9 @@ def test_ptolemaic_bound_is_a_true_lower_bound():
     assert (bounds <= true_d + 1e-9).all()
     rows = np.arange(len(objects))
     cells = index.pruner._ptolemaic_cells(
-        qdists[None], index._rows, 0, rows, index.slack
+        qdists[None], index._rows, 0, rows, index.table.view.grid
     )
-    assert index._rows.dtype == np.float32 and index.slack > 0
+    assert index._rows.dtype == np.uint16 and index.slack > 0
     assert (cells <= bounds).all()
 
 

